@@ -203,53 +203,7 @@ pub enum Stmt {
         then_branch: Vec<Stmt>,
         /// Statements of the ELSE branch (empty when absent).
         else_branch: Vec<Stmt>,
+        /// 1-based source line of the `IF` keyword (for lowering diagnostics).
+        line: usize,
     },
-}
-
-impl Expr {
-    /// Collect the names of every array referenced in the expression.
-    pub fn referenced_arrays(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::Int(_) | Expr::Real(_) | Expr::Var(_) => {}
-            Expr::Element(r) => {
-                out.push(r.array.clone());
-                r.index.referenced_arrays(out);
-            }
-            Expr::Binary(_, a, b) => {
-                a.referenced_arrays(out);
-                b.referenced_arrays(out);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn referenced_arrays_walks_nested_subscripts() {
-        // x(jnb(i)) + y(i) * 2
-        let expr = Expr::Binary(
-            BinOp::Add,
-            Box::new(Expr::Element(ArrayRef {
-                array: "X".into(),
-                index: Box::new(Expr::Element(ArrayRef {
-                    array: "JNB".into(),
-                    index: Box::new(Expr::Var("I".into())),
-                })),
-            })),
-            Box::new(Expr::Binary(
-                BinOp::Mul,
-                Box::new(Expr::Element(ArrayRef {
-                    array: "Y".into(),
-                    index: Box::new(Expr::Var("I".into())),
-                })),
-                Box::new(Expr::Int(2)),
-            )),
-        );
-        let mut arrays = Vec::new();
-        expr.referenced_arrays(&mut arrays);
-        assert_eq!(arrays, vec!["X".to_string(), "JNB".into(), "Y".into()]);
-    }
 }

@@ -3,9 +3,17 @@
 //! Running a lowered program through this executor is the stand-in for running the node
 //! code a real Fortran 90D/HPF compiler would have generated: the sequence of CHAOS
 //! runtime calls (translation-table construction, remapping, index hashing, schedule
-//! generation, gathers, scatter-adds, light-weight appends) is the same, only the loop
-//! bodies are interpreted rather than compiled.  Tables 6 and 7 compare programs executed
-//! this way against the hand-parallelised applications.
+//! generation, gathers, scatter-adds, light-weight appends) is the same, and the loop
+//! bodies run as the slot-indexed code lowering built ([`crate::code`]) — there is no
+//! name, map or expression tree left at run time.  One small register machine (`Vm`)
+//! runs that code in two modes.  The **inspector** pass evaluates every subscript and
+//! lists the distributed-array references in source order; the index hash localizes the
+//! list, and the executor keeps one `u32` stream of local indices per subscript slot.
+//! The **executor** pass runs the same code with a cursor per stream — `data[stream[k]]`
+//! — so no index is translated twice.  A loop's streams are rebuilt exactly when its
+//! references are re-hashed (an indirection array it depends on was modified, or a
+//! `DISTRIBUTE` started a new epoch).  Tables 6 and 7 compare programs executed this way
+//! against the hand-parallelised applications.
 
 use std::collections::HashMap;
 
@@ -13,7 +21,8 @@ use chaos::inspector::build_schedule_from_table;
 use chaos::prelude::*;
 use mpsim::{ExchangeStats, Rank, TimeSnapshot};
 
-use crate::ast::{ArrayRef, BinOp, CmpOp, Cond, DistSpec, Expr, ReduceOp, Stmt};
+use crate::ast::{BinOp, CmpOp, DistSpec};
+use crate::code::{slot_of, Code, IntCode, Names, Op};
 use crate::lower::{ExecStep, LoopKind, LoopPlan, LoweredProgram};
 
 /// Modeled time the executor spent in each phase (the columns of Table 6).
@@ -40,21 +49,39 @@ struct DecompState {
 }
 
 struct RealState {
-    decomp: String,
+    /// Slot of the decomposition the array is aligned with.
+    decomp: usize,
     data: DistArray<f64>,
+    /// `Some` for a `REDUCE(APPEND)` target: per-element lists instead of flat `data`.
+    buckets: Option<HashMap<usize, Vec<f64>>>,
 }
 
-struct BucketState {
-    decomp: String,
-    buckets: HashMap<usize, Vec<f64>>,
+/// What the inspector leaves behind for the executor: this rank's iterations of the
+/// outer loop and, per subscript slot, the local index of each evaluation in order.
+struct Localized {
+    iterations: Vec<i64>,
+    streams: Vec<Vec<u32>>,
 }
 
+/// Stream entry of a subscript that was evaluated but never referenced (it sits above
+/// a zero-trip inner loop); the executor consumes it without dereferencing.
+const UNREFERENCED: usize = usize::MAX;
+
+/// Per-loop state: the plan's names resolved to slots once, and the legacy (un-grouped)
+/// path's schedule and streams.
 #[derive(Default)]
 struct LoopRuntime {
-    hash: Option<IndexHashTable>,
-    schedule: Option<CommSchedule>,
-    deps_seen: HashMap<String, u64>,
+    decomp: Option<usize>,
+    gathered: Vec<usize>,
+    /// Slots the loop writes: its `REDUCE(SUM)` targets, an append loop's bucket array,
+    /// an integer update's modified integer arrays.
+    written: Vec<usize>,
+    /// Integer arrays the schedule depends on, and their counters at the last build.
+    deps: Vec<usize>,
+    deps_seen: Vec<u64>,
     epoch_seen: u64,
+    schedule: Option<CommSchedule>,
+    local: Option<Localized>,
     /// How many times the schedule was rebuilt / reused (exposed for tests and reports).
     rebuilds: u64,
     reuses: u64,
@@ -64,31 +91,26 @@ struct LoopRuntime {
 /// stamp per member loop, served through the software schedule cache so guarded
 /// rebuilds after an indirection-array change can re-serve earlier schedules.
 struct GroupRuntime {
+    decomp: usize,
+    gathered: Vec<usize>,
+    targets: Vec<usize>,
+    /// Per member: the integer arrays its references are computed from.
+    deps: Vec<Vec<usize>>,
     hash: Option<IndexHashTable>,
     cache: ScheduleCache,
     schedule: Option<CommSchedule>,
+    /// Per member (member index == stamp bit): its streams, valid as long as its stamp
+    /// is — ghost slots are never renumbered, so re-hashing one member leaves the
+    /// others' streams intact.
+    local: Vec<Option<Localized>>,
     /// Per-member snapshot of the modification counters of the arrays the member's
-    /// subscripts depend on, from the last build (member index == stamp bit).
-    member_deps_seen: Vec<HashMap<String, u64>>,
+    /// subscripts depend on, from the last build.
+    member_deps_seen: Vec<Vec<u64>>,
     epoch_seen: u64,
+    pending_gather: Option<GatherHandle<f64>>,
     rebuilds: u64,
     patches: u64,
     reuses: u64,
-}
-
-impl GroupRuntime {
-    fn new(n_members: usize) -> Self {
-        Self {
-            hash: None,
-            cache: ScheduleCache::new(4),
-            schedule: None,
-            member_deps_seen: vec![HashMap::new(); n_members],
-            epoch_seen: 0,
-            rebuilds: 0,
-            patches: 0,
-            reuses: 0,
-        }
-    }
 }
 
 /// The per-rank execution engine for one lowered program.
@@ -99,15 +121,15 @@ pub struct Executor<'p> {
     program: &'p LoweredProgram,
     my_rank: usize,
     nprocs: usize,
-    decomps: HashMap<String, DecompState>,
-    reals: HashMap<String, RealState>,
-    buckets: HashMap<String, BucketState>,
-    integers: HashMap<String, Vec<i64>>,
-    mod_counter: HashMap<String, u64>,
+    // State is indexed by the slots of `program.decls.names`; names appear only in the
+    // public API below.
+    decomps: Vec<DecompState>,
+    reals: Vec<RealState>,
+    integers: Vec<Vec<i64>>,
+    mod_counter: Vec<u64>,
     epoch: u64,
-    loop_runtime: HashMap<usize, LoopRuntime>,
-    group_runtime: HashMap<usize, GroupRuntime>,
-    pending_gathers: HashMap<usize, GatherHandle<f64>>,
+    loops: Vec<Option<LoopRuntime>>,
+    groups: Vec<Option<GroupRuntime>>,
     exchange: ExchangeStats,
     phases: FortranDPhases,
 }
@@ -116,55 +138,103 @@ impl<'p> Executor<'p> {
     /// Create an executor; every decomposition starts out BLOCK-distributed (as the
     /// paper's examples do before the irregular `DISTRIBUTE(map)` is applied).
     pub fn new(rank: &mut Rank, program: &'p LoweredProgram) -> Self {
-        let mut decomps = HashMap::new();
-        for (name, &size) in &program.decomps {
-            let dist = BlockDist::new(size, rank.nprocs());
-            let ttable = TranslationTable::from_regular(&dist);
-            let owned_globals: Vec<usize> = dist.local_globals(rank.rank()).collect();
-            decomps.insert(
-                name.clone(),
-                DecompState {
-                    ttable,
-                    owned_globals,
-                },
-            );
-        }
-        let mut reals = HashMap::new();
-        let mut buckets = HashMap::new();
-        // Arrays that are append targets become bucket arrays; everything else is a flat
-        // distributed array.
-        let append_targets: Vec<String> = program
-            .loops
+        let decls = &program.decls;
+        let names = &decls.names;
+        let slot = |list: &[String], name: &String| -> usize {
+            slot_of(list, name).expect("lowering resolved every name")
+        };
+        let slots = |list: &[String], of: &[String]| -> Vec<usize> {
+            of.iter().map(|name| slot(list, name)).collect()
+        };
+        let decomps: Vec<DecompState> = names
+            .decomps
             .iter()
-            .filter_map(|l| match &l.kind {
-                LoopKind::AppendReduction { target } => Some(target.clone()),
-                _ => None,
+            .map(|name| {
+                let dist = BlockDist::new(decls.decomps[name], rank.nprocs());
+                DecompState {
+                    ttable: TranslationTable::from_regular(&dist),
+                    owned_globals: dist.local_globals(rank.rank()).collect(),
+                }
             })
             .collect();
-        for (name, (_size, decomp)) in &program.real_arrays {
-            if append_targets.contains(name) {
-                buckets.insert(
-                    name.clone(),
-                    BucketState {
-                        decomp: decomp.clone(),
-                        buckets: HashMap::new(),
-                    },
-                );
-            } else {
-                let owned = decomps[decomp].owned_globals.len();
-                reals.insert(
-                    name.clone(),
-                    RealState {
-                        decomp: decomp.clone(),
-                        data: DistArray::zeroed(owned, 0),
-                    },
-                );
-            }
-        }
-        let integers = program
-            .integer_arrays
+        // Arrays that are append targets become bucket arrays; everything else is a flat
+        // distributed array.
+        let is_bucket = |name: &String| {
+            let appends_to = |l: &LoopPlan| matches!(&l.kind, LoopKind::AppendReduction { target } if target == name);
+            program.loops.iter().any(appends_to)
+        };
+        let reals = names
+            .reals
             .iter()
-            .map(|(name, &size)| (name.clone(), vec![0i64; size]))
+            .map(|name| {
+                let decomp = slot(&names.decomps, &decls.real_arrays[name].1);
+                let buckets = is_bucket(name).then(HashMap::new);
+                let owned = if buckets.is_some() {
+                    0
+                } else {
+                    decomps[decomp].owned_globals.len()
+                };
+                RealState {
+                    decomp,
+                    data: DistArray::zeroed(owned, 0),
+                    buckets,
+                }
+            })
+            .collect();
+        let loops = program
+            .loops
+            .iter()
+            .map(|plan| {
+                let written = match &plan.kind {
+                    LoopKind::SumReduction => {
+                        // One hash table / one schedule per loop — the merged schedule
+                        // a compiler would emit — needs one decomposition.
+                        let all = plan.gathered_arrays.iter().chain(&plan.sum_targets);
+                        for a in all.chain(&plan.assigned_arrays) {
+                            assert_eq!(
+                                decls.real_arrays[a].1, plan.decomp,
+                                "loop {}: array {a} is aligned with a different decomposition",
+                                plan.loop_id
+                            );
+                        }
+                        slots(&names.reals, &plan.sum_targets)
+                    }
+                    LoopKind::AppendReduction { target } => {
+                        slots(&names.reals, std::slice::from_ref(target))
+                    }
+                    LoopKind::IntegerUpdate { modified } => slots(&names.integers, modified),
+                };
+                Some(LoopRuntime {
+                    decomp: slot_of(&names.decomps, &plan.decomp),
+                    gathered: slots(&names.reals, &plan.gathered_arrays),
+                    written,
+                    deps: slots(&names.integers, &plan.indirection_arrays),
+                    ..LoopRuntime::default()
+                })
+            })
+            .collect();
+        let groups = program
+            .groups
+            .iter()
+            .map(|group| {
+                let deps = group.deps.iter();
+                Some(GroupRuntime {
+                    decomp: slot(&names.decomps, &group.decomp),
+                    gathered: slots(&names.reals, &group.gathered),
+                    targets: slots(&names.reals, &group.targets),
+                    deps: deps.map(|d| slots(&names.integers, d)).collect(),
+                    hash: None,
+                    cache: ScheduleCache::new(4),
+                    schedule: None,
+                    local: group.loop_ids.iter().map(|_| None).collect(),
+                    member_deps_seen: Vec::new(),
+                    epoch_seen: 0,
+                    pending_gather: None,
+                    rebuilds: 0,
+                    patches: 0,
+                    reuses: 0,
+                })
+            })
             .collect();
         Self {
             program,
@@ -172,16 +242,34 @@ impl<'p> Executor<'p> {
             nprocs: rank.nprocs(),
             decomps,
             reals,
-            buckets,
-            integers,
-            mod_counter: HashMap::new(),
+            integers: names
+                .integers
+                .iter()
+                .map(|n| vec![0i64; decls.integer_arrays[n]])
+                .collect(),
+            mod_counter: vec![0; names.integers.len()],
             epoch: 0,
-            loop_runtime: HashMap::new(),
-            group_runtime: HashMap::new(),
-            pending_gathers: HashMap::new(),
+            loops,
+            groups,
             exchange: ExchangeStats::default(),
             phases: FortranDPhases::default(),
         }
+    }
+
+    /// Slot of a real array named through the public API: a flat one, or a bucket
+    /// (append-target) one.
+    fn real_slot(&self, name: &str, bucket: bool) -> usize {
+        slot_of(&self.program.decls.names.reals, name)
+            .filter(|&s| self.reals[s].buckets.is_some() == bucket)
+            .unwrap_or_else(|| match bucket {
+                true => panic!("unknown bucket array {name}"),
+                false => panic!("unknown or non-flat real array {name}"),
+            })
+    }
+
+    fn integer_slot(&self, name: &str) -> usize {
+        slot_of(&self.program.decls.names.integers, name)
+            .unwrap_or_else(|| panic!("unknown integer array {name}"))
     }
 
     /// Phase times accumulated so far.
@@ -191,9 +279,8 @@ impl<'p> Executor<'p> {
 
     /// How many times the given loop's schedule has been rebuilt and reused.
     pub fn schedule_stats(&self, loop_id: usize) -> (u64, u64) {
-        self.loop_runtime
-            .get(&loop_id)
-            .map_or((0, 0), |rt| (rt.rebuilds, rt.reuses))
+        let rt = self.loops.get(loop_id).and_then(Option::as_ref);
+        rt.map_or((0, 0), |rt| (rt.rebuilds, rt.reuses))
     }
 
     /// Exchange traffic (messages and bytes) this rank has issued so far across every
@@ -202,26 +289,27 @@ impl<'p> Executor<'p> {
         self.exchange
     }
 
+    fn group(&self, group: usize) -> Option<&GroupRuntime> {
+        self.groups.get(group).and_then(Option::as_ref)
+    }
+
     /// How many times a schedule group's merged hash table was fully rebuilt,
     /// incrementally patched, and reused as-is.
     pub fn group_stats(&self, group: usize) -> (u64, u64, u64) {
-        self.group_runtime
-            .get(&group)
+        self.group(group)
             .map_or((0, 0, 0), |rt| (rt.rebuilds, rt.patches, rt.reuses))
     }
 
     /// Software schedule-cache statistics of a schedule group.
     pub fn group_cache_stats(&self, group: usize) -> CacheStats {
-        self.group_runtime
-            .get(&group)
+        self.group(group)
             .map_or_else(CacheStats::default, |rt| rt.cache.stats())
     }
 
     /// `(send, recv)` message counts of a schedule group's current merged schedule
     /// (one fused gather or scatter-add moves exactly this many messages).
     pub fn group_message_counts(&self, group: usize) -> (usize, usize) {
-        self.group_runtime
-            .get(&group)
+        self.group(group)
             .and_then(|rt| rt.schedule.as_ref())
             .map_or((0, 0), |s| (s.send_message_count(), s.recv_message_count()))
     }
@@ -229,50 +317,42 @@ impl<'p> Executor<'p> {
     /// Set a distributed real array from its global contents (each rank keeps the elements
     /// it owns).  Not collective.
     pub fn set_real_array(&mut self, name: &str, global: &[f64]) {
-        let state = self
-            .reals
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("unknown or non-flat real array {name}"));
-        let decomp = &self.decomps[&state.decomp];
+        let slot = self.real_slot(name, false);
+        let state = &mut self.reals[slot];
         assert_eq!(
             global.len(),
-            self.program.real_arrays[name].0,
+            self.program.decls.real_arrays[name].0,
             "array {name} initialised with the wrong length"
         );
-        let owned: Vec<f64> = decomp.owned_globals.iter().map(|&g| global[g]).collect();
+        let owned_globals = &self.decomps[state.decomp].owned_globals;
+        let owned: Vec<f64> = owned_globals.iter().map(|&g| global[g]).collect();
         state.data = DistArray::new(owned, state.data.ghost_len());
     }
 
     /// Set a replicated integer array (1-based Fortran values are stored as given).
     /// Marks the array as modified so dependent schedules are regenerated.
     pub fn set_integer_array(&mut self, name: &str, values: &[i64]) {
-        let slot = self
-            .integers
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("unknown integer array {name}"));
+        let slot = self.integer_slot(name);
         assert_eq!(
             values.len(),
-            slot.len(),
+            self.integers[slot].len(),
             "array {name} has the wrong length"
         );
-        slot.copy_from_slice(values);
-        *self.mod_counter.entry(name.to_string()).or_insert(0) += 1;
+        self.integers[slot].copy_from_slice(values);
+        self.mod_counter[slot] += 1;
     }
 
     /// Record that the host modified an integer array in place (statement S of Figure 2):
     /// schedules depending on it will be regenerated at their next execution.
     pub fn mark_modified(&mut self, name: &str) {
-        assert!(
-            self.integers.contains_key(name),
-            "unknown integer array {name}"
-        );
-        *self.mod_counter.entry(name.to_string()).or_insert(0) += 1;
+        let slot = self.integer_slot(name);
+        self.mod_counter[slot] += 1;
     }
 
     /// Gather a distributed real array back to its global form (collective).
     pub fn get_real_array(&mut self, rank: &mut Rank, name: &str) -> Vec<f64> {
-        let state = &self.reals[name];
-        let decomp = &self.decomps[&state.decomp];
+        let state = &self.reals[self.real_slot(name, false)];
+        let decomp = &self.decomps[state.decomp];
         let packed: Vec<(u64, f64)> = decomp
             .owned_globals
             .iter()
@@ -280,7 +360,7 @@ impl<'p> Executor<'p> {
             .map(|(&g, &v)| (g as u64, v))
             .collect();
         let gathered = rank.all_gather(&packed);
-        let mut global = vec![0.0; self.program.real_arrays[name].0];
+        let mut global = vec![0.0; self.program.decls.real_arrays[name].0];
         for part in gathered {
             for (g, v) in part {
                 global[g as usize] = v;
@@ -289,12 +369,15 @@ impl<'p> Executor<'p> {
         global
     }
 
+    fn buckets(&self, name: &str) -> &HashMap<usize, Vec<f64>> {
+        let state = &self.reals[self.real_slot(name, true)];
+        state.buckets.as_ref().expect("real_slot checked")
+    }
+
     /// Global bucket sizes of an append target (collective).
     pub fn bucket_sizes(&mut self, rank: &mut Rank, name: &str) -> Vec<usize> {
-        let state = &self.buckets[name];
-        let size = self.program.real_arrays[name].0;
-        let mut counts = vec![0.0f64; size];
-        for (&cell, values) in &state.buckets {
+        let mut counts = vec![0.0f64; self.program.decls.real_arrays[name].0];
+        for (&cell, values) in self.buckets(name) {
             counts[cell] += values.len() as f64;
         }
         rank.all_reduce_sum_vec(&counts)
@@ -306,8 +389,8 @@ impl<'p> Executor<'p> {
     /// The locally held buckets of an append target, sorted by bucket index, values in
     /// append order.
     pub fn local_buckets(&self, name: &str) -> Vec<(usize, Vec<f64>)> {
-        let mut out: Vec<(usize, Vec<f64>)> = self.buckets[name]
-            .buckets
+        let mut out: Vec<(usize, Vec<f64>)> = self
+            .buckets(name)
             .iter()
             .map(|(&c, v)| (c, v.clone()))
             .collect();
@@ -317,11 +400,9 @@ impl<'p> Executor<'p> {
 
     /// Empty every bucket of an append target (the host does this between time steps).
     pub fn clear_buckets(&mut self, name: &str) {
-        self.buckets
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("unknown bucket array {name}"))
-            .buckets
-            .clear();
+        let slot = self.real_slot(name, true);
+        let buckets = self.reals[slot].buckets.as_mut();
+        buckets.expect("real_slot checked").clear();
     }
 
     /// Run every executable step of the program in source order (collective).
@@ -333,8 +414,8 @@ impl<'p> Executor<'p> {
 
     /// Run one executable step (collective).
     pub fn run_step(&mut self, rank: &mut Rank, step: usize) {
-        let step = self.program.steps[step].clone();
-        self.exec_step(rank, &step);
+        let program = self.program;
+        self.exec_step(rank, &program.steps[step]);
     }
 
     fn exec_step(&mut self, rank: &mut Rank, step: &ExecStep) {
@@ -343,6 +424,7 @@ impl<'p> Executor<'p> {
             ExecStep::Loop(loop_id) => self.run_loop(rank, *loop_id),
             ExecStep::If {
                 cond,
+                op,
                 then_steps,
                 else_steps,
                 ..
@@ -350,20 +432,22 @@ impl<'p> Executor<'p> {
                 // Note: the steps inside the branches are collective, so a
                 // rank-dependent condition here is exactly the bug class the
                 // collective-matching analysis (`crate::analysis`) flags — the
-                // interpreter executes what the program says regardless.
-                let branch = if self.eval_cond(cond) {
-                    then_steps
-                } else {
-                    else_steps
+                // executor does what the program says regardless.
+                let [l, r] = self.scalar_pair(cond);
+                let holds = match op {
+                    CmpOp::Eq => l == r,
+                    CmpOp::Ne => l != r,
+                    CmpOp::Lt => l < r,
+                    CmpOp::Le => l <= r,
+                    CmpOp::Gt => l > r,
+                    CmpOp::Ge => l >= r,
                 };
-                for s in branch {
+                for s in if holds { then_steps } else { else_steps } {
                     self.exec_step(rank, s);
                 }
             }
-            ExecStep::TimeLoop { lo, hi, body, .. } => {
-                let env = HashMap::new();
-                let lo = eval_int(lo, &env, &self.integers);
-                let hi = eval_int(hi, &env, &self.integers);
+            ExecStep::TimeLoop { bounds, body, .. } => {
+                let [lo, hi] = self.scalar_pair(bounds);
                 for _ in lo..=hi {
                     for s in body {
                         self.exec_step(rank, s);
@@ -380,36 +464,19 @@ impl<'p> Executor<'p> {
         }
     }
 
-    /// Evaluate an IF condition on this rank.  `MYRANK` and `NPROCS` resolve to the
-    /// rank's coordinates; integer arrays are readable as usual.
-    fn eval_cond(&self, cond: &Cond) -> bool {
-        let mut env = HashMap::new();
-        env.insert("MYRANK".to_string(), self.my_rank as i64);
-        env.insert("NPROCS".to_string(), self.nprocs as i64);
-        let l = eval_int(&cond.lhs, &env, &self.integers);
-        let r = eval_int(&cond.rhs, &env, &self.integers);
-        match cond.op {
-            CmpOp::Eq => l == r,
-            CmpOp::Ne => l != r,
-            CmpOp::Lt => l < r,
-            CmpOp::Le => l <= r,
-            CmpOp::Gt => l > r,
-            CmpOp::Ge => l >= r,
-        }
-    }
-
     /// Apply a `DISTRIBUTE` directive: build the new translation table and remap every
     /// flat real array aligned with the decomposition (collective).
     pub fn apply_distribute(&mut self, rank: &mut Rank, decomp: &str, spec: &DistSpec) {
         let t0 = rank.modeled();
-        let size = self.program.decomps[decomp];
+        let size = self.program.decls.decomps[decomp];
+        let slot = slot_of(&self.program.decls.names.decomps, decomp).expect("decomps has it");
         let block = BlockDist::new(size, self.nprocs);
         let my_block: Vec<usize> = block.local_globals(self.my_rank).collect();
         let mut new_ttable = match spec {
             DistSpec::Block => TranslationTable::from_regular(&block),
             DistSpec::Cyclic => TranslationTable::from_regular(&CyclicDist::new(size, self.nprocs)),
             DistSpec::Map(map_name) => {
-                let map = &self.integers[map_name];
+                let map = &self.integers[self.integer_slot(map_name)];
                 let local_map: Vec<usize> = my_block.iter().map(|&g| map[g] as usize).collect();
                 TranslationTable::replicated_from_map(rank, &local_map, &block)
                     .expect("map array assigns an element to a non-existent processor")
@@ -419,69 +486,163 @@ impl<'p> Executor<'p> {
         // distribution to the new one, reusing one plan for all of them.  The arrays are
         // visited in name order so that every rank issues the transfers in the same
         // sequence (the remap messages of different arrays share a tag).
-        let old_state = &self.decomps[decomp];
-        let plan = build_remap(rank, &old_state.owned_globals, &mut new_ttable);
-        let mut aligned: Vec<String> = self
-            .reals
-            .iter()
-            .filter(|(_, s)| s.decomp == decomp)
-            .map(|(n, _)| n.clone())
+        let plan = build_remap(rank, &self.decomps[slot].owned_globals, &mut new_ttable);
+        let names = &self.program.decls.names.reals;
+        let mut aligned: Vec<usize> = (0..self.reals.len())
+            .filter(|&a| self.reals[a].decomp == slot && self.reals[a].buckets.is_none())
             .collect();
-        aligned.sort_unstable();
-        for name in aligned {
-            let state = self.reals.get_mut(&name).expect("array exists");
-            let new_owned = remap_values(rank, &plan, state.data.owned(), 0.0);
-            state.data = DistArray::new(new_owned, 0);
+        aligned.sort_unstable_by_key(|&a| &names[a]);
+        for a in aligned {
+            let new_owned = remap_values(rank, &plan, self.reals[a].data.owned(), 0.0);
+            self.reals[a].data = DistArray::new(new_owned, 0);
         }
         let owned_globals = new_ttable.owned_globals(rank);
-        self.decomps.insert(
-            decomp.to_string(),
-            DecompState {
-                ttable: new_ttable,
-                owned_globals,
-            },
-        );
+        self.decomps[slot] = DecompState {
+            ttable: new_ttable,
+            owned_globals,
+        };
         self.epoch += 1;
         self.phases.remap += rank.modeled().since(&t0);
     }
 
     /// Execute one `FORALL` loop (collective).
     pub fn run_loop(&mut self, rank: &mut Rank, loop_id: usize) {
-        let plan = self.program.loop_plan(loop_id).clone();
-        match plan.kind.clone() {
+        match self.program.loop_plan(loop_id).kind {
             LoopKind::SumReduction => self.run_sum_loop(rank, loop_id),
-            LoopKind::AppendReduction { target } => self.run_append_loop(rank, loop_id, &target),
-            LoopKind::IntegerUpdate { modified } => {
-                self.run_integer_update(rank, loop_id, &modified);
-            }
+            LoopKind::AppendReduction { .. } => self.run_append_loop(rank, loop_id),
+            LoopKind::IntegerUpdate { .. } => self.run_integer_update(rank, loop_id),
         }
+    }
+
+    /// A register machine over the executor's arrays, ready to run `code`.
+    fn vm<'a>(&'a mut self, code: &Code, streams: &'a [Vec<u32>]) -> Vm<'a> {
+        let mut i = vec![0i64; code.iregs as usize];
+        (i[0], i[1]) = (self.my_rank as i64, self.nprocs as i64);
+        let mut f = vec![0.0; code.fregs as usize];
+        for &(reg, v) in &code.consts {
+            f[reg as usize] = v;
+        }
+        Vm {
+            names: &self.program.decls.names,
+            ints: &mut self.integers,
+            reals: &mut self.reals,
+            i,
+            f,
+            streams,
+            cursor: vec![0; code.subs.len()],
+            local: vec![0; code.subs.len()],
+            global: vec![0; code.subs.len()],
+            seen: Inspected {
+                first_ref: vec![Vec::new(); code.subs.len()],
+                ..Inspected::default()
+            },
+            payload: Vec::new(),
+            work: 0,
+        }
+    }
+
+    /// Evaluate a pair of scalar integer expressions (bounds, an `IF`'s two sides).
+    fn scalar_pair(&mut self, ints: &IntCode) -> [i64; 2] {
+        let mut vm = self.vm(&ints.code, &[]);
+        vm.run::<false>(&ints.code);
+        ints.out.map(|reg| vm.i[reg as usize])
     }
 
     /// The iterations this rank executes of a sum-reduction loop: owner-computes over
     /// the loop's decomposition when the loop ranges over exactly that index space (the
     /// common case in the paper's templates); otherwise a BLOCK partition of the range.
-    fn sum_loop_iterations(&self, plan: &LoopPlan) -> Vec<i64> {
-        let Stmt::Forall { lo, hi, .. } = &plan.forall else {
-            unreachable!()
-        };
-        let empty_env = HashMap::new();
-        let lo_val = eval_int(lo, &empty_env, &self.integers);
-        let hi_val = eval_int(hi, &empty_env, &self.integers);
-        let extent = (hi_val - lo_val + 1).max(0) as usize;
-        let decomp_state = &self.decomps[&plan.decomp];
-        let decomp_size = self.program.decomps[&plan.decomp];
-        if extent == decomp_size {
-            decomp_state
-                .owned_globals
-                .iter()
-                .filter(|&&g| g < extent)
-                .map(|&g| lo_val + g as i64)
-                .collect()
+    fn sum_loop_iterations(&mut self, plan: &LoopPlan, decomp: usize) -> Vec<i64> {
+        let [lo, hi] = self.scalar_pair(&plan.bounds);
+        let extent = (hi - lo + 1).max(0) as usize;
+        if extent == self.program.decls.decomps[&plan.decomp] {
+            let owned = self.decomps[decomp].owned_globals.iter();
+            owned.map(|&g| lo + g as i64).collect()
         } else {
-            BlockDist::new(extent, self.nprocs)
-                .local_globals(self.my_rank)
-                .map(|g| lo_val + g as i64)
-                .collect()
+            let block = BlockDist::new(extent, self.nprocs).local_globals(self.my_rank);
+            block.map(|g| lo + g as i64).collect()
+        }
+    }
+
+    /// The inspector's reference-collection pass: run the loop's code over `iterations`
+    /// evaluating subscripts only, and return every distributed-array reference in
+    /// source order (one per occurrence — the list the index hash has always been fed).
+    fn inspect(&mut self, loop_id: usize, iterations: &[i64]) -> Inspected {
+        let code = &self.program.loop_plan(loop_id).code;
+        let mut vm = self.vm(code, &[]);
+        for &i in iterations {
+            vm.i[code.var as usize] = i;
+            vm.run::<true>(code);
+        }
+        vm.seen
+    }
+
+    /// The executor pass: run the loop's code over its localized streams; returns the
+    /// work done (statements executed) and the append payload, if any.
+    fn execute(&mut self, loop_id: usize, local: &Localized) -> (usize, Vec<(u64, f64)>) {
+        let code = &self.program.loop_plan(loop_id).code;
+        let mut vm = self.vm(code, &local.streams);
+        for &i in &local.iterations {
+            vm.i[code.var as usize] = i;
+            vm.run::<false>(code);
+        }
+        let consumed = vm
+            .cursor
+            .iter()
+            .zip(&local.streams)
+            .all(|(&c, s)| c == s.len());
+        assert!(
+            consumed,
+            "line {}: executor left subscript streams unread",
+            code.line
+        );
+        (vm.work, vm.payload)
+    }
+
+    /// Inspect one sum-reduction loop and localize its subscripts: hash the reference
+    /// list under `stamp` (collective in cost accounting only — the table is
+    /// replicated) and keep, per subscript slot, the local index of each evaluation.
+    /// Direct assignments are checked here, once, in every build: owner-computes must
+    /// hold for each assigned element.
+    fn localize(
+        &mut self,
+        rank: &mut Rank,
+        loop_id: usize,
+        decomp: usize,
+        hash: &mut IndexHashTable,
+        stamp: Stamp,
+    ) -> Localized {
+        let plan = self.program.loop_plan(loop_id);
+        let iterations = self.sum_loop_iterations(plan, decomp);
+        let seen = self.inspect(loop_id, &iterations);
+        let DecompState {
+            ttable,
+            owned_globals,
+        } = &self.decomps[decomp];
+        let local = hash.hash_in_replicated(rank, ttable, &seen.refs, stamp);
+        for &(at, arr) in &seen.assigns {
+            assert!(
+                local[at].is_owned(owned_globals.len()),
+                "line {}: assignment to {}({}) on rank {}, but the element is owned by rank {} \
+                 (direct assignments must be to owned elements under owner-computes)",
+                plan.line(),
+                self.program.decls.names.reals[arr as usize],
+                seen.refs[at] + 1,
+                self.my_rank,
+                ttable
+                    .lookup_local(seen.refs[at])
+                    .map_or(u32::MAX, |loc| loc.owner),
+            );
+        }
+        let stream = |first_ref: &Vec<usize>| {
+            let entry = |&at: &usize| match local.get(at) {
+                Some(r) => u32::try_from(r.0).expect("local indices fit u32"),
+                None => u32::MAX,
+            };
+            first_ref.iter().map(entry).collect()
+        };
+        Localized {
+            streams: seen.first_ref.iter().map(stream).collect(),
+            iterations,
         }
     }
 
@@ -490,301 +651,200 @@ impl<'p> Executor<'p> {
     /// Execute a replicated integer-update FORALL: every rank runs the full iteration
     /// range over its replicated copy (no communication), and the modified arrays'
     /// counters are bumped so dependent schedules rebuild or patch at their next use.
-    fn run_integer_update(&mut self, rank: &mut Rank, loop_id: usize, modified: &[String]) {
-        let plan = self.program.loop_plan(loop_id).clone();
-        let (var, lo, hi, body) = match &plan.forall {
-            Stmt::Forall {
-                var, lo, hi, body, ..
-            } => (var.clone(), lo.clone(), hi.clone(), body.clone()),
-            _ => unreachable!(),
+    fn run_integer_update(&mut self, rank: &mut Rank, loop_id: usize) {
+        let plan = self.program.loop_plan(loop_id);
+        let [lo, hi] = self.scalar_pair(&plan.bounds);
+        let all = Localized {
+            iterations: (lo..=hi).collect(),
+            streams: Vec::new(),
         };
-        let empty_env = HashMap::new();
-        let lo_val = eval_int(&lo, &empty_env, &self.integers);
-        let hi_val = eval_int(&hi, &empty_env, &self.integers);
-        let mut work = 0usize;
-        for i in lo_val..=hi_val {
-            let mut env = HashMap::new();
-            env.insert(var.clone(), i);
-            for stmt in &body {
-                let Stmt::Assign { target, value } = stmt else {
-                    unreachable!("integer-update bodies hold only assignments");
-                };
-                let v = eval_int(value, &env, &self.integers);
-                let idx = (eval_int(&target.index, &env, &self.integers) - 1) as usize;
-                self.integers
-                    .get_mut(&target.array)
-                    .expect("integer array exists")[idx] = v;
-                work += 1;
-            }
-        }
+        let (work, _) = self.execute(loop_id, &all);
         rank.charge_compute(work as f64 * 0.2);
-        for name in modified {
-            *self.mod_counter.entry(name.clone()).or_insert(0) += 1;
+        let rt = self.loops[loop_id]
+            .as_ref()
+            .expect("loop state is in place");
+        for &a in &rt.written {
+            self.mod_counter[a] += 1;
         }
     }
 
     // ----------------------------------------------------------- sum-reduction loops --
 
     fn run_sum_loop(&mut self, rank: &mut Rank, loop_id: usize) {
-        let plan = self.program.loop_plan(loop_id).clone();
-        let (var, body) = match &plan.forall {
-            Stmt::Forall { var, body, .. } => (var.clone(), body.clone()),
-            _ => unreachable!(),
-        };
-        let iterations = self.sum_loop_iterations(&plan);
-        let decomp_state = &self.decomps[&plan.decomp];
-        let owned_len = decomp_state.owned_globals.len();
-
-        // All real arrays of the loop must share the decomposition (one hash table / one
-        // schedule per loop — the merged schedule a compiler would emit).
-        for a in plan
-            .gathered_arrays
-            .iter()
-            .chain(&plan.sum_targets)
-            .chain(&plan.assigned_arrays)
-        {
-            assert_eq!(
-                self.reals[a].decomp, plan.decomp,
-                "loop {loop_id}: array {a} is aligned with a different decomposition"
-            );
-        }
+        let mut rt = self.loops[loop_id].take().expect("loops do not nest");
 
         // ---- inspector (with schedule reuse) -------------------------------------------
         let t0 = rank.modeled();
-        let mut rt = self.loop_runtime.remove(&loop_id).unwrap_or_default();
-        let deps_now: HashMap<String, u64> = plan
-            .indirection_arrays
-            .iter()
-            .map(|a| (a.clone(), self.mod_counter.get(a).copied().unwrap_or(0)))
-            .collect();
-        let valid =
-            rt.schedule.is_some() && rt.epoch_seen == self.epoch && rt.deps_seen == deps_now;
-        if !valid {
+        let deps_now: Vec<u64> = rt.deps.iter().map(|&a| self.mod_counter[a]).collect();
+        if rt.schedule.is_some() && rt.epoch_seen == self.epoch && rt.deps_seen == deps_now {
+            rt.reuses += 1;
+        } else {
+            let decomp = rt.decomp.expect("sum loops iterate over a decomposition");
+            let owned_len = self.decomps[decomp].owned_globals.len();
             let mut hash = IndexHashTable::new(self.my_rank, owned_len);
             let stamp = Stamp::new(0);
-            // Collect every distributed-array reference the loop body makes, for every
-            // local iteration, and hash the subscripts.
-            let mut referenced: Vec<usize> = Vec::new();
-            for &i in &iterations {
-                let mut env = HashMap::new();
-                env.insert(var.clone(), i);
-                collect_refs(&body, &env, &self.integers, &self.reals, &mut referenced);
-            }
-            hash.hash_in_replicated(rank, &decomp_state.ttable, &referenced, stamp);
-            let schedule = build_schedule_from_table(rank, &hash, StampQuery::single(stamp));
-            rt.hash = Some(hash);
-            rt.schedule = Some(schedule);
+            rt.local = Some(self.localize(rank, loop_id, decomp, &mut hash, stamp));
+            rt.schedule = Some(build_schedule_from_table(
+                rank,
+                &hash,
+                StampQuery::single(stamp),
+            ));
             rt.deps_seen = deps_now;
             rt.epoch_seen = self.epoch;
             rt.rebuilds += 1;
-        } else {
-            rt.reuses += 1;
         }
         self.phases.inspector += rank.modeled().since(&t0);
 
         // ---- executor -------------------------------------------------------------------
         let t0 = rank.modeled();
-        let hash = rt.hash.as_ref().expect("hash table built above");
         let schedule = rt.schedule.as_ref().expect("schedule built above");
         let ghost = schedule.ghost_len();
         let mut stats = ExchangeStats::default();
         // Gather read arrays; clear ghosts of reduction targets.
-        for name in &plan.gathered_arrays {
-            let state = self.reals.get_mut(name).expect("gathered array exists");
-            state.data.ensure_ghost(ghost);
-            stats = stats.merged(&gather(rank, schedule, &mut state.data));
+        for &a in &rt.gathered {
+            let data = &mut self.reals[a].data;
+            data.ensure_ghost(ghost);
+            stats = stats.merged(&gather(rank, schedule, data));
         }
-        for name in &plan.sum_targets {
-            let state = self.reals.get_mut(name).expect("target array exists");
-            state.data.ensure_ghost(ghost);
-            state.data.clear_ghost();
+        for &a in &rt.written {
+            self.reals[a].data.ensure_ghost(ghost);
+            self.reals[a].data.clear_ghost();
         }
-
-        // Interpret the loop body.
-        let mut work = 0usize;
-        for &i in &iterations {
-            let mut env = HashMap::new();
-            env.insert(var.clone(), i);
-            work += exec_body(
-                &body,
-                &mut env,
-                &self.integers,
-                &mut self.reals,
-                &decomp_state.ttable,
-                hash,
-                owned_len,
-                self.my_rank,
-            );
-        }
+        let (work, _) = self.execute(loop_id, rt.local.as_ref().expect("localized above"));
         rank.charge_compute(work as f64);
-
         // Fold off-processor contributions back and drop the ghost accumulations.
-        for name in &plan.sum_targets {
-            let state = self.reals.get_mut(name).expect("target array exists");
-            stats = stats.merged(&scatter_add(rank, schedule, &mut state.data));
-            state.data.clear_ghost();
+        for &a in &rt.written {
+            let data = &mut self.reals[a].data;
+            stats = stats.merged(&scatter_add(rank, schedule, data));
+            data.clear_ghost();
         }
         self.exchange = self.exchange.merged(&stats);
         self.phases.executor += rank.modeled().since(&t0);
-        self.loop_runtime.insert(loop_id, rt);
+        self.loops[loop_id] = Some(rt);
     }
 
     // ------------------------------------------------------------------- append loops --
 
-    fn run_append_loop(&mut self, rank: &mut Rank, loop_id: usize, target: &str) {
-        let plan = self.program.loop_plan(loop_id).clone();
-        let (var, lo, hi, body) = match &plan.forall {
-            Stmt::Forall {
-                var, lo, hi, body, ..
-            } => (var.clone(), lo.clone(), hi.clone(), body.clone()),
-            _ => unreachable!(),
-        };
-        let (reduce_target, value_expr) = find_append(&body)
-            .unwrap_or_else(|| panic!("append loop {loop_id} has no REDUCE(APPEND) statement"));
-
-        let empty_env = HashMap::new();
-        let lo_val = eval_int(&lo, &empty_env, &self.integers);
-        let hi_val = eval_int(&hi, &empty_env, &self.integers);
-        let extent = (hi_val - lo_val + 1).max(0) as usize;
-
-        let source_decomp = &self.decomps[&plan.decomp];
-        let iterations: Vec<i64> = source_decomp
-            .owned_globals
-            .iter()
+    fn run_append_loop(&mut self, rank: &mut Rank, loop_id: usize) {
+        let plan = self.program.loop_plan(loop_id);
+        let rt = self.loops[loop_id]
+            .as_ref()
+            .expect("loop state is in place");
+        let (source, target) = (rt.decomp.expect("append loop"), rt.written[0]);
+        let [lo, hi] = self.scalar_pair(&plan.bounds);
+        let extent = (hi - lo + 1).max(0) as usize;
+        let owned = self.decomps[source].owned_globals.iter();
+        let iterations: Vec<i64> = owned
             .filter(|&&g| g < extent)
-            .map(|&g| lo_val + g as i64)
+            .map(|&g| lo + g as i64)
             .collect();
-        let bucket_decomp_name = self.buckets[target].decomp.clone();
-        let bucket_ttable = &self.decomps[&bucket_decomp_name].ttable;
 
         // ---- inspector: destination processors + light-weight schedule -----------------
+        // Localizing an append loop needs no hash table: the bucket subscript resolves
+        // to its owner (and stays global in its stream), value subscripts must be owned.
         let t0 = rank.modeled();
+        let seen = self.inspect(loop_id, &iterations);
         let mut dests: Vec<ProcId> = Vec::with_capacity(iterations.len());
-        let mut payload: Vec<(u64, f64)> = Vec::with_capacity(iterations.len());
-        for &i in &iterations {
-            let mut env = HashMap::new();
-            env.insert(var.clone(), i);
-            let bucket = (eval_int(&reduce_target.index, &env, &self.integers) - 1) as usize;
-            let value = eval_owned_value(
-                &value_expr,
-                &env,
-                &self.integers,
-                &self.reals,
-                &self.decomps,
-                self.my_rank,
-            );
-            let loc = bucket_ttable
-                .lookup_local(bucket)
-                .expect("bucket arrays use replicated translation tables");
-            dests.push(loc.owner as usize);
-            payload.push((bucket as u64, value));
+        let mut streams: Vec<Vec<u32>> = Vec::new();
+        for (first_ref, &(array, _)) in seen.first_ref.iter().zip(&plan.code.subs) {
+            let array = array as usize;
+            let ttable = &self.decomps[self.reals[array].decomp].ttable;
+            let mut stream = Vec::with_capacity(first_ref.len());
+            for &at in first_ref {
+                let global = seen.refs[at];
+                let loc = ttable
+                    .lookup_local(global)
+                    .expect("the executor's decompositions use replicated translation tables");
+                if array == target {
+                    dests.push(loc.owner as usize);
+                    stream.push(global as u32);
+                    continue;
+                }
+                assert_eq!(
+                    loc.owner as usize,
+                    self.my_rank,
+                    "line {}: append-loop values must reference locally owned elements, \
+                     but {}({}) is not",
+                    plan.line(),
+                    self.program.decls.names.reals[array],
+                    global + 1
+                );
+                stream.push(loc.offset);
+            }
+            streams.push(stream);
         }
         let sched = LightweightSchedule::build(rank, &dests);
         self.phases.inspector += rank.modeled().since(&t0);
 
         // ---- executor: move and append ---------------------------------------------------
         let t0 = rank.modeled();
-        self.exchange = self
-            .exchange
-            .merged(&lightweight_stats(&sched, self.my_rank));
+        let stats = lightweight_stats(&sched, self.my_rank);
+        self.exchange = self.exchange.merged(&stats);
+        let local = Localized {
+            iterations,
+            streams,
+        };
+        let (_, payload) = self.execute(loop_id, &local);
         let arrivals = scatter_append(rank, &sched, &payload);
-        let bucket_state = self.buckets.get_mut(target).expect("bucket array exists");
+        let buckets = self.reals[target].buckets.as_mut().expect("append target");
         for (bucket, value) in arrivals {
-            bucket_state
-                .buckets
-                .entry(bucket as usize)
-                .or_default()
-                .push(value);
+            buckets.entry(bucket as usize).or_default().push(value);
         }
-        rank.charge_compute(iterations.len() as f64 * 0.3);
+        rank.charge_compute(local.iterations.len() as f64 * 0.3);
         self.phases.executor += rank.modeled().since(&t0);
     }
 
     // ------------------------------------------------------ optimized schedule groups --
 
-    /// Reference-collection for one member loop of a schedule group: every
-    /// distributed-array element its body touches, over this rank's iterations.
-    fn member_refs(&self, loop_id: usize) -> Vec<usize> {
-        let plan = self.program.loop_plan(loop_id);
-        let Stmt::Forall { var, body, .. } = &plan.forall else {
-            unreachable!()
-        };
-        let iterations = self.sum_loop_iterations(plan);
-        let mut refs = Vec::new();
-        for &i in &iterations {
-            let mut env = HashMap::new();
-            env.insert(var.clone(), i);
-            collect_refs(body, &env, &self.integers, &self.reals, &mut refs);
-        }
-        refs
-    }
-
     /// `BuildSchedule` step: (re)build or incrementally patch the group's merged hash
     /// table — one stamp per member loop — then fetch the merged schedule through the
     /// software schedule cache (collective).
     fn build_group_schedule(&mut self, rank: &mut Rank, group_id: usize) {
-        let group = self.program.groups[group_id].clone();
+        let group = &self.program.groups[group_id];
         let t0 = rank.modeled();
-        let owned_len = self.decomps[&group.decomp].owned_globals.len();
-        let mut rt = self
-            .group_runtime
-            .remove(&group_id)
-            .unwrap_or_else(|| GroupRuntime::new(group.loop_ids.len()));
+        let mut rt = self.groups[group_id].take().expect("groups do not nest");
         // Current modification counters of each member's subscript dependencies; every
         // rank bumps the counters identically, so the patch decisions below are SPMD.
-        let deps_now: Vec<HashMap<String, u64>> = group
-            .deps
-            .iter()
-            .map(|deps| {
-                deps.iter()
-                    .map(|a| (a.clone(), self.mod_counter.get(a).copied().unwrap_or(0)))
-                    .collect()
-            })
-            .collect();
-        let epoch_ok = rt.epoch_seen == self.epoch;
-        if let Some(hash) = rt.hash.as_mut().filter(|_| epoch_ok) {
-            // Patch only the members whose indirection arrays changed since the last
-            // build — incremental maintenance instead of a full inspector rerun.
-            let mut patched = false;
-            for (m, &lid) in group.loop_ids.iter().enumerate() {
-                if rt.member_deps_seen[m] == deps_now[m] {
-                    continue;
-                }
-                let stamp = Stamp::new(m as u8);
-                let refs = self.member_refs(lid);
-                let ttable = &self.decomps[&group.decomp].ttable;
-                hash.clear_stamp(stamp);
-                hash.hash_in_replicated(rank, ttable, &refs, stamp);
-                rt.patches += 1;
-                patched = true;
-            }
-            if !patched {
-                rt.reuses += 1;
-            }
-        } else {
-            // First build, or the decomposition changed: retire cached schedules tied
-            // to the old table and hash every member from scratch.
+        let counters = |deps: &Vec<usize>| deps.iter().map(|&a| self.mod_counter[a]).collect();
+        let deps_now: Vec<Vec<u64>> = rt.deps.iter().map(counters).collect();
+        // First build, or the decomposition changed: retire cached schedules tied to the
+        // old table and hash every member from scratch.  Otherwise patch only the
+        // members whose indirection arrays changed since the last build — incremental
+        // maintenance instead of a full inspector rerun.
+        let fresh = rt.hash.is_none() || rt.epoch_seen != self.epoch;
+        if fresh {
             if let Some(old) = rt.hash.take() {
                 rt.cache.retire_table(&old);
             }
-            let mut hash = IndexHashTable::new(self.my_rank, owned_len);
-            for (m, &lid) in group.loop_ids.iter().enumerate() {
-                let refs = self.member_refs(lid);
-                let ttable = &self.decomps[&group.decomp].ttable;
-                hash.hash_in_replicated(rank, ttable, &refs, Stamp::new(m as u8));
-            }
-            rt.hash = Some(hash);
+            let owned_len = self.decomps[rt.decomp].owned_globals.len();
+            rt.hash = Some(IndexHashTable::new(self.my_rank, owned_len));
             rt.rebuilds += 1;
+        }
+        let hash = rt.hash.as_mut().expect("hash table built above");
+        let mut patched = false;
+        for (m, &lid) in group.loop_ids.iter().enumerate() {
+            if !fresh && rt.member_deps_seen[m] == deps_now[m] {
+                continue;
+            }
+            let stamp = Stamp::new(m as u8);
+            if !fresh {
+                hash.clear_stamp(stamp);
+                rt.patches += 1;
+                patched = true;
+            }
+            rt.local[m] = Some(self.localize(rank, lid, rt.decomp, hash, stamp));
+        }
+        if !fresh && !patched {
+            rt.reuses += 1;
         }
         let stamps: Vec<Stamp> = (0..group.loop_ids.len())
             .map(|m| Stamp::new(m as u8))
             .collect();
-        let hash = rt.hash.as_ref().expect("hash table built above");
         let (sched, _outcome) = rt.cache.schedule(rank, hash, StampQuery::any_of(&stamps));
         rt.schedule = Some(sched.clone());
         rt.member_deps_seen = deps_now;
         rt.epoch_seen = self.epoch;
-        self.group_runtime.insert(group_id, rt);
+        self.groups[group_id] = Some(rt);
         self.phases.inspector += rank.modeled().since(&t0);
     }
 
@@ -792,29 +852,39 @@ impl<'p> Executor<'p> {
     /// leaving the handle pending so independent work overlaps the exchange
     /// (collective).
     fn start_group_gather(&mut self, rank: &mut Rank, group_id: usize) {
-        let group = self.program.groups[group_id].clone();
+        let t0 = rank.modeled();
+        let rt = self.groups[group_id].as_mut().expect("groups do not nest");
         assert!(
-            !group.gathered.is_empty(),
+            !rt.gathered.is_empty(),
             "GatherStart is only emitted for groups with gathered arrays"
         );
-        let t0 = rank.modeled();
-        let rt = self
-            .group_runtime
-            .get(&group_id)
-            .expect("a BuildSchedule step precedes every GatherStart");
         assert_eq!(
             rt.epoch_seen, self.epoch,
             "stale schedule: the optimizer must not start a gather across a DISTRIBUTE"
         );
-        let sched = rt
-            .schedule
-            .as_ref()
-            .expect("schedule built by BuildSchedule");
+        let sched = rt.schedule.as_ref();
+        let sched = sched.expect("a BuildSchedule step precedes every GatherStart");
         let arrays: Vec<&DistArray<f64>> =
-            group.gathered.iter().map(|n| &self.reals[n].data).collect();
-        let handle = gather_start_dyn(rank, sched, &arrays);
-        self.pending_gathers.insert(group_id, handle);
+            rt.gathered.iter().map(|&a| &self.reals[a].data).collect();
+        rt.pending_gather = Some(gather_start_dyn(rank, sched, &arrays));
         self.phases.executor += rank.modeled().since(&t0);
+    }
+
+    /// Move arrays out of the executor so a fused exchange can borrow them all at once
+    /// (steps overlapped with the exchange touch only replicated integer state).
+    fn take_arrays(&mut self, slots: &[usize], ghost: usize) -> Vec<DistArray<f64>> {
+        let take = |&a: &usize| {
+            let mut data = std::mem::replace(&mut self.reals[a].data, DistArray::zeroed(0, 0));
+            data.ensure_ghost(ghost);
+            data
+        };
+        slots.iter().map(take).collect()
+    }
+
+    fn put_arrays(&mut self, slots: &[usize], arrays: Vec<DistArray<f64>>) {
+        for (&a, data) in slots.iter().zip(arrays) {
+            self.reals[a].data = data;
+        }
     }
 
     /// `FusedLoop` step: one fused gather for all the group's read arrays, the member
@@ -831,152 +901,66 @@ impl<'p> Executor<'p> {
         overlapped: &[ExecStep],
         early_gather: bool,
     ) {
-        let group = self.program.groups[group_id].clone();
-        let rt = self
-            .group_runtime
-            .remove(&group_id)
-            .expect("a BuildSchedule step precedes every FusedLoop");
+        let group = &self.program.groups[group_id];
+        let mut rt = self.groups[group_id].take().expect("groups do not nest");
         assert_eq!(
             rt.epoch_seen, self.epoch,
             "stale schedule: the optimizer must not hoist across a DISTRIBUTE"
         );
-        let sched = rt
-            .schedule
-            .clone()
-            .expect("schedule built by BuildSchedule");
+        let sched = rt.schedule.as_ref();
+        let sched = sched.expect("a BuildSchedule step precedes every FusedLoop");
         let ghost = sched.ghost_len();
         let t0 = rank.modeled();
-        for a in group
-            .gathered
-            .iter()
-            .chain(&group.targets)
-            .chain(&group.assigned)
-        {
-            assert_eq!(
-                self.reals[a].decomp, group.decomp,
-                "group {group_id}: array {a} is aligned with a different decomposition"
-            );
-        }
 
         // ---- fused gather (plain, finishing an early start, or overlapping) ----------
         let mut stats = ExchangeStats::default();
-        if group.gathered.is_empty() {
-            assert!(
-                !early_gather,
-                "GatherStart is only emitted for groups with gathered arrays"
-            );
-            for s in overlapped {
-                self.exec_step(rank, s);
-            }
+        let mut gathered = self.take_arrays(&rt.gathered, ghost);
+        let handle = if early_gather {
+            let pending = rt.pending_gather.take();
+            Some(pending.expect("a GatherStart step precedes an early-gather FusedLoop"))
+        } else if overlapped.is_empty() || gathered.is_empty() {
+            None
         } else {
-            // Move the gathered arrays out of the map so the fused exchange can hold
-            // simultaneous borrows of all of them (overlapped steps touch only
-            // replicated integer state, which stays behind in `self`).
-            let mut gathered: Vec<(String, RealState)> = group
-                .gathered
-                .iter()
-                .map(|n| {
-                    (
-                        n.clone(),
-                        self.reals.remove(n).expect("gathered array exists"),
-                    )
-                })
-                .collect();
-            for (_, s) in &mut gathered {
-                s.data.ensure_ghost(ghost);
-            }
-            if early_gather {
-                let handle = self
-                    .pending_gathers
-                    .remove(&group_id)
-                    .expect("a GatherStart step precedes an early-gather FusedLoop");
-                for s in overlapped {
-                    self.exec_step(rank, s);
-                }
-                let mut refs: Vec<&mut DistArray<f64>> =
-                    gathered.iter_mut().map(|(_, s)| &mut s.data).collect();
-                stats = stats.merged(&gather_finish_dyn(rank, handle, &sched, &mut refs));
-            } else if overlapped.is_empty() {
-                let mut refs: Vec<&mut DistArray<f64>> =
-                    gathered.iter_mut().map(|(_, s)| &mut s.data).collect();
-                stats = stats.merged(&gather_multi_dyn(rank, &sched, &mut refs));
-            } else {
-                let handle = {
-                    let refs: Vec<&DistArray<f64>> =
-                        gathered.iter().map(|(_, s)| &s.data).collect();
-                    gather_start_dyn(rank, &sched, &refs)
-                };
-                for s in overlapped {
-                    self.exec_step(rank, s);
-                }
-                let mut refs: Vec<&mut DistArray<f64>> =
-                    gathered.iter_mut().map(|(_, s)| &mut s.data).collect();
-                stats = stats.merged(&gather_finish_dyn(rank, handle, &sched, &mut refs));
-            }
-            for (n, s) in gathered {
-                self.reals.insert(n, s);
-            }
+            let arrays: Vec<&DistArray<f64>> = gathered.iter().collect();
+            Some(gather_start_dyn(rank, sched, &arrays))
+        };
+        for s in overlapped {
+            self.exec_step(rank, s);
         }
-        for name in &group.targets {
-            let state = self.reals.get_mut(name).expect("target array exists");
-            state.data.ensure_ghost(ghost);
-            state.data.clear_ghost();
+        let mut arrays: Vec<&mut DistArray<f64>> = gathered.iter_mut().collect();
+        if let Some(handle) = handle {
+            stats = stats.merged(&gather_finish_dyn(rank, handle, sched, &mut arrays));
+        } else if !arrays.is_empty() {
+            stats = stats.merged(&gather_multi_dyn(rank, sched, &mut arrays));
+        }
+        self.put_arrays(&rt.gathered, gathered);
+        for &a in &rt.targets {
+            self.reals[a].data.ensure_ghost(ghost);
+            self.reals[a].data.clear_ghost();
         }
 
         // ---- member bodies, in program order ------------------------------------------
-        let hash = rt.hash.as_ref().expect("hash table built by BuildSchedule");
-        let owned_len = self.decomps[&group.decomp].owned_globals.len();
         let mut work = 0usize;
-        for &lid in &group.loop_ids {
-            let plan = self.program.loop_plan(lid);
-            let (var, body) = match &plan.forall {
-                Stmt::Forall { var, body, .. } => (var.clone(), body.clone()),
-                _ => unreachable!(),
-            };
-            let iterations = self.sum_loop_iterations(plan);
-            let decomp_state = &self.decomps[&group.decomp];
-            for &i in &iterations {
-                let mut env = HashMap::new();
-                env.insert(var.clone(), i);
-                work += exec_body(
-                    &body,
-                    &mut env,
-                    &self.integers,
-                    &mut self.reals,
-                    &decomp_state.ttable,
-                    hash,
-                    owned_len,
-                    self.my_rank,
-                );
-            }
+        for (&lid, local) in group.loop_ids.iter().zip(&rt.local) {
+            work += self
+                .execute(lid, local.as_ref().expect("localized by BuildSchedule"))
+                .0;
         }
         rank.charge_compute(work as f64);
 
         // ---- fused scatter-add ---------------------------------------------------------
-        if !group.targets.is_empty() {
-            let mut targets: Vec<(String, RealState)> = group
-                .targets
-                .iter()
-                .map(|n| {
-                    (
-                        n.clone(),
-                        self.reals.remove(n).expect("target array exists"),
-                    )
-                })
-                .collect();
-            let mut refs: Vec<&mut DistArray<f64>> =
-                targets.iter_mut().map(|(_, s)| &mut s.data).collect();
-            stats = stats.merged(&scatter_add_multi_dyn(rank, &sched, &mut refs));
-            for (_, s) in &mut targets {
-                s.data.clear_ghost();
+        if !rt.targets.is_empty() {
+            let mut targets = self.take_arrays(&rt.targets, ghost);
+            let mut arrays: Vec<&mut DistArray<f64>> = targets.iter_mut().collect();
+            stats = stats.merged(&scatter_add_multi_dyn(rank, sched, &mut arrays));
+            for data in &mut targets {
+                data.clear_ghost();
             }
-            for (n, s) in targets {
-                self.reals.insert(n, s);
-            }
+            self.put_arrays(&rt.targets, targets);
         }
         self.exchange = self.exchange.merged(&stats);
         self.phases.executor += rank.modeled().since(&t0);
-        self.group_runtime.insert(group_id, rt);
+        self.groups[group_id] = Some(rt);
     }
 }
 
@@ -1000,292 +984,176 @@ fn lightweight_stats(sched: &LightweightSchedule, my_rank: usize) -> ExchangeSta
     stats
 }
 
-// ------------------------------------------------------------------ expression helpers --
+// ------------------------------------------------------------------ the register machine --
 
-fn eval_int(expr: &Expr, env: &HashMap<String, i64>, integers: &HashMap<String, Vec<i64>>) -> i64 {
-    match expr {
-        Expr::Int(n) => *n,
-        Expr::Real(x) => *x as i64,
-        Expr::Var(v) => *env
-            .get(v)
-            .unwrap_or_else(|| panic!("unknown loop variable or scalar {v}")),
-        Expr::Element(ArrayRef { array, index }) => {
-            let idx = eval_int(index, env, integers) - 1;
-            let values = integers
-                .get(array)
-                .unwrap_or_else(|| panic!("array {array} cannot be used in an index expression"));
-            values[idx as usize]
-        }
-        Expr::Binary(op, a, b) => {
-            let x = eval_int(a, env, integers);
-            let y = eval_int(b, env, integers);
-            match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => x / y,
-            }
-        }
-    }
+/// What an inspector pass collects.
+#[derive(Default)]
+struct Inspected {
+    /// Every distributed-array reference (0-based global index), one per occurrence, in
+    /// source order.
+    refs: Vec<usize>,
+    /// Per subscript slot, per evaluation: the position in `refs` of its first
+    /// reference ([`UNREFERENCED`] if it had none).
+    first_ref: Vec<Vec<usize>>,
+    /// Direct assignments executed: `(position in refs, assigned array)`.
+    assigns: Vec<(usize, u32)>,
 }
 
-/// Resolve the local reference of a global element of the loop's decomposition, using the
-/// hash table for off-processor elements (exactly what compiler-generated executor code
-/// does with PARTI/CHAOS local indices).
-fn local_ref(
-    hash: &IndexHashTable,
-    ttable: &TranslationTable,
-    owned_len: usize,
-    my_rank: usize,
-    global: usize,
-) -> LocalRef {
-    let loc = ttable
-        .lookup_local(global)
-        .expect("the interpreter's decompositions use replicated translation tables");
-    if loc.owner as usize == my_rank {
-        LocalRef(loc.offset as usize)
-    } else {
-        let entry = hash
-            .get(global)
-            .unwrap_or_else(|| panic!("element {global} was not hashed by the inspector"));
-        LocalRef(
-            owned_len
-                + entry
-                    .ghost_slot
-                    .expect("off-processor entry has a ghost slot") as usize,
-        )
-    }
+/// Runs a loop's [`Code`] against the executor's arrays.  `INSPECT = true` is the
+/// inspector's reference-collection pass (subscript code runs, data is not touched);
+/// `INSPECT = false` is the executor pass (subscripts come from the streams).
+struct Vm<'a> {
+    names: &'a Names,
+    ints: &'a mut [Vec<i64>],
+    reals: &'a mut [RealState],
+    i: Vec<i64>,
+    f: Vec<f64>,
+    /// Executor: the localized streams, a cursor into each, the current local index.
+    streams: &'a [Vec<u32>],
+    cursor: Vec<usize>,
+    local: Vec<u32>,
+    /// Inspector: the current global (1-based) subscript per slot, and the collection.
+    global: Vec<i64>,
+    seen: Inspected,
+    payload: Vec<(u64, f64)>,
+    work: usize,
 }
 
-/// Evaluate a real-valued expression inside a loop iteration.
-#[allow(clippy::too_many_arguments)]
-fn eval_real(
-    expr: &Expr,
-    env: &HashMap<String, i64>,
-    integers: &HashMap<String, Vec<i64>>,
-    reals: &HashMap<String, RealState>,
-    ttable: &TranslationTable,
-    hash: &IndexHashTable,
-    owned_len: usize,
-    my_rank: usize,
-) -> f64 {
-    match expr {
-        Expr::Int(n) => *n as f64,
-        Expr::Real(x) => *x,
-        Expr::Var(v) => {
-            *env.get(v)
-                .unwrap_or_else(|| panic!("unknown loop variable or scalar {v}")) as f64
-        }
-        Expr::Element(ArrayRef { array, index }) => {
-            if let Some(values) = integers.get(array) {
-                let idx = eval_int(index, env, integers) - 1;
-                values[idx as usize] as f64
-            } else {
-                let state = reals
-                    .get(array)
-                    .unwrap_or_else(|| panic!("unknown array {array}"));
-                let g = (eval_int(index, env, integers) - 1) as usize;
-                let r = local_ref(hash, ttable, owned_len, my_rank, g);
-                state.data[r]
-            }
-        }
-        Expr::Binary(op, a, b) => {
-            let x = eval_real(a, env, integers, reals, ttable, hash, owned_len, my_rank);
-            let y = eval_real(b, env, integers, reals, ttable, hash, owned_len, my_rank);
-            match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => x / y,
-            }
-        }
-    }
+/// The 0-based index of 1-based subscript `value` into `array`; a subscript outside
+/// the declared extent is a named panic, ledger style.
+fn checked_index(line: usize, array: &str, value: i64, extent: usize) -> usize {
+    assert!(
+        value >= 1 && value as usize <= extent,
+        "line {line}: subscript {value} of array {array} is outside its declared extent 1..={extent}"
+    );
+    (value - 1) as usize
 }
 
-/// Evaluate a value expression whose distributed-array references must be owned directly
-/// (subscript = loop variable) — the append-loop case, where nothing has been gathered.
-fn eval_owned_value(
-    expr: &Expr,
-    env: &HashMap<String, i64>,
-    integers: &HashMap<String, Vec<i64>>,
-    reals: &HashMap<String, RealState>,
-    decomps: &HashMap<String, DecompState>,
-    my_rank: usize,
-) -> f64 {
-    match expr {
-        Expr::Int(n) => *n as f64,
-        Expr::Real(x) => *x,
-        Expr::Var(v) => {
-            *env.get(v)
-                .unwrap_or_else(|| panic!("unknown loop variable or scalar {v}")) as f64
-        }
-        Expr::Element(ArrayRef { array, index }) => {
-            if let Some(values) = integers.get(array) {
-                let idx = eval_int(index, env, integers) - 1;
-                values[idx as usize] as f64
-            } else {
-                let state = reals
-                    .get(array)
-                    .unwrap_or_else(|| panic!("unknown array {array}"));
-                let g = (eval_int(index, env, integers) - 1) as usize;
-                let loc = decomps[&state.decomp]
-                    .ttable
-                    .lookup_local(g)
-                    .expect("the interpreter's decompositions use replicated translation tables");
-                assert_eq!(
-                    loc.owner as usize, my_rank,
-                    "append-loop values must reference locally owned elements"
-                );
-                state.data.owned()[loc.offset as usize]
+impl Vm<'_> {
+    fn run<const INSPECT: bool>(&mut self, code: &Code) {
+        let Self {
+            names,
+            ints,
+            reals,
+            streams,
+            seen,
+            ..
+        } = self;
+        let (i, f) = (&mut self.i[..], &mut self.f[..]);
+        let (cursor, local, global) = (
+            &mut self.cursor[..],
+            &mut self.local[..],
+            &mut self.global[..],
+        );
+        let int_index = |ints: &[Vec<i64>], arr: u32, value: i64| {
+            let name = &names.integers[arr as usize];
+            checked_index(code.line, name, value, ints[arr as usize].len())
+        };
+        // Inspector: one occurrence of subscript slot `slot` in the source.
+        let reference = |seen: &mut Inspected, global: &[i64], slot: u32| {
+            let (array, extent) = code.subs[slot as usize];
+            let name = &names.reals[array as usize];
+            let at = checked_index(code.line, name, global[slot as usize], extent);
+            let first = seen.first_ref[slot as usize].last_mut();
+            let first = first.expect("a subscript is evaluated before it is referenced");
+            if *first == UNREFERENCED {
+                *first = seen.refs.len();
             }
-        }
-        Expr::Binary(op, a, b) => {
-            let x = eval_owned_value(a, env, integers, reals, decomps, my_rank);
-            let y = eval_owned_value(b, env, integers, reals, decomps, my_rank);
-            match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => x / y,
-            }
-        }
-    }
-}
-
-/// Reference-collection pass of the inspector: record every distributed-array element the
-/// body touches for the given iteration environment.
-fn collect_refs(
-    body: &[Stmt],
-    env: &HashMap<String, i64>,
-    integers: &HashMap<String, Vec<i64>>,
-    reals: &HashMap<String, RealState>,
-    out: &mut Vec<usize>,
-) {
-    for stmt in body {
-        match stmt {
-            Stmt::Forall {
-                var, lo, hi, body, ..
-            } => {
-                let lo = eval_int(lo, env, integers);
-                let hi = eval_int(hi, env, integers);
-                for j in lo..=hi {
-                    let mut inner = env.clone();
-                    inner.insert(var.clone(), j);
-                    collect_refs(body, &inner, integers, reals, out);
+            seen.refs.push(at);
+        };
+        let mut pc = 0usize;
+        let mut work = 0usize;
+        while let Some(op) = code.ops.get(pc) {
+            pc += 1;
+            match *op {
+                Op::IConst { dst, v } => i[dst as usize] = v,
+                Op::ILoad { dst, arr, idx } => {
+                    i[dst as usize] = ints[arr as usize][int_index(ints, arr, i[idx as usize])];
+                }
+                Op::IBin { op, dst, a, b } => {
+                    let (x, y) = (i[a as usize], i[b as usize]);
+                    i[dst as usize] = match op {
+                        BinOp::Add => x + y,
+                        BinOp::Sub => x - y,
+                        BinOp::Mul => x * y,
+                        BinOp::Div => x / y,
+                    };
+                }
+                Op::IStore { arr, idx, src } => {
+                    let at = int_index(ints, arr, i[idx as usize]);
+                    ints[arr as usize][at] = i[src as usize];
+                    work += 1;
+                }
+                Op::Loop { var, lo, hi, len } => {
+                    i[var as usize] = i[lo as usize];
+                    if i[lo as usize] > i[hi as usize] {
+                        pc += len as usize + 1;
+                    }
+                }
+                Op::End { var, hi, len } => {
+                    if i[var as usize] < i[hi as usize] {
+                        i[var as usize] += 1;
+                        pc -= len as usize + 1;
+                    }
+                }
+                Op::Sub { slot, skip } if !INSPECT => {
+                    let cursor = &mut cursor[slot as usize];
+                    local[slot as usize] = streams[slot as usize][*cursor];
+                    *cursor += 1;
+                    pc += skip as usize;
+                }
+                Op::Sub { .. } => {}
+                Op::SubEnd { slot, src } => {
+                    global[slot as usize] = i[src as usize];
+                    seen.first_ref[slot as usize].push(UNREFERENCED);
+                }
+                Op::Reduce { stmt, .. } | Op::Assign { stmt, .. } | Op::Append { stmt, .. }
+                    if INSPECT =>
+                {
+                    let refs = &code.refs[stmt as usize];
+                    if let Op::Assign { arr, .. } = *op {
+                        seen.assigns.push((seen.refs.len(), arr));
+                    }
+                    for &slot in refs {
+                        reference(seen, global, slot);
+                    }
+                }
+                Op::FInt { .. } | Op::FLoad { .. } | Op::FBin { .. } if INSPECT => {}
+                Op::FInt { dst, src } => f[dst as usize] = i[src as usize] as f64,
+                // A hoisted load runs once per evaluation of its subscript, referenced or
+                // not; an unreferenced one has nothing to read.
+                Op::FLoad { slot, .. } if local[slot as usize] == u32::MAX => {}
+                Op::FLoad { dst, arr, slot } => {
+                    let at = LocalRef(local[slot as usize] as usize);
+                    f[dst as usize] = reals[arr as usize].data[at];
+                }
+                Op::FBin { op, dst, a, b } => {
+                    let (x, y) = (f[a as usize], f[b as usize]);
+                    f[dst as usize] = match op {
+                        BinOp::Add => x + y,
+                        BinOp::Sub => x - y,
+                        BinOp::Mul => x * y,
+                        BinOp::Div => x / y,
+                    };
+                }
+                Op::Reduce { arr, slot, src, .. } => {
+                    let at = LocalRef(local[slot as usize] as usize);
+                    reals[arr as usize].data[at] += f[src as usize];
+                    work += 1;
+                }
+                Op::Assign { arr, slot, src, .. } => {
+                    let at = local[slot as usize] as usize;
+                    reals[arr as usize].data.owned_mut()[at] = f[src as usize];
+                    work += 1;
+                }
+                Op::Append { slot, src, .. } => {
+                    let bucket = u64::from(local[slot as usize]);
+                    self.payload.push((bucket, f[src as usize]));
                 }
             }
-            Stmt::Reduce { target, value, .. } => {
-                collect_expr_refs(&Expr::Element(target.clone()), env, integers, reals, out);
-                collect_expr_refs(value, env, integers, reals, out);
-            }
-            Stmt::Assign { target, value } => {
-                collect_expr_refs(&Expr::Element(target.clone()), env, integers, reals, out);
-                collect_expr_refs(value, env, integers, reals, out);
-            }
-            _ => {}
         }
+        self.work += work;
     }
-}
-
-fn collect_expr_refs(
-    expr: &Expr,
-    env: &HashMap<String, i64>,
-    integers: &HashMap<String, Vec<i64>>,
-    reals: &HashMap<String, RealState>,
-    out: &mut Vec<usize>,
-) {
-    match expr {
-        Expr::Element(ArrayRef { array, index }) => {
-            if reals.contains_key(array) {
-                out.push((eval_int(index, env, integers) - 1) as usize);
-            }
-            collect_expr_refs(index, env, integers, reals, out);
-        }
-        Expr::Binary(_, a, b) => {
-            collect_expr_refs(a, env, integers, reals, out);
-            collect_expr_refs(b, env, integers, reals, out);
-        }
-        _ => {}
-    }
-}
-
-/// Execute the body for one iteration; returns the number of reduce/assign statements
-/// evaluated (the work measure).
-#[allow(clippy::too_many_arguments)]
-fn exec_body(
-    body: &[Stmt],
-    env: &mut HashMap<String, i64>,
-    integers: &HashMap<String, Vec<i64>>,
-    reals: &mut HashMap<String, RealState>,
-    ttable: &TranslationTable,
-    hash: &IndexHashTable,
-    owned_len: usize,
-    my_rank: usize,
-) -> usize {
-    let mut work = 0usize;
-    for stmt in body {
-        match stmt {
-            Stmt::Forall {
-                var, lo, hi, body, ..
-            } => {
-                let lo = eval_int(lo, env, integers);
-                let hi = eval_int(hi, env, integers);
-                for j in lo..=hi {
-                    env.insert(var.clone(), j);
-                    work += exec_body(body, env, integers, reals, ttable, hash, owned_len, my_rank);
-                }
-                env.remove(var);
-            }
-            Stmt::Reduce { op, target, value } => {
-                debug_assert_eq!(*op, ReduceOp::Sum, "append handled by run_append_loop");
-                let v = eval_real(
-                    value, env, integers, reals, ttable, hash, owned_len, my_rank,
-                );
-                let g = (eval_int(&target.index, env, integers) - 1) as usize;
-                let r = local_ref(hash, ttable, owned_len, my_rank, g);
-                let state = reals.get_mut(&target.array).expect("target array exists");
-                state.data[r] += v;
-                work += 1;
-            }
-            Stmt::Assign { target, value } => {
-                let v = eval_real(
-                    value, env, integers, reals, ttable, hash, owned_len, my_rank,
-                );
-                let g = (eval_int(&target.index, env, integers) - 1) as usize;
-                let loc = ttable
-                    .lookup_local(g)
-                    .expect("the interpreter's decompositions use replicated translation tables");
-                debug_assert_eq!(
-                    loc.owner as usize, my_rank,
-                    "direct assignments must be to owned elements under owner-computes"
-                );
-                let state = reals.get_mut(&target.array).expect("target array exists");
-                state.data.owned_mut()[loc.offset as usize] = v;
-                work += 1;
-            }
-            _ => {}
-        }
-    }
-    work
-}
-
-fn find_append(body: &[Stmt]) -> Option<(ArrayRef, Expr)> {
-    for stmt in body {
-        match stmt {
-            Stmt::Reduce {
-                op: ReduceOp::Append,
-                target,
-                value,
-            } => return Some((target.clone(), value.clone())),
-            Stmt::Forall { body, .. } => {
-                if let Some(found) = find_append(body) {
-                    return Some(found);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -1575,6 +1443,319 @@ mod tests {
             // Values survive the two redistributions.
             for (g, v) in x.iter().enumerate() {
                 assert_eq!(*v, g as f64);
+            }
+        }
+    }
+
+    /// Reads of an array the loop also assigns stay in statement order (they are not
+    /// hoisted to the top of the iteration), and loop variables, integer elements and
+    /// literals all work as real values.
+    #[test]
+    fn assigned_arrays_are_read_in_statement_order() {
+        let src = "REAL x(12), f(12), g(12)\n\
+             INTEGER ia(12)\n\
+             C$ DECOMPOSITION reg(12)\n\
+             C$ DISTRIBUTE reg(BLOCK)\n\
+             C$ ALIGN x, f, g WITH reg\n\
+             FORALL i = 1, 12\n\
+             f(i) = x(i) + 1\n\
+             REDUCE(SUM, g(ia(i)), f(i) * i + ia(i))\n\
+             f(i) = f(i) * 2.5\n\
+             END FORALL\n";
+        let ia: Vec<i64> = (0..12).map(|i| (i * 5) % 12 + 1).collect();
+        let mut g = vec![0.0; 12];
+        for i in 0..12 {
+            g[(ia[i] - 1) as usize] += (i as f64 + 1.0) * (i + 1) as f64 + ia[i] as f64;
+        }
+        let f: Vec<f64> = (0..12).map(|i| (i as f64 + 1.0) * 2.5).collect();
+        let out = run(MachineConfig::new(3), move |rank| {
+            let lowered = compile(src).unwrap();
+            let mut exec = Executor::new(rank, &lowered);
+            exec.set_integer_array("IA", &ia);
+            exec.set_real_array("X", &(0..12).map(f64::from).collect::<Vec<_>>());
+            exec.set_real_array("F", &[0.0; 12]);
+            exec.set_real_array("G", &[0.0; 12]);
+            exec.run_all(rank);
+            (
+                exec.get_real_array(rank, "F"),
+                exec.get_real_array(rank, "G"),
+            )
+        });
+        for (got_f, got_g) in &out.results {
+            assert_eq!((got_f, got_g), (&f, &g));
+        }
+    }
+
+    // ------------------------------------------------ named failures (all builds) --
+
+    /// The panic message of `f` (rank panics arrive as `rank N panicked: …`).
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("expected a panic");
+        match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => (*payload.downcast::<&str>().expect("string panic")).to_string(),
+        }
+    }
+
+    /// A direct assignment whose target this rank does not own — here the BLOCK
+    /// fallback iteration set (extent ≠ decomposition size) under an irregular
+    /// distribution — used to write through another rank's offset in release builds.
+    /// The check now lives where the subscript stream is born and runs in every build
+    /// (CI's `shared-backend-release` lane runs this test with optimizations on).
+    #[test]
+    #[should_panic(expected = "assignment to F(1) on rank 0, but the element is owned by rank 1")]
+    fn assignment_to_an_unowned_element_panics_in_every_build() {
+        let src = "REAL x(16), f(16)\n\
+             INTEGER map(16)\n\
+             C$ DECOMPOSITION reg(16)\n\
+             C$ DISTRIBUTE reg(BLOCK)\n\
+             C$ ALIGN x, f WITH reg\n\
+             C$ DISTRIBUTE reg(map)\n\
+             FORALL i = 1, 15\n\
+             f(i) = x(i)\n\
+             END FORALL\n";
+        run(MachineConfig::new(2), move |rank| {
+            let lowered = compile(src).unwrap();
+            let mut exec = Executor::new(rank, &lowered);
+            // Odd globals on rank 0, even on rank 1: element 1 (global 0) is rank 1's.
+            exec.set_integer_array("MAP", &(0..16).map(|g| (g + 1) % 2).collect::<Vec<_>>());
+            exec.set_real_array("X", &[1.0; 16]);
+            exec.set_real_array("F", &[0.0; 16]);
+            exec.run_all(rank);
+        });
+    }
+
+    #[test]
+    fn out_of_range_subscripts_are_named_not_raw_index_panics() {
+        let src = "REAL x(16)\n\
+             INTEGER ia(16), ib(4)\n\
+             C$ DECOMPOSITION reg(16)\n\
+             C$ DISTRIBUTE reg(BLOCK)\n\
+             C$ ALIGN x WITH reg\n\
+             FORALL i = 1, 16\n\
+             REDUCE(SUM, x(ia(i)), 1.0)\n\
+             END FORALL\n\
+             FORALL i = 1, 16\n\
+             REDUCE(SUM, x(ib(ia(i))), 1.0)\n\
+             END FORALL\n";
+        let message = |first: i64, step: usize| {
+            panic_message(move || {
+                run(MachineConfig::new(2), move |rank| {
+                    let lowered = compile(src).unwrap();
+                    let mut exec = Executor::new(rank, &lowered);
+                    let mut ia = vec![1i64; 16];
+                    (ia[0], ia[8]) = (first, first);
+                    exec.set_integer_array("IA", &ia);
+                    exec.set_integer_array("IB", &[1; 4]);
+                    exec.set_real_array("X", &[0.0; 16]);
+                    exec.run_step(rank, step);
+                });
+            })
+        };
+        // Zero, negative (used to wrap through `as usize`) and past the extent, in a
+        // distributed array's subscript: array, value, extent and the loop's line.
+        for bad in [0, -3, 17] {
+            let msg = message(bad, 1);
+            let expected =
+                format!("line 6: subscript {bad} of array X is outside its declared extent 1..=16");
+            assert!(msg.contains(&expected), "{msg}");
+        }
+        // The same for a replicated integer array read inside a subscript.
+        let msg = message(5, 2);
+        assert!(
+            msg.contains("line 9: subscript 5 of array IB is outside its declared extent 1..=4"),
+            "{msg}"
+        );
+    }
+
+    // ------------------------------------------------------- stream invalidation --
+
+    /// Two reduction loops the optimizer fuses into one group with per-member
+    /// dependence sets `[IA]` and `[IB]`, plus a drift of `IB` that keeps the group's
+    /// build from being hoisted.  Steps: 0 DISTRIBUTE, 1 BuildSchedule, 2 FusedLoop,
+    /// 3 the `IB` update — driven one by one from the tests below.
+    const TWO_MEMBER: &str = "REAL x(32), y(32), f(32), g(32)\n\
+         INTEGER ia(32), ib(32), map(32)\n\
+         C$ DECOMPOSITION reg(32)\n\
+         C$ DISTRIBUTE reg(BLOCK)\n\
+         C$ ALIGN x, y, f, g WITH reg\n\
+         FORALL i = 1, 32\n\
+         REDUCE(SUM, f(ia(i)), x(i))\n\
+         END FORALL\n\
+         FORALL i = 1, 32\n\
+         REDUCE(SUM, g(ib(i)), y(i))\n\
+         END FORALL\n\
+         FORALL i = 1, 32\n\
+         ib(i) = ib(i) - (ib(i) / 32) * 32 + 1\n\
+         END FORALL\n";
+
+    fn two_member_setup(exec: &mut Executor<'_>, ia: &[i64], ib: &[i64]) {
+        exec.set_integer_array("IA", ia);
+        exec.set_integer_array("IB", ib);
+        // Integer-valued data: sums are exact whatever order contributions arrive in.
+        exec.set_real_array("X", &(0..32).map(|i| (i % 7) as f64).collect::<Vec<_>>());
+        exec.set_real_array(
+            "Y",
+            &(0..32).map(|i| (i % 5) as f64 + 1.0).collect::<Vec<_>>(),
+        );
+        exec.set_real_array("F", &[0.0; 32]);
+        exec.set_real_array("G", &[0.0; 32]);
+    }
+
+    /// `(address, contents)` of every stream of one group member.
+    fn member_streams(exec: &Executor<'_>, member: usize) -> Vec<(*const u32, Vec<u32>)> {
+        let rt = exec.group(0).expect("group 0 exists");
+        let local = rt.local[member].as_ref().expect("member was localized");
+        local
+            .streams
+            .iter()
+            .map(|s| (s.as_ptr(), s.clone()))
+            .collect()
+    }
+
+    /// `target(idx(i)) += source(i)` evaluated sequentially, `rounds` times.
+    fn scatter_sum(idx: &[i64], source: impl Fn(usize) -> f64, rounds: usize) -> Vec<f64> {
+        let mut out = vec![0.0; idx.len()];
+        for _ in 0..rounds {
+            for (i, &t) in idx.iter().enumerate() {
+                out[(t - 1) as usize] += source(i);
+            }
+        }
+        out
+    }
+
+    /// (a) A guarded rebuild re-localizes only the member whose indirection array
+    /// moved; the clean member's streams are the very same allocations.  (c) The patch
+    /// appends ghost slots (the drifted `IB` reaches elements no one referenced
+    /// before), which leaves the clean member's local indices valid.
+    #[test]
+    fn guarded_rebuild_relocalizes_only_the_dirty_member() {
+        let ia: Vec<i64> = (0..32).map(|i| ((i * 5) % 32 + 1) as i64).collect();
+        let ib: Vec<i64> = (1..=32).collect(); // identity: member 1 starts all-local
+        let (ia2, ib2) = (ia.clone(), ib.clone());
+        let out = run(MachineConfig::new(2).with_ledger(), move |rank| {
+            let (program, report) = crate::compile_optimized(TWO_MEMBER).unwrap();
+            assert!(
+                report.has_applied("fuse", "fused 2 loops"),
+                "{}",
+                report.render()
+            );
+            let mut exec = Executor::new(rank, &program);
+            two_member_setup(&mut exec, &ia2, &ib2);
+            for step in 0..4 {
+                exec.run_step(rank, step);
+            }
+            let ghosts_before = exec
+                .group(0)
+                .unwrap()
+                .schedule
+                .as_ref()
+                .unwrap()
+                .ghost_len();
+            let (clean_before, dirty_before) = (member_streams(&exec, 0), member_streams(&exec, 1));
+            exec.run_step(rank, 1); // IB drifted: guarded rebuild
+            assert_eq!(
+                exec.group_stats(0),
+                (1, 1, 0),
+                "one build, one member patched"
+            );
+            assert_eq!(
+                member_streams(&exec, 0),
+                clean_before,
+                "clean member re-localized"
+            );
+            assert_ne!(
+                member_streams(&exec, 1),
+                dirty_before,
+                "dirty member kept stale streams"
+            );
+            let ghosts_after = exec
+                .group(0)
+                .unwrap()
+                .schedule
+                .as_ref()
+                .unwrap()
+                .ghost_len();
+            assert!(
+                ghosts_after > ghosts_before,
+                "the patch should append ghost slots"
+            );
+            exec.run_step(rank, 2);
+            exec.run_step(rank, 1); // nothing moved since: both members reused
+            assert_eq!(exec.group_stats(0), (1, 1, 1));
+            (
+                exec.get_real_array(rank, "F"),
+                exec.get_real_array(rank, "G"),
+            )
+        });
+        // Against a from-scratch evaluation: F took two rounds through IA, G one round
+        // through IB and one through the drifted IB.
+        let f = scatter_sum(&ia, |i| (i % 7) as f64, 2);
+        let drifted: Vec<i64> = ib.iter().map(|&b| b - (b / 32) * 32 + 1).collect();
+        let mut g = scatter_sum(&ib, |i| (i % 5) as f64 + 1.0, 1);
+        for (g, d) in g
+            .iter_mut()
+            .zip(scatter_sum(&drifted, |i| (i % 5) as f64 + 1.0, 1))
+        {
+            *g += d;
+        }
+        for (got_f, got_g) in &out.results {
+            assert_eq!((got_f, got_g), (&f, &g));
+        }
+    }
+
+    /// (b) A `DISTRIBUTE(map)` between two executions of the same loops starts a new
+    /// epoch: every stream is rebuilt against the new translation table, on the group
+    /// path and on the legacy per-loop path alike.
+    #[test]
+    fn redistribution_rebuilds_every_stream() {
+        let ia: Vec<i64> = (0..32).map(|i| ((i * 5) % 32 + 1) as i64).collect();
+        let ib: Vec<i64> = (0..32).map(|i| ((i * 3 + 1) % 32 + 1) as i64).collect();
+        let f = scatter_sum(&ia, |i| (i % 7) as f64, 2);
+        let g = scatter_sum(&ib, |i| (i % 5) as f64 + 1.0, 2);
+        for optimize in [true, false] {
+            let (ia, ib) = (ia.clone(), ib.clone());
+            let out = run(MachineConfig::new(3).with_ledger(), move |rank| {
+                let program = if optimize {
+                    crate::compile_optimized(TWO_MEMBER).unwrap().0
+                } else {
+                    compile(TWO_MEMBER).unwrap()
+                };
+                let mut exec = Executor::new(rank, &program);
+                two_member_setup(&mut exec, &ia, &ib);
+                exec.set_integer_array(
+                    "MAP",
+                    &(0..32).map(|g| (g * 2 + 1) % 3).collect::<Vec<_>>(),
+                );
+                // Both paths run their loops as steps 1 and 2.
+                let sweep = |exec: &mut Executor<'_>, rank: &mut Rank| {
+                    exec.run_step(rank, 1);
+                    exec.run_step(rank, 2);
+                };
+                exec.run_step(rank, 0);
+                sweep(&mut exec, rank);
+                let before = optimize.then(|| (member_streams(&exec, 0), member_streams(&exec, 1)));
+                exec.apply_distribute(rank, "REG", &DistSpec::Map("MAP".into()));
+                sweep(&mut exec, rank);
+                if let Some((m0, m1)) = before {
+                    assert_eq!(exec.group_stats(0), (2, 0, 0), "new epoch, full rebuild");
+                    // Rebuilt, not reused: each stream is a new allocation (made while the
+                    // old one was still alive, so the addresses cannot coincide).
+                    for (old, member) in [(m0, 0), (m1, 1)] {
+                        let new = member_streams(&exec, member);
+                        assert!(new.iter().zip(&old).all(|(n, o)| n.0 != o.0));
+                    }
+                } else {
+                    assert_eq!(exec.schedule_stats(0), (2, 0));
+                    assert_eq!(exec.schedule_stats(1), (2, 0));
+                }
+                (
+                    exec.get_real_array(rank, "F"),
+                    exec.get_real_array(rank, "G"),
+                )
+            });
+            for (got_f, got_g) in &out.results {
+                assert_eq!((got_f, got_g), (&f, &g), "optimize = {optimize}");
             }
         }
     }

@@ -8,17 +8,23 @@
 //!
 //! This crate is that prototype's analogue: a small front end for the language subset used
 //! in Figures 7–11, a lowering pass that turns each `FORALL` into an inspector/executor
-//! plan over the CHAOS runtime, and an SPMD interpreter that executes the lowered program
-//! on the [`mpsim`] machine — the moral equivalent of running the compiler-generated node
-//! program.  Tables 6 and 7 compare programs executed this way against the hand-written
-//! parallelisations in the `charmm` and `dsmc` crates.
+//! plan over the CHAOS runtime — its body compiled to slot-indexed register code — and an
+//! SPMD executor that runs the lowered program on the [`mpsim`] machine — the moral
+//! equivalent of running the compiler-generated node program.  Tables 6 and 7 compare
+//! programs executed this way against the hand-written parallelisations in the `charmm`
+//! and `dsmc` crates.
 //!
 //! ## Pipeline
 //!
 //! ```text
 //!  source text ── lexer ──> tokens ── parser ──> ast::Program
-//!       ── lower ──> lower::LoweredProgram (per-FORALL inspector/executor plans)
-//!       ── interp::Executor ──> runs on mpsim + chaos (SPMD)
+//!       ── lower ──> lower::LoweredProgram (per-FORALL inspector/executor plans;
+//!          code::compile_loop resolves every name to a slot and emits code::Code)
+//!       ── opt ──> fused schedule groups, hoisted builds, split-phase overlap
+//!       ── interp::Executor ──> runs on mpsim + chaos (SPMD): the inspector pass
+//!          runs each loop's Code to list its references and localizes them into
+//!          per-subscript u32 streams; the executor pass runs the same Code over
+//!          the streams
 //!       └─ analysis ──> static collective-matching check (rank-dependent IFs,
 //!          split-phase balance); CLI wrapper in `src/bin/fortrand_check.rs`
 //! ```
@@ -35,6 +41,7 @@
 
 pub mod analysis;
 pub mod ast;
+pub mod code;
 pub mod interp;
 pub mod lexer;
 pub mod lower;

@@ -12,7 +12,8 @@
 
 use std::collections::HashMap;
 
-use crate::ast::{ArrayRef, Cond, DistSpec, Expr, Program, ReduceOp, Stmt};
+use crate::ast::{CmpOp, DistSpec, Expr, Program, Stmt};
+use crate::code::{compile_ints, compile_loop, push_unique, Code, IntCode, Names};
 
 /// What kind of code a `FORALL` lowers to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,9 +44,14 @@ pub struct LoopPlan {
     pub loop_id: usize,
     /// Loop classification.
     pub kind: LoopKind,
-    /// The original loop statement (the interpreter evaluates its body directly; a real
-    /// compiler would emit node code — the set of runtime calls is the same).
+    /// The original loop statement (diagnostics and the optimizer's iteration-space
+    /// test read it; the executor runs [`LoopPlan::code`]).
     pub forall: Stmt,
+    /// The loop body as slot-indexed code: what the inspector's reference-collection
+    /// pass and the executor both run.
+    pub code: Code,
+    /// The loop's bounds, as integer code.
+    pub bounds: IntCode,
     /// Real arrays read inside the loop (must be gathered before execution).
     pub gathered_arrays: Vec<String>,
     /// Real arrays that are `REDUCE(SUM)` targets (scatter-added after execution).
@@ -63,16 +69,13 @@ pub struct LoopPlan {
 impl LoopPlan {
     /// 1-based source line of the loop's `FORALL` keyword.
     pub fn line(&self) -> usize {
-        match &self.forall {
-            Stmt::Forall { line, .. } | Stmt::Do { line, .. } => *line,
-            _ => 0,
-        }
+        self.code.line
     }
 }
 
 /// A group of [`LoopKind::SumReduction`] loops sharing one communication schedule —
-/// the unit the optimizer's fusion analysis produces and the interpreter's fused
-/// executor consumes.  Every member hashes its references into one index table under
+/// the unit the optimizer's fusion analysis produces and the executor's fused-loop
+/// step consumes.  Every member hashes its references into one index table under
 /// its own stamp; the group's schedule covers the union and its gathers/scatters move
 /// all member arrays in one fused exchange per direction.
 #[derive(Debug, Clone)]
@@ -128,11 +131,14 @@ pub enum ExecStep {
     /// A statement-level `IF` block: execute `then_steps` when the condition holds,
     /// `else_steps` otherwise.
     If {
-        /// The branch condition (may reference `MYRANK` / `NPROCS`).
-        cond: Cond,
+        /// The two sides of the branch condition, as integer code (may reference
+        /// `MYRANK` / `NPROCS`).
+        cond: IntCode,
+        /// The comparison between them.
+        op: CmpOp,
         /// Whether the condition mentions `MYRANK` — i.e. different ranks may take
         /// different branches.  Cached here so the collective-matching analysis
-        /// ([`crate::analysis`]) and the interpreter agree on one definition.
+        /// ([`crate::analysis`]) and the executor agree on one definition.
         rank_dependent: bool,
         /// Steps of the THEN branch.
         then_steps: Vec<ExecStep>,
@@ -145,10 +151,8 @@ pub enum ExecStep {
     TimeLoop {
         /// Loop variable name (diagnostics only).
         var: String,
-        /// Lower bound (inclusive).
-        lo: Expr,
-        /// Upper bound (inclusive).
-        hi: Expr,
+        /// Lower and upper bound (both inclusive), as integer code.
+        bounds: IntCode,
         /// Steps of one iteration.
         body: Vec<ExecStep>,
         /// Source line of the `DO` keyword.
@@ -186,15 +190,25 @@ pub enum ExecStep {
     },
 }
 
-/// Everything the runtime needs to execute the program.
-#[derive(Debug, Clone)]
-pub struct LoweredProgram {
+/// Everything declared so far: the name → shape maps the front end works with and the
+/// slot tables ([`Names`]) the executor's `Vec`-backed state is indexed by.
+#[derive(Debug, Clone, Default)]
+pub struct Decls {
     /// Real (distributed) arrays: name → (size, decomposition).
     pub real_arrays: HashMap<String, (usize, String)>,
     /// Integer (replicated) arrays: name → size.
     pub integer_arrays: HashMap<String, usize>,
     /// Decompositions: name → size.
     pub decomps: HashMap<String, usize>,
+    /// Slot numbering of the three maps' keys.
+    pub names: Names,
+}
+
+/// Everything the runtime needs to execute the program.
+#[derive(Debug, Clone)]
+pub struct LoweredProgram {
+    /// The program's arrays and decompositions.
+    pub decls: Decls,
     /// Lowered loops, indexed by `loop_id`.
     pub loops: Vec<LoopPlan>,
     /// Executable steps in source order.
@@ -211,11 +225,10 @@ impl LoweredProgram {
     }
 }
 
-/// Lower a parsed program.  Reports unsupported constructs as errors naming the construct.
+/// Lower a parsed program.  Reports unsupported constructs and unknown names as errors
+/// naming the construct.
 pub fn lower(program: &Program) -> Result<LoweredProgram, String> {
-    let mut real_arrays: HashMap<String, (usize, String)> = HashMap::new();
-    let mut integer_arrays: HashMap<String, usize> = HashMap::new();
-    let mut decomps: HashMap<String, usize> = HashMap::new();
+    let mut decls = Decls::default();
     let mut pending_reals: HashMap<String, usize> = HashMap::new();
     let mut loops = Vec::new();
     let mut steps = Vec::new();
@@ -229,21 +242,24 @@ pub fn lower(program: &Program) -> Result<LoweredProgram, String> {
             }
             Stmt::IntegerDecl { arrays } => {
                 for (name, size) in arrays {
-                    integer_arrays.insert(name.clone(), *size);
+                    decls.integer_arrays.insert(name.clone(), *size);
+                    push_unique(&mut decls.names.integers, name);
                 }
             }
             Stmt::Decomposition { name, size } => {
-                decomps.insert(name.clone(), *size);
+                decls.decomps.insert(name.clone(), *size);
+                push_unique(&mut decls.names.decomps, name);
             }
             Stmt::Align { arrays, decomp } => {
-                let dsize = *decomps
+                let dsize = *decls
+                    .decomps
                     .get(decomp)
                     .ok_or_else(|| format!("ALIGN references unknown decomposition {decomp}"))?;
                 for a in arrays {
                     let size = pending_reals
                         .get(a)
                         .copied()
-                        .or_else(|| real_arrays.get(a).map(|(s, _)| *s));
+                        .or_else(|| decls.real_arrays.get(a).map(|(s, _)| *s));
                     let size =
                         size.ok_or_else(|| format!("ALIGN references undeclared array {a}"))?;
                     if size != dsize {
@@ -251,66 +267,70 @@ pub fn lower(program: &Program) -> Result<LoweredProgram, String> {
                             "array {a} has {size} elements but decomposition {decomp} has {dsize}"
                         ));
                     }
-                    real_arrays.insert(a.clone(), (size, decomp.clone()));
+                    decls.real_arrays.insert(a.clone(), (size, decomp.clone()));
+                    push_unique(&mut decls.names.reals, a);
                 }
-            }
-            Stmt::Distribute { decomp, spec } => {
-                steps.push(lower_distribute(decomp, spec, &decomps, &integer_arrays)?);
-            }
-            Stmt::Forall { .. } => {
-                let loop_id = loops.len();
-                let plan = lower_forall(loop_id, stmt, &real_arrays, &integer_arrays, &decomps)?;
-                loops.push(plan);
-                steps.push(ExecStep::Loop(loop_id));
-            }
-            Stmt::If { .. } => {
-                steps.push(lower_if(
-                    stmt,
-                    &real_arrays,
-                    &integer_arrays,
-                    &decomps,
-                    &mut loops,
-                )?);
-            }
-            Stmt::Do { .. } => {
-                steps.push(lower_do(
-                    stmt,
-                    &real_arrays,
-                    &integer_arrays,
-                    &decomps,
-                    &mut loops,
-                )?);
             }
             Stmt::Reduce { .. } | Stmt::Assign { .. } => {
                 return Err("REDUCE/assignment statements are only supported inside FORALL".into())
+            }
+            executable => steps.push(lower_exec(executable, &decls, &mut loops)?),
+        }
+    }
+
+    // A bucket array holds per-element lists, not values: no other loop may use it flat.
+    for plan in &loops {
+        if let LoopKind::AppendReduction { target } = &plan.kind {
+            let flat = |l: &&LoopPlan| {
+                let uses = [&l.gathered_arrays, &l.sum_targets, &l.assigned_arrays];
+                uses.iter().any(|arrays| arrays.contains(target))
+            };
+            if let Some(other) = loops.iter().find(flat) {
+                return Err(format!(
+                    "line {}: array {target} is a REDUCE(APPEND) target (line {}) and cannot \
+                     also be read, assigned or REDUCE(SUM)-ed",
+                    other.line(),
+                    plan.line()
+                ));
             }
         }
     }
 
     Ok(LoweredProgram {
-        real_arrays,
-        integer_arrays,
-        decomps,
+        decls,
         loops,
         steps,
         groups: Vec::new(),
     })
 }
 
+/// Lower one executable statement — DISTRIBUTE, FORALL, IF or DO — to a step.
+fn lower_exec(stmt: &Stmt, decls: &Decls, loops: &mut Vec<LoopPlan>) -> Result<ExecStep, String> {
+    match stmt {
+        Stmt::Distribute { decomp, spec } => lower_distribute(decomp, spec, decls),
+        Stmt::Forall { .. } => {
+            let loop_id = loops.len();
+            loops.push(lower_forall(loop_id, stmt, decls)?);
+            Ok(ExecStep::Loop(loop_id))
+        }
+        Stmt::If { .. } => lower_if(stmt, decls, loops),
+        Stmt::Do { .. } => lower_do(stmt, decls, loops),
+        other => Err(format!(
+            "only DISTRIBUTE, FORALL, DO and nested IF are allowed inside IF branches \
+             and DO bodies, found {other:?}"
+        )),
+    }
+}
+
 /// Validate one `DISTRIBUTE` directive and lower it to a step.
-fn lower_distribute(
-    decomp: &str,
-    spec: &DistSpec,
-    decomps: &HashMap<String, usize>,
-    integer_arrays: &HashMap<String, usize>,
-) -> Result<ExecStep, String> {
-    if !decomps.contains_key(decomp) {
+fn lower_distribute(decomp: &str, spec: &DistSpec, decls: &Decls) -> Result<ExecStep, String> {
+    if !decls.decomps.contains_key(decomp) {
         return Err(format!(
             "DISTRIBUTE references unknown decomposition {decomp}"
         ));
     }
     if let DistSpec::Map(map) = spec {
-        if !integer_arrays.contains_key(map) {
+        if !decls.integer_arrays.contains_key(map) {
             return Err(format!(
                 "DISTRIBUTE({map}) references an undeclared map array"
             ));
@@ -325,25 +345,21 @@ fn lower_distribute(
 /// Lower an `IF` block.  Branches may hold only executable statements — DISTRIBUTE,
 /// FORALL and nested IF — since declarations under a condition would leave the program's
 /// shape rank-dependent.
-fn lower_if(
-    stmt: &Stmt,
-    real_arrays: &HashMap<String, (usize, String)>,
-    integer_arrays: &HashMap<String, usize>,
-    decomps: &HashMap<String, usize>,
-    loops: &mut Vec<LoopPlan>,
-) -> Result<ExecStep, String> {
+fn lower_if(stmt: &Stmt, decls: &Decls, loops: &mut Vec<LoopPlan>) -> Result<ExecStep, String> {
     let Stmt::If {
         cond,
         then_branch,
         else_branch,
+        line,
     } = stmt
     else {
         unreachable!("lower_if called on a non-IF statement")
     };
-    let then_steps = lower_branch(then_branch, real_arrays, integer_arrays, decomps, loops)?;
-    let else_steps = lower_branch(else_branch, real_arrays, integer_arrays, decomps, loops)?;
+    let then_steps = lower_branch(then_branch, decls, loops)?;
+    let else_steps = lower_branch(else_branch, decls, loops)?;
     Ok(ExecStep::If {
-        cond: cond.clone(),
+        cond: compile_ints(decls, [&cond.lhs, &cond.rhs], *line, true)?,
+        op: cond.op,
         rank_dependent: cond.is_rank_dependent(),
         then_steps,
         else_steps,
@@ -353,52 +369,19 @@ fn lower_if(
 /// Lower the statements of one IF branch or DO body (executable statements only).
 fn lower_branch(
     stmts: &[Stmt],
-    real_arrays: &HashMap<String, (usize, String)>,
-    integer_arrays: &HashMap<String, usize>,
-    decomps: &HashMap<String, usize>,
+    decls: &Decls,
     loops: &mut Vec<LoopPlan>,
 ) -> Result<Vec<ExecStep>, String> {
-    let mut steps = Vec::new();
-    for stmt in stmts {
-        match stmt {
-            Stmt::Distribute { decomp, spec } => {
-                steps.push(lower_distribute(decomp, spec, decomps, integer_arrays)?);
-            }
-            Stmt::Forall { .. } => {
-                let loop_id = loops.len();
-                let plan = lower_forall(loop_id, stmt, real_arrays, integer_arrays, decomps)?;
-                loops.push(plan);
-                steps.push(ExecStep::Loop(loop_id));
-            }
-            Stmt::If { .. } => {
-                steps.push(lower_if(stmt, real_arrays, integer_arrays, decomps, loops)?);
-            }
-            Stmt::Do { .. } => {
-                steps.push(lower_do(stmt, real_arrays, integer_arrays, decomps, loops)?);
-            }
-            other => {
-                return Err(format!(
-                    "only DISTRIBUTE, FORALL, DO and nested IF are allowed inside IF branches \
-                     and DO bodies, found {other:?}"
-                ))
-            }
-        }
-    }
-    Ok(steps)
+    stmts.iter().map(|s| lower_exec(s, decls, loops)).collect()
 }
 
 /// Lower a `DO` time loop to an [`ExecStep::TimeLoop`].
 ///
-/// The loop variable must not be referenced in the body: the body is then the same
-/// program on every iteration, which is the premise of the optimizer's hoisting
-/// analysis (and of calling it a *time* loop at all).
-fn lower_do(
-    stmt: &Stmt,
-    real_arrays: &HashMap<String, (usize, String)>,
-    integer_arrays: &HashMap<String, usize>,
-    decomps: &HashMap<String, usize>,
-    loops: &mut Vec<LoopPlan>,
-) -> Result<ExecStep, String> {
+/// The loop variable is a step counter, never in scope inside the body — a reference to
+/// it there is an unknown-name error — so the body is the same program on every
+/// iteration, which is the premise of the optimizer's hoisting analysis (and of calling
+/// it a *time* loop at all).
+fn lower_do(stmt: &Stmt, decls: &Decls, loops: &mut Vec<LoopPlan>) -> Result<ExecStep, String> {
     let Stmt::Do {
         var,
         lo,
@@ -409,352 +392,93 @@ fn lower_do(
     else {
         unreachable!("lower_do called on a non-DO statement")
     };
-    for s in body {
-        if stmt_references_var(s, var) {
-            return Err(format!(
-                "DO variable {var} is referenced inside the loop body; the DO loop is a \
-                 step counter only (use FORALL for data-parallel iteration)"
-            ));
-        }
-    }
-    for bound in [lo, hi] {
-        let mut refs = Vec::new();
-        bound.referenced_arrays(&mut refs);
-        if refs.iter().any(|a| real_arrays.contains_key(a)) {
-            return Err("DO bounds may not reference distributed arrays".to_string());
-        }
-    }
-    let body_steps = lower_branch(body, real_arrays, integer_arrays, decomps, loops)?;
     Ok(ExecStep::TimeLoop {
         var: var.clone(),
-        lo: lo.clone(),
-        hi: hi.clone(),
-        body: body_steps,
+        bounds: compile_ints(decls, [lo, hi], *line, false)?,
+        body: lower_branch(body, decls, loops)?,
         line: *line,
     })
 }
 
-/// Whether `stmt` references the variable `var` anywhere, respecting rebinding: a
-/// nested FORALL/DO introducing the same name shadows it.
-fn stmt_references_var(stmt: &Stmt, var: &str) -> bool {
-    fn expr_refs(e: &Expr, var: &str) -> bool {
-        match e {
-            Expr::Int(_) | Expr::Real(_) => false,
-            Expr::Var(v) => v == var,
-            Expr::Element(r) => expr_refs(&r.index, var),
-            Expr::Binary(_, a, b) => expr_refs(a, var) || expr_refs(b, var),
-        }
-    }
-    match stmt {
-        Stmt::RealDecl { .. }
-        | Stmt::IntegerDecl { .. }
-        | Stmt::Decomposition { .. }
-        | Stmt::Distribute { .. }
-        | Stmt::Align { .. } => false,
-        Stmt::Forall {
-            var: v,
-            lo,
-            hi,
-            body,
-            ..
-        }
-        | Stmt::Do {
-            var: v,
-            lo,
-            hi,
-            body,
-            ..
-        } => {
-            if expr_refs(lo, var) || expr_refs(hi, var) {
-                return true;
-            }
-            // The inner loop rebinding the same name shadows the outer variable.
-            v != var && body.iter().any(|s| stmt_references_var(s, var))
-        }
-        Stmt::Reduce { target, value, .. } => {
-            expr_refs(&target.index, var) || expr_refs(value, var)
-        }
-        Stmt::Assign { target, value } => expr_refs(&target.index, var) || expr_refs(value, var),
-        Stmt::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            expr_refs(&cond.lhs, var)
-                || expr_refs(&cond.rhs, var)
-                || then_branch.iter().any(|s| stmt_references_var(s, var))
-                || else_branch.iter().any(|s| stmt_references_var(s, var))
-        }
-    }
-}
-
-/// Classify one top-level FORALL and collect its array usage.
-fn lower_forall(
-    loop_id: usize,
-    forall: &Stmt,
-    real_arrays: &HashMap<String, (usize, String)>,
-    integer_arrays: &HashMap<String, usize>,
-    decomps: &HashMap<String, usize>,
-) -> Result<LoopPlan, String> {
+/// Compile one top-level FORALL, classify it and record its array usage.
+fn lower_forall(loop_id: usize, forall: &Stmt, decls: &Decls) -> Result<LoopPlan, String> {
     let Stmt::Forall { lo, hi, body, .. } = forall else {
         unreachable!("lower_forall called on a non-FORALL statement")
     };
-
-    // A body consisting solely of assignments to integer arrays is a replicated
-    // indirection update (DSMC re-binning its cell map): no distributed data, no
-    // communication, every rank runs the full range redundantly.
-    if !body.is_empty()
-        && body.iter().all(|s| {
-            matches!(s, Stmt::Assign { target, .. } if integer_arrays.contains_key(&target.array))
-        })
-    {
-        return lower_integer_update(loop_id, forall, real_arrays, integer_arrays);
-    }
-
-    let mut usage = Usage::default();
-    collect_body(body, real_arrays, integer_arrays, &mut usage)?;
+    let (code, bounds, usage) = compile_loop(decls, forall)?;
+    let all_real = [
+        &usage.gathered,
+        &usage.sum_targets,
+        &usage.append_targets,
+        &usage.assigned,
+    ];
+    // The decomposition of each distributed array the loop touches, in first-use order.
+    let touched = all_real.into_iter().flatten();
+    let touched: Vec<&String> = touched.map(|a| &decls.real_arrays[a].1).collect();
 
     // Which decomposition do the iterations align with?  If the loop extent matches a
     // referenced decomposition's size, iterate owner-computes over it; otherwise fall back
     // to the decomposition of the first referenced distributed array.
-    let extent = const_extent(lo, hi);
-    let mut decomp: Option<String> = None;
-    if let Some(extent) = extent {
-        for (name, size) in decomps {
-            let referenced = usage
-                .all_real()
-                .iter()
-                .any(|a| real_arrays.get(a).is_some_and(|(_, d)| d == name));
-            if *size == extent && referenced {
-                decomp = Some(name.clone());
-                break;
-            }
-        }
-    }
-    let decomp = decomp
-        .or_else(|| {
-            usage
-                .all_real()
-                .first()
-                .and_then(|a| real_arrays.get(a).map(|(_, d)| d.clone()))
-        })
-        .ok_or_else(|| format!("FORALL #{loop_id} references no distributed arrays"))?;
+    let by_extent = const_extent(lo, hi).and_then(|extent| {
+        let fits = |name: &&String| decls.decomps[*name] == extent && touched.contains(name);
+        decls.names.decomps.iter().find(fits)
+    });
+    let first = touched.first().copied();
 
-    // Classification: exactly one APPEND → append loop; any APPEND mixed with SUM → error.
-    let kind = if usage.append_targets.is_empty() {
-        LoopKind::SumReduction
-    } else if usage.append_targets.len() == 1 && usage.sum_targets.is_empty() {
-        LoopKind::AppendReduction {
-            target: usage.append_targets[0].clone(),
-        }
+    // Classification.  A body that writes only replicated integer arrays is an
+    // indirection update (DSMC re-binning its cell map): no distributed data, no
+    // communication, every rank runs the full range redundantly.  Exactly one APPEND →
+    // append loop; any APPEND mixed with SUM → error.
+    let (kind, decomp) = if !usage.modified.is_empty() && first.is_none() {
+        let modified = usage.modified;
+        (LoopKind::IntegerUpdate { modified }, String::new())
     } else {
-        return Err(format!(
-            "FORALL #{loop_id}: REDUCE(APPEND) cannot be mixed with other reductions"
-        ));
+        let kind = if !usage.modified.is_empty() {
+            return Err(format!(
+                "FORALL #{loop_id}: assignments to integer arrays cannot be mixed with \
+                 distributed-array statements"
+            ));
+        } else if usage.append_targets.is_empty() {
+            LoopKind::SumReduction
+        } else if usage.sum_targets.is_empty() && matches!(body.as_slice(), [Stmt::Reduce { .. }]) {
+            // One destination per iteration: the light-weight schedule pairs them up.
+            let target = usage.append_targets[0].clone();
+            LoopKind::AppendReduction { target }
+        } else {
+            return Err(format!(
+                "FORALL #{loop_id}: an append loop holds exactly one REDUCE(APPEND) statement \
+                 (it cannot be mixed with other reductions)"
+            ));
+        };
+        let none = || format!("FORALL #{loop_id} references no distributed arrays");
+        (kind, by_extent.or(first).ok_or_else(none)?.clone())
     };
 
     // An array that is both gathered and a SUM target would need a private contribution
     // buffer; the subset forbids it (the paper's templates never need it).
-    for t in &usage.sum_targets {
-        if usage.gathered.contains(t) {
-            return Err(format!(
-                "FORALL #{loop_id}: array {t} is both read and a REDUCE(SUM) target; \
-                 not supported by this prototype"
-            ));
-        }
+    if let Some(t) = usage
+        .sum_targets
+        .iter()
+        .find(|t| usage.gathered.contains(t))
+    {
+        return Err(format!(
+            "FORALL #{loop_id}: array {t} is both read and a REDUCE(SUM) target; \
+             not supported by this prototype"
+        ));
     }
 
     Ok(LoopPlan {
         loop_id,
         kind,
         forall: forall.clone(),
+        code,
+        bounds,
         gathered_arrays: usage.gathered,
         sum_targets: usage.sum_targets,
         assigned_arrays: usage.assigned,
         indirection_arrays: usage.indirection,
         decomp,
     })
-}
-
-/// Lower a FORALL whose body only assigns to replicated integer arrays.
-fn lower_integer_update(
-    loop_id: usize,
-    forall: &Stmt,
-    real_arrays: &HashMap<String, (usize, String)>,
-    integer_arrays: &HashMap<String, usize>,
-) -> Result<LoopPlan, String> {
-    let Stmt::Forall { lo, hi, body, .. } = forall else {
-        unreachable!("lower_integer_update called on a non-FORALL statement")
-    };
-    let mut usage = Usage::default();
-    collect_index_expr(lo, real_arrays, integer_arrays, &mut usage)?;
-    collect_index_expr(hi, real_arrays, integer_arrays, &mut usage)?;
-    let mut modified = Vec::new();
-    for s in body {
-        let Stmt::Assign { target, value } = s else {
-            unreachable!("integer-update bodies contain only assignments")
-        };
-        if !matches!(target.index.as_ref(), Expr::Var(_)) {
-            return Err(format!(
-                "integer update to {}(non-loop-variable subscript) is not supported",
-                target.array
-            ));
-        }
-        push_unique(&mut modified, &target.array);
-        // RHS of an integer update is an index-class expression: integer arrays, loop
-        // variables and constants only — never distributed data.
-        collect_index_expr(value, real_arrays, integer_arrays, &mut usage)?;
-    }
-    Ok(LoopPlan {
-        loop_id,
-        kind: LoopKind::IntegerUpdate { modified },
-        forall: forall.clone(),
-        gathered_arrays: Vec::new(),
-        sum_targets: Vec::new(),
-        assigned_arrays: Vec::new(),
-        indirection_arrays: usage.indirection,
-        decomp: String::new(),
-    })
-}
-
-#[derive(Default)]
-struct Usage {
-    gathered: Vec<String>,
-    sum_targets: Vec<String>,
-    append_targets: Vec<String>,
-    assigned: Vec<String>,
-    indirection: Vec<String>,
-}
-
-impl Usage {
-    fn all_real(&self) -> Vec<String> {
-        let mut v = self.gathered.clone();
-        v.extend(self.sum_targets.clone());
-        v.extend(self.append_targets.clone());
-        v.extend(self.assigned.clone());
-        v
-    }
-}
-
-fn push_unique(v: &mut Vec<String>, name: &str) {
-    if !v.iter().any(|x| x == name) {
-        v.push(name.to_string());
-    }
-}
-
-fn collect_body(
-    body: &[Stmt],
-    real_arrays: &HashMap<String, (usize, String)>,
-    integer_arrays: &HashMap<String, usize>,
-    usage: &mut Usage,
-) -> Result<(), String> {
-    for stmt in body {
-        match stmt {
-            Stmt::Forall { lo, hi, body, .. } => {
-                collect_index_expr(lo, real_arrays, integer_arrays, usage)?;
-                collect_index_expr(hi, real_arrays, integer_arrays, usage)?;
-                collect_body(body, real_arrays, integer_arrays, usage)?;
-            }
-            Stmt::Reduce { op, target, value } => {
-                collect_index_expr(&target.index, real_arrays, integer_arrays, usage)?;
-                collect_value_expr(value, real_arrays, integer_arrays, usage)?;
-                match op {
-                    ReduceOp::Sum => {
-                        ensure_real(&target.array, real_arrays)?;
-                        push_unique(&mut usage.sum_targets, &target.array);
-                    }
-                    ReduceOp::Append => {
-                        ensure_real(&target.array, real_arrays)?;
-                        push_unique(&mut usage.append_targets, &target.array);
-                    }
-                }
-            }
-            Stmt::Assign { target, value } => {
-                ensure_real(&target.array, real_arrays)?;
-                if !matches!(target.index.as_ref(), Expr::Var(_)) {
-                    return Err(format!(
-                        "assignment to {}(non-loop-variable subscript) is not supported; \
-                         use REDUCE for indirect writes",
-                        target.array
-                    ));
-                }
-                push_unique(&mut usage.assigned, &target.array);
-                collect_value_expr(value, real_arrays, integer_arrays, usage)?;
-            }
-            other => {
-                return Err(format!(
-                    "statement {other:?} is not allowed inside a FORALL body"
-                ))
-            }
-        }
-    }
-    Ok(())
-}
-
-fn ensure_real(name: &str, real_arrays: &HashMap<String, (usize, String)>) -> Result<(), String> {
-    if real_arrays.contains_key(name) {
-        Ok(())
-    } else {
-        Err(format!(
-            "array {name} is used like a distributed array but was never ALIGNed"
-        ))
-    }
-}
-
-/// Subscript/bound expressions may reference only integer arrays, loop variables and
-/// constants (this is what lets the inspector evaluate the access pattern without touching
-/// distributed data).
-fn collect_index_expr(
-    expr: &Expr,
-    real_arrays: &HashMap<String, (usize, String)>,
-    integer_arrays: &HashMap<String, usize>,
-    usage: &mut Usage,
-) -> Result<(), String> {
-    match expr {
-        Expr::Int(_) | Expr::Real(_) | Expr::Var(_) => Ok(()),
-        Expr::Element(ArrayRef { array, index }) => {
-            if real_arrays.contains_key(array) {
-                return Err(format!(
-                    "distributed array {array} cannot appear in a subscript or loop bound"
-                ));
-            }
-            if !integer_arrays.contains_key(array) {
-                return Err(format!("undeclared integer array {array} in subscript"));
-            }
-            push_unique(&mut usage.indirection, array);
-            collect_index_expr(index, real_arrays, integer_arrays, usage)
-        }
-        Expr::Binary(_, a, b) => {
-            collect_index_expr(a, real_arrays, integer_arrays, usage)?;
-            collect_index_expr(b, real_arrays, integer_arrays, usage)
-        }
-    }
-}
-
-/// Value expressions may read real arrays (gathered), integer arrays and loop variables.
-fn collect_value_expr(
-    expr: &Expr,
-    real_arrays: &HashMap<String, (usize, String)>,
-    integer_arrays: &HashMap<String, usize>,
-    usage: &mut Usage,
-) -> Result<(), String> {
-    match expr {
-        Expr::Int(_) | Expr::Real(_) | Expr::Var(_) => Ok(()),
-        Expr::Element(ArrayRef { array, index }) => {
-            if real_arrays.contains_key(array) {
-                push_unique(&mut usage.gathered, array);
-            } else if integer_arrays.contains_key(array) {
-                push_unique(&mut usage.indirection, array);
-            } else {
-                return Err(format!("undeclared array {array} in expression"));
-            }
-            collect_index_expr(index, real_arrays, integer_arrays, usage)
-        }
-        Expr::Binary(_, a, b) => {
-            collect_value_expr(a, real_arrays, integer_arrays, usage)?;
-            collect_value_expr(b, real_arrays, integer_arrays, usage)
-        }
-    }
 }
 
 /// The constant extent `hi - lo + 1` of a loop if both bounds are integer literals.
@@ -923,5 +647,55 @@ mod tests {
         let lowered = crate::compile(FIG1_STYLE).unwrap();
         assert_eq!(lowered.loops.len(), 1);
         assert!(crate::compile("FORALL i = 1, 4\n").is_err());
+    }
+
+    #[test]
+    fn unknown_names_are_lowering_errors_with_their_line() {
+        let decls = "REAL x(8)\nINTEGER ia(8)\nC$ DECOMPOSITION reg(8)\n\
+             C$ DISTRIBUTE reg(BLOCK)\nC$ ALIGN x WITH reg\n";
+        // An unknown scalar in a value, a subscript, an inner bound (lines 6–8 hold the
+        // loop), a DO bound and an IF condition: all used to panic at run time.
+        for (body, line, name) in [
+            ("FORALL i = 1, 8\nREDUCE(SUM, x(ia(i)), scale)\nEND FORALL\n", 6, "SCALE"),
+            ("FORALL i = 1, 8\nREDUCE(SUM, x(ia(k)), 1.0)\nEND FORALL\n", 6, "K"),
+            ("\nFORALL i = 1, 8\nFORALL j = 1, m\nREDUCE(SUM, x(ia(j)), 1.0)\nEND FORALL\nEND FORALL\n", 7, "M"),
+            ("DO istep = 1, nsteps\nEND DO\n", 6, "NSTEPS"),
+            ("\n\nIF (flag .GT. 0) THEN\nEND IF\n", 8, "FLAG"),
+        ] {
+            let err = lower_src(&format!("{decls}{body}")).unwrap_err();
+            let expected = format!("line {line}: unknown loop variable or scalar {name}");
+            assert_eq!(err, expected);
+        }
+        // MYRANK and NPROCS are names only an IF condition knows.
+        let err = lower_src(&format!(
+            "{decls}FORALL i = 1, 8\nREDUCE(SUM, x(ia(i)), myrank)\nEND FORALL\n"
+        ));
+        assert!(err
+            .unwrap_err()
+            .contains("unknown loop variable or scalar MYRANK"));
+        assert!(lower_src(&format!("{decls}IF (MYRANK .LT. NPROCS) THEN\nEND IF\n")).is_ok());
+    }
+
+    #[test]
+    fn rejects_loop_shapes_the_executor_cannot_run() {
+        let decls = "REAL v(8), w(4), c(8)\nINTEGER ic(8)\nC$ DECOMPOSITION p(8)\n\
+             C$ DECOMPOSITION q(4)\nC$ ALIGN v, c WITH p\nC$ ALIGN w WITH q\n";
+        let append = "FORALL i = 1, 8\nREDUCE(APPEND, w(ic(i)), v(i))\nEND FORALL\n";
+        assert!(lower_src(&format!("{decls}{append}")).is_ok());
+        // An append loop pairs one destination with each iteration.
+        let err = lower_src(&format!(
+            "{decls}FORALL i = 1, 8\nc(i) = 1.0\nREDUCE(APPEND, w(ic(i)), v(i))\nEND FORALL\n"
+        ));
+        assert!(err.unwrap_err().contains("exactly one REDUCE(APPEND)"));
+        // A bucket array holds lists: no other loop may use it as a flat array.
+        let err = lower_src(&format!(
+            "{decls}{append}FORALL i = 1, 4\nREDUCE(SUM, w(i), 1.0)\nEND FORALL\n"
+        ));
+        assert!(err.unwrap_err().contains("REDUCE(APPEND) target"));
+        // An inner FORALL may not rebind an enclosing loop's variable.
+        let err = lower_src(&format!(
+            "{decls}FORALL i = 1, 8\nFORALL i = 1, 2\nREDUCE(SUM, c(ic(i)), 1.0)\nEND FORALL\nEND FORALL\n"
+        ));
+        assert!(err.unwrap_err().contains("shadows"));
     }
 }

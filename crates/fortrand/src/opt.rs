@@ -29,7 +29,7 @@
 //!    `Finish` on every path, including through [`ExecStep::If`] branches and around
 //!    time-loop back edges; if the proof fails, every overlap rewrite is reverted.
 //!
-//! The optimized program is executed by the same interpreter; its fingerprints are
+//! The optimized program is run by the same executor; its fingerprints are
 //! byte-identical to the naive schedule (fused exchanges are element-identical to the
 //! unfused sequence, and reordered work was proved independent).
 

@@ -331,6 +331,7 @@ impl<'a> Parser<'a> {
     /// `IF (cond) THEN … [ELSE …] END IF` — a statement-level block; the branches hold
     /// whole statements (FORALLs, directives), never expressions.
     fn if_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let line = self.line_of(self.pos);
         self.expect(&Token::LParen)?;
         let cond = self.cond()?;
         self.expect(&Token::RParen)?;
@@ -388,6 +389,7 @@ impl<'a> Parser<'a> {
             cond,
             then_branch,
             else_branch,
+            line,
         })
     }
 
@@ -642,6 +644,7 @@ mod tests {
                 cond,
                 then_branch,
                 else_branch,
+                ..
             } => {
                 assert_eq!(cond.op, CmpOp::Eq);
                 assert_eq!(cond.lhs, Expr::Var("MYRANK".into()));
