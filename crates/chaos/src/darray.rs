@@ -6,6 +6,16 @@
 //! by `gather`).  This mirrors the PARTI/CHAOS convention of allocating a buffer area for
 //! incoming off-processor data directly after the local section, so the executor loop can
 //! index one flat array regardless of where an element lives.
+//!
+//! The layout is that convention taken literally: a [`DistArray`] is **one** contiguous
+//! `Vec<T>` — `owned_len` owned elements, then the ghost slots — plus the split point.
+//! `array[LocalRef(r)]` is therefore a single bounds-checked load with no owned-or-ghost
+//! branch (the executor's force loops do twelve of them per pair), the owned and ghost
+//! views are sub-slices of the same allocation, and the two split borrows the executor
+//! needs (`owned_and_ghost_mut`, `ghost_and_owned_mut`) are one `split_at_mut`.  Growing
+//! the ghost region may reallocate, which moves the owned section too: slices and raw
+//! pointers into an array do not survive [`DistArray::ensure_ghost`], so the executor
+//! grows first and borrows after.
 
 use std::ops::{Index, IndexMut};
 
@@ -27,129 +37,127 @@ impl LocalRef {
     }
 }
 
-/// One rank's section of a distributed array: owned elements followed by a ghost region.
+/// One rank's section of a distributed array: owned elements followed by a ghost region,
+/// in one allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistArray<T> {
-    owned: Vec<T>,
-    ghost: Vec<T>,
+    /// `data[..owned_len]` is the owned section, `data[owned_len..]` the ghost region.
+    data: Vec<T>,
+    owned_len: usize,
 }
 
 impl<T: Clone + Default> DistArray<T> {
     /// Create a local section from its owned elements, with `ghost_len` default-initialised
     /// ghost slots.
     pub fn new(owned: Vec<T>, ghost_len: usize) -> Self {
-        Self {
-            owned,
-            ghost: vec![T::default(); ghost_len],
-        }
+        let (owned_len, mut data) = (owned.len(), owned);
+        data.reserve_exact(ghost_len);
+        data.resize(owned_len + ghost_len, T::default());
+        Self { data, owned_len }
     }
 
     /// Create a local section of `owned_len` default-initialised owned elements and
     /// `ghost_len` ghost slots.
     pub fn zeroed(owned_len: usize, ghost_len: usize) -> Self {
         Self {
-            owned: vec![T::default(); owned_len],
-            ghost: vec![T::default(); ghost_len],
+            data: vec![T::default(); owned_len + ghost_len],
+            owned_len,
         }
     }
 
     /// Grow (never shrink) the ghost region to hold at least `ghost_len` slots.  Called
-    /// when a new schedule needs more ghost slots than previous ones.
+    /// when a new schedule needs more ghost slots than previous ones.  Growth may move the
+    /// whole section to a new allocation; owned and existing ghost values move with it.
     pub fn ensure_ghost(&mut self, ghost_len: usize) {
-        if self.ghost.len() < ghost_len {
-            self.ghost.resize(ghost_len, T::default());
+        if self.ghost_len() < ghost_len {
+            self.data.resize(self.owned_len + ghost_len, T::default());
         }
     }
 
     /// Reset every ghost slot to the default value (used between executor phases that
     /// accumulate into the ghost region before a `scatter_add`).
     pub fn clear_ghost(&mut self) {
-        for g in &mut self.ghost {
-            *g = T::default();
-        }
+        self.ghost_mut().fill(T::default());
     }
 }
 
 impl<T> DistArray<T> {
     /// Number of owned elements.
     pub fn owned_len(&self) -> usize {
-        self.owned.len()
+        self.owned_len
     }
 
     /// Number of ghost slots.
     pub fn ghost_len(&self) -> usize {
-        self.ghost.len()
+        self.data.len() - self.owned_len
     }
 
     /// Total addressable length (owned + ghost).
     pub fn len(&self) -> usize {
-        self.owned.len() + self.ghost.len()
+        self.data.len()
     }
 
     /// True if the array has no owned elements and no ghost slots.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.data.is_empty()
     }
 
     /// The owned section.
     pub fn owned(&self) -> &[T] {
-        &self.owned
+        &self.data[..self.owned_len]
     }
 
     /// The owned section, mutably.
     pub fn owned_mut(&mut self) -> &mut [T] {
-        &mut self.owned
+        &mut self.data[..self.owned_len]
     }
 
     /// The ghost region.
     pub fn ghost(&self) -> &[T] {
-        &self.ghost
+        &self.data[self.owned_len..]
     }
 
     /// The ghost region, mutably.
     pub fn ghost_mut(&mut self) -> &mut [T] {
-        &mut self.ghost
+        &mut self.data[self.owned_len..]
     }
 
     /// Consume the array and return its owned section.
-    pub fn into_owned(self) -> Vec<T> {
-        self.owned
+    pub fn into_owned(mut self) -> Vec<T> {
+        self.data.truncate(self.owned_len);
+        self.data
     }
 
     /// Borrow the owned section immutably and the ghost region mutably at the same time —
     /// the borrow pattern of `gather`, which packs outgoing messages from owned elements
     /// while placing incoming copies into ghost slots.
     pub fn owned_and_ghost_mut(&mut self) -> (&[T], &mut [T]) {
-        (&self.owned, &mut self.ghost)
+        let (owned, ghost) = self.data.split_at_mut(self.owned_len);
+        (owned, ghost)
     }
 
     /// Borrow the ghost region immutably and the owned section mutably at the same time —
     /// the borrow pattern of the scatters, which pack from ghost slots and combine into
     /// owned elements.
     pub fn ghost_and_owned_mut(&mut self) -> (&[T], &mut [T]) {
-        (&self.ghost, &mut self.owned)
+        let (owned, ghost) = self.data.split_at_mut(self.owned_len);
+        (ghost, owned)
     }
 }
 
 impl<T> Index<LocalRef> for DistArray<T> {
     type Output = T;
 
+    #[inline]
     fn index(&self, r: LocalRef) -> &T {
-        if r.0 < self.owned.len() {
-            &self.owned[r.0]
-        } else {
-            &self.ghost[r.0 - self.owned.len()]
-        }
+        &self.data[r.0]
     }
 }
 
 impl<T> IndexMut<LocalRef> for DistArray<T> {
+    #[inline]
     fn index_mut(&mut self, r: LocalRef) -> &mut T {
-        if r.0 < self.owned.len() {
-            &mut self.owned[r.0]
-        } else {
-            &mut self.ghost[r.0 - self.owned.len()]
-        }
+        &mut self.data[r.0]
     }
 }
 
@@ -206,7 +214,57 @@ mod tests {
 
     #[test]
     fn into_owned_returns_owned_section() {
-        let a = DistArray::new(vec![4, 5, 6], 9);
+        let mut a = DistArray::new(vec![4, 5, 6], 9);
+        a[LocalRef(3)] = 7;
         assert_eq!(a.into_owned(), vec![4, 5, 6]);
+        let no_ghost = DistArray::new(vec![1, 2], 0);
+        assert_eq!(no_ghost.into_owned(), vec![1, 2]);
+        let no_owned: DistArray<i32> = DistArray::zeroed(0, 3);
+        assert_eq!(no_owned.into_owned(), Vec::<i32>::new());
+    }
+
+    #[test]
+    fn split_borrows_are_adjacent_disjoint_slices() {
+        let mut a = DistArray::new(vec![1, 2, 3], 4);
+        let (owned, ghost) = a.owned_and_ghost_mut();
+        assert_eq!((owned.len(), ghost.len()), (3, 4));
+        assert_eq!(owned.as_ptr_range().end, ghost.as_ptr_range().start);
+        ghost[0] = owned[2] * 10;
+        let (ghost, owned) = a.ghost_and_owned_mut();
+        assert_eq!((ghost.len(), owned.len()), (4, 3));
+        assert_eq!(owned.as_ptr_range().end, ghost.as_ptr_range().start);
+        owned[0] = ghost[0] + 1;
+        assert_eq!(a.owned(), &[31, 2, 3]);
+        assert_eq!(a.ghost(), &[30, 0, 0, 0]);
+    }
+
+    #[test]
+    fn zero_length_sections() {
+        let mut no_owned: DistArray<u8> = DistArray::zeroed(0, 2);
+        assert_eq!((no_owned.owned_len(), no_owned.ghost_len()), (0, 2));
+        assert!(no_owned.owned().is_empty() && no_owned.owned_mut().is_empty());
+        no_owned[LocalRef(1)] = 5;
+        assert_eq!(no_owned.ghost(), &[0, 5]);
+        let (owned, ghost) = no_owned.owned_and_ghost_mut();
+        assert_eq!((owned.len(), ghost.len()), (0, 2));
+
+        let mut no_ghost = DistArray::new(vec![7u8, 8], 0);
+        assert!(no_ghost.ghost().is_empty() && no_ghost.ghost_mut().is_empty());
+        let (ghost, owned) = no_ghost.ghost_and_owned_mut();
+        assert_eq!((ghost.len(), owned.len()), (0, 2));
+        no_ghost.clear_ghost();
+        no_ghost.ensure_ghost(0);
+        assert_eq!(no_ghost.len(), 2);
+
+        let empty: DistArray<u8> = DistArray::zeroed(0, 0);
+        assert!(empty.is_empty());
+        assert!(!no_ghost.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn write_through_a_ghost_reference_of_a_ghostless_array_panics() {
+        let mut a = DistArray::new(vec![1, 2], 0);
+        a[LocalRef(2)] = 3;
     }
 }

@@ -15,8 +15,26 @@
 //! schedules are built from the table by selecting entries whose stamps match a
 //! [`StampQuery`], which is how merged (`a + b + c`) and incremental (`b - a`) schedules of
 //! Figure 6 are expressed.
+//!
+//! # Layout
+//!
+//! Global indices are dense (`0..N`, the translation table's index space), so the "hash
+//! table" is direct-mapped: `index[g]` is a `u32` naming the position of global `g`'s
+//! entry in `slots`, the entry storage kept in insertion order (which is what makes
+//! schedules identical on every rank).  Two values of `index` are sentinels: `ABSENT`
+//! (`u32::MAX`) — never hashed in — and `PENDING` (`u32::MAX - 1`) — first seen earlier
+//! in the *current* [`IndexHashTable::hash_in`] batch and waiting for the batched
+//! translation, so the table itself answers "seen before?" for duplicates inside one
+//! call.  `PENDING` never survives a call that returns.  The probe is one bounds-checked
+//! load; a global outside `0..N` fails that check and becomes a named panic.
+//!
+//! `index` is grown to the translation table's `global_size()` the first time the table
+//! is hashed into (so [`IndexHashTable::new`] needs no size), which costs **4·N bytes per
+//! table** — at most half of the replicated translation table (8 bytes an entry) the same
+//! rank already holds.  Should a workload with huge `N` and a sparse touched set make
+//! that matter, `index` can become an open-addressed table under a multiplicative hash
+//! without touching a caller; nothing outside this module sees it.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mpsim::Rank;
@@ -165,11 +183,22 @@ pub struct HashEntry {
     pub stamps: u64,
 }
 
-/// The stamped hash table used by the inspector for index analysis.
+/// `index` value of a global that has never been hashed in.
+const ABSENT: u32 = u32::MAX;
+/// `index` value of a global first seen earlier in the running `hash_in` batch, whose
+/// translation is still pending.  Every slot position is below it.
+const PENDING: u32 = u32::MAX - 1;
+
+/// The stamped hash table used by the inspector for index analysis.  See the module
+/// documentation for the layout and its 4·N-byte memory bound.
 pub struct IndexHashTable {
     my_rank: ProcId,
-    owned_len: usize,
-    entries: HashMap<Global, usize>,
+    /// Number of owned elements, which is also the local reference of ghost slot 0
+    /// (checked against `u32` in `new`).
+    owned_len: u32,
+    /// Direct-mapped global index → position in `slots`, `ABSENT` or `PENDING`; empty
+    /// until the first hash sizes it to the translation table's global size.
+    index: Vec<u32>,
     /// Entry storage in insertion order — iteration order must be deterministic so that
     /// every rank builds schedules with identical request ordering.
     slots: Vec<HashEntry>,
@@ -189,8 +218,8 @@ impl IndexHashTable {
     pub fn new(my_rank: ProcId, owned_len: usize) -> Self {
         Self {
             my_rank,
-            owned_len,
-            entries: HashMap::new(),
+            owned_len: u32::try_from(owned_len).expect("owned length must fit u32"),
+            index: Vec::new(),
             slots: Vec::new(),
             next_ghost_slot: 0,
             table_id: NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed),
@@ -239,7 +268,7 @@ impl IndexHashTable {
 
     /// Number of owned elements this table translates against.
     pub fn owned_len(&self) -> usize {
-        self.owned_len
+        self.owned_len as usize
     }
 
     /// Hash the global indices of one indirection array into the table under `stamp`,
@@ -249,6 +278,10 @@ impl IndexHashTable {
     /// This is `CHAOS_hash` from the paper.  It is collective when `ttable` is distributed
     /// or paged (translation lookups may require communication); with a replicated table it
     /// performs no communication at all.
+    ///
+    /// # Panics
+    /// Panics, naming the index, the array size and the stamp, if a global index lies
+    /// outside `ttable`'s index space.
     pub fn hash_in(
         &mut self,
         rank: &mut Rank,
@@ -257,15 +290,20 @@ impl IndexHashTable {
         stamp: Stamp,
     ) -> Vec<LocalRef> {
         self.stamp_gens[stamp.bit() as usize] += 1;
+        self.grow_index(ttable);
         // 1. Find the indices we have never seen before and translate them (batched, so a
         //    distributed translation table pays one collective dereference, not one per
-        //    index).
+        //    index).  Marking a first occurrence PENDING makes later duplicates in this
+        //    batch probe as "seen".
         let mut unknown: Vec<Global> = Vec::new();
-        let mut first_occurrence: HashMap<Global, ()> = HashMap::new();
         for &g in globals {
-            if !self.entries.contains_key(&g) && !first_occurrence.contains_key(&g) {
-                first_occurrence.insert(g, ());
-                unknown.push(g);
+            match self.index.get_mut(g) {
+                Some(at) if *at == ABSENT => {
+                    *at = PENDING;
+                    unknown.push(g);
+                }
+                Some(_) => {}
+                None => out_of_range("hash_in", g, self.index.len(), stamp),
             }
         }
         // Index analysis cost: one unit per new index (hash insert + translation), a tenth
@@ -275,38 +313,18 @@ impl IndexHashTable {
         rank.charge_compute(unknown.len() as f64 + known as f64 * 0.1);
 
         let locs = ttable.lookup(rank, &unknown);
-        for (g, loc) in unknown.iter().zip(locs) {
-            let ghost_slot = if loc.owner as usize == self.my_rank {
-                None
-            } else {
-                let slot = self.next_ghost_slot;
-                self.next_ghost_slot += 1;
-                Some(slot)
-            };
-            let idx = self.slots.len();
-            self.slots.push(HashEntry {
-                global: *g,
-                loc,
-                ghost_slot,
-                stamps: 0,
-            });
-            self.entries.insert(*g, idx);
+        for (&g, loc) in unknown.iter().zip(locs) {
+            self.insert(g, loc);
         }
 
         // 2. Mark the stamp and emit local references in input order.
         let mask = stamp.mask();
-        globals
-            .iter()
-            .map(|g| {
-                let idx = self.entries[g];
-                let entry = &mut self.slots[idx];
-                entry.stamps |= mask;
-                match entry.ghost_slot {
-                    None => LocalRef(entry.loc.offset as usize),
-                    Some(slot) => LocalRef(self.owned_len + slot as usize),
-                }
-            })
-            .collect()
+        let refs = globals.iter().map(|&g| {
+            let entry = &mut self.slots[self.index[g] as usize];
+            entry.stamps |= mask;
+            LocalRef(local_ref(entry, self.owned_len) as usize)
+        });
+        refs.collect()
     }
 
     /// Variant of [`IndexHashTable::hash_in`] for **replicated** translation tables: no
@@ -314,7 +332,8 @@ impl IndexHashTable {
     /// path [`crate::inspector::Inspector::hash_indices`] uses.
     ///
     /// # Panics
-    /// Panics if `ttable` is not replicated.
+    /// Panics if `ttable` is not replicated, or (naming the index, the array size and the
+    /// stamp) if a global index lies outside its index space.
     pub fn hash_in_replicated(
         &mut self,
         rank: &mut Rank,
@@ -322,52 +341,106 @@ impl IndexHashTable {
         globals: &[Global],
         stamp: Stamp,
     ) -> Vec<LocalRef> {
+        let mut refs = Vec::new();
+        self.probe_replicated(rank, ttable, globals, stamp, &mut refs, |r| {
+            LocalRef(r as usize)
+        });
+        refs
+    }
+
+    /// [`IndexHashTable::hash_in_replicated`] writing a reusable `u32` reference stream:
+    /// the local references are **appended** to `out` in input order, so a caller hashing
+    /// row by row builds one CSR array instead of a vector per row, and a caller that
+    /// re-hashes every step reuses one allocation.  Same table updates, same modeled cost.
+    pub fn hash_in_replicated_into(
+        &mut self,
+        rank: &mut Rank,
+        ttable: &TranslationTable,
+        globals: &[Global],
+        stamp: Stamp,
+        out: &mut Vec<u32>,
+    ) {
+        self.probe_replicated(rank, ttable, globals, stamp, out, |r| r);
+    }
+
+    /// The one probe loop behind both replicated entry points, generic over the output
+    /// element.  It is written as a single `extend` over a closure with the probe inline
+    /// because that is the fastest of the formulations measured on the `inspector_drift`
+    /// workload: a `push` per element, a per-element helper taking `&mut self`, and an
+    /// intermediate `u32` vector re-wrapped into `LocalRef`s were all slower (numbers in
+    /// DESIGN.md, "The CHAOS runtime").
+    #[inline]
+    fn probe_replicated<R>(
+        &mut self,
+        rank: &mut Rank,
+        ttable: &TranslationTable,
+        globals: &[Global],
+        stamp: Stamp,
+        out: &mut Vec<R>,
+        wrap: impl Fn(u32) -> R,
+    ) {
         assert!(
             ttable.is_replicated(),
             "hash_in_replicated requires a replicated translation table"
         );
         self.stamp_gens[stamp.bit() as usize] += 1;
+        self.grow_index(ttable);
         let mask = stamp.mask();
-        let mut new_count = 0usize;
-        let refs = globals
-            .iter()
-            .map(|&g| {
-                let idx = match self.entries.get(&g) {
-                    Some(&idx) => idx,
-                    None => {
-                        new_count += 1;
-                        let loc = ttable
-                            .lookup_local(g)
-                            .expect("hash_in_replicated requires a replicated translation table");
-                        let ghost_slot = if loc.owner as usize == self.my_rank {
-                            None
-                        } else {
-                            let slot = self.next_ghost_slot;
-                            self.next_ghost_slot += 1;
-                            Some(slot)
-                        };
-                        let idx = self.slots.len();
-                        self.slots.push(HashEntry {
-                            global: g,
-                            loc,
-                            ghost_slot,
-                            stamps: 0,
-                        });
-                        self.entries.insert(g, idx);
-                        idx
-                    }
-                };
-                let entry = &mut self.slots[idx];
-                entry.stamps |= mask;
-                match entry.ghost_slot {
-                    None => LocalRef(entry.loc.offset as usize),
-                    Some(slot) => LocalRef(self.owned_len + slot as usize),
+        let owned_len = self.owned_len;
+        let slots_before = self.slots.len();
+        out.extend(globals.iter().map(|&g| {
+            let at = match self.index.get(g) {
+                Some(&at) if at != ABSENT => at,
+                Some(_) => {
+                    let loc = ttable
+                        .lookup_local(g)
+                        .expect("hash_in_replicated requires a replicated translation table");
+                    self.insert(g, loc)
                 }
-            })
-            .collect();
+                None => out_of_range("hash_in_replicated", g, self.index.len(), stamp),
+            };
+            let entry = &mut self.slots[at as usize];
+            entry.stamps |= mask;
+            wrap(local_ref(entry, owned_len))
+        }));
+        let new_count = self.slots.len() - slots_before;
         let known = globals.len() - new_count;
         rank.charge_compute(new_count as f64 + known as f64 * 0.1);
-        refs
+    }
+
+    /// Size `index` to `ttable`'s index space (a no-op after the first hash against it).
+    fn grow_index(&mut self, ttable: &TranslationTable) {
+        if self.index.len() < ttable.global_size() {
+            self.index.resize(ttable.global_size(), ABSENT);
+        }
+    }
+
+    /// Append the entry for a newly translated global, assigning the next ghost slot if
+    /// it is off-processor; point `index` at it and return its position in `slots`.  Slot
+    /// positions and local references are checked against `u32` here, where they are born.
+    fn insert(&mut self, global: Global, loc: Loc) -> u32 {
+        let at = u32::try_from(self.slots.len())
+            .ok()
+            .filter(|&at| at < PENDING)
+            .expect("hash-table slot count must fit u32");
+        let ghost_slot = if loc.owner as usize == self.my_rank {
+            None
+        } else {
+            let slot = self.next_ghost_slot;
+            self.owned_len
+                .checked_add(slot)
+                .expect("local references must fit u32");
+            self.next_ghost_slot += 1;
+            Some(slot)
+        };
+        self.slots.push(HashEntry {
+            global,
+            loc,
+            ghost_slot,
+            stamps: 0,
+        });
+        self.index[global] = at;
+        at
     }
 
     /// Clear `stamp` from every entry.  Entries themselves (and their translation results
@@ -390,7 +463,7 @@ impl IndexHashTable {
     /// Remove every entry and release all ghost slots.  Used when the data distribution
     /// itself changes (after a remap) and all translation results are stale.
     pub fn clear_all(&mut self) {
-        self.entries.clear();
+        self.index.clear();
         self.slots.clear();
         self.next_ghost_slot = 0;
         self.epoch += 1;
@@ -410,9 +483,12 @@ impl IndexHashTable {
         self.slots.iter().filter(move |e| query.matches(e.stamps))
     }
 
-    /// Look up the entry for a global index, if present.
+    /// Look up the entry for a global index, if present (`None` also for an index past
+    /// the end of the array).
     pub fn get(&self, g: Global) -> Option<&HashEntry> {
-        self.entries.get(&g).map(|&idx| &self.slots[idx])
+        let at = *self.index.get(g)?;
+        // Both sentinels lie past every slot position.
+        self.slots.get(at as usize)
     }
 
     /// Count of off-processor entries matching `query` (the number of elements a schedule
@@ -422,6 +498,26 @@ impl IndexHashTable {
             .filter(|e| e.ghost_slot.is_some())
             .count()
     }
+}
+
+/// The local reference of `entry` on a rank owning `owned_len` elements: its owned offset,
+/// or its ghost slot past the owned section.  Cannot overflow — the sum was checked when
+/// the ghost slot was assigned.
+#[inline]
+fn local_ref(entry: &HashEntry, owned_len: u32) -> u32 {
+    match entry.ghost_slot {
+        None => entry.loc.offset,
+        Some(slot) => owned_len + slot,
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn out_of_range(op: &str, g: Global, size: usize, stamp: Stamp) -> ! {
+    panic!(
+        "{op}: global index {g} outside array of size {size} (stamp bit {})",
+        stamp.bit()
+    )
 }
 
 #[cfg(test)]
@@ -663,6 +759,95 @@ mod tests {
             assert_eq!(k0.query(), q);
         });
         assert_eq!(out.results.len(), 1);
+    }
+
+    /// Run `op` on both ranks of a 2-rank machine, each against a fresh table over 8
+    /// block-distributed elements; a rank's panic is the test's panic.
+    fn with_table(
+        op: impl Fn(&mut Rank, &mut IndexHashTable, &mut TranslationTable) + Send + Sync + 'static,
+    ) {
+        run(MachineConfig::new(2), move |rank| {
+            let (mut ttable, owned) = table_for(rank, 8);
+            let mut h = IndexHashTable::new(rank.rank(), owned);
+            op(rank, &mut h, &mut ttable);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "hash_in: global index 8 outside array of size 8 (stamp bit 3)")]
+    fn hash_in_names_an_out_of_range_global() {
+        with_table(|rank, h, ttable| {
+            h.hash_in(rank, ttable, &[1, 8], Stamp::new(3));
+        });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "hash_in_replicated: global index 11 outside array of size 8 (stamp bit 2)"
+    )]
+    fn hash_in_replicated_names_an_out_of_range_global() {
+        with_table(|rank, h, ttable| {
+            h.hash_in_replicated(rank, ttable, &[0, 11], Stamp::new(2));
+        });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "hash_in_replicated: global index 9 outside array of size 8 (stamp bit 0)"
+    )]
+    fn hash_in_replicated_into_names_an_out_of_range_global() {
+        with_table(|rank, h, ttable| {
+            let mut refs = vec![7u32];
+            h.hash_in_replicated_into(rank, ttable, &[9], Stamp::new(0), &mut refs);
+        });
+    }
+
+    #[test]
+    fn get_past_the_end_or_before_any_hash_is_none() {
+        with_table(|rank, h, ttable| {
+            assert!(h.get(3).is_none(), "nothing hashed yet");
+            h.hash_in(rank, ttable, &[3, 5], Stamp::new(0));
+            assert_eq!(h.get(3).map(|e| e.global), Some(3));
+            assert!(h.get(4).is_none(), "in range, never hashed");
+            assert!(h.get(8).is_none(), "one past the end");
+            assert!(h.get(usize::MAX).is_none());
+            h.clear_all();
+            assert!(h.get(3).is_none(), "clear_all forgets every entry");
+        });
+    }
+
+    #[test]
+    fn into_appends_after_existing_references() {
+        with_table(|rank, h, ttable| {
+            let s = Stamp::new(1);
+            let mut refs = vec![41u32, 42];
+            h.hash_in_replicated_into(rank, ttable, &[6, 1, 6], s, &mut refs);
+            let mut other = IndexHashTable::new(rank.rank(), h.owned_len());
+            let expect = other.hash_in_replicated(rank, ttable, &[6, 1, 6], s);
+            assert_eq!(&refs[..2], &[41, 42]);
+            let appended: Vec<LocalRef> = refs[2..].iter().map(|&r| LocalRef(r as usize)).collect();
+            assert_eq!(appended, expect);
+            assert_eq!(h.entries_in_order(), other.entries_in_order());
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "owned length must fit u32")]
+    fn owned_length_is_checked_against_u32_at_birth() {
+        let _ = IndexHashTable::new(0, u32::MAX as usize + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "local references must fit u32")]
+    fn ghost_references_are_checked_against_u32_at_birth() {
+        run(MachineConfig::new(2), |rank| {
+            // A table claiming almost 2^32 owned elements: the first ghost reference still
+            // fits, the second would wrap.
+            let (ttable, _) = table_for(rank, 8);
+            let mut h = IndexHashTable::new(rank.rank(), u32::MAX as usize);
+            let theirs = if rank.rank() == 0 { [4, 5] } else { [0, 1] };
+            h.hash_in_replicated(rank, &ttable, &theirs, Stamp::new(0));
+        });
     }
 
     #[test]

@@ -214,10 +214,13 @@ struct BondedSetup {
 }
 
 /// Local references and schedules for the current hash-table contents.
+#[derive(Default)]
 struct LoopState {
     ghost_len: usize,
-    bond_refs: Vec<(LocalRef, LocalRef)>,
-    nb_refs: Vec<Vec<LocalRef>>,
+    bond_refs: Vec<(u32, u32)>,
+    /// Local references of the non-bonded partners, CSR over the neighbour list's own
+    /// row offsets (`NeighborList::offsets`).
+    nb_refs: Vec<u32>,
     merged: Option<CommSchedule>,
     bonded: Option<CommSchedule>,
     nonbonded: Option<CommSchedule>,
@@ -361,7 +364,7 @@ pub fn run_parallel(
         &nb_list,
         config.schedule_mode,
         true,
-        None,
+        LoopState::default(),
     );
     phases.schedule_generation += rank.modeled().since(&t0);
     schedule_builds += 1;
@@ -475,7 +478,6 @@ pub fn run_parallel(
                 // Same distribution: keep the hash entries, just clear the adaptive stamp.
                 hash.clear_stamp(STAMP_NB);
             }
-            let prev_bond_refs = (!repartitioned).then(|| std::mem::take(&mut loops.bond_refs));
             loops = build_loop_state(
                 rank,
                 &mut cache,
@@ -485,7 +487,7 @@ pub fn run_parallel(
                 &nb_list,
                 config.schedule_mode,
                 repartitioned,
-                prev_bond_refs,
+                loops,
             );
             phases.schedule_regeneration += rank.modeled().since(&t0);
             schedule_builds += 1;
@@ -497,6 +499,7 @@ pub fn run_parallel(
             rank,
             &mut dist,
             &loops,
+            &nb_list.offsets,
             &mut step_arrays,
             system,
             config.schedule_mode,
@@ -704,6 +707,8 @@ fn build_local_nb_list(
 /// stamp generations untouched — so under [`ScheduleMode::Multiple`] the bonded schedule
 /// is a cache *hit* across non-bonded list updates (no communication at all), while the
 /// schedules covering the re-hashed non-bonded stamp are *patched* forward.
+/// `prev` is the state being replaced: the source of those bonded references, and of the
+/// non-bonded reference array's allocation.
 #[allow(clippy::too_many_arguments)]
 fn build_loop_state(
     rank: &mut Rank,
@@ -714,22 +719,26 @@ fn build_loop_state(
     nb_list: &NeighborList,
     mode: ScheduleMode,
     rehash_bonded: bool,
-    prev_bond_refs: Option<Vec<(LocalRef, LocalRef)>>,
+    prev: LoopState,
 ) -> LoopState {
-    let bond_refs: Vec<(LocalRef, LocalRef)> = match prev_bond_refs {
-        Some(refs) if !rehash_bonded && !hash.is_empty() => refs,
-        _ => {
-            let ib_refs = hash.hash_in_replicated(rank, ttable, &bonded.exec_ib, STAMP_IB);
-            let jb_refs = hash.hash_in_replicated(rank, ttable, &bonded.exec_jb, STAMP_JB);
-            ib_refs.into_iter().zip(jb_refs).collect()
-        }
+    let bond_refs = if !rehash_bonded && !hash.is_empty() {
+        prev.bond_refs
+    } else {
+        let (mut ib_refs, mut jb_refs) = (Vec::new(), Vec::new());
+        hash.hash_in_replicated_into(rank, ttable, &bonded.exec_ib, STAMP_IB, &mut ib_refs);
+        hash.hash_in_replicated_into(rank, ttable, &bonded.exec_jb, STAMP_JB, &mut jb_refs);
+        ib_refs.into_iter().zip(jb_refs).collect()
     };
 
-    let owned = ttable.local_size(rank.rank());
-    let mut nb_refs: Vec<Vec<LocalRef>> = Vec::with_capacity(owned);
+    // One call per atom row, not one over the whole list: each call charges its own
+    // `new + known·0.1`, and the grouping of those float sums decides the last bits of
+    // the modeled time.
+    let mut nb_refs = prev.nb_refs;
+    nb_refs.clear();
+    nb_refs.reserve(nb_list.interaction_count());
     for l in 0..nb_list.natoms() {
-        let refs = hash.hash_in_replicated(rank, ttable, nb_list.partners_of(l), STAMP_NB);
-        nb_refs.push(refs);
+        let row = nb_list.partners_of(l);
+        hash.hash_in_replicated_into(rank, ttable, row, STAMP_NB, &mut nb_refs);
     }
 
     let (merged, bonded_sched, nonbonded_sched) = match mode {
@@ -778,6 +787,7 @@ fn execute_step(
     rank: &mut Rank,
     dist: &mut DistributionState,
     loops: &LoopState,
+    nb_offsets: &[usize],
     arrays: &mut StepArrays,
     system: &MolecularSystem,
     mode: ScheduleMode,
@@ -807,6 +817,7 @@ fn execute_step(
      -> usize {
         let mut count = 0;
         for &(ri, rj) in &loops.bond_refs {
+            let (ri, rj) = (LocalRef(ri as usize), LocalRef(rj as usize));
             let a = [px[ri], py[ri], pz[ri]];
             let b = [px[rj], py[rj], pz[rj]];
             let f = bond_force(displacement_pbc(a, b, system.box_size));
@@ -828,10 +839,11 @@ fn execute_step(
                           fz: &mut DistArray<f64>|
      -> usize {
         let mut count = 0;
-        for (l, partners) in loops.nb_refs.iter().enumerate() {
+        for (l, row) in nb_offsets.windows(2).enumerate() {
             let ri = LocalRef(l);
             let a = [px[ri], py[ri], pz[ri]];
-            for &rj in partners {
+            for &rj in &loops.nb_refs[row[0]..row[1]] {
+                let rj = LocalRef(rj as usize);
                 let b = [px[rj], py[rj], pz[rj]];
                 let f = pair_force(displacement_pbc(a, b, system.box_size));
                 fx[ri] += f[0];

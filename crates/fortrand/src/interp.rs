@@ -132,6 +132,11 @@ pub struct Executor<'p> {
     groups: Vec<Option<GroupRuntime>>,
     exchange: ExchangeStats,
     phases: FortranDPhases,
+    /// The inspector's transients — the reference list of a pass and its local
+    /// references — reused from one `localize` to the next: a group's member loops
+    /// produce lists of the same size, and allocating them afresh per member left each
+    /// freed copy (megabytes at CHARMM sizes) behind in the rank thread's allocator arena.
+    inspected: Inspected,
 }
 
 impl<'p> Executor<'p> {
@@ -253,6 +258,7 @@ impl<'p> Executor<'p> {
             groups,
             exchange: ExchangeStats::default(),
             phases: FortranDPhases::default(),
+            inspected: Inspected::default(),
         }
     }
 
@@ -532,10 +538,7 @@ impl<'p> Executor<'p> {
             cursor: vec![0; code.subs.len()],
             local: vec![0; code.subs.len()],
             global: vec![0; code.subs.len()],
-            seen: Inspected {
-                first_ref: vec![Vec::new(); code.subs.len()],
-                ..Inspected::default()
-            },
+            seen: Inspected::default(),
             payload: Vec::new(),
             work: 0,
         }
@@ -566,9 +569,14 @@ impl<'p> Executor<'p> {
     /// The inspector's reference-collection pass: run the loop's code over `iterations`
     /// evaluating subscripts only, and return every distributed-array reference in
     /// source order (one per occurrence — the list the index hash has always been fed).
+    /// The collection is built in `self.inspected`'s buffers; callers hand it back there
+    /// when they are done with it.
     fn inspect(&mut self, loop_id: usize, iterations: &[i64]) -> Inspected {
         let code = &self.program.loop_plan(loop_id).code;
+        let mut seen = std::mem::take(&mut self.inspected);
+        seen.reset(code.subs.len());
         let mut vm = self.vm(code, &[]);
+        vm.seen = seen;
         for &i in iterations {
             vm.i[code.var as usize] = i;
             vm.run::<true>(code);
@@ -613,15 +621,16 @@ impl<'p> Executor<'p> {
     ) -> Localized {
         let plan = self.program.loop_plan(loop_id);
         let iterations = self.sum_loop_iterations(plan, decomp);
-        let seen = self.inspect(loop_id, &iterations);
+        let mut seen = self.inspect(loop_id, &iterations);
         let DecompState {
             ttable,
             owned_globals,
         } = &self.decomps[decomp];
-        let local = hash.hash_in_replicated(rank, ttable, &seen.refs, stamp);
+        hash.hash_in_replicated_into(rank, ttable, &seen.refs, stamp, &mut seen.local);
+        let local = &seen.local;
         for &(at, arr) in &seen.assigns {
             assert!(
-                local[at].is_owned(owned_globals.len()),
+                (local[at] as usize) < owned_globals.len(),
                 "line {}: assignment to {}({}) on rank {}, but the element is owned by rank {} \
                  (direct assignments must be to owned elements under owner-computes)",
                 plan.line(),
@@ -633,16 +642,17 @@ impl<'p> Executor<'p> {
                     .map_or(u32::MAX, |loc| loc.owner),
             );
         }
+        // An unreferenced evaluation (`UNREFERENCED` is past the end of `local`) keeps the
+        // executor's "nothing to read" marker.
         let stream = |first_ref: &Vec<usize>| {
-            let entry = |&at: &usize| match local.get(at) {
-                Some(r) => u32::try_from(r.0).expect("local indices fit u32"),
-                None => u32::MAX,
-            };
+            let entry = |&at: &usize| local.get(at).copied().unwrap_or(u32::MAX);
             first_ref.iter().map(entry).collect()
         };
+        let streams = seen.first_ref.iter().map(stream).collect();
+        self.inspected = seen;
         Localized {
-            streams: seen.first_ref.iter().map(stream).collect(),
             iterations,
+            streams,
         }
     }
 
@@ -773,6 +783,7 @@ impl<'p> Executor<'p> {
             }
             streams.push(stream);
         }
+        self.inspected = seen;
         let sched = LightweightSchedule::build(rank, &dests);
         self.phases.inspector += rank.modeled().since(&t0);
 
@@ -997,6 +1008,20 @@ struct Inspected {
     first_ref: Vec<Vec<usize>>,
     /// Direct assignments executed: `(position in refs, assigned array)`.
     assigns: Vec<(usize, u32)>,
+    /// Filled by `localize`, not by the pass: the local reference of each `refs` entry.
+    local: Vec<u32>,
+}
+
+impl Inspected {
+    /// Empty the collection for a pass over code with `slots` subscript slots, keeping
+    /// the allocations.
+    fn reset(&mut self, slots: usize) {
+        self.refs.clear();
+        self.assigns.clear();
+        self.local.clear();
+        self.first_ref.resize(slots, Vec::new());
+        self.first_ref.iter_mut().for_each(Vec::clear);
+    }
 }
 
 /// Runs a loop's [`Code`] against the executor's arrays.  `INSPECT = true` is the

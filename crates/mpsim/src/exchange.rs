@@ -2168,11 +2168,25 @@ mod tests {
         // The zero-copy window arm must hit the same allocation fixed point as the
         // classic engine: direct deliveries touch no buffers at all, and any fallback
         // messages draw from / return to the typed scratch pool.
-        let cfg = MachineConfig::new(4).with_backend(ExchangeBackend::SharedMem);
+        //
+        // How many deliveries fall back is the scheduler's choice, not the engine's: a
+        // sender that exhausts `WINDOW_WAIT_YIELDS` before a descheduled peer publishes
+        // its window sends a typed message, and draws fresh scratch if its pool happens
+        // to be empty (the buffer ends up in the *receiver's* pool).  So "zero decode
+        // allocations" holds only on an idle host; the count is the scheduler's, not
+        // the engine's.  The engine's property is that fallback buffers are recycled
+        // rather than leaked: every buffer a sender draws comes back through a
+        // receiver's pool, so fresh draws stop once the machine holds about one buffer
+        // per message that can be in flight — P·(P−1) — instead of growing with the
+        // round count.  The loop is long enough that one leaked buffer per round would
+        // exceed that bound eight times over.
+        const P: usize = 4;
+        const ROUNDS: usize = 8 * P * (P - 1);
+        let cfg = MachineConfig::new(P).with_backend(ExchangeBackend::SharedMem);
         let out = run(cfg, |rank| {
             permute_round(rank);
             let warm = rank.pool_stats();
-            for _ in 0..8 {
+            for _ in 0..ROUNDS {
                 permute_round(rank);
             }
             rank.pool_stats().since(&warm)
@@ -2182,10 +2196,11 @@ mod tests {
                 delta.allocations, 0,
                 "direct permute drew a fresh pack buffer"
             );
-            assert_eq!(
-                delta.decode_allocations, 0,
-                "direct permute drew fresh decode scratch"
-            );
         }
+        let decode: u64 = out.results.iter().map(|d| d.decode_allocations).sum();
+        assert!(
+            decode <= (P * (P - 1)) as u64,
+            "direct permute leaked decode scratch: {decode} fresh buffers in {ROUNDS} rounds"
+        );
     }
 }
