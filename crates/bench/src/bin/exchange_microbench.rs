@@ -4,10 +4,9 @@
 //! DSMC append, CHARMM remap) on an 8-rank simulated machine, sweeps the gather/scatter
 //! and append shapes over machine sizes (P = 2–64), payload element sizes (8–64 bytes)
 //! and exchange backends (modeled vs shared-memory at P = 1–8), runs the collective
-//! scaling sweep of `chaos_bench::collective` (P = 32–1024) and the parallel-inspector
-//! preprocessing sweep of `chaos_bench::preproc`, and prints a summary.  With
+//! scaling sweep of `chaos_bench::collective` (P = 32–1024), and prints a summary.  With
 //! `--json [PATH]`, also writes the machine-readable report (`BENCH_exchange.json` by
-//! default; schema `chaos-bench/exchange/v5` in `BENCHMARKS.md`).  With `--check`,
+//! default; schema `chaos-bench/exchange/v6` in `BENCHMARKS.md`).  With `--check`,
 //! exits non-zero if any loop violates a pinned invariant:
 //!
 //! * zero pack-buffer allocations after warm-up everywhere, zero decode-scratch
@@ -15,13 +14,10 @@
 //!   **every** microbenchmark section the report carries: the gated loop set is the
 //!   section list itself, so a loop cannot enter the artifact ungated;
 //! * backends agree on fingerprints, wire statistics and modeled time, and the
-//!   shared-memory backend beats modeled by ≥ 2x wall-clock on the 64-byte POD loop
+//!   shared-memory backend beats modeled by ≥ 1.5x wall-clock on the 64-byte POD loop
 //!   (the backend gate);
 //! * every collective within its log-depth message budget, and the O(1)-payload
 //!   collectives' modeled time at P = 1024 within 2.5x of P = 32 (the scaling gate);
-//! * parallel-inspector schedules byte-identical at every worker count, and — on hosts
-//!   with ≥ 4 cores — the 4-worker clear sweep ≥ 1.5x faster than 1 worker (the
-//!   preprocessing gate);
 //! * patched schedules byte-identical to rebuilds, DSMC physics and wire traffic
 //!   independent of the upkeep route, and steady-state patching under 50% of the
 //!   rebuild cost (the delta gate — the same scenarios `delta_scenarios` records).
@@ -32,11 +28,8 @@ use chaos_bench::delta::{
     DsmcDeltaParams,
 };
 use chaos_bench::microbench::{
-    backend_equivalence_violations, exchange_report, microbench_sections, steady_state_violations,
-    MicrobenchConfig,
-};
-use chaos_bench::preproc::{
-    host_cores, preproc_scaling_violations, preproc_section, preproc_sweep,
+    backend_equivalence_violations, exchange_report, host_cores, microbench_sections,
+    steady_state_violations, MicrobenchConfig,
 };
 use chaos_bench::report::{parse_json_flag, write_json_file};
 
@@ -71,11 +64,6 @@ fn main() {
     for r in &collectives {
         println!("{}", r.summary_line());
     }
-    println!("preprocessing sweep (parallel inspector worker scaling):");
-    let preproc = preproc_sweep();
-    for r in &preproc {
-        println!("{}", r.summary_line());
-    }
     println!("delta maintenance (patch vs rebuild, drifting indirection + drifting DSMC):");
     let drift = schedule_drift(&DriftParams::default_drift(8));
     let dsmc = dsmc_drift(&DsmcDeltaParams::default_dsmc(16));
@@ -99,7 +87,6 @@ fn main() {
         let doc = exchange_report(
             &sections,
             &collectives,
-            preproc_section(&preproc),
             delta_section(&drift, &dsmc, &cache),
         );
         write_json_file(&path, &doc).unwrap_or_else(|e| {
@@ -123,15 +110,13 @@ fn main() {
             }
         }
         violations.extend(collective_scaling_violations(&collectives));
-        violations.extend(preproc_scaling_violations(&preproc));
         violations.extend(delta_violations(&drift, &dsmc));
         if violations.is_empty() {
             println!(
                 "checks passed: 0 allocations after warm-up across {gated_loops} loops \
                  in {} sections; backends equivalent with the shared-memory fast path \
                  ahead; {} collective points within the log-depth message and time \
-                 budgets; parallel inspector byte-identical across worker counts; delta \
-                 maintenance byte-identical and under the 50% patch-cost bound",
+                 budgets; delta maintenance byte-identical and under the 50% patch-cost bound",
                 sections.len(),
                 collectives.len()
             );

@@ -40,7 +40,6 @@ pub mod collective;
 pub mod compiler;
 pub mod delta;
 pub mod microbench;
-pub mod preproc;
 pub mod report;
 pub mod tables;
 pub mod workloads;
@@ -50,6 +49,5 @@ pub use collective::{CollectiveResult, COLLECTIVE_SWEEP_POINTS};
 pub use compiler::ParityEntry;
 pub use delta::{DriftEntry, DriftParams, DsmcDeltaEntry, DsmcDeltaParams};
 pub use microbench::{MicrobenchConfig, MicrobenchResult};
-pub use preproc::{PreprocResult, PREPROC_WORKERS};
 pub use report::Json;
 pub use tables::{Scale, TableOutput};

@@ -60,7 +60,10 @@ use mpsim::{
 use crate::darray::DistArray;
 use crate::schedule::{CommSchedule, LightweightSchedule};
 
-/// How many list positions ahead the indexed pack/place loops prefetch.
+/// How many list positions ahead the indexed pack/place loops prefetch.  They are
+/// bandwidth-bound with data-dependent addresses the hardware prefetcher cannot predict;
+/// a dozen elements of software lookahead covers the memory latency without evicting the
+/// lines still in use.
 const PREFETCH_AHEAD: usize = 12;
 
 /// Hint the CPU to pull `p` into cache; no-op on architectures without a stable
@@ -77,6 +80,17 @@ fn prefetch<T>(p: *const T) {
     let _ = p;
 }
 
+/// Which way a schedule-driven transfer runs.
+#[derive(Clone, Copy)]
+enum Direction {
+    /// Owned elements travel to the ghost regions that reference them: pack by send
+    /// list, place by permutation list.
+    Gather,
+    /// Ghost copies travel back to their owners: pack by permutation list, place by
+    /// send list.
+    Scatter,
+}
+
 /// Gather off-processor elements into the ghost region of `array`.
 ///
 /// After the call, `array[r]` is valid for every [`crate::darray::LocalRef`] `r` produced
@@ -87,30 +101,9 @@ pub fn gather<T: Element + Default>(
     sched: &CommSchedule,
     array: &mut DistArray<T>,
 ) -> ExchangeStats {
-    assert_eq!(
-        sched.nprocs(),
-        rank.nprocs(),
-        "schedule/machine size mismatch"
-    );
-    array.ensure_ghost(sched.ghost_len());
-    let me = rank.rank();
-    let plan = sched.gather_plan(me);
-    // A gather is exactly the engine's permutation exchange: pack owned elements by the
-    // send lists, place arrivals into the ghost region by the permutation lists.  Going
-    // through the engine entry (rather than hand-rolled pack/place closures) lets the
-    // shared-memory backend deliver POD gathers zero-copy, straight into the ghost
-    // region.  Scatter cannot take this path — its destinations are *owned* offsets
-    // that repeat across sources and combine with the owner's value, so the combining
-    // operator must run on the owning rank (see [`scatter_impl`]).
-    let (owned, ghost) = array.owned_and_ghost_mut();
-    mpsim::alltoallv_permute(
-        rank,
-        &plan,
-        owned,
-        &sched.send_lists,
-        ghost,
-        &sched.perm_lists,
-    )
+    transfer(rank, sched, array, Direction::Gather, |ghost, incoming| {
+        *ghost = incoming;
+    })
 }
 
 /// Scatter ghost-region values back to their owners, overwriting the owners' copies.
@@ -119,7 +112,9 @@ pub fn scatter<T: Element + Default>(
     sched: &CommSchedule,
     array: &mut DistArray<T>,
 ) -> ExchangeStats {
-    scatter_impl(rank, sched, array, |owner, incoming| *owner = incoming)
+    transfer(rank, sched, array, Direction::Scatter, |owner, incoming| {
+        *owner = incoming;
+    })
 }
 
 /// Scatter ghost-region values back to their owners, adding them to the owners' copies.
@@ -132,7 +127,9 @@ pub fn scatter_add<T>(
 where
     T: Element + Default + std::ops::AddAssign,
 {
-    scatter_impl(rank, sched, array, |owner, incoming| *owner += incoming)
+    transfer(rank, sched, array, Direction::Scatter, |owner, incoming| {
+        *owner += incoming;
+    })
 }
 
 /// Scatter ghost-region values back to their owners, combining with an arbitrary operator
@@ -147,13 +144,20 @@ where
     T: Element + Default,
     F: Fn(&mut T, T),
 {
-    scatter_impl(rank, sched, array, op)
+    transfer(rank, sched, array, Direction::Scatter, op)
 }
 
-fn scatter_impl<T, F>(
+/// The single-array transfer in either direction: pack `from[pack_lists[p][k]]` for every
+/// destination `p`, and combine what source `q` sent into `into[place_lists[q][k]]` with
+/// `op`.  A scatter is the mirror image of a gather — the ghost slots this rank filled
+/// from processor `p` go back to `p`, which applies them to the owned offsets it
+/// originally listed in its send list — so the two directions differ only in which of
+/// the schedule's lists packs and which places.
+fn transfer<T, F>(
     rank: &mut Rank,
     sched: &CommSchedule,
     array: &mut DistArray<T>,
+    direction: Direction,
     op: F,
 ) -> ExchangeStats
 where
@@ -165,45 +169,62 @@ where
         rank.nprocs(),
         "schedule/machine size mismatch"
     );
-    assert!(
-        array.ghost_len() >= sched.ghost_len(),
-        "array ghost region smaller than the schedule requires"
-    );
     let me = rank.rank();
-    // The transfer is the mirror image of `gather`: this rank sends the ghost slots it
-    // filled for processor p back to p, and p applies them to the owned offsets it
-    // originally listed in its send list.
-    let plan = sched.scatter_plan(me);
-    let (ghost, owned) = array.ghost_and_owned_mut();
+    assert_eq!(
+        array.owned().len(),
+        sched.owned_len(),
+        "rank {me}: array owned section does not match the schedule's owned length"
+    );
+    let (plan, pack_lists, place_lists, (from, into)) = match direction {
+        Direction::Gather => {
+            array.ensure_ghost(sched.ghost_len());
+            (
+                sched.gather_plan(me),
+                sched.send_lists(),
+                sched.perm_lists(),
+                array.owned_and_ghost_mut(),
+            )
+        }
+        Direction::Scatter => {
+            assert!(
+                array.ghost_len() >= sched.ghost_len(),
+                "array ghost region smaller than the schedule requires"
+            );
+            (
+                sched.scatter_plan(me),
+                sched.perm_lists(),
+                sched.send_lists(),
+                array.ghost_and_owned_mut(),
+            )
+        }
+    };
     alltoallv_with(
         rank,
         &plan,
         |p, buf: &mut PackBuf<'_, T>| {
-            let list = &sched.perm_lists[p];
-            for (k, &slot) in list.iter().enumerate() {
+            let list = &pack_lists[p];
+            for (k, &at) in list.iter().enumerate() {
                 if let Some(&ahead) = list.get(k + PREFETCH_AHEAD) {
-                    // SAFETY: prefetch never dereferences; `add` stays within the
-                    // ghost allocation because every perm-list entry < ghost.len()
-                    // (asserted against sched.ghost_len() above).
-                    prefetch(unsafe { ghost.as_ptr().add(ahead as usize) });
+                    prefetch(from.as_ptr().wrapping_add(ahead as usize));
                 }
-                // SAFETY: perm-list slots index the ghost region the schedule sized
-                // (`ghost.len() >= sched.ghost_len()`, asserted above), so `slot` is
-                // in bounds.
-                buf.push(unsafe { *ghost.get_unchecked(slot as usize) });
+                // SAFETY: `CommSchedule::from_parts` checked every send offset against
+                // `sched.owned_len()` and every permutation slot against
+                // `sched.ghost_len()`; the owned section has exactly that length and the
+                // ghost region at least that length (both asserted above), so `at`
+                // indexes `from` whichever list packs.
+                buf.push(unsafe { *from.get_unchecked(at as usize) });
             }
         },
         |src, values: Placed<'_, T>| {
-            let list = &sched.send_lists[src];
-            for (k, (&off, &v)) in list.iter().zip(values.iter()).enumerate() {
+            let list = &place_lists[src];
+            for (k, (&at, &v)) in list.iter().zip(values.iter()).enumerate() {
                 if let Some(&ahead) = list.get(k + PREFETCH_AHEAD) {
-                    // SAFETY: prefetch never dereferences; send-list offsets are owned
-                    // offsets this rank produced for its own array, all < owned.len().
-                    prefetch(unsafe { owned.as_ptr().add(ahead as usize) });
+                    prefetch(into.as_ptr().wrapping_add(ahead as usize));
                 }
-                // SAFETY: send-list offsets are local owned offsets this rank handed to
-                // the inspector (always < owned.len()), so `off` is in bounds.
-                op(unsafe { owned.get_unchecked_mut(off as usize) }, v);
+                // SAFETY: as for packing — the placing list's entries were checked at
+                // `CommSchedule::from_parts` against the bound `into`'s length was
+                // asserted to meet.
+                op(unsafe { into.get_unchecked_mut(at as usize) }, v);
             }
         },
     )
@@ -270,16 +291,16 @@ where
         n,
         |p, buf: &mut PackBuf<'_, T>| {
             for owned in &owneds {
-                for &off in &sched.send_lists[p] {
+                for &off in &sched.send_lists()[p] {
                     buf.push(owned[off as usize]);
                 }
             }
         },
         |src, values: Placed<'_, T>| {
-            let cnt = sched.perm_lists[src].len();
+            let cnt = sched.perm_lists()[src].len();
             for (lane, ghost) in ghosts.iter_mut().enumerate() {
                 let block = &values[lane * cnt..(lane + 1) * cnt];
-                for (&slot, &v) in sched.perm_lists[src].iter().zip(block) {
+                for (&slot, &v) in sched.perm_lists()[src].iter().zip(block) {
                     ghost[slot as usize] = v;
                 }
             }
@@ -343,16 +364,16 @@ where
         n,
         |p, buf: &mut PackBuf<'_, T>| {
             for ghost in &ghosts {
-                for &slot in &sched.perm_lists[p] {
+                for &slot in &sched.perm_lists()[p] {
                     buf.push(ghost[slot as usize]);
                 }
             }
         },
         |src, values: Placed<'_, T>| {
-            let cnt = sched.send_lists[src].len();
+            let cnt = sched.send_lists()[src].len();
             for (lane, owned) in owneds.iter_mut().enumerate() {
                 let block = &values[lane * cnt..(lane + 1) * cnt];
-                for (&off, &v) in sched.send_lists[src].iter().zip(block) {
+                for (&off, &v) in sched.send_lists()[src].iter().zip(block) {
                     owned[off as usize] += v;
                 }
             }
@@ -415,7 +436,7 @@ where
     let owneds: Vec<&[T]> = arrays.iter().map(|a| a.owned()).collect();
     let inner = start_alltoallv_with(rank, plan, |p, buf: &mut PackBuf<'_, T>| {
         for owned in &owneds {
-            for &off in &sched.send_lists[p] {
+            for &off in &sched.send_lists()[p] {
                 buf.push(owned[off as usize]);
             }
         }
@@ -475,14 +496,14 @@ where
     handle.inner.finish(rank, |src, values: Placed<'_, T>| {
         assert_eq!(
             values.len(),
-            sched.perm_lists[src].len() * n,
+            sched.perm_lists()[src].len() * n,
             "gather_finish: schedule does not match the one gather_start packed for \
              (message from rank {src} disagrees with the permutation list)"
         );
-        let cnt = sched.perm_lists[src].len();
+        let cnt = sched.perm_lists()[src].len();
         for (lane, ghost) in ghosts.iter_mut().enumerate() {
             let block = &values[lane * cnt..(lane + 1) * cnt];
-            for (&slot, &v) in sched.perm_lists[src].iter().zip(block) {
+            for (&slot, &v) in sched.perm_lists()[src].iter().zip(block) {
                 ghost[slot as usize] = v;
             }
         }
@@ -918,9 +939,56 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "array owned section does not match the schedule's owned length")]
+    fn array_of_the_wrong_owned_length_is_rejected() {
+        let _ = run(MachineConfig::new(2), |rank| {
+            let pattern: Vec<usize> = (0..8).collect();
+            let (sched, _refs, range) = setup(rank, 8, &pattern);
+            let mut x = DistArray::new(vec![0.0f64; range.len() - 1], sched.ghost_len());
+            gather(rank, &sched, &mut x);
+        });
+    }
+
+    #[test]
+    fn gather_scatter_add_steady_loop_allocates_nothing_on_shared_mem() {
+        // One pack -> send -> place path on both transports means the steady state is the
+        // engine's property, not the scheduler's: after one warm-up round a gather +
+        // scatter_add loop over typed POD payloads draws exactly zero fresh pack buffers
+        // and zero fresh typed scratch, however the rank threads interleave.
+        let n = 64;
+        let cfg = MachineConfig::new(4).with_backend(mpsim::ExchangeBackend::SharedMem);
+        let out = run(cfg, move |rank| {
+            let pattern: Vec<usize> = (0..n).map(|i| (i * 7 + 3) % n).collect();
+            let (sched, refs, range) = setup(rank, n, &pattern);
+            let mut x = DistArray::new(vec![1.0f64; range.len()], sched.ghost_len());
+            let mut round = |rank: &mut Rank| {
+                gather(rank, &sched, &mut x);
+                for &r in &refs {
+                    x[r] += 1.0;
+                }
+                scatter_add(rank, &sched, &mut x);
+            };
+            round(rank);
+            let warm = rank.pool_stats();
+            for _ in 0..96 {
+                round(rank);
+            }
+            rank.pool_stats().since(&warm)
+        });
+        for (me, delta) in out.results.iter().enumerate() {
+            assert_eq!(delta.allocations, 0, "rank {me} drew a fresh pack buffer");
+            assert_eq!(
+                delta.decode_allocations, 0,
+                "rank {me} drew fresh typed scratch"
+            );
+            assert!(delta.decode_reuses > 0, "rank {me}: typed scratch reused");
+        }
+    }
+
+    #[test]
     fn empty_schedule_moves_nothing() {
         let out = run(MachineConfig::new(3), |rank| {
-            let sched = CommSchedule::empty(rank.nprocs());
+            let sched = CommSchedule::empty(rank.nprocs(), 2);
             let mut x: DistArray<f64> = DistArray::new(vec![1.0, 2.0], 0);
             let before = rank.stats().msgs_sent;
             let g = gather(rank, &sched, &mut x);

@@ -447,30 +447,27 @@ impl IndexHashTable {
     /// and ghost slots) are retained so that re-hashing a slightly modified indirection
     /// array under the same stamp is cheap — exactly the CHARMM non-bonded-list update
     /// pattern described in §4.1.
-    /// The sweep runs across [`crate::par::workers`] threads for large tables; each
-    /// worker masks a contiguous slot range, so the result is identical at any worker
-    /// count.
     pub fn clear_stamp(&mut self, stamp: Stamp) {
         self.stamp_gens[stamp.bit() as usize] += 1;
         let mask = !stamp.mask();
-        crate::par::par_chunks_mut(&mut self.slots, |chunk| {
-            for entry in chunk {
-                entry.stamps &= mask;
-            }
-        });
+        for entry in &mut self.slots {
+            entry.stamps &= mask;
+        }
     }
 
     /// Remove every entry and release all ghost slots.  Used when the data distribution
-    /// itself changes (after a remap) and all translation results are stale.
-    pub fn clear_all(&mut self) {
+    /// itself changes (after a remap) and all translation results are stale; `owned_len`
+    /// is this rank's owned length under the new distribution.
+    pub fn clear_all(&mut self, owned_len: usize) {
+        self.owned_len = u32::try_from(owned_len).expect("owned length must fit u32");
         self.index.clear();
         self.slots.clear();
         self.next_ghost_slot = 0;
         self.epoch += 1;
     }
 
-    /// All entries in deterministic (insertion) order.  The parallel inspector sweeps
-    /// chunk this slice; single-entry lookups go through [`IndexHashTable::get`].
+    /// All entries in deterministic (insertion) order; single-entry lookups go through
+    /// [`IndexHashTable::get`].
     pub fn entries_in_order(&self) -> &[HashEntry] {
         &self.slots
     }
@@ -666,53 +663,29 @@ mod tests {
     }
 
     #[test]
-    fn parallel_clear_stamp_is_byte_identical_to_sequential() {
-        // Two identical tables, big enough to cross the parallel threshold; clearing a
-        // stamp with 4 workers must leave exactly the same entries as clearing with 1.
-        let n = 3 * crate::par::PAR_MIN_ENTRIES;
-        let out = run(MachineConfig::new(2), move |rank| {
-            let (mut ttable, owned) = table_for(rank, n);
-            let sa = Stamp::new(0);
-            let sb = Stamp::new(1);
-            let all: Vec<Global> = (0..n).collect();
-            let odd: Vec<Global> = (0..n).filter(|g| g % 2 == 1).collect();
-            let mut seq = IndexHashTable::new(rank.rank(), owned);
-            seq.hash_in(rank, &mut ttable, &all, sa);
-            seq.hash_in(rank, &mut ttable, &odd, sb);
-            let mut par = IndexHashTable::new(rank.rank(), owned);
-            par.hash_in(rank, &mut ttable, &all, sa);
-            par.hash_in(rank, &mut ttable, &odd, sb);
-            assert_eq!(seq.entries_in_order(), par.entries_in_order());
-            seq.clear_stamp(sa);
-            crate::par::with_workers(4, || par.clear_stamp(sa));
-            assert_eq!(seq.entries_in_order(), par.entries_in_order());
-            // sb survives the sweep untouched on both.
-            (
-                par.entries_matching(StampQuery::single(sa)).count(),
-                par.entries_matching(StampQuery::single(sb)).count(),
-            )
-        });
-        for (a_left, b_left) in &out.results {
-            assert_eq!(*a_left, 0);
-            assert_eq!(*b_left, n / 2);
-        }
-    }
-
-    #[test]
     fn clear_all_resets_ghost_slots() {
         let out = run(MachineConfig::new(2), |rank| {
             let (mut ttable, owned) = table_for(rank, 8);
             let mut h = IndexHashTable::new(rank.rank(), owned);
             h.hash_in(rank, &mut ttable, &[0, 7, 5], Stamp::new(0));
             let before = h.ghost_len();
-            h.clear_all();
-            (before, h.ghost_len(), h.len(), h.is_empty())
+            // The new distribution gives this rank two more elements: later ghost
+            // references and schedule bounds must be taken against the new length.
+            h.clear_all(owned + 2);
+            (
+                before,
+                h.ghost_len(),
+                h.len(),
+                h.is_empty(),
+                h.owned_len() - owned,
+            )
         });
-        for (before, after, len, empty) in &out.results {
+        for (before, after, len, empty, grown) in &out.results {
             assert!(*before > 0);
             assert_eq!(*after, 0);
             assert_eq!(*len, 0);
             assert!(*empty);
+            assert_eq!(*grown, 2);
         }
     }
 
@@ -748,7 +721,7 @@ mod tests {
             h.clear_stamp(sa);
             let k3 = h.version(q);
             assert_ne!(k2, k3);
-            h.clear_all();
+            h.clear_all(h.owned_len());
             assert_ne!(k3, h.version(q));
             // Keys from distinct tables never compare equal or same-source.
             let other = IndexHashTable::new(rank.rank(), owned);
@@ -811,7 +784,7 @@ mod tests {
             assert!(h.get(4).is_none(), "in range, never hashed");
             assert!(h.get(8).is_none(), "one past the end");
             assert!(h.get(usize::MAX).is_none());
-            h.clear_all();
+            h.clear_all(h.owned_len());
             assert!(h.get(3).is_none(), "clear_all forgets every entry");
         });
     }

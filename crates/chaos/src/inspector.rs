@@ -112,11 +112,6 @@ impl<'t> Inspector<'t> {
 /// requests by owning processor, and a single all-to-all informs every owner which of its
 /// elements to send; the requesting side keeps the ghost slots in the same order as its
 /// requests, which becomes the permutation list.
-///
-/// For large tables the extraction sweep runs across [`crate::par::workers`] threads:
-/// each worker buckets a contiguous chunk of the table's slot array, and the per-chunk
-/// buckets are concatenated in chunk order — reproducing the sequential insertion order
-/// exactly, so the resulting schedule is byte-identical at any worker count.
 pub fn build_schedule_from_table(
     rank: &mut Rank,
     table: &IndexHashTable,
@@ -124,31 +119,16 @@ pub fn build_schedule_from_table(
 ) -> CommSchedule {
     let nprocs = rank.nprocs();
     let me = rank.rank();
-    let chunks = crate::par::par_map_chunks(table.entries_in_order(), |slots| {
-        let mut requests: Vec<Vec<u64>> = vec![Vec::new(); nprocs];
-        let mut perm_lists: Vec<Vec<u32>> = vec![Vec::new(); nprocs];
-        let mut matched = 0usize;
-        for entry in slots.iter().filter(|e| query.matches(e.stamps)) {
-            matched += 1;
-            if let Some(slot) = entry.ghost_slot {
-                let owner = entry.loc.owner as usize;
-                debug_assert_ne!(owner, me, "owned entries never carry ghost slots");
-                requests[owner].push(entry.loc.offset as u64);
-                perm_lists[owner].push(slot);
-            }
-        }
-        (matched, requests, perm_lists)
-    });
     let mut requests: Vec<Vec<u64>> = vec![Vec::new(); nprocs];
     let mut perm_lists: Vec<Vec<u32>> = vec![Vec::new(); nprocs];
     let mut matched = 0usize;
-    for (chunk_matched, chunk_requests, chunk_perms) in chunks {
-        matched += chunk_matched;
-        for (p, mut reqs) in chunk_requests.into_iter().enumerate() {
-            requests[p].append(&mut reqs);
-        }
-        for (p, mut perms) in chunk_perms.into_iter().enumerate() {
-            perm_lists[p].append(&mut perms);
+    for entry in table.entries_matching(query) {
+        matched += 1;
+        if let Some(slot) = entry.ghost_slot {
+            let owner = entry.loc.owner as usize;
+            debug_assert_ne!(owner, me, "owned entries never carry ghost slots");
+            requests[owner].push(entry.loc.offset as u64);
+            perm_lists[owner].push(slot);
         }
     }
     // Schedule construction cost: proportional to the number of selected entries.
@@ -156,9 +136,24 @@ pub fn build_schedule_from_table(
     let incoming = rank.all_to_all(&requests);
     let send_lists: Vec<Vec<u32>> = incoming
         .into_iter()
-        .map(|offs| offs.into_iter().map(|o| o as u32).collect())
+        .enumerate()
+        .map(|(p, offs)| {
+            offs.into_iter()
+                .map(|o| {
+                    u32::try_from(o).unwrap_or_else(|_| {
+                        panic!("rank {me}: peer {p} requested offset {o}, beyond u32")
+                    })
+                })
+                .collect()
+        })
         .collect();
-    CommSchedule::from_parts(nprocs, send_lists, perm_lists, table.ghost_len())
+    CommSchedule::from_parts(
+        me,
+        send_lists,
+        perm_lists,
+        table.owned_len(),
+        table.ghost_len(),
+    )
 }
 
 #[cfg(test)]
@@ -283,7 +278,7 @@ mod tests {
             let sched = insp.build_schedule(rank, StampQuery::single(Stamp::new(0)));
             let owned = dist.local_size(rank.rank());
             let ok = sched
-                .send_lists
+                .send_lists()
                 .iter()
                 .flatten()
                 .all(|&off| (off as usize) < owned);
@@ -293,31 +288,6 @@ mod tests {
             assert!(ok);
             assert_eq!(*send, 12);
             assert_eq!(*fetch, 12);
-        }
-    }
-
-    #[test]
-    fn parallel_schedule_build_is_byte_identical_to_sequential() {
-        // A table large enough to cross the parallel threshold: every rank references all
-        // n elements, so each table holds n slots (> 2 * PAR_MIN_ENTRIES).  The schedule
-        // built with 4 workers must equal the sequential one field-for-field —
-        // CommSchedule derives Eq, so this pins request/permutation ordering exactly.
-        let n = 3 * crate::par::PAR_MIN_ENTRIES;
-        let out = run(MachineConfig::new(2), move |rank| {
-            let dist = BlockDist::new(n, rank.nprocs());
-            let ttable = TranslationTable::from_regular(&dist);
-            let mut insp = Inspector::new(&ttable, rank.rank());
-            // A non-monotone pattern so permutation lists carry real structure.
-            let refs: Vec<usize> = (0..n).map(|i| (i * 7 + 3) % n).collect();
-            insp.hash_indices(rank, &refs, Stamp::new(0));
-            let query = StampQuery::single(Stamp::new(0));
-            let seq = insp.build_schedule(rank, query);
-            let par = crate::par::with_workers(4, || insp.build_schedule(rank, query));
-            assert_eq!(seq, par, "worker count must not change the schedule");
-            seq.total_fetch()
-        });
-        for fetch in &out.results {
-            assert_eq!(*fetch, n / 2, "each rank fetches the other rank's half");
         }
     }
 

@@ -77,7 +77,6 @@ pub mod inspector;
 pub mod iteration;
 pub mod loadbalance;
 pub mod maintained;
-pub mod par;
 pub mod partitioners;
 pub mod remap;
 pub mod schedule;

@@ -51,7 +51,7 @@ pub struct MaintainedSchedule {
     key: ScheduleKey,
     schedule: CommSchedule,
     /// `rows[p]` — the rows this rank currently requests from owner `p`, in schedule
-    /// order.  `rows[p][i].0` always equals `schedule.perm_lists[p][i]`.
+    /// order.  `rows[p][i].0` always equals `schedule.perm_lists()[p][i]`.
     rows: Vec<Vec<Row>>,
 }
 
@@ -209,7 +209,11 @@ pub fn patch_schedule(
     );
 
     // Owners splice the received edit scripts into their send lists.
-    let mut send_lists = std::mem::take(&mut ms.schedule.send_lists);
+    let old = std::mem::replace(
+        &mut ms.schedule,
+        CommSchedule::empty(nprocs, table.owned_len()),
+    );
+    let mut send_lists = old.into_send_lists();
     for (src, script) in incoming.iter().enumerate() {
         if !script.is_empty() {
             send_lists[src] = apply_edits(&send_lists[src], script);
@@ -219,7 +223,13 @@ pub fn patch_schedule(
         .iter()
         .map(|rows| rows.iter().map(|r| r.0).collect())
         .collect();
-    ms.schedule = CommSchedule::from_parts(nprocs, send_lists, perm_lists, table.ghost_len());
+    ms.schedule = CommSchedule::from_parts(
+        me,
+        send_lists,
+        perm_lists,
+        table.owned_len(),
+        table.ghost_len(),
+    );
     ms.rows = new_rows;
     ms.key = key;
     stats

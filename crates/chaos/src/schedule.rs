@@ -28,11 +28,15 @@ use crate::ProcId;
 pub struct CommSchedule {
     nprocs: usize,
     /// `send_lists[p]` — local offsets (into the owned section) of the elements this
-    /// processor must send to processor `p`, in the order they will be packed.
-    pub send_lists: Vec<Vec<u32>>,
+    /// processor must send to processor `p`, in the order they will be packed.  Every
+    /// offset is `< owned_len` (checked by [`CommSchedule::from_parts`]; the executor's
+    /// unchecked indexing relies on it, so the field is private to this module).
+    send_lists: Vec<Vec<u32>>,
     /// `perm_lists[p]` — ghost-region slots where the elements received from processor `p`
-    /// are placed, in the order `p` packs them.
-    pub perm_lists: Vec<Vec<u32>>,
+    /// are placed, in the order `p` packs them.  Every slot is `< ghost_len`.
+    perm_lists: Vec<Vec<u32>>,
+    /// Length of the owned section of the arrays this schedule moves.
+    owned_len: usize,
     /// Size of the ghost region arrays used with this schedule must provide.  This is the
     /// hash table's total ghost count at build time, so ghost slots are shared consistently
     /// between schedules built from the same table (incremental/merged schedules).
@@ -40,31 +44,78 @@ pub struct CommSchedule {
 }
 
 impl CommSchedule {
-    /// Build a schedule directly from its parts (used by the inspector and by tests).
+    /// Build rank `my_rank`'s schedule from its parts (used by the inspector and by
+    /// tests) for arrays of `owned_len` owned elements and at least `ghost_len` ghosts.
+    ///
+    /// # Panics
+    /// Panics, naming the rank, the peer, the value and the bound, if a send offset is
+    /// not below `owned_len` or a permutation slot is not below `ghost_len`.
     pub fn from_parts(
-        nprocs: usize,
+        my_rank: ProcId,
         send_lists: Vec<Vec<u32>>,
         perm_lists: Vec<Vec<u32>>,
+        owned_len: usize,
         ghost_len: usize,
     ) -> Self {
-        assert_eq!(send_lists.len(), nprocs);
-        assert_eq!(perm_lists.len(), nprocs);
+        let nprocs = send_lists.len();
+        assert_eq!(
+            perm_lists.len(),
+            nprocs,
+            "one permutation list per send list"
+        );
+        for (p, (sends, perms)) in send_lists.iter().zip(&perm_lists).enumerate() {
+            if let Some(&off) = sends.iter().find(|&&off| off as usize >= owned_len) {
+                panic!(
+                    "rank {my_rank}: send offset {off} for peer {p} is outside the \
+                     {owned_len} owned elements"
+                );
+            }
+            if let Some(&slot) = perms.iter().find(|&&slot| slot as usize >= ghost_len) {
+                panic!(
+                    "rank {my_rank}: permutation slot {slot} for peer {p} is outside the \
+                     {ghost_len}-element ghost region"
+                );
+            }
+        }
         Self {
             nprocs,
             send_lists,
             perm_lists,
+            owned_len,
             ghost_len,
         }
     }
 
-    /// An empty schedule (nothing to communicate) for a machine of `nprocs` processors.
-    pub fn empty(nprocs: usize) -> Self {
+    /// An empty schedule (nothing to communicate) for a machine of `nprocs` processors
+    /// and arrays of `owned_len` owned elements.
+    pub fn empty(nprocs: usize, owned_len: usize) -> Self {
         Self {
             nprocs,
             send_lists: vec![Vec::new(); nprocs],
             perm_lists: vec![Vec::new(); nprocs],
+            owned_len,
             ghost_len: 0,
         }
+    }
+
+    /// Per-destination send lists: `send_lists()[p]` holds the owned offsets sent to `p`.
+    pub fn send_lists(&self) -> &[Vec<u32>] {
+        &self.send_lists
+    }
+
+    /// Per-source permutation lists: `perm_lists()[p]` holds the ghost slots filled from `p`.
+    pub fn perm_lists(&self) -> &[Vec<u32>] {
+        &self.perm_lists
+    }
+
+    /// The send lists by value, for the maintenance layer to splice edits into.
+    pub(crate) fn into_send_lists(self) -> Vec<Vec<u32>> {
+        self.send_lists
+    }
+
+    /// Owned-section length of the arrays this schedule moves.
+    pub fn owned_len(&self) -> usize {
+        self.owned_len
     }
 
     /// Number of processors the schedule spans.
@@ -151,6 +202,10 @@ impl CommSchedule {
             self.nprocs, other.nprocs,
             "schedules span different machines"
         );
+        assert_eq!(
+            self.owned_len, other.owned_len,
+            "schedules move arrays of different owned lengths"
+        );
         let mut send_lists = Vec::with_capacity(self.nprocs);
         let mut perm_lists = Vec::with_capacity(self.nprocs);
         for p in 0..self.nprocs {
@@ -179,6 +234,7 @@ impl CommSchedule {
             nprocs: self.nprocs,
             send_lists,
             perm_lists,
+            owned_len: self.owned_len,
             ghost_len: self.ghost_len.max(other.ghost_len),
         }
     }
@@ -295,9 +351,10 @@ mod tests {
     #[test]
     fn comm_schedule_sizes() {
         let s = CommSchedule::from_parts(
-            3,
+            0,
             vec![vec![], vec![0, 2], vec![1]],
             vec![vec![], vec![0], vec![1, 2, 3]],
+            3,
             4,
         );
         assert_eq!(s.nprocs(), 3);
@@ -311,7 +368,7 @@ mod tests {
 
     #[test]
     fn empty_schedule_is_inert() {
-        let s = CommSchedule::empty(4);
+        let s = CommSchedule::empty(4, 0);
         assert_eq!(s.total_send(), 0);
         assert_eq!(s.total_fetch(), 0);
         assert_eq!(s.send_message_count(), 0);
@@ -320,8 +377,10 @@ mod tests {
 
     #[test]
     fn merged_schedule_unions_without_duplicates() {
-        let a = CommSchedule::from_parts(2, vec![vec![], vec![0, 1]], vec![vec![], vec![0, 1]], 2);
-        let b = CommSchedule::from_parts(2, vec![vec![], vec![1, 2]], vec![vec![], vec![1, 2]], 3);
+        let a =
+            CommSchedule::from_parts(0, vec![vec![], vec![0, 1]], vec![vec![], vec![0, 1]], 3, 2);
+        let b =
+            CommSchedule::from_parts(0, vec![vec![], vec![1, 2]], vec![vec![], vec![1, 2]], 3, 3);
         let m = a.merged_with(&b);
         assert_eq!(m.send_lists[1], vec![0, 1, 2]);
         assert_eq!(m.perm_lists[1], vec![0, 1, 2]);
@@ -330,10 +389,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "rank 1: send offset 5 for peer 0 is outside the 5 owned elements")]
+    fn out_of_range_send_offset_is_rejected_where_the_lists_are_born() {
+        let _ = CommSchedule::from_parts(1, vec![vec![4, 5], vec![]], vec![vec![0], vec![]], 5, 1);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "rank 0: permutation slot 2 for peer 1 is outside the 2-element ghost region"
+    )]
+    fn out_of_range_permutation_slot_is_rejected_where_the_lists_are_born() {
+        let _ = CommSchedule::from_parts(0, vec![vec![], vec![0]], vec![vec![], vec![1, 2]], 1, 2);
+    }
+
+    #[test]
     #[should_panic(expected = "different machines")]
     fn merging_mismatched_machine_sizes_panics() {
-        let a = CommSchedule::empty(2);
-        let b = CommSchedule::empty(3);
+        let a = CommSchedule::empty(2, 0);
+        let b = CommSchedule::empty(3, 0);
         let _ = a.merged_with(&b);
     }
 

@@ -125,12 +125,11 @@ fn interleaved_split_phase_transfers_are_byte_identical_across_backends() {
 }
 
 #[test]
-fn blocking_direct_gather_amid_split_phase_transfers_is_byte_identical() {
-    // A *blocking* POD gather — the zero-copy direct-window path on SharedMem — runs
-    // while two split-phase classic gathers are in flight.  Their payloads can arrive
-    // during the blocking gather's window drain and must be stashed for the later
-    // finishes, while the window's own (direct or fallback) contributions land in the
-    // ghost region; the finishes then consume the stash across epochs.
+fn blocking_gather_amid_split_phase_transfers_is_byte_identical() {
+    // A *blocking* gather runs while two split-phase gathers are in flight.  Their
+    // payloads can arrive during the blocking gather's drain and must be stashed for
+    // the later finishes, while the blocking gather's own messages land in the ghost
+    // region; the finishes then consume the stash across epochs.
     for &p in SWEEP {
         let (modeled, shared) = on_both_backends(p, |rank| {
             let (sched, _refs, range) = setup(rank, 64);
@@ -155,7 +154,7 @@ fn blocking_direct_gather_amid_split_phase_transfers_is_byte_identical() {
         });
         assert_eq!(
             modeled, shared,
-            "blocking direct gather amid split-phase transfers diverged at P = {p}"
+            "blocking gather amid split-phase transfers diverged at P = {p}"
         );
     }
 }
@@ -183,7 +182,7 @@ fn empty_schedules_move_nothing_on_either_backend() {
     // all must be a no-op with default stats under both transports.
     for &p in SWEEP {
         let (modeled, shared) = on_both_backends(p, |rank| {
-            let sched = CommSchedule::empty(rank.nprocs());
+            let sched = CommSchedule::empty(rank.nprocs(), 2);
             let mut x: DistArray<f64> = DistArray::new(vec![1.0, 2.0], 0);
             let g = gather(rank, &sched, &mut x);
             let s = scatter_add(rank, &sched, &mut x);

@@ -5,8 +5,8 @@
 //! system allocator's business; this test binary takes that out of the question with a
 //! global allocator whose `realloc` is the trait's default — allocate, copy, free — so
 //! **every** growth lands at a new address, and checks what must survive that: the
-//! values, and the SharedMem direct delivery window, which the executor publishes from
-//! raw pointers into the ghost region.
+//! values, and a gather issued right after, which packs from and places into the array
+//! as it is now.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 
@@ -55,11 +55,11 @@ fn growth_moves_the_section_and_keeps_every_value() {
 }
 
 #[test]
-fn direct_gather_right_after_a_reallocating_growth_fills_the_new_allocation() {
-    // A blocking POD gather on SharedMem publishes its delivery window — a raw pointer
-    // into the ghost region — and peers write straight through it.  Issued right after
-    // a growth that moved the array, the window must describe the array as it is now:
-    // every reference reads the right value and the owned values moved along.
+fn gather_right_after_a_reallocating_growth_fills_the_new_allocation() {
+    // The executor grows the ghost region first and borrows the owned and ghost
+    // sections after.  Issued right after a growth that moved the array, a gather on
+    // either backend must fill the array as it is now: every reference reads the right
+    // value and the owned values moved along.
     const N: usize = 512;
     let value = |g: usize| g as f64 * 0.5 + 3.0;
     for backend in [ExchangeBackend::Modeled, ExchangeBackend::SharedMem] {

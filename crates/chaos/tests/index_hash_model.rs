@@ -96,7 +96,7 @@ impl Table for IndexHashTable {
         IndexHashTable::clear_stamp(self, stamp);
     }
     fn clear_all(&mut self) {
-        IndexHashTable::clear_all(self);
+        IndexHashTable::clear_all(self, self.owned_len());
     }
     fn entries(&self) -> &[HashEntry] {
         self.entries_in_order()
@@ -283,7 +283,13 @@ impl Table for Oracle {
             .into_iter()
             .map(|offs| offs.into_iter().map(|o| o as u32).collect())
             .collect();
-        CommSchedule::from_parts(nprocs, send_lists, perm_lists, self.ghost_len())
+        CommSchedule::from_parts(
+            rank.rank(),
+            send_lists,
+            perm_lists,
+            self.owned_len,
+            self.ghost_len(),
+        )
     }
 }
 

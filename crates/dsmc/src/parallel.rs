@@ -391,7 +391,7 @@ pub fn run_parallel(
                 let t0 = rank.modeled();
                 remap_cells(rank, grid, config, &mut cell_owner, &mut cells, &mut phases);
                 if let Some(state) = patched_state.as_mut() {
-                    state.distribution_changed(&cell_owner, nprocs);
+                    state.distribution_changed(me, &cell_owner, nprocs);
                 }
                 let remap_cost = rank.modeled().since(&t0).total_us();
                 let moved = rank.stats().bytes_sent - bytes_before;
@@ -473,10 +473,10 @@ impl PatchedMoveState {
     /// A remap changed the cell-owner map: every cached translation is stale.  The hash
     /// table is cleared (not replaced), so its epoch bump flows into the schedule key and
     /// the next upkeep ships a full replacement through the ordinary patch path.
-    fn distribution_changed(&mut self, cell_owner: &[ProcId], nprocs: usize) {
+    fn distribution_changed(&mut self, me: ProcId, cell_owner: &[ProcId], nprocs: usize) {
         self.ttable = TranslationTable::replicated_from_full_map(cell_owner, nprocs)
             .expect("cell owners are valid ranks");
-        self.hash.clear_all();
+        self.hash.clear_all(self.ttable.local_size(me));
     }
 }
 
@@ -545,7 +545,7 @@ fn move_patched(
     let t0 = rank.modeled();
     let mut row_of_slot: HashMap<u32, (usize, u32)> = HashMap::new();
     for p in 0..nprocs {
-        for (row, &slot) in sched.perm_lists[p].iter().enumerate() {
+        for (row, &slot) in sched.perm_lists()[p].iter().enumerate() {
             row_of_slot.insert(slot, (p, row as u32));
         }
     }
@@ -599,7 +599,7 @@ fn move_patched(
                 let p = *next.next().expect("payload shorter than its counts");
                 debug_assert_eq!(
                     grid.cell_of_position(p.pos),
-                    owned_sorted[sched.send_lists[src][row] as usize],
+                    owned_sorted[sched.send_lists()[src][row] as usize],
                     "schedule placement disagrees with the molecule position"
                 );
                 arrivals.push(p);

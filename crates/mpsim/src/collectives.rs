@@ -36,9 +36,7 @@
 //! at power-of-two and non-power-of-two machine sizes.
 
 use crate::cost::TimeSnapshot;
-use crate::exchange::{
-    alltoallv, alltoallv_replicated, alltoallv_with, ExchangePlan, PackBuf, Placed, RecvSpec,
-};
+use crate::exchange::{alltoallv, alltoallv_with, ExchangePlan, PackBuf, Placed, RecvSpec};
 use crate::machine::Rank;
 use crate::message::Element;
 use crate::topology::{tree_rounds, BinomialTree, Dissemination, GroupMap};
@@ -475,7 +473,12 @@ impl Rank {
         } else {
             Vec::new()
         };
-        alltoallv_replicated(self, &plan, local, |src, v| out[src] = v.into_vec());
+        alltoallv_with(
+            self,
+            &plan,
+            |_p, buf| buf.extend_from_slice(local),
+            |src, v| out[src] = v.into_vec(),
+        );
         out
     }
 

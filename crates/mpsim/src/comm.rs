@@ -168,33 +168,6 @@ impl Mailbox {
     pub fn pending_len(&self) -> usize {
         self.pending.len()
     }
-
-    /// The shared fabric behind this mailbox, when the machine runs the SharedMem
-    /// backend (`None` on the modeled transport).
-    pub(crate) fn shared_fabric(&self) -> Option<Arc<SharedFabric>> {
-        match &self.transport {
-            Transport::Shared { fabric } => Some(Arc::clone(fabric)),
-            Transport::Channel { .. } => None,
-        }
-    }
-
-    /// Direct-exchange wait: the next message carrying `tag` (stash first — an earlier
-    /// selective receive may already have pulled it off the wire), or `None` once this
-    /// rank's published direct window has fully drained.  Shared transport only; see
-    /// [`SharedFabric::window_recv_or_drained`].
-    pub(crate) fn recv_tag_or_window_drained(&mut self, tag: u64) -> Option<Envelope> {
-        if let Some(idx) = self.pending.iter().position(|m| m.tag == tag) {
-            return Some(self.pending.remove(idx));
-        }
-        match &self.transport {
-            Transport::Shared { fabric } => {
-                fabric.window_recv_or_drained(self.rank, tag, &mut self.pending)
-            }
-            Transport::Channel { .. } => {
-                unreachable!("direct windows exist only on the shared transport")
-            }
-        }
-    }
 }
 
 impl Drop for Mailbox {

@@ -21,17 +21,16 @@
 //!   through the same placement path without touching the network or the communication
 //!   cost model.
 //!
-//! Three entry points execute a plan, differing only in where the outgoing bytes come
-//! from:
+//! Two entry points execute a plan, differing only in where the outgoing bytes come
+//! from ([`alltoallv_multi`] is the second with a lane count):
 //!
 //! * [`alltoallv`] — callers pass one pre-built buffer per destination (borrowed; the
 //!   engine never copies them into intermediate `Vec<T>`s).
-//! * [`alltoallv_replicated`] — every planned destination receives the *same* borrowed
-//!   payload (all-gather, broadcast, reductions); no per-peer buffers exist at all.
 //! * [`alltoallv_with`] — the caller packs each destination's elements *directly into the
 //!   outgoing message buffer* through a [`PackBuf`], so steady-state executor loops build
 //!   no per-destination `Vec<T>`s either.  This is the hot-path form used by the CHAOS
-//!   gather/scatter/append/remap primitives.
+//!   gather/scatter/append/remap primitives, and by the collectives that send every
+//!   peer the same borrowed payload.
 //!
 //! ## The buffer pools: zero allocations in both directions
 //!
@@ -79,13 +78,13 @@
 //!
 //! ## Split-phase execution
 //!
-//! Every blocking entry point has a split-phase sibling: [`start_alltoallv`] /
-//! [`start_alltoallv_with`] post the plan's sends immediately (and stage the local
-//! portion) and return an [`ExchangeHandle`]; [`ExchangeHandle::finish`] drains the
-//! receives and runs the placement closure.  Between the two calls the caller is free to
-//! compute — the natural overlap of a time-stepped executor (post the ghost exchange,
-//! run the force loop that needs no ghosts, then finish) — and may even start *and
-//! complete* further exchanges: epoch tagging keeps any number of in-flight exchanges
+//! The blocking engine is a start immediately followed by a finish, and the split-phase
+//! API exposes the two halves: [`start_alltoallv_with`] posts the plan's sends
+//! immediately (and stages the local portion) and returns an [`ExchangeHandle`];
+//! [`ExchangeHandle::finish`] drains the receives and runs the placement closure.
+//! Between the two calls the caller is free to compute — the natural overlap of a
+//! time-stepped executor (post the ghost exchange, run the force loop that needs no
+//! ghosts, then finish) — and may even start *and complete* further exchanges: epoch tagging keeps any number of in-flight exchanges
 //! from crossing, because each episode's messages carry its own epoch and receives match
 //! on it selectively.  What stays collective is the **start order**: every rank must
 //! start the same exchanges in the same order (finishes may interleave freely).  A
@@ -108,7 +107,7 @@
 
 use crate::machine::Rank;
 use crate::message::{Element, Payload};
-use crate::shared::{ExchangeBackend, SharedFabric};
+use crate::shared::ExchangeBackend;
 
 /// Modeled compute cost (work units per element) of packing an element into an outgoing
 /// message buffer or placing a received element — the `0.02` the executor primitives
@@ -581,10 +580,9 @@ impl ExchangeStats {
 /// Send buffers are borrowed — messages are encoded straight from the slices into pooled
 /// byte buffers, so callers never copy their payloads just to hand them over.  Callers
 /// moving a *large* kept portion (the executor's append, remapping) place it directly
-/// instead of planning a self transfer.  When every planned destination receives the
-/// *same* payload (all-gather, broadcast, reductions), use [`alltoallv_replicated`]; when
-/// the per-destination buffers would themselves be freshly allocated each call, use
-/// [`alltoallv_with`] and pack into the message directly.
+/// instead of planning a self transfer.  When the per-destination buffers would
+/// themselves be freshly allocated each call, use [`alltoallv_with`] and pack into the
+/// message directly.
 ///
 /// Collective: every rank of the machine must call the engine in the same order (see the
 /// module docs for why this is what makes any-source matching sound).  Buffers are
@@ -603,20 +601,6 @@ pub fn alltoallv<T: Element>(
     sends: &[Vec<T>],
     place: impl FnMut(usize, Placed<'_, T>),
 ) -> ExchangeStats {
-    validate_send_buffers(plan, sends);
-    run_exchange(
-        rank,
-        plan,
-        Some(&sends[plan.my_rank()]),
-        |p, buf| buf.extend_from_slice(&sends[p]),
-        place,
-    )
-}
-
-/// Shared validation of the slice-backed entry points ([`alltoallv`] /
-/// [`start_alltoallv`]): one buffer per rank, and no payload where the plan sends
-/// nothing.  (Length-vs-declared-count mismatches are caught by the pack phase.)
-fn validate_send_buffers<T: Element>(plan: &ExchangePlan, sends: &[Vec<T>]) {
     assert_eq!(
         sends.len(),
         plan.nprocs(),
@@ -630,26 +614,11 @@ fn validate_send_buffers<T: Element>(plan: &ExchangePlan, sends: &[Vec<T>]) {
             payload.len()
         );
     }
-}
-
-/// Execute `plan` sending the *same* `payload` to every planned destination — the message
-/// pattern of `all_gather`, `broadcast` and the reductions.  No per-peer buffers exist;
-/// each message is encoded straight from the borrowed slice into a pooled buffer (the
-/// self-routed copy, if the plan has one, goes through the same pooled path).
-///
-/// The plan's declared send count must equal `payload.len()` for every planned
-/// destination.  Collectivity and panics as for [`alltoallv`].
-pub fn alltoallv_replicated<T: Element>(
-    rank: &mut Rank,
-    plan: &ExchangePlan,
-    payload: &[T],
-    place: impl FnMut(usize, Placed<'_, T>),
-) -> ExchangeStats {
     run_exchange(
         rank,
         plan,
-        Some(payload),
-        |_p, buf| buf.extend_from_slice(payload),
+        Some(&sends[plan.my_rank()]),
+        |p, buf| buf.extend_from_slice(&sends[p]),
         place,
     )
 }
@@ -694,394 +663,9 @@ pub fn alltoallv_multi<T: Element>(
     run_exchange(rank, &fused, None, pack, place)
 }
 
-/// How many list positions ahead the engine's permutation loops prefetch.  Indexed
-/// gather/place loops are bandwidth-bound with data-dependent addresses the hardware
-/// prefetcher cannot predict; a dozen elements of software lookahead covers the memory
-/// latency without evicting the lines still in use.
-const PREFETCH_AHEAD: usize = 12;
-
-/// How many times a direct-exchange sender yields while waiting for a peer's delivery
-/// window before falling back to a classic message.  Peers publish their windows before
-/// their own send phases, so under collective lockstep the window is at most one
-/// scheduling quantum away; the bound only matters for peers that never publish (their
-/// plan kept them on the classic arm), where the fallback message is the correct path.
-const WINDOW_WAIT_YIELDS: usize = 4096;
-
-/// Hint the CPU to pull `p` into cache; no-op on architectures without a stable
-/// prefetch intrinsic.
-#[inline(always)]
-fn prefetch<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `_mm_prefetch` is a pure cache hint — it never dereferences `p`, so any
-    // pointer value (dangling or misaligned included) is sound to pass.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(p as *const i8);
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
-/// Execute a **gather-shaped permutation exchange**: for every destination `p` the
-/// elements `src[send_lists[p][k]]` travel to `p`, and every contribution arriving from
-/// source `q` lands at `dst[perm_lists[q][k]]` — the executor's schedule-driven gather,
-/// lifted into the engine so the transport can exploit its shape.
-///
-/// On the shared-memory backend with a POD element type ([`Element::is_pod_le`]) and a
-/// fully size-negotiated plan (no [`RecvSpec::Any`] rows), the transfer runs
-/// **zero-copy**: the receiving rank publishes its destination region and permutation
-/// lists as a *delivery window* on the fabric, and each sender writes its contribution
-/// straight into place — one copy per element, no message buffer, no codec.  A sender
-/// that reaches its send phase before the receiver has published falls back to the
-/// classic typed message, which the receiver places itself, so correctness never
-/// depends on timing.  Everywhere else ([`ExchangeBackend::Modeled`], non-POD types,
-/// plans with unknown sizes) the call is exactly the classic pack → send → place
-/// exchange of [`alltoallv_with`].
-///
-/// Gather is the one direction that can go zero-copy: a schedule's permutation lists
-/// give every ghost slot exactly one writer, so concurrent senders touch disjoint
-/// destinations.  The scatter direction combines contributions *at* the owner (repeated
-/// owned offsets, arbitrary combining operators), so it keeps the classic path.
-///
-/// Modeled time, statistics, delivered values and [`ExchangeStats`] are identical
-/// across backends — the window only changes host wall-clock.  Collectivity and panics
-/// as for [`alltoallv`]; additionally panics if a list length disagrees with the plan.
-pub fn alltoallv_permute<T: Element>(
-    rank: &mut Rank,
-    plan: &ExchangePlan,
-    src: &[T],
-    send_lists: &[Vec<u32>],
-    dst: &mut [T],
-    perm_lists: &[Vec<u32>],
-) -> ExchangeStats {
-    assert_eq!(
-        send_lists.len(),
-        plan.nprocs(),
-        "one send list per rank required"
-    );
-    assert_eq!(
-        perm_lists.len(),
-        plan.nprocs(),
-        "one permutation list per rank required"
-    );
-    let me = plan.my_rank();
-    let direct = rank.backend() == ExchangeBackend::SharedMem
-        && T::is_pod_le()
-        && plan
-            .recvs
-            .iter()
-            .enumerate()
-            .all(|(p, r)| p == me || !matches!(r, RecvSpec::Any));
-    if direct {
-        if let Some(fabric) = rank.shared_fabric() {
-            return direct_gather(rank, plan, src, send_lists, dst, perm_lists, &fabric);
-        }
-    }
-    run_exchange(
-        rank,
-        plan,
-        None,
-        |p, buf: &mut PackBuf<'_, T>| {
-            let list = &send_lists[p];
-            for (k, &off) in list.iter().enumerate() {
-                if let Some(&ahead) = list.get(k + PREFETCH_AHEAD) {
-                    // SAFETY: prefetch never dereferences; send-list offsets all index
-                    // `src`, so the hinted address stays inside the allocation.
-                    prefetch(unsafe { src.as_ptr().add(ahead as usize) });
-                }
-                debug_assert!((off as usize) < src.len());
-                // SAFETY: the caller's send lists index `src` (debug-asserted above);
-                // the schedule builder produced them from offsets < src.len().
-                buf.push(unsafe { *src.get_unchecked(off as usize) });
-            }
-        },
-        |q, values: Placed<'_, T>| {
-            let list = &perm_lists[q];
-            for (k, (slot, &v)) in list.iter().zip(values.iter()).enumerate() {
-                if let Some(&ahead) = list.get(k + PREFETCH_AHEAD) {
-                    // SAFETY: prefetch never dereferences; perm-list slots all index
-                    // `dst`, so the hinted address stays inside the allocation.
-                    prefetch(unsafe { dst.as_ptr().add(ahead as usize) });
-                }
-                debug_assert!((*slot as usize) < dst.len());
-                // SAFETY: perm-list slots index `dst` (debug-asserted above); the
-                // schedule builder produced them from slots < dst.len().
-                unsafe { *dst.get_unchecked_mut(*slot as usize) = v };
-            }
-        },
-    )
-}
-
-/// Panic guard of a published direct window: if the exchange unwinds (a pack-length
-/// assertion, a crossed-plan panic on a peer's message), the outstanding contributions
-/// are absorbed before the destination region is freed, and the window is retired so
-/// the slot stays usable.  The normal path retires the window itself and disarms.
-struct WindowGuard<'a> {
-    fabric: &'a SharedFabric,
-    me: usize,
-    tag: u64,
-    armed: bool,
-}
-
-impl Drop for WindowGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.fabric.abort_window(self.me, self.tag);
-        }
-    }
-}
-
-/// The zero-copy arm of [`alltoallv_permute`]: publish the delivery window, send this
-/// rank's contributions (direct where the peer's window is already up, classic typed
-/// message otherwise), copy the local portion, place whatever fallback messages arrive,
-/// and charge the receive side deterministically from the plan.
-fn direct_gather<T: Element>(
-    rank: &mut Rank,
-    plan: &ExchangePlan,
-    src: &[T],
-    send_lists: &[Vec<u32>],
-    dst: &mut [T],
-    perm_lists: &[Vec<u32>],
-    fabric: &SharedFabric,
-) -> ExchangeStats {
-    let me = plan.my_rank();
-    let tag = rank.next_exchange_tag();
-    rank.ledger_record(
-        "exchange.direct",
-        epoch_of_tag(tag),
-        std::any::type_name::<T>(),
-    );
-    let mut stats = ExchangeStats::default();
-    let pending = plan.recv_message_count();
-    let dst_ptr = dst.as_mut_ptr();
-    let dst_len = dst.len();
-
-    // Publish before sending, so peers already in their send phase deliver directly
-    // from this moment on.  Which side wins the race never affects correctness — a
-    // peer that misses the window sends the classic message placed in the drain below.
-    let mut guard = WindowGuard {
-        fabric,
-        me,
-        tag,
-        armed: false,
-    };
-    if pending > 0 {
-        for (p, r) in plan.recvs.iter().enumerate() {
-            if p == me {
-                continue;
-            }
-            if let RecvSpec::Exact(n) = r {
-                assert_eq!(
-                    perm_lists[p].len(),
-                    *n,
-                    "rank {me}: permutation list for source {p} does not match the plan"
-                );
-            }
-        }
-        fabric.publish_window::<T>(me, tag, dst_ptr, dst_len, pending, |p| {
-            match plan.recvs[p] {
-                RecvSpec::Exact(_) if p != me => {
-                    Some((perm_lists[p].as_ptr(), perm_lists[p].len()))
-                }
-                _ => None,
-            }
-        });
-        guard.armed = true;
-    }
-
-    // Send phase, in peer order like the classic engine.  Every planned transfer is
-    // charged and counted identically whether it lands by direct copy or by message.
-    //
-    // A peer that has not published its window yet is almost certainly just behind us
-    // in the same collective — it publishes *before* its own send phase — so a short
-    // yield-wait nearly always converts the miss into a direct delivery and keeps the
-    // steady state allocation-free.  The wait is bounded: a peer whose own plan keeps
-    // it on the classic arm (unnegotiated receive sizes) never publishes, and then the
-    // classic typed message below is the correct — merely slower — delivery.
-    let mut scratch_pool: Option<Vec<Vec<T>>> = None;
-    for (p, declared) in plan.sends.iter().enumerate() {
-        let Some(declared) = *declared else { continue };
-        if p == me {
-            continue;
-        }
-        let list = &send_lists[p];
-        assert_eq!(
-            list.len(),
-            declared,
-            "rank {me}: send list for peer {p} does not match the plan"
-        );
-        let copy_into = |peer_dst: *mut T, peer_dst_len: usize, perm: &[u32]| {
-            assert_eq!(
-                perm.len(),
-                list.len(),
-                "rank {me}: peer {p} expects a different contribution size"
-            );
-            for k in 0..list.len() {
-                if let Some(&ahead) = list.get(k + PREFETCH_AHEAD) {
-                    // Pull both the next source element and its destination slot.
-                    // SAFETY: prefetch never dereferences the hinted address.
-                    prefetch(unsafe { src.as_ptr().add(ahead as usize) });
-                    // SAFETY: `k + PREFETCH_AHEAD < list.len() == perm.len()` — the
-                    // `list.get` above succeeded and the lengths were asserted equal.
-                    let slot_ahead = unsafe { *perm.get_unchecked(k + PREFETCH_AHEAD) };
-                    // SAFETY: prefetch never dereferences the hinted address.
-                    prefetch(unsafe { peer_dst.add(slot_ahead as usize) } as *const T);
-                }
-                // SAFETY: `k < list.len()` by the loop bound.
-                let off = unsafe { *list.get_unchecked(k) } as usize;
-                // SAFETY: `k < perm.len()` — `perm.len() == list.len()` was asserted
-                // above.
-                let slot = unsafe { *perm.get_unchecked(k) } as usize;
-                debug_assert!(off < src.len() && slot < peer_dst_len);
-                // SAFETY: `off` indexes this rank's own `src` (schedule-built, debug-
-                // asserted above); `slot` indexes the peer's published window, which
-                // stays alive until every declared sender delivers.  Permutation slots
-                // are disjoint across sources (one writer per ghost slot), so
-                // concurrent direct writes never overlap.
-                unsafe { *peer_dst.add(slot) = *src.get_unchecked(off) };
-            }
-        };
-        let mut delivered = fabric.try_direct_deliver::<T>(me, p, tag, copy_into);
-        let mut yields = 0;
-        while !delivered && yields < WINDOW_WAIT_YIELDS && !fabric.peer_terminated(p) {
-            std::thread::yield_now();
-            yields += 1;
-            delivered = fabric.try_direct_deliver::<T>(me, p, tag, copy_into);
-        }
-        if delivered {
-            rank.charge_direct_send(declared * T::SIZE);
-        } else {
-            if scratch_pool.is_none() {
-                scratch_pool = Some(rank.detach_decode_scratch::<T>());
-            }
-            let pool = scratch_pool.as_mut().expect("just filled");
-            let mut values = rank.take_decode_scratch(pool, declared);
-            for (k, &off) in list.iter().enumerate() {
-                if let Some(&ahead) = list.get(k + PREFETCH_AHEAD) {
-                    // SAFETY: prefetch never dereferences; send-list offsets all
-                    // index `src`.
-                    prefetch(unsafe { src.as_ptr().add(ahead as usize) });
-                }
-                debug_assert!((off as usize) < src.len());
-                // SAFETY: send-list offsets index `src` (debug-asserted above).
-                values.push(unsafe { *src.get_unchecked(off as usize) });
-            }
-            rank.send_typed(p, tag, values);
-        }
-        rank.charge_compute(declared as f64 * PACK_UNPACK_COST_UNITS);
-        stats.msgs_sent += 1;
-        stats.bytes_sent += (declared * T::SIZE) as u64;
-    }
-
-    // Local portion: a straight permutation copy — no staging, no charge (local
-    // delivery never touches the network or the cost model).  Written through the same
-    // raw pointer the window published: peer writes to other regions of `dst` may be
-    // in flight, so every window-lifetime write goes through that pointer.
-    if let Some(declared) = plan.sends[me] {
-        let list = &send_lists[me];
-        let perm = &perm_lists[me];
-        assert_eq!(
-            list.len(),
-            declared,
-            "rank {me}: send list for peer {me} does not match the plan"
-        );
-        assert_eq!(
-            perm.len(),
-            declared,
-            "rank {me}: permutation list for source {me} does not match the plan"
-        );
-        for (&off, &slot) in list.iter().zip(perm.iter()) {
-            debug_assert!((off as usize) < src.len() && (slot as usize) < dst_len);
-            // SAFETY: `off` indexes `src` and `slot` indexes this rank's own published
-            // window (both schedule-built, debug-asserted above); local slots are
-            // disjoint from every peer's slots, so in-flight peer writes to other
-            // regions of `dst` never alias these writes.
-            unsafe { *dst_ptr.add(slot as usize) = *src.get_unchecked(off as usize) };
-        }
-    }
-
-    // Drain: place the classic fallback contributions of peers that missed the window,
-    // until every contribution — direct or fallback — has landed, then retire.
-    if pending > 0 {
-        while let Some(env) = rank.recv_tag_or_window_drained(tag) {
-            let from = env.from;
-            let byte_len = env.payload.byte_len();
-            assert!(
-                byte_len.is_multiple_of(T::SIZE),
-                "rank {me}: payload from rank {from} is not a whole number of elements"
-            );
-            let count = byte_len / T::SIZE;
-            match plan.recvs[from] {
-                RecvSpec::Exact(n) if from != me => {
-                    assert_eq!(
-                        count,
-                        n,
-                        "rank {me}: expected {n} elements from rank {from} in exchange epoch {}",
-                        epoch_of_tag(tag)
-                    );
-                }
-                _ => panic!(
-                    "rank {me}: unexpected exchange message from rank {from} ({count} elements) \
-                     in direct exchange epoch {} (this rank has started {} epochs — a crossed \
-                     or non-collective exchange sequence)",
-                    epoch_of_tag(tag),
-                    rank.exchange_epochs_started()
-                ),
-            }
-            let values: Vec<T> = match env.payload {
-                // The common fallback: the sender's typed buffer, placed as-is.
-                Payload::Typed(typed) => typed.into_values::<T>(),
-                Payload::Bytes(bytes) => {
-                    if scratch_pool.is_none() {
-                        scratch_pool = Some(rank.detach_decode_scratch::<T>());
-                    }
-                    let pool = scratch_pool.as_mut().expect("just filled");
-                    let mut scratch = rank.take_decode_scratch(pool, count);
-                    T::read_le_into(&bytes, &mut scratch);
-                    rank.recycle_pack_buffer(bytes);
-                    scratch
-                }
-            };
-            let perm = &perm_lists[from];
-            for (&slot, &v) in perm.iter().zip(values.iter()) {
-                debug_assert!((slot as usize) < dst_len);
-                // SAFETY: perm-list slots index this rank's own still-published window
-                // (debug-asserted above); each source's slots are disjoint from every
-                // other's, so fallback placement never races a peer's direct write.
-                unsafe { *dst_ptr.add(slot as usize) = v };
-            }
-            if scratch_pool.is_none() {
-                scratch_pool = Some(rank.detach_decode_scratch::<T>());
-            }
-            rank.recycle_decode_scratch(scratch_pool.as_mut().expect("just filled"), values);
-            fabric.contribution_delivered(me);
-        }
-        fabric.retire_window(me);
-        guard.armed = false;
-    }
-    if let Some(pool) = scratch_pool.take() {
-        rank.reattach_decode_scratch(pool);
-    }
-
-    // Receive-side accounting, deterministic from the plan: every contribution's byte
-    // count is fixed by its Exact spec, so arrival order (and delivery mechanism)
-    // cannot matter.  Same multiset of charges as the classic per-message path.
-    for (p, r) in plan.recvs.iter().enumerate() {
-        if p == me {
-            continue;
-        }
-        let RecvSpec::Exact(n) = *r else { continue };
-        let bytes = n * T::SIZE;
-        rank.charge_direct_recv(bytes);
-        rank.charge_compute(n as f64 * PACK_UNPACK_COST_UNITS);
-        stats.msgs_received += 1;
-        stats.bytes_received += bytes as u64;
-    }
-    stats
-}
-
 /// A split-phase exchange in flight: sends are posted, receives not yet drained.
 ///
-/// Produced by [`start_alltoallv`] / [`start_alltoallv_with`]; consumed by
+/// Produced by [`start_alltoallv_with`]; consumed by
 /// [`ExchangeHandle::finish`].  The handle owns its plan and the staged local portion, so
 /// nothing borrows the caller's arrays while the exchange is in flight — pack runs at
 /// start, placement at finish, and the caller computes freely in between.
@@ -1170,42 +754,15 @@ impl<T: Element> Drop for ExchangeHandle<T> {
     }
 }
 
-/// Split-phase form of [`alltoallv`]: post the plan's sends (borrowing one pre-built
-/// buffer per destination, exactly as the blocking form does) and return a handle whose
-/// [`ExchangeHandle::finish`] drains the receives.
-///
-/// The handle owns `plan` — callers that reuse a long-lived plan pass a clone.  Starts
-/// are collective in the same order on every rank; see the module docs for the
-/// split-phase rules.  Panics as for [`alltoallv`] (plan/buffer mismatches are caught at
-/// start; receive violations at finish).
-pub fn start_alltoallv<T: Element>(
-    rank: &mut Rank,
-    plan: ExchangePlan,
-    sends: &[Vec<T>],
-) -> ExchangeHandle<T> {
-    validate_send_buffers(&plan, sends);
-    let me = plan.my_rank();
-    let (tag, send_stats, self_values, deliver_self) =
-        start_exchange(rank, &plan, Some(&sends[me]), |p, buf| {
-            buf.extend_from_slice(&sends[p]);
-        });
-    ExchangeHandle {
-        inflight: Some(InFlight {
-            plan,
-            tag,
-            send_stats,
-            self_values,
-            deliver_self,
-        }),
-    }
-}
-
 /// Split-phase form of [`alltoallv_with`]: `pack` runs once per planned destination at
 /// start (encoding straight into pooled message buffers — the zero-intermediate-buffer
 /// hot path), the returned handle's [`ExchangeHandle::finish`] drains the receives.
 ///
 /// Combine with [`ExchangePlan::fused`] for a split-phase fused multi-array exchange.
-/// The handle owns `plan`; collectivity and panics as for [`start_alltoallv`].
+/// The handle owns `plan` — callers that reuse a long-lived plan pass a clone.  Starts
+/// are collective in the same order on every rank; see the module docs for the
+/// split-phase rules.  Panics as for [`alltoallv`] (plan/pack mismatches are caught at
+/// start; receive violations at finish).
 pub fn start_alltoallv_with<T: Element>(
     rank: &mut Rank,
     plan: ExchangePlan,
@@ -1249,7 +806,7 @@ fn run_exchange<T: Element>(
 /// scratch, so finishing needs no further pack state).  Returns everything the finish
 /// phase needs: the epoch tag, the send-side stats, and the staged self payload.
 ///
-/// `self_payload` is the fast path for the slice-backed entry points: when the caller
+/// `self_payload` is the fast path of the slice-backed [`alltoallv`]: when the caller
 /// already holds the self elements as a slice, staging is one bulk copy into scratch
 /// instead of an encode/decode round-trip through a staging buffer.  `alltoallv_with`
 /// and `start_alltoallv_with` pass `None` (their pack closure is the only data source).
@@ -1849,7 +1406,9 @@ mod tests {
             let plan = ExchangePlan::sparse(me, send_counts, recv_counts);
             let mut sends: Vec<Vec<u32>> = vec![Vec::new(); n];
             sends[next] = vec![me as u32; 3];
-            let handle = start_alltoallv(rank, plan.clone(), &sends);
+            let handle = start_alltoallv_with(rank, plan.clone(), |p, buf| {
+                buf.extend_from_slice(&sends[p]);
+            });
             assert_eq!(handle.send_stats().msgs_sent, 1);
             // Compute while the exchange is in flight.
             rank.charge_compute(10.0);
@@ -2021,7 +1580,7 @@ mod tests {
     #[should_panic(expected = "dropped without finish")]
     fn dropping_an_unfinished_handle_panics_on_shared_backend() {
         // The split-phase drop guard is backend-independent: losing a finish() on the
-        // zero-copy transport must be refused exactly like on the modeled one.
+        // shared-memory transport must be refused exactly like on the modeled one.
         let cfg = MachineConfig::new(2).with_backend(ExchangeBackend::SharedMem);
         let _ = run(cfg, |rank| {
             let me = rank.rank();
@@ -2095,112 +1654,5 @@ mod tests {
             assert!(delta.reuses + delta.decode_reuses > 0);
             assert!(delta.decode_reuses > 0);
         }
-    }
-
-    /// One gather-shaped permutation round: every rank sends 3 elements to `me+1`,
-    /// 2 to `me-1`, and keeps 1 for itself, with fixed source offsets and
-    /// destination slots.  Returns the filled destination and the exchange stats.
-    fn permute_round(rank: &mut Rank) -> (Vec<f64>, ExchangeStats) {
-        let me = rank.rank();
-        let n = rank.nprocs();
-        let next = (me + 1) % n;
-        let prev = (me + n - 1) % n;
-        let src: Vec<f64> = (0..6).map(|i| (me * 10 + i) as f64).collect();
-        let mut send_counts = vec![0usize; n];
-        send_counts[next] = 3;
-        send_counts[prev] = 2;
-        send_counts[me] = 1;
-        let mut recv_counts = vec![0usize; n];
-        recv_counts[prev] = 3;
-        recv_counts[next] = 2;
-        let plan = ExchangePlan::sparse(me, send_counts.clone(), recv_counts);
-        let mut send_lists: Vec<Vec<u32>> = vec![Vec::new(); n];
-        send_lists[next] = vec![0, 2, 4];
-        send_lists[prev] = vec![1, 3];
-        send_lists[me] = vec![5];
-        let mut perm_lists: Vec<Vec<u32>> = vec![Vec::new(); n];
-        perm_lists[prev] = vec![0, 1, 2];
-        perm_lists[next] = vec![3, 4];
-        perm_lists[me] = vec![5];
-        let mut dst = vec![f64::NAN; 6];
-        let stats = alltoallv_permute(rank, &plan, &src, &send_lists, &mut dst, &perm_lists);
-        (dst, stats)
-    }
-
-    #[test]
-    fn permute_exchange_matches_across_backends() {
-        // The permutation engine's direct (zero-copy window) arm on SharedMem must be
-        // observably identical to the classic modeled path: same delivered values, same
-        // ExchangeStats, same hand-computed expectation.
-        let run_backend = |backend| {
-            let out = run(MachineConfig::new(4).with_backend(backend), permute_round);
-            out.results
-        };
-        let modeled = run_backend(ExchangeBackend::Modeled);
-        let shared = run_backend(ExchangeBackend::SharedMem);
-        assert_eq!(
-            modeled, shared,
-            "backends disagree on a permutation exchange"
-        );
-        for (me, (dst, stats)) in modeled.iter().enumerate() {
-            let next = (me + 1) % 4;
-            let prev = (me + 3) % 4;
-            // prev sent its offsets [0, 2, 4] into slots [0, 1, 2]; next sent
-            // offsets [1, 3] into slots [3, 4]; self kept offset 5 in slot 5.
-            let expect = vec![
-                (prev * 10) as f64,
-                (prev * 10 + 2) as f64,
-                (prev * 10 + 4) as f64,
-                (next * 10 + 1) as f64,
-                (next * 10 + 3) as f64,
-                (me * 10 + 5) as f64,
-            ];
-            assert_eq!(dst, &expect, "rank {me}: wrong gathered values");
-            assert_eq!(stats.msgs_sent, 2);
-            assert_eq!(stats.msgs_received, 2);
-            assert_eq!(stats.bytes_sent, 5 * 8);
-            assert_eq!(stats.bytes_received, 5 * 8);
-        }
-    }
-
-    #[test]
-    fn direct_permute_steady_loop_stays_allocation_free() {
-        // The zero-copy window arm must hit the same allocation fixed point as the
-        // classic engine: direct deliveries touch no buffers at all, and any fallback
-        // messages draw from / return to the typed scratch pool.
-        //
-        // How many deliveries fall back is the scheduler's choice, not the engine's: a
-        // sender that exhausts `WINDOW_WAIT_YIELDS` before a descheduled peer publishes
-        // its window sends a typed message, and draws fresh scratch if its pool happens
-        // to be empty (the buffer ends up in the *receiver's* pool).  So "zero decode
-        // allocations" holds only on an idle host; the count is the scheduler's, not
-        // the engine's.  The engine's property is that fallback buffers are recycled
-        // rather than leaked: every buffer a sender draws comes back through a
-        // receiver's pool, so fresh draws stop once the machine holds about one buffer
-        // per message that can be in flight — P·(P−1) — instead of growing with the
-        // round count.  The loop is long enough that one leaked buffer per round would
-        // exceed that bound eight times over.
-        const P: usize = 4;
-        const ROUNDS: usize = 8 * P * (P - 1);
-        let cfg = MachineConfig::new(P).with_backend(ExchangeBackend::SharedMem);
-        let out = run(cfg, |rank| {
-            permute_round(rank);
-            let warm = rank.pool_stats();
-            for _ in 0..ROUNDS {
-                permute_round(rank);
-            }
-            rank.pool_stats().since(&warm)
-        });
-        for delta in &out.results {
-            assert_eq!(
-                delta.allocations, 0,
-                "direct permute drew a fresh pack buffer"
-            );
-        }
-        let decode: u64 = out.results.iter().map(|d| d.decode_allocations).sum();
-        assert!(
-            decode <= (P * (P - 1)) as u64,
-            "direct permute leaked decode scratch: {decode} fresh buffers in {ROUNDS} rounds"
-        );
     }
 }

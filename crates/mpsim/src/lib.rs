@@ -57,9 +57,8 @@ pub mod topology;
 
 pub use cost::{CostModel, TimeSnapshot};
 pub use exchange::{
-    alltoallv, alltoallv_multi, alltoallv_permute, alltoallv_replicated, alltoallv_with,
-    route_sparse, start_alltoallv, start_alltoallv_with, ExchangeHandle, ExchangePlan,
-    ExchangeStats, PackBuf, Placed, RecvSpec,
+    alltoallv, alltoallv_multi, alltoallv_with, route_sparse, start_alltoallv_with, ExchangeHandle,
+    ExchangePlan, ExchangeStats, PackBuf, Placed, RecvSpec,
 };
 pub use ledger::LedgerEntry;
 pub use machine::{run, Machine, Rank, RunOutcome};

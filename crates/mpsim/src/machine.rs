@@ -15,8 +15,8 @@ use std::thread;
 use crate::comm::Mailbox;
 use crate::cost::{CostModel, TimeSnapshot};
 use crate::ledger::{LedgerEntry, LedgerHub, LedgerRank};
-use crate::message::{decode_vec, Element, Envelope, Payload, TypedPayload};
-use crate::shared::{ExchangeBackend, SharedFabric};
+use crate::message::{decode_vec, Element, Payload, TypedPayload};
+use crate::shared::ExchangeBackend;
 use crate::stats::{MachineStats, PackPoolStats, RankStats};
 use crate::topology::{Dissemination, MachineConfig};
 
@@ -168,36 +168,6 @@ impl Rank {
         self.stats.record_recv(env.payload.byte_len());
         self.time.comm_us += self.cost.message_cost_us(env.payload.byte_len());
         (env.from, env.payload)
-    }
-
-    /// Charge and count one outgoing message whose payload was delivered *directly*
-    /// through a shared-memory window (no bytes physically travel).  Identical
-    /// accounting to [`Rank::send_packed`] / [`Rank::send_typed`]: modeled time and
-    /// statistics never depend on how a payload moves.
-    pub(crate) fn charge_direct_send(&mut self, bytes: usize) {
-        self.stats.record_send(bytes);
-        self.time.comm_us += self.cost.message_cost_us(bytes);
-    }
-
-    /// Charge and count one incoming message of a direct exchange — the mirror of
-    /// [`Rank::recv_payload_any`]'s accounting.  The byte count comes from the plan
-    /// (direct exchanges require size-negotiated receives), so the charge is
-    /// deterministic regardless of whether the data arrived by direct copy or as a
-    /// fallback message.
-    pub(crate) fn charge_direct_recv(&mut self, bytes: usize) {
-        self.stats.record_recv(bytes);
-        self.time.comm_us += self.cost.message_cost_us(bytes);
-    }
-
-    /// The shared-memory fabric, when this machine communicates through one.
-    pub(crate) fn shared_fabric(&self) -> Option<Arc<SharedFabric>> {
-        self.mailbox.shared_fabric()
-    }
-
-    /// See [`Mailbox::recv_tag_or_window_drained`].  Uncharged — the direct exchange
-    /// charges its whole receive side deterministically from the plan.
-    pub(crate) fn recv_tag_or_window_drained(&mut self, tag: u64) -> Option<Envelope> {
-        self.mailbox.recv_tag_or_window_drained(tag)
     }
 
     /// Detach the decode-scratch free list for element type `T`, leaving an empty list

@@ -1,38 +1,28 @@
 //! Protocol kernels of the shared-memory transport, generic over the sync layer.
 //!
-//! The lock-free algorithms in [`crate::shared`] — the Lamport SPSC ring, the doorbell
-//! missed-wakeup protocol, and the direct-delivery window — each hinge on a handful of
-//! atomic operations whose *memory orderings* carry the whole correctness argument.
-//! This module is the single home of those operations: every ordering-critical step is a
-//! small free function generic over a cell trait, so the production transport (which
+//! The lock-free algorithms in [`crate::shared`] — the Lamport SPSC ring and the doorbell
+//! missed-wakeup protocol — each hinge on a handful of atomic operations whose *memory
+//! orderings* carry the whole correctness argument.  This module is the single home of
+//! those operations: every ordering-critical step is a small free function generic over
+//! a cell trait, so the production transport (which
 //! instantiates the traits with `std::sync::atomic` types) and the `verify` crate's
 //! exhaustive model checker (which instantiates them with instrumented cells over a
 //! release/acquire memory model) execute the *same* protocol logic.  A bug fixed here is
 //! fixed in both worlds; an ordering weakened here is caught by the checker.
 //!
-//! The traits are deliberately minimal: a cell knows how to load, store, and (where the
-//! protocol needs it) read-modify-write at a caller-chosen [`Ordering`].  Everything
+//! The traits are deliberately minimal: a cell knows how to load and store at a
+//! caller-chosen [`Ordering`].  Everything
 //! else — what the values mean, which thread may call which step — is protocol structure
 //! expressed by the step functions below and documented per function.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// A `usize`-valued atomic cell (ring indices, pending counters).
+/// A `usize`-valued atomic cell (ring indices).
 pub trait UsizeCell {
     /// Atomically load the value.
     fn load(&self, ord: Ordering) -> usize;
     /// Atomically store `v`.
     fn store(&self, v: usize, ord: Ordering);
-    /// Atomically subtract `v`, returning the previous value.
-    fn fetch_sub(&self, v: usize, ord: Ordering) -> usize;
-}
-
-/// A `u64`-valued atomic cell (exchange tags).
-pub trait U64Cell {
-    /// Atomically load the value.
-    fn load(&self, ord: Ordering) -> u64;
-    /// Atomically store `v`.
-    fn store(&self, v: u64, ord: Ordering);
 }
 
 /// A `bool`-valued atomic cell (sleep announcements).
@@ -49,18 +39,6 @@ impl UsizeCell for AtomicUsize {
     }
     fn store(&self, v: usize, ord: Ordering) {
         AtomicUsize::store(self, v, ord);
-    }
-    fn fetch_sub(&self, v: usize, ord: Ordering) -> usize {
-        AtomicUsize::fetch_sub(self, v, ord)
-    }
-}
-
-impl U64Cell for AtomicU64 {
-    fn load(&self, ord: Ordering) -> u64 {
-        AtomicU64::load(self, ord)
-    }
-    fn store(&self, v: u64, ord: Ordering) {
-        AtomicU64::store(self, v, ord);
     }
 }
 
@@ -182,89 +160,6 @@ pub fn bell_retract<B: BellOps>(bell: &B) {
     bell.sleeping().store(false, Ordering::SeqCst);
 }
 
-// ---------------------------------------------------------------------------
-// Direct-delivery window
-// ---------------------------------------------------------------------------
-
-/// The sync-layer view of one rank's direct-delivery window control words.
-///
-/// The window's *payload* fields (destination pointer, element type, permutation
-/// lists) are opaque to the protocol: they are written by the closure passed to
-/// [`window_publish`] while the window is retired, and read by senders only after
-/// [`window_try_claim`] observes a matching tag.  The control words captured here are
-/// the published-tag word (0 = retired) and the outstanding-contribution counter whose
-/// decrement chain pins the window against ABA and use-after-free.
-pub trait WindowOps {
-    /// The atomic tag type (0 means retired).
-    type Tag: U64Cell;
-    /// The atomic pending-contribution counter type.
-    type Ctr: UsizeCell;
-    /// The exchange tag this window serves.
-    fn tag(&self) -> &Self::Tag;
-    /// Contributions still outstanding.
-    fn pending(&self) -> &Self::Ctr;
-}
-
-/// Receiver step: publish the window for exchange `tag` with `pending` outstanding
-/// contributions, after `write_fields` has written every payload field.
-///
-/// `write_fields` runs while `tag == 0`, when no sender reads the fields; the
-/// `Release` store of `tag` is the publication edge every sender's `Acquire` claim
-/// synchronises with.  `pending` may be stored `Relaxed` because it is published by the
-/// same `Release` tag store.
-pub fn window_publish<W: WindowOps>(w: &W, tag: u64, pending: usize, write_fields: impl FnOnce()) {
-    debug_assert!(tag != 0 && pending > 0, "empty windows are never published");
-    debug_assert_eq!(
-        w.tag().load(Ordering::Relaxed),
-        0,
-        "a rank publishes at most one window at a time"
-    );
-    write_fields();
-    w.pending().store(pending, Ordering::Relaxed);
-    w.tag().store(tag, Ordering::Release);
-}
-
-/// Sender step: claim the window for exchange `tag`.
-///
-/// Returns `true` when the window is published for exactly this tag; the `Acquire`
-/// load orders every payload-field read after the receiver's publication.  After a
-/// successful claim the window cannot retire or be republished underneath the sender,
-/// because the sender's own undelivered contribution keeps `pending >= 1` until it
-/// calls [`window_contribution_delivered`].
-pub fn window_try_claim<W: WindowOps>(w: &W, tag: u64) -> bool {
-    w.tag().load(Ordering::Acquire) == tag
-}
-
-/// Contribution step: count one contribution as delivered.
-///
-/// Must be called *after* the contribution's writes through the window.  The `AcqRel`
-/// `fetch_sub` releases those writes into the decrement chain (so the receiver's
-/// `Acquire` read of zero in [`window_is_drained`] sees every byte) and keeps the
-/// chain a release sequence.  Returns `true` when this was the last outstanding
-/// contribution — the caller must then ring the receiver's doorbell
-/// (fence-then-check, exactly [`bell_check`]).
-pub fn window_contribution_delivered<W: WindowOps>(w: &W) -> bool {
-    w.pending().fetch_sub(1, Ordering::AcqRel) == 1
-}
-
-/// Receiver step: has every contribution landed?
-///
-/// The `Acquire` load is the receiver's synchronisation point with every sender's
-/// release in [`window_contribution_delivered`].
-pub fn window_is_drained<W: WindowOps>(w: &W) -> bool {
-    w.pending().load(Ordering::Acquire) == 0
-}
-
-/// Receiver step: retire a drained window, making the slot publishable again.
-///
-/// Only legal once [`window_is_drained`] has returned `true`: a sender between its
-/// successful claim and its decrement holds `pending >= 1`, so retirement (and any
-/// subsequent republication or freeing of the destination) cannot race its writes.
-pub fn window_retire<W: WindowOps>(w: &W) {
-    debug_assert!(window_is_drained(w), "retiring a live window");
-    w.tag().store(0, Ordering::Release);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,40 +208,5 @@ mod tests {
         assert_eq!(ring_try_pop(&ring), Some(11));
         assert_eq!(ring_try_pop(&ring), Some(12));
         assert!(ring_try_pop(&ring).is_none());
-    }
-
-    struct ToyWindow {
-        tag: AtomicU64,
-        pending: AtomicUsize,
-    }
-
-    impl WindowOps for ToyWindow {
-        type Tag = AtomicU64;
-        type Ctr = AtomicUsize;
-        fn tag(&self) -> &AtomicU64 {
-            &self.tag
-        }
-        fn pending(&self) -> &AtomicUsize {
-            &self.pending
-        }
-    }
-
-    #[test]
-    fn window_lifecycle_publish_claim_drain_retire() {
-        let w = ToyWindow {
-            tag: AtomicU64::new(0),
-            pending: AtomicUsize::new(0),
-        };
-        let mut fields_written = false;
-        window_publish(&w, 7, 2, || fields_written = true);
-        assert!(fields_written);
-        assert!(window_try_claim(&w, 7));
-        assert!(!window_try_claim(&w, 8), "wrong tag misses");
-        assert!(!window_contribution_delivered(&w), "first of two");
-        assert!(!window_is_drained(&w));
-        assert!(window_contribution_delivered(&w), "last contribution");
-        assert!(window_is_drained(&w));
-        window_retire(&w);
-        assert!(!window_try_claim(&w, 7), "retired windows accept nothing");
     }
 }

@@ -35,14 +35,13 @@
 //! happens after the push and finds the message.  Either way no message is lost to a
 //! sleeping consumer.
 
-use std::any::TypeId;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::message::{Envelope, Payload};
-use crate::proto::{self, BellOps, RingOps, WindowOps};
+use crate::proto::{self, BellOps, RingOps};
 
 /// Which transport a machine's ranks communicate through.
 ///
@@ -230,81 +229,12 @@ impl Doorbell {
     }
 }
 
-/// One source rank's contribution descriptor in a published [`DirectWindow`]: the
-/// receiver's permutation list for that source, as `(perm.as_ptr() as usize, len)`.
-/// A zero pointer means the receiver expects nothing from the source.
-struct SourceSlot {
-    perm_ptr: AtomicUsize,
-    perm_len: AtomicUsize,
-}
-
-/// One rank's **zero-copy delivery window**.
-///
-/// While a direct-capable exchange (gather-shaped, POD elements, size-negotiated plan)
-/// is in flight, the receiving rank publishes the raw destination region and its
-/// per-source permutation lists here.  A sender that finds the window published for its
-/// exchange tag writes its contribution straight into place — `dst[perm[k]] = value`,
-/// one copy, no message, no intermediate buffer.  A sender that arrives before the
-/// window is up falls back to a classic ring message, which the receiver places itself.
-///
-/// The protocol has one publication edge and one completion edge:
-///
-/// * **Publish**: every field is written while `tag == 0` (no sender reads then), and
-///   `tag` is stored `Release` last; senders load `tag` with `Acquire`, so a match
-///   orders every field after the publish.  Tags are unique per exchange episode
-///   (per-rank epoch counters advanced in collective start order), so a match can never
-///   be stale.
-/// * **Complete**: each contribution ends with a `Release` `fetch_sub` of `pending`;
-///   the receiver's `Acquire` read of 0 therefore sees every byte written through the
-///   window.  The window cannot retire (and its fields cannot be rewritten) while any
-///   sender is between its tag check and its decrement, because that sender's own
-///   contribution keeps `pending >= 1`.
-struct DirectWindow {
-    /// Exchange tag the window serves; 0 = retired (real exchange tags are offset far
-    /// above zero).
-    tag: AtomicU64,
-    /// Contributions still outstanding — direct writes or classic fallback messages.
-    pending: AtomicUsize,
-    /// Destination region base, `*mut T as usize`.
-    dst_ptr: AtomicUsize,
-    /// Destination region length in elements (bounds checks only).
-    dst_len: AtomicUsize,
-    /// Element type of the destination; senders assert against it — a mismatch is a
-    /// crossed exchange sequence, the direct analogue of the typed-payload downcast
-    /// panic.
-    elem: UnsafeCell<Option<TypeId>>,
-    /// One slot per source rank.
-    sources: Box<[SourceSlot]>,
-}
-
-// SAFETY: `elem` is written only while `tag == 0` (when no sender reads it) and read
-// only after an `Acquire` load of a matching nonzero tag, which orders the read after
-// the write; every other field is atomic.
-unsafe impl Sync for DirectWindow {}
-
-/// Binds the window's control words to the shared protocol steps in [`crate::proto`];
-/// the payload fields (`dst_ptr`, `elem`, the permutation slots) are the
-/// `write_fields`/post-claim accesses those steps order.
-impl WindowOps for DirectWindow {
-    type Tag = AtomicU64;
-    type Ctr = AtomicUsize;
-
-    fn tag(&self) -> &AtomicU64 {
-        &self.tag
-    }
-    fn pending(&self) -> &AtomicUsize {
-        &self.pending
-    }
-}
-
-/// The machine-wide shared-memory wire: P² SPSC rings plus one doorbell and one
-/// direct-delivery window per rank.
+/// The machine-wide shared-memory wire: P² SPSC rings plus one doorbell per rank.
 pub(crate) struct SharedFabric {
     nprocs: usize,
     /// `rings[from * nprocs + to]`.
     rings: Vec<Spsc>,
     doorbells: Vec<Doorbell>,
-    windows: Vec<DirectWindow>,
     terminated: Vec<AtomicBool>,
     /// Sweeps before parking, chosen at construction: [`SPIN_SWEEPS`] when every rank
     /// thread can have a core, [`SPIN_SWEEPS_OVERSUBSCRIBED`] otherwise.
@@ -332,21 +262,6 @@ impl SharedFabric {
                     sleeping: AtomicBool::new(false),
                     mutex: Mutex::new(()),
                     condvar: Condvar::new(),
-                })
-                .collect(),
-            windows: (0..nprocs)
-                .map(|_| DirectWindow {
-                    tag: AtomicU64::new(0),
-                    pending: AtomicUsize::new(0),
-                    dst_ptr: AtomicUsize::new(0),
-                    dst_len: AtomicUsize::new(0),
-                    elem: UnsafeCell::new(None),
-                    sources: (0..nprocs)
-                        .map(|_| SourceSlot {
-                            perm_ptr: AtomicUsize::new(0),
-                            perm_len: AtomicUsize::new(0),
-                        })
-                        .collect(),
                 })
                 .collect(),
             terminated: (0..nprocs).map(|_| AtomicBool::new(false)).collect(),
@@ -455,12 +370,6 @@ impl SharedFabric {
         None
     }
 
-    /// Whether rank `p` has already shut down.  Senders waiting for `p`'s direct window
-    /// use this to stop waiting for a window that can no longer appear.
-    pub(crate) fn peer_terminated(&self, p: usize) -> bool {
-        self.terminated[p].load(Ordering::Acquire)
-    }
-
     fn all_peers_terminated(&self, me: usize) -> bool {
         self.nprocs > 1
             && (0..self.nprocs)
@@ -476,224 +385,6 @@ impl SharedFabric {
         for bell in &self.doorbells {
             bell.ring();
         }
-    }
-
-    /// Publish rank `me`'s direct-delivery window for exchange `tag`: the destination
-    /// region, its element type, one permutation list per expected source
-    /// (`perm_of(p)`, `None` where the plan expects nothing), and the number of
-    /// outstanding contributions.  Allocation-free — every slot is preallocated at
-    /// fabric construction.
-    ///
-    /// The caller owns the window lifecycle: it must keep `dst` and the permutation
-    /// lists alive and unmoved until [`SharedFabric::retire_window`] (normally after
-    /// [`SharedFabric::window_recv_or_drained`] returns `None`), and must not touch the
-    /// destination through any path other than the published pointer while the window
-    /// is live.
-    pub(crate) fn publish_window<T: 'static>(
-        &self,
-        me: usize,
-        tag: u64,
-        dst: *mut T,
-        dst_len: usize,
-        pending: usize,
-        perm_of: impl Fn(usize) -> Option<(*const u32, usize)>,
-    ) {
-        let w = &self.windows[me];
-        proto::window_publish(w, tag, pending, || {
-            w.dst_ptr.store(dst as usize, Ordering::Relaxed);
-            w.dst_len.store(dst_len, Ordering::Relaxed);
-            // SAFETY: `window_publish` runs this closure while `tag == 0`, when no
-            // sender dereferences `elem`; the Release tag store that follows orders
-            // this write before any claiming sender's read.
-            unsafe { *w.elem.get() = Some(TypeId::of::<T>()) };
-            for p in 0..self.nprocs {
-                let (ptr, len) = perm_of(p).map_or((0, 0), |(q, l)| (q as usize, l));
-                w.sources[p].perm_ptr.store(ptr, Ordering::Relaxed);
-                w.sources[p].perm_len.store(len, Ordering::Relaxed);
-            }
-        });
-    }
-
-    /// Attempt zero-copy delivery of rank `from`'s contribution to exchange `tag` on
-    /// rank `to`.  Returns `false` when `to` has not (yet) published a window for this
-    /// tag — the caller then falls back to a classic message.  On `true`, `copy` was
-    /// called with `(dst, dst_len, perm)` — the destination region and `to`'s
-    /// permutation list for `from` — the contribution is accounted delivered, and
-    /// `to`'s doorbell was rung if it was the last one outstanding.
-    ///
-    /// # Panics
-    /// Panics if the published window's element type differs from `T` or the receiver
-    /// expects nothing from `from` — both are crossed/inconsistent exchange sequences.
-    pub(crate) fn try_direct_deliver<T: 'static>(
-        &self,
-        from: usize,
-        to: usize,
-        tag: u64,
-        copy: impl FnOnce(*mut T, usize, &[u32]),
-    ) -> bool {
-        let w = &self.windows[to];
-        if !proto::window_try_claim(w, tag) {
-            return false;
-        }
-        // The claim's Acquire ordered every field after the publish; the window cannot
-        // retire or be republished underneath us because our own undelivered
-        // contribution keeps `pending >= 1`.
-        assert_eq!(
-            // SAFETY: a successful claim orders this read after the publisher's
-            // write of `elem` (which happened while `tag == 0`), and `elem` is not
-            // rewritten while the window is live.
-            unsafe { *w.elem.get() },
-            Some(TypeId::of::<T>()),
-            "direct window element type mismatch: crossed exchange sequence"
-        );
-        let perm_ptr = w.sources[from].perm_ptr.load(Ordering::Relaxed);
-        let perm_len = w.sources[from].perm_len.load(Ordering::Relaxed);
-        assert!(
-            perm_ptr != 0,
-            "rank {to}'s window expects nothing from rank {from}"
-        );
-        // SAFETY: the publisher guarantees the permutation list outlives the window
-        // (it is retired only after every contribution lands), and our undelivered
-        // contribution pins the window live for the duration of this call.
-        let perm = unsafe { std::slice::from_raw_parts(perm_ptr as *const u32, perm_len) };
-        copy(
-            w.dst_ptr.load(Ordering::Relaxed) as *mut T,
-            w.dst_len.load(Ordering::Relaxed),
-            perm,
-        );
-        self.contribution_delivered(to);
-        true
-    }
-
-    /// Count one contribution of rank `me`'s published window as delivered, waking `me`
-    /// if it was the last.  Called by direct senders after their copy, and by the
-    /// receiver itself after placing a classic fallback message.
-    pub(crate) fn contribution_delivered(&self, me: usize) {
-        // The AcqRel decrement releases this contribution's writes to the receiver's
-        // Acquire read of zero and keeps the whole decrement chain a release sequence.
-        if proto::window_contribution_delivered(&self.windows[me]) {
-            // Last contribution: same publish-then-check protocol as `send` — either
-            // the receiver's sleep announcement is visible here (the notify wakes it)
-            // or its rescan happens after the decrement and observes the drain.
-            self.doorbells[me].ring();
-        }
-    }
-
-    /// Whether rank `me`'s published window has drained (every contribution delivered).
-    /// The `Acquire` load is the receiver's synchronisation point with every direct
-    /// sender's writes.
-    pub(crate) fn window_drained(&self, me: usize) -> bool {
-        proto::window_is_drained(&self.windows[me])
-    }
-
-    /// Retire rank `me`'s drained window, making the slot publishable again.
-    pub(crate) fn retire_window(&self, me: usize) {
-        proto::window_retire(&self.windows[me]);
-    }
-
-    /// Wait on rank `me`'s published window: returns the next classic envelope carrying
-    /// `tag` (a fallback contribution the caller places and then reports through
-    /// [`SharedFabric::contribution_delivered`]), stashing other-tag arrivals into
-    /// `stash`, or `None` once every contribution has landed.  Parks on the doorbell
-    /// exactly like [`SharedFabric::recv_next`]; fallback producers ring it on push and
-    /// direct senders ring it on the last contribution.
-    ///
-    /// # Panics
-    /// Panics if every peer terminates while contributions are still outstanding.
-    pub(crate) fn window_recv_or_drained(
-        &self,
-        me: usize,
-        tag: u64,
-        stash: &mut Vec<Envelope>,
-    ) -> Option<Envelope> {
-        let mut sweeps = 0usize;
-        loop {
-            if self.window_drained(me) {
-                return None;
-            }
-            if let Some(env) = self.sweep(me) {
-                if env.tag == tag {
-                    return Some(env);
-                }
-                stash.push(env);
-                sweeps = 0;
-                continue;
-            }
-            if self.all_peers_terminated(me) {
-                // Final rescan: the last contribution may have landed right before
-                // the peers shut down.
-                if self.window_drained(me) {
-                    return None;
-                }
-                if let Some(env) = self.sweep(me) {
-                    if env.tag == tag {
-                        return Some(env);
-                    }
-                    stash.push(env);
-                    continue;
-                }
-                panic!("all senders dropped while a direct exchange was outstanding");
-            }
-            sweeps += 1;
-            if sweeps < self.spin_sweeps {
-                std::hint::spin_loop();
-                std::thread::yield_now();
-                continue;
-            }
-            // Park: announce, rescan both wake conditions, wait (see module docs).
-            let bell = &self.doorbells[me];
-            let guard = bell.mutex.lock().unwrap();
-            proto::bell_announce(bell);
-            if self.window_drained(me) {
-                proto::bell_retract(bell);
-                return None;
-            }
-            if let Some(env) = self.sweep(me) {
-                proto::bell_retract(bell);
-                if env.tag == tag {
-                    return Some(env);
-                }
-                stash.push(env);
-                sweeps = 0;
-                continue;
-            }
-            let guard = bell
-                .condvar
-                .wait_timeout(guard, std::time::Duration::from_millis(10))
-                .unwrap()
-                .0;
-            proto::bell_retract(bell);
-            drop(guard);
-            sweeps = 0;
-        }
-    }
-
-    /// Emergency drain of rank `me`'s window during unwinding: absorb every outstanding
-    /// contribution — so no sender can write through the window after the destination
-    /// region is freed — then retire it.  Fallback envelopes for `tag` count as their
-    /// contribution and are dropped unplaced; other arrivals are dropped too, since the
-    /// machine is already coming down.
-    pub(crate) fn abort_window(&self, me: usize, tag: u64) {
-        loop {
-            if self.window_drained(me) {
-                break;
-            }
-            if let Some(env) = self.sweep(me) {
-                if env.tag == tag {
-                    self.contribution_delivered(me);
-                }
-                continue;
-            }
-            if self.all_peers_terminated(me) {
-                // Terminated peers can never deliver; nothing more will arrive.
-                break;
-            }
-            std::thread::yield_now();
-        }
-        // Not `proto::window_retire`: when every peer terminated mid-exchange the
-        // window retires with `pending > 0` — the stragglers can never arrive, and
-        // the machine is already unwinding.
-        self.windows[me].tag.store(0, Ordering::Release);
     }
 }
 
@@ -777,131 +468,5 @@ mod tests {
     #[should_panic(expected = "at most")]
     fn fabric_rejects_oversized_machines() {
         let _ = SharedFabric::new(MAX_SHARED_RANKS + 1);
-    }
-
-    #[test]
-    fn direct_window_round_trips_and_retires() {
-        let fabric = SharedFabric::new(2);
-        let mut dst = vec![0.0f64; 4];
-        let perm: Vec<u32> = vec![3, 1];
-        fabric.publish_window::<f64>(0, 7, dst.as_mut_ptr(), dst.len(), 1, |p| {
-            (p == 1).then_some((perm.as_ptr(), perm.len()))
-        });
-        // A sender on a different exchange tag must miss the window.
-        assert!(!fabric.try_direct_deliver::<f64>(1, 0, 8, |_, _, _| panic!("wrong tag")));
-        assert!(fabric.try_direct_deliver::<f64>(1, 0, 7, |d, len, perm| {
-            assert_eq!(len, 4);
-            assert_eq!(perm, &[3, 1]);
-            // SAFETY: `d` points at the published 4-element `dst`, which outlives the
-            // window, and both perm slots were just asserted to be [3, 1].
-            unsafe {
-                *d.add(perm[0] as usize) = 5.0;
-                *d.add(perm[1] as usize) = 6.0;
-            }
-        }));
-        assert!(fabric.window_drained(0));
-        fabric.retire_window(0);
-        // Retired windows accept no further deliveries.
-        assert!(!fabric.try_direct_deliver::<f64>(1, 0, 7, |_, _, _| panic!("retired")));
-        assert_eq!(dst, vec![0.0, 6.0, 0.0, 5.0]);
-    }
-
-    #[test]
-    fn window_wait_mixes_fallback_messages_direct_writes_and_stashing() {
-        // pending = 2: rank 2 contributes by classic fallback message, rank 1 by a
-        // late direct write that must wake the parked receiver.  An unrelated-tag
-        // envelope arriving in between must be stashed, not consumed.
-        let fabric = SharedFabric::new(3);
-        let mut dst = vec![0.0f64; 2];
-        let perm1: Vec<u32> = vec![0];
-        let perm2: Vec<u32> = vec![1];
-        fabric.publish_window::<f64>(0, 7, dst.as_mut_ptr(), dst.len(), 2, |p| match p {
-            1 => Some((perm1.as_ptr(), perm1.len())),
-            2 => Some((perm2.as_ptr(), perm2.len())),
-            _ => None,
-        });
-        fabric.send(2, 0, 99, bytes(vec![42])); // unrelated tag: must be stashed
-        fabric.send(
-            2,
-            0,
-            7,
-            Payload::Typed(crate::message::TypedPayload::new(vec![2.5f64])),
-        );
-        let mut stash = Vec::new();
-        let env = fabric
-            .window_recv_or_drained(0, 7, &mut stash)
-            .expect("the fallback message must surface before the drain");
-        assert_eq!((env.from, env.tag), (2, 7));
-        match env.payload {
-            Payload::Typed(t) => {
-                let v = t.into_values::<f64>();
-                // SAFETY: slot 1 of the live 2-element `dst` — rank 2's permutation
-                // slot, disjoint from rank 1's in-flight direct write to slot 0.
-                unsafe { *dst.as_mut_ptr().add(1) = v[0] };
-            }
-            Payload::Bytes(_) => panic!("typed payload decayed"),
-        }
-        fabric.contribution_delivered(0);
-        let f2 = Arc::clone(&fabric);
-        let sender = std::thread::spawn(move || {
-            // Let the receiver reach the parked state, then deliver directly.
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            assert!(f2.try_direct_deliver::<f64>(1, 0, 7, |d, _, perm| {
-                // SAFETY: `d` is the published window over `dst`, alive until the
-                // receiver retires it after the drain; perm[0] == 0 < dst.len().
-                unsafe { *d.add(perm[0] as usize) = 1.5 };
-            }));
-        });
-        assert!(
-            fabric.window_recv_or_drained(0, 7, &mut stash).is_none(),
-            "the wait must end when the last direct contribution lands"
-        );
-        sender.join().unwrap();
-        fabric.retire_window(0);
-        assert_eq!(dst, vec![1.5, 2.5]);
-        assert_eq!(stash.len(), 1, "the unrelated envelope was stashed");
-        assert_eq!((stash[0].from, stash[0].tag), (2, 99));
-    }
-
-    #[test]
-    #[should_panic(expected = "element type mismatch")]
-    fn direct_delivery_with_wrong_element_type_panics() {
-        let fabric = SharedFabric::new(2);
-        let mut dst = vec![0.0f64; 1];
-        let perm: Vec<u32> = vec![0];
-        fabric.publish_window::<f64>(0, 7, dst.as_mut_ptr(), dst.len(), 1, |p| {
-            (p == 1).then_some((perm.as_ptr(), perm.len()))
-        });
-        let _ = fabric.try_direct_deliver::<u32>(1, 0, 7, |_, _, _| {});
-    }
-
-    #[test]
-    fn abort_window_absorbs_outstanding_fallbacks() {
-        let fabric = SharedFabric::new(2);
-        let mut dst = vec![0.0f64; 1];
-        let perm: Vec<u32> = vec![0];
-        fabric.publish_window::<f64>(0, 7, dst.as_mut_ptr(), dst.len(), 1, |p| {
-            (p == 1).then_some((perm.as_ptr(), perm.len()))
-        });
-        fabric.send(
-            1,
-            0,
-            7,
-            Payload::Typed(crate::message::TypedPayload::new(vec![9.0f64])),
-        );
-        fabric.abort_window(0, 7);
-        assert!(fabric.window_drained(0));
-        assert_eq!(dst, vec![0.0], "aborted contributions are dropped unplaced");
-        // The slot is publishable again and serves the next exchange normally.
-        fabric.publish_window::<f64>(0, 8, dst.as_mut_ptr(), dst.len(), 1, |p| {
-            (p == 1).then_some((perm.as_ptr(), perm.len()))
-        });
-        assert!(fabric.try_direct_deliver::<f64>(1, 0, 8, |d, _, perm| {
-            // SAFETY: `d` is the freshly republished window over the still-live
-            // `dst`; perm[0] == 0 < dst.len().
-            unsafe { *d.add(perm[0] as usize) = 3.0 };
-        }));
-        fabric.retire_window(0);
-        assert_eq!(dst, vec![3.0]);
     }
 }

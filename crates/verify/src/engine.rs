@@ -320,50 +320,11 @@ impl Exec {
         }
     }
 
-    /// Atomic `fetch_sub` (wrapping) at `ord`; always reads the newest store.
-    pub fn fetch_sub(&self, loc: Loc, sub: u64, ord: Ordering) -> u64 {
-        let mut inner = self.inner.borrow_mut();
-        if ord == Ordering::SeqCst {
-            inner.absorb_sc();
-        }
-        let latest = inner.locs[loc].stores.last().expect("nonempty").clone();
-        let cur = inner.cur;
-        if matches!(ord, Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst) {
-            if let Some(rv) = &latest.rel_view {
-                let rv = rv.clone();
-                Inner::join_view(&mut inner.views[cur], &rv);
-            }
-        }
-        let ts = latest.ts + 1;
-        inner.views[cur][loc] = ts;
-        let rel_view = matches!(ord, Ordering::Release | Ordering::AcqRel | Ordering::SeqCst)
-            .then(|| inner.views[cur].clone());
-        inner.locs[loc].stores.push(StoreEvt {
-            ts,
-            val: latest.val.wrapping_sub(sub),
-            rel_view,
-        });
-        if ord == Ordering::SeqCst {
-            inner.publish_sc();
-        }
-        latest.val
-    }
-
     /// A `SeqCst` fence: absorb the SC view, then publish into it.
     pub fn fence_seq_cst(&self) {
         let mut inner = self.inner.borrow_mut();
         inner.absorb_sc();
         inner.publish_sc();
-    }
-
-    /// Oracle read of the newest value, bypassing views — for scenario assertions
-    /// (e.g. use-after-free detection), never for protocol steps.
-    pub fn latest(&self, loc: Loc) -> u64 {
-        self.inner.borrow().locs[loc]
-            .stores
-            .last()
-            .expect("nonempty")
-            .val
     }
 
     /// Try to take a modeled mutex; on success joins the last unlocker's view.

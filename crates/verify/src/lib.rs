@@ -1,11 +1,10 @@
 //! Exhaustive model checking for the `mpsim` shared-memory transport protocols.
 //!
-//! The production transport (`mpsim::shared`) runs three lock-free protocols — the
-//! Lamport SPSC ring, the doorbell sleep/publish/rescan handshake, and the
-//! direct-delivery window publish/claim/retire lifecycle.  Their step logic lives in
-//! `mpsim::proto` as small functions generic over a sync layer; production binds
-//! them to `std::sync::atomic`, this crate binds them to an instrumented memory
-//! model and explores **all** interleavings at bounded sizes.
+//! The production transport (`mpsim::shared`) runs two lock-free protocols — the
+//! Lamport SPSC ring and the doorbell sleep/publish/rescan handshake.  Their step
+//! logic lives in `mpsim::proto` as small functions generic over a sync layer;
+//! production binds them to `std::sync::atomic`, this crate binds them to an
+//! instrumented memory model and explores **all** interleavings at bounded sizes.
 //!
 //! The pieces:
 //!
@@ -14,15 +13,14 @@
 //!   replay-tape DFS scheduler with partial-order pruning (yield pruning, forced
 //!   fresh reads, store GC, state memoization).
 //! - [`model`] — [`model::Cell`] implementing the `mpsim::proto` cell traits over an
-//!   [`engine::Exec`], plus `MRing`/`MBell`/`MWindow` mirroring the production
-//!   structures one field per modeled location.
+//!   [`engine::Exec`], plus `MRing`/`MBell` mirroring the production structures one
+//!   field per modeled location.
 //! - [`scenarios`] — the protocol roles as explicit state machines and the
 //!   `check_*` entry points, each with seeded-bug variants the checker must catch.
 //!
 //! Checked properties: per-pair FIFO with no lost/duplicated/uninitialised items
-//! (ring), no lost wakeup (doorbell), publication and drain visibility plus no
-//! ABA/use-after-free on the abort path (window), and termination of every
-//! interleaving (deadlock and livelock detection in the scheduler).
+//! (ring), no lost wakeup (doorbell), and termination of every interleaving (deadlock
+//! and livelock detection in the scheduler).
 
 #![deny(missing_docs)]
 
@@ -31,10 +29,7 @@ pub mod model;
 pub mod scenarios;
 
 pub use engine::{explore, Exec, ModelThread, Report, Step, Violation};
-pub use scenarios::{
-    check_doorbell, check_ring, check_ring_relaxed_publish_bug, check_window, check_window_abort,
-    check_window_early_decrement_bug, DoorbellVariant,
-};
+pub use scenarios::{check_doorbell, check_ring, check_ring_relaxed_publish_bug, DoorbellVariant};
 
 #[cfg(test)]
 mod tests {
@@ -83,62 +78,11 @@ mod tests {
             .assert_caught("check-before-publish doorbell", "lost wakeup");
     }
 
-    // -- window -------------------------------------------------------------
-
-    #[test]
-    fn window_single_sender_clean() {
-        check_window(1).assert_clean("direct window (1 sender)");
-    }
-
-    #[test]
-    fn window_two_senders_clean() {
-        check_window(2).assert_clean("direct window (2 senders)");
-    }
-
-    #[test]
-    fn window_early_decrement_caught() {
-        // The seeded bug has two observable symptoms (whichever interleaving the DFS
-        // reaches first): the freed-destination write (use-after-free) or the
-        // receiver draining before the contribution landed (lost data).
-        let report = check_window_early_decrement_bug(1);
-        let violation = report
-            .violation
-            .as_ref()
-            .expect("early pending decrement: expected a violation, exploration was clean");
-        assert!(
-            violation.message.contains("use-after-free")
-                || violation.message.contains("decrement chain broken"),
-            "early pending decrement: unexpected violation {:?}",
-            violation.message
-        );
-    }
-
-    #[test]
-    fn window_abort_clean() {
-        check_window_abort().assert_clean("window abort path");
-    }
-
     // -- release-lane depth (run via `cargo test -p verify --release -- --ignored`) --
 
     #[test]
     #[ignore = "deep bound: run in the release-mode CI verify lane"]
     fn ring_capacity4_deep() {
         check_ring(4, 6).assert_clean("spsc ring (capacity 4, 6 items)");
-    }
-
-    #[test]
-    #[ignore = "deep bound: run in the release-mode CI verify lane"]
-    fn window_three_senders_deep() {
-        check_window(3).assert_clean("direct window (3 senders)");
-    }
-
-    #[test]
-    #[ignore = "deep bound: run in the release-mode CI verify lane"]
-    fn window_early_decrement_two_senders_deep() {
-        let report = check_window_early_decrement_bug(2);
-        assert!(
-            report.violation.is_some(),
-            "early pending decrement (2 senders): expected a violation"
-        );
     }
 }

@@ -2,19 +2,17 @@
 //! `mpsim::proto` sync-layer traits.
 //!
 //! A [`Cell`] is a handle to one [`Exec`] location; it implements
-//! [`proto::UsizeCell`], [`proto::U64Cell`], and [`proto::BoolCell`], so the *same*
-//! protocol step functions the production transport runs
-//! ([`proto::ring_try_push`], [`proto::bell_check`], [`proto::window_publish`], …)
-//! execute here against the exploring memory model.  [`MRing`], [`MBell`], and
-//! [`MWindow`] mirror the production `Spsc`, `Doorbell`, and `DirectWindow`
-//! structures one field per location; ring-slot and window-payload accesses are
-//! modeled as `Relaxed` accesses to dedicated locations, so the checker observes
-//! exactly which counter/tag orderings make the data visible.
+//! [`proto::UsizeCell`] and [`proto::BoolCell`], so the *same* protocol step functions
+//! the production transport runs ([`proto::ring_try_push`], [`proto::bell_check`], …)
+//! execute here against the exploring memory model.  [`MRing`] and [`MBell`] mirror
+//! the production `Spsc` and `Doorbell` structures one field per location; ring-slot
+//! accesses are modeled as `Relaxed` accesses to dedicated locations, so the checker
+//! observes exactly which counter orderings make the data visible.
 
 use std::rc::Rc;
 use std::sync::atomic::Ordering;
 
-use mpsim::proto::{self, BellOps, RingOps, WindowOps};
+use mpsim::proto::{self, BellOps, RingOps};
 
 use crate::engine::{CvId, Exec, Loc, MutexId};
 
@@ -45,18 +43,6 @@ impl proto::UsizeCell for Cell {
     }
     fn store(&self, v: usize, ord: Ordering) {
         self.exec.store(self.loc, v as u64, ord);
-    }
-    fn fetch_sub(&self, v: usize, ord: Ordering) -> usize {
-        self.exec.fetch_sub(self.loc, v as u64, ord) as usize
-    }
-}
-
-impl proto::U64Cell for Cell {
-    fn load(&self, ord: Ordering) -> u64 {
-        self.exec.load(self.loc, ord)
-    }
-    fn store(&self, v: u64, ord: Ordering) {
-        self.exec.store(self.loc, v, ord);
     }
 }
 
@@ -179,55 +165,5 @@ impl BellOps for MBell {
         if !self.no_fence {
             self.exec.fence_seq_cst();
         }
-    }
-}
-
-/// The model instantiation of the production `DirectWindow` control words, plus a
-/// modeled payload: `meta` stands for the destination/element-type fields written
-/// under [`proto::window_publish`]'s closure, `dst` for the destination region, and
-/// `freed` is the oracle flag the receiver raises after retiring and freeing.
-pub struct MWindow {
-    exec: Rc<Exec>,
-    tag: Cell,
-    pending: Cell,
-    /// Stands for `dst_ptr`/`elem`/permutation slots: written in `write_fields`,
-    /// read by senders after a claim.
-    pub meta: Loc,
-    /// One destination slot per sender.
-    pub dst: Vec<Loc>,
-    /// Oracle: nonzero once the receiver has retired the window and freed `dst`.
-    pub freed: Loc,
-}
-
-impl MWindow {
-    /// Build a window with one destination slot per sender.
-    pub fn new(exec: &Rc<Exec>, senders: usize) -> MWindow {
-        MWindow {
-            exec: Rc::clone(exec),
-            tag: Cell::new(exec, "window.tag", 0),
-            pending: Cell::new(exec, "window.pending", 0),
-            meta: exec.new_loc("window.meta", 0),
-            dst: (0..senders)
-                .map(|_| exec.new_loc("window.dst", 0))
-                .collect(),
-            freed: exec.new_loc("window.freed", 0),
-        }
-    }
-
-    /// The exec this window registered against.
-    pub fn exec(&self) -> &Rc<Exec> {
-        &self.exec
-    }
-}
-
-impl WindowOps for MWindow {
-    type Tag = Cell;
-    type Ctr = Cell;
-
-    fn tag(&self) -> &Cell {
-        &self.tag
-    }
-    fn pending(&self) -> &Cell {
-        &self.pending
     }
 }

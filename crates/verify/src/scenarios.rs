@@ -1,6 +1,6 @@
 //! Protocol scenarios: each production role (ring producer/consumer, doorbell
-//! producer/parker, window receiver/sender) as an explicit state machine whose every
-//! action is one `mpsim::proto` step over instrumented cells.
+//! producer/parker) as an explicit state machine whose every action is one
+//! `mpsim::proto` step over instrumented cells.
 //!
 //! Each public `check_*` function exhaustively explores one bounded configuration and
 //! returns the engine's [`Report`].  The `*_bug` configurations run the *same*
@@ -14,12 +14,7 @@ use std::rc::Rc;
 use mpsim::proto;
 
 use crate::engine::{explore, Exec, ModelThread, Report, Step};
-use crate::model::{ring_push, MBell, MRing, MWindow, SLOT_POISON};
-
-/// The exchange tag used by window scenarios (anything nonzero).
-const TAG: u64 = 7;
-/// The sentinel the receiver's `write_fields` closure publishes into `meta`.
-const GEN: u64 = 1;
+use crate::model::{ring_push, MBell, MRing, SLOT_POISON};
 
 // ---------------------------------------------------------------------------
 // SPSC ring
@@ -352,351 +347,6 @@ pub fn check_doorbell(variant: DoorbellVariant) -> Report {
                 bell,
                 swapped: variant == DoorbellVariant::SwappedAnnounce,
                 pc: BellConsumerPc::Scan,
-            }),
-        ]
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Direct-delivery window
-// ---------------------------------------------------------------------------
-
-#[derive(Hash)]
-enum ReceiverPc {
-    Publish,
-    WaitDrain,
-    Retire,
-    Verify,
-}
-
-struct WindowReceiver {
-    win: Rc<MWindow>,
-    senders: usize,
-}
-
-struct WindowReceiverThread {
-    recv: WindowReceiver,
-    pc: ReceiverPc,
-}
-
-impl ModelThread for WindowReceiverThread {
-    fn step(&mut self, exec: &Exec) -> Step {
-        let win = &self.recv.win;
-        match self.pc {
-            ReceiverPc::Publish => {
-                proto::window_publish(&**win, TAG, self.recv.senders, || {
-                    exec.store(win.meta, GEN, std::sync::atomic::Ordering::Relaxed);
-                });
-                exec.log("receiver: published window".to_string());
-                self.pc = ReceiverPc::WaitDrain;
-                Step::Ran
-            }
-            ReceiverPc::WaitDrain => {
-                if proto::window_is_drained(&**win) {
-                    exec.log("receiver: drained".to_string());
-                    self.pc = ReceiverPc::Retire;
-                    Step::Ran
-                } else {
-                    Step::Yield
-                }
-            }
-            ReceiverPc::Retire => {
-                proto::window_retire(&**win);
-                // Retiring frees the destination region: raise the oracle flag any
-                // straggling sender write must observe.
-                exec.store(win.freed, 1, std::sync::atomic::Ordering::Relaxed);
-                exec.log("receiver: retired and freed".to_string());
-                self.pc = ReceiverPc::Verify;
-                Step::Ran
-            }
-            ReceiverPc::Verify => {
-                for (i, &slot) in win.dst.iter().enumerate() {
-                    let v = exec.load(slot, std::sync::atomic::Ordering::Relaxed);
-                    let want = 100 + i as u64;
-                    if v != want {
-                        return Step::Fail(format!(
-                            "window drain did not publish sender {i}'s contribution: \
-                             read {v}, expected {want} (decrement chain broken)"
-                        ));
-                    }
-                }
-                exec.log("receiver: verified contributions".to_string());
-                Step::Done
-            }
-        }
-    }
-
-    fn fp(&self, h: &mut DefaultHasher) {
-        "window-receiver".hash(h);
-        self.pc.hash(h);
-    }
-}
-
-#[derive(Hash)]
-enum SenderPc {
-    Claim,
-    Write,
-    Deliver,
-}
-
-struct WindowSender {
-    win: Rc<MWindow>,
-    index: usize,
-    /// Seeded bug: decrement `pending` *before* writing the contribution, unpinning
-    /// the window while the write is still outstanding.
-    early_decrement: bool,
-    pc: SenderPc,
-}
-
-impl WindowSender {
-    fn write_dst(&self, exec: &Exec) -> Result<(), Step> {
-        if exec.latest(self.win.freed) != 0 {
-            return Err(Step::Fail(format!(
-                "use-after-free: sender {} wrote through a retired window whose \
-                 destination was freed",
-                self.index
-            )));
-        }
-        exec.store(
-            self.win.dst[self.index],
-            100 + self.index as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
-        exec.log(format!("sender {}: wrote contribution", self.index));
-        Ok(())
-    }
-}
-
-impl ModelThread for WindowSender {
-    fn step(&mut self, exec: &Exec) -> Step {
-        match self.pc {
-            SenderPc::Claim => {
-                if !proto::window_try_claim(&*self.win, TAG) {
-                    return Step::Yield;
-                }
-                let meta = exec.load(self.win.meta, std::sync::atomic::Ordering::Relaxed);
-                if meta != GEN {
-                    return Step::Fail(format!(
-                        "sender {} claimed the window but read stale metadata {meta} \
-                         (publication ordering broken)",
-                        self.index
-                    ));
-                }
-                exec.log(format!("sender {}: claimed window", self.index));
-                self.pc = if self.early_decrement {
-                    SenderPc::Deliver
-                } else {
-                    SenderPc::Write
-                };
-                Step::Ran
-            }
-            SenderPc::Write => match self.write_dst(exec) {
-                Ok(()) => {
-                    self.pc = SenderPc::Deliver;
-                    Step::Ran
-                }
-                Err(fail) => fail,
-            },
-            SenderPc::Deliver => {
-                let last = proto::window_contribution_delivered(&*self.win);
-                exec.log(format!("sender {}: delivered (last = {last})", self.index));
-                if self.early_decrement {
-                    // Seeded bug: the write happens only now, after unpinning.
-                    self.pc = SenderPc::Write;
-                    match self.write_dst(exec) {
-                        Ok(()) => Step::Done,
-                        Err(fail) => fail,
-                    }
-                } else {
-                    Step::Done
-                }
-            }
-        }
-    }
-
-    fn fp(&self, h: &mut DefaultHasher) {
-        "window-sender".hash(h);
-        self.index.hash(h);
-        self.pc.hash(h);
-    }
-}
-
-/// Exhaustively check the direct-delivery window lifecycle with `senders` direct
-/// senders: publication ordering (a claiming sender always sees the window fields),
-/// the decrement-chain visibility (a drained receiver sees every contribution), and
-/// the pending-counter pinning (no write through a retired window).
-pub fn check_window(senders: usize) -> Report {
-    window_scenario(senders, false)
-}
-
-/// The seeded bug: senders decrement `pending` before writing, unpinning the window;
-/// the checker must find the interleaving where the receiver retires and frees the
-/// destination while a write is outstanding (ABA/use-after-free).
-pub fn check_window_early_decrement_bug(senders: usize) -> Report {
-    window_scenario(senders, true)
-}
-
-fn window_scenario(senders: usize, early_decrement: bool) -> Report {
-    explore(move |exec: &Rc<Exec>| {
-        let win = Rc::new(MWindow::new(exec, senders));
-        let mut threads: Vec<Box<dyn ModelThread>> = vec![Box::new(WindowReceiverThread {
-            recv: WindowReceiver {
-                win: Rc::clone(&win),
-                senders,
-            },
-            pc: ReceiverPc::Publish,
-        })];
-        for index in 0..senders {
-            threads.push(Box::new(WindowSender {
-                win: Rc::clone(&win),
-                index,
-                early_decrement,
-                pc: SenderPc::Claim,
-            }));
-        }
-        threads
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Window abort (panic-unwind path)
-// ---------------------------------------------------------------------------
-
-#[derive(Hash)]
-enum AbortReceiverPc {
-    Publish,
-    AbsorbOrDrain,
-    Free,
-}
-
-struct AbortReceiver {
-    win: Rc<MWindow>,
-    ring: Rc<MRing>,
-    pc: AbortReceiverPc,
-}
-
-impl ModelThread for AbortReceiver {
-    fn step(&mut self, exec: &Exec) -> Step {
-        match self.pc {
-            AbortReceiverPc::Publish => {
-                let win = &self.win;
-                proto::window_publish(&**win, TAG, 1, || {
-                    exec.store(win.meta, GEN, std::sync::atomic::Ordering::Relaxed);
-                });
-                exec.log("receiver: published, then started unwinding".to_string());
-                self.pc = AbortReceiverPc::AbsorbOrDrain;
-                Step::Ran
-            }
-            AbortReceiverPc::AbsorbOrDrain => {
-                if proto::window_is_drained(&*self.win) {
-                    proto::window_retire(&*self.win);
-                    exec.log("receiver: abort retired drained window".to_string());
-                    self.pc = AbortReceiverPc::Free;
-                    Step::Ran
-                } else if let Some(v) = proto::ring_try_pop(&*self.ring) {
-                    // A fallback contribution for the aborted exchange: absorb it
-                    // (count it delivered, drop the payload unplaced).
-                    exec.log(format!("receiver: absorbed fallback {v}"));
-                    proto::window_contribution_delivered(&*self.win);
-                    Step::Ran
-                } else {
-                    Step::Yield
-                }
-            }
-            AbortReceiverPc::Free => {
-                exec.store(self.win.freed, 1, std::sync::atomic::Ordering::Relaxed);
-                exec.log("receiver: freed destination".to_string());
-                Step::Done
-            }
-        }
-    }
-
-    fn fp(&self, h: &mut DefaultHasher) {
-        "abort-receiver".hash(h);
-        self.pc.hash(h);
-    }
-}
-
-#[derive(Hash)]
-enum AbortSenderPc {
-    Claim,
-    Write,
-    Deliver,
-    Fallback,
-}
-
-struct AbortSender {
-    win: Rc<MWindow>,
-    ring: Rc<MRing>,
-    pc: AbortSenderPc,
-}
-
-impl ModelThread for AbortSender {
-    fn step(&mut self, exec: &Exec) -> Step {
-        match self.pc {
-            AbortSenderPc::Claim => {
-                if proto::window_try_claim(&*self.win, TAG) {
-                    exec.log("sender: claimed window (direct path)".to_string());
-                    self.pc = AbortSenderPc::Write;
-                } else {
-                    exec.log("sender: no window, falling back".to_string());
-                    self.pc = AbortSenderPc::Fallback;
-                }
-                Step::Ran
-            }
-            AbortSenderPc::Write => {
-                if exec.latest(self.win.freed) != 0 {
-                    return Step::Fail(
-                        "use-after-free on the abort path: sender wrote through a \
-                         window whose destination was freed"
-                            .to_string(),
-                    );
-                }
-                exec.store(self.win.dst[0], 100, std::sync::atomic::Ordering::Relaxed);
-                exec.log("sender: wrote contribution".to_string());
-                self.pc = AbortSenderPc::Deliver;
-                Step::Ran
-            }
-            AbortSenderPc::Deliver => {
-                proto::window_contribution_delivered(&*self.win);
-                exec.log("sender: delivered".to_string());
-                Step::Done
-            }
-            AbortSenderPc::Fallback => match ring_push(&self.ring, 42) {
-                Ok(()) => {
-                    exec.log("sender: sent fallback message".to_string());
-                    Step::Done
-                }
-                Err(_) => Step::Yield,
-            },
-        }
-    }
-
-    fn fp(&self, h: &mut DefaultHasher) {
-        "abort-sender".hash(h);
-        self.pc.hash(h);
-    }
-}
-
-/// Exhaustively check the panic-abort path: the receiver publishes a window, then
-/// unwinds — absorbing the outstanding contribution whether it arrives as a direct
-/// write (the pending counter must pin the window until the write lands) or as a
-/// classic fallback message (absorbed and dropped unplaced).  Asserts no
-/// use-after-free of the freed destination and no deadlock on any interleaving.
-pub fn check_window_abort() -> Report {
-    explore(|exec: &Rc<Exec>| {
-        let win = Rc::new(MWindow::new(exec, 1));
-        let ring = Rc::new(MRing::new(exec, 2));
-        vec![
-            Box::new(AbortReceiver {
-                win: Rc::clone(&win),
-                ring: Rc::clone(&ring),
-                pc: AbortReceiverPc::Publish,
-            }) as Box<dyn ModelThread>,
-            Box::new(AbortSender {
-                win,
-                ring,
-                pc: AbortSenderPc::Claim,
             }),
         ]
     })

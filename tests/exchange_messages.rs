@@ -44,7 +44,7 @@ fn gather_message_counts_match_the_schedule_on_8_ranks() {
                 sched.send_message_count(),
                 sched.total_send(),
                 sched.total_fetch(),
-                sched.perm_lists.iter().filter(|l| !l.is_empty()).count(),
+                sched.perm_lists().iter().filter(|l| !l.is_empty()).count(),
             )
         },
     );

@@ -140,7 +140,7 @@ fn full_replacement_after_clear_all_patches_to_the_rebuild() {
         let mut ms = build_maintained(rank, &hash, q);
 
         // Full replacement: wipe the table (epoch bump) and hash a disjoint-ish pattern.
-        hash.clear_all();
+        hash.clear_all(dist.local_size(me));
         let second: Vec<usize> = (0..24).map(|k| (me * 16 + k * 7 + 2) % 128).collect();
         hash.hash_in_replicated(rank, &ttable, &second, s);
         let stats = patch_schedule(rank, &hash, &mut ms);

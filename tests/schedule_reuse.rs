@@ -85,7 +85,7 @@ fn merged_schedules_keep_ghost_offsets_disjoint() {
         let merged = sched_a.merged_with(&sched_b);
         // a and b are disjoint index sets, so each of the 12 fetched elements must have
         // its own ghost slot in the merged permutation lists.
-        let mut slots: Vec<u32> = merged.perm_lists.iter().flatten().copied().collect();
+        let mut slots: Vec<u32> = merged.perm_lists().iter().flatten().copied().collect();
         slots.sort_unstable();
         let before = slots.len();
         slots.dedup();
