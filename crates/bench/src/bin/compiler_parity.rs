@@ -1,6 +1,6 @@
 //! Compiled-vs-hand parity for the `fortrand` compiler loop (Tables 6–7 style): the
 //! CHARMM non-bonded time loop and the DSMC append loop, each run through
-//! `fortrand::compile_optimized` and compared against the hand-written CHAOS drivers.
+//! `fortrand::compile` and compared against the hand-written CHAOS drivers.
 //!
 //! `--json [PATH]` writes `BENCH_compiler.json` (schema `chaos-bench/compiler/v1`,
 //! documented in `BENCHMARKS.md`).  The artifact records no wall-clock, so repeated

@@ -163,8 +163,7 @@ pub fn charmm_parity(procs: usize, seed: u64, nsteps: usize) -> ParityEntry {
         let (system, inblo, jnb) = charmm_workload(seed);
         let natoms = system.natoms();
         let source = charmm_loop_source(natoms, jnb.len(), nsteps);
-        let (optimized, report) =
-            fortrand::compile_optimized(&source).expect("CHARMM template compiles");
+        let (optimized, report) = fortrand::compile(&source).expect("CHARMM template compiles");
         let mut exec = Executor::new(rank, &optimized);
         exec.set_integer_array("INBLO", &inblo);
         exec.set_integer_array("JNB", &jnb);
@@ -273,8 +272,7 @@ pub fn dsmc_parity(procs: usize, np: usize, nc: usize, nsteps: usize) -> ParityE
 
     let compiled = run(MachineConfig::new(procs), move |rank| {
         let source = dsmc_loop_source(np, nc, nsteps);
-        let (optimized, report) =
-            fortrand::compile_optimized(&source).expect("DSMC template compiles");
+        let (optimized, report) = fortrand::compile(&source).expect("DSMC template compiles");
         let mut exec = Executor::new(rank, &optimized);
         let vel: Vec<f64> = (0..np).map(|i| i as f64 * 0.5).collect();
         exec.set_real_array("VEL", &vel);

@@ -4,8 +4,7 @@
 //! code fragments and diagrams); each table has a generator in [`tables`] that sets up the
 //! corresponding workload, runs it on the simulated machine over a sweep of processor
 //! counts, and prints rows in the same format as the paper.  The binaries in `src/bin/`
-//! and the `paper_tables` bench target are thin wrappers over these functions, so
-//! `cargo bench --workspace` regenerates every table.
+//! are thin wrappers over these functions; `all_tables` regenerates every table.
 //!
 //! Absolute numbers are *modeled* times from [`mpsim::CostModel`] (an iPSC/860-class
 //! latency/bandwidth model), not wall-clock; the workloads are also scaled down from the

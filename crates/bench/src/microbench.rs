@@ -516,7 +516,7 @@ pub fn fused_gather_scatter_steady(cfg: &MicrobenchConfig) -> MicrobenchResult {
         });
         let m = instrumented_loop(rank, &cfg2, |rank| {
             let [x, y, z] = &mut arrays;
-            let g = gather_multi(rank, &sched, [x, y, z]);
+            let g = gather_multi(rank, &sched, [&mut *x, &mut *y, &mut *z]);
             for &r in &refs {
                 x[r] += 1.0;
                 y[r] += 0.5;

@@ -46,7 +46,7 @@ fn gather_scatter_steady_state_allocates_no_pack_buffers() {
 
 #[test]
 fn gather_scatter_steady_state_allocates_no_decode_scratch_either() {
-    // The receive-side half of the acceptance criterion: the 8-rank gather/scatter loop
+    // The receive-side half of the acceptance condition: the 8-rank gather/scatter loop
     // places every incoming payload through a borrowed view, so the decode-scratch pool
     // satisfies every request after warm-up — zero steady-state allocations in *both*
     // directions.

@@ -11,7 +11,7 @@
 //! * [`RemapPolicy`] — the pluggable decision rules: [`RemapPolicy::Interval`] (the paper's
 //!   fixed cadence), [`RemapPolicy::Threshold`] (remap when the LB index crosses a bound,
 //!   with hysteresis against thrashing), and [`RemapPolicy::CostBenefit`] (the paper's
-//!   drift criterion: remap once the compute time lost to imbalance since the last remap
+//!   drift rule: remap once the compute time lost to imbalance since the last remap
 //!   outweighs the measured cost of a remap);
 //! * [`RemapController`] — the collective driver: every rank contributes its compute-time
 //!   sample through one all-gather (see [`mpsim::Rank::all_gather_compute_since`]), so
@@ -72,7 +72,7 @@ pub enum RemapPolicy {
         /// Steps after which a disarmed trigger re-arms unconditionally (0 = never).
         patience: usize,
     },
-    /// The paper's drift criterion: remap once the compute time lost to imbalance since
+    /// The paper's drift rule: remap once the compute time lost to imbalance since
     /// the last remap exceeds what a remap costs.  Each step loses
     /// `max_i(t_i) - avg_i(t_i)` — the time a perfectly balanced distribution would have
     /// recovered — and the monitor accumulates it; the remap cost is the machine-wide

@@ -240,31 +240,20 @@ where
 /// Blocked lanes keep pack and place simple per-lane sweeps with no per-element stride
 /// arithmetic — the compiler can vectorise them — and the result is element-identical to
 /// `N` separate gathers.
-pub fn gather_multi<T, const N: usize>(
+///
+/// `arrays` is anything that lends a slice of array borrows: a fixed-size array where
+/// the lane count is known at compile time (`[&mut x, &mut y, &mut z]`), a `Vec` or
+/// `&mut [..]` where it is not (the Fortran-D executor running an optimizer-fused
+/// exchange).  At least one lane is required.
+pub fn gather_multi<'a, T>(
     rank: &mut Rank,
     sched: &CommSchedule,
-    arrays: [&mut DistArray<T>; N],
+    mut arrays: impl AsMut<[&'a mut DistArray<T>]>,
 ) -> ExchangeStats
 where
     T: Element + Default,
 {
-    const { assert!(N > 0, "a fused gather needs at least one array") };
-    let mut refs: Vec<&mut DistArray<T>> = arrays.into_iter().collect();
-    gather_multi_dyn(rank, sched, &mut refs)
-}
-
-/// [`gather_multi`] with a runtime lane count: the entry point for callers whose array
-/// set is only known at run time (the Fortran-D interpreter executing an optimizer-fused
-/// exchange).  The wire layout and element results are identical to the const-generic
-/// version — which forwards here.
-pub fn gather_multi_dyn<T>(
-    rank: &mut Rank,
-    sched: &CommSchedule,
-    arrays: &mut [&mut DistArray<T>],
-) -> ExchangeStats
-where
-    T: Element + Default,
-{
+    let arrays = arrays.as_mut();
     assert_eq!(
         sched.nprocs(),
         rank.nprocs(),
@@ -312,29 +301,15 @@ where
 /// their owners in one message per processor pair, adding into the owners' copies.
 /// The fused mirror image of [`gather_multi`]; element-identical to `N` separate
 /// [`scatter_add`] calls.
-pub fn scatter_add_multi<T, const N: usize>(
+pub fn scatter_add_multi<'a, T>(
     rank: &mut Rank,
     sched: &CommSchedule,
-    arrays: [&mut DistArray<T>; N],
+    mut arrays: impl AsMut<[&'a mut DistArray<T>]>,
 ) -> ExchangeStats
 where
     T: Element + Default + std::ops::AddAssign,
 {
-    const { assert!(N > 0, "a fused scatter needs at least one array") };
-    let mut refs: Vec<&mut DistArray<T>> = arrays.into_iter().collect();
-    scatter_add_multi_dyn(rank, sched, &mut refs)
-}
-
-/// [`scatter_add_multi`] with a runtime lane count (see [`gather_multi_dyn`]); the
-/// const-generic version forwards here.
-pub fn scatter_add_multi_dyn<T>(
-    rank: &mut Rank,
-    sched: &CommSchedule,
-    arrays: &mut [&mut DistArray<T>],
-) -> ExchangeStats
-where
-    T: Element + Default + std::ops::AddAssign,
-{
+    let arrays = arrays.as_mut();
     assert_eq!(
         sched.nprocs(),
         rank.nprocs(),
@@ -399,28 +374,15 @@ pub struct GatherHandle<T: Element> {
 /// and arrays.  The owned sections must not be modified while the gather is in flight
 /// (the packed values were read at start — changing them afterwards is not observable by
 /// the exchange, which would silently de-synchronise the ghosts from the owners).
-pub fn gather_start<T, const N: usize>(
+pub fn gather_start<'a, T>(
     rank: &mut Rank,
     sched: &CommSchedule,
-    arrays: [&DistArray<T>; N],
+    arrays: impl AsRef<[&'a DistArray<T>]>,
 ) -> GatherHandle<T>
 where
     T: Element + Default,
 {
-    const { assert!(N > 0, "a fused gather needs at least one array") };
-    gather_start_dyn(rank, sched, &arrays)
-}
-
-/// [`gather_start`] with a runtime lane count (see [`gather_multi_dyn`]); the
-/// const-generic version forwards here.
-pub fn gather_start_dyn<T>(
-    rank: &mut Rank,
-    sched: &CommSchedule,
-    arrays: &[&DistArray<T>],
-) -> GatherHandle<T>
-where
-    T: Element + Default,
-{
+    let arrays = arrays.as_ref();
     assert_eq!(
         sched.nprocs(),
         rank.nprocs(),
@@ -451,33 +413,16 @@ where
 /// Panics if the lane count or schedule differs from the one `gather_start` packed for —
 /// a mismatched schedule whose permutation lists disagree with the received element
 /// counts would otherwise leave ghost slots silently stale.
-pub fn gather_finish<T, const N: usize>(
+pub fn gather_finish<'a, T>(
     rank: &mut Rank,
     handle: GatherHandle<T>,
     sched: &CommSchedule,
-    arrays: [&mut DistArray<T>; N],
+    mut arrays: impl AsMut<[&'a mut DistArray<T>]>,
 ) -> ExchangeStats
 where
     T: Element + Default,
 {
-    let mut refs: Vec<&mut DistArray<T>> = arrays.into_iter().collect();
-    gather_finish_dyn(rank, handle, sched, &mut refs)
-}
-
-/// [`gather_finish`] with a runtime lane count (see [`gather_multi_dyn`]); the
-/// const-generic version forwards here.
-///
-/// # Panics
-/// Panics if the lane count or schedule differs from the one `gather_start` packed for.
-pub fn gather_finish_dyn<T>(
-    rank: &mut Rank,
-    handle: GatherHandle<T>,
-    sched: &CommSchedule,
-    arrays: &mut [&mut DistArray<T>],
-) -> ExchangeStats
-where
-    T: Element + Default,
-{
+    let arrays = arrays.as_mut();
     assert_eq!(
         sched.nprocs(),
         rank.nprocs(),

@@ -93,8 +93,7 @@ pub use darray::{DistArray, LocalRef};
 pub use distribution::{BlockDist, CyclicDist, RegularDist};
 pub use error::ChaosError;
 pub use executor::{
-    gather, gather_finish, gather_finish_dyn, gather_multi, gather_multi_dyn, gather_start,
-    gather_start_dyn, scatter, scatter_add, scatter_add_multi, scatter_add_multi_dyn,
+    gather, gather_finish, gather_multi, gather_start, scatter, scatter_add, scatter_add_multi,
     scatter_append, scatter_append_finish, scatter_append_start, scatter_op, AppendHandle,
     GatherHandle,
 };
@@ -119,8 +118,7 @@ pub mod prelude {
     pub use crate::darray::{DistArray, LocalRef};
     pub use crate::distribution::{BlockDist, CyclicDist, RegularDist};
     pub use crate::executor::{
-        gather, gather_finish, gather_finish_dyn, gather_multi, gather_multi_dyn, gather_start,
-        gather_start_dyn, scatter, scatter_add, scatter_add_multi, scatter_add_multi_dyn,
+        gather, gather_finish, gather_multi, gather_start, scatter, scatter_add, scatter_add_multi,
         scatter_append, scatter_append_finish, scatter_append_start, scatter_op, AppendHandle,
         GatherHandle,
     };

@@ -865,11 +865,15 @@ fn execute_step(
             // arrays (one message per pair), both loops run, one fused scatter-add moves
             // all three force arrays back.
             let sched = loops.merged.as_ref().expect("merged schedule missing");
-            exchange = exchange.merged(&gather_multi(rank, sched, [px, py, pz]));
+            exchange = exchange.merged(&gather_multi(rank, sched, [&mut *px, &mut *py, &mut *pz]));
             interactions += bonded_loop(px, py, pz, fx, fy, fz);
             interactions += nonbonded_loop(px, py, pz, fx, fy, fz);
             rank.charge_compute(interactions as f64);
-            exchange = exchange.merged(&scatter_add_multi(rank, sched, [fx, fy, fz]));
+            exchange = exchange.merged(&scatter_add_multi(
+                rank,
+                sched,
+                [&mut *fx, &mut *fy, &mut *fz],
+            ));
         }
         ScheduleMode::Multiple => {
             // Each loop gathers with its own schedule and scatters its own contributions.
@@ -886,21 +890,34 @@ fn execute_step(
                 .nonbonded
                 .as_ref()
                 .expect("non-bonded schedule missing");
-            exchange = exchange.merged(&gather_multi(rank, bsched, [px, py, pz]));
+            exchange = exchange.merged(&gather_multi(rank, bsched, [&mut *px, &mut *py, &mut *pz]));
             let nb_gather = gather_start(rank, nsched, [&*px, &*py, &*pz]);
             let b_count = bonded_loop(px, py, pz, fx, fy, fz);
             rank.charge_compute(b_count as f64);
             interactions += b_count;
-            exchange = exchange.merged(&scatter_add_multi(rank, bsched, [fx, fy, fz]));
+            exchange = exchange.merged(&scatter_add_multi(
+                rank,
+                bsched,
+                [&mut *fx, &mut *fy, &mut *fz],
+            ));
             fx.clear_ghost();
             fy.clear_ghost();
             fz.clear_ghost();
 
-            exchange = exchange.merged(&gather_finish(rank, nb_gather, nsched, [px, py, pz]));
+            exchange = exchange.merged(&gather_finish(
+                rank,
+                nb_gather,
+                nsched,
+                [&mut *px, &mut *py, &mut *pz],
+            ));
             let n_count = nonbonded_loop(px, py, pz, fx, fy, fz);
             rank.charge_compute(n_count as f64);
             interactions += n_count;
-            exchange = exchange.merged(&scatter_add_multi(rank, nsched, [fx, fy, fz]));
+            exchange = exchange.merged(&scatter_add_multi(
+                rank,
+                nsched,
+                [&mut *fx, &mut *fy, &mut *fz],
+            ));
         }
     }
 

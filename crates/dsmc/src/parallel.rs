@@ -5,23 +5,22 @@
 //!
 //! 1. **collision** — embarrassingly parallel over owned cells;
 //! 2. **MOVE** — molecules whose new position falls in a cell owned by another processor
-//!    must migrate.  Two implementations are provided, matching the two columns of
-//!    Table 4:
+//!    must migrate.  Two implementations are provided; Table 4 compares the first with
+//!    the second rebuilt every step:
 //!    * [`MoveMode::Lightweight`] — a [`chaos::schedule::LightweightSchedule`] is built
 //!      from the destination processors (one exchange of counts) and whole molecules are
 //!      appended split-phase: `scatter_append_start` posts the migrants, the surviving
 //!      molecules are re-binned into their cells *while the exchange is in flight*, and
 //!      `scatter_append_finish` collects the arrivals; arrival order is irrelevant, so no
 //!      placement preprocessing is needed;
-//!    * [`MoveMode::Regular`] — emulates the pre-CHAOS path with regular schedules: every
-//!      step the destination indices are exchanged and placement slots assigned (the
-//!      per-step inspector), and the molecule data is shipped attribute-array by
-//!      attribute-array with prescribed placement, exactly the overhead the paper's
-//!      light-weight schedules remove.
-//!    * [`MoveMode::Patched`] — a *maintained* regular schedule over the destination
-//!      cells: the per-step inspector is replaced by stamped re-hashing of the drifted
-//!      destination-cell set plus [`chaos::maintained::patch_schedule`], which ships only
-//!      the changed rows to the owners.  The data path (per-row molecule counts through
+//!    * [`MoveMode::Patched`] — a regular schedule over the destination cells: every
+//!      step the drifted destination-cell set is re-hashed (index translation) and a real
+//!      [`chaos::schedule::CommSchedule`] with prescribed placement brought up to date —
+//!      the preprocessing the paper's light-weight schedules remove.  With
+//!      `rebuild_every_step` the schedule is built from scratch each step (Table 4's
+//!      "regular schedules" row); without, it is *maintained*:
+//!      [`chaos::maintained::patch_schedule`] ships only the changed rows to the owners.
+//!      The data path (per-row molecule counts through
 //!      the schedule's scatter direction, then one payload message per communicating
 //!      pair) depends only on the schedule bytes — and patched schedules are byte-identical
 //!      to rebuilds — so running with upkeep-by-patching and upkeep-by-rebuilding produces
@@ -51,13 +50,12 @@ use crate::particles::{advance, Particle};
 pub enum MoveMode {
     /// Light-weight schedules + `scatter_append` (the CHAOS contribution).
     Lightweight,
-    /// Regular schedules: per-step placement preprocessing and per-attribute transport.
-    Regular,
-    /// A maintained regular schedule over the destination cells, kept current across
-    /// steps instead of rebuilt.  `rebuild_every_step: false` patches the schedule
-    /// forward (cost proportional to the drift); `true` rebuilds it from the same hash
-    /// table every step — the baseline the patch path is benchmarked (and pinned
-    /// byte-identical) against.  Both take exactly the same data path.
+    /// A regular schedule over the destination cells: per-step index translation and
+    /// placement preprocessing.  `rebuild_every_step: true` rebuilds it from the hash
+    /// table every step — Table 4's regular-schedule baseline, and the one the patch
+    /// path is benchmarked (and pinned byte-identical) against; `false` keeps it
+    /// current by patching it forward (cost proportional to the drift).  Both take
+    /// exactly the same data path.
     Patched {
         /// Rebuild from scratch each step instead of patching (comparison baseline).
         rebuild_every_step: bool,
@@ -321,26 +319,10 @@ pub fn run_parallel(
                 &mut phases,
                 &mut migrations,
             ),
-            MoveMode::Regular => {
-                // The regular path has no split phase: survivors go straight back, then
-                // the per-step inspector (which reads the cells' current occupancy) and
-                // the per-attribute transport run as before.
-                let t0 = rank.modeled();
-                rebin_survivors(rank, &mut survivors, &mut cells);
-                phases.move_data += rank.modeled().since(&t0);
-                move_regular(
-                    rank,
-                    &outgoing,
-                    &cell_owner,
-                    &cells,
-                    &mut phases,
-                    &mut migrations,
-                )
-            }
             MoveMode::Patched { rebuild_every_step } => {
-                // Like the regular path, survivors go straight back; the maintained
-                // schedule is then brought up to date (patch or rebuild) and the
-                // migrants re-binned into it.
+                // No split phase here: survivors go straight back; the schedule is then
+                // brought up to date (patch or rebuild) and the migrants re-binned
+                // into it.
                 let t0 = rank.modeled();
                 rebin_survivors(rank, &mut survivors, &mut cells);
                 phases.move_data += rank.modeled().since(&t0);
@@ -673,97 +655,6 @@ fn move_lightweight(
     arrivals
 }
 
-/// MOVE phase emulating regular schedules: the destination indices are exchanged and
-/// placement slots assigned every step (per-step inspector), and the molecule data is
-/// shipped one attribute array at a time with prescribed placement.
-fn move_regular(
-    rank: &mut Rank,
-    outgoing: &[(usize, Particle)],
-    cell_owner: &[ProcId],
-    cells: &HashMap<usize, Vec<Particle>>,
-    phases: &mut DsmcPhaseTimes,
-    migrations: &mut usize,
-) -> Vec<Particle> {
-    let nprocs = rank.nprocs();
-    let me = rank.rank();
-
-    // ---- per-step inspector: exchange destination cells, assign placement slots --------
-    let t0 = rank.modeled();
-    let mut dest_cells_by_proc: Vec<Vec<u64>> = vec![Vec::new(); nprocs];
-    let mut order_by_proc: Vec<Vec<usize>> = vec![Vec::new(); nprocs];
-    for (k, (cell, _)) in outgoing.iter().enumerate() {
-        let dest = cell_owner[*cell];
-        dest_cells_by_proc[dest].push(*cell as u64);
-        order_by_proc[dest].push(k);
-    }
-    // Owners learn which of their cells will receive molecules and assign each incoming
-    // molecule a slot in the destination cell's array (the data-placement-order
-    // preprocessing that light-weight schedules eliminate).
-    let incoming_cells = rank.all_to_all(&dest_cells_by_proc);
-    let mut next_slot: HashMap<usize, u64> = cells
-        .iter()
-        .map(|(&cell, v)| (cell, v.len() as u64))
-        .collect();
-    let slot_replies: Vec<Vec<u64>> = incoming_cells
-        .iter()
-        .map(|req| {
-            req.iter()
-                .map(|&cell| {
-                    let slot = next_slot.entry(cell as usize).or_insert(0);
-                    let s = *slot;
-                    *slot += 1;
-                    s
-                })
-                .collect()
-        })
-        .collect();
-    rank.charge_compute(incoming_cells.iter().map(Vec::len).sum::<usize>() as f64 * 0.4);
-    let _assigned_slots = rank.all_to_all(&slot_replies);
-    phases.move_preprocess += rank.modeled().since(&t0);
-
-    // ---- data transport: one exchange per attribute array, then reconstruct ------------
-    let t0 = rank.modeled();
-    *migrations += outgoing
-        .iter()
-        .filter(|(cell, _)| cell_owner[*cell] != me)
-        .count();
-    let gather_attr = |rank: &mut Rank, attr: &dyn Fn(&Particle) -> f64| -> Vec<Vec<f64>> {
-        let sends: Vec<Vec<f64>> = order_by_proc
-            .iter()
-            .map(|idxs| idxs.iter().map(|&k| attr(&outgoing[k].1)).collect())
-            .collect();
-        rank.all_to_all(&sends)
-    };
-    let xs = gather_attr(rank, &|p| p.pos[0]);
-    let ys = gather_attr(rank, &|p| p.pos[1]);
-    let zs = gather_attr(rank, &|p| p.pos[2]);
-    let vxs = gather_attr(rank, &|p| p.vel[0]);
-    let vys = gather_attr(rank, &|p| p.vel[1]);
-    let vzs = gather_attr(rank, &|p| p.vel[2]);
-    let id_sends: Vec<Vec<u64>> = order_by_proc
-        .iter()
-        .map(|idxs| idxs.iter().map(|&k| outgoing[k].1.id).collect())
-        .collect();
-    let ids = rank.all_to_all(&id_sends);
-
-    // Reconstruct the arriving molecules (placement by slot reduces to insertion order
-    // here because the destination arrays are re-binned afterwards; the cost of the
-    // bookkeeping is what matters and has already been charged).
-    let mut arrivals = Vec::new();
-    for p in 0..nprocs {
-        for k in 0..ids[p].len() {
-            arrivals.push(Particle {
-                pos: [xs[p][k], ys[p][k], zs[p][k]],
-                vel: [vxs[p][k], vys[p][k], vzs[p][k]],
-                id: ids[p][k],
-            });
-        }
-    }
-    rank.charge_compute(arrivals.len() as f64 * 0.6);
-    phases.move_data += rank.modeled().since(&t0);
-    arrivals
-}
-
 /// Re-partition the cells from their current molecule counts and migrate molecules to the
 /// new owners.
 fn remap_cells(
@@ -908,7 +799,9 @@ mod tests {
         let config = DsmcConfig {
             nsteps: 10,
             dt: 0.4,
-            move_mode: MoveMode::Regular,
+            move_mode: MoveMode::Patched {
+                rebuild_every_step: true,
+            },
             remap: RemapStrategy::Static,
             remap_interval: 40,
             policy: None,
@@ -965,7 +858,8 @@ mod tests {
     #[test]
     fn lightweight_move_is_cheaper_than_regular() {
         // Table 4's claim, at unit-test scale: same simulation, the light-weight MOVE
-        // spends less modeled time on preprocessing + transport.
+        // spends less modeled time on preprocessing + transport than a regular schedule
+        // rebuilt every step.
         let grid = CellGrid::new_2d(12, 12);
         let flow = FlowConfig::uniform(9);
         let time_of = |mode: MoveMode| -> f64 {
@@ -982,11 +876,16 @@ mod tests {
             let results = run_config(4, grid, 1_000, flow, config);
             results
                 .iter()
-                .map(|s| (s.phases.move_preprocess + s.phases.move_data).total_us())
+                .map(|s| {
+                    let p = &s.phases;
+                    (p.move_preprocess + p.move_upkeep + p.move_data).total_us()
+                })
                 .fold(0.0, f64::max)
         };
         let light = time_of(MoveMode::Lightweight);
-        let regular = time_of(MoveMode::Regular);
+        let regular = time_of(MoveMode::Patched {
+            rebuild_every_step: true,
+        });
         assert!(
             light < regular,
             "light-weight MOVE should be cheaper (light={light:.1}us, regular={regular:.1}us)"

@@ -184,8 +184,8 @@ pub fn analyze(ops: &[OpNode]) -> Vec<Finding> {
 
 /// Compile Fortran-D source and analyze it in one call (what `fortrand_check` runs).
 pub fn check_source(source: &str) -> Result<Vec<Finding>, String> {
-    let lowered = crate::compile(source)?;
-    Ok(analyze(&op_tree(&lowered)))
+    let (program, _) = crate::compile(source)?;
+    Ok(analyze(&op_tree(&program)))
 }
 
 // ------------------------------------------------------- rank-dependent branch check --

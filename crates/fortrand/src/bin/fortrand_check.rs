@@ -95,7 +95,7 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        let (optimized, opt_report) = match fortrand::compile_optimized(&source) {
+        let (optimized, opt_report) = match fortrand::compile(&source) {
             Ok(pair) => pair,
             Err(e) => {
                 eprintln!("{file}: compile error: {e}");

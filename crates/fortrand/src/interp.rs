@@ -17,13 +17,12 @@
 
 use std::collections::HashMap;
 
-use chaos::inspector::build_schedule_from_table;
 use chaos::prelude::*;
 use mpsim::{ExchangeStats, Rank, TimeSnapshot};
 
 use crate::ast::{BinOp, CmpOp, DistSpec};
 use crate::code::{slot_of, Code, IntCode, Names, Op};
-use crate::lower::{ExecStep, LoopKind, LoopPlan, LoweredProgram};
+use crate::lower::{ExecStep, LoopKind, LoopPlan, LoweredProgram, ScheduleGroup};
 
 /// Modeled time the executor spent in each phase (the columns of Table 6).
 #[derive(Debug, Clone, Copy, Default)]
@@ -67,31 +66,23 @@ struct Localized {
 /// a zero-trip inner loop); the executor consumes it without dereferencing.
 const UNREFERENCED: usize = usize::MAX;
 
-/// Per-loop state: the plan's names resolved to slots once, and the legacy (un-grouped)
-/// path's schedule and streams.
-#[derive(Default)]
+/// Per-loop state: the plan's names resolved to slots once.
 struct LoopRuntime {
     decomp: Option<usize>,
-    gathered: Vec<usize>,
-    /// Slots the loop writes: its `REDUCE(SUM)` targets, an append loop's bucket array,
-    /// an integer update's modified integer arrays.
+    /// Slots the loop writes: an append loop's bucket array, an integer update's
+    /// modified integer arrays.
     written: Vec<usize>,
-    /// Integer arrays the schedule depends on, and their counters at the last build.
-    deps: Vec<usize>,
-    deps_seen: Vec<u64>,
-    epoch_seen: u64,
-    schedule: Option<CommSchedule>,
-    local: Option<Localized>,
-    /// How many times the schedule was rebuilt / reused (exposed for tests and reports).
-    rebuilds: u64,
-    reuses: u64,
+    /// A sum loop that stands as an `ExecStep::Loop`: the singleton group it runs as.
+    group: Option<usize>,
 }
 
-/// Runtime state of one optimizer-formed schedule group: a merged hash table with one
-/// stamp per member loop, served through the software schedule cache so guarded
-/// rebuilds after an indirection-array change can re-serve earlier schedules.
+/// Runtime state of one schedule group: a merged hash table with one stamp per member
+/// loop, served through the software schedule cache so guarded rebuilds after an
+/// indirection-array change can re-serve earlier schedules.
 struct GroupRuntime {
     decomp: usize,
+    /// Member loops, in program order; a member's index is its stamp bit.
+    loop_ids: Vec<usize>,
     gathered: Vec<usize>,
     targets: Vec<usize>,
     /// Per member: the integer arrays its references are computed from.
@@ -128,7 +119,8 @@ pub struct Executor<'p> {
     integers: Vec<Vec<i64>>,
     mod_counter: Vec<u64>,
     epoch: u64,
-    loops: Vec<Option<LoopRuntime>>,
+    loops: Vec<LoopRuntime>,
+    /// The program's groups, then the singleton groups of its remaining sum loops.
     groups: Vec<Option<GroupRuntime>>,
     exchange: ExchangeStats,
     phases: FortranDPhases,
@@ -186,13 +178,34 @@ impl<'p> Executor<'p> {
                 }
             })
             .collect();
+        let group_runtime = |group: &ScheduleGroup| {
+            let deps = group.deps.iter();
+            Some(GroupRuntime {
+                decomp: slot(&names.decomps, &group.decomp),
+                loop_ids: group.loop_ids.clone(),
+                gathered: slots(&names.reals, &group.gathered),
+                targets: slots(&names.reals, &group.targets),
+                deps: deps.map(|d| slots(&names.integers, d)).collect(),
+                hash: None,
+                cache: ScheduleCache::new(4),
+                schedule: None,
+                local: group.loop_ids.iter().map(|_| None).collect(),
+                member_deps_seen: Vec::new(),
+                epoch_seen: 0,
+                pending_gather: None,
+                rebuilds: 0,
+                patches: 0,
+                reuses: 0,
+            })
+        };
+        let mut groups: Vec<_> = program.groups.iter().map(group_runtime).collect();
         let loops = program
             .loops
             .iter()
             .map(|plan| {
-                let written = match &plan.kind {
+                let (written, group) = match &plan.kind {
                     LoopKind::SumReduction => {
-                        // One hash table / one schedule per loop — the merged schedule
+                        // One hash table / one schedule per group — the merged schedule
                         // a compiler would emit — needs one decomposition.
                         let all = plan.gathered_arrays.iter().chain(&plan.sum_targets);
                         for a in all.chain(&plan.assigned_arrays) {
@@ -202,43 +215,28 @@ impl<'p> Executor<'p> {
                                 plan.loop_id
                             );
                         }
-                        slots(&names.reals, &plan.sum_targets)
+                        // A sum loop the optimizer put in no group is a group of one.
+                        let id = plan.loop_id;
+                        let grouped = program.groups.iter().any(|g| g.loop_ids.contains(&id));
+                        let group = (!grouped).then(|| {
+                            let single = ScheduleGroup::new(groups.len(), &[id], &program.loops);
+                            groups.push(group_runtime(&single));
+                            single.id
+                        });
+                        (Vec::new(), group)
                     }
                     LoopKind::AppendReduction { target } => {
-                        slots(&names.reals, std::slice::from_ref(target))
+                        (slots(&names.reals, std::slice::from_ref(target)), None)
                     }
-                    LoopKind::IntegerUpdate { modified } => slots(&names.integers, modified),
+                    LoopKind::IntegerUpdate { modified } => {
+                        (slots(&names.integers, modified), None)
+                    }
                 };
-                Some(LoopRuntime {
+                LoopRuntime {
                     decomp: slot_of(&names.decomps, &plan.decomp),
-                    gathered: slots(&names.reals, &plan.gathered_arrays),
                     written,
-                    deps: slots(&names.integers, &plan.indirection_arrays),
-                    ..LoopRuntime::default()
-                })
-            })
-            .collect();
-        let groups = program
-            .groups
-            .iter()
-            .map(|group| {
-                let deps = group.deps.iter();
-                Some(GroupRuntime {
-                    decomp: slot(&names.decomps, &group.decomp),
-                    gathered: slots(&names.reals, &group.gathered),
-                    targets: slots(&names.reals, &group.targets),
-                    deps: deps.map(|d| slots(&names.integers, d)).collect(),
-                    hash: None,
-                    cache: ScheduleCache::new(4),
-                    schedule: None,
-                    local: group.loop_ids.iter().map(|_| None).collect(),
-                    member_deps_seen: Vec::new(),
-                    epoch_seen: 0,
-                    pending_gather: None,
-                    rebuilds: 0,
-                    patches: 0,
-                    reuses: 0,
-                })
+                    group,
+                }
             })
             .collect();
         Self {
@@ -283,12 +281,6 @@ impl<'p> Executor<'p> {
         self.phases
     }
 
-    /// How many times the given loop's schedule has been rebuilt and reused.
-    pub fn schedule_stats(&self, loop_id: usize) -> (u64, u64) {
-        let rt = self.loops.get(loop_id).and_then(Option::as_ref);
-        rt.map_or((0, 0), |rt| (rt.rebuilds, rt.reuses))
-    }
-
     /// Exchange traffic (messages and bytes) this rank has issued so far across every
     /// gather, scatter-add, fused multi-array exchange and light-weight append.
     pub fn exchange_stats(&self) -> ExchangeStats {
@@ -300,7 +292,9 @@ impl<'p> Executor<'p> {
     }
 
     /// How many times a schedule group's merged hash table was fully rebuilt,
-    /// incrementally patched, and reused as-is.
+    /// incrementally patched, and reused as-is.  Groups are numbered as in
+    /// [`LoweredProgram::groups`]; the singleton groups of sum loops that stand as
+    /// [`ExecStep::Loop`] steps follow, in loop order.
     pub fn group_stats(&self, group: usize) -> (u64, u64, u64) {
         self.group(group)
             .map_or((0, 0, 0), |rt| (rt.rebuilds, rt.patches, rt.reuses))
@@ -512,9 +506,14 @@ impl<'p> Executor<'p> {
     }
 
     /// Execute one `FORALL` loop (collective).
-    pub fn run_loop(&mut self, rank: &mut Rank, loop_id: usize) {
+    fn run_loop(&mut self, rank: &mut Rank, loop_id: usize) {
         match self.program.loop_plan(loop_id).kind {
-            LoopKind::SumReduction => self.run_sum_loop(rank, loop_id),
+            LoopKind::SumReduction => {
+                let group = self.loops[loop_id].group;
+                let group = group.expect("a grouped loop runs through its FusedLoop step");
+                self.build_group_schedule(rank, group);
+                self.run_fused_loop(rank, group, &[], false);
+            }
             LoopKind::AppendReduction { .. } => self.run_append_loop(rank, loop_id),
             LoopKind::IntegerUpdate { .. } => self.run_integer_update(rank, loop_id),
         }
@@ -670,76 +669,16 @@ impl<'p> Executor<'p> {
         };
         let (work, _) = self.execute(loop_id, &all);
         rank.charge_compute(work as f64 * 0.2);
-        let rt = self.loops[loop_id]
-            .as_ref()
-            .expect("loop state is in place");
-        for &a in &rt.written {
+        for &a in &self.loops[loop_id].written {
             self.mod_counter[a] += 1;
         }
-    }
-
-    // ----------------------------------------------------------- sum-reduction loops --
-
-    fn run_sum_loop(&mut self, rank: &mut Rank, loop_id: usize) {
-        let mut rt = self.loops[loop_id].take().expect("loops do not nest");
-
-        // ---- inspector (with schedule reuse) -------------------------------------------
-        let t0 = rank.modeled();
-        let deps_now: Vec<u64> = rt.deps.iter().map(|&a| self.mod_counter[a]).collect();
-        if rt.schedule.is_some() && rt.epoch_seen == self.epoch && rt.deps_seen == deps_now {
-            rt.reuses += 1;
-        } else {
-            let decomp = rt.decomp.expect("sum loops iterate over a decomposition");
-            let owned_len = self.decomps[decomp].owned_globals.len();
-            let mut hash = IndexHashTable::new(self.my_rank, owned_len);
-            let stamp = Stamp::new(0);
-            rt.local = Some(self.localize(rank, loop_id, decomp, &mut hash, stamp));
-            rt.schedule = Some(build_schedule_from_table(
-                rank,
-                &hash,
-                StampQuery::single(stamp),
-            ));
-            rt.deps_seen = deps_now;
-            rt.epoch_seen = self.epoch;
-            rt.rebuilds += 1;
-        }
-        self.phases.inspector += rank.modeled().since(&t0);
-
-        // ---- executor -------------------------------------------------------------------
-        let t0 = rank.modeled();
-        let schedule = rt.schedule.as_ref().expect("schedule built above");
-        let ghost = schedule.ghost_len();
-        let mut stats = ExchangeStats::default();
-        // Gather read arrays; clear ghosts of reduction targets.
-        for &a in &rt.gathered {
-            let data = &mut self.reals[a].data;
-            data.ensure_ghost(ghost);
-            stats = stats.merged(&gather(rank, schedule, data));
-        }
-        for &a in &rt.written {
-            self.reals[a].data.ensure_ghost(ghost);
-            self.reals[a].data.clear_ghost();
-        }
-        let (work, _) = self.execute(loop_id, rt.local.as_ref().expect("localized above"));
-        rank.charge_compute(work as f64);
-        // Fold off-processor contributions back and drop the ghost accumulations.
-        for &a in &rt.written {
-            let data = &mut self.reals[a].data;
-            stats = stats.merged(&scatter_add(rank, schedule, data));
-            data.clear_ghost();
-        }
-        self.exchange = self.exchange.merged(&stats);
-        self.phases.executor += rank.modeled().since(&t0);
-        self.loops[loop_id] = Some(rt);
     }
 
     // ------------------------------------------------------------------- append loops --
 
     fn run_append_loop(&mut self, rank: &mut Rank, loop_id: usize) {
         let plan = self.program.loop_plan(loop_id);
-        let rt = self.loops[loop_id]
-            .as_ref()
-            .expect("loop state is in place");
+        let rt = &self.loops[loop_id];
         let (source, target) = (rt.decomp.expect("append loop"), rt.written[0]);
         let [lo, hi] = self.scalar_pair(&plan.bounds);
         let extent = (hi - lo + 1).max(0) as usize;
@@ -765,9 +704,10 @@ impl<'p> Executor<'p> {
                 let loc = ttable
                     .lookup_local(global)
                     .expect("the executor's decompositions use replicated translation tables");
+                let name = &self.program.decls.names.reals[array];
                 if array == target {
                     dests.push(loc.owner as usize);
-                    stream.push(global as u32);
+                    stream.push(bucket_entry(plan.line(), name, global));
                     continue;
                 }
                 assert_eq!(
@@ -776,7 +716,7 @@ impl<'p> Executor<'p> {
                     "line {}: append-loop values must reference locally owned elements, \
                      but {}({}) is not",
                     plan.line(),
-                    self.program.decls.names.reals[array],
+                    name,
                     global + 1
                 );
                 stream.push(loc.offset);
@@ -805,24 +745,28 @@ impl<'p> Executor<'p> {
         self.phases.executor += rank.modeled().since(&t0);
     }
 
-    // ------------------------------------------------------ optimized schedule groups --
+    // ---------------------------------------------------------------- schedule groups --
 
     /// `BuildSchedule` step: (re)build or incrementally patch the group's merged hash
     /// table — one stamp per member loop — then fetch the merged schedule through the
     /// software schedule cache (collective).
     fn build_group_schedule(&mut self, rank: &mut Rank, group_id: usize) {
-        let group = &self.program.groups[group_id];
         let t0 = rank.modeled();
         let mut rt = self.groups[group_id].take().expect("groups do not nest");
         // Current modification counters of each member's subscript dependencies; every
-        // rank bumps the counters identically, so the patch decisions below are SPMD.
+        // rank bumps the counters identically, so the decisions below are SPMD.
         let counters = |deps: &Vec<usize>| deps.iter().map(|&a| self.mod_counter[a]).collect();
         let deps_now: Vec<Vec<u64>> = rt.deps.iter().map(counters).collect();
-        // First build, or the decomposition changed: retire cached schedules tied to the
-        // old table and hash every member from scratch.  Otherwise patch only the
-        // members whose indirection arrays changed since the last build — incremental
-        // maintenance instead of a full inspector rerun.
-        let fresh = rt.hash.is_none() || rt.epoch_seen != self.epoch;
+        // A member is dirty when its indirection arrays changed since the last build;
+        // before the first build and after a redistribution every member is.
+        let stale = rt.hash.is_none() || rt.epoch_seen != self.epoch;
+        let dirty = |(m, now): (usize, &Vec<u64>)| stale || rt.member_deps_seen[m] != *now;
+        let dirty: Vec<bool> = deps_now.iter().enumerate().map(dirty).collect();
+        // Every member dirty: nothing of the old table survives, so retire the cached
+        // schedules tied to it and hash from scratch — patching would re-ship the whole
+        // schedule as per-entry edits.  Otherwise patch only the dirty members'
+        // stamps — incremental maintenance instead of a full inspector rerun.
+        let fresh = dirty.iter().all(|&d| d);
         if fresh {
             if let Some(old) = rt.hash.take() {
                 rt.cache.retire_table(&old);
@@ -832,23 +776,21 @@ impl<'p> Executor<'p> {
             rt.rebuilds += 1;
         }
         let hash = rt.hash.as_mut().expect("hash table built above");
-        let mut patched = false;
-        for (m, &lid) in group.loop_ids.iter().enumerate() {
-            if !fresh && rt.member_deps_seen[m] == deps_now[m] {
+        for (m, &lid) in rt.loop_ids.iter().enumerate() {
+            if !dirty[m] {
                 continue;
             }
             let stamp = Stamp::new(m as u8);
             if !fresh {
                 hash.clear_stamp(stamp);
                 rt.patches += 1;
-                patched = true;
             }
             rt.local[m] = Some(self.localize(rank, lid, rt.decomp, hash, stamp));
         }
-        if !fresh && !patched {
+        if !dirty.contains(&true) {
             rt.reuses += 1;
         }
-        let stamps: Vec<Stamp> = (0..group.loop_ids.len())
+        let stamps: Vec<Stamp> = (0..rt.loop_ids.len())
             .map(|m| Stamp::new(m as u8))
             .collect();
         let (sched, _outcome) = rt.cache.schedule(rank, hash, StampQuery::any_of(&stamps));
@@ -877,7 +819,7 @@ impl<'p> Executor<'p> {
         let sched = sched.expect("a BuildSchedule step precedes every GatherStart");
         let arrays: Vec<&DistArray<f64>> =
             rt.gathered.iter().map(|&a| &self.reals[a].data).collect();
-        rt.pending_gather = Some(gather_start_dyn(rank, sched, &arrays));
+        rt.pending_gather = Some(gather_start(rank, sched, arrays));
         self.phases.executor += rank.modeled().since(&t0);
     }
 
@@ -898,9 +840,10 @@ impl<'p> Executor<'p> {
         }
     }
 
-    /// `FusedLoop` step: one fused gather for all the group's read arrays, the member
-    /// loop bodies in program order against the merged schedule, then one fused
-    /// scatter-add for all the reduction targets (collective).
+    /// `FusedLoop` step — and, after its build, every sum loop that stands alone: one
+    /// fused gather for all the group's read arrays, the member loop bodies in program
+    /// order against the merged schedule, then one fused scatter-add for all the
+    /// reduction targets (collective).
     ///
     /// `early_gather` finishes a gather posted by a preceding `GatherStart`;
     /// `overlapped` steps (proved independent by the optimizer) execute between this
@@ -912,7 +855,6 @@ impl<'p> Executor<'p> {
         overlapped: &[ExecStep],
         early_gather: bool,
     ) {
-        let group = &self.program.groups[group_id];
         let mut rt = self.groups[group_id].take().expect("groups do not nest");
         assert_eq!(
             rt.epoch_seen, self.epoch,
@@ -933,16 +875,16 @@ impl<'p> Executor<'p> {
             None
         } else {
             let arrays: Vec<&DistArray<f64>> = gathered.iter().collect();
-            Some(gather_start_dyn(rank, sched, &arrays))
+            Some(gather_start(rank, sched, arrays))
         };
         for s in overlapped {
             self.exec_step(rank, s);
         }
-        let mut arrays: Vec<&mut DistArray<f64>> = gathered.iter_mut().collect();
+        let arrays: Vec<&mut DistArray<f64>> = gathered.iter_mut().collect();
         if let Some(handle) = handle {
-            stats = stats.merged(&gather_finish_dyn(rank, handle, sched, &mut arrays));
+            stats = stats.merged(&gather_finish(rank, handle, sched, arrays));
         } else if !arrays.is_empty() {
-            stats = stats.merged(&gather_multi_dyn(rank, sched, &mut arrays));
+            stats = stats.merged(&gather_multi(rank, sched, arrays));
         }
         self.put_arrays(&rt.gathered, gathered);
         for &a in &rt.targets {
@@ -952,7 +894,7 @@ impl<'p> Executor<'p> {
 
         // ---- member bodies, in program order ------------------------------------------
         let mut work = 0usize;
-        for (&lid, local) in group.loop_ids.iter().zip(&rt.local) {
+        for (&lid, local) in rt.loop_ids.iter().zip(&rt.local) {
             work += self
                 .execute(lid, local.as_ref().expect("localized by BuildSchedule"))
                 .0;
@@ -962,8 +904,8 @@ impl<'p> Executor<'p> {
         // ---- fused scatter-add ---------------------------------------------------------
         if !rt.targets.is_empty() {
             let mut targets = self.take_arrays(&rt.targets, ghost);
-            let mut arrays: Vec<&mut DistArray<f64>> = targets.iter_mut().collect();
-            stats = stats.merged(&scatter_add_multi_dyn(rank, sched, &mut arrays));
+            let arrays: Vec<&mut DistArray<f64>> = targets.iter_mut().collect();
+            stats = stats.merged(&scatter_add_multi(rank, sched, arrays));
             for data in &mut targets {
                 data.clear_ghost();
             }
@@ -1054,6 +996,25 @@ fn checked_index(line: usize, array: &str, value: i64, extent: usize) -> usize {
     (value - 1) as usize
 }
 
+/// `x / y` in a loop's integer code; a zero divisor (and `i64::MIN / -1`) is a named
+/// panic, not the bare arithmetic one.
+fn checked_quotient(line: usize, x: i64, y: i64) -> i64 {
+    x.checked_div(y).unwrap_or_else(|| match y {
+        0 => panic!("line {line}: integer division by zero ({x} / 0)"),
+        _ => panic!("line {line}: integer division overflows ({x} / {y})"),
+    })
+}
+
+/// A bucket's 0-based global index as an append stream's `u32` entry.
+fn bucket_entry(line: usize, array: &str, global: usize) -> u32 {
+    u32::try_from(global).unwrap_or_else(|_| {
+        panic!(
+            "line {line}: bucket {array}({}) is beyond the append stream's u32 range",
+            global + 1
+        )
+    })
+}
+
 impl Vm<'_> {
     fn run<const INSPECT: bool>(&mut self, code: &Code) {
         let Self {
@@ -1101,7 +1062,7 @@ impl Vm<'_> {
                         BinOp::Add => x + y,
                         BinOp::Sub => x - y,
                         BinOp::Mul => x * y,
-                        BinOp::Div => x / y,
+                        BinOp::Div => checked_quotient(code.line, x, y),
                     };
                 }
                 Op::IStore { arr, idx, src } => {
@@ -1187,6 +1148,16 @@ mod tests {
     use crate::compile;
     use mpsim::{run, MachineConfig};
 
+    /// `compile`'s program, or — with `optimize` off — the bare lowering, where every
+    /// sum loop stands as an `ExecStep::Loop`.
+    fn program(src: &str, optimize: bool) -> LoweredProgram {
+        if optimize {
+            return compile(src).unwrap().0;
+        }
+        let tokens = crate::lexer::tokenize(src).unwrap();
+        crate::lower::lower(&crate::parser::parse(&tokens).unwrap()).unwrap()
+    }
+
     /// The Figure 1 loop: x(ia(i)) += y(ib(i)), checked against a sequential evaluation.
     #[test]
     fn figure1_loop_matches_sequential_evaluation() {
@@ -1212,7 +1183,7 @@ mod tests {
         }
 
         let out = run(MachineConfig::new(4), move |rank| {
-            let lowered = compile(&src).unwrap();
+            let (lowered, _) = compile(&src).unwrap();
             let mut exec = Executor::new(rank, &lowered);
             exec.set_integer_array("IA", &ia);
             exec.set_integer_array("IB", &ib);
@@ -1275,7 +1246,7 @@ mod tests {
         let inblo2 = inblo.clone();
         let jnb2 = jnb.clone();
         let out = run(MachineConfig::new(3), move |rank| {
-            let lowered = compile(&src).unwrap();
+            let (lowered, _) = compile(&src).unwrap();
             let mut exec = Executor::new(rank, &lowered);
             exec.set_integer_array("MAP", &map);
             exec.set_integer_array("INBLO", &inblo2);
@@ -1327,7 +1298,7 @@ mod tests {
         }
 
         let out = run(MachineConfig::new(4), move |rank| {
-            let lowered = compile(&src).unwrap();
+            let (lowered, _) = compile(&src).unwrap();
             let mut exec = Executor::new(rank, &lowered);
             exec.set_integer_array("ICELL", &icell);
             exec.set_real_array("VEL", &vel);
@@ -1370,31 +1341,34 @@ mod tests {
              END FORALL\n"
         );
         let out = run(MachineConfig::new(2), move |rank| {
-            let lowered = compile(&src).unwrap();
-            let loop_id = 0;
+            let (lowered, _) = compile(&src).unwrap();
             let mut exec = Executor::new(rank, &lowered);
             let ia: Vec<i64> = (0..n).map(|i| ((i * 3) % n + 1) as i64).collect();
             exec.set_integer_array("IA", &ia);
             exec.set_real_array("X", &vec![0.0; n]);
             exec.set_real_array("Y", &vec![1.0; n]);
             // Run the loop four times: the first builds the schedule, the next two reuse
-            // it, then a modification forces a rebuild.
-            exec.run_loop(rank, loop_id);
-            exec.run_loop(rank, loop_id);
-            exec.run_loop(rank, loop_id);
-            let before = exec.schedule_stats(loop_id);
+            // it, then a modification forces a rebuild.  Steps: 0 DISTRIBUTE (which
+            // would start a new epoch if repeated), 1 BuildSchedule, 2 FusedLoop.
+            let sweep = |exec: &mut Executor<'_>, rank: &mut Rank| {
+                exec.run_step(rank, 1);
+                exec.run_step(rank, 2);
+            };
+            exec.run_all(rank);
+            sweep(&mut exec, rank);
+            sweep(&mut exec, rank);
+            let before = exec.group_stats(0);
             let mut ia2 = ia.clone();
             ia2[0] = ((7 % n) + 1) as i64;
             exec.set_integer_array("IA", &ia2);
-            exec.run_loop(rank, loop_id);
-            let after = exec.schedule_stats(loop_id);
+            sweep(&mut exec, rank);
+            let after = exec.group_stats(0);
             (before, after, exec.phases().inspector.total_us() > 0.0)
         });
-        for ((rebuilds0, reuses0), (rebuilds1, reuses1), inspector_nonzero) in &out.results {
-            assert_eq!(*rebuilds0, 1);
-            assert_eq!(*reuses0, 2);
-            assert_eq!(*rebuilds1, 2);
-            assert_eq!(*reuses1, 2);
+        for (before, after, inspector_nonzero) in &out.results {
+            // (rebuilds, patches, reuses): a group of one has nothing to patch.
+            assert_eq!(*before, (1, 0, 2));
+            assert_eq!(*after, (2, 0, 2));
             assert!(inspector_nonzero);
         }
     }
@@ -1428,7 +1402,7 @@ mod tests {
              END IF\n"
         );
         let out = run(MachineConfig::new(2), move |rank| {
-            let lowered = compile(&src).unwrap();
+            let (lowered, _) = compile(&src).unwrap();
             let mut exec = Executor::new(rank, &lowered);
             let ia: Vec<i64> = (1..=n as i64).collect();
             exec.set_integer_array("IA", &ia);
@@ -1455,7 +1429,7 @@ mod tests {
              C$ DISTRIBUTE reg(map)\n"
         );
         let out = run(MachineConfig::new(3), move |rank| {
-            let lowered = compile(&src).unwrap();
+            let (lowered, _) = compile(&src).unwrap();
             let mut exec = Executor::new(rank, &lowered);
             exec.set_integer_array("MAP", &(0..n).map(|g| (g % 3) as i64).collect::<Vec<_>>());
             exec.set_real_array("X", &(0..n).map(|g| g as f64).collect::<Vec<_>>());
@@ -1494,7 +1468,7 @@ mod tests {
         }
         let f: Vec<f64> = (0..12).map(|i| (i as f64 + 1.0) * 2.5).collect();
         let out = run(MachineConfig::new(3), move |rank| {
-            let lowered = compile(src).unwrap();
+            let (lowered, _) = compile(src).unwrap();
             let mut exec = Executor::new(rank, &lowered);
             exec.set_integer_array("IA", &ia);
             exec.set_real_array("X", &(0..12).map(f64::from).collect::<Vec<_>>());
@@ -1540,7 +1514,7 @@ mod tests {
              f(i) = x(i)\n\
              END FORALL\n";
         run(MachineConfig::new(2), move |rank| {
-            let lowered = compile(src).unwrap();
+            let (lowered, _) = compile(src).unwrap();
             let mut exec = Executor::new(rank, &lowered);
             // Odd globals on rank 0, even on rank 1: element 1 (global 0) is rank 1's.
             exec.set_integer_array("MAP", &(0..16).map(|g| (g + 1) % 2).collect::<Vec<_>>());
@@ -1548,6 +1522,126 @@ mod tests {
             exec.set_real_array("F", &[0.0; 16]);
             exec.run_all(rank);
         });
+    }
+
+    /// Figure 11's `newsize(j) = 0` moves no data, so the optimizer leaves it an
+    /// `ExecStep::Loop`; it still runs as a schedule group — built once, reused, no
+    /// messages — in the naive lowering and the optimized program alike, and the
+    /// owner-computes check of a direct assignment fires on that path too.
+    #[test]
+    fn non_exchange_sum_loops_run_as_groups_of_one() {
+        let src = "REAL vel(60), newvel(12), newsize(12)\n\
+             INTEGER icell(60)\n\
+             C$ DECOMPOSITION parts(60)\n\
+             C$ DECOMPOSITION cells(12)\n\
+             C$ DISTRIBUTE parts(BLOCK)\n\
+             C$ DISTRIBUTE cells(BLOCK)\n\
+             C$ ALIGN vel WITH parts\n\
+             C$ ALIGN newvel, newsize WITH cells\n\
+             FORALL j = 1, 12\n\
+             newsize(j) = 0\n\
+             END FORALL\n\
+             FORALL i = 1, 60\n\
+             REDUCE(APPEND, newvel(icell(i)), vel(i))\n\
+             END FORALL\n\
+             FORALL i = 1, 60\n\
+             REDUCE(SUM, newsize(icell(i)), 1)\n\
+             END FORALL\n";
+        let icell: Vec<i64> = (0..60).map(|i| (i * 5) % 12 + 1).collect();
+        let mut counts = vec![0.0; 12];
+        for &c in &icell {
+            counts[(c - 1) as usize] += 1.0;
+        }
+        for optimize in [true, false] {
+            let icell = icell.clone();
+            let out = run(MachineConfig::new(3).with_ledger(), move |rank| {
+                let program = program(src, optimize);
+                assert!(matches!(program.steps[2], ExecStep::Loop(0)));
+                let mut exec = Executor::new(rank, &program);
+                exec.set_integer_array("ICELL", &icell);
+                exec.set_real_array("VEL", &[1.0; 60]);
+                exec.set_real_array("NEWSIZE", &[99.0; 12]);
+                exec.run_all(rank);
+                // A second sweep over the loops (not the DISTRIBUTEs): the counts are
+                // zeroed again before they are recomputed.
+                for step in 2..program.steps.len() {
+                    exec.run_step(rank, step);
+                }
+                // Implicit groups are numbered after the optimizer's (here: the count
+                // loop's), in loop order.
+                let zero_group = if optimize { 1 } else { 0 };
+                assert_eq!(exec.group_stats(zero_group), (1, 0, 1));
+                assert_eq!(exec.group_message_counts(zero_group), (0, 0));
+                exec.get_real_array(rank, "NEWSIZE")
+            });
+            for got in &out.results {
+                assert_eq!(got, &counts, "optimize = {optimize}");
+            }
+        }
+
+        let unowned = "REAL f(16)\n\
+             INTEGER map(16)\n\
+             C$ DECOMPOSITION reg(16)\n\
+             C$ DISTRIBUTE reg(BLOCK)\n\
+             C$ ALIGN f WITH reg\n\
+             C$ DISTRIBUTE reg(map)\n\
+             FORALL i = 1, 15\n\
+             f(i) = 0\n\
+             END FORALL\n";
+        for optimize in [true, false] {
+            let msg = panic_message(move || {
+                run(MachineConfig::new(2), move |rank| {
+                    let program = program(unowned, optimize);
+                    let mut exec = Executor::new(rank, &program);
+                    exec.set_integer_array(
+                        "MAP",
+                        &(0..16).map(|g| (g + 1) % 2).collect::<Vec<_>>(),
+                    );
+                    exec.set_real_array("F", &[1.0; 16]);
+                    exec.run_all(rank);
+                });
+            });
+            let expected = "assignment to F(1) on rank 0, but the element is owned by rank 1";
+            assert!(msg.contains(expected), "optimize = {optimize}: {msg}");
+        }
+    }
+
+    /// A zero divisor in a loop's integer code (here a subscript) used to be the bare
+    /// "attempt to divide by zero" of whichever rank hit it.
+    #[test]
+    #[should_panic(expected = "line 6: integer division by zero (16 / 0)")]
+    fn integer_division_by_zero_is_a_named_panic() {
+        let src = "REAL x(16)\n\
+             INTEGER ia(16)\n\
+             C$ DECOMPOSITION reg(16)\n\
+             C$ DISTRIBUTE reg(BLOCK)\n\
+             C$ ALIGN x WITH reg\n\
+             FORALL i = 1, 16\n\
+             REDUCE(SUM, x(16 / ia(i)), 1.0)\n\
+             END FORALL\n";
+        run(MachineConfig::new(2), move |rank| {
+            let (lowered, _) = compile(src).unwrap();
+            let mut exec = Executor::new(rank, &lowered);
+            exec.set_integer_array("IA", &[0; 16]);
+            exec.set_real_array("X", &[0.0; 16]);
+            exec.run_all(rank);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "integer division overflows (-9223372036854775808 / -1)")]
+    fn integer_division_overflow_is_a_named_panic() {
+        checked_quotient(3, i64::MIN, -1);
+    }
+
+    /// A bucket index an append stream's `u32` entries cannot hold used to be truncated
+    /// by `as u32` and delivered to the wrong bucket.
+    #[test]
+    #[should_panic(
+        expected = "line 7: bucket NEWVEL(4294967297) is beyond the append stream's u32 range"
+    )]
+    fn bucket_indices_beyond_u32_are_a_named_panic() {
+        bucket_entry(7, "NEWVEL", u32::MAX as usize + 1);
     }
 
     #[test]
@@ -1563,30 +1657,31 @@ mod tests {
              FORALL i = 1, 16\n\
              REDUCE(SUM, x(ib(ia(i))), 1.0)\n\
              END FORALL\n";
-        let message = |first: i64, step: usize| {
+        let message = |first: i64| {
             panic_message(move || {
                 run(MachineConfig::new(2), move |rank| {
-                    let lowered = compile(src).unwrap();
+                    let (lowered, _) = compile(src).unwrap();
                     let mut exec = Executor::new(rank, &lowered);
                     let mut ia = vec![1i64; 16];
                     (ia[0], ia[8]) = (first, first);
                     exec.set_integer_array("IA", &ia);
                     exec.set_integer_array("IB", &[1; 4]);
                     exec.set_real_array("X", &[0.0; 16]);
-                    exec.run_step(rank, step);
+                    exec.run_all(rank);
                 });
             })
         };
         // Zero, negative (used to wrap through `as usize`) and past the extent, in a
         // distributed array's subscript: array, value, extent and the loop's line.
         for bad in [0, -3, 17] {
-            let msg = message(bad, 1);
+            let msg = message(bad);
             let expected =
                 format!("line 6: subscript {bad} of array X is outside its declared extent 1..=16");
             assert!(msg.contains(&expected), "{msg}");
         }
-        // The same for a replicated integer array read inside a subscript.
-        let msg = message(5, 2);
+        // The same for a replicated integer array read inside a subscript: 5 is a fine
+        // subscript of X in the first loop and past the end of IB in the second.
+        let msg = message(5);
         assert!(
             msg.contains("line 9: subscript 5 of array IB is outside its declared extent 1..=4"),
             "{msg}"
@@ -1659,7 +1754,7 @@ mod tests {
         let ib: Vec<i64> = (1..=32).collect(); // identity: member 1 starts all-local
         let (ia2, ib2) = (ia.clone(), ib.clone());
         let out = run(MachineConfig::new(2).with_ledger(), move |rank| {
-            let (program, report) = crate::compile_optimized(TWO_MEMBER).unwrap();
+            let (program, report) = compile(TWO_MEMBER).unwrap();
             assert!(
                 report.has_applied("fuse", "fused 2 loops"),
                 "{}",
@@ -1729,9 +1824,42 @@ mod tests {
         }
     }
 
+    /// The patch-versus-rebuild rule.  Run fused, `TWO_MEMBER` is one group with a clean
+    /// member (`IA` never moves) and a dirty one: it patches.  Run naive, the same loops
+    /// are two groups of one: `IB`'s is all dirty every sweep and rebuilds from scratch
+    /// — a patch would re-ship its whole schedule as edits — while `IA`'s is reused.
+    #[test]
+    fn all_dirty_groups_rebuild_and_partly_dirty_groups_patch() {
+        let ia: Vec<i64> = (0..32).map(|i| ((i * 5) % 32 + 1) as i64).collect();
+        let ib: Vec<i64> = (0..32).map(|i| ((i * 3 + 1) % 32 + 1) as i64).collect();
+        for optimize in [true, false] {
+            let (ia, ib) = (ia.clone(), ib.clone());
+            run(MachineConfig::new(2).with_ledger(), move |rank| {
+                let program = program(TWO_MEMBER, optimize);
+                let mut exec = Executor::new(rank, &program);
+                two_member_setup(&mut exec, &ia, &ib);
+                // Four sweeps, each ending with the `IB` drift (step 3 either way); the
+                // DISTRIBUTE (step 0) runs once.
+                exec.run_all(rank);
+                for _ in 0..3 {
+                    for step in 1..4 {
+                        exec.run_step(rank, step);
+                    }
+                }
+                if optimize {
+                    assert_eq!(exec.group_stats(0), (1, 3, 0));
+                } else {
+                    assert_eq!(exec.group_stats(0), (1, 0, 3), "IA's loop");
+                    assert_eq!(exec.group_stats(1), (4, 0, 0), "IB's loop");
+                    assert_eq!(exec.group_cache_stats(1).patches, 0);
+                }
+            });
+        }
+    }
+
     /// (b) A `DISTRIBUTE(map)` between two executions of the same loops starts a new
-    /// epoch: every stream is rebuilt against the new translation table, on the group
-    /// path and on the legacy per-loop path alike.
+    /// epoch: every stream is rebuilt against the new translation table, in the fused
+    /// group and in the naive lowering's two groups of one alike.
     #[test]
     fn redistribution_rebuilds_every_stream() {
         let ia: Vec<i64> = (0..32).map(|i| ((i * 5) % 32 + 1) as i64).collect();
@@ -1741,11 +1869,7 @@ mod tests {
         for optimize in [true, false] {
             let (ia, ib) = (ia.clone(), ib.clone());
             let out = run(MachineConfig::new(3).with_ledger(), move |rank| {
-                let program = if optimize {
-                    crate::compile_optimized(TWO_MEMBER).unwrap().0
-                } else {
-                    compile(TWO_MEMBER).unwrap()
-                };
+                let program = program(TWO_MEMBER, optimize);
                 let mut exec = Executor::new(rank, &program);
                 two_member_setup(&mut exec, &ia, &ib);
                 exec.set_integer_array(
@@ -1771,8 +1895,8 @@ mod tests {
                         assert!(new.iter().zip(&old).all(|(n, o)| n.0 != o.0));
                     }
                 } else {
-                    assert_eq!(exec.schedule_stats(0), (2, 0));
-                    assert_eq!(exec.schedule_stats(1), (2, 0));
+                    assert_eq!(exec.group_stats(0), (2, 0, 0));
+                    assert_eq!(exec.group_stats(1), (2, 0, 0));
                 }
                 (
                     exec.get_real_array(rank, "F"),

@@ -21,10 +21,11 @@
 //!       ── lower ──> lower::LoweredProgram (per-FORALL inspector/executor plans;
 //!          code::compile_loop resolves every name to a slot and emits code::Code)
 //!       ── opt ──> fused schedule groups, hoisted builds, split-phase overlap
+//!          (`compile` is these four stages in one call — the one compile entry point)
 //!       ── interp::Executor ──> runs on mpsim + chaos (SPMD): the inspector pass
 //!          runs each loop's Code to list its references and localizes them into
 //!          per-subscript u32 streams; the executor pass runs the same Code over
-//!          the streams
+//!          the streams; every sum loop runs as a schedule group
 //!       └─ analysis ──> static collective-matching check (rank-dependent IFs,
 //!          split-phase balance); CLI wrapper in `src/bin/fortrand_check.rs`
 //! ```
@@ -54,16 +55,11 @@ pub use interp::Executor;
 pub use lower::{LoopKind, LoweredProgram};
 pub use opt::{optimize, OptDiag, OptReport, OptRule};
 
-/// Convenience: parse and lower a source program in one call.
-pub fn compile(source: &str) -> Result<LoweredProgram, String> {
+/// The compiler in one call: tokenize, parse, lower and optimize.  Returns the program
+/// the executor runs (fused exchanges, hoisted schedule builds, split-phase overlap)
+/// and the report explaining every decision the optimizer took or declined.
+pub fn compile(source: &str) -> Result<(LoweredProgram, OptReport), String> {
     let tokens = lexer::tokenize(source)?;
     let program = parser::parse(&tokens)?;
-    lower::lower(&program)
-}
-
-/// Parse, lower, and optimize: the full compiler loop.  Returns the transformed
-/// program (hoisted schedule builds, fused exchanges, split-phase overlap) along with
-/// the diagnostic report explaining every decision.
-pub fn compile_optimized(source: &str) -> Result<(LoweredProgram, OptReport), String> {
-    Ok(opt::optimize(&compile(source)?))
+    Ok(opt::optimize(&lower::lower(&program)?))
 }

@@ -74,10 +74,12 @@ impl LoopPlan {
 }
 
 /// A group of [`LoopKind::SumReduction`] loops sharing one communication schedule —
-/// the unit the optimizer's fusion analysis produces and the executor's fused-loop
-/// step consumes.  Every member hashes its references into one index table under
-/// its own stamp; the group's schedule covers the union and its gathers/scatters move
-/// all member arrays in one fused exchange per direction.
+/// the one shape the executor runs sum loops in.  The optimizer's fusion analysis
+/// produces the multi-member ones; a sum loop still standing as an [`ExecStep::Loop`]
+/// runs as a singleton group the executor forms itself.  Every member hashes its
+/// references into one index table under its own stamp; the group's schedule covers the
+/// union and its gathers/scatters move all member arrays in one fused exchange per
+/// direction.
 #[derive(Debug, Clone)]
 pub struct ScheduleGroup {
     /// Index of this group in [`LoweredProgram::groups`].
@@ -102,15 +104,40 @@ pub struct ScheduleGroup {
 }
 
 impl ScheduleGroup {
+    /// Group number `id` over `members` — ids of [`LoopKind::SumReduction`] loops sharing
+    /// a decomposition, in program order.
+    pub fn new(id: usize, members: &[usize], loops: &[LoopPlan]) -> Self {
+        let sorted_union = |arrays: fn(&LoopPlan) -> &Vec<String>| {
+            let mut v: Vec<String> = Vec::new();
+            for &m in members {
+                for a in arrays(&loops[m]) {
+                    push_unique(&mut v, a);
+                }
+            }
+            v.sort_unstable();
+            v
+        };
+        let first = &loops[members[0]];
+        Self {
+            id,
+            decomp: first.decomp.clone(),
+            loop_ids: members.to_vec(),
+            gathered: sorted_union(|l| &l.gathered_arrays),
+            targets: sorted_union(|l| &l.sum_targets),
+            assigned: sorted_union(|l| &l.assigned_arrays),
+            deps: members
+                .iter()
+                .map(|&m| loops[m].indirection_arrays.clone())
+                .collect(),
+            line: first.line(),
+        }
+    }
+
     /// Union of all members' dependence sets.
     pub fn all_deps(&self) -> Vec<String> {
         let mut v: Vec<String> = Vec::new();
-        for d in &self.deps {
-            for a in d {
-                if !v.iter().any(|x| x == a) {
-                    v.push(a.clone());
-                }
-            }
+        for a in self.deps.iter().flatten() {
+            push_unique(&mut v, a);
         }
         v
     }
@@ -126,7 +153,11 @@ pub enum ExecStep {
         /// New distribution.
         spec: DistSpec,
     },
-    /// Execute the `FORALL` with the given [`LoopPlan::loop_id`].
+    /// Execute the `FORALL` with the given [`LoopPlan::loop_id`].  A
+    /// [`LoopKind::SumReduction`] loop here — any sum loop of a naive lowering, a loop
+    /// with nothing to exchange in an optimized one — is always a group: the executor
+    /// runs it as [`ExecStep::BuildSchedule`] + [`ExecStep::FusedLoop`] over a singleton
+    /// [`ScheduleGroup`] numbered after [`LoweredProgram::groups`].
     Loop(usize),
     /// A statement-level `IF` block: execute `then_steps` when the condition holds,
     /// `else_steps` otherwise.
@@ -159,10 +190,10 @@ pub enum ExecStep {
         line: usize,
     },
     /// **Optimizer-emitted.** Build (or revalidate) the communication schedule of
-    /// [`LoweredProgram::groups`]`[group]`: full inspector on first touch or after a
-    /// redistribution, stamp-guarded per-member patches when only some dependence sets
-    /// changed, a cache hit when nothing did.  Hoisted out of time loops when the
-    /// dependence sets are loop-invariant.
+    /// [`LoweredProgram::groups`]`[group]`: full inspector on first touch, after a
+    /// redistribution, or when every member's dependence set changed; stamp-guarded
+    /// per-member patches when only some did; a cache hit when none did.  Hoisted out of
+    /// time loops when the dependence sets are loop-invariant.
     BuildSchedule {
         /// Index into [`LoweredProgram::groups`].
         group: usize,
@@ -644,8 +675,8 @@ mod tests {
 
     #[test]
     fn compile_convenience_wrapper_works() {
-        let lowered = crate::compile(FIG1_STYLE).unwrap();
-        assert_eq!(lowered.loops.len(), 1);
+        let (program, _) = crate::compile(FIG1_STYLE).unwrap();
+        assert_eq!(program.loops.len(), 1);
         assert!(crate::compile("FORALL i = 1, 4\n").is_err());
     }
 

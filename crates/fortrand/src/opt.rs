@@ -279,20 +279,6 @@ fn fuse_conflict(members: &[usize], next: usize, loops: &[LoopPlan]) -> Option<S
     None
 }
 
-/// Sorted, deduplicated union of string lists.
-fn sorted_union(lists: &[&[String]]) -> Vec<String> {
-    let mut v: Vec<String> = Vec::new();
-    for list in lists {
-        for a in *list {
-            if !v.iter().any(|x| x == a) {
-                v.push(a.clone());
-            }
-        }
-    }
-    v.sort_unstable();
-    v
-}
-
 /// Replace maximal runs of fusable adjacent `Loop` steps with
 /// `BuildSchedule` + `FusedLoop` pairs over freshly minted schedule groups.
 fn fusion_pass(
@@ -333,37 +319,7 @@ fn fusion_pass(
             }
         }
         let gid = groups.len();
-        let gathered = sorted_union(
-            &members
-                .iter()
-                .map(|&m| loops[m].gathered_arrays.as_slice())
-                .collect::<Vec<_>>(),
-        );
-        let targets = sorted_union(
-            &members
-                .iter()
-                .map(|&m| loops[m].sum_targets.as_slice())
-                .collect::<Vec<_>>(),
-        );
-        let assigned = sorted_union(
-            &members
-                .iter()
-                .map(|&m| loops[m].assigned_arrays.as_slice())
-                .collect::<Vec<_>>(),
-        );
-        let group = ScheduleGroup {
-            id: gid,
-            decomp: loops[members[0]].decomp.clone(),
-            loop_ids: members.clone(),
-            deps: members
-                .iter()
-                .map(|&m| loops[m].indirection_arrays.clone())
-                .collect(),
-            line: loops[members[0]].line(),
-            gathered,
-            targets,
-            assigned,
-        };
+        let group = ScheduleGroup::new(gid, &members, loops);
         if members.len() > 1 {
             let lines: Vec<usize> = members.iter().map(|&m| loops[m].line()).collect();
             report.push(
@@ -694,7 +650,7 @@ mod tests {
     use crate::compile;
 
     fn opt(src: &str) -> (LoweredProgram, OptReport) {
-        optimize(&compile(src).unwrap())
+        compile(src).unwrap()
     }
 
     /// Two adjacent reduction loops over the same space fuse into one group; the

@@ -9,6 +9,8 @@
 //! integer-valued — every intermediate is exactly representable and any real
 //! divergence shows up as a bit difference.
 
+mod common;
+
 use fortrand::Executor;
 use mpsim::{run, MachineConfig};
 
@@ -67,11 +69,7 @@ fn run_charmm_style(
 ) -> (Vec<u64>, (u64, u64)) {
     let source = source.to_string();
     let out = run(MachineConfig::new(procs).with_ledger(), move |rank| {
-        let program = if optimize {
-            fortrand::compile_optimized(&source).expect("compiles").0
-        } else {
-            fortrand::compile(&source).expect("compiles")
-        };
+        let program = common::program(&source, optimize);
         let mut exec = Executor::new(rank, &program);
         let (inblo, jnb) = ring_csr(n);
         exec.set_integer_array("INBLO", &inblo);
@@ -137,7 +135,7 @@ fn hoisted_build_runs_once_and_message_counts_are_pinned() {
     let nsteps = 5;
     let source = charmm_style_source(n, nsteps);
     let out = run(MachineConfig::new(4).with_ledger(), move |rank| {
-        let (program, report) = fortrand::compile_optimized(&source).expect("compiles");
+        let (program, report) = fortrand::compile(&source).expect("compiles");
         assert!(report.has_applied("hoist", ""));
         assert!(report.has_applied("fuse", ""));
         let mut exec = Executor::new(rank, &program);
@@ -182,7 +180,7 @@ fn hoisted_build_runs_once_and_message_counts_are_pinned() {
 #[test]
 fn blocked_hoist_falls_back_to_guarded_rebuilds() {
     // The indirection array drifts every step, so the build must stay inside the
-    // time loop and actually re-run (rebuild or patch) each time it goes stale.
+    // time loop and actually re-run each time it goes stale.
     let n = 32;
     let nsteps = 5;
     let source = format!(
@@ -201,7 +199,7 @@ fn blocked_hoist_falls_back_to_guarded_rebuilds() {
          END DO\n"
     );
     let out = run(MachineConfig::new(2).with_ledger(), move |rank| {
-        let (program, report) = fortrand::compile_optimized(&source).expect("compiles");
+        let (program, report) = fortrand::compile(&source).expect("compiles");
         assert!(report.has_blocked("hoist", "IA"));
         let mut exec = Executor::new(rank, &program);
         exec.set_integer_array(
@@ -213,16 +211,13 @@ fn blocked_hoist_falls_back_to_guarded_rebuilds() {
         exec.run_all(rank);
         exec.group_stats(0)
     });
-    for (rank, &(rebuilds, patches, reuses)) in out.results.iter().enumerate() {
+    for (rank, &stats) in out.results.iter().enumerate() {
+        // One member, dirty every step: nothing of the old table survives, so every
+        // guard rebuilds from scratch — no patch, nothing reused as-is.
         assert_eq!(
-            rebuilds + patches + reuses,
-            nsteps as u64,
-            "rank {rank}: the stamp guard must run once per step"
-        );
-        assert!(rebuilds >= 1, "rank {rank}: first step must build");
-        assert_eq!(
-            reuses, 0,
-            "rank {rank}: IA drifts every step, nothing should be reused as-is"
+            stats,
+            (nsteps as u64, 0, 0),
+            "rank {rank}: (rebuilds, patches, reuses)"
         );
     }
 }

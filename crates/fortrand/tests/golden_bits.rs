@@ -13,6 +13,8 @@
 //! sum loops run on integer-valued inputs, where every intermediate is exact — the
 //! same device `inspector_drift` and `compiler_loop.rs` use.
 
+mod common;
+
 use fortrand::Executor;
 use mpsim::{run, MachineConfig};
 
@@ -232,11 +234,7 @@ const PROGRAMS: [(&str, &str, Driver); 6] = [
 
 fn fingerprint_of(source: &'static str, driver: Driver, procs: usize, optimize: bool) -> u64 {
     let out = run(MachineConfig::new(procs).with_ledger(), move |rank| {
-        let program = if optimize {
-            fortrand::compile_optimized(source).expect("compiles").0
-        } else {
-            fortrand::compile(source).expect("compiles")
-        };
+        let program = common::program(source, optimize);
         let mut exec = Executor::new(rank, &program);
         driver(rank, &mut exec, procs, procs > 2)
     });

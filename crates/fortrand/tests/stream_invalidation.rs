@@ -11,6 +11,8 @@
 //! proptest offline); the pointer-level checks — which member was re-localized, which
 //! streams were reused — are unit tests in `src/interp.rs`.
 
+mod common;
+
 use fortrand::Executor;
 use mpsim::{run, MachineConfig};
 
@@ -78,11 +80,7 @@ fn conditional_indirection_updates_never_leave_a_stale_stream() {
             for optimize in [false, true] {
                 let (src, ia, x) = (source(n, nsteps, threshold), ia.clone(), x.clone());
                 let out = run(MachineConfig::new(procs).with_ledger(), move |rank| {
-                    let program = if optimize {
-                        fortrand::compile_optimized(&src).expect("compiles").0
-                    } else {
-                        fortrand::compile(&src).expect("compiles")
-                    };
+                    let program = common::program(&src, optimize);
                     let mut exec = Executor::new(rank, &program);
                     exec.set_integer_array("IA", &ia);
                     exec.set_real_array("X", &x);

@@ -35,7 +35,7 @@ fn main() {
         source.lines().count(),
         source
     );
-    let lowered = compile(&source).expect("program compiles");
+    let (lowered, report) = compile(&source).expect("program compiles");
     println!("Lowered loops:");
     for plan in &lowered.loops {
         let kind = match &plan.kind {
@@ -52,10 +52,11 @@ fn main() {
             plan.loop_id, plan.gathered_arrays, plan.sum_targets, plan.indirection_arrays
         );
     }
+    print!("Optimizer decisions:\n{}", report.render());
 
     let nprocs = 4;
     let outcome = run(MachineConfig::new(nprocs), move |rank| {
-        let lowered = compile(&source).expect("program compiles");
+        let (lowered, _) = compile(&source).expect("program compiles");
         let mut exec = Executor::new(rank, &lowered);
         let icell: Vec<i64> = (0..nparticles)
             .map(|i| ((i * 13) % ncells + 1) as i64)

@@ -69,7 +69,10 @@ fn dsmc_simulation_is_identical_across_move_modes_and_machine_sizes() {
     expected.sort_unstable();
 
     for &nprocs in &[1usize, 2, 4, 6] {
-        for mode in [MoveMode::Lightweight, MoveMode::Regular] {
+        let regular = MoveMode::Patched {
+            rebuild_every_step: true,
+        };
+        for mode in [MoveMode::Lightweight, regular] {
             let config = DsmcConfig {
                 nsteps,
                 dt: 0.4,
@@ -136,7 +139,7 @@ fn compiled_figure10_template_matches_the_hand_written_kernel_numerically() {
 
     let source = chaos_bench_source(natoms, jnb.len());
     let out = run(MachineConfig::new(4), move |rank| {
-        let lowered = compile(&source).unwrap();
+        let (lowered, _) = compile(&source).unwrap();
         let mut exec = Executor::new(rank, &lowered);
         exec.set_integer_array("INBLO", &inblo);
         exec.set_integer_array("JNB", &jnb);
