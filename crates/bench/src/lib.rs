@@ -18,7 +18,7 @@
 //!
 //! * `BENCH_exchange.json` — written by the `exchange_microbench` binary (`--json`):
 //!   steady-state engine loops with wall-clock, modeled time, [`mpsim::ExchangeStats`]
-//!   counts, and the pack-buffer pool's allocation counters;
+//!   counts, and the buffer pool's allocation counters;
 //! * `BENCH_tables.json` — written by `all_tables --json`: every paper table's rows plus
 //!   per-table wall-clock;
 //! * `BENCH_adapt.json` — written by `adapt_scenarios --json`: the remap-policy

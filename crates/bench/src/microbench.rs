@@ -4,7 +4,7 @@
 //! executes the *same* communication pattern over and over (CHARMM's gather/scatter per
 //! time step, DSMC's append per move phase, CHARMM's remap of several arrays with one
 //! plan).  These harnesses reproduce the three shapes on a small machine and measure what
-//! the engine's pack-buffer pool does to them:
+//! the engine's buffer pool does to them:
 //!
 //! * [`gather_scatter_steady`] — one regular schedule, `gather` + `scatter_add` per
 //!   iteration (the CHARMM non-bonded loop's executor half);
@@ -22,17 +22,16 @@
 //!   its coordinate/force arrays after a repartition).
 //!
 //! Each returns a [`MicrobenchResult`] carrying wall-clock time, modeled time, per-run
-//! [`ExchangeStats`], and the pool counters — send-side pack buffers *and* receive-side
-//! decode scratch — split into *total* and *steady-state* (after warm-up) windows.  The
-//! zero-allocation steady state (`pool_steady.allocations == 0` always;
-//! `pool_steady.decode_allocations == 0` for every loop whose placement only borrows, see
-//! [`MicrobenchResult::receive_owned`]) is asserted by the pool smoke tests, checked by
-//! `exchange_microbench --check` in CI, and reported in `BENCH_exchange.json`.
+//! [`ExchangeStats`], and the buffer-pool counters, split into *total* and
+//! *steady-state* (after warm-up) windows.  The zero-allocation steady state
+//! (`pool_steady.decode_allocations == 0` for every loop whose placement only borrows,
+//! see [`MicrobenchResult::receive_owned`]) is asserted by the pool smoke tests, checked
+//! by `exchange_microbench --check` in CI, and reported in `BENCH_exchange.json`.
 //!
 //! Two sweeps extend the fixed 8-rank loops the way the paper's tables sweep processor
 //! counts: [`rank_sweep`] runs the gather/scatter and append shapes at P = 2–64 ranks,
 //! and [`element_size_sweep`] runs them with 8-, 24- and 64-byte payload elements
-//! (exercising the bulk codec's chunked encode/decode paths).  The collectives scale
+//! (bytes on the wire scale with the element size, messages do not).  The collectives scale
 //! further — [`crate::collective`] sweeps them to P = 1024.
 
 use std::time::Instant;
@@ -87,8 +86,8 @@ pub struct MicrobenchResult {
     pub elem_bytes: usize,
     /// Whether the loop's placement takes ownership of its payloads (`Placed::into_vec`,
     /// as `scatter_append` must — the appended items outlive the call).  Ownership-taking
-    /// loops legitimately show steady-state decode-scratch allocations; borrow-only loops
-    /// must show zero, and the `--check` gate enforces exactly that split.
+    /// loops legitimately show steady-state pool allocations; borrow-only loops must show
+    /// zero, and the `--check` gate enforces exactly that split.
     pub receive_owned: bool,
     /// Warm-up iterations excluded from the measurement window.
     pub warmup_iters: usize,
@@ -118,31 +117,31 @@ pub struct MicrobenchResult {
     pub modeled_total_us: f64,
     /// Engine message/byte counts of the measurement window, summed over ranks.
     pub exchange: ExchangeStats,
-    /// Pack-buffer pool counters of the whole run, summed over ranks.
+    /// Buffer-pool counters of the whole run, summed over ranks.  The pool counts into
+    /// `decode_allocations` / `decode_reuses` (see [`PackPoolStats`]).
     pub pool_total: PackPoolStats,
-    /// Pack-buffer pool counters of the measurement window only, summed over ranks.
+    /// Buffer-pool counters of the measurement window only, summed over ranks.
     pub pool_steady: PackPoolStats,
+    /// `backend_sweep` shared-backend rows only: the modeled row's `wall_ns_per_iter`
+    /// over this row's, for the same loop at the same machine size.  Reported, not gated.
+    pub modeled_to_shared_wall_x: Option<f64>,
 }
 
 impl MicrobenchResult {
     /// What a pool-less engine would have allocated over the whole run: one fresh buffer
-    /// per buffer request, in both directions (send-side pack buffers plus receive-side
-    /// decode scratch).  This is the pre-pool baseline the acceptance comparison uses.
-    /// Counting both pools also keeps the metric meaningful on the shared-memory
-    /// backend, whose POD fast path draws every message buffer from the decode-scratch
-    /// pool and leaves the pack-buffer pool idle.
+    /// per buffer request.  This is the pre-pool baseline the acceptance comparison uses.
     pub fn baseline_allocations(&self) -> u64 {
-        self.pool_total.requests() + self.pool_total.decode_requests()
+        self.pool_total.decode_requests()
     }
 
-    /// Percentage of buffer allocations (both directions) the pools eliminated relative
-    /// to the pool-less baseline.
+    /// Percentage of buffer allocations the pool eliminated relative to the pool-less
+    /// baseline.
     pub fn allocation_reduction_pct(&self) -> f64 {
         let base = self.baseline_allocations();
         if base == 0 {
             0.0
         } else {
-            100.0 * (self.pool_total.reuses + self.pool_total.decode_reuses) as f64 / base as f64
+            100.0 * self.pool_total.decode_reuses as f64 / base as f64
         }
     }
 
@@ -158,7 +157,7 @@ impl MicrobenchResult {
 
     /// Render this result as one entry of the `BENCH_exchange.json` `benches` array.
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
+        let mut row = vec![
             ("name", Json::str(self.name)),
             ("backend", Json::str(self.backend)),
             ("ranks", Json::uint(self.ranks as u64)),
@@ -190,26 +189,16 @@ impl MicrobenchResult {
             (
                 "pool",
                 Json::obj(vec![
-                    ("allocations", Json::uint(self.pool_total.allocations)),
-                    ("reuses", Json::uint(self.pool_total.reuses)),
                     (
-                        "steady_allocations",
-                        Json::uint(self.pool_steady.allocations),
-                    ),
-                    ("steady_reuses", Json::uint(self.pool_steady.reuses)),
-                    (
-                        "decode_allocations",
+                        "allocations",
                         Json::uint(self.pool_total.decode_allocations),
                     ),
-                    ("decode_reuses", Json::uint(self.pool_total.decode_reuses)),
+                    ("reuses", Json::uint(self.pool_total.decode_reuses)),
                     (
-                        "steady_decode_allocations",
+                        "steady_allocations",
                         Json::uint(self.pool_steady.decode_allocations),
                     ),
-                    (
-                        "steady_decode_reuses",
-                        Json::uint(self.pool_steady.decode_reuses),
-                    ),
+                    ("steady_reuses", Json::uint(self.pool_steady.decode_reuses)),
                     (
                         "baseline_allocations",
                         Json::uint(self.baseline_allocations()),
@@ -220,7 +209,11 @@ impl MicrobenchResult {
                     ),
                 ]),
             ),
-        ])
+        ];
+        if let Some(x) = self.modeled_to_shared_wall_x {
+            row.push(("modeled_to_shared_wall_x", Json::Num(x)));
+        }
+        Json::obj(row)
     }
 
     /// One-line human-readable summary.
@@ -228,7 +221,7 @@ impl MicrobenchResult {
         format!(
             "{:<26} [{:<7}] {:>2} ranks  {:>2}B elems  {:>3} iters  {:>4} msgs/iter  \
              wall {:>8.2} ms ({:>9.0} ns/iter)  modeled {:>10.1} us  \
-             allocs {:>5} (steady {:>2})  decode {:>5} (steady {:>3}{})  -{:.1}%",
+             allocs {:>5} (steady {:>3}{})  -{:.1}%",
             self.name,
             self.backend,
             self.ranks,
@@ -238,8 +231,6 @@ impl MicrobenchResult {
             self.wall_ms,
             self.wall_ns_per_iter,
             self.modeled_total_us,
-            self.pool_total.allocations,
-            self.pool_steady.allocations,
             self.pool_total.decode_allocations,
             self.pool_steady.decode_allocations,
             if self.receive_owned { ", owned" } else { "" },
@@ -338,6 +329,7 @@ fn collect(
         exchange,
         pool_total: outcome.pool_totals(),
         pool_steady,
+        modeled_to_shared_wall_x: None,
     }
 }
 
@@ -590,7 +582,7 @@ pub fn all_microbenches(cfg: &MicrobenchConfig) -> Vec<MicrobenchResult> {
 /// The element-size sweep harness for the gather/scatter shape: same schedule and access
 /// pattern as [`gather_scatter_steady`], but `gather` + `scatter` (overwrite, no
 /// reduction) so it is generic over any payload element — the sweep instantiates it at
-/// 8, 24 and 64 bytes per element to exercise the bulk codec's chunked paths.
+/// 8, 24 and 64 bytes per element.
 fn gather_scatter_elem_steady<T>(
     name: &'static str,
     cfg: &MicrobenchConfig,
@@ -726,39 +718,20 @@ pub fn element_size_sweep(base: &MicrobenchConfig) -> Vec<MicrobenchResult> {
 /// [`mpsim::shared::MAX_SHARED_RANKS`].
 pub const BACKEND_SWEEP_POINTS: &[usize] = &[1, 2, 8];
 
-/// Wall-clock factor the shared-memory backend must beat the modeled backend by on the
-/// codec-heavy 64-byte POD loop at the largest sweep point.  The fast path eliminates
-/// the whole encode/decode step (typed buffers cross the fabric by pointer move), which
-/// halves the copies of a pack + place exchange: 2.0x is the asymptote, not a floor, so
-/// the gate sits at what the typed transport must deliver with margin for a loaded host
-/// (measured spread in BENCHMARKS.md).  The end-to-end statement of the same property
-/// is `finegrain_shared` vs `finegrain_modeled` in `benchmark/`.
-pub const MIN_SHARED_SPEEDUP: f64 = 1.5;
-
-/// Run the gather/scatter shape (8-byte and 64-byte POD elements) on both backends at
-/// every point of [`BACKEND_SWEEP_POINTS`].  Modeled time, wire statistics and
-/// fingerprints must come out identical — only `wall_ns_per_iter` may differ, and on
-/// the 64-byte loop it must differ by at least [`MIN_SHARED_SPEEDUP`]
-/// ([`backend_equivalence_violations`] gates both).
+/// Run the gather/scatter shape (8-byte and 64-byte elements) on both backends at every
+/// point of [`BACKEND_SWEEP_POINTS`].  Modeled time, wire statistics and fingerprints
+/// must come out identical ([`backend_equivalence_violations`] gates that); only
+/// wall-clock may differ, and each shared row reports the modeled-to-shared wall ratio
+/// ([`MicrobenchResult::modeled_to_shared_wall_x`]) without a gate.  The two backends
+/// ship the same typed buffers and differ only in the mailbox, so the ratio measures the
+/// mpsc channel against the SPSC rings.
 ///
-/// Wall-clock on a busy CI host is noisy, so the sweep hardens the measurement rather
-/// than loosening the gate: a larger problem than the default (the codec work the fast
-/// path eliminates then dominates fixed per-message overheads), a longer measured
-/// window, and best-of-two windows per row (the *minimum* wall time is the standard
-/// noise-robust estimator — scheduling interference only ever inflates a window).  All
-/// deterministic fields are identical across the two windows; keeping the faster row
-/// whole keeps `wall_ms` consistent with the window it came from.
-/// One run of the 64-byte element loop exactly as [`backend_sweep`] configures it —
-/// exposed for ad-hoc wall-clock measurement harnesses.
-pub fn backend_sweep_point_64b(cfg: &MicrobenchConfig) -> MicrobenchResult {
-    gather_scatter_elem_steady::<[f64; 8]>(
-        "gather_scatter_elem_64B",
-        cfg,
-        |g| [g as f64; 8],
-        |v| v.iter().sum(),
-    )
-}
-
+/// Wall-clock on a busy host is noisy, so the sweep hardens the measurement: a larger
+/// problem than the default, a longer measured window, and best-of-two windows per row
+/// (the *minimum* wall time is the standard noise-robust estimator — scheduling
+/// interference only ever inflates a window).  All deterministic fields are identical
+/// across the two windows; keeping the faster row whole keeps `wall_ms` consistent with
+/// the window it came from.
 pub fn backend_sweep(base: &MicrobenchConfig) -> Vec<MicrobenchResult> {
     fn best_of_two(mut run: impl FnMut() -> MicrobenchResult) -> MicrobenchResult {
         let a = run();
@@ -790,13 +763,29 @@ pub fn backend_sweep(base: &MicrobenchConfig) -> Vec<MicrobenchResult> {
             }));
         }
     }
+    attach_wall_ratios(&mut out);
     out
+}
+
+/// Set [`MicrobenchResult::modeled_to_shared_wall_x`] on every shared row that has a
+/// modeled twin (same loop, same machine size).
+fn attach_wall_ratios(rows: &mut [MicrobenchResult]) {
+    let modeled: Vec<(&'static str, usize, f64)> = rows
+        .iter()
+        .filter(|r| r.backend == "modeled")
+        .map(|r| (r.name, r.ranks, r.wall_ns_per_iter))
+        .collect();
+    for r in rows.iter_mut().filter(|r| r.backend == "shared") {
+        r.modeled_to_shared_wall_x = modeled
+            .iter()
+            .find(|&&(name, ranks, _)| name == r.name && ranks == r.ranks)
+            .map(|&(_, _, wall)| round2(wall / r.wall_ns_per_iter));
+    }
 }
 
 /// The `--check` gate over a [`backend_sweep`]: rows describing the same loop at the
 /// same machine size must agree on fingerprint, wire statistics and modeled time across
-/// backends (the equivalence contract), and the shared-memory backend must deliver
-/// [`MIN_SHARED_SPEEDUP`] on the 64-byte loop at the largest sweep point.
+/// backends (the equivalence contract).
 pub fn backend_equivalence_violations(results: &[MicrobenchResult]) -> Vec<String> {
     let mut v = Vec::new();
     for a in results.iter().filter(|r| r.backend == "modeled") {
@@ -836,50 +825,24 @@ pub fn backend_equivalence_violations(results: &[MicrobenchResult]) -> Vec<Strin
             ));
         }
     }
-    let max_p = results.iter().map(|r| r.ranks).max().unwrap_or(0);
-    let wall = |backend: &str| {
-        results
-            .iter()
-            .find(|r| {
-                r.backend == backend && r.name == "gather_scatter_elem_64B" && r.ranks == max_p
-            })
-            .map(|r| r.wall_ns_per_iter)
-    };
-    if let (Some(modeled), Some(shared)) = (wall("modeled"), wall("shared")) {
-        if shared * MIN_SHARED_SPEEDUP > modeled {
-            v.push(format!(
-                "gather_scatter_elem_64B (P={max_p}): shared backend is only {:.2}x faster \
-                 than modeled ({shared:.0} vs {modeled:.0} ns/iter; expected >= \
-                 {MIN_SHARED_SPEEDUP}x)",
-                modeled / shared
-            ));
-        }
-    }
     v
 }
 
-/// The pinned steady-state invariant, as CI enforces it: no loop may allocate a pack
-/// buffer after warm-up, and borrow-only loops may not allocate decode scratch either
-/// (ownership-taking loops hand their payloads to the application, so their scratch
-/// allocations are the data itself, not engine overhead).  Returns one message per
-/// violation; empty means the invariant holds.
+/// The pinned steady-state invariant, as CI enforces it: no borrow-only loop may
+/// allocate a message buffer after warm-up (ownership-taking loops hand their payloads to
+/// the application, so their pool allocations are the data itself, not engine
+/// overhead).  Returns one message per violation; empty means the invariant holds.
 pub fn steady_state_violations(results: &[MicrobenchResult]) -> Vec<String> {
-    let mut violations = Vec::new();
-    for r in results {
-        if r.pool_steady.allocations != 0 {
-            violations.push(format!(
-                "{} ({} ranks): {} steady-state pack-buffer allocations (expected 0)",
-                r.name, r.ranks, r.pool_steady.allocations
-            ));
-        }
-        if !r.receive_owned && r.pool_steady.decode_allocations != 0 {
-            violations.push(format!(
-                "{} ({} ranks): {} steady-state decode-scratch allocations (expected 0)",
+    results
+        .iter()
+        .filter(|r| !r.receive_owned && r.pool_steady.decode_allocations != 0)
+        .map(|r| {
+            format!(
+                "{} ({} ranks): {} steady-state pool allocations (expected 0)",
                 r.name, r.ranks, r.pool_steady.decode_allocations
-            ));
-        }
-    }
-    violations
+            )
+        })
+        .collect()
 }
 
 /// Every microbenchmark section of the report, in document order: section name →
@@ -903,7 +866,7 @@ pub fn host_cores() -> usize {
 }
 
 /// Render the benchmark results as the `BENCH_exchange.json` document
-/// (schema `chaos-bench/exchange/v6`, documented in `BENCHMARKS.md`).  v3 added the
+/// (schema `chaos-bench/exchange/v7`, documented in `BENCHMARKS.md`).  v3 added the
 /// `collective_sweep` section ([`crate::collective`]): per-collective modeled time and
 /// per-rank message counts over machine sizes up to P = 1024.  v4 added the `delta`
 /// section ([`crate::delta::delta_section`]): the schedule-maintenance scenarios, shared
@@ -911,14 +874,16 @@ pub fn host_cores() -> usize {
 /// `fingerprint` fields, the `backend_sweep` section (modeled vs shared-memory
 /// wall-clock at identical modeled cost) and the top-level `host_cores` field the
 /// wall-clock numbers must be read against.  v6 drops the `preproc` section with the
-/// parallel inspector it measured.
+/// parallel inspector it measured.  v7 reports the one buffer pool in the `pool` object
+/// (the `decode_*` columns are gone) and adds `modeled_to_shared_wall_x` to the shared
+/// rows of `backend_sweep`.
 pub fn exchange_report(
     sections: &[(&'static str, Vec<MicrobenchResult>)],
     collectives: &[crate::collective::CollectiveResult],
     delta: Json,
 ) -> Json {
     let mut pairs = vec![
-        ("schema", Json::str("chaos-bench/exchange/v6")),
+        ("schema", Json::str("chaos-bench/exchange/v7")),
         (
             "generated_by",
             Json::str("cargo run --release -p chaos-bench --bin exchange_microbench -- --json"),
@@ -961,9 +926,8 @@ mod tests {
         assert!(r.exchange.msgs_sent > 0);
         assert!(r.exchange.bytes_sent > 0);
         assert!(r.modeled_total_us > 0.0);
-        // The measurement window must not allocate, in either direction: both pools are
-        // warm and the placement only borrows.
-        assert_eq!(r.pool_steady.allocations, 0);
+        // The measurement window must not allocate: the pool is warm and the placement
+        // only borrows.
         assert_eq!(r.pool_steady.decode_allocations, 0);
         assert!(r.pool_steady.decode_reuses > 0);
     }
@@ -978,8 +942,7 @@ mod tests {
         assert_eq!(fused.exchange.bytes_sent, 3 * single.exchange.bytes_sent);
         assert_eq!(fused.exchange.msgs_sent, single.exchange.msgs_sent);
         assert_eq!(fused.msgs_per_iter(), single.msgs_per_iter());
-        // And the fused loop stays steady-state clean in both directions.
-        assert_eq!(fused.pool_steady.allocations, 0);
+        // And the fused loop stays steady-state clean.
         assert_eq!(fused.pool_steady.decode_allocations, 0);
     }
 
@@ -988,7 +951,6 @@ mod tests {
         let r = overlap_gather_steady(&tiny());
         assert!(r.exchange.msgs_sent > 0);
         assert!(!r.receive_owned);
-        assert_eq!(r.pool_steady.allocations, 0);
         assert_eq!(r.pool_steady.decode_allocations, 0);
         assert!(r.pool_steady.decode_reuses > 0);
         assert!(steady_state_violations(std::slice::from_ref(&r)).is_empty());
@@ -1060,11 +1022,9 @@ mod tests {
         assert!(steady_state_violations(std::slice::from_ref(&r)).is_empty());
         r.pool_steady.decode_allocations = 3;
         assert_eq!(steady_state_violations(std::slice::from_ref(&r)).len(), 1);
-        // An ownership-taking loop is allowed decode allocations but not pack ones.
+        // An ownership-taking loop is allowed pool allocations: they are its data.
         r.receive_owned = true;
         assert!(steady_state_violations(std::slice::from_ref(&r)).is_empty());
-        r.pool_steady.allocations = 1;
-        assert_eq!(steady_state_violations(std::slice::from_ref(&r)).len(), 1);
     }
 
     #[test]
@@ -1081,7 +1041,7 @@ mod tests {
         let delta = Json::obj(vec![("placeholder", Json::Bool(true))]);
         let doc = exchange_report(&sections, &collectives, delta);
         let text = doc.render_pretty();
-        assert!(text.contains("\"schema\": \"chaos-bench/exchange/v6\""));
+        assert!(text.contains("\"schema\": \"chaos-bench/exchange/v7\""));
         assert!(text.contains("\"host_cores\""));
         assert!(text.contains("\"delta\""));
         assert!(text.contains("\"gather_scatter_steady\""));
@@ -1095,17 +1055,15 @@ mod tests {
         assert!(text.contains("\"wall_ns_per_iter\""));
         assert!(text.contains("\"fingerprint\""));
         assert!(text.contains("\"steady_allocations\": 0"));
-        assert!(text.contains("\"steady_decode_allocations\": 0"));
+        assert!(!text.contains("decode_allocations"), "v7 has one pool");
         assert!(text.contains("\"receive_owned\": true"));
     }
 
     #[test]
     fn backends_agree_on_everything_but_wall_clock() {
-        // The equivalence half of the backend gate at unit-test scale: fingerprints,
-        // wire statistics and modeled time must be identical across backends.  The
-        // wall-clock speedup bound is exercised at full scale by `--check` (and its
-        // firing logic by the synthetic test below) — a 4-iteration window is too
-        // noisy to time.
+        // The backend gate at unit-test scale: fingerprints, wire statistics and
+        // modeled time must be identical across backends.  Wall-clock is reported by
+        // the full-scale sweep, never gated — a 4-iteration window is too noisy to time.
         let mut results = Vec::new();
         for backend in [ExchangeBackend::Modeled, ExchangeBackend::SharedMem] {
             let cfg = MicrobenchConfig { backend, ..tiny() };
@@ -1125,7 +1083,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_gate_fires_on_divergence_and_missing_speedup() {
+    fn backend_gate_fires_on_divergence_and_missing_counterpart() {
         // Backends pinned explicitly — under MPSIM_BACKEND=shared the default config
         // would otherwise produce two shared rows and the pairing loop would be empty.
         let cfg = tiny();
@@ -1148,15 +1106,18 @@ mod tests {
             v.iter().any(|m| m.contains("modeled time diverges")),
             "{v:?}"
         );
-        // A 64B pair where shared is NOT 2x faster must trip the speedup bound.
+        // Wall-clock is reported, not gated: a shared row slower than its modeled twin
+        // is no violation, and it carries the ratio.
         let mut slow_modeled = a.clone();
-        slow_modeled.name = "gather_scatter_elem_64B";
-        slow_modeled.wall_ns_per_iter = 1000.0;
+        slow_modeled.wall_ns_per_iter = 900.0;
         let mut slow_shared = slow_modeled.clone();
         slow_shared.backend = "shared";
-        slow_shared.wall_ns_per_iter = 900.0;
-        let v = backend_equivalence_violations(&[slow_modeled, slow_shared]);
-        assert!(v.iter().any(|m| m.contains("only")), "{v:?}");
+        slow_shared.wall_ns_per_iter = 1000.0;
+        let mut rows = [slow_modeled, slow_shared];
+        attach_wall_ratios(&mut rows);
+        assert!(backend_equivalence_violations(&rows).is_empty());
+        assert_eq!(rows[0].modeled_to_shared_wall_x, None);
+        assert_eq!(rows[1].modeled_to_shared_wall_x, Some(0.9));
         // A missing counterpart is reported rather than silently unpaired.
         let v = backend_equivalence_violations(std::slice::from_ref(&a));
         assert!(v.iter().any(|m| m.contains("no shared-backend")), "{v:?}");

@@ -1,13 +1,13 @@
 //! Pool smoke tests: the zero-allocation steady state of the exchange engine.
 //!
-//! These pin the property the engine's buffer pools exist for — after a warm-up window,
+//! These pin the property the engine's buffer pool exists for — after a warm-up window,
 //! the steady-state executor loops (the shape of every time-stepped application in the
-//! paper) draw every outgoing message buffer from the pack-buffer pool *and* every
-//! incoming payload's typed scratch from the decode-scratch pool, allocating nothing
-//! fresh in either direction.  The one sanctioned exception is `scatter_append`, whose
-//! placement takes ownership of its payloads (`Placed::into_vec`) — its decode
-//! allocations are the application's data, not engine overhead.  The counters come from
-//! `mpsim::Rank::pool_stats` via the `exchange_microbench` harnesses.
+//! paper) pack every outgoing message into a buffer drawn from the pool, and every
+//! received buffer goes back to it, so nothing fresh is allocated.  The one sanctioned
+//! exception is `scatter_append`, whose placement takes ownership of its payloads
+//! (`Placed::into_vec`) — its pool allocations are the application's data, not engine
+//! overhead.  The counters come from `mpsim::Rank::pool_stats` (which reports the pool
+//! in its `decode_*` fields) via the `exchange_microbench` harnesses.
 
 use chaos_bench::microbench::{
     gather_scatter_steady, remap_steady, scatter_append_steady, steady_state_violations,
@@ -33,44 +33,47 @@ fn gather_scatter_steady_state_allocates_no_pack_buffers() {
         "the loop must actually communicate"
     );
     assert_eq!(
-        r.pool_steady.allocations, 0,
+        r.pool_steady.decode_allocations, 0,
         "steady-state gather/scatter drew a fresh buffer: {:?}",
         r.pool_steady
     );
     assert!(
-        r.pool_steady.reuses + r.pool_steady.decode_reuses > 0,
-        "steady-state loop should be served from the pools (the shared-memory POD fast \
-         path draws from the decode-scratch pool instead of the pack-buffer pool)"
+        r.pool_steady.decode_reuses > 0,
+        "steady-state loop should be served from the pool"
     );
 }
 
 #[test]
 fn gather_scatter_steady_state_allocates_no_decode_scratch_either() {
-    // The receive-side half of the acceptance condition: the 8-rank gather/scatter loop
-    // places every incoming payload through a borrowed view, so the decode-scratch pool
-    // satisfies every request after warm-up — zero steady-state allocations in *both*
-    // directions.
+    // The receive side of the acceptance condition: the 8-rank gather/scatter loop
+    // places every incoming payload through a borrowed view, so every received buffer
+    // returns to the pool and the pool satisfies every request after warm-up.
     let r = gather_scatter_steady(&cfg());
     assert!(r.exchange.msgs_received > 0);
     assert_eq!(
         r.pool_steady.decode_allocations, 0,
-        "steady-state gather/scatter drew a fresh decode scratch: {:?}",
+        "steady-state gather/scatter drew a fresh buffer: {:?}",
         r.pool_steady
     );
     assert!(
         r.pool_steady.decode_reuses > 0,
-        "steady-state receives should be served from the scratch pool"
+        "steady-state receives should return their buffers to the pool"
     );
     assert!(steady_state_violations(std::slice::from_ref(&r)).is_empty());
 }
 
 #[test]
 fn scatter_append_steady_state_allocates_no_pack_buffers() {
+    // The append keeps its payloads (`Placed::into_vec`), so the pool allocates one
+    // buffer per kept message; the schedule build's count negotiation and every send
+    // beyond that must be served from the pool.
     let r = scatter_append_steady(&cfg());
     assert!(r.exchange.msgs_sent > 0);
-    assert_eq!(
-        r.pool_steady.allocations, 0,
-        "steady-state append (schedule build + scatter_append) drew a fresh buffer: {:?}",
+    assert!(r.receive_owned);
+    assert!(
+        r.pool_steady.decode_allocations <= r.exchange.msgs_received,
+        "steady-state append (schedule build + scatter_append) allocated more buffers \
+         than it kept: {:?}",
         r.pool_steady
     );
 }
@@ -80,13 +83,8 @@ fn remap_values_steady_state_allocates_no_pack_buffers() {
     let r = remap_steady(&cfg());
     assert!(r.exchange.msgs_sent > 0);
     assert_eq!(
-        r.pool_steady.allocations, 0,
-        "steady-state remap_values drew a fresh buffer: {:?}",
-        r.pool_steady
-    );
-    assert_eq!(
         r.pool_steady.decode_allocations, 0,
-        "steady-state remap_values drew a fresh decode scratch: {:?}",
+        "steady-state remap_values drew a fresh buffer: {:?}",
         r.pool_steady
     );
 }
@@ -100,7 +98,7 @@ fn pool_eliminates_at_least_thirty_percent_of_baseline_allocations() {
         r.allocation_reduction_pct() >= 30.0,
         "expected ≥ 30% fewer allocations than baseline, got {:.1}% ({} of {})",
         r.allocation_reduction_pct(),
-        r.pool_total.allocations,
+        r.pool_total.decode_allocations,
         r.baseline_allocations()
     );
 }

@@ -7,8 +7,8 @@
 //!   inspector).
 //! * [`scatter`] — the reverse transfer: push ghost-region values back to their owners,
 //!   overwriting the owner's copy.
-//! * [`scatter_add`] / [`scatter_op`] — reverse transfer combining with the owner's copy
-//!   (the reduction form used by `x(ia(i)) = x(ia(i)) + …` loops).
+//! * [`scatter_add`] — reverse transfer adding into the owner's copy (the reduction form
+//!   used by `x(ia(i)) = x(ia(i)) + …` loops).
 //! * [`scatter_append`] — the light-weight-schedule primitive: move whole elements to new
 //!   owners and append them in arbitrary order (the DSMC MOVE phase).
 //!
@@ -43,13 +43,13 @@
 //! what went on the wire.
 //!
 //! All four primitives use the engine's packing form ([`mpsim::alltoallv_with`]): elements
-//! are encoded from the array straight into pooled message buffers, so a steady-state
+//! are packed from the array straight into pooled message buffers, so a steady-state
 //! executor loop — the shape of every time-stepped application in the paper — allocates
 //! no fresh send buffers at all.  On the receive side, `gather`/`scatter*` only *read*
 //! the incoming values through the borrowed [`mpsim::Placed`] view (placing them by
-//! permutation into the array), so their decode scratch is recycled and the steady-state
-//! loop allocates nothing in either direction; `scatter_append` is the one primitive that
-//! keeps each payload (the appended items outlive the call) and takes ownership with
+//! permutation into the array), so each received buffer goes back to the pool and the
+//! steady-state loop allocates nothing; `scatter_append` is the one primitive that keeps
+//! each payload (the appended items outlive the call) and takes ownership with
 //! `Placed::into_vec` (see the buffer-pool notes in [`mpsim::exchange`]).
 
 use mpsim::{
@@ -130,21 +130,6 @@ where
     transfer(rank, sched, array, Direction::Scatter, |owner, incoming| {
         *owner += incoming;
     })
-}
-
-/// Scatter ghost-region values back to their owners, combining with an arbitrary operator
-/// (`op(&mut owner_value, incoming_value)`).
-pub fn scatter_op<T, F>(
-    rank: &mut Rank,
-    sched: &CommSchedule,
-    array: &mut DistArray<T>,
-    op: F,
-) -> ExchangeStats
-where
-    T: Element + Default,
-    F: Fn(&mut T, T),
-{
-    transfer(rank, sched, array, Direction::Scatter, op)
 }
 
 /// The single-array transfer in either direction: pack `from[pack_lists[p][k]]` for every
@@ -550,7 +535,7 @@ pub fn scatter_append<T: Element>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribution::{BlockDist, RegularDist};
+    use crate::distribution::BlockDist;
     use crate::index_hash::{Stamp, StampQuery};
     use crate::inspector::Inspector;
     use crate::translation::TranslationTable;
@@ -656,34 +641,6 @@ mod tests {
             assert!(owned
                 .iter()
                 .all(|&v| (v - (10.0 + nprocs as f64)).abs() < 1e-12));
-        }
-    }
-
-    #[test]
-    fn scatter_op_with_max_combiner() {
-        let n = 8;
-        let out = run(MachineConfig::new(2), move |rank| {
-            let pattern: Vec<usize> = (0..n).collect();
-            let (sched, refs, range) = setup(rank, n, &pattern);
-            let mut x = DistArray::new(vec![0.0f64; range.len()], sched.ghost_len());
-            // Rank r proposes value (g + 100*r) for element g; the max should win.
-            for (k, &r) in refs.iter().enumerate() {
-                x[r] = k as f64 + 100.0 * rank.rank() as f64;
-            }
-            scatter_op(rank, &sched, &mut x, |owner, incoming: f64| {
-                if incoming > *owner {
-                    *owner = incoming;
-                }
-            });
-            x.owned().to_vec()
-        });
-        // The max proposal for element g is g + 100 (from rank 1).
-        for (p, owned) in out.results.iter().enumerate() {
-            let dist = BlockDist::new(n, 2);
-            for (l, v) in owned.iter().enumerate() {
-                let g = dist.global_index(p, l);
-                assert_eq!(*v, g as f64 + 100.0);
-            }
         }
     }
 
@@ -898,8 +855,8 @@ mod tests {
     fn gather_scatter_add_steady_loop_allocates_nothing_on_shared_mem() {
         // One pack -> send -> place path on both transports means the steady state is the
         // engine's property, not the scheduler's: after one warm-up round a gather +
-        // scatter_add loop over typed POD payloads draws exactly zero fresh pack buffers
-        // and zero fresh typed scratch, however the rank threads interleave.
+        // scatter_add loop draws exactly zero fresh message buffers, however the rank
+        // threads interleave.
         let n = 64;
         let cfg = MachineConfig::new(4).with_backend(mpsim::ExchangeBackend::SharedMem);
         let out = run(cfg, move |rank| {
@@ -921,12 +878,11 @@ mod tests {
             rank.pool_stats().since(&warm)
         });
         for (me, delta) in out.results.iter().enumerate() {
-            assert_eq!(delta.allocations, 0, "rank {me} drew a fresh pack buffer");
             assert_eq!(
                 delta.decode_allocations, 0,
-                "rank {me} drew fresh typed scratch"
+                "rank {me} drew a fresh message buffer"
             );
-            assert!(delta.decode_reuses > 0, "rank {me}: typed scratch reused");
+            assert!(delta.decode_reuses > 0, "rank {me}: message buffers reused");
         }
     }
 

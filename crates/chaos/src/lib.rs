@@ -94,8 +94,7 @@ pub use distribution::{BlockDist, CyclicDist, RegularDist};
 pub use error::ChaosError;
 pub use executor::{
     gather, gather_finish, gather_multi, gather_start, scatter, scatter_add, scatter_add_multi,
-    scatter_append, scatter_append_finish, scatter_append_start, scatter_op, AppendHandle,
-    GatherHandle,
+    scatter_append, scatter_append_finish, scatter_append_start, AppendHandle, GatherHandle,
 };
 pub use index_hash::{IndexHashTable, ScheduleKey, Stamp, StampQuery};
 pub use inspector::{build_schedule_from_table, Inspector};
@@ -119,8 +118,7 @@ pub mod prelude {
     pub use crate::distribution::{BlockDist, CyclicDist, RegularDist};
     pub use crate::executor::{
         gather, gather_finish, gather_multi, gather_start, scatter, scatter_add, scatter_add_multi,
-        scatter_append, scatter_append_finish, scatter_append_start, scatter_op, AppendHandle,
-        GatherHandle,
+        scatter_append, scatter_append_finish, scatter_append_start, AppendHandle, GatherHandle,
     };
     pub use crate::index_hash::{IndexHashTable, ScheduleKey, Stamp, StampQuery};
     pub use crate::inspector::{build_schedule_from_table, Inspector};

@@ -33,7 +33,8 @@ pub struct CommSchedule {
     /// unchecked indexing relies on it, so the field is private to this module).
     send_lists: Vec<Vec<u32>>,
     /// `perm_lists[p]` — ghost-region slots where the elements received from processor `p`
-    /// are placed, in the order `p` packs them.  Every slot is `< ghost_len`.
+    /// are placed, in the order `p` packs them.  Every slot is `< ghost_len` and appears
+    /// in at most one list, once.
     perm_lists: Vec<Vec<u32>>,
     /// Length of the owned section of the arrays this schedule moves.
     owned_len: usize,
@@ -49,7 +50,9 @@ impl CommSchedule {
     ///
     /// # Panics
     /// Panics, naming the rank, the peer, the value and the bound, if a send offset is
-    /// not below `owned_len` or a permutation slot is not below `ghost_len`.
+    /// not below `owned_len` or a permutation slot is not below `ghost_len`.  Panics,
+    /// naming the rank, both peers and the slot, if a ghost slot appears twice across the
+    /// permutation lists: every ghost slot has one writer.
     pub fn from_parts(
         my_rank: ProcId,
         send_lists: Vec<Vec<u32>>,
@@ -63,6 +66,8 @@ impl CommSchedule {
             nprocs,
             "one permutation list per send list"
         );
+        // One bit per ghost slot: set once a permutation list claims the slot.
+        let mut claimed = vec![0u64; ghost_len.div_ceil(64)];
         for (p, (sends, perms)) in send_lists.iter().zip(&perm_lists).enumerate() {
             if let Some(&off) = sends.iter().find(|&&off| off as usize >= owned_len) {
                 panic!(
@@ -75,6 +80,20 @@ impl CommSchedule {
                     "rank {my_rank}: permutation slot {slot} for peer {p} is outside the \
                      {ghost_len}-element ghost region"
                 );
+            }
+            for &slot in perms {
+                let (word, bit) = (slot as usize / 64, 1u64 << (slot % 64));
+                if claimed[word] & bit != 0 {
+                    let first = perm_lists
+                        .iter()
+                        .position(|l| l.contains(&slot))
+                        .expect("a claimed slot has a first writer");
+                    panic!(
+                        "rank {my_rank}: ghost slot {slot} is written by both peer {first} \
+                         and peer {p}"
+                    );
+                }
+                claimed[word] |= bit;
             }
         }
         Self {
@@ -400,6 +419,18 @@ mod tests {
     )]
     fn out_of_range_permutation_slot_is_rejected_where_the_lists_are_born() {
         let _ = CommSchedule::from_parts(0, vec![vec![], vec![0]], vec![vec![], vec![1, 2]], 1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 2: ghost slot 1 is written by both peer 0 and peer 1")]
+    fn ghost_slot_with_two_writers_is_rejected_where_the_lists_are_born() {
+        let _ = CommSchedule::from_parts(
+            2,
+            vec![vec![], vec![], vec![]],
+            vec![vec![0, 1], vec![2, 1], vec![]],
+            1,
+            3,
+        );
     }
 
     #[test]

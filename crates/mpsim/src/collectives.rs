@@ -22,8 +22,8 @@
 //! reductions each round carries `O(1)` payload, which is what lets the machine scale
 //! to P = 1024.  Every rank executes the same number of rounds in the same order, so
 //! the engine's collective start-order invariant holds round by round, and all buffers
-//! ride the pooled pack/decode machinery — steady-state collective loops stay
-//! allocation-free on the message path.
+//! ride the engine's buffer pool — steady-state collective loops stay allocation-free on
+//! the message path.
 //!
 //! **Determinism.** Gathers deliver contributions indexed by source, so any fold over
 //! them is rank order, exactly like a flat implementation.  The butterfly reductions

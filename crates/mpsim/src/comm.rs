@@ -13,7 +13,7 @@
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
-use crate::message::{Envelope, Payload};
+use crate::message::{Envelope, TypedPayload};
 use crate::shared::SharedFabric;
 
 /// The physical transport behind one mailbox.
@@ -100,7 +100,7 @@ impl Mailbox {
     ///
     /// # Panics
     /// Panics if `to` is out of range or the destination rank has already shut down.
-    pub fn send(&self, to: usize, tag: u64, payload: Payload) {
+    pub fn send(&self, to: usize, tag: u64, payload: TypedPayload) {
         assert!(
             to < self.nprocs(),
             "send to rank {to} but machine has {} ranks",
@@ -183,12 +183,14 @@ mod tests {
     use super::*;
     use std::thread;
 
-    fn bytes(v: Vec<u8>) -> Payload {
-        Payload::Bytes(v)
+    fn bytes(v: Vec<u8>) -> TypedPayload {
+        TypedPayload::new(Box::new(v))
     }
 
     fn payload_bytes(env: Envelope) -> Vec<u8> {
-        env.payload.into_bytes()
+        *env.payload
+            .into_values::<u8>(String::new)
+            .expect("test payloads are non-empty")
     }
 
     /// Run the core matching tests over both transports — the semantics must not

@@ -17,9 +17,9 @@
 //! * [`alltoallv`] — executes a plan: packs nothing itself (callers pass per-destination
 //!   buffers), sends only the messages the plan calls for, receives from any source, and
 //!   hands each incoming payload to a caller-supplied placement closure as a borrowed
-//!   [`Placed`] view over pooled scratch.  The local (self → self) portion is delivered
-//!   through the same placement path without touching the network or the communication
-//!   cost model.
+//!   [`Placed`] view over the pooled buffer it arrived in.  The local (self → self)
+//!   portion is delivered through the same placement path without touching the network
+//!   or the communication cost model.
 //!
 //! Two entry points execute a plan, differing only in where the outgoing bytes come
 //! from ([`alltoallv_multi`] is the second with a lane count):
@@ -32,33 +32,29 @@
 //!   gather/scatter/append/remap primitives, and by the collectives that send every
 //!   peer the same borrowed payload.
 //!
-//! ## The buffer pools: zero allocations in both directions
+//! ## One wire and one buffer pool
 //!
-//! Outgoing messages are encoded into byte buffers drawn from the calling rank's
-//! pack-buffer pool ([`Rank::pool_stats`]), and every consumed incoming message returns
-//! its payload buffer to the pool.  On the receive side, incoming payloads are decoded
-//! (through the bulk codec hooks of [`Element`]) into *typed* scratch buffers drawn from
-//! a per-rank, per-type decode-scratch pool, and handed to the placement closure as a
-//! borrowed [`Placed`] view.  A closure that only reads the values — the executor's
-//! gather/scatter permutation placement, remapping, count negotiations — returns its
-//! scratch to the pool automatically; the few callers that genuinely keep the payload
-//! (the executor's append, the dense collectives that hand buffers to the application)
-//! take ownership with [`Placed::into_vec`], which removes that one buffer from
-//! circulation.
+//! Both backends ship the same thing: the typed buffer a message was packed into,
+//! handed to the receiving rank by pointer move (see [`crate::message::TypedPayload`]).
+//! Nothing is encoded, and the backends differ only in the mailbox the buffer travels
+//! through (an mpsc channel or the SPSC rings of [`crate::shared`]).
+//!
+//! Outgoing messages are packed into `Vec<T>` buffers drawn from the sending rank's
+//! per-type buffer pool ([`Rank::pool_stats`]).  The receiving rank places each payload
+//! through a borrowed [`Placed`] view of that same buffer and then recycles it into *its*
+//! pool.  A closure that only reads the values (the executor's gather/scatter
+//! permutation placement, remapping, count negotiations) leaves the buffer to the pool;
+//! the few callers that genuinely keep the payload (the executor's append, the dense
+//! collectives that hand buffers to the application) take ownership with
+//! [`Placed::into_vec`], which removes that one buffer from circulation.  Empty messages
+//! carry no buffer at all.
 //!
 //! A steady-state exchange loop therefore reaches a fixed point after one warm-up
-//! iteration in *both* directions: each iteration's receives replenish exactly the byte
-//! buffers its sends draw, each placement recycles the scratch it borrowed, and both
-//! `allocations` counters stop moving.  The `exchange_microbench` harness in
-//! `crates/bench` reports these counters and the pool smoke tests assert the
-//! zero-allocation steady state.
-//!
-//! On the shared-memory backend ([`crate::ExchangeBackend::SharedMem`]) the byte codec
-//! drops out entirely for POD element types ([`Element::is_pod_le`]): messages are packed
-//! verbatim into typed buffers drawn from the decode-scratch pool, cross the fabric by
-//! pointer move, and are placed as-is on the receiving rank — which recycles them into
-//! *its* pool, so the steady-state fixed point holds there too.  Modeled time, stats and
-//! results are identical across backends; only host wall-clock differs.
+//! iteration: each iteration's receives replenish exactly the buffers its sends draw,
+//! and the pool's allocation counter stops moving.  The `exchange_microbench` harness in
+//! `crates/bench` reports the counters and the pool smoke tests assert the
+//! zero-allocation steady state.  Modeled time, stats and results are identical across
+//! backends; only host wall-clock differs.
 //!
 //! Communication cost is charged in exactly one place — the engine's sends and receives —
 //! and a per-element pack/unpack compute cost is charged uniformly here rather than ad hoc
@@ -105,9 +101,8 @@
 //! executor's `gather_multi` / `scatter_add_multi` wrappers in `chaos` pack and place
 //! the lane blocks.
 
-use crate::machine::Rank;
-use crate::message::{Element, Payload};
-use crate::shared::ExchangeBackend;
+use crate::machine::{recycle_buffer, FreeList, Rank};
+use crate::message::{Buffer, Element};
 
 /// Modeled compute cost (work units per element) of packing an element into an outgoing
 /// message buffer or placing a received element — the `0.02` the executor primitives
@@ -432,110 +427,65 @@ pub fn route_sparse<T: Element>(rank: &mut Rank, sends: &[Vec<T>]) -> Vec<Vec<T>
 
 /// An outgoing message buffer handed to the pack closure of [`alltoallv_with`].
 ///
-/// Elements pushed here land straight in the buffer the message will be sent from —
-/// there is no intermediate `Vec<T>`.  On the modeled backend that buffer is a pooled
-/// byte buffer and elements are encoded through the [`Element`] codec; on the
-/// shared-memory backend, POD element types ([`Element::is_pod_le`]) are packed verbatim
-/// into a pooled *typed* buffer that crosses the fabric by pointer move, skipping the
-/// encode/decode round-trip entirely.  Pack closures cannot tell the difference.  The
-/// engine checks after the closure returns that exactly the plan's declared element
-/// count was packed.
+/// Elements pushed here land straight in the pooled `Vec<T>` the message will travel
+/// in; there is no intermediate buffer.  The engine checks after the closure returns
+/// that exactly the plan's declared element count was packed.
 pub struct PackBuf<'a, T: Element> {
-    sink: PackSink<'a, T>,
-    len: usize,
+    values: &'a mut Vec<T>,
 }
 
-/// Where a [`PackBuf`]'s elements physically go.
-enum PackSink<'a, T> {
-    /// Encode through the byte codec into a pooled message buffer (modeled backend, and
-    /// non-POD element types on every backend).
-    Bytes(&'a mut Vec<u8>),
-    /// The shared-memory POD fast path: elements land in a typed buffer verbatim.
-    Typed(&'a mut Vec<T>),
-}
-
-impl<'a, T: Element> PackBuf<'a, T> {
-    fn new(buf: &'a mut Vec<u8>) -> Self {
-        PackBuf {
-            sink: PackSink::Bytes(buf),
-            len: 0,
-        }
-    }
-
-    fn typed(values: &'a mut Vec<T>) -> Self {
-        PackBuf {
-            sink: PackSink::Typed(values),
-            len: 0,
-        }
-    }
-
+impl<T: Element> PackBuf<'_, T> {
     /// Append one element to the outgoing message.
     #[inline]
     pub fn push(&mut self, value: T) {
-        match &mut self.sink {
-            PackSink::Bytes(buf) => value.write_le(buf),
-            PackSink::Typed(values) => values.push(value),
-        }
-        self.len += 1;
+        self.values.push(value);
     }
 
-    /// Append a slice of elements to the outgoing message through the bulk codec
-    /// ([`Element::write_le_slice`] — vectorised for primitives and fixed arrays; a plain
-    /// `memcpy` on the typed fast path).
+    /// Append a slice of elements to the outgoing message (one `memcpy`).
     #[inline]
     pub fn extend_from_slice(&mut self, values: &[T]) {
-        match &mut self.sink {
-            PackSink::Bytes(buf) => T::write_le_slice(values, buf),
-            PackSink::Typed(out) => out.extend_from_slice(values),
-        }
-        self.len += values.len();
+        self.values.extend_from_slice(values);
     }
 
     /// Number of elements packed so far.
     pub fn len(&self) -> usize {
-        self.len
+        self.values.len()
     }
 
     /// True when nothing has been packed yet.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.values.is_empty()
     }
 }
 
-/// One received message's decoded values, handed to the placement closure of the engine.
+/// One received message's values, handed to the placement closure of the engine.
 ///
-/// The values live in a typed scratch buffer drawn from the receiving rank's
-/// decode-scratch pool; when the closure returns without taking ownership, the engine
-/// recycles the buffer for the next message, so placement closures that only *read* the
+/// The values live in the buffer the sender packed, which arrived by pointer move; when
+/// the closure returns without taking ownership, the engine recycles the buffer into the
+/// receiving rank's pool for its next send, so placement closures that only *read* the
 /// values (the common case: permutation placement, combining, counting) cost no
 /// allocation in steady state.  The view derefs to `&[T]`, so `&placed[i]`, iteration and
 /// slice methods all work directly.
 ///
 /// Callers that genuinely keep the payload — the executor's append, collectives that
 /// return buffers to the application — call [`Placed::into_vec`], which is O(1): it
-/// steals the scratch buffer itself (no copy), at the price of removing that buffer from
-/// the pool's circulation (counted as a future `decode_allocations` when the pool has to
-/// replace it).
+/// steals the buffer's contents (no copy), at the price of removing that buffer from the
+/// pool's circulation (counted as a future pool allocation when the pool has to replace
+/// it).
 pub struct Placed<'a, T: Element> {
     values: &'a mut Vec<T>,
-    taken: &'a mut bool,
 }
 
-impl<'a, T: Element> Placed<'a, T> {
-    fn new(values: &'a mut Vec<T>, taken: &'a mut bool) -> Self {
-        Placed { values, taken }
-    }
-
-    /// Take ownership of the decoded values without copying them.
+impl<T: Element> Placed<'_, T> {
+    /// Take ownership of the received values without copying them.
     ///
-    /// The backing scratch buffer leaves the decode-scratch pool for good; use this only
-    /// when the payload genuinely outlives the placement call.
+    /// The backing buffer leaves the pool for good; use this only when the payload
+    /// genuinely outlives the placement call.
     pub fn into_vec(self) -> Vec<T> {
-        *self.taken = true;
         std::mem::take(self.values)
     }
 
-    /// The decoded values as a slice (also available through `Deref`).
+    /// The received values as a slice (also available through `Deref`).
     pub fn as_slice(&self) -> &[T] {
         self.values
     }
@@ -577,8 +527,8 @@ impl ExchangeStats {
 /// Execute `plan`: ship `sends[p]` to each peer the plan names, deliver `sends[me]`
 /// locally, and hand every incoming buffer to `place(source, values)`.
 ///
-/// Send buffers are borrowed — messages are encoded straight from the slices into pooled
-/// byte buffers, so callers never copy their payloads just to hand them over.  Callers
+/// Send buffers are borrowed — messages are packed straight from the slices into pooled
+/// buffers, so callers never give up their payloads just to hand them over.  Callers
 /// moving a *large* kept portion (the executor's append, remapping) place it directly
 /// instead of planning a self transfer.  When the per-destination buffers would
 /// themselves be freshly allocated each call, use [`alltoallv_with`] and pack into the
@@ -588,7 +538,7 @@ impl ExchangeStats {
 /// module docs for why this is what makes any-source matching sound).  Buffers are
 /// placed in arrival order; callers that need a deterministic placement order must key off
 /// the source rank (every CHAOS schedule does).  The placement closure receives a
-/// borrowed [`Placed`] view backed by pooled scratch; call [`Placed::into_vec`] only when
+/// borrowed [`Placed`] view backed by a pooled buffer; call [`Placed::into_vec`] only when
 /// the payload must outlive the call.
 ///
 /// # Panics
@@ -614,13 +564,7 @@ pub fn alltoallv<T: Element>(
             payload.len()
         );
     }
-    run_exchange(
-        rank,
-        plan,
-        Some(&sends[plan.my_rank()]),
-        |p, buf| buf.extend_from_slice(&sends[p]),
-        place,
-    )
+    run_exchange(rank, plan, |p, buf| buf.extend_from_slice(&sends[p]), place)
 }
 
 /// Execute `plan`, letting the caller pack each destination's elements directly into the
@@ -628,7 +572,7 @@ pub fn alltoallv<T: Element>(
 /// included when the plan routes to it) and must push exactly the plan's declared element
 /// count for `p`.
 ///
-/// This is the zero-intermediate-buffer form: combined with the pack-buffer pool it is
+/// This is the zero-intermediate-buffer form: combined with the buffer pool it is
 /// what lets the executor's steady-state gather/scatter/append/remap loops run without
 /// allocating any fresh send buffers.  Collectivity and panics as for [`alltoallv`].
 pub fn alltoallv_with<T: Element>(
@@ -637,7 +581,7 @@ pub fn alltoallv_with<T: Element>(
     pack: impl FnMut(usize, &mut PackBuf<'_, T>),
     place: impl FnMut(usize, Placed<'_, T>),
 ) -> ExchangeStats {
-    run_exchange(rank, plan, None, pack, place)
+    run_exchange(rank, plan, pack, place)
 }
 
 /// Execute `plan` moving `lanes` same-schedule arrays in one message per processor pair.
@@ -660,7 +604,7 @@ pub fn alltoallv_multi<T: Element>(
     place: impl FnMut(usize, Placed<'_, T>),
 ) -> ExchangeStats {
     let fused = plan.fused(lanes);
-    run_exchange(rank, &fused, None, pack, place)
+    run_exchange(rank, &fused, pack, place)
 }
 
 /// A split-phase exchange in flight: sends are posted, receives not yet drained.
@@ -682,10 +626,9 @@ struct InFlight<T: Element> {
     plan: ExchangePlan,
     tag: u64,
     send_stats: ExchangeStats,
-    /// The staged local portion, already decoded into pooled scratch (empty when the plan
-    /// has no self transfer or it carries nothing).
-    self_values: Vec<T>,
-    deliver_self: bool,
+    /// The staged local portion, packed into a pooled buffer (`None` when the plan has
+    /// no self transfer or it carries nothing).
+    self_values: Option<Buffer<T>>,
 }
 
 impl<T: Element> ExchangeHandle<T> {
@@ -728,14 +671,7 @@ impl<T: Element> ExchangeHandle<T> {
         place: impl FnMut(usize, Placed<'_, T>),
     ) -> ExchangeStats {
         let fl = self.inflight.take().expect("exchange already finished");
-        let recv_stats = finish_exchange(
-            rank,
-            &fl.plan,
-            fl.tag,
-            fl.self_values,
-            fl.deliver_self,
-            place,
-        );
+        let recv_stats = finish_exchange(rank, &fl.plan, fl.tag, fl.self_values, place);
         fl.send_stats.merged(&recv_stats)
     }
 }
@@ -755,7 +691,7 @@ impl<T: Element> Drop for ExchangeHandle<T> {
 }
 
 /// Split-phase form of [`alltoallv_with`]: `pack` runs once per planned destination at
-/// start (encoding straight into pooled message buffers — the zero-intermediate-buffer
+/// start (packing straight into pooled message buffers — the zero-intermediate-buffer
 /// hot path), the returned handle's [`ExchangeHandle::finish`] drains the receives.
 ///
 /// Combine with [`ExchangePlan::fused`] for a split-phase fused multi-array exchange.
@@ -768,14 +704,13 @@ pub fn start_alltoallv_with<T: Element>(
     plan: ExchangePlan,
     pack: impl FnMut(usize, &mut PackBuf<'_, T>),
 ) -> ExchangeHandle<T> {
-    let (tag, send_stats, self_values, deliver_self) = start_exchange(rank, &plan, None, pack);
+    let (tag, send_stats, self_values) = start_exchange(rank, &plan, pack);
     ExchangeHandle {
         inflight: Some(InFlight {
             plan,
             tag,
             send_stats,
             self_values,
-            deliver_self,
         }),
     }
 }
@@ -791,31 +726,23 @@ fn epoch_of_tag(tag: u64) -> u64 {
 fn run_exchange<T: Element>(
     rank: &mut Rank,
     plan: &ExchangePlan,
-    self_payload: Option<&[T]>,
     pack: impl FnMut(usize, &mut PackBuf<'_, T>),
     place: impl FnMut(usize, Placed<'_, T>),
 ) -> ExchangeStats {
-    let (tag, send_stats, self_values, deliver_self) =
-        start_exchange(rank, plan, self_payload, pack);
-    let recv_stats = finish_exchange(rank, plan, tag, self_values, deliver_self, place);
+    let (tag, send_stats, self_values) = start_exchange(rank, plan, pack);
+    let recv_stats = finish_exchange(rank, plan, tag, self_values, place);
     send_stats.merged(&recv_stats)
 }
 
 /// Start phase: claim the next exchange epoch, pack and post one pooled message per
-/// planned destination, and stage the local portion (already decoded into pooled
-/// scratch, so finishing needs no further pack state).  Returns everything the finish
-/// phase needs: the epoch tag, the send-side stats, and the staged self payload.
-///
-/// `self_payload` is the fast path of the slice-backed [`alltoallv`]: when the caller
-/// already holds the self elements as a slice, staging is one bulk copy into scratch
-/// instead of an encode/decode round-trip through a staging buffer.  `alltoallv_with`
-/// and `start_alltoallv_with` pass `None` (their pack closure is the only data source).
+/// planned destination, and stage the local portion in a pooled buffer of its own (so
+/// finishing needs no further pack state).  Returns everything the finish phase needs:
+/// the epoch tag, the send-side stats, and the staged self payload.
 fn start_exchange<T: Element>(
     rank: &mut Rank,
     plan: &ExchangePlan,
-    self_payload: Option<&[T]>,
     mut pack: impl FnMut(usize, &mut PackBuf<'_, T>),
-) -> (u64, ExchangeStats, Vec<T>, bool) {
+) -> (u64, ExchangeStats, Option<Buffer<T>>) {
     assert_eq!(
         plan.nprocs(),
         rank.nprocs(),
@@ -830,144 +757,86 @@ fn start_exchange<T: Element>(
     let tag = rank.next_exchange_tag();
     rank.ledger_record("exchange", epoch_of_tag(tag), std::any::type_name::<T>());
     let mut stats = ExchangeStats::default();
-
-    // The shared-memory POD fast path packs each message verbatim into a `Vec<T>` drawn
-    // from the decode-scratch pool and ships the buffer itself — the receiving rank
-    // takes it by pointer move, so neither side runs the LE codec.  Every cost-model
-    // charge and stat below is identical on both paths: modeled results never depend on
-    // the backend, only host wall-clock does.
-    let typed = rank.backend() == ExchangeBackend::SharedMem && T::is_pod_le();
-    let mut scratch_pool = rank.detach_decode_scratch::<T>();
+    let mut pool = rank.detach_pool::<T>();
 
     // Send phase: one message per planned destination, empty payloads included when the
-    // plan says so (dense mode).  The self payload is staged for local delivery below.
+    // plan says so (dense mode).
     for (p, declared) in plan.sends.iter().enumerate() {
-        let Some(declared) = declared else { continue };
+        let Some(declared) = *declared else { continue };
         if p == me {
             continue;
         }
-        let packed = if typed {
-            let mut values = rank.take_decode_scratch(&mut scratch_pool, *declared);
-            let mut buf = PackBuf::typed(&mut values);
-            pack(p, &mut buf);
-            let packed = buf.len();
-            assert_eq!(
-                packed, *declared,
-                "rank {me}: buffer for peer {p} does not match the plan"
-            );
-            rank.send_typed(p, tag, values);
-            packed
-        } else {
-            let mut raw = rank.take_pack_buffer(declared * T::SIZE);
-            let mut buf = PackBuf::new(&mut raw);
-            pack(p, &mut buf);
-            let packed = buf.len();
-            assert_eq!(
-                packed, *declared,
-                "rank {me}: buffer for peer {p} does not match the plan"
-            );
-            rank.send_packed(p, tag, raw);
-            packed
-        };
-        rank.charge_compute(packed as f64 * PACK_UNPACK_COST_UNITS);
+        let values = pack_buffer(rank, &mut pool, p, declared, &mut pack);
+        rank.send_buffer(p, tag, values);
+        rank.charge_compute(declared as f64 * PACK_UNPACK_COST_UNITS);
         stats.msgs_sent += 1;
-        stats.bytes_sent += (packed * T::SIZE) as u64;
+        stats.bytes_sent += (declared * T::SIZE) as u64;
     }
 
-    // Stage the local portion: decoded into pooled scratch now (while the pack source is
-    // at hand), delivered through the placement path at finish, with no communication
-    // and no cost-model charge.  Slice-backed callers stage with one bulk copy;
-    // pack-closure callers encode into a pooled buffer that goes straight back — or,
-    // on the typed fast path, pack straight into the staged scratch with no codec pass.
-    let mut self_values: Vec<T> = Vec::new();
-    let mut deliver_self = false;
-    if let Some(declared) = plan.sends[me] {
-        if let Some(payload) = self_payload {
-            assert_eq!(
-                payload.len(),
-                declared,
-                "rank {me}: buffer for peer {me} does not match the plan"
-            );
-            if !payload.is_empty() {
-                let mut scratch = rank.take_decode_scratch(&mut scratch_pool, payload.len());
-                scratch.extend_from_slice(payload);
-                self_values = scratch;
-                deliver_self = true;
-            }
-        } else if typed {
-            let mut values = rank.take_decode_scratch(&mut scratch_pool, declared);
-            let mut buf = PackBuf::typed(&mut values);
-            pack(me, &mut buf);
-            assert_eq!(
-                buf.len(),
-                declared,
-                "rank {me}: buffer for peer {me} does not match the plan"
-            );
-            if !values.is_empty() {
-                self_values = values;
-                deliver_self = true;
-            } else {
-                rank.recycle_decode_scratch(&mut scratch_pool, values);
-            }
-        } else {
-            let mut raw = rank.take_pack_buffer(declared * T::SIZE);
-            let mut buf = PackBuf::new(&mut raw);
-            pack(me, &mut buf);
-            assert_eq!(
-                buf.len(),
-                declared,
-                "rank {me}: buffer for peer {me} does not match the plan"
-            );
-            if !raw.is_empty() {
-                let mut scratch = rank.take_decode_scratch(&mut scratch_pool, declared);
-                T::read_le_into(&raw, &mut scratch);
-                self_values = scratch;
-                deliver_self = true;
-            }
-            rank.recycle_pack_buffer(raw);
-        }
-    }
-    rank.reattach_decode_scratch(scratch_pool);
-    (tag, stats, self_values, deliver_self)
+    // Stage the local portion: packed now (while the pack source is at hand), delivered
+    // through the placement path at finish, with no communication and no cost-model
+    // charge.
+    let self_values =
+        plan.sends[me].and_then(|declared| pack_buffer(rank, &mut pool, me, declared, &mut pack));
+    rank.reattach_pool(pool);
+    (tag, stats, self_values)
+}
+
+/// Pack destination `p`'s elements into a pooled buffer and check the count against the
+/// plan.  A destination the plan declares empty gets no buffer (`None`): its message is
+/// an empty payload that touches neither the heap nor the pool.
+fn pack_buffer<T: Element>(
+    rank: &mut Rank,
+    pool: &mut FreeList<T>,
+    p: usize,
+    declared: usize,
+    pack: &mut impl FnMut(usize, &mut PackBuf<'_, T>),
+) -> Option<Buffer<T>> {
+    let mut buf = (declared > 0).then(|| rank.take_buffer(pool, declared));
+    let mut none = Vec::new();
+    let values = buf.as_deref_mut().unwrap_or(&mut none);
+    let mut packed = PackBuf { values };
+    pack(p, &mut packed);
+    assert_eq!(
+        packed.len(),
+        declared,
+        "rank {}: buffer for peer {p} does not match the plan",
+        rank.rank()
+    );
+    buf
 }
 
 /// Finish phase: deliver the staged local portion, then consume exactly the planned
 /// number of incoming messages for this epoch, from whichever source is ready first —
-/// each decoded through the bulk codec into pooled typed scratch and placed as a
-/// borrowed [`Placed`] view (both the payload byte buffer and, unless the closure took
-/// ownership, the scratch go back to their pools).
+/// each placed as a borrowed [`Placed`] view of the buffer it arrived in, which then
+/// joins this rank's pool unless the closure took its contents.
 fn finish_exchange<T: Element>(
     rank: &mut Rank,
     plan: &ExchangePlan,
     tag: u64,
-    mut self_values: Vec<T>,
-    deliver_self: bool,
+    self_values: Option<Buffer<T>>,
     mut place: impl FnMut(usize, Placed<'_, T>),
 ) -> ExchangeStats {
     let me = plan.my_rank();
     let epoch = epoch_of_tag(tag);
     let mut stats = ExchangeStats::default();
-    // The decode-scratch free list for `T` is detached for the whole drain, so the
-    // per-message take/recycle below is a plain `Vec` pop/push — the typed-pool map is
-    // consulted twice per finish, not twice per message.
-    let mut scratch_pool = rank.detach_decode_scratch::<T>();
+    // The free list for `T` is detached for the whole drain, so the per-message recycle
+    // below is a plain `Vec` push.
+    let mut pool = rank.detach_pool::<T>();
 
-    if deliver_self {
-        let mut taken = false;
-        place(me, Placed::new(&mut self_values, &mut taken));
-        if !taken {
-            rank.recycle_decode_scratch(&mut scratch_pool, self_values);
-        }
+    if let Some(mut staged) = self_values {
+        let values = &mut *staged;
+        place(me, Placed { values });
+        recycle_buffer(&mut pool, staged);
     }
 
     for _ in 0..plan.recv_message_count() {
         let (src, payload) = rank.recv_payload_any(tag);
         let byte_len = payload.byte_len();
-        assert!(
-            byte_len.is_multiple_of(T::SIZE),
-            "rank {me}: payload from rank {src} is not a whole number of elements"
-        );
-        let count = byte_len / T::SIZE;
+        let mut buf = payload.into_values::<T>(|| {
+            format!("rank {me}: the message from rank {src} in exchange epoch {epoch}")
+        });
+        let count = buf.as_ref().map_or(0, |b| b.len());
         match plan.recvs[src] {
             RecvSpec::None => {
                 panic!(
@@ -989,25 +858,14 @@ fn finish_exchange<T: Element>(
         rank.charge_compute(count as f64 * PACK_UNPACK_COST_UNITS);
         stats.msgs_received += 1;
         stats.bytes_received += byte_len as u64;
-        let mut scratch = match payload {
-            Payload::Bytes(bytes) => {
-                let mut scratch = rank.take_decode_scratch(&mut scratch_pool, count);
-                T::read_le_into(&bytes, &mut scratch);
-                rank.recycle_pack_buffer(bytes);
-                scratch
-            }
-            // The typed fast path: the sender's buffer arrives by pointer move and is
-            // placed as-is; when the closure does not take it, it joins this rank's
-            // decode-scratch pool, keeping the pools balanced across the machine.
-            Payload::Typed(typed) => typed.into_values::<T>(),
-        };
-        let mut taken = false;
-        place(src, Placed::new(&mut scratch, &mut taken));
-        if !taken {
-            rank.recycle_decode_scratch(&mut scratch_pool, scratch);
+        let mut none = Vec::new();
+        let values = buf.as_deref_mut().unwrap_or(&mut none);
+        place(src, Placed { values });
+        if let Some(buf) = buf {
+            recycle_buffer(&mut pool, buf);
         }
     }
-    rank.reattach_decode_scratch(scratch_pool);
+    rank.reattach_pool(pool);
     stats
 }
 
@@ -1015,6 +873,7 @@ fn finish_exchange<T: Element>(
 mod tests {
     use super::*;
     use crate::cost::CostModel;
+    use crate::shared::ExchangeBackend;
     use crate::topology::MachineConfig;
     use crate::{run, RankStats};
 
@@ -1207,8 +1066,8 @@ mod tests {
     #[test]
     fn back_to_back_exchanges_do_not_interfere() {
         // Rank 1 has nothing to do in round one and races ahead into round two; epoch
-        // tagging must keep the rounds separate on rank 0, which receives with
-        // recv_vec_any.
+        // tagging must keep the rounds separate on rank 0, which receives from any
+        // source.
         let out = run(MachineConfig::new(3), |rank| {
             let me = rank.rank();
             let n = rank.nprocs();
@@ -1282,6 +1141,38 @@ mod tests {
     }
 
     #[test]
+    fn tuple_elements_are_charged_their_declared_size() {
+        // `(u32, f64)` occupies 16 bytes in memory but declares a 12-byte wire size, and
+        // the declaration is what every counter and the cost model see, on both
+        // backends: one 3-element message is 36 bytes, 10 + 36 µs at each end.
+        for backend in [ExchangeBackend::Modeled, ExchangeBackend::SharedMem] {
+            let cfg = MachineConfig::new(2)
+                .with_backend(backend)
+                .with_cost(CostModel::uniform(10.0, 1.0, 0.0));
+            let out = run(cfg, |rank| {
+                let me = rank.rank();
+                let peer = 1 - me;
+                let mut counts = vec![0; 2];
+                counts[peer] = 3;
+                let plan = ExchangePlan::sparse(me, counts.clone(), counts);
+                let mut sends: Vec<Vec<(u32, f64)>> = vec![Vec::new(); 2];
+                sends[peer] = vec![(me as u32, 0.5); 3];
+                let stats = alltoallv(rank, &plan, &sends, |_src, v| assert_eq!(v.len(), 3));
+                (stats, rank.stats(), rank.modeled().comm_us)
+            });
+            assert_eq!(<(u32, f64)>::SIZE, 12);
+            assert_eq!(std::mem::size_of::<(u32, f64)>(), 16);
+            for (stats, rank_stats, comm_us) in &out.results {
+                assert_eq!(stats.bytes_sent, 36, "{backend:?}");
+                assert_eq!(stats.bytes_received, 36, "{backend:?}");
+                assert_eq!(rank_stats.bytes_sent, 36, "{backend:?}");
+                assert_eq!(rank_stats.bytes_received, 36, "{backend:?}");
+                assert_eq!(*comm_us, 2.0 * (10.0 + 36.0), "{backend:?}");
+            }
+        }
+    }
+
+    #[test]
     fn steady_exchange_loops_stop_allocating_after_warmup() {
         // The pool invariant the microbench harness reports: after one warm-up round, a
         // repeated exchange draws every buffer from the pool — including dense rounds
@@ -1310,30 +1201,20 @@ mod tests {
         });
         for delta in &out.results {
             assert_eq!(
-                delta.allocations, 0,
-                "steady state drew a fresh pack buffer"
-            );
-            // On the shared-memory POD fast path the pack-buffer pool is idle (typed
-            // buffers come from the decode-scratch pool), so count both pools.
-            assert!(
-                delta.reuses + delta.decode_reuses > 0,
-                "data rounds must be served from the pools"
-            );
-            assert_eq!(
                 delta.decode_allocations, 0,
-                "steady state drew a fresh decode scratch"
+                "steady state drew a fresh message buffer"
             );
             assert!(
                 delta.decode_reuses > 0,
-                "data rounds must reuse decode scratch"
+                "data rounds must be served from the pool"
             );
         }
     }
 
     #[test]
     fn borrowed_placement_recycles_scratch_but_into_vec_keeps_it() {
-        // Borrow-only placement must reach a zero-allocation receive steady state; taking
-        // ownership with into_vec removes one scratch from circulation per message, so
+        // Borrow-only placement must reach a zero-allocation steady state; taking
+        // ownership with into_vec removes one buffer from circulation per message, so
         // the pool has to allocate a replacement on the next round.
         let out = run(MachineConfig::new(2), |rank| {
             let me = rank.rank();
@@ -1351,7 +1232,7 @@ mod tests {
                 });
                 kept
             };
-            // Warm both pools, then measure a borrow-only window and a keeping window.
+            // Warm the pool, then measure a borrow-only window and a keeping window.
             round(rank, false);
             round(rank, false);
             let warm = rank.pool_stats();
@@ -1372,7 +1253,7 @@ mod tests {
             assert!(borrowed.decode_reuses > 0);
             assert!(
                 keeping.decode_allocations > 0,
-                "into_vec must drain the scratch pool: {keeping:?}"
+                "into_vec must drain the pool: {keeping:?}"
             );
             assert_eq!(kept.len(), 3);
         }
@@ -1520,7 +1401,7 @@ mod tests {
                 assert_eq!(values, &expected, "per-lane blocks preserved");
                 // The blocked layout is exactly the transpose of the historical
                 // element-major interleave (x0 y0 z0 x1 y1 z1): same data, rearranged —
-                // pinned at the decode boundary so a layout change on either side of
+                // pinned at the receive boundary so a layout change on either side of
                 // the wire cannot slip through.
                 let element_major: Vec<f64> = (0..2)
                     .flat_map(|k| (0..3).map(move |lane| (src * 100 + k * 10 + lane) as f64))
@@ -1625,7 +1506,7 @@ mod tests {
     #[test]
     fn split_phase_steady_loop_stays_allocation_free() {
         // A start/compute/finish loop must reach the same zero-allocation fixed point as
-        // the blocking loops: the staged self scratch and every receive scratch are
+        // the blocking loops: the staged self buffer and every received buffer are
         // recycled at finish.
         let out = run(MachineConfig::new(3), |rank| {
             let me = rank.rank();
@@ -1646,12 +1527,10 @@ mod tests {
             rank.pool_stats().since(&warm)
         });
         for delta in &out.results {
-            assert_eq!(delta.allocations, 0, "split-phase drew a fresh pack buffer");
             assert_eq!(
                 delta.decode_allocations, 0,
-                "split-phase drew fresh decode scratch"
+                "split-phase drew a fresh message buffer"
             );
-            assert!(delta.reuses + delta.decode_reuses > 0);
             assert!(delta.decode_reuses > 0);
         }
     }

@@ -2,11 +2,14 @@
 //! same collective sequence.
 //!
 //! SPMD collectives (and exchange-engine epochs) must be started by every rank, in the
-//! same order, with the same element type.  Violations — a collective under
-//! rank-dependent control flow, mismatched element types of the same byte size, an
-//! extra root-only broadcast — often complete *physically* (receives are tag-selective,
-//! equal-sized payloads reinterpret silently) and surface later as corrupted data or a
-//! deadlock several collectives downstream.
+//! same order, with the same element type.  Sequence violations — a collective under
+//! rank-dependent control flow, an extra root-only broadcast — often complete
+//! *physically* (receives are tag-selective) and surface later as a deadlock several
+//! collectives downstream.  Element-type mismatches do not get that far when a message
+//! crosses them: every payload carries its element type, and the receive that expects
+//! another type panics naming the rank, source, epoch and both types.  The ledger
+//! records the type as well, so a mismatch no message crosses (a pair of ranks that
+//! exchange nothing in that collective) still shows up in the cross-check.
 //!
 //! With the ledger enabled ([`crate::MachineConfig::with_ledger`] or `MPSIM_LEDGER=1`),
 //! each rank records one [`LedgerEntry`] per operation it starts (op kind, epoch,
@@ -178,17 +181,13 @@ mod tests {
         assert!(out.results[0] > 6);
     }
 
-    /// A classic silent SPMD bug: two ranks disagree on the element type of the same
-    /// collective.  `u64` and `f64` have the same byte size, so the exchange completes
-    /// physically and the payloads reinterpret silently — without the ledger this run
-    /// would "succeed" with corrupted data.  No barrier follows, so the divergence is
-    /// caught by the shutdown cross-check.
-    #[test]
-    #[should_panic(expected = "collective ledger divergence")]
-    fn element_type_divergence_is_caught_at_shutdown() {
-        let cfg = MachineConfig::new(3)
-            .with_ledger()
-            .with_backend(ExchangeBackend::Modeled);
+    /// A classic SPMD bug: two ranks disagree on the element type of the same
+    /// collective.  `u64` and `f64` have the same byte size, but the payloads are typed,
+    /// so the first receive across the mismatch panics with the rank, source, epoch and
+    /// both type names — before the ledger's shutdown cross-check is reached.  Rank 0
+    /// receives `f64` payloads as `u64`, and its panic is the one `run` reports.
+    fn element_type_divergence(backend: ExchangeBackend) {
+        let cfg = MachineConfig::new(3).with_ledger().with_backend(backend);
         let _ = crate::run(cfg, |rank| {
             let n = rank.nprocs();
             if rank.rank() == 0 {
@@ -197,6 +196,24 @@ mod tests {
                 rank.all_to_all(&vec![vec![1.0f64]; n]);
             }
         });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "in exchange epoch 0: payload holds a different element type: \
+                               sent as `f64`, received as `u64`"
+    )]
+    fn element_type_divergence_panics_at_the_receive() {
+        element_type_divergence(ExchangeBackend::Modeled);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "in exchange epoch 0: payload holds a different element type: \
+                               sent as `f64`, received as `u64`"
+    )]
+    fn element_type_divergence_panics_at_the_receive_on_shared_backend() {
+        element_type_divergence(ExchangeBackend::SharedMem);
     }
 
     /// A rank-dependent extra collective: rank 0 runs a root-only broadcast the others

@@ -11,9 +11,9 @@
 //! * **Wall-clock** time of the host — irrelevant for reproducing the paper's *tables*
 //!   (the host is a shared-memory machine, not a 128-node hypercube) but the whole point
 //!   of the [`shared`] backend: with [`ExchangeBackend::SharedMem`] ranks exchange
-//!   through lock-free shared-memory rings and POD payloads skip the codec, so host
-//!   wall-clock becomes a meaningful throughput measurement (reported by the benchmark
-//!   harness, never by the machine itself).
+//!   through lock-free shared-memory rings instead of mpsc channels, so host wall-clock
+//!   becomes a meaningful throughput measurement (reported by the benchmark harness,
+//!   never by the machine itself).
 //! * **Modeled** time, accumulated per rank by a [`cost::CostModel`]: every message is
 //!   charged a start-up latency plus a per-byte transfer cost, and application code reports
 //!   its computational work in abstract *work units* via [`Rank::charge_compute`].  The
@@ -21,12 +21,12 @@
 //!   paper's tables (scaling curves, crossover points, preprocessing-to-execution ratios)
 //!   are reproduced on commodity hardware.
 //!
-//! The communication API is deliberately MPI-flavoured (tagged point-to-point send/receive,
-//! barrier, all-to-all, all-gather, all-reduce) because that is the abstraction the original
-//! CHAOS library was written against.  Underneath, every collective and every
-//! schedule-driven transfer executes on the unified [`exchange`] engine: an
-//! [`ExchangePlan`] describes one personalised all-to-all and [`alltoallv`] moves the
-//! bytes, charges the cost model, and reports an [`ExchangeStats`].
+//! The communication API is deliberately MPI-flavoured (personalised all-to-all, barrier,
+//! all-to-all, all-gather, all-reduce) because that is the abstraction the original CHAOS
+//! library was written against.  Every collective and every schedule-driven transfer
+//! executes on the unified [`exchange`] engine: an [`ExchangePlan`] describes one
+//! personalised all-to-all and [`alltoallv`] moves the typed buffers, charges the cost
+//! model, and reports an [`ExchangeStats`].
 //!
 //! ## Quick example
 //!

@@ -2,7 +2,7 @@
 //!
 //! This is the stand-in for the node programs of the paper's iPSC/860: [`run`] plays the
 //! role of loading the same program onto every node, [`Rank`] is the per-node handle
-//! through which all communication, cost accounting and pack-buffer pooling happens, and
+//! through which all communication, cost accounting and buffer pooling happens, and
 //! [`RunOutcome`] collects what the paper's tables report — per-rank results, raw
 //! counters ([`RankStats`]), modeled times ([`TimeSnapshot`]) and pool counters
 //! ([`PackPoolStats`]).
@@ -15,7 +15,7 @@ use std::thread;
 use crate::comm::Mailbox;
 use crate::cost::{CostModel, TimeSnapshot};
 use crate::ledger::{LedgerEntry, LedgerHub, LedgerRank};
-use crate::message::{decode_vec, Element, Payload, TypedPayload};
+use crate::message::{Buffer, Element, TypedPayload};
 use crate::shared::ExchangeBackend;
 use crate::stats::{MachineStats, PackPoolStats, RankStats};
 use crate::topology::{Dissemination, MachineConfig};
@@ -23,12 +23,12 @@ use crate::topology::{Dissemination, MachineConfig};
 /// The per-rank handle handed to the SPMD closure.
 ///
 /// A `Rank` is the only way code running inside the machine can interact with the outside
-/// world: it provides tagged point-to-point messaging, collectives (see
-/// [`crate::collectives`]), barriers, and the modeled-time/statistics accounting.
+/// world: it is the handle the exchange engine ([`crate::exchange`]) and the collectives
+/// ([`crate::collectives`]) move messages through, and it provides barriers and the
+/// modeled-time/statistics accounting.
 pub struct Rank {
     mailbox: Mailbox,
     cost: CostModel,
-    backend: ExchangeBackend,
     stats: RankStats,
     time: TimeSnapshot,
     /// Number of [`crate::exchange`] engine executions this rank has started; used to tag
@@ -38,17 +38,14 @@ pub struct Rank {
     /// Number of barriers this rank has entered; tags each barrier episode's
     /// dissemination rounds (see [`Rank::barrier`]).
     barrier_seq: u64,
-    /// Free list of the pack-buffer pool: spent message payloads waiting to be reused as
-    /// outgoing encode buffers.  See [`Rank::pool_stats`].
-    pool: Vec<Vec<u8>>,
-    /// Free lists of the decode-scratch pool, one per element type: typed `Vec<T>` buffers
-    /// (stored as `Vec<Vec<T>>` behind `dyn Any`) that incoming payloads are decoded into
-    /// before placement.  Bounded to [`SCRATCH_MAX_TYPES`] entries by least-recently-used
-    /// eviction (see [`Rank::reattach_decode_scratch`]).  See [`Rank::pool_stats`].
-    scratch: HashMap<TypeId, ScratchSlot>,
-    /// Monotone counter stamping decode-scratch use, for the LRU eviction above.
-    scratch_clock: u64,
-    /// Allocation/reuse counters of both pools.
+    /// Free lists of the buffer pool, one per element type: spent message buffers
+    /// (a `FreeList<T>` behind `dyn Any`) waiting to be packed again.
+    /// Bounded to [`POOL_MAX_TYPES`] entries by least-recently-used eviction (see
+    /// [`Rank::reattach_pool`]).  See [`Rank::pool_stats`].
+    pool: HashMap<TypeId, PoolSlot>,
+    /// Monotone counter stamping pool use, for the LRU eviction above.
+    pool_clock: u64,
+    /// Allocation/reuse counters of the pool.
     pool_stats: PackPoolStats,
     /// The collective ledger, when this machine verifies collective matching (see
     /// [`crate::ledger`]): this rank's trace of started collectives plus the shared hub
@@ -56,26 +53,40 @@ pub struct Rank {
     ledger: Option<Box<LedgerRank>>,
 }
 
-/// One element type's decode-scratch free list plus the recency stamp that orders
-/// eviction when [`SCRATCH_MAX_TYPES`] distinct types have been seen.
-struct ScratchSlot {
+/// One element type's free list plus the recency stamp that orders eviction when
+/// [`POOL_MAX_TYPES`] distinct types have been seen.
+struct PoolSlot {
     list: Box<dyn Any + Send>,
     last_use: u64,
 }
 
-/// Maximum number of idle buffers a rank keeps, per pool (and, for the decode-scratch
-/// pool, per element type).  Beyond this, recycled buffers are simply dropped; the cap
-/// only bounds idle memory, it never causes an extra allocation while a pool is warm (a
-/// steady-state loop holds at most its per-iteration message count).
+/// Maximum number of idle buffers a rank keeps per element type.  Beyond this, recycled
+/// buffers are simply dropped; the cap only bounds idle memory, it never causes an extra
+/// allocation while the pool is warm (a steady-state loop holds at most its
+/// per-iteration message count).
 const POOL_MAX_IDLE: usize = 1024;
 
-/// Maximum number of distinct element types the decode-scratch pool keeps free lists
-/// for.  A workload phase touches a handful of types; without a bound, a long-running
+/// Maximum number of distinct element types the buffer pool keeps free lists for.  A
+/// workload phase touches a handful of types; without a bound, a long-running
 /// heterogeneous process (many struct types through `impl_element_struct!`) would grow
 /// the `TypeId` map — and its idle buffers — forever.  When a new type would exceed the
 /// bound, the least-recently-used type's free list is dropped (its buffers are plain
 /// idle memory; the next exchange of that type re-warms in one iteration).
-pub const SCRATCH_MAX_TYPES: usize = 32;
+pub const POOL_MAX_TYPES: usize = 32;
+
+/// One element type's idle message buffers.
+pub(crate) type FreeList<T> = Vec<Buffer<T>>;
+
+/// Return a spent message buffer to a detached free list.  The engine recycles every
+/// buffer it places; a buffer whose contents the placement closure took
+/// (`Placed::into_vec`) has no capacity left and is dropped, which is what makes taking
+/// ownership cost one future pool allocation.
+pub(crate) fn recycle_buffer<T: Element>(list: &mut FreeList<T>, mut buf: Buffer<T>) {
+    if buf.capacity() > 0 && list.len() < POOL_MAX_IDLE {
+        buf.clear();
+        list.push(buf);
+    }
+}
 
 impl Rank {
     /// This rank's id in `0..nprocs`.
@@ -93,159 +104,107 @@ impl Rank {
         &self.cost
     }
 
-    /// The exchange backend this machine communicates through.
-    pub fn backend(&self) -> ExchangeBackend {
-        self.backend
-    }
-
-    /// Send a slice of elements to rank `to` with tag `tag`.
-    ///
-    /// The sender is charged one message (latency + bytes) of modeled communication time.
-    /// The payload is encoded into a pooled buffer (see [`Rank::pool_stats`]), never a
-    /// fresh allocation when the pool is warm.
-    pub fn send_slice<T: Element>(&mut self, to: usize, tag: u64, values: &[T]) {
-        let mut payload = self.take_pack_buffer(values.len() * T::SIZE);
-        T::write_le_slice(values, &mut payload);
-        self.send_packed(to, tag, payload);
-    }
-
-    /// Send an already-encoded payload, taking ownership of the buffer.  This and
-    /// [`Rank::send_typed`] are the only points where outgoing messages are charged and
-    /// counted; [`Rank::send_slice`] and the [`crate::exchange`] engine funnel through
-    /// them.
-    pub(crate) fn send_packed(&mut self, to: usize, tag: u64, payload: Vec<u8>) {
-        let bytes = payload.len();
+    /// Send a typed buffer to rank `to` with tag `tag`; `None` sends an empty message,
+    /// which touches neither the heap nor the pool.  The one point where outgoing
+    /// messages are charged and counted: one message of `len · T::SIZE` bytes (latency +
+    /// bytes) of modeled communication time, on either backend.
+    pub(crate) fn send_buffer<T: Element>(
+        &mut self,
+        to: usize,
+        tag: u64,
+        values: Option<Buffer<T>>,
+    ) {
+        let payload = values.map_or_else(TypedPayload::empty::<T>, TypedPayload::new);
+        let bytes = payload.byte_len();
         self.stats.record_send(bytes);
         self.time.comm_us += self.cost.message_cost_us(bytes);
-        self.mailbox.send(to, tag, Payload::Bytes(payload));
+        self.mailbox.send(to, tag, payload);
     }
 
-    /// Send a typed buffer without encoding it — the POD fast path of the shared-memory
-    /// backend.  Charged and counted exactly as if the buffer had been encoded
-    /// (`values.len() * T::SIZE` bytes), so modeled time and statistics are independent
-    /// of how the payload physically travels.
-    pub(crate) fn send_typed<T: Element>(&mut self, to: usize, tag: u64, values: Vec<T>) {
-        debug_assert!(
-            self.backend == ExchangeBackend::SharedMem && T::is_pod_le(),
-            "typed transport is the SharedMem POD fast path only"
-        );
-        let bytes = values.len() * T::SIZE;
-        self.stats.record_send(bytes);
-        self.time.comm_us += self.cost.message_cost_us(bytes);
-        self.mailbox
-            .send(to, tag, Payload::Typed(TypedPayload::new(values)));
-    }
-
-    /// Receive a vector of elements from rank `from` with tag `tag` (blocking, selective).
-    ///
-    /// The receiver is charged one message (latency + bytes) of modeled communication time.
-    pub fn recv_vec<T: Element>(&mut self, from: usize, tag: u64) -> Vec<T> {
-        let env = self.mailbox.recv(from, tag);
-        self.stats.record_recv(env.payload.byte_len());
-        self.time.comm_us += self.cost.message_cost_us(env.payload.byte_len());
-        let payload = env.payload.into_bytes();
-        let values = decode_vec(&payload);
-        self.recycle_pack_buffer(payload);
-        values
-    }
-
-    /// Receive a vector of elements with tag `tag` from any rank; returns `(from, values)`.
-    pub fn recv_vec_any<T: Element>(&mut self, tag: u64) -> (usize, Vec<T>) {
-        let (from, payload) = self.recv_payload_any(tag);
-        let payload = payload.into_bytes();
-        let values = decode_vec(&payload);
-        self.recycle_pack_buffer(payload);
-        (from, values)
-    }
-
-    /// Receive the raw payload of the next message carrying `tag`, charging stats and the
-    /// cost model but leaving decoding to the caller.  The exchange engine uses this to
-    /// decode byte payloads into a pooled scratch buffer (recycling the byte buffer
-    /// afterwards) and to take typed fast-path payloads as they are, instead of
-    /// materialising a fresh `Vec<T>` per message.
-    pub(crate) fn recv_payload_any(&mut self, tag: u64) -> (usize, Payload) {
+    /// Receive the payload of the next message carrying `tag` from any rank, charging
+    /// stats and the cost model.  The exchange engine recovers the typed buffer and
+    /// places it as-is.
+    pub(crate) fn recv_payload_any(&mut self, tag: u64) -> (usize, TypedPayload) {
         let env = self.mailbox.recv_any(tag);
         self.stats.record_recv(env.payload.byte_len());
         self.time.comm_us += self.cost.message_cost_us(env.payload.byte_len());
         (env.from, env.payload)
     }
 
-    /// Detach the decode-scratch free list for element type `T`, leaving an empty list
-    /// behind.  The exchange engine holds the detached list across one execution so the
-    /// per-message take/recycle is a plain `Vec` pop/push — the `TypeId` map is touched
-    /// twice per *exchange*, not twice per *message*.  Must be handed back with
-    /// [`Rank::reattach_decode_scratch`] before the execution returns.
-    pub(crate) fn detach_decode_scratch<T: Element>(&mut self) -> Vec<Vec<T>> {
-        self.scratch
+    /// Detach the buffer pool's free list for element type `T`, leaving an empty list
+    /// behind.  The exchange engine holds the detached list across one start or finish
+    /// so the per-message take/recycle is a plain `Vec` pop/push: the `TypeId` map is
+    /// touched twice per *exchange phase*, not twice per *message*.  Must be handed back
+    /// with [`Rank::reattach_pool`] before the phase returns.
+    pub(crate) fn detach_pool<T: Element>(&mut self) -> FreeList<T> {
+        self.pool
             .get_mut(&TypeId::of::<T>())
             .map(|entry| {
                 std::mem::take(
                     entry
                         .list
-                        .downcast_mut::<Vec<Vec<T>>>()
-                        .expect("decode-scratch free list holds the wrong type"),
+                        .downcast_mut::<FreeList<T>>()
+                        .expect("buffer-pool free list holds the wrong type"),
                 )
             })
             .unwrap_or_default()
     }
 
-    /// Re-attach a free list detached with [`Rank::detach_decode_scratch`], capping the
-    /// idle-buffer count.  Nothing else can have touched the map entry in between (the
-    /// engine never nests executions), so the entry is simply replaced.
+    /// Re-attach a free list detached with [`Rank::detach_pool`], capping the idle-buffer
+    /// count.  Nothing else can have touched the map entry in between (the engine never
+    /// nests phases), so the entry is simply replaced.
     ///
     /// This is also where the type map itself is bounded: re-attaching a type the map
-    /// has no slot for when [`SCRATCH_MAX_TYPES`] types are already tracked evicts the
+    /// has no slot for when [`POOL_MAX_TYPES`] types are already tracked evicts the
     /// least-recently-used type's free list first.
-    pub(crate) fn reattach_decode_scratch<T: Element>(&mut self, mut list: Vec<Vec<T>>) {
+    pub(crate) fn reattach_pool<T: Element>(&mut self, mut list: FreeList<T>) {
         list.truncate(POOL_MAX_IDLE);
-        self.scratch_clock += 1;
-        let clock = self.scratch_clock;
+        self.pool_clock += 1;
+        let clock = self.pool_clock;
         let key = TypeId::of::<T>();
-        if !self.scratch.contains_key(&key) && self.scratch.len() >= SCRATCH_MAX_TYPES {
+        if !self.pool.contains_key(&key) && self.pool.len() >= POOL_MAX_TYPES {
             if let Some(victim) = self
-                .scratch
+                .pool
                 .iter()
                 .min_by_key(|(_, slot)| slot.last_use)
                 .map(|(&k, _)| k)
             {
-                self.scratch.remove(&victim);
+                self.pool.remove(&victim);
             }
         }
-        let entry = self.scratch.entry(key).or_insert_with(|| ScratchSlot {
-            list: Box::new(Vec::<Vec<T>>::new()),
+        let entry = self.pool.entry(key).or_insert_with(|| PoolSlot {
+            list: Box::new(FreeList::<T>::new()),
             last_use: clock,
         });
         entry.last_use = clock;
         *entry
             .list
-            .downcast_mut::<Vec<Vec<T>>>()
-            .expect("decode-scratch free list holds the wrong type") = list;
+            .downcast_mut::<FreeList<T>>()
+            .expect("buffer-pool free list holds the wrong type") = list;
     }
 
-    /// Number of distinct element types the decode-scratch pool currently tracks.
-    /// Bounded by [`SCRATCH_MAX_TYPES`]; exposed for the pool regression tests.
-    pub fn scratch_type_count(&self) -> usize {
-        self.scratch.len()
+    /// Number of distinct element types the buffer pool currently tracks.  Bounded by
+    /// [`POOL_MAX_TYPES`]; exposed for the pool regression tests.
+    pub fn pool_type_count(&self) -> usize {
+        self.pool.len()
     }
 
-    /// Take a typed scratch buffer with room for `capacity` elements from a detached
-    /// free list, allocating (and counting the miss) only when the list is empty.
-    /// Zero-element requests (empty messages of dense plans) never touch the heap and
-    /// bypass the pool and its counters, and selection is the same best-effort best-fit
-    /// as [`Rank::take_pack_buffer`] — the most recently recycled buffer that already
-    /// has the capacity is preferred, so mixed message sizes don't force `reserve`
-    /// regrowth of a too-small buffer.
-    pub(crate) fn take_decode_scratch<T: Element>(
+    /// Take a buffer with room for `capacity` elements from a detached free list,
+    /// allocating (and counting the miss) only when the list is empty.  Selection is
+    /// best-effort best-fit: the most recently recycled buffer that already has the
+    /// capacity is preferred, so mixed message sizes (8-byte negotiation counts next to
+    /// kilobyte data payloads) don't force `reserve` regrowth of a too-small buffer.
+    /// When no pooled buffer is large enough, the newest one is grown; its capacity only
+    /// ever increases, so a steady loop stops regrowing once every circulating buffer has
+    /// reached the loop's largest message.
+    pub(crate) fn take_buffer<T: Element>(
         &mut self,
-        list: &mut Vec<Vec<T>>,
+        list: &mut FreeList<T>,
         capacity: usize,
-    ) -> Vec<T> {
-        if capacity == 0 {
-            return Vec::new();
-        }
+    ) -> Buffer<T> {
         if list.is_empty() {
             self.pool_stats.decode_allocations += 1;
-            return Vec::with_capacity(capacity);
+            return Box::new(Vec::with_capacity(capacity));
         }
         self.pool_stats.decode_reuses += 1;
         let idx = list
@@ -257,73 +216,11 @@ impl Rank {
         buf
     }
 
-    /// Return a spent scratch buffer to a detached free list.  The engine recycles every
-    /// placement scratch whose ownership the placement closure did not take (via
-    /// `Placed::into_vec`), which is what keeps steady-state receive paths
-    /// allocation-free.
-    pub(crate) fn recycle_decode_scratch<T: Element>(
-        &mut self,
-        list: &mut Vec<Vec<T>>,
-        mut buf: Vec<T>,
-    ) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        buf.clear();
-        if list.len() < POOL_MAX_IDLE {
-            list.push(buf);
-        }
-    }
-
-    /// Take a byte buffer of at least `capacity` spare bytes from the pack-buffer pool,
-    /// allocating only when the free list is empty.  Zero-byte requests (empty messages
-    /// of dense plans) never touch the heap, so they bypass the pool and its counters
-    /// entirely — mirroring [`Rank::recycle_pack_buffer`], which drops capacity-0 buffers.
-    ///
-    /// Selection is best-effort best-fit: the most recently recycled buffer that already
-    /// has `capacity` is preferred, so mixed message sizes (8-byte negotiation counts next
-    /// to kilobyte data payloads) don't force `reserve` regrowth of a too-small buffer.
-    /// When no pooled buffer is large enough, the newest one is grown — its capacity only
-    /// ever increases, so a steady loop stops regrowing once every circulating buffer has
-    /// reached the loop's maximum message size.  `reuses` therefore counts recycled
-    /// *buffers*, not a promise that `reserve` never moved one during warm-up.
-    pub(crate) fn take_pack_buffer(&mut self, capacity: usize) -> Vec<u8> {
-        if capacity == 0 {
-            return Vec::new();
-        }
-        if self.pool.is_empty() {
-            self.pool_stats.allocations += 1;
-            return Vec::with_capacity(capacity);
-        }
-        self.pool_stats.reuses += 1;
-        let idx = self
-            .pool
-            .iter()
-            .rposition(|b| b.capacity() >= capacity)
-            .unwrap_or(self.pool.len() - 1);
-        let mut buf = self.pool.swap_remove(idx);
-        buf.clear();
-        buf.reserve(capacity);
-        buf
-    }
-
-    /// Return a spent buffer to the pack-buffer pool.  Consumed message payloads and the
-    /// engine's self-delivery buffers come back through here, which is what keeps
-    /// steady-state loops allocation-free: each iteration's receives replenish exactly
-    /// what its sends drew.
-    pub(crate) fn recycle_pack_buffer(&mut self, buf: Vec<u8>) {
-        if self.pool.len() < POOL_MAX_IDLE && buf.capacity() > 0 {
-            self.pool.push(buf);
-        }
-    }
-
-    /// Counters of this rank's buffer pools: how many outgoing-message byte buffers
-    /// (`allocations`/`reuses`) and incoming decode-scratch buffers
-    /// (`decode_allocations`/`decode_reuses`) were allocated fresh versus served from a
-    /// free list.  Neither allocation counter growing across a window is the
-    /// machine-checkable statement "this loop's communication allocates nothing fresh, in
-    /// either direction" (asserted by the pool smoke tests and reported by
-    /// `exchange_microbench`).
+    /// Counters of this rank's buffer pool: how many message buffers were allocated
+    /// fresh versus served from a free list.  The allocation counter not growing across a
+    /// window is the machine-checkable statement "this loop's communication allocates
+    /// nothing fresh" (asserted by the pool smoke tests and reported by
+    /// `exchange_microbench`).  See [`PackPoolStats`] for which fields count.
     pub fn pool_stats(&self) -> PackPoolStats {
         self.pool_stats
     }
@@ -360,7 +257,7 @@ impl Rank {
         let sched = Dissemination::new(n);
         for k in 0..sched.rounds() {
             self.mailbox
-                .send(sched.send_peer(me, k), tag, Payload::Bytes(Vec::new()));
+                .send(sched.send_peer(me, k), tag, TypedPayload::empty::<()>());
             let env = self.mailbox.recv(sched.recv_peer(me, k), tag);
             debug_assert!(env.payload.is_empty(), "barrier messages carry no payload");
         }
@@ -432,7 +329,7 @@ pub struct RunOutcome<R> {
     pub stats: Vec<RankStats>,
     /// Each rank's modeled time at the end of the run, indexed by rank.
     pub times: Vec<TimeSnapshot>,
-    /// Each rank's pack-buffer pool counters at the end of the run, indexed by rank.
+    /// Each rank's buffer-pool counters at the end of the run, indexed by rank.
     pub pool: Vec<PackPoolStats>,
 }
 
@@ -442,7 +339,7 @@ impl<R> RunOutcome<R> {
         MachineStats::from_ranks(&self.stats)
     }
 
-    /// Pack-buffer pool counters summed over all ranks.
+    /// Buffer-pool counters summed over all ranks.
     pub fn pool_totals(&self) -> PackPoolStats {
         self.pool
             .iter()
@@ -530,7 +427,6 @@ impl Machine {
         for mailbox in mailboxes {
             let f = Arc::clone(&f);
             let cost = self.config.cost;
-            let backend = self.config.backend;
             let hub = hub.clone();
             let builder = thread::Builder::new()
                 .name(format!("mpsim-rank-{}", mailbox.rank()))
@@ -540,14 +436,12 @@ impl Machine {
                     let mut rank = Rank {
                         mailbox,
                         cost,
-                        backend,
                         stats: RankStats::default(),
                         time: TimeSnapshot::default(),
                         exchange_seq: 0,
                         barrier_seq: 0,
-                        pool: Vec::new(),
-                        scratch: HashMap::new(),
-                        scratch_clock: 0,
+                        pool: HashMap::new(),
+                        pool_clock: 0,
                         pool_stats: PackPoolStats::default(),
                         ledger: hub.map(|hub| {
                             Box::new(LedgerRank {
@@ -619,6 +513,7 @@ where
 mod tests {
     use super::*;
     use crate::cost::CostModel;
+    use crate::exchange::{alltoallv, alltoallv_with, ExchangePlan, PackBuf};
 
     #[test]
     fn ranks_see_their_ids_and_size() {
@@ -630,14 +525,40 @@ mod tests {
         }
     }
 
+    /// A one-message plan: `from` sends `count` elements to `to`, nothing else moves.
+    fn one_message_plan(me: usize, n: usize, from: usize, to: usize, count: usize) -> ExchangePlan {
+        let mut sends = vec![0; n];
+        let mut recvs = vec![0; n];
+        if me == from {
+            sends[to] = count;
+        }
+        if me == to {
+            recvs[from] = count;
+        }
+        ExchangePlan::sparse(me, sends, recvs)
+    }
+
     #[test]
     fn ring_exchange_delivers_typed_payloads() {
         let out = run(MachineConfig::new(4), |rank| {
             let me = rank.rank();
-            let next = (me + 1) % rank.nprocs();
-            let prev = (me + rank.nprocs() - 1) % rank.nprocs();
-            rank.send_slice(next, 1, &[me as f64, me as f64 * 10.0]);
-            let got: Vec<f64> = rank.recv_vec(prev, 1);
+            let n = rank.nprocs();
+            let next = (me + 1) % n;
+            let prev = (me + n - 1) % n;
+            let mut sends = vec![0; n];
+            sends[next] = 2;
+            let mut recvs = vec![0; n];
+            recvs[prev] = 2;
+            let plan = ExchangePlan::sparse(me, sends, recvs);
+            let mut got = Vec::new();
+            alltoallv_with(
+                rank,
+                &plan,
+                |_p, buf: &mut PackBuf<'_, f64>| {
+                    buf.extend_from_slice(&[me as f64, me as f64 * 10.0]);
+                },
+                |_src, v| got = v.into_vec(),
+            );
             got
         });
         for (me, got) in out.results.iter().enumerate() {
@@ -650,13 +571,16 @@ mod tests {
     fn modeled_time_charges_both_ends() {
         let cfg = MachineConfig::new(2).with_cost(CostModel::uniform(10.0, 1.0, 0.0));
         let out = run(cfg, |rank| {
+            let plan = one_message_plan(rank.rank(), 2, 0, 1, 4);
+            let mut sends: Vec<Vec<f64>> = vec![Vec::new(); 2];
             if rank.rank() == 0 {
-                rank.send_slice(1, 0, &[1.0f64; 4]); // 32 bytes => 10 + 32 = 42
-            } else {
-                let _: Vec<f64> = rank.recv_vec(0, 0);
+                sends[1] = vec![1.0; 4]; // 32 bytes => 10 + 32 = 42
             }
+            alltoallv(rank, &plan, &sends, |_src, _v| {});
             rank.modeled()
         });
+        // No compute is charged (`compute_unit_us` is 0), so the engine's pack/place
+        // charge leaves exactly the message cost on both ends.
         assert!((out.results[0].comm_us - 42.0).abs() < 1e-9);
         assert!((out.results[1].comm_us - 42.0).abs() < 1e-9);
         assert_eq!(out.stats[0].msgs_sent, 1);
@@ -701,17 +625,17 @@ mod tests {
         });
     }
 
-    /// Regression for the decode-scratch type map: cycling more distinct element types
-    /// than [`SCRATCH_MAX_TYPES`] through the pool must evict least-recently-used free
+    /// Regression for the buffer pool's type map: cycling more distinct element types
+    /// than [`POOL_MAX_TYPES`] through the pool must evict least-recently-used free
     /// lists instead of growing the map without bound.
     #[test]
     fn scratch_pool_type_map_is_bounded_with_lru_eviction() {
         let out = run(MachineConfig::new(1), |rank| {
             fn touch<T: Element>(rank: &mut Rank) {
-                let mut list = rank.detach_decode_scratch::<T>();
-                let buf = rank.take_decode_scratch(&mut list, 4);
-                rank.recycle_decode_scratch(&mut list, buf);
-                rank.reattach_decode_scratch(list);
+                let mut list = rank.detach_pool::<T>();
+                let buf = rank.take_buffer(&mut list, 4);
+                recycle_buffer(&mut list, buf);
+                rank.reattach_pool(list);
             }
             macro_rules! touch_arrays {
                 ($($n:literal),+ $(,)?) => { $( touch::<[u8; $n]>(rank); )+ };
@@ -721,17 +645,14 @@ mod tests {
                 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23,
                 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40
             );
-            let count = rank.scratch_type_count();
+            let count = rank.pool_type_count();
             // The oldest types were evicted (their free lists are gone), the newest kept.
-            let oldest = rank.detach_decode_scratch::<[u8; 1]>();
-            let newest = rank.detach_decode_scratch::<[u8; 40]>();
+            let oldest = rank.detach_pool::<[u8; 1]>();
+            let newest = rank.detach_pool::<[u8; 40]>();
             (count, oldest.len(), newest.len())
         });
         let (count, oldest_len, newest_len) = out.results[0];
-        assert_eq!(
-            count, SCRATCH_MAX_TYPES,
-            "map must sit exactly at the bound"
-        );
+        assert_eq!(count, POOL_MAX_TYPES, "map must sit exactly at the bound");
         assert_eq!(oldest_len, 0, "LRU type must have been evicted");
         assert_eq!(newest_len, 1, "most recent type keeps its pooled buffer");
     }

@@ -1,430 +1,164 @@
 //! Typed message payloads.
 //!
-//! Ranks exchange byte buffers; the [`Element`] trait describes fixed-width, `Copy` values
-//! that can be written to and read from such buffers in little-endian order.  This is the
-//! minimal machinery the CHAOS executor needs: data arrays in the paper hold REAL*8 /
-//! INTEGER values (and, in the applications, small fixed-size records such as particle
-//! velocities), all of which encode to a fixed number of bytes.
+//! Ranks exchange typed buffers: a message's payload is the sender's `Vec<T>` itself,
+//! handed to the receiving rank's thread by pointer move and never encoded.  The
+//! [`Element`] trait marks the values that may travel and declares each one's *wire
+//! size*, the byte count the cost model charges per element.  Data arrays in the paper
+//! hold REAL*8 / INTEGER values (and, in the applications, small fixed-size records such
+//! as particle velocities), so every element type has a fixed wire size.
 //!
-//! The codec is hand-rolled instead of pulling in `serde`: the element types are tiny and
-//! fixed-width, and keeping the encoding transparent makes the byte-count accounting used
-//! by the cost model exact.
+//! The wire size is a declaration, not `size_of`: it is the sum of the field sizes with
+//! no padding, and `usize` counts 8 bytes on every target.  A `(u32, f64)` is charged 12
+//! bytes although it occupies 16 in memory.  Byte counts and modeled time therefore never
+//! depend on the host's memory layout.
 
-/// A fixed-width value that can travel in a message payload.
+use std::any::{type_name, Any};
+use std::marker::PhantomData;
+
+/// A fixed-size value that can travel in a message payload.
 pub trait Element: Copy + Send + 'static {
-    /// Encoded size in bytes.  Must be the same for every value of the type.
+    /// Wire size in bytes: what the cost model charges per element.  The sum of the
+    /// field sizes, with no padding.
     const SIZE: usize;
-
-    /// Append the little-endian encoding of `self` to `buf`.
-    fn write_le(&self, buf: &mut Vec<u8>);
-
-    /// Decode a value from exactly `Self::SIZE` bytes.
-    ///
-    /// # Panics
-    /// Panics if `bytes.len() < Self::SIZE`.
-    fn read_le(bytes: &[u8]) -> Self;
-
-    /// Append the little-endian encodings of every value in `values` to `buf`.
-    ///
-    /// This is the bulk entry point of the codec: the default is the per-element loop,
-    /// and primitives (plus fixed arrays of primitives) override it with chunk-level code
-    /// the compiler can vectorise.  Overrides must stay byte-for-byte identical to the
-    /// per-element default — the equivalence tests pin this for every implementation.
-    #[inline]
-    fn write_le_slice(values: &[Self], buf: &mut Vec<u8>) {
-        buf.reserve(values.len() * Self::SIZE);
-        for v in values {
-            v.write_le(buf);
-        }
-    }
-
-    /// Whether the in-memory representation of this type **is** its little-endian
-    /// encoding: `size_of::<Self>() == Self::SIZE` (no padding) and the native byte
-    /// order of every lane is little-endian.
-    ///
-    /// When this returns `true`, the encode/decode round-trip through
-    /// [`Element::write_le_slice`] / [`Element::read_le_into`] is a plain copy — so a
-    /// transport that can hand over typed buffers directly (the shared-memory backend's
-    /// `Vec<T>` pointer move) may skip the codec entirely and remain byte-identical to
-    /// the encoded path.  The default is `false` (always safe); implementations must
-    /// only return `true` when the identity genuinely holds — `pod_identity_holds` in
-    /// this module's tests pins the contract for every `true` implementation.
-    #[inline]
-    fn is_pod_le() -> bool {
-        false
-    }
-
-    /// Decode a whole payload, appending the elements to `out`.
-    ///
-    /// The bulk counterpart of [`Element::read_le`]: the default is the per-element loop;
-    /// overrides must decode exactly what the default decodes.
-    ///
-    /// # Panics
-    /// Panics if `bytes.len()` is not a multiple of `Self::SIZE`.
-    #[inline]
-    fn read_le_into(bytes: &[u8], out: &mut Vec<Self>) {
-        assert!(
-            bytes.len().is_multiple_of(Self::SIZE),
-            "payload length {} is not a multiple of element size {}",
-            bytes.len(),
-            Self::SIZE
-        );
-        out.reserve(bytes.len() / Self::SIZE);
-        for chunk in bytes.chunks_exact(Self::SIZE) {
-            out.push(Self::read_le(chunk));
-        }
-    }
 }
 
 macro_rules! impl_element_primitive {
     ($($t:ty),* $(,)?) => {
-        $(
-            impl Element for $t {
-                const SIZE: usize = std::mem::size_of::<$t>();
-
-                // On little-endian targets `to_le_bytes` is the identity and primitives
-                // have no padding, so memory repr == wire repr.
-                #[inline]
-                fn is_pod_le() -> bool {
-                    cfg!(target_endian = "little")
-                }
-
-                #[inline]
-                fn write_le(&self, buf: &mut Vec<u8>) {
-                    buf.extend_from_slice(&self.to_le_bytes());
-                }
-
-                #[inline]
-                fn read_le(bytes: &[u8]) -> Self {
-                    let mut raw = [0u8; std::mem::size_of::<$t>()];
-                    raw.copy_from_slice(&bytes[..std::mem::size_of::<$t>()]);
-                    <$t>::from_le_bytes(raw)
-                }
-
-                #[inline]
-                fn write_le_slice(values: &[Self], buf: &mut Vec<u8>) {
-                    const S: usize = std::mem::size_of::<$t>();
-                    // Resize once, then fill fixed-width lanes: on little-endian targets
-                    // `to_le_bytes` is the identity and the loop compiles to a straight
-                    // copy the autovectoriser handles.
-                    let start = buf.len();
-                    buf.resize(start + values.len() * S, 0);
-                    for (dst, v) in buf[start..].chunks_exact_mut(S).zip(values) {
-                        dst.copy_from_slice(&v.to_le_bytes());
-                    }
-                }
-
-                #[inline]
-                fn read_le_into(bytes: &[u8], out: &mut Vec<Self>) {
-                    const S: usize = std::mem::size_of::<$t>();
-                    assert!(
-                        bytes.len().is_multiple_of(S),
-                        "payload length {} is not a multiple of element size {}",
-                        bytes.len(),
-                        S
-                    );
-                    out.reserve(bytes.len() / S);
-                    for chunk in bytes.chunks_exact(S) {
-                        let mut raw = [0u8; S];
-                        raw.copy_from_slice(chunk);
-                        out.push(<$t>::from_le_bytes(raw));
-                    }
-                }
-            }
-        )*
+        $( impl Element for $t { const SIZE: usize = std::mem::size_of::<$t>(); } )*
     };
 }
 
 impl_element_primitive!(u8, i8, u16, i16, u32, i32, u64, i64, f32, f64);
 
+/// `usize` is charged as 8 bytes on every target.
 impl Element for usize {
     const SIZE: usize = 8;
-
-    // `usize` travels as a u64, so the identity additionally needs a 64-bit target.
-    #[inline]
-    fn is_pod_le() -> bool {
-        cfg!(target_endian = "little") && std::mem::size_of::<usize>() == 8
-    }
-
-    #[inline]
-    fn write_le(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&(*self as u64).to_le_bytes());
-    }
-
-    #[inline]
-    fn read_le(bytes: &[u8]) -> Self {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&bytes[..8]);
-        u64::from_le_bytes(raw) as usize
-    }
-
-    #[inline]
-    fn write_le_slice(values: &[Self], buf: &mut Vec<u8>) {
-        let start = buf.len();
-        buf.resize(start + values.len() * 8, 0);
-        for (dst, v) in buf[start..].chunks_exact_mut(8).zip(values) {
-            dst.copy_from_slice(&(*v as u64).to_le_bytes());
-        }
-    }
-
-    #[inline]
-    fn read_le_into(bytes: &[u8], out: &mut Vec<Self>) {
-        assert!(
-            bytes.len().is_multiple_of(8),
-            "payload length {} is not a multiple of element size 8",
-            bytes.len()
-        );
-        out.reserve(bytes.len() / 8);
-        for chunk in bytes.chunks_exact(8) {
-            let mut raw = [0u8; 8];
-            raw.copy_from_slice(chunk);
-            out.push(u64::from_le_bytes(raw) as usize);
-        }
-    }
 }
 
 impl<T: Element, const N: usize> Element for [T; N] {
     const SIZE: usize = T::SIZE * N;
-
-    // Arrays insert no padding, so `[T; N]` inherits the identity from `T`.
-    #[inline]
-    fn is_pod_le() -> bool {
-        T::is_pod_le()
-    }
-
-    #[inline]
-    fn write_le(&self, buf: &mut Vec<u8>) {
-        for v in self {
-            v.write_le(buf);
-        }
-    }
-
-    #[inline]
-    fn read_le(bytes: &[u8]) -> Self {
-        std::array::from_fn(|i| T::read_le(&bytes[i * T::SIZE..]))
-    }
-
-    #[inline]
-    fn write_le_slice(values: &[Self], buf: &mut Vec<u8>) {
-        // `[[T; N]]` flattens to `[T]` with the same memory layout, so a slice of fixed
-        // arrays encodes through the inner type's bulk path (vectorised for primitives).
-        T::write_le_slice(values.as_flattened(), buf);
-    }
-
-    #[inline]
-    fn read_le_into(bytes: &[u8], out: &mut Vec<Self>) {
-        assert!(
-            bytes.len().is_multiple_of(Self::SIZE),
-            "payload length {} is not a multiple of element size {}",
-            bytes.len(),
-            Self::SIZE
-        );
-        out.reserve(bytes.len() / Self::SIZE);
-        // Decode the flattened lane stream: every lane handed to `T::read_le` is an
-        // exact `T::SIZE` chunk (not an unbounded tail slice as in the per-element
-        // default), so the inner bounds checks vanish.  `std::array::from_fn` calls its
-        // closure in ascending index order, which is what keeps the lane iterator and
-        // the array slots aligned.
-        for chunk in bytes.chunks_exact(Self::SIZE) {
-            let mut lanes = chunk.chunks_exact(T::SIZE);
-            out.push(std::array::from_fn(|_| {
-                T::read_le(lanes.next().expect("flattened array lane missing"))
-            }));
-        }
-    }
 }
 
 impl<A: Element, B: Element> Element for (A, B) {
     const SIZE: usize = A::SIZE + B::SIZE;
-
-    #[inline]
-    fn write_le(&self, buf: &mut Vec<u8>) {
-        self.0.write_le(buf);
-        self.1.write_le(buf);
-    }
-
-    #[inline]
-    fn read_le(bytes: &[u8]) -> Self {
-        (A::read_le(bytes), B::read_le(&bytes[A::SIZE..]))
-    }
 }
 
 impl<A: Element, B: Element, C: Element> Element for (A, B, C) {
     const SIZE: usize = A::SIZE + B::SIZE + C::SIZE;
-
-    #[inline]
-    fn write_le(&self, buf: &mut Vec<u8>) {
-        self.0.write_le(buf);
-        self.1.write_le(buf);
-        self.2.write_le(buf);
-    }
-
-    #[inline]
-    fn read_le(bytes: &[u8]) -> Self {
-        (
-            A::read_le(bytes),
-            B::read_le(&bytes[A::SIZE..]),
-            C::read_le(&bytes[A::SIZE + B::SIZE..]),
-        )
-    }
 }
 
-/// Implement [`Element`] for a plain struct whose fields are all `Element`s.
+/// Implement [`Element`] for a plain struct whose fields are all `Element`s.  The wire
+/// size is the sum of the listed fields' sizes; the field list must name every field of
+/// the struct with its type, which a compile-time check enforces.
 ///
 /// ```
-/// use mpsim::impl_element_struct;
+/// use mpsim::{impl_element_struct, Element};
 ///
 /// #[derive(Clone, Copy, Debug, PartialEq)]
 /// struct Particle { x: f64, v: f64, cell: u32 }
 /// impl_element_struct!(Particle { x: f64, v: f64, cell: u32 });
 ///
-/// let p = Particle { x: 1.0, v: -2.0, cell: 7 };
-/// let bytes = mpsim::message::encode_slice(&[p]);
-/// assert_eq!(mpsim::message::decode_vec::<Particle>(&bytes), vec![p]);
+/// assert_eq!(Particle::SIZE, 20);
 /// ```
 #[macro_export]
 macro_rules! impl_element_struct {
     ($name:ident { $($field:ident : $fty:ty),+ $(,)? }) => {
         impl $crate::message::Element for $name {
             const SIZE: usize = 0 $(+ <$fty as $crate::message::Element>::SIZE)+;
-
-            #[inline]
-            fn write_le(&self, buf: &mut Vec<u8>) {
-                $( $crate::message::Element::write_le(&self.$field, buf); )+
-            }
-
-            #[inline]
-            fn read_le(bytes: &[u8]) -> Self {
-                let mut offset = 0usize;
-                $(
-                    let $field = <$fty as $crate::message::Element>::read_le(&bytes[offset..]);
-                    offset += <$fty as $crate::message::Element>::SIZE;
-                )+
-                let _ = offset;
-                Self { $($field),+ }
-            }
         }
+
+        const _: () = {
+            // An exhaustive destructuring: a missing, extra or mistyped field in the list
+            // would make `SIZE` wrong, and fails to compile here instead.
+            #[allow(dead_code)]
+            fn fields_match(value: &$name) {
+                let $name { $($field),+ } = value;
+                $( let _: &$fty = $field; )+
+            }
+        };
     };
 }
 
-/// Encode a slice of elements into a contiguous byte buffer.
+/// A message buffer: the `Vec<T>` a message is packed into, boxed so that it becomes a
+/// [`TypedPayload`]'s `Box<dyn Any>`, and comes back out of one, without allocating.
+pub type Buffer<T> = Box<Vec<T>>;
+
+/// The contents of one in-flight message: the sender's typed buffer, type-erased.
 ///
-/// A thin wrapper over [`Element::write_le_slice`] (kept for tests, docs and callers that
-/// want an owned buffer); the exchange engine and [`crate::Rank::send_slice`] use the bulk
-/// hook directly on pooled buffers.
-pub fn encode_slice<T: Element>(values: &[T]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(values.len() * T::SIZE);
-    T::write_le_slice(values, &mut buf);
-    buf
+/// A non-empty payload holds the sender's pooled [`Buffer`] itself.  Coercing it to
+/// `Box<dyn Any>` allocates nothing, and the receiving rank's `downcast` hands the same
+/// box back, so a message costs no heap traffic once the pools are warm.  An empty
+/// payload holds a zero-sized marker and touches no heap at all.
+///
+/// The payload records its byte length (`len · T::SIZE`, what the cost model charges)
+/// and the element type's name, so a receive that expects a different element type fails
+/// naming both.
+pub struct TypedPayload {
+    byte_len: usize,
+    elem: &'static str,
+    data: Box<dyn Any + Send>,
 }
 
-/// Decode a byte buffer produced by [`encode_slice`] back into a vector of elements.
-///
-/// A thin wrapper over [`Element::read_le_into`] into a fresh vector; the exchange engine
-/// decodes into pooled scratch buffers instead.
-///
-/// # Panics
-/// Panics if `bytes.len()` is not a multiple of `T::SIZE`.
-pub fn decode_vec<T: Element>(bytes: &[u8]) -> Vec<T> {
-    let mut out = Vec::new();
-    T::read_le_into(bytes, &mut out);
-    out
-}
-
-/// The contents of one in-flight message.
-///
-/// The modeled transport always ships encoded bytes; the shared-memory transport ships
-/// the *typed* buffer itself when the element type satisfies [`Element::is_pod_le`] (the
-/// encode/decode round-trip would be an identity copy, so handing over the `Vec<T>` is
-/// byte-equivalent and allocation-free).  Cost accounting is uniform: both variants know
-/// their encoded byte length, and the cost model is charged from that, never from how the
-/// payload physically travelled.
-pub enum Payload {
-    /// Little-endian encoded bytes (the universal representation).
-    Bytes(Vec<u8>),
-    /// A typed buffer moved without encoding (POD fast path of the shared-memory
-    /// backend).
-    Typed(TypedPayload),
-}
-
-impl Payload {
-    /// Encoded byte length of the payload — what the cost model and the stats counters
-    /// charge, identical across variants.
-    pub fn byte_len(&self) -> usize {
-        match self {
-            Payload::Bytes(b) => b.len(),
-            Payload::Typed(t) => t.byte_len,
+impl TypedPayload {
+    /// Wrap a typed buffer for transport.
+    pub fn new<T: Element>(values: Buffer<T>) -> Self {
+        TypedPayload {
+            byte_len: values.len() * T::SIZE,
+            elem: type_name::<T>(),
+            data: values,
         }
+    }
+
+    /// An empty payload of element type `T`.  Its marker is zero-sized, so building one
+    /// allocates nothing.
+    pub fn empty<T: Send + 'static>() -> Self {
+        TypedPayload {
+            byte_len: 0,
+            elem: type_name::<T>(),
+            data: Box::new(PhantomData::<T>),
+        }
+    }
+
+    /// Byte length of the payload: what the cost model and the stats counters charge.
+    pub fn byte_len(&self) -> usize {
+        self.byte_len
     }
 
     /// True when the payload carries no elements.
     pub fn is_empty(&self) -> bool {
-        self.byte_len() == 0
+        self.byte_len == 0
     }
 
-    /// The encoded bytes, for transports and callers that only speak bytes.
+    /// Recover the buffer as element type `T`: `None` for an empty payload.
     ///
     /// # Panics
-    /// Panics if the payload is typed — byte-only receive paths must never see the
-    /// typed fast path (the exchange engine keeps the two separate by construction).
-    pub fn into_bytes(self) -> Vec<u8> {
-        match self {
-            Payload::Bytes(b) => b,
-            Payload::Typed(_) => {
-                panic!("typed payload reached a byte-only receive path")
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for Payload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Payload::Bytes(b) => f.debug_tuple("Bytes").field(&b.len()).finish(),
-            Payload::Typed(t) => f
-                .debug_struct("Typed")
-                .field("elems", &t.elem_count)
-                .field("bytes", &t.byte_len)
-                .finish(),
-        }
-    }
-}
-
-/// A type-erased `Vec<T>` travelling as a message payload (see [`Payload::Typed`]).
-pub struct TypedPayload {
-    elem_count: usize,
-    byte_len: usize,
-    data: Box<dyn std::any::Any + Send>,
-}
-
-impl TypedPayload {
-    /// Wrap a typed buffer for transport.  Only meaningful for
-    /// [`Element::is_pod_le`] types; the caller (the exchange engine) enforces that.
-    pub fn new<T: Element>(values: Vec<T>) -> Self {
-        debug_assert!(T::is_pod_le(), "typed transport requires a POD-LE element");
-        TypedPayload {
-            elem_count: values.len(),
-            byte_len: values.len() * T::SIZE,
-            data: Box::new(values),
-        }
-    }
-
-    /// Number of elements in the buffer.
-    pub fn elem_count(&self) -> usize {
-        self.elem_count
-    }
-
-    /// Recover the typed buffer.
-    ///
-    /// # Panics
-    /// Panics if `T` is not the type the payload was created with — which would mean
-    /// two different exchanges matched the same epoch tag, a protocol violation worth
+    /// Panics if the payload holds a different element type, naming both types after
+    /// `context()` (the receiving side, e.g. the rank, source and exchange epoch).  Two
+    /// ranks disagreeing on a collective's element type is a protocol violation worth
     /// failing loudly on.
-    pub fn into_values<T: Element>(self) -> Vec<T> {
-        *self
-            .data
-            .downcast::<Vec<T>>()
-            .unwrap_or_else(|_| panic!("typed payload holds a different element type"))
+    pub fn into_values<T: Element>(self, context: impl FnOnce() -> String) -> Option<Buffer<T>> {
+        if self.data.is::<PhantomData<T>>() {
+            return None;
+        }
+        let elem = self.elem;
+        match self.data.downcast::<Vec<T>>() {
+            Ok(values) => Some(values),
+            Err(_) => panic!(
+                "{}: payload holds a different element type: sent as `{elem}`, received as \
+                 `{}`",
+                context(),
+                type_name::<T>()
+            ),
+        }
+    }
+}
+
+impl std::fmt::Debug for TypedPayload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TypedPayload")
+            .field("elem", &self.elem)
+            .field("bytes", &self.byte_len)
+            .finish()
     }
 }
 
@@ -435,32 +169,43 @@ pub struct Envelope {
     pub from: usize,
     /// Application-level tag used for selective receive.
     pub tag: u64,
-    /// The payload — encoded bytes or a typed fast-path buffer.
-    pub payload: Payload,
+    /// The typed payload.
+    pub payload: TypedPayload,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Send `values` through a payload and take them back, checking the charged bytes.
+    fn round_trip<T: Element + PartialEq + std::fmt::Debug>(values: Vec<T>) {
+        let payload = TypedPayload::new(Box::new(values.clone()));
+        assert_eq!(payload.byte_len(), values.len() * T::SIZE);
+        let back = payload.into_values::<T>(String::new);
+        assert_eq!(back.as_deref(), Some(&values));
+    }
+
     #[test]
     fn primitive_round_trip() {
-        let xs: Vec<f64> = vec![0.0, -1.5, 3.25, f64::MAX, f64::MIN_POSITIVE];
-        assert_eq!(decode_vec::<f64>(&encode_slice(&xs)), xs);
-        let ys: Vec<i32> = vec![0, -1, i32::MAX, i32::MIN, 42];
-        assert_eq!(decode_vec::<i32>(&encode_slice(&ys)), ys);
-        let zs: Vec<usize> = vec![0, 1, usize::MAX >> 1, 1234567];
-        assert_eq!(decode_vec::<usize>(&encode_slice(&zs)), zs);
+        round_trip(vec![0.0f64, -1.5, 3.25, f64::MAX, f64::MIN_POSITIVE]);
+        round_trip(vec![0i32, -1, i32::MAX, i32::MIN, 42]);
+        round_trip(vec![0usize, 1, usize::MAX >> 1, 1234567]);
+        assert_eq!(
+            usize::SIZE,
+            8,
+            "usize is charged as 8 bytes on every target"
+        );
     }
 
     #[test]
     fn array_and_tuple_round_trip() {
-        let xs: Vec<[f64; 3]> = vec![[1.0, 2.0, 3.0], [-0.5, 0.0, 9.75]];
-        assert_eq!(decode_vec::<[f64; 3]>(&encode_slice(&xs)), xs);
-        let ps: Vec<(u32, f64)> = vec![(7, 1.25), (0, -3.5)];
-        assert_eq!(decode_vec::<(u32, f64)>(&encode_slice(&ps)), ps);
-        let ts: Vec<(u32, f64, i64)> = vec![(7, 1.25, -9), (0, -3.5, 11)];
-        assert_eq!(decode_vec::<(u32, f64, i64)>(&encode_slice(&ts)), ts);
+        round_trip(vec![[1.0f64, 2.0, 3.0], [-0.5, 0.0, 9.75]]);
+        round_trip(vec![(7u32, 1.25f64), (0, -3.5)]);
+        round_trip(vec![(7u32, 1.25f64, -9i64), (0, -3.5, 11)]);
+        assert_eq!(<[f64; 3]>::SIZE, 24);
+        // Wire sizes carry no padding: 12 and 20 bytes, where `size_of` says 16 and 24.
+        assert_eq!(<(u32, f64)>::SIZE, 12);
+        assert_eq!(<(u32, f64, i64)>::SIZE, 20);
     }
 
     #[test]
@@ -477,97 +222,8 @@ mod tests {
             id: u64
         });
 
-        let ps = vec![
-            P {
-                pos: [0.0, 1.0],
-                vel: [2.0, -2.0],
-                id: 3,
-            },
-            P {
-                pos: [9.5, -8.25],
-                vel: [0.0, 0.125],
-                id: u64::MAX,
-            },
-        ];
         assert_eq!(P::SIZE, 40);
-        assert_eq!(decode_vec::<P>(&encode_slice(&ps)), ps);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a multiple")]
-    fn decode_rejects_ragged_payload() {
-        let bytes = vec![0u8; 7];
-        let _ = decode_vec::<f64>(&bytes);
-    }
-
-    /// Pin the bulk codec byte-for-byte against the per-element hooks: any specialised
-    /// `write_le_slice`/`read_le_into` must encode and decode exactly what the
-    /// element-at-a-time loop does.
-    fn assert_bulk_matches_per_element<T: Element + PartialEq + std::fmt::Debug>(values: &[T]) {
-        // Encode: per-element reference vs bulk, including appending to a non-empty buffer
-        // (the PackBuf case — bulk writes must not disturb earlier bytes).
-        let mut reference = vec![0xAB, 0xCD];
-        for v in values {
-            v.write_le(&mut reference);
-        }
-        let mut bulk = vec![0xAB, 0xCD];
-        T::write_le_slice(values, &mut bulk);
-        assert_eq!(reference, bulk, "bulk encode diverged from per-element");
-
-        // Decode: per-element reference vs bulk, appending after pre-existing elements.
-        let payload = &bulk[2..];
-        let decoded_ref: Vec<T> = payload.chunks_exact(T::SIZE).map(T::read_le).collect();
-        let mut decoded_bulk: Vec<T> = Vec::new();
-        T::read_le_into(payload, &mut decoded_bulk);
-        assert_eq!(
-            decoded_ref, decoded_bulk,
-            "bulk decode diverged from per-element"
-        );
-        assert_eq!(decoded_bulk, values);
-        let mut appended = decoded_ref.clone();
-        T::read_le_into(payload, &mut appended);
-        assert_eq!(appended.len(), 2 * values.len());
-        assert_eq!(&appended[values.len()..], values);
-    }
-
-    #[test]
-    fn bulk_codec_matches_per_element_for_primitives() {
-        assert_bulk_matches_per_element::<u8>(&[0, 1, 0x7F, 0xFF]);
-        assert_bulk_matches_per_element::<i8>(&[0, -1, i8::MIN, i8::MAX]);
-        assert_bulk_matches_per_element::<u16>(&[0, 1, 0xBEEF, u16::MAX]);
-        assert_bulk_matches_per_element::<i16>(&[0, -2, i16::MIN, i16::MAX]);
-        assert_bulk_matches_per_element::<u32>(&[0, 7, 0xDEAD_BEEF, u32::MAX]);
-        assert_bulk_matches_per_element::<i32>(&[0, -3, i32::MIN, i32::MAX]);
-        assert_bulk_matches_per_element::<u64>(&[0, 11, u64::MAX]);
-        assert_bulk_matches_per_element::<i64>(&[0, -5, i64::MIN, i64::MAX]);
-        assert_bulk_matches_per_element::<usize>(&[0, 42, usize::MAX >> 1]);
-        assert_bulk_matches_per_element::<f32>(&[0.0, -1.5, f32::MAX, f32::MIN_POSITIVE]);
-        assert_bulk_matches_per_element::<f64>(&[0.0, -1.5, f64::MAX, f64::MIN_POSITIVE]);
-    }
-
-    #[test]
-    fn bulk_codec_matches_per_element_for_arrays_and_tuples() {
-        assert_bulk_matches_per_element::<[f64; 3]>(&[[1.0, 2.0, 3.0], [-0.5, 0.0, 9.75]]);
-        assert_bulk_matches_per_element::<[u32; 4]>(&[[1, 2, 3, 4], [u32::MAX, 0, 7, 9]]);
-        assert_bulk_matches_per_element::<[[f64; 2]; 2]>(&[[[1.0, 2.0], [3.0, 4.0]]]);
-        assert_bulk_matches_per_element::<(u32, f64)>(&[(7, 1.25), (0, -3.5)]);
-        assert_bulk_matches_per_element::<(u32, f64, i64)>(&[(7, 1.25, -9), (0, -3.5, 11)]);
-    }
-
-    #[test]
-    fn bulk_codec_matches_per_element_for_derive_macro_structs() {
-        #[derive(Clone, Copy, Debug, PartialEq)]
-        struct P {
-            pos: [f64; 2],
-            vel: [f64; 2],
-            id: u64,
-        }
-        impl_element_struct!(P {
-            pos: [f64; 2],
-            vel: [f64; 2],
-            id: u64
-        });
-        assert_bulk_matches_per_element::<P>(&[
+        round_trip(vec![
             P {
                 pos: [0.0, 1.0],
                 vel: [2.0, -2.0],
@@ -582,77 +238,42 @@ mod tests {
     }
 
     #[test]
-    fn bulk_codec_handles_empty_slices() {
-        assert_bulk_matches_per_element::<f64>(&[]);
-        assert_bulk_matches_per_element::<[f64; 3]>(&[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a multiple")]
-    fn bulk_decode_rejects_ragged_payload() {
-        let bytes = vec![0u8; 13];
-        let mut out: Vec<u32> = Vec::new();
-        u32::read_le_into(&bytes, &mut out);
-    }
-
-    /// The [`Element::is_pod_le`] contract: every type that claims the identity must
-    /// encode to exactly its in-memory bytes (same length, same contents).  Types that
-    /// return `false` are unconstrained — the check is one-directional.
-    fn assert_pod_identity_holds<T: Element>(values: &[T]) {
-        if !T::is_pod_le() {
-            return;
-        }
-        assert_eq!(std::mem::size_of::<T>(), T::SIZE, "POD-LE type has padding");
-        let encoded = encode_slice(values);
-        // SAFETY: viewing initialized `T`s as bytes is always valid — the pointer and
-        // length come straight from the live slice, and the padding-free layout was
-        // asserted just above.
-        let native = unsafe {
-            std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), std::mem::size_of_val(values))
-        };
-        assert_eq!(encoded, native, "POD-LE encoding is not the memory repr");
-    }
-
-    #[test]
-    fn pod_identity_holds() {
-        assert_pod_identity_holds::<u8>(&[0, 1, 0xFF]);
-        assert_pod_identity_holds::<u32>(&[0, 7, u32::MAX]);
-        assert_pod_identity_holds::<i64>(&[0, -5, i64::MIN]);
-        assert_pod_identity_holds::<f64>(&[0.0, -1.5, f64::MAX]);
-        assert_pod_identity_holds::<usize>(&[0, 42, usize::MAX >> 1]);
-        assert_pod_identity_holds::<[f64; 3]>(&[[1.0, 2.0, 3.0], [-0.5, 0.0, 9.75]]);
-        assert_pod_identity_holds::<[[f64; 2]; 2]>(&[[[1.0, 2.0], [3.0, 4.0]]]);
-        // Tuples may carry padding, so they must not claim the identity.
-        assert!(!<(u32, f64)>::is_pod_le());
-        assert!(!<(u32, f64, i64)>::is_pod_le());
-    }
-
-    #[test]
     fn typed_payload_round_trips_and_counts_bytes() {
-        let p = Payload::Typed(TypedPayload::new(vec![1.0f64, 2.0, 3.0]));
+        let values = Box::new(vec![1.0f64, 2.0, 3.0]);
+        let ptr = values.as_ptr();
+        let p = TypedPayload::new(values);
         assert_eq!(p.byte_len(), 24);
         assert!(!p.is_empty());
-        match p {
-            Payload::Typed(t) => {
-                assert_eq!(t.elem_count(), 3);
-                assert_eq!(t.into_values::<f64>(), vec![1.0, 2.0, 3.0]);
-            }
-            Payload::Bytes(_) => unreachable!(),
-        }
+        let back = p
+            .into_values::<f64>(String::new)
+            .expect("non-empty payload");
+        assert_eq!(*back, vec![1.0, 2.0, 3.0]);
+        assert_eq!(back.as_ptr(), ptr, "the buffer moved, not its contents");
     }
 
     #[test]
-    #[should_panic(expected = "different element type")]
+    #[should_panic(
+        expected = "receiver: payload holds a different element type: sent as `f64`, \
+                               received as `u64`"
+    )]
     fn typed_payload_rejects_wrong_type() {
-        let t = TypedPayload::new(vec![1.0f64]);
-        let _ = t.into_values::<u64>();
+        let t = TypedPayload::new(Box::new(vec![1.0f64]));
+        let _ = t.into_values::<u64>(|| "receiver".to_string());
     }
 
     #[test]
     fn empty_round_trip() {
-        let xs: Vec<f64> = vec![];
-        let enc = encode_slice(&xs);
-        assert!(enc.is_empty());
-        assert_eq!(decode_vec::<f64>(&enc), xs);
+        let p = TypedPayload::empty::<f64>();
+        assert!(p.is_empty());
+        assert_eq!(p.byte_len(), 0);
+        assert!(p.into_values::<f64>(String::new).is_none());
+        // An empty payload still knows its element type.
+        let wrong = std::panic::catch_unwind(|| {
+            TypedPayload::empty::<f64>().into_values::<u64>(String::new)
+        });
+        assert!(
+            wrong.is_err(),
+            "an empty f64 payload received as u64 must panic"
+        );
     }
 }

@@ -1,17 +1,18 @@
 //! The shared-memory message fabric behind [`ExchangeBackend::SharedMem`].
 //!
 //! The modeled transport moves every message through `std::sync::mpsc` channels — one
-//! multi-producer channel per rank — which is simple and correct but pays an allocation,
-//! a lock handoff, and an encode/decode round-trip per message.  This module replaces the
-//! wire with what the paper's runtime would use on a shared-memory node: one bounded
+//! multi-producer channel per rank — which is simple and correct but pays the channel's
+//! block allocations and a lock handoff per message.  This module replaces the mailbox
+//! with what the paper's runtime would use on a shared-memory node: one bounded
 //! **lock-free SPSC ring per ordered rank pair**, so a producer and a consumer touch only
 //! cache lines they own, plus a per-consumer *doorbell* (mutex + condvar) so a rank with
 //! nothing to receive parks instead of burning the core.
 //!
-//! [`ExchangeBackend`] selects the transport per [`crate::MachineConfig`].  The two
-//! backends are observationally identical everywhere except host wall-clock: the same
-//! modeled cost, the same [`crate::RankStats`] counters, the same delivered bytes.  The
-//! entire test suite runs under either backend (`MPSIM_BACKEND=shared cargo test`).
+//! [`ExchangeBackend`] selects the transport per [`crate::MachineConfig`].  Both carry the
+//! same typed payloads ([`crate::message::TypedPayload`]); they differ only in the
+//! mailbox, so they are observationally identical everywhere except host wall-clock: the
+//! same modeled cost, the same [`crate::RankStats`] counters, the same delivered values.
+//! The entire test suite runs under either backend (`MPSIM_BACKEND=shared cargo test`).
 //!
 //! ## Why SPSC rings are enough
 //!
@@ -40,7 +41,7 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::message::{Envelope, Payload};
+use crate::message::{Envelope, TypedPayload};
 use crate::proto::{self, BellOps, RingOps};
 
 /// Which transport a machine's ranks communicate through.
@@ -52,13 +53,9 @@ use crate::proto::{self, BellOps, RingOps};
 /// `MPSIM_BACKEND` environment variable (`modeled` | `shared`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExchangeBackend {
-    /// Messages travel through per-rank mpsc channels and every payload is encoded to
-    /// little-endian bytes — the historical transport, byte-for-byte unchanged.
+    /// Messages travel through one mpsc channel per rank (the default).
     Modeled,
-    /// Messages travel through per-pair lock-free SPSC rings, and payloads whose element
-    /// type satisfies [`crate::message::Element::is_pod_le`] move as typed buffers
-    /// without touching the codec (a `Vec` pointer handoff instead of an encode +
-    /// decode + copy).
+    /// Messages travel through per-pair lock-free SPSC rings with a doorbell per rank.
     SharedMem,
 }
 
@@ -282,7 +279,7 @@ impl SharedFabric {
     ///
     /// # Panics
     /// Panics if the destination rank has already terminated.
-    pub(crate) fn send(&self, from: usize, to: usize, tag: u64, payload: Payload) {
+    pub(crate) fn send(&self, from: usize, to: usize, tag: u64, payload: TypedPayload) {
         let mut env = Envelope { from, tag, payload };
         let ring = &self.rings[from * self.nprocs + to];
         loop {
@@ -392,8 +389,8 @@ impl SharedFabric {
 mod tests {
     use super::*;
 
-    fn bytes(v: Vec<u8>) -> Payload {
-        Payload::Bytes(v)
+    fn bytes(v: Vec<u8>) -> TypedPayload {
+        TypedPayload::new(Box::new(v))
     }
 
     #[test]
@@ -437,23 +434,16 @@ mod tests {
     #[test]
     fn typed_payloads_cross_the_fabric_untouched() {
         let fabric = SharedFabric::new(2);
-        let values = vec![1.0f64, 2.0, 3.0];
+        let values = Box::new(vec![1.0f64, 2.0, 3.0]);
         let ptr = values.as_ptr();
-        fabric.send(
-            1,
-            0,
-            5,
-            Payload::Typed(crate::message::TypedPayload::new(values)),
-        );
-        let env = fabric.recv_next(0);
-        match env.payload {
-            Payload::Typed(t) => {
-                let got = t.into_values::<f64>();
-                assert_eq!(got, vec![1.0, 2.0, 3.0]);
-                assert_eq!(got.as_ptr(), ptr, "the buffer moved, not its contents");
-            }
-            Payload::Bytes(_) => panic!("typed payload decayed to bytes"),
-        }
+        fabric.send(1, 0, 5, TypedPayload::new(values));
+        let got = fabric
+            .recv_next(0)
+            .payload
+            .into_values::<f64>(String::new)
+            .expect("non-empty payload");
+        assert_eq!(*got, vec![1.0, 2.0, 3.0]);
+        assert_eq!(got.as_ptr(), ptr, "the buffer moved, not its contents");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper's evaluation (§4) reports communication and computation *times*; those are
 //! derived in [`crate::cost`], but the raw quantities they are derived from — message
-//! counts, byte counts, work units, and the pack-buffer pool's allocation counters — are
+//! counts, byte counts, work units, and the buffer pool's allocation counters — are
 //! accumulated here, where regression tests and the benchmark harnesses can pin them
 //! exactly.
 
@@ -64,45 +64,42 @@ impl RankStats {
     }
 }
 
-/// Counters of the per-rank buffer pools (see `Rank::pool_stats`).
+/// Counters of the per-rank buffer pool (see `Rank::pool_stats`).
 ///
-/// Two pools keep the exchange engine's steady state allocation-free, one per direction:
+/// One pool of typed `Vec<T>` message buffers keeps the exchange engine's steady state
+/// allocation-free.  A send packs into a buffer drawn from the sender's pool; the buffer
+/// travels to the receiver, is placed through a borrowed view and joins the receiver's
+/// pool.  Only `Placed::into_vec` removes a buffer from circulation.  In a steady-state
+/// exchange loop (the executor's gather/scatter, the DSMC append) each iteration receives
+/// as many buffers as it sends, so after a warm-up iteration the pool satisfies every
+/// request and the allocation counter stops growing — the property the
+/// `exchange_microbench` harness and the pool smoke tests pin down.
 ///
-/// * the **pack-buffer pool** (`allocations` / `reuses`) recycles the *byte* buffers
-///   outgoing messages are encoded into — every consumed incoming message returns its
-///   payload buffer to this free list;
-/// * the **decode-scratch pool** (`decode_allocations` / `decode_reuses`) recycles the
-///   *typed* `Vec<T>` buffers incoming payloads are decoded into before placement — a
-///   placement closure that only borrows the values (the executor's gather/scatter,
-///   remapping) hands its scratch straight back; only `Placed::into_vec` removes a buffer
-///   from circulation.
-///
-/// In a steady-state exchange loop (the executor's gather/scatter, the DSMC append) each
-/// iteration receives as many buffers as it sends, so after a warm-up iteration both pools
-/// satisfy every request and the allocation counters stop growing — the property the
-/// `exchange_microbench` harness and the pool smoke tests pin down, in both directions.
+/// The pool counts into `decode_allocations` / `decode_reuses`.  `allocations` and
+/// `reuses` (and [`PackPoolStats::requests`]) belonged to a second, byte-buffer pool that
+/// no longer exists and always read 0; they stay because the repo benchmark
+/// (`benchmark/src/runs.rs`) sums them with the `decode_*` counters, so its pool metrics
+/// keep their meaning.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PackPoolStats {
-    /// Pack buffers created fresh because the free list was empty (send-side pool misses).
+    /// Always 0 (see the type docs).
     pub allocations: u64,
-    /// Pack buffers served from the free list (send-side pool hits).
+    /// Always 0 (see the type docs).
     pub reuses: u64,
-    /// Decode-scratch buffers created fresh because the typed free list was empty
-    /// (receive-side pool misses).
+    /// Message buffers created fresh because the free list was empty (pool misses).
     pub decode_allocations: u64,
-    /// Decode-scratch buffers served from the typed free list (receive-side pool hits).
+    /// Message buffers served from the free list (pool hits).
     pub decode_reuses: u64,
 }
 
 impl PackPoolStats {
-    /// Total pack-buffer requests: what a pool-less engine would have allocated on the
-    /// send side.
+    /// `allocations + reuses`: always 0, kept with the two fields it sums.
     pub fn requests(&self) -> u64 {
         self.allocations + self.reuses
     }
 
-    /// Total decode-scratch requests: what a pool-less engine would have allocated on the
-    /// receive side (one fresh `Vec<T>` per incoming message).
+    /// Total buffer requests: what a pool-less engine would have allocated (one fresh
+    /// `Vec<T>` per non-empty message or staged local portion).
     pub fn decode_requests(&self) -> u64 {
         self.decode_allocations + self.decode_reuses
     }
