@@ -1,7 +1,8 @@
 //! The CHAOS parallelisation of DSMC (§4.2 of the paper).
 //!
 //! Cells (and the molecules inside them) are distributed over processors through a
-//! replicated cell-owner map.  Each time step has three parallel phases:
+//! replicated cell-owner map; each rank keeps them in a dense vector indexed by cell id and
+//! visits its owned cells in ascending order.  Each time step has three parallel phases:
 //!
 //! 1. **collision** — embarrassingly parallel over owned cells;
 //! 2. **MOVE** — molecules whose new position falls in a cell owned by another processor
@@ -35,7 +36,7 @@
 //!    using recursive coordinate bisection or the chain partitioner and the affected
 //!    molecules migrate to the new owners (Table 5).
 
-use std::collections::HashMap;
+use std::mem;
 
 use chaos::adapt::{MonitorTopology, RemapController, RemapPolicy};
 use chaos::prelude::*;
@@ -247,17 +248,14 @@ pub fn run_parallel(
     // Initial static decomposition: equal slabs of cell columns along x (the natural
     // hand-written decomposition for a channel flow).  The owner map is replicated.
     let mut cell_owner: Vec<ProcId> = initial_owner_map(grid, nprocs);
-    // Molecules of owned cells, keyed by global cell id.
-    let mut cells: HashMap<usize, Vec<Particle>> = HashMap::new();
-    for (cell, &owner) in cell_owner.iter().enumerate() {
-        if owner == me {
-            cells.insert(cell, Vec::new());
-        }
-    }
+    // Molecules by global cell id (cells owned elsewhere stay empty), and the owned cells in
+    // the ascending order every loop visits them; only a remap changes the list.
+    let mut owned_cells = owned_by(me, &cell_owner);
+    let mut cells: Vec<Vec<Particle>> = vec![Vec::new(); grid.ncells()];
     for p in particles {
         let cell = grid.cell_of_position(p.pos);
         if cell_owner[cell] == me {
-            cells.get_mut(&cell).expect("owned cell missing").push(*p);
+            cells[cell].push(*p);
         }
     }
 
@@ -276,10 +274,8 @@ pub fn run_parallel(
     for step in 0..config.nsteps {
         // ------------------------------------------------------------------- collisions --
         let t0 = rank.modeled();
-        let mut owned_cells: Vec<usize> = cells.keys().copied().collect();
-        owned_cells.sort_unstable();
         for &cell in &owned_cells {
-            let list = cells.get_mut(&cell).expect("owned cell missing");
+            let list = &mut cells[cell];
             let pairs = collide_cell(cell, step, config.seed, list);
             collisions += pairs;
             rank.charge_compute(pairs as f64 * 2.0 + list.len() as f64 * 0.3 + 0.2);
@@ -296,8 +292,7 @@ pub fn run_parallel(
         outgoing.clear();
         survivors.clear();
         for &cell in &owned_cells {
-            let list = cells.get_mut(&cell).expect("owned cell missing");
-            for mut p in list.drain(..) {
+            for mut p in cells[cell].drain(..) {
                 advance(&mut p, grid, config.dt);
                 let new_cell = grid.cell_of_position(p.pos);
                 if new_cell == cell {
@@ -331,7 +326,7 @@ pub fn run_parallel(
                     grid,
                     &outgoing,
                     &cell_owner,
-                    &cells,
+                    &owned_cells,
                     patched_state.as_mut().expect("state exists for Patched"),
                     rebuild_every_step,
                     &mut phases,
@@ -340,13 +335,9 @@ pub fn run_parallel(
             }
         };
 
-        // Re-bin arrivals (their destination cell is recomputed from the position — the
-        // "order of elements within a row does not matter" property).
         let t0 = rank.modeled();
         for p in arrivals {
-            let cell = grid.cell_of_position(p.pos);
-            debug_assert_eq!(cell_owner[cell], me, "molecule delivered to the wrong rank");
-            cells.entry(cell).or_default().push(p);
+            cells[arrival_cell(me, grid, &cell_owner, &p)].push(p);
         }
         phases.move_data += rank.modeled().since(&t0);
 
@@ -372,6 +363,7 @@ pub fn run_parallel(
                 let bytes_before = rank.stats().bytes_sent;
                 let t0 = rank.modeled();
                 remap_cells(rank, grid, config, &mut cell_owner, &mut cells, &mut phases);
+                owned_cells = owned_by(me, &cell_owner);
                 if let Some(state) = patched_state.as_mut() {
                     state.distribution_changed(me, &cell_owner, nprocs);
                 }
@@ -390,16 +382,16 @@ pub fn run_parallel(
         }
     }
 
-    let mut fingerprint: Vec<(usize, Vec<u64>)> = cells
+    let fingerprint: Vec<(usize, Vec<u64>)> = cells
         .iter()
+        .enumerate()
         .filter(|(_, v)| !v.is_empty())
-        .map(|(&cell, v)| {
+        .map(|(cell, v)| {
             let mut ids: Vec<u64> = v.iter().map(|p| p.id).collect();
             ids.sort_unstable();
             (cell, ids)
         })
         .collect();
-    fingerprint.sort_unstable();
 
     DsmcStats {
         phases,
@@ -415,7 +407,7 @@ pub fn run_parallel(
             .map(|s| s.exchange)
             .unwrap_or_default(),
         schedule_upkeep: patched_state.map(|s| s.upkeep).unwrap_or_default(),
-        final_particle_count: cells.values().map(Vec::len).sum(),
+        final_particle_count: cells.iter().map(Vec::len).sum(),
         fingerprint,
     }
 }
@@ -476,7 +468,7 @@ fn move_patched(
     grid: &CellGrid,
     outgoing: &[(usize, Particle)],
     cell_owner: &[ProcId],
-    cells: &HashMap<usize, Vec<Particle>>,
+    owned_cells: &[usize],
     state: &mut PatchedMoveState,
     rebuild_every_step: bool,
     phases: &mut DsmcPhaseTimes,
@@ -525,10 +517,11 @@ fn move_patched(
     // Identical whether the schedule was patched or rebuilt, because it depends only on
     // the schedule bytes.
     let t0 = rank.modeled();
-    let mut row_of_slot: HashMap<u32, (usize, u32)> = HashMap::new();
-    for p in 0..nprocs {
-        for (row, &slot) in sched.perm_lists()[p].iter().enumerate() {
-            row_of_slot.insert(slot, (p, row as u32));
+    // Ghost slot -> (source rank, row); `from_parts` bounds every slot by `ghost_len`.
+    let mut row_of_slot: Vec<Option<(usize, u32)>> = vec![None; sched.ghost_len()];
+    for (p, perms) in sched.perm_lists().iter().enumerate() {
+        for (row, &slot) in perms.iter().enumerate() {
+            row_of_slot[slot as usize] = Some((p, row as u32));
         }
     }
     let mut counts: Vec<Vec<u32>> = (0..nprocs)
@@ -540,7 +533,7 @@ fn move_patched(
         let slot = entry
             .ghost_slot
             .expect("off-processor cell has a ghost slot");
-        let (p, row) = row_of_slot[&slot];
+        let (p, row) = row_of_slot[slot as usize].expect("hashed cell has a schedule row");
         counts[p][row as usize] += 1;
         binned[p].push((row, k));
     }
@@ -571,8 +564,6 @@ fn move_patched(
 
     // Place arrivals by schedule row: row `r` from `src` belongs in the owned cell at
     // offset `send_lists[src][r]` (owner offsets number owned cells in global order).
-    let mut owned_sorted: Vec<usize> = cells.keys().copied().collect();
-    owned_sorted.sort_unstable();
     for src in 0..nprocs {
         debug_assert_eq!(incoming_counts[src].len(), sched.send_size(src));
         let mut next = recv_payload[src].iter();
@@ -581,7 +572,7 @@ fn move_patched(
                 let p = *next.next().expect("payload shorter than its counts");
                 debug_assert_eq!(
                     grid.cell_of_position(p.pos),
-                    owned_sorted[sched.send_lists()[src][row] as usize],
+                    owned_cells[sched.send_lists()[src][row] as usize],
                     "schedule placement disagrees with the molecule position"
                 );
                 arrivals.push(p);
@@ -599,12 +590,33 @@ fn move_patched(
 fn rebin_survivors(
     rank: &mut Rank,
     survivors: &mut Vec<(usize, Particle)>,
-    cells: &mut HashMap<usize, Vec<Particle>>,
+    cells: &mut [Vec<Particle>],
 ) {
     rank.charge_compute(survivors.len() as f64 * 0.2);
     for (cell, p) in survivors.drain(..) {
-        cells.get_mut(&cell).expect("owned cell missing").push(p);
+        cells[cell].push(p);
     }
+}
+
+/// The cell of a molecule delivered to rank `me`, recomputed from its position (arrival
+/// order does not matter).  Panics, naming the rank, molecule, cell and owner, if `me` does
+/// not own it: the molecule would sit in a cell no loop visits, yet in the fingerprint.
+fn arrival_cell(me: ProcId, grid: &CellGrid, cell_owner: &[ProcId], p: &Particle) -> usize {
+    let cell = grid.cell_of_position(p.pos);
+    let owner = cell_owner[cell];
+    assert!(
+        owner == me,
+        "rank {me}: molecule {} delivered for cell {cell}, which rank {owner} owns",
+        p.id
+    );
+    cell
+}
+
+/// The cells `me` owns, in ascending global order.
+fn owned_by(me: ProcId, cell_owner: &[ProcId]) -> Vec<usize> {
+    (0..cell_owner.len())
+        .filter(|&cell| cell_owner[cell] == me)
+        .collect()
 }
 
 /// The static decomposition used before any remapping: contiguous slabs of cell columns
@@ -628,7 +640,7 @@ fn move_lightweight(
     outgoing: &[(usize, Particle)],
     survivors: &mut Vec<(usize, Particle)>,
     cell_owner: &[ProcId],
-    cells: &mut HashMap<usize, Vec<Particle>>,
+    cells: &mut [Vec<Particle>],
     phases: &mut DsmcPhaseTimes,
     migrations: &mut usize,
 ) -> Vec<Particle> {
@@ -662,7 +674,7 @@ fn remap_cells(
     grid: &CellGrid,
     config: &DsmcConfig,
     cell_owner: &mut [ProcId],
-    cells: &mut HashMap<usize, Vec<Particle>>,
+    cells: &mut [Vec<Particle>],
     phases: &mut DsmcPhaseTimes,
 ) {
     let nprocs = rank.nprocs();
@@ -670,11 +682,10 @@ fn remap_cells(
 
     // ---- run the partitioner over the owned cells --------------------------------------
     let t0 = rank.modeled();
-    let mut owned_cells: Vec<usize> = cells.keys().copied().collect();
-    owned_cells.sort_unstable();
+    let owned_cells = owned_by(me, cell_owner);
     let weights: Vec<f64> = owned_cells
         .iter()
-        .map(|c| 1.0 + cells[c].len() as f64)
+        .map(|&c| 1.0 + cells[c].len() as f64)
         .collect();
     let new_parts: Vec<ProcId> = match config.remap {
         RemapStrategy::Static => owned_cells.iter().map(|&c| cell_owner[c]).collect(),
@@ -697,11 +708,8 @@ fn remap_cells(
         .zip(&new_parts)
         .map(|(&c, &p)| (c as u64, p as u64))
         .collect();
-    let all_updates = rank.all_gather(&updates);
-    for part in all_updates {
-        for (cell, owner) in part {
-            cell_owner[cell as usize] = owner as usize;
-        }
+    for (cell, owner) in rank.all_gather(&updates).into_iter().flatten() {
+        cell_owner[cell as usize] = owner as usize;
     }
     phases.remap_partition += rank.modeled().since(&t0);
 
@@ -712,25 +720,15 @@ fn remap_cells(
     for &cell in &owned_cells {
         let new_owner = cell_owner[cell];
         if new_owner != me {
-            let list = cells.remove(&cell).expect("owned cell missing");
-            for p in list {
+            for p in mem::take(&mut cells[cell]) {
                 moving.push(p);
                 dests.push(new_owner);
             }
         }
     }
-    // Cells we now own (possibly empty) must exist in the map.
-    for (cell, &owner) in cell_owner.iter().enumerate() {
-        if owner == me {
-            cells.entry(cell).or_default();
-        }
-    }
     let sched = LightweightSchedule::build(rank, &dests);
-    let arrivals = scatter_append(rank, &sched, &moving);
-    for p in arrivals {
-        let cell = grid.cell_of_position(p.pos);
-        debug_assert_eq!(cell_owner[cell], me);
-        cells.entry(cell).or_default().push(p);
+    for p in scatter_append(rank, &sched, &moving) {
+        cells[arrival_cell(me, grid, cell_owner, &p)].push(p);
     }
     phases.remap_migrate += rank.modeled().since(&t0);
 }
@@ -740,7 +738,7 @@ mod tests {
     use super::*;
     use crate::particles::{seed_particles, FlowConfig};
     use crate::sequential::SequentialDsmc;
-    use mpsim::{run, MachineConfig};
+    use mpsim::{run, ExchangeBackend, MachineConfig};
 
     fn merged_fingerprint(results: &[DsmcStats]) -> Vec<(usize, Vec<u64>)> {
         let mut all: Vec<(usize, Vec<u64>)> =
@@ -1127,5 +1125,70 @@ mod tests {
         );
         let collisions: usize = results.iter().map(|s| s.collisions).sum();
         assert!(collisions > 0);
+    }
+
+    #[test]
+    fn edge_shapes_match_sequential_on_every_backend_mode_and_partitioner() {
+        // At P = 5 > nx = 4 one rank starts with no cells; P = 1 has no peer at all.
+        let grid = CellGrid::new_3d(4, 3, 2);
+        let flow = FlowConfig::directional(81);
+        let (nparticles, nsteps, dt) = (300, 10, 0.4);
+        let seq = sequential_fingerprint(grid, nparticles, flow, nsteps, dt, 81);
+        for nprocs in [1, 3, 5] {
+            for backend in [ExchangeBackend::Modeled, ExchangeBackend::SharedMem] {
+                for move_mode in [
+                    MoveMode::Lightweight,
+                    MoveMode::Patched {
+                        rebuild_every_step: false,
+                    },
+                ] {
+                    for remap in [RemapStrategy::Chain, RemapStrategy::RecursiveBisection] {
+                        let config = DsmcConfig {
+                            nsteps,
+                            dt,
+                            move_mode,
+                            remap,
+                            remap_interval: 3,
+                            policy: None,
+                            monitor_group: None,
+                            seed: 81,
+                        };
+                        let results = run(
+                            MachineConfig::new(nprocs).with_backend(backend),
+                            move |rank| {
+                                let particles = seed_particles(&grid, nparticles, &flow);
+                                run_parallel(rank, &grid, &particles, &config)
+                            },
+                        )
+                        .results;
+                        let what = format!("P={nprocs} {backend:?} {move_mode:?} {remap:?}");
+                        assert!(results.iter().all(|s| s.remaps == 3), "{what}");
+                        let mut cells: Vec<usize> = results
+                            .iter()
+                            .flat_map(|s| s.fingerprint.iter().map(|(c, _)| *c))
+                            .collect();
+                        let listed = cells.len();
+                        cells.sort_unstable();
+                        cells.dedup();
+                        assert_eq!(cells.len(), listed, "a cell on two ranks: {what}");
+                        assert_eq!(merged_fingerprint(&results), seq, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 1: molecule 7 delivered for cell 0, which rank 0 owns")]
+    fn a_misdelivered_molecule_panics_naming_rank_molecule_cell_and_owner() {
+        let grid = CellGrid::new_2d(4, 1);
+        let cell_owner = initial_owner_map(&grid, 2);
+        let stray = Particle {
+            pos: [0.5, 0.5, 0.5],
+            vel: [0.0; 3],
+            id: 7,
+        };
+        assert_eq!(arrival_cell(0, &grid, &cell_owner, &stray), 0);
+        arrival_cell(1, &grid, &cell_owner, &stray);
     }
 }
