@@ -15,11 +15,10 @@
 //! them) as reproducible.  Schema documented in `BENCHMARKS.md`.
 
 use chaos::adapt::RemapPolicy;
-use dsmc::{seed_particles, CellGrid, DsmcConfig, FlowConfig, MoveMode, RemapStrategy};
-use mpsim::{run, MachineConfig};
+use dsmc::{CellGrid, DsmcConfig, FlowConfig, MoveMode, RemapStrategy};
 
-use crate::report::Json;
-use crate::workloads::format_table;
+use crate::report::{stable_us, Artifact, Json};
+use crate::workloads::{format_table, run_dsmc};
 
 /// How many trailing steps the end-of-run load-balance figure averages over (a single
 /// step's index is noisy; five smooth it without hiding the trend).
@@ -124,7 +123,6 @@ pub fn run_policy(
 ) -> AdaptEntry {
     let grid = CellGrid::new_2d(params.grid.0, params.grid.1);
     let flow = FlowConfig::directional(params.seed);
-    let nparticles = params.nparticles;
     let config = DsmcConfig {
         nsteps: params.nsteps,
         dt: 0.5,
@@ -135,10 +133,7 @@ pub fn run_policy(
         monitor_group: params.monitor_group,
         seed: params.seed,
     };
-    let out = run(MachineConfig::new(params.ranks), move |rank| {
-        let particles = seed_particles(&grid, nparticles, &flow);
-        dsmc::parallel::run_parallel(rank, &grid, &particles, &config)
-    });
+    let out = run_dsmc(params.ranks, grid, flow, params.nparticles, config);
     let traj = out.results[0].lb_trajectory.clone();
     debug_assert!(
         out.results.iter().all(|s| s.lb_trajectory == traj),
@@ -190,7 +185,7 @@ pub fn imbalance_sweep(ranks: &[usize]) -> Vec<AdaptEntry> {
 }
 
 /// Render entries as an aligned human-readable table.
-pub fn format_entries(title: &str, entries: &[AdaptEntry]) -> String {
+fn format_entries(title: &str, entries: &[AdaptEntry]) -> String {
     let headers = [
         "Policy",
         "Procs",
@@ -198,9 +193,7 @@ pub fn format_entries(title: &str, entries: &[AdaptEntry]) -> String {
         "Final LB",
         "Mean LB",
         "Exec (ms)",
-    ]
-    .map(String::from)
-    .to_vec();
+    ];
     let rows: Vec<Vec<String>> = entries
         .iter()
         .map(|e| {
@@ -215,17 +208,6 @@ pub fn format_entries(title: &str, entries: &[AdaptEntry]) -> String {
         })
         .collect();
     format_table(title, &headers, &rows)
-}
-
-/// Modeled *communication* time accumulates in message-arrival order, which varies with
-/// host thread scheduling — its last few bits (nanoseconds and below) jitter between
-/// runs.  Recorded time figures are therefore snapped to whole microseconds: the
-/// rounding grid is ~10^6 times the jitter, so the odds of a value straddling a grid
-/// boundary between two runs are negligible and the artifact is byte-stable.
-/// Compute-derived figures (the load-balance indices) are exactly deterministic and
-/// recorded at full precision.
-fn stable_us(x: f64) -> Json {
-    Json::Int(x.round() as i64)
 }
 
 fn entry_json(e: &AdaptEntry) -> Json {
@@ -258,26 +240,50 @@ fn entry_json(e: &AdaptEntry) -> Json {
     ])
 }
 
-/// Build the full `BENCH_adapt.json` document (schema `chaos-bench/adapt/v1`).  Contains
-/// no wall-clock measurement and snaps modeled times to whole microseconds, so repeated
-/// runs are byte-identical — the property CI gates on.
-pub fn adapt_report(ramp: &[AdaptEntry], sweep: &[AdaptEntry]) -> Json {
-    Json::obj(vec![
-        ("schema", Json::str("chaos-bench/adapt/v1")),
-        (
-            "generated_by",
-            Json::str("cargo run --release -p chaos-bench --bin adapt_scenarios -- --json"),
-        ),
-        ("final_lb_window", Json::uint(FINAL_LB_WINDOW as u64)),
-        (
-            "drift_ramp",
-            Json::Arr(ramp.iter().map(entry_json).collect()),
-        ),
-        (
-            "imbalance_sweep",
-            Json::Arr(sweep.iter().map(entry_json).collect()),
-        ),
-    ])
+/// The `adapt` artifact: the drift ramp at P = 8 and the imbalance sweep over
+/// P = 2, 4, 8 and 16.  Records no wall-clock and snaps modeled times to whole microseconds,
+/// so repeated runs are byte-identical — the property CI gates on.
+pub struct AdaptReport {
+    ramp_params: RampParams,
+    ramp: Vec<AdaptEntry>,
+    sweep: Vec<AdaptEntry>,
+}
+
+impl AdaptReport {
+    /// Run both scenarios.
+    pub fn generate() -> Self {
+        let ramp_params = RampParams::default_ramp(8);
+        AdaptReport {
+            ramp: drift_ramp(&ramp_params),
+            sweep: imbalance_sweep(&[2, 4, 8, 16]),
+            ramp_params,
+        }
+    }
+}
+
+impl Artifact for AdaptReport {
+    const NAME: &'static str = "adapt";
+    const VERSION: u32 = 1;
+
+    fn print(&self) {
+        let p = &self.ramp_params;
+        let title = format!(
+            "Drifting-density DSMC ramp ({}x{} cells, {} molecules, {} steps, {} procs)",
+            p.grid.0, p.grid.1, p.nparticles, p.nsteps, p.ranks
+        );
+        println!("{}", format_entries(&title, &self.ramp));
+        let title = "Imbalance sweep across machine sizes (P = 2..16)";
+        println!("{}", format_entries(title, &self.sweep));
+    }
+
+    fn to_json(&self) -> Vec<(&'static str, Json)> {
+        let entries = |es: &[AdaptEntry]| Json::Arr(es.iter().map(entry_json).collect());
+        vec![
+            ("final_lb_window", Json::uint(FINAL_LB_WINDOW as u64)),
+            ("drift_ramp", entries(&self.ramp)),
+            ("imbalance_sweep", entries(&self.sweep)),
+        ]
+    }
 }
 
 #[cfg(test)]
@@ -350,9 +356,13 @@ mod tests {
         let mut params = RampParams::default_ramp(4);
         params.nsteps = 12;
         params.nparticles = 800;
-        let a = adapt_report(&drift_ramp(&params), &[]);
-        let b = adapt_report(&drift_ramp(&params), &[]);
-        assert_eq!(a.render_pretty(), b.render_pretty());
+        let report = || AdaptReport {
+            ramp: drift_ramp(&params),
+            sweep: Vec::new(),
+            ramp_params: params.clone(),
+        };
+        let text = |r: &AdaptReport| crate::report::document(r).render_pretty();
+        assert_eq!(text(&report()), text(&report()));
     }
 
     #[test]

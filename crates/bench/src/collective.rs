@@ -141,12 +141,8 @@ where
             (dt, rank.stats().msgs_sent - msgs0)
         },
     );
-    let mut modeled: f64 = 0.0;
-    let mut msgs: u64 = 0;
-    for &(dt, m) in &outcome.results {
-        modeled = modeled.max(dt);
-        msgs = msgs.max(m);
-    }
+    let modeled = outcome.results.iter().map(|r| r.0).fold(0.0, f64::max);
+    let msgs = outcome.results.iter().map(|r| r.1).max().unwrap_or(0);
     CollectiveResult {
         name,
         ranks,
@@ -201,11 +197,6 @@ pub fn collective_sweep_at(points: &[usize]) -> Vec<CollectiveResult> {
     out
 }
 
-/// The full sweep recorded in `BENCH_exchange.json`.
-pub fn collective_sweep() -> Vec<CollectiveResult> {
-    collective_sweep_at(COLLECTIVE_SWEEP_POINTS)
-}
-
 /// The `--check` gate over a sweep: message counts must match the log-depth schedules,
 /// and the O(1)-payload shapes' modeled time must grow no faster than `ceil(log2 P)`
 /// predicts (largest point within [`MAX_TIME_RATIO`] of the smallest).  Returns one
@@ -213,59 +204,33 @@ pub fn collective_sweep() -> Vec<CollectiveResult> {
 pub fn collective_scaling_violations(results: &[CollectiveResult]) -> Vec<String> {
     let mut violations = Vec::new();
     for r in results {
-        let rounds = r.tree_rounds as u64;
-        match r.name {
-            // The point-to-point collectives send exactly one message per round.
-            "all_gather" | "all_reduce" | "negotiate" => {
-                if r.msgs_per_rank_iter != rounds {
-                    violations.push(format!(
-                        "{} (P={}): {} msgs/rank/iter, expected exactly ceil(log2 P) = {}",
-                        r.name, r.ranks, r.msgs_per_rank_iter, rounds
-                    ));
-                }
-            }
-            // The busiest monitor rank (a group leader) gathers, disseminates and
-            // broadcasts: its sends stay within a small constant of one per round.
-            _ => {
-                if r.msgs_per_rank_iter > rounds + 2 {
-                    violations.push(format!(
-                        "{} (P={}): {} msgs/rank/iter exceeds ceil(log2 P) + 2 = {}",
-                        r.name,
-                        r.ranks,
-                        r.msgs_per_rank_iter,
-                        rounds + 2
-                    ));
-                }
-            }
+        // The point-to-point collectives send exactly one message per round.  The busiest
+        // monitor rank (a group leader) gathers, disseminates and broadcasts: its sends
+        // stay within a small constant of one per round.
+        let (msgs, rounds) = (r.msgs_per_rank_iter, r.tree_rounds as u64);
+        let (ok, budget) = match r.name {
+            "monitor_step" => (msgs <= rounds + 2, "at most ceil(log2 P) + 2"),
+            _ => (msgs == rounds, "exactly ceil(log2 P)"),
+        };
+        if !ok {
+            violations.push(format!(
+                "{} (P={}): {msgs} msgs/rank/iter, expected {budget} (ceil(log2 P) = {rounds})",
+                r.name, r.ranks
+            ));
         }
     }
     // Time gate: per shape, largest point vs smallest point.
-    let names: Vec<&'static str> = {
-        let mut ns: Vec<&'static str> = Vec::new();
-        for r in results {
-            if !ns.contains(&r.name) {
-                ns.push(r.name);
-            }
-        }
-        ns
-    };
-    for name in names {
-        let mut shape: Vec<&CollectiveResult> = results
-            .iter()
-            .filter(|r| r.name == name && r.constant_payload)
-            .collect();
-        shape.sort_by_key(|r| r.ranks);
-        if let (Some(first), Some(last)) = (shape.first(), shape.last()) {
-            if first.ranks < last.ranks {
-                let ratio = last.modeled_us_per_iter / first.modeled_us_per_iter;
-                if ratio > MAX_TIME_RATIO {
-                    violations.push(format!(
-                        "{}: modeled time grew {ratio:.2}x from P={} to P={} \
-                         (log-depth bound is {MAX_TIME_RATIO})",
-                        name, first.ranks, last.ranks
-                    ));
-                }
-            }
+    let mut timed: Vec<&CollectiveResult> = results.iter().filter(|r| r.constant_payload).collect();
+    timed.sort_by_key(|r| (r.name, r.ranks));
+    for shape in timed.chunk_by(|a, b| a.name == b.name) {
+        let (first, last) = (shape[0], shape[shape.len() - 1]);
+        let ratio = last.modeled_us_per_iter / first.modeled_us_per_iter;
+        if first.ranks < last.ranks && ratio > MAX_TIME_RATIO {
+            violations.push(format!(
+                "{}: modeled time grew {ratio:.2}x from P={} to P={} \
+                 (log-depth bound is {MAX_TIME_RATIO})",
+                first.name, first.ranks, last.ranks
+            ));
         }
     }
     violations

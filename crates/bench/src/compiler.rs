@@ -21,13 +21,14 @@
 //! within a small factor of hand" story) but not gated — the gate is message parity,
 //! which is exact.
 
-use chaos::prelude::*;
 use charmm::parallel::{ParallelCharmm, ParallelConfig, PartitionerKind, ScheduleMode};
 use charmm::{MolecularSystem, SystemConfig};
 use fortrand::Executor;
 use mpsim::{run, ExchangeStats, MachineConfig};
 
-use crate::report::Json;
+use crate::report::{stable_us, Artifact, Json};
+use crate::workloads::{csr_neighbor_list, lightweight_append_loop};
+use crate::Scale;
 
 /// The CHARMM-style Fortran-D source: three coordinate sweeps over one CSR neighbour
 /// list, plus a list-age integer update, all inside the molecular-dynamics time loop.
@@ -117,17 +118,12 @@ pub struct ParityEntry {
     pub applied_opts: (u64, u64, u64),
 }
 
-/// The zero-bond CHARMM-style workload: a synthetic system with its bonded topology
-/// removed (the compiled template covers the non-bonded sweep only) and the global
-/// neighbour list in 1-based CSR form.
-pub fn charmm_workload(seed: u64) -> (MolecularSystem, Vec<i64>, Vec<i64>) {
+/// The zero-bond CHARMM-style system: a synthetic system with its bonded topology removed
+/// (the compiled template covers the non-bonded sweep only).
+fn zero_bond_system(seed: u64) -> MolecularSystem {
     let mut system = MolecularSystem::build(&SystemConfig::small(seed));
     system.bonds.clear();
-    let list =
-        charmm::nonbonded::build_neighbor_list(&system.positions, system.box_size, system.cutoff);
-    let inblo: Vec<i64> = list.offsets.iter().map(|&o| o as i64 + 1).collect();
-    let jnb: Vec<i64> = list.partners.iter().map(|&p| p as i64 + 1).collect();
-    (system, inblo, jnb)
+    system
 }
 
 fn count_applied(report: &fortrand::OptReport) -> (u64, u64, u64) {
@@ -141,7 +137,7 @@ pub fn charmm_parity(procs: usize, seed: u64, nsteps: usize) -> ParityEntry {
     // models — BLOCK distribution (identity partition), one merged schedule, no list
     // updates or repartitions inside the run.
     let hand = run(MachineConfig::new(procs), move |rank| {
-        let (system, _, _) = charmm_workload(seed);
+        let system = zero_bond_system(seed);
         let config = ParallelConfig {
             nsteps,
             list_update_interval: nsteps + 2,
@@ -152,15 +148,12 @@ pub fn charmm_parity(procs: usize, seed: u64, nsteps: usize) -> ParityEntry {
             monitor_group: None,
         };
         let stats = ParallelCharmm::run(rank, &system, &config);
-        (
-            stats.executor_exchange,
-            stats.phases.executor.total_us(),
-            stats.schedule_builds as u64,
-        )
+        (stats.executor_exchange, stats.phases.executor.total_us())
     });
 
     let compiled = run(MachineConfig::new(procs), move |rank| {
-        let (system, inblo, jnb) = charmm_workload(seed);
+        let system = zero_bond_system(seed);
+        let (inblo, jnb) = csr_neighbor_list(&system);
         let natoms = system.natoms();
         let source = charmm_loop_source(natoms, jnb.len(), nsteps);
         let (optimized, report) = fortrand::compile(&source).expect("CHARMM template compiles");
@@ -176,35 +169,16 @@ pub fn charmm_parity(procs: usize, seed: u64, nsteps: usize) -> ParityEntry {
         }
         exec.run_all(rank);
         let (rebuilds, _patches, _reuses) = exec.group_stats(0);
+        let exec_us = exec.phases().executor.total_us();
         (
             exec.exchange_stats(),
-            exec.phases().executor.total_us(),
+            exec_us,
             rebuilds,
             count_applied(&report),
         )
     });
 
-    let sum_stats = |stats: &[ExchangeStats]| -> (u64, u64) {
-        (
-            stats.iter().map(|s| s.msgs_sent).sum(),
-            stats.iter().map(|s| s.bytes_sent).sum(),
-        )
-    };
-    let hand_exch: Vec<ExchangeStats> = hand.results.iter().map(|r| r.0).collect();
-    let comp_exch: Vec<ExchangeStats> = compiled.results.iter().map(|r| r.0).collect();
-    let (hand_msgs, hand_bytes) = sum_stats(&hand_exch);
-    let (compiled_msgs, compiled_bytes) = sum_stats(&comp_exch);
-    ParityEntry {
-        procs,
-        compiled_msgs,
-        hand_msgs,
-        compiled_bytes,
-        hand_bytes,
-        compiled_time_us: compiled.results.iter().map(|r| r.1).fold(0.0, f64::max),
-        hand_time_us: hand.results.iter().map(|r| r.1).fold(0.0, f64::max),
-        compiled_schedule_builds: compiled.results.iter().map(|r| r.2).max().unwrap_or(0),
-        applied_opts: compiled.results[0].3,
-    }
+    parity_entry(procs, &hand.results, &compiled.results)
 }
 
 /// Deterministic 1-based initial cell assignment for the DSMC comparison.
@@ -214,60 +188,24 @@ pub fn dsmc_initial_cells(nparticles: usize, ncells: usize) -> Vec<i64> {
         .collect()
 }
 
-/// Message/byte accounting of one light-weight exchange, matching the interpreter's:
-/// one message per non-empty cross-rank send list, `(u64, f64)` items on the wire.
-fn lightweight_stats(sched: &LightweightSchedule, my_rank: usize) -> ExchangeStats {
-    let item_bytes = std::mem::size_of::<(u64, f64)>() as u64;
-    let mut stats = ExchangeStats::default();
-    for (p, list) in sched.send_item_lists.iter().enumerate() {
-        if p != my_rank && !list.is_empty() {
-            stats.msgs_sent += 1;
-            stats.bytes_sent += list.len() as u64 * item_bytes;
-        }
-    }
-    for (p, &cnt) in sched.recv_counts.iter().enumerate() {
-        if p != my_rank && cnt > 0 {
-            stats.msgs_received += 1;
-            stats.bytes_received += cnt as u64 * item_bytes;
-        }
-    }
-    stats
-}
-
 /// Run the DSMC-style comparison at `procs` ranks.
 pub fn dsmc_parity(procs: usize, np: usize, nc: usize, nsteps: usize) -> ParityEntry {
-    // Hand: per step, build a light-weight schedule from the current cell assignment,
+    // Hand: per step, build a light-weight schedule from the current cell assignment and
     // scatter-append the particle values, then drift the (replicated) assignment the
     // same way the compiled integer-update loop does.
     let hand = run(MachineConfig::new(procs), move |rank| {
-        let me = rank.rank();
-        let part_dist = BlockDist::new(np, rank.nprocs());
-        let cell_dist = BlockDist::new(nc, rank.nprocs());
-        let my_parts: Vec<usize> = part_dist.local_globals(me).collect();
-        let vel: Vec<f64> = my_parts.iter().map(|&i| i as f64 * 0.5).collect();
-        let mut icell = dsmc_initial_cells(np, nc);
-        let t0 = rank.modeled();
-        let mut exchange = ExchangeStats::default();
-        for _step in 0..nsteps {
-            let dests: Vec<usize> = my_parts
-                .iter()
-                .map(|&i| cell_dist.owner((icell[i] - 1) as usize))
-                .collect();
-            let payload: Vec<(u64, f64)> = my_parts
-                .iter()
-                .zip(&vel)
-                .map(|(&i, &v)| ((icell[i] - 1) as u64, v))
-                .collect();
-            let sched = LightweightSchedule::build(rank, &dests);
-            let arrivals = scatter_append(rank, &sched, &payload);
-            exchange = exchange.merged(&lightweight_stats(&sched, me));
-            rank.charge_compute(arrivals.len() as f64 * 0.3);
-            let ncells = nc as i64;
-            for v in icell.iter_mut() {
-                *v = *v - (*v / ncells) * ncells + 1;
+        let ncells = nc as i64;
+        let cells = |step, icell: &mut Vec<i64>| {
+            if step == 0 {
+                *icell = dsmc_initial_cells(np, nc);
+            } else {
+                for v in icell.iter_mut() {
+                    *v = *v - (*v / ncells) * ncells + 1;
+                }
             }
-        }
-        (exchange, rank.modeled().since(&t0).total_us())
+        };
+        let (total_us, exchange) = lightweight_append_loop(rank, np, nc, nsteps, cells);
+        (exchange, total_us)
     });
 
     let compiled = run(MachineConfig::new(procs), move |rank| {
@@ -278,94 +216,47 @@ pub fn dsmc_parity(procs: usize, np: usize, nc: usize, nsteps: usize) -> ParityE
         exec.set_real_array("VEL", &vel);
         exec.set_integer_array("ICELL", &dsmc_initial_cells(np, nc));
         exec.run_all(rank);
+        // Light-weight schedules have no inspector: nothing to build.
+        let builds = 0;
+        let exec_us = exec.phases().executor.total_us();
         (
             exec.exchange_stats(),
-            exec.phases().executor.total_us(),
+            exec_us,
+            builds,
             count_applied(&report),
         )
     });
+    parity_entry(procs, &hand.results, &compiled.results)
+}
 
+/// One rank of a compiled run: executor traffic, executor µs, schedule builds and the
+/// applied `(hoist, fuse, overlap)` counts.
+type CompiledRank = (ExchangeStats, f64, u64, (u64, u64, u64));
+
+/// Fold the hand run's per-rank `(executor traffic, executor µs)` and the compiled run's
+/// ranks into one entry.
+fn parity_entry(
+    procs: usize,
+    hand: &[(ExchangeStats, f64)],
+    compiled: &[CompiledRank],
+) -> ParityEntry {
+    let h = hand
+        .iter()
+        .fold(ExchangeStats::default(), |a, r| a.merged(&r.0));
+    let c = compiled
+        .iter()
+        .fold(ExchangeStats::default(), |a, r| a.merged(&r.0));
     ParityEntry {
         procs,
-        compiled_msgs: compiled.results.iter().map(|r| r.0.msgs_sent).sum(),
-        hand_msgs: hand.results.iter().map(|r| r.0.msgs_sent).sum(),
-        compiled_bytes: compiled.results.iter().map(|r| r.0.bytes_sent).sum(),
-        hand_bytes: hand.results.iter().map(|r| r.0.bytes_sent).sum(),
-        compiled_time_us: compiled.results.iter().map(|r| r.1).fold(0.0, f64::max),
-        hand_time_us: hand.results.iter().map(|r| r.1).fold(0.0, f64::max),
-        compiled_schedule_builds: 0,
-        applied_opts: compiled.results[0].2,
+        compiled_msgs: c.msgs_sent,
+        hand_msgs: h.msgs_sent,
+        compiled_bytes: c.bytes_sent,
+        hand_bytes: h.bytes_sent,
+        compiled_time_us: compiled.iter().map(|r| r.1).fold(0.0, f64::max),
+        hand_time_us: hand.iter().map(|r| r.1).fold(0.0, f64::max),
+        compiled_schedule_builds: compiled.iter().map(|r| r.2).max().unwrap_or(0),
+        applied_opts: compiled[0].3,
     }
-}
-
-/// Render one scenario's entries as a Tables 6–7 style text block.
-pub fn format_parity(title: &str, entries: &[ParityEntry]) -> String {
-    let mut out = format!("{title}\n");
-    for e in entries {
-        out.push_str(&format!(
-            "  {:>3} procs: compiled {} msgs / {} bytes ({:.1} ms), hand {} msgs / {} bytes \
-             ({:.1} ms), opts applied hoist={} fuse={} overlap={}\n",
-            e.procs,
-            e.compiled_msgs,
-            e.compiled_bytes,
-            e.compiled_time_us / 1000.0,
-            e.hand_msgs,
-            e.hand_bytes,
-            e.hand_time_us / 1000.0,
-            e.applied_opts.0,
-            e.applied_opts.1,
-            e.applied_opts.2,
-        ));
-    }
-    out
-}
-
-/// The parity invariants the `--check` gate enforces.  Empty means all hold.
-pub fn parity_violations(charmm: &[ParityEntry], dsmc: &[ParityEntry]) -> Vec<String> {
-    let mut v = Vec::new();
-    for e in charmm {
-        if e.compiled_msgs != e.hand_msgs {
-            v.push(format!(
-                "CHARMM P={}: compiled sent {} messages, hand sent {}",
-                e.procs, e.compiled_msgs, e.hand_msgs
-            ));
-        }
-        if e.compiled_bytes != e.hand_bytes {
-            v.push(format!(
-                "CHARMM P={}: compiled sent {} bytes, hand sent {}",
-                e.procs, e.compiled_bytes, e.hand_bytes
-            ));
-        }
-        if e.compiled_schedule_builds != 1 {
-            v.push(format!(
-                "CHARMM P={}: expected exactly 1 hoisted schedule build, saw {}",
-                e.procs, e.compiled_schedule_builds
-            ));
-        }
-        let (hoists, fuses, overlaps) = e.applied_opts;
-        if hoists == 0 || fuses == 0 || overlaps == 0 {
-            v.push(format!(
-                "CHARMM P={}: optimizer failed to fire (hoist={hoists}, fuse={fuses}, \
-                 overlap={overlaps})",
-                e.procs
-            ));
-        }
-    }
-    for e in dsmc {
-        if e.compiled_msgs != e.hand_msgs {
-            v.push(format!(
-                "DSMC P={}: compiled sent {} messages, hand sent {}",
-                e.procs, e.compiled_msgs, e.hand_msgs
-            ));
-        }
-        if e.compiled_bytes != e.hand_bytes {
-            v.push(format!(
-                "DSMC P={}: compiled sent {} bytes, hand sent {}",
-                e.procs, e.compiled_bytes, e.hand_bytes
-            ));
-        }
-    }
-    v
 }
 
 fn entry_json(e: &ParityEntry) -> Json {
@@ -375,13 +266,8 @@ fn entry_json(e: &ParityEntry) -> Json {
         ("hand_msgs", Json::uint(e.hand_msgs)),
         ("compiled_bytes", Json::uint(e.compiled_bytes)),
         ("hand_bytes", Json::uint(e.hand_bytes)),
-        // Rounded to whole microseconds: the raw modeled floats carry ~1e-11 of
-        // accumulation jitter across runs, and the artifact must be byte-identical.
-        (
-            "compiled_time_us",
-            Json::uint(e.compiled_time_us.round() as u64),
-        ),
-        ("hand_time_us", Json::uint(e.hand_time_us.round() as u64)),
+        ("compiled_time_us", stable_us(e.compiled_time_us)),
+        ("hand_time_us", stable_us(e.hand_time_us)),
         (
             "compiled_schedule_builds",
             Json::uint(e.compiled_schedule_builds),
@@ -397,15 +283,107 @@ fn entry_json(e: &ParityEntry) -> Json {
     ])
 }
 
-/// The `BENCH_compiler.json` document (schema `chaos-bench/compiler/v1`).  Contains no
-/// wall-clock or host state, so repeated runs are byte-identical.
-pub fn compiler_report(scale_name: &str, charmm: &[ParityEntry], dsmc: &[ParityEntry]) -> Json {
-    Json::obj(vec![
-        ("schema", Json::str("chaos-bench/compiler/v1")),
-        ("scale", Json::str(scale_name)),
-        ("charmm", Json::Arr(charmm.iter().map(entry_json).collect())),
-        ("dsmc", Json::Arr(dsmc.iter().map(entry_json).collect())),
-    ])
+/// The `compiler` artifact: both scenarios at every compiler processor count of the
+/// environment's [`Scale`], 5 time steps each.  Records no wall-clock or host state, so
+/// repeated runs are byte-identical.
+pub struct CompilerReport {
+    scale: &'static str,
+    charmm: Vec<ParityEntry>,
+    dsmc: Vec<ParityEntry>,
+}
+
+impl CompilerReport {
+    /// Run both comparisons at every `compiler_procs` point of [`Scale::from_env`].
+    pub fn generate() -> Self {
+        let (scale, name) = Scale::from_env();
+        let nsteps = 5;
+        let procs = &scale.compiler_procs;
+        CompilerReport {
+            scale: name,
+            charmm: procs
+                .iter()
+                .map(|&p| charmm_parity(p, 1994, nsteps))
+                .collect(),
+            dsmc: procs
+                .iter()
+                .map(|&p| dsmc_parity(p, 64 * p, 8 * p, nsteps))
+                .collect(),
+        }
+    }
+}
+
+impl Artifact for CompilerReport {
+    const NAME: &'static str = "compiler";
+    const VERSION: u32 = 1;
+
+    fn print(&self) {
+        for (title, entries) in [
+            ("CHARMM non-bonded time loop", &self.charmm),
+            ("DSMC append time loop (light-weight schedules)", &self.dsmc),
+        ] {
+            println!("{title}, compiled vs hand (executor traffic summed over ranks):");
+            for e in entries {
+                let (hoist, fuse, overlap) = e.applied_opts;
+                println!(
+                    "  {:>3} procs: compiled {} msgs / {} bytes ({:.1} ms), hand {} msgs / {} \
+                     bytes ({:.1} ms), opts applied hoist={hoist} fuse={fuse} overlap={overlap}",
+                    e.procs,
+                    e.compiled_msgs,
+                    e.compiled_bytes,
+                    e.compiled_time_us / 1000.0,
+                    e.hand_msgs,
+                    e.hand_bytes,
+                    e.hand_time_us / 1000.0,
+                );
+            }
+            println!();
+        }
+    }
+
+    fn to_json(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("scale", Json::str(self.scale)),
+            (
+                "charmm",
+                Json::Arr(self.charmm.iter().map(entry_json).collect()),
+            ),
+            (
+                "dsmc",
+                Json::Arr(self.dsmc.iter().map(entry_json).collect()),
+            ),
+        ]
+    }
+
+    fn violations(&self) -> Option<Vec<String>> {
+        let mut v = Vec::new();
+        for (app, entries) in [("CHARMM", &self.charmm), ("DSMC", &self.dsmc)] {
+            for e in entries {
+                if (e.compiled_msgs, e.compiled_bytes) != (e.hand_msgs, e.hand_bytes) {
+                    v.push(format!(
+                        "{app} P={}: compiled sent {} messages / {} bytes, hand sent {} / {}",
+                        e.procs, e.compiled_msgs, e.compiled_bytes, e.hand_msgs, e.hand_bytes
+                    ));
+                }
+            }
+        }
+        for e in &self.charmm {
+            if e.compiled_schedule_builds != 1 {
+                v.push(format!(
+                    "CHARMM P={}: expected exactly 1 hoisted schedule build, saw {}",
+                    e.procs, e.compiled_schedule_builds
+                ));
+            }
+            let (hoists, fuses, overlaps) = e.applied_opts;
+            if hoists == 0 || fuses == 0 || overlaps == 0 {
+                v.push(format!(
+                    "CHARMM P={}: optimizer failed to fire (hoist={hoists}, fuse={fuses}, \
+                     overlap={overlaps})",
+                    e.procs
+                ));
+            }
+        }
+        Some(v)
+    }
 }
 
 #[cfg(test)]
@@ -432,11 +410,44 @@ mod tests {
     }
 
     #[test]
+    fn violations_fire_on_broken_parity() {
+        let clean = ParityEntry {
+            procs: 4,
+            compiled_msgs: 60,
+            hand_msgs: 60,
+            compiled_schedule_builds: 1,
+            applied_opts: (1, 1, 1),
+            ..ParityEntry::default()
+        };
+        let mut report = CompilerReport {
+            scale: "quick",
+            charmm: vec![clean.clone()],
+            dsmc: vec![ParityEntry {
+                compiled_schedule_builds: 0,
+                ..clean.clone()
+            }],
+        };
+        assert_eq!(report.violations(), Some(vec![]));
+        report.charmm[0].compiled_bytes += 8;
+        report.charmm[0].compiled_schedule_builds = 6;
+        report.charmm[0].applied_opts.0 = 0;
+        report.dsmc[0].hand_msgs += 1;
+        let v = report.violations().expect("compiler is gated");
+        assert_eq!(v.len(), 4, "{v:?}");
+    }
+
+    #[test]
     fn report_is_deterministic() {
         let a = charmm_parity(2, 5, 2);
         let b = charmm_parity(2, 5, 2);
         assert_eq!(a, b);
-        let doc = compiler_report("quick", &[a], &[]);
-        assert!(doc.render().contains("chaos-bench/compiler/v1"));
+        let report = CompilerReport {
+            scale: "quick",
+            charmm: vec![a],
+            dsmc: vec![],
+        };
+        let text = crate::report::document(&report).render();
+        assert!(text.contains("chaos-bench/compiler/v1"));
+        assert!(text.contains("chaos-bench -- compiler --json"));
     }
 }

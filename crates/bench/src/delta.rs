@@ -1,5 +1,4 @@
-//! Incremental schedule-maintenance benchmarks (`BENCH_delta.json` and the `delta`
-//! section of `BENCH_exchange.json`).
+//! Incremental schedule-maintenance benchmarks (`BENCH_delta.json`).
 //!
 //! Three scenarios quantify the delta subsystem (`chaos::maintained` + `chaos::cache`):
 //!
@@ -21,11 +20,11 @@
 //! on any difference, the same gate `BENCH_adapt.json` carries.
 
 use chaos::prelude::*;
-use dsmc::{seed_particles, CellGrid, DsmcConfig, FlowConfig, MoveMode, RemapStrategy};
+use dsmc::{CellGrid, DsmcConfig, FlowConfig, MoveMode, RemapStrategy};
 use mpsim::{run, ExchangeStats, MachineConfig};
 
-use crate::report::Json;
-use crate::workloads::format_table;
+use crate::report::{stable_us, Artifact, Json};
+use crate::workloads::{format_table, run_dsmc};
 
 /// Parameters of the chaos-level schedule-drift scenario.
 #[derive(Debug, Clone)]
@@ -44,26 +43,10 @@ pub struct DriftParams {
     pub seed: u64,
 }
 
-impl DriftParams {
-    /// The scale recorded in `BENCH_delta.json`: 5% drift per round, the regime the
-    /// paper's incremental schedules (Figure 6) are built for.
-    pub fn default_drift(ranks: usize) -> Self {
-        DriftParams {
-            ranks,
-            nglobals: 16_384,
-            refs_per_rank: 2_048,
-            rounds: 12,
-            drift_per_round: 102,
-            seed: 1994,
-        }
-    }
-}
-
 /// One round of the schedule-drift scenario (costs are max over ranks, microseconds).
+/// Round 0 is the initial build.
 #[derive(Debug, Clone)]
 pub struct DriftRound {
-    /// Round index (0 is the initial build).
-    pub round: usize,
     /// Modeled cost of bringing the maintained schedule up to date (build on round 0,
     /// patch afterwards).
     pub patch_us: f64,
@@ -169,7 +152,6 @@ pub fn schedule_drift(params: &DriftParams) -> DriftEntry {
     let nrounds = out.results[0].1.len();
     let per_round: Vec<DriftRound> = (0..nrounds)
         .map(|i| DriftRound {
-            round: i,
             patch_us: out.results.iter().map(|(_, r)| r[i].1).fold(0.0, f64::max),
             rebuild_us: out.results.iter().map(|(_, r)| r[i].2).fold(0.0, f64::max),
             edits: out.results.iter().map(|(_, r)| r[i].3).sum(),
@@ -203,20 +185,6 @@ pub struct DsmcDeltaParams {
     pub remap_interval: usize,
     /// Seed shared by flow and collisions.
     pub seed: u64,
-}
-
-impl DsmcDeltaParams {
-    /// The scale recorded in `BENCH_delta.json`.
-    pub fn default_dsmc(ranks: usize) -> Self {
-        DsmcDeltaParams {
-            ranks,
-            grid: (32, 8),
-            nparticles: 12_000,
-            nsteps: 60,
-            remap_interval: 20,
-            seed: 1994,
-        }
-    }
 }
 
 /// Outcome of the drifting-DSMC comparison (patching vs rebuilding the maintained MOVE
@@ -268,11 +236,7 @@ pub fn dsmc_drift(params: &DsmcDeltaParams) -> DsmcDeltaEntry {
             monitor_group: None,
             seed: p.seed,
         };
-        run(MachineConfig::new(p.ranks), move |rank| {
-            let particles = seed_particles(&grid, p.nparticles, &flow);
-            dsmc::parallel::run_parallel(rank, &grid, &particles, &config)
-        })
-        .results
+        run_dsmc(p.ranks, grid, flow, p.nparticles, config).results
     };
     let patched = run_mode(false);
     let rebuilt = run_mode(true);
@@ -347,139 +311,156 @@ pub fn cache_lifecycle(ranks: usize, rounds: usize) -> CacheStats {
     stats
 }
 
-/// See `chaos_bench::adapt::stable_us`: modeled communication time jitters in its last
-/// bits with host scheduling, so recorded times are snapped to whole microseconds to
-/// keep the artifact byte-stable.
-fn stable_us(x: f64) -> Json {
-    Json::Int(x.round() as i64)
+/// The `delta` artifact: the three scenarios at their recorded scale.  Contains no
+/// wall-clock measurement and snaps modeled times to whole microseconds, so repeated runs
+/// are byte-identical — the property CI gates on.
+pub struct DeltaReport {
+    drift: DriftEntry,
+    dsmc: DsmcDeltaEntry,
+    cache: CacheStats,
 }
 
-fn drift_json(e: &DriftEntry) -> Json {
-    Json::obj(vec![
-        ("ranks", Json::uint(e.params.ranks as u64)),
-        ("nglobals", Json::uint(e.params.nglobals as u64)),
-        ("refs_per_rank", Json::uint(e.params.refs_per_rank as u64)),
-        (
-            "drift_per_round",
-            Json::uint(e.params.drift_per_round as u64),
-        ),
-        ("byte_identical", Json::Bool(e.byte_identical)),
-        ("steady_patch_us", stable_us(e.steady_patch_us)),
-        ("steady_rebuild_us", stable_us(e.steady_rebuild_us)),
-        (
-            "per_round",
-            Json::Arr(
-                e.per_round
-                    .iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("round", Json::uint(r.round as u64)),
-                            ("patch_us", stable_us(r.patch_us)),
-                            ("rebuild_us", stable_us(r.rebuild_us)),
-                            ("edits", Json::uint(r.edits as u64)),
-                            ("total_fetch", Json::uint(r.total_fetch as u64)),
-                        ])
-                    })
-                    .collect(),
+impl DeltaReport {
+    /// Run the recorded scale: the schedule drift at P = 8 with 5% drift per round (the
+    /// regime the paper's incremental schedules, Figure 6, are built for), the DSMC
+    /// comparison at P = 16 and the cache lifecycle at P = 8.
+    pub fn generate() -> Self {
+        let drift = DriftParams {
+            ranks: 8,
+            nglobals: 16_384,
+            refs_per_rank: 2_048,
+            rounds: 12,
+            drift_per_round: 102,
+            seed: 1994,
+        };
+        let dsmc = DsmcDeltaParams {
+            ranks: 16,
+            grid: (32, 8),
+            nparticles: 12_000,
+            nsteps: 60,
+            remap_interval: 20,
+            seed: 1994,
+        };
+        DeltaReport {
+            drift: schedule_drift(&drift),
+            dsmc: dsmc_drift(&dsmc),
+            cache: cache_lifecycle(8, 8),
+        }
+    }
+}
+
+impl Artifact for DeltaReport {
+    const NAME: &'static str = "delta";
+    const VERSION: u32 = 1;
+
+    fn print(&self) {
+        println!("{}", format_drift(&self.drift));
+        println!("{}", format_dsmc(&self.dsmc));
+        let c = &self.cache;
+        println!(
+            "schedule-cache lifecycle (P = 8): {} hits, {} misses, {} patches, {} evictions",
+            c.hits, c.misses, c.patches, c.evictions
+        );
+    }
+
+    fn to_json(&self) -> Vec<(&'static str, Json)> {
+        let (d, e, c) = (&self.drift, &self.dsmc, &self.cache);
+        let count = |n: usize| Json::uint(n as u64);
+        let round = |(i, r): (usize, &DriftRound)| {
+            Json::obj(vec![
+                ("round", count(i)),
+                ("patch_us", stable_us(r.patch_us)),
+                ("rebuild_us", stable_us(r.rebuild_us)),
+                ("edits", count(r.edits)),
+                ("total_fetch", count(r.total_fetch)),
+            ])
+        };
+        let drift = Json::obj(vec![
+            ("ranks", count(d.params.ranks)),
+            ("nglobals", count(d.params.nglobals)),
+            ("refs_per_rank", count(d.params.refs_per_rank)),
+            ("drift_per_round", count(d.params.drift_per_round)),
+            ("byte_identical", Json::Bool(d.byte_identical)),
+            ("steady_patch_us", stable_us(d.steady_patch_us)),
+            ("steady_rebuild_us", stable_us(d.steady_rebuild_us)),
+            (
+                "per_round",
+                Json::Arr(d.per_round.iter().enumerate().map(round).collect()),
             ),
-        ),
-    ])
-}
-
-fn dsmc_json(e: &DsmcDeltaEntry) -> Json {
-    Json::obj(vec![
-        ("ranks", Json::uint(e.params.ranks as u64)),
-        ("nparticles", Json::uint(e.params.nparticles as u64)),
-        ("nsteps", Json::uint(e.params.nsteps as u64)),
-        ("remap_interval", Json::uint(e.params.remap_interval as u64)),
-        ("fingerprints_match", Json::Bool(e.fingerprints_match)),
-        ("data_exchange_equal", Json::Bool(e.data_exchange_equal)),
-        ("patch_upkeep_us", stable_us(e.patch_upkeep_us)),
-        ("rebuild_upkeep_us", stable_us(e.rebuild_upkeep_us)),
-        ("patch_builds", Json::uint(e.patch_builds as u64)),
-        ("patch_patches", Json::uint(e.patch_patches as u64)),
-        ("patch_edits", Json::uint(e.patch_edits as u64)),
-        ("data_msgs_sent", Json::uint(e.data_exchange.msgs_sent)),
-        ("data_bytes_sent", Json::uint(e.data_exchange.bytes_sent)),
-    ])
-}
-
-fn cache_json(s: &CacheStats) -> Json {
-    Json::obj(vec![
-        ("hits", Json::uint(s.hits)),
-        ("misses", Json::uint(s.misses)),
-        ("patches", Json::uint(s.patches)),
-        ("evictions", Json::uint(s.evictions)),
-    ])
-}
-
-/// The `delta` section shared by `BENCH_delta.json` and `BENCH_exchange.json`.
-pub fn delta_section(drift: &DriftEntry, dsmc: &DsmcDeltaEntry, cache: &CacheStats) -> Json {
-    Json::obj(vec![
-        ("schedule_drift", drift_json(drift)),
-        ("dsmc_drift", dsmc_json(dsmc)),
-        ("cache_lifecycle", cache_json(cache)),
-    ])
-}
-
-/// Build the full `BENCH_delta.json` document (schema `chaos-bench/delta/v1`).  Contains
-/// no wall-clock measurement and snaps modeled times to whole microseconds, so repeated
-/// runs are byte-identical — the property CI gates on.
-pub fn delta_report(drift: &DriftEntry, dsmc: &DsmcDeltaEntry, cache: &CacheStats) -> Json {
-    Json::obj(vec![
-        ("schema", Json::str("chaos-bench/delta/v1")),
-        (
-            "generated_by",
-            Json::str("cargo run --release -p chaos-bench --bin delta_scenarios -- --json"),
-        ),
-        ("delta", delta_section(drift, dsmc, cache)),
-    ])
-}
-
-/// The `--check` gate over the delta scenarios: byte-identity, physics/wire equivalence,
-/// and steady-state patch cost under 50% of the rebuild cost in both scenarios.
-pub fn delta_violations(drift: &DriftEntry, dsmc: &DsmcDeltaEntry) -> Vec<String> {
-    let mut v = Vec::new();
-    if !drift.byte_identical {
-        v.push("schedule drift: patched schedule diverged from the rebuild".to_string());
+        ]);
+        let dsmc = Json::obj(vec![
+            ("ranks", count(e.params.ranks)),
+            ("nparticles", count(e.params.nparticles)),
+            ("nsteps", count(e.params.nsteps)),
+            ("remap_interval", count(e.params.remap_interval)),
+            ("fingerprints_match", Json::Bool(e.fingerprints_match)),
+            ("data_exchange_equal", Json::Bool(e.data_exchange_equal)),
+            ("patch_upkeep_us", stable_us(e.patch_upkeep_us)),
+            ("rebuild_upkeep_us", stable_us(e.rebuild_upkeep_us)),
+            ("patch_builds", count(e.patch_builds)),
+            ("patch_patches", count(e.patch_patches)),
+            ("patch_edits", count(e.patch_edits)),
+            ("data_msgs_sent", Json::uint(e.data_exchange.msgs_sent)),
+            ("data_bytes_sent", Json::uint(e.data_exchange.bytes_sent)),
+        ]);
+        let cache = Json::obj(vec![
+            ("hits", Json::uint(c.hits)),
+            ("misses", Json::uint(c.misses)),
+            ("patches", Json::uint(c.patches)),
+            ("evictions", Json::uint(c.evictions)),
+        ]);
+        let section = vec![
+            ("schedule_drift", drift),
+            ("dsmc_drift", dsmc),
+            ("cache_lifecycle", cache),
+        ];
+        vec![("delta", Json::obj(section))]
     }
-    if drift.steady_patch_us >= 0.5 * drift.steady_rebuild_us {
-        v.push(format!(
-            "schedule drift: steady-state patch cost {:.0} us is not under 50% of the \
-             rebuild cost {:.0} us",
-            drift.steady_patch_us, drift.steady_rebuild_us
-        ));
+
+    /// Byte-identity, physics/wire equivalence, and steady-state patch cost under 50%
+    /// of the rebuild cost in both scenarios.
+    fn violations(&self) -> Option<Vec<String>> {
+        let mut v = Vec::new();
+        if !self.drift.byte_identical {
+            v.push("schedule drift: patched schedule diverged from the rebuild".to_string());
+        }
+        if self.drift.steady_patch_us >= 0.5 * self.drift.steady_rebuild_us {
+            v.push(format!(
+                "schedule drift: steady-state patch cost {:.0} us is not under 50% of the \
+                 rebuild cost {:.0} us",
+                self.drift.steady_patch_us, self.drift.steady_rebuild_us
+            ));
+        }
+        if !self.dsmc.fingerprints_match {
+            v.push("dsmc drift: patching changed the simulation fingerprint".to_string());
+        }
+        if !self.dsmc.data_exchange_equal {
+            v.push("dsmc drift: patching changed the data-path wire traffic".to_string());
+        }
+        if self.dsmc.patch_upkeep_us >= 0.5 * self.dsmc.rebuild_upkeep_us {
+            v.push(format!(
+                "dsmc drift: steady-state upkeep by patching ({:.0} us) is not under 50% of \
+                 upkeep by rebuilding ({:.0} us)",
+                self.dsmc.patch_upkeep_us, self.dsmc.rebuild_upkeep_us
+            ));
+        }
+        Some(v)
     }
-    if !dsmc.fingerprints_match {
-        v.push("dsmc drift: patching changed the simulation fingerprint".to_string());
-    }
-    if !dsmc.data_exchange_equal {
-        v.push("dsmc drift: patching changed the data-path wire traffic".to_string());
-    }
-    if dsmc.patch_upkeep_us >= 0.5 * dsmc.rebuild_upkeep_us {
-        v.push(format!(
-            "dsmc drift: steady-state upkeep by patching ({:.0} us) is not under 50% of \
-             upkeep by rebuilding ({:.0} us)",
-            dsmc.patch_upkeep_us, dsmc.rebuild_upkeep_us
-        ));
-    }
-    v
 }
 
 /// Render the drift rounds as an aligned human-readable table.
-pub fn format_drift(e: &DriftEntry) -> String {
-    let headers = ["Round", "Patch (us)", "Rebuild (us)", "Edits", "Fetch"]
-        .map(String::from)
-        .to_vec();
+fn format_drift(e: &DriftEntry) -> String {
+    let headers = ["Round", "Patch (us)", "Rebuild (us)", "Edits", "Fetch"];
     let rows: Vec<Vec<String>> = e
         .per_round
         .iter()
-        .map(|r| {
+        .enumerate()
+        .map(|(i, r)| {
             vec![
-                if r.round == 0 {
+                if i == 0 {
                     "0 (build)".to_string()
                 } else {
-                    r.round.to_string()
+                    i.to_string()
                 },
                 format!("{:.0}", r.patch_us),
                 format!("{:.0}", r.rebuild_us),
@@ -504,10 +485,8 @@ pub fn format_drift(e: &DriftEntry) -> String {
 }
 
 /// Render the DSMC comparison as an aligned human-readable table.
-pub fn format_dsmc(e: &DsmcDeltaEntry) -> String {
-    let headers = ["Upkeep", "Cost (us)", "Builds", "Patches", "Edits"]
-        .map(String::from)
-        .to_vec();
+fn format_dsmc(e: &DsmcDeltaEntry) -> String {
+    let headers = ["Upkeep", "Cost (us)", "Builds", "Patches", "Edits"];
     let rows = vec![
         vec![
             "patch".to_string(),
@@ -607,31 +586,26 @@ mod tests {
         assert_eq!(stats.evictions, 1);
     }
 
+    /// A small report: the scenarios at unit-test scale.
+    fn small_report() -> DeltaReport {
+        DeltaReport {
+            drift: schedule_drift(&small_drift()),
+            dsmc: dsmc_drift(&DsmcDeltaParams {
+                ranks: 2,
+                grid: (8, 8),
+                nparticles: 600,
+                nsteps: 8,
+                remap_interval: 0,
+                seed: 7,
+            }),
+            cache: cache_lifecycle(2, 3),
+        }
+    }
+
     #[test]
     fn delta_report_is_deterministic() {
-        let drift = schedule_drift(&small_drift());
-        let dsmc = dsmc_drift(&DsmcDeltaParams {
-            ranks: 2,
-            grid: (8, 8),
-            nparticles: 600,
-            nsteps: 8,
-            remap_interval: 0,
-            seed: 7,
-        });
-        let cache = cache_lifecycle(2, 3);
-        let a = delta_report(&drift, &dsmc, &cache);
-        let drift2 = schedule_drift(&small_drift());
-        let cache2 = cache_lifecycle(2, 3);
-        let dsmc2 = dsmc_drift(&DsmcDeltaParams {
-            ranks: 2,
-            grid: (8, 8),
-            nparticles: 600,
-            nsteps: 8,
-            remap_interval: 0,
-            seed: 7,
-        });
-        let b = delta_report(&drift2, &dsmc2, &cache2);
-        assert_eq!(a.render_pretty(), b.render_pretty());
+        let text = || crate::report::document(&small_report()).render_pretty();
+        assert_eq!(text(), text());
     }
 
     #[test]
@@ -639,27 +613,18 @@ mod tests {
         // The byte-identity gate over BENCH_delta.json only works because nothing
         // host-dependent is rendered; wall_ms lives on the structs (and in the human
         // tables) but must stay out of the document.
-        let drift = schedule_drift(&small_drift());
-        assert!(drift.wall_ms > 0.0);
-        assert!(format_drift(&drift).contains("wall"));
-        let dsmc = dsmc_drift(&DsmcDeltaParams {
-            ranks: 2,
-            grid: (8, 8),
-            nparticles: 600,
-            nsteps: 8,
-            remap_interval: 0,
-            seed: 7,
-        });
-        assert!(dsmc.wall_ms > 0.0);
-        assert!(format_dsmc(&dsmc).contains("wall"));
-        let cache = cache_lifecycle(2, 3);
-        let text = delta_report(&drift, &dsmc, &cache).render_pretty();
+        let report = small_report();
+        assert!(report.drift.wall_ms > 0.0);
+        assert!(format_drift(&report.drift).contains("wall"));
+        assert!(report.dsmc.wall_ms > 0.0);
+        assert!(format_dsmc(&report.dsmc).contains("wall"));
+        let text = crate::report::document(&report).render_pretty();
         assert!(!text.contains("wall"), "wall-clock leaked into gated JSON");
     }
 
     #[test]
     fn violations_fire_on_broken_invariants() {
-        let mut drift = schedule_drift(&small_drift());
+        let drift = schedule_drift(&small_drift());
         // P = 16 so the patch-cost gate holds on the clean baseline (see the DSMC test).
         let dsmc = dsmc_drift(&DsmcDeltaParams {
             ranks: 16,
@@ -669,10 +634,14 @@ mod tests {
             remap_interval: 0,
             seed: 7,
         });
-        assert!(delta_violations(&drift, &dsmc).is_empty());
-        drift.byte_identical = false;
-        drift.steady_patch_us = drift.steady_rebuild_us;
-        let v = delta_violations(&drift, &dsmc);
-        assert_eq!(v.len(), 2);
+        let mut report = DeltaReport {
+            drift,
+            dsmc,
+            cache: CacheStats::default(),
+        };
+        assert_eq!(report.violations(), Some(vec![]));
+        report.drift.byte_identical = false;
+        report.drift.steady_patch_us = report.drift.steady_rebuild_us;
+        assert_eq!(report.violations().map(|v| v.len()), Some(2));
     }
 }

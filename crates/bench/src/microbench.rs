@@ -1,4 +1,4 @@
-//! Steady-state microbenchmarks of the unified exchange engine.
+//! Steady-state microbenchmarks of the unified exchange engine (`BENCH_exchange.json`).
 //!
 //! Every time-stepped application in the paper settles into the same shape: a loop that
 //! executes the *same* communication pattern over and over (CHARMM's gather/scatter per
@@ -26,20 +26,24 @@
 //! *steady-state* (after warm-up) windows.  The zero-allocation steady state
 //! (`pool_steady.decode_allocations == 0` for every loop whose placement only borrows,
 //! see [`MicrobenchResult::receive_owned`]) is asserted by the pool smoke tests, checked
-//! by `exchange_microbench --check` in CI, and reported in `BENCH_exchange.json`.
+//! by `chaos-bench exchange --check` in CI, and reported in `BENCH_exchange.json`.
 //!
-//! Two sweeps extend the fixed 8-rank loops the way the paper's tables sweep processor
-//! counts: [`rank_sweep`] runs the gather/scatter and append shapes at P = 2–64 ranks,
-//! and [`element_size_sweep`] runs them with 8-, 24- and 64-byte payload elements
-//! (bytes on the wire scale with the element size, messages do not).  The collectives scale
-//! further — [`crate::collective`] sweeps them to P = 1024.
+//! Two sweeps extend the fixed 8-rank loops: [`rank_sweep`] runs the gather/scatter and
+//! append shapes at P = 2–64 ranks the way the paper's tables sweep processor counts, and
+//! [`backend_sweep`] runs the gather/scatter shape on both exchange backends.  The
+//! collectives scale further — [`crate::collective`] sweeps them to P = 1024.
 
 use std::time::Instant;
 
 use chaos::prelude::*;
-use mpsim::{run, ExchangeBackend, ExchangeStats, MachineConfig, PackPoolStats, Rank};
+use mpsim::{
+    run, ExchangeBackend, ExchangeStats, MachineConfig, PackPoolStats, Rank, TimeSnapshot,
+};
 
-use crate::report::Json;
+use crate::collective::{
+    collective_scaling_violations, collective_sweep_at, CollectiveResult, COLLECTIVE_SWEEP_POINTS,
+};
+use crate::report::{Artifact, Json};
 
 /// Knobs of one microbenchmark run.
 #[derive(Debug, Clone)]
@@ -55,8 +59,7 @@ pub struct MicrobenchConfig {
     /// Items per rank for the append loop.
     pub items_per_rank: usize,
     /// Exchange backend the simulated machine runs on.  Defaults to the
-    /// environment-selected backend (`MPSIM_BACKEND`); [`backend_sweep`] pins each
-    /// explicitly to compare wall-clock.
+    /// environment-selected backend (`MPSIM_BACKEND`); [`backend_sweep`] pins each.
     pub backend: ExchangeBackend,
 }
 
@@ -73,7 +76,8 @@ impl Default for MicrobenchConfig {
     }
 }
 
-/// The measured outcome of one steady-state loop.
+/// The measured outcome of one steady-state loop.  Every loop moves 8-byte `f64` or
+/// `u64` elements.
 #[derive(Debug, Clone)]
 pub struct MicrobenchResult {
     /// Benchmark name (stable across runs; the JSON key CI compares on).
@@ -82,8 +86,6 @@ pub struct MicrobenchResult {
     pub backend: &'static str,
     /// Machine size the loop ran on.
     pub ranks: usize,
-    /// Encoded payload element size in bytes (8 for the classic `f64`/`u64` loops).
-    pub elem_bytes: usize,
     /// Whether the loop's placement takes ownership of its payloads (`Placed::into_vec`,
     /// as `scatter_append` must — the appended items outlive the call).  Ownership-taking
     /// loops legitimately show steady-state pool allocations; borrow-only loops must show
@@ -95,13 +97,6 @@ pub struct MicrobenchResult {
     pub measured_iters: usize,
     /// Host wall-clock time of the whole run (setup + warm-up + measured), milliseconds.
     pub wall_ms: f64,
-    /// Host wall-clock of the measurement window per iteration, max over ranks
-    /// (nanoseconds) — the number the backend comparison is about.  Unlike [`wall_ms`]
-    /// it excludes machine setup and schedule construction, so it isolates the
-    /// steady-state data path the backends differ on.
-    ///
-    /// [`wall_ms`]: MicrobenchResult::wall_ms
-    pub wall_ns_per_iter: f64,
     /// Checksum of the loop's final data, summed over ranks.  Every harness arranges
     /// integer-valued (or dyadic-rational) `f64` contents whose sums are exact, so the
     /// fingerprint is independent of message arrival order and must be bit-identical
@@ -122,9 +117,6 @@ pub struct MicrobenchResult {
     pub pool_total: PackPoolStats,
     /// Buffer-pool counters of the measurement window only, summed over ranks.
     pub pool_steady: PackPoolStats,
-    /// `backend_sweep` shared-backend rows only: the modeled row's `wall_ns_per_iter`
-    /// over this row's, for the same loop at the same machine size.  Reported, not gated.
-    pub modeled_to_shared_wall_x: Option<f64>,
 }
 
 impl MicrobenchResult {
@@ -155,18 +147,19 @@ impl MicrobenchResult {
         }
     }
 
-    /// Render this result as one entry of the `BENCH_exchange.json` `benches` array.
+    /// Render this result as one entry of a `BENCH_exchange.json` section.
     pub fn to_json(&self) -> Json {
-        let mut row = vec![
+        let pool = &self.pool_total;
+        let reduction = (self.allocation_reduction_pct() * 100.0).round() / 100.0;
+        Json::obj(vec![
             ("name", Json::str(self.name)),
             ("backend", Json::str(self.backend)),
             ("ranks", Json::uint(self.ranks as u64)),
-            ("elem_bytes", Json::uint(self.elem_bytes as u64)),
+            ("elem_bytes", Json::uint(8)),
             ("receive_owned", Json::Bool(self.receive_owned)),
             ("warmup_iters", Json::uint(self.warmup_iters as u64)),
             ("measured_iters", Json::uint(self.measured_iters as u64)),
             ("wall_ms", Json::Num(self.wall_ms)),
-            ("wall_ns_per_iter", Json::Num(self.wall_ns_per_iter.round())),
             ("fingerprint", Json::Num(self.fingerprint)),
             (
                 "modeled_us",
@@ -189,11 +182,8 @@ impl MicrobenchResult {
             (
                 "pool",
                 Json::obj(vec![
-                    (
-                        "allocations",
-                        Json::uint(self.pool_total.decode_allocations),
-                    ),
-                    ("reuses", Json::uint(self.pool_total.decode_reuses)),
+                    ("allocations", Json::uint(pool.decode_allocations)),
+                    ("reuses", Json::uint(pool.decode_reuses)),
                     (
                         "steady_allocations",
                         Json::uint(self.pool_steady.decode_allocations),
@@ -203,33 +193,23 @@ impl MicrobenchResult {
                         "baseline_allocations",
                         Json::uint(self.baseline_allocations()),
                     ),
-                    (
-                        "reduction_vs_baseline_pct",
-                        Json::Num(round2(self.allocation_reduction_pct())),
-                    ),
+                    ("reduction_vs_baseline_pct", Json::Num(reduction)),
                 ]),
             ),
-        ];
-        if let Some(x) = self.modeled_to_shared_wall_x {
-            row.push(("modeled_to_shared_wall_x", Json::Num(x)));
-        }
-        Json::obj(row)
+        ])
     }
 
     /// One-line human-readable summary.
     pub fn summary_line(&self) -> String {
         format!(
-            "{:<26} [{:<7}] {:>2} ranks  {:>2}B elems  {:>3} iters  {:>4} msgs/iter  \
-             wall {:>8.2} ms ({:>9.0} ns/iter)  modeled {:>10.1} us  \
-             allocs {:>5} (steady {:>3}{})  -{:.1}%",
+            "{:<27} [{:<7}] {:>2} ranks  {:>3} iters  {:>4} msgs/iter  wall {:>8.2} ms  \
+             modeled {:>10.1} us  allocs {:>5} (steady {:>3}{})  -{:.1}%",
             self.name,
             self.backend,
             self.ranks,
-            self.elem_bytes,
             self.measured_iters,
             self.msgs_per_iter(),
             self.wall_ms,
-            self.wall_ns_per_iter,
             self.modeled_total_us,
             self.pool_total.decode_allocations,
             self.pool_steady.decode_allocations,
@@ -239,25 +219,15 @@ impl MicrobenchResult {
     }
 }
 
-fn round2(x: f64) -> f64 {
-    (x * 100.0).round() / 100.0
-}
-
 /// The per-rank instrumentation of one measurement window.
 struct RankMeasure {
-    pool_warm: PackPoolStats,
-    pool_end: PackPoolStats,
+    pool: PackPoolStats,
     exch: ExchangeStats,
-    compute_us: f64,
-    comm_us: f64,
-    total_us: f64,
-    /// Host wall-clock of this rank's measurement window, nanoseconds.
-    wall_ns: u64,
+    dt: TimeSnapshot,
 }
 
 /// Per-rank instrumentation shared by the loops: run `iter` for the warm-up window,
-/// snapshot, run it for the measurement window (modeled *and* host wall-clock), and
-/// return the deltas.
+/// snapshot, run it for the measurement window, and return the deltas.
 fn instrumented_loop(
     rank: &mut Rank,
     cfg: &MicrobenchConfig,
@@ -268,60 +238,53 @@ fn instrumented_loop(
     }
     let pool_warm = rank.pool_stats();
     let t0 = rank.modeled();
-    let wall0 = Instant::now();
     let mut exch = ExchangeStats::default();
     for _ in 0..cfg.measured_iters {
         exch = exch.merged(&iter(rank));
     }
-    let wall_ns = wall0.elapsed().as_nanos() as u64;
-    let dt = rank.modeled().since(&t0);
     RankMeasure {
-        pool_warm,
-        pool_end: rank.pool_stats(),
+        pool: rank.pool_stats().since(&pool_warm),
         exch,
-        compute_us: dt.compute_us,
-        comm_us: dt.comm_us,
-        total_us: dt.total_us(),
-        wall_ns,
+        dt: rank.modeled().since(&t0),
     }
 }
 
-/// Fold the per-rank `(measure, fingerprint)` pairs and the run's pool totals into a
-/// result.
-fn collect(
+/// Run one steady-state loop on a `cfg.ranks`-rank machine of `cfg.backend`: `body` sets
+/// up each rank, measures it through [`instrumented_loop`] and returns the measure with
+/// the rank's fingerprint; the per-rank results fold into one [`MicrobenchResult`].
+fn run_loop(
     name: &'static str,
     cfg: &MicrobenchConfig,
-    elem_bytes: usize,
     receive_owned: bool,
-    wall_ms: f64,
-    outcome: mpsim::RunOutcome<(RankMeasure, f64)>,
+    body: impl Fn(&mut Rank, &MicrobenchConfig) -> (RankMeasure, f64) + Send + Sync + 'static,
 ) -> MicrobenchResult {
+    let start = Instant::now();
+    let machine = MachineConfig::new(cfg.ranks).with_backend(cfg.backend);
+    let rank_cfg = cfg.clone();
+    let outcome = run(machine, move |rank| body(rank, &rank_cfg));
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let mut exchange = ExchangeStats::default();
     let mut pool_steady = PackPoolStats::default();
     let mut compute: f64 = 0.0;
     let mut comm: f64 = 0.0;
     let mut total: f64 = 0.0;
-    let mut wall_ns: u64 = 0;
     let mut fingerprint = 0.0f64;
     for (m, fp) in &outcome.results {
         exchange = exchange.merged(&m.exch);
-        pool_steady = pool_steady.merged(&m.pool_end.since(&m.pool_warm));
-        compute = compute.max(m.compute_us);
-        comm = comm.max(m.comm_us);
-        total = total.max(m.total_us);
-        wall_ns = wall_ns.max(m.wall_ns);
+        pool_steady = pool_steady.merged(&m.pool);
+        compute = compute.max(m.dt.compute_us);
+        comm = comm.max(m.dt.comm_us);
+        total = total.max(m.dt.total_us());
         fingerprint += fp;
     }
     MicrobenchResult {
         name,
         backend: cfg.backend.name(),
         ranks: cfg.ranks,
-        elem_bytes,
         receive_owned,
         warmup_iters: cfg.warmup_iters,
         measured_iters: cfg.measured_iters,
         wall_ms,
-        wall_ns_per_iter: wall_ns as f64 / cfg.measured_iters.max(1) as f64,
         fingerprint,
         modeled_compute_us: compute,
         modeled_comm_us: comm,
@@ -329,7 +292,6 @@ fn collect(
         exchange,
         pool_total: outcome.pool_totals(),
         pool_steady,
-        modeled_to_shared_wall_x: None,
     }
 }
 
@@ -351,112 +313,52 @@ fn build_strided_schedule(
     (dist, sched, refs)
 }
 
-/// Shared core of the append-shaped harnesses: a fresh [`LightweightSchedule`] +
-/// `scatter_append` per iteration.  `make` seeds the initial items from globally unique
-/// ids; `dests_of(items, step, me, nprocs)` picks each item's destination per step, which
-/// is the only thing the classic and element-size variants disagree on.
-fn scatter_append_core<T: mpsim::Element>(
-    name: &'static str,
-    cfg: &MicrobenchConfig,
-    make: fn(u64) -> T,
-    dests_of: fn(&[T], u64, usize, usize) -> Vec<usize>,
-    fp_of: fn(&T) -> f64,
-) -> MicrobenchResult {
-    let cfg2 = cfg.clone();
-    let start = Instant::now();
-    let machine = MachineConfig::new(cfg.ranks).with_backend(cfg.backend);
-    let outcome = run(machine, move |rank| {
-        let me = rank.rank();
-        let nprocs = rank.nprocs();
-        let mut items: Vec<T> = (0..cfg2.items_per_rank)
-            .map(|k| make((me * cfg2.items_per_rank + k) as u64))
-            .collect();
-        let mut step = 0u64;
-        let m = instrumented_loop(rank, &cfg2, |rank| {
-            step += 1;
-            let dests = dests_of(&items, step, me, nprocs);
-            let sched = LightweightSchedule::build(rank, &dests);
-            let before = rank.stats();
-            items = scatter_append(rank, &sched, &items);
-            let after = rank.stats();
-            ExchangeStats {
-                msgs_sent: after.msgs_sent - before.msgs_sent,
-                msgs_received: after.msgs_received - before.msgs_received,
-                bytes_sent: after.bytes_sent - before.bytes_sent,
-                bytes_received: after.bytes_received - before.bytes_received,
-            }
-        });
-        let fp: f64 = items.iter().map(fp_of).sum();
-        (m, fp)
-    });
-    collect(
-        name,
-        cfg,
-        T::SIZE,
-        true,
-        start.elapsed().as_secs_f64() * 1e3,
-        outcome,
-    )
-}
-
 /// The CHARMM executor shape: one regular schedule built by the inspector, then a
 /// `gather` + `scatter_add` pair per iteration.
 pub fn gather_scatter_steady(cfg: &MicrobenchConfig) -> MicrobenchResult {
-    let cfg2 = cfg.clone();
-    let start = Instant::now();
-    let machine = MachineConfig::new(cfg.ranks).with_backend(cfg.backend);
-    let outcome = run(machine, move |rank| {
-        let me = rank.rank();
-        let (dist, sched, refs) = build_strided_schedule(rank, cfg2.elements);
-        let owned: Vec<f64> = dist.local_globals(me).map(|g| g as f64).collect();
+    run_loop("gather_scatter_steady", cfg, false, |rank, cfg| {
+        let (dist, sched, refs) = build_strided_schedule(rank, cfg.elements);
+        let owned: Vec<f64> = dist.local_globals(rank.rank()).map(|g| g as f64).collect();
         let mut x = DistArray::new(owned, sched.ghost_len());
-        let m = instrumented_loop(rank, &cfg2, |rank| {
+        let m = instrumented_loop(rank, cfg, |rank| {
             let g = gather(rank, &sched, &mut x);
             for &r in &refs {
                 x[r] += 1.0;
             }
-            let s = scatter_add(rank, &sched, &mut x);
-            g.merged(&s)
+            g.merged(&scatter_add(rank, &sched, &mut x))
         });
-        let fp: f64 = x.owned().iter().sum();
-        (m, fp)
-    });
-    collect(
-        "gather_scatter_steady",
-        cfg,
-        8,
-        false,
-        start.elapsed().as_secs_f64() * 1e3,
-        outcome,
-    )
+        (m, x.owned().iter().sum())
+    })
 }
 
 /// The DSMC MOVE shape: items drift between ranks (routed by their id, so after the first
 /// step every rank's items march to the next rank in a ring), a fresh light-weight
 /// schedule is built every iteration and `scatter_append` moves the items.
 pub fn scatter_append_steady(cfg: &MicrobenchConfig) -> MicrobenchResult {
-    scatter_append_core::<u64>(
-        "scatter_append_steady",
-        cfg,
-        |k| k,
-        |items, step, _me, nprocs| {
-            items
+    run_loop("scatter_append_steady", cfg, true, |rank, cfg| {
+        let (me, nprocs) = (rank.rank(), rank.nprocs() as u64);
+        let first = (me * cfg.items_per_rank) as u64;
+        let mut items: Vec<u64> = (first..first + cfg.items_per_rank as u64).collect();
+        let mut step = 0u64;
+        let m = instrumented_loop(rank, cfg, |rank| {
+            step += 1;
+            let dests: Vec<usize> = items
                 .iter()
-                .map(|&id| ((id + step) % nprocs as u64) as usize)
-                .collect()
-        },
-        |&id| id as f64,
-    )
+                .map(|&id| ((id + step) % nprocs) as usize)
+                .collect();
+            let sched = LightweightSchedule::build(rank, &dests);
+            items = scatter_append(rank, &sched, &items);
+            sched.exchange_stats::<u64>()
+        });
+        (m, items.iter().map(|&id| id as f64).sum())
+    })
 }
 
 /// The CHARMM remap shape: one plan (block → cyclic), then `remap_values` per iteration —
 /// the paper remaps every array aligned with a repartitioned template using one plan.
 pub fn remap_steady(cfg: &MicrobenchConfig) -> MicrobenchResult {
-    let cfg2 = cfg.clone();
-    let start = Instant::now();
-    let machine = MachineConfig::new(cfg.ranks).with_backend(cfg.backend);
-    let outcome = run(machine, move |rank| {
-        let n = cfg2.elements;
+    run_loop("remap_steady", cfg, false, |rank, cfg| {
+        let n = cfg.elements;
         let me = rank.rank();
         let old = BlockDist::new(n, rank.nprocs());
         let new = CyclicDist::new(n, rank.nprocs());
@@ -465,7 +367,7 @@ pub fn remap_steady(cfg: &MicrobenchConfig) -> MicrobenchResult {
         let old_local: Vec<f64> = old_globals.iter().map(|&g| g as f64).collect();
         let plan = build_remap(rank, &old_globals, &mut new_table);
         let mut fp = 0.0f64;
-        let m = instrumented_loop(rank, &cfg2, |rank| {
+        let m = instrumented_loop(rank, cfg, |rank| {
             let before = rank.stats();
             let moved = remap_values(rank, &plan, &old_local, 0.0);
             fp = moved.iter().sum();
@@ -479,15 +381,7 @@ pub fn remap_steady(cfg: &MicrobenchConfig) -> MicrobenchResult {
             }
         });
         (m, fp)
-    });
-    collect(
-        "remap_steady",
-        cfg,
-        8,
-        false,
-        start.elapsed().as_secs_f64() * 1e3,
-        outcome,
-    )
+    })
 }
 
 /// The post-fusion CHARMM step shape: the same schedule as [`gather_scatter_steady`],
@@ -496,17 +390,14 @@ pub fn remap_steady(cfg: &MicrobenchConfig) -> MicrobenchResult {
 /// transfers would each pay their own.  Borrow-only in both directions, so the steady
 /// state is gated at zero allocations like every other borrowing loop.
 pub fn fused_gather_scatter_steady(cfg: &MicrobenchConfig) -> MicrobenchResult {
-    let cfg2 = cfg.clone();
-    let start = Instant::now();
-    let machine = MachineConfig::new(cfg.ranks).with_backend(cfg.backend);
-    let outcome = run(machine, move |rank| {
+    run_loop("fused_gather_scatter_steady", cfg, false, |rank, cfg| {
         let me = rank.rank();
-        let (dist, sched, refs) = build_strided_schedule(rank, cfg2.elements);
+        let (dist, sched, refs) = build_strided_schedule(rank, cfg.elements);
         let mut arrays: [DistArray<f64>; 3] = [1.0, 2.0, 3.0].map(|lane| {
             let owned: Vec<f64> = dist.local_globals(me).map(|g| g as f64 * lane).collect();
             DistArray::new(owned, sched.ghost_len())
         });
-        let m = instrumented_loop(rank, &cfg2, |rank| {
+        let m = instrumented_loop(rank, cfg, |rank| {
             let [x, y, z] = &mut arrays;
             let g = gather_multi(rank, &sched, [&mut *x, &mut *y, &mut *z]);
             for &r in &refs {
@@ -514,20 +405,11 @@ pub fn fused_gather_scatter_steady(cfg: &MicrobenchConfig) -> MicrobenchResult {
                 y[r] += 0.5;
                 z[r] -= 0.25;
             }
-            let s = scatter_add_multi(rank, &sched, [x, y, z]);
-            g.merged(&s)
+            g.merged(&scatter_add_multi(rank, &sched, [x, y, z]))
         });
         let fp: f64 = arrays.iter().map(|a| a.owned().iter().sum::<f64>()).sum();
         (m, fp)
-    });
-    collect(
-        "fused_gather_scatter_steady",
-        cfg,
-        8,
-        false,
-        start.elapsed().as_secs_f64() * 1e3,
-        outcome,
-    )
+    })
 }
 
 /// The split-phase overlap shape: `gather_start` posts the ghost exchange, a compute
@@ -536,15 +418,11 @@ pub fn fused_gather_scatter_steady(cfg: &MicrobenchConfig) -> MicrobenchResult {
 /// split-phase engine reaches the same zero-allocation steady state as the blocking
 /// loops (the staged self scratch and every receive scratch are recycled at finish).
 pub fn overlap_gather_steady(cfg: &MicrobenchConfig) -> MicrobenchResult {
-    let cfg2 = cfg.clone();
-    let start = Instant::now();
-    let machine = MachineConfig::new(cfg.ranks).with_backend(cfg.backend);
-    let outcome = run(machine, move |rank| {
-        let me = rank.rank();
-        let (dist, sched, refs) = build_strided_schedule(rank, cfg2.elements);
-        let owned: Vec<f64> = dist.local_globals(me).map(|g| g as f64).collect();
+    run_loop("overlap_gather_steady", cfg, false, |rank, cfg| {
+        let (dist, sched, refs) = build_strided_schedule(rank, cfg.elements);
+        let owned: Vec<f64> = dist.local_globals(rank.rank()).map(|g| g as f64).collect();
         let mut x = DistArray::new(owned, sched.ghost_len());
-        let m = instrumented_loop(rank, &cfg2, |rank| {
+        let m = instrumented_loop(rank, cfg, |rank| {
             let handle = gather_start(rank, &sched, [&x]);
             // The overlapped compute: owned-only work that needs no ghosts.
             rank.charge_compute(refs.len() as f64 * 0.1);
@@ -552,20 +430,10 @@ pub fn overlap_gather_steady(cfg: &MicrobenchConfig) -> MicrobenchResult {
             for &r in &refs {
                 x[r] += 1.0;
             }
-            let s = scatter_add(rank, &sched, &mut x);
-            g.merged(&s)
+            g.merged(&scatter_add(rank, &sched, &mut x))
         });
-        let fp: f64 = x.owned().iter().sum();
-        (m, fp)
-    });
-    collect(
-        "overlap_gather_steady",
-        cfg,
-        8,
-        false,
-        start.elapsed().as_secs_f64() * 1e3,
-        outcome,
-    )
+        (m, x.owned().iter().sum())
+    })
 }
 
 /// Run all five steady-state loops at the given configuration.
@@ -577,70 +445,6 @@ pub fn all_microbenches(cfg: &MicrobenchConfig) -> Vec<MicrobenchResult> {
         scatter_append_steady(cfg),
         remap_steady(cfg),
     ]
-}
-
-/// The element-size sweep harness for the gather/scatter shape: same schedule and access
-/// pattern as [`gather_scatter_steady`], but `gather` + `scatter` (overwrite, no
-/// reduction) so it is generic over any payload element — the sweep instantiates it at
-/// 8, 24 and 64 bytes per element.
-fn gather_scatter_elem_steady<T>(
-    name: &'static str,
-    cfg: &MicrobenchConfig,
-    make: fn(usize) -> T,
-    fp_of: fn(&T) -> f64,
-) -> MicrobenchResult
-where
-    T: mpsim::Element + Default,
-{
-    let cfg2 = cfg.clone();
-    let start = Instant::now();
-    let machine = MachineConfig::new(cfg.ranks).with_backend(cfg.backend);
-    let outcome = run(machine, move |rank| {
-        let me = rank.rank();
-        let (dist, sched, _refs) = build_strided_schedule(rank, cfg2.elements);
-        let owned: Vec<T> = dist.local_globals(me).map(make).collect();
-        let mut x = DistArray::new(owned, sched.ghost_len());
-        let m = instrumented_loop(rank, &cfg2, |rank| {
-            let g = gather(rank, &sched, &mut x);
-            let s = scatter(rank, &sched, &mut x);
-            g.merged(&s)
-        });
-        let fp: f64 = x.owned().iter().map(fp_of).sum();
-        (m, fp)
-    });
-    collect(
-        name,
-        cfg,
-        T::SIZE,
-        false,
-        start.elapsed().as_secs_f64() * 1e3,
-        outcome,
-    )
-}
-
-/// The element-size sweep harness for the append shape: [`scatter_append_core`] with items
-/// rotating between ranks by position, so per-rank counts stay balanced without
-/// inspecting the payload.
-fn scatter_append_elem_steady<T>(
-    name: &'static str,
-    cfg: &MicrobenchConfig,
-    make: fn(u64) -> T,
-    fp_of: fn(&T) -> f64,
-) -> MicrobenchResult
-where
-    T: mpsim::Element,
-{
-    scatter_append_core::<T>(
-        name,
-        cfg,
-        make,
-        |items, step, me, nprocs| {
-            (0..items.len())
-                .map(|i| (i + me + step as usize) % nprocs)
-                .collect()
-        },
-        fp_of,
-    )
 }
 
 /// Machine sizes of the application-shaped rank sweep — the paper's tables sweep
@@ -678,109 +482,28 @@ pub fn rank_sweep(base: &MicrobenchConfig) -> Vec<MicrobenchResult> {
     out
 }
 
-/// Run the gather/scatter and append shapes with 8-, 24- and 64-byte payload elements
-/// (`f64`, `[f64; 3]`, `[f64; 8]` — scalar, coordinate triple, small particle record).
-pub fn element_size_sweep(base: &MicrobenchConfig) -> Vec<MicrobenchResult> {
-    let sum3 = |v: &[f64; 3]| v.iter().sum::<f64>();
-    let sum8 = |v: &[f64; 8]| v.iter().sum::<f64>();
-    vec![
-        gather_scatter_elem_steady::<f64>("gather_scatter_elem_8B", base, |g| g as f64, |&v| v),
-        gather_scatter_elem_steady::<[f64; 3]>(
-            "gather_scatter_elem_24B",
-            base,
-            |g| [g as f64, 1.0, -1.0],
-            sum3,
-        ),
-        gather_scatter_elem_steady::<[f64; 8]>(
-            "gather_scatter_elem_64B",
-            base,
-            |g| [g as f64; 8],
-            sum8,
-        ),
-        scatter_append_elem_steady::<u64>("scatter_append_elem_8B", base, |k| k, |&v| v as f64),
-        scatter_append_elem_steady::<[f64; 3]>(
-            "scatter_append_elem_24B",
-            base,
-            |k| [k as f64, 0.5, -0.5],
-            sum3,
-        ),
-        scatter_append_elem_steady::<[f64; 8]>(
-            "scatter_append_elem_64B",
-            base,
-            |k| [k as f64; 8],
-            sum8,
-        ),
-    ]
-}
-
 /// Machine sizes of the backend comparison: self-delivery only (P = 1), one pair
 /// (P = 2) and the classic configuration (P = 8) — all well under
 /// [`mpsim::shared::MAX_SHARED_RANKS`].
 pub const BACKEND_SWEEP_POINTS: &[usize] = &[1, 2, 8];
 
-/// Run the gather/scatter shape (8-byte and 64-byte elements) on both backends at every
-/// point of [`BACKEND_SWEEP_POINTS`].  Modeled time, wire statistics and fingerprints
-/// must come out identical ([`backend_equivalence_violations`] gates that); only
-/// wall-clock may differ, and each shared row reports the modeled-to-shared wall ratio
-/// ([`MicrobenchResult::modeled_to_shared_wall_x`]) without a gate.  The two backends
-/// ship the same typed buffers and differ only in the mailbox, so the ratio measures the
-/// mpsc channel against the SPSC rings.
-///
-/// Wall-clock on a busy host is noisy, so the sweep hardens the measurement: a larger
-/// problem than the default, a longer measured window, and best-of-two windows per row
-/// (the *minimum* wall time is the standard noise-robust estimator — scheduling
-/// interference only ever inflates a window).  All deterministic fields are identical
-/// across the two windows; keeping the faster row whole keeps `wall_ms` consistent with
-/// the window it came from.
+/// Run the gather/scatter shape on both backends at every point of
+/// [`BACKEND_SWEEP_POINTS`].  Modeled time, wire statistics and fingerprints must come
+/// out identical ([`backend_equivalence_violations`] gates that).  The backends' wall
+/// clocks are compared end to end by the repo benchmark's `finegrain_shared` and
+/// `finegrain_modeled` workloads, not here.
 pub fn backend_sweep(base: &MicrobenchConfig) -> Vec<MicrobenchResult> {
-    fn best_of_two(mut run: impl FnMut() -> MicrobenchResult) -> MicrobenchResult {
-        let a = run();
-        let b = run();
-        if b.wall_ns_per_iter < a.wall_ns_per_iter {
-            b
-        } else {
-            a
-        }
-    }
     let mut out = Vec::new();
     for &ranks in BACKEND_SWEEP_POINTS {
         for backend in [ExchangeBackend::Modeled, ExchangeBackend::SharedMem] {
-            let cfg = MicrobenchConfig {
+            out.push(gather_scatter_steady(&MicrobenchConfig {
                 ranks,
                 backend,
-                measured_iters: base.measured_iters.max(48),
-                elements: base.elements.max(16_384),
                 ..base.clone()
-            };
-            out.push(best_of_two(|| gather_scatter_steady(&cfg)));
-            out.push(best_of_two(|| {
-                gather_scatter_elem_steady::<[f64; 8]>(
-                    "gather_scatter_elem_64B",
-                    &cfg,
-                    |g| [g as f64; 8],
-                    |v| v.iter().sum(),
-                )
             }));
         }
     }
-    attach_wall_ratios(&mut out);
     out
-}
-
-/// Set [`MicrobenchResult::modeled_to_shared_wall_x`] on every shared row that has a
-/// modeled twin (same loop, same machine size).
-fn attach_wall_ratios(rows: &mut [MicrobenchResult]) {
-    let modeled: Vec<(&'static str, usize, f64)> = rows
-        .iter()
-        .filter(|r| r.backend == "modeled")
-        .map(|r| (r.name, r.ranks, r.wall_ns_per_iter))
-        .collect();
-    for r in rows.iter_mut().filter(|r| r.backend == "shared") {
-        r.modeled_to_shared_wall_x = modeled
-            .iter()
-            .find(|&&(name, ranks, _)| name == r.name && ranks == r.ranks)
-            .map(|&(_, _, wall)| round2(wall / r.wall_ns_per_iter));
-    }
 }
 
 /// The `--check` gate over a [`backend_sweep`]: rows describing the same loop at the
@@ -845,19 +568,17 @@ pub fn steady_state_violations(results: &[MicrobenchResult]) -> Vec<String> {
         .collect()
 }
 
-/// Every microbenchmark section of the report, in document order: section name →
-/// result rows.  `exchange_report` renders exactly these sections and the `--check`
-/// gate in `exchange_microbench` iterates the same list, so a loop cannot appear in
-/// the artifact without also being gated (and vice versa) — there is no separate
-/// hard-coded name list to fall out of sync.
-pub fn microbench_sections(cfg: &MicrobenchConfig) -> Vec<(&'static str, Vec<MicrobenchResult>)> {
-    vec![
-        ("benches", all_microbenches(cfg)),
-        ("rank_sweep", rank_sweep(cfg)),
-        ("element_size_sweep", element_size_sweep(cfg)),
-        ("backend_sweep", backend_sweep(cfg)),
-    ]
-}
+/// A section of the report: its name and the harness sweep that fills it.
+pub(crate) type Section = (&'static str, fn(&MicrobenchConfig) -> Vec<MicrobenchResult>);
+
+/// Every microbenchmark section of the report, in document order.  [`ExchangeReport`]
+/// renders exactly these sections and its `--check` gate iterates the same rows, so a
+/// loop cannot appear in the artifact without also being gated (and vice versa).
+pub(crate) const SECTIONS: [Section; 3] = [
+    ("benches", all_microbenches),
+    ("rank_sweep", rank_sweep),
+    ("backend_sweep", backend_sweep),
+];
 
 /// The host's available parallelism (the context every wall-clock figure in the report
 /// must be read against; recorded as `host_cores`).
@@ -865,43 +586,67 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Render the benchmark results as the `BENCH_exchange.json` document
-/// (schema `chaos-bench/exchange/v7`, documented in `BENCHMARKS.md`).  v3 added the
-/// `collective_sweep` section ([`crate::collective`]): per-collective modeled time and
-/// per-rank message counts over machine sizes up to P = 1024.  v4 added the `delta`
-/// section ([`crate::delta::delta_section`]): the schedule-maintenance scenarios, shared
-/// with `BENCH_delta.json`.  v5 adds per-row `backend`, `wall_ns_per_iter` and
-/// `fingerprint` fields, the `backend_sweep` section (modeled vs shared-memory
-/// wall-clock at identical modeled cost) and the top-level `host_cores` field the
-/// wall-clock numbers must be read against.  v6 drops the `preproc` section with the
-/// parallel inspector it measured.  v7 reports the one buffer pool in the `pool` object
-/// (the `decode_*` columns are gone) and adds `modeled_to_shared_wall_x` to the shared
-/// rows of `backend_sweep`.
-pub fn exchange_report(
-    sections: &[(&'static str, Vec<MicrobenchResult>)],
-    collectives: &[crate::collective::CollectiveResult],
-    delta: Json,
-) -> Json {
-    let mut pairs = vec![
-        ("schema", Json::str("chaos-bench/exchange/v7")),
-        (
-            "generated_by",
-            Json::str("cargo run --release -p chaos-bench --bin exchange_microbench -- --json"),
-        ),
-        ("host_cores", Json::uint(host_cores() as u64)),
-    ];
-    for (name, rows) in sections {
-        pairs.push((
-            name,
-            Json::Arr(rows.iter().map(MicrobenchResult::to_json).collect()),
-        ));
+/// The `exchange` artifact (schema `chaos-bench/exchange/v8`, documented in
+/// `BENCHMARKS.md`): every `SECTIONS` row at one configuration plus the collective
+/// scaling sweep of [`crate::collective`].
+pub struct ExchangeReport {
+    sections: Vec<(&'static str, Vec<MicrobenchResult>)>,
+    collectives: Vec<CollectiveResult>,
+}
+
+impl ExchangeReport {
+    /// Run every section at `cfg` and the full collective sweep.
+    pub fn generate(cfg: &MicrobenchConfig) -> Self {
+        ExchangeReport {
+            sections: SECTIONS.iter().map(|&(name, f)| (name, f(cfg))).collect(),
+            collectives: collective_sweep_at(COLLECTIVE_SWEEP_POINTS),
+        }
     }
-    pairs.push((
-        "collective_sweep",
-        Json::Arr(collectives.iter().map(|c| c.to_json()).collect()),
-    ));
-    pairs.push(("delta", delta));
-    Json::obj(pairs)
+}
+
+impl Artifact for ExchangeReport {
+    const NAME: &'static str = "exchange";
+    const VERSION: u32 = 8;
+
+    fn print(&self) {
+        println!(
+            "exchange engine microbenchmarks (host cores: {})",
+            host_cores()
+        );
+        for (name, rows) in &self.sections {
+            println!("{name}:");
+            for r in rows {
+                println!("{}", r.summary_line());
+            }
+        }
+        println!("collective_sweep (log-depth scaling, P = 32-1024):");
+        for r in &self.collectives {
+            println!("{}", r.summary_line());
+        }
+    }
+
+    fn to_json(&self) -> Vec<(&'static str, Json)> {
+        let mut pairs = vec![("host_cores", Json::uint(host_cores() as u64))];
+        for (name, rows) in &self.sections {
+            let rows = rows.iter().map(MicrobenchResult::to_json).collect();
+            pairs.push((name, Json::Arr(rows)));
+        }
+        let collectives = self.collectives.iter().map(CollectiveResult::to_json);
+        pairs.push(("collective_sweep", Json::Arr(collectives.collect())));
+        pairs
+    }
+
+    fn violations(&self) -> Option<Vec<String>> {
+        let mut v = Vec::new();
+        for (name, rows) in &self.sections {
+            v.extend(steady_state_violations(rows));
+            if *name == "backend_sweep" {
+                v.extend(backend_equivalence_violations(rows));
+            }
+        }
+        v.extend(collective_scaling_violations(&self.collectives));
+        Some(v)
+    }
 }
 
 #[cfg(test)]
@@ -976,27 +721,6 @@ mod tests {
     }
 
     #[test]
-    fn element_size_sweep_scales_bytes_with_element_size() {
-        let cfg = tiny();
-        let results = element_size_sweep(&cfg);
-        assert_eq!(results.len(), 6);
-        let by_name = |n: &str| {
-            results
-                .iter()
-                .find(|r| r.name == n)
-                .unwrap_or_else(|| panic!("missing sweep entry {n}"))
-        };
-        let gs8 = by_name("gather_scatter_elem_8B");
-        let gs24 = by_name("gather_scatter_elem_24B");
-        assert_eq!(gs8.elem_bytes, 8);
-        assert_eq!(gs24.elem_bytes, 24);
-        // Same schedule, 3x the element size: exactly 3x the bytes on the wire.
-        assert_eq!(gs24.exchange.bytes_sent, 3 * gs8.exchange.bytes_sent);
-        assert_eq!(gs24.exchange.msgs_sent, gs8.exchange.msgs_sent);
-        assert!(steady_state_violations(&results).is_empty());
-    }
-
-    #[test]
     fn rank_sweep_covers_every_point_and_stays_clean() {
         let cfg = MicrobenchConfig {
             warmup_iters: 2,
@@ -1029,34 +753,40 @@ mod tests {
 
     #[test]
     fn report_document_carries_every_section() {
-        let sections = vec![
-            (
-                "benches",
-                vec![gather_scatter_steady(&tiny()), remap_steady(&tiny())],
-            ),
-            ("rank_sweep", vec![scatter_append_steady(&tiny())]),
-            ("element_size_sweep", vec![]),
-        ];
-        let collectives = crate::collective::collective_sweep_at(&[4]);
-        let delta = Json::obj(vec![("placeholder", Json::Bool(true))]);
-        let doc = exchange_report(&sections, &collectives, delta);
-        let text = doc.render_pretty();
-        assert!(text.contains("\"schema\": \"chaos-bench/exchange/v7\""));
+        let report = ExchangeReport {
+            sections: vec![
+                (
+                    "benches",
+                    vec![gather_scatter_steady(&tiny()), remap_steady(&tiny())],
+                ),
+                ("rank_sweep", vec![scatter_append_steady(&tiny())]),
+                ("backend_sweep", vec![]),
+            ],
+            collectives: crate::collective::collective_sweep_at(&[4]),
+        };
+        let text = crate::report::document(&report).render_pretty();
+        assert!(text.contains("\"schema\": \"chaos-bench/exchange/v8\""));
+        assert!(text.contains("chaos-bench -- exchange --json"));
         assert!(text.contains("\"host_cores\""));
-        assert!(text.contains("\"delta\""));
         assert!(text.contains("\"gather_scatter_steady\""));
         assert!(text.contains("\"remap_steady\""));
         assert!(text.contains("\"rank_sweep\""));
-        assert!(text.contains("\"element_size_sweep\": []"));
+        assert!(text.contains("\"backend_sweep\": []"));
         assert!(text.contains("\"collective_sweep\""));
         assert!(text.contains("\"all_reduce\""));
         assert!(text.contains("\"msgs_per_rank_iter\""));
         assert!(text.contains("\"backend\""));
-        assert!(text.contains("\"wall_ns_per_iter\""));
         assert!(text.contains("\"fingerprint\""));
         assert!(text.contains("\"steady_allocations\": 0"));
-        assert!(!text.contains("decode_allocations"), "v7 has one pool");
         assert!(text.contains("\"receive_owned\": true"));
+        for gone in [
+            "decode_allocations",
+            "\"delta\"",
+            "wall_ns_per_iter",
+            "element_size",
+        ] {
+            assert!(!text.contains(gone), "v8 has no {gone}");
+        }
     }
 
     #[test]
@@ -1106,18 +836,6 @@ mod tests {
             v.iter().any(|m| m.contains("modeled time diverges")),
             "{v:?}"
         );
-        // Wall-clock is reported, not gated: a shared row slower than its modeled twin
-        // is no violation, and it carries the ratio.
-        let mut slow_modeled = a.clone();
-        slow_modeled.wall_ns_per_iter = 900.0;
-        let mut slow_shared = slow_modeled.clone();
-        slow_shared.backend = "shared";
-        slow_shared.wall_ns_per_iter = 1000.0;
-        let mut rows = [slow_modeled, slow_shared];
-        attach_wall_ratios(&mut rows);
-        assert!(backend_equivalence_violations(&rows).is_empty());
-        assert_eq!(rows[0].modeled_to_shared_wall_x, None);
-        assert_eq!(rows[1].modeled_to_shared_wall_x, Some(0.9));
         // A missing counterpart is reported rather than silently unpaired.
         let v = backend_equivalence_violations(std::slice::from_ref(&a));
         assert!(v.iter().any(|m| m.contains("no shared-backend")), "{v:?}");
@@ -1125,28 +843,10 @@ mod tests {
 
     #[test]
     fn microbench_sections_cover_the_backend_sweep() {
-        // `microbench_sections` is what both the artifact and the `--check` gate
-        // iterate: the backend sweep must be one of its sections, or wall-clock
-        // regressions would escape CI.  (Names only — running the full sweep here
-        // would repeat every harness.)
-        let tiny_cfg = tiny();
-        let names: Vec<&str> = microbench_sections(&MicrobenchConfig {
-            measured_iters: 2,
-            warmup_iters: 1,
-            elements: 128,
-            items_per_rank: 32,
-            ..tiny_cfg
-        })
-        .iter()
-        .map(|(n, _)| *n)
-        .collect();
-        for required in [
-            "benches",
-            "rank_sweep",
-            "element_size_sweep",
-            "backend_sweep",
-        ] {
-            assert!(names.contains(&required), "{required} missing");
-        }
+        // `SECTIONS` is what both the artifact and the `--check` gate iterate: the
+        // backend sweep must be one of its sections, or a backend divergence would
+        // escape CI.  Names only — nothing runs.
+        let names: Vec<&str> = SECTIONS.iter().map(|&(name, _)| name).collect();
+        assert_eq!(names, ["benches", "rank_sweep", "backend_sweep"]);
     }
 }

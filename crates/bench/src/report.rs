@@ -1,23 +1,21 @@
-//! Machine-readable benchmark reports.
+//! The one report-and-check shape of the `chaos-bench` binary.
 //!
-//! Every benchmark harness in this crate can emit its results as JSON so that runs are
-//! comparable across commits — the repository's performance trajectory lives in
-//! `BENCH_exchange.json` (engine microbenchmarks) and `BENCH_tables.json` (the paper's
-//! tables), regenerated by `exchange_microbench --json` and `all_tables --json`
-//! respectively.  `BENCHMARKS.md` at the repository root documents the schema and how CI
-//! consumes the artifacts.
+//! Every subcommand produces one [`Artifact`]: [`emit`] prints its human-readable report,
+//! with `--json [PATH]` writes its `BENCH_<name>.json` document (the common header comes
+//! from `document`; `BENCHMARKS.md` at the repository root documents every schema and how
+//! CI consumes the artifacts), and with `--check` exits 1 if any of its invariants is
+//! violated.  [`parse_args`] is the binary's one argument parser.
 //!
 //! The workspace is dependency-free (no `serde` in this environment), so this module
 //! carries a deliberately small hand-rolled JSON document builder: enough to write objects,
 //! arrays, strings, integers and floats with correct escaping, and nothing more.
 
 use std::fmt::Write as _;
+use std::process::ExitCode;
 
 /// A JSON value: the minimal document model the benchmark reports need.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
-    /// `null`.
-    Null,
     /// `true` / `false`.
     Bool(bool),
     /// An integer (covers every counter the harnesses emit).
@@ -65,7 +63,6 @@ impl Json {
 
     fn write(&self, out: &mut String, indent: Option<usize>) {
         match self {
-            Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Int(i) => {
                 let _ = write!(out, "{i}");
@@ -149,32 +146,147 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Write a pretty-printed JSON document to `path`.
-pub fn write_json_file(path: &str, doc: &Json) -> std::io::Result<()> {
-    std::fs::write(path, doc.render_pretty())
+/// A modeled time (µs) as the byte-stable artifacts record it.  Modeled *communication*
+/// time accumulates in message-arrival order, which varies with host thread scheduling —
+/// its last few bits (nanoseconds and below) jitter between runs.  Snapping to whole
+/// microseconds, a grid ~10^6 times the jitter, makes the odds of a value straddling a
+/// grid boundary between two runs negligible.  Compute-derived figures (load-balance
+/// indices) are exactly deterministic and are recorded at full precision instead.
+pub(crate) fn stable_us(x: f64) -> Json {
+    Json::Int(x.round() as i64)
 }
 
-/// Parse the shared `--json [PATH]` command-line convention of the report-emitting
-/// binaries: `Ok(None)` when the flag is absent, `Ok(Some(path))` when present (with
-/// `default_path` filled in if no explicit path follows), `Err(message)` on any other
-/// argument.
-pub fn parse_json_flag(args: &[String], default_path: &str) -> Result<Option<String>, String> {
-    let mut json_path = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                let explicit = args.get(i + 1).filter(|a| !a.starts_with("--")).cloned();
-                if explicit.is_some() {
-                    i += 1;
-                }
-                json_path = Some(explicit.unwrap_or_else(|| default_path.to_string()));
-            }
-            other => return Err(format!("unknown argument: {other}")),
-        }
-        i += 1;
+/// One committed benchmark artifact: what a `chaos-bench` subcommand prints, writes and
+/// gates.
+pub trait Artifact {
+    /// The subcommand's name; the artifact is `BENCH_<NAME>.json`.
+    const NAME: &'static str;
+    /// Schema version: the document's `schema` is `chaos-bench/<NAME>/v<VERSION>`.
+    const VERSION: u32;
+    /// Print the human-readable report.
+    fn print(&self);
+    /// The document's fields after the common header.
+    fn to_json(&self) -> Vec<(&'static str, Json)>;
+    /// The `--check` gate: one message per violated invariant, or `None` while the
+    /// artifact gates nothing.
+    fn violations(&self) -> Option<Vec<String>> {
+        None
     }
-    Ok(json_path)
+}
+
+/// The `chaos-bench` subcommands, one per artifact.
+pub const SUBCOMMANDS: [&str; 5] = [
+    crate::TablesReport::NAME,
+    crate::ExchangeReport::NAME,
+    crate::AdaptReport::NAME,
+    crate::DeltaReport::NAME,
+    crate::CompilerReport::NAME,
+];
+
+/// The artifact's document: the `schema` and `generated_by` header every `BENCH_*.json`
+/// starts with, then [`Artifact::to_json`].
+pub(crate) fn document<A: Artifact>(artifact: &A) -> Json {
+    let (name, version) = (A::NAME, A::VERSION);
+    let schema = Json::str(format!("chaos-bench/{name}/v{version}"));
+    let command = Json::str(format!(
+        "cargo run --release -p chaos-bench -- {name} --json"
+    ));
+    let mut pairs = vec![("schema", schema), ("generated_by", command)];
+    pairs.extend(artifact.to_json());
+    Json::obj(pairs)
+}
+
+/// A parsed `chaos-bench` command line.
+pub struct Command {
+    /// One of [`SUBCOMMANDS`].
+    pub sub: &'static str,
+    /// `--json [PATH]`: where to write the artifact (`BENCH_<sub>.json` by default).
+    pub json: Option<String>,
+    /// `--check`: exit 1 if an invariant is violated.
+    pub check: bool,
+    /// `tables --only N`: generate table N alone.
+    pub only: Option<String>,
+}
+
+/// The table numbers `tables --only` accepts: the ids of
+/// [`crate::tables::table_generators`] without their `table` prefix.
+fn table_numbers() -> Vec<&'static str> {
+    crate::tables::table_generators()
+        .iter()
+        .map(|(id, _)| id.trim_start_matches("table"))
+        .collect()
+}
+
+/// The usage text, naming every subcommand, option and table number.
+pub fn usage() -> String {
+    format!(
+        "usage: chaos-bench <{}> [--json [PATH]] [--check]\n       \
+         chaos-bench tables --only <{}> [--json [PATH]] [--check]",
+        SUBCOMMANDS.join("|"),
+        table_numbers().join("|")
+    )
+}
+
+/// Parse the arguments after the program name.  `Err` names what was wrong; the binary
+/// prints it with [`usage`] and exits 2.
+pub fn parse_args(args: &[String]) -> Result<Command, String> {
+    let (sub, rest) = args.split_first().ok_or("missing subcommand")?;
+    let sub = SUBCOMMANDS
+        .into_iter()
+        .find(|s| s == sub)
+        .ok_or_else(|| format!("unknown subcommand: {sub}"))?;
+    let mut cmd = Command {
+        sub,
+        json: None,
+        check: false,
+        only: None,
+    };
+    let mut rest = rest.iter().peekable();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--json" => {
+                let path = rest.next_if(|a| !a.starts_with("--")).cloned();
+                cmd.json = Some(path.unwrap_or_else(|| format!("BENCH_{sub}.json")));
+            }
+            "--check" => cmd.check = true,
+            "--only" if sub == "tables" => {
+                let n = rest.next().map_or("", String::as_str);
+                if !table_numbers().contains(&n) {
+                    return Err(format!("unknown table: {n:?}"));
+                }
+                cmd.only = Some(n.to_string());
+            }
+            other => return Err(format!("unknown argument for {sub}: {other}")),
+        }
+    }
+    Ok(cmd)
+}
+
+/// Print `artifact`, write its document if `--json` asked for it, and run its gates if
+/// `--check` did.  Fails on a write error or a violated invariant.
+pub fn emit<A: Artifact>(artifact: &A, cmd: &Command) -> ExitCode {
+    artifact.print();
+    if let Some(path) = &cmd.json {
+        if let Err(e) = std::fs::write(path, document(artifact).render_pretty()) {
+            eprintln!("failed to write {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        println!("wrote {path}");
+    }
+    if cmd.check {
+        let Some(violations) = artifact.violations() else {
+            println!("{} has no gated invariant yet: nothing to check", A::NAME);
+            return ExitCode::SUCCESS;
+        };
+        for v in &violations {
+            eprintln!("{} invariant regression: {v}", A::NAME);
+        }
+        if !violations.is_empty() {
+            return ExitCode::FAILURE;
+        }
+        println!("checks passed: every {} invariant holds", A::NAME);
+    }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
@@ -183,7 +295,6 @@ mod tests {
 
     #[test]
     fn scalars_render() {
-        assert_eq!(Json::Null.render(), "null");
         assert_eq!(Json::Bool(true).render(), "true");
         assert_eq!(Json::Int(-7).render(), "-7");
         assert_eq!(Json::Num(1.5).render(), "1.5");
@@ -210,17 +321,24 @@ mod tests {
 
     #[test]
     fn json_flag_parsing() {
-        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_json_flag(&args(&[]), "d.json"), Ok(None));
+        let parse = |list: &[&str]| {
+            let args: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+            parse_args(&args)
+        };
+        let cmd = parse(&["delta"]).unwrap();
+        assert_eq!((cmd.sub, cmd.json, cmd.check), ("delta", None, false));
+        let cmd = parse(&["delta", "--json", "--check"]).unwrap();
+        assert_eq!(cmd.json.as_deref(), Some("BENCH_delta.json"));
+        assert!(cmd.check);
+        let cmd = parse(&["exchange", "--json", "x.json"]).unwrap();
+        assert_eq!(cmd.json.as_deref(), Some("x.json"));
         assert_eq!(
-            parse_json_flag(&args(&["--json"]), "d.json"),
-            Ok(Some("d.json".to_string()))
+            parse(&["tables", "--only", "4"]).unwrap().only.as_deref(),
+            Some("4")
         );
-        assert_eq!(
-            parse_json_flag(&args(&["--json", "x.json"]), "d.json"),
-            Ok(Some("x.json".to_string()))
-        );
-        assert!(parse_json_flag(&args(&["--frobnicate"]), "d.json").is_err());
+        assert!(parse(&["delta", "--only", "4"]).is_err());
+        assert!(parse(&["delta", "--frobnicate"]).is_err());
+        assert!(parse(&[]).is_err());
     }
 
     #[test]

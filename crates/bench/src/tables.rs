@@ -1,16 +1,22 @@
-//! One generator per table of the paper's evaluation section.
+//! One generator per table of the paper's evaluation section, and the `tables`
+//! artifact (`BENCH_tables.json`) that runs them.
+
+use std::time::Instant;
 
 use chaos::prelude::*;
 use charmm::parallel::{ParallelConfig, PartitionerKind, ScheduleMode};
 use charmm::system::{MolecularSystem, SystemConfig};
-use charmm::ParallelCharmm;
+use charmm::{CharmmStepStats, ParallelCharmm};
 use dsmc::{
     seed_particles, CellGrid, DsmcConfig, FlowConfig, MoveMode, RemapStrategy, SequentialDsmc,
 };
 use fortrand::Executor;
-use mpsim::{run, MachineConfig, Rank};
+use mpsim::{run, MachineConfig, Rank, RunOutcome};
 
-use crate::workloads::{charmm_medium, charmm_paper, format_table, secs};
+use crate::report::{Artifact, Json};
+use crate::workloads::{
+    charmm_medium, csr_neighbor_list, format_table, lightweight_append_loop, run_dsmc, secs,
+};
 
 /// Workload scale used by the table generators.
 #[derive(Debug, Clone)]
@@ -75,10 +81,10 @@ impl Scale {
     }
 
     /// A larger scale closer to the paper's parameters (14 026 atoms, 48×48 / 96×96 cells,
-    /// 128 processors).  Expect a run time of tens of minutes.
+    /// 128 processors).  Every table at this scale took 5 m 03 s on a 2-core host.
     pub fn paper_like() -> Self {
         Scale {
-            charmm: charmm_paper(),
+            charmm: SystemConfig::paper_benchmark(),
             charmm_steps: 8,
             charmm_update: 4,
             charmm_procs: vec![1, 16, 32, 64, 128],
@@ -97,16 +103,11 @@ impl Scale {
         }
     }
 
-    /// Choose the scale from the `CHAOS_PAPER_SCALE` environment variable (any non-empty
-    /// value selects [`Scale::paper_like`]).
-    pub fn from_env() -> Self {
-        Self::from_env_named().0
-    }
-
-    /// Like [`Scale::from_env`], but also returns the scale's name (`"quick"` /
-    /// `"paper_like"`) — the value `BENCH_tables.json` records, kept next to the
+    /// Choose the scale from the `CHAOS_PAPER_SCALE` environment variable: any value other
+    /// than empty or `0` selects [`Scale::paper_like`].  Also returns the scale's name
+    /// (`"quick"` / `"paper_like"`), the value the artifacts record, kept next to the
     /// selection logic so the two can never disagree.
-    pub fn from_env_named() -> (Self, &'static str) {
+    pub fn from_env() -> (Self, &'static str) {
         match std::env::var("CHAOS_PAPER_SCALE") {
             Ok(v) if !v.is_empty() && v != "0" => (Scale::paper_like(), "paper_like"),
             _ => (Scale::quick(), "quick"),
@@ -135,6 +136,25 @@ impl TableOutput {
 
 // ===================================================================== Table 1 =========
 
+/// Run the CHARMM driver on `p` ranks over the scale's system, steps and list-update
+/// interval: RCB partitioning, no repartitioning, `schedule_mode` schedules.
+fn run_charmm(scale: &Scale, p: usize, schedule_mode: ScheduleMode) -> RunOutcome<CharmmStepStats> {
+    let sys_cfg = scale.charmm.clone();
+    let config = ParallelConfig {
+        nsteps: scale.charmm_steps,
+        list_update_interval: scale.charmm_update,
+        partitioner: PartitionerKind::Rcb,
+        schedule_mode,
+        repartition_interval: None,
+        adapt_policy: None,
+        monitor_group: None,
+    };
+    run(MachineConfig::new(p), move |rank| {
+        let system = MolecularSystem::build(&sys_cfg);
+        ParallelCharmm::run(rank, &system, &config)
+    })
+}
+
 /// Table 1: performance of parallel CHARMM — execution, computation and communication
 /// time plus the load-balance index over a processor sweep.
 pub fn table1_charmm_scaling(scale: &Scale) -> TableOutput {
@@ -145,20 +165,7 @@ pub fn table1_charmm_scaling(scale: &Scale) -> TableOutput {
     let mut lb = vec!["Load Balance Index".to_string()];
     for &p in &scale.charmm_procs {
         headers.push(format!("{p} procs"));
-        let sys_cfg = scale.charmm.clone();
-        let config = ParallelConfig {
-            nsteps: scale.charmm_steps,
-            list_update_interval: scale.charmm_update,
-            partitioner: PartitionerKind::Rcb,
-            schedule_mode: ScheduleMode::Merged,
-            repartition_interval: None,
-            adapt_policy: None,
-            monitor_group: None,
-        };
-        let out = run(MachineConfig::new(p), move |rank| {
-            let system = MolecularSystem::build(&sys_cfg);
-            ParallelCharmm::run(rank, &system, &config)
-        });
+        let out = run_charmm(scale, p, ScheduleMode::Merged);
         exec.push(secs(out.max_total_us()));
         comp.push(secs(out.avg_compute_us()));
         comm.push(secs(out.avg_comm_us()));
@@ -193,22 +200,9 @@ pub fn table2_charmm_preproc(scale: &Scale) -> TableOutput {
     let mut sched_regen = vec!["Schedule Regeneration (total, s)".to_string()];
     for &p in scale.charmm_procs.iter().filter(|&&p| p > 1) {
         headers.push(format!("{p} procs"));
-        let sys_cfg = scale.charmm.clone();
-        let config = ParallelConfig {
-            nsteps: scale.charmm_steps,
-            list_update_interval: scale.charmm_update,
-            partitioner: PartitionerKind::Rcb,
-            schedule_mode: ScheduleMode::Merged,
-            repartition_interval: None,
-            adapt_policy: None,
-            monitor_group: None,
-        };
-        let out = run(MachineConfig::new(p), move |rank| {
-            let system = MolecularSystem::build(&sys_cfg);
-            ParallelCharmm::run(rank, &system, &config).phases
-        });
+        let out = run_charmm(scale, p, ScheduleMode::Merged);
         let max = |f: &dyn Fn(&charmm::CharmmPhaseTimes) -> f64| -> f64 {
-            out.results.iter().map(f).fold(0.0, f64::max)
+            out.results.iter().map(|s| f(&s.phases)).fold(0.0, f64::max)
         };
         partition.push(secs(max(&|ph| ph.data_partition.total_us())));
         list_update.push(secs(max(&|ph| ph.list_update.total_us())));
@@ -246,20 +240,7 @@ pub fn table3_schedule_merging(scale: &Scale) -> TableOutput {
     for &p in scale.charmm_procs.iter().filter(|&&p| p > 1) {
         let mut row = vec![p.to_string()];
         for mode in [ScheduleMode::Merged, ScheduleMode::Multiple] {
-            let sys_cfg = scale.charmm.clone();
-            let config = ParallelConfig {
-                nsteps: scale.charmm_steps,
-                list_update_interval: scale.charmm_update,
-                partitioner: PartitionerKind::Rcb,
-                schedule_mode: mode,
-                repartition_interval: None,
-                adapt_policy: None,
-                monitor_group: None,
-            };
-            let out = run(MachineConfig::new(p), move |rank| {
-                let system = MolecularSystem::build(&sys_cfg);
-                ParallelCharmm::run(rank, &system, &config)
-            });
+            let out = run_charmm(scale, p, mode);
             row.push(secs(out.avg_comm_us()));
             row.push(secs(out.max_total_us()));
         }
@@ -308,10 +289,7 @@ pub fn table4_lightweight(scale: &Scale) -> TableOutput {
                     monitor_group: None,
                     seed: 7,
                 };
-                let out = run(MachineConfig::new(p), move |rank| {
-                    let particles = seed_particles(&grid, nparticles, &flow);
-                    dsmc::parallel::run_parallel(rank, &grid, &particles, &config)
-                });
+                let out = run_dsmc(p, grid, flow, nparticles, config);
                 row.push(secs(out.max_total_us()));
             }
             rows.push(row);
@@ -374,10 +352,7 @@ pub fn table5_remapping(scale: &Scale) -> TableOutput {
                 monitor_group: None,
                 seed: 11,
             };
-            let out = run(MachineConfig::new(p), move |rank| {
-                let particles = seed_particles(&grid, nparticles, &flow);
-                dsmc::parallel::run_parallel(rank, &grid, &particles, &config)
-            });
+            let out = run_dsmc(p, grid, flow, nparticles, config);
             row.push(secs(out.max_total_us()));
         }
         row.push(if strategy == RemapStrategy::Static {
@@ -432,20 +407,23 @@ pub struct Fig10Times {
     pub executor: f64,
 }
 
-impl Fig10Times {
-    fn total(&self) -> f64 {
-        self.partition + self.remap + self.inspector + self.executor
+/// Table 6's partitioner call for redistribution `round`: RCB on even rounds, RIB on odd
+/// ones, each atom in `globals` (at `coords`) weighted by 1 + its neighbour count.
+fn partition_round(
+    rank: &mut Rank,
+    round: usize,
+    globals: &[usize],
+    coords: &[[f64; 3]],
+    inblo: &[i64],
+) -> Vec<usize> {
+    let weight = |&g: &usize| 1.0 + (inblo[g + 1] - inblo[g]) as f64;
+    let weights: Vec<f64> = globals.iter().map(weight).collect();
+    let (input, nprocs) = (PartitionInput::new(coords, &weights), rank.nprocs());
+    if round.is_multiple_of(2) {
+        rcb_partition(rank, input, nprocs)
+    } else {
+        rib_partition(rank, input, nprocs)
     }
-}
-
-/// Build the CHARMM-like system and its CSR non-bonded list used by the Table 6 template.
-fn figure10_workload(cfg: &SystemConfig) -> (MolecularSystem, Vec<i64>, Vec<i64>) {
-    let system = MolecularSystem::build(cfg);
-    let list =
-        charmm::nonbonded::build_neighbor_list(&system.positions, system.box_size, system.cutoff);
-    let inblo: Vec<i64> = list.offsets.iter().map(|&o| o as i64 + 1).collect();
-    let jnb: Vec<i64> = list.partners.iter().map(|&p| p as i64 + 1).collect();
-    (system, inblo, jnb)
 }
 
 /// The hand-coded CHAOS version of the Figure 10 template: partition atoms, remap the four
@@ -479,20 +457,9 @@ fn figure10_hand(
         // Periodic repartition + remap (RCB/RIB alternating), as in the paper's Table 6.
         if iter % repartition_every == 0 {
             let t0 = rank.modeled();
-            let coords: Vec<[f64; 3]> = owned_globals
-                .iter()
-                .enumerate()
-                .map(|(l, _)| [x[l], y[l], 0.0])
-                .collect();
-            let weights: Vec<f64> = owned_globals
-                .iter()
-                .map(|&g| 1.0 + (inblo[g + 1] - inblo[g]) as f64)
-                .collect();
-            let parts = if (iter / repartition_every).is_multiple_of(2) {
-                rcb_partition(rank, PartitionInput::new(&coords, &weights), nprocs)
-            } else {
-                rib_partition(rank, PartitionInput::new(&coords, &weights), nprocs)
-            };
+            let coords: Vec<[f64; 3]> = x.iter().zip(&y).map(|(&x, &y)| [x, y, 0.0]).collect();
+            let round = iter / repartition_every;
+            let parts = partition_round(rank, round, &owned_globals, &coords, inblo);
             times.partition += rank.modeled().since(&t0).total_us();
 
             let t0 = rank.modeled();
@@ -590,23 +557,15 @@ fn figure10_compiled(
     exec.set_integer_array("INBLO", inblo);
     exec.set_integer_array("JNB", jnb);
     exec.set_integer_array("MAP", &vec![0i64; natoms]);
-    exec.set_real_array(
-        "X",
-        &system.positions.iter().map(|p| p[0]).collect::<Vec<_>>(),
-    );
-    exec.set_real_array(
-        "Y",
-        &system.positions.iter().map(|p| p[1]).collect::<Vec<_>>(),
-    );
+    let coord = |k: usize| -> Vec<f64> { system.positions.iter().map(|p| p[k]).collect() };
+    exec.set_real_array("X", &coord(0));
+    exec.set_real_array("Y", &coord(1));
     exec.set_real_array("DX", &vec![0.0; natoms]);
     exec.set_real_array("DY", &vec![0.0; natoms]);
     // steps: [Distribute(BLOCK), Distribute(map), BuildSchedule, FusedLoop]
     exec.run_step(rank, 0);
 
     let mut partition_us = 0.0;
-    let weights: Vec<f64> = (0..natoms)
-        .map(|g| 1.0 + (inblo[g + 1] - inblo[g]) as f64)
-        .collect();
     for iter in 0..iters {
         if iter % repartition_every == 0 {
             // Host-side extrinsic partitioner call (Figure 10's statement S1), then the
@@ -618,12 +577,8 @@ fn figure10_compiled(
                 .iter()
                 .map(|&g| [system.positions[g][0], system.positions[g][1], 0.0])
                 .collect();
-            let w: Vec<f64> = my_block.iter().map(|&g| weights[g]).collect();
-            let parts = if (iter / repartition_every).is_multiple_of(2) {
-                rcb_partition(rank, PartitionInput::new(&coords, &w), nprocs)
-            } else {
-                rib_partition(rank, PartitionInput::new(&coords, &w), nprocs)
-            };
+            let round = iter / repartition_every;
+            let parts = partition_round(rank, round, &my_block, &coords, inblo);
             // Assemble the replicated map array from every rank's fragment.
             let packed: Vec<(u64, u64)> = my_block
                 .iter()
@@ -672,7 +627,8 @@ pub fn table6_compiler_charmm(scale: &Scale) -> TableOutput {
         for hand in [true, false] {
             let cfg = scale.charmm.clone();
             let out = run(MachineConfig::new(p), move |rank| {
-                let (system, inblo, jnb) = figure10_workload(&cfg);
+                let system = MolecularSystem::build(&cfg);
+                let (inblo, jnb) = csr_neighbor_list(&system);
                 if hand {
                     figure10_hand(rank, &system, &inblo, &jnb, iters, repartition_every)
                 } else {
@@ -691,7 +647,7 @@ pub fn table6_compiler_charmm(scale: &Scale) -> TableOutput {
                 secs(max(&|t| t.remap)),
                 secs(max(&|t| t.inspector)),
                 secs(max(&|t| t.executor)),
-                secs(max(&|t| t.total())),
+                secs(max(&|t| t.partition + t.remap + t.inspector + t.executor)),
             ]);
         }
     }
@@ -740,7 +696,7 @@ fn template_cells_at_step(nparticles: usize, ncells: usize, step: usize) -> Vec<
         .collect()
 }
 
-/// Results of one Table 7 variant (modeled seconds).
+/// Results of one Table 7 variant (modeled µs).
 #[derive(Debug, Clone, Default)]
 pub struct Fig11Times {
     pub reduce_append: f64,
@@ -780,48 +736,6 @@ fn figure11_compiled(rank: &mut Rank, np: usize, nc: usize, steps: usize) -> Fig
     }
 }
 
-/// Manually parallelised version of the same template: light-weight schedule +
-/// `scatter_append` per step; the schedule's receive counts already give the new cell
-/// sizes, so no extra loop or communication is needed.
-fn figure11_manual(rank: &mut Rank, np: usize, nc: usize, steps: usize) -> Fig11Times {
-    let nprocs = rank.nprocs();
-    let me = rank.rank();
-    let part_dist = BlockDist::new(np, nprocs);
-    let cell_dist = BlockDist::new(nc, nprocs);
-    let my_parts: Vec<usize> = part_dist.local_globals(me).collect();
-    let vel: Vec<f64> = my_parts.iter().map(|&i| i as f64 * 0.5).collect();
-    let start = rank.modeled();
-    let mut append_us = 0.0;
-    let mut _local_sizes: Vec<usize> = vec![0; cell_dist.local_size(me)];
-    for step in 0..steps {
-        let icell = template_cells_at_step(np, nc, step);
-        let t0 = rank.modeled();
-        let dests: Vec<usize> = my_parts
-            .iter()
-            .map(|&i| cell_dist.owner((icell[i] - 1) as usize))
-            .collect();
-        let payload: Vec<(u64, f64)> = my_parts
-            .iter()
-            .zip(&vel)
-            .map(|(&i, &v)| ((icell[i] - 1) as u64, v))
-            .collect();
-        let sched = LightweightSchedule::build(rank, &dests);
-        let arrivals = scatter_append(rank, &sched, &payload);
-        // The data-migration primitive returns the arriving elements, so the new sizes
-        // come for free.
-        _local_sizes = vec![0; cell_dist.local_size(me)];
-        for (cell, _v) in &arrivals {
-            _local_sizes[cell_dist.local_offset(*cell as usize)] += 1;
-        }
-        rank.charge_compute(arrivals.len() as f64 * 0.3);
-        append_us += rank.modeled().since(&t0).total_us();
-    }
-    Fig11Times {
-        reduce_append: append_us,
-        total: rank.modeled().since(&start).total_us(),
-    }
-}
-
 /// Table 7: compiler-generated versus manually parallelised DSMC movement template.
 pub fn table7_compiler_dsmc(scale: &Scale) -> TableOutput {
     let headers = ["Version / Procs", "Reduce append (s)", "Total (s)"]
@@ -837,15 +751,20 @@ pub fn table7_compiler_dsmc(scale: &Scale) -> TableOutput {
                 if compiled {
                     figure11_compiled(rank, np, nc, steps)
                 } else {
-                    figure11_manual(rank, np, nc, steps)
+                    // The manually parallelised template: the append's arrivals already
+                    // give the new cell sizes, so no extra loop or communication.
+                    let cells = |step, icell: &mut Vec<i64>| {
+                        *icell = template_cells_at_step(np, nc, step);
+                    };
+                    let total = lightweight_append_loop(rank, np, nc, steps, cells).0;
+                    Fig11Times {
+                        reduce_append: total,
+                        total,
+                    }
                 }
             });
-            let append = out
-                .results
-                .iter()
-                .map(|t| t.reduce_append)
-                .fold(0.0, f64::max);
-            let total = out.results.iter().map(|t| t.total).fold(0.0, f64::max);
+            let max = |f: fn(&Fig11Times) -> f64| out.results.iter().map(f).fold(0.0, f64::max);
+            let (append, total) = (max(|t| t.reduce_append), max(|t| t.total));
             rows.push(vec![
                 format!(
                     "{} ({p} procs)",
@@ -873,8 +792,8 @@ pub fn table7_compiler_dsmc(scale: &Scale) -> TableOutput {
 pub type TableGenerator = fn(&Scale) -> TableOutput;
 
 /// The registry of every table of the paper's evaluation, as `(id, generator)` pairs in
-/// paper order.  The `all_tables` binary and [`all_tables`] both iterate this list, so a
-/// new table added here appears in the printed output and in `BENCH_tables.json` alike.
+/// paper order.  [`TablesReport`] and `tables --only` both read this list, so a new table
+/// added here appears in the printed output and in `BENCH_tables.json` alike.
 pub fn table_generators() -> Vec<(&'static str, TableGenerator)> {
     vec![
         ("table1", table1_charmm_scaling as TableGenerator),
@@ -887,12 +806,61 @@ pub fn table_generators() -> Vec<(&'static str, TableGenerator)> {
     ]
 }
 
-/// Generate every table at the given scale.
-pub fn all_tables(scale: &Scale) -> Vec<TableOutput> {
-    table_generators()
-        .into_iter()
-        .map(|(_, generate)| generate(scale))
-        .collect()
+/// The `tables` artifact: the generated tables, each with its id and host wall-clock (ms).
+pub struct TablesReport {
+    scale: &'static str,
+    tables: Vec<(&'static str, TableOutput, f64)>,
+}
+
+impl TablesReport {
+    /// Generate every table of [`table_generators`], or only `table{only}`, at the
+    /// [`Scale::from_env`] scale.
+    pub fn generate(only: Option<&str>) -> Self {
+        let (scale, name) = Scale::from_env();
+        let mut tables = Vec::new();
+        for (id, generate) in table_generators() {
+            if only.is_none_or(|n| id.strip_prefix("table") == Some(n)) {
+                let start = Instant::now();
+                let table = generate(&scale);
+                tables.push((id, table, start.elapsed().as_secs_f64() * 1e3));
+            }
+        }
+        TablesReport {
+            scale: name,
+            tables,
+        }
+    }
+}
+
+impl Artifact for TablesReport {
+    const NAME: &'static str = "tables";
+    const VERSION: u32 = 1;
+
+    fn print(&self) {
+        for (_, table, _) in &self.tables {
+            println!("{}\n", table.render());
+        }
+    }
+
+    fn to_json(&self) -> Vec<(&'static str, Json)> {
+        let strings = |cells: &[String]| Json::Arr(cells.iter().map(Json::str).collect());
+        let entry = |(id, table, wall_ms): &(&str, TableOutput, f64)| {
+            Json::obj(vec![
+                ("id", Json::str(*id)),
+                ("title", Json::str(table.title.clone())),
+                ("wall_ms", Json::Num((wall_ms * 100.0).round() / 100.0)),
+                ("headers", strings(&table.headers)),
+                (
+                    "rows",
+                    Json::Arr(table.rows.iter().map(|r| strings(r)).collect()),
+                ),
+            ])
+        };
+        vec![
+            ("scale", Json::str(self.scale)),
+            ("tables", Json::Arr(self.tables.iter().map(entry).collect())),
+        ]
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,10 @@
-//! Shared workload construction and table formatting for the benchmark harnesses.
+//! Shared workload construction, hand-coded loops and table formatting for the benchmark
+//! harnesses.
 
-use charmm::system::SystemConfig;
+use chaos::prelude::*;
+use charmm::system::{MolecularSystem, SystemConfig};
+use dsmc::{seed_particles, CellGrid, DsmcConfig, DsmcStats, FlowConfig};
+use mpsim::{run, ExchangeStats, MachineConfig, Rank, RunOutcome};
 
 /// A CHARMM-like system scaled down from the paper's 14 026-atom benchmark but with the
 /// same structure (dense bonded cluster + solvent); used by the quick table runs.
@@ -14,13 +18,74 @@ pub fn charmm_medium() -> SystemConfig {
     }
 }
 
-/// The paper's full-size CHARMM benchmark (MbCO + 3 830 waters, 14 026 atoms).
-pub fn charmm_paper() -> SystemConfig {
-    SystemConfig::paper_benchmark()
+/// Run the parallel DSMC driver on `ranks` ranks: `nparticles` molecules of `flow` on
+/// `grid`, every rank seeding the same replicated initial state.
+pub(crate) fn run_dsmc(
+    ranks: usize,
+    grid: CellGrid,
+    flow: FlowConfig,
+    nparticles: usize,
+    config: DsmcConfig,
+) -> RunOutcome<DsmcStats> {
+    run(MachineConfig::new(ranks), move |rank| {
+        let particles = seed_particles(&grid, nparticles, &flow);
+        dsmc::parallel::run_parallel(rank, &grid, &particles, &config)
+    })
+}
+
+/// The system's global non-bonded list in the 1-based CSR form the Fortran-D templates
+/// read: `(inblo, jnb)`.
+pub(crate) fn csr_neighbor_list(system: &MolecularSystem) -> (Vec<i64>, Vec<i64>) {
+    let list =
+        charmm::nonbonded::build_neighbor_list(&system.positions, system.box_size, system.cutoff);
+    let inblo = list.offsets.iter().map(|&o| o as i64 + 1).collect();
+    let jnb = list.partners.iter().map(|&p| p as i64 + 1).collect();
+    (inblo, jnb)
+}
+
+/// The hand-coded light-weight append loop of Figure 11: `np` block-distributed particles
+/// move to the owners of their cells (`nc` block-distributed cells) through a fresh
+/// [`LightweightSchedule`] and `scatter_append` per step.  `cells(step, icell)` sets the
+/// replicated 1-based cell of every particle before each step.  Returns the loop's modeled
+/// time (µs) and the append's executor traffic.
+pub(crate) fn lightweight_append_loop(
+    rank: &mut Rank,
+    np: usize,
+    nc: usize,
+    steps: usize,
+    mut cells: impl FnMut(usize, &mut Vec<i64>),
+) -> (f64, ExchangeStats) {
+    let me = rank.rank();
+    let part_dist = BlockDist::new(np, rank.nprocs());
+    let cell_dist = BlockDist::new(nc, rank.nprocs());
+    let my_parts: Vec<usize> = part_dist.local_globals(me).collect();
+    let vel: Vec<f64> = my_parts.iter().map(|&i| i as f64 * 0.5).collect();
+    let mut icell = Vec::new();
+    let mut exchange = ExchangeStats::default();
+    let start = rank.modeled();
+    for step in 0..steps {
+        cells(step, &mut icell);
+        let cell_of = |i: usize| (icell[i] - 1) as usize;
+        let dests: Vec<usize> = my_parts
+            .iter()
+            .map(|&i| cell_dist.owner(cell_of(i)))
+            .collect();
+        let payload: Vec<(u64, f64)> = my_parts
+            .iter()
+            .zip(&vel)
+            .map(|(&i, &v)| (cell_of(i) as u64, v))
+            .collect();
+        let sched = LightweightSchedule::build(rank, &dests);
+        let arrivals = scatter_append(rank, &sched, &payload);
+        exchange = exchange.merged(&sched.exchange_stats::<(u64, f64)>());
+        rank.charge_compute(arrivals.len() as f64 * 0.3);
+    }
+    (rank.modeled().since(&start).total_us(), exchange)
 }
 
 /// Format a table: a title, column headers and rows of strings, padded for alignment.
-pub fn format_table(title: &str, headers: &[String], rows: &[Vec<String>]) -> String {
+pub fn format_table(title: &str, headers: &[impl AsRef<str>], rows: &[Vec<String>]) -> String {
+    let headers: Vec<String> = headers.iter().map(|h| h.as_ref().to_string()).collect();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -49,7 +114,7 @@ pub fn format_table(title: &str, headers: &[String], rows: &[Vec<String>]) -> St
             .collect::<Vec<_>>()
             .join(" ")
     };
-    out.push_str(&fmt_row(headers, &widths));
+    out.push_str(&fmt_row(&headers, &widths));
     out.push('\n');
     out.push_str(&"-".repeat(sep_len.max(title.len())));
     out.push('\n');
@@ -93,6 +158,7 @@ mod tests {
 
     #[test]
     fn medium_system_is_smaller_than_paper() {
-        assert!(charmm_medium().total_atoms() < charmm_paper().total_atoms());
+        let paper = SystemConfig::paper_benchmark();
+        assert!(charmm_medium().total_atoms() < paper.total_atoms());
     }
 }

@@ -6,8 +6,8 @@
 //! received buffer goes back to it, so nothing fresh is allocated.  The one sanctioned
 //! exception is `scatter_append`, whose placement takes ownership of its payloads
 //! (`Placed::into_vec`) — its pool allocations are the application's data, not engine
-//! overhead.  The counters come from `mpsim::Rank::pool_stats` (which reports the pool
-//! in its `decode_*` fields) via the `exchange_microbench` harnesses.
+//! overhead.  The counters come from `mpsim::Rank::pool_stats` (the one typed pool counts
+//! into its `decode_*` fields) via the `chaos-bench exchange` harnesses.
 
 use chaos_bench::microbench::{
     gather_scatter_steady, remap_steady, scatter_append_steady, steady_state_violations,
@@ -27,9 +27,11 @@ fn cfg() -> MicrobenchConfig {
 
 #[test]
 fn gather_scatter_steady_state_allocates_no_pack_buffers() {
+    // Both directions of the 8-rank loop: every send packs into a pooled buffer, every
+    // receive places through a borrowed view and returns its buffer to the pool.
     let r = gather_scatter_steady(&cfg());
     assert!(
-        r.exchange.msgs_sent > 0,
+        r.exchange.msgs_sent > 0 && r.exchange.msgs_received > 0,
         "the loop must actually communicate"
     );
     assert_eq!(
@@ -40,24 +42,6 @@ fn gather_scatter_steady_state_allocates_no_pack_buffers() {
     assert!(
         r.pool_steady.decode_reuses > 0,
         "steady-state loop should be served from the pool"
-    );
-}
-
-#[test]
-fn gather_scatter_steady_state_allocates_no_decode_scratch_either() {
-    // The receive side of the acceptance condition: the 8-rank gather/scatter loop
-    // places every incoming payload through a borrowed view, so every received buffer
-    // returns to the pool and the pool satisfies every request after warm-up.
-    let r = gather_scatter_steady(&cfg());
-    assert!(r.exchange.msgs_received > 0);
-    assert_eq!(
-        r.pool_steady.decode_allocations, 0,
-        "steady-state gather/scatter drew a fresh buffer: {:?}",
-        r.pool_steady
-    );
-    assert!(
-        r.pool_steady.decode_reuses > 0,
-        "steady-state receives should return their buffers to the pool"
     );
     assert!(steady_state_violations(std::slice::from_ref(&r)).is_empty());
 }

@@ -19,7 +19,7 @@
 //! counts.  It is built with a single all-to-all of counts and drives
 //! [`crate::executor::scatter_append`].
 
-use mpsim::{ExchangePlan, Rank};
+use mpsim::{Element, ExchangePlan, ExchangeStats, Rank};
 
 use crate::ProcId;
 
@@ -359,6 +359,26 @@ impl LightweightSchedule {
     /// The number of items this processor will hold after the append (kept + received).
     pub fn result_count(&self) -> usize {
         self.kept_count() + self.total_recv()
+    }
+
+    /// What [`crate::executor::scatter_append`] of `T` items puts on the wire for this
+    /// schedule: one message per non-empty cross-rank list, `T::SIZE` bytes per item.
+    pub fn exchange_stats<T: Element>(&self) -> ExchangeStats {
+        let item_bytes = T::SIZE as u64;
+        let mut stats = ExchangeStats::default();
+        for (p, list) in self.send_item_lists.iter().enumerate() {
+            if p != self.my_rank && !list.is_empty() {
+                stats.msgs_sent += 1;
+                stats.bytes_sent += list.len() as u64 * item_bytes;
+            }
+        }
+        for (p, &cnt) in self.recv_counts.iter().enumerate() {
+            if p != self.my_rank && cnt > 0 {
+                stats.msgs_received += 1;
+                stats.bytes_received += cnt as u64 * item_bytes;
+            }
+        }
+        stats
     }
 }
 

@@ -729,7 +729,8 @@ impl<'p> Executor<'p> {
 
         // ---- executor: move and append ---------------------------------------------------
         let t0 = rank.modeled();
-        let stats = lightweight_stats(&sched, self.my_rank);
+        // The payload items are `(bucket, value)` pairs.
+        let stats = sched.exchange_stats::<(u64, f64)>();
         self.exchange = self.exchange.merged(&stats);
         let local = Localized {
             iterations,
@@ -915,26 +916,6 @@ impl<'p> Executor<'p> {
         self.phases.executor += rank.modeled().since(&t0);
         self.groups[group_id] = Some(rt);
     }
-}
-
-/// Message/byte accounting of a light-weight append exchange, derived from its
-/// schedule (the payload items are `(bucket, value)` pairs).
-fn lightweight_stats(sched: &LightweightSchedule, my_rank: usize) -> ExchangeStats {
-    let item_bytes = std::mem::size_of::<(u64, f64)>() as u64;
-    let mut stats = ExchangeStats::default();
-    for (p, list) in sched.send_item_lists.iter().enumerate() {
-        if p != my_rank && !list.is_empty() {
-            stats.msgs_sent += 1;
-            stats.bytes_sent += list.len() as u64 * item_bytes;
-        }
-    }
-    for (p, &cnt) in sched.recv_counts.iter().enumerate() {
-        if p != my_rank && cnt > 0 {
-            stats.msgs_received += 1;
-            stats.bytes_received += cnt as u64 * item_bytes;
-        }
-    }
-    stats
 }
 
 // ------------------------------------------------------------------ the register machine --

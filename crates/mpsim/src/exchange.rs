@@ -51,7 +51,7 @@
 //!
 //! A steady-state exchange loop therefore reaches a fixed point after one warm-up
 //! iteration: each iteration's receives replenish exactly the buffers its sends draw,
-//! and the pool's allocation counter stops moving.  The `exchange_microbench` harness in
+//! and the pool's allocation counter stops moving.  The `chaos-bench exchange` harness in
 //! `crates/bench` reports the counters and the pool smoke tests assert the
 //! zero-allocation steady state.  Modeled time, stats and results are identical across
 //! backends; only host wall-clock differs.

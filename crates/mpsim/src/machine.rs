@@ -220,7 +220,7 @@ impl Rank {
     /// fresh versus served from a free list.  The allocation counter not growing across a
     /// window is the machine-checkable statement "this loop's communication allocates
     /// nothing fresh" (asserted by the pool smoke tests and reported by
-    /// `exchange_microbench`).  See [`PackPoolStats`] for which fields count.
+    /// `chaos-bench exchange`).  See [`PackPoolStats`] for which fields count.
     pub fn pool_stats(&self) -> PackPoolStats {
         self.pool_stats
     }

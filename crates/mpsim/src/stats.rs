@@ -73,7 +73,7 @@ impl RankStats {
 /// exchange loop (the executor's gather/scatter, the DSMC append) each iteration receives
 /// as many buffers as it sends, so after a warm-up iteration the pool satisfies every
 /// request and the allocation counter stops growing — the property the
-/// `exchange_microbench` harness and the pool smoke tests pin down.
+/// `chaos-bench exchange` harness and the pool smoke tests pin down.
 ///
 /// The pool counts into `decode_allocations` / `decode_reuses`.  `allocations` and
 /// `reuses` (and [`PackPoolStats::requests`]) belonged to a second, byte-buffer pool that

@@ -92,7 +92,8 @@ fn gather_message_counts_match_the_schedule_on_8_ranks() {
 }
 
 /// The sparse pattern above must not regress into dense all-to-all traffic: ranks that
-/// share no data exchange no messages.
+/// share no data exchange no messages.  Elements three times as wide put three times the
+/// bytes on the wire in the same messages.
 #[test]
 fn silent_processor_pairs_stay_silent() {
     let nprocs = 8;
@@ -109,12 +110,21 @@ fn silent_processor_pairs_stay_silent() {
             insp.hash_indices(rank, &pattern, Stamp::new(0));
             let sched = insp.build_schedule(rank, StampQuery::single(Stamp::new(0)));
             let owned: Vec<f64> = dist.local_globals(rank.rank()).map(|g| g as f64).collect();
+            let wide: Vec<[f64; 3]> = owned.iter().map(|&v| [v, 1.0, -1.0]).collect();
             let mut x = DistArray::new(owned, sched.ghost_len());
-
-            gather(rank, &sched, &mut x)
+            let mut x3 = DistArray::new(wide, sched.ghost_len());
+            (gather(rank, &sched, &mut x), gather(rank, &sched, &mut x3))
         },
     );
-    for (p, stats) in out.results.iter().enumerate() {
+    for (p, (stats, wide)) in out.results.iter().enumerate() {
+        assert_eq!(wide.msgs_sent, stats.msgs_sent, "rank {p}");
+        assert_eq!(wide.msgs_received, stats.msgs_received, "rank {p}");
+        assert_eq!(
+            wide.bytes_sent,
+            3 * stats.bytes_sent,
+            "rank {p}: [f64; 3] is 24 B"
+        );
+        assert_eq!(wide.bytes_received, 3 * stats.bytes_received, "rank {p}");
         assert_eq!(
             *stats,
             ExchangeStats {
@@ -129,7 +139,8 @@ fn silent_processor_pairs_stay_silent() {
 }
 
 /// scatter_append through the engine moves exactly one message per non-empty
-/// (source, destination) pair, matching the light-weight schedule's own counts.
+/// (source, destination) pair, matching the light-weight schedule's own counts and
+/// its predicted wire traffic.
 #[test]
 fn scatter_append_message_counts_match_the_lightweight_schedule() {
     let nprocs = 8;
@@ -150,16 +161,30 @@ fn scatter_append_message_counts_match_the_lightweight_schedule() {
             let before = rank.stats();
             let moved = scatter_append(rank, &sched, &items);
             let after = rank.stats();
+            let wire = ExchangeStats {
+                msgs_sent: after.msgs_sent - before.msgs_sent,
+                msgs_received: after.msgs_received - before.msgs_received,
+                bytes_sent: after.bytes_sent - before.bytes_sent,
+                bytes_received: after.bytes_received - before.bytes_received,
+            };
             (
-                after.msgs_sent - before.msgs_sent,
+                wire,
+                sched.exchange_stats::<u64>(),
                 moved.len(),
                 sched.result_count(),
                 sched.kept_count(),
             )
         },
     );
-    for (p, (msgs, got, expected, kept)) in out.results.iter().enumerate() {
-        assert_eq!(*msgs, 2, "rank {p}: one message per non-empty destination");
+    for (p, (wire, predicted, got, expected, kept)) in out.results.iter().enumerate() {
+        assert_eq!(
+            wire.msgs_sent, 2,
+            "rank {p}: one message per non-empty destination"
+        );
+        assert_eq!(
+            wire, predicted,
+            "rank {p}: exchange_stats must match the wire"
+        );
         assert_eq!(got, expected, "rank {p}");
         assert_eq!(*kept, 6, "rank {p}: kept items never touch the network");
     }
