@@ -1,17 +1,19 @@
 //! Incremental schedule-maintenance benchmarks (`BENCH_delta.json`).
 //!
-//! Three scenarios quantify the delta subsystem (`chaos::maintained` + `chaos::cache`):
+//! Three scenarios quantify the delta subsystem (`chaos::maintained` behind
+//! `chaos::cache`):
 //!
 //! * **schedule drift** — a seeded indirection array drifts a few percent per round on a
-//!   simulated machine; one maintained schedule is patched forward while a control
-//!   schedule is rebuilt from an identical hash table every round.  The artifact records
-//!   both upkeep costs per round, pins the results byte-identical, and `--check` gates
-//!   the steady-state patch cost under 50% of the rebuild cost;
+//!   simulated machine; a one-entry [`chaos::cache::ScheduleCache`] patches its schedule
+//!   forward while a control schedule is rebuilt from an identical hash table every
+//!   round.  The artifact records both upkeep costs per round, pins the results
+//!   byte-identical, and `--check` gates the steady-state patch cost under 50% of the
+//!   rebuild cost;
 //! * **drifting DSMC** — the full application comparison: `MoveMode::Patched` with
 //!   upkeep-by-patching vs upkeep-by-rebuilding on the drifting-density flow (remaps
-//!   included, so full-replacement patches are exercised).  Fingerprints and data-path
-//!   wire totals must be identical — the schedule bytes, not the upkeep route, drive the
-//!   data path;
+//!   included, so the cache's rebuild after `clear_all` is exercised).  Fingerprints and
+//!   data-path wire totals must be identical — the schedule bytes, not the upkeep route,
+//!   drive the data path;
 //! * **cache lifecycle** — a [`chaos::cache::ScheduleCache`] driven through the
 //!   hit / patch / miss / eviction transitions, with the counters recorded.
 //!
@@ -47,8 +49,8 @@ pub struct DriftParams {
 /// Round 0 is the initial build.
 #[derive(Debug, Clone)]
 pub struct DriftRound {
-    /// Modeled cost of bringing the maintained schedule up to date (build on round 0,
-    /// patch afterwards).
+    /// Modeled cost of bringing the cached schedule up to date (build on round 0, patch
+    /// afterwards).
     pub patch_us: f64,
     /// Modeled cost of the from-scratch rebuild of the control schedule.
     pub rebuild_us: f64,
@@ -87,9 +89,9 @@ fn lcg(x: &mut u64) -> u64 {
     *x >> 33
 }
 
-/// Run the schedule-drift scenario: patch one maintained schedule forward while
-/// rebuilding a control schedule from a hash table kept in lockstep, comparing bytes and
-/// modeled upkeep cost every round.
+/// Run the schedule-drift scenario: patch one cached schedule forward while rebuilding a
+/// control schedule from a hash table kept in lockstep, comparing bytes and modeled upkeep
+/// cost every round.
 pub fn schedule_drift(params: &DriftParams) -> DriftEntry {
     let start = std::time::Instant::now();
     let p = params.clone();
@@ -110,7 +112,7 @@ pub fn schedule_drift(params: &DriftParams) -> DriftEntry {
             .map(|_| lcg(&mut rng) as usize % p.nglobals)
             .collect();
 
-        let mut ms: Option<MaintainedSchedule> = None;
+        let mut cache = ScheduleCache::new(1);
         let mut rounds = Vec::with_capacity(p.rounds + 1);
         let mut identical = true;
         for round in 0..=p.rounds {
@@ -127,13 +129,12 @@ pub fn schedule_drift(params: &DriftParams) -> DriftEntry {
             build_hash.clear_stamp(stamp);
             build_hash.hash_in_replicated(rank, &ttable, &refs, stamp);
 
+            // Round 0 misses and builds; every later round patches.
             let t0 = rank.modeled();
-            let edits = match ms.as_mut() {
-                None => {
-                    ms = Some(build_maintained(rank, &patch_hash, query));
-                    0
-                }
-                Some(m) => patch_schedule(rank, &patch_hash, m).edits_sent,
+            let (maintained, outcome) = cache.schedule(rank, &patch_hash, query);
+            let edits = match outcome {
+                CacheOutcome::Patched(patch) => patch.edits_sent,
+                _ => 0,
             };
             let patch_us = rank.modeled().since(&t0).total_us();
 
@@ -141,7 +142,6 @@ pub fn schedule_drift(params: &DriftParams) -> DriftEntry {
             let rebuilt = build_schedule_from_table(rank, &build_hash, query);
             let rebuild_us = rank.modeled().since(&t0).total_us();
 
-            let maintained = ms.as_ref().expect("schedule exists").schedule();
             identical &= *maintained == rebuilt;
             rounds.push((round, patch_us, rebuild_us, edits, rebuilt.total_fetch()));
         }
@@ -180,8 +180,8 @@ pub struct DsmcDeltaParams {
     pub nparticles: usize,
     /// Time steps.
     pub nsteps: usize,
-    /// Chain-remap cadence (remaps force full-replacement patches through the epoch
-    /// path); `0` disables remapping.
+    /// Chain-remap cadence (each remap's `clear_all` makes the next step's request
+    /// rebuild); `0` disables remapping.
     pub remap_interval: usize,
     /// Seed shared by flow and collisions.
     pub seed: u64,
@@ -204,12 +204,10 @@ pub struct DsmcDeltaEntry {
     pub patch_upkeep_us: f64,
     /// Schedule-upkeep cost of the rebuilding run (max over ranks, microseconds).
     pub rebuild_upkeep_us: f64,
-    /// Builds performed by the patching run (per rank — replicated).
-    pub patch_builds: usize,
+    /// Builds performed by the patching run: its cache misses (per rank — replicated).
+    pub patch_builds: u64,
     /// Patches applied by the patching run (per rank — replicated).
-    pub patch_patches: usize,
-    /// Edit records shipped across all patches, summed over ranks.
-    pub patch_edits: usize,
+    pub patch_patches: u64,
     /// The patching run's MOVE data-path wire totals, summed over ranks.
     pub data_exchange: ExchangeStats,
 }
@@ -263,9 +261,8 @@ pub fn dsmc_drift(params: &DsmcDeltaParams) -> DsmcDeltaEntry {
             .all(|(a, b)| a.move_data_exchange == b.move_data_exchange),
         patch_upkeep_us: upkeep_us(&patched),
         rebuild_upkeep_us: upkeep_us(&rebuilt),
-        patch_builds: patched[0].schedule_upkeep.builds,
-        patch_patches: patched[0].schedule_upkeep.patches,
-        patch_edits: patched.iter().map(|s| s.schedule_upkeep.edits).sum(),
+        patch_builds: patched[0].cache_stats.misses,
+        patch_patches: patched[0].cache_stats.patches,
         data_exchange: patched.iter().fold(ExchangeStats::default(), |acc, s| {
             acc.merged(&s.move_data_exchange)
         }),
@@ -351,7 +348,7 @@ impl DeltaReport {
 
 impl Artifact for DeltaReport {
     const NAME: &'static str = "delta";
-    const VERSION: u32 = 1;
+    const VERSION: u32 = 2;
 
     fn print(&self) {
         println!("{}", format_drift(&self.drift));
@@ -397,9 +394,8 @@ impl Artifact for DeltaReport {
             ("data_exchange_equal", Json::Bool(e.data_exchange_equal)),
             ("patch_upkeep_us", stable_us(e.patch_upkeep_us)),
             ("rebuild_upkeep_us", stable_us(e.rebuild_upkeep_us)),
-            ("patch_builds", count(e.patch_builds)),
-            ("patch_patches", count(e.patch_patches)),
-            ("patch_edits", count(e.patch_edits)),
+            ("patch_builds", Json::uint(e.patch_builds)),
+            ("patch_patches", Json::uint(e.patch_patches)),
             ("data_msgs_sent", Json::uint(e.data_exchange.msgs_sent)),
             ("data_bytes_sent", Json::uint(e.data_exchange.bytes_sent)),
         ]);
@@ -486,21 +482,19 @@ fn format_drift(e: &DriftEntry) -> String {
 
 /// Render the DSMC comparison as an aligned human-readable table.
 fn format_dsmc(e: &DsmcDeltaEntry) -> String {
-    let headers = ["Upkeep", "Cost (us)", "Builds", "Patches", "Edits"];
+    let headers = ["Upkeep", "Cost (us)", "Builds", "Patches"];
     let rows = vec![
         vec![
             "patch".to_string(),
             format!("{:.0}", e.patch_upkeep_us),
             e.patch_builds.to_string(),
             e.patch_patches.to_string(),
-            e.patch_edits.to_string(),
         ],
         vec![
             "rebuild".to_string(),
             format!("{:.0}", e.rebuild_upkeep_us),
             (e.patch_builds + e.patch_patches).to_string(),
             "0".to_string(),
-            "-".to_string(),
         ],
     ];
     format_table(
@@ -564,8 +558,9 @@ mod tests {
         });
         assert!(e.fingerprints_match);
         assert!(e.data_exchange_equal);
-        assert_eq!(e.patch_builds, 1);
-        assert_eq!(e.patch_patches, 19);
+        // Two remaps (after steps 8 and 16), each followed by a rebuilding step.
+        assert_eq!(e.patch_builds, 3);
+        assert_eq!(e.patch_patches, 17);
         assert!(
             e.patch_upkeep_us < 0.5 * e.rebuild_upkeep_us,
             "patch upkeep {:.0} us vs rebuild upkeep {:.0} us",

@@ -30,12 +30,15 @@
 //!   wall-clock, byte-identical across runs);
 //! * `compiler` — [`CompilerReport`]: the compiler-loop parity comparison of [`compiler`]
 //!   (compiled-vs-hand executor message counts for the CHARMM and DSMC time loops; no
-//!   wall-clock, byte-identical across runs, `--check` gates compiled == hand).
+//!   wall-clock, byte-identical across runs, `--check` gates compiled == hand);
+//! * `loc` — [`LocReport`]: non-test line counts per crate and file (lines above each
+//!   file's first `#[cfg(test)]`; byte-identical across runs, a report with no gate).
 
 pub mod adapt;
 pub mod collective;
 pub mod compiler;
 pub mod delta;
+pub mod loc;
 pub mod microbench;
 pub mod report;
 pub mod tables;
@@ -45,6 +48,7 @@ pub use adapt::{AdaptEntry, AdaptReport, RampParams};
 pub use collective::{CollectiveResult, COLLECTIVE_SWEEP_POINTS};
 pub use compiler::{CompilerReport, ParityEntry};
 pub use delta::{DeltaReport, DriftEntry, DriftParams, DsmcDeltaEntry, DsmcDeltaParams};
+pub use loc::LocReport;
 pub use microbench::{ExchangeReport, MicrobenchConfig, MicrobenchResult};
 pub use report::{Artifact, Json};
 pub use tables::{Scale, TableOutput, TablesReport};

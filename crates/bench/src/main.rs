@@ -6,8 +6,8 @@ use std::process::ExitCode;
 
 use chaos_bench::report::{emit, parse_args, usage};
 use chaos_bench::{
-    AdaptReport, Artifact, CompilerReport, DeltaReport, ExchangeReport, MicrobenchConfig,
-    TablesReport,
+    AdaptReport, Artifact, CompilerReport, DeltaReport, ExchangeReport, LocReport,
+    MicrobenchConfig, TablesReport,
 };
 
 fn main() -> ExitCode {
@@ -28,6 +28,7 @@ fn main() -> ExitCode {
         AdaptReport::NAME => emit(&AdaptReport::generate(), &cmd),
         DeltaReport::NAME => emit(&DeltaReport::generate(), &cmd),
         CompilerReport::NAME => emit(&CompilerReport::generate(), &cmd),
+        LocReport::NAME => emit(&LocReport::generate(), &cmd),
         other => unreachable!("parse_args accepted unknown subcommand {other}"),
     }
 }

@@ -175,12 +175,13 @@ pub trait Artifact {
 }
 
 /// The `chaos-bench` subcommands, one per artifact.
-pub const SUBCOMMANDS: [&str; 5] = [
+pub const SUBCOMMANDS: [&str; 6] = [
     crate::TablesReport::NAME,
     crate::ExchangeReport::NAME,
     crate::AdaptReport::NAME,
     crate::DeltaReport::NAME,
     crate::CompilerReport::NAME,
+    crate::LocReport::NAME,
 ];
 
 /// The artifact's document: the `schema` and `generated_by` header every `BENCH_*.json`

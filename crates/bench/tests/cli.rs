@@ -10,7 +10,7 @@ use chaos_bench::tables::table_generators;
 fn bad_command_lines_exit_2_naming_the_valid_choices() {
     assert_eq!(
         SUBCOMMANDS,
-        ["tables", "exchange", "adapt", "delta", "compiler"]
+        ["tables", "exchange", "adapt", "delta", "compiler", "loc"]
     );
     let ids: Vec<String> = table_generators()
         .iter()

@@ -1,17 +1,22 @@
-//! A stamp-keyed cache of maintained schedules, reused across phases and time steps.
+//! A stamp-keyed schedule cache: the one place a schedule is kept current across phases
+//! and time steps.
 //!
 //! Long-lived adaptive runs ask for the same few schedules over and over — CHARMM wants
 //! its bonded (`IB + JB`) and non-bonded (`NB`) schedules every step, DSMC wants its
-//! migration schedule every MOVE phase.  [`ScheduleCache`] keeps a small set of
-//! [`MaintainedSchedule`]s keyed by *(table identity, query)* and, on each request,
-//! compares the stored [`ScheduleKey`](crate::index_hash::ScheduleKey) against the
-//! table's current version:
+//! migration schedule every MOVE phase.  [`ScheduleCache`] keeps a small set of maintained
+//! schedules (see [`crate::maintained`]) keyed by *(table identity, query)* and, on each
+//! request, compares the stored [`ScheduleKey`](crate::index_hash::ScheduleKey) against
+//! the table's current version:
 //!
 //! * **hit** — key unchanged: return the schedule with **no communication at all**;
-//! * **patch** — same table and query but stamps drifted: [`patch_schedule`] splices the
-//!   delta (cost proportional to the drift, not the schedule);
-//! * **miss** — unknown (table, query): full [`build_maintained`] rebuild, inserted into
-//!   the cache, evicting the least-recently-used entry if at capacity.
+//! * **patch** — same table, query and epoch, but stamps drifted: splice the delta into
+//!   the cached schedule (cost proportional to the drift, not the schedule);
+//! * **miss** — unknown (table, query): full collective build, inserted into the cache,
+//!   evicting the least-recently-used entry if at capacity;
+//! * **miss in place** — same (table, query), but [`IndexHashTable::clear_all`] moved the
+//!   table's epoch since: nothing of the old table survives (every translation and ghost
+//!   slot was dropped), so a patch would re-ship the whole schedule as edits.  The entry
+//!   is rebuilt where it stands — counted as a miss, evicting nothing.
 //!
 //! Staleness is impossible by construction: every mutation of an [`IndexHashTable`]
 //! advances the version counters its keys are built from, so a hit proves the stored
@@ -23,9 +28,10 @@
 //! only because every rank takes the same branch.  That holds as long as the SPMD program
 //! mutates tables and queries the cache at the same program points on every rank (the
 //! normal discipline for any collective).  The keys count *operations*, not contents, so
-//! rank-dependent data never desynchronises the decision; a rank-dependent *call sequence*
-//! (one rank re-hashing while another skips straight to the cache) is a program error of
-//! the same kind as calling any collective from a subset of ranks.
+//! rank-dependent data never desynchronises the decision — the patch-or-rebuild choice
+//! included, since epochs count `clear_all` calls; a rank-dependent *call sequence* (one
+//! rank re-hashing while another skips straight to the cache) is a program error of the
+//! same kind as calling any collective from a subset of ranks.
 
 use mpsim::Rank;
 
@@ -38,7 +44,8 @@ use crate::schedule::CommSchedule;
 pub struct CacheStats {
     /// Requests answered from the cache with no communication.
     pub hits: u64,
-    /// Requests for an unknown (table, query) — full collective rebuild.
+    /// Full collective builds: requests for an unknown (table, query), and requests whose
+    /// table was cleared with [`IndexHashTable::clear_all`] since the entry was stored.
     pub misses: u64,
     /// Requests answered by patching a cached schedule forward.
     pub patches: u64,
@@ -51,7 +58,7 @@ struct CacheSlot {
     last_used: u64,
 }
 
-/// A bounded, deterministically-evicting cache of [`MaintainedSchedule`]s.
+/// A bounded, deterministically-evicting cache of maintained schedules.
 ///
 /// Lookup is a linear scan — the working set is a handful of schedules, and scan order
 /// must be identical on every rank anyway (see the module docs).
@@ -77,7 +84,7 @@ impl ScheduleCache {
         }
     }
 
-    /// Counters since construction (or the last [`ScheduleCache::clear`]).
+    /// Counters since construction.
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
@@ -92,16 +99,11 @@ impl ScheduleCache {
         self.slots.is_empty()
     }
 
-    /// Drop every cached schedule and reset the counters.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.stats = CacheStats::default();
-        self.clock = 0;
-    }
-
     /// Drop cached schedules built from `table` (by identity), returning how many were
-    /// dropped.  Local bookkeeping only — useful when a table is about to be discarded so
-    /// its slots free up early instead of waiting for LRU eviction.
+    /// dropped, so the next request against it misses and builds from scratch.  Local
+    /// bookkeeping only: use it to free a discarded table's slots early, or to force a
+    /// from-scratch build (DSMC's rebuild-every-step baseline).  A table that is cleared
+    /// and reused needs no retiring — its epoch bump already makes the cache rebuild.
     pub fn retire_table(&mut self, table: &IndexHashTable) -> usize {
         let before = self.slots.len();
         self.slots
@@ -128,18 +130,24 @@ impl ScheduleCache {
             .iter()
             .position(|s| s.ms.key().same_source(&current))
         {
-            self.slots[i].last_used = now;
-            if *self.slots[i].ms.key() == current {
+            let slot = &mut self.slots[i];
+            slot.last_used = now;
+            let outcome = if *slot.ms.key() == current {
                 // Other stamps may have grown the table's ghost region since this entry
                 // was stored; refresh the (local) bound so a hit stays byte-identical to
                 // a rebuild.
-                self.slots[i].ms.grow_ghost_len(table.ghost_len());
+                slot.ms.grow_ghost_len(table.ghost_len());
                 self.stats.hits += 1;
-                return (self.slots[i].ms.schedule(), CacheOutcome::Hit);
-            }
-            let patch = patch_schedule(rank, table, &mut self.slots[i].ms);
-            self.stats.patches += 1;
-            return (self.slots[i].ms.schedule(), CacheOutcome::Patched(patch));
+                CacheOutcome::Hit
+            } else if slot.ms.key().epoch() == current.epoch() {
+                self.stats.patches += 1;
+                CacheOutcome::Patched(patch_schedule(rank, table, &mut slot.ms))
+            } else {
+                slot.ms = build_maintained(rank, table, query);
+                self.stats.misses += 1;
+                CacheOutcome::Missed
+            };
+            return (slot.ms.schedule(), outcome);
         }
         let ms = build_maintained(rank, table, query);
         self.stats.misses += 1;
@@ -160,21 +168,6 @@ impl ScheduleCache {
         let slot = self.slots.last().expect("just pushed");
         (slot.ms.schedule(), CacheOutcome::Missed)
     }
-
-    /// Peek at the cached schedule for `(table, query)` **if it is current** — no
-    /// communication, no statistics, no recency update.  `None` means a collective
-    /// [`ScheduleCache::schedule`] call would patch or rebuild.
-    pub fn lookup_current(
-        &self,
-        table: &IndexHashTable,
-        query: StampQuery,
-    ) -> Option<&CommSchedule> {
-        let current = table.version(query);
-        self.slots
-            .iter()
-            .find(|s| *s.ms.key() == current)
-            .map(|s| s.ms.schedule())
-    }
 }
 
 /// What [`ScheduleCache::schedule`] did to satisfy a request.
@@ -184,6 +177,6 @@ pub enum CacheOutcome {
     Hit,
     /// A cached schedule was patched forward to the table's current contents.
     Patched(PatchStats),
-    /// Built from scratch and inserted.
+    /// Built from scratch: inserted, or rebuilt in place after a `clear_all`.
     Missed,
 }

@@ -26,12 +26,10 @@
 //!   re-bins its surviving molecules while the migrants travel).
 //!
 //! Every primitive takes `&CommSchedule` and never cares how the schedule was produced:
-//! a schedule patched forward by [`crate::maintained::patch_schedule`] or served from a
-//! [`crate::cache::ScheduleCache`] is byte-identical to a fresh
-//! [`crate::inspector::build_schedule_from_table`] build (pinned by
-//! `tests/schedule_delta.rs`), so fused and split-phase entry points work on maintained
-//! schedules unchanged — pass a [`crate::maintained::MaintainedSchedule`] directly; it
-//! dereferences to its schedule.
+//! the `&CommSchedule` a [`crate::cache::ScheduleCache`] serves — hit, patched forward or
+//! rebuilt — is byte-identical to a fresh [`crate::inspector::build_schedule_from_table`]
+//! build (pinned by `tests/schedule_delta.rs`), so fused and split-phase entry points
+//! take it unchanged.
 //!
 //! All primitives are collective: every rank of the machine must call them with its own
 //! schedule (built in the same collective inspector call), and split-phase *starts* must

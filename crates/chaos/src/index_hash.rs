@@ -162,9 +162,15 @@ impl ScheduleKey {
         self.table_id
     }
 
+    /// The table's [`IndexHashTable::clear_all`] count when the key was taken.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
     /// True when `self` and `other` describe the same query over the same table —
     /// regardless of whether the versions match.  This is the cache-lookup predicate:
-    /// same source means a stored schedule is *patchable*; equal keys mean it is *current*.
+    /// same source means a stored schedule can be brought forward (patched within an
+    /// epoch, rebuilt in place across one); equal keys mean it is *current*.
     pub fn same_source(&self, other: &ScheduleKey) -> bool {
         self.table_id == other.table_id && self.query == other.query
     }
@@ -457,7 +463,8 @@ impl IndexHashTable {
 
     /// Remove every entry and release all ghost slots.  Used when the data distribution
     /// itself changes (after a remap) and all translation results are stale; `owned_len`
-    /// is this rank's owned length under the new distribution.
+    /// is this rank's owned length under the new distribution.  The epoch bump makes a
+    /// [`crate::cache::ScheduleCache`] rebuild this table's schedules in place.
     pub fn clear_all(&mut self, owned_len: usize) {
         self.owned_len = u32::try_from(owned_len).expect("owned length must fit u32");
         self.index.clear();

@@ -17,7 +17,6 @@ use mpsim::Rank;
 
 use crate::darray::LocalRef;
 use crate::index_hash::{IndexHashTable, Stamp, StampQuery};
-use crate::maintained::{MaintainedSchedule, PatchStats};
 use crate::schedule::CommSchedule;
 use crate::translation::TranslationTable;
 use crate::{Global, ProcId};
@@ -89,20 +88,6 @@ impl<'t> Inspector<'t> {
     /// matching `query`.  Collective — all ranks must call it together.
     pub fn build_schedule(&self, rank: &mut Rank, query: StampQuery) -> CommSchedule {
         build_schedule_from_table(rank, &self.table, query)
-    }
-
-    /// Like [`Inspector::build_schedule`], but keeps the provenance needed to patch the
-    /// schedule incrementally after the indirection drifts (see [`crate::maintained`]).
-    /// Collective.
-    pub fn build_maintained(&self, rank: &mut Rank, query: StampQuery) -> MaintainedSchedule {
-        crate::maintained::build_maintained(rank, &self.table, query)
-    }
-
-    /// Bring a maintained schedule up to date with this inspector's hash table, shipping
-    /// only the drifted rows.  Collective; a no-op (without communication) when the
-    /// schedule is already current.
-    pub fn sync_schedule(&self, rank: &mut Rank, ms: &mut MaintainedSchedule) -> PatchStats {
-        crate::maintained::patch_schedule(rank, &self.table, ms)
     }
 }
 

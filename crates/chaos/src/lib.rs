@@ -103,7 +103,7 @@ pub use iteration::{
     owner_computes_replicated, IterationPartition,
 };
 pub use loadbalance::{imbalance_ratio, load_balance_index};
-pub use maintained::{build_maintained, patch_schedule, MaintainedSchedule, PatchStats};
+pub use maintained::PatchStats;
 pub use remap::{build_remap, remap_indices, remap_values, RemapPlan};
 pub use schedule::{CommSchedule, LightweightSchedule};
 pub use translation::{Loc, TranslationTable};
@@ -127,7 +127,7 @@ pub mod prelude {
         owner_computes_replicated, IterationPartition,
     };
     pub use crate::loadbalance::{imbalance_ratio, load_balance_index};
-    pub use crate::maintained::{build_maintained, patch_schedule, MaintainedSchedule, PatchStats};
+    pub use crate::maintained::PatchStats;
     pub use crate::partitioners::{chain_partition, rcb_partition, rib_partition, PartitionInput};
     pub use crate::remap::{build_remap, remap_indices, remap_values, RemapPlan};
     pub use crate::schedule::{CommSchedule, LightweightSchedule};

@@ -2,11 +2,11 @@
 //!
 //! Table 2 of the paper shows preprocessing (inspector) cost dominating adaptive runs, and
 //! §3.2.2's stamped hash table already amortises *index analysis*.  This module amortises
-//! the other half — *schedule generation*.  A [`MaintainedSchedule`] remembers which rows
+//! the other half — *schedule generation*.  A maintained schedule remembers which rows
 //! (ghost slot, owner offset) it requested from each owner; when the hash table drifts
-//! (particles migrate, a non-bonded list adapts), [`patch_schedule`] diffs the old request
-//! lists against the table's current selection and negotiates **only the edits** to the
-//! owners, instead of re-sending every request through a dense all-to-all.
+//! (particles migrate, a non-bonded list adapts), the patch diffs the old request lists
+//! against the table's current selection and negotiates **only the edits** to the owners,
+//! instead of re-sending every request through a dense all-to-all.
 //!
 //! The patched schedule is **byte-identical** to what [`build_schedule_from_table`] would
 //! produce from scratch — same send lists, same permutation lists, same ghost length — so
@@ -15,11 +15,10 @@
 //! identity holds because both paths order rows the same way: hash-table insertion order,
 //! in which ghost slots are strictly increasing per owner.
 //!
-//! Freshness is tracked by [`ScheduleKey`] operation counters (see
-//! [`IndexHashTable::version`]); a schedule whose key still matches needs no maintenance at
-//! all, and the check involves no communication.
-
-use std::ops::Deref;
+//! The one public way to keep a schedule current is [`crate::cache::ScheduleCache`]: it
+//! decides from the [`ScheduleKey`] operation counters (see [`IndexHashTable::version`])
+//! whether a request is served as-is, patched here, or rebuilt.  Only [`PatchStats`], the
+//! payload of a patched request's outcome, is public.
 
 use mpsim::{route_sparse, Rank};
 
@@ -28,9 +27,10 @@ use crate::inspector::build_schedule_from_table;
 use crate::schedule::CommSchedule;
 
 /// One requested row on the fetching side: the local ghost slot the element lands in and
-/// the element's offset in its owner's owned section.  `(slot, offset)` — not slot alone —
-/// is the row identity used when diffing: after [`IndexHashTable::clear_all`] slot numbers
-/// are reused for *different* globals, and the offset disambiguates them.
+/// the element's offset in its owner's owned section.  The slot alone identifies the row
+/// when diffing: within an epoch a ghost slot is never reassigned, so it keeps its owner
+/// offset, and across a [`IndexHashTable::clear_all`] the cache rebuilds instead of
+/// patching.  The offset rides along for the insert edits.
 type Row = (u32, u32);
 
 /// An edit shipped to an owner: `(op, pos, offset)` where `op` 0 deletes the row at old
@@ -43,11 +43,8 @@ const EDIT_DELETE: u32 = 0;
 const EDIT_INSERT: u32 = 1;
 
 /// A [`CommSchedule`] bundled with the provenance needed to patch it in place.
-///
-/// Dereferences to the underlying schedule, so it can be passed to every executor entry
-/// point (`gather(rank, &ms, ..)`) unchanged.
 #[derive(Debug, Clone)]
-pub struct MaintainedSchedule {
+pub(crate) struct MaintainedSchedule {
     key: ScheduleKey,
     schedule: CommSchedule,
     /// `rows[p]` — the rows this rank currently requests from owner `p`, in schedule
@@ -55,48 +52,28 @@ pub struct MaintainedSchedule {
     rows: Vec<Vec<Row>>,
 }
 
-impl Deref for MaintainedSchedule {
-    type Target = CommSchedule;
-
-    fn deref(&self) -> &CommSchedule {
-        &self.schedule
-    }
-}
-
 impl MaintainedSchedule {
     /// The underlying communication schedule.
-    pub fn schedule(&self) -> &CommSchedule {
+    pub(crate) fn schedule(&self) -> &CommSchedule {
         &self.schedule
     }
 
     /// The version key the schedule is current for.
-    pub fn key(&self) -> &ScheduleKey {
+    pub(crate) fn key(&self) -> &ScheduleKey {
         &self.key
-    }
-
-    /// True when the schedule is exact for the table's current contents: no patch needed,
-    /// and [`patch_schedule`] would return without communicating.  Local and free.
-    pub fn is_current(&self, table: &IndexHashTable) -> bool {
-        self.key == table.version(self.key.query())
-    }
-
-    /// Give up maintenance and keep just the schedule.
-    pub fn into_schedule(self) -> CommSchedule {
-        self.schedule
     }
 
     /// See [`CommSchedule::grow_ghost_len`]: raise the schedule's ghost-region bound when
     /// the table grew through *other* stamps while this schedule stayed current.
-    pub fn grow_ghost_len(&mut self, len: usize) {
+    pub(crate) fn grow_ghost_len(&mut self, len: usize) {
         self.schedule.grow_ghost_len(len);
     }
 }
 
-/// Statistics from one [`patch_schedule`] call.
+/// Statistics from one patch (the payload of
+/// [`CacheOutcome::Patched`](crate::cache::CacheOutcome::Patched)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PatchStats {
-    /// False when the schedule was already current and nothing happened (no communication).
-    pub refreshed: bool,
     /// Ghost rows unchanged between old and new selection (the amortised part).
     pub kept: usize,
     /// Ghost rows removed from this rank's fetch side.
@@ -113,7 +90,7 @@ pub struct PatchStats {
 ///
 /// Collective.  The schedule is exactly [`build_schedule_from_table`]'s — maintenance adds
 /// only the locally-kept row lists and the version key.
-pub fn build_maintained(
+pub(crate) fn build_maintained(
     rank: &mut Rank,
     table: &IndexHashTable,
     query: StampQuery,
@@ -151,17 +128,17 @@ fn current_rows(
 
 /// Patch `ms` so it matches what a from-scratch rebuild against `table` would produce.
 ///
-/// Collective — all ranks must call it together (the no-op fast path is symmetric because
-/// [`ScheduleKey`] comparisons are, so no rank communicates when any rank skips).  The diff
-/// walks old and new row lists once per owner (both are in hash-insertion order, slots
-/// strictly increasing), ships positional edit scripts through one fused log-depth routing
-/// pass ([`mpsim::route_sparse`] — `ceil(log2 P)` messages per rank, no per-peer direct
+/// Collective — all ranks must call it together, for a table in the same epoch `ms` was
+/// built in (the cache rebuilds across epochs).  The diff walks old and new row lists
+/// once per owner (both are in hash-insertion order, slots strictly increasing), ships
+/// positional edit scripts through one fused log-depth routing pass
+/// ([`mpsim::route_sparse`] — `ceil(log2 P)` messages per rank, no per-peer direct
 /// messages), and owners splice their send lists — O(changed rows) bytes in O(log P)
 /// messages instead of the rebuild's O(all rows) bytes in a dense O(P) all-to-all.
 ///
 /// # Panics
 /// Panics if `ms` was built for a different machine size than `rank`'s.
-pub fn patch_schedule(
+pub(crate) fn patch_schedule(
     rank: &mut Rank,
     table: &IndexHashTable,
     ms: &mut MaintainedSchedule,
@@ -174,25 +151,11 @@ pub fn patch_schedule(
         "schedule and machine span different sizes"
     );
     let query = ms.key.query();
-    let key = table.version(query);
-    if key == ms.key {
-        // Other stamps may have grown the ghost region since; the selection is still
-        // exact, so only the region bound needs refreshing — locally, for free.
-        ms.schedule.grow_ghost_len(table.ghost_len());
-        return PatchStats {
-            refreshed: false,
-            kept: ms.schedule.total_fetch(),
-            ..PatchStats::default()
-        };
-    }
 
     // Diff the old request rows against the table's current selection, per owner.
     let (new_rows, matched) = current_rows(nprocs, me, table, query);
     let mut edits: Vec<Vec<Edit>> = vec![Vec::new(); nprocs];
-    let mut stats = PatchStats {
-        refreshed: true,
-        ..PatchStats::default()
-    };
+    let mut stats = PatchStats::default();
     for p in 0..nprocs {
         diff_rows(&ms.rows[p], &new_rows[p], &mut edits[p], &mut stats);
     }
@@ -231,29 +194,24 @@ pub fn patch_schedule(
         table.ghost_len(),
     );
     ms.rows = new_rows;
-    ms.key = key;
+    ms.key = table.version(query);
     stats
 }
 
 /// Emit the edit script turning `old` into `new`.  Both lists are sorted by ghost slot
 /// (strictly increasing — hash-insertion order per owner), so a single merge pass finds
 /// kept rows, deletions (ascending old position) and insertions (ascending new position).
-/// A slot reused for a different owner offset (possible after `clear_all`) becomes a
-/// delete-plus-insert at the same position.
 fn diff_rows(old: &[Row], new: &[Row], edits: &mut Vec<Edit>, stats: &mut PatchStats) {
     let (mut i, mut j) = (0usize, 0usize);
     while i < old.len() && j < new.len() {
         let (oslot, ooff) = old[i];
         let (nslot, noff) = new[j];
         if oslot == nslot {
-            if ooff != noff {
-                edits.push((EDIT_DELETE, i as u32, 0));
-                edits.push((EDIT_INSERT, j as u32, noff));
-                stats.removed += 1;
-                stats.added += 1;
-            } else {
-                stats.kept += 1;
-            }
+            debug_assert_eq!(
+                ooff, noff,
+                "ghost slot {oslot} changed owner offset in an epoch"
+            );
+            stats.kept += 1;
             i += 1;
             j += 1;
         } else if oslot < nslot {
@@ -317,6 +275,7 @@ fn apply_edits(old: &[u32], script: &[Edit]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{CacheOutcome, ScheduleCache};
     use crate::distribution::{BlockDist, RegularDist};
     use crate::index_hash::Stamp;
     use crate::translation::TranslationTable;
@@ -333,8 +292,7 @@ mod tests {
             (vec![(0, 4), (2, 9)], vec![(0, 4), (2, 9)]),
             (vec![(0, 4), (2, 9)], vec![(0, 4), (1, 7), (2, 9)]),
             (vec![(0, 4), (1, 7), (2, 9)], vec![(1, 7)]),
-            // Slot reuse with a different offset (post-clear_all shape).
-            (vec![(0, 4), (1, 7)], vec![(0, 5), (1, 7), (3, 2)]),
+            // Rows leaving and entering on both sides of a kept one.
             (vec![(5, 1), (8, 2), (9, 3)], vec![(4, 6), (8, 2), (11, 0)]),
         ];
         for (old, new) in cases {
@@ -361,43 +319,50 @@ mod tests {
             let first: Vec<usize> = (0..32).step_by(3).collect();
             h.hash_in_replicated(rank, &ttable, &first, s);
             let mut ms = build_maintained(rank, &h, q);
-            assert!(ms.is_current(&h));
+            assert_eq!(*ms.key(), h.version(q));
             // Drift: drop the stamp, re-hash a shifted pattern.
             h.clear_stamp(s);
             let second: Vec<usize> = (0..32).step_by(3).map(|g| (g + 1) % 32).collect();
             h.hash_in_replicated(rank, &ttable, &second, s);
-            assert!(!ms.is_current(&h));
+            assert_ne!(*ms.key(), h.version(q));
             let stats = patch_schedule(rank, &h, &mut ms);
             let rebuilt = build_schedule_from_table(rank, &h, q);
-            (ms.schedule().clone(), rebuilt, stats)
+            (
+                ms.schedule().clone(),
+                rebuilt,
+                stats,
+                *ms.key() == h.version(q),
+            )
         });
-        for (patched, rebuilt, stats) in &out.results {
+        for (patched, rebuilt, stats, current) in &out.results {
             assert_eq!(patched, rebuilt, "patched schedule must equal a rebuild");
-            assert!(stats.refreshed);
+            assert_eq!(stats.kept + stats.added, rebuilt.total_fetch());
+            assert!(*current, "the patch must bring the key up to date");
         }
     }
 
     #[test]
     fn current_schedule_patches_for_free() {
+        // A current schedule needs no patch at all: the cache serves it as a hit, with
+        // no communication and the schedule untouched.
         let out = run(MachineConfig::new(2), |rank| {
             let dist = BlockDist::new(8, rank.nprocs());
             let ttable = TranslationTable::from_regular(&dist);
             let mut h = IndexHashTable::new(rank.rank(), dist.local_size(rank.rank()));
             let s = Stamp::new(0);
             h.hash_in_replicated(rank, &ttable, &[0, 7, 3, 5], s);
-            let mut ms = build_maintained(rank, &h, StampQuery::single(s));
-            let before = ms.schedule().clone();
+            let mut cache = ScheduleCache::new(1);
+            let before = cache.schedule(rank, &h, StampQuery::single(s)).0.clone();
             let msgs_before = rank.stats().msgs_sent;
-            let stats = patch_schedule(rank, &h, &mut ms);
+            let (sched, outcome) = cache.schedule(rank, &h, StampQuery::single(s));
             (
-                stats,
-                ms.schedule() == &before,
+                outcome,
+                *sched == before,
                 rank.stats().msgs_sent - msgs_before,
             )
         });
-        for (stats, unchanged, msgs) in &out.results {
-            assert!(!stats.refreshed);
-            assert_eq!(stats.edits_sent + stats.edits_received, 0);
+        for (outcome, unchanged, msgs) in &out.results {
+            assert_eq!(*outcome, CacheOutcome::Hit);
             assert!(*unchanged);
             assert_eq!(*msgs, 0, "a current schedule must not communicate");
         }

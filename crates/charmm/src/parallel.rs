@@ -352,8 +352,8 @@ pub fn run_parallel(
     let t0 = rank.modeled();
     let mut hash = IndexHashTable::new(me, dist.ttable.local_size(me));
     // Schedules are served through a stamp-keyed cache: a bonded schedule whose stamps
-    // did not advance since the last build is a hit (no communication at all), and a
-    // drifted non-bonded/merged schedule is patched forward instead of rebuilt.
+    // did not advance since the last build is a hit (no communication at all), a drifted
+    // one is patched forward, and a repartition's `clear_all` makes every one rebuild.
     let mut cache = ScheduleCache::new(4);
     let mut loops = build_loop_state(
         rank,
@@ -411,7 +411,7 @@ pub fn run_parallel(
             let parts = run_partitioner(rank, kind, &coords, &weights, coords.len(), nprocs);
             // Identity detection: if no rank would send any atom anywhere, the partitioner
             // reproduced the current distribution and the whole redistribution — data
-            // remap, bonded re-setup, list rebuild, hash recreation, schedule rebuild —
+            // remap, bonded re-setup, list rebuild, hash clearing, schedule rebuild —
             // can be skipped.  One all-reduce makes the decision machine-wide.
             let moved_here = parts.iter().filter(|&&p| p != me).count();
             let identity = rank.all_reduce_sum_usize(moved_here) == 0;
@@ -470,10 +470,9 @@ pub fn run_parallel(
 
             let t0 = rank.modeled();
             if repartitioned {
-                // The distribution changed: every translation result is stale, and the
-                // cached schedules built from the old table can never be asked for again.
-                cache.retire_table(&hash);
-                hash = IndexHashTable::new(me, dist.ttable.local_size(me));
+                // The distribution changed: every translation result is stale.  Clearing
+                // the table moves its epoch, so the cache rebuilds each schedule in place.
+                hash.clear_all(dist.ttable.local_size(me));
             } else {
                 // Same distribution: keep the hash entries, just clear the adaptive stamp.
                 hash.clear_stamp(STAMP_NB);

@@ -17,16 +17,16 @@
 //!    * [`MoveMode::Patched`] — a regular schedule over the destination cells: every
 //!      step the drifted destination-cell set is re-hashed (index translation) and a real
 //!      [`chaos::schedule::CommSchedule`] with prescribed placement brought up to date —
-//!      the preprocessing the paper's light-weight schedules remove.  With
-//!      `rebuild_every_step` the schedule is built from scratch each step (Table 4's
-//!      "regular schedules" row); without, it is *maintained*:
-//!      [`chaos::maintained::patch_schedule`] ships only the changed rows to the owners.
-//!      The data path (per-row molecule counts through
-//!      the schedule's scatter direction, then one payload message per communicating
-//!      pair) depends only on the schedule bytes — and patched schedules are byte-identical
-//!      to rebuilds — so running with upkeep-by-patching and upkeep-by-rebuilding produces
-//!      identical fingerprints and identical data-path message totals, while the
-//!      preprocessing cost drops with the drift fraction.
+//!      the preprocessing the paper's light-weight schedules remove.  The schedule is
+//!      served by a [`chaos::cache::ScheduleCache`]: a drifted step patches it, shipping
+//!      only the changed rows to the owners, and a remap's `clear_all` rebuilds it.  With
+//!      `rebuild_every_step` the cache entry is retired before every request, so each step
+//!      builds from scratch (Table 4's "regular schedules" row).  The data path (per-row
+//!      molecule counts through the schedule's scatter direction, then one payload message
+//!      per communicating pair) depends only on the schedule bytes — and patched schedules
+//!      are byte-identical to rebuilds — so running with upkeep-by-patching and
+//!      upkeep-by-rebuilding produces identical fingerprints and identical data-path
+//!      message totals, while the preprocessing cost drops with the drift fraction.
 //! 3. **remapping** — a [`chaos::adapt::RemapController`] watches the measured per-rank
 //!    collision compute times (one all-gather per step) and decides collectively when to
 //!    re-partition.  The default [`RemapPolicy::Interval`] reproduces the paper's fixed
@@ -141,9 +141,9 @@ pub struct DsmcPhaseTimes {
     pub collide: TimeSnapshot,
     /// MOVE-phase preprocessing: schedule construction / placement negotiation.
     pub move_preprocess: TimeSnapshot,
-    /// Bringing the maintained MOVE schedule up to date — the build or patch collective
-    /// of [`MoveMode::Patched`], timed separately so the patch-vs-rebuild comparison
-    /// reads straight off the phase table.  Zero for the other modes.
+    /// Bringing the MOVE schedule up to date — the schedule-cache request of
+    /// [`MoveMode::Patched`], timed separately so the patch-vs-rebuild comparison reads
+    /// straight off the phase table.  Zero for the other modes.
     pub move_upkeep: TimeSnapshot,
     /// MOVE-phase data transport and re-binning.
     pub move_data: TimeSnapshot,
@@ -167,17 +167,6 @@ impl DsmcPhaseTimes {
             + self.remap_partition
             + self.monitor
     }
-}
-
-/// Schedule-upkeep counters for [`MoveMode::Patched`] (all zero for the other modes).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScheduleUpkeep {
-    /// Full collective schedule builds.
-    pub builds: usize,
-    /// Incremental patches applied to the maintained schedule.
-    pub patches: usize,
-    /// Edit records shipped to owners across all patches (sent side).
-    pub edits: usize,
 }
 
 /// Per-run summary returned by [`run_parallel`].
@@ -205,8 +194,10 @@ pub struct DsmcStats {
     /// (patch vs rebuild) must not show up here — the equivalence tests pin these totals
     /// identical across both upkeep settings.  Zero for the other modes.
     pub move_data_exchange: ExchangeStats,
-    /// Schedule-upkeep counters for [`MoveMode::Patched`].
-    pub schedule_upkeep: ScheduleUpkeep,
+    /// Counters of the schedule cache [`MoveMode::Patched`] keeps its MOVE schedule in:
+    /// `misses` are full builds, `patches` incremental patches (all zero for the other
+    /// modes).
+    pub cache_stats: CacheStats,
     /// Molecules held at the end of the run.
     pub final_particle_count: usize,
     /// (cell id, sorted molecule ids) for every non-empty owned cell — compared against
@@ -266,8 +257,8 @@ pub fn run_parallel(
     let mut outgoing: Vec<(usize, Particle)> = Vec::new();
     let mut survivors: Vec<(usize, Particle)> = Vec::new();
 
-    // Persistent inspector state of the patched MOVE path (the maintained schedule and
-    // the hash table it patches from).  `None` for the other modes.
+    // Persistent inspector state of the patched MOVE path (the schedule cache and the
+    // hash table it serves from).  `None` for the other modes.
     let mut patched_state = matches!(config.move_mode, MoveMode::Patched { .. })
         .then(|| PatchedMoveState::new(me, &cell_owner, nprocs));
 
@@ -406,7 +397,7 @@ pub fn run_parallel(
             .as_ref()
             .map(|s| s.exchange)
             .unwrap_or_default(),
-        schedule_upkeep: patched_state.map(|s| s.upkeep).unwrap_or_default(),
+        cache_stats: patched_state.map(|s| s.cache.stats()).unwrap_or_default(),
         final_particle_count: cells.iter().map(Vec::len).sum(),
         fingerprint,
     }
@@ -424,9 +415,9 @@ struct PatchedMoveState {
     /// Stamped hash of destination cells; survives across steps so translations and
     /// ghost slots are reused, and survives remaps via `clear_all` (epoch bump).
     hash: IndexHashTable,
-    /// The maintained migration schedule; `None` until the first step builds it.
-    sched: Option<MaintainedSchedule>,
-    upkeep: ScheduleUpkeep,
+    /// Holds the one migration schedule: the first step and every step after a remap
+    /// miss and build it, the others patch it.
+    cache: ScheduleCache,
     exchange: ExchangeStats,
 }
 
@@ -438,15 +429,14 @@ impl PatchedMoveState {
         Self {
             ttable,
             hash,
-            sched: None,
-            upkeep: ScheduleUpkeep::default(),
+            cache: ScheduleCache::new(1),
             exchange: ExchangeStats::default(),
         }
     }
 
     /// A remap changed the cell-owner map: every cached translation is stale.  The hash
     /// table is cleared (not replaced), so its epoch bump flows into the schedule key and
-    /// the next upkeep ships a full replacement through the ordinary patch path.
+    /// the next request rebuilds the schedule in place.
     fn distribution_changed(&mut self, me: ProcId, cell_owner: &[ProcId], nprocs: usize) {
         self.ttable = TranslationTable::replicated_from_full_map(cell_owner, nprocs)
             .expect("cell owners are valid ranks");
@@ -457,8 +447,8 @@ impl PatchedMoveState {
 /// MOVE phase over a maintained regular schedule (see [`MoveMode::Patched`]).
 ///
 /// Preprocessing re-hashes the step's off-processor destination cells under a fresh
-/// stamp and brings the maintained schedule up to date — by patch or, for the baseline,
-/// by rebuild; both yield byte-identical schedules.  The data path then ships per-row
+/// stamp and brings the cached schedule up to date — by patch or, for the baseline and
+/// after a remap, by rebuild; both yield byte-identical schedules.  The data path then ships per-row
 /// molecule counts through the schedule's scatter direction and the molecules themselves
 /// through one sparse payload exchange, placing arrivals row by row into the owners'
 /// cells (validated against the positions in debug builds).
@@ -498,19 +488,12 @@ fn move_patched(
     phases.move_preprocess += rank.modeled().since(&t0);
 
     let t0 = rank.modeled();
-    let query = StampQuery::single(MOVE_STAMP);
-    match state.sched.as_mut() {
-        Some(ms) if !rebuild_every_step => {
-            let patch = patch_schedule(rank, &state.hash, ms);
-            state.upkeep.patches += 1;
-            state.upkeep.edits += patch.edits_sent;
-        }
-        _ => {
-            state.sched = Some(build_maintained(rank, &state.hash, query));
-            state.upkeep.builds += 1;
-        }
+    if rebuild_every_step {
+        state.cache.retire_table(&state.hash);
     }
-    let sched = state.sched.as_ref().expect("schedule just ensured");
+    let (sched, _) = state
+        .cache
+        .schedule(rank, &state.hash, StampQuery::single(MOVE_STAMP));
     phases.move_upkeep += rank.modeled().since(&t0);
 
     // ---- data path: per-row counts through the scatter direction, then the payload ----
@@ -1041,8 +1024,8 @@ mod tests {
         assert_eq!(par, seq);
         // Steady state: one initial build, every later step a patch.
         for s in &results {
-            assert_eq!(s.schedule_upkeep.builds, 1);
-            assert_eq!(s.schedule_upkeep.patches, 11);
+            assert_eq!(s.cache_stats.misses, 1);
+            assert_eq!(s.cache_stats.patches, 11);
         }
     }
 
@@ -1072,10 +1055,10 @@ mod tests {
         for (p, r) in patched.iter().zip(&rebuilt) {
             assert_eq!(p.move_data_exchange, r.move_data_exchange);
             assert_eq!(p.migrations, r.migrations);
-            assert_eq!(r.schedule_upkeep.builds, 14);
-            assert_eq!(r.schedule_upkeep.patches, 0);
-            assert_eq!(p.schedule_upkeep.builds, 1);
-            assert_eq!(p.schedule_upkeep.patches, 13);
+            assert_eq!(r.cache_stats.misses, 14);
+            assert_eq!(r.cache_stats.patches, 0);
+            assert_eq!(p.cache_stats.misses, 1);
+            assert_eq!(p.cache_stats.patches, 13);
         }
         // Something actually crossed the wire, or the equivalence is vacuous.
         assert!(patched.iter().any(|s| s.move_data_exchange.msgs_sent > 0));
@@ -1084,8 +1067,8 @@ mod tests {
     #[test]
     fn patched_move_survives_remapping() {
         // A remap invalidates every cached translation; the epoch bump must flow through
-        // the schedule key so the next patch ships a full replacement — and the
-        // simulation must still match the sequential reference.
+        // the schedule key so the next request rebuilds — and the simulation must still
+        // match the sequential reference.
         let grid = CellGrid::new_2d(8, 8);
         let flow = FlowConfig::directional(75);
         let config = DsmcConfig {
@@ -1105,10 +1088,11 @@ mod tests {
         let par = merged_fingerprint(&results);
         let seq = sequential_fingerprint(grid, 500, flow, 15, config.dt, 75);
         assert_eq!(par, seq);
-        // Remaps do not force rebuilds: the full replacement rides the patch path.
+        // The first step and the step after each remap build; the other twelve patch.
         for s in &results {
-            assert_eq!(s.schedule_upkeep.builds, 1);
-            assert_eq!(s.schedule_upkeep.patches, 14);
+            assert_eq!(s.cache_stats.misses, 3);
+            assert_eq!(s.cache_stats.patches, 12);
+            assert_eq!(s.cache_stats.evictions, 0);
         }
     }
 

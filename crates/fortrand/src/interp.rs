@@ -763,20 +763,19 @@ impl<'p> Executor<'p> {
         let stale = rt.hash.is_none() || rt.epoch_seen != self.epoch;
         let dirty = |(m, now): (usize, &Vec<u64>)| stale || rt.member_deps_seen[m] != *now;
         let dirty: Vec<bool> = deps_now.iter().enumerate().map(dirty).collect();
-        // Every member dirty: nothing of the old table survives, so retire the cached
-        // schedules tied to it and hash from scratch — patching would re-ship the whole
-        // schedule as per-entry edits.  Otherwise patch only the dirty members'
-        // stamps — incremental maintenance instead of a full inspector rerun.
+        // Every member dirty: nothing of the old table survives, so clear it and hash
+        // from scratch — the epoch bump makes the cache rebuild the schedule.  Otherwise
+        // patch only the dirty members' stamps — incremental maintenance instead of a
+        // full inspector rerun.
         let fresh = dirty.iter().all(|&d| d);
+        let owned_len = self.decomps[rt.decomp].owned_globals.len();
+        let hash = rt
+            .hash
+            .get_or_insert_with(|| IndexHashTable::new(self.my_rank, owned_len));
         if fresh {
-            if let Some(old) = rt.hash.take() {
-                rt.cache.retire_table(&old);
-            }
-            let owned_len = self.decomps[rt.decomp].owned_globals.len();
-            rt.hash = Some(IndexHashTable::new(self.my_rank, owned_len));
+            hash.clear_all(owned_len);
             rt.rebuilds += 1;
         }
-        let hash = rt.hash.as_mut().expect("hash table built above");
         for (m, &lid) in rt.loop_ids.iter().enumerate() {
             if !dirty[m] {
                 continue;
@@ -1833,6 +1832,12 @@ mod tests {
                     assert_eq!(exec.group_stats(0), (1, 0, 3), "IA's loop");
                     assert_eq!(exec.group_stats(1), (4, 0, 0), "IB's loop");
                     assert_eq!(exec.group_cache_stats(1).patches, 0);
+                }
+                // A rebuild is the cache's in-place miss: one per rebuild, no evictions.
+                for group in 0..if optimize { 1 } else { 2 } {
+                    let cache = exec.group_cache_stats(group);
+                    assert_eq!(cache.misses, exec.group_stats(group).0, "group {group}");
+                    assert_eq!(cache.evictions, 0, "group {group}");
                 }
             });
         }

@@ -1,9 +1,9 @@
-//! Integration tests of the incremental schedule-maintenance subsystem: patched
-//! [`CommSchedule`]s must be byte-identical to from-scratch rebuilds at every machine
-//! size, through replicated *and* paged translation tables, across seeded drift
-//! sequences, empty deltas and full replacements — and the stamp-keyed
-//! [`ScheduleCache`] must never serve a stale schedule, including after `clear_stamp`
-//! and after an eviction forces a rebuild.
+//! Integration tests of incremental schedule maintenance through its one public path,
+//! [`ScheduleCache`]: patched [`CommSchedule`]s must be byte-identical to from-scratch
+//! rebuilds at every machine size, through replicated *and* paged translation tables,
+//! across seeded drift sequences and empty deltas; a `clear_all` must rebuild in place;
+//! and the cache must never serve a stale schedule, including after `clear_stamp` and
+//! after an eviction forces a rebuild.
 
 use chaos_suite::chaos::prelude::*;
 use chaos_suite::mpsim::{run, MachineConfig};
@@ -18,7 +18,8 @@ fn lcg(x: &mut u64) -> u64 {
 }
 
 /// Drive one rank's patch-vs-rebuild lockstep for `rounds` rounds of seeded drift and
-/// return whether every round's patched schedule equalled the rebuild byte for byte.
+/// return whether every round's patched schedule equalled the rebuild byte for byte and
+/// was current afterwards (the next request a hit).
 fn drift_lockstep(
     rank: &mut chaos_suite::mpsim::Rank,
     nglobals: usize,
@@ -33,14 +34,17 @@ fn drift_lockstep(
     let mut hash = IndexHashTable::new(me, dist.local_size(me));
     let stamp = Stamp::new(0);
     let query = StampQuery::single(stamp);
+    let mut cache = ScheduleCache::new(1);
 
     let mut rng = seed.wrapping_add(me as u64 * 0x9E37_79B9);
     let mut refs: Vec<usize> = (0..nrefs)
         .map(|_| lcg(&mut rng) as usize % nglobals)
         .collect();
     hash.hash_in_replicated(rank, &ttable, &refs, stamp);
-    let mut ms = build_maintained(rank, &hash, query);
-    let mut identical = *ms.schedule() == build_schedule_from_table(rank, &hash, query);
+    let (built, outcome) = cache.schedule(rank, &hash, query);
+    let built = built.clone();
+    let mut identical =
+        outcome == CacheOutcome::Missed && built == build_schedule_from_table(rank, &hash, query);
 
     for _ in 0..rounds {
         for _ in 0..drift_per_round {
@@ -49,9 +53,11 @@ fn drift_lockstep(
         }
         hash.clear_stamp(stamp);
         hash.hash_in_replicated(rank, &ttable, &refs, stamp);
-        patch_schedule(rank, &hash, &mut ms);
-        identical &= *ms.schedule() == build_schedule_from_table(rank, &hash, query);
-        identical &= ms.is_current(&hash);
+        let (patched, outcome) = cache.schedule(rank, &hash, query);
+        let patched = patched.clone();
+        identical &= matches!(outcome, CacheOutcome::Patched(_));
+        identical &= patched == build_schedule_from_table(rank, &hash, query);
+        identical &= cache.schedule(rank, &hash, query).1 == CacheOutcome::Hit;
     }
     identical
 }
@@ -73,9 +79,9 @@ fn patched_schedule_is_byte_identical_to_rebuild_across_machine_sizes() {
     }
 }
 
-/// Satellite (a), empty-delta edge cases: a patch against an unchanged table is free (no
-/// communication, `refreshed == false`), and a patch after re-hashing *identical*
-/// contents (key changed, selection unchanged) ships zero edits yet refreshes the key.
+/// Satellite (a), empty-delta edge cases: a request against an unchanged table is a free
+/// hit (no communication), and a request after re-hashing *identical* contents (key
+/// changed, selection unchanged) patches with zero edits yet brings the key current.
 #[test]
 fn empty_deltas_cost_nothing_and_ship_no_edits() {
     let out = run(MachineConfig::new(4), |rank| {
@@ -84,35 +90,32 @@ fn empty_deltas_cost_nothing_and_ship_no_edits() {
         let ttable = TranslationTable::from_regular(&dist);
         let mut hash = IndexHashTable::new(me, dist.local_size(me));
         let s = Stamp::new(3);
+        let q = StampQuery::single(s);
         let refs: Vec<usize> = (0..16).map(|k| (me * 16 + k * 3) % 64).collect();
         hash.hash_in_replicated(rank, &ttable, &refs, s);
-        let mut ms = build_maintained(rank, &hash, StampQuery::single(s));
+        let mut cache = ScheduleCache::new(1);
+        cache.schedule(rank, &hash, q);
 
-        // Unchanged table: the no-op fast path must not touch the network.
+        // Unchanged table: the hit path must not touch the network.
         let msgs_before = rank.stats().msgs_sent;
-        let noop = patch_schedule(rank, &hash, &mut ms);
+        let noop = cache.schedule(rank, &hash, q).1;
         let noop_msgs = rank.stats().msgs_sent - msgs_before;
 
         // Re-hash the same references: the version key moves, the selection does not.
         hash.clear_stamp(s);
         hash.hash_in_replicated(rank, &ttable, &refs, s);
-        let stale_key = !ms.is_current(&hash);
-        let refresh = patch_schedule(rank, &hash, &mut ms);
-        let rebuilt = build_schedule_from_table(rank, &hash, StampQuery::single(s));
-        (
-            noop,
-            noop_msgs,
-            stale_key,
-            refresh,
-            *ms.schedule() == rebuilt,
-            ms.is_current(&hash),
-        )
+        let (patched, refresh) = cache.schedule(rank, &hash, q);
+        let patched = patched.clone();
+        let rebuilt = build_schedule_from_table(rank, &hash, q);
+        let current = cache.schedule(rank, &hash, q).1 == CacheOutcome::Hit;
+        (noop, noop_msgs, refresh, patched == rebuilt, current)
     });
-    for (noop, noop_msgs, stale_key, refresh, identical, current) in &out.results {
-        assert!(!noop.refreshed, "an up-to-date schedule must not refresh");
-        assert_eq!(*noop_msgs, 0, "the no-op fast path must not communicate");
-        assert!(*stale_key, "re-hashing must advance the version key");
-        assert!(refresh.refreshed);
+    for (noop, noop_msgs, refresh, identical, current) in &out.results {
+        assert_eq!(*noop, CacheOutcome::Hit, "an up-to-date schedule is a hit");
+        assert_eq!(*noop_msgs, 0, "the hit path must not communicate");
+        let CacheOutcome::Patched(refresh) = refresh else {
+            panic!("re-hashing must advance the version key, so the request patches");
+        };
         assert_eq!(
             refresh.edits_sent + refresh.edits_received,
             0,
@@ -123,35 +126,66 @@ fn empty_deltas_cost_nothing_and_ship_no_edits() {
     }
 }
 
-/// Satellite (a), full-replacement edge case: after [`IndexHashTable::clear_all`] the
-/// epoch moves, ghost slots are re-assigned from scratch (and may alias old slot numbers
-/// onto different globals), and the patch path must still converge to the rebuild.
+/// Satellite (a), full replacement: after [`IndexHashTable::clear_all`] the epoch moves
+/// and nothing of the old table survives, so the cache rebuilds the entry where it
+/// stands — a miss that evicts nothing, byte-identical to a fresh build and sending
+/// exactly a fresh build's messages (no patch routing round).
 #[test]
-fn full_replacement_after_clear_all_patches_to_the_rebuild() {
+fn clear_all_rebuilds_in_place_as_a_miss() {
     let out = run(MachineConfig::new(8), |rank| {
         let me = rank.rank();
         let dist = BlockDist::new(128, rank.nprocs());
         let ttable = TranslationTable::from_regular(&dist);
         let mut hash = IndexHashTable::new(me, dist.local_size(me));
-        let s = Stamp::new(0);
-        let q = StampQuery::single(s);
+        let (sa, sb) = (Stamp::new(0), Stamp::new(1));
+        let q = StampQuery::single(sa);
         let first: Vec<usize> = (0..24).map(|k| (me * 16 + k * 5) % 128).collect();
-        hash.hash_in_replicated(rank, &ttable, &first, s);
-        let mut ms = build_maintained(rank, &hash, q);
+        hash.hash_in_replicated(rank, &ttable, &first, sa);
+        hash.hash_in_replicated(rank, &ttable, &first, sb);
+        let mut cache = ScheduleCache::new(2);
+        cache.schedule(rank, &hash, q);
+        cache.schedule(rank, &hash, StampQuery::single(sb));
+        let before = cache.stats();
 
         // Full replacement: wipe the table (epoch bump) and hash a disjoint-ish pattern.
         hash.clear_all(dist.local_size(me));
         let second: Vec<usize> = (0..24).map(|k| (me * 16 + k * 7 + 2) % 128).collect();
-        hash.hash_in_replicated(rank, &ttable, &second, s);
-        let stats = patch_schedule(rank, &hash, &mut ms);
+        hash.hash_in_replicated(rank, &ttable, &second, sa);
+        let msgs_before = rank.stats().msgs_sent;
+        let (sched, outcome) = cache.schedule(rank, &hash, q);
+        let sched = sched.clone();
+        let cache_msgs = rank.stats().msgs_sent - msgs_before;
+        let msgs_before = rank.stats().msgs_sent;
         let rebuilt = build_schedule_from_table(rank, &hash, q);
-        (stats, *ms.schedule() == rebuilt)
+        let build_msgs = rank.stats().msgs_sent - msgs_before;
+        let after = cache.stats();
+        (
+            outcome,
+            before,
+            after,
+            cache.len(),
+            sched == rebuilt,
+            cache_msgs,
+            build_msgs,
+        )
     });
-    for (stats, identical) in &out.results {
-        assert!(stats.refreshed);
-        assert!(
-            *identical,
-            "full replacement must equal a from-scratch build"
+    for (outcome, before, after, len, identical, cache_msgs, build_msgs) in &out.results {
+        assert_eq!(
+            *outcome,
+            CacheOutcome::Missed,
+            "a cleared table must rebuild"
+        );
+        assert_eq!(after.misses, before.misses + 1);
+        assert_eq!(after.patches, before.patches);
+        assert_eq!(
+            after.evictions, before.evictions,
+            "rebuilt in place, not inserted"
+        );
+        assert_eq!(*len, 2, "both entries stay cached");
+        assert!(*identical, "the rebuild must equal a from-scratch build");
+        assert_eq!(
+            cache_msgs, build_msgs,
+            "a rebuild sends a fresh build's messages"
         );
     }
 }
@@ -185,7 +219,8 @@ fn paged_translation_drift_patches_byte_identically() {
         let mut refs: Vec<usize> = (0..48).map(|_| lcg(&mut rng) as usize % nglobals).collect();
         hash.hash_in(rank, &mut ttable, &refs, s);
         control_hash.hash_in(rank, &mut control, &refs, s);
-        let mut ms = build_maintained(rank, &hash, q);
+        let mut cache = ScheduleCache::new(1);
+        cache.schedule(rank, &hash, q);
         let mut identical = true;
         let mut pages_seen = ttable.cached_page_count();
         for round in 0..4 {
@@ -202,15 +237,16 @@ fn paged_translation_drift_patches_byte_identically() {
             hash.hash_in(rank, &mut ttable, &refs, s);
             control_hash.clear_stamp(s);
             control_hash.hash_in(rank, &mut control, &refs, s);
-            patch_schedule(rank, &hash, &mut ms);
-            identical &= *ms.schedule() == build_schedule_from_table(rank, &control_hash, q);
+            let patched = cache.schedule(rank, &hash, q).0.clone();
+            identical &= patched == build_schedule_from_table(rank, &control_hash, q);
             pages_seen = pages_seen.max(ttable.cached_page_count());
         }
-        (identical, pages_seen)
+        (identical, pages_seen, cache.stats())
     });
-    for (identical, pages_seen) in &out.results {
+    for (identical, pages_seen, stats) in &out.results {
         assert!(*identical, "paged-table drift must patch to the rebuild");
         assert!(*pages_seen > 0, "remote translations must have paged in");
+        assert_eq!((stats.misses, stats.patches), (1, 4));
     }
 }
 
