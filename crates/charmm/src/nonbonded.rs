@@ -3,8 +3,21 @@
 //! Non-bonded forces nominally act between all pairs of atoms; CHARMM truncates them at a
 //! cutoff radius and keeps, for every atom, the list of partners inside the cutoff (the
 //! `inblo`/`jnb` CSR arrays of Figure 2).  Atoms move, so the list — and with it the data
-//! access pattern of the dominant loop — adapts every 10–100 steps.  List construction
-//! here uses a cell grid so it is O(N · density) rather than O(N²).
+//! access pattern of the dominant loop — adapts every 10–100 steps.
+//!
+//! The list is built on a grid of cells at least half a cutoff wide (never more cells than
+//! atoms), filled by one counting sort into CSR cells holding cell-ordered ids and positions.
+//! Atoms within the cutoff are at most two cells apart per axis, so a target scans a 5×5×5
+//! stencil, minus offsets that alias in a small box.  Each candidate passing the predicate
+//! (`j > i`, minimum-image distance ≤ cutoff) sets its bit in a bitset over atom ids, which
+//! is read back in ascending order with `trailing_zeros`: O(n + candidates + n_targets ·
+//! n / 64) instead of a sort per row.
+//!
+//! The read-back term is quadratic in N: atom ids are not ordered in space, so each row
+//! scans about n/64 words.  It pays only while n/64 is small next to a row's candidates
+//! (125 cells' worth of atoms, about 5 000 at the paper's density): a few per cent of the
+//! candidate work at 14 026 atoms, comparable to it near 10⁶ atoms and dominant beyond.
+//! Numbering atoms in cell order would bound each row's scan to its stencil's ids.
 
 use crate::system::{displacement_pbc, dist2};
 
@@ -48,65 +61,112 @@ pub fn build_neighbor_list(positions: &[[f64; 3]], box_size: f64, cutoff: f64) -
     build_neighbor_list_for(&all, positions, box_size, cutoff)
 }
 
+/// Half-cutoff cells: their 5×5×5 stencil scans 1.7× less volume than 3×3×3 cutoff cells.
+const CELLS_PER_CUTOFF: usize = 2;
+
 /// Build the neighbour list rows for the atoms in `targets` (global indices), searching
 /// against *all* atoms in `positions`.  The produced CSR structure has one row per target,
 /// in `targets` order; partner indices are global.  A pair (i, j) is stored on whichever of
 /// its endpoints appears in `targets`, under the usual `i < j` convention, so summing over
 /// rows never double-counts when every atom is a target exactly once across the machine.
+/// Row `i` holds, ascending, every `j > i` within `cutoff` of `i` under the minimum image;
+/// positions are expected in `[0, box_size]`, where the integrator keeps them.
+///
+/// # Panics
+/// If `box_size` or `cutoff` is not finite and positive, or a target is not an atom index.
 pub fn build_neighbor_list_for(
     targets: &[usize],
     positions: &[[f64; 3]],
     box_size: f64,
     cutoff: f64,
 ) -> NeighborList {
+    assert!(
+        box_size.is_finite() && box_size > 0.0 && cutoff.is_finite() && cutoff > 0.0,
+        "neighbour list needs a finite positive box and cutoff, got box_size = {box_size}, \
+         cutoff = {cutoff}"
+    );
     let n = positions.len();
+    if let Some(&bad) = targets.iter().find(|&&i| i >= n) {
+        panic!("neighbour-list target {bad} is not an atom: there are {n} atoms");
+    }
     let cutoff2 = cutoff * cutoff;
-    // Cell grid with cells no smaller than the cutoff.
-    let ncell = ((box_size / cutoff).floor() as usize).max(1);
+    // Never more cells than atoms: wider cells only widen the search, so the list is exact.
+    let ncell = ((CELLS_PER_CUTOFF as f64 * box_size / cutoff) as usize)
+        .min((n as f64).cbrt() as usize)
+        .max(1);
     let cell_size = box_size / ncell as f64;
-    let cell_of = |p: [f64; 3]| -> (usize, usize, usize) {
-        let clamp = |x: f64| -> usize {
-            let c = (x / cell_size) as isize;
-            c.rem_euclid(ncell as isize) as usize
-        };
-        (clamp(p[0]), clamp(p[1]), clamp(p[2]))
-    };
-    let mut cells: Vec<Vec<usize>> = vec![Vec::new(); ncell * ncell * ncell];
-    let cell_index = |c: (usize, usize, usize)| c.0 + ncell * (c.1 + ncell * c.2);
-    for (i, &p) in positions.iter().enumerate() {
-        cells[cell_index(cell_of(p))].push(i);
+    // Cells are half-open, so an atom at exactly `box_size` is the periodic image of 0.
+    let axis = |x: f64| ((x / cell_size) as usize) % ncell;
+    let cell_of = |p: [f64; 3]| [axis(p[0]), axis(p[1]), axis(p[2])];
+    let flat = |c: [usize; 3]| c[0] + ncell * (c[1] + ncell * c[2]);
+
+    // Counting sort of the atoms into CSR cells, with cell-ordered ids and positions.
+    let ncells = ncell * ncell * ncell;
+    let atom_cell: Vec<usize> = positions.iter().map(|&p| flat(cell_of(p))).collect();
+    let mut start = vec![0usize; ncells + 1];
+    atom_cell.iter().for_each(|&c| start[c + 1] += 1);
+    (1..=ncells).for_each(|c| start[c] += start[c - 1]);
+    let mut fill = start.clone();
+    let mut ids = vec![0u32; n];
+    let mut sorted = vec![[0.0; 3]; n];
+    for (j, &c) in atom_cell.iter().enumerate() {
+        ids[fill[c]] = u32::try_from(j).expect("atom ids fit in u32");
+        sorted[fill[c]] = positions[j];
+        fill[c] += 1;
     }
 
+    // The stencil: per (y, z) offset in −2..=2, one run of cells along x centred on the
+    // target's cell.  Offsets that alias in a small box count once.
+    let reach = CELLS_PER_CUTOFF as i64;
+    let mut axis_offsets: Vec<usize> = Vec::new();
+    for d in -reach..=reach {
+        let wrapped = d.rem_euclid(ncell as i64) as usize;
+        if !axis_offsets.contains(&wrapped) {
+            axis_offsets.push(wrapped);
+        }
+    }
+    let width = (2 * CELLS_PER_CUTOFF + 1).min(ncell);
+    let wrap = |c: usize| if c >= ncell { c - ncell } else { c };
+
+    // Each row marks its partners in a bitset over atom ids, then reads them back in
+    // ascending order, clearing the words it read for the next row.
+    let mut mark = vec![0u64; n.div_ceil(64)];
     let mut offsets = Vec::with_capacity(targets.len() + 1);
     let mut partners = Vec::new();
     offsets.push(0);
     for &i in targets {
-        let (cx, cy, cz) = cell_of(positions[i]);
-        let mut row: Vec<usize> = Vec::new();
-        for dx in -1i64..=1 {
-            for dy in -1i64..=1 {
-                for dz in -1i64..=1 {
-                    let nx = (cx as i64 + dx).rem_euclid(ncell as i64) as usize;
-                    let ny = (cy as i64 + dy).rem_euclid(ncell as i64) as usize;
-                    let nz = (cz as i64 + dz).rem_euclid(ncell as i64) as usize;
-                    for &j in &cells[cell_index((nx, ny, nz))] {
-                        if j <= i {
-                            continue;
-                        }
-                        let d = displacement_pbc(positions[i], positions[j], box_size);
-                        if dist2(d) <= cutoff2 {
-                            row.push(j);
-                        }
+        let pi = positions[i];
+        let [cx, cy, cz] = cell_of(pi);
+        // The x-run starts at x0 and is split where it wraps.
+        let x0 = wrap(cx + ncell - width / 2);
+        let first = width.min(ncell - x0);
+        let mut hi = 0;
+        for &oz in &axis_offsets {
+            for &oy in &axis_offsets {
+                let row = flat([0, wrap(cy + oy), wrap(cz + oz)]);
+                for (c0, c1) in [(row + x0, row + x0 + first), (row, row + width - first)] {
+                    let (a, b) = (start[c0], start[c1]);
+                    for (&j, &pj) in ids[a..b].iter().zip(&sorted[a..b]) {
+                        let j = j as usize;
+                        let hit = j > i && dist2(displacement_pbc(pi, pj, box_size)) <= cutoff2;
+                        mark[j >> 6] |= u64::from(hit) << (j & 63);
+                        hi = hi.max(j >> 6);
                     }
                 }
             }
         }
-        row.sort_unstable();
-        row.dedup();
-        partners.extend_from_slice(&row);
+        // Every partner is above i.  Ids are not ordered in space, so this scans about
+        // n/64 words per row: see the module doc for where that stops paying.
+        let lo = i >> 6;
+        for (w, word) in (lo..).zip(&mut mark[lo..=hi]) {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                partners.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
         offsets.push(partners.len());
     }
-    let _ = n;
     NeighborList { offsets, partners }
 }
 
@@ -152,26 +212,146 @@ mod tests {
     use super::*;
     use crate::system::{MolecularSystem, SystemConfig};
 
+    /// The O(N²) oracle: every `j > i` under the same predicate, in ascending order.
+    fn brute_force(
+        targets: &[usize],
+        positions: &[[f64; 3]],
+        box_size: f64,
+        cutoff: f64,
+    ) -> NeighborList {
+        let mut offsets = vec![0];
+        let mut partners = Vec::new();
+        for &i in targets {
+            for j in i + 1..positions.len() {
+                if dist2(displacement_pbc(positions[i], positions[j], box_size)) <= cutoff * cutoff
+                {
+                    partners.push(j);
+                }
+            }
+            offsets.push(partners.len());
+        }
+        NeighborList { offsets, partners }
+    }
+
+    /// The grid's list equals the oracle's, `offsets` and `partners`, for full,
+    /// every-third, reversed and empty target sets.
+    fn assert_matches_oracle(positions: &[[f64; 3]], box_size: f64, cutoff: f64) {
+        let n = positions.len();
+        let full: Vec<usize> = (0..n).collect();
+        let third: Vec<usize> = (0..n).step_by(3).collect();
+        let reversed: Vec<usize> = (0..n).rev().collect();
+        for (name, targets) in [
+            ("full", &full[..]),
+            ("every third", &third[..]),
+            ("reversed", &reversed[..]),
+            ("empty", &[][..]),
+        ] {
+            let grid = build_neighbor_list_for(targets, positions, box_size, cutoff);
+            let oracle = brute_force(targets, positions, box_size, cutoff);
+            assert!(
+                grid == oracle,
+                "{name} targets, {n} atoms, box {box_size}, cutoff {cutoff}: grid has {} \
+                 pairs, oracle {}",
+                grid.interaction_count(),
+                oracle.interaction_count()
+            );
+        }
+    }
+
+    fn system(
+        protein_atoms: usize,
+        water_molecules: usize,
+        box_size: f64,
+        cutoff: f64,
+    ) -> MolecularSystem {
+        MolecularSystem::build(&SystemConfig {
+            protein_atoms,
+            water_molecules,
+            box_size,
+            cutoff,
+            seed: 1994,
+        })
+    }
+
     #[test]
     fn neighbor_list_matches_brute_force() {
-        let sys = MolecularSystem::build(&SystemConfig::small(11));
-        let list = build_neighbor_list(&sys.positions, sys.box_size, sys.cutoff);
-        assert_eq!(list.natoms(), sys.natoms());
-        let cutoff2 = sys.cutoff * sys.cutoff;
-        // Brute-force reference.
-        let mut expected = 0usize;
-        for i in 0..sys.natoms() {
-            for j in (i + 1)..sys.natoms() {
-                if dist2(sys.displacement(i, j)) <= cutoff2 {
-                    expected += 1;
-                    assert!(
-                        list.partners_of(i).contains(&j),
-                        "pair ({i},{j}) missing from the list"
-                    );
+        // The 3 400-atom benchmark system, the 1 010-atom compiled one, the unit-test one,
+        // and a 110-atom box of four cells per axis whose 5-wide stencil aliases.
+        for sys in [
+            system(700, 900, 28.0, 7.0),
+            system(200, 270, 19.0, 5.5),
+            MolecularSystem::build(&SystemConfig::small(11)),
+            system(20, 30, 10.0, 4.5),
+        ] {
+            assert_matches_oracle(&sys.positions, sys.box_size, sys.cutoff);
+        }
+    }
+
+    #[test]
+    fn neighbor_list_is_exact_on_small_and_capped_grids() {
+        // 300 atoms in box 14: a cutoff above box/2 (three cells per axis), 10 (two
+        // cells), one that reaches every minimum image (one cell), and two that ask for
+        // more cells than atoms, so the grid is capped at six cells per axis.
+        let sys = MolecularSystem::build(&SystemConfig::small(4));
+        for cutoff in [8.0, 10.0, 30.0, 3.5, 3.0] {
+            assert_matches_oracle(&sys.positions, sys.box_size, cutoff);
+        }
+    }
+
+    #[test]
+    fn neighbor_list_is_exact_on_cell_boundaries() {
+        // A lattice at the cell width (cutoff / 2): atoms at exactly 0.0 and exactly
+        // box_size, cell boundaries everywhere and many pairs at exactly the cutoff.
+        let ticks: Vec<f64> = (0..=8).map(|k| k as f64 * 1.25).collect();
+        let mut positions = Vec::new();
+        for &x in &ticks {
+            for &y in &ticks {
+                for &z in &ticks {
+                    positions.push([x, y, z]);
                 }
             }
         }
-        assert_eq!(list.interaction_count(), expected);
+        assert_matches_oracle(&positions, 10.0, 2.5);
+        assert_matches_oracle(&positions, 10.0, 2.6);
+    }
+
+    #[test]
+    fn tiny_cutoff_builds_an_exact_list_on_a_bounded_grid() {
+        // 2·box/cutoff asks for 56 000 cells per axis; the grid is capped at the atom
+        // count, and one coincident copy of atom 0 still finds its partner.
+        let mut sys = system(60, 80, 28.0, 1e-3);
+        sys.positions.push(sys.positions[0]);
+        let list = build_neighbor_list(&sys.positions, sys.box_size, sys.cutoff);
+        assert_eq!(list.partners_of(0), &[sys.natoms() - 1]);
+        assert_matches_oracle(&sys.positions, sys.box_size, sys.cutoff);
+    }
+
+    #[test]
+    #[ignore = "paper scale: O(N²) oracle over 14 026 atoms; run with --release -- --ignored"]
+    fn neighbor_list_matches_brute_force_at_paper_scale() {
+        let sys = MolecularSystem::build(&SystemConfig::paper_benchmark());
+        assert_matches_oracle(&sys.positions, sys.box_size, sys.cutoff);
+    }
+
+    #[test]
+    #[should_panic(expected = "got box_size = 14, cutoff = 0")]
+    fn zero_cutoff_is_refused_by_name() {
+        let sys = MolecularSystem::build(&SystemConfig::small(1));
+        build_neighbor_list(&sys.positions, 14.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "got box_size = NaN, cutoff = 4.5")]
+    fn non_finite_box_is_refused_by_name() {
+        let sys = MolecularSystem::build(&SystemConfig::small(1));
+        build_neighbor_list(&sys.positions, f64::NAN, 4.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "neighbour-list target 300 is not an atom: there are 300 atoms")]
+    fn out_of_range_target_is_refused_by_name() {
+        let sys = MolecularSystem::build(&SystemConfig::small(1));
+        build_neighbor_list_for(&[0, 300], &sys.positions, sys.box_size, sys.cutoff);
     }
 
     #[test]
@@ -195,6 +375,17 @@ mod tests {
         let second: Vec<usize> = (n / 2..n).collect();
         let a = build_neighbor_list_for(&first, &sys.positions, sys.box_size, sys.cutoff);
         let b = build_neighbor_list_for(&second, &sys.positions, sys.box_size, sys.cutoff);
+        // Each half's rows are exactly the full list's rows of the same atoms.
+        for (half, targets) in [(&a, &first), (&b, &second)] {
+            assert_eq!(half.natoms(), targets.len());
+            for (row, &i) in targets.iter().enumerate() {
+                assert_eq!(
+                    half.partners_of(row),
+                    full.partners_of(i),
+                    "row of atom {i}"
+                );
+            }
+        }
         assert_eq!(
             a.interaction_count() + b.interaction_count(),
             full.interaction_count()
