@@ -305,11 +305,11 @@ fn build_strided_schedule(
 ) -> (BlockDist, CommSchedule, Vec<chaos::LocalRef>) {
     let dist = BlockDist::new(n, rank.nprocs());
     let ttable = TranslationTable::from_regular(&dist);
-    let mut insp = Inspector::new(&ttable, rank.rank());
+    let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
     let me = rank.rank();
     let pattern: Vec<usize> = (0..n / 2).map(|i| (i * 7 + me * 13 + 1) % n).collect();
-    let refs = insp.hash_indices(rank, &pattern, Stamp::new(0));
-    let sched = insp.build_schedule(rank, StampQuery::single(Stamp::new(0)));
+    let refs = hash.hash_in_replicated(rank, &ttable, &pattern, Stamp::new(0));
+    let sched = build_schedule_from_table(rank, &hash, StampQuery::single(Stamp::new(0)));
     (dist, sched, refs)
 }
 

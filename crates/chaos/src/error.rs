@@ -2,8 +2,8 @@
 //!
 //! Most of the runtime follows the original library's philosophy and treats programming
 //! errors (out-of-range indices, mismatched collective calls) as panics, but operations
-//! whose failure is data-dependent — e.g. a partitioner asked for more parts than
-//! elements, or a map array that does not cover every element — report a `ChaosError`.
+//! whose failure is data-dependent — a map array that assigns an element to a processor
+//! the machine does not have — report a `ChaosError`.
 
 use std::fmt;
 
@@ -19,25 +19,6 @@ pub enum ChaosError {
         /// Number of processors in the machine.
         nprocs: usize,
     },
-    /// A partitioner was asked to produce more parts than there are elements.
-    TooManyParts {
-        /// Elements available.
-        elements: usize,
-        /// Parts requested.
-        parts: usize,
-    },
-    /// An indirection array referenced a global index outside the distributed array.
-    IndexOutOfBounds {
-        /// The offending global index.
-        index: usize,
-        /// The size of the global index space.
-        size: usize,
-    },
-    /// Inputs to a collective operation disagree across ranks (detected sizes mismatch).
-    CollectiveMismatch {
-        /// Human-readable description of the disagreement.
-        detail: String,
-    },
 }
 
 impl fmt::Display for ChaosError {
@@ -51,17 +32,6 @@ impl fmt::Display for ChaosError {
                 f,
                 "element {index} assigned to processor {owner}, but the machine has {nprocs} processors"
             ),
-            ChaosError::TooManyParts { elements, parts } => write!(
-                f,
-                "cannot partition {elements} elements into {parts} non-empty parts"
-            ),
-            ChaosError::IndexOutOfBounds { index, size } => write!(
-                f,
-                "global index {index} is outside the distributed array of size {size}"
-            ),
-            ChaosError::CollectiveMismatch { detail } => {
-                write!(f, "collective call mismatch: {detail}")
-            }
         }
     }
 }
@@ -81,20 +51,6 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains('3') && s.contains('9') && s.contains('4'));
-
-        let e = ChaosError::TooManyParts {
-            elements: 2,
-            parts: 5,
-        };
-        assert!(e.to_string().contains('5'));
-
-        let e = ChaosError::IndexOutOfBounds { index: 10, size: 8 };
-        assert!(e.to_string().contains("10"));
-
-        let e = ChaosError::CollectiveMismatch {
-            detail: "sizes differ".into(),
-        };
-        assert!(e.to_string().contains("sizes differ"));
     }
 
     #[test]

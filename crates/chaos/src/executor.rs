@@ -534,8 +534,8 @@ pub fn scatter_append<T: Element>(
 mod tests {
     use super::*;
     use crate::distribution::BlockDist;
-    use crate::index_hash::{Stamp, StampQuery};
-    use crate::inspector::Inspector;
+    use crate::index_hash::{IndexHashTable, Stamp, StampQuery};
+    use crate::inspector::build_schedule_from_table;
     use crate::translation::TranslationTable;
     use mpsim::{run, MachineConfig};
 
@@ -552,9 +552,9 @@ mod tests {
     ) {
         let dist = BlockDist::new(n, rank.nprocs());
         let ttable = TranslationTable::from_regular(&dist);
-        let mut insp = Inspector::new(&ttable, rank.rank());
-        let refs = insp.hash_indices(rank, pattern, Stamp::new(0));
-        let sched = insp.build_schedule(rank, StampQuery::single(Stamp::new(0)));
+        let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
+        let refs = hash.hash_in_replicated(rank, &ttable, pattern, Stamp::new(0));
+        let sched = build_schedule_from_table(rank, &hash, StampQuery::single(Stamp::new(0)));
         (sched, refs, dist.local_range(rank.rank()))
     }
 
@@ -708,11 +708,11 @@ mod tests {
             let n = 256;
             let dist = BlockDist::new(n, rank.nprocs());
             let ttable = TranslationTable::from_regular(&dist);
-            let mut insp = Inspector::new(&ttable, rank.rank());
+            let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
             let pattern: Vec<usize> = (0..64).map(|k| (me * 64 + k + 16) % n).collect();
             let before = rank.stats().bytes_sent;
-            insp.hash_indices(rank, &pattern, Stamp::new(0));
-            let sched = insp.build_schedule(rank, StampQuery::single(Stamp::new(0)));
+            hash.hash_in_replicated(rank, &ttable, &pattern, Stamp::new(0));
+            let sched = build_schedule_from_table(rank, &hash, StampQuery::single(Stamp::new(0)));
             let regular_build_bytes = rank.stats().bytes_sent - before;
             (
                 lw_build_bytes,

@@ -21,12 +21,9 @@
 //! Global indices are dense (`0..N`, the translation table's index space), so the "hash
 //! table" is direct-mapped: `index[g]` is a `u32` naming the position of global `g`'s
 //! entry in `slots`, the entry storage kept in insertion order (which is what makes
-//! schedules identical on every rank).  Two values of `index` are sentinels: `ABSENT`
-//! (`u32::MAX`) — never hashed in — and `PENDING` (`u32::MAX - 1`) — first seen earlier
-//! in the *current* [`IndexHashTable::hash_in`] batch and waiting for the batched
-//! translation, so the table itself answers "seen before?" for duplicates inside one
-//! call.  `PENDING` never survives a call that returns.  The probe is one bounds-checked
-//! load; a global outside `0..N` fails that check and becomes a named panic.
+//! schedules identical on every rank).  One value of `index` is a sentinel: `ABSENT`
+//! (`u32::MAX`) — never hashed in.  The probe is one bounds-checked load; a global outside
+//! `0..N` fails that check and becomes a named panic.
 //!
 //! `index` is grown to the translation table's `global_size()` the first time the table
 //! is hashed into (so [`IndexHashTable::new`] needs no size), which costs **4·N bytes per
@@ -189,11 +186,9 @@ pub struct HashEntry {
     pub stamps: u64,
 }
 
-/// `index` value of a global that has never been hashed in.
+/// `index` value of a global that has never been hashed in.  Every slot position is below
+/// it.
 const ABSENT: u32 = u32::MAX;
-/// `index` value of a global first seen earlier in the running `hash_in` batch, whose
-/// translation is still pending.  Every slot position is below it.
-const PENDING: u32 = u32::MAX - 1;
 
 /// The stamped hash table used by the inspector for index analysis.  See the module
 /// documentation for the layout and its 4·N-byte memory bound.
@@ -202,8 +197,8 @@ pub struct IndexHashTable {
     /// Number of owned elements, which is also the local reference of ghost slot 0
     /// (checked against `u32` in `new`).
     owned_len: u32,
-    /// Direct-mapped global index → position in `slots`, `ABSENT` or `PENDING`; empty
-    /// until the first hash sizes it to the translation table's global size.
+    /// Direct-mapped global index → position in `slots` or `ABSENT`; empty until the
+    /// first hash sizes it to the translation table's global size.
     index: Vec<u32>,
     /// Entry storage in insertion order — iteration order must be deterministic so that
     /// every rank builds schedules with identical request ordering.
@@ -213,8 +208,8 @@ pub struct IndexHashTable {
     table_id: u64,
     /// Bumped by [`IndexHashTable::clear_all`].
     epoch: u64,
-    /// Per-stamp generation counters: `stamp_gens[b]` advances once per `hash_in` /
-    /// `hash_in_replicated` *call* under stamp `b` and once per `clear_stamp(b)`.
+    /// Per-stamp generation counters: `stamp_gens[b]` advances once per
+    /// `hash_in_replicated[_into]` *call* under stamp `b` and once per `clear_stamp(b)`.
     stamp_gens: [u64; 64],
 }
 
@@ -281,65 +276,13 @@ impl IndexHashTable {
     /// translating them through `ttable`, and return the corresponding local references
     /// (owned offset or ghost slot) in input order.
     ///
-    /// This is `CHAOS_hash` from the paper.  It is collective when `ttable` is distributed
-    /// or paged (translation lookups may require communication); with a replicated table it
-    /// performs no communication at all.
+    /// This is `CHAOS_hash` from the paper.  The translation table is replicated, so no
+    /// communication occurs; the cost of hashing is charged to the rank's modeled
+    /// computation time.
     ///
     /// # Panics
     /// Panics, naming the index, the array size and the stamp, if a global index lies
     /// outside `ttable`'s index space.
-    pub fn hash_in(
-        &mut self,
-        rank: &mut Rank,
-        ttable: &mut TranslationTable,
-        globals: &[Global],
-        stamp: Stamp,
-    ) -> Vec<LocalRef> {
-        self.stamp_gens[stamp.bit() as usize] += 1;
-        self.grow_index(ttable);
-        // 1. Find the indices we have never seen before and translate them (batched, so a
-        //    distributed translation table pays one collective dereference, not one per
-        //    index).  Marking a first occurrence PENDING makes later duplicates in this
-        //    batch probe as "seen".
-        let mut unknown: Vec<Global> = Vec::new();
-        for &g in globals {
-            match self.index.get_mut(g) {
-                Some(at) if *at == ABSENT => {
-                    *at = PENDING;
-                    unknown.push(g);
-                }
-                Some(_) => {}
-                None => out_of_range("hash_in", g, self.index.len(), stamp),
-            }
-        }
-        // Index analysis cost: one unit per new index (hash insert + translation), a tenth
-        // of a unit per already-known index (hash probe only).  This is what makes hash
-        // reuse visible in the modeled preprocessing times.
-        let known = globals.len() - unknown.len();
-        rank.charge_compute(unknown.len() as f64 + known as f64 * 0.1);
-
-        let locs = ttable.lookup(rank, &unknown);
-        for (&g, loc) in unknown.iter().zip(locs) {
-            self.insert(g, loc);
-        }
-
-        // 2. Mark the stamp and emit local references in input order.
-        let mask = stamp.mask();
-        let refs = globals.iter().map(|&g| {
-            let entry = &mut self.slots[self.index[g] as usize];
-            entry.stamps |= mask;
-            LocalRef(local_ref(entry, self.owned_len) as usize)
-        });
-        refs.collect()
-    }
-
-    /// Variant of [`IndexHashTable::hash_in`] for **replicated** translation tables: no
-    /// communication can occur, so the table is taken by shared reference.  This is the
-    /// path [`crate::inspector::Inspector::hash_indices`] uses.
-    ///
-    /// # Panics
-    /// Panics if `ttable` is not replicated, or (naming the index, the array size and the
-    /// stamp) if a global index lies outside its index space.
     pub fn hash_in_replicated(
         &mut self,
         rank: &mut Rank,
@@ -369,12 +312,12 @@ impl IndexHashTable {
         self.probe_replicated(rank, ttable, globals, stamp, out, |r| r);
     }
 
-    /// The one probe loop behind both replicated entry points, generic over the output
-    /// element.  It is written as a single `extend` over a closure with the probe inline
-    /// because that is the fastest of the formulations measured on the `inspector_drift`
-    /// workload: a `push` per element, a per-element helper taking `&mut self`, and an
-    /// intermediate `u32` vector re-wrapped into `LocalRef`s were all slower (numbers in
-    /// DESIGN.md, "The CHAOS runtime").
+    /// The one probe loop behind both entry points, generic over the output element.  It
+    /// is written as a single `extend` over a closure with the probe inline because that
+    /// is the fastest of the formulations measured on the `inspector_drift` workload: a
+    /// `push` per element, a per-element helper taking `&mut self`, and an intermediate
+    /// `u32` vector re-wrapped into `LocalRef`s were all slower (numbers in DESIGN.md,
+    /// "The CHAOS runtime").
     #[inline]
     fn probe_replicated<R>(
         &mut self,
@@ -385,10 +328,6 @@ impl IndexHashTable {
         out: &mut Vec<R>,
         wrap: impl Fn(u32) -> R,
     ) {
-        assert!(
-            ttable.is_replicated(),
-            "hash_in_replicated requires a replicated translation table"
-        );
         self.stamp_gens[stamp.bit() as usize] += 1;
         self.grow_index(ttable);
         let mask = stamp.mask();
@@ -397,18 +336,16 @@ impl IndexHashTable {
         out.extend(globals.iter().map(|&g| {
             let at = match self.index.get(g) {
                 Some(&at) if at != ABSENT => at,
-                Some(_) => {
-                    let loc = ttable
-                        .lookup_local(g)
-                        .expect("hash_in_replicated requires a replicated translation table");
-                    self.insert(g, loc)
-                }
+                Some(_) => self.insert(g, ttable.lookup(g)),
                 None => out_of_range("hash_in_replicated", g, self.index.len(), stamp),
             };
             let entry = &mut self.slots[at as usize];
             entry.stamps |= mask;
             wrap(local_ref(entry, owned_len))
         }));
+        // Index analysis cost: one unit per new index (hash insert + translation), a tenth
+        // of a unit per already-known index (hash probe only).  This is what makes hash
+        // reuse visible in the modeled preprocessing times.
         let new_count = self.slots.len() - slots_before;
         let known = globals.len() - new_count;
         rank.charge_compute(new_count as f64 + known as f64 * 0.1);
@@ -427,7 +364,7 @@ impl IndexHashTable {
     fn insert(&mut self, global: Global, loc: Loc) -> u32 {
         let at = u32::try_from(self.slots.len())
             .ok()
-            .filter(|&at| at < PENDING)
+            .filter(|&at| at < ABSENT)
             .expect("hash-table slot count must fit u32");
         let ghost_slot = if loc.owner as usize == self.my_rank {
             None
@@ -491,7 +428,7 @@ impl IndexHashTable {
     /// the end of the array).
     pub fn get(&self, g: Global) -> Option<&HashEntry> {
         let at = *self.index.get(g)?;
-        // Both sentinels lie past every slot position.
+        // The sentinel lies past every slot position.
         self.slots.get(at as usize)
     }
 
@@ -568,10 +505,10 @@ mod tests {
     fn hash_in_translates_dedupes_and_assigns_ghost_slots() {
         // 2 ranks, 8 elements block distributed: rank 0 owns 0..4, rank 1 owns 4..8.
         let out = run(MachineConfig::new(2), |rank| {
-            let (mut ttable, owned) = table_for(rank, 8);
+            let (ttable, owned) = table_for(rank, 8);
             let mut h = IndexHashTable::new(rank.rank(), owned);
             // Same access pattern on both ranks for simplicity: references 0,5,0,7,3.
-            let refs = h.hash_in(rank, &mut ttable, &[0, 5, 0, 7, 3], Stamp::new(0));
+            let refs = h.hash_in_replicated(rank, &ttable, &[0, 5, 0, 7, 3], Stamp::new(0));
             (refs, h.ghost_len(), h.len())
         });
         // Rank 0 owns 0..4: indices 0 and 3 are owned; 5 and 7 are ghosts (2 slots).
@@ -594,17 +531,17 @@ mod tests {
     #[test]
     fn rehashing_reuses_entries_and_ghost_slots() {
         let out = run(MachineConfig::new(2), |rank| {
-            let (mut ttable, owned) = table_for(rank, 100);
+            let (ttable, owned) = table_for(rank, 100);
             let mut h = IndexHashTable::new(rank.rank(), owned);
             let a: Vec<usize> = (0..50).map(|i| (i * 3) % 100).collect();
-            let first = h.hash_in(rank, &mut ttable, &a, Stamp::new(0));
+            let first = h.hash_in_replicated(rank, &ttable, &a, Stamp::new(0));
             let ghost_after_first = h.ghost_len();
             // The indirection array "adapts": most entries identical, a few new.
             let mut b = a.clone();
             b[0] = 99;
             b[1] = 98;
             h.clear_stamp(Stamp::new(0));
-            let second = h.hash_in(rank, &mut ttable, &b, Stamp::new(0));
+            let second = h.hash_in_replicated(rank, &ttable, &b, Stamp::new(0));
             let ghost_after_second = h.ghost_len();
             // Unchanged indices must resolve to the identical local references.
             let same = a
@@ -627,12 +564,12 @@ mod tests {
     #[test]
     fn clear_stamp_excludes_entries_from_queries_but_keeps_them() {
         let out = run(MachineConfig::new(2), |rank| {
-            let (mut ttable, owned) = table_for(rank, 16);
+            let (ttable, owned) = table_for(rank, 16);
             let mut h = IndexHashTable::new(rank.rank(), owned);
             let sa = Stamp::new(0);
             let sb = Stamp::new(1);
-            h.hash_in(rank, &mut ttable, &[1, 9, 12], sa);
-            h.hash_in(rank, &mut ttable, &[9, 3], sb);
+            h.hash_in_replicated(rank, &ttable, &[1, 9, 12], sa);
+            h.hash_in_replicated(rank, &ttable, &[9, 3], sb);
             let both = h.entries_matching(StampQuery::any_of(&[sa, sb])).count();
             h.clear_stamp(sa);
             let after_clear_a = h.entries_matching(StampQuery::single(sa)).count();
@@ -652,12 +589,12 @@ mod tests {
         // Mirrors Figure 6: schedule for b-minus-a fetches only what b needs that a did
         // not already bring in.
         let out = run(MachineConfig::new(2), |rank| {
-            let (mut ttable, owned) = table_for(rank, 10);
+            let (ttable, owned) = table_for(rank, 10);
             let mut h = IndexHashTable::new(rank.rank(), owned);
             let sa = Stamp::new(0);
             let sb = Stamp::new(1);
-            h.hash_in(rank, &mut ttable, &[1, 3, 7, 9, 2], sa);
-            h.hash_in(rank, &mut ttable, &[1, 5, 7, 8, 2], sb);
+            h.hash_in_replicated(rank, &ttable, &[1, 3, 7, 9, 2], sa);
+            h.hash_in_replicated(rank, &ttable, &[1, 5, 7, 8, 2], sb);
             let inc: Vec<Global> = h
                 .entries_matching(StampQuery::minus(&[sb], &[sa]))
                 .map(|e| e.global)
@@ -672,9 +609,9 @@ mod tests {
     #[test]
     fn clear_all_resets_ghost_slots() {
         let out = run(MachineConfig::new(2), |rank| {
-            let (mut ttable, owned) = table_for(rank, 8);
+            let (ttable, owned) = table_for(rank, 8);
             let mut h = IndexHashTable::new(rank.rank(), owned);
-            h.hash_in(rank, &mut ttable, &[0, 7, 5], Stamp::new(0));
+            h.hash_in_replicated(rank, &ttable, &[0, 7, 5], Stamp::new(0));
             let before = h.ghost_len();
             // The new distribution gives this rank two more elements: later ghost
             // references and schedule bounds must be taken against the new length.
@@ -699,7 +636,7 @@ mod tests {
     #[test]
     fn schedule_keys_track_operations_not_contents() {
         let out = run(MachineConfig::new(1), |rank| {
-            let (mut ttable, owned) = table_for(rank, 8);
+            let (ttable, owned) = table_for(rank, 8);
             let mut h = IndexHashTable::new(rank.rank(), owned);
             let sa = Stamp::new(0);
             let sb = Stamp::new(1);
@@ -707,15 +644,15 @@ mod tests {
             let k0 = h.version(q);
             // Reading the version is pure: asking twice gives equal keys.
             assert_eq!(k0, h.version(q));
-            h.hash_in(rank, &mut ttable, &[1, 2], sa);
+            h.hash_in_replicated(rank, &ttable, &[1, 2], sa);
             let k1 = h.version(q);
             assert_ne!(k0, k1, "hashing under a queried stamp must change the key");
             // Re-hashing the *same* contents still advances the key (operation counting).
-            h.hash_in(rank, &mut ttable, &[1, 2], sa);
+            h.hash_in_replicated(rank, &ttable, &[1, 2], sa);
             let k2 = h.version(q);
             assert_ne!(k1, k2);
             // Mutating an unrelated stamp leaves the key alone.
-            h.hash_in(rank, &mut ttable, &[3], sb);
+            h.hash_in_replicated(rank, &ttable, &[3], sb);
             assert_eq!(k2, h.version(q));
             h.clear_stamp(sb);
             assert_eq!(k2, h.version(q));
@@ -744,20 +681,22 @@ mod tests {
     /// Run `op` on both ranks of a 2-rank machine, each against a fresh table over 8
     /// block-distributed elements; a rank's panic is the test's panic.
     fn with_table(
-        op: impl Fn(&mut Rank, &mut IndexHashTable, &mut TranslationTable) + Send + Sync + 'static,
+        op: impl Fn(&mut Rank, &mut IndexHashTable, &TranslationTable) + Send + Sync + 'static,
     ) {
         run(MachineConfig::new(2), move |rank| {
-            let (mut ttable, owned) = table_for(rank, 8);
+            let (ttable, owned) = table_for(rank, 8);
             let mut h = IndexHashTable::new(rank.rank(), owned);
-            op(rank, &mut h, &mut ttable);
+            op(rank, &mut h, &ttable);
         });
     }
 
     #[test]
-    #[should_panic(expected = "hash_in: global index 8 outside array of size 8 (stamp bit 3)")]
+    #[should_panic(
+        expected = "hash_in_replicated: global index 8 outside array of size 8 (stamp bit 3)"
+    )]
     fn hash_in_names_an_out_of_range_global() {
         with_table(|rank, h, ttable| {
-            h.hash_in(rank, ttable, &[1, 8], Stamp::new(3));
+            h.hash_in_replicated(rank, ttable, &[1, 8], Stamp::new(3));
         });
     }
 
@@ -786,7 +725,7 @@ mod tests {
     fn get_past_the_end_or_before_any_hash_is_none() {
         with_table(|rank, h, ttable| {
             assert!(h.get(3).is_none(), "nothing hashed yet");
-            h.hash_in(rank, ttable, &[3, 5], Stamp::new(0));
+            h.hash_in_replicated(rank, ttable, &[3, 5], Stamp::new(0));
             assert_eq!(h.get(3).map(|e| e.global), Some(3));
             assert!(h.get(4).is_none(), "in range, never hashed");
             assert!(h.get(8).is_none(), "one past the end");
@@ -833,10 +772,10 @@ mod tests {
     #[test]
     fn off_processor_count_counts_only_ghosts() {
         let out = run(MachineConfig::new(4), |rank| {
-            let (mut ttable, owned) = table_for(rank, 16);
+            let (ttable, owned) = table_for(rank, 16);
             let mut h = IndexHashTable::new(rank.rank(), owned);
             let s = Stamp::new(0);
-            h.hash_in(rank, &mut ttable, &(0..16).collect::<Vec<_>>(), s);
+            h.hash_in_replicated(rank, &ttable, &(0..16).collect::<Vec<_>>(), s);
             h.off_processor_count(StampQuery::single(s))
         });
         // Each rank owns 4 of 16 elements, so 12 are off-processor.

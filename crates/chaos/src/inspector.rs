@@ -5,9 +5,10 @@
 //!
 //! 1. **index analysis** — hash the indirection arrays into the stamped
 //!    [`IndexHashTable`], removing duplicates and translating global to local indices
-//!    ([`Inspector::hash_indices`]);
+//!    ([`IndexHashTable::hash_in_replicated`]);
 //! 2. **schedule generation** — read the hash-table entries selected by a [`StampQuery`]
-//!    and construct a [`CommSchedule`] ([`Inspector::build_schedule`]).
+//!    and construct a [`CommSchedule`] ([`build_schedule_from_table`], or a
+//!    [`crate::cache::ScheduleCache`] that reuses and patches what it built).
 //!
 //! When an indirection array adapts (CHARMM's non-bonded list), the old stamp is cleared,
 //! the new array is hashed (mostly hitting existing entries), and only the schedule is
@@ -15,81 +16,8 @@
 
 use mpsim::Rank;
 
-use crate::darray::LocalRef;
-use crate::index_hash::{IndexHashTable, Stamp, StampQuery};
+use crate::index_hash::{IndexHashTable, StampQuery};
 use crate::schedule::CommSchedule;
-use crate::translation::TranslationTable;
-use crate::{Global, ProcId};
-
-/// High-level inspector for the common case of a **replicated** translation table (the
-/// configuration both applications in the paper use).  For distributed or paged tables,
-/// drive an [`IndexHashTable`] directly with [`IndexHashTable::hash_in`] and build the
-/// schedule with [`build_schedule_from_table`].
-pub struct Inspector<'t> {
-    ttable: &'t TranslationTable,
-    my_rank: ProcId,
-    table: IndexHashTable,
-}
-
-impl<'t> Inspector<'t> {
-    /// Create an inspector for the data distribution described by `ttable`.
-    ///
-    /// # Panics
-    /// Panics if `ttable` is not replicated (use the lower-level API in that case).
-    pub fn new(ttable: &'t TranslationTable, my_rank: ProcId) -> Self {
-        assert!(
-            ttable.is_replicated(),
-            "Inspector requires a replicated translation table; \
-             use IndexHashTable::hash_in with a distributed table"
-        );
-        let owned = ttable.local_size(my_rank);
-        Self {
-            ttable,
-            my_rank,
-            table: IndexHashTable::new(my_rank, owned),
-        }
-    }
-
-    /// The rank this inspector belongs to.
-    pub fn my_rank(&self) -> ProcId {
-        self.my_rank
-    }
-
-    /// Access the underlying hash table (e.g. to inspect entry counts in tests).
-    pub fn hash_table(&self) -> &IndexHashTable {
-        &self.table
-    }
-
-    /// Index analysis: hash one indirection array under `stamp` and return the translated
-    /// local references in input order.  Purely local (the table is replicated), but the
-    /// cost of hashing is charged to the calling rank's modeled computation time.
-    pub fn hash_indices(
-        &mut self,
-        rank: &mut Rank,
-        globals: &[Global],
-        stamp: Stamp,
-    ) -> Vec<LocalRef> {
-        self.table
-            .hash_in_replicated(rank, self.ttable, globals, stamp)
-    }
-
-    /// Clear `stamp` so the indirection array it identified can be re-hashed after it
-    /// adapts.  Translation results and ghost slots are retained.
-    pub fn clear_stamp(&mut self, stamp: Stamp) {
-        self.table.clear_stamp(stamp);
-    }
-
-    /// Ghost-region length arrays used with this inspector's schedules must provide.
-    pub fn ghost_len(&self) -> usize {
-        self.table.ghost_len()
-    }
-
-    /// Schedule generation: build a communication schedule for the hash-table entries
-    /// matching `query`.  Collective — all ranks must call it together.
-    pub fn build_schedule(&self, rank: &mut Rank, query: StampQuery) -> CommSchedule {
-        build_schedule_from_table(rank, &self.table, query)
-    }
-}
 
 /// Schedule generation from any [`IndexHashTable`] (Figure 6's `CHAOS_schedule`).
 ///
@@ -145,6 +73,8 @@ pub fn build_schedule_from_table(
 mod tests {
     use super::*;
     use crate::distribution::{BlockDist, RegularDist};
+    use crate::index_hash::Stamp;
+    use crate::translation::TranslationTable;
     use mpsim::{run, MachineConfig};
 
     #[test]
@@ -154,11 +84,11 @@ mod tests {
         let out = run(MachineConfig::new(3), |rank| {
             let dist = BlockDist::new(12, rank.nprocs());
             let ttable = TranslationTable::from_regular(&dist);
-            let mut insp = Inspector::new(&ttable, rank.rank());
+            let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
             let my_range = dist.local_range(rank.rank());
             let wanted: Vec<usize> = (0..2).map(|k| (my_range.end + k) % 12).collect();
-            insp.hash_indices(rank, &wanted, Stamp::new(0));
-            let sched = insp.build_schedule(rank, StampQuery::single(Stamp::new(0)));
+            hash.hash_in_replicated(rank, &ttable, &wanted, Stamp::new(0));
+            let sched = build_schedule_from_table(rank, &hash, StampQuery::single(Stamp::new(0)));
             (sched.total_fetch(), sched.total_send(), sched.ghost_len())
         });
         for (fetch, send, ghost) in &out.results {
@@ -173,11 +103,11 @@ mod tests {
         let out = run(MachineConfig::new(2), |rank| {
             let dist = BlockDist::new(8, rank.nprocs());
             let ttable = TranslationTable::from_regular(&dist);
-            let mut insp = Inspector::new(&ttable, rank.rank());
+            let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
             // Reference the same off-processor element five times.
             let other = if rank.rank() == 0 { 6 } else { 1 };
-            let refs = insp.hash_indices(rank, &[other; 5], Stamp::new(0));
-            let sched = insp.build_schedule(rank, StampQuery::single(Stamp::new(0)));
+            let refs = hash.hash_in_replicated(rank, &ttable, &[other; 5], Stamp::new(0));
+            let sched = build_schedule_from_table(rank, &hash, StampQuery::single(Stamp::new(0)));
             (refs, sched.total_fetch())
         });
         for (refs, fetch) in &out.results {
@@ -191,7 +121,7 @@ mod tests {
         let out = run(MachineConfig::new(2), |rank| {
             let dist = BlockDist::new(10, rank.nprocs());
             let ttable = TranslationTable::from_regular(&dist);
-            let mut insp = Inspector::new(&ttable, rank.rank());
+            let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
             let sa = Stamp::new(0);
             let sb = Stamp::new(1);
             // Array a references {5, 7} off rank 0's block; array b references {5, 8}.
@@ -200,11 +130,11 @@ mod tests {
             } else {
                 (vec![0usize, 2, 6], vec![0usize, 4, 7])
             };
-            insp.hash_indices(rank, &a, sa);
-            let sched_a = insp.build_schedule(rank, StampQuery::single(sa));
-            insp.hash_indices(rank, &b, sb);
-            let inc_b = insp.build_schedule(rank, StampQuery::minus(&[sb], &[sa]));
-            let merged = insp.build_schedule(rank, StampQuery::any_of(&[sa, sb]));
+            hash.hash_in_replicated(rank, &ttable, &a, sa);
+            let sched_a = build_schedule_from_table(rank, &hash, StampQuery::single(sa));
+            hash.hash_in_replicated(rank, &ttable, &b, sb);
+            let inc_b = build_schedule_from_table(rank, &hash, StampQuery::minus(&[sb], &[sa]));
+            let merged = build_schedule_from_table(rank, &hash, StampQuery::any_of(&[sa, sb]));
             (
                 sched_a.total_fetch(),
                 inc_b.total_fetch(),
@@ -226,19 +156,19 @@ mod tests {
         let out = run(MachineConfig::new(2), |rank| {
             let dist = BlockDist::new(20, rank.nprocs());
             let ttable = TranslationTable::from_regular(&dist);
-            let mut insp = Inspector::new(&ttable, rank.rank());
+            let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
             let s = Stamp::new(3);
             let first: Vec<usize> = (0..20).step_by(2).collect();
-            insp.hash_indices(rank, &first, s);
-            let sched1 = insp.build_schedule(rank, StampQuery::single(s));
-            let ghost1 = insp.ghost_len();
+            hash.hash_in_replicated(rank, &ttable, &first, s);
+            let sched1 = build_schedule_from_table(rank, &hash, StampQuery::single(s));
+            let ghost1 = hash.ghost_len();
             // Adapt: drop one index, add one new one.
             let mut second = first.clone();
             second[0] = 1;
-            insp.clear_stamp(s);
-            insp.hash_indices(rank, &second, s);
-            let sched2 = insp.build_schedule(rank, StampQuery::single(s));
-            let ghost2 = insp.ghost_len();
+            hash.clear_stamp(s);
+            hash.hash_in_replicated(rank, &ttable, &second, s);
+            let sched2 = build_schedule_from_table(rank, &hash, StampQuery::single(s));
+            let ghost2 = hash.ghost_len();
             (sched1.total_fetch(), sched2.total_fetch(), ghost1, ghost2)
         });
         for (f1, f2, g1, g2) in &out.results {
@@ -255,12 +185,12 @@ mod tests {
         let out = run(MachineConfig::new(4), |rank| {
             let dist = BlockDist::new(16, rank.nprocs());
             let ttable = TranslationTable::from_regular(&dist);
-            let mut insp = Inspector::new(&ttable, rank.rank());
+            let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
             // Everyone references every element; every owner must send each of its 4
             // elements to the other 3 ranks.
             let all: Vec<usize> = (0..16).collect();
-            insp.hash_indices(rank, &all, Stamp::new(0));
-            let sched = insp.build_schedule(rank, StampQuery::single(Stamp::new(0)));
+            hash.hash_in_replicated(rank, &ttable, &all, Stamp::new(0));
+            let sched = build_schedule_from_table(rank, &hash, StampQuery::single(Stamp::new(0)));
             let owned = dist.local_size(rank.rank());
             let ok = sched
                 .send_lists()
@@ -274,19 +204,5 @@ mod tests {
             assert_eq!(*send, 12);
             assert_eq!(*fetch, 12);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "replicated translation table")]
-    fn inspector_rejects_distributed_tables() {
-        let out = run(MachineConfig::new(2), |rank| {
-            let map_dist = BlockDist::new(8, rank.nprocs());
-            let local: Vec<usize> = map_dist.local_globals(rank.rank()).map(|g| g % 2).collect();
-            let t = TranslationTable::distributed_from_map(rank, &local, &map_dist).unwrap();
-            if rank.rank() == 0 {
-                let _ = Inspector::new(&t, rank.rank());
-            }
-        });
-        drop(out);
     }
 }

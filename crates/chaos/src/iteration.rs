@@ -78,24 +78,7 @@ impl IterationPartition {
 /// executed by the owner of that element.
 ///
 /// `iter_dist` describes how the iteration space is currently block-distributed;
-/// `home_elements` are the home data elements of this rank's local iterations.
-/// Collective if `data_table` is distributed.
-pub fn owner_computes(
-    rank: &mut Rank,
-    data_table: &mut TranslationTable,
-    iter_dist: BlockDist,
-    home_elements: &[Global],
-) -> IterationPartition {
-    let locs = data_table.lookup(rank, home_elements);
-    rank.charge_compute(home_elements.len() as f64 * 0.05);
-    IterationPartition {
-        local_owners: locs.iter().map(|l| l.owner as usize).collect(),
-        iter_dist,
-    }
-}
-
-/// Non-collective variant of [`owner_computes`] for **replicated** data translation
-/// tables (no communication can be needed, so the table is taken by shared reference).
+/// `home_elements` are the home data elements of this rank's local iterations.  Local.
 pub fn owner_computes_replicated(
     rank: &mut Rank,
     data_table: &TranslationTable,
@@ -106,19 +89,18 @@ pub fn owner_computes_replicated(
     IterationPartition {
         local_owners: home_elements
             .iter()
-            .map(|&g| {
-                data_table
-                    .lookup_local(g)
-                    .expect("owner-computes partitioning requires a replicated translation table")
-                    .owner as usize
-            })
+            .map(|&g| data_table.lookup(g).owner as usize)
             .collect(),
         iter_dist,
     }
 }
 
-/// Non-collective variant of [`almost_owner_computes`] for **replicated** data translation
-/// tables.
+/// Almost-owner-computes iteration partitioning: each iteration is executed by the
+/// processor owning the majority of the data elements it accesses; ties are broken in
+/// favour of the lowest processor id (deterministic).
+///
+/// `accesses` lists, for each locally held iteration, the global data elements that
+/// iteration touches.  Local.
 pub fn almost_owner_computes_replicated(
     rank: &mut Rank,
     data_table: &TranslationTable,
@@ -135,10 +117,7 @@ pub fn almost_owner_computes_replicated(
                 *v = 0;
             }
             for &g in access {
-                let loc = data_table
-                    .lookup_local(g)
-                    .expect("almost-owner-computes requires a replicated translation table");
-                votes[loc.owner as usize] += 1;
+                votes[data_table.lookup(g).owner as usize] += 1;
             }
             votes
                 .iter()
@@ -147,47 +126,6 @@ pub fn almost_owner_computes_replicated(
                 .map_or(rank.rank(), |(p, _)| p)
         })
         .collect();
-    IterationPartition {
-        local_owners,
-        iter_dist,
-    }
-}
-
-/// Almost-owner-computes iteration partitioning: each iteration is executed by the
-/// processor owning the majority of the data elements it accesses; ties are broken in
-/// favour of the lowest processor id (deterministic).
-///
-/// `accesses` lists, for each locally held iteration, the global data elements that
-/// iteration touches.  Collective if `data_table` is distributed.
-pub fn almost_owner_computes(
-    rank: &mut Rank,
-    data_table: &mut TranslationTable,
-    iter_dist: BlockDist,
-    accesses: &[Vec<Global>],
-) -> IterationPartition {
-    // Flatten the accesses so a distributed table pays one collective lookup.
-    let flat: Vec<Global> = accesses.iter().flatten().copied().collect();
-    let locs = data_table.lookup(rank, &flat);
-    rank.charge_compute(flat.len() as f64 * 0.08);
-    let nprocs = rank.nprocs();
-    let mut local_owners = Vec::with_capacity(accesses.len());
-    let mut cursor = 0usize;
-    let mut votes = vec![0usize; nprocs];
-    for access in accesses {
-        for v in votes.iter_mut() {
-            *v = 0;
-        }
-        for _ in access {
-            votes[locs[cursor].owner as usize] += 1;
-            cursor += 1;
-        }
-        let winner = votes
-            .iter()
-            .enumerate()
-            .max_by_key(|&(p, &count)| (count, std::cmp::Reverse(p)))
-            .map_or(rank.rank(), |(p, _)| p);
-        local_owners.push(winner);
-    }
     IterationPartition {
         local_owners,
         iter_dist,
@@ -206,14 +144,14 @@ mod tests {
         let n_iter = 16;
         let out = run(MachineConfig::new(4), move |rank| {
             let data_dist = BlockDist::new(n_data, rank.nprocs());
-            let mut table = TranslationTable::from_regular(&data_dist);
+            let table = TranslationTable::from_regular(&data_dist);
             let iter_dist = BlockDist::new(n_iter, rank.nprocs());
             // Iteration i's home element is (i + 5) mod n_data.
             let homes: Vec<usize> = iter_dist
                 .local_globals(rank.rank())
                 .map(|i| (i + 5) % n_data)
                 .collect();
-            let part = owner_computes(rank, &mut table, iter_dist, &homes);
+            let part = owner_computes_replicated(rank, &table, iter_dist, &homes);
             (part.local_owners.clone(), homes)
         });
         let data_dist = BlockDist::new(n_data, 4);
@@ -229,13 +167,13 @@ mod tests {
         let n_data = 12;
         let out = run(MachineConfig::new(3), move |rank| {
             let data_dist = BlockDist::new(n_data, rank.nprocs());
-            let mut table = TranslationTable::from_regular(&data_dist);
+            let table = TranslationTable::from_regular(&data_dist);
             // Each rank holds two iterations:
             //   iteration A touches {0, 1, 11}  -> majority on processor 0
             //   iteration B touches {0, 4, 8}   -> three-way tie -> processor 0 (lowest)
             let iter_dist = BlockDist::new(6, rank.nprocs());
             let accesses = vec![vec![0usize, 1, 11], vec![0usize, 4, 8]];
-            let part = almost_owner_computes(rank, &mut table, iter_dist, &accesses);
+            let part = almost_owner_computes_replicated(rank, &table, iter_dist, &accesses);
             part.local_owners.clone()
         });
         for owners in &out.results {
@@ -277,12 +215,12 @@ mod tests {
         let n_iter = 24;
         let out = run(MachineConfig::new(3), move |rank| {
             let data_dist = BlockDist::new(n_data, rank.nprocs());
-            let mut table = TranslationTable::from_regular(&data_dist);
+            let table = TranslationTable::from_regular(&data_dist);
             let iter_dist = BlockDist::new(n_iter, rank.nprocs());
             let my_iters: Vec<usize> = iter_dist.local_globals(rank.rank()).collect();
             // ia[i] = (7i + 2) mod n_data; iteration i's home is ia[i].
             let my_ia: Vec<usize> = my_iters.iter().map(|&i| (7 * i + 2) % n_data).collect();
-            let part = owner_computes(rank, &mut table, iter_dist, &my_ia);
+            let part = owner_computes_replicated(rank, &table, iter_dist, &my_ia);
             let plan = part.remap_plan(rank);
             let new_ia = part.remap_indirection(rank, &plan, &my_ia);
             // After remapping, every entry this rank holds must reference data it owns

@@ -22,7 +22,7 @@
 //! | B — data remapping         | move data arrays to the new distribution | [`remap`] |
 //! | C — iteration partitioning | decide which processor executes each loop iteration | [`iteration`] |
 //! | D — iteration remapping    | move indirection-array slices to the executing processor | [`remap`] |
-//! | E — inspector              | translate indices, build communication schedules | [`index_hash`], [`inspector`], [`schedule`] |
+//! | E — inspector              | translate indices through the replicated [`translation`] table, build communication schedules | [`index_hash`], [`inspector`], [`cache`], [`schedule`] |
 //! | F — executor               | gather/scatter/scatter_append data and run the loop | [`executor`] |
 //!
 //! ## Quick example: the irregular loop of Figure 1
@@ -43,10 +43,11 @@
 //!     let my_ia: Vec<usize> = iters.iter().map(|&i| ia[i]).collect();
 //!     let my_ib: Vec<usize> = iters.iter().map(|&i| ib[i]).collect();
 //!
-//!     let mut insp = Inspector::new(&ttable, rank.rank());
-//!     let la = insp.hash_indices(rank, &my_ia, Stamp::new(0));
-//!     let lb = insp.hash_indices(rank, &my_ib, Stamp::new(1));
-//!     let sched = insp.build_schedule(rank, StampQuery::any_of(&[Stamp::new(0), Stamp::new(1)]));
+//!     let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
+//!     let la = hash.hash_in_replicated(rank, &ttable, &my_ia, Stamp::new(0));
+//!     let lb = hash.hash_in_replicated(rank, &ttable, &my_ib, Stamp::new(1));
+//!     let both = StampQuery::any_of(&[Stamp::new(0), Stamp::new(1)]);
+//!     let sched = build_schedule_from_table(rank, &hash, both);
 //!
 //!     let mut x = DistArray::new(vec![1.0f64; dist.local_size(rank.rank())], sched.ghost_len());
 //!     let mut y = DistArray::new(
@@ -97,10 +98,9 @@ pub use executor::{
     scatter_append, scatter_append_finish, scatter_append_start, AppendHandle, GatherHandle,
 };
 pub use index_hash::{IndexHashTable, ScheduleKey, Stamp, StampQuery};
-pub use inspector::{build_schedule_from_table, Inspector};
+pub use inspector::build_schedule_from_table;
 pub use iteration::{
-    almost_owner_computes, almost_owner_computes_replicated, owner_computes,
-    owner_computes_replicated, IterationPartition,
+    almost_owner_computes_replicated, owner_computes_replicated, IterationPartition,
 };
 pub use loadbalance::{imbalance_ratio, load_balance_index};
 pub use maintained::PatchStats;
@@ -121,10 +121,9 @@ pub mod prelude {
         scatter_append, scatter_append_finish, scatter_append_start, AppendHandle, GatherHandle,
     };
     pub use crate::index_hash::{IndexHashTable, ScheduleKey, Stamp, StampQuery};
-    pub use crate::inspector::{build_schedule_from_table, Inspector};
+    pub use crate::inspector::build_schedule_from_table;
     pub use crate::iteration::{
-        almost_owner_computes, almost_owner_computes_replicated, owner_computes,
-        owner_computes_replicated, IterationPartition,
+        almost_owner_computes_replicated, owner_computes_replicated, IterationPartition,
     };
     pub use crate::loadbalance::{imbalance_ratio, load_balance_index};
     pub use crate::maintained::PatchStats;

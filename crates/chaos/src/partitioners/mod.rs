@@ -17,8 +17,8 @@
 //! All geometric partitioners are SPMD: each rank passes the coordinates and computational
 //! weights of the elements it currently holds and receives the *new owner* of each of those
 //! elements.  The result is a map-array fragment that feeds straight into
-//! [`crate::translation::TranslationTable::replicated_from_map`] (or the distributed
-//! variants) and then [`crate::remap`].
+//! [`crate::translation::TranslationTable::replicated_from_map`] and then
+//! [`crate::remap`].
 
 mod bisection;
 mod chain;

@@ -87,9 +87,9 @@ impl RemapPlan {
 /// Build a remap plan for an array whose elements this rank currently owns.
 ///
 /// `old_owned_globals[l]` is the global index of the element stored at old local offset
-/// `l`; `new_table` describes the target distribution.  Collective: performs the
-/// translation lookups (which may communicate for distributed tables) and one all-to-all of
-/// placement lists.
+/// `l`; `new_table` describes the target distribution.  Collective: one all-to-all of
+/// placement lists (the translation lookups are local, so `new_table` need not be `&mut`;
+/// the benchmark package compiles against this signature).
 pub fn build_remap(
     rank: &mut Rank,
     old_owned_globals: &[Global],
@@ -97,20 +97,31 @@ pub fn build_remap(
 ) -> RemapPlan {
     let nprocs = rank.nprocs();
     let me = rank.rank();
-    let locs = new_table.lookup(rank, old_owned_globals);
     rank.charge_compute(old_owned_globals.len() as f64 * 0.1);
     let mut send_old_offsets: Vec<Vec<u32>> = vec![Vec::new(); nprocs];
     let mut send_new_offsets: Vec<Vec<u64>> = vec![Vec::new(); nprocs];
-    for (l, loc) in locs.iter().enumerate() {
+    for (l, &g) in old_owned_globals.iter().enumerate() {
+        let loc = new_table.lookup(g);
         let dest = loc.owner as usize;
-        send_old_offsets[dest].push(l as u32);
-        send_new_offsets[dest].push(loc.offset as u64);
+        let l = u32::try_from(l)
+            .unwrap_or_else(|_| panic!("rank {me}: old local offset {l} does not fit u32"));
+        send_old_offsets[dest].push(l);
+        send_new_offsets[dest].push(u64::from(loc.offset));
     }
     // Tell every destination where (in its new local numbering) to place what we send it.
     let incoming_placements = rank.all_to_all(&send_new_offsets);
     let recv_placements: Vec<Vec<u32>> = incoming_placements
         .into_iter()
-        .map(|v| v.into_iter().map(|o| o as u32).collect())
+        .enumerate()
+        .map(|(p, v)| {
+            v.into_iter()
+                .map(|o| {
+                    u32::try_from(o).unwrap_or_else(|_| {
+                        panic!("rank {me}: peer {p} sent new offset {o}, beyond u32")
+                    })
+                })
+                .collect()
+        })
         .collect();
     RemapPlan {
         nprocs,

@@ -10,7 +10,7 @@
 //!   post exactly the right receives.
 //!
 //! Regular schedules are built by the inspector from the stamped hash table
-//! ([`crate::inspector::Inspector::build_schedule`]); they implement software caching
+//! ([`crate::inspector::build_schedule_from_table`]); they implement software caching
 //! (duplicates removed) and communication vectorization (one message per processor pair).
 //!
 //! A [`LightweightSchedule`] is the cheaper cousin used when the *placement order of

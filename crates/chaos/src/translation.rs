@@ -3,24 +3,18 @@
 //! A translation table is "a globally accessible data structure which lists the home
 //! processor and offset address of each data array element" (§3.1).  The paper notes that
 //! the table "may be replicated, distributed regularly, or stored in a paged fashion,
-//! depending on storage requirements" — all three storage modes are implemented here:
-//!
-//! * [`TranslationTable::replicated_from_map`] — every rank holds the whole table; lookups
-//!   are purely local (what the CHARMM and DSMC parallelisations in the paper use).
-//! * [`TranslationTable::distributed_from_map`] — each rank holds the block of table
-//!   entries for a contiguous range of global indices; lookups of remote entries require a
-//!   collective dereference (an all-to-all of queries and answers).
-//! * [`TranslationTable::paged_from_map`] — like the distributed table, but remote entries
-//!   are fetched a *page* at a time and cached, so repeated lookups of nearby indices (the
-//!   common case for adaptive indirection arrays that change slowly) hit the cache.
+//! depending on storage requirements".  Only the replicated mode is implemented: every
+//! rank holds the whole table, so a lookup is one local load and never communicates.  It
+//! is what the CHARMM and DSMC parallelisations in the paper use, and the storage it costs
+//! is small: at the `paper_like` scale (14 026 atoms, P = 128) the table is 8 B per element
+//! for its [`Loc`] — about 110 KiB on each rank, 13.7 MiB across the machine — plus the
+//! 4 B per element (about 55 KiB) of each [`crate::IndexHashTable`]'s direct-mapped index.
 //!
 //! The map array from which a table is built follows the Fortran-D convention (§5.1.1):
 //! `map[g] = p` assigns global element `g` to processor `p`; local offsets are assigned in
 //! increasing global-index order within each processor.
 
-use std::collections::HashMap;
-
-use mpsim::{alltoallv, ExchangePlan, Rank};
+use mpsim::Rank;
 
 use crate::distribution::{BlockDist, RegularDist};
 use crate::{ChaosError, Global, ProcId};
@@ -36,220 +30,116 @@ pub struct Loc {
 
 impl Loc {
     /// Convenience constructor.
+    ///
+    /// # Panics
+    /// Panics, naming the value, if `owner` or `offset` does not fit `u32`.
     pub fn new(owner: ProcId, offset: usize) -> Self {
+        let narrow = |what: &str, v: usize| {
+            u32::try_from(v).unwrap_or_else(|_| panic!("translation {what} {v} does not fit u32"))
+        };
         Loc {
-            owner: owner as u32,
-            offset: offset as u32,
+            owner: narrow("owner", owner),
+            offset: narrow("offset", offset),
         }
     }
 }
 
-/// How the table entries are stored across the machine.
-enum Storage {
-    /// Every rank holds every entry.
-    Replicated(Vec<Loc>),
-    /// Each rank holds the entries for the block of global indices assigned to it by
-    /// `home`; nothing is cached.
-    Distributed { home: BlockDist, local: Vec<Loc> },
-    /// Like `Distributed`, but remote entries are fetched in pages of `page_size` entries
-    /// and cached locally.
-    Paged {
-        home: BlockDist,
-        local: Vec<Loc>,
-        page_size: usize,
-        cache: HashMap<usize, Vec<Loc>>,
-    },
-}
-
 /// A translation table describing an irregular distribution of `global_size` elements over
-/// `nprocs` processors.
+/// `nprocs` processors.  Replicated: every rank holds every entry.
 pub struct TranslationTable {
-    global_size: usize,
     nprocs: usize,
-    /// Number of elements owned by each processor (replicated on every rank).
+    /// Number of elements owned by each processor.
     local_sizes: Vec<usize>,
-    storage: Storage,
+    /// `entries[g]` is the home of global element `g`.
+    entries: Vec<Loc>,
 }
 
 impl TranslationTable {
     // ------------------------------------------------------------------ construction --
 
-    /// Build a replicated table describing a *regular* distribution.  Purely local.
+    /// Build a table describing a *regular* distribution.  Purely local.
     pub fn from_regular<D: RegularDist>(dist: &D) -> Self {
-        let n = dist.global_size();
-        let mut entries = Vec::with_capacity(n);
-        for g in 0..n {
-            entries.push(Loc::new(dist.owner(g), dist.local_offset(g)));
-        }
+        let entries = (0..dist.global_size())
+            .map(|g| Loc::new(dist.owner(g), dist.local_offset(g)))
+            .collect();
         let local_sizes = (0..dist.nprocs()).map(|p| dist.local_size(p)).collect();
         TranslationTable {
-            global_size: n,
             nprocs: dist.nprocs(),
             local_sizes,
-            storage: Storage::Replicated(entries),
+            entries,
         }
     }
 
-    /// Build a replicated table describing the given BLOCK distribution.  Block ownership
-    /// is pure arithmetic every rank can evaluate on its own, so no rank handle is needed
-    /// and nothing is charged to the cost model — unlike the `*_from_map` constructors,
-    /// which really communicate.
+    /// Build a table describing the given BLOCK distribution.  Block ownership is pure
+    /// arithmetic every rank can evaluate on its own, so no rank handle is needed and
+    /// nothing is charged to the cost model — unlike
+    /// [`TranslationTable::replicated_from_map`], which really communicates.
     pub fn replicated_from_block(dist: &BlockDist) -> Self {
         Self::from_regular(dist)
     }
 
-    /// Build a **replicated** table from a block-distributed map array.
+    /// Build a table from a block-distributed map array.
     ///
     /// `local_map` holds this rank's slice of the Fortran-D map array: entry `i` gives the
     /// owner of global element `map_dist.global_index(rank, i)`.  Collective: all ranks
-    /// must call with their own slice.
+    /// must call with their own slice.  The whole map is gathered *before* it is checked,
+    /// so every rank sees the same map and returns the same result — an invalid owner on
+    /// any rank is an error on every rank, naming the global index.
     pub fn replicated_from_map(
         rank: &mut Rank,
         local_map: &[ProcId],
         map_dist: &BlockDist,
     ) -> Result<Self, ChaosError> {
-        let nprocs = rank.nprocs();
-        validate_map(local_map, nprocs)?;
         assert_eq!(
             local_map.len(),
             map_dist.local_size(rank.rank()),
             "local map slice does not match the map distribution"
         );
-        // Gather the full map on every rank, then number elements per owner in global order.
-        let gathered = rank.all_gather(&local_map.iter().map(|&p| p as u32).collect::<Vec<_>>());
-        let mut full_map = Vec::with_capacity(map_dist.global_size());
-        for part in gathered {
-            full_map.extend(part.into_iter().map(|p| p as usize));
-        }
-        let mut next_offset = vec![0usize; nprocs];
-        let mut entries = Vec::with_capacity(full_map.len());
-        for &owner in &full_map {
-            let off = next_offset[owner];
-            next_offset[owner] += 1;
-            entries.push(Loc::new(owner, off));
-        }
-        Ok(TranslationTable {
-            global_size: full_map.len(),
-            nprocs,
-            local_sizes: next_offset,
-            storage: Storage::Replicated(entries),
-        })
+        // Owners travel as u32; one too large for that arrives as u32::MAX, which is just
+        // as invalid, so the check below still names it.
+        let wire: Vec<u32> = local_map
+            .iter()
+            .map(|&p| u32::try_from(p).unwrap_or(u32::MAX))
+            .collect();
+        let full_map: Vec<ProcId> = rank
+            .all_gather(&wire)
+            .into_iter()
+            .flatten()
+            .map(|p| p as usize)
+            .collect();
+        Self::replicated_from_full_map(&full_map, rank.nprocs())
     }
 
-    /// Build a **replicated** table directly from an already-replicated map array (entry
-    /// `g` names the owner of global element `g`).  Purely local — every rank holds the
-    /// whole map, so unlike [`TranslationTable::replicated_from_map`] no gather is needed.
-    /// Elements are numbered per owner in global-index order, exactly as the `*_from_map`
-    /// constructors do.
+    /// Build a table directly from an already-replicated map array (entry `g` names the
+    /// owner of global element `g`).  Purely local — every rank holds the whole map, so
+    /// unlike [`TranslationTable::replicated_from_map`] no gather is needed.  Elements are
+    /// numbered per owner in global-index order.
     pub fn replicated_from_full_map(map: &[ProcId], nprocs: usize) -> Result<Self, ChaosError> {
-        validate_map(map, nprocs)?;
+        if let Some((index, &owner)) = map.iter().enumerate().find(|&(_, &p)| p >= nprocs) {
+            return Err(ChaosError::OwnerOutOfRange {
+                index,
+                owner,
+                nprocs,
+            });
+        }
         let mut next_offset = vec![0usize; nprocs];
         let mut entries = Vec::with_capacity(map.len());
         for &owner in map {
-            let off = next_offset[owner];
+            entries.push(Loc::new(owner, next_offset[owner]));
             next_offset[owner] += 1;
-            entries.push(Loc::new(owner, off));
         }
         Ok(TranslationTable {
-            global_size: map.len(),
             nprocs,
             local_sizes: next_offset,
-            storage: Storage::Replicated(entries),
+            entries,
         })
-    }
-
-    /// Build a **distributed** table from a block-distributed map array.  Each rank keeps
-    /// only the entries for its slice of the global index space; remote lookups go through
-    /// [`TranslationTable::lookup`]'s collective dereference.
-    pub fn distributed_from_map(
-        rank: &mut Rank,
-        local_map: &[ProcId],
-        map_dist: &BlockDist,
-    ) -> Result<Self, ChaosError> {
-        let (local, local_sizes) = Self::number_local(rank, local_map, map_dist)?;
-        Ok(TranslationTable {
-            global_size: map_dist.global_size(),
-            nprocs: rank.nprocs(),
-            local_sizes,
-            storage: Storage::Distributed {
-                home: *map_dist,
-                local,
-            },
-        })
-    }
-
-    /// Build a **paged** table from a block-distributed map array.  Remote entries are
-    /// fetched `page_size` at a time and cached.
-    pub fn paged_from_map(
-        rank: &mut Rank,
-        local_map: &[ProcId],
-        map_dist: &BlockDist,
-        page_size: usize,
-    ) -> Result<Self, ChaosError> {
-        assert!(page_size > 0, "page size must be positive");
-        let (local, local_sizes) = Self::number_local(rank, local_map, map_dist)?;
-        Ok(TranslationTable {
-            global_size: map_dist.global_size(),
-            nprocs: rank.nprocs(),
-            local_sizes,
-            storage: Storage::Paged {
-                home: *map_dist,
-                local,
-                page_size,
-                cache: HashMap::new(),
-            },
-        })
-    }
-
-    /// Shared numbering step for the distributed/paged tables: compute, for each entry in
-    /// this rank's slice of the map, the owner and the owner-local offset, without ever
-    /// materialising the whole map on one rank.
-    fn number_local(
-        rank: &mut Rank,
-        local_map: &[ProcId],
-        map_dist: &BlockDist,
-    ) -> Result<(Vec<Loc>, Vec<usize>), ChaosError> {
-        let nprocs = rank.nprocs();
-        validate_map(local_map, nprocs)?;
-        assert_eq!(
-            local_map.len(),
-            map_dist.local_size(rank.rank()),
-            "local map slice does not match the map distribution"
-        );
-        // Count how many elements of each owner appear in this rank's slice.
-        let mut my_counts = vec![0usize; nprocs];
-        for &owner in local_map {
-            my_counts[owner] += 1;
-        }
-        // Every rank learns every rank's per-owner counts; the starting offset for owner p
-        // on this rank is the sum of owner-p counts on all lower-numbered map slices.
-        let all_counts = rank.all_gather(&my_counts);
-        let mut start = vec![0usize; nprocs];
-        for lower in &all_counts[..rank.rank()] {
-            for (s, c) in start.iter_mut().zip(lower) {
-                *s += c;
-            }
-        }
-        let mut local_sizes = vec![0usize; nprocs];
-        for counts in &all_counts {
-            for (t, c) in local_sizes.iter_mut().zip(counts) {
-                *t += c;
-            }
-        }
-        let mut next = start;
-        let mut local = Vec::with_capacity(local_map.len());
-        for &owner in local_map {
-            local.push(Loc::new(owner, next[owner]));
-            next[owner] += 1;
-        }
-        Ok((local, local_sizes))
     }
 
     // ----------------------------------------------------------------------- queries --
 
     /// Total number of elements described by the table.
     pub fn global_size(&self) -> usize {
-        self.global_size
+        self.entries.len()
     }
 
     /// Number of processors.
@@ -262,374 +152,41 @@ impl TranslationTable {
         self.local_sizes[p]
     }
 
-    /// True if lookups never require communication.
-    pub fn is_replicated(&self) -> bool {
-        matches!(self.storage, Storage::Replicated(_))
-    }
-
-    /// Look up the homes of `queries`.
-    ///
-    /// For a replicated table this is local.  For distributed and paged tables it is a
-    /// **collective** operation — every rank must call it in the same program step, even
-    /// with an empty query list — because remote entries are dereferenced with an
-    /// all-to-all exchange.
-    pub fn lookup(&mut self, rank: &mut Rank, queries: &[Global]) -> Vec<Loc> {
-        for &q in queries {
-            assert!(
-                q < self.global_size,
-                "translation lookup of index {q} outside array of size {}",
-                self.global_size
-            );
-        }
-        match &mut self.storage {
-            Storage::Replicated(entries) => queries.iter().map(|&g| entries[g]).collect(),
-            Storage::Distributed { home, local } => {
-                let home = *home;
-                lookup_remote(rank, &home, local, queries)
-            }
-            Storage::Paged {
-                home,
-                local,
-                page_size,
-                cache,
-            } => {
-                let home = *home;
-                lookup_paged(rank, &home, local, *page_size, cache, queries)
-            }
-        }
-    }
-
-    /// Non-collective lookup.  Returns `Some(loc)` for a replicated table and `None`
-    /// for distributed/paged storage, where the entry may live on another rank — those
-    /// tables must be dereferenced through the collective [`TranslationTable::lookup`]
-    /// (or converted with [`TranslationTable::replicate`] first).  Callers that require
-    /// replication by contract spell it out with
-    /// `.expect("... requires a replicated translation table")`.
+    /// The home of global element `g`.  Local.
     ///
     /// # Panics
-    /// Panics if `g` is outside the table's global index space (a caller bug regardless
-    /// of storage mode).
-    pub fn lookup_local(&self, g: Global) -> Option<Loc> {
-        assert!(
-            g < self.global_size,
-            "translation lookup of index {g} outside array of size {}",
-            self.global_size
-        );
-        match &self.storage {
-            Storage::Replicated(entries) => Some(entries[g]),
-            _ => None,
+    /// Panics, naming the index and the size, if `g` is outside the table's index space.
+    pub fn lookup(&self, g: Global) -> Loc {
+        match self.entries.get(g) {
+            Some(&loc) => loc,
+            None => panic!(
+                "translation lookup of index {g} outside array of size {}",
+                self.entries.len()
+            ),
         }
     }
 
-    /// The global indices owned by the calling rank, in local-offset order.  Collective
-    /// for distributed/paged tables.
+    /// The global indices owned by the calling rank, in local-offset order.  Local; the
+    /// `&mut self` it no longer needs stays because the benchmark package
+    /// (`benchmark/src/surface.rs`) compiles against this signature.
     pub fn owned_globals(&mut self, rank: &mut Rank) -> Vec<Global> {
         let me = rank.rank() as u32;
-        match &self.storage {
-            Storage::Replicated(entries) => {
-                let mut owned: Vec<(u32, Global)> = entries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, loc)| loc.owner == me)
-                    .map(|(g, loc)| (loc.offset, g))
-                    .collect();
-                owned.sort_unstable();
-                owned.into_iter().map(|(_, g)| g).collect()
-            }
-            Storage::Distributed { home, local } | Storage::Paged { home, local, .. } => {
-                // Each rank sends, for every entry it stores, (offset, global) to the
-                // entry's owner; owners sort by offset.
-                let nprocs = rank.nprocs();
-                let mut sends: Vec<Vec<(u64, u64)>> = vec![Vec::new(); nprocs];
-                let base = home.local_range(rank.rank()).start;
-                for (i, loc) in local.iter().enumerate() {
-                    sends[loc.owner as usize].push((loc.offset as u64, (base + i) as u64));
-                }
-                let received = rank.all_to_all(&sends);
-                let mut owned: Vec<(u64, u64)> = received.into_iter().flatten().collect();
-                owned.sort_unstable();
-                owned.into_iter().map(|(_, g)| g as usize).collect()
-            }
-        }
+        let mut owned: Vec<(u32, Global)> = self
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, loc)| loc.owner == me)
+            .map(|(g, loc)| (loc.offset, g))
+            .collect();
+        owned.sort_unstable();
+        owned.into_iter().map(|(_, g)| g).collect()
     }
-
-    /// Number of remote pages currently held in the page cache.  Zero for non-paged
-    /// tables.  Local.
-    pub fn cached_page_count(&self) -> usize {
-        match &self.storage {
-            Storage::Paged { cache, .. } => cache.len(),
-            _ => 0,
-        }
-    }
-
-    /// Drop every cached page covering any of `globals`, returning how many pages were
-    /// dropped.  Local, and a no-op for non-paged tables.
-    ///
-    /// This is the paged table's delta-maintenance hook: when a remap changes where some
-    /// elements live, their home entries are rewritten but copies may survive in page
-    /// caches.  Invalidating exactly the touched pages keeps the rest of the cache warm
-    /// while guaranteeing the next lookup re-fetches current locations — cached pages are
-    /// never updated in place, because a remap renumbers owner offsets in global order
-    /// and an in-place edit could not see the neighbouring entries it would need.
-    pub fn invalidate_pages(&mut self, globals: &[Global]) -> usize {
-        match &mut self.storage {
-            Storage::Paged {
-                page_size, cache, ..
-            } => {
-                let ps = *page_size;
-                let before = cache.len();
-                for &g in globals {
-                    cache.remove(&(g / ps));
-                }
-                before - cache.len()
-            }
-            _ => 0,
-        }
-    }
-
-    /// Replace the table with a replicated copy of itself (collective).  Used when an
-    /// application decides the lookup traffic of a distributed table is not worth the
-    /// memory savings.
-    pub fn replicate(&mut self, rank: &mut Rank) {
-        if self.is_replicated() {
-            return;
-        }
-        let (home, local) = match &self.storage {
-            Storage::Distributed { home, local } | Storage::Paged { home, local, .. } => {
-                (*home, local.clone())
-            }
-            Storage::Replicated(_) => unreachable!(),
-        };
-        let packed: Vec<(u32, u32)> = local.iter().map(|l| (l.owner, l.offset)).collect();
-        let gathered = rank.all_gather(&packed);
-        let mut entries = Vec::with_capacity(self.global_size);
-        for (p, part) in gathered.into_iter().enumerate() {
-            debug_assert_eq!(part.len(), home.local_size(p));
-            entries.extend(
-                part.into_iter()
-                    .map(|(owner, offset)| Loc { owner, offset }),
-            );
-        }
-        self.storage = Storage::Replicated(entries);
-    }
-}
-
-fn validate_map(local_map: &[ProcId], nprocs: usize) -> Result<(), ChaosError> {
-    for (i, &owner) in local_map.iter().enumerate() {
-        if owner >= nprocs {
-            return Err(ChaosError::OwnerOutOfRange {
-                index: i,
-                owner,
-                nprocs,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Collective dereference against a block-distributed table.
-fn lookup_remote(rank: &mut Rank, home: &BlockDist, local: &[Loc], queries: &[Global]) -> Vec<Loc> {
-    let nprocs = rank.nprocs();
-    let me = rank.rank();
-    let my_base = home.local_range(me).start;
-    // Split queries by the rank that stores the entry.
-    let mut by_home: Vec<Vec<u64>> = vec![Vec::new(); nprocs];
-    let mut placement: Vec<(ProcId, usize)> = Vec::with_capacity(queries.len());
-    for &g in queries {
-        let h = home.owner(g);
-        placement.push((h, by_home[h].len()));
-        by_home[h].push(g as u64);
-    }
-    // Exchange query lists, answer from the local slice, exchange answers back.
-    let incoming = rank.all_to_all(&by_home);
-    let answers: Vec<Vec<(u32, u32)>> = incoming
-        .iter()
-        .map(|qs| {
-            qs.iter()
-                .map(|&g| {
-                    let loc = local[g as usize - my_base];
-                    (loc.owner, loc.offset)
-                })
-                .collect()
-        })
-        .collect();
-    let returned = rank.all_to_all(&answers);
-    placement
-        .into_iter()
-        .map(|(h, idx)| {
-            let (owner, offset) = returned[h][idx];
-            Loc { owner, offset }
-        })
-        .collect()
-}
-
-/// Paged dereference: fetch whole pages of the table on demand and cache them.
-fn lookup_paged(
-    rank: &mut Rank,
-    home: &BlockDist,
-    local: &[Loc],
-    page_size: usize,
-    cache: &mut HashMap<usize, Vec<Loc>>,
-    queries: &[Global],
-) -> Vec<Loc> {
-    let nprocs = rank.nprocs();
-    let me = rank.rank();
-    let my_range = home.local_range(me);
-
-    // Which pages do we need that we neither own nor have cached?
-    let mut needed: Vec<usize> = queries
-        .iter()
-        .filter(|&&g| !my_range.contains(&g))
-        .map(|&g| g / page_size)
-        .filter(|page| !cache.contains_key(page))
-        .collect();
-    needed.sort_unstable();
-    needed.dedup();
-
-    // Ask the rank that stores each page's first entry for the whole page.  (Pages are
-    // aligned to page_size, which need not align with the block boundaries; the serving
-    // rank answers for the portion it stores and the requester falls back to per-index
-    // dereference for any remainder — rare, and only at block boundaries.)
-    let mut requests: Vec<Vec<u64>> = vec![Vec::new(); nprocs];
-    for &page in &needed {
-        let first = page * page_size;
-        requests[home.owner(first.min(home.global_size() - 1))].push(page as u64);
-    }
-    let incoming = rank.all_to_all(&requests);
-    let my_base = my_range.start;
-    let my_end = my_range.end;
-    let replies: Vec<Vec<(u64, u32, u32)>> = incoming
-        .iter()
-        .map(|pages| {
-            let mut out = Vec::new();
-            for &page in pages {
-                let first = page as usize * page_size;
-                let last = (first + page_size).min(home.global_size());
-                for g in first.max(my_base)..last.min(my_end) {
-                    let loc = local[g - my_base];
-                    out.push((g as u64, loc.owner, loc.offset));
-                }
-            }
-            out
-        })
-        .collect();
-    let returned = rank.all_to_all(&replies);
-
-    // Install fetched entries into the page cache.
-    for part in returned {
-        for (g, owner, offset) in part {
-            let page = g as usize / page_size;
-            let entry = cache.entry(page).or_insert_with(|| {
-                vec![
-                    Loc {
-                        owner: u32::MAX,
-                        offset: 0
-                    };
-                    page_size
-                ]
-            });
-            entry[g as usize % page_size] = Loc { owner, offset };
-        }
-    }
-
-    // Resolve queries: owned entries from the local slice, others from the cache.  Entries
-    // a page could not fully cover (block-boundary stragglers) are resolved with a final
-    // per-index dereference.
-    let mut unresolved: Vec<Global> = Vec::new();
-    let mut result: Vec<Option<Loc>> = queries
-        .iter()
-        .map(|&g| {
-            if my_range.contains(&g) {
-                Some(local[g - my_base])
-            } else if let Some(page) = cache.get(&(g / page_size)) {
-                let loc = page[g % page_size];
-                if loc.owner == u32::MAX {
-                    unresolved.push(g);
-                    None
-                } else {
-                    Some(loc)
-                }
-            } else {
-                unresolved.push(g);
-                None
-            }
-        })
-        .collect();
-    // Collective fallback — all ranks must participate even with nothing unresolved.
-    let fallback = lookup_remote_fallback(rank, home, local, &unresolved);
-    let mut fb = fallback.into_iter();
-    for slot in result.iter_mut() {
-        if slot.is_none() {
-            *slot = Some(fb.next().expect("fallback answer missing"));
-        }
-    }
-    result.into_iter().map(|l| l.unwrap()).collect()
-}
-
-/// The per-index dereference used as the paged table's fallback.  The same
-/// query/answer protocol as [`lookup_remote`], but sparse: a count negotiation tells every
-/// rank what it will be asked, queries travel only where they exist, and the answer round
-/// needs no negotiation because its sizes mirror the query round.
-fn lookup_remote_fallback(
-    rank: &mut Rank,
-    home: &BlockDist,
-    local: &[Loc],
-    queries: &[Global],
-) -> Vec<Loc> {
-    let nprocs = rank.nprocs();
-    let me = rank.rank();
-    let my_base = home.local_range(me).start;
-    let mut by_home: Vec<Vec<u64>> = vec![Vec::new(); nprocs];
-    let mut placement: Vec<(ProcId, usize)> = Vec::with_capacity(queries.len());
-    for &g in queries {
-        let h = home.owner(g);
-        placement.push((h, by_home[h].len()));
-        by_home[h].push(g as u64);
-    }
-    // Query round: negotiated sparse exchange (self queries arrive via local delivery).
-    let query_counts: Vec<usize> = by_home.iter().map(Vec::len).collect();
-    let query_plan = ExchangePlan::negotiate(rank, query_counts);
-    let mut incoming_queries: Vec<Vec<u64>> = vec![Vec::new(); nprocs];
-    // The queries must survive until the answer round packs from them, so ownership is
-    // taken (`into_vec`) rather than borrowed.
-    alltoallv(rank, &query_plan, &by_home, |src, qs| {
-        incoming_queries[src] = qs.into_vec();
-    });
-    // Answer round: sizes mirror the query round exactly (the query plan's send side
-    // becomes the answer plan's receive side), so no negotiation is needed.
-    let answer_plan = ExchangePlan::sparse(
-        me,
-        incoming_queries.iter().map(Vec::len).collect(),
-        query_plan.send_counts(),
-    );
-    let answer_sends: Vec<Vec<(u32, u32)>> = incoming_queries
-        .iter()
-        .map(|qs| {
-            qs.iter()
-                .map(|&g| {
-                    let loc = local[g as usize - my_base];
-                    (loc.owner, loc.offset)
-                })
-                .collect()
-        })
-        .collect();
-    let mut answers_by_home: Vec<Vec<(u32, u32)>> = vec![Vec::new(); nprocs];
-    alltoallv(rank, &answer_plan, &answer_sends, |src, ans| {
-        answers_by_home[src] = ans.into_vec();
-    });
-    placement
-        .into_iter()
-        .map(|(h, idx)| {
-            let (owner, offset) = answers_by_home[h][idx];
-            Loc { owner, offset }
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpsim::{run, MachineConfig};
+    use mpsim::{run, ExchangeBackend, MachineConfig};
 
     /// An irregular map used by several tests: owner(g) = (g*7+3) mod nprocs.
     fn test_map(n: usize, nprocs: usize) -> Vec<ProcId> {
@@ -652,9 +209,8 @@ mod tests {
     fn from_regular_matches_block_arithmetic() {
         let dist = BlockDist::new(17, 4);
         let t = TranslationTable::from_regular(&dist);
-        assert!(t.is_replicated());
         for g in 0..17 {
-            let loc = t.lookup_local(g).unwrap();
+            let loc = t.lookup(g);
             assert_eq!(loc.owner as usize, dist.owner(g));
             assert_eq!(loc.offset as usize, dist.local_offset(g));
         }
@@ -676,139 +232,24 @@ mod tests {
                 .local_globals(rank.rank())
                 .map(|g| map_for_run[g])
                 .collect();
-            let t = TranslationTable::replicated_from_map(rank, &local, &map_dist).unwrap();
-            let locs: Vec<Loc> = (0..n).map(|g| t.lookup_local(g).unwrap()).collect();
+            let mut t = TranslationTable::replicated_from_map(rank, &local, &map_dist).unwrap();
+            let locs: Vec<Loc> = (0..n).map(|g| t.lookup(g)).collect();
             (
                 locs,
                 (0..nprocs).map(|p| t.local_size(p)).collect::<Vec<_>>(),
+                t.owned_globals(rank),
             )
         });
-        for (locs, sizes) in &out.results {
+        for (p, (locs, sizes, owned)) in out.results.iter().enumerate() {
             assert_eq!(locs, &expected);
             let mut counts = vec![0usize; nprocs];
             for &p in &map {
                 counts[p] += 1;
             }
             assert_eq!(sizes, &counts);
-        }
-    }
-
-    #[test]
-    fn distributed_table_lookup_matches_replicated() {
-        let n = 61;
-        let nprocs = 5;
-        let map = test_map(n, nprocs);
-        let expected = reference_locs(&map, nprocs);
-        let out = run(MachineConfig::new(nprocs), move |rank| {
-            let map_dist = BlockDist::new(n, rank.nprocs());
-            let local: Vec<ProcId> = map_dist
-                .local_globals(rank.rank())
-                .map(|g| map[g])
-                .collect();
-            let mut t = TranslationTable::distributed_from_map(rank, &local, &map_dist).unwrap();
-            assert!(!t.is_replicated());
-            // Every rank queries a different, overlapping subset.
-            let queries: Vec<Global> = (0..n).filter(|g| (g + rank.rank()) % 2 == 0).collect();
-            let locs = t.lookup(rank, &queries);
-            (queries, locs)
-        });
-        for (queries, locs) in &out.results {
-            for (q, loc) in queries.iter().zip(locs) {
-                assert_eq!(loc, &expected[*q]);
-            }
-        }
-    }
-
-    #[test]
-    fn paged_table_lookup_matches_and_caches() {
-        let n = 96;
-        let nprocs = 4;
-        let map = test_map(n, nprocs);
-        let expected = reference_locs(&map, nprocs);
-        let out = run(MachineConfig::new(nprocs), move |rank| {
-            let map_dist = BlockDist::new(n, rank.nprocs());
-            let local: Vec<ProcId> = map_dist
-                .local_globals(rank.rank())
-                .map(|g| map[g])
-                .collect();
-            let mut t = TranslationTable::paged_from_map(rank, &local, &map_dist, 8).unwrap();
-            let queries: Vec<Global> = (0..n).step_by(3).collect();
-            let first = t.lookup(rank, &queries);
-            let bytes_after_first = rank.stats().bytes_sent;
-            // Repeat the same lookup: pages are cached, so no new page traffic for the
-            // remote entries (the collective fallback still synchronises but sends nothing).
-            let second = t.lookup(rank, &queries);
-            let bytes_after_second = rank.stats().bytes_sent;
-            (
-                first,
-                second,
-                bytes_after_first,
-                bytes_after_second,
-                queries,
-            )
-        });
-        for (first, second, b1, b2, queries) in &out.results {
-            for (q, loc) in queries.iter().zip(first) {
-                assert_eq!(loc, &expected[*q]);
-            }
-            assert_eq!(first, second);
-            // The second lookup must move far fewer bytes than the first (page cache hit).
-            let first_cost = *b1;
-            let second_cost = *b2 - *b1;
-            assert!(
-                second_cost < first_cost / 2,
-                "expected cache to reduce traffic: first={first_cost} second={second_cost}"
-            );
-        }
-    }
-
-    #[test]
-    fn owned_globals_consistent_across_storage_modes() {
-        let n = 40;
-        let nprocs = 4;
-        let map = test_map(n, nprocs);
-        let map2 = map.clone();
-        let out = run(MachineConfig::new(nprocs), move |rank| {
-            let map_dist = BlockDist::new(n, rank.nprocs());
-            let local: Vec<ProcId> = map_dist
-                .local_globals(rank.rank())
-                .map(|g| map2[g])
-                .collect();
-            let mut rep = TranslationTable::replicated_from_map(rank, &local, &map_dist).unwrap();
-            let mut dis = TranslationTable::distributed_from_map(rank, &local, &map_dist).unwrap();
-            let a = rep.owned_globals(rank);
-            let b = dis.owned_globals(rank);
-            (a, b)
-        });
-        for (p, (a, b)) in out.results.iter().enumerate() {
-            assert_eq!(a, b);
-            // Owned globals must be exactly those the map assigns to p, in global order.
-            let expected: Vec<usize> = (0..n).filter(|&g| map[g] == p).collect();
-            assert_eq!(a, &expected);
-        }
-    }
-
-    #[test]
-    fn replicate_converts_distributed_table() {
-        let n = 30;
-        let nprocs = 3;
-        let map = test_map(n, nprocs);
-        let expected = reference_locs(&map, nprocs);
-        let out = run(MachineConfig::new(nprocs), move |rank| {
-            let map_dist = BlockDist::new(n, rank.nprocs());
-            let local: Vec<ProcId> = map_dist
-                .local_globals(rank.rank())
-                .map(|g| map[g])
-                .collect();
-            let mut t = TranslationTable::distributed_from_map(rank, &local, &map_dist).unwrap();
-            t.replicate(rank);
-            assert!(t.is_replicated());
-            (0..n)
-                .map(|g| t.lookup_local(g).unwrap())
-                .collect::<Vec<_>>()
-        });
-        for locs in &out.results {
-            assert_eq!(locs, &expected);
+            // Owned globals are exactly those the map assigns to p, in global order.
+            let mine: Vec<Global> = (0..n).filter(|&g| map[g] == p).collect();
+            assert_eq!(owned, &mine);
         }
     }
 
@@ -823,28 +264,26 @@ mod tests {
     }
 
     #[test]
-    fn lookup_local_returns_none_on_non_replicated_tables() {
-        // A distributed (or paged) table cannot answer locally: `lookup_local` says so
-        // with `None` instead of tearing the rank down, and the collective `lookup`
-        // still dereferences the same index.
-        let n = 8;
-        let out = run(MachineConfig::new(2), move |rank| {
-            let map_dist = BlockDist::new(n, 2);
-            let local: Vec<ProcId> = map_dist.local_globals(rank.rank()).map(|g| g % 2).collect();
-            let mut dist = TranslationTable::distributed_from_map(rank, &local, &map_dist).unwrap();
-            let mut paged = TranslationTable::paged_from_map(rank, &local, &map_dist, 4).unwrap();
-            let local_answers: Vec<Option<Loc>> = (0..n).map(|g| dist.lookup_local(g)).collect();
-            assert!((0..n).all(|g| paged.lookup_local(g).is_none()));
-            let queries: Vec<Global> = (0..n).collect();
-            let collective = dist.lookup(rank, &queries);
-            let collective_paged = paged.lookup(rank, &queries);
-            (local_answers, collective, collective_paged)
-        });
-        for (local_answers, collective, collective_paged) in &out.results {
-            assert!(local_answers.iter().all(Option::is_none));
-            assert_eq!(collective, collective_paged);
-            for (g, loc) in collective.iter().enumerate() {
-                assert_eq!(loc.owner as usize, g % 2);
+    fn one_bad_rank_fails_every_rank_with_the_global_index() {
+        // Only rank 1's slice is bad.  Validating before the gather would return early on
+        // rank 1 and leave ranks 0 and 2 waiting in it; every rank must instead finish
+        // with the same error, naming the element by its global index.
+        for backend in [ExchangeBackend::Modeled, ExchangeBackend::SharedMem] {
+            let out = run(MachineConfig::new(3).with_backend(backend), |rank| {
+                let map_dist = BlockDist::new(9, 3);
+                let mut local = vec![rank.rank(); 3];
+                if rank.rank() == 1 {
+                    local[0] = 9;
+                }
+                TranslationTable::replicated_from_map(rank, &local, &map_dist).err()
+            });
+            let want = ChaosError::OwnerOutOfRange {
+                index: 3,
+                owner: 9,
+                nprocs: 3,
+            };
+            for err in &out.results {
+                assert_eq!(err.as_ref(), Some(&want), "{backend:?}");
             }
         }
     }
@@ -854,6 +293,12 @@ mod tests {
     fn lookup_local_still_rejects_out_of_bounds_indices() {
         let dist = BlockDist::new(4, 2);
         let t = TranslationTable::from_regular(&dist);
-        let _ = t.lookup_local(4);
+        let _ = t.lookup(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "translation offset 4294967296 does not fit u32")]
+    fn loc_offsets_are_checked_against_u32_at_birth() {
+        let _ = Loc::new(0, u32::MAX as usize + 1);
     }
 }

@@ -67,20 +67,22 @@ fn gather_right_after_a_reallocating_growth_fills_the_new_allocation() {
             let out = run(MachineConfig::new(p).with_backend(backend), move |rank| {
                 let dist = BlockDist::new(N, rank.nprocs());
                 let ttable = TranslationTable::from_regular(&dist);
-                let mut insp = Inspector::new(&ttable, rank.rank());
+                let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
                 let range = dist.local_range(rank.rank());
                 let mut x = DistArray::new(range.clone().map(value).collect(), 0);
 
                 // A first, small gather sizes the ghost region for a handful of slots.
                 let few: Vec<usize> = (0..8).map(|i| (i * 61 + 1) % N).collect();
-                let few_refs = insp.hash_indices(rank, &few, Stamp::new(0));
-                let sched = insp.build_schedule(rank, StampQuery::single(Stamp::new(0)));
+                let few_refs = hash.hash_in_replicated(rank, &ttable, &few, Stamp::new(0));
+                let sched =
+                    build_schedule_from_table(rank, &hash, StampQuery::single(Stamp::new(0)));
                 gather(rank, &sched, &mut x);
 
                 // Then every element is referenced and the ghost region must grow.
                 let all: Vec<usize> = (0..N).collect();
-                let all_refs = insp.hash_indices(rank, &all, Stamp::new(1));
-                let sched = insp.build_schedule(rank, StampQuery::single(Stamp::new(1)));
+                let all_refs = hash.hash_in_replicated(rank, &ttable, &all, Stamp::new(1));
+                let sched =
+                    build_schedule_from_table(rank, &hash, StampQuery::single(Stamp::new(1)));
                 let before = x.owned().as_ptr();
                 x.ensure_ghost(sched.ghost_len());
                 let moved = x.owned().as_ptr() != before;

@@ -1,11 +1,11 @@
 //! Differential model of [`IndexHashTable`].
 //!
-//! The table's direct-mapped index replaced two `std::collections::HashMap`s; the
+//! The table's direct-mapped index replaced `std::collections::HashMap`s; the
 //! implementation it replaced is kept here, verbatim in behaviour, as a test-only oracle.
-//! Seeded operation sequences — `hash_in` through a distributed translation table,
-//! `hash_in_replicated`, `hash_in_replicated_into` appending to a non-empty vector,
-//! `clear_stamp`, `clear_all`, three stamps, duplicates inside one call — run once
-//! against the table and once against the oracle at P ∈ {1, 2, 3, 5}, and after every
+//! Seeded operation sequences — `hash_in_replicated` through an irregular translation
+//! table, `hash_in_replicated_into` appending to a non-empty vector, `clear_stamp`,
+//! `clear_all`, three stamps, duplicates inside one call — run once against the table
+//! and once against the oracle at P ∈ {1, 2, 3, 5}, and after every
 //! operation everything a caller can observe must agree: the returned references, the
 //! entries in order, `get`, the ghost length, which version keys changed, the schedule
 //! built from the entries, and the modeled clock — to the last bit where the machine is
@@ -31,13 +31,6 @@ fn mix(seed: u64, i: u64) -> u64 {
 /// The operations both implementations answer.
 trait Table {
     type Key: PartialEq;
-    fn hash_in(
-        &mut self,
-        rank: &mut Rank,
-        ttable: &mut TranslationTable,
-        globals: &[Global],
-        stamp: Stamp,
-    ) -> Vec<LocalRef>;
     fn hash_in_replicated(
         &mut self,
         rank: &mut Rank,
@@ -64,15 +57,6 @@ trait Table {
 
 impl Table for IndexHashTable {
     type Key = ScheduleKey;
-    fn hash_in(
-        &mut self,
-        rank: &mut Rank,
-        ttable: &mut TranslationTable,
-        globals: &[Global],
-        stamp: Stamp,
-    ) -> Vec<LocalRef> {
-        IndexHashTable::hash_in(self, rank, ttable, globals, stamp)
-    }
     fn hash_in_replicated(
         &mut self,
         rank: &mut Rank,
@@ -116,7 +100,7 @@ impl Table for IndexHashTable {
 }
 
 /// The implementation the direct-mapped table replaced: a `HashMap` from global index to
-/// slot, and a second one for first occurrences inside a `hash_in` batch.
+/// slot.
 struct Oracle {
     my_rank: ProcId,
     owned_len: usize,
@@ -168,35 +152,6 @@ impl Oracle {
 impl Table for Oracle {
     type Key = (u64, Vec<u64>);
 
-    fn hash_in(
-        &mut self,
-        rank: &mut Rank,
-        ttable: &mut TranslationTable,
-        globals: &[Global],
-        stamp: Stamp,
-    ) -> Vec<LocalRef> {
-        self.stamp_gens[stamp.bit() as usize] += 1;
-        let mut unknown: Vec<Global> = Vec::new();
-        let mut first_occurrence: HashMap<Global, ()> = HashMap::new();
-        for &g in globals {
-            if !self.entries.contains_key(&g) && !first_occurrence.contains_key(&g) {
-                first_occurrence.insert(g, ());
-                unknown.push(g);
-            }
-        }
-        let known = globals.len() - unknown.len();
-        rank.charge_compute(unknown.len() as f64 + known as f64 * 0.1);
-        let locs = ttable.lookup(rank, &unknown);
-        for (&g, loc) in unknown.iter().zip(locs) {
-            self.insert(g, loc);
-        }
-        let refs = globals.iter().map(|g| {
-            let idx = self.entries[g];
-            self.stamp_and_reference(idx, stamp)
-        });
-        refs.collect()
-    }
-
     fn hash_in_replicated(
         &mut self,
         rank: &mut Rank,
@@ -210,8 +165,7 @@ impl Table for Oracle {
         for &g in globals {
             let idx = self.entries.get(&g).copied().unwrap_or_else(|| {
                 new_count += 1;
-                let loc = ttable.lookup_local(g).expect("replicated table");
-                self.insert(g, loc)
+                self.insert(g, ttable.lookup(g))
             });
             refs.push(self.stamp_and_reference(idx, stamp));
         }
@@ -315,18 +269,12 @@ fn drive<T: Table>(
     make: impl Fn(ProcId, usize) -> T,
 ) -> Vec<(Observation, TimeSnapshot)> {
     let (me, nprocs) = (rank.rank(), rank.nprocs());
-    // An irregular distribution of `n` elements, described twice: replicated and
-    // distributed.  Both constructors number a rank's elements in global order, so the
-    // two tables translate identically and one hash table can be fed through either.
+    // An irregular distribution of `n` elements.
     let n = 24 + (mix(seed, 0) % 120) as usize;
     let map: Vec<ProcId> = (0..n)
         .map(|g| (mix(seed, 1000 + g as u64) % nprocs as u64) as usize)
         .collect();
-    let replicated = TranslationTable::replicated_from_full_map(&map, nprocs).expect("valid map");
-    let map_dist = BlockDist::new(n, nprocs);
-    let my_map = &map[map_dist.local_range(me)];
-    let mut distributed =
-        TranslationTable::distributed_from_map(rank, my_map, &map_dist).expect("valid map");
+    let ttable = TranslationTable::replicated_from_full_map(&map, nprocs).expect("valid map");
 
     let [a, b, c] = STAMPS;
     let queries = [
@@ -335,7 +283,7 @@ fn drive<T: Table>(
         StampQuery::any_of(&STAMPS),
         StampQuery::minus(&[c], &[a]),
     ];
-    let mut table = make(me, replicated.local_size(me));
+    let mut table = make(me, ttable.local_size(me));
     let mut keys: Vec<T::Key> = queries.iter().map(|&q| table.version(q)).collect();
     // The `_into` stream is never cleared: every append lands after earlier contents.
     let mut stream: Vec<u32> = vec![7, 7, 7];
@@ -351,16 +299,12 @@ fn drive<T: Table>(
             .map(|k| (mix(seed ^ (me as u64) << 32, step * 64 + k as u64) % spread as u64) as usize)
             .collect();
         let (op, refs) = match pick % 8 {
-            0 | 1 => {
-                let refs = table.hash_in(rank, &mut distributed, &globals, stamp);
-                ("hash_in", refs.iter().map(|r| r.0).collect())
-            }
-            2 | 3 => {
-                let refs = table.hash_in_replicated(rank, &replicated, &globals, stamp);
+            0..=2 => {
+                let refs = table.hash_in_replicated(rank, &ttable, &globals, stamp);
                 ("hash_in_replicated", refs.iter().map(|r| r.0).collect())
             }
-            4 | 5 => {
-                table.hash_in_replicated_into(rank, &replicated, &globals, stamp, &mut stream);
+            3..=5 => {
+                table.hash_in_replicated_into(rank, &ttable, &globals, stamp, &mut stream);
                 (
                     "hash_in_replicated_into",
                     stream.iter().map(|&r| r as usize).collect(),
@@ -459,7 +403,6 @@ fn the_programs_exercise_every_operation() {
     let expected = [
         "clear_all?",
         "clear_stamp",
-        "hash_in",
         "hash_in_replicated",
         "hash_in_replicated_into",
     ];

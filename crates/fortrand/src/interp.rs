@@ -636,9 +636,7 @@ impl<'p> Executor<'p> {
                 self.program.decls.names.reals[arr as usize],
                 seen.refs[at] + 1,
                 self.my_rank,
-                ttable
-                    .lookup_local(seen.refs[at])
-                    .map_or(u32::MAX, |loc| loc.owner),
+                ttable.lookup(seen.refs[at]).owner,
             );
         }
         // An unreferenced evaluation (`UNREFERENCED` is past the end of `local`) keeps the
@@ -701,9 +699,7 @@ impl<'p> Executor<'p> {
             let mut stream = Vec::with_capacity(first_ref.len());
             for &at in first_ref {
                 let global = seen.refs[at];
-                let loc = ttable
-                    .lookup_local(global)
-                    .expect("the executor's decompositions use replicated translation tables");
+                let loc = ttable.lookup(global);
                 let name = &self.program.decls.names.reals[array];
                 if array == target {
                     dests.push(loc.owner as usize);

@@ -33,11 +33,14 @@ fn main() {
 
         // Phase E (inspector): translate indices, remove duplicates, build one merged
         // communication schedule for both access patterns.
-        let mut inspector = Inspector::new(&ttable, rank.rank());
-        let refs_a = inspector.hash_indices(rank, &my_ia, Stamp::new(0));
-        let refs_b = inspector.hash_indices(rank, &my_ib, Stamp::new(1));
-        let sched =
-            inspector.build_schedule(rank, StampQuery::any_of(&[Stamp::new(0), Stamp::new(1)]));
+        let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
+        let refs_a = hash.hash_in_replicated(rank, &ttable, &my_ia, Stamp::new(0));
+        let refs_b = hash.hash_in_replicated(rank, &ttable, &my_ib, Stamp::new(1));
+        let sched = build_schedule_from_table(
+            rank,
+            &hash,
+            StampQuery::any_of(&[Stamp::new(0), Stamp::new(1)]),
+        );
 
         // Phase F (executor): gather off-processor y values, run the loop, scatter-add
         // the off-processor x contributions back to their owners.

@@ -29,15 +29,15 @@ fn setup(rank: &mut Rank, n: usize) -> (CommSchedule, Vec<LocalRef>, std::ops::R
     let me = rank.rank();
     let dist = BlockDist::new(n, nprocs);
     let ttable = TranslationTable::from_regular(&dist);
-    let mut insp = Inspector::new(&ttable, me);
+    let mut hash = IndexHashTable::new(me, ttable.local_size(me));
     let pattern: Vec<usize> = (0..n / 2)
         .map(|k| {
             let block = (me + k % 2) % nprocs;
             dist.local_range(block).start + (k * 5) % dist.local_size(block)
         })
         .collect();
-    let refs = insp.hash_indices(rank, &pattern, Stamp::new(0));
-    let sched = insp.build_schedule(rank, StampQuery::single(Stamp::new(0)));
+    let refs = hash.hash_in_replicated(rank, &ttable, &pattern, Stamp::new(0));
+    let sched = build_schedule_from_table(rank, &hash, StampQuery::single(Stamp::new(0)));
     (sched, refs, dist.local_range(me))
 }
 

@@ -18,7 +18,7 @@ fn gather_message_counts_match_the_schedule_on_8_ranks() {
         move |rank| {
             let dist = BlockDist::new(n, rank.nprocs());
             let ttable = TranslationTable::from_regular(&dist);
-            let mut insp = Inspector::new(&ttable, rank.rank());
+            let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
             // An irregular pattern that leaves some processor pairs silent: each rank
             // only references its own block and the two blocks "ahead" of it.
             let me = rank.rank();
@@ -28,8 +28,8 @@ fn gather_message_counts_match_the_schedule_on_8_ranks() {
                     dist.local_range(block).start + (k * 7) % dist.local_size(block)
                 })
                 .collect();
-            insp.hash_indices(rank, &pattern, Stamp::new(0));
-            let sched = insp.build_schedule(rank, StampQuery::single(Stamp::new(0)));
+            hash.hash_in_replicated(rank, &ttable, &pattern, Stamp::new(0));
+            let sched = build_schedule_from_table(rank, &hash, StampQuery::single(Stamp::new(0)));
 
             let owned: Vec<f64> = dist.local_globals(me).map(|g| g as f64).collect();
             let mut x = DistArray::new(owned, sched.ghost_len());
@@ -104,11 +104,11 @@ fn silent_processor_pairs_stay_silent() {
             let n = 64;
             let dist = BlockDist::new(n, rank.nprocs());
             let ttable = TranslationTable::from_regular(&dist);
-            let mut insp = Inspector::new(&ttable, rank.rank());
+            let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
             let next = (rank.rank() + 1) % nprocs;
             let pattern: Vec<usize> = dist.local_globals(next).collect();
-            insp.hash_indices(rank, &pattern, Stamp::new(0));
-            let sched = insp.build_schedule(rank, StampQuery::single(Stamp::new(0)));
+            hash.hash_in_replicated(rank, &ttable, &pattern, Stamp::new(0));
+            let sched = build_schedule_from_table(rank, &hash, StampQuery::single(Stamp::new(0)));
             let owned: Vec<f64> = dist.local_globals(rank.rank()).map(|g| g as f64).collect();
             let wide: Vec<[f64; 3]> = owned.iter().map(|&v| [v, 1.0, -1.0]).collect();
             let mut x = DistArray::new(owned, sched.ghost_len());

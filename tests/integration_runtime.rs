@@ -30,12 +30,12 @@ fn figure1_loop_with_adaptation_matches_sequential() {
             let dist = BlockDist::new(n, rank.nprocs());
             let ttable = TranslationTable::from_regular(&dist);
             let my_iters: Vec<usize> = dist.local_globals(rank.rank()).collect();
-            let mut insp = Inspector::new(&ttable, rank.rank());
+            let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
             let s_ia = Stamp::new(0);
             let s_ib = Stamp::new(1);
 
             let my_ib: Vec<usize> = my_iters.iter().map(|&i| ibc[i]).collect();
-            let refs_ib = insp.hash_indices(rank, &my_ib, s_ib);
+            let refs_ib = hash.hash_in_replicated(rank, &ttable, &my_ib, s_ib);
 
             let owned = dist.local_size(rank.rank());
             let mut x = DistArray::new(vec![0.5f64; owned], 0);
@@ -48,8 +48,8 @@ fn figure1_loop_with_adaptation_matches_sequential() {
 
             // Phase 1 with ia0.
             let my_ia: Vec<usize> = my_iters.iter().map(|&i| ia0c[i]).collect();
-            let refs_ia = insp.hash_indices(rank, &my_ia, s_ia);
-            let sched = insp.build_schedule(rank, StampQuery::any_of(&[s_ia, s_ib]));
+            let refs_ia = hash.hash_in_replicated(rank, &ttable, &my_ia, s_ia);
+            let sched = build_schedule_from_table(rank, &hash, StampQuery::any_of(&[s_ia, s_ib]));
             x.ensure_ghost(sched.ghost_len());
             y.ensure_ghost(sched.ghost_len());
             gather(rank, &sched, &mut y);
@@ -61,10 +61,10 @@ fn figure1_loop_with_adaptation_matches_sequential() {
             x.clear_ghost();
 
             // The pattern adapts: clear the stamp, re-hash, rebuild the schedule.
-            insp.clear_stamp(s_ia);
+            hash.clear_stamp(s_ia);
             let my_ia: Vec<usize> = my_iters.iter().map(|&i| ia1c[i]).collect();
-            let refs_ia = insp.hash_indices(rank, &my_ia, s_ia);
-            let sched = insp.build_schedule(rank, StampQuery::any_of(&[s_ia, s_ib]));
+            let refs_ia = hash.hash_in_replicated(rank, &ttable, &my_ia, s_ia);
+            let sched = build_schedule_from_table(rank, &hash, StampQuery::any_of(&[s_ia, s_ib]));
             x.ensure_ghost(sched.ghost_len());
             y.ensure_ghost(sched.ghost_len());
             gather(rank, &sched, &mut y);
@@ -93,7 +93,7 @@ fn figure1_loop_with_adaptation_matches_sequential() {
 }
 
 /// Full phase-A-to-F pipeline with an irregular distribution produced by RCB, remapping,
-/// and a distributed (non-replicated) translation table used for the remap lookups.
+/// and the translation table built from RCB's map used for the remap lookups.
 #[test]
 fn partition_remap_execute_pipeline() {
     let n = 300;
@@ -112,8 +112,8 @@ fn partition_remap_execute_pipeline() {
         let weights: Vec<f64> = my_block.iter().map(|&g| 1.0 + (g % 5) as f64).collect();
         let parts = rcb_partition(rank, PartitionInput::new(&coords, &weights), rank.nprocs());
 
-        // Build a *distributed* translation table from the new map and remap the data.
-        let mut table = TranslationTable::distributed_from_map(rank, &parts, &block).unwrap();
+        // Build the translation table from the new map and remap the data.
+        let mut table = TranslationTable::replicated_from_map(rank, &parts, &block).unwrap();
         let values: Vec<f64> = my_block.iter().map(|&g| g as f64 * 1.5).collect();
         let plan = build_remap(rank, &my_block, &mut table);
         let new_values = remap_values(rank, &plan, &values, f64::NAN);
@@ -142,17 +142,17 @@ fn incremental_schedules_cover_the_union_without_duplication() {
     let out = run(MachineConfig::new(4), move |rank| {
         let dist = BlockDist::new(n, rank.nprocs());
         let ttable = TranslationTable::from_regular(&dist);
-        let mut insp = Inspector::new(&ttable, rank.rank());
+        let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
         let sa = Stamp::new(0);
         let sb = Stamp::new(1);
         let me = rank.rank();
         let a: Vec<usize> = (0..24).map(|k| (me * 16 + k * 3) % n).collect();
         let b: Vec<usize> = (0..24).map(|k| (me * 16 + k * 3 + 1) % n).collect();
-        insp.hash_indices(rank, &a, sa);
-        let sched_a = insp.build_schedule(rank, StampQuery::single(sa));
-        insp.hash_indices(rank, &b, sb);
-        let inc_b = insp.build_schedule(rank, StampQuery::minus(&[sb], &[sa]));
-        let merged = insp.build_schedule(rank, StampQuery::any_of(&[sa, sb]));
+        hash.hash_in_replicated(rank, &ttable, &a, sa);
+        let sched_a = build_schedule_from_table(rank, &hash, StampQuery::single(sa));
+        hash.hash_in_replicated(rank, &ttable, &b, sb);
+        let inc_b = build_schedule_from_table(rank, &hash, StampQuery::minus(&[sb], &[sa]));
+        let merged = build_schedule_from_table(rank, &hash, StampQuery::any_of(&[sa, sb]));
         (
             sched_a.total_fetch(),
             inc_b.total_fetch(),
@@ -161,36 +161,5 @@ fn incremental_schedules_cover_the_union_without_duplication() {
     });
     for (a_fetch, inc_fetch, merged_fetch) in &out.results {
         assert_eq!(a_fetch + inc_fetch, *merged_fetch);
-    }
-}
-
-/// Translation-table storage modes agree with each other under the same query load.
-#[test]
-fn translation_table_storage_modes_agree() {
-    let n = 200;
-    let nprocs = 5;
-    let out = run(MachineConfig::new(nprocs), move |rank| {
-        let map_dist = BlockDist::new(n, rank.nprocs());
-        let local_map: Vec<usize> = map_dist
-            .local_globals(rank.rank())
-            .map(|g| (g * 13 + 7) % rank.nprocs())
-            .collect();
-        let rep = TranslationTable::replicated_from_map(rank, &local_map, &map_dist).unwrap();
-        let mut dis = TranslationTable::distributed_from_map(rank, &local_map, &map_dist).unwrap();
-        let mut paged = TranslationTable::paged_from_map(rank, &local_map, &map_dist, 16).unwrap();
-        let queries: Vec<usize> = (0..n).filter(|g| (g + rank.rank()) % 3 == 0).collect();
-        let from_rep: Vec<Loc> = queries
-            .iter()
-            .map(|&g| {
-                rep.lookup_local(g)
-                    .expect("replicated table answers locally")
-            })
-            .collect();
-        let from_dis = dis.lookup(rank, &queries);
-        let from_paged = paged.lookup(rank, &queries);
-        (from_rep == from_dis, from_rep == from_paged)
-    });
-    for &(a, b) in &out.results {
-        assert!(a && b);
     }
 }

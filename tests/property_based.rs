@@ -94,15 +94,16 @@ fn gather_scatter_round_trip_and_reduction() {
             move |rank| {
                 let dist = BlockDist::new(n, rank.nprocs());
                 let ttable = TranslationTable::from_regular(&dist);
-                let mut insp = Inspector::new(&ttable, rank.rank());
+                let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
                 // Every rank references a pseudo-random half of the elements.
                 let pattern: Vec<usize> = (0..n)
                     .filter(|g| {
                         (g.wrapping_mul(2654435761) as u64 ^ pattern_seed).is_multiple_of(2)
                     })
                     .collect();
-                let refs = insp.hash_indices(rank, &pattern, Stamp::new(0));
-                let sched = insp.build_schedule(rank, StampQuery::single(Stamp::new(0)));
+                let refs = hash.hash_in_replicated(rank, &ttable, &pattern, Stamp::new(0));
+                let sched =
+                    build_schedule_from_table(rank, &hash, StampQuery::single(Stamp::new(0)));
                 let owned: Vec<f64> = dist
                     .local_globals(rank.rank())
                     .map(|g| g as f64 + 0.25)

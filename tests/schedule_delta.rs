@@ -1,6 +1,6 @@
 //! Integration tests of incremental schedule maintenance through its one public path,
 //! [`ScheduleCache`]: patched [`CommSchedule`]s must be byte-identical to from-scratch
-//! rebuilds at every machine size, through replicated *and* paged translation tables,
+//! rebuilds at every machine size, through regular *and* irregular translation tables,
 //! across seeded drift sequences and empty deltas; a `clear_all` must rebuild in place;
 //! and the cache must never serve a stale schedule, including after `clear_stamp` and
 //! after an eviction forces a rebuild.
@@ -190,11 +190,11 @@ fn clear_all_rebuilds_in_place_as_a_miss() {
     }
 }
 
-/// Satellite (a), paged translation: drift hashed through a **paged** table (remote
-/// translations fetched page-wise and cached) patches to the same bytes as a rebuild,
-/// and page invalidation in between does not disturb the schedules.
+/// Satellite (a), irregular translation: drift hashed through a table built from an
+/// irregular map (owners in stripes, offsets numbered per owner) patches to the same
+/// bytes as a rebuild.
 #[test]
-fn paged_translation_drift_patches_byte_identically() {
+fn irregular_translation_drift_patches_byte_identically() {
     let nglobals = 256usize;
     let out = run(MachineConfig::new(8), move |rank| {
         let me = rank.rank();
@@ -205,10 +205,8 @@ fn paged_translation_drift_patches_byte_identically() {
             .local_globals(me)
             .map(|g| (g / 8) % nprocs)
             .collect();
-        let mut ttable =
-            TranslationTable::paged_from_map(rank, &local_map, &map_dist, 16).expect("valid map");
-        let mut control =
-            TranslationTable::paged_from_map(rank, &local_map, &map_dist, 16).expect("valid map");
+        let ttable =
+            TranslationTable::replicated_from_map(rank, &local_map, &map_dist).expect("valid map");
         let owned = ttable.local_size(me);
         let mut hash = IndexHashTable::new(me, owned);
         let mut control_hash = IndexHashTable::new(me, owned);
@@ -217,35 +215,27 @@ fn paged_translation_drift_patches_byte_identically() {
 
         let mut rng = 0xBADD_CAFEu64.wrapping_add(me as u64);
         let mut refs: Vec<usize> = (0..48).map(|_| lcg(&mut rng) as usize % nglobals).collect();
-        hash.hash_in(rank, &mut ttable, &refs, s);
-        control_hash.hash_in(rank, &mut control, &refs, s);
+        hash.hash_in_replicated(rank, &ttable, &refs, s);
+        control_hash.hash_in_replicated(rank, &ttable, &refs, s);
         let mut cache = ScheduleCache::new(1);
         cache.schedule(rank, &hash, q);
         let mut identical = true;
-        let mut pages_seen = ttable.cached_page_count();
-        for round in 0..4 {
+        for _ in 0..4 {
             for _ in 0..6 {
                 let at = lcg(&mut rng) as usize % refs.len();
                 refs[at] = lcg(&mut rng) as usize % nglobals;
             }
-            if round == 2 {
-                // Drop the cached pages for the current refs: the next hash_in must
-                // re-fetch them and still assign identical locations.
-                ttable.invalidate_pages(&refs);
-            }
             hash.clear_stamp(s);
-            hash.hash_in(rank, &mut ttable, &refs, s);
+            hash.hash_in_replicated(rank, &ttable, &refs, s);
             control_hash.clear_stamp(s);
-            control_hash.hash_in(rank, &mut control, &refs, s);
+            control_hash.hash_in_replicated(rank, &ttable, &refs, s);
             let patched = cache.schedule(rank, &hash, q).0.clone();
             identical &= patched == build_schedule_from_table(rank, &control_hash, q);
-            pages_seen = pages_seen.max(ttable.cached_page_count());
         }
-        (identical, pages_seen, cache.stats())
+        (identical, cache.stats())
     });
-    for (identical, pages_seen, stats) in &out.results {
-        assert!(*identical, "paged-table drift must patch to the rebuild");
-        assert!(*pages_seen > 0, "remote translations must have paged in");
+    for (identical, stats) in &out.results {
+        assert!(*identical, "irregular-map drift must patch to the rebuild");
         assert_eq!((stats.misses, stats.patches), (1, 4));
     }
 }

@@ -15,7 +15,7 @@ fn merged_schedule_gathers_once_for_both_patterns() {
     let out = run(MachineConfig::new(nprocs), move |rank| {
         let dist = BlockDist::new(n, rank.nprocs());
         let ttable = TranslationTable::from_regular(&dist);
-        let mut insp = Inspector::new(&ttable, rank.rank());
+        let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
         let sa = Stamp::new(0);
         let sb = Stamp::new(1);
         // Two overlapping indirection arrays: both reference the "next block", b also
@@ -23,12 +23,12 @@ fn merged_schedule_gathers_once_for_both_patterns() {
         let start = dist.local_range(rank.rank()).end;
         let a: Vec<usize> = (0..8).map(|k| (start + k) % n).collect();
         let b: Vec<usize> = (0..8).map(|k| (start + 4 + k) % n).collect();
-        let ra = insp.hash_indices(rank, &a, sa);
-        let rb = insp.hash_indices(rank, &b, sb);
-        let sched_a = insp.build_schedule(rank, StampQuery::single(sa));
-        let sched_b = insp.build_schedule(rank, StampQuery::single(sb));
+        let ra = hash.hash_in_replicated(rank, &ttable, &a, sa);
+        let rb = hash.hash_in_replicated(rank, &ttable, &b, sb);
+        let sched_a = build_schedule_from_table(rank, &hash, StampQuery::single(sa));
+        let sched_b = build_schedule_from_table(rank, &hash, StampQuery::single(sb));
         let merged = sched_a.merged_with(&sched_b);
-        let by_query = insp.build_schedule(rank, StampQuery::any_of(&[sa, sb]));
+        let by_query = build_schedule_from_table(rank, &hash, StampQuery::any_of(&[sa, sb]));
 
         // The merged schedule must fetch each distinct element once: a and b overlap in
         // 4 elements, so the union is 12 (all off-processor here).
@@ -72,16 +72,16 @@ fn merged_schedules_keep_ghost_offsets_disjoint() {
     let out = run(MachineConfig::new(4), move |rank| {
         let dist = BlockDist::new(n, rank.nprocs());
         let ttable = TranslationTable::from_regular(&dist);
-        let mut insp = Inspector::new(&ttable, rank.rank());
+        let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
         let sa = Stamp::new(0);
         let sb = Stamp::new(1);
         let start = dist.local_range(rank.rank()).end;
         let a: Vec<usize> = (0..6).map(|k| (start + 2 * k) % n).collect();
         let b: Vec<usize> = (0..6).map(|k| (start + 2 * k + 1) % n).collect();
-        insp.hash_indices(rank, &a, sa);
-        insp.hash_indices(rank, &b, sb);
-        let sched_a = insp.build_schedule(rank, StampQuery::single(sa));
-        let sched_b = insp.build_schedule(rank, StampQuery::single(sb));
+        hash.hash_in_replicated(rank, &ttable, &a, sa);
+        hash.hash_in_replicated(rank, &ttable, &b, sb);
+        let sched_a = build_schedule_from_table(rank, &hash, StampQuery::single(sa));
+        let sched_b = build_schedule_from_table(rank, &hash, StampQuery::single(sb));
         let merged = sched_a.merged_with(&sched_b);
         // a and b are disjoint index sets, so each of the 12 fetched elements must have
         // its own ghost slot in the merged permutation lists.
@@ -112,7 +112,7 @@ fn merging_disjoint_recv_sets_concatenates_per_peer_lists() {
     let out = run(MachineConfig::new(nprocs), move |rank| {
         let dist = BlockDist::new(n, rank.nprocs());
         let ttable = TranslationTable::from_regular(&dist);
-        let mut insp = Inspector::new(&ttable, rank.rank());
+        let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
         let (sa, sb) = (Stamp::new(0), Stamp::new(1));
         let p = rank.nprocs();
         let next = (rank.rank() + 1) % p;
@@ -120,10 +120,10 @@ fn merging_disjoint_recv_sets_concatenates_per_peer_lists() {
         // a references only `next`'s block, b only `after`'s block.
         let a: Vec<usize> = dist.local_range(next).take(3).collect();
         let b: Vec<usize> = dist.local_range(after).take(4).collect();
-        let ra = insp.hash_indices(rank, &a, sa);
-        let rb = insp.hash_indices(rank, &b, sb);
-        let sched_a = insp.build_schedule(rank, StampQuery::single(sa));
-        let sched_b = insp.build_schedule(rank, StampQuery::single(sb));
+        let ra = hash.hash_in_replicated(rank, &ttable, &a, sa);
+        let rb = hash.hash_in_replicated(rank, &ttable, &b, sb);
+        let sched_a = build_schedule_from_table(rank, &hash, StampQuery::single(sa));
+        let sched_b = build_schedule_from_table(rank, &hash, StampQuery::single(sb));
         let merged = sched_a.merged_with(&sched_b);
 
         let fetch_next = merged.fetch_size(next);
@@ -171,7 +171,7 @@ fn merging_overlapping_recv_sets_deduplicates_only_the_shared_peer() {
     let out = run(MachineConfig::new(nprocs), move |rank| {
         let dist = BlockDist::new(n, rank.nprocs());
         let ttable = TranslationTable::from_regular(&dist);
-        let mut insp = Inspector::new(&ttable, rank.rank());
+        let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
         let (sa, sb) = (Stamp::new(0), Stamp::new(1));
         let p = rank.nprocs();
         let next = (rank.rank() + 1) % p;
@@ -184,12 +184,12 @@ fn merging_overlapping_recv_sets_deduplicates_only_the_shared_peer() {
             .take(2)
             .chain(dist.local_range(after).take(3))
             .collect();
-        let ra = insp.hash_indices(rank, &a, sa);
-        let rb = insp.hash_indices(rank, &b, sb);
-        let sched_a = insp.build_schedule(rank, StampQuery::single(sa));
-        let sched_b = insp.build_schedule(rank, StampQuery::single(sb));
+        let ra = hash.hash_in_replicated(rank, &ttable, &a, sa);
+        let rb = hash.hash_in_replicated(rank, &ttable, &b, sb);
+        let sched_a = build_schedule_from_table(rank, &hash, StampQuery::single(sa));
+        let sched_b = build_schedule_from_table(rank, &hash, StampQuery::single(sb));
         let merged = sched_a.merged_with(&sched_b);
-        let by_query = insp.build_schedule(rank, StampQuery::any_of(&[sa, sb]));
+        let by_query = build_schedule_from_table(rank, &hash, StampQuery::any_of(&[sa, sb]));
 
         let owned: Vec<f64> = dist
             .local_globals(rank.rank())
@@ -237,27 +237,28 @@ fn incremental_schedule_after_clear_stamp_completes_the_ghost_region() {
         move |rank| {
             let dist = BlockDist::new(n, rank.nprocs());
             let ttable = TranslationTable::from_regular(&dist);
-            let mut insp = Inspector::new(&ttable, rank.rank());
+            let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
             let s_old = Stamp::new(0);
             let s_new = Stamp::new(1);
             let start = dist.local_range(rank.rank()).end;
             // The "old" pattern references 4 off-processor elements.
             let old: Vec<usize> = (0..4).map(|k| (start + k) % n).collect();
-            insp.hash_indices(rank, &old, s_old);
-            let sched_old = insp.build_schedule(rank, StampQuery::single(s_old));
+            hash.hash_in_replicated(rank, &ttable, &old, s_old);
+            let sched_old = build_schedule_from_table(rank, &hash, StampQuery::single(s_old));
 
             // The array adapts: two entries change, two stay.
             let adapted: Vec<usize> = vec![old[0], old[1], (start + 6) % n, (start + 7) % n];
-            insp.clear_stamp(s_new); // no-op, symmetry with repeated timesteps
-            let refs = insp.hash_indices(rank, &adapted, s_new);
-            let sched_inc = insp.build_schedule(rank, StampQuery::minus(&[s_new], &[s_old]));
+            hash.clear_stamp(s_new); // no-op, symmetry with repeated timesteps
+            let refs = hash.hash_in_replicated(rank, &ttable, &adapted, s_new);
+            let sched_inc =
+                build_schedule_from_table(rank, &hash, StampQuery::minus(&[s_new], &[s_old]));
 
             // Execute: one full gather with the old schedule, then only the increment.
             let owned: Vec<f64> = dist
                 .local_globals(rank.rank())
                 .map(|g| g as f64 + 0.5)
                 .collect();
-            let mut x = DistArray::new(owned, insp.ghost_len());
+            let mut x = DistArray::new(owned, hash.ghost_len());
             gather(rank, &sched_old, &mut x);
             let inc_stats = gather(rank, &sched_inc, &mut x);
             let got: Vec<f64> = refs.iter().map(|&r| x[r]).collect();
@@ -296,19 +297,19 @@ fn clear_and_rehash_reuses_ghost_slots_across_timesteps() {
     let out = run(MachineConfig::new(4), move |rank| {
         let dist = BlockDist::new(n, rank.nprocs());
         let ttable = TranslationTable::from_regular(&dist);
-        let mut insp = Inspector::new(&ttable, rank.rank());
+        let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
         let s = Stamp::new(2);
         let start = dist.local_range(rank.rank()).end;
         let mut pattern: Vec<usize> = (0..10).map(|k| (start + k) % n).collect();
         let mut ghost_sizes = Vec::new();
         let mut fetches = Vec::new();
         for step in 0..5 {
-            insp.clear_stamp(s);
+            hash.clear_stamp(s);
             // One reference drifts per step; the other nine are unchanged.
             pattern[step] = (pattern[step] + 10) % n;
-            insp.hash_indices(rank, &pattern, s);
-            let sched = insp.build_schedule(rank, StampQuery::single(s));
-            ghost_sizes.push(insp.ghost_len());
+            hash.hash_in_replicated(rank, &ttable, &pattern, s);
+            let sched = build_schedule_from_table(rank, &hash, StampQuery::single(s));
+            ghost_sizes.push(hash.ghost_len());
             fetches.push(sched.total_fetch());
         }
         (ghost_sizes, fetches)
