@@ -23,7 +23,7 @@
 //!   regions.  [`scatter_append_start`] / [`scatter_append_finish`] split the
 //!   light-weight append the same way.  Between start and finish the caller computes
 //!   (CHARMM's bonded loop runs while the non-bonded ghost exchange is in flight; DSMC
-//!   re-bins its surviving molecules while the migrants travel).
+//!   charges its survivors' re-binning while the migrants travel).
 //!
 //! Every primitive takes `&CommSchedule` and never cares how the schedule was produced:
 //! the `&CommSchedule` a [`crate::cache::ScheduleCache`] serves — hit, patched forward or
@@ -450,7 +450,7 @@ pub struct AppendHandle<T: Element> {
 /// Start a light-weight append: post one message of whole items per destination
 /// processor and copy the kept items aside, returning a handle for
 /// [`scatter_append_finish`].  Between start and finish the caller computes — the DSMC
-/// MOVE phase re-bins its surviving molecules while the migrants are in flight.
+/// MOVE phase pays its survivors' re-binning charge while the migrants are in flight.
 pub fn scatter_append_start<T: Element>(
     rank: &mut Rank,
     sched: &LightweightSchedule,

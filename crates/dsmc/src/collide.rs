@@ -11,11 +11,19 @@
 //!   so the sequential and parallel codes produce bit-identical trajectories no matter
 //!   which processor owns the cell or in which order migrating molecules arrived.
 
+use std::cell::RefCell;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::particles::Particle;
+
+thread_local! {
+    /// The pairing permutation, reused across cells and steps so the collision phase
+    /// allocates nothing once it has seen its largest cell (one buffer per rank thread).
+    static ORDER: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Perform the collision phase for one cell.  Returns the number of collision pairs
 /// processed (the work measure).
@@ -25,22 +33,24 @@ pub fn collide_cell(cell_id: usize, step: usize, seed: u64, particles: &mut [Par
     }
     // Deterministic ordering regardless of arrival order.
     particles.sort_unstable_by_key(|p| p.id);
-    // Deterministic pairing.
-    let mut order: Vec<usize> = (0..particles.len()).collect();
+    // Deterministic pairing.  The shuffle's draws depend only on the length, not on the
+    // element type, so `u32` indices give the same permutation as `usize` ones.
     let mut rng = StdRng::seed_from_u64(
         seed ^ (cell_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (step as u64) << 32,
     );
-    order.shuffle(&mut rng);
-    let pairs = particles.len() / 2;
-    for p in 0..pairs {
-        let a = order[2 * p];
-        let b = order[2 * p + 1];
-        // Elastic equal-mass exchange: swap velocities (conserves momentum and energy).
-        let va = particles[a].vel;
-        particles[a].vel = particles[b].vel;
-        particles[b].vel = va;
-    }
-    pairs
+    ORDER.with_borrow_mut(|order| {
+        order.clear();
+        order.extend(0..particles.len() as u32);
+        order.shuffle(&mut rng);
+        for pair in order.chunks_exact(2) {
+            let (a, b) = (pair[0] as usize, pair[1] as usize);
+            // Elastic equal-mass exchange: swap velocities (conserves momentum and energy).
+            let va = particles[a].vel;
+            particles[a].vel = particles[b].vel;
+            particles[b].vel = va;
+        }
+    });
+    particles.len() / 2
 }
 
 /// Total momentum of a particle set (used by conservation tests).

@@ -5,15 +5,18 @@
 //! visits its owned cells in ascending order.  Each time step has three parallel phases:
 //!
 //! 1. **collision** — embarrassingly parallel over owned cells;
-//! 2. **MOVE** — molecules whose new position falls in a cell owned by another processor
-//!    must migrate.  Two implementations are provided; Table 4 compares the first with
-//!    the second rebuilt every step:
+//! 2. **MOVE** — every molecule advances in place; one that stays in its cell stays in
+//!    its cell's list, and one whose new position falls in another cell is copied once
+//!    into a reused migrant buffer.  Migrants whose cell another processor owns must
+//!    migrate.  Two implementations are provided; Table 4 compares the first with the
+//!    second rebuilt every step:
 //!    * [`MoveMode::Lightweight`] — a [`chaos::schedule::LightweightSchedule`] is built
 //!      from the destination processors (one exchange of counts) and whole molecules are
-//!      appended split-phase: `scatter_append_start` posts the migrants, the surviving
-//!      molecules are re-binned into their cells *while the exchange is in flight*, and
-//!      `scatter_append_finish` collects the arrivals; arrival order is irrelevant, so no
-//!      placement preprocessing is needed;
+//!      appended split-phase: `scatter_append_start` posts the migrant buffer, the
+//!      survivors' modeled re-binning cost is charged *while the exchange is in flight*,
+//!      and `scatter_append_finish` collects the arrivals, which are appended after their
+//!      cell's survivors; arrival order is irrelevant (the collision phase sorts each cell
+//!      by molecule id), so no placement preprocessing is needed;
 //!    * [`MoveMode::Patched`] — a regular schedule over the destination cells: every
 //!      step the drifted destination-cell set is re-hashed (index translation) and a real
 //!      [`chaos::schedule::CommSchedule`] with prescribed placement brought up to date —
@@ -250,12 +253,13 @@ pub fn run_parallel(
         }
     }
 
-    // Reused across steps: molecules leaving their cell this step, as (destination cell,
-    // molecule), and molecules staying put, as (cell, molecule).  Clearing instead of
+    // Reused across steps: the molecules leaving their cell this step, with their
+    // destination cells and ranks, in advance-scan order.  Clearing instead of
     // reallocating keeps the steady-state MOVE loop free of per-step growth allocations
     // once the high-water mark is reached.
-    let mut outgoing: Vec<(usize, Particle)> = Vec::new();
-    let mut survivors: Vec<(usize, Particle)> = Vec::new();
+    let mut migrant_cells: Vec<usize> = Vec::new();
+    let mut migrants: Vec<Particle> = Vec::new();
+    let mut migrant_ranks: Vec<ProcId> = Vec::new();
 
     // Persistent inspector state of the patched MOVE path (the schedule cache and the
     // hash table it serves from).  `None` for the other modes.
@@ -275,48 +279,61 @@ pub fn run_parallel(
         phases.collide += collide_step;
 
         // ------------------------------------------------------------------- MOVE phase --
-        // Advance molecules, splitting them into survivors (same cell) and migrants
-        // (different cell — possibly one this rank also owns).  Survivors are not put
-        // back yet: the light-weight path posts the migrant exchange first and re-bins
-        // them while it is in flight.
+        // Advance molecules in place.  Survivors (same cell) stay where they are, in scan
+        // order; migrants (different cell — possibly one this rank also owns) are copied
+        // once, into the reused migrant buffers.  A migrant into a cell this rank owns is
+        // placed from the buffers straight away (its cell is known); the exchange then
+        // delivers the others, which are appended last.  Each cell so ends as its
+        // survivors, its local arrivals in scan order, then its remote arrivals.
         let t0 = rank.modeled();
-        outgoing.clear();
-        survivors.clear();
+        migrant_cells.clear();
+        migrants.clear();
+        let mut survivors = 0usize;
         for &cell in &owned_cells {
-            for mut p in cells[cell].drain(..) {
-                advance(&mut p, grid, config.dt);
+            cells[cell].retain_mut(|p| {
+                advance(p, grid, config.dt);
                 let new_cell = grid.cell_of_position(p.pos);
                 if new_cell == cell {
-                    survivors.push((cell, p));
-                } else {
-                    outgoing.push((new_cell, p));
+                    survivors += 1;
+                    return true;
                 }
+                migrant_cells.push(new_cell);
+                migrants.push(*p);
+                false
+            });
+        }
+        migrant_ranks.clear();
+        for (&cell, p) in migrant_cells.iter().zip(&migrants) {
+            let owner = cell_owner[cell];
+            if owner == me {
+                cells[cell].push(*p);
             }
+            migrant_ranks.push(owner);
         }
         phases.move_data += rank.modeled().since(&t0);
 
-        let arrivals = match config.move_mode {
+        let remote_arrivals = match config.move_mode {
             MoveMode::Lightweight => move_lightweight(
                 rank,
-                &outgoing,
-                &mut survivors,
-                &cell_owner,
-                &mut cells,
+                &migrant_ranks,
+                &migrants,
+                survivors,
                 &mut phases,
                 &mut migrations,
             ),
             MoveMode::Patched { rebuild_every_step } => {
-                // No split phase here: survivors go straight back; the schedule is then
-                // brought up to date (patch or rebuild) and the migrants re-binned
-                // into it.
+                // No split phase here: the survivors' re-binning charge is paid first; the
+                // schedule is then brought up to date (patch or rebuild) and the off-rank
+                // migrants shipped through it.
                 let t0 = rank.modeled();
-                rebin_survivors(rank, &mut survivors, &mut cells);
+                charge_survivors(rank, survivors);
                 phases.move_data += rank.modeled().since(&t0);
                 move_patched(
                     rank,
                     grid,
-                    &outgoing,
-                    &cell_owner,
+                    &migrant_cells,
+                    &migrant_ranks,
+                    &migrants,
                     &owned_cells,
                     patched_state.as_mut().expect("state exists for Patched"),
                     rebuild_every_step,
@@ -327,7 +344,7 @@ pub fn run_parallel(
         };
 
         let t0 = rank.modeled();
-        for p in arrivals {
+        for p in remote_arrivals {
             cells[arrival_cell(me, grid, &cell_owner, &p)].push(p);
         }
         phases.move_data += rank.modeled().since(&t0);
@@ -450,14 +467,16 @@ impl PatchedMoveState {
 /// stamp and brings the cached schedule up to date — by patch or, for the baseline and
 /// after a remap, by rebuild; both yield byte-identical schedules.  The data path then ships per-row
 /// molecule counts through the schedule's scatter direction and the molecules themselves
-/// through one sparse payload exchange, placing arrivals row by row into the owners'
-/// cells (validated against the positions in debug builds).
+/// through one sparse payload exchange, and returns the molecules other ranks sent in
+/// schedule-row order (rows validated against the positions in debug builds).  Migrants
+/// between this rank's own cells are the caller's to place; they are only charged here.
 #[allow(clippy::too_many_arguments)]
 fn move_patched(
     rank: &mut Rank,
     grid: &CellGrid,
-    outgoing: &[(usize, Particle)],
-    cell_owner: &[ProcId],
+    migrant_cells: &[usize],
+    migrant_ranks: &[ProcId],
+    migrants: &[Particle],
     owned_cells: &[usize],
     state: &mut PatchedMoveState,
     rebuild_every_step: bool,
@@ -470,16 +489,15 @@ fn move_patched(
     // ---- inspector upkeep: re-hash the drifted destination set, patch the schedule ----
     let t0 = rank.modeled();
     let mut dest_cells: Vec<usize> = Vec::new();
-    let mut arrivals: Vec<Particle> = Vec::new(); // molecules migrating between my own cells
-    let mut offproc: Vec<(usize, Particle)> = Vec::new();
-    for &(cell, p) in outgoing {
-        if cell_owner[cell] == me {
-            arrivals.push(p);
-        } else {
+    let mut offproc: Vec<usize> = Vec::new(); // indices into `migrants`
+    for (k, (&cell, &owner)) in migrant_cells.iter().zip(migrant_ranks).enumerate() {
+        if owner != me {
             dest_cells.push(cell);
-            offproc.push((cell, p));
+            offproc.push(k);
         }
     }
+    // Molecules migrating between my own cells, already placed by the caller.
+    let local = migrants.len() - offproc.len();
     *migrations += offproc.len();
     state.hash.clear_stamp(MOVE_STAMP);
     state
@@ -511,8 +529,11 @@ fn move_patched(
         .map(|p| vec![0u32; sched.fetch_size(p)])
         .collect();
     let mut binned: Vec<Vec<(u32, usize)>> = vec![Vec::new(); nprocs];
-    for (k, (cell, _)) in offproc.iter().enumerate() {
-        let entry = state.hash.get(*cell).expect("destination cell just hashed");
+    for &k in &offproc {
+        let entry = state
+            .hash
+            .get(migrant_cells[k])
+            .expect("destination cell just hashed");
         let slot = entry
             .ghost_slot
             .expect("off-processor cell has a ghost slot");
@@ -526,7 +547,7 @@ fn move_patched(
         .map(|b| {
             // Stable by row: within a row, molecules keep their advance-scan order.
             b.sort_by_key(|&(row, _)| row);
-            b.iter().map(|&(_, k)| offproc[k].1).collect()
+            b.iter().map(|&(_, k)| migrants[k]).collect()
         })
         .collect();
     let mut incoming_counts: Vec<Vec<u32>> = vec![Vec::new(); nprocs];
@@ -545,8 +566,9 @@ fn move_patched(
     });
     state.exchange = state.exchange.merged(&ex_counts).merged(&ex_payload);
 
-    // Place arrivals by schedule row: row `r` from `src` belongs in the owned cell at
+    // Collect arrivals by schedule row: row `r` from `src` belongs in the owned cell at
     // offset `send_lists[src][r]` (owner offsets number owned cells in global order).
+    let mut arrivals: Vec<Particle> = Vec::new();
     for src in 0..nprocs {
         debug_assert_eq!(incoming_counts[src].len(), sched.send_size(src));
         let mut next = recv_payload[src].iter();
@@ -563,22 +585,19 @@ fn move_patched(
         }
         debug_assert!(next.next().is_none(), "payload longer than its counts");
     }
-    rank.charge_compute(arrivals.len() as f64 * 0.3);
+    rank.charge_compute((local + arrivals.len()) as f64 * 0.3);
     phases.move_data += rank.modeled().since(&t0);
     arrivals
 }
 
-/// Put the surviving molecules back into their cells (in scan order, so per-cell order —
-/// and with it the collision RNG trajectory — matches the pre-split-phase executor).
-fn rebin_survivors(
-    rank: &mut Rank,
-    survivors: &mut Vec<(usize, Particle)>,
-    cells: &mut [Vec<Particle>],
-) {
-    rank.charge_compute(survivors.len() as f64 * 0.2);
-    for (cell, p) in survivors.drain(..) {
-        cells[cell].push(p);
-    }
+/// The modeled cost of re-binning the molecules that stayed in their cell: work a
+/// distributed-memory DSMC code does while the light-weight exchange is in flight, and
+/// before the patched schedule's upkeep.  The store here keeps survivors in place and
+/// skips it, but the charge must still fall in exactly those windows: a rank's compute
+/// time is one running `f64` sum and the phase split reads it at fixed points, so moving
+/// the charge would change modeled figures in their last bits.
+fn charge_survivors(rank: &mut Rank, survivors: usize) {
+    rank.charge_compute(survivors as f64 * 0.2);
 }
 
 /// The cell of a molecule delivered to rank `me`, recomputed from its position (arrival
@@ -616,36 +635,33 @@ pub fn initial_owner_map(grid: &CellGrid, nprocs: usize) -> Vec<ProcId> {
 
 /// MOVE phase with a light-weight schedule, split-phase: one exchange of counts, one
 /// append message per destination processor posted immediately (whole molecules as
-/// payload), the surviving molecules re-binned into their cells *while the migrants are
-/// in flight*, and the arrivals collected last.
+/// payload, packed straight from the migrant buffer), the survivors' re-binning charge
+/// paid *while the migrants are in flight*, and the molecules other ranks sent collected
+/// last (the caller places the local migrants itself).  The destination ranks are the
+/// entire input of the light-weight inspector.
 fn move_lightweight(
     rank: &mut Rank,
-    outgoing: &[(usize, Particle)],
-    survivors: &mut Vec<(usize, Particle)>,
-    cell_owner: &[ProcId],
-    cells: &mut [Vec<Particle>],
+    migrant_ranks: &[ProcId],
+    migrants: &[Particle],
+    survivors: usize,
     phases: &mut DsmcPhaseTimes,
     migrations: &mut usize,
 ) -> Vec<Particle> {
     let me = rank.rank();
     let t0 = rank.modeled();
-    // One pass builds both append inputs: destination ranks (the entire input of the
-    // light-weight inspector) and the item payloads the append packs from.
-    let mut dests: Vec<ProcId> = Vec::with_capacity(outgoing.len());
-    let mut items: Vec<Particle> = Vec::with_capacity(outgoing.len());
-    for (cell, p) in outgoing {
-        dests.push(cell_owner[*cell]);
-        items.push(*p);
-    }
-    let sched = LightweightSchedule::build(rank, &dests);
+    let sched = LightweightSchedule::build(rank, migrant_ranks);
     phases.move_preprocess += rank.modeled().since(&t0);
 
     let t0 = rank.modeled();
-    *migrations += dests.iter().filter(|&&d| d != me).count();
-    // Post the migrants, overlap the survivor re-binning with their flight, then drain.
-    let inflight = scatter_append_start(rank, &sched, &items);
-    rebin_survivors(rank, survivors, cells);
-    let arrivals = scatter_append_finish(rank, &sched, inflight);
+    let step_migrations = migrant_ranks.iter().filter(|&&d| d != me).count();
+    *migrations += step_migrations;
+    // Post the migrants, overlap the survivors' charge with their flight, then drain.
+    let inflight = scatter_append_start(rank, &sched, migrants);
+    charge_survivors(rank, survivors);
+    let mut arrivals = scatter_append_finish(rank, &sched, inflight);
+    // The kept items lead the result (`scatter_append_finish`'s layout); the caller has
+    // already placed them from the migrant buffer.
+    arrivals.drain(..migrant_ranks.len() - step_migrations);
     phases.move_data += rank.modeled().since(&t0);
     arrivals
 }
@@ -1157,6 +1173,56 @@ mod tests {
                         assert_eq!(cells.len(), listed, "a cell on two ranks: {what}");
                         assert_eq!(merged_fingerprint(&results), seq, "{what}");
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn long_steps_through_the_wrap_fallback_match_sequential() {
+        // A step long enough to carry molecules more than one box length in y and z sends
+        // the periodic wrap down its `rem_euclid` fallback; every backend, MOVE mode and
+        // machine size must still reproduce the sequential oracle.
+        let grid = CellGrid::new_3d(4, 3, 2);
+        let flow = FlowConfig::directional(91);
+        let (nparticles, nsteps, dt) = (300, 8, 20.0);
+        let particles = seed_particles(&grid, nparticles, &flow);
+        for k in [1, 2] {
+            let wide = 2.0 * if k == 1 { grid.ly } else { grid.lz };
+            assert!(
+                particles.iter().any(|p| (p.vel[k] * dt).abs() > wide),
+                "no molecule crosses two periods along axis {k}"
+            );
+        }
+        let seq = sequential_fingerprint(grid, nparticles, flow, nsteps, dt, 91);
+        for nprocs in [1, 2, 3] {
+            for backend in [ExchangeBackend::Modeled, ExchangeBackend::SharedMem] {
+                for move_mode in [
+                    MoveMode::Lightweight,
+                    MoveMode::Patched {
+                        rebuild_every_step: false,
+                    },
+                ] {
+                    let config = DsmcConfig {
+                        nsteps,
+                        dt,
+                        move_mode,
+                        remap: RemapStrategy::Chain,
+                        remap_interval: 3,
+                        policy: None,
+                        monitor_group: None,
+                        seed: 91,
+                    };
+                    let results = run(
+                        MachineConfig::new(nprocs).with_backend(backend),
+                        move |rank| {
+                            let particles = seed_particles(&grid, nparticles, &flow);
+                            run_parallel(rank, &grid, &particles, &config)
+                        },
+                    )
+                    .results;
+                    let what = format!("P={nprocs} {backend:?} {move_mode:?}");
+                    assert_eq!(merged_fingerprint(&results), seq, "{what}");
                 }
             }
         }

@@ -114,11 +114,33 @@ pub fn advance(particle: &mut Particle, grid: &CellGrid, dt: f64) {
     }
     particle.pos[0] = particle.pos[0].clamp(0.0, grid.lx * (1.0 - 1e-12));
     // Periodic in y (and z for 3-D grids).
-    particle.pos[1] = particle.pos[1].rem_euclid(grid.ly);
+    particle.pos[1] = wrap(particle.pos[1], grid.ly);
     if grid.is_2d() {
         particle.pos[2] = grid.lz * 0.5;
     } else {
-        particle.pos[2] = particle.pos[2].rem_euclid(grid.lz);
+        particle.pos[2] = wrap(particle.pos[2], grid.lz);
+    }
+}
+
+/// `x.rem_euclid(l)` for a period `l > 0`, bit for bit, without the `fmod` call on the
+/// ranges a time step reaches.  Inside one period below or above the domain the shift by
+/// `l` is what `fmod` computes: `x + l` rounds exactly as `rem_euclid`'s own `r + l`, and
+/// `x - l` is exact for `l <= x < 2l` (Sterbenz).  Everything else, `-l` included (where
+/// `rem_euclid` returns `-0.0`, not `x + l = +0.0`), NaN and the infinities, takes
+/// `rem_euclid` itself.
+fn wrap(x: f64, l: f64) -> f64 {
+    if x >= 0.0 {
+        if x < l {
+            x
+        } else if x < 2.0 * l {
+            x - l
+        } else {
+            x.rem_euclid(l)
+        }
+    } else if x > -l {
+        x + l
+    } else {
+        x.rem_euclid(l)
     }
 }
 
@@ -196,6 +218,48 @@ mod tests {
                 assert!(p.pos[0] >= 0.0 && p.pos[0] < grid.lx);
                 assert!(p.pos[1] >= 0.0 && p.pos[1] < grid.ly);
                 assert!(p.pos[2] >= 0.0 && p.pos[2] < grid.lz);
+            }
+        }
+    }
+
+    #[test]
+    fn wrap_is_rem_euclid_bit_for_bit() {
+        let same = |x: f64, l: f64| {
+            let (got, want) = (wrap(x, l), x.rem_euclid(l));
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "wrap({x:e}, {l}) = {got:e}, rem_euclid gives {want:e}"
+            );
+        };
+        let tiny = f64::from_bits(1);
+        // One ulp towards zero, and one away from it.
+        let inward = |v: f64| f64::from_bits(v.to_bits() - 1);
+        let outward = |v: f64| f64::from_bits(v.to_bits() + 1);
+        for l in [1.0, 4.0, 16.0, 7.3, 0.1, 1e-300, 3e300] {
+            for x in [
+                -l,
+                inward(-l),
+                outward(-l),
+                -0.0,
+                0.0,
+                tiny,
+                -tiny,
+                inward(l),
+                l,
+                inward(2.0 * l),
+                2.0 * l,
+                -2.0 * l,
+                3.0 * l,
+                -3.0 * l,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ] {
+                same(x, l);
+            }
+            let mut rng = StdRng::seed_from_u64(l.to_bits());
+            for _ in 0..20_000 {
+                same(rng.gen_range(-3.0 * l..3.0 * l), l);
             }
         }
     }

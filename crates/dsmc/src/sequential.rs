@@ -62,20 +62,18 @@ impl SequentialDsmc {
         for (cell, particles) in self.cells.iter_mut().enumerate() {
             self.collisions += collide_cell(cell, self.steps_taken, self.seed, particles);
         }
-        // Move phase.
+        // Move phase: survivors stay in their cell in scan order (the parallel driver's
+        // rule), movers are appended to their new cell after every cell has advanced.
         let mut moved: Vec<(usize, Particle)> = Vec::new();
         for (cell, particles) in self.cells.iter_mut().enumerate() {
-            let mut keep = Vec::with_capacity(particles.len());
-            for mut p in particles.drain(..) {
-                advance(&mut p, &self.grid, self.dt);
+            particles.retain_mut(|p| {
+                advance(p, &self.grid, self.dt);
                 let new_cell = self.grid.cell_of_position(p.pos);
-                if new_cell == cell {
-                    keep.push(p);
-                } else {
-                    moved.push((new_cell, p));
+                if new_cell != cell {
+                    moved.push((new_cell, *p));
                 }
-            }
-            *particles = keep;
+                new_cell == cell
+            });
         }
         self.migrations += moved.len();
         for (cell, p) in moved {

@@ -63,23 +63,28 @@ impl SampleRange for Range<f64> {
 }
 
 macro_rules! impl_sample_range_int {
-    ($($t:ty),* $(,)?) => {
+    ($($t:ty => $u:ty),* $(,)?) => {
         $(
             impl SampleRange for Range<$t> {
                 type Output = $t;
                 fn sample<R: Rng + ?Sized>(self, rng: &mut R) -> $t {
                     assert!(self.start < self.end, "cannot sample empty range");
-                    let span = (self.end as i128 - self.start as i128) as u128;
-                    // Modulo bias is < 2^-64 for the span sizes used here.
-                    let draw = (rng.next_u64() as u128) % span;
-                    (self.start as i128 + draw as i128) as $t
+                    // The span of any range of a type at most 64 bits wide fits its
+                    // unsigned twin, so the draw stays in `u64`.  Modulo bias is
+                    // < 2^-64 for the span sizes used here.
+                    let span = self.end.wrapping_sub(self.start) as $u as u64;
+                    let draw = rng.next_u64() % span;
+                    self.start.wrapping_add(draw as $t)
                 }
             }
         )*
     };
 }
 
-impl_sample_range_int!(usize, u64, u32, u16, u8, isize, i64, i32, i16, i8);
+impl_sample_range_int!(
+    usize => usize, u64 => u64, u32 => u32, u16 => u16, u8 => u8,
+    isize => usize, i64 => u64, i32 => u32, i16 => u16, i8 => u8,
+);
 
 /// Random generators over slices (subset of `rand::seq::SliceRandom`).
 pub mod seq {
@@ -195,6 +200,68 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, sorted, "a 50-element shuffle should not be the identity");
+    }
+
+    #[test]
+    fn integer_and_shuffle_streams_are_pinned() {
+        // Literal draws: the DSMC pairing shuffle and CHARMM's system builder read this
+        // stream, so any change to it moves every fingerprint in the workspace.
+        let draws = |k: u64| -> Vec<u64> {
+            let mut rng = StdRng::seed_from_u64(1994);
+            (0..8).map(|_| rng.gen_range(0..k)).collect()
+        };
+        assert_eq!(draws(2), [0, 0, 0, 1, 1, 0, 0, 1]);
+        assert_eq!(draws(3), [2, 1, 1, 2, 0, 1, 2, 0]);
+        assert_eq!(draws(17), [2, 13, 9, 7, 4, 11, 2, 9]);
+        assert_eq!(
+            draws(1 << 40),
+            [
+                746_284_529_790,
+                951_558_524_400,
+                190_519_723_406,
+                550_184_370_701,
+                503_409_237_251,
+                1_092_093_115_534,
+                1_059_302_011_868,
+                87_456_717_631,
+            ]
+        );
+
+        let mut rng = StdRng::seed_from_u64(1994);
+        let small: Vec<usize> = (0..8).map(|_| rng.gen_range(0usize..17)).collect();
+        assert_eq!(small, [2, 13, 9, 7, 4, 11, 2, 9]);
+
+        let mut rng = StdRng::seed_from_u64(1994);
+        let signed: Vec<i64> = (0..8).map(|_| rng.gen_range(-4i64..4)).collect();
+        assert_eq!(signed, [2, -4, 2, 1, -1, 2, 0, 3]);
+
+        let mut rng = StdRng::seed_from_u64(1994);
+        let narrow: Vec<i8> = (0..8).map(|_| rng.gen_range(-128i8..127)).collect();
+        assert_eq!(narrow, [-75, -64, 68, 117, -107, 2, -24, 34]);
+
+        let mut rng = StdRng::seed_from_u64(1994);
+        let wide: Vec<u64> = (0..4).map(|_| rng.gen_range(0..u64::MAX)).collect();
+        assert_eq!(
+            wide,
+            [
+                7_251_640_571_281_160_318,
+                11_864_868_310_284_684_784,
+                6_658_510_666_935_846_286,
+                14_016_953_013_072_773_645,
+            ]
+        );
+
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut v: Vec<u32> = (0..50).collect();
+        v.shuffle(&mut rng);
+        assert_eq!(
+            v,
+            [
+                34, 45, 40, 25, 23, 44, 1, 2, 43, 30, 15, 42, 24, 26, 3, 10, 28, 31, 48, 6, 16, 21,
+                7, 32, 11, 17, 37, 38, 14, 27, 22, 41, 20, 36, 46, 29, 0, 35, 13, 33, 49, 12, 18,
+                5, 9, 19, 4, 47, 39, 8,
+            ]
+        );
     }
 
     #[test]
