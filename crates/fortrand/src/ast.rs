@@ -140,6 +140,8 @@ pub enum Stmt {
         decomp: String,
         /// The distribution specification.
         spec: DistSpec,
+        /// 1-based source line of the directive (for lowering diagnostics).
+        line: usize,
     },
     /// `ALIGN x, y WITH reg`.
     Align {

@@ -87,6 +87,14 @@ pub enum Op {
     },
     /// Append `f[src]` to the bucket the slot names.
     Append { slot: u32, src: Reg, stmt: u32 },
+    // Executor form only ([`crate::interp`] derives it from the lowered code).
+    /// A `Sub`, the subscript code it skips and its `SubEnd`: load the slot's next
+    /// localized index.
+    Next { slot: u32 },
+    /// `Next`, fused with the hoisted `FLoad` of the same slot that follows it.
+    NextLoad { slot: u32, dst: Reg, arr: u32 },
+    /// An innermost `Loop … End` run lane-wise: sweep number `sweep` of the form.
+    Sweep { sweep: u32 },
 }
 
 /// The code of one `FORALL` body (or of a pair of scalar integer expressions).

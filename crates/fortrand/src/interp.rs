@@ -14,6 +14,16 @@
 //! references are re-hashed (an indirection array it depends on was modified, or a
 //! `DISTRIBUTE` started a new epoch).  Tables 6 and 7 compare programs executed this way
 //! against the hand-parallelised applications.
+//!
+//! The executor pass runs its own **form** of each loop's code, derived once in
+//! [`Executor::new`]: a subscript's code collapses into one stream advance
+//! ([`Op::Next`], fused with the hoisted load behind it into [`Op::NextLoad`]), and an
+//! innermost `FORALL` whose body is only advances, loads, `FInt`, `FBin` and `Reduce`,
+//! with no array both loaded and reduced, becomes a [`Sweep`]: each op runs once per
+//! chunk of up to 256 iterations over lane buffers, then the chunk's reductions are
+//! applied in (iteration, statement) order.  Every element sees the same `f64`
+//! operations in the same order as in the scalar loop, so the bits and the modeled work
+//! are the same.  Every other shape runs one op per iteration.
 
 use std::collections::HashMap;
 
@@ -21,7 +31,7 @@ use chaos::prelude::*;
 use mpsim::{ExchangeStats, Rank, TimeSnapshot};
 
 use crate::ast::{BinOp, CmpOp, DistSpec};
-use crate::code::{slot_of, Code, IntCode, Names, Op};
+use crate::code::{slot_of, Code, IntCode, Names, Op, Reg};
 use crate::lower::{ExecStep, LoopKind, LoopPlan, LoweredProgram, ScheduleGroup};
 
 /// Modeled time the executor spent in each phase (the columns of Table 6).
@@ -66,7 +76,7 @@ struct Localized {
 /// a zero-trip inner loop); the executor consumes it without dereferencing.
 const UNREFERENCED: usize = usize::MAX;
 
-/// Per-loop state: the plan's names resolved to slots once.
+/// Per-loop state: the plan's names resolved to slots once, and the executor form.
 struct LoopRuntime {
     decomp: Option<usize>,
     /// Slots the loop writes: an append loop's bucket array, an integer update's
@@ -74,6 +84,8 @@ struct LoopRuntime {
     written: Vec<usize>,
     /// A sum loop that stands as an `ExecStep::Loop`: the singleton group it runs as.
     group: Option<usize>,
+    /// The code the executor pass runs.
+    form: ExecForm,
 }
 
 /// Runtime state of one schedule group: a merged hash table with one stamp per member
@@ -129,6 +141,8 @@ pub struct Executor<'p> {
     /// produce lists of the same size, and allocating them afresh per member left each
     /// freed copy (megabytes at CHARMM sizes) behind in the rank thread's allocator arena.
     inspected: Inspected,
+    /// The register machine's registers and lane buffers, reused from pass to pass.
+    regs: Registers,
 }
 
 impl<'p> Executor<'p> {
@@ -236,6 +250,7 @@ impl<'p> Executor<'p> {
                     decomp: slot_of(&names.decomps, &plan.decomp),
                     written,
                     group,
+                    form: ExecForm::derive(&plan.code),
                 }
             })
             .collect();
@@ -257,6 +272,7 @@ impl<'p> Executor<'p> {
             exchange: ExchangeStats::default(),
             phases: FortranDPhases::default(),
             inspected: Inspected::default(),
+            regs: Registers::default(),
         }
     }
 
@@ -477,7 +493,17 @@ impl<'p> Executor<'p> {
             DistSpec::Cyclic => TranslationTable::from_regular(&CyclicDist::new(size, self.nprocs)),
             DistSpec::Map(map_name) => {
                 let map = &self.integers[self.integer_slot(map_name)];
-                let local_map: Vec<usize> = my_block.iter().map(|&g| map[g] as usize).collect();
+                let owner = |&g: &usize| {
+                    usize::try_from(map[g]).unwrap_or_else(|_| {
+                        panic!(
+                            "DISTRIBUTE {decomp}({map_name}): {map_name}({}) = {} is not a \
+                             processor number",
+                            g + 1,
+                            map[g]
+                        )
+                    })
+                };
+                let local_map: Vec<usize> = my_block.iter().map(owner).collect();
                 TranslationTable::replicated_from_map(rank, &local_map, &block)
                     .expect("map array assigns an element to a non-existent processor")
             }
@@ -519,24 +545,29 @@ impl<'p> Executor<'p> {
         }
     }
 
-    /// A register machine over the executor's arrays, ready to run `code`.
+    /// A register machine over the executor's arrays, its registers reset for `code`.
     fn vm<'a>(&'a mut self, code: &Code, streams: &'a [Vec<u32>]) -> Vm<'a> {
-        let mut i = vec![0i64; code.iregs as usize];
-        (i[0], i[1]) = (self.my_rank as i64, self.nprocs as i64);
-        let mut f = vec![0.0; code.fregs as usize];
-        for &(reg, v) in &code.consts {
-            f[reg as usize] = v;
+        fn reset<T: Clone + Default>(v: &mut Vec<T>, len: u32) {
+            v.clear();
+            v.resize(len as usize, T::default());
         }
+        let regs = &mut self.regs;
+        reset(&mut regs.i, code.iregs);
+        (regs.i[0], regs.i[1]) = (self.my_rank as i64, self.nprocs as i64);
+        reset(&mut regs.f, code.fregs);
+        for &(reg, v) in &code.consts {
+            regs.f[reg as usize] = v;
+        }
+        let slots = code.subs.len() as u32;
+        reset(&mut regs.cursor, slots);
+        reset(&mut regs.local, slots);
+        reset(&mut regs.global, slots);
         Vm {
             names: &self.program.decls.names,
             ints: &mut self.integers,
             reals: &mut self.reals,
-            i,
-            f,
+            regs,
             streams,
-            cursor: vec![0; code.subs.len()],
-            local: vec![0; code.subs.len()],
-            global: vec![0; code.subs.len()],
             seen: Inspected::default(),
             payload: Vec::new(),
             work: 0,
@@ -546,8 +577,8 @@ impl<'p> Executor<'p> {
     /// Evaluate a pair of scalar integer expressions (bounds, an `IF`'s two sides).
     fn scalar_pair(&mut self, ints: &IntCode) -> [i64; 2] {
         let mut vm = self.vm(&ints.code, &[]);
-        vm.run::<false>(&ints.code);
-        ints.out.map(|reg| vm.i[reg as usize])
+        vm.run::<false>(&ints.code, &ints.code.ops, &[]);
+        ints.out.map(|reg| vm.regs.i[reg as usize])
     }
 
     /// The iterations this rank executes of a sum-reduction loop: owner-computes over
@@ -555,7 +586,7 @@ impl<'p> Executor<'p> {
     /// common case in the paper's templates); otherwise a BLOCK partition of the range.
     fn sum_loop_iterations(&mut self, plan: &LoopPlan, decomp: usize) -> Vec<i64> {
         let [lo, hi] = self.scalar_pair(&plan.bounds);
-        let extent = (hi - lo + 1).max(0) as usize;
+        let extent = trip_count(plan.line(), lo, hi);
         if extent == self.program.decls.decomps[&plan.decomp] {
             let owned = self.decomps[decomp].owned_globals.iter();
             owned.map(|&g| lo + g as i64).collect()
@@ -577,32 +608,43 @@ impl<'p> Executor<'p> {
         let mut vm = self.vm(code, &[]);
         vm.seen = seen;
         for &i in iterations {
-            vm.i[code.var as usize] = i;
-            vm.run::<true>(code);
+            vm.regs.i[code.var as usize] = i;
+            vm.run::<true>(code, &code.ops, &[]);
         }
         vm.seen
     }
 
-    /// The executor pass: run the loop's code over its localized streams; returns the
-    /// work done (statements executed) and the append payload, if any.
-    fn execute(&mut self, loop_id: usize, local: &Localized) -> (usize, Vec<(u64, f64)>) {
+    /// The executor pass: run the loop's executor form over `iterations` and the
+    /// localized `streams`; returns the work done (statements executed) and the append
+    /// payload, if any.
+    fn execute(
+        &mut self,
+        loop_id: usize,
+        iterations: impl IntoIterator<Item = i64>,
+        streams: &[Vec<u32>],
+    ) -> (usize, Vec<(u64, f64)>) {
         let code = &self.program.loop_plan(loop_id).code;
-        let mut vm = self.vm(code, &local.streams);
-        for &i in &local.iterations {
-            vm.i[code.var as usize] = i;
-            vm.run::<false>(code);
+        // Out for the pass: the register machine borrows the rest of the executor.
+        let form = std::mem::take(&mut self.loops[loop_id].form);
+        let mut vm = self.vm(code, streams);
+        for i in iterations {
+            vm.regs.i[code.var as usize] = i;
+            vm.run::<false>(code, &form.ops, &form.sweeps);
         }
         let consumed = vm
+            .regs
             .cursor
             .iter()
-            .zip(&local.streams)
+            .zip(streams)
             .all(|(&c, s)| c == s.len());
         assert!(
             consumed,
             "line {}: executor left subscript streams unread",
             code.line
         );
-        (vm.work, vm.payload)
+        let done = (vm.work, vm.payload);
+        self.loops[loop_id].form = form;
+        done
     }
 
     /// Inspect one sum-reduction loop and localize its subscripts: hash the reference
@@ -640,12 +682,23 @@ impl<'p> Executor<'p> {
             );
         }
         // An unreferenced evaluation (`UNREFERENCED` is past the end of `local`) keeps the
-        // executor's "nothing to read" marker.
-        let stream = |first_ref: &Vec<usize>| {
-            let entry = |&at: &usize| local.get(at).copied().unwrap_or(u32::MAX);
+        // executor's "nothing to read" marker.  A sweep reads its body's streams without
+        // that check: every evaluation there is referenced in its own iteration.
+        let sweeps = &self.loops[loop_id].form.sweeps;
+        let stream = |(slot, first_ref): (usize, &Vec<usize>)| {
+            let swept = sweeps.iter().any(|s| s.advanced.contains(&slot));
+            let entry = |&at: &usize| match local.get(at) {
+                Some(&l) => l,
+                None if swept => panic!(
+                    "line {}: an evaluation of subscript slot {slot} in a swept loop body \
+                     was never referenced",
+                    plan.line()
+                ),
+                None => u32::MAX,
+            };
             first_ref.iter().map(entry).collect()
         };
-        let streams = seen.first_ref.iter().map(stream).collect();
+        let streams = seen.first_ref.iter().enumerate().map(stream).collect();
         self.inspected = seen;
         Localized {
             iterations,
@@ -661,11 +714,7 @@ impl<'p> Executor<'p> {
     fn run_integer_update(&mut self, rank: &mut Rank, loop_id: usize) {
         let plan = self.program.loop_plan(loop_id);
         let [lo, hi] = self.scalar_pair(&plan.bounds);
-        let all = Localized {
-            iterations: (lo..=hi).collect(),
-            streams: Vec::new(),
-        };
-        let (work, _) = self.execute(loop_id, &all);
+        let (work, _) = self.execute(loop_id, lo..=hi, &[]);
         rank.charge_compute(work as f64 * 0.2);
         for &a in &self.loops[loop_id].written {
             self.mod_counter[a] += 1;
@@ -679,7 +728,7 @@ impl<'p> Executor<'p> {
         let rt = &self.loops[loop_id];
         let (source, target) = (rt.decomp.expect("append loop"), rt.written[0]);
         let [lo, hi] = self.scalar_pair(&plan.bounds);
-        let extent = (hi - lo + 1).max(0) as usize;
+        let extent = trip_count(plan.line(), lo, hi);
         let owned = self.decomps[source].owned_globals.iter();
         let iterations: Vec<i64> = owned
             .filter(|&&g| g < extent)
@@ -728,17 +777,13 @@ impl<'p> Executor<'p> {
         // The payload items are `(bucket, value)` pairs.
         let stats = sched.exchange_stats::<(u64, f64)>();
         self.exchange = self.exchange.merged(&stats);
-        let local = Localized {
-            iterations,
-            streams,
-        };
-        let (_, payload) = self.execute(loop_id, &local);
+        let (_, payload) = self.execute(loop_id, iterations.iter().copied(), &streams);
         let arrivals = scatter_append(rank, &sched, &payload);
         let buckets = self.reals[target].buckets.as_mut().expect("append target");
         for (bucket, value) in arrivals {
             buckets.entry(bucket as usize).or_default().push(value);
         }
-        rank.charge_compute(local.iterations.len() as f64 * 0.3);
+        rank.charge_compute(iterations.len() as f64 * 0.3);
         self.phases.executor += rank.modeled().since(&t0);
     }
 
@@ -891,8 +936,9 @@ impl<'p> Executor<'p> {
         // ---- member bodies, in program order ------------------------------------------
         let mut work = 0usize;
         for (&lid, local) in rt.loop_ids.iter().zip(&rt.local) {
+            let local = local.as_ref().expect("localized by BuildSchedule");
             work += self
-                .execute(lid, local.as_ref().expect("localized by BuildSchedule"))
+                .execute(lid, local.iterations.iter().copied(), &local.streams)
                 .0;
         }
         rank.charge_compute(work as f64);
@@ -942,21 +988,33 @@ impl Inspected {
     }
 }
 
+/// The register machine's registers and the sweeps' lane buffers: kept by the executor
+/// and reset, not reallocated, for each pass.
+#[derive(Default)]
+struct Registers {
+    i: Vec<i64>,
+    f: Vec<f64>,
+    /// Executor: a cursor into each localized stream, the current local index.
+    cursor: Vec<usize>,
+    local: Vec<u32>,
+    /// Inspector: the current global (1-based) subscript per slot.
+    global: Vec<i64>,
+    /// Sweeps: `CHUNK` values per lane, and the list of a chunk's reductions.
+    lanes: Vec<f64>,
+    targets: Vec<Target<'static>>,
+}
+
 /// Runs a loop's [`Code`] against the executor's arrays.  `INSPECT = true` is the
-/// inspector's reference-collection pass (subscript code runs, data is not touched);
-/// `INSPECT = false` is the executor pass (subscripts come from the streams).
+/// inspector's reference-collection pass over the lowered ops (subscript code runs,
+/// data is not touched); `INSPECT = false` is the executor pass over the executor form
+/// (subscripts come from the streams).
 struct Vm<'a> {
     names: &'a Names,
     ints: &'a mut [Vec<i64>],
     reals: &'a mut [RealState],
-    i: Vec<i64>,
-    f: Vec<f64>,
-    /// Executor: the localized streams, a cursor into each, the current local index.
+    regs: &'a mut Registers,
+    /// Executor: the localized streams.
     streams: &'a [Vec<u32>],
-    cursor: Vec<usize>,
-    local: Vec<u32>,
-    /// Inspector: the current global (1-based) subscript per slot, and the collection.
-    global: Vec<i64>,
     seen: Inspected,
     payload: Vec<(u64, f64)>,
     work: usize,
@@ -981,6 +1039,26 @@ fn checked_quotient(line: usize, x: i64, y: i64) -> i64 {
     })
 }
 
+/// `x op y` in a loop's integer code; an overflow is a named panic in every build, not
+/// a silent wrap (release) or the bare arithmetic one (debug).
+fn checked_int(line: usize, op: BinOp, x: i64, y: i64) -> i64 {
+    let (value, what, sign) = match op {
+        BinOp::Add => (x.checked_add(y), "addition", '+'),
+        BinOp::Sub => (x.checked_sub(y), "subtraction", '-'),
+        BinOp::Mul => (x.checked_mul(y), "multiplication", '*'),
+        BinOp::Div => return checked_quotient(line, x, y),
+    };
+    value.unwrap_or_else(|| panic!("line {line}: integer {what} overflows ({x} {sign} {y})"))
+}
+
+/// The trip count `hi - lo + 1` of a loop over `lo..=hi`, zero when `hi < lo`.
+fn trip_count(line: usize, lo: i64, hi: i64) -> usize {
+    if hi < lo {
+        return 0;
+    }
+    checked_int(line, BinOp::Add, checked_int(line, BinOp::Sub, hi, lo), 1) as usize
+}
+
 /// A bucket's 0-based global index as an append stream's `u32` entry.
 fn bucket_entry(line: usize, array: &str, global: usize) -> u32 {
     u32::try_from(global).unwrap_or_else(|_| {
@@ -992,21 +1070,16 @@ fn bucket_entry(line: usize, array: &str, global: usize) -> u32 {
 }
 
 impl Vm<'_> {
-    fn run<const INSPECT: bool>(&mut self, code: &Code) {
+    fn run<const INSPECT: bool>(&mut self, code: &Code, ops: &[Op], sweeps: &[Sweep]) {
         let Self {
             names,
             ints,
             reals,
+            regs,
             streams,
             seen,
             ..
         } = self;
-        let (i, f) = (&mut self.i[..], &mut self.f[..]);
-        let (cursor, local, global) = (
-            &mut self.cursor[..],
-            &mut self.local[..],
-            &mut self.global[..],
-        );
         let int_index = |ints: &[Vec<i64>], arr: u32, value: i64| {
             let name = &names.integers[arr as usize];
             checked_index(code.line, name, value, ints[arr as usize].len())
@@ -1025,21 +1098,22 @@ impl Vm<'_> {
         };
         let mut pc = 0usize;
         let mut work = 0usize;
-        while let Some(op) = code.ops.get(pc) {
+        while let Some(op) = ops.get(pc) {
             pc += 1;
+            let Registers {
+                i,
+                f,
+                cursor,
+                local,
+                ..
+            } = &mut **regs;
             match *op {
                 Op::IConst { dst, v } => i[dst as usize] = v,
                 Op::ILoad { dst, arr, idx } => {
                     i[dst as usize] = ints[arr as usize][int_index(ints, arr, i[idx as usize])];
                 }
                 Op::IBin { op, dst, a, b } => {
-                    let (x, y) = (i[a as usize], i[b as usize]);
-                    i[dst as usize] = match op {
-                        BinOp::Add => x + y,
-                        BinOp::Sub => x - y,
-                        BinOp::Mul => x * y,
-                        BinOp::Div => checked_quotient(code.line, x, y),
-                    };
+                    i[dst as usize] = checked_int(code.line, op, i[a as usize], i[b as usize]);
                 }
                 Op::IStore { arr, idx, src } => {
                     let at = int_index(ints, arr, i[idx as usize]);
@@ -1058,15 +1132,9 @@ impl Vm<'_> {
                         pc -= len as usize + 1;
                     }
                 }
-                Op::Sub { slot, skip } if !INSPECT => {
-                    let cursor = &mut cursor[slot as usize];
-                    local[slot as usize] = streams[slot as usize][*cursor];
-                    *cursor += 1;
-                    pc += skip as usize;
-                }
                 Op::Sub { .. } => {}
                 Op::SubEnd { slot, src } => {
-                    global[slot as usize] = i[src as usize];
+                    regs.global[slot as usize] = i[src as usize];
                     seen.first_ref[slot as usize].push(UNREFERENCED);
                 }
                 Op::Reduce { stmt, .. } | Op::Assign { stmt, .. } | Op::Append { stmt, .. }
@@ -1077,11 +1145,25 @@ impl Vm<'_> {
                         seen.assigns.push((seen.refs.len(), arr));
                     }
                     for &slot in refs {
-                        reference(seen, global, slot);
+                        reference(seen, &regs.global, slot);
                     }
                 }
                 Op::FInt { .. } | Op::FLoad { .. } | Op::FBin { .. } if INSPECT => {}
                 Op::FInt { dst, src } => f[dst as usize] = i[src as usize] as f64,
+                Op::Next { slot } => {
+                    let cursor = &mut cursor[slot as usize];
+                    local[slot as usize] = streams[slot as usize][*cursor];
+                    *cursor += 1;
+                }
+                Op::NextLoad { slot, dst, arr } => {
+                    let cursor = &mut cursor[slot as usize];
+                    local[slot as usize] = streams[slot as usize][*cursor];
+                    *cursor += 1;
+                    if local[slot as usize] != u32::MAX {
+                        let at = LocalRef(local[slot as usize] as usize);
+                        f[dst as usize] = reals[arr as usize].data[at];
+                    }
+                }
                 // A hoisted load runs once per evaluation of its subscript, referenced or
                 // not; an unreferenced one has nothing to read.
                 Op::FLoad { slot, .. } if local[slot as usize] == u32::MAX => {}
@@ -1112,9 +1194,309 @@ impl Vm<'_> {
                     let bucket = u64::from(local[slot as usize]);
                     self.payload.push((bucket, f[src as usize]));
                 }
+                Op::Sweep { sweep } => {
+                    work += sweeps[sweep as usize].run(regs, streams, reals, code.line);
+                }
             }
         }
         self.work += work;
+    }
+}
+
+// ------------------------------------------------------------------ the executor form --
+
+/// The code the executor pass runs for one loop, derived once from the lowered code.
+#[derive(Default)]
+struct ExecForm {
+    ops: Vec<Op>,
+    /// The loop's swept innermost `FORALL`s, numbered by [`Op::Sweep`].
+    sweeps: Vec<Sweep>,
+}
+
+impl ExecForm {
+    /// Collapse each subscript's code into one stream advance, fuse it with the hoisted
+    /// load of the same slot right behind it, and turn every eligible innermost loop
+    /// into a sweep; `Loop`/`End` lengths are recomputed over the shorter code.
+    fn derive(code: &Code) -> Self {
+        let (mut form, mut open) = (Self::default(), Vec::new());
+        let mut pc = 0;
+        while let Some(&op) = code.ops.get(pc) {
+            pc += 1;
+            let op = match op {
+                Op::Sub { slot, skip } => {
+                    pc += skip as usize;
+                    match code.ops.get(pc) {
+                        Some(&Op::FLoad { dst, arr, slot: s }) if s == slot => {
+                            pc += 1;
+                            Op::NextLoad { slot, dst, arr }
+                        }
+                        _ => Op::Next { slot },
+                    }
+                }
+                Op::Loop { .. } => {
+                    open.push(form.ops.len());
+                    op
+                }
+                Op::End { var, hi, .. } => {
+                    let at = open.pop().expect("every End closes a Loop");
+                    let Op::Loop { lo, .. } = form.ops[at] else {
+                        unreachable!("open holds Loop positions")
+                    };
+                    if let Some(sweep) = Sweep::derive(code, [var, lo, hi], &form.ops[at + 1..]) {
+                        form.ops.truncate(at);
+                        form.sweeps.push(sweep);
+                        Op::Sweep {
+                            sweep: form.sweeps.len() as u32 - 1,
+                        }
+                    } else {
+                        let len = (form.ops.len() - at - 1) as u32;
+                        form.ops[at] = Op::Loop { var, lo, hi, len };
+                        Op::End { var, hi, len }
+                    }
+                }
+                op => op,
+            };
+            form.ops.push(op);
+        }
+        form
+    }
+}
+
+/// Iterations per sweep chunk: each op of a sweep fills its lane this many at a time.
+const CHUNK: usize = 256;
+/// The register sum's addends in a chunk with no reduction to sum in a register.
+static ZEROS: [f64; CHUNK] = [0.0; CHUNK];
+
+/// An innermost `FORALL` run lane-wise: each op of its body once per chunk of up to
+/// [`CHUNK`] iterations, over one lane per real register, then the chunk's reductions
+/// in (iteration, statement) order.
+struct Sweep {
+    /// The loop variable and its bounds.
+    regs: [Reg; 3],
+    /// The executor-form body: stream advances, loads, `FInt`, `FBin` and `Reduce`.
+    body: Vec<Op>,
+    /// Per real register the body uses, its lane: first the registers set outside the
+    /// loop (`scalars`, broadcast once per sweep), then those the body writes, in order.
+    lane: Vec<usize>,
+    scalars: Vec<Reg>,
+    /// The subscript slots the body advances, and its `Reduce` count.
+    advanced: Vec<usize>,
+    reduces: usize,
+}
+
+/// One reduction of a chunk: target array, local indices (one entry when the index is
+/// set outside the loop), values.
+type Target<'a> = (usize, &'a [u32], &'a [f64]);
+
+/// An empty `Vec` on `v`'s allocation with another element type (an in-place
+/// `collect`): a chunk's reductions borrow its lanes, so their list waits for the next
+/// chunk as an empty `Vec<Target<'static>>`.
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!()).collect()
+}
+
+/// `out[k] = a[k] op b[k]`: the scalar `FBin`'s operation, lane by lane.  The operator
+/// is matched once per chunk, so each loop is one operation over slices; matched per
+/// element, the compiled CHARMM loop ran about 45 % slower.
+fn lane_op(op: BinOp, out: &mut [f64], a: &[f64], b: &[f64]) {
+    fn zip(out: &mut [f64], a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) {
+        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            *o = f(x, y);
+        }
+    }
+    match op {
+        BinOp::Add => zip(out, a, b, |x, y| x + y),
+        BinOp::Sub => zip(out, a, b, |x, y| x - y),
+        BinOp::Mul => zip(out, a, b, |x, y| x * y),
+        BinOp::Div => zip(out, a, b, |x, y| x / y),
+    }
+}
+
+impl Sweep {
+    /// The sweep of the innermost loop `regs = [var, lo, hi]` of `code`, whose
+    /// executor-form body is `body`: `None` unless the body holds only stream advances,
+    /// loads, `FInt`, `FBin` and `Reduce`, and no array is both loaded and reduced in it
+    /// (a chunk runs all its loads before any of its reductions).
+    fn derive(code: &Code, regs: [Reg; 3], body: &[Op]) -> Option<Self> {
+        let (mut scalars, mut written, mut advanced) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut loaded, mut reduced) = (Vec::new(), Vec::new());
+        for &op in body {
+            let read = match op {
+                Op::Next { slot } => {
+                    advanced.push(slot as usize);
+                    continue;
+                }
+                Op::NextLoad { slot, dst, arr } | Op::FLoad { slot, dst, arr } => {
+                    advanced.extend(matches!(op, Op::NextLoad { .. }).then_some(slot as usize));
+                    loaded.push(arr);
+                    written.push(dst);
+                    [None; 2]
+                }
+                Op::FInt { dst, .. } => {
+                    written.push(dst);
+                    [None; 2]
+                }
+                Op::FBin { dst, a, b, .. } => {
+                    written.push(dst);
+                    [Some(a), Some(b)]
+                }
+                Op::Reduce { arr, src, .. } => {
+                    reduced.push(arr);
+                    [Some(src), None]
+                }
+                _ => return None,
+            };
+            for reg in read.into_iter().flatten() {
+                if !written.contains(&reg) && !scalars.contains(&reg) {
+                    scalars.push(reg);
+                }
+            }
+        }
+        if reduced.iter().any(|arr| loaded.contains(arr)) {
+            return None;
+        }
+        let mut lane = vec![usize::MAX; code.fregs as usize];
+        for (l, &reg) in scalars.iter().chain(&written).enumerate() {
+            lane[reg as usize] = l * CHUNK;
+        }
+        let (body, reduces) = (body.to_vec(), reduced.len());
+        Some(Self {
+            regs,
+            body,
+            lane,
+            scalars,
+            advanced,
+            reduces,
+        })
+    }
+
+    /// Run the loop from the registers' bounds; returns the statements executed.  The
+    /// loop variable and each advanced slot's `local` are left as the scalar loop
+    /// leaves them, and every element sees the scalar loop's `f64` operations in the
+    /// scalar loop's order.
+    fn run(
+        &self,
+        regs: &mut Registers,
+        streams: &[Vec<u32>],
+        reals: &mut [RealState],
+        line: usize,
+    ) -> usize {
+        let Registers {
+            i,
+            f,
+            cursor,
+            local,
+            lanes,
+            targets,
+            ..
+        } = regs;
+        let [var, lo, hi] = self.regs.map(|r| r as usize);
+        let (lo, hi) = (i[lo], i[hi]);
+        let trip = trip_count(line, lo, hi);
+        i[var] = if trip == 0 { lo } else { hi };
+        let lane = |reg: Reg| self.lane[reg as usize];
+        lanes.resize(
+            lanes
+                .len()
+                .max((self.scalars.len() + self.body.len()) * CHUNK),
+            0.0,
+        );
+        for &reg in &self.scalars {
+            lanes[lane(reg)..][..CHUNK.min(trip)].fill(f[reg as usize]);
+        }
+        let mut done = 0;
+        while done < trip {
+            let m = CHUNK.min(trip - done);
+            let slice = |slot: u32| &streams[slot as usize][cursor[slot as usize]..][..m];
+            let swept = |slot: u32| self.advanced.contains(&(slot as usize));
+            for &op in &self.body {
+                match op {
+                    Op::NextLoad { slot, dst, arr } | Op::FLoad { slot, dst, arr } => {
+                        let (out, data) = (&mut lanes[lane(dst)..][..m], &reals[arr as usize].data);
+                        if swept(slot) {
+                            for (o, &at) in out.iter_mut().zip(slice(slot)) {
+                                *o = data[LocalRef(at as usize)];
+                            }
+                        } else {
+                            out.fill(data[LocalRef(local[slot as usize] as usize)]);
+                        }
+                    }
+                    Op::FInt { dst, src } if src as usize == var => {
+                        let out = lanes[lane(dst)..][..m].iter_mut();
+                        for (j, o) in (lo + done as i64..).zip(out) {
+                            *o = j as f64;
+                        }
+                    }
+                    Op::FInt { dst, src } => lanes[lane(dst)..][..m].fill(i[src as usize] as f64),
+                    Op::FBin { op, dst, a, b } => {
+                        let (before, out) = lanes.split_at_mut(lane(dst));
+                        let (a, b) = (&before[lane(a)..][..m], &before[lane(b)..][..m]);
+                        lane_op(op, &mut out[..m], a, b);
+                    }
+                    _ => {}
+                }
+            }
+            let mut chunk: Vec<Target<'_>> = recycle(std::mem::take(targets));
+            for &op in &self.body {
+                if let Op::Reduce { arr, slot, src, .. } = op {
+                    let at = match swept(slot) {
+                        true => slice(slot),
+                        false => std::slice::from_ref(&local[slot as usize]),
+                    };
+                    chunk.push((arr as usize, at, &lanes[lane(src)..][..m]));
+                }
+            }
+            // One reduction into an element fixed for the chunk that no other reduction
+            // touches sums in a register, beside the others (`ZEROS` when there is none).
+            let fixed = |t: usize| {
+                let (arr, at, _) = chunk[t];
+                let touches = |(u, &(a, ix, _)): (usize, &Target<'_>)| {
+                    u != t && a == arr && ix.contains(&at[0])
+                };
+                at.len() == 1 && !chunk.iter().enumerate().any(touches)
+            };
+            let solo = (0..chunk.len()).find(|&t| fixed(t));
+            let (mut sum, addends) = match solo.map(|t| chunk[t]) {
+                Some((arr, at, values)) => (reals[arr].data[LocalRef(at[0] as usize)], values),
+                None => (0.0, &ZEROS[..m]),
+            };
+            let ordered = || {
+                (0..chunk.len())
+                    .filter(|&t| Some(t) != solo)
+                    .map(|t| chunk[t])
+            };
+            match (ordered().next(), ordered().nth(1)) {
+                (Some((arr, at, values)), None) if at.len() == m => {
+                    let data = &mut reals[arr].data;
+                    for ((&at, &value), &s) in at.iter().zip(values).zip(addends) {
+                        data[LocalRef(at as usize)] += value;
+                        sum += s;
+                    }
+                }
+                _ => {
+                    for (k, &s) in addends.iter().enumerate() {
+                        for (arr, at, values) in ordered() {
+                            reals[arr].data[LocalRef(at[k.min(at.len() - 1)] as usize)] +=
+                                values[k];
+                        }
+                        sum += s;
+                    }
+                }
+            }
+            if let Some((arr, at, _)) = solo.map(|t| chunk[t]) {
+                reals[arr].data[LocalRef(at[0] as usize)] = sum;
+            }
+            *targets = recycle(chunk);
+            for &slot in &self.advanced {
+                cursor[slot] += m;
+            }
+            done += m;
+        }
+        for &slot in self.advanced.iter().filter(|_| trip > 0) {
+            local[slot] = streams[slot][cursor[slot] - 1];
+        }
+        trip * self.reduces
     }
 }
 
@@ -1618,6 +2000,157 @@ mod tests {
     )]
     fn bucket_indices_beyond_u32_are_a_named_panic() {
         bucket_entry(7, "NEWVEL", u32::MAX as usize + 1);
+    }
+
+    /// Integer loop code used to wrap silently in release builds and panic with the bare
+    /// arithmetic message in debug ones.
+    #[test]
+    #[should_panic(expected = "line 6: integer addition overflows (9223372036854775807 + 1)")]
+    fn integer_overflow_in_loop_code_is_a_named_panic() {
+        let src = "REAL x(16)\n\
+             INTEGER ia(16)\n\
+             C$ DECOMPOSITION reg(16)\n\
+             C$ DISTRIBUTE reg(BLOCK)\n\
+             C$ ALIGN x WITH reg\n\
+             FORALL i = 1, 16\n\
+             REDUCE(SUM, x(ia(i) + 1), 1.0)\n\
+             END FORALL\n";
+        run(MachineConfig::new(2), move |rank| {
+            let (lowered, _) = compile(src).unwrap();
+            let mut exec = Executor::new(rank, &lowered);
+            exec.set_integer_array("IA", &[i64::MAX; 16]);
+            exec.set_real_array("X", &[0.0; 16]);
+            exec.run_all(rank);
+        });
+    }
+
+    /// Run `src` on two ranks with integer array `IB` set to `[-5, i64::MAX]`: loop
+    /// bounds whose extent `hi - lo + 1` is beyond `i64`.
+    fn run_with_huge_bounds(src: &'static str) {
+        run(MachineConfig::new(2), move |rank| {
+            let (lowered, _) = compile(src).unwrap();
+            let mut exec = Executor::new(rank, &lowered);
+            exec.set_integer_array("IB", &[-5, i64::MAX]);
+            exec.run_all(rank);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "line 6: integer subtraction overflows (9223372036854775807 - -5)")]
+    fn sum_loop_extent_overflow_is_a_named_panic() {
+        run_with_huge_bounds(
+            "REAL x(16)\n\
+             INTEGER ib(2)\n\
+             C$ DECOMPOSITION reg(16)\n\
+             C$ DISTRIBUTE reg(BLOCK)\n\
+             C$ ALIGN x WITH reg\n\
+             FORALL i = ib(1), ib(2)\n\
+             REDUCE(SUM, x(i), 1.0)\n\
+             END FORALL\n",
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "line 9: integer subtraction overflows (9223372036854775807 - -5)")]
+    fn append_loop_extent_overflow_is_a_named_panic() {
+        run_with_huge_bounds(
+            "REAL vel(16), newvel(4)\n\
+             INTEGER icell(16), ib(2)\n\
+             C$ DECOMPOSITION parts(16)\n\
+             C$ DECOMPOSITION cells(4)\n\
+             C$ DISTRIBUTE parts(BLOCK)\n\
+             C$ DISTRIBUTE cells(BLOCK)\n\
+             C$ ALIGN vel WITH parts\n\
+             C$ ALIGN newvel WITH cells\n\
+             FORALL i = ib(1), ib(2)\n\
+             REDUCE(APPEND, newvel(icell(i)), vel(i))\n\
+             END FORALL\n",
+        );
+    }
+
+    /// A negative map entry used to be cast `as usize` into a huge processor number.
+    #[test]
+    #[should_panic(expected = "DISTRIBUTE REG(MAP): MAP(3) = -1 is not a processor number")]
+    fn negative_map_entries_are_a_named_panic() {
+        let src = "REAL x(8)\n\
+             INTEGER map(8)\n\
+             C$ DECOMPOSITION reg(8)\n\
+             C$ DISTRIBUTE reg(BLOCK)\n\
+             C$ ALIGN x WITH reg\n\
+             C$ DISTRIBUTE reg(map)\n";
+        run(MachineConfig::new(2), move |rank| {
+            let (lowered, _) = compile(src).unwrap();
+            let mut exec = Executor::new(rank, &lowered);
+            exec.set_integer_array("MAP", &[0, 1, -1, 0, 1, 0, 1, 0]);
+            exec.run_all(rank);
+        });
+    }
+
+    // ------------------------------------------------------------ executor form --
+
+    const SWEEP_ROWS: &str = include_str!("../tests/fixtures/sweep_rows.f");
+
+    /// Per loop of `src`: how many innermost loops its executor form sweeps.
+    fn sweeps(src: &str) -> Vec<usize> {
+        let loops = program(src, false).loops;
+        loops
+            .iter()
+            .map(|plan| ExecForm::derive(&plan.code).sweeps.len())
+            .collect()
+    }
+
+    /// Which loops run lane-wise: a silent fall-back to the scalar loop would keep every
+    /// result and lose the gain, so the `golden_bits` sweep fixtures and the CHARMM loops
+    /// are pinned here.
+    #[test]
+    fn eligible_innermost_loops_derive_a_sweep() {
+        assert_eq!(sweeps(SWEEP_ROWS), [1]);
+        assert_eq!(
+            sweeps(include_str!("../tests/fixtures/sweep_real_var.f")),
+            [1]
+        );
+        // Integer code (the load of W(J)) in the body: scalar.
+        assert_eq!(
+            sweeps(include_str!("../tests/fixtures/sweep_int_value.f")),
+            [0]
+        );
+        // Three non-bonded sweeps; the list-age update has no inner loop.
+        let nonbonded = include_str!("../../../examples/fortrand/nonbonded.f");
+        assert_eq!(sweeps(nonbonded), [1, 1, 1, 0]);
+
+        // The executor form of the rows fixture: one fused advance-and-load of X(I), the
+        // bounds' integer code, and the sweep of the `J` loop, whose body is the fused
+        // advance-and-load of X(JNB(J)), two differences and two reductions.
+        let code = &program(SWEEP_ROWS, false).loops[0].code;
+        let form = ExecForm::derive(code);
+        assert!(matches!(form.ops[0], Op::NextLoad { .. }));
+        assert!(matches!(form.ops.last(), Some(Op::Sweep { sweep: 0 })));
+        let no_scalar_loop =
+            |op: &Op| !matches!(op, Op::Sub { .. } | Op::Loop { .. } | Op::End { .. });
+        assert!(form.ops.iter().all(no_scalar_loop));
+        let kind = |op: &Op| format!("{op:?}").split(' ').next().unwrap().to_string();
+        let body: Vec<String> = form.sweeps[0].body.iter().map(kind).collect();
+        assert_eq!(body, ["NextLoad", "FBin", "Reduce", "FBin", "Reduce"]);
+
+        // An array both loaded and reduced in the body stays scalar.  Lowering rejects
+        // such a source, so the derived code is edited: the X(JNB(J)) load reads DX.
+        let rows = SWEEP_ROWS.replace("x(jnb(j)) - x(i)", "dx(jnb(j)) - x(i)");
+        assert!(compile(&rows)
+            .unwrap_err()
+            .contains("both read and a REDUCE(SUM) target"));
+        let mut code = code.clone();
+        let dx = slot_of(&program(SWEEP_ROWS, false).decls.names.reals, "DX").unwrap() as u32;
+        let inner = code
+            .ops
+            .iter()
+            .position(|op| matches!(op, Op::Loop { .. }))
+            .unwrap();
+        for op in &mut code.ops[inner..] {
+            if let Op::FLoad { arr, .. } = op {
+                *arr = dx;
+            }
+        }
+        assert!(ExecForm::derive(&code).sweeps.is_empty());
     }
 
     #[test]

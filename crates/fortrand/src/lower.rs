@@ -338,7 +338,7 @@ pub fn lower(program: &Program) -> Result<LoweredProgram, String> {
 /// Lower one executable statement — DISTRIBUTE, FORALL, IF or DO — to a step.
 fn lower_exec(stmt: &Stmt, decls: &Decls, loops: &mut Vec<LoopPlan>) -> Result<ExecStep, String> {
     match stmt {
-        Stmt::Distribute { decomp, spec } => lower_distribute(decomp, spec, decls),
+        Stmt::Distribute { decomp, spec, line } => lower_distribute(decomp, spec, *line, decls),
         Stmt::Forall { .. } => {
             let loop_id = loops.len();
             loops.push(lower_forall(loop_id, stmt, decls)?);
@@ -354,16 +354,28 @@ fn lower_exec(stmt: &Stmt, decls: &Decls, loops: &mut Vec<LoopPlan>) -> Result<E
 }
 
 /// Validate one `DISTRIBUTE` directive and lower it to a step.
-fn lower_distribute(decomp: &str, spec: &DistSpec, decls: &Decls) -> Result<ExecStep, String> {
+fn lower_distribute(
+    decomp: &str,
+    spec: &DistSpec,
+    line: usize,
+    decls: &Decls,
+) -> Result<ExecStep, String> {
     if !decls.decomps.contains_key(decomp) {
         return Err(format!(
             "DISTRIBUTE references unknown decomposition {decomp}"
         ));
     }
     if let DistSpec::Map(map) = spec {
-        if !decls.integer_arrays.contains_key(map) {
+        let Some(&len) = decls.integer_arrays.get(map) else {
             return Err(format!(
                 "DISTRIBUTE({map}) references an undeclared map array"
+            ));
+        };
+        let size = decls.decomps[decomp];
+        if len < size {
+            return Err(format!(
+                "line {line}: DISTRIBUTE {decomp}({map}): map array {map} has {len} elements, \
+                 fewer than the {size} of decomposition {decomp}"
             ));
         }
     }
@@ -705,6 +717,20 @@ mod tests {
             .unwrap_err()
             .contains("unknown loop variable or scalar MYRANK"));
         assert!(lower_src(&format!("{decls}IF (MYRANK .LT. NPROCS) THEN\nEND IF\n")).is_ok());
+    }
+
+    /// A map array shorter than its decomposition used to be a raw index-out-of-bounds
+    /// panic when the directive ran.
+    #[test]
+    fn short_map_arrays_are_lowering_errors_with_their_line() {
+        let src = "REAL x(8)\nINTEGER map(6)\nC$ DECOMPOSITION reg(8)\n\
+             C$ ALIGN x WITH reg\nC$ DISTRIBUTE reg(map)\n";
+        assert_eq!(
+            lower_src(src).unwrap_err(),
+            "line 5: DISTRIBUTE REG(MAP): map array MAP has 6 elements, fewer than the 8 \
+             of decomposition REG"
+        );
+        assert!(lower_src(&src.replace("map(6)", "map(8)")).is_ok());
     }
 
     #[test]

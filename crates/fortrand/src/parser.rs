@@ -162,6 +162,7 @@ impl<'a> Parser<'a> {
                 Ok(Stmt::Decomposition { name, size })
             }
             "DISTRIBUTE" => {
+                let line = self.line_of(self.pos - 1);
                 let decomp = self.expect_ident()?;
                 self.expect(&Token::LParen)?;
                 let which = self.expect_ident()?;
@@ -172,7 +173,7 @@ impl<'a> Parser<'a> {
                     "CYCLIC" => DistSpec::Cyclic,
                     map => DistSpec::Map(map.to_string()),
                 };
-                Ok(Stmt::Distribute { decomp, spec })
+                Ok(Stmt::Distribute { decomp, spec, line })
             }
             "ALIGN" => {
                 let mut arrays = vec![self.expect_ident()?];
@@ -538,14 +539,16 @@ mod tests {
             program.stmts[3],
             Stmt::Distribute {
                 decomp: "REG".into(),
-                spec: DistSpec::Block
+                spec: DistSpec::Block,
+                line: 4
             }
         );
         assert_eq!(
             program.stmts[5],
             Stmt::Distribute {
                 decomp: "REG".into(),
-                spec: DistSpec::Map("MAP".into())
+                spec: DistSpec::Map("MAP".into()),
+                line: 6
             }
         );
         match &program.stmts[4] {

@@ -12,6 +12,11 @@
 //! P = 3 a scatter-add combines contributions from two peers in arrival order, so the
 //! sum loops run on integer-valued inputs, where every intermediate is exact — the
 //! same device `inspector_drift` and `compiler_loop.rs` use.
+//!
+//! A second table pins three fixtures of the lane-wise sweep (`tests/fixtures/sweep_*.f`:
+//! CSR rows longer than one chunk, exactly one chunk and zero-trip; the inner loop
+//! variable used as a real; an integer load that keeps a loop scalar), recorded from the
+//! scalar executor before innermost loops were swept, under the same input rule.
 
 mod common;
 
@@ -21,6 +26,9 @@ use mpsim::{run, MachineConfig};
 const NONBONDED: &str = include_str!("../../../examples/fortrand/nonbonded.f");
 const DSMC_APPEND: &str = include_str!("../../../examples/fortrand/dsmc_append.f");
 const HOIST_BLOCKED: &str = include_str!("../../../examples/fortrand/blocked/hoist_blocked.f");
+const SWEEP_ROWS: &str = include_str!("fixtures/sweep_rows.f");
+const SWEEP_REAL_VAR: &str = include_str!("fixtures/sweep_real_var.f");
+const SWEEP_INT_VALUE: &str = include_str!("fixtures/sweep_int_value.f");
 
 /// The Figure 1 loop of `interp.rs`'s unit tests.
 const FIGURE1: &str = "REAL x(48), y(48)\n\
@@ -223,6 +231,72 @@ fn drive_figure11(
     bucket_bits(rank, exec, "NEWVEL")
 }
 
+/// Row lengths of the sweep fixtures' CSR lists: longer than one 256-iteration chunk,
+/// exactly one chunk, one short of it, short and zero-trip rows (2099 pairs in all).
+const SWEEP_ROW_LENGTHS: [usize; 12] = [300, 256, 0, 1, 257, 0, 255, 3, 512, 0, 2, 513];
+
+/// The sweep fixtures' CSR list: partner of pair `k` (0-based) is `(7k + k/3) mod 12`,
+/// so rows revisit partners and include the atom itself.
+fn sweep_csr() -> (Vec<i64>, Vec<i64>) {
+    let mut inblo = vec![1i64];
+    for len in SWEEP_ROW_LENGTHS {
+        inblo.push(inblo.last().unwrap() + len as i64);
+    }
+    let pairs = *inblo.last().unwrap() as usize - 1;
+    let jnb = (0..pairs)
+        .map(|k| ((k * 7 + k / 3) % 12) as i64 + 1)
+        .collect();
+    (inblo, jnb)
+}
+
+/// Set up one sweep fixture: map, CSR list, every real array from `values`, the
+/// reduction target zeroed.
+fn sweep_setup(exec: &mut Executor<'_>, procs: usize, exact: bool, reals: &[&str], target: &str) {
+    let (inblo, jnb) = sweep_csr();
+    exec.set_integer_array("MAP", &map_array(12, procs));
+    exec.set_integer_array("INBLO", &inblo);
+    exec.set_integer_array("JNB", &jnb);
+    for (salt, name) in reals.iter().enumerate() {
+        exec.set_real_array(name, &values(12, salt * 5 + 2, exact));
+    }
+    exec.set_real_array(target, &[0.0; 12]);
+}
+
+fn drive_sweep_rows(
+    rank: &mut mpsim::Rank,
+    exec: &mut Executor<'_>,
+    procs: usize,
+    exact: bool,
+) -> Vec<u64> {
+    sweep_setup(exec, procs, exact, &["X"], "DX");
+    exec.run_all(rank);
+    real_bits(rank, exec, &["DX"])
+}
+
+fn drive_sweep_real_var(
+    rank: &mut mpsim::Rank,
+    exec: &mut Executor<'_>,
+    procs: usize,
+    exact: bool,
+) -> Vec<u64> {
+    sweep_setup(exec, procs, exact, &["X", "F"], "DY");
+    exec.run_all(rank);
+    real_bits(rank, exec, &["F", "DY"])
+}
+
+fn drive_sweep_int_value(
+    rank: &mut mpsim::Rank,
+    exec: &mut Executor<'_>,
+    procs: usize,
+    exact: bool,
+) -> Vec<u64> {
+    sweep_setup(exec, procs, exact, &["X"], "DZ");
+    let w: Vec<i64> = (0..2099).map(|k| (k % 9) - 4).collect();
+    exec.set_integer_array("W", &w);
+    exec.run_all(rank);
+    real_bits(rank, exec, &["DZ"])
+}
+
 const PROGRAMS: [(&str, &str, Driver); 6] = [
     ("nonbonded.f", NONBONDED, drive_nonbonded),
     ("dsmc_append.f", DSMC_APPEND, drive_dsmc_append),
@@ -281,10 +355,49 @@ const GOLDEN: &[(&str, usize, bool, u64)] = &[
     ("figure11", 3, true, 0x83a17a1ab9cf1a79),
 ];
 
+/// The lane-wise sweep's fixtures: recorded from the scalar executor (every loop run
+/// one op per iteration) before innermost loops were swept.
+const SWEEP_PROGRAMS: [(&str, &str, Driver); 3] = [
+    ("sweep_rows.f", SWEEP_ROWS, drive_sweep_rows),
+    ("sweep_real_var.f", SWEEP_REAL_VAR, drive_sweep_real_var),
+    ("sweep_int_value.f", SWEEP_INT_VALUE, drive_sweep_int_value),
+];
+
+/// `(program, P, optimized, fingerprint)` recorded from the scalar executor.
+const SWEEP_GOLDEN: &[(&str, usize, bool, u64)] = &[
+    ("sweep_rows.f", 1, false, 0x78bcb451609cf39a),
+    ("sweep_rows.f", 1, true, 0x78bcb451609cf39a),
+    ("sweep_rows.f", 2, false, 0x551fd4d2e99818d5),
+    ("sweep_rows.f", 2, true, 0x551fd4d2e99818d5),
+    ("sweep_rows.f", 3, false, 0xcbb1afcd265742b6),
+    ("sweep_rows.f", 3, true, 0xcbb1afcd265742b6),
+    ("sweep_real_var.f", 1, false, 0x0e84dca4aa921b6e),
+    ("sweep_real_var.f", 1, true, 0x0e84dca4aa921b6e),
+    ("sweep_real_var.f", 2, false, 0xa6ac551cb2dbc21d),
+    ("sweep_real_var.f", 2, true, 0xa6ac551cb2dbc21d),
+    ("sweep_real_var.f", 3, false, 0xa689213b8f854168),
+    ("sweep_real_var.f", 3, true, 0xa689213b8f854168),
+    ("sweep_int_value.f", 1, false, 0xd347182e4ffafdef),
+    ("sweep_int_value.f", 1, true, 0xd347182e4ffafdef),
+    ("sweep_int_value.f", 2, false, 0x6945ccc7d778d731),
+    ("sweep_int_value.f", 2, true, 0x6945ccc7d778d731),
+    ("sweep_int_value.f", 3, false, 0x1712fb1aca3da8d9),
+    ("sweep_int_value.f", 3, true, 0x1712fb1aca3da8d9),
+];
+
 #[test]
 fn results_repeat_the_tree_walkers_bits() {
+    check(&PROGRAMS, GOLDEN);
+}
+
+#[test]
+fn sweep_fixtures_repeat_the_scalar_executors_bits() {
+    check(&SWEEP_PROGRAMS, SWEEP_GOLDEN);
+}
+
+fn check(programs: &[(&'static str, &'static str, Driver)], golden: &[(&str, usize, bool, u64)]) {
     let mut actual = Vec::new();
-    for (name, source, driver) in PROGRAMS {
+    for &(name, source, driver) in programs {
         for procs in [1usize, 2, 3] {
             for optimize in [false, true] {
                 let fp = fingerprint_of(source, driver, procs, optimize);
@@ -296,5 +409,5 @@ fn results_repeat_the_tree_walkers_bits() {
         .iter()
         .map(|(n, p, o, fp)| format!("    ({n:?}, {p}, {o}, {fp:#018x}),\n"))
         .collect();
-    assert_eq!(actual.as_slice(), GOLDEN, "actual fingerprints:\n{listing}");
+    assert_eq!(actual.as_slice(), golden, "actual fingerprints:\n{listing}");
 }
