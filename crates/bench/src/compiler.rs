@@ -145,7 +145,6 @@ pub fn charmm_parity(procs: usize, seed: u64, nsteps: usize) -> ParityEntry {
             schedule_mode: ScheduleMode::Merged,
             repartition_interval: None,
             adapt_policy: None,
-            monitor_group: None,
         };
         let stats = ParallelCharmm::run(rank, &system, &config);
         (stats.executor_exchange, stats.phases.executor.total_us())

@@ -147,7 +147,6 @@ fn run_charmm(scale: &Scale, p: usize, schedule_mode: ScheduleMode) -> RunOutcom
         schedule_mode,
         repartition_interval: None,
         adapt_policy: None,
-        monitor_group: None,
     };
     run(MachineConfig::new(p), move |rank| {
         let system = MolecularSystem::build(&sys_cfg);

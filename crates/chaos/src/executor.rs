@@ -393,9 +393,12 @@ where
 /// incoming copies into the ghost regions of the same `N` arrays (grown if needed).
 ///
 /// # Panics
-/// Panics if the lane count or schedule differs from the one `gather_start` packed for —
-/// a mismatched schedule whose permutation lists disagree with the received element
-/// counts would otherwise leave ghost slots silently stale.
+/// Panics if the lane count differs from the one `gather_start` packed for, or if a
+/// message's element count disagrees with `sched`'s permutation list for its source.
+/// A different schedule with the same per-source counts is not detected — its ghost
+/// slots would be silently wrong — so pairing the two calls through one schedule is the
+/// caller's job.  [`crate::loops::LoopGroup`] makes that pairing structural: its
+/// split-phase gather keeps the schedule it started with.
 pub fn gather_finish<'a, T>(
     rank: &mut Rank,
     handle: GatherHandle<T>,

@@ -77,6 +77,7 @@ pub mod index_hash;
 pub mod inspector;
 pub mod iteration;
 pub mod loadbalance;
+pub mod loops;
 pub mod maintained;
 pub mod partitioners;
 pub mod remap;
@@ -103,6 +104,7 @@ pub use iteration::{
     almost_owner_computes_replicated, owner_computes_replicated, IterationPartition,
 };
 pub use loadbalance::{imbalance_ratio, load_balance_index};
+pub use loops::LoopGroup;
 pub use maintained::PatchStats;
 pub use remap::{build_remap, remap_indices, remap_values, RemapPlan};
 pub use schedule::{CommSchedule, LightweightSchedule};
@@ -126,6 +128,7 @@ pub mod prelude {
         almost_owner_computes_replicated, owner_computes_replicated, IterationPartition,
     };
     pub use crate::loadbalance::{imbalance_ratio, load_balance_index};
+    pub use crate::loops::LoopGroup;
     pub use crate::maintained::PatchStats;
     pub use crate::partitioners::{chain_partition, rcb_partition, rib_partition, PartitionInput};
     pub use crate::remap::{build_remap, remap_indices, remap_values, RemapPlan};

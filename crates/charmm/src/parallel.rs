@@ -13,24 +13,18 @@
 //!    owned atoms); the bonded loop uses almost-owner-computes over the bond list.
 //! 4. **Iteration remapping** — the bonded indirection arrays move to their executing
 //!    processors.
-//! 5. **Inspector** — bonded and non-bonded indirection arrays are hashed into one stamped
-//!    hash table; schedules are built merged (one schedule for all loops) or separate
-//!    (Table 3 compares the two).
-//! 6. **Executor** — per step: one *fused* gather brings `px`/`py`/`pz` ghosts in with a
-//!    single message per processor pair, both force loops run, and one fused scatter-add
-//!    pushes `fx`/`fy`/`fz` back the same way (3× fewer messages per schedule per step
-//!    than the one-array-at-a-time executor).  With separate schedules the non-bonded
-//!    gather is *split-phase*: its sends are posted before the bonded force loop, which
-//!    computes while the exchange is in flight, and the ghosts land just before the
-//!    non-bonded loop needs them.  Then integrate owned atoms.  Every
-//!    `list_update_interval` steps the non-bonded list is regenerated, its stamp cleared
-//!    and re-hashed (reusing the retained translation results) and the schedules rebuilt
-//!    — the adaptive part.
+//! 5. **Inspector** and 6. **Executor** — the `IB`, `JB` and `NB` indirection arrays are
+//!    the three members of one [`chaos::LoopGroup`], which serves one merged schedule or
+//!    one per loop (Table 3 compares the two) and runs the fused position gather and
+//!    force scatter-add of every step.  With separate schedules the non-bonded gather is
+//!    split-phase, in flight while the bonded force loop computes.  The driver decides
+//!    only which members are dirty: a repartition makes all three dirty, a list update
+//!    every `list_update_interval` steps only `NB` — the adaptive part.
 //!
 //! The per-phase modeled times the paper reports in Tables 1, 2, 3 and 6 are accumulated
 //! in [`CharmmPhaseTimes`].
 
-use chaos::adapt::{MonitorTopology, RemapController, RemapPolicy};
+use chaos::adapt::{RemapController, RemapPolicy};
 use chaos::prelude::*;
 use mpsim::{ExchangeStats, Rank, TimeSnapshot};
 
@@ -60,6 +54,17 @@ pub enum ScheduleMode {
     Multiple,
 }
 
+impl ScheduleMode {
+    /// The loop group's member sets, one schedule each: all three members, or the
+    /// bonded loop's (set 0) then the non-bonded loop's (set 1).
+    fn member_sets(self) -> &'static [&'static [usize]] {
+        match self {
+            ScheduleMode::Merged => &[&[IB, JB, NB]],
+            ScheduleMode::Multiple => &[&[IB, JB], &[NB]],
+        }
+    }
+}
+
 /// Configuration of one parallel CHARMM run.
 #[derive(Debug, Clone)]
 pub struct ParallelConfig {
@@ -81,11 +86,6 @@ pub struct ParallelConfig {
     /// fixed-interval experiment uses.  Composes with `repartition_interval` (either
     /// trigger repartitions).
     pub adapt_policy: Option<RemapPolicy>,
-    /// Monitoring topology for `adapt_policy` sampling: `None` uses the flat all-gather,
-    /// `Some(g)` reduces executor-time samples to group leaders of size-`g` groups
-    /// (O(log P) messages per step, reaching the same remap decisions as flat — see
-    /// [`chaos::adapt::MonitorTopology`]).  Ignored when `adapt_policy` is `None`.
-    pub monitor_group: Option<usize>,
 }
 
 impl ParallelConfig {
@@ -98,7 +98,6 @@ impl ParallelConfig {
             schedule_mode: ScheduleMode::Merged,
             repartition_interval: None,
             adapt_policy: None,
-            monitor_group: None,
         }
     }
 }
@@ -154,8 +153,8 @@ pub struct CharmmStepStats {
     /// Repartition events whose partitioner moved no atom on any rank: detected with one
     /// `all_reduce` and skipped — no redistribution, no list rebuild, no schedule work.
     pub identity_repartitions: usize,
-    /// Hit/miss/patch/eviction counters of the schedule cache the inspector phases run
-    /// through (see [`chaos::cache::ScheduleCache`]).
+    /// Hit/miss/patch/eviction counters of the loop group's schedule cache (see
+    /// [`chaos::LoopGroup::cache_stats`]).
     pub cache_stats: CacheStats,
     /// The load-balance index of the executor phase at every step the controller observed
     /// (identical on every rank; empty unless `adapt_policy` is set).
@@ -188,22 +187,49 @@ impl ParallelCharmm {
     }
 }
 
-// Stamps used in the shared hash table.
-const STAMP_IB: Stamp = Stamp::new(0);
-const STAMP_JB: Stamp = Stamp::new(1);
-const STAMP_NB: Stamp = Stamp::new(2);
+// The loop group's members: the bonded loop's two indirection arrays and the
+// non-bonded list.
+const IB: usize = 0;
+const JB: usize = 1;
+const NB: usize = 2;
 
-/// Per-atom state under the current (irregular) distribution.
+/// Per-atom state under the current (irregular) distribution, positions and velocities
+/// held one lane per axis.
 struct DistributionState {
     ttable: TranslationTable,
     owned_globals: Vec<usize>,
-    px: Vec<f64>,
-    py: Vec<f64>,
-    pz: Vec<f64>,
-    vx: Vec<f64>,
-    vy: Vec<f64>,
-    vz: Vec<f64>,
+    pos: [Vec<f64>; 3],
+    vel: [Vec<f64>; 3],
     mass: Vec<f64>,
+}
+
+impl DistributionState {
+    /// Move per-atom arrays, held in `globals` order, to `ttable`'s distribution.
+    fn remapped(
+        rank: &mut Rank,
+        mut ttable: TranslationTable,
+        globals: &[usize],
+        pos: &[Vec<f64>; 3],
+        vel: &[Vec<f64>; 3],
+        mass: &[f64],
+    ) -> Self {
+        let plan = build_remap(rank, globals, &mut ttable);
+        let mut remap = |values: &Vec<f64>| remap_values(rank, &plan, values, 0.0);
+        let pos = pos.each_ref().map(&mut remap);
+        let vel = vel.each_ref().map(&mut remap);
+        let mass = remap_values(rank, &plan, mass, 1.0);
+        DistributionState {
+            owned_globals: ttable.owned_globals(rank),
+            ttable,
+            pos,
+            vel,
+            mass,
+        }
+    }
+
+    fn position(&self, l: usize) -> [f64; 3] {
+        self.pos.each_ref().map(|p| p[l])
+    }
 }
 
 /// The bonded loop's executing-processor view (recomputed only when the atom distribution
@@ -213,30 +239,55 @@ struct BondedSetup {
     exec_jb: Vec<usize>,
 }
 
-/// Local references and schedules for the current hash-table contents.
-#[derive(Default)]
-struct LoopState {
-    ghost_len: usize,
-    bond_refs: Vec<(u32, u32)>,
+/// The two force loops on the CHAOS runtime: their loop group, and the local references
+/// its last build produced.
+struct ForceLoops {
+    group: LoopGroup,
+    bonds: Vec<(u32, u32)>,
     /// Local references of the non-bonded partners, CSR over the neighbour list's own
     /// row offsets (`NeighborList::offsets`).
-    nb_refs: Vec<u32>,
-    merged: Option<CommSchedule>,
-    bonded: Option<CommSchedule>,
-    nonbonded: Option<CommSchedule>,
+    nb: Vec<u32>,
 }
 
-impl LoopState {
-    /// Messages one executor step sends on this rank: per schedule, one fused gather
-    /// message per destination (`send_message_count`) and one fused scatter message per
-    /// source (`recv_message_count`).
-    fn step_send_messages(&self) -> usize {
-        self.merged
-            .iter()
-            .chain(self.bonded.iter())
-            .chain(self.nonbonded.iter())
-            .map(|s| s.send_message_count() + s.recv_message_count())
-            .sum()
+impl ForceLoops {
+    fn new(me: usize, mode: ScheduleMode) -> Self {
+        ForceLoops {
+            group: LoopGroup::new(me, 3, mode.member_sets()),
+            bonds: Vec::new(),
+            nb: Vec::new(),
+        }
+    }
+
+    /// Phase E: one build of the loop group.  After a repartition (`all_dirty`) every
+    /// member is hashed again; after a list update only `NB` is, and the bonded
+    /// references are kept — so under [`ScheduleMode::Multiple`] the bonded schedule is
+    /// a cache hit (no communication) while the non-bonded one is patched forward.
+    fn inspect(
+        &mut self,
+        rank: &mut Rank,
+        ttable: &TranslationTable,
+        bonded: &BondedSetup,
+        nb_list: &NeighborList,
+        all_dirty: bool,
+    ) {
+        let group = &mut self.group;
+        let owned = ttable.local_size(rank.rank());
+        group.upkeep(owned, &[all_dirty, all_dirty, true]);
+        if all_dirty {
+            let (mut ib_refs, mut jb_refs) = (Vec::new(), Vec::new());
+            group.hash(rank, ttable, IB, &bonded.exec_ib, &mut ib_refs);
+            group.hash(rank, ttable, JB, &bonded.exec_jb, &mut jb_refs);
+            self.bonds = ib_refs.into_iter().zip(jb_refs).collect();
+        }
+        // One call per atom row, not one over the whole list: each call charges its own
+        // `new + known·0.1`, and the grouping of those float sums decides the last bits
+        // of the modeled time.
+        self.nb.clear();
+        self.nb.reserve(nb_list.interaction_count());
+        for l in 0..nb_list.natoms() {
+            group.hash(rank, ttable, NB, nb_list.partners_of(l), &mut self.nb);
+        }
+        group.serve(rank);
     }
 }
 
@@ -246,23 +297,16 @@ impl LoopState {
 /// warm.  Positions are refreshed from the distribution state each step (the integrator
 /// writes back there); forces are re-zeroed.
 struct StepArrays {
-    px: DistArray<f64>,
-    py: DistArray<f64>,
-    pz: DistArray<f64>,
-    fx: DistArray<f64>,
-    fy: DistArray<f64>,
-    fz: DistArray<f64>,
+    pos: [DistArray<f64>; 3],
+    force: [DistArray<f64>; 3],
 }
 
 impl StepArrays {
     fn new() -> Self {
+        let empty = || [(); 3].map(|()| DistArray::zeroed(0, 0));
         StepArrays {
-            px: DistArray::zeroed(0, 0),
-            py: DistArray::zeroed(0, 0),
-            pz: DistArray::zeroed(0, 0),
-            fx: DistArray::zeroed(0, 0),
-            fy: DistArray::zeroed(0, 0),
-            fz: DistArray::zeroed(0, 0),
+            pos: empty(),
+            force: empty(),
         }
     }
 
@@ -271,24 +315,19 @@ impl StepArrays {
     /// to the current schedules' requirement, positions copied in, forces zeroed.
     fn refresh(&mut self, dist: &DistributionState, ghost: usize) {
         let owned = dist.owned_globals.len();
-        if self.px.owned_len() != owned {
-            self.px = DistArray::new(dist.px.clone(), ghost);
-            self.py = DistArray::new(dist.py.clone(), ghost);
-            self.pz = DistArray::new(dist.pz.clone(), ghost);
-            self.fx = DistArray::zeroed(owned, ghost);
-            self.fy = DistArray::zeroed(owned, ghost);
-            self.fz = DistArray::zeroed(owned, ghost);
+        if self.pos[0].owned_len() != owned {
+            self.pos = dist
+                .pos
+                .each_ref()
+                .map(|p| DistArray::new(p.clone(), ghost));
+            self.force = [(); 3].map(|()| DistArray::zeroed(owned, ghost));
             return;
         }
-        for (arr, src) in [
-            (&mut self.px, &dist.px),
-            (&mut self.py, &dist.py),
-            (&mut self.pz, &dist.pz),
-        ] {
+        for (arr, src) in self.pos.iter_mut().zip(&dist.pos) {
             arr.ensure_ghost(ghost);
             arr.owned_mut().copy_from_slice(src);
         }
-        for f in [&mut self.fx, &mut self.fy, &mut self.fz] {
+        for f in &mut self.force {
             f.ensure_ghost(ghost);
             f.owned_mut().fill(0.0);
             f.clear_ghost();
@@ -308,7 +347,6 @@ pub fn run_parallel(
     let mut phases = CharmmPhaseTimes::default();
     let mut interactions = 0usize;
     let mut list_updates = 0usize;
-    let mut schedule_builds = 0usize;
 
     // ---------------------------------------------------------------- initial partition --
     let block = BlockDist::new(natoms, nprocs);
@@ -350,24 +388,9 @@ pub fn run_parallel(
     phases.list_update += rank.modeled().since(&t0);
 
     let t0 = rank.modeled();
-    let mut hash = IndexHashTable::new(me, dist.ttable.local_size(me));
-    // Schedules are served through a stamp-keyed cache: a bonded schedule whose stamps
-    // did not advance since the last build is a hit (no communication at all), a drifted
-    // one is patched forward, and a repartition's `clear_all` makes every one rebuild.
-    let mut cache = ScheduleCache::new(4);
-    let mut loops = build_loop_state(
-        rank,
-        &mut cache,
-        &mut hash,
-        &dist.ttable,
-        &bonded,
-        &nb_list,
-        config.schedule_mode,
-        true,
-        LoopState::default(),
-    );
+    let mut loops = ForceLoops::new(me, config.schedule_mode);
+    loops.inspect(rank, &dist.ttable, &bonded, &nb_list, true);
     phases.schedule_generation += rank.modeled().since(&t0);
-    schedule_builds += 1;
 
     // Executor working arrays, reused across every time step.
     let mut step_arrays = StepArrays::new();
@@ -376,13 +399,7 @@ pub fn run_parallel(
     // Feedback-driven repartitioning (opt-in): the controller observes the executor phase
     // at the end of every step; a firing decision is honoured at the start of the next
     // step, where the full repartition + rebuild machinery already lives.
-    let mut controller = config.adapt_policy.clone().map(|policy| {
-        let ctrl = RemapController::new(policy);
-        match config.monitor_group {
-            Some(group) => ctrl.with_topology(MonitorTopology::Hierarchical { group }),
-            None => ctrl,
-        }
-    });
+    let mut controller = config.adapt_policy.clone().map(RemapController::new);
     let mut adaptive_due = false;
     let mut repartitions = 0usize;
     let mut identity_repartitions = 0usize;
@@ -406,7 +423,7 @@ pub fn run_parallel(
                 .map(|l| 1.0 + nb_list.partners_of(l).len() as f64)
                 .collect();
             let coords: Vec<[f64; 3]> = (0..dist.owned_globals.len())
-                .map(|l| [dist.px[l], dist.py[l], dist.pz[l]])
+                .map(|l| dist.position(l))
                 .collect();
             let parts = run_partitioner(rank, kind, &coords, &weights, coords.len(), nprocs);
             // Identity detection: if no rank would send any atom anywhere, the partitioner
@@ -469,27 +486,8 @@ pub fn run_parallel(
             list_updates += 1;
 
             let t0 = rank.modeled();
-            if repartitioned {
-                // The distribution changed: every translation result is stale.  Clearing
-                // the table moves its epoch, so the cache rebuilds each schedule in place.
-                hash.clear_all(dist.ttable.local_size(me));
-            } else {
-                // Same distribution: keep the hash entries, just clear the adaptive stamp.
-                hash.clear_stamp(STAMP_NB);
-            }
-            loops = build_loop_state(
-                rank,
-                &mut cache,
-                &mut hash,
-                &dist.ttable,
-                &bonded,
-                &nb_list,
-                config.schedule_mode,
-                repartitioned,
-                loops,
-            );
+            loops.inspect(rank, &dist.ttable, &bonded, &nb_list, repartitioned);
             phases.schedule_regeneration += rank.modeled().since(&t0);
-            schedule_builds += 1;
         }
 
         // ---------------------------------------------------------------- executor step --
@@ -497,7 +495,7 @@ pub fn run_parallel(
         let (step_interactions, step_exchange) = execute_step(
             rank,
             &mut dist,
-            &loops,
+            &mut loops,
             &nb_list.offsets,
             &mut step_arrays,
             system,
@@ -521,22 +519,24 @@ pub fn run_parallel(
         .owned_globals
         .iter()
         .enumerate()
-        .map(|(l, &g)| (g, [dist.px[l], dist.py[l], dist.pz[l]]))
+        .map(|(l, &g)| (g, dist.position(l)))
         .collect();
 
+    let group = &loops.group;
+    let (sends, recvs) = group.message_counts();
     CharmmStepStats {
         phases,
         interactions,
         list_updates,
-        schedule_builds,
+        schedule_builds: group.builds() as usize,
         repartitions,
         identity_repartitions,
-        cache_stats: cache.stats(),
+        cache_stats: group.cache_stats(),
         lb_trajectory: controller
             .map(|c| c.lb_trajectory().to_vec())
             .unwrap_or_default(),
         executor_exchange,
-        step_send_messages: loops.step_send_messages(),
+        step_send_messages: sends + recvs,
         owned_positions,
     }
 }
@@ -566,30 +566,14 @@ fn build_distribution(
     local_map: &[usize],
     block: &BlockDist,
 ) -> DistributionState {
-    let mut ttable = TranslationTable::replicated_from_map(rank, local_map, block)
+    let ttable = TranslationTable::replicated_from_map(rank, local_map, block)
         .expect("partitioner returned an invalid owner");
     let my_block: Vec<usize> = block.local_globals(rank.rank()).collect();
-    let plan = build_remap(rank, &my_block, &mut ttable);
-    let take = |f: &dyn Fn(usize) -> f64| -> Vec<f64> { my_block.iter().map(|&g| f(g)).collect() };
-    let px = remap_values(rank, &plan, &take(&|g| system.positions[g][0]), 0.0);
-    let py = remap_values(rank, &plan, &take(&|g| system.positions[g][1]), 0.0);
-    let pz = remap_values(rank, &plan, &take(&|g| system.positions[g][2]), 0.0);
-    let vx = remap_values(rank, &plan, &take(&|g| system.velocities[g][0]), 0.0);
-    let vy = remap_values(rank, &plan, &take(&|g| system.velocities[g][1]), 0.0);
-    let vz = remap_values(rank, &plan, &take(&|g| system.velocities[g][2]), 0.0);
-    let mass = remap_values(rank, &plan, &take(&|g| system.masses[g]), 1.0);
-    let owned_globals = ttable.owned_globals(rank);
-    DistributionState {
-        ttable,
-        owned_globals,
-        px,
-        py,
-        pz,
-        vx,
-        vy,
-        vz,
-        mass,
-    }
+    let lane = |of: &[[f64; 3]], k: usize| my_block.iter().map(|&g| of[g][k]).collect();
+    let pos = [0, 1, 2].map(|k| lane(&system.positions, k));
+    let vel = [0, 1, 2].map(|k| lane(&system.velocities, k));
+    let mass: Vec<f64> = my_block.iter().map(|&g| system.masses[g]).collect();
+    DistributionState::remapped(rank, ttable, &my_block, &pos, &vel, &mass)
 }
 
 /// Re-partitioning path: move the *current* per-atom state (not the initial system) to a
@@ -614,28 +598,10 @@ fn redistribute(
     for (g, owner) in received.into_iter().flatten() {
         local_map[g as usize - my_range.start] = owner as usize;
     }
-    let mut ttable = TranslationTable::replicated_from_map(rank, &local_map, &block)
+    let ttable = TranslationTable::replicated_from_map(rank, &local_map, &block)
         .expect("repartitioner returned an invalid owner");
-    let plan = build_remap(rank, &old.owned_globals, &mut ttable);
-    let px = remap_values(rank, &plan, &old.px, 0.0);
-    let py = remap_values(rank, &plan, &old.py, 0.0);
-    let pz = remap_values(rank, &plan, &old.pz, 0.0);
-    let vx = remap_values(rank, &plan, &old.vx, 0.0);
-    let vy = remap_values(rank, &plan, &old.vy, 0.0);
-    let vz = remap_values(rank, &plan, &old.vz, 0.0);
-    let mass = remap_values(rank, &plan, &old.mass, 1.0);
-    let owned_globals = ttable.owned_globals(rank);
-    DistributionState {
-        ttable,
-        owned_globals,
-        px,
-        py,
-        pz,
-        vx,
-        vy,
-        vz,
-        mass,
-    }
+    let globals = &old.owned_globals;
+    DistributionState::remapped(rank, ttable, globals, &old.pos, &old.vel, &old.mass)
 }
 
 /// Phases C and D for the bonded loop: assign each bond to the processor owning the
@@ -677,7 +643,10 @@ fn build_local_nb_list(
         .owned_globals
         .iter()
         .enumerate()
-        .map(|(l, &g)| [g as f64, dist.px[l], dist.py[l], dist.pz[l]])
+        .map(|(l, &g)| {
+            let [x, y, z] = dist.position(l);
+            [g as f64, x, y, z]
+        })
         .collect();
     let gathered = rank.all_gather(&packed);
     for part in gathered {
@@ -699,82 +668,6 @@ fn build_local_nb_list(
     list
 }
 
-/// Phase E: hash every indirection array into the stamped hash table and serve the
-/// communication schedules through the stamp-keyed cache.  When `rehash_bonded` is false
-/// the bonded entries are assumed to be present already (same distribution, stamps
-/// intact): the previous bonded references are reused verbatim, which leaves the bonded
-/// stamp generations untouched — so under [`ScheduleMode::Multiple`] the bonded schedule
-/// is a cache *hit* across non-bonded list updates (no communication at all), while the
-/// schedules covering the re-hashed non-bonded stamp are *patched* forward.
-/// `prev` is the state being replaced: the source of those bonded references, and of the
-/// non-bonded reference array's allocation.
-#[allow(clippy::too_many_arguments)]
-fn build_loop_state(
-    rank: &mut Rank,
-    cache: &mut ScheduleCache,
-    hash: &mut IndexHashTable,
-    ttable: &TranslationTable,
-    bonded: &BondedSetup,
-    nb_list: &NeighborList,
-    mode: ScheduleMode,
-    rehash_bonded: bool,
-    prev: LoopState,
-) -> LoopState {
-    let bond_refs = if !rehash_bonded && !hash.is_empty() {
-        prev.bond_refs
-    } else {
-        let (mut ib_refs, mut jb_refs) = (Vec::new(), Vec::new());
-        hash.hash_in_replicated_into(rank, ttable, &bonded.exec_ib, STAMP_IB, &mut ib_refs);
-        hash.hash_in_replicated_into(rank, ttable, &bonded.exec_jb, STAMP_JB, &mut jb_refs);
-        ib_refs.into_iter().zip(jb_refs).collect()
-    };
-
-    // One call per atom row, not one over the whole list: each call charges its own
-    // `new + known·0.1`, and the grouping of those float sums decides the last bits of
-    // the modeled time.
-    let mut nb_refs = prev.nb_refs;
-    nb_refs.clear();
-    nb_refs.reserve(nb_list.interaction_count());
-    for l in 0..nb_list.natoms() {
-        let row = nb_list.partners_of(l);
-        hash.hash_in_replicated_into(rank, ttable, row, STAMP_NB, &mut nb_refs);
-    }
-
-    let (merged, bonded_sched, nonbonded_sched) = match mode {
-        ScheduleMode::Merged => {
-            let merged = cache
-                .schedule(
-                    rank,
-                    hash,
-                    StampQuery::any_of(&[STAMP_IB, STAMP_JB, STAMP_NB]),
-                )
-                .0
-                .clone();
-            (Some(merged), None, None)
-        }
-        ScheduleMode::Multiple => {
-            let b = cache
-                .schedule(rank, hash, StampQuery::any_of(&[STAMP_IB, STAMP_JB]))
-                .0
-                .clone();
-            let nb = cache
-                .schedule(rank, hash, StampQuery::single(STAMP_NB))
-                .0
-                .clone();
-            (None, Some(b), Some(nb))
-        }
-    };
-
-    LoopState {
-        ghost_len: hash.ghost_len(),
-        bond_refs,
-        nb_refs,
-        merged,
-        bonded: bonded_sched,
-        nonbonded: nonbonded_sched,
-    }
-}
-
 /// One executor time step: gather positions (fused — `px`/`py`/`pz` travel in one
 /// message per processor pair), evaluate both force loops, scatter-add the forces
 /// (fused the same way) and integrate the owned atoms.  With separate schedules the
@@ -785,22 +678,19 @@ fn build_loop_state(
 fn execute_step(
     rank: &mut Rank,
     dist: &mut DistributionState,
-    loops: &LoopState,
+    loops: &mut ForceLoops,
     nb_offsets: &[usize],
     arrays: &mut StepArrays,
     system: &MolecularSystem,
     mode: ScheduleMode,
 ) -> (usize, ExchangeStats) {
-    let ghost = loops.ghost_len;
+    let ForceLoops { group, bonds, nb } = loops;
+    let ghost = group.ghost_len();
     let owned = dist.owned_globals.len();
     arrays.refresh(dist, ghost);
     let StepArrays {
-        px,
-        py,
-        pz,
-        fx,
-        fy,
-        fz,
+        pos: [px, py, pz],
+        force: [fx, fy, fz],
     } = arrays;
 
     let mut interactions = 0usize;
@@ -815,7 +705,7 @@ fn execute_step(
                        fz: &mut DistArray<f64>|
      -> usize {
         let mut count = 0;
-        for &(ri, rj) in &loops.bond_refs {
+        for &(ri, rj) in bonds.iter() {
             let (ri, rj) = (LocalRef(ri as usize), LocalRef(rj as usize));
             let a = [px[ri], py[ri], pz[ri]];
             let b = [px[rj], py[rj], pz[rj]];
@@ -841,7 +731,7 @@ fn execute_step(
         for (l, row) in nb_offsets.windows(2).enumerate() {
             let ri = LocalRef(l);
             let a = [px[ri], py[ri], pz[ri]];
-            for &rj in &loops.nb_refs[row[0]..row[1]] {
+            for &rj in &nb[row[0]..row[1]] {
                 let rj = LocalRef(rj as usize);
                 let b = [px[rj], py[rj], pz[rj]];
                 let f = pair_force(displacement_pbc(a, b, system.box_size));
@@ -863,16 +753,11 @@ fn execute_step(
             // One schedule covers both loops: one fused gather moves all three position
             // arrays (one message per pair), both loops run, one fused scatter-add moves
             // all three force arrays back.
-            let sched = loops.merged.as_ref().expect("merged schedule missing");
-            exchange = exchange.merged(&gather_multi(rank, sched, [&mut *px, &mut *py, &mut *pz]));
+            exchange = exchange.merged(&group.gather(rank, 0, [&mut *px, &mut *py, &mut *pz]));
             interactions += bonded_loop(px, py, pz, fx, fy, fz);
             interactions += nonbonded_loop(px, py, pz, fx, fy, fz);
             rank.charge_compute(interactions as f64);
-            exchange = exchange.merged(&scatter_add_multi(
-                rank,
-                sched,
-                [&mut *fx, &mut *fy, &mut *fz],
-            ));
+            exchange = exchange.merged(&group.scatter_add(rank, 0, [&mut *fx, &mut *fy, &mut *fz]));
         }
         ScheduleMode::Multiple => {
             // Each loop gathers with its own schedule and scatters its own contributions.
@@ -884,54 +769,33 @@ fn execute_step(
             // integration below.)  The ghost *force* slots are shared between the
             // schedules too (they come from the same hash table), so they are cleared
             // between the two scatters to avoid folding a contribution back twice.
-            let bsched = loops.bonded.as_ref().expect("bonded schedule missing");
-            let nsched = loops
-                .nonbonded
-                .as_ref()
-                .expect("non-bonded schedule missing");
-            exchange = exchange.merged(&gather_multi(rank, bsched, [&mut *px, &mut *py, &mut *pz]));
-            let nb_gather = gather_start(rank, nsched, [&*px, &*py, &*pz]);
+            exchange = exchange.merged(&group.gather(rank, 0, [&mut *px, &mut *py, &mut *pz]));
+            group.start_gather(rank, 1, [&*px, &*py, &*pz]);
             let b_count = bonded_loop(px, py, pz, fx, fy, fz);
             rank.charge_compute(b_count as f64);
             interactions += b_count;
-            exchange = exchange.merged(&scatter_add_multi(
-                rank,
-                bsched,
-                [&mut *fx, &mut *fy, &mut *fz],
-            ));
+            exchange = exchange.merged(&group.scatter_add(rank, 0, [&mut *fx, &mut *fy, &mut *fz]));
             fx.clear_ghost();
             fy.clear_ghost();
             fz.clear_ghost();
 
-            exchange = exchange.merged(&gather_finish(
-                rank,
-                nb_gather,
-                nsched,
-                [&mut *px, &mut *py, &mut *pz],
-            ));
+            exchange = exchange.merged(&group.finish_gather(rank, [&mut *px, &mut *py, &mut *pz]));
             let n_count = nonbonded_loop(px, py, pz, fx, fy, fz);
             rank.charge_compute(n_count as f64);
             interactions += n_count;
-            exchange = exchange.merged(&scatter_add_multi(
-                rank,
-                nsched,
-                [&mut *fx, &mut *fy, &mut *fz],
-            ));
+            exchange = exchange.merged(&group.scatter_add(rank, 1, [&mut *fx, &mut *fy, &mut *fz]));
         }
     }
 
     // Integrate the owned atoms.
     for l in 0..owned {
-        let mut pos = [px.owned()[l], py.owned()[l], pz.owned()[l]];
-        let mut vel = [dist.vx[l], dist.vy[l], dist.vz[l]];
-        let force = [fx.owned()[l], fy.owned()[l], fz.owned()[l]];
-        integrate_atom(&mut pos, &mut vel, force, dist.mass[l], system.box_size);
-        dist.px[l] = pos[0];
-        dist.py[l] = pos[1];
-        dist.pz[l] = pos[2];
-        dist.vx[l] = vel[0];
-        dist.vy[l] = vel[1];
-        dist.vz[l] = vel[2];
+        let mut p = [px.owned()[l], py.owned()[l], pz.owned()[l]];
+        let mut v = dist.vel.each_ref().map(|a| a[l]);
+        let f = [fx.owned()[l], fy.owned()[l], fz.owned()[l]];
+        integrate_atom(&mut p, &mut v, f, dist.mass[l], system.box_size);
+        for k in 0..3 {
+            (dist.pos[k][l], dist.vel[k][l]) = (p[k], v[k]);
+        }
     }
     rank.charge_compute(owned as f64 * 0.5);
 
@@ -989,7 +853,6 @@ mod tests {
             schedule_mode: ScheduleMode::Merged,
             repartition_interval: None,
             adapt_policy: None,
-            monitor_group: None,
         };
         let par = parallel_positions(4, config, 5);
         let seq = sequential_positions(8, 4, 5);
@@ -1006,7 +869,6 @@ mod tests {
             schedule_mode: ScheduleMode::Multiple,
             repartition_interval: None,
             adapt_policy: None,
-            monitor_group: None,
         };
         let par = parallel_positions(3, config, 9);
         let seq = sequential_positions(6, 3, 9);
@@ -1023,7 +885,6 @@ mod tests {
             schedule_mode: ScheduleMode::Merged,
             repartition_interval: Some(4),
             adapt_policy: None,
-            monitor_group: None,
         };
         let par = parallel_positions(4, config, 13);
         let seq = sequential_positions(8, 4, 13);
@@ -1046,7 +907,6 @@ mod tests {
                 hysteresis: 0.0,
                 patience: 0,
             }),
-            monitor_group: None,
         };
         let par = parallel_positions(4, config, 5);
         let seq = sequential_positions(8, 4, 5);
@@ -1071,7 +931,6 @@ mod tests {
                 hysteresis: 0.0,
                 patience: 0,
             }),
-            monitor_group: None,
         };
         let out = run(MachineConfig::new(4), move |rank| {
             let system = MolecularSystem::build(&sys_cfg);
@@ -1086,54 +945,6 @@ mod tests {
             assert_eq!(traj, reference, "trajectory must be replicated");
             assert_eq!(reps, repartitions);
         }
-    }
-
-    #[test]
-    fn hierarchical_monitoring_matches_flat_repartitions() {
-        // Group-leader monitoring must fire the controller at exactly the same steps the
-        // flat all-gather does, and the physics must stay on the sequential trajectory.
-        // Trajectories are compared to relative 1e-9: the monitoring exchange charges
-        // pack/unpack compute, which shifts the f64 base the executor samples are
-        // measured against by a few ulps.
-        let make = |monitor_group: Option<usize>| ParallelConfig {
-            nsteps: 6,
-            list_update_interval: 3,
-            partitioner: PartitionerKind::Rcb,
-            schedule_mode: ScheduleMode::Merged,
-            repartition_interval: None,
-            adapt_policy: Some(chaos::adapt::RemapPolicy::Threshold {
-                lb_index: 1.01,
-                hysteresis: 0.0,
-                patience: 0,
-            }),
-            monitor_group,
-        };
-        let run_one = |cfg: ParallelConfig| {
-            let sys_cfg = SystemConfig::small(10);
-            let out = run(MachineConfig::new(6), move |rank| {
-                let system = MolecularSystem::build(&sys_cfg);
-                let stats = run_parallel(rank, &system, &cfg);
-                (stats.lb_trajectory, stats.repartitions)
-            });
-            out.results.into_iter().next().unwrap()
-        };
-        let (flat_traj, flat_reps) = run_one(make(None));
-        for group in [2, 3] {
-            let (traj, reps) = run_one(make(Some(group)));
-            assert_eq!(reps, flat_reps, "group {group}: repartition count diverged");
-            assert_eq!(traj.len(), flat_traj.len());
-            for (x, y) in flat_traj.iter().zip(&traj) {
-                assert!(
-                    (x - y).abs() <= 1e-9 * x.abs(),
-                    "group {group}: lb sample diverged: {x} vs {y}"
-                );
-            }
-        }
-        assert!(flat_reps > 0, "a 1.01 threshold must fire");
-        let par = parallel_positions(6, make(Some(2)), 5);
-        let seq = sequential_positions(6, 3, 5);
-        let dev = max_deviation(&par, &seq);
-        assert!(dev < 1e-6, "hierarchical run off trajectory by {dev}");
     }
 
     #[test]
@@ -1165,7 +976,6 @@ mod tests {
             schedule_mode: ScheduleMode::Merged,
             repartition_interval: None,
             adapt_policy: None,
-            monitor_group: None,
         };
         let par = parallel_positions(1, config, 3);
         let seq = sequential_positions(5, 2, 3);
@@ -1220,7 +1030,6 @@ mod tests {
                 schedule_mode: mode,
                 repartition_interval: None,
                 adapt_policy: None,
-                monitor_group: None,
             };
             let cfg = sys_cfg.clone();
             let out = run(MachineConfig::new(4), move |rank| {
@@ -1253,7 +1062,6 @@ mod tests {
                 schedule_mode: mode,
                 repartition_interval: None,
                 adapt_policy: None,
-                monitor_group: None,
             };
             let cfg = sys_cfg.clone();
             let out = run(MachineConfig::new(4), move |rank| {
@@ -1284,7 +1092,6 @@ mod tests {
             schedule_mode: ScheduleMode::Multiple,
             repartition_interval: None,
             adapt_policy: None,
-            monitor_group: None,
         };
         let cfg = config.clone();
         let out = run(MachineConfig::new(4), move |rank| {
@@ -1328,7 +1135,6 @@ mod tests {
                 hysteresis: 0.0,
                 patience: 0,
             }),
-            monitor_group: None,
         };
         let cfg = config.clone();
         let out = run(MachineConfig::new(4), move |rank| {
@@ -1383,7 +1189,6 @@ mod tests {
             schedule_mode: ScheduleMode::Merged,
             repartition_interval: None,
             adapt_policy: None,
-            monitor_group: None,
         };
         let out = run(MachineConfig::new(4), move |rank| {
             let system = MolecularSystem::build(&sys_cfg);

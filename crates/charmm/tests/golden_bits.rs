@@ -35,13 +35,20 @@ fn config(mode: ScheduleMode, repartition_interval: Option<usize>) -> ParallelCo
     }
 }
 
-/// One run's words: `(bit words, order-free integer words)`.
+/// One run's result words.
+struct Words {
+    /// Positions and modeled times, as `f64` bits.
+    bits: Vec<u64>,
+    /// The order-free integers.
+    ints: Vec<u64>,
+}
+
 fn run_words(
     procs: usize,
     mode: ScheduleMode,
     repartition: Option<usize>,
     backend: ExchangeBackend,
-) -> (Vec<u64>, Vec<u64>) {
+) -> Words {
     let cfg = config(mode, repartition);
     let machine = MachineConfig::new(procs).with_backend(backend);
     let out = run(machine, move |rank| {
@@ -81,7 +88,7 @@ fn run_words(
             wire.bytes_received,
         ]);
     }
-    (bits, ints)
+    Words { bits, ints }
 }
 
 const BACKENDS: [ExchangeBackend; 2] = [ExchangeBackend::Modeled, ExchangeBackend::SharedMem];
@@ -113,10 +120,7 @@ const COUNTS: [(usize, ScheduleMode, Option<usize>, u64); 8] = [
 
 /// Run every row of `table` on both backends; `pick` chooses which words to
 /// fingerprint.  Mismatches are collected and reported together, as table rows.
-fn check(
-    table: &[(usize, ScheduleMode, Option<usize>, u64)],
-    pick: fn((Vec<u64>, Vec<u64>)) -> Vec<u64>,
-) {
+fn check(table: &[(usize, ScheduleMode, Option<usize>, u64)], pick: fn(Words) -> Vec<u64>) {
     let mut wrong = Vec::new();
     for &(procs, mode, repartition, expected) in table {
         for backend in BACKENDS {
@@ -129,15 +133,19 @@ fn check(
             }
         }
     }
-    assert!(wrong.is_empty(), "fingerprints moved:\n{}", wrong.join("\n"));
+    assert!(
+        wrong.is_empty(),
+        "fingerprints moved:\n{}",
+        wrong.join("\n")
+    );
 }
 
 #[test]
 fn positions_and_modeled_time_repeat_bit_for_bit_at_one_and_two_ranks() {
-    check(&BITS, |(bits, ints)| [bits, ints].concat());
+    check(&BITS, |w| [w.bits, w.ints].concat());
 }
 
 #[test]
 fn order_free_counts_repeat_at_three_and_five_ranks() {
-    check(&COUNTS, |(_, ints)| ints);
+    check(&COUNTS, |w| w.ints);
 }

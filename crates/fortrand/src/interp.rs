@@ -15,11 +15,16 @@
 //! `DISTRIBUTE` started a new epoch).  Tables 6 and 7 compare programs executed this way
 //! against the hand-parallelised applications.
 //!
+//! Each schedule group's loops are the members of one [`chaos::LoopGroup`] — the same
+//! runtime object hand CHARMM runs on, owning the stamped hash, the schedule upkeep and
+//! the fused gather and scatter-add.  The executor only tells it which members are
+//! dirty, from the modification counters and the epoch, and keeps the streams.
+//!
 //! The executor pass runs its own **form** of each loop's code, derived once in
 //! [`Executor::new`]: a subscript's code collapses into one stream advance
 //! ([`Op::Next`], fused with the hoisted load behind it into [`Op::NextLoad`]), and an
 //! innermost `FORALL` whose body is only advances, loads, `FInt`, `FBin` and `Reduce`,
-//! with no array both loaded and reduced, becomes a [`Sweep`]: each op runs once per
+//! with no array both loaded and reduced, becomes a `Sweep`: each op runs once per
 //! chunk of up to 256 iterations over lane buffers, then the chunk's reductions are
 //! applied in (iteration, statement) order.  Every element sees the same `f64`
 //! operations in the same order as in the scalar loop, so the bits and the modeled work
@@ -88,32 +93,26 @@ struct LoopRuntime {
     form: ExecForm,
 }
 
-/// Runtime state of one schedule group: a merged hash table with one stamp per member
-/// loop, served through the software schedule cache so guarded rebuilds after an
-/// indirection-array change can re-serve earlier schedules.
+/// Runtime state of one schedule group: its member loops run on one [`LoopGroup`] with
+/// one member set, the merged schedule a compiler would emit.  The executor only says
+/// which members are dirty, from the modification counters and the epoch.
 struct GroupRuntime {
     decomp: usize,
-    /// Member loops, in program order; a member's index is its stamp bit.
+    /// Member loops, in program order; loop `loop_ids[m]` is `loop_group`'s member `m`.
     loop_ids: Vec<usize>,
     gathered: Vec<usize>,
     targets: Vec<usize>,
     /// Per member: the integer arrays its references are computed from.
     deps: Vec<Vec<usize>>,
-    hash: Option<IndexHashTable>,
-    cache: ScheduleCache,
-    schedule: Option<CommSchedule>,
-    /// Per member (member index == stamp bit): its streams, valid as long as its stamp
-    /// is — ghost slots are never renumbered, so re-hashing one member leaves the
-    /// others' streams intact.
+    loop_group: LoopGroup,
+    /// Per member: its streams, valid until the member is next dirty — ghost slots are
+    /// never renumbered, so re-hashing one member leaves the others' streams intact.
     local: Vec<Option<Localized>>,
     /// Per-member snapshot of the modification counters of the arrays the member's
     /// subscripts depend on, from the last build.
     member_deps_seen: Vec<Vec<u64>>,
-    epoch_seen: u64,
-    pending_gather: Option<GatherHandle<f64>>,
-    rebuilds: u64,
-    patches: u64,
-    reuses: u64,
+    /// The epoch of the last build; `None` before the first.
+    epoch_seen: Option<u64>,
 }
 
 /// The per-rank execution engine for one lowered program.
@@ -192,24 +191,20 @@ impl<'p> Executor<'p> {
                 }
             })
             .collect();
+        let my_rank = rank.rank();
         let group_runtime = |group: &ScheduleGroup| {
             let deps = group.deps.iter();
+            let members: Vec<usize> = (0..group.loop_ids.len()).collect();
             Some(GroupRuntime {
                 decomp: slot(&names.decomps, &group.decomp),
                 loop_ids: group.loop_ids.clone(),
                 gathered: slots(&names.reals, &group.gathered),
                 targets: slots(&names.reals, &group.targets),
                 deps: deps.map(|d| slots(&names.integers, d)).collect(),
-                hash: None,
-                cache: ScheduleCache::new(4),
-                schedule: None,
+                loop_group: LoopGroup::new(my_rank, members.len(), &[&members]),
                 local: group.loop_ids.iter().map(|_| None).collect(),
                 member_deps_seen: Vec::new(),
-                epoch_seen: 0,
-                pending_gather: None,
-                rebuilds: 0,
-                patches: 0,
-                reuses: 0,
+                epoch_seen: None,
             })
         };
         let mut groups: Vec<_> = program.groups.iter().map(group_runtime).collect();
@@ -307,27 +302,29 @@ impl<'p> Executor<'p> {
         self.groups.get(group).and_then(Option::as_ref)
     }
 
-    /// How many times a schedule group's merged hash table was fully rebuilt,
-    /// incrementally patched, and reused as-is.  Groups are numbered as in
-    /// [`LoweredProgram::groups`]; the singleton groups of sum loops that stand as
-    /// [`ExecStep::Loop`] steps follow, in loop order.
+    /// How many builds of a schedule group rebuilt its merged schedule from scratch,
+    /// how many members were patched, and how many builds reused it as-is.  Groups are
+    /// numbered as in [`LoweredProgram::groups`]; the singleton groups of sum loops that
+    /// stand as [`ExecStep::Loop`] steps follow, in loop order.
     pub fn group_stats(&self, group: usize) -> (u64, u64, u64) {
-        self.group(group)
-            .map_or((0, 0, 0), |rt| (rt.rebuilds, rt.patches, rt.reuses))
+        self.group(group).map_or((0, 0, 0), |rt| {
+            // One member set: a rebuild is the cache's miss and a reuse its hit.
+            let cache = rt.loop_group.cache_stats();
+            (cache.misses, rt.loop_group.member_patches(), cache.hits)
+        })
     }
 
     /// Software schedule-cache statistics of a schedule group.
     pub fn group_cache_stats(&self, group: usize) -> CacheStats {
         self.group(group)
-            .map_or_else(CacheStats::default, |rt| rt.cache.stats())
+            .map_or_else(CacheStats::default, |rt| rt.loop_group.cache_stats())
     }
 
     /// `(send, recv)` message counts of a schedule group's current merged schedule
     /// (one fused gather or scatter-add moves exactly this many messages).
     pub fn group_message_counts(&self, group: usize) -> (usize, usize) {
         self.group(group)
-            .and_then(|rt| rt.schedule.as_ref())
-            .map_or((0, 0), |s| (s.send_message_count(), s.recv_message_count()))
+            .map_or((0, 0), |rt| rt.loop_group.message_counts())
     }
 
     /// Set a distributed real array from its global contents (each rank keeps the elements
@@ -648,7 +645,7 @@ impl<'p> Executor<'p> {
     }
 
     /// Inspect one sum-reduction loop and localize its subscripts: hash the reference
-    /// list under `stamp` (collective in cost accounting only — the table is
+    /// list as `member` of `group` (collective in cost accounting only — the table is
     /// replicated) and keep, per subscript slot, the local index of each evaluation.
     /// Direct assignments are checked here, once, in every build: owner-computes must
     /// hold for each assigned element.
@@ -657,8 +654,8 @@ impl<'p> Executor<'p> {
         rank: &mut Rank,
         loop_id: usize,
         decomp: usize,
-        hash: &mut IndexHashTable,
-        stamp: Stamp,
+        group: &mut LoopGroup,
+        member: usize,
     ) -> Localized {
         let plan = self.program.loop_plan(loop_id);
         let iterations = self.sum_loop_iterations(plan, decomp);
@@ -667,7 +664,7 @@ impl<'p> Executor<'p> {
             ttable,
             owned_globals,
         } = &self.decomps[decomp];
-        hash.hash_in_replicated_into(rank, ttable, &seen.refs, stamp, &mut seen.local);
+        group.hash(rank, ttable, member, &seen.refs, &mut seen.local);
         let local = &seen.local;
         for &(at, arr) in &seen.assigns {
             assert!(
@@ -789,9 +786,10 @@ impl<'p> Executor<'p> {
 
     // ---------------------------------------------------------------- schedule groups --
 
-    /// `BuildSchedule` step: (re)build or incrementally patch the group's merged hash
-    /// table — one stamp per member loop — then fetch the merged schedule through the
-    /// software schedule cache (collective).
+    /// `BuildSchedule` step: re-localize the group's dirty members and serve its merged
+    /// schedule (collective).  A member is dirty when its indirection arrays changed
+    /// since the last build; before the first build and after a redistribution every
+    /// member is.  The group's upkeep rule decides between rebuild, patch and reuse.
     fn build_group_schedule(&mut self, rank: &mut Rank, group_id: usize) {
         let t0 = rank.modeled();
         let mut rt = self.groups[group_id].take().expect("groups do not nest");
@@ -799,52 +797,25 @@ impl<'p> Executor<'p> {
         // rank bumps the counters identically, so the decisions below are SPMD.
         let counters = |deps: &Vec<usize>| deps.iter().map(|&a| self.mod_counter[a]).collect();
         let deps_now: Vec<Vec<u64>> = rt.deps.iter().map(counters).collect();
-        // A member is dirty when its indirection arrays changed since the last build;
-        // before the first build and after a redistribution every member is.
-        let stale = rt.hash.is_none() || rt.epoch_seen != self.epoch;
+        let stale = rt.epoch_seen != Some(self.epoch);
         let dirty = |(m, now): (usize, &Vec<u64>)| stale || rt.member_deps_seen[m] != *now;
         let dirty: Vec<bool> = deps_now.iter().enumerate().map(dirty).collect();
-        // Every member dirty: nothing of the old table survives, so clear it and hash
-        // from scratch — the epoch bump makes the cache rebuild the schedule.  Otherwise
-        // patch only the dirty members' stamps — incremental maintenance instead of a
-        // full inspector rerun.
-        let fresh = dirty.iter().all(|&d| d);
         let owned_len = self.decomps[rt.decomp].owned_globals.len();
-        let hash = rt
-            .hash
-            .get_or_insert_with(|| IndexHashTable::new(self.my_rank, owned_len));
-        if fresh {
-            hash.clear_all(owned_len);
-            rt.rebuilds += 1;
-        }
+        rt.loop_group.upkeep(owned_len, &dirty);
         for (m, &lid) in rt.loop_ids.iter().enumerate() {
-            if !dirty[m] {
-                continue;
+            if dirty[m] {
+                rt.local[m] = Some(self.localize(rank, lid, rt.decomp, &mut rt.loop_group, m));
             }
-            let stamp = Stamp::new(m as u8);
-            if !fresh {
-                hash.clear_stamp(stamp);
-                rt.patches += 1;
-            }
-            rt.local[m] = Some(self.localize(rank, lid, rt.decomp, hash, stamp));
         }
-        if !dirty.contains(&true) {
-            rt.reuses += 1;
-        }
-        let stamps: Vec<Stamp> = (0..rt.loop_ids.len())
-            .map(|m| Stamp::new(m as u8))
-            .collect();
-        let (sched, _outcome) = rt.cache.schedule(rank, hash, StampQuery::any_of(&stamps));
-        rt.schedule = Some(sched.clone());
+        rt.loop_group.serve(rank);
         rt.member_deps_seen = deps_now;
-        rt.epoch_seen = self.epoch;
+        rt.epoch_seen = Some(self.epoch);
         self.groups[group_id] = Some(rt);
         self.phases.inspector += rank.modeled().since(&t0);
     }
 
     /// `GatherStart` step: post the fused gather's sends for the group's read arrays,
-    /// leaving the handle pending so independent work overlaps the exchange
-    /// (collective).
+    /// leaving it in flight so independent work overlaps the exchange (collective).
     fn start_group_gather(&mut self, rank: &mut Rank, group_id: usize) {
         let t0 = rank.modeled();
         let rt = self.groups[group_id].as_mut().expect("groups do not nest");
@@ -853,14 +824,13 @@ impl<'p> Executor<'p> {
             "GatherStart is only emitted for groups with gathered arrays"
         );
         assert_eq!(
-            rt.epoch_seen, self.epoch,
+            rt.epoch_seen,
+            Some(self.epoch),
             "stale schedule: the optimizer must not start a gather across a DISTRIBUTE"
         );
-        let sched = rt.schedule.as_ref();
-        let sched = sched.expect("a BuildSchedule step precedes every GatherStart");
         let arrays: Vec<&DistArray<f64>> =
             rt.gathered.iter().map(|&a| &self.reals[a].data).collect();
-        rt.pending_gather = Some(gather_start(rank, sched, arrays));
+        rt.loop_group.start_gather(rank, 0, arrays);
         self.phases.executor += rank.modeled().since(&t0);
     }
 
@@ -898,34 +868,29 @@ impl<'p> Executor<'p> {
     ) {
         let mut rt = self.groups[group_id].take().expect("groups do not nest");
         assert_eq!(
-            rt.epoch_seen, self.epoch,
+            rt.epoch_seen,
+            Some(self.epoch),
             "stale schedule: the optimizer must not hoist across a DISTRIBUTE"
         );
-        let sched = rt.schedule.as_ref();
-        let sched = sched.expect("a BuildSchedule step precedes every FusedLoop");
-        let ghost = sched.ghost_len();
+        let ghost = rt.loop_group.ghost_len();
         let t0 = rank.modeled();
 
         // ---- fused gather (plain, finishing an early start, or overlapping) ----------
         let mut stats = ExchangeStats::default();
         let mut gathered = self.take_arrays(&rt.gathered, ghost);
-        let handle = if early_gather {
-            let pending = rt.pending_gather.take();
-            Some(pending.expect("a GatherStart step precedes an early-gather FusedLoop"))
-        } else if overlapped.is_empty() || gathered.is_empty() {
-            None
-        } else {
+        let split = early_gather || !(overlapped.is_empty() || gathered.is_empty());
+        if split && !early_gather {
             let arrays: Vec<&DistArray<f64>> = gathered.iter().collect();
-            Some(gather_start(rank, sched, arrays))
-        };
+            rt.loop_group.start_gather(rank, 0, arrays);
+        }
         for s in overlapped {
             self.exec_step(rank, s);
         }
         let arrays: Vec<&mut DistArray<f64>> = gathered.iter_mut().collect();
-        if let Some(handle) = handle {
-            stats = stats.merged(&gather_finish(rank, handle, sched, arrays));
+        if split {
+            stats = stats.merged(&rt.loop_group.finish_gather(rank, arrays));
         } else if !arrays.is_empty() {
-            stats = stats.merged(&gather_multi(rank, sched, arrays));
+            stats = stats.merged(&rt.loop_group.gather(rank, 0, arrays));
         }
         self.put_arrays(&rt.gathered, gathered);
         for &a in &rt.targets {
@@ -947,7 +912,7 @@ impl<'p> Executor<'p> {
         if !rt.targets.is_empty() {
             let mut targets = self.take_arrays(&rt.targets, ghost);
             let arrays: Vec<&mut DistArray<f64>> = targets.iter_mut().collect();
-            stats = stats.merged(&scatter_add_multi(rank, sched, arrays));
+            stats = stats.merged(&rt.loop_group.scatter_add(rank, 0, arrays));
             for data in &mut targets {
                 data.clear_ghost();
             }
@@ -2274,13 +2239,7 @@ mod tests {
             for step in 0..4 {
                 exec.run_step(rank, step);
             }
-            let ghosts_before = exec
-                .group(0)
-                .unwrap()
-                .schedule
-                .as_ref()
-                .unwrap()
-                .ghost_len();
+            let ghosts_before = exec.group(0).unwrap().loop_group.schedule(0).ghost_len();
             let (clean_before, dirty_before) = (member_streams(&exec, 0), member_streams(&exec, 1));
             exec.run_step(rank, 1); // IB drifted: guarded rebuild
             assert_eq!(
@@ -2298,13 +2257,7 @@ mod tests {
                 dirty_before,
                 "dirty member kept stale streams"
             );
-            let ghosts_after = exec
-                .group(0)
-                .unwrap()
-                .schedule
-                .as_ref()
-                .unwrap()
-                .ghost_len();
+            let ghosts_after = exec.group(0).unwrap().loop_group.schedule(0).ghost_len();
             assert!(
                 ghosts_after > ghosts_before,
                 "the patch should append ghost slots"

@@ -32,7 +32,6 @@ fn main() {
         schedule_mode: ScheduleMode::Merged,
         repartition_interval: None,
         adapt_policy: None,
-        monitor_group: None,
     };
     let cfg = sys_cfg.clone();
     let outcome = run(MachineConfig::new(nprocs), move |rank| {

@@ -31,7 +31,6 @@ fn charmm_trajectory_is_independent_of_the_machine_size() {
             schedule_mode: ScheduleMode::Merged,
             repartition_interval: None,
             adapt_policy: None,
-            monitor_group: None,
         };
         let out = run(MachineConfig::new(nprocs), move |rank| {
             let system = MolecularSystem::build(&cfg);
