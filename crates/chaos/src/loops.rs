@@ -30,8 +30,8 @@ use crate::schedule::CommSchedule;
 use crate::translation::TranslationTable;
 use crate::{Global, ProcId};
 
-/// Schedules a group's cache holds: one or two sets, each rebuilt in place after
-/// `clear_all`, never evict.
+/// Schedules a group's cache holds.  A build asks once per member set and a rebuild
+/// after `clear_all` replaces its entry in place, so up to four sets never evict.
 pub const SCHEDULE_CACHE_CAPACITY: usize = 4;
 
 /// The stamped hash table, schedule cache, upkeep rule and fused `f64` exchanges of one
