@@ -10,11 +10,11 @@
 //! The layout is that convention taken literally: a [`DistArray`] is **one** contiguous
 //! `Vec<T>` — `owned_len` owned elements, then the ghost slots — plus the split point.
 //! `array[LocalRef(r)]` is therefore a single bounds-checked load with no owned-or-ghost
-//! branch (the executor's force loops do twelve of them per pair), the owned and ghost
-//! views are sub-slices of the same allocation, and the two split borrows the executor
-//! needs (`owned_and_ghost_mut`, `ghost_and_owned_mut`) are one `split_at_mut`.  Growing
-//! the ghost region may reallocate, which moves the owned section too: slices and raw
-//! pointers into an array do not survive [`DistArray::ensure_ghost`], so the executor
+//! branch, the owned and ghost views are sub-slices of the same allocation (`as_slice` is
+//! all of it, the flat lane CHARMM's force loop sweeps), and the two split borrows the
+//! executor needs (`owned_and_ghost_mut`, `ghost_and_owned_mut`) are one `split_at_mut`.
+//! Growing the ghost region may reallocate, which moves the owned section too: slices and
+//! raw pointers into an array do not survive [`DistArray::ensure_ghost`], so the executor
 //! grows first and borrows after.
 
 use std::ops::{Index, IndexMut};
@@ -102,6 +102,16 @@ impl<T> DistArray<T> {
         self.data.is_empty()
     }
 
+    /// The owned section then the ghost region: the flat slice [`LocalRef::index`] addresses.
+    pub fn as_slice(&self) -> &[T] {
+        &self.data
+    }
+
+    /// The flat owned-then-ghost slice, mutably.
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        &mut self.data
+    }
+
     /// The owned section.
     pub fn owned(&self) -> &[T] {
         &self.data[..self.owned_len]
@@ -178,6 +188,8 @@ mod tests {
         a[LocalRef(1)] = 21;
         assert_eq!(a.ghost()[0], 99);
         assert_eq!(a.owned()[1], 21);
+        a.as_mut_slice()[4] = 7;
+        assert_eq!(a.as_slice(), &[10, 21, 30, 99, 7]);
     }
 
     #[test]

@@ -207,6 +207,94 @@ pub fn accumulate_nonbonded_forces(
     count
 }
 
+/// Partners per chunk of the lane-wise sweep.
+const SWEEP_CHUNK: usize = 16;
+
+/// The parallel driver's non-bonded force loop over flat owned-plus-ghost lanes: row `l`
+/// lists the slots of owned slot `l`'s partners.  Each pair force is added to slot `l` and
+/// subtracted from the partner's: per slot the same IEEE operations in the same order as
+/// [`accumulate_nonbonded_forces`], so the same bits, on AVX2 when the host has it.
+/// Returns the number of pair interactions evaluated.
+///
+/// # Panics
+/// If the six lanes differ in length or there are more rows than slots, naming both.
+pub fn sweep_nonbonded_forces(
+    offsets: &[usize],
+    partners: &[u32],
+    pos: [&[f64]; 3],
+    force: [&mut [f64]; 3],
+    box_size: f64,
+) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: `sweep_avx2` needs only AVX2, and the host has it: detected just above.
+        return unsafe { sweep_avx2(offsets, partners, pos, force, box_size) };
+    }
+    sweep_rows(offsets, partners, pos, force, box_size)
+}
+
+/// [`sweep_rows`] compiled for AVX2, whose four-lane `vdivpd` the baseline target lacks.
+/// FMA stays off (Rust never contracts `a * b + c`): the same IEEE operations per lane.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sweep_avx2(
+    offsets: &[usize],
+    partners: &[u32],
+    pos: [&[f64]; 3],
+    force: [&mut [f64]; 3],
+    box_size: f64,
+) -> usize {
+    sweep_rows(offsets, partners, pos, force, box_size)
+}
+
+/// The sweep's one body.  A row's own force stays in an accumulator (no partner is the
+/// row's slot: partners are above its atom).  Per chunk of partners: gather displacements,
+/// compute every lane's minimum image and pair force, then apply the forces in list order.
+#[inline(always)]
+fn sweep_rows(
+    offsets: &[usize],
+    partners: &[u32],
+    [px, py, pz]: [&[f64]; 3],
+    [fx, fy, fz]: [&mut [f64]; 3],
+    box_size: f64,
+) -> usize {
+    let lanes = [px.len(), py.len(), pz.len(), fx.len(), fy.len(), fz.len()];
+    let rows = offsets.len().saturating_sub(1);
+    assert!(
+        lanes.iter().all(|&len| len == lanes[0]) && rows <= lanes[0],
+        "non-bonded sweep: position and force lanes of lengths {lanes:?} need one length, \
+         at least the {rows} rows"
+    );
+    let half = box_size / 2.0;
+    // `d − s` with s ∈ {box, −box, 0} is `displacement_pbc`'s branch bit for bit: the
+    // subtraction of −box is its addition of box, and `d − 0.0` keeps a −0.0.
+    let image = |d: f64| {
+        let below = if d < -half { -box_size } else { 0.0 };
+        d - if d > half { box_size } else { below }
+    };
+    let (mut d, mut f) = ([[0.0; SWEEP_CHUNK]; 3], [[0.0; SWEEP_CHUNK]; 3]);
+    for (l, row) in offsets.windows(2).enumerate() {
+        let a = [px[l], py[l], pz[l]];
+        let mut acc = [fx[l], fy[l], fz[l]];
+        for chunk in partners[row[0]..row[1]].chunks(SWEEP_CHUNK) {
+            for (k, rj) in chunk.iter().map(|&rj| rj as usize).enumerate() {
+                (d[0][k], d[1][k], d[2][k]) = (px[rj] - a[0], py[rj] - a[1], pz[rj] - a[2]);
+            }
+            // Lanes past a short chunk's end are computed and never applied.
+            for k in 0..SWEEP_CHUNK {
+                [f[0][k], f[1][k], f[2][k]] =
+                    pair_force([image(d[0][k]), image(d[1][k]), image(d[2][k])]);
+            }
+            for (k, rj) in chunk.iter().map(|&rj| rj as usize).enumerate() {
+                acc = [acc[0] + f[0][k], acc[1] + f[1][k], acc[2] + f[2][k]];
+                (fx[rj], fy[rj], fz[rj]) = (fx[rj] - f[0][k], fy[rj] - f[1][k], fz[rj] - f[2][k]);
+            }
+        }
+        [fx[l], fy[l], fz[l]] = acc;
+    }
+    offsets.last().map_or(0, |&end| end - offsets[0])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,6 +492,166 @@ mod tests {
         );
         let far = pair_force([2.0, 0.0, 0.0]);
         assert!(far[0] > 0.0, "distant atoms inside the well must attract");
+    }
+
+    type Sweep = fn(&[usize], &[u32], [&[f64]; 3], [&mut [f64]; 3], f64) -> usize;
+
+    /// Lay the `targets` out as owned slots `0..`, every other atom as a ghost slot after
+    /// them, run `sweep` over the list in those slots, and check every force against
+    /// [`accumulate_nonbonded_forces`] bit for bit.  The forces start non-zero, some at
+    /// −0.0, so the row accumulator's load and store are checked too.
+    fn assert_sweep_matches(
+        sweep: (&str, Sweep),
+        case: &str,
+        targets: &[usize],
+        list: &NeighborList,
+        positions: &[[f64; 3]],
+        box_size: f64,
+    ) {
+        let n = positions.len();
+        let mut order = targets.to_vec();
+        order.extend((0..n).filter(|g| !targets.contains(g)));
+        let mut slot = vec![0; n];
+        order.iter().enumerate().for_each(|(s, &g)| slot[g] = s);
+        let start = |g: usize| {
+            let v = if g.is_multiple_of(5) {
+                -0.0
+            } else {
+                (g % 97) as f64 * 1e-3 - 0.05
+            };
+            [v, -v, v * 0.5]
+        };
+
+        let mut forces: Vec<[f64; 3]> = (0..n).map(start).collect();
+        let expected = accumulate_nonbonded_forces(targets, list, positions, box_size, &mut forces);
+
+        let lanes = |value: &dyn Fn(usize) -> [f64; 3]| {
+            [0, 1, 2].map(|k| order.iter().map(|&g| value(g)[k]).collect::<Vec<f64>>())
+        };
+        let pos = lanes(&|g| positions[g]);
+        let mut force = lanes(&start);
+        let partners: Vec<u32> = list.partners.iter().map(|&g| slot[g] as u32).collect();
+        let [fx, fy, fz] = &mut force;
+        let count = (sweep.1)(
+            &list.offsets,
+            &partners,
+            [&pos[0], &pos[1], &pos[2]],
+            [fx, fy, fz],
+            box_size,
+        );
+        assert_eq!(count, expected, "{}, {case}: interaction count", sweep.0);
+        for g in 0..n {
+            for k in 0..3 {
+                let (want, got) = (forces[g][k], force[k][slot[g]]);
+                assert!(
+                    want.to_bits() == got.to_bits(),
+                    "{}, {case}: atom {g} axis {k}: sweep {got:e}, sequential loop {want:e}",
+                    sweep.0
+                );
+            }
+        }
+    }
+
+    /// The instantiations the host can run: the portable body always, the dispatched
+    /// entry when it takes the AVX2 one.
+    fn sweeps() -> Vec<(&'static str, Sweep)> {
+        let mut sweeps: Vec<(&'static str, Sweep)> = vec![("portable body", sweep_rows)];
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            sweeps.push(("dispatched entry (AVX2)", sweep_nonbonded_forces));
+        }
+        let checked = if sweeps.len() == 1 {
+            "AVX2 not detected, checked the portable body only"
+        } else {
+            "checked the portable body and the AVX2 instantiation"
+        };
+        eprintln!("sweep_matches_the_sequential_loop_bit_for_bit: {checked}");
+        sweeps
+    }
+
+    #[test]
+    fn sweep_matches_the_sequential_loop_bit_for_bit() {
+        // Six targets in box 10 with rows of 0, 1, C − 1, C, C + 1 and 2C + 3 partners,
+        // each partner its own atom placed at an offset from its target: across the
+        // periodic boundary on every axis in both directions (targets sit near 0 or near
+        // the box on each axis), at exactly half the box, inside the 0.25 softening core,
+        // on the target itself (displacement +0.0) and at −0.0 against a target at 0.0.
+        let c = SWEEP_CHUNK;
+        let box_size: f64 = 10.0;
+        let lens = [0, 1, c - 1, c, c + 1, 2 * c + 3];
+        let mut positions: Vec<[f64; 3]> = vec![
+            [5.0, 5.0, 5.0],
+            [0.2, 9.8, 0.2],
+            [9.8, 0.2, 9.8],
+            [0.3, 0.3, 9.7],
+            [9.7, 9.7, 0.3],
+            [0.0, 5.0, 2.0],
+        ];
+        let offsets_cycle = [
+            [-0.5, 0.0, 0.0],
+            [0.5, 0.0, 0.0],
+            [0.0, -0.5, 0.0],
+            [0.0, 0.5, 0.0],
+            [0.0, 0.0, -0.5],
+            [0.0, 0.0, 0.5],
+            [0.0, 0.0, 0.0],
+            [0.3, -0.2, 0.1],
+            [5.0, 0.0, -5.0],
+            [1.2, -0.7, 0.9],
+            [2.0, 1.0, -1.5],
+            [-3.1, 2.6, 0.4],
+        ];
+        let mut list = NeighborList {
+            offsets: vec![0],
+            partners: Vec::new(),
+        };
+        for (i, &len) in lens.iter().enumerate() {
+            for m in 0..len {
+                let off = offsets_cycle[(i + m) % offsets_cycle.len()];
+                let t = positions[i];
+                list.partners.push(positions.len());
+                positions.push([0, 1, 2].map(|k| (t[k] + off[k]).rem_euclid(box_size)));
+            }
+            list.offsets.push(list.partners.len());
+        }
+        // The last row's target sits at x = 0.0; its first partner at x = −0.0.
+        let first = list.offsets[5];
+        positions[list.partners[first]][0] = -0.0;
+        let targets: Vec<usize> = (0..lens.len()).collect();
+
+        // The 3 400-atom system of the charmm_* workloads, the x < box/2 half as targets.
+        let sys = system(700, 900, 28.0, 7.0);
+        let half: Vec<usize> = (0..sys.natoms())
+            .filter(|&i| sys.positions[i][0] < sys.box_size / 2.0)
+            .collect();
+        let sys_list = build_neighbor_list_for(&half, &sys.positions, sys.box_size, sys.cutoff);
+
+        for sweep in sweeps() {
+            assert_sweep_matches(sweep, "edge rows", &targets, &list, &positions, box_size);
+            assert_sweep_matches(
+                sweep,
+                "3 400 atoms",
+                &half,
+                &sys_list,
+                &sys.positions,
+                sys.box_size,
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "lanes of lengths [3, 3, 3, 3, 2, 3] need one length, at least the 2 rows"
+    )]
+    fn sweep_names_mismatched_lanes() {
+        let (p, mut fx, mut fy, mut fz) = ([0.0; 3], [0.0; 3], [0.0; 2], [0.0; 3]);
+        sweep_nonbonded_forces(
+            &[0, 1, 1],
+            &[2],
+            [&p, &p, &p],
+            [&mut fx, &mut fy, &mut fz],
+            10.0,
+        );
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!    force scatter-add of every step.  With separate schedules the non-bonded gather is
 //!    split-phase, in flight while the bonded force loop computes.  The driver decides
 //!    only which members are dirty: a repartition makes all three dirty, a list update
-//!    every `list_update_interval` steps only `NB` — the adaptive part.
+//!    every `list_update_interval` steps only `NB` — the adaptive part.  The non-bonded
+//!    loop sweeps the arrays' flat lanes ([`crate::nonbonded::sweep_nonbonded_forces`]).
 //!
 //! The per-phase modeled times the paper reports in Tables 1, 2, 3 and 6 are accumulated
 //! in [`CharmmPhaseTimes`].
@@ -30,7 +31,7 @@ use mpsim::{ExchangeStats, Rank, TimeSnapshot};
 
 use crate::bonds::bond_force;
 use crate::integrate::integrate_atom;
-use crate::nonbonded::{build_neighbor_list_for, pair_force, NeighborList};
+use crate::nonbonded::{build_neighbor_list_for, sweep_nonbonded_forces, NeighborList};
 use crate::system::{displacement_pbc, MolecularSystem};
 
 /// Which data partitioner distributes the atoms.
@@ -720,31 +721,12 @@ fn execute_step(
         }
         count
     };
-    let nonbonded_loop = |px: &DistArray<f64>,
-                          py: &DistArray<f64>,
-                          pz: &DistArray<f64>,
-                          fx: &mut DistArray<f64>,
-                          fy: &mut DistArray<f64>,
-                          fz: &mut DistArray<f64>|
-     -> usize {
-        let mut count = 0;
-        for (l, row) in nb_offsets.windows(2).enumerate() {
-            let ri = LocalRef(l);
-            let a = [px[ri], py[ri], pz[ri]];
-            for &rj in &nb[row[0]..row[1]] {
-                let rj = LocalRef(rj as usize);
-                let b = [px[rj], py[rj], pz[rj]];
-                let f = pair_force(displacement_pbc(a, b, system.box_size));
-                fx[ri] += f[0];
-                fy[ri] += f[1];
-                fz[ri] += f[2];
-                fx[rj] -= f[0];
-                fy[rj] -= f[1];
-                fz[rj] -= f[2];
-                count += 1;
-            }
-        }
-        count
+    let nonbonded_loop = |pos: [&DistArray<f64>; 3], force: [&mut DistArray<f64>; 3]| {
+        let (pos, force) = (
+            pos.map(DistArray::as_slice),
+            force.map(DistArray::as_mut_slice),
+        );
+        sweep_nonbonded_forces(nb_offsets, nb, pos, force, system.box_size)
     };
 
     let mut exchange = ExchangeStats::default();
@@ -755,7 +737,7 @@ fn execute_step(
             // all three force arrays back.
             exchange = exchange.merged(&group.gather(rank, 0, [&mut *px, &mut *py, &mut *pz]));
             interactions += bonded_loop(px, py, pz, fx, fy, fz);
-            interactions += nonbonded_loop(px, py, pz, fx, fy, fz);
+            interactions += nonbonded_loop([px, py, pz], [fx, fy, fz]);
             rank.charge_compute(interactions as f64);
             exchange = exchange.merged(&group.scatter_add(rank, 0, [&mut *fx, &mut *fy, &mut *fz]));
         }
@@ -780,7 +762,7 @@ fn execute_step(
             fz.clear_ghost();
 
             exchange = exchange.merged(&group.finish_gather(rank, [&mut *px, &mut *py, &mut *pz]));
-            let n_count = nonbonded_loop(px, py, pz, fx, fy, fz);
+            let n_count = nonbonded_loop([px, py, pz], [fx, fy, fz]);
             rank.charge_compute(n_count as f64);
             interactions += n_count;
             exchange = exchange.merged(&group.scatter_add(rank, 1, [&mut *fx, &mut *fy, &mut *fz]));
