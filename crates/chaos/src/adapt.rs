@@ -14,7 +14,7 @@
 //!   drift rule: remap once the compute time lost to imbalance since the last remap
 //!   outweighs the measured cost of a remap);
 //! * [`RemapController`] — the collective driver: every rank contributes its compute-time
-//!   sample through one all-gather (see [`mpsim::Rank::all_gather_compute_since`]), so
+//!   sample through one all-gather (see [`mpsim::Rank::all_gather_one`]), so
 //!   every rank evaluates the policy on the *same* per-rank vector and reaches the *same*
 //!   deterministic remap/keep decision — no rank may remap alone.
 //!

@@ -2,9 +2,8 @@
 //!
 //! The CHAOS runtime needs only a handful of collectives: all-to-all (schedule and
 //! translation-table construction), all-gather (replicated translation tables,
-//! partitioner coordination), reductions (load statistics, convergence checks), broadcast,
-//! and a sparse "exchange" in which every rank sends a possibly-empty buffer to a subset of
-//! ranks.  Each collective builds [`crate::exchange::ExchangePlan`]s and runs them through
+//! partitioner coordination), reductions (load statistics, convergence checks) and
+//! broadcast.  Each collective builds [`crate::exchange::ExchangePlan`]s and runs them through
 //! the exchange engine; their cost is whatever the constituent messages cost under the
 //! machine's [`crate::cost::CostModel`], plus one synchronisation charge for the
 //! reductions that are semantically barriers.
@@ -35,7 +34,6 @@
 //! `chaos::adapt`'s replicated controllers depend on, pinned by the equivalence suite
 //! at power-of-two and non-power-of-two machine sizes.
 
-use crate::cost::TimeSnapshot;
 use crate::exchange::{alltoallv, alltoallv_with, ExchangePlan, PackBuf, Placed, RecvSpec};
 use crate::machine::Rank;
 use crate::message::Element;
@@ -191,67 +189,6 @@ impl Rank {
         let mut out: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
         alltoallv(self, &plan, sends, |src, v| out[src] = v.into_vec());
         out
-    }
-
-    /// Sparse exchange: send `data` to each `(destination, data)` pair, where most ranks
-    /// are typically *not* destinations.  `expected_sources` lists the ranks this rank will
-    /// receive from (with the element count it will receive, which may be zero and is then
-    /// skipped).  Returns `(source, values)` pairs in `expected_sources` order.
-    ///
-    /// This is the message pattern of the CHAOS executor once a communication schedule is
-    /// known: both sides of every transfer are pre-computed, so no size negotiation
-    /// messages are needed.
-    pub fn exchange<T: Element>(
-        &mut self,
-        sends: &[(usize, Vec<T>)],
-        expected_sources: &[(usize, usize)],
-    ) -> Vec<(usize, Vec<T>)> {
-        self.ledger_record(
-            "exchange.sparse",
-            self.exchange_epochs_started(),
-            std::any::type_name::<T>(),
-        );
-        let me = self.rank();
-        let n = self.nprocs();
-        let mut send_counts = vec![0usize; n];
-        let mut bufs: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-        let mut claimed = vec![false; n];
-        for (dest, data) in sends {
-            if *dest == me {
-                continue; // local portion handled by the caller
-            }
-            assert!(
-                !claimed[*dest],
-                "exchange: duplicate send entry for destination {dest}"
-            );
-            claimed[*dest] = true;
-            send_counts[*dest] = data.len();
-            bufs[*dest] = data.clone();
-        }
-        let mut recv_counts = vec![0usize; n];
-        for &(src, count) in expected_sources {
-            if src != me {
-                recv_counts[src] = count;
-            }
-        }
-        let plan = ExchangePlan::sparse(me, send_counts, recv_counts);
-        let mut by_src: Vec<Option<Vec<T>>> = (0..n).map(|_| None).collect();
-        alltoallv(self, &plan, &bufs, |src, v| {
-            by_src[src] = Some(v.into_vec());
-        });
-        // Deliver in `expected_sources` order, as the hand-rolled loop always did.
-        expected_sources
-            .iter()
-            .filter(|&&(src, count)| src != me && count != 0)
-            .map(|&(src, _)| {
-                (
-                    src,
-                    by_src[src]
-                        .take()
-                        .expect("exchange: planned message missing"),
-                )
-            })
-            .collect()
     }
 
     /// All-reduce with an arbitrary combiner.  Every rank receives the same reduction of
@@ -480,27 +417,6 @@ impl Rank {
             |src, v| out[src] = v.into_vec(),
         );
         out
-    }
-
-    /// Exclusive prefix sum over one `usize` per rank: rank `i` receives the sum of the
-    /// values contributed by ranks `0..i`.  Used to assign globally unique index ranges.
-    pub fn exclusive_scan_sum(&mut self, value: usize) -> usize {
-        let all = self.all_gather_one(value);
-        all[..self.rank()].iter().sum()
-    }
-
-    /// All-gather one modeled-time sample: every rank contributes the *computation* time it
-    /// has accumulated since its own `since` snapshot, and every rank receives the full
-    /// per-rank vector (indexed by rank).  This is the measurement collective behind
-    /// feedback-driven load balancing (`chaos::adapt`): the per-rank compute times are the
-    /// `t_i` of the paper's load-balance index `max_i(t_i) * n / sum_i(t_i)`.  The sample
-    /// is taken *before* the gather communicates, and the gather's own cost is dominated by
-    /// communication time — the only compute it charges is the fixed pack/unpack cost of
-    /// one `f64` per peer, identical on every rank, so sampling shifts but never skews the
-    /// balance it measures.
-    pub fn all_gather_compute_since(&mut self, since: &TimeSnapshot) -> Vec<f64> {
-        let sample = self.modeled().since(since).compute_us;
-        self.all_gather_one(sample)
     }
 
     /// Two-level hierarchical sample-and-decide: the collective behind the hierarchical
@@ -751,84 +667,6 @@ mod tests {
         assert_eq!(out.results[1].len(), 4);
         for (p, v) in out.results[1].iter().enumerate() {
             assert_eq!(v, &vec![p as u32]);
-        }
-    }
-
-    #[test]
-    fn exclusive_scan_assigns_disjoint_ranges() {
-        let out = run(MachineConfig::new(5), |rank| {
-            let count = rank.rank() + 2;
-            (rank.exclusive_scan_sum(count), count)
-        });
-        let mut expected_start = 0;
-        for (start, count) in &out.results {
-            assert_eq!(*start, expected_start);
-            expected_start += count;
-        }
-    }
-
-    #[test]
-    fn exchange_moves_only_listed_pairs() {
-        let out = run(MachineConfig::new(4), |rank| {
-            let me = rank.rank();
-            // Everyone sends a buffer of `me` repeated (me+1) times to rank (me+1)%4.
-            let dest = (me + 1) % 4;
-            let src = (me + 3) % 4;
-            let sends = vec![(dest, vec![me as u32; me + 1])];
-            let expected = vec![(src, src + 1)];
-            rank.exchange(&sends, &expected)
-        });
-        for (me, recvd) in out.results.iter().enumerate() {
-            let src = (me + 3) % 4;
-            assert_eq!(recvd.len(), 1);
-            assert_eq!(recvd[0].0, src);
-            assert_eq!(recvd[0].1, vec![src as u32; src + 1]);
-        }
-    }
-
-    #[test]
-    fn exchange_skips_empty_transfers() {
-        let cfg = MachineConfig::new(2).with_cost(CostModel::uniform(100.0, 0.0, 0.0));
-        let out = run(cfg, |rank| {
-            // No data moves at all: no messages should be charged.
-            let r: Vec<(usize, Vec<f64>)> = rank.exchange(&[], &[]);
-            (r.len(), rank.stats().msgs_sent)
-        });
-        for (n, sent) in &out.results {
-            assert_eq!(*n, 0);
-            assert_eq!(*sent, 0);
-        }
-    }
-
-    #[test]
-    fn compute_time_samples_are_gathered_everywhere() {
-        let cfg = MachineConfig::new(4).with_cost(CostModel::uniform(1.0, 0.0, 1.0));
-        let out = run(cfg, |rank| {
-            let t0 = rank.modeled();
-            // Rank r performs (r + 1) * 10 units of compute; with a unit compute cost the
-            // gathered samples must be exactly those values on every rank.
-            rank.charge_compute((rank.rank() + 1) as f64 * 10.0);
-            rank.all_gather_compute_since(&t0)
-        });
-        for samples in &out.results {
-            assert_eq!(samples, &vec![10.0, 20.0, 30.0, 40.0]);
-        }
-    }
-
-    #[test]
-    fn compute_time_sampling_is_uniform_noise() {
-        let out = run(MachineConfig::new(3), |rank| {
-            let t0 = rank.modeled();
-            let first = rank.all_gather_compute_since(&t0);
-            // A second sample over the same window sees only the first gather's own
-            // pack/unpack cost — identical on every rank, so the measured *balance* is
-            // undisturbed even though the absolute times shift.
-            let second = rank.all_gather_compute_since(&t0);
-            (first, second)
-        });
-        for (first, second) in &out.results {
-            assert_eq!(first, &vec![0.0; 3], "sample is taken before the gather");
-            assert!(second.windows(2).all(|w| w[0] == w[1]), "{second:?}");
         }
     }
 

@@ -9,12 +9,47 @@
 //! [`crate::ExchangeBackend`]: one unbounded mpsc channel per rank (the modeled
 //! transport) or the per-pair lock-free SPSC rings of [`crate::shared`].  Matching
 //! semantics are identical either way; only host wall-clock behaviour differs.
+//!
+//! Both wires wait the same way (`Mailbox::recv_next`): a receiver polls its wire up to
+//! a budget chosen once per machine, yielding between polls, and only then blocks — in
+//! the channel's `recv`, or on the fabric's doorbell.
 
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 
 use crate::message::{Envelope, TypedPayload};
 use crate::shared::SharedFabric;
+
+/// Polls a receiver makes (yielding between polls) before it blocks, when every rank
+/// thread can have its own core.  Exchanges that are already in flight complete within
+/// a few polls, so polling wins: a park and wake costs more than the wait.
+const SPIN_SWEEPS: usize = 64;
+
+/// Polls before blocking when the machine is *oversubscribed* (more rank threads than
+/// host cores).  Polling then actively hurts — every poll is a scheduler round-trip that
+/// delays the very producer the receiver is waiting for — so block almost at once.
+const SPIN_SWEEPS_OVERSUBSCRIBED: usize = 4;
+
+/// The polling budget of a machine of `nprocs` rank threads on `cores` host cores.
+fn spin_budget(nprocs: usize, cores: usize) -> usize {
+    if nprocs <= cores {
+        SPIN_SWEEPS
+    } else {
+        SPIN_SWEEPS_OVERSUBSCRIBED
+    }
+}
+
+/// [`spin_budget`] on this host.  Asked once per machine, when its mailboxes are built:
+/// `available_parallelism` is a system call, far too dear for every receive.
+fn host_spin_budget(nprocs: usize) -> usize {
+    spin_budget(
+        nprocs,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+    )
+}
+
+/// Why a receive can never complete: every rank that could send to it is gone.
+pub(crate) const DISCONNECTED: &str = "all senders dropped while a receive was outstanding";
 
 /// The physical transport behind one mailbox.
 enum Transport {
@@ -33,6 +68,8 @@ pub struct Mailbox {
     transport: Transport,
     /// Messages that arrived but have not yet been asked for.
     pending: Vec<Envelope>,
+    /// Polls before each block, the machine's [`spin_budget`].
+    spin_sweeps: usize,
 }
 
 impl Mailbox {
@@ -46,6 +83,7 @@ impl Mailbox {
             senders.push(tx);
             receivers.push(rx);
         }
+        let spin_sweeps = host_spin_budget(nprocs);
         receivers
             .into_iter()
             .enumerate()
@@ -56,6 +94,7 @@ impl Mailbox {
                     receiver,
                 },
                 pending: Vec::new(),
+                spin_sweeps,
             })
             .collect()
     }
@@ -67,6 +106,7 @@ impl Mailbox {
     /// Panics if `nprocs` exceeds [`crate::shared::MAX_SHARED_RANKS`].
     pub fn create_shared(nprocs: usize) -> Vec<Mailbox> {
         let fabric = SharedFabric::new(nprocs);
+        let spin_sweeps = host_spin_budget(nprocs);
         (0..nprocs)
             .map(|rank| Mailbox {
                 rank,
@@ -74,6 +114,7 @@ impl Mailbox {
                     fabric: Arc::clone(&fabric),
                 },
                 pending: Vec::new(),
+                spin_sweeps,
             })
             .collect()
     }
@@ -118,13 +159,49 @@ impl Mailbox {
         }
     }
 
-    /// Pull the next message off the wire, whatever it is.
+    /// Pull the next message off the wire, whatever it is: up to `spin_sweeps` polls,
+    /// yielding between them, then one block; repeat until a message arrives.
+    ///
+    /// # Panics
+    /// Panics with [`DISCONNECTED`] when no rank is left that could send.
     fn recv_next(&mut self) -> Envelope {
+        let mut polls = 0;
+        loop {
+            if let Some(env) = self.poll() {
+                return env;
+            }
+            polls += 1;
+            if polls < self.spin_sweeps {
+                std::hint::spin_loop();
+                std::thread::yield_now();
+                continue;
+            }
+            if let Some(env) = self.block() {
+                return env;
+            }
+            polls = 0;
+        }
+    }
+
+    /// One non-blocking look at the wire: the channel's `try_recv`, or one sweep of the
+    /// fabric's inbound rings.
+    fn poll(&mut self) -> Option<Envelope> {
         match &mut self.transport {
-            Transport::Channel { receiver, .. } => receiver
-                .recv()
-                .expect("all senders dropped while a receive was outstanding"),
-            Transport::Shared { fabric } => fabric.recv_next(self.rank),
+            Transport::Channel { receiver, .. } => match receiver.try_recv() {
+                Ok(env) => Some(env),
+                Err(TryRecvError::Empty) => None,
+                Err(TryRecvError::Disconnected) => panic!("{DISCONNECTED}"),
+            },
+            Transport::Shared { fabric } => fabric.poll(self.rank),
+        }
+    }
+
+    /// Block once: the channel's `recv`, which returns a message, or a park on the
+    /// fabric's doorbell, which may wake empty-handed and leave the caller to poll again.
+    fn block(&mut self) -> Option<Envelope> {
+        match &mut self.transport {
+            Transport::Channel { receiver, .. } => Some(receiver.recv().expect(DISCONNECTED)),
+            Transport::Shared { fabric } => fabric.park(self.rank),
         }
     }
 
@@ -252,6 +329,46 @@ mod tests {
             b0.send(0, 3, bytes(vec![42]));
             assert_eq!(payload_bytes(b0.recv(0, 3)), vec![42]);
         }
+    }
+
+    #[test]
+    fn queued_message_is_returned_by_the_first_poll() {
+        both_transports(|mut boxes| {
+            let _b2 = boxes.pop().unwrap();
+            let b1 = boxes.pop().unwrap();
+            let mut b0 = boxes.pop().unwrap();
+            b1.send(0, 4, bytes(vec![7]));
+            let env = b0.poll().expect("a queued message needs no wait");
+            assert_eq!((env.from, env.tag), (1, 4));
+            assert_eq!(payload_bytes(env), vec![7]);
+        });
+    }
+
+    #[test]
+    fn blocked_receiver_is_woken_by_late_sender() {
+        both_transports(|mut boxes| {
+            let _b2 = boxes.pop().unwrap();
+            let b1 = boxes.pop().unwrap();
+            let mut b0 = boxes.pop().unwrap();
+            let consumer = thread::spawn(move || payload_bytes(b0.recv(1, 99)));
+            // Give the receiver time to use up its polls and block before sending.
+            thread::sleep(std::time::Duration::from_millis(30));
+            b1.send(0, 99, bytes(vec![5]));
+            assert_eq!(consumer.join().unwrap(), vec![5]);
+        });
+    }
+
+    #[test]
+    fn polling_budget_shrinks_when_ranks_outnumber_cores() {
+        assert_eq!(spin_budget(1, 1), SPIN_SWEEPS);
+        assert_eq!(spin_budget(8, 8), SPIN_SWEEPS);
+        assert_eq!(spin_budget(9, 8), SPIN_SWEEPS_OVERSUBSCRIBED);
+        assert_eq!(spin_budget(128, 2), SPIN_SWEEPS_OVERSUBSCRIBED);
+        both_transports(|boxes| {
+            for b in &boxes {
+                assert_eq!(b.spin_sweeps, host_spin_budget(3));
+            }
+        });
     }
 
     #[test]

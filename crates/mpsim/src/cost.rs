@@ -105,11 +105,6 @@ impl TimeSnapshot {
         self.comm_us + self.compute_us
     }
 
-    /// Total modeled time in seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.total_us() / 1e6
-    }
-
     /// Element-wise difference `self - earlier`; used to bill a phase.
     pub fn since(&self, earlier: &TimeSnapshot) -> TimeSnapshot {
         TimeSnapshot {

@@ -99,11 +99,6 @@ impl Rank {
         self.mailbox.nprocs()
     }
 
-    /// The cost model this machine was configured with.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Send a typed buffer to rank `to` with tag `tag`; `None` sends an empty message,
     /// which touches neither the heap nor the pool.  The one point where outgoing
     /// messages are charged and counted: one message of `len · T::SIZE` bytes (latency +

@@ -5,8 +5,8 @@
 //! block allocations and a lock handoff per message.  This module replaces the mailbox
 //! with what the paper's runtime would use on a shared-memory node: one bounded
 //! **lock-free SPSC ring per ordered rank pair**, so a producer and a consumer touch only
-//! cache lines they own, plus a per-consumer *doorbell* (mutex + condvar) so a rank with
-//! nothing to receive parks instead of burning the core.
+//! cache lines they own, plus a per-consumer *doorbell* (mutex + condvar) on which a
+//! rank whose polls came up empty parks instead of burning the core.
 //!
 //! [`ExchangeBackend`] selects the transport per [`crate::MachineConfig`].  Both carry the
 //! same typed payloads ([`crate::message::TypedPayload`]); they differ only in the
@@ -27,20 +27,23 @@
 //!
 //! ## Progress and the missed-wakeup race
 //!
-//! The consumer scans its inbound rings a bounded number of times (yielding between
-//! sweeps), then publishes `sleeping = true` under its doorbell mutex, **rescans**, and
-//! only then waits on the condvar.  Producers push with a `SeqCst` fence before loading
-//! `sleeping`, and notify under the same mutex.  In the `SeqCst` total order either the
-//! producer sees `sleeping == true` (and its notify, serialized behind the mutex the
-//! consumer holds until it waits, is guaranteed to wake it) or the consumer's rescan
-//! happens after the push and finds the message.  Either way no message is lost to a
-//! sleeping consumer.
+//! The consumer's mailbox ([`crate::comm`]) sweeps its inbound rings
+//! (`SharedFabric::poll`) a bounded number of times, yielding between sweeps: the wait
+//! policy the channel transport follows too.  Then it parks (`SharedFabric::park`): it
+//! publishes `sleeping = true` under its doorbell mutex, **rescans**, and only then
+//! waits on the condvar.
+//! Producers push with a `SeqCst` fence before loading `sleeping`, and notify under the
+//! same mutex.  In the `SeqCst` total order either the producer sees `sleeping == true`
+//! (and its notify, serialized behind the mutex the consumer holds until it waits, is
+//! guaranteed to wake it) or the consumer's rescan happens after the push and finds the
+//! message.  Either way no message is lost to a sleeping consumer.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
+use crate::comm::DISCONNECTED;
 use crate::message::{Envelope, TypedPayload};
 use crate::proto::{self, BellOps, RingOps};
 
@@ -89,19 +92,6 @@ pub const RING_CAPACITY: usize = 32;
 /// rings; beyond this the modeled transport is the right tool (its P = 1024 collective
 /// sweeps are about modeled scaling, not host wall-clock).
 pub const MAX_SHARED_RANKS: usize = 128;
-
-/// Ring sweeps the consumer performs (yielding between sweeps) before parking on its
-/// doorbell, when every rank thread can have its own core.  Exchanges that are already
-/// in flight complete within a few sweeps, so spinning wins: the doorbell's futex
-/// round-trip costs more than the wait.
-const SPIN_SWEEPS: usize = 64;
-
-/// Sweeps before parking when the machine is *oversubscribed* (more rank threads than
-/// host cores).  Spinning then actively hurts — every sweep is a scheduler round-trip
-/// that delays the very producer the consumer is waiting for — so park almost
-/// immediately and let the doorbell wake us; the modeled backend's blocking channel
-/// recv gets this behaviour for free, and the shared transport must not be worse.
-const SPIN_SWEEPS_OVERSUBSCRIBED: usize = 4;
 
 /// One bounded single-producer single-consumer ring of envelopes.
 ///
@@ -233,9 +223,6 @@ pub(crate) struct SharedFabric {
     rings: Vec<Spsc>,
     doorbells: Vec<Doorbell>,
     terminated: Vec<AtomicBool>,
-    /// Sweeps before parking, chosen at construction: [`SPIN_SWEEPS`] when every rank
-    /// thread can have a core, [`SPIN_SWEEPS_OVERSUBSCRIBED`] otherwise.
-    spin_sweeps: usize,
 }
 
 impl SharedFabric {
@@ -250,7 +237,6 @@ impl SharedFabric {
              {MAX_SHARED_RANKS} ranks (got {nprocs}); use ExchangeBackend::Modeled for \
              larger machines"
         );
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         Arc::new(SharedFabric {
             nprocs,
             rings: (0..nprocs * nprocs).map(|_| Spsc::new()).collect(),
@@ -262,11 +248,6 @@ impl SharedFabric {
                 })
                 .collect(),
             terminated: (0..nprocs).map(|_| AtomicBool::new(false)).collect(),
-            spin_sweeps: if nprocs <= cores {
-                SPIN_SWEEPS
-            } else {
-                SPIN_SWEEPS_OVERSUBSCRIBED
-            },
         })
     }
 
@@ -302,52 +283,50 @@ impl SharedFabric {
         self.doorbells[to].ring();
     }
 
-    /// Pop the next available inbound envelope for rank `me` (any source), parking on
-    /// the doorbell when every ring is empty.
+    /// Pop the next available inbound envelope for rank `me` (any source), without
+    /// waiting.
     ///
     /// # Panics
     /// Panics if all other ranks have terminated while nothing is in flight — the
     /// shared-memory analogue of every channel sender having been dropped.
-    pub(crate) fn recv_next(&self, me: usize) -> Envelope {
-        let mut sweeps = 0usize;
-        loop {
-            if let Some(env) = self.sweep(me) {
-                return env;
-            }
-            if self.all_peers_terminated(me) {
-                // One final sweep: a peer may have pushed right before terminating.
-                if let Some(env) = self.sweep(me) {
-                    return env;
-                }
-                panic!("all senders dropped while a receive was outstanding");
-            }
-            sweeps += 1;
-            if sweeps < self.spin_sweeps {
-                std::hint::spin_loop();
-                std::thread::yield_now();
-                continue;
-            }
-            // Park: announce, rescan (see module docs for the race argument), wait.
-            let bell = &self.doorbells[me];
-            let guard = bell.mutex.lock().unwrap();
-            proto::bell_announce(bell);
-            if let Some(env) = self.sweep(me) {
-                proto::bell_retract(bell);
-                return env;
-            }
-            if self.all_peers_terminated(me) {
-                proto::bell_retract(bell);
-                continue;
-            }
-            let guard = bell
-                .condvar
-                .wait_timeout(guard, std::time::Duration::from_millis(10))
-                .unwrap()
-                .0;
-            proto::bell_retract(bell);
-            drop(guard);
-            sweeps = 0;
+    pub(crate) fn poll(&self, me: usize) -> Option<Envelope> {
+        if let Some(env) = self.sweep(me) {
+            return Some(env);
         }
+        if self.all_peers_terminated(me) {
+            // One final sweep: a peer may have pushed right before terminating.
+            return Some(self.sweep(me).expect(DISCONNECTED));
+        }
+        None
+    }
+
+    /// Park rank `me` on its doorbell: announce, rescan (see the module docs for the race
+    /// argument), wait until a producer rings or 10 ms pass, retract.  Returns what the
+    /// rescan found; `None` after a wait, or when every peer has terminated, and the
+    /// caller polls again.
+    pub(crate) fn park(&self, me: usize) -> Option<Envelope> {
+        let bell = &self.doorbells[me];
+        let guard = bell
+            .mutex
+            .lock()
+            .expect("a rank panicked while holding a doorbell");
+        proto::bell_announce(bell);
+        if let Some(env) = self.sweep(me) {
+            proto::bell_retract(bell);
+            return Some(env);
+        }
+        if self.all_peers_terminated(me) {
+            proto::bell_retract(bell);
+            return None;
+        }
+        let guard = bell
+            .condvar
+            .wait_timeout(guard, std::time::Duration::from_millis(10))
+            .expect("a rank panicked while holding a doorbell")
+            .0;
+        proto::bell_retract(bell);
+        drop(guard);
+        None
     }
 
     /// One pass over rank `me`'s inbound rings, in sender order (self first, so local
@@ -393,13 +372,23 @@ mod tests {
         TypedPayload::new(Box::new(v))
     }
 
+    /// A blocking receive on the fabric alone: poll once, then park, until a message
+    /// arrives.  The mailbox's loop adds only the polling budget.
+    fn recv_next(fabric: &SharedFabric, me: usize) -> Envelope {
+        loop {
+            if let Some(env) = fabric.poll(me).or_else(|| fabric.park(me)) {
+                return env;
+            }
+        }
+    }
+
     #[test]
     fn ring_round_trips_in_fifo_order() {
         let fabric = SharedFabric::new(2);
         fabric.send(1, 0, 7, bytes(vec![1, 2, 3]));
         fabric.send(1, 0, 8, bytes(vec![4]));
-        let a = fabric.recv_next(0);
-        let b = fabric.recv_next(0);
+        let a = recv_next(&fabric, 0);
+        let b = recv_next(&fabric, 0);
         assert_eq!((a.from, a.tag, a.payload.byte_len()), (1, 7, 3));
         assert_eq!((b.from, b.tag, b.payload.byte_len()), (1, 8, 1));
     }
@@ -414,7 +403,7 @@ mod tests {
             }
         });
         for i in 0..(RING_CAPACITY * 3) {
-            let env = fabric.recv_next(0);
+            let env = recv_next(&fabric, 0);
             assert_eq!(env.tag, i as u64, "FIFO order across wraparound");
         }
         producer.join().unwrap();
@@ -424,7 +413,7 @@ mod tests {
     fn parked_consumer_is_woken_by_late_producer() {
         let fabric = SharedFabric::new(2);
         let f2 = Arc::clone(&fabric);
-        let consumer = std::thread::spawn(move || f2.recv_next(0).tag);
+        let consumer = std::thread::spawn(move || recv_next(&f2, 0).tag);
         // Let the consumer reach the parked state before sending.
         std::thread::sleep(std::time::Duration::from_millis(30));
         fabric.send(1, 0, 99, bytes(vec![5]));
@@ -437,8 +426,7 @@ mod tests {
         let values = Box::new(vec![1.0f64, 2.0, 3.0]);
         let ptr = values.as_ptr();
         fabric.send(1, 0, 5, TypedPayload::new(values));
-        let got = fabric
-            .recv_next(0)
+        let got = recv_next(&fabric, 0)
             .payload
             .into_values::<f64>(String::new)
             .expect("non-empty payload");
