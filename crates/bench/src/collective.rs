@@ -42,7 +42,7 @@
 use std::time::Instant;
 
 use chaos::adapt::{MonitorTopology, RemapController, RemapPolicy};
-use mpsim::{run, tree_rounds, ExchangeBackend, ExchangePlan, GroupMap, MachineConfig};
+use mpsim::{run, tree_rounds, ExchangePlan, GroupMap, MachineConfig};
 
 use crate::report::Json;
 
@@ -90,7 +90,6 @@ impl CollectiveResult {
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("name", Json::str(self.name)),
-            ("backend", Json::str(ExchangeBackend::Modeled.name())),
             ("ranks", Json::uint(self.ranks as u64)),
             ("measured_iters", Json::uint(self.measured_iters as u64)),
             ("wall_ms", Json::Num(self.wall_ms)),
@@ -123,13 +122,8 @@ where
     F: Fn(&mut mpsim::Rank, usize) + Send + Sync + 'static,
 {
     let start = Instant::now();
-    // Pinned to the modeled backend: the sweep scales to P = 1024, past the
-    // shared-memory fabric's MAX_SHARED_RANKS, and an environment-selected backend
-    // would otherwise panic the large points.
     let outcome = run(
-        MachineConfig::new(ranks)
-            .with_stack_size(SWEEP_STACK_BYTES)
-            .with_backend(ExchangeBackend::Modeled),
+        MachineConfig::new(ranks).with_stack_size(SWEEP_STACK_BYTES),
         move |rank| {
             iter(rank, 0);
             let t0 = rank.modeled();
@@ -290,7 +284,6 @@ mod tests {
         let text = r.to_json().render_pretty();
         for key in [
             "\"name\"",
-            "\"backend\": \"modeled\"",
             "\"ranks\"",
             "\"modeled_us_per_iter\"",
             "\"msgs_per_rank_iter\"",

@@ -20,8 +20,8 @@
 //!   wall-clock;
 //! * `exchange` — [`ExchangeReport`]: steady-state engine loops with modeled time,
 //!   [`mpsim::ExchangeStats`] counts and the buffer pool's allocation counters, and the
-//!   collective scaling sweep; `--check` gates zero steady-state allocations, backend
-//!   equivalence and log-depth collectives;
+//!   collective scaling sweep; `--check` gates zero steady-state allocations and
+//!   log-depth collectives;
 //! * `adapt` — [`AdaptReport`]: the remap-policy comparison of [`adapt`] with per-step
 //!   load-balance trajectories (no wall-clock, so CI can gate on two runs being
 //!   byte-identical);

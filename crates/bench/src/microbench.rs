@@ -28,17 +28,14 @@
 //! see [`MicrobenchResult::receive_owned`]) is asserted by the pool smoke tests, checked
 //! by `chaos-bench exchange --check` in CI, and reported in `BENCH_exchange.json`.
 //!
-//! Two sweeps extend the fixed 8-rank loops: [`rank_sweep`] runs the gather/scatter and
-//! append shapes at P = 2–64 ranks the way the paper's tables sweep processor counts, and
-//! [`backend_sweep`] runs the gather/scatter shape on both exchange backends.  The
+//! [`rank_sweep`] extends the fixed 8-rank loops: it runs the gather/scatter and append
+//! shapes at P = 2–64 ranks the way the paper's tables sweep processor counts.  The
 //! collectives scale further — [`crate::collective`] sweeps them to P = 1024.
 
 use std::time::Instant;
 
 use chaos::prelude::*;
-use mpsim::{
-    run, ExchangeBackend, ExchangeStats, MachineConfig, PackPoolStats, Rank, TimeSnapshot,
-};
+use mpsim::{run, ExchangeStats, MachineConfig, PackPoolStats, Rank, TimeSnapshot};
 
 use crate::collective::{
     collective_scaling_violations, collective_sweep_at, CollectiveResult, COLLECTIVE_SWEEP_POINTS,
@@ -58,9 +55,6 @@ pub struct MicrobenchConfig {
     pub elements: usize,
     /// Items per rank for the append loop.
     pub items_per_rank: usize,
-    /// Exchange backend the simulated machine runs on.  Defaults to the
-    /// environment-selected backend (`MPSIM_BACKEND`); [`backend_sweep`] pins each.
-    pub backend: ExchangeBackend,
 }
 
 impl Default for MicrobenchConfig {
@@ -71,7 +65,6 @@ impl Default for MicrobenchConfig {
             measured_iters: 32,
             elements: 4096,
             items_per_rank: 512,
-            backend: ExchangeBackend::from_env(),
         }
     }
 }
@@ -82,8 +75,6 @@ impl Default for MicrobenchConfig {
 pub struct MicrobenchResult {
     /// Benchmark name (stable across runs; the JSON key CI compares on).
     pub name: &'static str,
-    /// Exchange backend the loop ran on (`"modeled"` or `"shared"`).
-    pub backend: &'static str,
     /// Machine size the loop ran on.
     pub ranks: usize,
     /// Whether the loop's placement takes ownership of its payloads (`Placed::into_vec`,
@@ -99,10 +90,7 @@ pub struct MicrobenchResult {
     pub wall_ms: f64,
     /// Checksum of the loop's final data, summed over ranks.  Every harness arranges
     /// integer-valued (or dyadic-rational) `f64` contents whose sums are exact, so the
-    /// fingerprint is independent of message arrival order and must be bit-identical
-    /// across backends — the cheap cross-backend equivalence probe
-    /// ([`backend_equivalence_violations`]); the exhaustive byte-identity pins live in
-    /// the `backend_equivalence` integration tests.
+    /// fingerprint is independent of message arrival order.
     pub fingerprint: f64,
     /// Modeled compute time of the measurement window, max over ranks (µs).
     pub modeled_compute_us: f64,
@@ -153,7 +141,6 @@ impl MicrobenchResult {
         let reduction = (self.allocation_reduction_pct() * 100.0).round() / 100.0;
         Json::obj(vec![
             ("name", Json::str(self.name)),
-            ("backend", Json::str(self.backend)),
             ("ranks", Json::uint(self.ranks as u64)),
             ("elem_bytes", Json::uint(8)),
             ("receive_owned", Json::Bool(self.receive_owned)),
@@ -202,10 +189,9 @@ impl MicrobenchResult {
     /// One-line human-readable summary.
     pub fn summary_line(&self) -> String {
         format!(
-            "{:<27} [{:<7}] {:>2} ranks  {:>3} iters  {:>4} msgs/iter  wall {:>8.2} ms  \
+            "{:<27} {:>2} ranks  {:>3} iters  {:>4} msgs/iter  wall {:>8.2} ms  \
              modeled {:>10.1} us  allocs {:>5} (steady {:>3}{})  -{:.1}%",
             self.name,
-            self.backend,
             self.ranks,
             self.measured_iters,
             self.msgs_per_iter(),
@@ -249,7 +235,7 @@ fn instrumented_loop(
     }
 }
 
-/// Run one steady-state loop on a `cfg.ranks`-rank machine of `cfg.backend`: `body` sets
+/// Run one steady-state loop on a `cfg.ranks`-rank machine: `body` sets
 /// up each rank, measures it through [`instrumented_loop`] and returns the measure with
 /// the rank's fingerprint; the per-rank results fold into one [`MicrobenchResult`].
 fn run_loop(
@@ -259,9 +245,10 @@ fn run_loop(
     body: impl Fn(&mut Rank, &MicrobenchConfig) -> (RankMeasure, f64) + Send + Sync + 'static,
 ) -> MicrobenchResult {
     let start = Instant::now();
-    let machine = MachineConfig::new(cfg.ranks).with_backend(cfg.backend);
     let rank_cfg = cfg.clone();
-    let outcome = run(machine, move |rank| body(rank, &rank_cfg));
+    let outcome = run(MachineConfig::new(cfg.ranks), move |rank| {
+        body(rank, &rank_cfg)
+    });
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let mut exchange = ExchangeStats::default();
     let mut pool_steady = PackPoolStats::default();
@@ -279,7 +266,6 @@ fn run_loop(
     }
     MicrobenchResult {
         name,
-        backend: cfg.backend.name(),
         ranks: cfg.ranks,
         receive_owned,
         warmup_iters: cfg.warmup_iters,
@@ -482,75 +468,6 @@ pub fn rank_sweep(base: &MicrobenchConfig) -> Vec<MicrobenchResult> {
     out
 }
 
-/// Machine sizes of the backend comparison: self-delivery only (P = 1), one pair
-/// (P = 2) and the classic configuration (P = 8) — all well under
-/// [`mpsim::shared::MAX_SHARED_RANKS`].
-pub const BACKEND_SWEEP_POINTS: &[usize] = &[1, 2, 8];
-
-/// Run the gather/scatter shape on both backends at every point of
-/// [`BACKEND_SWEEP_POINTS`].  Modeled time, wire statistics and fingerprints must come
-/// out identical ([`backend_equivalence_violations`] gates that).  The backends' wall
-/// clocks are compared end to end by the repo benchmark's `finegrain_shared` and
-/// `finegrain_modeled` workloads, not here.
-pub fn backend_sweep(base: &MicrobenchConfig) -> Vec<MicrobenchResult> {
-    let mut out = Vec::new();
-    for &ranks in BACKEND_SWEEP_POINTS {
-        for backend in [ExchangeBackend::Modeled, ExchangeBackend::SharedMem] {
-            out.push(gather_scatter_steady(&MicrobenchConfig {
-                ranks,
-                backend,
-                ..base.clone()
-            }));
-        }
-    }
-    out
-}
-
-/// The `--check` gate over a [`backend_sweep`]: rows describing the same loop at the
-/// same machine size must agree on fingerprint, wire statistics and modeled time across
-/// backends (the equivalence contract).
-pub fn backend_equivalence_violations(results: &[MicrobenchResult]) -> Vec<String> {
-    let mut v = Vec::new();
-    for a in results.iter().filter(|r| r.backend == "modeled") {
-        let Some(b) = results
-            .iter()
-            .find(|r| r.backend == "shared" && r.name == a.name && r.ranks == a.ranks)
-        else {
-            v.push(format!(
-                "{} (P={}): modeled row has no shared-backend counterpart",
-                a.name, a.ranks
-            ));
-            continue;
-        };
-        if a.fingerprint != b.fingerprint {
-            v.push(format!(
-                "{} (P={}): fingerprints diverge across backends ({} vs {})",
-                a.name, a.ranks, a.fingerprint, b.fingerprint
-            ));
-        }
-        if a.exchange != b.exchange {
-            v.push(format!(
-                "{} (P={}): wire statistics diverge across backends ({:?} vs {:?})",
-                a.name, a.ranks, a.exchange, b.exchange
-            ));
-        }
-        // Modeled time gets a few-ULP relative tolerance rather than exact equality:
-        // the shared backend delivers messages in real arrival order, so the identical
-        // set of cost-model charges can be *summed* in a different order, and f64
-        // addition is not associative.  Anything beyond ULP noise is a genuine
-        // cost-model divergence.
-        let tol = 1e-9 * a.modeled_total_us.abs().max(b.modeled_total_us.abs());
-        if (a.modeled_total_us - b.modeled_total_us).abs() > tol {
-            v.push(format!(
-                "{} (P={}): modeled time diverges across backends ({} vs {} us) — the \
-                 backends must charge the identical cost model",
-                a.name, a.ranks, a.modeled_total_us, b.modeled_total_us
-            ));
-        }
-    }
-    v
-}
-
 /// The pinned steady-state invariant, as CI enforces it: no borrow-only loop may
 /// allocate a message buffer after warm-up (ownership-taking loops hand their payloads to
 /// the application, so their pool allocations are the data itself, not engine
@@ -574,11 +491,8 @@ pub(crate) type Section = (&'static str, fn(&MicrobenchConfig) -> Vec<Microbench
 /// Every microbenchmark section of the report, in document order.  [`ExchangeReport`]
 /// renders exactly these sections and its `--check` gate iterates the same rows, so a
 /// loop cannot appear in the artifact without also being gated (and vice versa).
-pub(crate) const SECTIONS: [Section; 3] = [
-    ("benches", all_microbenches),
-    ("rank_sweep", rank_sweep),
-    ("backend_sweep", backend_sweep),
-];
+pub(crate) const SECTIONS: [Section; 2] =
+    [("benches", all_microbenches), ("rank_sweep", rank_sweep)];
 
 /// The host's available parallelism (the context every wall-clock figure in the report
 /// must be read against; recorded as `host_cores`).
@@ -586,7 +500,7 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// The `exchange` artifact (schema `chaos-bench/exchange/v8`, documented in
+/// The `exchange` artifact (schema `chaos-bench/exchange/v9`, documented in
 /// `BENCHMARKS.md`): every `SECTIONS` row at one configuration plus the collective
 /// scaling sweep of [`crate::collective`].
 pub struct ExchangeReport {
@@ -606,7 +520,7 @@ impl ExchangeReport {
 
 impl Artifact for ExchangeReport {
     const NAME: &'static str = "exchange";
-    const VERSION: u32 = 8;
+    const VERSION: u32 = 9;
 
     fn print(&self) {
         println!(
@@ -638,11 +552,8 @@ impl Artifact for ExchangeReport {
 
     fn violations(&self) -> Option<Vec<String>> {
         let mut v = Vec::new();
-        for (name, rows) in &self.sections {
+        for (_, rows) in &self.sections {
             v.extend(steady_state_violations(rows));
-            if *name == "backend_sweep" {
-                v.extend(backend_equivalence_violations(rows));
-            }
         }
         v.extend(collective_scaling_violations(&self.collectives));
         Some(v)
@@ -660,7 +571,6 @@ mod tests {
             measured_iters: 4,
             elements: 256,
             items_per_rank: 64,
-            ..MicrobenchConfig::default()
         }
     }
 
@@ -760,22 +670,19 @@ mod tests {
                     vec![gather_scatter_steady(&tiny()), remap_steady(&tiny())],
                 ),
                 ("rank_sweep", vec![scatter_append_steady(&tiny())]),
-                ("backend_sweep", vec![]),
             ],
             collectives: crate::collective::collective_sweep_at(&[4]),
         };
         let text = crate::report::document(&report).render_pretty();
-        assert!(text.contains("\"schema\": \"chaos-bench/exchange/v8\""));
+        assert!(text.contains("\"schema\": \"chaos-bench/exchange/v9\""));
         assert!(text.contains("chaos-bench -- exchange --json"));
         assert!(text.contains("\"host_cores\""));
         assert!(text.contains("\"gather_scatter_steady\""));
         assert!(text.contains("\"remap_steady\""));
         assert!(text.contains("\"rank_sweep\""));
-        assert!(text.contains("\"backend_sweep\": []"));
         assert!(text.contains("\"collective_sweep\""));
         assert!(text.contains("\"all_reduce\""));
         assert!(text.contains("\"msgs_per_rank_iter\""));
-        assert!(text.contains("\"backend\""));
         assert!(text.contains("\"fingerprint\""));
         assert!(text.contains("\"steady_allocations\": 0"));
         assert!(text.contains("\"receive_owned\": true"));
@@ -784,69 +691,9 @@ mod tests {
             "\"delta\"",
             "wall_ns_per_iter",
             "element_size",
+            "\"backend",
         ] {
-            assert!(!text.contains(gone), "v8 has no {gone}");
+            assert!(!text.contains(gone), "v9 has no {gone}");
         }
-    }
-
-    #[test]
-    fn backends_agree_on_everything_but_wall_clock() {
-        // The backend gate at unit-test scale: fingerprints, wire statistics and
-        // modeled time must be identical across backends.  Wall-clock is reported by
-        // the full-scale sweep, never gated — a 4-iteration window is too noisy to time.
-        let mut results = Vec::new();
-        for backend in [ExchangeBackend::Modeled, ExchangeBackend::SharedMem] {
-            let cfg = MicrobenchConfig { backend, ..tiny() };
-            results.push(gather_scatter_steady(&cfg));
-            results.push(fused_gather_scatter_steady(&cfg));
-            results.push(overlap_gather_steady(&cfg));
-            results.push(scatter_append_steady(&cfg));
-        }
-        assert!(results.iter().any(|r| r.backend == "shared"));
-        let diverged: Vec<String> = backend_equivalence_violations(&results)
-            .into_iter()
-            .filter(|v| v.contains("diverge"))
-            .collect();
-        assert!(diverged.is_empty(), "{diverged:?}");
-        // Shared steady loops stay allocation-free, exactly like modeled ones.
-        assert!(steady_state_violations(&results).is_empty());
-    }
-
-    #[test]
-    fn backend_gate_fires_on_divergence_and_missing_counterpart() {
-        // Backends pinned explicitly — under MPSIM_BACKEND=shared the default config
-        // would otherwise produce two shared rows and the pairing loop would be empty.
-        let cfg = tiny();
-        let a = gather_scatter_steady(&MicrobenchConfig {
-            backend: ExchangeBackend::Modeled,
-            ..cfg.clone()
-        });
-        let mut b = gather_scatter_steady(&MicrobenchConfig {
-            backend: ExchangeBackend::SharedMem,
-            ..cfg
-        });
-        b.fingerprint += 1.0;
-        b.modeled_total_us *= 1.5;
-        let v = backend_equivalence_violations(&[a.clone(), b.clone()]);
-        assert!(
-            v.iter().any(|m| m.contains("fingerprints diverge")),
-            "{v:?}"
-        );
-        assert!(
-            v.iter().any(|m| m.contains("modeled time diverges")),
-            "{v:?}"
-        );
-        // A missing counterpart is reported rather than silently unpaired.
-        let v = backend_equivalence_violations(std::slice::from_ref(&a));
-        assert!(v.iter().any(|m| m.contains("no shared-backend")), "{v:?}");
-    }
-
-    #[test]
-    fn microbench_sections_cover_the_backend_sweep() {
-        // `SECTIONS` is what both the artifact and the `--check` gate iterate: the
-        // backend sweep must be one of its sections, or a backend divergence would
-        // escape CI.  Names only — nothing runs.
-        let names: Vec<&str> = SECTIONS.iter().map(|&(name, _)| name).collect();
-        assert_eq!(names, ["benches", "rank_sweep", "backend_sweep"]);
     }
 }

@@ -21,7 +21,6 @@ fn cfg() -> MicrobenchConfig {
         measured_iters: 16,
         elements: 1024,
         items_per_rank: 128,
-        ..MicrobenchConfig::default()
     }
 }
 

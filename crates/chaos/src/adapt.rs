@@ -147,11 +147,6 @@ impl LoadMonitor {
         &self.lb_history
     }
 
-    /// The most recent load-balance index, if any step has been recorded.
-    pub fn latest_lb(&self) -> Option<f64> {
-        self.lb_history.last().copied()
-    }
-
     /// Total imbalance loss accumulated since the last [`LoadMonitor::reset_window`]: the
     /// sum over every observed step of `max - mean` compute microseconds — the compute
     /// time that would have been saved had the machine been perfectly balanced throughout.

@@ -186,7 +186,7 @@ impl TranslationTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpsim::{run, ExchangeBackend, MachineConfig};
+    use mpsim::{run, MachineConfig};
 
     /// An irregular map used by several tests: owner(g) = (g*7+3) mod nprocs.
     fn test_map(n: usize, nprocs: usize) -> Vec<ProcId> {
@@ -268,23 +268,21 @@ mod tests {
         // Only rank 1's slice is bad.  Validating before the gather would return early on
         // rank 1 and leave ranks 0 and 2 waiting in it; every rank must instead finish
         // with the same error, naming the element by its global index.
-        for backend in [ExchangeBackend::Modeled, ExchangeBackend::SharedMem] {
-            let out = run(MachineConfig::new(3).with_backend(backend), |rank| {
-                let map_dist = BlockDist::new(9, 3);
-                let mut local = vec![rank.rank(); 3];
-                if rank.rank() == 1 {
-                    local[0] = 9;
-                }
-                TranslationTable::replicated_from_map(rank, &local, &map_dist).err()
-            });
-            let want = ChaosError::OwnerOutOfRange {
-                index: 3,
-                owner: 9,
-                nprocs: 3,
-            };
-            for err in &out.results {
-                assert_eq!(err.as_ref(), Some(&want), "{backend:?}");
+        let out = run(MachineConfig::new(3), |rank| {
+            let map_dist = BlockDist::new(9, 3);
+            let mut local = vec![rank.rank(); 3];
+            if rank.rank() == 1 {
+                local[0] = 9;
             }
+            TranslationTable::replicated_from_map(rank, &local, &map_dist).err()
+        });
+        let want = ChaosError::OwnerOutOfRange {
+            index: 3,
+            owner: 9,
+            nprocs: 3,
+        };
+        for err in &out.results {
+            assert_eq!(err.as_ref(), Some(&want));
         }
     }
 

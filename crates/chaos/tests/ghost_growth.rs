@@ -11,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 
 use chaos::prelude::*;
-use mpsim::{run, ExchangeBackend, MachineConfig};
+use mpsim::{run, MachineConfig};
 
 /// The system allocator with in-place `realloc` taken away.
 struct MovingRealloc;
@@ -57,52 +57,45 @@ fn growth_moves_the_section_and_keeps_every_value() {
 #[test]
 fn gather_right_after_a_reallocating_growth_fills_the_new_allocation() {
     // The executor grows the ghost region first and borrows the owned and ghost
-    // sections after.  Issued right after a growth that moved the array, a gather on
-    // either backend must fill the array as it is now: every reference reads the right
+    // sections after.  Issued right after a growth that moved the array, a gather
+    // must fill the array as it is now: every reference reads the right
     // value and the owned values moved along.
     const N: usize = 512;
     let value = |g: usize| g as f64 * 0.5 + 3.0;
-    for backend in [ExchangeBackend::Modeled, ExchangeBackend::SharedMem] {
-        for p in [1, 2, 3, 8] {
-            let out = run(MachineConfig::new(p).with_backend(backend), move |rank| {
-                let dist = BlockDist::new(N, rank.nprocs());
-                let ttable = TranslationTable::from_regular(&dist);
-                let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
-                let range = dist.local_range(rank.rank());
-                let mut x = DistArray::new(range.clone().map(value).collect(), 0);
+    for p in [1, 2, 3, 8] {
+        let out = run(MachineConfig::new(p), move |rank| {
+            let dist = BlockDist::new(N, rank.nprocs());
+            let ttable = TranslationTable::from_regular(&dist);
+            let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
+            let range = dist.local_range(rank.rank());
+            let mut x = DistArray::new(range.clone().map(value).collect(), 0);
 
-                // A first, small gather sizes the ghost region for a handful of slots.
-                let few: Vec<usize> = (0..8).map(|i| (i * 61 + 1) % N).collect();
-                let few_refs = hash.hash_in_replicated(rank, &ttable, &few, Stamp::new(0));
-                let sched =
-                    build_schedule_from_table(rank, &hash, StampQuery::single(Stamp::new(0)));
-                gather(rank, &sched, &mut x);
+            // A first, small gather sizes the ghost region for a handful of slots.
+            let few: Vec<usize> = (0..8).map(|i| (i * 61 + 1) % N).collect();
+            let few_refs = hash.hash_in_replicated(rank, &ttable, &few, Stamp::new(0));
+            let sched = build_schedule_from_table(rank, &hash, StampQuery::single(Stamp::new(0)));
+            gather(rank, &sched, &mut x);
 
-                // Then every element is referenced and the ghost region must grow.
-                let all: Vec<usize> = (0..N).collect();
-                let all_refs = hash.hash_in_replicated(rank, &ttable, &all, Stamp::new(1));
-                let sched =
-                    build_schedule_from_table(rank, &hash, StampQuery::single(Stamp::new(1)));
-                let before = x.owned().as_ptr();
-                x.ensure_ghost(sched.ghost_len());
-                let moved = x.owned().as_ptr() != before;
-                gather(rank, &sched, &mut x);
+            // Then every element is referenced and the ghost region must grow.
+            let all: Vec<usize> = (0..N).collect();
+            let all_refs = hash.hash_in_replicated(rank, &ttable, &all, Stamp::new(1));
+            let sched = build_schedule_from_table(rank, &hash, StampQuery::single(Stamp::new(1)));
+            let before = x.owned().as_ptr();
+            x.ensure_ghost(sched.ghost_len());
+            let moved = x.owned().as_ptr() != before;
+            gather(rank, &sched, &mut x);
 
-                for (&g, &r) in few.iter().zip(&few_refs).chain(all.iter().zip(&all_refs)) {
-                    assert_eq!(x[r], value(g), "global {g} through {r:?}");
-                }
-                assert!(x.owned().iter().copied().eq(range.map(value)));
-                (moved, x.len())
-            });
-            for (moved, len) in out.results {
-                // At P = 2 the first growth's amortized capacity may already cover the
-                // second; from P = 3 on the array at least triples and has to move.
-                assert!(
-                    moved || p < 3,
-                    "{backend:?}, P = {p}: the growth did not reallocate"
-                );
-                assert_eq!(len, N, "every off-processor element has a slot");
+            for (&g, &r) in few.iter().zip(&few_refs).chain(all.iter().zip(&all_refs)) {
+                assert_eq!(x[r], value(g), "global {g} through {r:?}");
             }
+            assert!(x.owned().iter().copied().eq(range.map(value)));
+            (moved, x.len())
+        });
+        for (moved, len) in out.results {
+            // At P = 2 the first growth's amortized capacity may already cover the
+            // second; from P = 3 on the array at least triples and has to move.
+            assert!(moved || p < 3, "P = {p}: the growth did not reallocate");
+            assert_eq!(len, N, "every off-processor element has a slot");
         }
     }
 }

@@ -4,8 +4,7 @@
 //! global atom id), then of every rank's `phases.total()` in rank order.  The table was
 //! recorded before the driver's inspector and executor moved onto `chaos::LoopGroup`;
 //! that move must perform the same hashing, the same schedule upkeep and the same `f64`
-//! operations in the same order, so every fingerprint repeats exactly on both exchange
-//! backends.
+//! operations in the same order, so every fingerprint repeats exactly.
 //!
 //! Only P ∈ {1, 2} is pinned bit for bit: with at most one remote contributor a
 //! scatter-add's arrival order is fixed.  At P ∈ {3, 5} contributions from two peers
@@ -14,7 +13,7 @@
 
 use charmm::parallel::{run_parallel, ParallelConfig, ScheduleMode};
 use charmm::system::{MolecularSystem, SystemConfig};
-use mpsim::{run, ExchangeBackend, MachineConfig};
+use mpsim::{run, MachineConfig};
 
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -43,15 +42,9 @@ struct Words {
     ints: Vec<u64>,
 }
 
-fn run_words(
-    procs: usize,
-    mode: ScheduleMode,
-    repartition: Option<usize>,
-    backend: ExchangeBackend,
-) -> Words {
+fn run_words(procs: usize, mode: ScheduleMode, repartition: Option<usize>) -> Words {
     let cfg = config(mode, repartition);
-    let machine = MachineConfig::new(procs).with_backend(backend);
-    let out = run(machine, move |rank| {
+    let out = run(MachineConfig::new(procs), move |rank| {
         let system = MolecularSystem::build(&SystemConfig::small(21));
         run_parallel(rank, &system, &cfg)
     });
@@ -91,8 +84,6 @@ fn run_words(
     Words { bits, ints }
 }
 
-const BACKENDS: [ExchangeBackend; 2] = [ExchangeBackend::Modeled, ExchangeBackend::SharedMem];
-
 /// `(P, mode, repartition interval, fingerprint of the bit words then the integer
 /// words)`.
 const BITS: [(usize, ScheduleMode, Option<usize>, u64); 8] = [
@@ -118,19 +109,15 @@ const COUNTS: [(usize, ScheduleMode, Option<usize>, u64); 8] = [
     (5, ScheduleMode::Multiple, Some(4), 0x85194cafa857975c),
 ];
 
-/// Run every row of `table` on both backends; `pick` chooses which words to
-/// fingerprint.  Mismatches are collected and reported together, as table rows.
+/// Run every row of `table`; `pick` chooses which words to fingerprint.  Mismatches are collected and reported together, as table rows.
 fn check(table: &[(usize, ScheduleMode, Option<usize>, u64)], pick: fn(Words) -> Vec<u64>) {
     let mut wrong = Vec::new();
     for &(procs, mode, repartition, expected) in table {
-        for backend in BACKENDS {
-            let got = fnv1a(pick(run_words(procs, mode, repartition, backend)));
-            if got != expected {
-                wrong.push(format!(
-                    "    ({procs}, ScheduleMode::{mode:?}, {repartition:?}, {got:#018x}), \
-                     // {backend:?}"
-                ));
-            }
+        let got = fnv1a(pick(run_words(procs, mode, repartition)));
+        if got != expected {
+            wrong.push(format!(
+                "    ({procs}, ScheduleMode::{mode:?}, {repartition:?}, {got:#018x}),"
+            ));
         }
     }
     assert!(

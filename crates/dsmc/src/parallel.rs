@@ -737,7 +737,7 @@ mod tests {
     use super::*;
     use crate::particles::{seed_particles, FlowConfig};
     use crate::sequential::SequentialDsmc;
-    use mpsim::{run, ExchangeBackend, MachineConfig};
+    use mpsim::{run, MachineConfig};
 
     fn merged_fingerprint(results: &[DsmcStats]) -> Vec<(usize, Vec<u64>)> {
         let mut all: Vec<(usize, Vec<u64>)> =
@@ -1135,44 +1135,39 @@ mod tests {
         let (nparticles, nsteps, dt) = (300, 10, 0.4);
         let seq = sequential_fingerprint(grid, nparticles, flow, nsteps, dt, 81);
         for nprocs in [1, 3, 5] {
-            for backend in [ExchangeBackend::Modeled, ExchangeBackend::SharedMem] {
-                for move_mode in [
-                    MoveMode::Lightweight,
-                    MoveMode::Patched {
-                        rebuild_every_step: false,
-                    },
-                ] {
-                    for remap in [RemapStrategy::Chain, RemapStrategy::RecursiveBisection] {
-                        let config = DsmcConfig {
-                            nsteps,
-                            dt,
-                            move_mode,
-                            remap,
-                            remap_interval: 3,
-                            policy: None,
-                            monitor_group: None,
-                            seed: 81,
-                        };
-                        let results = run(
-                            MachineConfig::new(nprocs).with_backend(backend),
-                            move |rank| {
-                                let particles = seed_particles(&grid, nparticles, &flow);
-                                run_parallel(rank, &grid, &particles, &config)
-                            },
-                        )
-                        .results;
-                        let what = format!("P={nprocs} {backend:?} {move_mode:?} {remap:?}");
-                        assert!(results.iter().all(|s| s.remaps == 3), "{what}");
-                        let mut cells: Vec<usize> = results
-                            .iter()
-                            .flat_map(|s| s.fingerprint.iter().map(|(c, _)| *c))
-                            .collect();
-                        let listed = cells.len();
-                        cells.sort_unstable();
-                        cells.dedup();
-                        assert_eq!(cells.len(), listed, "a cell on two ranks: {what}");
-                        assert_eq!(merged_fingerprint(&results), seq, "{what}");
-                    }
+            for move_mode in [
+                MoveMode::Lightweight,
+                MoveMode::Patched {
+                    rebuild_every_step: false,
+                },
+            ] {
+                for remap in [RemapStrategy::Chain, RemapStrategy::RecursiveBisection] {
+                    let config = DsmcConfig {
+                        nsteps,
+                        dt,
+                        move_mode,
+                        remap,
+                        remap_interval: 3,
+                        policy: None,
+                        monitor_group: None,
+                        seed: 81,
+                    };
+                    let results = run(MachineConfig::new(nprocs), move |rank| {
+                        let particles = seed_particles(&grid, nparticles, &flow);
+                        run_parallel(rank, &grid, &particles, &config)
+                    })
+                    .results;
+                    let what = format!("P={nprocs} {move_mode:?} {remap:?}");
+                    assert!(results.iter().all(|s| s.remaps == 3), "{what}");
+                    let mut cells: Vec<usize> = results
+                        .iter()
+                        .flat_map(|s| s.fingerprint.iter().map(|(c, _)| *c))
+                        .collect();
+                    let listed = cells.len();
+                    cells.sort_unstable();
+                    cells.dedup();
+                    assert_eq!(cells.len(), listed, "a cell on two ranks: {what}");
+                    assert_eq!(merged_fingerprint(&results), seq, "{what}");
                 }
             }
         }
@@ -1181,8 +1176,8 @@ mod tests {
     #[test]
     fn long_steps_through_the_wrap_fallback_match_sequential() {
         // A step long enough to carry molecules more than one box length in y and z sends
-        // the periodic wrap down its `rem_euclid` fallback; every backend, MOVE mode and
-        // machine size must still reproduce the sequential oracle.
+        // the periodic wrap down its `rem_euclid` fallback; every MOVE mode and machine
+        // size must still reproduce the sequential oracle.
         let grid = CellGrid::new_3d(4, 3, 2);
         let flow = FlowConfig::directional(91);
         let (nparticles, nsteps, dt) = (300, 8, 20.0);
@@ -1196,34 +1191,29 @@ mod tests {
         }
         let seq = sequential_fingerprint(grid, nparticles, flow, nsteps, dt, 91);
         for nprocs in [1, 2, 3] {
-            for backend in [ExchangeBackend::Modeled, ExchangeBackend::SharedMem] {
-                for move_mode in [
-                    MoveMode::Lightweight,
-                    MoveMode::Patched {
-                        rebuild_every_step: false,
-                    },
-                ] {
-                    let config = DsmcConfig {
-                        nsteps,
-                        dt,
-                        move_mode,
-                        remap: RemapStrategy::Chain,
-                        remap_interval: 3,
-                        policy: None,
-                        monitor_group: None,
-                        seed: 91,
-                    };
-                    let results = run(
-                        MachineConfig::new(nprocs).with_backend(backend),
-                        move |rank| {
-                            let particles = seed_particles(&grid, nparticles, &flow);
-                            run_parallel(rank, &grid, &particles, &config)
-                        },
-                    )
-                    .results;
-                    let what = format!("P={nprocs} {backend:?} {move_mode:?}");
-                    assert_eq!(merged_fingerprint(&results), seq, "{what}");
-                }
+            for move_mode in [
+                MoveMode::Lightweight,
+                MoveMode::Patched {
+                    rebuild_every_step: false,
+                },
+            ] {
+                let config = DsmcConfig {
+                    nsteps,
+                    dt,
+                    move_mode,
+                    remap: RemapStrategy::Chain,
+                    remap_interval: 3,
+                    policy: None,
+                    monitor_group: None,
+                    seed: 91,
+                };
+                let results = run(MachineConfig::new(nprocs), move |rank| {
+                    let particles = seed_particles(&grid, nparticles, &flow);
+                    run_parallel(rank, &grid, &particles, &config)
+                })
+                .results;
+                let what = format!("P={nprocs} {move_mode:?}");
+                assert_eq!(merged_fingerprint(&results), seq, "{what}");
             }
         }
     }

@@ -50,11 +50,6 @@ impl SequentialDsmc {
         self.cells.iter().map(Vec::len).sum()
     }
 
-    /// Molecule count per cell (the per-cell workload the partitioners consume).
-    pub fn cell_counts(&self) -> Vec<usize> {
-        self.cells.iter().map(Vec::len).collect()
-    }
-
     /// Advance one time step: collide within cells, then move molecules and re-bin them
     /// (the MOVE phase of Figure 3).
     pub fn step(&mut self) {

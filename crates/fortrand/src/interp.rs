@@ -355,13 +355,6 @@ impl<'p> Executor<'p> {
         self.mod_counter[slot] += 1;
     }
 
-    /// Record that the host modified an integer array in place (statement S of Figure 2):
-    /// schedules depending on it will be regenerated at their next execution.
-    pub fn mark_modified(&mut self, name: &str) {
-        let slot = self.integer_slot(name);
-        self.mod_counter[slot] += 1;
-    }
-
     /// Gather a distributed real array back to its global form (collective).
     pub fn get_real_array(&mut self, rank: &mut Rank, name: &str) -> Vec<f64> {
         let state = &self.reals[self.real_slot(name, false)];
@@ -1823,7 +1816,7 @@ mod tests {
     /// fallback iteration set (extent ≠ decomposition size) under an irregular
     /// distribution — used to write through another rank's offset in release builds.
     /// The check now lives where the subscript stream is born and runs in every build
-    /// (CI's `shared-backend-release` lane runs this test with optimizations on).
+    /// (CI's `release` lane runs this test with optimizations on).
     #[test]
     #[should_panic(expected = "assignment to F(1) on rank 0, but the element is owned by rank 1")]
     fn assignment_to_an_unowned_element_panics_in_every_build() {

@@ -5,20 +5,20 @@
 //! stashes any other message that arrives first and delivers it later — which gives the
 //! deterministic, MPI-like matching semantics the CHAOS executor relies on.
 //!
-//! The physical wire under the mailbox is chosen by the machine's
-//! [`crate::ExchangeBackend`]: one unbounded mpsc channel per rank (the modeled
-//! transport) or the per-pair lock-free SPSC rings of [`crate::shared`].  Matching
-//! semantics are identical either way; only host wall-clock behaviour differs.
+//! The wire is one unbounded mpsc channel per rank.  A mailbox holds senders into its
+//! peers' channels only; a message a rank sends to itself goes straight onto its own
+//! stash.  So once every peer has exited, a receive that is still waiting sees the
+//! channel disconnect and panics ("all senders dropped …") instead of blocking forever,
+//! and a send to an exited rank panics too.  Which [`crate::ExchangeBackend`] a machine
+//! names does not matter here: both build this mailbox.
 //!
-//! Both wires wait the same way (`Mailbox::recv_next`): a receiver polls its wire up to
-//! a budget chosen once per machine, yielding between polls, and only then blocks — in
-//! the channel's `recv`, or on the fabric's doorbell.
+//! A receiver waits in two steps (`Mailbox::recv_next`): it polls the channel up to a
+//! budget chosen once per machine, yielding between polls, and only then blocks in the
+//! channel's `recv`.
 
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::Arc;
 
 use crate::message::{Envelope, TypedPayload};
-use crate::shared::SharedFabric;
 
 /// Polls a receiver makes (yielding between polls) before it blocks, when every rank
 /// thread can have its own core.  Exchanges that are already in flight complete within
@@ -51,68 +51,35 @@ fn host_spin_budget(nprocs: usize) -> usize {
 /// Why a receive can never complete: every rank that could send to it is gone.
 pub(crate) const DISCONNECTED: &str = "all senders dropped while a receive was outstanding";
 
-/// The physical transport behind one mailbox.
-enum Transport {
-    /// One unbounded mpsc channel per rank (modeled backend).
-    Channel {
-        senders: Vec<Sender<Envelope>>,
-        receiver: Receiver<Envelope>,
-    },
-    /// Per-pair SPSC rings (shared-memory backend).
-    Shared { fabric: Arc<SharedFabric> },
-}
-
 /// The per-rank communication endpoint.
 pub struct Mailbox {
     rank: usize,
-    transport: Transport,
-    /// Messages that arrived but have not yet been asked for.
+    /// Senders into every rank's channel, `None` at this rank's own index: holding no
+    /// sender to itself is what lets the channel disconnect once every peer has exited.
+    peers: Vec<Option<Sender<Envelope>>>,
+    receiver: Receiver<Envelope>,
+    /// Messages that arrived but have not yet been asked for, self-sends included.
     pending: Vec<Envelope>,
     /// Polls before each block, the machine's [`spin_budget`].
     spin_sweeps: usize,
 }
 
 impl Mailbox {
-    /// Create the fully connected set of mailboxes for `nprocs` ranks over the modeled
-    /// (mpsc channel) transport.
+    /// Create the fully connected set of mailboxes for `nprocs` ranks.
     pub fn create_all(nprocs: usize) -> Vec<Mailbox> {
-        let mut senders = Vec::with_capacity(nprocs);
-        let mut receivers = Vec::with_capacity(nprocs);
-        for _ in 0..nprocs {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            receivers.push(rx);
-        }
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..nprocs).map(|_| channel()).unzip();
         let spin_sweeps = host_spin_budget(nprocs);
         receivers
             .into_iter()
             .enumerate()
             .map(|(rank, receiver)| Mailbox {
                 rank,
-                transport: Transport::Channel {
-                    senders: senders.clone(),
-                    receiver,
-                },
-                pending: Vec::new(),
-                spin_sweeps,
-            })
-            .collect()
-    }
-
-    /// Create the fully connected set of mailboxes for `nprocs` ranks over the
-    /// shared-memory SPSC fabric.
-    ///
-    /// # Panics
-    /// Panics if `nprocs` exceeds [`crate::shared::MAX_SHARED_RANKS`].
-    pub fn create_shared(nprocs: usize) -> Vec<Mailbox> {
-        let fabric = SharedFabric::new(nprocs);
-        let spin_sweeps = host_spin_budget(nprocs);
-        (0..nprocs)
-            .map(|rank| Mailbox {
-                rank,
-                transport: Transport::Shared {
-                    fabric: Arc::clone(&fabric),
-                },
+                peers: senders
+                    .iter()
+                    .enumerate()
+                    .map(|(to, tx)| (to != rank).then(|| tx.clone()))
+                    .collect(),
+                receiver,
                 pending: Vec::new(),
                 spin_sweeps,
             })
@@ -126,82 +93,55 @@ impl Mailbox {
 
     /// Number of ranks in the machine.
     pub fn nprocs(&self) -> usize {
-        match &self.transport {
-            Transport::Channel { senders, .. } => senders.len(),
-            Transport::Shared { fabric } => fabric.nprocs(),
-        }
+        self.peers.len()
     }
 
     /// Send `payload` to rank `to` with the given `tag`.
     ///
-    /// Sends are buffered and never block on the modeled transport; the shared-memory
-    /// transport blocks (yielding) only while the destination's ring is full.  Sending to
-    /// oneself is allowed (the message is delivered through the same matching path as any
-    /// other).
+    /// Sends are buffered and never block.  Sending to oneself is allowed: the message
+    /// is stashed at once and delivered through the same matching path as any other.
     ///
     /// # Panics
     /// Panics if `to` is out of range or the destination rank has already shut down.
-    pub fn send(&self, to: usize, tag: u64, payload: TypedPayload) {
+    pub fn send(&mut self, to: usize, tag: u64, payload: TypedPayload) {
         assert!(
             to < self.nprocs(),
             "send to rank {to} but machine has {} ranks",
             self.nprocs()
         );
-        match &self.transport {
-            Transport::Channel { senders, .. } => senders[to]
-                .send(Envelope {
-                    from: self.rank,
-                    tag,
-                    payload,
-                })
-                .expect("destination rank has terminated"),
-            Transport::Shared { fabric } => fabric.send(self.rank, to, tag, payload),
+        let env = Envelope {
+            from: self.rank,
+            tag,
+            payload,
+        };
+        match &self.peers[to] {
+            Some(tx) => tx.send(env).expect("destination rank has terminated"),
+            None => self.pending.push(env),
         }
     }
 
-    /// Pull the next message off the wire, whatever it is: up to `spin_sweeps` polls,
-    /// yielding between them, then one block; repeat until a message arrives.
+    /// Pull the next message off the channel, whatever it is: up to `spin_sweeps` polls,
+    /// yielding between them, then one blocking `recv`.
     ///
     /// # Panics
     /// Panics with [`DISCONNECTED`] when no rank is left that could send.
     fn recv_next(&mut self) -> Envelope {
-        let mut polls = 0;
-        loop {
+        for _ in 1..self.spin_sweeps {
             if let Some(env) = self.poll() {
                 return env;
             }
-            polls += 1;
-            if polls < self.spin_sweeps {
-                std::hint::spin_loop();
-                std::thread::yield_now();
-                continue;
-            }
-            if let Some(env) = self.block() {
-                return env;
-            }
-            polls = 0;
+            std::hint::spin_loop();
+            std::thread::yield_now();
         }
+        self.receiver.recv().expect(DISCONNECTED)
     }
 
-    /// One non-blocking look at the wire: the channel's `try_recv`, or one sweep of the
-    /// fabric's inbound rings.
+    /// One non-blocking look at the channel.
     fn poll(&mut self) -> Option<Envelope> {
-        match &mut self.transport {
-            Transport::Channel { receiver, .. } => match receiver.try_recv() {
-                Ok(env) => Some(env),
-                Err(TryRecvError::Empty) => None,
-                Err(TryRecvError::Disconnected) => panic!("{DISCONNECTED}"),
-            },
-            Transport::Shared { fabric } => fabric.poll(self.rank),
-        }
-    }
-
-    /// Block once: the channel's `recv`, which returns a message, or a park on the
-    /// fabric's doorbell, which may wake empty-handed and leave the caller to poll again.
-    fn block(&mut self) -> Option<Envelope> {
-        match &mut self.transport {
-            Transport::Channel { receiver, .. } => Some(receiver.recv().expect(DISCONNECTED)),
-            Transport::Shared { fabric } => fabric.park(self.rank),
+        match self.receiver.try_recv() {
+            Ok(env) => Some(env),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => panic!("{DISCONNECTED}"),
         }
     }
 
@@ -247,17 +187,10 @@ impl Mailbox {
     }
 }
 
-impl Drop for Mailbox {
-    fn drop(&mut self) {
-        if let Transport::Shared { fabric } = &self.transport {
-            fabric.mark_terminated(self.rank);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::thread;
 
     fn bytes(v: Vec<u8>) -> TypedPayload {
@@ -270,92 +203,90 @@ mod tests {
             .expect("test payloads are non-empty")
     }
 
-    /// Run the core matching tests over both transports — the semantics must not
-    /// depend on the wire.
-    fn both_transports(f: impl Fn(Vec<Mailbox>)) {
-        f(Mailbox::create_all(3));
-        f(Mailbox::create_shared(3));
-    }
-
     #[test]
     fn two_ranks_exchange_in_order() {
-        for make in [
-            Mailbox::create_all as fn(usize) -> _,
-            Mailbox::create_shared,
-        ] {
-            let mut boxes = make(2);
-            let mut b1 = boxes.pop().unwrap();
-            let mut b0 = boxes.pop().unwrap();
-            let t = thread::spawn(move || {
-                b1.send(0, 7, bytes(vec![1, 2, 3]));
-                b1.send(0, 7, bytes(vec![4, 5]));
-                let m = b1.recv(0, 9);
-                assert_eq!(payload_bytes(m), vec![9]);
-            });
-            let m1 = b0.recv(1, 7);
-            let m2 = b0.recv(1, 7);
-            assert_eq!(payload_bytes(m1), vec![1, 2, 3]);
-            assert_eq!(payload_bytes(m2), vec![4, 5]);
-            b0.send(1, 9, bytes(vec![9]));
-            t.join().unwrap();
-            assert_eq!(b0.pending_len(), 0);
-        }
+        let mut boxes = Mailbox::create_all(2);
+        let mut b1 = boxes.pop().unwrap();
+        let mut b0 = boxes.pop().unwrap();
+        let t = thread::spawn(move || {
+            b1.send(0, 7, bytes(vec![1, 2, 3]));
+            b1.send(0, 7, bytes(vec![4, 5]));
+            let m = b1.recv(0, 9);
+            assert_eq!(payload_bytes(m), vec![9]);
+        });
+        let m1 = b0.recv(1, 7);
+        let m2 = b0.recv(1, 7);
+        assert_eq!(payload_bytes(m1), vec![1, 2, 3]);
+        assert_eq!(payload_bytes(m2), vec![4, 5]);
+        b0.send(1, 9, bytes(vec![9]));
+        t.join().unwrap();
+        assert_eq!(b0.pending_len(), 0);
     }
 
     #[test]
     fn selective_receive_reorders_tags() {
-        both_transports(|mut boxes| {
-            let _b2 = boxes.pop().unwrap();
-            let b1 = boxes.pop().unwrap();
-            let mut b0 = boxes.pop().unwrap();
-            // Rank 1 sends tag 1 then tag 2; rank 0 asks for tag 2 first.
-            b1.send(0, 1, bytes(vec![11]));
-            b1.send(0, 2, bytes(vec![22]));
-            let second = b0.recv(1, 2);
-            assert_eq!(payload_bytes(second), vec![22]);
-            let first = b0.recv(1, 1);
-            assert_eq!(payload_bytes(first), vec![11]);
-        });
+        let mut boxes = Mailbox::create_all(3);
+        let _b2 = boxes.pop().unwrap();
+        let mut b1 = boxes.pop().unwrap();
+        let mut b0 = boxes.pop().unwrap();
+        // Rank 1 sends tag 1 then tag 2; rank 0 asks for tag 2 first.
+        b1.send(0, 1, bytes(vec![11]));
+        b1.send(0, 2, bytes(vec![22]));
+        let second = b0.recv(1, 2);
+        assert_eq!(payload_bytes(second), vec![22]);
+        let first = b0.recv(1, 1);
+        assert_eq!(payload_bytes(first), vec![11]);
     }
 
     #[test]
     fn self_send_is_delivered() {
-        for make in [
-            Mailbox::create_all as fn(usize) -> _,
-            Mailbox::create_shared,
-        ] {
-            let mut boxes = make(1);
-            let mut b0 = boxes.pop().unwrap();
-            b0.send(0, 3, bytes(vec![42]));
-            assert_eq!(payload_bytes(b0.recv(0, 3)), vec![42]);
-        }
+        let mut boxes = Mailbox::create_all(1);
+        let mut b0 = boxes.pop().unwrap();
+        b0.send(0, 3, bytes(vec![42]));
+        assert_eq!(payload_bytes(b0.recv(0, 3)), vec![42]);
     }
 
     #[test]
     fn queued_message_is_returned_by_the_first_poll() {
-        both_transports(|mut boxes| {
-            let _b2 = boxes.pop().unwrap();
-            let b1 = boxes.pop().unwrap();
-            let mut b0 = boxes.pop().unwrap();
-            b1.send(0, 4, bytes(vec![7]));
-            let env = b0.poll().expect("a queued message needs no wait");
-            assert_eq!((env.from, env.tag), (1, 4));
-            assert_eq!(payload_bytes(env), vec![7]);
-        });
+        let mut boxes = Mailbox::create_all(3);
+        let _b2 = boxes.pop().unwrap();
+        let mut b1 = boxes.pop().unwrap();
+        let mut b0 = boxes.pop().unwrap();
+        b1.send(0, 4, bytes(vec![7]));
+        let env = b0.poll().expect("a queued message needs no wait");
+        assert_eq!((env.from, env.tag), (1, 4));
+        assert_eq!(payload_bytes(env), vec![7]);
     }
 
     #[test]
     fn blocked_receiver_is_woken_by_late_sender() {
-        both_transports(|mut boxes| {
-            let _b2 = boxes.pop().unwrap();
-            let b1 = boxes.pop().unwrap();
-            let mut b0 = boxes.pop().unwrap();
-            let consumer = thread::spawn(move || payload_bytes(b0.recv(1, 99)));
-            // Give the receiver time to use up its polls and block before sending.
-            thread::sleep(std::time::Duration::from_millis(30));
-            b1.send(0, 99, bytes(vec![5]));
-            assert_eq!(consumer.join().unwrap(), vec![5]);
-        });
+        let mut boxes = Mailbox::create_all(3);
+        let _b2 = boxes.pop().unwrap();
+        let mut b1 = boxes.pop().unwrap();
+        let mut b0 = boxes.pop().unwrap();
+        let consumer = thread::spawn(move || payload_bytes(b0.recv(1, 99)));
+        // Give the receiver time to use up its polls and block before sending.
+        thread::sleep(std::time::Duration::from_millis(30));
+        b1.send(0, 99, bytes(vec![5]));
+        assert_eq!(consumer.join().unwrap(), vec![5]);
+    }
+
+    #[test]
+    fn receive_with_every_peer_gone_panics_and_send_to_a_gone_rank_panics() {
+        let mut boxes = Mailbox::create_all(2);
+        let b1 = boxes.pop().unwrap();
+        let mut b0 = boxes.pop().unwrap();
+        drop(b1);
+        let message = |caught: Result<_, Box<dyn std::any::Any + Send>>| {
+            *caught
+                .expect_err("must panic")
+                .downcast::<String>()
+                .unwrap()
+        };
+        let send = catch_unwind(AssertUnwindSafe(|| b0.send(1, 1, bytes(vec![1]))));
+        assert!(message(send).starts_with("destination rank has terminated"));
+        let recv = catch_unwind(AssertUnwindSafe(|| drop(b0.recv(1, 1))));
+        assert!(message(recv).starts_with(DISCONNECTED));
     }
 
     #[test]
@@ -364,24 +295,21 @@ mod tests {
         assert_eq!(spin_budget(8, 8), SPIN_SWEEPS);
         assert_eq!(spin_budget(9, 8), SPIN_SWEEPS_OVERSUBSCRIBED);
         assert_eq!(spin_budget(128, 2), SPIN_SWEEPS_OVERSUBSCRIBED);
-        both_transports(|boxes| {
-            for b in &boxes {
-                assert_eq!(b.spin_sweeps, host_spin_budget(3));
-            }
-        });
+        for b in &Mailbox::create_all(3) {
+            assert_eq!(b.spin_sweeps, host_spin_budget(3));
+        }
     }
 
     #[test]
     fn recv_any_matches_any_source() {
-        both_transports(|mut boxes| {
-            let b2 = boxes.pop().unwrap();
-            let b1 = boxes.pop().unwrap();
-            let mut b0 = boxes.pop().unwrap();
-            b1.send(0, 5, bytes(vec![1]));
-            b2.send(0, 5, bytes(vec![2]));
-            let mut froms = vec![b0.recv_any(5).from, b0.recv_any(5).from];
-            froms.sort_unstable();
-            assert_eq!(froms, vec![1, 2]);
-        });
+        let mut boxes = Mailbox::create_all(3);
+        let mut b2 = boxes.pop().unwrap();
+        let mut b1 = boxes.pop().unwrap();
+        let mut b0 = boxes.pop().unwrap();
+        b1.send(0, 5, bytes(vec![1]));
+        b2.send(0, 5, bytes(vec![2]));
+        let mut froms = vec![b0.recv_any(5).from, b0.recv_any(5).from];
+        froms.sort_unstable();
+        assert_eq!(froms, vec![1, 2]);
     }
 }

@@ -34,10 +34,9 @@
 //!
 //! ## One wire and one buffer pool
 //!
-//! Both backends ship the same thing: the typed buffer a message was packed into,
-//! handed to the receiving rank by pointer move (see [`crate::message::TypedPayload`]).
-//! Nothing is encoded, and the backends differ only in the mailbox the buffer travels
-//! through (an mpsc channel or the SPSC rings of [`crate::shared`]).
+//! The wire ships the typed buffer a message was packed into, handed to the receiving
+//! rank by pointer move through its mailbox's channel (see
+//! [`crate::message::TypedPayload`]).  Nothing is encoded.
 //!
 //! Outgoing messages are packed into `Vec<T>` buffers drawn from the sending rank's
 //! per-type buffer pool ([`Rank::pool_stats`]).  The receiving rank places each payload
@@ -53,8 +52,7 @@
 //! iteration: each iteration's receives replenish exactly the buffers its sends draw,
 //! and the pool's allocation counter stops moving.  The `chaos-bench exchange` harness in
 //! `crates/bench` reports the counters and the pool smoke tests assert the
-//! zero-allocation steady state.  Modeled time, stats and results are identical across
-//! backends; only host wall-clock differs.
+//! zero-allocation steady state.
 //!
 //! Communication cost is charged in exactly one place — the engine's sends and receives —
 //! and a per-element pack/unpack compute cost is charged uniformly here rather than ad hoc
@@ -873,7 +871,6 @@ fn finish_exchange<T: Element>(
 mod tests {
     use super::*;
     use crate::cost::CostModel;
-    use crate::shared::ExchangeBackend;
     use crate::topology::MachineConfig;
     use crate::{run, RankStats};
 
@@ -1143,32 +1140,28 @@ mod tests {
     #[test]
     fn tuple_elements_are_charged_their_declared_size() {
         // `(u32, f64)` occupies 16 bytes in memory but declares a 12-byte wire size, and
-        // the declaration is what every counter and the cost model see, on both
-        // backends: one 3-element message is 36 bytes, 10 + 36 µs at each end.
-        for backend in [ExchangeBackend::Modeled, ExchangeBackend::SharedMem] {
-            let cfg = MachineConfig::new(2)
-                .with_backend(backend)
-                .with_cost(CostModel::uniform(10.0, 1.0, 0.0));
-            let out = run(cfg, |rank| {
-                let me = rank.rank();
-                let peer = 1 - me;
-                let mut counts = vec![0; 2];
-                counts[peer] = 3;
-                let plan = ExchangePlan::sparse(me, counts.clone(), counts);
-                let mut sends: Vec<Vec<(u32, f64)>> = vec![Vec::new(); 2];
-                sends[peer] = vec![(me as u32, 0.5); 3];
-                let stats = alltoallv(rank, &plan, &sends, |_src, v| assert_eq!(v.len(), 3));
-                (stats, rank.stats(), rank.modeled().comm_us)
-            });
-            assert_eq!(<(u32, f64)>::SIZE, 12);
-            assert_eq!(std::mem::size_of::<(u32, f64)>(), 16);
-            for (stats, rank_stats, comm_us) in &out.results {
-                assert_eq!(stats.bytes_sent, 36, "{backend:?}");
-                assert_eq!(stats.bytes_received, 36, "{backend:?}");
-                assert_eq!(rank_stats.bytes_sent, 36, "{backend:?}");
-                assert_eq!(rank_stats.bytes_received, 36, "{backend:?}");
-                assert_eq!(*comm_us, 2.0 * (10.0 + 36.0), "{backend:?}");
-            }
+        // the declaration is what every counter and the cost model see: one 3-element
+        // message is 36 bytes, 10 + 36 µs at each end.
+        let cfg = MachineConfig::new(2).with_cost(CostModel::uniform(10.0, 1.0, 0.0));
+        let out = run(cfg, |rank| {
+            let me = rank.rank();
+            let peer = 1 - me;
+            let mut counts = vec![0; 2];
+            counts[peer] = 3;
+            let plan = ExchangePlan::sparse(me, counts.clone(), counts);
+            let mut sends: Vec<Vec<(u32, f64)>> = vec![Vec::new(); 2];
+            sends[peer] = vec![(me as u32, 0.5); 3];
+            let stats = alltoallv(rank, &plan, &sends, |_src, v| assert_eq!(v.len(), 3));
+            (stats, rank.stats(), rank.modeled().comm_us)
+        });
+        assert_eq!(<(u32, f64)>::SIZE, 12);
+        assert_eq!(std::mem::size_of::<(u32, f64)>(), 16);
+        for (stats, rank_stats, comm_us) in &out.results {
+            assert_eq!(stats.bytes_sent, 36);
+            assert_eq!(stats.bytes_received, 36);
+            assert_eq!(rank_stats.bytes_sent, 36);
+            assert_eq!(rank_stats.bytes_received, 36);
+            assert_eq!(*comm_us, 2.0 * (10.0 + 36.0));
         }
     }
 
@@ -1454,52 +1447,6 @@ mod tests {
             let plan = ExchangePlan::sparse(me, vec![0; 2], vec![0; 2]);
             let handle: ExchangeHandle<u8> = start_alltoallv_with(rank, plan, |_p, _b| {});
             drop(handle);
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "dropped without finish")]
-    fn dropping_an_unfinished_handle_panics_on_shared_backend() {
-        // The split-phase drop guard is backend-independent: losing a finish() on the
-        // shared-memory transport must be refused exactly like on the modeled one.
-        let cfg = MachineConfig::new(2).with_backend(ExchangeBackend::SharedMem);
-        let _ = run(cfg, |rank| {
-            let me = rank.rank();
-            let plan = ExchangePlan::sparse(me, vec![0; 2], vec![0; 2]);
-            let handle: ExchangeHandle<u8> = start_alltoallv_with(rank, plan, |_p, _b| {});
-            drop(handle);
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "exchange epoch 0")]
-    fn epoch_mismatch_panics_on_shared_backend() {
-        // Same non-collective sequence as `unexpected_message_panic_names_the_epochs`,
-        // pinned to the shared-memory fabric: a message from a source the epoch-0 plan
-        // never listed must be diagnosed with the epoch on this transport too.
-        let cfg = MachineConfig::new(3).with_backend(ExchangeBackend::SharedMem);
-        let _ = run(cfg, |rank| {
-            let me = rank.rank();
-            match me {
-                0 => {
-                    let plan = ExchangePlan::from_parts(
-                        0,
-                        vec![None; 3],
-                        vec![RecvSpec::None, RecvSpec::None, RecvSpec::Exact(1)],
-                    );
-                    alltoallv_with(rank, &plan, |_p, _b: &mut PackBuf<'_, u8>| {}, |_s, _v| {});
-                }
-                1 => {
-                    let plan = ExchangePlan::sparse(1, vec![1, 0, 0], vec![0; 3]);
-                    alltoallv_with(
-                        rank,
-                        &plan,
-                        |_p, b: &mut PackBuf<'_, u8>| b.push(7),
-                        |_s, _v| {},
-                    );
-                }
-                _ => {}
-            }
         });
     }
 

@@ -156,7 +156,6 @@ fn divergence_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shared::ExchangeBackend;
     use crate::topology::MachineConfig;
 
     fn e(op: &'static str, epoch: u64, elem: &'static str) -> LedgerEntry {
@@ -186,9 +185,13 @@ mod tests {
     /// so the first receive across the mismatch panics with the rank, source, epoch and
     /// both type names — before the ledger's shutdown cross-check is reached.  Rank 0
     /// receives `f64` payloads as `u64`, and its panic is the one `run` reports.
-    fn element_type_divergence(backend: ExchangeBackend) {
-        let cfg = MachineConfig::new(3).with_ledger().with_backend(backend);
-        let _ = crate::run(cfg, |rank| {
+    #[test]
+    #[should_panic(
+        expected = "in exchange epoch 0: payload holds a different element type: \
+                               sent as `f64`, received as `u64`"
+    )]
+    fn element_type_divergence_panics_at_the_receive() {
+        let _ = crate::run(MachineConfig::new(3).with_ledger(), |rank| {
             let n = rank.nprocs();
             if rank.rank() == 0 {
                 rank.all_to_all(&vec![vec![1u64]; n]);
@@ -196,24 +199,6 @@ mod tests {
                 rank.all_to_all(&vec![vec![1.0f64]; n]);
             }
         });
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "in exchange epoch 0: payload holds a different element type: \
-                               sent as `f64`, received as `u64`"
-    )]
-    fn element_type_divergence_panics_at_the_receive() {
-        element_type_divergence(ExchangeBackend::Modeled);
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "in exchange epoch 0: payload holds a different element type: \
-                               sent as `f64`, received as `u64`"
-    )]
-    fn element_type_divergence_panics_at_the_receive_on_shared_backend() {
-        element_type_divergence(ExchangeBackend::SharedMem);
     }
 
     /// A rank-dependent extra collective: rank 0 runs a root-only broadcast the others

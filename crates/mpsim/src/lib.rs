@@ -9,11 +9,9 @@
 //! Two kinds of time are tracked:
 //!
 //! * **Wall-clock** time of the host — irrelevant for reproducing the paper's *tables*
-//!   (the host is a shared-memory machine, not a 128-node hypercube) but the whole point
-//!   of the [`shared`] backend: with [`ExchangeBackend::SharedMem`] ranks exchange
-//!   through lock-free shared-memory rings instead of mpsc channels, so host wall-clock
-//!   becomes a meaningful throughput measurement (reported by the benchmark harness,
-//!   never by the machine itself).
+//!   (the host is a shared-memory machine, not a 128-node hypercube).  Messages travel
+//!   through one mpsc channel per rank ([`comm`]); the benchmark harness reports the
+//!   host wall-clock of a run, never the machine itself.
 //! * **Modeled** time, accumulated per rank by a [`cost::CostModel`]: every message is
 //!   charged a start-up latency plus a per-byte transfer cost, and application code reports
 //!   its computational work in abstract *work units* via [`Rank::charge_compute`].  The
@@ -41,6 +39,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod barrier;
 pub mod collectives;
@@ -50,8 +49,6 @@ pub mod exchange;
 pub mod ledger;
 pub mod machine;
 pub mod message;
-pub mod proto;
-pub mod shared;
 pub mod stats;
 pub mod topology;
 
@@ -63,6 +60,7 @@ pub use exchange::{
 pub use ledger::LedgerEntry;
 pub use machine::{run, Machine, Rank, RunOutcome};
 pub use message::Element;
-pub use shared::ExchangeBackend;
 pub use stats::{PackPoolStats, RankStats};
-pub use topology::{tree_rounds, BinomialTree, Dissemination, GroupMap, MachineConfig};
+pub use topology::{
+    tree_rounds, BinomialTree, Dissemination, ExchangeBackend, GroupMap, MachineConfig,
+};

@@ -16,7 +16,6 @@ use crate::comm::Mailbox;
 use crate::cost::{CostModel, TimeSnapshot};
 use crate::ledger::{LedgerEntry, LedgerHub, LedgerRank};
 use crate::message::{Buffer, Element, TypedPayload};
-use crate::shared::ExchangeBackend;
 use crate::stats::{MachineStats, PackPoolStats, RankStats};
 use crate::topology::{Dissemination, MachineConfig};
 
@@ -102,7 +101,7 @@ impl Rank {
     /// Send a typed buffer to rank `to` with tag `tag`; `None` sends an empty message,
     /// which touches neither the heap nor the pool.  The one point where outgoing
     /// messages are charged and counted: one message of `len · T::SIZE` bytes (latency +
-    /// bytes) of modeled communication time, on either backend.
+    /// bytes) of modeled communication time.
     pub(crate) fn send_buffer<T: Element>(
         &mut self,
         to: usize,
@@ -411,10 +410,7 @@ impl Machine {
         F: Fn(&mut Rank) -> R + Send + Sync + 'static,
     {
         let nprocs = self.config.nprocs;
-        let mailboxes = match self.config.backend {
-            ExchangeBackend::Modeled => Mailbox::create_all(nprocs),
-            ExchangeBackend::SharedMem => Mailbox::create_shared(nprocs),
-        };
+        let mailboxes = Mailbox::create_all(nprocs);
         let f = Arc::new(f);
         let hub = self.config.ledger.then(|| LedgerHub::new(nprocs));
 
@@ -518,6 +514,40 @@ mod tests {
             assert_eq!(*r, i);
             assert_eq!(*n, 5);
         }
+    }
+
+    #[test]
+    fn collective_after_the_peer_exits_panics_instead_of_hanging() {
+        // Rank 1 returns at once; rank 0's all-gather then either sends to an exited
+        // rank or waits on a channel nobody can send into.  Both must panic.  The
+        // machine runs on a helper thread so that a regression fails here instead of
+        // hanging the suite.
+        let (done, finished) = std::sync::mpsc::channel::<()>();
+        let probe = thread::spawn(move || {
+            run(MachineConfig::new(2), |rank| {
+                if rank.rank() == 0 {
+                    rank.all_gather_one(0u64);
+                }
+            });
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(5)) {
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {}
+            Ok(()) => panic!("the run returned although rank 0's peer had exited"),
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("rank 0 still waits 5 s after its only peer exited")
+            }
+        }
+        let payload = probe.join().expect_err("the run must panic");
+        let msg = payload
+            .downcast::<String>()
+            .expect("a formatted panic message");
+        assert!(
+            msg.starts_with("rank 0 panicked: ")
+                && (msg.contains(crate::comm::DISCONNECTED)
+                    || msg.contains("destination rank has terminated")),
+            "{msg}"
+        );
     }
 
     /// A one-message plan: `from` sends `count` elements to `to`, nothing else moves.

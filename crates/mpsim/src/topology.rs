@@ -23,14 +23,24 @@
 //! hierarchical (group-leader) monitoring mode of `chaos::adapt`.
 
 use crate::cost::CostModel;
-use crate::shared::ExchangeBackend;
+
+/// A transport name for [`MachineConfig::with_backend`].
+///
+/// Both variants build the same mailbox, the mpsc channels of [`crate::comm`]; the two
+/// names stay because callers outside the workspace pass them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExchangeBackend {
+    /// The channel mailbox.
+    Modeled,
+    /// The channel mailbox as well.
+    SharedMem,
+}
 
 /// Description of the simulated machine used for one SPMD run.
 ///
-/// The configuration is intentionally small: the number of ranks, a [`CostModel`], and
-/// the [`ExchangeBackend`] the ranks communicate through.  The paper's experiments sweep
-/// the processor count from 1 to 128; construct one `MachineConfig` per point of the
-/// sweep.
+/// The configuration is intentionally small: the number of ranks and a [`CostModel`].
+/// The paper's experiments sweep the processor count from 1 to 128; construct one
+/// `MachineConfig` per point of the sweep.
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
     /// Number of SPMD ranks (processors) to simulate.
@@ -40,11 +50,6 @@ pub struct MachineConfig {
     /// Stack size (bytes) for each rank's thread.  Irregular applications with large
     /// per-rank buffers occasionally need more than the platform default.
     pub stack_size: usize,
-    /// Transport the ranks exchange through.  Modeled time, statistics and results are
-    /// identical across backends; only host wall-clock differs.  Defaults to
-    /// [`ExchangeBackend::from_env`] (the `MPSIM_BACKEND` variable), so a whole test run
-    /// can be flipped to the shared-memory wire without touching code.
-    pub backend: ExchangeBackend,
     /// Enable the collective ledger (see [`crate::ledger`]): every rank records the
     /// sequence of collectives/exchanges it starts, cross-checked machine-wide at each
     /// barrier and at shutdown.  Defaults to the `MPSIM_LEDGER` environment variable
@@ -54,14 +59,12 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
-    /// A machine with `nprocs` ranks, the default (iPSC/860-class) cost model, and the
-    /// environment-selected backend.
+    /// A machine with `nprocs` ranks and the default (iPSC/860-class) cost model.
     pub fn new(nprocs: usize) -> Self {
         Self {
             nprocs,
             cost: CostModel::ipsc860(),
             stack_size: 8 * 1024 * 1024,
-            backend: ExchangeBackend::from_env(),
             ledger: std::env::var("MPSIM_LEDGER")
                 .is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true")),
         }
@@ -79,11 +82,9 @@ impl MachineConfig {
         self
     }
 
-    /// Pin the exchange backend, overriding the `MPSIM_BACKEND` default.  Sweeps that
-    /// scale past [`crate::shared::MAX_SHARED_RANKS`] pin [`ExchangeBackend::Modeled`];
-    /// wall-clock benchmarks pin each backend explicitly to compare them.
-    pub fn with_backend(mut self, backend: ExchangeBackend) -> Self {
-        self.backend = backend;
+    /// Name a transport.  Every [`ExchangeBackend`] builds the same mailbox, so this
+    /// returns the configuration unchanged.
+    pub fn with_backend(self, _backend: ExchangeBackend) -> Self {
         self
     }
 

@@ -14,7 +14,9 @@
 //! * a split-phase append returns the identical item vector, in the identical order, as
 //!   the blocking `scatter_append`;
 //! * the `ExchangeStats` element totals (bytes each way) agree with the blocking path,
-//!   while the fused message counts drop to one per pair.
+//!   while the fused message counts drop to one per pair;
+//! * split-phase gathers left in flight across other, blocking exchanges still fill
+//!   their ghost regions exactly as a lone blocking gather does.
 
 use chaos_suite::chaos::prelude::*;
 use chaos_suite::mpsim::{run, ExchangeStats, MachineConfig, Rank};
@@ -188,5 +190,50 @@ fn split_phase_append_matches_blocking_order_and_totals() {
                 "P={nprocs} rank {p}: split-phase append moves identical bytes"
             );
         }
+    }
+}
+
+#[test]
+fn overlapping_exchanges_keep_their_epochs_apart() {
+    // Two split-phase gathers stay in flight while a blocking gather of `[f64; 2]`
+    // elements and a blocking append cross between them: payloads for the later
+    // finishes can arrive during the blocking drains and must be stashed by epoch.
+    // Every ghost region must still equal a lone blocking gather's.
+    for &nprocs in MACHINE_SIZES {
+        let out = run(MachineConfig::new(nprocs), move |rank| {
+            let me = rank.rank();
+            let (sched, _refs, range) = setup(rank, 64);
+            let array = |f: fn(f64) -> f64| {
+                DistArray::new(
+                    range.clone().map(|g| f(g as f64)).collect(),
+                    sched.ghost_len(),
+                )
+            };
+            let (mut a, mut b) = (array(|g| g + 0.5), array(|g| -g));
+            let ha = gather_start(rank, &sched, [&a]);
+            let hb = gather_start(rank, &sched, [&b]);
+            let pairs: Vec<[f64; 2]> = range.clone().map(|g| [g as f64, -(g as f64)]).collect();
+            let mut c = DistArray::new(pairs, sched.ghost_len());
+            gather(rank, &sched, &mut c);
+            let items: Vec<u64> = (0..12).map(|k| (1000 * me + k) as u64).collect();
+            let dests: Vec<usize> = (0..12).map(|k| (k + me) % rank.nprocs()).collect();
+            let lw = LightweightSchedule::build(rank, &dests);
+            let appended = scatter_append(rank, &lw, &items);
+            gather_finish(rank, ha, &sched, [&mut a]);
+            gather_finish(rank, hb, &sched, [&mut b]);
+
+            let (mut a1, mut b1) = (array(|g| g + 0.5), array(|g| -g));
+            gather(rank, &sched, &mut a1);
+            gather(rank, &sched, &mut b1);
+            assert_bits_eq(a.ghost(), a1.ghost(), "first split-phase gather");
+            assert_bits_eq(b.ghost(), b1.ghost(), "second split-phase gather");
+            let firsts: Vec<f64> = c.ghost().iter().map(|p| p[0] + 0.5).collect();
+            let seconds: Vec<f64> = c.ghost().iter().map(|p| p[1]).collect();
+            assert_bits_eq(&firsts, a1.ghost(), "blocking [f64; 2] gather, lane 0");
+            assert_bits_eq(&seconds, b1.ghost(), "blocking [f64; 2] gather, lane 1");
+            appended.len()
+        });
+        let total: usize = out.results.iter().sum();
+        assert_eq!(total, nprocs * 12, "P={nprocs}: appended items conserved");
     }
 }
