@@ -5,7 +5,7 @@
 //! crate's `src/` counts, `src/bin/` included; integration tests, examples and the
 //! `benchmark/` package do not.  Crates and files are listed in sorted path order and no
 //! wall-clock is recorded, so the artifact is byte-deterministic: CI regenerates it and
-//! prints its diff against the committed file as a report, not a gate.
+//! fails when it differs from the committed file (a freshness gate, not a budget).
 
 use std::fs;
 use std::path::Path;

@@ -5,10 +5,9 @@
 //!   into the ghost region of a [`DistArray`] (software caching + communication
 //!   vectorization: one message per processor pair, duplicates already removed by the
 //!   inspector).
-//! * [`scatter`] — the reverse transfer: push ghost-region values back to their owners,
-//!   overwriting the owner's copy.
-//! * [`scatter_add`] — reverse transfer adding into the owner's copy (the reduction form
-//!   used by `x(ia(i)) = x(ia(i)) + …` loops).
+//! * [`scatter_add`] — the reverse transfer: push ghost-region values back to their
+//!   owners, adding into the owner's copy (the reduction form used by
+//!   `x(ia(i)) = x(ia(i)) + …` loops).
 //! * [`scatter_append`] — the light-weight-schedule primitive: move whole elements to new
 //!   owners and append them in arbitrary order (the DSMC MOVE phase).
 //!
@@ -17,7 +16,7 @@
 //! * **Fused multi-array transfers** — [`gather_multi`] / [`scatter_add_multi`] move N
 //!   same-schedule arrays as contiguous per-lane blocks through *one* message per
 //!   processor pair (CHARMM's `x`/`y`/`z` per step: same bytes, 1/N the messages and
-//!   latencies), via [`mpsim::alltoallv_multi`].
+//!   latencies), through the plan [`mpsim::ExchangePlan::fused`] scales to N lanes.
 //! * **Split-phase transfers** — [`gather_start`] posts a (fused) gather's sends and
 //!   returns a [`GatherHandle`]; [`gather_finish`] drains the receives into the ghost
 //!   regions.  [`scatter_append_start`] / [`scatter_append_finish`] split the
@@ -40,19 +39,31 @@
 //! bytes and charges the cost model.  The returned [`ExchangeStats`] reports exactly
 //! what went on the wire.
 //!
-//! All four primitives use the engine's packing form ([`mpsim::alltoallv_with`]): elements
-//! are packed from the array straight into pooled message buffers, so a steady-state
-//! executor loop — the shape of every time-stepped application in the paper — allocates
-//! no fresh send buffers at all.  On the receive side, `gather`/`scatter*` only *read*
-//! the incoming values through the borrowed [`mpsim::Placed`] view (placing them by
-//! permutation into the array), so each received buffer goes back to the pool and the
-//! steady-state loop allocates nothing; `scatter_append` is the one primitive that keeps
-//! each payload (the appended items outlive the call) and takes ownership with
-//! `Placed::into_vec` (see the buffer-pool notes in [`mpsim::exchange`]).
+//! The schedule-driven primitives share one lane-blocked transfer kernel with two halves:
+//! a *start* that packs lane `l` of each message from `arrays[l]` by the schedule's send
+//! list (gather) or permutation list (scatter) and posts the messages through
+//! [`mpsim::start_alltoallv_with`], and a *finish* that places each arriving lane block
+//! into `arrays[l]` with a combining op (`=` or `+=`).  [`gather`] and [`scatter_add`]
+//! are its one-lane case, [`gather_multi`] and [`scatter_add_multi`] a start followed at
+//! once by a finish, and [`gather_start`] / [`gather_finish`] the two halves.  Every lane
+//! is indexed unchecked under one rule: the schedule's lists were validated by
+//! `CommSchedule::from_parts`, and each lane's owned and ghost lengths are asserted
+//! against the schedule's before it is read or written.
+//!
+//! Elements are packed from the array straight into pooled message buffers, so a
+//! steady-state executor loop — the shape of every time-stepped application in the
+//! paper — allocates no fresh send buffers at all.  On the receive side, the gathers and
+//! scatter-adds only *read* the incoming values through the borrowed [`mpsim::Placed`]
+//! view, so each received buffer goes back to the pool and the steady-state loop
+//! allocates nothing; `scatter_append` is the one primitive that keeps each payload (the
+//! appended items outlive the call) and takes ownership with `Placed::into_vec` (see the
+//! buffer-pool notes in [`mpsim::exchange`]).
+
+use std::borrow::{Borrow, BorrowMut};
 
 use mpsim::{
-    alltoallv_multi, alltoallv_with, start_alltoallv_with, Element, ExchangeHandle, ExchangeStats,
-    PackBuf, Placed, Rank,
+    start_alltoallv_with, Element, ExchangeHandle, ExchangePlan, ExchangeStats, PackBuf, Placed,
+    Rank,
 };
 
 use crate::darray::DistArray;
@@ -78,45 +89,208 @@ fn prefetch<T>(p: *const T) {
     let _ = p;
 }
 
-/// Which way a schedule-driven transfer runs.
+/// Which way a schedule-driven transfer runs.  A scatter is the mirror image of a gather
+/// — the ghost slots this rank filled from processor `p` go back to `p`, which applies
+/// them to the owned offsets it originally listed in its send list — so the two
+/// directions differ only in which of the schedule's lists packs and which places, and
+/// in which section of each array is read and which written.
 #[derive(Clone, Copy)]
 enum Direction {
-    /// Owned elements travel to the ghost regions that reference them: pack by send
-    /// list, place by permutation list.
+    /// Owned elements travel to the ghost regions that reference them: pack the owned
+    /// section by send list, place into the ghost region by permutation list.
     Gather,
-    /// Ghost copies travel back to their owners: pack by permutation list, place by
-    /// send list.
+    /// Ghost copies travel back to their owners: pack the ghost region by permutation
+    /// list, combine into the owned section by send list.
     Scatter,
+}
+
+impl Direction {
+    fn plan(self, sched: &CommSchedule, me: usize) -> ExchangePlan {
+        match self {
+            Direction::Gather => sched.gather_plan(me),
+            Direction::Scatter => sched.scatter_plan(me),
+        }
+    }
+
+    /// The schedule's `(pack, place)` lists.
+    fn lists(self, sched: &CommSchedule) -> (&[Vec<u32>], &[Vec<u32>]) {
+        match self {
+            Direction::Gather => (sched.send_lists(), sched.perm_lists()),
+            Direction::Scatter => (sched.perm_lists(), sched.send_lists()),
+        }
+    }
+
+    /// The section of a lane that packing reads.
+    fn source<T>(self, array: &DistArray<T>) -> &[T] {
+        match self {
+            Direction::Gather => array.owned(),
+            Direction::Scatter => array.ghost(),
+        }
+    }
+
+    /// The section of a lane that placement writes.
+    fn target<T>(self, array: &mut DistArray<T>) -> &mut [T] {
+        match self {
+            Direction::Gather => array.ghost_mut(),
+            Direction::Scatter => array.owned_mut(),
+        }
+    }
+}
+
+/// Check one lane against the bounds `CommSchedule::from_parts` validated the schedule's
+/// lists against — the precondition of every unchecked index in [`start`] and
+/// [`finish`].  Send offsets index the owned section, which must have exactly the
+/// schedule's owned length; permutation slots index the ghost region, which must hold at
+/// least the schedule's ghost length wherever this half of the transfer touches it.
+fn check_lane<T>(sched: &CommSchedule, me: usize, array: &DistArray<T>, touches_ghost: bool) {
+    assert_eq!(
+        array.owned_len(),
+        sched.owned_len(),
+        "rank {me}: array owned section does not match the schedule's owned length"
+    );
+    assert!(
+        !touches_ghost || array.ghost_len() >= sched.ghost_len(),
+        "rank {me}: array ghost region smaller than the schedule requires"
+    );
+}
+
+/// The start half of every schedule-driven transfer: pack lane `l` of every destination's
+/// message as one contiguous block (`x0 x1 … y0 y1 …`) from `arrays[l]`'s source section
+/// by the direction's pack list, and post one message per processor pair through the
+/// plan fused to the lane count.
+fn start<T, A>(
+    rank: &mut Rank,
+    sched: &CommSchedule,
+    direction: Direction,
+    arrays: &[A],
+) -> GatherHandle<T>
+where
+    T: Element + Default,
+    A: Borrow<DistArray<T>>,
+{
+    assert_eq!(
+        sched.nprocs(),
+        rank.nprocs(),
+        "schedule/machine size mismatch"
+    );
+    assert!(
+        !arrays.is_empty(),
+        "a schedule-driven transfer needs at least one array"
+    );
+    let me = rank.rank();
+    let packs_ghost = matches!(direction, Direction::Scatter);
+    for array in arrays {
+        check_lane(sched, me, array.borrow(), packs_ghost);
+    }
+    let lanes = arrays.len();
+    let (pack_lists, _) = direction.lists(sched);
+    let plan = direction.plan(sched, me).fused(lanes);
+    let inner = start_alltoallv_with(rank, plan, |p, buf: &mut PackBuf<'_, T>| {
+        let list = &pack_lists[p];
+        for array in arrays {
+            let from = direction.source(array.borrow());
+            for (k, &at) in list.iter().enumerate() {
+                if let Some(&ahead) = list.get(k + PREFETCH_AHEAD) {
+                    prefetch(from.as_ptr().wrapping_add(ahead as usize));
+                }
+                // SAFETY: `CommSchedule::from_parts` checked every send offset against
+                // `sched.owned_len()` and every permutation slot against
+                // `sched.ghost_len()`, and `check_lane` asserted above that this lane's
+                // owned section has exactly that length and, when a scatter packs it, its
+                // ghost region at least that length — so `at` indexes `from` whichever
+                // list packs.
+                buf.push(unsafe { *from.get_unchecked(at as usize) });
+            }
+        }
+    });
+    GatherHandle { inner, lanes }
+}
+
+/// The finish half: drain the transfer's messages and combine lane block `l` of each into
+/// `arrays[l]`'s target section by the direction's place list with `op` (`=` for a
+/// gather, `+=` for a scatter-add).  A gather grows each ghost region first if needed.
+fn finish<T, A>(
+    rank: &mut Rank,
+    handle: GatherHandle<T>,
+    sched: &CommSchedule,
+    direction: Direction,
+    arrays: &mut [A],
+    op: impl Fn(&mut T, T),
+) -> ExchangeStats
+where
+    T: Element + Default,
+    A: BorrowMut<DistArray<T>>,
+{
+    assert_eq!(
+        sched.nprocs(),
+        rank.nprocs(),
+        "schedule/machine size mismatch"
+    );
+    let lanes = arrays.len();
+    assert_eq!(
+        handle.lanes, lanes,
+        "a transfer must be finished with as many arrays as its start packed"
+    );
+    let me = rank.rank();
+    for array in arrays.iter_mut() {
+        let array = array.borrow_mut();
+        if let Direction::Gather = direction {
+            array.ensure_ghost(sched.ghost_len());
+        }
+        check_lane(sched, me, array, true);
+    }
+    let (_, place_lists) = direction.lists(sched);
+    handle.inner.finish(rank, |src, values: Placed<'_, T>| {
+        let list = &place_lists[src];
+        let count = list.len();
+        assert_eq!(
+            values.len(),
+            count * lanes,
+            "rank {me}: schedule does not match the one the transfer was started with \
+             (message from rank {src} disagrees with its placement list)"
+        );
+        for (lane, array) in arrays.iter_mut().enumerate() {
+            let into = direction.target(array.borrow_mut());
+            let block = &values[lane * count..(lane + 1) * count];
+            for (k, (&at, &v)) in list.iter().zip(block).enumerate() {
+                if let Some(&ahead) = list.get(k + PREFETCH_AHEAD) {
+                    prefetch(into.as_ptr().wrapping_add(ahead as usize));
+                }
+                // SAFETY: as for packing — the place list's entries were checked at
+                // `CommSchedule::from_parts` against the bound `check_lane` asserted
+                // above for this lane's target section.
+                op(unsafe { into.get_unchecked_mut(at as usize) }, v);
+            }
+        }
+    })
+}
+
+/// The gathers' combining op: a ghost slot takes the owner's value.
+fn assign<T>(slot: &mut T, value: T) {
+    *slot = value;
+}
+
+/// The scatter-adds' combining op: an owned element accumulates a ghost contribution.
+fn add<T: std::ops::AddAssign>(slot: &mut T, value: T) {
+    *slot += value;
 }
 
 /// Gather off-processor elements into the ghost region of `array`.
 ///
 /// After the call, `array[r]` is valid for every [`crate::darray::LocalRef`] `r` produced
 /// by the inspector for the indirection arrays covered by `sched`.  Returns the message
-/// and byte counts of the transfer.
+/// and byte counts of the transfer.  The one-lane [`gather_multi`].
 pub fn gather<T: Element + Default>(
     rank: &mut Rank,
     sched: &CommSchedule,
     array: &mut DistArray<T>,
 ) -> ExchangeStats {
-    transfer(rank, sched, array, Direction::Gather, |ghost, incoming| {
-        *ghost = incoming;
-    })
-}
-
-/// Scatter ghost-region values back to their owners, overwriting the owners' copies.
-pub fn scatter<T: Element + Default>(
-    rank: &mut Rank,
-    sched: &CommSchedule,
-    array: &mut DistArray<T>,
-) -> ExchangeStats {
-    transfer(rank, sched, array, Direction::Scatter, |owner, incoming| {
-        *owner = incoming;
-    })
+    gather_multi(rank, sched, [array])
 }
 
 /// Scatter ghost-region values back to their owners, adding them to the owners' copies.
-/// This is the executor half of an irregular reduction loop.
+/// This is the executor half of an irregular reduction loop.  The one-lane
+/// [`scatter_add_multi`].
 pub fn scatter_add<T>(
     rank: &mut Rank,
     sched: &CommSchedule,
@@ -125,92 +299,7 @@ pub fn scatter_add<T>(
 where
     T: Element + Default + std::ops::AddAssign,
 {
-    transfer(rank, sched, array, Direction::Scatter, |owner, incoming| {
-        *owner += incoming;
-    })
-}
-
-/// The single-array transfer in either direction: pack `from[pack_lists[p][k]]` for every
-/// destination `p`, and combine what source `q` sent into `into[place_lists[q][k]]` with
-/// `op`.  A scatter is the mirror image of a gather — the ghost slots this rank filled
-/// from processor `p` go back to `p`, which applies them to the owned offsets it
-/// originally listed in its send list — so the two directions differ only in which of
-/// the schedule's lists packs and which places.
-fn transfer<T, F>(
-    rank: &mut Rank,
-    sched: &CommSchedule,
-    array: &mut DistArray<T>,
-    direction: Direction,
-    op: F,
-) -> ExchangeStats
-where
-    T: Element + Default,
-    F: Fn(&mut T, T),
-{
-    assert_eq!(
-        sched.nprocs(),
-        rank.nprocs(),
-        "schedule/machine size mismatch"
-    );
-    let me = rank.rank();
-    assert_eq!(
-        array.owned().len(),
-        sched.owned_len(),
-        "rank {me}: array owned section does not match the schedule's owned length"
-    );
-    let (plan, pack_lists, place_lists, (from, into)) = match direction {
-        Direction::Gather => {
-            array.ensure_ghost(sched.ghost_len());
-            (
-                sched.gather_plan(me),
-                sched.send_lists(),
-                sched.perm_lists(),
-                array.owned_and_ghost_mut(),
-            )
-        }
-        Direction::Scatter => {
-            assert!(
-                array.ghost_len() >= sched.ghost_len(),
-                "array ghost region smaller than the schedule requires"
-            );
-            (
-                sched.scatter_plan(me),
-                sched.perm_lists(),
-                sched.send_lists(),
-                array.ghost_and_owned_mut(),
-            )
-        }
-    };
-    alltoallv_with(
-        rank,
-        &plan,
-        |p, buf: &mut PackBuf<'_, T>| {
-            let list = &pack_lists[p];
-            for (k, &at) in list.iter().enumerate() {
-                if let Some(&ahead) = list.get(k + PREFETCH_AHEAD) {
-                    prefetch(from.as_ptr().wrapping_add(ahead as usize));
-                }
-                // SAFETY: `CommSchedule::from_parts` checked every send offset against
-                // `sched.owned_len()` and every permutation slot against
-                // `sched.ghost_len()`; the owned section has exactly that length and the
-                // ghost region at least that length (both asserted above), so `at`
-                // indexes `from` whichever list packs.
-                buf.push(unsafe { *from.get_unchecked(at as usize) });
-            }
-        },
-        |src, values: Placed<'_, T>| {
-            let list = &place_lists[src];
-            for (k, (&at, &v)) in list.iter().zip(values.iter()).enumerate() {
-                if let Some(&ahead) = list.get(k + PREFETCH_AHEAD) {
-                    prefetch(into.as_ptr().wrapping_add(ahead as usize));
-                }
-                // SAFETY: as for packing — the placing list's entries were checked at
-                // `CommSchedule::from_parts` against the bound `into`'s length was
-                // asserted to meet.
-                op(unsafe { into.get_unchecked_mut(at as usize) }, v);
-            }
-        },
-    )
+    scatter_add_multi(rank, sched, [array])
 }
 
 /// Fused gather: bring the off-processor elements of `sched` into the ghost regions of
@@ -220,14 +309,12 @@ where
 /// (CHARMM's `px`/`py`/`pz`).  Each lane travels as one contiguous block on the wire
 /// (all scheduled elements of `x`, then of `y`, then of `z`), so the bytes moved equal
 /// `N` separate [`gather`] calls while messages and message latencies drop `N×`.
-/// Blocked lanes keep pack and place simple per-lane sweeps with no per-element stride
-/// arithmetic — the compiler can vectorise them — and the result is element-identical to
-/// `N` separate gathers.
 ///
 /// `arrays` is anything that lends a slice of array borrows: a fixed-size array where
 /// the lane count is known at compile time (`[&mut x, &mut y, &mut z]`), a `Vec` or
 /// `&mut [..]` where it is not (the Fortran-D executor running an optimizer-fused
-/// exchange).  At least one lane is required.
+/// exchange).  At least one lane is required.  A [`gather_start`] followed at once by a
+/// [`gather_finish`].
 pub fn gather_multi<'a, T>(
     rank: &mut Rank,
     sched: &CommSchedule,
@@ -237,53 +324,13 @@ where
     T: Element + Default,
 {
     let arrays = arrays.as_mut();
-    assert_eq!(
-        sched.nprocs(),
-        rank.nprocs(),
-        "schedule/machine size mismatch"
-    );
-    assert!(
-        !arrays.is_empty(),
-        "a fused gather needs at least one array"
-    );
-    let n = arrays.len();
-    let me = rank.rank();
-    let plan = sched.gather_plan(me);
-    let mut owneds: Vec<&[T]> = Vec::with_capacity(n);
-    let mut ghosts: Vec<&mut [T]> = Vec::with_capacity(n);
-    for a in arrays.iter_mut() {
-        a.ensure_ghost(sched.ghost_len());
-        let (o, g) = a.owned_and_ghost_mut();
-        owneds.push(o);
-        ghosts.push(g);
-    }
-    alltoallv_multi(
-        rank,
-        &plan,
-        n,
-        |p, buf: &mut PackBuf<'_, T>| {
-            for owned in &owneds {
-                for &off in &sched.send_lists()[p] {
-                    buf.push(owned[off as usize]);
-                }
-            }
-        },
-        |src, values: Placed<'_, T>| {
-            let cnt = sched.perm_lists()[src].len();
-            for (lane, ghost) in ghosts.iter_mut().enumerate() {
-                let block = &values[lane * cnt..(lane + 1) * cnt];
-                for (&slot, &v) in sched.perm_lists()[src].iter().zip(block) {
-                    ghost[slot as usize] = v;
-                }
-            }
-        },
-    )
+    let handle = start(rank, sched, Direction::Gather, &*arrays);
+    finish(rank, handle, sched, Direction::Gather, arrays, assign)
 }
 
 /// Fused scatter-add: push the ghost-region contributions of all `N` arrays back to
 /// their owners in one message per processor pair, adding into the owners' copies.
-/// The fused mirror image of [`gather_multi`]; element-identical to `N` separate
-/// [`scatter_add`] calls.
+/// The fused mirror image of [`gather_multi`].
 pub fn scatter_add_multi<'a, T>(
     rank: &mut Rank,
     sched: &CommSchedule,
@@ -293,55 +340,13 @@ where
     T: Element + Default + std::ops::AddAssign,
 {
     let arrays = arrays.as_mut();
-    assert_eq!(
-        sched.nprocs(),
-        rank.nprocs(),
-        "schedule/machine size mismatch"
-    );
-    assert!(
-        !arrays.is_empty(),
-        "a fused scatter needs at least one array"
-    );
-    let n = arrays.len();
-    let me = rank.rank();
-    let plan = sched.scatter_plan(me);
-    let mut ghosts: Vec<&[T]> = Vec::with_capacity(n);
-    let mut owneds: Vec<&mut [T]> = Vec::with_capacity(n);
-    for a in arrays.iter_mut() {
-        assert!(
-            a.ghost_len() >= sched.ghost_len(),
-            "array ghost region smaller than the schedule requires"
-        );
-        let (g, o) = a.ghost_and_owned_mut();
-        ghosts.push(g);
-        owneds.push(o);
-    }
-    alltoallv_multi(
-        rank,
-        &plan,
-        n,
-        |p, buf: &mut PackBuf<'_, T>| {
-            for ghost in &ghosts {
-                for &slot in &sched.perm_lists()[p] {
-                    buf.push(ghost[slot as usize]);
-                }
-            }
-        },
-        |src, values: Placed<'_, T>| {
-            let cnt = sched.send_lists()[src].len();
-            for (lane, owned) in owneds.iter_mut().enumerate() {
-                let block = &values[lane * cnt..(lane + 1) * cnt];
-                for (&off, &v) in sched.send_lists()[src].iter().zip(block) {
-                    owned[off as usize] += v;
-                }
-            }
-        },
-    )
+    let handle = start(rank, sched, Direction::Scatter, &*arrays);
+    finish(rank, handle, sched, Direction::Scatter, arrays, add)
 }
 
-/// A fused gather in flight: sends posted by [`gather_start`], ghost placement pending
-/// until [`gather_finish`].  Nothing borrows the arrays while the exchange flies — the
-/// caller is free to read them (and compute) in between.
+/// A schedule-driven transfer in flight: sends posted by [`gather_start`], placement
+/// pending until [`gather_finish`].  Nothing borrows the arrays while the exchange flies
+/// — the caller is free to read them (and compute) in between.
 #[must_use = "a split-phase gather must be finished with gather_finish"]
 pub struct GatherHandle<T: Element> {
     inner: ExchangeHandle<T>,
@@ -365,28 +370,7 @@ pub fn gather_start<'a, T>(
 where
     T: Element + Default,
 {
-    let arrays = arrays.as_ref();
-    assert_eq!(
-        sched.nprocs(),
-        rank.nprocs(),
-        "schedule/machine size mismatch"
-    );
-    assert!(
-        !arrays.is_empty(),
-        "a fused gather needs at least one array"
-    );
-    let n = arrays.len();
-    let me = rank.rank();
-    let plan = sched.gather_plan(me).fused(n);
-    let owneds: Vec<&[T]> = arrays.iter().map(|a| a.owned()).collect();
-    let inner = start_alltoallv_with(rank, plan, |p, buf: &mut PackBuf<'_, T>| {
-        for owned in &owneds {
-            for &off in &sched.send_lists()[p] {
-                buf.push(owned[off as usize]);
-            }
-        }
-    });
-    GatherHandle { inner, lanes: n }
+    start(rank, sched, Direction::Gather, arrays.as_ref())
 }
 
 /// Finish a gather started with [`gather_start`]: drain the receives and place the
@@ -409,36 +393,7 @@ where
     T: Element + Default,
 {
     let arrays = arrays.as_mut();
-    assert_eq!(
-        sched.nprocs(),
-        rank.nprocs(),
-        "schedule/machine size mismatch"
-    );
-    let n = arrays.len();
-    assert_eq!(
-        handle.lanes, n,
-        "gather_finish must pass the same arrays gather_start packed"
-    );
-    let mut ghosts: Vec<&mut [T]> = Vec::with_capacity(n);
-    for a in arrays.iter_mut() {
-        a.ensure_ghost(sched.ghost_len());
-        ghosts.push(a.ghost_mut());
-    }
-    handle.inner.finish(rank, |src, values: Placed<'_, T>| {
-        assert_eq!(
-            values.len(),
-            sched.perm_lists()[src].len() * n,
-            "gather_finish: schedule does not match the one gather_start packed for \
-             (message from rank {src} disagrees with the permutation list)"
-        );
-        let cnt = sched.perm_lists()[src].len();
-        for (lane, ghost) in ghosts.iter_mut().enumerate() {
-            let block = &values[lane * cnt..(lane + 1) * cnt];
-            for (&slot, &v) in sched.perm_lists()[src].iter().zip(block) {
-                ghost[slot as usize] = v;
-            }
-        }
-    })
+    finish(rank, handle, sched, Direction::Gather, arrays, assign)
 }
 
 /// A light-weight append in flight: migrants posted by [`scatter_append_start`], arrivals
@@ -490,24 +445,17 @@ pub fn scatter_append_finish<T: Element>(
     sched: &LightweightSchedule,
     handle: AppendHandle<T>,
 ) -> Vec<T> {
-    let me = sched.my_rank();
-    let nprocs = sched.nprocs();
     // The engine delivers in arrival order; buffer per source so the documented layout
-    // is deterministic.  The appended items outlive the call, so ownership is taken.
-    let mut by_src: Vec<Vec<T>> = (0..nprocs).map(|_| Vec::new()).collect();
+    // is deterministic.  The appended items outlive the call, so ownership is taken.  The
+    // plan has no self transfer, so this rank's own entry stays empty; the engine checks
+    // every arrival's count against the plan (`RecvSpec::Exact`).
+    let mut by_src: Vec<Vec<T>> = (0..sched.nprocs()).map(|_| Vec::new()).collect();
     handle.inner.finish(rank, |src, values| {
         by_src[src] = values.into_vec();
     });
     let mut result = handle.kept;
-    for (p, mut values) in by_src.into_iter().enumerate() {
-        if p != me {
-            debug_assert_eq!(
-                values.len(),
-                sched.recv_counts[p],
-                "scatter_append: receive count mismatch from processor {p}"
-            );
-            result.append(&mut values);
-        }
+    for mut values in by_src {
+        result.append(&mut values);
     }
     result
 }
@@ -598,24 +546,6 @@ mod tests {
             assert_eq!(stats.msgs_sent as usize, *msg_count);
             assert_eq!(stats.bytes_sent as usize, total_send * 8);
             assert_eq!(stats.bytes_received as usize, total_fetch * 8);
-        }
-    }
-
-    #[test]
-    fn gather_scatter_round_trip_preserves_values() {
-        let n = 24;
-        let out = run(MachineConfig::new(3), move |rank| {
-            let pattern: Vec<usize> = (0..n).map(|i| (i * 5 + 2) % n).collect();
-            let (sched, _refs, range) = setup(rank, n, &pattern);
-            let owned: Vec<f64> = range.clone().map(|g| (g * g) as f64).collect();
-            let mut x = DistArray::new(owned.clone(), sched.ghost_len());
-            gather(rank, &sched, &mut x);
-            // Scatter straight back without modification: owned values must be unchanged.
-            scatter(rank, &sched, &mut x);
-            (x.owned().to_vec(), owned)
-        });
-        for (after, before) in &out.results {
-            assert_eq!(after, before);
         }
     }
 
@@ -739,12 +669,12 @@ mod tests {
         let n = 32;
         let out = run(MachineConfig::new(4), move |rank| {
             let pattern: Vec<usize> = (0..n).map(|i| (i * 3 + 1) % n).collect();
-            let (sched, _refs, range) = setup(rank, n, &pattern);
+            let (sched, refs, range) = setup(rank, n, &pattern);
             let make = |scale: f64| -> DistArray<f64> {
                 let owned: Vec<f64> = range.clone().map(|g| g as f64 * scale).collect();
                 DistArray::new(owned, sched.ghost_len())
             };
-            // Reference: three blocking single-array gathers.
+            // Message and byte reference: three blocking single-array gathers.
             let (mut x1, mut y1, mut z1) = (make(1.0), make(0.5), make(-2.0));
             let s = gather(rank, &sched, &mut x1)
                 .merged(&gather(rank, &sched, &mut y1))
@@ -752,9 +682,12 @@ mod tests {
             // Fused: one gather_multi over the same values.
             let (mut x2, mut y2, mut z2) = (make(1.0), make(0.5), make(-2.0));
             let m = gather_multi(rank, &sched, [&mut x2, &mut y2, &mut z2]);
-            assert_eq!(x1.ghost(), x2.ghost());
-            assert_eq!(y1.ghost(), y2.ghost());
-            assert_eq!(z1.ghost(), z2.ghost());
+            // Value oracle: the global array, element g of lane `scale` being g * scale.
+            for (a, scale) in [(&x2, 1.0), (&y2, 0.5), (&z2, -2.0)] {
+                for (&r, &g) in refs.iter().zip(&pattern) {
+                    assert_eq!(a[r], g as f64 * scale, "lane {scale}: element {g}");
+                }
+            }
             (s, m, sched.send_message_count())
         });
         for (single, multi, sched_msgs) in &out.results {
@@ -790,9 +723,18 @@ mod tests {
                 .merged(&scatter_add(rank, &sched, &mut z1));
             let (mut x2, mut y2, mut z2) = (seed(1.0), seed(2.0), seed(3.0));
             let m = scatter_add_multi(rank, &sched, [&mut x2, &mut y2, &mut z2]);
-            assert_eq!(x1.owned(), x2.owned());
-            assert_eq!(y1.owned(), y2.owned());
-            assert_eq!(z1.owned(), z2.owned());
+            // Value oracle: owned element g starts at `bias` and every rank adds
+            // g + bias to it (the pattern is the identity), all small integers, so the
+            // plain sequential sum is exact in any order.
+            for (a, bias) in [(&x2, 1.0), (&y2, 2.0), (&z2, 3.0)] {
+                for (g, &v) in range.clone().zip(a.owned()) {
+                    assert_eq!(
+                        v,
+                        bias + 3.0 * (g as f64 + bias),
+                        "lane {bias}: element {g}"
+                    );
+                }
+            }
             (s, m)
         });
         for (single, multi) in &out.results {
@@ -806,7 +748,7 @@ mod tests {
         let n = 30;
         let out = run(MachineConfig::new(3), move |rank| {
             let pattern: Vec<usize> = (0..n).map(|i| (i * 7 + 2) % n).collect();
-            let (sched, _refs, range) = setup(rank, n, &pattern);
+            let (sched, refs, range) = setup(rank, n, &pattern);
             let owned: Vec<f64> = range.clone().map(|g| (g * g) as f64).collect();
             let mut blocking = DistArray::new(owned.clone(), sched.ghost_len());
             let b = gather(rank, &sched, &mut blocking);
@@ -815,6 +757,9 @@ mod tests {
             rank.charge_compute(42.0); // the force loop that overlaps the exchange
             let s = gather_finish(rank, handle, &sched, [&mut split]);
             assert_eq!(blocking.ghost(), split.ghost(), "byte-identical ghosts");
+            for (&r, &g) in refs.iter().zip(&pattern) {
+                assert_eq!(split[r], (g * g) as f64, "element {g}");
+            }
             (b, s)
         });
         for (blocking, split) in &out.results {
@@ -849,6 +794,57 @@ mod tests {
             let (sched, _refs, range) = setup(rank, 8, &pattern);
             let mut x = DistArray::new(vec![0.0f64; range.len() - 1], sched.ghost_len());
             gather(rank, &sched, &mut x);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "array owned section does not match the schedule's owned length")]
+    fn fused_lane_of_the_wrong_owned_length_is_rejected() {
+        let _ = run(MachineConfig::new(2), |rank| {
+            let pattern: Vec<usize> = (0..8).collect();
+            let (sched, _refs, range) = setup(rank, 8, &pattern);
+            let mut x = DistArray::new(vec![0.0f64; range.len()], sched.ghost_len());
+            // One element too many: indexing would stay in bounds, so only the lane check
+            // can catch it.
+            let mut y = DistArray::new(vec![0.0f64; range.len() + 1], sched.ghost_len());
+            gather_multi(rank, &sched, [&mut x, &mut y]);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "array owned section does not match the schedule's owned length")]
+    fn split_phase_lane_of_the_wrong_owned_length_is_rejected() {
+        let _ = run(MachineConfig::new(2), |rank| {
+            let pattern: Vec<usize> = (0..8).collect();
+            let (sched, _refs, range) = setup(rank, 8, &pattern);
+            let x = DistArray::new(vec![0.0f64; range.len()], sched.ghost_len());
+            let y = DistArray::new(vec![0.0f64; range.len() - 1], sched.ghost_len());
+            let handle = gather_start(rank, &sched, [&x, &y]);
+            let (mut x, mut y) = (x, y);
+            gather_finish(rank, handle, &sched, [&mut x, &mut y]);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "array owned section does not match the schedule's owned length")]
+    fn scatter_add_lane_of_the_wrong_owned_length_is_rejected() {
+        let _ = run(MachineConfig::new(2), |rank| {
+            let pattern: Vec<usize> = (0..8).collect();
+            let (sched, _refs, range) = setup(rank, 8, &pattern);
+            let mut x = DistArray::new(vec![0.0f64; range.len()], sched.ghost_len());
+            let mut y = DistArray::new(vec![0.0f64; range.len() + 1], sched.ghost_len());
+            scatter_add_multi(rank, &sched, [&mut x, &mut y]);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "array ghost region smaller than the schedule requires")]
+    fn scatter_add_lane_with_too_short_a_ghost_region_is_rejected() {
+        let _ = run(MachineConfig::new(2), |rank| {
+            let pattern: Vec<usize> = (0..8).collect();
+            let (sched, _refs, range) = setup(rank, 8, &pattern);
+            let mut x = DistArray::new(vec![0.0f64; range.len()], sched.ghost_len() - 1);
+            scatter_add(rank, &sched, &mut x);
         });
     }
 

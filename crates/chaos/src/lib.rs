@@ -95,7 +95,7 @@ pub use darray::{DistArray, LocalRef};
 pub use distribution::{BlockDist, CyclicDist, RegularDist};
 pub use error::ChaosError;
 pub use executor::{
-    gather, gather_finish, gather_multi, gather_start, scatter, scatter_add, scatter_add_multi,
+    gather, gather_finish, gather_multi, gather_start, scatter_add, scatter_add_multi,
     scatter_append, scatter_append_finish, scatter_append_start, AppendHandle, GatherHandle,
 };
 pub use index_hash::{IndexHashTable, ScheduleKey, Stamp, StampQuery};
@@ -119,7 +119,7 @@ pub mod prelude {
     pub use crate::darray::{DistArray, LocalRef};
     pub use crate::distribution::{BlockDist, CyclicDist, RegularDist};
     pub use crate::executor::{
-        gather, gather_finish, gather_multi, gather_start, scatter, scatter_add, scatter_add_multi,
+        gather, gather_finish, gather_multi, gather_start, scatter_add, scatter_add_multi,
         scatter_append, scatter_append_finish, scatter_append_start, AppendHandle, GatherHandle,
     };
     pub use crate::index_hash::{IndexHashTable, ScheduleKey, Stamp, StampQuery};

@@ -43,7 +43,7 @@ use std::mem;
 
 use chaos::adapt::{MonitorTopology, RemapController, RemapPolicy};
 use chaos::prelude::*;
-use mpsim::{alltoallv, ExchangePlan, ExchangeStats, Rank, TimeSnapshot};
+use mpsim::{alltoallv_with, ExchangePlan, ExchangeStats, Rank, TimeSnapshot};
 
 use crate::collide::collide_cell;
 use crate::grid::CellGrid;
@@ -525,9 +525,7 @@ fn move_patched(
             row_of_slot[slot as usize] = Some((p, row as u32));
         }
     }
-    let mut counts: Vec<Vec<u32>> = (0..nprocs)
-        .map(|p| vec![0u32; sched.fetch_size(p)])
-        .collect();
+    let mut counts: Vec<Vec<u32>> = (0..nprocs).map(|p| vec![0; sched.fetch_size(p)]).collect();
     let mut binned: Vec<Vec<(u32, usize)>> = vec![Vec::new(); nprocs];
     for &k in &offproc {
         let entry = state
@@ -542,28 +540,30 @@ fn move_patched(
         binned[p].push((row, k));
     }
     rank.charge_compute(offproc.len() as f64 * 0.1);
-    let payload: Vec<Vec<Particle>> = binned
-        .iter_mut()
-        .map(|b| {
-            // Stable by row: within a row, molecules keep their advance-scan order.
-            b.sort_by_key(|&(row, _)| row);
-            b.iter().map(|&(_, k)| migrants[k]).collect()
-        })
-        .collect();
+    for b in &mut binned {
+        // Stable by row: within a row, molecules keep their advance-scan order.
+        b.sort_by_key(|&(row, _)| row);
+    }
     let mut incoming_counts: Vec<Vec<u32>> = vec![Vec::new(); nprocs];
-    let ex_counts = alltoallv(rank, &sched.scatter_plan(me), &counts, |src, placed| {
-        incoming_counts[src] = placed.into_vec();
-    });
-    let payload_send: Vec<usize> = payload.iter().map(Vec::len).collect();
+    let ex_counts = alltoallv_with(
+        rank,
+        &sched.scatter_plan(me),
+        |p, buf| buf.extend_from_slice(&counts[p]),
+        |src, placed| incoming_counts[src] = placed.into_vec(),
+    );
+    let payload_send: Vec<usize> = binned.iter().map(Vec::len).collect();
     let payload_recv: Vec<usize> = incoming_counts
         .iter()
         .map(|c| c.iter().map(|&n| n as usize).sum())
         .collect();
     let pplan = ExchangePlan::sparse(me, payload_send, payload_recv);
     let mut recv_payload: Vec<Vec<Particle>> = vec![Vec::new(); nprocs];
-    let ex_payload = alltoallv(rank, &pplan, &payload, |src, placed| {
-        recv_payload[src] = placed.into_vec();
-    });
+    let ex_payload = alltoallv_with(
+        rank,
+        &pplan,
+        |p, buf| binned[p].iter().for_each(|&(_, k)| buf.push(migrants[k])),
+        |src, placed| recv_payload[src] = placed.into_vec(),
+    );
     state.exchange = state.exchange.merged(&ex_counts).merged(&ex_payload);
 
     // Collect arrivals by schedule row: row `r` from `src` belongs in the owned cell at

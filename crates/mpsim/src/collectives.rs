@@ -34,7 +34,7 @@
 //! `chaos::adapt`'s replicated controllers depend on, pinned by the equivalence suite
 //! at power-of-two and non-power-of-two machine sizes.
 
-use crate::exchange::{alltoallv, alltoallv_with, ExchangePlan, PackBuf, Placed, RecvSpec};
+use crate::exchange::{alltoallv_with, ExchangePlan, PackBuf, Placed, RecvSpec};
 use crate::machine::Rank;
 use crate::message::Element;
 use crate::topology::{tree_rounds, BinomialTree, Dissemination, GroupMap};
@@ -187,7 +187,12 @@ impl Rank {
         );
         let plan = ExchangePlan::dense(me, sends.iter().map(Vec::len).collect());
         let mut out: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-        alltoallv(self, &plan, sends, |src, v| out[src] = v.into_vec());
+        alltoallv_with(
+            self,
+            &plan,
+            |p, buf| buf.extend_from_slice(&sends[p]),
+            |src, v| out[src] = v.into_vec(),
+        );
         out
     }
 

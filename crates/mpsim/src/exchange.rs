@@ -14,23 +14,19 @@
 //!   who it will hear from (and, when known, how many elements each message carries).
 //!   Plans are cheap, reusable values; schedule types build them once and execute them
 //!   many times.
-//! * [`alltoallv`] — executes a plan: packs nothing itself (callers pass per-destination
-//!   buffers), sends only the messages the plan calls for, receives from any source, and
-//!   hands each incoming payload to a caller-supplied placement closure as a borrowed
-//!   [`Placed`] view over the pooled buffer it arrived in.  The local (self → self)
-//!   portion is delivered through the same placement path without touching the network
-//!   or the communication cost model.
+//! * [`alltoallv_with`] — executes a plan: the caller packs each destination's elements
+//!   *directly into the outgoing message buffer* through a [`PackBuf`], the engine sends
+//!   only the messages the plan calls for, receives from any source, and hands each
+//!   incoming payload to a caller-supplied placement closure as a borrowed [`Placed`]
+//!   view over the pooled buffer it arrived in.  The local (self → self) portion is
+//!   delivered through the same placement path without touching the network or the
+//!   communication cost model.  A caller holding pre-built per-destination buffers packs
+//!   them with `buf.extend_from_slice(&sends[p])`.
+//! * [`start_alltoallv_with`] / [`ExchangeHandle::finish`] — the same execution split in
+//!   two (see *Split-phase execution* below).
 //!
-//! Two entry points execute a plan, differing only in where the outgoing bytes come
-//! from ([`alltoallv_multi`] is the second with a lane count):
-//!
-//! * [`alltoallv`] — callers pass one pre-built buffer per destination (borrowed; the
-//!   engine never copies them into intermediate `Vec<T>`s).
-//! * [`alltoallv_with`] — the caller packs each destination's elements *directly into the
-//!   outgoing message buffer* through a [`PackBuf`], so steady-state executor loops build
-//!   no per-destination `Vec<T>`s either.  This is the hot-path form used by the CHAOS
-//!   gather/scatter/append/remap primitives, and by the collectives that send every
-//!   peer the same borrowed payload.
+//! These are the engine's only two entry points: the blocking one is a start
+//! immediately followed by a finish.
 //!
 //! ## One wire and one buffer pool
 //!
@@ -90,14 +86,12 @@
 //! When several same-length arrays travel through the *same* plan in the same direction
 //! (CHARMM gathers `x`, `y`, `z` through one schedule every step), executing the plan
 //! once per array multiplies message count and latency by the array count.
-//! [`ExchangePlan::fused`] scales a plan's element counts by a lane count and
-//! [`alltoallv_multi`] executes the scaled plan with each lane packed as one contiguous
-//! block (`x0 x1 … y0 y1 … z0 z1 …`), so N arrays move in **one** message per
-//! processor pair — same bytes, 1/N of the messages.  Blocked lanes keep both pack and
-//! place a straight per-lane sweep (autovectorizable, and a bulk copy when the lane is
-//! already contiguous at the caller) instead of a strided element-wise shuffle.  The
-//! executor's `gather_multi` / `scatter_add_multi` wrappers in `chaos` pack and place
-//! the lane blocks.
+//! [`ExchangePlan::fused`] scales a plan's element counts by a lane count; executing the
+//! scaled plan with each lane packed as one contiguous block (`x0 x1 … y0 y1 … z0 z1 …`)
+//! moves N arrays in **one** message per processor pair — same bytes, 1/N of the
+//! messages.  Blocked lanes keep both pack and place a straight per-lane sweep instead of
+//! a strided element-wise shuffle.  The executor's transfer kernel in `chaos` builds the
+//! fused plan and packs and places the lane blocks.
 
 use crate::machine::{recycle_buffer, FreeList, Rank};
 use crate::message::{Buffer, Element};
@@ -219,55 +213,15 @@ impl ExchangePlan {
         let n = rank.nprocs();
         let me = rank.rank();
         assert_eq!(send_counts.len(), n, "one send count per rank required");
-        assert!(
-            n <= u32::MAX as usize,
-            "rank ids must fit the routing header"
-        );
-        // Stream of (dest, src, count) triples this rank currently holds.  Self-sends
-        // never need negotiating (the plan's receive side ignores them).
-        let mut held: Vec<(u32, u32, u64)> = Vec::new();
-        for (p, &c) in send_counts.iter().enumerate() {
-            if p != me && c > 0 {
-                held.push((p as u32, me as u32, c as u64));
-            }
-        }
-        let mut fwd: Vec<(u32, u32, u64)> = Vec::new();
-        let mut incoming: Vec<(u32, u32, u64)> = Vec::new();
-        for k in 0..crate::topology::tree_rounds(n) {
-            let d = 1usize << k;
-            let to = (me + d) % n;
-            let from = (me + n - d) % n;
-            // Split the held stream: triples whose remaining offset has bit k set hop
-            // forward this round; the rest stay.  A triple received this round has bits
-            // 0..=k of its offset clear, so it can never need this round's hop —
-            // merging after the split is safe.
-            fwd.clear();
-            held.retain(|&triple| {
-                let offset = (triple.0 as usize + n - me) % n;
-                if offset & d != 0 {
-                    fwd.push(triple);
-                    false
-                } else {
-                    true
-                }
-            });
-            let mut sends: Vec<Option<usize>> = vec![None; n];
-            sends[to] = Some(fwd.len());
-            let mut recvs = vec![RecvSpec::None; n];
-            recvs[from] = RecvSpec::Any;
-            let plan = ExchangePlan::from_parts(me, sends, recvs);
-            incoming.clear();
-            alltoallv_with(
-                rank,
-                &plan,
-                |_p, buf: &mut PackBuf<'_, (u32, u32, u64)>| buf.extend_from_slice(&fwd),
-                |_src, v: Placed<'_, (u32, u32, u64)>| incoming.extend_from_slice(&v),
-            );
-            held.extend_from_slice(&incoming);
-        }
+        // Self-sends never need negotiating (the plan's receive side ignores them).
+        let held = send_counts
+            .iter()
+            .enumerate()
+            .filter(|&(p, &c)| p != me && c > 0)
+            .map(|(p, &c)| (p as u32, me as u32, c as u64))
+            .collect();
         let mut recv_counts = vec![0usize; n];
-        for &(dest, src, count) in &held {
-            debug_assert_eq!(dest as usize, me, "negotiation routing incomplete");
+        for (_, src, count) in route_ring(rank, held) {
             recv_counts[src as usize] = count as usize;
         }
         ExchangePlan::sparse(me, send_counts, recv_counts)
@@ -329,21 +283,18 @@ impl ExchangePlan {
     /// multiplied by `lanes`.  This is the plan of a multi-array exchange that moves
     /// `lanes` same-schedule arrays as per-lane blocks through one message per pair — the
     /// message *pattern* (who talks to whom) is unchanged, only the payload sizes scale.
-    /// See [`alltoallv_multi`].
-    pub fn fused(&self, lanes: usize) -> ExchangePlan {
+    /// Takes the plan by value and scales it in place, so the one-lane case costs nothing.
+    pub fn fused(mut self, lanes: usize) -> ExchangePlan {
         assert!(lanes > 0, "a fused plan needs at least one lane");
-        ExchangePlan {
-            my_rank: self.my_rank,
-            sends: self.sends.iter().map(|s| s.map(|n| n * lanes)).collect(),
-            recvs: self
-                .recvs
-                .iter()
-                .map(|r| match r {
-                    RecvSpec::Exact(n) => RecvSpec::Exact(n * lanes),
-                    other => *other,
-                })
-                .collect(),
+        for n in self.sends.iter_mut().flatten() {
+            *n *= lanes;
         }
+        for r in &mut self.recvs {
+            if let RecvSpec::Exact(n) = r {
+                *n *= lanes;
+            }
+        }
+        self
     }
 }
 
@@ -370,25 +321,42 @@ pub fn route_sparse<T: Element>(rank: &mut Rank, sends: &[Vec<T>]) -> Vec<Vec<T>
     let n = rank.nprocs();
     let me = rank.rank();
     assert_eq!(sends.len(), n, "one record list per rank required");
-    assert!(
-        n <= u32::MAX as usize,
-        "rank ids must fit the routing header"
-    );
-    // Stream of (dest, src, record) triples this rank currently holds.
     let mut held: Vec<(u32, u32, T)> = Vec::new();
     for (p, records) in sends.iter().enumerate() {
         if p != me {
             held.extend(records.iter().map(|&r| (p as u32, me as u32, r)));
         }
     }
+    let mut out: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
+    out[me].extend_from_slice(&sends[me]);
+    for (_, src, record) in route_ring(rank, held) {
+        out[src as usize].push(record);
+    }
+    out
+}
+
+/// The log-depth Bruck ring both [`ExchangePlan::negotiate`] and [`route_sparse`] run:
+/// every `(destination, source, record)` triple in `held` starts at this rank and, in
+/// round `k`, hops `2^k` ranks forward whenever bit `k` of its remaining offset is set —
+/// so after `ceil(log2 P)` rounds every triple sits at its destination.  Every rank sends
+/// exactly one (possibly empty) message per round, and every round preserves stream
+/// order.  Returns the triples addressed to this rank.  Collective.
+fn route_ring<T: Element>(rank: &mut Rank, mut held: Vec<(u32, u32, T)>) -> Vec<(u32, u32, T)> {
+    let n = rank.nprocs();
+    let me = rank.rank();
+    assert!(
+        n <= u32::MAX as usize,
+        "rank ids must fit the routing header"
+    );
     let mut fwd: Vec<(u32, u32, T)> = Vec::new();
     let mut incoming: Vec<(u32, u32, T)> = Vec::new();
     for k in 0..crate::topology::tree_rounds(n) {
         let d = 1usize << k;
         let to = (me + d) % n;
         let from = (me + n - d) % n;
-        // Same split as `negotiate`: triples whose remaining offset has bit k set hop
-        // forward this round; arrivals have bits 0..=k clear, so merging after the split
+        // Split the held stream: triples whose remaining offset has bit k set hop forward
+        // this round; the rest stay.  A triple received this round has bits 0..=k of its
+        // offset clear, so it can never need this round's hop — merging after the split
         // is safe.
         fwd.clear();
         held.retain(|&triple| {
@@ -400,11 +368,11 @@ pub fn route_sparse<T: Element>(rank: &mut Rank, sends: &[Vec<T>]) -> Vec<Vec<T>
                 true
             }
         });
-        let mut plan_sends: Vec<Option<usize>> = vec![None; n];
-        plan_sends[to] = Some(fwd.len());
+        let mut sends: Vec<Option<usize>> = vec![None; n];
+        sends[to] = Some(fwd.len());
         let mut recvs = vec![RecvSpec::None; n];
         recvs[from] = RecvSpec::Any;
-        let plan = ExchangePlan::from_parts(me, plan_sends, recvs);
+        let plan = ExchangePlan::from_parts(me, sends, recvs);
         incoming.clear();
         alltoallv_with(
             rank,
@@ -414,13 +382,11 @@ pub fn route_sparse<T: Element>(rank: &mut Rank, sends: &[Vec<T>]) -> Vec<Vec<T>
         );
         held.extend_from_slice(&incoming);
     }
-    let mut out: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-    out[me].extend_from_slice(&sends[me]);
-    for &(dest, src, record) in &held {
-        debug_assert_eq!(dest as usize, me, "record routing incomplete");
-        out[src as usize].push(record);
-    }
-    out
+    debug_assert!(
+        held.iter().all(|triple| triple.0 as usize == me),
+        "ring routing incomplete"
+    );
+    held
 }
 
 /// An outgoing message buffer handed to the pack closure of [`alltoallv_with`].
@@ -522,15 +488,18 @@ impl ExchangeStats {
     }
 }
 
-/// Execute `plan`: ship `sends[p]` to each peer the plan names, deliver `sends[me]`
-/// locally, and hand every incoming buffer to `place(source, values)`.
+/// Execute `plan`, letting the caller pack each destination's elements directly into the
+/// outgoing message buffer.  `pack(p, buf)` is called once per planned destination (self
+/// included when the plan routes to it) and must push exactly the plan's declared element
+/// count for `p`; `place(source, values)` is called once per incoming message (and for
+/// the planned self portion).
 ///
-/// Send buffers are borrowed — messages are packed straight from the slices into pooled
-/// buffers, so callers never give up their payloads just to hand them over.  Callers
-/// moving a *large* kept portion (the executor's append, remapping) place it directly
-/// instead of planning a self transfer.  When the per-destination buffers would
-/// themselves be freshly allocated each call, use [`alltoallv_with`] and pack into the
-/// message directly.
+/// This is the zero-intermediate-buffer form: combined with the buffer pool it is
+/// what lets the executor's steady-state gather/scatter/append/remap loops run without
+/// allocating any fresh send buffers.  A caller holding one pre-built buffer per
+/// destination packs it with `buf.extend_from_slice(&sends[p])`.  Callers moving a
+/// *large* kept portion (the executor's append, remapping) place it directly instead of
+/// planning a self transfer.
 ///
 /// Collective: every rank of the machine must call the engine in the same order (see the
 /// module docs for why this is what makes any-source matching sound).  Buffers are
@@ -540,69 +509,18 @@ impl ExchangeStats {
 /// the payload must outlive the call.
 ///
 /// # Panics
-/// Panics if the plan does not match the machine or the calling rank, if a buffer's
-/// length differs from the plan's declared send count, or if an incoming message violates
-/// the plan's receive expectations.
-pub fn alltoallv<T: Element>(
-    rank: &mut Rank,
-    plan: &ExchangePlan,
-    sends: &[Vec<T>],
-    place: impl FnMut(usize, Placed<'_, T>),
-) -> ExchangeStats {
-    assert_eq!(
-        sends.len(),
-        plan.nprocs(),
-        "one send buffer per rank required (empty where the plan sends nothing)"
-    );
-    for (p, payload) in sends.iter().enumerate() {
-        assert!(
-            plan.sends[p].is_some() || payload.is_empty(),
-            "rank {}: buffer for peer {p} has {} elements but the plan sends none",
-            plan.my_rank(),
-            payload.len()
-        );
-    }
-    run_exchange(rank, plan, |p, buf| buf.extend_from_slice(&sends[p]), place)
-}
-
-/// Execute `plan`, letting the caller pack each destination's elements directly into the
-/// outgoing message buffer.  `pack(p, buf)` is called once per planned destination (self
-/// included when the plan routes to it) and must push exactly the plan's declared element
-/// count for `p`.
-///
-/// This is the zero-intermediate-buffer form: combined with the buffer pool it is
-/// what lets the executor's steady-state gather/scatter/append/remap loops run without
-/// allocating any fresh send buffers.  Collectivity and panics as for [`alltoallv`].
+/// Panics if the plan does not match the machine or the calling rank, if a packed
+/// message's length differs from the plan's declared send count, or if an incoming
+/// message violates the plan's receive expectations.
 pub fn alltoallv_with<T: Element>(
     rank: &mut Rank,
     plan: &ExchangePlan,
     pack: impl FnMut(usize, &mut PackBuf<'_, T>),
     place: impl FnMut(usize, Placed<'_, T>),
 ) -> ExchangeStats {
-    run_exchange(rank, plan, pack, place)
-}
-
-/// Execute `plan` moving `lanes` same-schedule arrays in one message per processor pair.
-///
-/// `plan` is the *single-lane* plan (e.g. a schedule's gather plan); the engine executes
-/// [`ExchangePlan::fused`]`(lanes)`, so `pack(p, buf)` must push `lanes ×` the single-lane
-/// element count for `p`, with each lane packed as one contiguous block
-/// (`x0 x1 … y0 y1 … z0 z1 …`), and the placement closure receives them back in the same
-/// blocked order (`values[lane * count + k]`, where `count` is the single-lane element
-/// count for that source).  Blocked lanes make pack and place straight per-lane sweeps —
-/// autovectorizable, with no per-element stride arithmetic.  Same bytes on the wire as
-/// `lanes` single-array executions, `1/lanes` of the messages and message latencies.
-///
-/// Collectivity and panics as for [`alltoallv`].
-pub fn alltoallv_multi<T: Element>(
-    rank: &mut Rank,
-    plan: &ExchangePlan,
-    lanes: usize,
-    pack: impl FnMut(usize, &mut PackBuf<'_, T>),
-    place: impl FnMut(usize, Placed<'_, T>),
-) -> ExchangeStats {
-    let fused = plan.fused(lanes);
-    run_exchange(rank, &fused, pack, place)
+    let (tag, send_stats, self_values) = start_exchange(rank, plan, pack);
+    let recv_stats = finish_exchange(rank, plan, tag, self_values, place);
+    send_stats.merged(&recv_stats)
 }
 
 /// A split-phase exchange in flight: sends are posted, receives not yet drained.
@@ -630,15 +548,6 @@ struct InFlight<T: Element> {
 }
 
 impl<T: Element> ExchangeHandle<T> {
-    /// The plan this exchange is executing.
-    pub fn plan(&self) -> &ExchangePlan {
-        &self
-            .inflight
-            .as_ref()
-            .expect("exchange already finished")
-            .plan
-    }
-
     /// The exchange epoch (per-rank engine sequence number) this exchange was started in.
     pub fn epoch(&self) -> u64 {
         epoch_of_tag(
@@ -695,8 +604,8 @@ impl<T: Element> Drop for ExchangeHandle<T> {
 /// Combine with [`ExchangePlan::fused`] for a split-phase fused multi-array exchange.
 /// The handle owns `plan` — callers that reuse a long-lived plan pass a clone.  Starts
 /// are collective in the same order on every rank; see the module docs for the
-/// split-phase rules.  Panics as for [`alltoallv`] (plan/pack mismatches are caught at
-/// start; receive violations at finish).
+/// split-phase rules.  Panics as for [`alltoallv_with`] (plan/pack mismatches are caught
+/// at start; receive violations at finish).
 pub fn start_alltoallv_with<T: Element>(
     rank: &mut Rank,
     plan: ExchangePlan,
@@ -716,20 +625,6 @@ pub fn start_alltoallv_with<T: Element>(
 /// The exchange epoch encoded in a message tag (inverse of [`Rank::next_exchange_tag`]).
 fn epoch_of_tag(tag: u64) -> u64 {
     tag - EXCHANGE_TAG_BASE
-}
-
-/// Shared engine core of the blocking entry points: a start immediately followed by a
-/// finish.  See [`start_exchange`] and [`finish_exchange`], which the split-phase API
-/// exposes individually.
-fn run_exchange<T: Element>(
-    rank: &mut Rank,
-    plan: &ExchangePlan,
-    pack: impl FnMut(usize, &mut PackBuf<'_, T>),
-    place: impl FnMut(usize, Placed<'_, T>),
-) -> ExchangeStats {
-    let (tag, send_stats, self_values) = start_exchange(rank, plan, pack);
-    let recv_stats = finish_exchange(rank, plan, tag, self_values, place);
-    send_stats.merged(&recv_stats)
 }
 
 /// Start phase: claim the next exchange epoch, pack and post one pooled message per
@@ -922,7 +817,12 @@ mod tests {
             let mut sends: Vec<Vec<u32>> = vec![Vec::new(); n];
             sends[next] = vec![me as u32; me + 1];
             let mut got: Vec<(usize, Vec<u32>)> = Vec::new();
-            let stats = alltoallv(rank, &plan, &sends, |src, v| got.push((src, v.into_vec())));
+            let stats = alltoallv_with(
+                rank,
+                &plan,
+                |p, buf| buf.extend_from_slice(&sends[p]),
+                |src, v| got.push((src, v.into_vec())),
+            );
             (got, stats)
         });
         for (me, (got, stats)) in out.results.iter().enumerate() {
@@ -947,9 +847,14 @@ mod tests {
                 .collect();
             let plan = ExchangePlan::dense(me, sends.iter().map(Vec::len).collect());
             let mut received_from = Vec::new();
-            let stats = alltoallv(rank, &plan, &sends, |src, _v: Placed<'_, u64>| {
-                received_from.push(src);
-            });
+            let stats = alltoallv_with(
+                rank,
+                &plan,
+                |p, buf| buf.extend_from_slice(&sends[p]),
+                |src, _v: Placed<'_, u64>| {
+                    received_from.push(src);
+                },
+            );
             received_from.sort_unstable();
             (received_from, stats)
         });
@@ -977,10 +882,15 @@ mod tests {
             let mut sends: Vec<Vec<f64>> = vec![Vec::new(); 2];
             sends[me] = vec![1.0, 2.0, 3.0];
             let mut local = Vec::new();
-            let stats = alltoallv(rank, &plan, &sends, |src, v| {
-                assert_eq!(src, me);
-                local = v.into_vec();
-            });
+            let stats = alltoallv_with(
+                rank,
+                &plan,
+                |p, buf| buf.extend_from_slice(&sends[p]),
+                |src, v| {
+                    assert_eq!(src, me);
+                    local = v.into_vec();
+                },
+            );
             (local, stats, rank.stats().msgs_sent, rank.modeled().comm_us)
         });
         for (local, stats, sent, comm_us) in &out.results {
@@ -1038,7 +948,12 @@ mod tests {
                     .collect();
                 let s1 = rank.stats().msgs_sent;
                 let mut got = 0usize;
-                alltoallv(rank, &plan, &sends, |_src, _v: Placed<'_, u32>| got += 1);
+                alltoallv_with(
+                    rank,
+                    &plan,
+                    |p, buf| buf.extend_from_slice(&sends[p]),
+                    |_src, _v: Placed<'_, u32>| got += 1,
+                );
                 let exec_msgs = rank.stats().msgs_sent - s1;
                 (negotiation_msgs, exec_msgs, got, plan.recv_counts())
             });
@@ -1094,16 +1009,26 @@ mod tests {
             if me == 2 {
                 sends1[0] = vec![22];
             }
-            alltoallv(rank, &plan1, &sends1, |src, v| {
-                got.push((1, src, v.into_vec()));
-            });
+            alltoallv_with(
+                rank,
+                &plan1,
+                |p, buf| buf.extend_from_slice(&sends1[p]),
+                |src, v| {
+                    got.push((1, src, v.into_vec()));
+                },
+            );
             let mut sends2: Vec<Vec<u8>> = vec![Vec::new(); n];
             if me == 1 {
                 sends2[0] = vec![11];
             }
-            alltoallv(rank, &plan2, &sends2, |src, v| {
-                got.push((2, src, v.into_vec()));
-            });
+            alltoallv_with(
+                rank,
+                &plan2,
+                |p, buf| buf.extend_from_slice(&sends2[p]),
+                |src, v| {
+                    got.push((2, src, v.into_vec()));
+                },
+            );
             got
         });
         assert_eq!(
@@ -1121,7 +1046,12 @@ mod tests {
             let plan = ExchangePlan::dense(me, vec![2; n]);
             let sends: Vec<Vec<u64>> = (0..n).map(|p| vec![me as u64, p as u64]).collect();
             let before: RankStats = rank.stats();
-            let stats = alltoallv(rank, &plan, &sends, |_src, _v| {});
+            let stats = alltoallv_with(
+                rank,
+                &plan,
+                |p, buf| buf.extend_from_slice(&sends[p]),
+                |_src, _v| {},
+            );
             let after = rank.stats();
             (
                 stats,
@@ -1151,7 +1081,12 @@ mod tests {
             let plan = ExchangePlan::sparse(me, counts.clone(), counts);
             let mut sends: Vec<Vec<(u32, f64)>> = vec![Vec::new(); 2];
             sends[peer] = vec![(me as u32, 0.5); 3];
-            let stats = alltoallv(rank, &plan, &sends, |_src, v| assert_eq!(v.len(), 3));
+            let stats = alltoallv_with(
+                rank,
+                &plan,
+                |p, buf| buf.extend_from_slice(&sends[p]),
+                |_src, v| assert_eq!(v.len(), 3),
+            );
             (stats, rank.stats(), rank.modeled().comm_us)
         });
         assert_eq!(<(u32, f64)>::SIZE, 12);
@@ -1177,12 +1112,22 @@ mod tests {
             let data_round = |rank: &mut Rank| {
                 let plan = ExchangePlan::dense(me, vec![2; n]);
                 let sends: Vec<Vec<u64>> = (0..n).map(|p| vec![me as u64, p as u64]).collect();
-                alltoallv(rank, &plan, &sends, |_src, _v| {});
+                alltoallv_with(
+                    rank,
+                    &plan,
+                    |p, buf| buf.extend_from_slice(&sends[p]),
+                    |_src, _v| {},
+                );
             };
             let empty_round = |rank: &mut Rank| {
                 let plan = ExchangePlan::dense(me, vec![0; n]);
                 let sends: Vec<Vec<u64>> = vec![Vec::new(); n];
-                alltoallv(rank, &plan, &sends, |_src, _v| {});
+                alltoallv_with(
+                    rank,
+                    &plan,
+                    |p, buf| buf.extend_from_slice(&sends[p]),
+                    |_src, _v| {},
+                );
             };
             data_round(rank);
             let warm = rank.pool_stats();
@@ -1215,14 +1160,19 @@ mod tests {
                 let plan = ExchangePlan::dense(me, vec![3; 2]);
                 let sends: Vec<Vec<u64>> = vec![vec![me as u64; 3]; 2];
                 let mut kept = Vec::new();
-                alltoallv(rank, &plan, &sends, |_src, v| {
-                    if keep {
-                        kept = v.into_vec();
-                    } else {
-                        assert_eq!(v.len(), 3);
-                        assert_eq!(v.as_slice(), &v[..]);
-                    }
-                });
+                alltoallv_with(
+                    rank,
+                    &plan,
+                    |p, buf| buf.extend_from_slice(&sends[p]),
+                    |_src, v| {
+                        if keep {
+                            kept = v.into_vec();
+                        } else {
+                            assert_eq!(v.len(), 3);
+                            assert_eq!(v.as_slice(), &v[..]);
+                        }
+                    },
+                );
                 kept
             };
             // Warm the pool, then measure a borrow-only window and a keeping window.
@@ -1260,7 +1210,12 @@ mod tests {
             let plan = ExchangePlan::sparse(me, vec![0, 2], vec![0, 2]);
             // Declared two elements, packed one.
             let sends: Vec<Vec<u8>> = vec![Vec::new(), vec![1]];
-            alltoallv(rank, &plan, &sends, |_s, _v| {});
+            alltoallv_with(
+                rank,
+                &plan,
+                |p, buf| buf.extend_from_slice(&sends[p]),
+                |_s, _v| {},
+            );
         });
     }
 
@@ -1290,9 +1245,14 @@ mod tests {
             let split_stats = handle.finish(rank, |src, v| got.push((src, v.into_vec())));
 
             let mut blocking: Vec<(usize, Vec<u32>)> = Vec::new();
-            let blocking_stats = alltoallv(rank, &plan, &sends, |src, v| {
-                blocking.push((src, v.into_vec()));
-            });
+            let blocking_stats = alltoallv_with(
+                rank,
+                &plan,
+                |p, buf| buf.extend_from_slice(&sends[p]),
+                |src, v| {
+                    blocking.push((src, v.into_vec()));
+                },
+            );
             (got, split_stats, blocking, blocking_stats)
         });
         for (me, (got, split_stats, blocking, blocking_stats)) in out.results.iter().enumerate() {
@@ -1345,16 +1305,16 @@ mod tests {
     #[test]
     fn fused_plan_scales_counts_but_not_messages() {
         let plan = ExchangePlan::sparse(0, vec![0, 2, 0, 5], vec![0, 0, 3, 0]);
-        let fused = plan.fused(3);
+        let fused = plan.clone().fused(3);
         assert_eq!(fused.send_counts(), vec![0, 6, 0, 15]);
         assert_eq!(fused.recv_counts(), vec![0, 0, 9, 0]);
         assert_eq!(fused.send_message_count(), plan.send_message_count());
         assert_eq!(fused.recv_message_count(), plan.recv_message_count());
-        assert_eq!(plan.fused(1), plan);
+        assert_eq!(plan.clone().fused(1), plan);
     }
 
     #[test]
-    fn alltoallv_multi_moves_lanes_in_one_message() {
+    fn fused_plan_moves_lanes_in_one_message() {
         // Each rank sends 2 logical elements to every peer, fused over 3 lanes: one
         // message per pair carrying x0 x1 y0 y1 z0 z1 (contiguous per-lane blocks), 1/3
         // the messages of three single-lane exchanges of the same data.
@@ -1367,10 +1327,9 @@ mod tests {
                 (0..n).map(|p| if p == me { 0 } else { 2 }).collect(),
             );
             let mut got: Vec<(usize, Vec<f64>)> = Vec::new();
-            let stats = alltoallv_multi(
+            let stats = alltoallv_with(
                 rank,
-                &plan,
-                3,
+                &plan.fused(3),
                 |_p, buf: &mut PackBuf<'_, f64>| {
                     for lane in 0..3 {
                         for k in 0..2 {
@@ -1436,6 +1395,26 @@ mod tests {
                 }
                 _ => {}
             }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "expected 1 elements from rank 1 in exchange epoch 0")]
+    fn message_of_the_wrong_size_is_rejected() {
+        // Rank 0's plan expects exactly one element from rank 1, which sends two: the
+        // receive-side count check fires in every build profile.
+        let _ = run(MachineConfig::new(2), |rank| {
+            let plan = if rank.rank() == 0 {
+                ExchangePlan::sparse(0, vec![0, 0], vec![0, 1])
+            } else {
+                ExchangePlan::sparse(1, vec![2, 0], vec![0, 0])
+            };
+            alltoallv_with(
+                rank,
+                &plan,
+                |_p, b: &mut PackBuf<'_, u8>| b.extend_from_slice(&[1, 2]),
+                |_s, _v| {},
+            );
         });
     }
 

@@ -23,7 +23,7 @@
 //! all-to-all, all-gather, all-reduce) because that is the abstraction the original CHAOS
 //! library was written against.  Every collective and every schedule-driven transfer
 //! executes on the unified [`exchange`] engine: an [`ExchangePlan`] describes one
-//! personalised all-to-all and [`alltoallv`] moves the typed buffers, charges the cost
+//! personalised all-to-all and [`alltoallv_with`] moves the typed buffers, charges the cost
 //! model, and reports an [`ExchangeStats`].
 //!
 //! ## Quick example
@@ -54,8 +54,8 @@ pub mod topology;
 
 pub use cost::{CostModel, TimeSnapshot};
 pub use exchange::{
-    alltoallv, alltoallv_multi, alltoallv_with, route_sparse, start_alltoallv_with, ExchangeHandle,
-    ExchangePlan, ExchangeStats, PackBuf, Placed, RecvSpec,
+    alltoallv_with, route_sparse, start_alltoallv_with, ExchangeHandle, ExchangePlan,
+    ExchangeStats, PackBuf, Placed, RecvSpec,
 };
 pub use ledger::LedgerEntry;
 pub use machine::{run, Machine, Rank, RunOutcome};

@@ -504,7 +504,7 @@ where
 mod tests {
     use super::*;
     use crate::cost::CostModel;
-    use crate::exchange::{alltoallv, alltoallv_with, ExchangePlan, PackBuf};
+    use crate::exchange::{alltoallv_with, ExchangePlan, PackBuf};
 
     #[test]
     fn ranks_see_their_ids_and_size() {
@@ -601,7 +601,12 @@ mod tests {
             if rank.rank() == 0 {
                 sends[1] = vec![1.0; 4]; // 32 bytes => 10 + 32 = 42
             }
-            alltoallv(rank, &plan, &sends, |_src, _v| {});
+            alltoallv_with(
+                rank,
+                &plan,
+                |p, buf| buf.extend_from_slice(&sends[p]),
+                |_src, _v| {},
+            );
             rank.modeled()
         });
         // No compute is charged (`compute_unit_us` is 0), so the engine's pack/place
