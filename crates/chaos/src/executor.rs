@@ -819,9 +819,7 @@ mod tests {
             let (sched, _refs, range) = setup(rank, 8, &pattern);
             let x = DistArray::new(vec![0.0f64; range.len()], sched.ghost_len());
             let y = DistArray::new(vec![0.0f64; range.len() - 1], sched.ghost_len());
-            let handle = gather_start(rank, &sched, [&x, &y]);
-            let (mut x, mut y) = (x, y);
-            gather_finish(rank, handle, &sched, [&mut x, &mut y]);
+            let _ = gather_start(rank, &sched, [&x, &y]);
         });
     }
 
