@@ -37,12 +37,6 @@ pub struct RampParams {
     pub nsteps: usize,
     /// Cadence of the `interval` baseline policy.
     pub interval: usize,
-    /// Monitoring topology: `None` gathers every sample on every rank (flat), `Some(g)`
-    /// reduces to size-`g` group leaders (hierarchical, O(log P) messages per step).
-    /// Remap decisions are identical either way (the recorded lb samples can differ in
-    /// their last ulps because monitoring pack/unpack compute shifts the measurement
-    /// base); the committed artifact records flat.
-    pub monitor_group: Option<usize>,
     /// Seed shared by flow and collisions.
     pub seed: u64,
 }
@@ -57,7 +51,6 @@ impl RampParams {
             nparticles: 12_000,
             nsteps: 60,
             interval: 6,
-            monitor_group: None,
             seed: 1994,
         }
     }
@@ -130,7 +123,7 @@ pub fn run_policy(
         remap: RemapStrategy::Chain,
         remap_interval: params.interval,
         policy: Some(policy),
-        monitor_group: params.monitor_group,
+        monitor_group: None,
         seed: params.seed,
     };
     let out = run_dsmc(params.ranks, grid, flow, params.nparticles, config);
@@ -363,39 +356,6 @@ mod tests {
         };
         let text = |r: &AdaptReport| crate::report::document(r).render_pretty();
         assert_eq!(text(&report()), text(&report()));
-    }
-
-    #[test]
-    fn hierarchical_monitoring_reproduces_the_flat_decisions() {
-        // The drift-ramp scenario must not care how samples reach the policy: routing
-        // them through group leaders (O(log P) messages per step) has to reproduce the
-        // flat all-gather's decisions — same remap steps, same remap counts — on every
-        // policy of the matrix.  The recorded load-balance samples may differ in their
-        // last ulps (monitoring communication charges pack/unpack compute, shifting the
-        // f64 accumulation base the samples are measured against), so trajectories are
-        // compared to relative 1e-9 rather than byte-for-byte.
-        let mut flat = RampParams::default_ramp(8);
-        flat.nsteps = 24;
-        flat.nparticles = 3_000;
-        let mut hier = flat.clone();
-        hier.monitor_group = Some(mpsim::GroupMap::square(8).group_size());
-        let a = drift_ramp(&flat);
-        let b = drift_ramp(&hier);
-        assert_eq!(a.len(), b.len());
-        for (fa, hb) in a.iter().zip(&b) {
-            assert_eq!(fa.policy, hb.policy);
-            assert_eq!(fa.remaps, hb.remaps, "{}: remap count diverged", fa.policy);
-            let steps = |e: &AdaptEntry| e.remap_costs.iter().map(|&(s, _)| s).collect::<Vec<_>>();
-            assert_eq!(steps(fa), steps(hb), "{}: remap steps diverged", fa.policy);
-            assert_eq!(fa.lb_trajectory.len(), hb.lb_trajectory.len());
-            for (x, y) in fa.lb_trajectory.iter().zip(&hb.lb_trajectory) {
-                assert!(
-                    (x - y).abs() <= 1e-9 * x.abs(),
-                    "{}: lb sample diverged beyond measurement jitter: {x} vs {y}",
-                    fa.policy
-                );
-            }
-        }
     }
 
     #[test]

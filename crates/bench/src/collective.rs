@@ -12,37 +12,31 @@
 //! * **messages per rank** (max over ranks of messages *sent*) — the wire truth the
 //!   log-depth claim is about.
 //!
-//! Four shapes are swept:
+//! Three shapes are swept:
 //!
 //! * `all_gather` — [`mpsim::Rank::all_gather_one`], one `u64` contributed per rank.
 //!   Exactly `ceil(log2 P)` messages per rank; its *payload* is Θ(P) by definition
 //!   (every rank ends holding P values), so its modeled time is excluded from the
-//!   constant-ratio time gate and pinned through its message count instead.
+//!   constant-ratio time gate and pinned through its message count instead.  It is also
+//!   the whole communication of one monitored step of
+//!   [`chaos::adapt::RemapController::observe_sample`].
 //! * `all_reduce` — [`mpsim::Rank::all_reduce_sum`] of one `f64` on the combining
 //!   butterfly.  At most `ceil(log2 P)` messages per rank, O(1) payload per round.
 //! * `negotiate` — [`mpsim::ExchangePlan::negotiate`] of a two-neighbour ring halo
 //!   (the sparse-neighbourhood pattern of the DSMC MOVE phase: a constant number of
 //!   silent pairs never materialises dense O(P) state).  `ceil(log2 P)` messages per
 //!   rank regardless of P.
-//! * `monitor_step` — one hierarchically-monitored controller observation
-//!   ([`chaos::adapt::RemapController::observe_sample`] with square group-leader
-//!   topology): samples reduce to group leaders, leaders all-gather, the decision
-//!   broadcasts back down — O(log P) messages per monitored step.  The leaders must
-//!   assemble the *true* per-rank sample vector (so their load-balance figure is
-//!   bit-identical to flat monitoring), which is Θ(P) payload by definition; like
-//!   `all_gather` it is therefore pinned through its message count, not the time gate.
 //!
-//! [`collective_scaling_violations`] is the `--check` gate: message counts must equal
-//! (or, for the hierarchical monitor, stay within a small constant of) `ceil(log2 P)`,
-//! and the O(1)-payload shapes' modeled per-iteration time at the largest point must
-//! stay within [`MAX_TIME_RATIO`] of the smallest — the ratio a log-depth
+//! [`collective_scaling_violations`] is the `--check` gate: every shape must send
+//! exactly `ceil(log2 P)` messages per rank (max over ranks), and the O(1)-payload
+//! shapes' modeled per-iteration time at the largest point must stay within
+//! [`MAX_TIME_RATIO`] of the smallest — the ratio a log-depth
 //! implementation predicts (`log2 1024 / log2 32 = 2`, with headroom), and one any
 //! linear-depth implementation (ratio 32) fails by an order of magnitude.
 
 use std::time::Instant;
 
-use chaos::adapt::{MonitorTopology, RemapController, RemapPolicy};
-use mpsim::{run, tree_rounds, ExchangePlan, GroupMap, MachineConfig};
+use mpsim::{run, tree_rounds, ExchangePlan, MachineConfig};
 
 use crate::report::Json;
 
@@ -66,7 +60,7 @@ pub const MAX_TIME_RATIO: f64 = 2.5;
 /// One collective shape measured at one machine size.
 #[derive(Debug, Clone)]
 pub struct CollectiveResult {
-    /// Shape name: `all_gather`, `all_reduce`, `negotiate` or `monitor_step`.
+    /// Shape name: `all_gather`, `all_reduce` or `negotiate`.
     pub name: &'static str,
     /// Machine size.
     pub ranks: usize,
@@ -174,19 +168,6 @@ pub fn collective_sweep_at(points: &[usize]) -> Vec<CollectiveResult> {
             let plan = ExchangePlan::negotiate(rank, counts);
             std::hint::black_box(&plan);
         }));
-        // Θ(P) payload: leaders assemble the true per-rank sample vector (the price of
-        // bit-identical load-balance figures), so only the message count is gated.
-        out.push(measure("monitor_step", p, false, |rank, k| {
-            // One hierarchically-monitored controller observation per "step".  The
-            // controller is rebuilt per iteration (its state is O(window), not O(P));
-            // the measured communication is identical to a long-running controller's
-            // per-step cost.
-            let group = GroupMap::square(rank.nprocs()).group_size();
-            let mut ctrl = RemapController::new(RemapPolicy::Interval { every: 0 })
-                .with_topology(MonitorTopology::Hierarchical { group });
-            let d = ctrl.observe_sample(rank, rank.rank() as f64 + k as f64);
-            std::hint::black_box(d);
-        }));
     }
     out
 }
@@ -198,17 +179,11 @@ pub fn collective_sweep_at(points: &[usize]) -> Vec<CollectiveResult> {
 pub fn collective_scaling_violations(results: &[CollectiveResult]) -> Vec<String> {
     let mut violations = Vec::new();
     for r in results {
-        // The point-to-point collectives send exactly one message per round.  The busiest
-        // monitor rank (a group leader) gathers, disseminates and broadcasts: its sends
-        // stay within a small constant of one per round.
+        // Every shape sends exactly one message per round.
         let (msgs, rounds) = (r.msgs_per_rank_iter, r.tree_rounds as u64);
-        let (ok, budget) = match r.name {
-            "monitor_step" => (msgs <= rounds + 2, "at most ceil(log2 P) + 2"),
-            _ => (msgs == rounds, "exactly ceil(log2 P)"),
-        };
-        if !ok {
+        if msgs != rounds {
             violations.push(format!(
-                "{} (P={}): {msgs} msgs/rank/iter, expected {budget} (ceil(log2 P) = {rounds})",
+                "{} (P={}): {msgs} msgs/rank/iter, expected exactly ceil(log2 P) = {rounds}",
                 r.name, r.ranks
             ));
         }
@@ -238,19 +213,18 @@ mod tests {
     fn sweep_message_counts_are_logarithmic() {
         // Small points keep the unit test fast; the binary runs the full sweep.
         let results = collective_sweep_at(&[4, 8, 16]);
-        assert_eq!(results.len(), 12);
+        assert_eq!(results.len(), 9);
         let violations = collective_scaling_violations(&results);
         assert!(violations.is_empty(), "{violations:?}");
         for r in &results {
             assert_eq!(r.tree_rounds, tree_rounds(r.ranks));
             assert!(r.modeled_us_per_iter > 0.0);
-            match r.name {
-                "all_gather" | "all_reduce" | "negotiate" => {
-                    assert_eq!(r.msgs_per_rank_iter, r.tree_rounds as u64);
-                }
-                "monitor_step" => assert!(r.msgs_per_rank_iter <= r.tree_rounds as u64 + 2),
-                other => panic!("unexpected shape {other}"),
-            }
+            assert!(
+                matches!(r.name, "all_gather" | "all_reduce" | "negotiate"),
+                "unexpected shape {}",
+                r.name
+            );
+            assert_eq!(r.msgs_per_rank_iter, r.tree_rounds as u64);
         }
     }
 

@@ -500,7 +500,7 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// The `exchange` artifact (schema `chaos-bench/exchange/v9`, documented in
+/// The `exchange` artifact (schema `chaos-bench/exchange/v10`, documented in
 /// `BENCHMARKS.md`): every `SECTIONS` row at one configuration plus the collective
 /// scaling sweep of [`crate::collective`].
 pub struct ExchangeReport {
@@ -520,7 +520,7 @@ impl ExchangeReport {
 
 impl Artifact for ExchangeReport {
     const NAME: &'static str = "exchange";
-    const VERSION: u32 = 9;
+    const VERSION: u32 = 10;
 
     fn print(&self) {
         println!(
@@ -674,7 +674,7 @@ mod tests {
             collectives: crate::collective::collective_sweep_at(&[4]),
         };
         let text = crate::report::document(&report).render_pretty();
-        assert!(text.contains("\"schema\": \"chaos-bench/exchange/v9\""));
+        assert!(text.contains("\"schema\": \"chaos-bench/exchange/v10\""));
         assert!(text.contains("chaos-bench -- exchange --json"));
         assert!(text.contains("\"host_cores\""));
         assert!(text.contains("\"gather_scatter_steady\""));
@@ -693,7 +693,7 @@ mod tests {
             "element_size",
             "\"backend",
         ] {
-            assert!(!text.contains(gone), "v9 has no {gone}");
+            assert!(!text.contains(gone), "v10 has no {gone}");
         }
     }
 }

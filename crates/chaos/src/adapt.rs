@@ -35,7 +35,7 @@
 
 use std::collections::VecDeque;
 
-use mpsim::{GroupMap, Rank, TimeSnapshot};
+use mpsim::{Rank, TimeSnapshot};
 
 use crate::loadbalance::load_balance_index;
 
@@ -168,37 +168,6 @@ impl LoadMonitor {
     }
 }
 
-/// How the controller's per-step measurement collective is organised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MonitorTopology {
-    /// Every rank all-gathers the full per-rank sample vector and evaluates the policy
-    /// itself.  `O(log P)` messages per rank per step (the gather is a dissemination
-    /// collective), with full-vector payloads and P redundant policy evaluations.
-    Flat,
-    /// Group-leader monitoring: samples are gathered up a binomial tree to one leader
-    /// per `group` consecutive ranks, the leaders exchange group vectors and evaluate
-    /// the policy on the full rank-ordered vector, and the decision is broadcast back
-    /// down — `O(log P)` messages per step with the near-square split, and the policy
-    /// runs once per *group* instead of once per rank.  Decisions are bit-identical to
-    /// [`MonitorTopology::Flat`]: leaders see the same rank-ordered vector a flat
-    /// gather would deliver, and member ranks replay the leader's decision through the
-    /// same state transitions.
-    Hierarchical {
-        /// Ranks per leader group; [`MonitorTopology::square_group`] picks `≈ sqrt(P)`.
-        group: usize,
-    },
-}
-
-impl MonitorTopology {
-    /// The near-square hierarchical split for a machine of `nprocs` ranks
-    /// (`group ≈ sqrt(P)`), the conventional default for two-level monitoring.
-    pub fn square_group(nprocs: usize) -> Self {
-        MonitorTopology::Hierarchical {
-            group: GroupMap::square(nprocs).group_size(),
-        }
-    }
-}
-
 /// One collective remap/keep decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RemapDecision {
@@ -213,7 +182,6 @@ pub struct RemapDecision {
 #[derive(Debug, Clone)]
 pub struct RemapController {
     policy: RemapPolicy,
-    topology: MonitorTopology,
     monitor: LoadMonitor,
     step: usize,
     last_remap_step: usize,
@@ -226,17 +194,11 @@ pub struct RemapController {
 }
 
 impl RemapController {
-    /// A controller with the default monitor window ([`DEFAULT_WINDOW`]).
+    /// A controller evaluating `policy` over a [`DEFAULT_WINDOW`]-step monitor.
     pub fn new(policy: RemapPolicy) -> Self {
-        Self::with_window(policy, DEFAULT_WINDOW)
-    }
-
-    /// A controller with an explicit monitor window.
-    pub fn with_window(policy: RemapPolicy, window: usize) -> Self {
         RemapController {
             policy,
-            topology: MonitorTopology::Flat,
-            monitor: LoadMonitor::new(window),
+            monitor: LoadMonitor::new(DEFAULT_WINDOW),
             step: 0,
             last_remap_step: 0,
             remaps: 0,
@@ -248,20 +210,6 @@ impl RemapController {
         }
     }
 
-    /// Choose how the per-step measurement collective is organised (builder-style).
-    /// Defaults to [`MonitorTopology::Flat`].  Must be identical on every rank, and must
-    /// not change mid-run: member ranks of the hierarchical mode carry reduced monitor
-    /// state that only a leader-issued decision stream keeps consistent.
-    pub fn with_topology(mut self, topology: MonitorTopology) -> Self {
-        self.topology = topology;
-        self
-    }
-
-    /// The monitoring topology this controller observes through.
-    pub fn topology(&self) -> MonitorTopology {
-        self.topology
-    }
-
     /// Collective: sample the compute time each rank accumulated since its `phase_start`
     /// snapshot and decide.  Every rank receives the same decision.
     pub fn observe_phase(&mut self, rank: &mut Rank, phase_start: &TimeSnapshot) -> RemapDecision {
@@ -271,42 +219,10 @@ impl RemapController {
 
     /// Collective: like [`RemapController::observe_phase`], but with an explicit per-rank
     /// sample (modeled microseconds of compute) — for callers whose measured phase is not
-    /// the tail of the modeled-time stream.  Routed through the configured
-    /// [`MonitorTopology`]; the decision is identical either way.
+    /// the tail of the modeled-time stream.  One `all_gather_one` delivers the same
+    /// rank-ordered vector to every rank, so every rank decides alike.
     pub fn observe_sample(&mut self, rank: &mut Rank, local_compute_us: f64) -> RemapDecision {
-        match self.topology {
-            MonitorTopology::Flat => {
-                let times = rank.all_gather_one(local_compute_us);
-                self.decide(&times)
-            }
-            MonitorTopology::Hierarchical { group } => {
-                let groups = GroupMap::new(rank.nprocs(), group);
-                if groups.is_leader(rank.rank()) {
-                    // The decision closure runs here, on the full rank-ordered vector —
-                    // the same bytes a flat gather would deliver — so every leader's
-                    // controller walks the exact state path of a flat controller.
-                    let enc = rank.hierarchical_sample::<2>(&groups, local_compute_us, |v| {
-                        let d = self.decide(v);
-                        [if d.remap { 1.0 } else { 0.0 }, d.lb_index]
-                    });
-                    RemapDecision {
-                        remap: enc[0] != 0.0,
-                        lb_index: enc[1],
-                    }
-                } else {
-                    let enc = rank.hierarchical_sample::<2>(&groups, local_compute_us, |_| {
-                        unreachable!("only group leaders evaluate the policy")
-                    });
-                    let remap = enc[0] != 0.0;
-                    let lb = enc[1];
-                    self.apply_leader_decision(remap, lb);
-                    RemapDecision {
-                        remap,
-                        lb_index: lb,
-                    }
-                }
-            }
-        }
+        self.decide(&rank.all_gather_one(local_compute_us))
     }
 
     /// Non-collective: advance the controller one step *without* a measurement.  Only the
@@ -336,18 +252,6 @@ impl RemapController {
             remap,
             lb_index: lb,
         }
-    }
-
-    /// Replay a leader's broadcast decision on a member rank of the hierarchical
-    /// topology: push the step's index onto the trajectory, walk the same lb-driven
-    /// state transitions the leader walked (Threshold arming and baselines depend only
-    /// on the index), and commit the leader's verdict.  The member's gain window stays
-    /// empty — it never evaluates the accumulating CostBenefit policy itself; verdicts
-    /// always arrive from a leader.
-    fn apply_leader_decision(&mut self, remap: bool, lb: f64) {
-        self.monitor.lb_history.push(lb);
-        let _ = self.evaluate(lb);
-        self.commit(remap);
     }
 
     /// The policy evaluation on one step's load-balance index, including the lb-driven
@@ -745,60 +649,26 @@ mod tests {
         assert_eq!(m.lb_history().len(), 10, "trajectory survives a reset");
     }
 
-    /// Run a drifting workload (rank 0's load ramps) through the controller at machine
-    /// size `p` with the given monitoring topology; returns every rank's decision
-    /// stream, LB trajectory and remap count.
-    fn drift_run(p: usize, topology: MonitorTopology) -> Vec<(Vec<bool>, Vec<f64>, usize)> {
-        let out = run(MachineConfig::new(p), move |rank| {
-            let mut ctrl = RemapController::new(RemapPolicy::CostBenefit {
-                assumed_cost_us: 120.0,
-            })
-            .with_topology(topology);
-            let mut decisions = Vec::new();
-            for step in 0..20 {
-                let units = if rank.rank() == 0 {
-                    10.0 + step as f64 * 3.0
-                } else {
-                    10.0
-                };
-                decisions.push(ctrl.observe_sample(rank, units).remap);
-            }
-            (decisions, ctrl.lb_trajectory().to_vec(), ctrl.remap_count())
-        });
-        out.results
-    }
-
     #[test]
-    fn hierarchical_monitoring_matches_flat_decisions() {
-        // The acceptance pin: group-leader monitoring must reproduce the flat
-        // controller's decision stream bit-exactly — same remap steps, same recorded
-        // trajectory, on every rank, at non-power-of-two sizes and ragged group splits.
-        for p in [3usize, 5, 9] {
-            let flat = drift_run(p, MonitorTopology::Flat);
-            for g in [1usize, 2, 4] {
-                let hier = drift_run(p, MonitorTopology::Hierarchical { group: g });
-                assert_eq!(flat, hier, "P={p} group={g}");
-            }
-            let square = drift_run(p, MonitorTopology::square_group(p));
-            assert_eq!(flat, square, "P={p} square split");
-            // The drift must actually fire at least once for the pin to mean anything.
-            assert!(flat[0].2 >= 1, "P={p}: ramp never triggered a remap");
-        }
-    }
-
-    #[test]
-    fn hierarchical_monitoring_message_budget() {
-        // One monitored step at P=16 with the square split: every rank stays within the
-        // O(log P) budget (ceil(log2 16) = 4, plus tree forwarding slack).
+    fn monitoring_message_budget() {
+        // One monitored step at P = 16 is one dissemination all-gather: every rank sends
+        // exactly ceil(log2 16) = 4 messages and returns the same decision.
         let out = run(MachineConfig::new(16), |rank| {
-            let mut ctrl = RemapController::new(RemapPolicy::Interval { every: 0 })
-                .with_topology(MonitorTopology::square_group(rank.nprocs()));
+            let mut ctrl = RemapController::new(RemapPolicy::Threshold {
+                lb_index: 1.5,
+                hysteresis: 0.1,
+                patience: 0,
+            });
             let s0 = rank.stats().msgs_sent;
-            ctrl.observe_sample(rank, 1.0);
-            rank.stats().msgs_sent - s0
+            let units = if rank.rank() == 0 { 40.0 } else { 10.0 };
+            let d = ctrl.observe_sample(rank, units);
+            (rank.stats().msgs_sent - s0, d.remap, d.lb_index.to_bits())
         });
-        for (r, sent) in out.results.iter().enumerate() {
-            assert!(*sent <= 6, "rank {r} sent {sent} messages in one step");
+        let (_, remap0, lb0) = out.results[0];
+        assert!(remap0, "rank 0's 4x load must trigger the threshold");
+        for (r, &(sent, remap, lb)) in out.results.iter().enumerate() {
+            assert_eq!(sent, 4, "rank {r} sent {sent} messages in one step");
+            assert_eq!((remap, lb), (remap0, lb0), "rank {r} decided differently");
         }
     }
 

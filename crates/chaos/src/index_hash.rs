@@ -431,14 +431,6 @@ impl IndexHashTable {
         // The sentinel lies past every slot position.
         self.slots.get(at as usize)
     }
-
-    /// Count of off-processor entries matching `query` (the number of elements a schedule
-    /// built from that query will fetch).
-    pub fn off_processor_count(&self, query: StampQuery) -> usize {
-        self.entries_matching(query)
-            .filter(|e| e.ghost_slot.is_some())
-            .count()
-    }
 }
 
 /// The local reference of `entry` on a rank owning `owned_len` elements: its owned offset,
@@ -767,18 +759,5 @@ mod tests {
             let theirs = if rank.rank() == 0 { [4, 5] } else { [0, 1] };
             h.hash_in_replicated(rank, &ttable, &theirs, Stamp::new(0));
         });
-    }
-
-    #[test]
-    fn off_processor_count_counts_only_ghosts() {
-        let out = run(MachineConfig::new(4), |rank| {
-            let (ttable, owned) = table_for(rank, 16);
-            let mut h = IndexHashTable::new(rank.rank(), owned);
-            let s = Stamp::new(0);
-            h.hash_in_replicated(rank, &ttable, &(0..16).collect::<Vec<_>>(), s);
-            h.off_processor_count(StampQuery::single(s))
-        });
-        // Each rank owns 4 of 16 elements, so 12 are off-processor.
-        assert!(out.results.iter().all(|&c| c == 12));
     }
 }

@@ -41,7 +41,7 @@
 
 use std::mem;
 
-use chaos::adapt::{MonitorTopology, RemapController, RemapPolicy};
+use chaos::adapt::{RemapController, RemapPolicy};
 use chaos::prelude::*;
 use mpsim::{alltoallv_with, ExchangePlan, ExchangeStats, Rank, TimeSnapshot};
 
@@ -98,11 +98,10 @@ pub struct DsmcConfig {
     /// all-gather per step), and records the load-balance trajectory.  Ignored for
     /// [`RemapStrategy::Static`], which never remaps.
     pub policy: Option<RemapPolicy>,
-    /// Monitoring topology for measured policies: `None` runs the flat all-gather
-    /// (every rank sees every sample), `Some(g)` reduces samples hierarchically to
-    /// group leaders of size-`g` groups — O(log P) messages per monitored step instead
-    /// of O(log P) rounds carrying O(P) blocks — reaching the same remap decisions as
-    /// flat (see [`chaos::adapt::MonitorTopology`]).  Ignored without an explicit `policy`.
+    /// Retired: must be `None`.  It once selected group-leader monitoring; measured
+    /// policies now always sample through one flat all-gather per step, and
+    /// [`run_parallel`] panics on `Some(_)` rather than ignore it.  The field stays so
+    /// configurations that name it keep building.
     pub monitor_group: Option<usize>,
     /// Collision RNG seed (must match the sequential reference for comparisons).
     pub seed: u64,
@@ -218,6 +217,10 @@ pub fn run_parallel(
     particles: &[Particle],
     config: &DsmcConfig,
 ) -> DsmcStats {
+    assert!(
+        config.monitor_group.is_none(),
+        "DsmcConfig::monitor_group is retired: monitoring is always the flat all-gather"
+    );
     let nprocs = rank.nprocs();
     let me = rank.rank();
 
@@ -229,14 +232,8 @@ pub fn run_parallel(
     // The feedback controller that decides when to remap.  Static runs without an explicit
     // policy skip the per-step sampling entirely (zero overhead, the pre-controller
     // behaviour); a Static run *with* a policy samples the trajectory but never remaps.
-    let mut controller =
-        (config.policy.is_some() || config.remap != RemapStrategy::Static).then(|| {
-            let ctrl = RemapController::new(config.effective_policy());
-            match config.monitor_group {
-                Some(group) => ctrl.with_topology(MonitorTopology::Hierarchical { group }),
-                None => ctrl,
-            }
-        });
+    let mut controller = (config.policy.is_some() || config.remap != RemapStrategy::Static)
+        .then(|| RemapController::new(config.effective_policy()));
     let mut remap_costs: Vec<(usize, f64)> = Vec::new();
 
     // Initial static decomposition: equal slabs of cell columns along x (the natural
@@ -568,9 +565,10 @@ fn move_patched(
 
     // Collect arrivals by schedule row: row `r` from `src` belongs in the owned cell at
     // offset `send_lists[src][r]` (owner offsets number owned cells in global order).
+    // Both plans receive `Exact` sizes, so the engine has already checked one count per
+    // row and a payload of exactly their sum.
     let mut arrivals: Vec<Particle> = Vec::new();
     for src in 0..nprocs {
-        debug_assert_eq!(incoming_counts[src].len(), sched.send_size(src));
         let mut next = recv_payload[src].iter();
         for (row, &n) in incoming_counts[src].iter().enumerate() {
             for _ in 0..n {
@@ -583,7 +581,6 @@ fn move_patched(
                 arrivals.push(p);
             }
         }
-        debug_assert!(next.next().is_none(), "payload longer than its counts");
     }
     rank.charge_compute((local + arrivals.len()) as f64 * 0.3);
     phases.move_data += rank.modeled().since(&t0);
@@ -1230,5 +1227,21 @@ mod tests {
         };
         assert_eq!(arrival_cell(0, &grid, &cell_owner, &stray), 0);
         arrival_cell(1, &grid, &cell_owner, &stray);
+    }
+
+    #[test]
+    #[should_panic(expected = "DsmcConfig::monitor_group is retired")]
+    fn a_monitor_group_is_rejected_by_name() {
+        let grid = CellGrid::new_2d(4, 4);
+        let config = DsmcConfig {
+            policy: Some(RemapPolicy::Threshold {
+                lb_index: 1.5,
+                hysteresis: 0.1,
+                patience: 0,
+            }),
+            monitor_group: Some(2),
+            ..DsmcConfig::lightweight(2, 1)
+        };
+        run_config(2, grid, 40, FlowConfig::uniform(1), config);
     }
 }

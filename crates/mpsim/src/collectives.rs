@@ -37,7 +37,7 @@
 use crate::exchange::{alltoallv_with, ExchangePlan, PackBuf, Placed, RecvSpec};
 use crate::machine::Rank;
 use crate::message::Element;
-use crate::topology::{tree_rounds, BinomialTree, Dissemination, GroupMap};
+use crate::topology::{BinomialTree, Dissemination};
 
 /// Tags reserved for collectives and the exchange engine.  User code should use tags
 /// below `RESERVED_TAG_BASE`.
@@ -423,176 +423,11 @@ impl Rank {
         );
         out
     }
-
-    /// Two-level hierarchical sample-and-decide: the collective behind the hierarchical
-    /// (group-leader) monitoring mode of `chaos::adapt`.
-    ///
-    /// Every rank contributes one `f64` sample; `decide` runs *only on group leaders*,
-    /// over the full rank-indexed sample vector, and its `K`-value decision is broadcast
-    /// back down so every rank returns the same array.  Three phases over the
-    /// [`GroupMap`]:
-    ///
-    /// 1. binomial gather of samples to each group's leader (each member sends exactly
-    ///    once);
-    /// 2. dissemination all-gather of the per-group vectors across the leaders, after
-    ///    which every leader holds the full sample vector *in rank order* — the same
-    ///    bytes `all_gather_one` would have produced, which is why leaders running the
-    ///    same pure `decide` agree bit-exactly;
-    /// 3. binomial broadcast of the decision within each group.
-    ///
-    /// A member sends/receives `O(log g)` messages and a leader `O(log g + log(P/g))`;
-    /// with the [`GroupMap::square`] split both are `O(log P)`.  Every rank executes the
-    /// same engine rounds in the same order (idle ranks run empty plans), preserving the
-    /// engine's collective start-order invariant.
-    pub fn hierarchical_sample<const K: usize>(
-        &mut self,
-        groups: &GroupMap,
-        sample: f64,
-        decide: impl FnOnce(&[f64]) -> [f64; K],
-    ) -> [f64; K] {
-        self.ledger_record("hierarchical_sample", self.exchange_epochs_started(), "f64");
-        let me = self.rank();
-        let n = self.nprocs();
-        assert_eq!(groups.nprocs(), n, "group map spans a different machine");
-        let start = groups.leader_of(me);
-        let len = groups.members_of(me);
-        let rel = me - start;
-        // The in-group tree is sized to *this* group; short final groups simply see
-        // no-op rounds past their own depth, keeping the global round count uniform.
-        let tree = BinomialTree::new(len, 0);
-        let in_group_rounds = tree_rounds(groups.group_size());
-
-        // Phase 1: binomial gather of samples to the leader.  A rank entering round k
-        // with its low k bits clear holds the contiguous samples of group-local ranks
-        // rel..rel+2^k, so the leader assembles the group vector in rank order.
-        let mut acc: Vec<f64> = Vec::with_capacity(len);
-        acc.push(sample);
-        for k in 0..in_group_rounds {
-            if let Some(to_rel) = tree.gather_send_to(rel, k) {
-                let plan = round_plan(me, n, Some((start + to_rel, acc.len())), None);
-                alltoallv_with(
-                    self,
-                    &plan,
-                    |_p, buf: &mut PackBuf<'_, f64>| buf.extend_from_slice(&acc),
-                    |_s, _v: Placed<'_, f64>| {},
-                );
-                acc.clear();
-            } else if let Some(from_rel) = tree.gather_recv_from(rel, k) {
-                let expect = tree.gather_block_len(from_rel, k);
-                let plan = round_plan(
-                    me,
-                    n,
-                    None,
-                    Some((start + from_rel, RecvSpec::Exact(expect))),
-                );
-                alltoallv_with(
-                    self,
-                    &plan,
-                    |_p, _buf: &mut PackBuf<'_, f64>| {},
-                    |_src, v: Placed<'_, f64>| acc.extend_from_slice(&v),
-                );
-            } else {
-                let plan = round_plan(me, n, None, None);
-                alltoallv_with(
-                    self,
-                    &plan,
-                    |_p, _buf: &mut PackBuf<'_, f64>| {},
-                    |_s, _v: Placed<'_, f64>| {},
-                );
-            }
-        }
-
-        // Phase 2: leaders dissemination-all-gather the group vectors; members run the
-        // same number of empty rounds.  Block sizes are known from the GroupMap, so
-        // every receive is Exact.
-        let nleaders = groups.ngroups();
-        let lsched = Dissemination::new(nleaders);
-        let is_leader = groups.is_leader(me);
-        let mut full = vec![0.0f64; n];
-        if is_leader {
-            full[start..start + len].copy_from_slice(&acc);
-        }
-        let mut incoming: Vec<f64> = Vec::new();
-        for k in 0..lsched.rounds() {
-            if is_leader {
-                let j = groups.group_of(me);
-                let send_total: usize = lsched.send_blocks(j, k).map(|b| groups.group_len(b)).sum();
-                let recv_total: usize = lsched.recv_blocks(j, k).map(|b| groups.group_len(b)).sum();
-                let to = groups.leader(lsched.send_peer(j, k));
-                let from = groups.leader(lsched.recv_peer(j, k));
-                let plan = round_plan(
-                    me,
-                    n,
-                    Some((to, send_total)),
-                    Some((from, RecvSpec::Exact(recv_total))),
-                );
-                incoming.clear();
-                alltoallv_with(
-                    self,
-                    &plan,
-                    |_p, buf: &mut PackBuf<'_, f64>| {
-                        for b in lsched.send_blocks(j, k) {
-                            let s = groups.leader(b);
-                            buf.extend_from_slice(&full[s..s + groups.group_len(b)]);
-                        }
-                    },
-                    |_src, v: Placed<'_, f64>| incoming.extend_from_slice(&v),
-                );
-                let mut off = 0;
-                for b in lsched.recv_blocks(j, k) {
-                    let s = groups.leader(b);
-                    let c = groups.group_len(b);
-                    full[s..s + c].copy_from_slice(&incoming[off..off + c]);
-                    off += c;
-                }
-            } else {
-                let plan = round_plan(me, n, None, None);
-                alltoallv_with(
-                    self,
-                    &plan,
-                    |_p, _buf: &mut PackBuf<'_, f64>| {},
-                    |_s, _v: Placed<'_, f64>| {},
-                );
-            }
-        }
-
-        // Phase 3: leaders decide; the decision rides a binomial broadcast down the
-        // group.
-        let mut decision = if is_leader { decide(&full) } else { [0.0; K] };
-        for k in 0..in_group_rounds {
-            if let Some(src_rel) = tree.bcast_recv_from(rel, k) {
-                let plan = round_plan(me, n, None, Some((start + src_rel, RecvSpec::Exact(K))));
-                alltoallv_with(
-                    self,
-                    &plan,
-                    |_p, _buf: &mut PackBuf<'_, f64>| {},
-                    |_src, v: Placed<'_, f64>| decision.copy_from_slice(&v),
-                );
-            } else if let Some(child_rel) = tree.bcast_send_to(rel, k) {
-                let plan = round_plan(me, n, Some((start + child_rel, K)), None);
-                alltoallv_with(
-                    self,
-                    &plan,
-                    |_p, buf: &mut PackBuf<'_, f64>| buf.extend_from_slice(&decision),
-                    |_s, _v: Placed<'_, f64>| {},
-                );
-            } else {
-                let plan = round_plan(me, n, None, None);
-                alltoallv_with(
-                    self,
-                    &plan,
-                    |_p, _buf: &mut PackBuf<'_, f64>| {},
-                    |_s, _v: Placed<'_, f64>| {},
-                );
-            }
-        }
-        decision
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::topology::{tree_rounds, GroupMap, MachineConfig};
+    use crate::topology::{tree_rounds, MachineConfig};
     use crate::{run, CostModel};
 
     #[test]
@@ -749,47 +584,5 @@ mod tests {
         for c in &out.results {
             assert_eq!(*c, 60.0);
         }
-    }
-
-    #[test]
-    fn hierarchical_sample_matches_flat_decision() {
-        for p in [1usize, 3, 5, 12, 16] {
-            for g in [1usize, 2, 4, 7] {
-                let out = run(MachineConfig::new(p), move |rank| {
-                    let groups = GroupMap::new(rank.nprocs(), g);
-                    let sample = (rank.rank() as f64 + 1.0) * 1.5;
-                    rank.hierarchical_sample::<3>(&groups, sample, |v| {
-                        // Order-sensitive digest: leaders must see the full vector in
-                        // rank order, exactly as all_gather_one would produce it.
-                        [v.iter().sum(), v[0], v[v.len() - 1]]
-                    })
-                });
-                let expect_sum: f64 = (0..p).map(|r| (r as f64 + 1.0) * 1.5).sum();
-                for d in &out.results {
-                    assert_eq!(d[0], expect_sum, "P={p} g={g}");
-                    assert_eq!(d[1], 1.5, "P={p} g={g}");
-                    assert_eq!(d[2], p as f64 * 1.5, "P={p} g={g}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hierarchical_sample_message_counts_stay_logarithmic() {
-        // With the square split at P=16 (groups of 4): a member sends once (gather) and
-        // receives once (broadcast) plus any forwarding; a leader pays the in-group
-        // fan-in plus the leader exchange.  Nobody comes close to the flat P - 1.
-        let out = run(MachineConfig::new(16), |rank| {
-            let groups = GroupMap::square(rank.nprocs());
-            let s0 = rank.stats().msgs_sent;
-            rank.hierarchical_sample::<1>(&groups, rank.rank() as f64, |v| [v.iter().sum()]);
-            rank.stats().msgs_sent - s0
-        });
-        for (r, sent) in out.results.iter().enumerate() {
-            assert!(*sent <= 6, "rank {r} sent {sent} messages");
-        }
-        let total: u64 = out.results.iter().sum();
-        // Flat monitoring at P=16 is 16*15 = 240 messages per step.
-        assert!(total <= 60, "machine-wide {total} messages");
     }
 }

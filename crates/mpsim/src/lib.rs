@@ -61,6 +61,4 @@ pub use ledger::LedgerEntry;
 pub use machine::{run, Machine, Rank, RunOutcome};
 pub use message::Element;
 pub use stats::{PackPoolStats, RankStats};
-pub use topology::{
-    tree_rounds, BinomialTree, Dissemination, ExchangeBackend, GroupMap, MachineConfig,
-};
+pub use topology::{tree_rounds, BinomialTree, Dissemination, ExchangeBackend, MachineConfig};

@@ -14,13 +14,9 @@
 //!   `2^k` below it and receives from the rank `2^k` above it (mod P), so after
 //!   `ceil(log2 P)` rounds every rank has heard, directly or transitively, from every
 //!   other rank.
-//! * [`BinomialTree`] — the rooted schedule behind `broadcast` and the group
-//!   gather/broadcast of hierarchical monitoring: the root's data reaches `2^k` ranks
-//!   after round `k`, and the mirrored low-bit-first pairing gathers contiguous blocks
-//!   to the root in the same number of rounds.
-//!
-//! [`GroupMap`] partitions the machine into contiguous leader groups for the
-//! hierarchical (group-leader) monitoring mode of `chaos::adapt`.
+//! * [`BinomialTree`] — the rooted schedule behind `broadcast`: the informed set
+//!   doubles each round, so every rank has the root's data after `ceil(log2 P)`
+//!   rounds.
 
 use crate::cost::CostModel;
 
@@ -186,18 +182,9 @@ impl Dissemination {
 /// A binomial tree over `0..nprocs`, rooted at `root`, in *relative* rank space
 /// `rel = (rank - root) mod P`.
 ///
-/// Two mirrored schedules share the shape:
-///
-/// * **Broadcast** (root → leaves, high-bit pairing): in round `k`, every rank with
-///   `rel < 2^k` sends to `rel + 2^k` (when that rank exists), so the informed set
-///   doubles each round and rank `rel` first hears from `rel` minus its highest set
-///   bit — its [`BinomialTree::parent`].
-/// * **Gather** (leaves → root, low-bit pairing): in round `k`, every rank whose
-///   relative ID has bit `k` set and all lower bits clear sends its accumulated block to
-///   `rel - 2^k`.  A rank entering round `k` with its low `k` bits clear holds the
-///   contiguous block of ranks `rel .. min(rel + 2^k, P)`, so the root ends with all
-///   blocks in rank order — which is what keeps hierarchical monitoring's assembled
-///   sample vector byte-identical to a flat gather.
+/// The broadcast schedule (root → leaves, high-bit pairing): in round `k`, every rank
+/// with `rel < 2^k` sends to `rel + 2^k` (when that rank exists), so the informed set
+/// doubles each round and rank `rel` first hears from `rel` minus its highest set bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BinomialTree {
     nprocs: usize,
@@ -215,50 +202,22 @@ impl BinomialTree {
         BinomialTree { nprocs, root }
     }
 
-    /// Number of ranks the tree spans.
-    pub fn nprocs(&self) -> usize {
-        self.nprocs
-    }
-
-    /// The root rank.
-    pub fn root(&self) -> usize {
-        self.root
-    }
-
     /// Number of rounds: `ceil(log2 P)` (zero on a single rank).
     pub fn rounds(&self) -> usize {
         tree_rounds(self.nprocs)
     }
 
     /// Relative ID of `rank`: its distance above the root, mod P.
-    pub fn rel(&self, rank: usize) -> usize {
+    fn rel(&self, rank: usize) -> usize {
         (rank + self.nprocs - self.root) % self.nprocs
     }
 
     /// Absolute rank of relative ID `rel`.
-    pub fn abs(&self, rel: usize) -> usize {
+    fn abs(&self, rel: usize) -> usize {
         (rel + self.root) % self.nprocs
     }
 
-    /// The broadcast parent of `rank`: the rank it first hears from (relative ID with
-    /// the highest set bit cleared).  `None` for the root.
-    pub fn parent(&self, rank: usize) -> Option<usize> {
-        let rel = self.rel(rank);
-        if rel == 0 {
-            return None;
-        }
-        let high = usize::BITS - 1 - rel.leading_zeros();
-        Some(self.abs(rel & !(1 << high)))
-    }
-
-    /// The broadcast children of `rank`, in the round order the rank forwards to them.
-    pub fn children(&self, rank: usize) -> Vec<usize> {
-        (0..self.rounds())
-            .filter_map(|k| self.bcast_send_to(rank, k))
-            .collect()
-    }
-
-    /// Broadcast schedule: the rank `rank` forwards to in round `k`, if any.
+    /// The rank `rank` forwards to in round `k`, if any.
     pub fn bcast_send_to(&self, rank: usize, round: usize) -> Option<usize> {
         let rel = self.rel(rank);
         let d = 1usize << round;
@@ -269,9 +228,8 @@ impl BinomialTree {
         }
     }
 
-    /// Broadcast schedule: the rank `rank` hears from in round `k`, if any.  Each
-    /// non-root rank receives in exactly one round (the index of its highest relative
-    /// bit), from its [`BinomialTree::parent`].
+    /// The rank `rank` hears from in round `k`, if any.  Each non-root rank receives in
+    /// exactly one round: the index of its highest relative bit.
     pub fn bcast_recv_from(&self, rank: usize, round: usize) -> Option<usize> {
         let rel = self.rel(rank);
         let d = 1usize << round;
@@ -280,118 +238,6 @@ impl BinomialTree {
         } else {
             None
         }
-    }
-
-    /// Gather schedule: the rank `rank` sends its accumulated block to in round `k`, if
-    /// any.  Each non-root rank sends in exactly one round (the index of its lowest
-    /// relative bit) and is done.
-    pub fn gather_send_to(&self, rank: usize, round: usize) -> Option<usize> {
-        let rel = self.rel(rank);
-        let d = 1usize << round;
-        if rel != 0 && rel & (2 * d - 1) == d {
-            Some(self.abs(rel - d))
-        } else {
-            None
-        }
-    }
-
-    /// Gather schedule: the rank `rank` receives a block from in round `k`, if any (the
-    /// sender may not exist near the ragged edge of a non-power-of-two machine).
-    pub fn gather_recv_from(&self, rank: usize, round: usize) -> Option<usize> {
-        let rel = self.rel(rank);
-        let d = 1usize << round;
-        if rel & (2 * d - 1) == 0 && rel + d < self.nprocs {
-            Some(self.abs(rel + d))
-        } else {
-            None
-        }
-    }
-
-    /// Size of the contiguous block rank `rank` holds entering gather round `k`
-    /// (assuming it is still active): `min(2^k, P - rel)` relative ranks.
-    pub fn gather_block_len(&self, rank: usize, round: usize) -> usize {
-        let rel = self.rel(rank);
-        (1usize << round).min(self.nprocs - rel)
-    }
-}
-
-/// Contiguous leader groups for hierarchical collectives: ranks `[j·g, (j+1)·g)` form
-/// group `j` (the last group may be short), and the lowest rank of each group is its
-/// leader.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupMap {
-    nprocs: usize,
-    group: usize,
-}
-
-impl GroupMap {
-    /// Partition `nprocs` ranks into groups of (at most) `group` consecutive ranks.
-    ///
-    /// # Panics
-    /// Panics if either argument is zero.
-    pub fn new(nprocs: usize, group: usize) -> Self {
-        assert!(nprocs > 0, "a machine has at least one rank");
-        assert!(group > 0, "groups must have at least one member");
-        GroupMap {
-            nprocs,
-            group: group.min(nprocs),
-        }
-    }
-
-    /// A near-square split, `group ≈ sqrt(P)`: the group size that balances the
-    /// leader's fan-in against the leader count, the conventional default for
-    /// two-level hierarchical collectives.
-    pub fn square(nprocs: usize) -> Self {
-        assert!(nprocs > 0, "a machine has at least one rank");
-        let g = (nprocs as f64).sqrt().ceil() as usize;
-        Self::new(nprocs, g.max(1))
-    }
-
-    /// Number of ranks the map spans.
-    pub fn nprocs(&self) -> usize {
-        self.nprocs
-    }
-
-    /// The (maximum) group size.
-    pub fn group_size(&self) -> usize {
-        self.group
-    }
-
-    /// Number of groups (= number of leaders): `ceil(P / g)`.
-    pub fn ngroups(&self) -> usize {
-        self.nprocs.div_ceil(self.group)
-    }
-
-    /// The group index of `rank`.
-    pub fn group_of(&self, rank: usize) -> usize {
-        rank / self.group
-    }
-
-    /// The first rank of `rank`'s group — its leader.
-    pub fn leader_of(&self, rank: usize) -> usize {
-        rank - rank % self.group
-    }
-
-    /// Whether `rank` leads its group.
-    pub fn is_leader(&self, rank: usize) -> bool {
-        rank.is_multiple_of(self.group)
-    }
-
-    /// Number of ranks in `rank`'s group (the last group may be short).
-    pub fn members_of(&self, rank: usize) -> usize {
-        let start = self.leader_of(rank);
-        self.group.min(self.nprocs - start)
-    }
-
-    /// Number of ranks in group `j`.
-    pub fn group_len(&self, j: usize) -> usize {
-        let start = j * self.group;
-        self.group.min(self.nprocs - start)
-    }
-
-    /// The leader rank of group `j`.
-    pub fn leader(&self, j: usize) -> usize {
-        j * self.group
     }
 }
 
@@ -483,8 +329,8 @@ mod tests {
         assert_eq!(d.blocks_in_round(2), 4);
     }
 
-    /// Simulate the broadcast schedule: every rank must be informed exactly once, by
-    /// its parent, and the children lists must mirror the per-round sends.
+    /// Simulate the broadcast schedule: every rank must be informed exactly once, by a
+    /// rank already informed, and every per-round send must mirror a receive.
     #[test]
     fn binomial_broadcast_informs_every_rank_once() {
         for p in [1usize, 2, 3, 5, 12, 48, 1024] {
@@ -500,7 +346,6 @@ mod tests {
                                 "P={p} root={root}: rank {r} forwards before hearing"
                             );
                             assert_eq!(t.bcast_recv_from(child, k), Some(r));
-                            assert_eq!(t.parent(child), Some(r));
                             assert!(
                                 !informed[child],
                                 "P={p} root={root}: rank {child} informed twice"
@@ -510,64 +355,14 @@ mod tests {
                     }
                 }
                 assert!(informed.iter().all(|&i| i), "P={p} root={root}");
-                assert_eq!(t.parent(root), None);
+                // Each non-root rank hears in exactly one round; the root never does.
                 for r in 0..p {
-                    for &c in &t.children(r) {
-                        assert_eq!(t.parent(c), Some(r));
-                    }
+                    let heard = (0..t.rounds())
+                        .filter(|&k| t.bcast_recv_from(r, k).is_some())
+                        .count();
+                    assert_eq!(heard, usize::from(r != root), "P={p} root={root} rank {r}");
                 }
             }
         }
-    }
-
-    /// Simulate the gather schedule: the root must end with the blocks of all ranks in
-    /// relative-rank order, each block shipped exactly once.
-    #[test]
-    fn binomial_gather_assembles_blocks_in_order() {
-        for p in [1usize, 2, 3, 5, 12, 48, 1024] {
-            let t = BinomialTree::new(p, 0);
-            let mut held: Vec<Vec<usize>> = (0..p).map(|r| vec![r]).collect();
-            for k in 0..t.rounds() {
-                for r in 0..p {
-                    if let Some(to) = t.gather_send_to(r, k) {
-                        assert_eq!(t.gather_recv_from(to, k), Some(r));
-                        assert_eq!(
-                            held[r].len(),
-                            t.gather_block_len(r, k),
-                            "P={p} round {k} rank {r}"
-                        );
-                        let block = std::mem::take(&mut held[r]);
-                        held[to].extend(block);
-                    }
-                }
-            }
-            assert_eq!(held[0], (0..p).collect::<Vec<_>>(), "P={p}");
-            for (r, held_r) in held.iter().enumerate().skip(1) {
-                assert!(held_r.is_empty(), "P={p}: rank {r} kept a block");
-            }
-        }
-    }
-
-    #[test]
-    fn group_map_partitions_contiguously() {
-        let g = GroupMap::new(10, 4);
-        assert_eq!(g.ngroups(), 3);
-        assert_eq!(g.group_len(0), 4);
-        assert_eq!(g.group_len(2), 2);
-        assert_eq!(g.leader_of(0), 0);
-        assert_eq!(g.leader_of(5), 4);
-        assert_eq!(g.leader_of(9), 8);
-        assert!(g.is_leader(8));
-        assert!(!g.is_leader(9));
-        assert_eq!(g.members_of(9), 2);
-        assert_eq!(g.leader(1), 4);
-        // Oversized groups clamp to one group spanning the machine.
-        let whole = GroupMap::new(6, 99);
-        assert_eq!(whole.ngroups(), 1);
-        assert_eq!(whole.members_of(5), 6);
-        // sqrt split.
-        let sq = GroupMap::square(1024);
-        assert_eq!(sq.group_size(), 32);
-        assert_eq!(sq.ngroups(), 32);
     }
 }

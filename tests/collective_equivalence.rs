@@ -1,11 +1,10 @@
-//! Equivalence suite for the log-depth collectives and hierarchical monitoring.
+//! Equivalence suite for the log-depth collectives and the monitoring built on them.
 //!
 //! The tree collectives (dissemination gathers, binomial broadcast, combining-butterfly
-//! reductions) and the group-leader monitoring topology are *transport* optimisations:
-//! they must deliver the same answers as a flat implementation.  This suite pins that at
-//! power-of-two and awkward machine sizes — P = 1, 3, 5, 12 and 48 — so every schedule
-//! role (butterfly extras, partial dissemination rounds, uneven leader groups) is
-//! exercised:
+//! reductions) are *transport* optimisations: they must deliver the same answers as a
+//! flat implementation.  This suite pins that at power-of-two and awkward machine sizes
+//! — P = 1, 3, 5, 12 and 48 — so every schedule role (butterfly extras, partial
+//! dissemination rounds) is exercised:
 //!
 //! * gathers and broadcast are **byte-identical** to the flat reference (contributions
 //!   indexed by source, in rank order);
@@ -14,14 +13,14 @@
 //! * inexact float sums are byte-identical *machine-wide* — every rank holds the same
 //!   bits, the property the replicated remap controllers depend on — and agree with the
 //!   flat fold to relative 1e-12;
-//! * a hierarchically-monitored [`RemapController`] makes the identical remap decisions,
-//!   on the identical steps, as flat monitoring over a drifting load.
+//! * a [`RemapController`] replicated on every rank makes the identical remap decisions,
+//!   on the identical steps, on every rank over a drifting load.
 
-use chaos_suite::chaos::adapt::{MonitorTopology, RemapController, RemapPolicy};
-use chaos_suite::mpsim::{run, GroupMap, MachineConfig};
+use chaos_suite::chaos::adapt::{RemapController, RemapPolicy};
+use chaos_suite::mpsim::{run, MachineConfig};
 
 /// Non-power-of-two heavy: 1 (degenerate), 3 and 5 (butterfly extras), 12 (extras plus
-/// multi-round dissemination tails), 48 (an uneven 7-group leader hierarchy).
+/// multi-round dissemination tails), 48 (six rounds, the last partial).
 const MACHINE_SIZES: &[usize] = &[1, 3, 5, 12, 48];
 
 #[test]
@@ -118,11 +117,7 @@ fn inexact_sums_are_byte_identical_machine_wide() {
 
 /// Drive one controller per rank over a drifting synthetic load and record, per step,
 /// whether it fired a remap.  Returns each rank's (fired-steps, remap-count).
-fn drifting_decisions(
-    nprocs: usize,
-    topology: MonitorTopology,
-    nsteps: usize,
-) -> Vec<(Vec<usize>, usize)> {
+fn drifting_decisions(nprocs: usize, nsteps: usize) -> Vec<(Vec<usize>, usize)> {
     let out = run(MachineConfig::new(nprocs), move |rank| {
         let me = rank.rank();
         let policy = RemapPolicy::Threshold {
@@ -130,7 +125,7 @@ fn drifting_decisions(
             hysteresis: 0.02,
             patience: 3,
         };
-        let mut ctrl = RemapController::new(policy).with_topology(topology);
+        let mut ctrl = RemapController::new(policy);
         let mut fired = Vec::new();
         for step in 0..nsteps {
             // Rank-dependent drift: imbalance grows with the step until a remap
@@ -149,25 +144,15 @@ fn drifting_decisions(
 }
 
 #[test]
-fn hierarchical_monitoring_reaches_the_flat_decisions() {
+fn monitoring_decisions_agree_on_every_rank() {
     for &nprocs in &[3usize, 5, 12, 48] {
-        let flat = drifting_decisions(nprocs, MonitorTopology::Flat, 20);
-        // Every rank of the flat run must agree with rank 0 (replicated controllers).
-        for (p, r) in flat.iter().enumerate() {
-            assert_eq!(r, &flat[0], "P={nprocs} flat rank {p} diverged");
+        let decisions = drifting_decisions(nprocs, 20);
+        for (p, r) in decisions.iter().enumerate() {
+            assert_eq!(r, &decisions[0], "P={nprocs} rank {p} diverged");
         }
         assert!(
-            !flat[0].0.is_empty(),
+            !decisions[0].0.is_empty(),
             "P={nprocs}: drift never fired a remap — the scenario is vacuous"
         );
-        for group in [1usize, 2, GroupMap::square(nprocs).group_size(), nprocs] {
-            let hier = drifting_decisions(nprocs, MonitorTopology::Hierarchical { group }, 20);
-            for (p, r) in hier.iter().enumerate() {
-                assert_eq!(
-                    r, &flat[0],
-                    "P={nprocs} group={group} rank {p}: hierarchical decisions diverged"
-                );
-            }
-        }
     }
 }
