@@ -6,18 +6,17 @@
 //! access pattern of the dominant loop — adapts every 10–100 steps.
 //!
 //! The list is built on a grid of cells at least half a cutoff wide (never more cells than
-//! atoms), filled by one counting sort into CSR cells holding cell-ordered ids and positions.
-//! Atoms within the cutoff are at most two cells apart per axis, so a target scans a 5×5×5
-//! stencil, minus offsets that alias in a small box.  Each candidate passing the predicate
-//! (`j > i`, minimum-image distance ≤ cutoff) sets its bit in a bitset over atom ids, which
-//! is read back in ascending order with `trailing_zeros`: O(n + candidates + n_targets ·
-//! n / 64) instead of a sort per row.
-//!
-//! The read-back term is quadratic in N: atom ids are not ordered in space, so each row
-//! scans about n/64 words.  It pays only while n/64 is small next to a row's candidates
-//! (125 cells' worth of atoms, about 5 000 at the paper's density): a few per cent of the
-//! candidate work at 14 026 atoms, comparable to it near 10⁶ atoms and dominant beyond.
-//! Numbering atoms in cell order would bound each row's scan to its stencil's ids.
+//! atoms), filled by one counting sort into CSR cells of ascending ids.  Atoms within the
+//! cutoff are at most two cells apart per axis, so a target's candidates are a 5×5×5
+//! stencil, minus offsets that alias in a small box.  Targets are grouped by cell, and each
+//! cell that holds one collects its stencil's candidates once: marked in a bitset over
+//! atom ids and read back ascending, with their positions as lanes.  A row's partners
+//! (`j > i`, minimum-image distance ≤ cutoff) are then found in the suffix of ids above
+//! its atom, tested lane-wise in chunks of 16 and compressed into the row branch-free, so
+//! rows come out ascending.  The cost is
+//! O(n + target cells × (stencil candidates + n/64) + Σ suffix lengths): the read-back's
+//! n/64 words are paid once a target cell, not once a row, and the suffix halves the
+//! distance tests when both atoms are targets.
 
 use crate::system::{displacement_pbc, dist2};
 
@@ -89,6 +88,25 @@ pub fn build_neighbor_list_for(
     if let Some(&bad) = targets.iter().find(|&&i| i >= n) {
         panic!("neighbour-list target {bad} is not an atom: there are {n} atoms");
     }
+    lane_wise(
+        #[inline(always)]
+        || list_rows(targets, positions, box_size, cutoff),
+    )
+}
+
+/// [`build_neighbor_list_for`]'s one body, after its checks.  The first pass over the
+/// target cells tests every row and keeps one hit mask a chunk and the row's length; the
+/// second collects each cell's candidate ids again and decodes the masks into rows laid
+/// out in `targets` order.  The masks take a bit a tested lane, and each row is written
+/// once, in place: no copy-out buffer.
+#[inline(always)]
+fn list_rows(
+    targets: &[usize],
+    positions: &[[f64; 3]],
+    box_size: f64,
+    cutoff: f64,
+) -> NeighborList {
+    let n = positions.len();
     let cutoff2 = cutoff * cutoff;
     // Never more cells than atoms: wider cells only widen the search, so the list is exact.
     let ncell = ((CELLS_PER_CUTOFF as f64 * box_size / cutoff) as usize)
@@ -100,7 +118,7 @@ pub fn build_neighbor_list_for(
     let cell_of = |p: [f64; 3]| [axis(p[0]), axis(p[1]), axis(p[2])];
     let flat = |c: [usize; 3]| c[0] + ncell * (c[1] + ncell * c[2]);
 
-    // Counting sort of the atoms into CSR cells, with cell-ordered ids and positions.
+    // Counting sort of the atom ids into CSR cells.
     let ncells = ncell * ncell * ncell;
     let atom_cell: Vec<usize> = positions.iter().map(|&p| flat(cell_of(p))).collect();
     let mut start = vec![0usize; ncells + 1];
@@ -108,10 +126,8 @@ pub fn build_neighbor_list_for(
     (1..=ncells).for_each(|c| start[c] += start[c - 1]);
     let mut fill = start.clone();
     let mut ids = vec![0u32; n];
-    let mut sorted = vec![[0.0; 3]; n];
     for (j, &c) in atom_cell.iter().enumerate() {
         ids[fill[c]] = u32::try_from(j).expect("atom ids fit in u32");
-        sorted[fill[c]] = positions[j];
         fill[c] += 1;
     }
 
@@ -128,44 +144,93 @@ pub fn build_neighbor_list_for(
     let width = (2 * CELLS_PER_CUTOFF + 1).min(ncell);
     let wrap = |c: usize| if c >= ncell { c - ncell } else { c };
 
-    // Each row marks its partners in a bitset over atom ids, then reads them back in
-    // ascending order, clearing the words it read for the next row.
+    // Target rows in cell order: one group a target cell.
+    let mut order: Vec<usize> = (0..targets.len()).collect();
+    order.sort_unstable_by_key(|&r| atom_cell[targets[r]]);
+    let half = box_size / 2.0;
     let mut mark = vec![0u64; n.div_ceil(64)];
-    let mut offsets = Vec::with_capacity(targets.len() + 1);
+    let (mut cand, mut lanes) = (Vec::<u32>::new(), [vec![], vec![], vec![]]);
+    let mut masks = Vec::<u16>::new();
+    let mut offsets = vec![0usize; targets.len() + 1];
     let mut partners = Vec::new();
-    offsets.push(0);
-    for &i in targets {
-        let pi = positions[i];
-        let [cx, cy, cz] = cell_of(pi);
-        // The x-run starts at x0 and is split where it wraps.
-        let x0 = wrap(cx + ncell - width / 2);
-        let first = width.min(ncell - x0);
-        let mut hi = 0;
-        for &oz in &axis_offsets {
-            for &oy in &axis_offsets {
-                let row = flat([0, wrap(cy + oy), wrap(cz + oz)]);
-                for (c0, c1) in [(row + x0, row + x0 + first), (row, row + width - first)] {
-                    let (a, b) = (start[c0], start[c1]);
-                    for (&j, &pj) in ids[a..b].iter().zip(&sorted[a..b]) {
-                        let j = j as usize;
-                        let hit = j > i && dist2(displacement_pbc(pi, pj, box_size)) <= cutoff2;
-                        mark[j >> 6] |= u64::from(hit) << (j & 63);
-                        hi = hi.max(j >> 6);
+    for second in [false, true] {
+        let mut next_mask = 0;
+        for group in order.chunk_by(|&a, &b| atom_cell[targets[a]] == atom_cell[targets[b]]) {
+            let [cx, cy, cz] = cell_of(positions[targets[group[0]]]);
+            // The x-run starts at x0 and is split where it wraps.
+            let x0 = wrap(cx + ncell - width / 2);
+            let first = width.min(ncell - x0);
+            let mut count = 0;
+            for &oz in &axis_offsets {
+                for &oy in &axis_offsets {
+                    let row = flat([0, wrap(cy + oy), wrap(cz + oz)]);
+                    for (c0, c1) in [(row + x0, row + x0 + first), (row, row + width - first)] {
+                        let run = &ids[start[c0]..start[c1]];
+                        run.iter()
+                            .for_each(|&j| mark[j as usize >> 6] |= 1 << (j & 63));
+                        count += run.len();
                     }
                 }
             }
-        }
-        // Every partner is above i.  Ids are not ordered in space, so this scans about
-        // n/64 words per row: see the module doc for where that stops paying.
-        let lo = i >> 6;
-        for (w, word) in (lo..).zip(&mut mark[lo..=hi]) {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                partners.push(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
+            // Read back from the group's lowest target's word: no row holds a lower id.
+            // The second pass needs only the ids.  Lanes past the last candidate are
+            // tested and masked off.
+            let low_word = group.iter().map(|&r| targets[r]).min().unwrap_or(0) >> 6;
+            mark[..low_word].fill(0);
+            cand.resize(count + SWEEP_CHUNK, 0);
+            if !second {
+                lanes
+                    .iter_mut()
+                    .for_each(|l| l.resize(count + SWEEP_CHUNK, 0.0));
+            }
+            let mut len = 0;
+            for (w, word) in mark.iter_mut().enumerate().skip(low_word) {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let j = w * 64 + bits.trailing_zeros() as usize;
+                    cand[len] = j as u32;
+                    if !second {
+                        (0..3).for_each(|a| lanes[a][len] = positions[j][a]);
+                    }
+                    (len, bits) = (len + 1, bits & (bits - 1));
+                }
+            }
+            for &r in group {
+                let (i, pi) = (targets[r], positions[targets[r]]);
+                let above = cand[..len].partition_point(|&j| j as usize <= i);
+                let mut at = offsets[r];
+                for s in (above..len).step_by(SWEEP_CHUNK) {
+                    if second {
+                        // Branch-free compress: a miss writes where the row's next hit
+                        // goes, or past the row's end, where nothing is written.
+                        let (mask, out) = (masks[next_mask], &mut partners[at..offsets[r + 1]]);
+                        let mut m = 0;
+                        for (k, &j) in cand[s..s + SWEEP_CHUNK].iter().enumerate() {
+                            if let Some(slot) = out.get_mut(m) {
+                                *slot = j as usize;
+                            }
+                            m += usize::from(mask >> k & 1 == 1);
+                        }
+                        (at, next_mask) = (at + m, next_mask + 1);
+                        continue;
+                    }
+                    let [x, y, z] = [0, 1, 2].map(|a| &lanes[a][s..s + SWEEP_CHUNK]);
+                    let mut mask = 0u32;
+                    for k in 0..SWEEP_CHUNK {
+                        let d = [x[k] - pi[0], y[k] - pi[1], z[k] - pi[2]];
+                        let d = d.map(|d| min_image(d, box_size, half));
+                        mask |= u32::from(dist2(d) <= cutoff2) << k;
+                    }
+                    let mask = mask & (u32::MAX >> (32 - (len - s).min(SWEEP_CHUNK)));
+                    masks.push(mask as u16);
+                    offsets[r + 1] += mask.count_ones() as usize;
+                }
             }
         }
-        offsets.push(partners.len());
+        if !second {
+            (1..offsets.len()).for_each(|r| offsets[r] += offsets[r - 1]);
+            partners = vec![0; offsets[targets.len()]];
+        }
     }
     NeighborList { offsets, partners }
 }
@@ -225,26 +290,36 @@ pub fn sweep_nonbonded_forces(
     force: [&mut [f64]; 3],
     box_size: f64,
 ) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: `sweep_avx2` needs only AVX2, and the host has it: detected just above.
-        return unsafe { sweep_avx2(offsets, partners, pos, force, box_size) };
-    }
-    sweep_rows(offsets, partners, pos, force, box_size)
+    lane_wise(
+        #[inline(always)]
+        || sweep_rows(offsets, partners, pos, force, box_size),
+    )
 }
 
-/// [`sweep_rows`] compiled for AVX2, whose four-lane `vdivpd` the baseline target lacks.
-/// FMA stays off (Rust never contracts `a * b + c`): the same IEEE operations per lane.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn sweep_avx2(
-    offsets: &[usize],
-    partners: &[u32],
-    pos: [&[f64]; 3],
-    force: [&mut [f64]; 3],
-    box_size: f64,
-) -> usize {
-    sweep_rows(offsets, partners, pos, force, box_size)
+/// Run a lane-wise loop compiled for AVX2 when the host has it, whose four-lane `vdivpd`
+/// the baseline target lacks; else as compiled for the baseline.  `body` and what it
+/// calls are `#[inline(always)]`, so the AVX2 instantiation is the whole loop.  FMA stays
+/// off (Rust never contracts `a * b + c`): the same IEEE operations per lane either way.
+#[inline(always)]
+fn lane_wise<R>(body: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        #[target_feature(enable = "avx2")]
+        fn avx2<R>(body: impl FnOnce() -> R) -> R {
+            body()
+        }
+        // SAFETY: `avx2` needs only AVX2, and the host has it: detected just above.
+        return unsafe { avx2(body) };
+    }
+    body()
+}
+
+/// `displacement_pbc`'s per-axis branch as a select, bit for bit: the subtraction of
+/// −box is its addition of box, and `d − 0.0` keeps a −0.0.
+#[inline(always)]
+fn min_image(d: f64, box_size: f64, half: f64) -> f64 {
+    let below = if d < -half { -box_size } else { 0.0 };
+    d - if d > half { box_size } else { below }
 }
 
 /// The sweep's one body.  A row's own force stays in an accumulator (no partner is the
@@ -266,12 +341,7 @@ fn sweep_rows(
          at least the {rows} rows"
     );
     let half = box_size / 2.0;
-    // `d − s` with s ∈ {box, −box, 0} is `displacement_pbc`'s branch bit for bit: the
-    // subtraction of −box is its addition of box, and `d − 0.0` keeps a −0.0.
-    let image = |d: f64| {
-        let below = if d < -half { -box_size } else { 0.0 };
-        d - if d > half { box_size } else { below }
-    };
+    let image = |d: f64| min_image(d, box_size, half);
     let (mut d, mut f) = ([[0.0; SWEEP_CHUNK]; 3], [[0.0; SWEEP_CHUNK]; 3]);
     for (l, row) in offsets.windows(2).enumerate() {
         let a = [px[l], py[l], pz[l]];
@@ -637,6 +707,106 @@ mod tests {
                 sys.box_size,
             );
         }
+    }
+
+    type ListBody = fn(&[usize], &[[f64; 3]], f64, f64) -> NeighborList;
+
+    /// The list builder's instantiations the host can run: the portable body always, the
+    /// dispatched entry when it takes the AVX2 one.
+    fn list_builders() -> Vec<(&'static str, ListBody)> {
+        let mut builders: Vec<(&'static str, ListBody)> = vec![("portable body", list_rows)];
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            builders.push(("dispatched entry (AVX2)", build_neighbor_list_for));
+        }
+        let checked = if builders.len() == 1 {
+            "AVX2 not detected, checked the portable body only"
+        } else {
+            "checked the portable body and the AVX2 instantiation"
+        };
+        eprintln!("list_rows_match_the_oracle_in_any_target_order: {checked}");
+        builders
+    }
+
+    #[test]
+    fn list_rows_match_the_oracle_in_any_target_order() {
+        // 40 atoms on the ticks 0, 2.5, 5, 7.5 and 10 of box 10: at most three cells per
+        // axis, so every atom is a candidate of every target and atom i's suffix is the
+        // 39 − i atoms above it.  Atoms 39, 38, 24, 23, 22 and 6 have suffixes of 0, 1,
+        // 15, 16, 17 and 33 lanes.  Every axis has atoms at 0 and at the box (one image),
+        // pairs exactly box/2 apart both ways, and pairs exactly 2.5 apart, through a face
+        // too (7.5 − 0); cutoff 2.5 and 5.0 put those at exactly the cutoff.
+        let lattice: Vec<[f64; 3]> = (0..40)
+            .map(|k| [k % 5, k / 5 % 5, (2 * k + k / 5) % 5].map(|t| t as f64 * 2.5))
+            .collect();
+        let suffixes = [39, 38, 24, 23, 22, 6];
+        let shuffled_twice = [6, 39, 22, 38, 23, 24, 6, 39, 24];
+        let all: Vec<usize> = (0..40).collect();
+
+        // The 3 400-atom system: every atom shuffled, the x < box/2 half with each target
+        // twice, every atom in atom 0's cell, and one atom from every cell.
+        let sys = system(700, 900, 28.0, 7.0);
+        let n = sys.natoms();
+        let mut shuffled: Vec<usize> = (0..n).collect();
+        shuffled.sort_by_key(|&i| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40);
+        let doubled: Vec<usize> = (0..n)
+            .filter(|&i| sys.positions[i][0] < sys.box_size / 2.0)
+            .flat_map(|i| [i, i])
+            .collect();
+        // The builder's grid for this system: 8 cells of 3.5 per axis.
+        let cell = |i: usize| sys.positions[i].map(|x| (x / 3.5) as usize % 8);
+        let one_cell: Vec<usize> = (0..n).filter(|&i| cell(i) == cell(0)).collect();
+        let mut seen = std::collections::HashSet::new();
+        let every_cell: Vec<usize> = (0..n).filter(|&i| seen.insert(cell(i))).collect();
+        assert_eq!(
+            (one_cell.len(), every_cell.len()),
+            (61, 488),
+            "atoms in atom 0's cell, and cells of 512 that hold an atom"
+        );
+
+        let lattice_cases = [
+            ("lattice suffixes", &suffixes[..], 2.5),
+            ("lattice suffixes", &suffixes[..], 5.0),
+            ("lattice shuffled twice", &shuffled_twice[..], 5.0),
+            ("lattice all", &all[..], 2.5),
+            ("lattice all", &all[..], 3.6),
+            ("lattice all", &all[..], 5.0),
+        ];
+        let system_cases = [
+            ("3 400 shuffled", &shuffled[..]),
+            ("3 400 doubled", &doubled[..]),
+            ("3 400 one cell", &one_cell[..]),
+            ("3 400 every cell", &every_cell[..]),
+        ];
+        for (name, build) in list_builders() {
+            let check =
+                |case: &str, targets: &[usize], positions: &[[f64; 3]], box_size, cutoff| {
+                    let list = build(targets, positions, box_size, cutoff);
+                    let oracle = brute_force(targets, positions, box_size, cutoff);
+                    assert!(
+                        list == oracle,
+                        "{name}, {case}, cutoff {cutoff}: {} pairs, oracle {}; first differing \
+                     row {:?}",
+                        list.interaction_count(),
+                        oracle.interaction_count(),
+                        (0..targets.len().min(list.natoms()))
+                            .find(|&r| list.partners_of(r) != oracle.partners_of(r))
+                    );
+                };
+            for (case, targets, cutoff) in lattice_cases {
+                check(case, targets, &lattice, 10.0, cutoff);
+            }
+            for (case, targets) in system_cases {
+                check(case, targets, &sys.positions, sys.box_size, sys.cutoff);
+            }
+        }
+        // The suffix rows are not all empty or all full: the chunk tail is exercised.
+        let rows = build_neighbor_list_for(&suffixes, &lattice, 10.0, 5.0);
+        let lens: Vec<usize> = (0..suffixes.len())
+            .map(|r| rows.partners_of(r).len())
+            .collect();
+        assert_eq!(lens[0], 0, "the highest id has an empty suffix");
+        assert!(lens[1..].iter().all(|&l| l > 0), "row lengths {lens:?}");
     }
 
     #[test]
