@@ -411,7 +411,9 @@ impl IndexHashTable {
     }
 
     /// All entries in deterministic (insertion) order; single-entry lookups go through
-    /// [`IndexHashTable::get`].
+    /// [`IndexHashTable::get`].  No product code reads the whole table; this is the
+    /// observation point `tests/index_hash_model.rs` compares against its sequential
+    /// model after every step, so it stays public.
     pub fn entries_in_order(&self) -> &[HashEntry] {
         &self.slots
     }

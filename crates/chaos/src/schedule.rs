@@ -216,6 +216,11 @@ impl CommSchedule {
     /// Merge two schedules built against the *same* hash table (so their ghost slots are
     /// drawn from the same space) into one that performs both transfers in a single pass.
     /// Duplicate (destination, offset) pairs are kept only once.
+    ///
+    /// The drivers merge by building one schedule for a member set of a
+    /// [`crate::LoopGroup`] instead, so only `tests/schedule_reuse.rs` calls this: it is
+    /// the paper's schedule-merging operation behind Table 3, kept public as the
+    /// reference those tests check the merged transfer against.
     pub fn merged_with(&self, other: &CommSchedule) -> CommSchedule {
         assert_eq!(
             self.nprocs, other.nprocs,

@@ -1870,7 +1870,7 @@ mod tests {
         }
         for optimize in [true, false] {
             let icell = icell.clone();
-            let out = run(MachineConfig::new(3).with_ledger(), move |rank| {
+            let out = run(MachineConfig::new(3), move |rank| {
                 let program = program(src, optimize);
                 assert!(matches!(program.steps[2], ExecStep::Loop(0)));
                 let mut exec = Executor::new(rank, &program);
@@ -2220,7 +2220,7 @@ mod tests {
         let ia: Vec<i64> = (0..32).map(|i| ((i * 5) % 32 + 1) as i64).collect();
         let ib: Vec<i64> = (1..=32).collect(); // identity: member 1 starts all-local
         let (ia2, ib2) = (ia.clone(), ib.clone());
-        let out = run(MachineConfig::new(2).with_ledger(), move |rank| {
+        let out = run(MachineConfig::new(2), move |rank| {
             let (program, report) = compile(TWO_MEMBER).unwrap();
             assert!(
                 report.has_applied("fuse", "fused 2 loops"),
@@ -2289,7 +2289,7 @@ mod tests {
         let ib: Vec<i64> = (0..32).map(|i| ((i * 3 + 1) % 32 + 1) as i64).collect();
         for optimize in [true, false] {
             let (ia, ib) = (ia.clone(), ib.clone());
-            run(MachineConfig::new(2).with_ledger(), move |rank| {
+            run(MachineConfig::new(2), move |rank| {
                 let program = program(TWO_MEMBER, optimize);
                 let mut exec = Executor::new(rank, &program);
                 two_member_setup(&mut exec, &ia, &ib);
@@ -2329,7 +2329,7 @@ mod tests {
         let g = scatter_sum(&ib, |i| (i % 5) as f64 + 1.0, 2);
         for optimize in [true, false] {
             let (ia, ib) = (ia.clone(), ib.clone());
-            let out = run(MachineConfig::new(3).with_ledger(), move |rank| {
+            let out = run(MachineConfig::new(3), move |rank| {
                 let program = program(TWO_MEMBER, optimize);
                 let mut exec = Executor::new(rank, &program);
                 two_member_setup(&mut exec, &ia, &ib);

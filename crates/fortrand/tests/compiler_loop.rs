@@ -68,7 +68,7 @@ fn run_charmm_style(
     procs: usize,
 ) -> (Vec<u64>, (u64, u64)) {
     let source = source.to_string();
-    let out = run(MachineConfig::new(procs).with_ledger(), move |rank| {
+    let out = run(MachineConfig::new(procs), move |rank| {
         let program = common::program(&source, optimize);
         let mut exec = Executor::new(rank, &program);
         let (inblo, jnb) = ring_csr(n);
@@ -134,7 +134,7 @@ fn hoisted_build_runs_once_and_message_counts_are_pinned() {
     let n = 48;
     let nsteps = 5;
     let source = charmm_style_source(n, nsteps);
-    let out = run(MachineConfig::new(4).with_ledger(), move |rank| {
+    let out = run(MachineConfig::new(4), move |rank| {
         let (program, report) = fortrand::compile(&source).expect("compiles");
         assert!(report.has_applied("hoist", ""));
         assert!(report.has_applied("fuse", ""));
@@ -198,7 +198,7 @@ fn blocked_hoist_falls_back_to_guarded_rebuilds() {
          END FORALL\n\
          END DO\n"
     );
-    let out = run(MachineConfig::new(2).with_ledger(), move |rank| {
+    let out = run(MachineConfig::new(2), move |rank| {
         let (program, report) = fortrand::compile(&source).expect("compiles");
         assert!(report.has_blocked("hoist", "IA"));
         let mut exec = Executor::new(rank, &program);

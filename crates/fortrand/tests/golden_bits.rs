@@ -307,7 +307,7 @@ const PROGRAMS: [(&str, &str, Driver); 6] = [
 ];
 
 fn fingerprint_of(source: &'static str, driver: Driver, procs: usize, optimize: bool) -> u64 {
-    let out = run(MachineConfig::new(procs).with_ledger(), move |rank| {
+    let out = run(MachineConfig::new(procs), move |rank| {
         let program = common::program(source, optimize);
         let mut exec = Executor::new(rank, &program);
         driver(rank, &mut exec, procs, procs > 2)

@@ -79,7 +79,7 @@ fn conditional_indirection_updates_never_leave_a_stale_stream() {
         for procs in [1usize, 2, 3] {
             for optimize in [false, true] {
                 let (src, ia, x) = (source(n, nsteps, threshold), ia.clone(), x.clone());
-                let out = run(MachineConfig::new(procs).with_ledger(), move |rank| {
+                let out = run(MachineConfig::new(procs), move |rank| {
                     let program = common::program(&src, optimize);
                     let mut exec = Executor::new(rank, &program);
                     exec.set_integer_array("IA", &ia);

@@ -34,7 +34,7 @@
 //! `chaos::adapt`'s replicated controllers depend on, pinned by the equivalence suite
 //! at power-of-two and non-power-of-two machine sizes.
 
-use crate::exchange::{alltoallv_with, ExchangePlan, PackBuf, Placed, RecvSpec};
+use crate::exchange::{exchange_round, ExchangePlan, PackBuf, Placed, RecvSpec};
 use crate::machine::Rank;
 use crate::message::Element;
 use crate::topology::{BinomialTree, Dissemination};
@@ -83,7 +83,7 @@ impl Rank {
             let from = sched.recv_peer(me, k);
             let plan = round_plan(me, n, Some((to, m)), Some((from, RecvSpec::Exact(m))));
             incoming.clear();
-            alltoallv_with(
+            exchange_round(
                 self,
                 &plan,
                 |_p, buf: &mut PackBuf<'_, T>| {
@@ -111,11 +111,7 @@ impl Rank {
     /// rounds with nothing to move send no message at all.  `O(log P)` messages per
     /// rank; block contents and ordering are identical to a flat gather.
     pub fn all_gather<T: Element>(&mut self, local: &[T]) -> Vec<Vec<T>> {
-        self.ledger_record(
-            "all_gather",
-            self.exchange_epochs_started(),
-            std::any::type_name::<T>(),
-        );
+        self.ledger_record::<T>("all_gather");
         let me = self.rank();
         let n = self.nprocs();
         if n == 1 {
@@ -134,7 +130,7 @@ impl Rank {
                 (recv_total > 0).then_some((sched.recv_peer(me, k), RecvSpec::Exact(recv_total)));
             let plan = round_plan(me, n, send, recv);
             incoming.clear();
-            alltoallv_with(
+            exchange_round(
                 self,
                 &plan,
                 |_p, buf: &mut PackBuf<'_, T>| {
@@ -159,11 +155,7 @@ impl Rank {
     /// a priori): `ceil(log2 P)` messages per rank — the hot path of the adaptive
     /// load monitor.
     pub fn all_gather_one<T: Element>(&mut self, value: T) -> Vec<T> {
-        self.ledger_record(
-            "all_gather_one",
-            self.exchange_epochs_started(),
-            std::any::type_name::<T>(),
-        );
+        self.ledger_record::<T>("all_gather_one");
         self.dissemination_gather_one(value)
     }
 
@@ -173,11 +165,7 @@ impl Rank {
     /// # Panics
     /// Panics if `sends.len() != nprocs`.
     pub fn all_to_all<T: Element>(&mut self, sends: &[Vec<T>]) -> Vec<Vec<T>> {
-        self.ledger_record(
-            "all_to_all",
-            self.exchange_epochs_started(),
-            std::any::type_name::<T>(),
-        );
+        self.ledger_record::<T>("all_to_all");
         let me = self.rank();
         let n = self.nprocs();
         assert_eq!(
@@ -187,7 +175,7 @@ impl Rank {
         );
         let plan = ExchangePlan::dense(me, sends.iter().map(Vec::len).collect());
         let mut out: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-        alltoallv_with(
+        exchange_round(
             self,
             &plan,
             |p, buf| buf.extend_from_slice(&sends[p]),
@@ -224,11 +212,7 @@ impl Rank {
         T: Element,
         F: Fn(T, T) -> T,
     {
-        self.ledger_record(
-            "all_reduce",
-            self.exchange_epochs_started(),
-            std::any::type_name::<T>(),
-        );
+        self.ledger_record::<T>("all_reduce");
         self.charge_collective();
         let me = self.rank();
         let n = self.nprocs();
@@ -253,7 +237,7 @@ impl Rank {
             );
             incoming.clear();
             let payload = *acc;
-            alltoallv_with(
+            exchange_round(
                 rank,
                 &plan,
                 |_p, buf: &mut PackBuf<'_, T>| buf.push(payload),
@@ -351,11 +335,7 @@ impl Rank {
     /// root sends `ceil(log2 P)` messages instead of `P - 1` and every other rank
     /// receives once and forwards at most `ceil(log2 P) - 1` times.
     pub fn broadcast<T: Element>(&mut self, root: usize, values: &[T]) -> Vec<T> {
-        self.ledger_record(
-            "broadcast",
-            self.exchange_epochs_started(),
-            std::any::type_name::<T>(),
-        );
+        self.ledger_record::<T>("broadcast");
         let me = self.rank();
         let n = self.nprocs();
         let tree = BinomialTree::new(n, root);
@@ -367,7 +347,7 @@ impl Rank {
         for k in 0..tree.rounds() {
             if let Some(src) = tree.bcast_recv_from(me, k) {
                 let plan = round_plan(me, n, None, Some((src, RecvSpec::Any)));
-                alltoallv_with(
+                exchange_round(
                     self,
                     &plan,
                     |_p, _buf: &mut PackBuf<'_, T>| {},
@@ -376,7 +356,7 @@ impl Rank {
             } else {
                 let send = tree.bcast_send_to(me, k).map(|child| (child, out.len()));
                 let plan = round_plan(me, n, send, None);
-                alltoallv_with(
+                exchange_round(
                     self,
                     &plan,
                     |_p, buf: &mut PackBuf<'_, T>| buf.extend_from_slice(&out),
@@ -389,11 +369,7 @@ impl Rank {
 
     /// Gather each rank's slice at `root`.  Non-root ranks receive an empty vector.
     pub fn gather_to_root<T: Element>(&mut self, root: usize, local: &[T]) -> Vec<Vec<T>> {
-        self.ledger_record(
-            "gather_to_root",
-            self.exchange_epochs_started(),
-            std::any::type_name::<T>(),
-        );
+        self.ledger_record::<T>("gather_to_root");
         let me = self.rank();
         let n = self.nprocs();
         let mut send_specs: Vec<Option<usize>> = vec![None; n];
@@ -415,7 +391,7 @@ impl Rank {
         } else {
             Vec::new()
         };
-        alltoallv_with(
+        exchange_round(
             self,
             &plan,
             |_p, buf| buf.extend_from_slice(local),

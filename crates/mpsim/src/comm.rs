@@ -15,9 +15,16 @@
 //! A receiver waits in two steps (`Mailbox::recv_next`): it polls the channel up to a
 //! budget chosen once per machine, yielding between polls, and only then blocks in the
 //! channel's `recv`.
+//!
+//! Every envelope carries the sender's collective-ledger [`Stamp`] in its header (see
+//! [`crate::ledger`]); the receiving rank checks it.  A rank that panics leaves a stop
+//! notice in every peer's channel as its mailbox drops.  Receives return the notice
+//! whatever they wait for, and the rank stops too, so a peer that waits for a message
+//! the panicked rank would have sent never hangs.
 
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 
+use crate::ledger::Stamp;
 use crate::message::{Envelope, TypedPayload};
 
 /// Polls a receiver makes (yielding between polls) before it blocks, when every rank
@@ -50,6 +57,23 @@ fn host_spin_budget(nprocs: usize) -> usize {
 
 /// Why a receive can never complete: every rank that could send to it is gone.
 pub(crate) const DISCONNECTED: &str = "all senders dropped while a receive was outstanding";
+
+/// Why a send failed: its destination has exited.
+pub(crate) const TERMINATED: &str = "destination rank has terminated";
+
+/// Why a rank stopped at a peer's stop notice.
+pub(crate) const PEER_PANICKED: &str = "stopped because a peer panicked";
+
+/// The tag of a stop notice; it lies above every tag the machine uses.
+pub(crate) const STOP_TAG: u64 = u64::MAX;
+
+/// Whether a rank's panic message only reports that another rank failed first: a stop
+/// notice, a receive whose senders are all gone, or a send to an exited rank.
+pub(crate) fn is_follow_on(message: &str) -> bool {
+    [DISCONNECTED, TERMINATED, PEER_PANICKED]
+        .iter()
+        .any(|cause| message.contains(cause))
+}
 
 /// The per-rank communication endpoint.
 pub struct Mailbox {
@@ -96,14 +120,15 @@ impl Mailbox {
         self.peers.len()
     }
 
-    /// Send `payload` to rank `to` with the given `tag`.
+    /// Send `payload` to rank `to` with the given `tag`, stamped with the sender's
+    /// ledger `stamp`.
     ///
     /// Sends are buffered and never block.  Sending to oneself is allowed: the message
     /// is stashed at once and delivered through the same matching path as any other.
     ///
     /// # Panics
     /// Panics if `to` is out of range or the destination rank has already shut down.
-    pub fn send(&mut self, to: usize, tag: u64, payload: TypedPayload) {
+    pub fn send(&mut self, to: usize, tag: u64, payload: TypedPayload, stamp: Stamp) {
         assert!(
             to < self.nprocs(),
             "send to rank {to} but machine has {} ranks",
@@ -113,9 +138,10 @@ impl Mailbox {
             from: self.rank,
             tag,
             payload,
+            stamp,
         };
         match &self.peers[to] {
-            Some(tx) => tx.send(env).expect("destination rank has terminated"),
+            Some(tx) => tx.send(env).expect(TERMINATED),
             None => self.pending.push(env),
         }
     }
@@ -145,7 +171,8 @@ impl Mailbox {
         }
     }
 
-    /// Blocking receive of the next message from `from` with tag `tag`.
+    /// Blocking receive of the next message from `from` with tag `tag`, or of a stop
+    /// notice from any rank.
     ///
     /// Messages from other ranks or with other tags are stashed and delivered to later
     /// matching receives in arrival order.
@@ -159,21 +186,22 @@ impl Mailbox {
         }
         loop {
             let msg = self.recv_next();
-            if msg.from == from && msg.tag == tag {
+            if (msg.from == from && msg.tag == tag) || msg.tag == STOP_TAG {
                 return msg;
             }
             self.pending.push(msg);
         }
     }
 
-    /// Blocking receive of the next message carrying tag `tag` from *any* rank.
+    /// Blocking receive of the next message carrying tag `tag` from *any* rank, or of a
+    /// stop notice.
     pub fn recv_any(&mut self, tag: u64) -> Envelope {
         if let Some(idx) = self.pending.iter().position(|m| m.tag == tag) {
             return self.pending.remove(idx);
         }
         loop {
             let msg = self.recv_next();
-            if msg.tag == tag {
+            if msg.tag == tag || msg.tag == STOP_TAG {
                 return msg;
             }
             self.pending.push(msg);
@@ -184,6 +212,22 @@ impl Mailbox {
     /// that a protocol consumed everything it sent.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
+    }
+}
+
+impl Drop for Mailbox {
+    /// A rank that panics leaves a stop notice with every peer still running.
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            for tx in self.peers.iter().flatten() {
+                let _ = tx.send(Envelope {
+                    from: self.rank,
+                    tag: STOP_TAG,
+                    payload: TypedPayload::empty::<()>(),
+                    stamp: Stamp::default(),
+                });
+            }
+        }
     }
 }
 
@@ -209,8 +253,8 @@ mod tests {
         let mut b1 = boxes.pop().unwrap();
         let mut b0 = boxes.pop().unwrap();
         let t = thread::spawn(move || {
-            b1.send(0, 7, bytes(vec![1, 2, 3]));
-            b1.send(0, 7, bytes(vec![4, 5]));
+            b1.send(0, 7, bytes(vec![1, 2, 3]), Stamp::default());
+            b1.send(0, 7, bytes(vec![4, 5]), Stamp::default());
             let m = b1.recv(0, 9);
             assert_eq!(payload_bytes(m), vec![9]);
         });
@@ -218,7 +262,7 @@ mod tests {
         let m2 = b0.recv(1, 7);
         assert_eq!(payload_bytes(m1), vec![1, 2, 3]);
         assert_eq!(payload_bytes(m2), vec![4, 5]);
-        b0.send(1, 9, bytes(vec![9]));
+        b0.send(1, 9, bytes(vec![9]), Stamp::default());
         t.join().unwrap();
         assert_eq!(b0.pending_len(), 0);
     }
@@ -230,8 +274,8 @@ mod tests {
         let mut b1 = boxes.pop().unwrap();
         let mut b0 = boxes.pop().unwrap();
         // Rank 1 sends tag 1 then tag 2; rank 0 asks for tag 2 first.
-        b1.send(0, 1, bytes(vec![11]));
-        b1.send(0, 2, bytes(vec![22]));
+        b1.send(0, 1, bytes(vec![11]), Stamp::default());
+        b1.send(0, 2, bytes(vec![22]), Stamp::default());
         let second = b0.recv(1, 2);
         assert_eq!(payload_bytes(second), vec![22]);
         let first = b0.recv(1, 1);
@@ -242,7 +286,7 @@ mod tests {
     fn self_send_is_delivered() {
         let mut boxes = Mailbox::create_all(1);
         let mut b0 = boxes.pop().unwrap();
-        b0.send(0, 3, bytes(vec![42]));
+        b0.send(0, 3, bytes(vec![42]), Stamp::default());
         assert_eq!(payload_bytes(b0.recv(0, 3)), vec![42]);
     }
 
@@ -252,7 +296,7 @@ mod tests {
         let _b2 = boxes.pop().unwrap();
         let mut b1 = boxes.pop().unwrap();
         let mut b0 = boxes.pop().unwrap();
-        b1.send(0, 4, bytes(vec![7]));
+        b1.send(0, 4, bytes(vec![7]), Stamp::default());
         let env = b0.poll().expect("a queued message needs no wait");
         assert_eq!((env.from, env.tag), (1, 4));
         assert_eq!(payload_bytes(env), vec![7]);
@@ -267,7 +311,7 @@ mod tests {
         let consumer = thread::spawn(move || payload_bytes(b0.recv(1, 99)));
         // Give the receiver time to use up its polls and block before sending.
         thread::sleep(std::time::Duration::from_millis(30));
-        b1.send(0, 99, bytes(vec![5]));
+        b1.send(0, 99, bytes(vec![5]), Stamp::default());
         assert_eq!(consumer.join().unwrap(), vec![5]);
     }
 
@@ -283,10 +327,30 @@ mod tests {
                 .downcast::<String>()
                 .unwrap()
         };
-        let send = catch_unwind(AssertUnwindSafe(|| b0.send(1, 1, bytes(vec![1]))));
+        let send = catch_unwind(AssertUnwindSafe(|| {
+            b0.send(1, 1, bytes(vec![1]), Stamp::default());
+        }));
         assert!(message(send).starts_with("destination rank has terminated"));
         let recv = catch_unwind(AssertUnwindSafe(|| drop(b0.recv(1, 1))));
         assert!(message(recv).starts_with(DISCONNECTED));
+    }
+
+    #[test]
+    fn a_panicking_peer_leaves_a_stop_notice() {
+        let mut boxes = Mailbox::create_all(3);
+        let _b2 = boxes.pop().unwrap();
+        let b1 = boxes.pop().unwrap();
+        let mut b0 = boxes.pop().unwrap();
+        let dying = thread::spawn(move || {
+            let _b1 = b1;
+            panic!("rank 1 fails");
+        });
+        assert!(dying.join().is_err());
+        // Rank 2 is alive and silent: without the notice this receive would wait forever.
+        let env = b0.recv(2, 1);
+        assert_eq!((env.from, env.tag), (1, STOP_TAG));
+        assert!(is_follow_on(&format!("{PEER_PANICKED} (rank 1)")));
+        assert!(!is_follow_on("rank 1 fails"));
     }
 
     #[test]
@@ -306,8 +370,8 @@ mod tests {
         let mut b2 = boxes.pop().unwrap();
         let mut b1 = boxes.pop().unwrap();
         let mut b0 = boxes.pop().unwrap();
-        b1.send(0, 5, bytes(vec![1]));
-        b2.send(0, 5, bytes(vec![2]));
+        b1.send(0, 5, bytes(vec![1]), Stamp::default());
+        b2.send(0, 5, bytes(vec![2]), Stamp::default());
         let mut froms = vec![b0.recv_any(5).from, b0.recv_any(5).from];
         froms.sort_unstable();
         assert_eq!(froms, vec![1, 2]);

@@ -93,6 +93,7 @@
 //! a strided element-wise shuffle.  The executor's transfer kernel in `chaos` builds the
 //! fused plan and packs and places the lane blocks.
 
+use crate::ledger::Stamp;
 use crate::machine::{recycle_buffer, FreeList, Rank};
 use crate::message::{Buffer, Element};
 
@@ -221,6 +222,7 @@ impl ExchangePlan {
             .map(|(p, &c)| (p as u32, me as u32, c as u64))
             .collect();
         let mut recv_counts = vec![0usize; n];
+        rank.ledger_record::<u64>("negotiate");
         for (_, src, count) in route_ring(rank, held) {
             recv_counts[src as usize] = count as usize;
         }
@@ -329,6 +331,7 @@ pub fn route_sparse<T: Element>(rank: &mut Rank, sends: &[Vec<T>]) -> Vec<Vec<T>
     }
     let mut out: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
     out[me].extend_from_slice(&sends[me]);
+    rank.ledger_record::<T>("route_sparse");
     for (_, src, record) in route_ring(rank, held) {
         out[src as usize].push(record);
     }
@@ -340,7 +343,8 @@ pub fn route_sparse<T: Element>(rank: &mut Rank, sends: &[Vec<T>]) -> Vec<Vec<T>
 /// round `k`, hops `2^k` ranks forward whenever bit `k` of its remaining offset is set —
 /// so after `ceil(log2 P)` rounds every triple sits at its destination.  Every rank sends
 /// exactly one (possibly empty) message per round, and every round preserves stream
-/// order.  Returns the triples addressed to this rank.  Collective.
+/// order.  Returns the triples addressed to this rank.  Collective; the caller records
+/// the operation in the ledger.
 fn route_ring<T: Element>(rank: &mut Rank, mut held: Vec<(u32, u32, T)>) -> Vec<(u32, u32, T)> {
     let n = rank.nprocs();
     let me = rank.rank();
@@ -374,7 +378,7 @@ fn route_ring<T: Element>(rank: &mut Rank, mut held: Vec<(u32, u32, T)>) -> Vec<
         recvs[from] = RecvSpec::Any;
         let plan = ExchangePlan::from_parts(me, sends, recvs);
         incoming.clear();
-        alltoallv_with(
+        exchange_round(
             rank,
             &plan,
             |_p, buf: &mut PackBuf<'_, (u32, u32, T)>| buf.extend_from_slice(&fwd),
@@ -510,17 +514,29 @@ impl ExchangeStats {
 ///
 /// # Panics
 /// Panics if the plan does not match the machine or the calling rank, if a packed
-/// message's length differs from the plan's declared send count, or if an incoming
-/// message violates the plan's receive expectations.
+/// message's length differs from the plan's declared send count, if an incoming
+/// message violates the plan's receive expectations, or if its sender's collective
+/// history differs from this rank's ([`crate::ledger`]).
 pub fn alltoallv_with<T: Element>(
     rank: &mut Rank,
     plan: &ExchangePlan,
     pack: impl FnMut(usize, &mut PackBuf<'_, T>),
     place: impl FnMut(usize, Placed<'_, T>),
 ) -> ExchangeStats {
-    let (tag, send_stats, self_values) = start_exchange(rank, plan, pack);
-    let recv_stats = finish_exchange(rank, plan, tag, self_values, place);
-    send_stats.merged(&recv_stats)
+    rank.ledger_record::<T>("exchange");
+    exchange_round(rank, plan, pack, place)
+}
+
+/// One engine execution that records no ledger entry of its own: a round of a
+/// collective, which recorded itself when it began.
+pub(crate) fn exchange_round<T: Element>(
+    rank: &mut Rank,
+    plan: &ExchangePlan,
+    pack: impl FnMut(usize, &mut PackBuf<'_, T>),
+    place: impl FnMut(usize, Placed<'_, T>),
+) -> ExchangeStats {
+    let started = start_exchange(rank, plan, pack);
+    finish_exchange(rank, plan, started, place)
 }
 
 /// A split-phase exchange in flight: sends are posted, receives not yet drained.
@@ -535,12 +551,16 @@ pub fn alltoallv_with<T: Element>(
 /// unexpected-message panic) several exchanges later.  `finish` is the only way out.
 #[must_use = "a split-phase exchange must be finished (dropping the handle panics)"]
 pub struct ExchangeHandle<T: Element> {
+    plan: ExchangePlan,
     inflight: Option<InFlight<T>>,
 }
 
+/// What the start phase hands the finish phase.
 struct InFlight<T: Element> {
-    plan: ExchangePlan,
     tag: u64,
+    /// This rank's ledger stamp when the epoch started: every message of the epoch
+    /// must carry the same digest, whatever this rank started since.
+    stamp: Stamp,
     send_stats: ExchangeStats,
     /// The staged local portion, packed into a pooled buffer (`None` when the plan has
     /// no self transfer or it carries nothing).
@@ -578,8 +598,7 @@ impl<T: Element> ExchangeHandle<T> {
         place: impl FnMut(usize, Placed<'_, T>),
     ) -> ExchangeStats {
         let fl = self.inflight.take().expect("exchange already finished");
-        let recv_stats = finish_exchange(rank, &fl.plan, fl.tag, fl.self_values, place);
-        fl.send_stats.merged(&recv_stats)
+        finish_exchange(rank, &self.plan, fl, place)
     }
 }
 
@@ -611,31 +630,25 @@ pub fn start_alltoallv_with<T: Element>(
     plan: ExchangePlan,
     pack: impl FnMut(usize, &mut PackBuf<'_, T>),
 ) -> ExchangeHandle<T> {
-    let (tag, send_stats, self_values) = start_exchange(rank, &plan, pack);
-    ExchangeHandle {
-        inflight: Some(InFlight {
-            plan,
-            tag,
-            send_stats,
-            self_values,
-        }),
-    }
+    rank.ledger_record::<T>("exchange");
+    let inflight = Some(start_exchange(rank, &plan, pack));
+    ExchangeHandle { plan, inflight }
 }
 
 /// The exchange epoch encoded in a message tag (inverse of [`Rank::next_exchange_tag`]).
-fn epoch_of_tag(tag: u64) -> u64 {
+pub(crate) fn epoch_of_tag(tag: u64) -> u64 {
     tag - EXCHANGE_TAG_BASE
 }
 
 /// Start phase: claim the next exchange epoch, pack and post one pooled message per
 /// planned destination, and stage the local portion in a pooled buffer of its own (so
 /// finishing needs no further pack state).  Returns everything the finish phase needs:
-/// the epoch tag, the send-side stats, and the staged self payload.
+/// the epoch tag, the ledger stamp, the send-side stats, and the staged self payload.
 fn start_exchange<T: Element>(
     rank: &mut Rank,
     plan: &ExchangePlan,
     mut pack: impl FnMut(usize, &mut PackBuf<'_, T>),
-) -> (u64, ExchangeStats, Option<Buffer<T>>) {
+) -> InFlight<T> {
     assert_eq!(
         plan.nprocs(),
         rank.nprocs(),
@@ -648,7 +661,6 @@ fn start_exchange<T: Element>(
     );
     let me = plan.my_rank();
     let tag = rank.next_exchange_tag();
-    rank.ledger_record("exchange", epoch_of_tag(tag), std::any::type_name::<T>());
     let mut stats = ExchangeStats::default();
     let mut pool = rank.detach_pool::<T>();
 
@@ -672,7 +684,12 @@ fn start_exchange<T: Element>(
     let self_values =
         plan.sends[me].and_then(|declared| pack_buffer(rank, &mut pool, me, declared, &mut pack));
     rank.reattach_pool(pool);
-    (tag, stats, self_values)
+    InFlight {
+        tag,
+        stamp: rank.ledger.stamp(),
+        send_stats: stats,
+        self_values,
+    }
 }
 
 /// Pack destination `p`'s elements into a pooled buffer and check the count against the
@@ -701,30 +718,30 @@ fn pack_buffer<T: Element>(
 
 /// Finish phase: deliver the staged local portion, then consume exactly the planned
 /// number of incoming messages for this epoch, from whichever source is ready first —
-/// each placed as a borrowed [`Placed`] view of the buffer it arrived in, which then
-/// joins this rank's pool unless the closure took its contents.
+/// each checked against the ledger stamp of the epoch's start, then placed as a
+/// borrowed [`Placed`] view of the buffer it arrived in, which then joins this rank's
+/// pool unless the closure took its contents.  Returns the send and receive stats.
 fn finish_exchange<T: Element>(
     rank: &mut Rank,
     plan: &ExchangePlan,
-    tag: u64,
-    self_values: Option<Buffer<T>>,
+    started: InFlight<T>,
     mut place: impl FnMut(usize, Placed<'_, T>),
 ) -> ExchangeStats {
     let me = plan.my_rank();
+    let (tag, mut stats) = (started.tag, started.send_stats);
     let epoch = epoch_of_tag(tag);
-    let mut stats = ExchangeStats::default();
     // The free list for `T` is detached for the whole drain, so the per-message recycle
     // below is a plain `Vec` push.
     let mut pool = rank.detach_pool::<T>();
 
-    if let Some(mut staged) = self_values {
+    if let Some(mut staged) = started.self_values {
         let values = &mut *staged;
         place(me, Placed { values });
         recycle_buffer(&mut pool, staged);
     }
 
     for _ in 0..plan.recv_message_count() {
-        let (src, payload) = rank.recv_payload_any(tag);
+        let (src, payload) = rank.recv_payload_any(tag, &started.stamp);
         let byte_len = payload.byte_len();
         let mut buf = payload.into_values::<T>(|| {
             format!("rank {me}: the message from rank {src} in exchange epoch {epoch}")

@@ -1,170 +1,198 @@
-//! The collective ledger: a feature-gated runtime cross-check that every rank runs the
-//! same collective sequence.
+//! The collective ledger: every run checks that every rank starts the same operations
+//! in the same order.
 //!
 //! SPMD collectives (and exchange-engine epochs) must be started by every rank, in the
 //! same order, with the same element type.  Sequence violations — a collective under
 //! rank-dependent control flow, an extra root-only broadcast — often complete
 //! *physically* (receives are tag-selective) and surface later as a deadlock several
-//! collectives downstream.  Element-type mismatches do not get that far when a message
-//! crosses them: every payload carries its element type, and the receive that expects
-//! another type panics naming the rank, source, epoch and both types.  The ledger
-//! records the type as well, so a mismatch no message crosses (a pair of ranks that
-//! exchange nothing in that collective) still shows up in the cross-check.
+//! collectives downstream, or not at all.
 //!
-//! With the ledger enabled ([`crate::MachineConfig::with_ledger`] or `MPSIM_LEDGER=1`),
-//! each rank records one [`LedgerEntry`] per operation it starts (op kind, epoch,
-//! element type).  The traces are cross-checked machine-wide at every
-//! [`crate::machine::Rank::barrier`] — *before* the barrier's messages move, so a
-//! divergence that would deadlock is diagnosed instead — and once more at shutdown.
-//! The report names the first divergent pair of ranks and shows both op traces around
-//! the first differing entry.
+//! Each rank folds every operation it starts — each collective, each exchange the
+//! program starts itself, each barrier — into a running 64-bit digest: the
+//! [`LedgerEntry`] (op kind, epoch) and the element's `TypeId`, hashed with a fixed-key
+//! hasher.  A collective's internal rounds follow from the collective and the machine
+//! size, so they are not recorded.  A fixed ring keeps the last 16 entries for
+//! reports.  Recording allocates nothing.
+//!
+//! Every message carries the sender's [`Stamp`] (digest, operation number, entry) in its
+//! envelope header, so bytes, message counts and the modeled clock do not change.  The
+//! receive compares it with its own digest as of the receiving operation: the exchange
+//! engine keeps the digest of the epoch's start, so a split-phase epoch finished after
+//! later starts is checked against that start, and a barrier compares against the
+//! digest after its own entry.  A mismatch panics "collective ledger divergence", naming
+//! both ranks, the epoch, both entries and the receiver's ring.  After a clean run,
+//! [`crate::Machine::run`] compares every rank's final digest, which catches what no
+//! message crossed (an extra operation that sends nothing, or only sends).
+//!
+//! It cannot see live ranks that all block before any message crosses the divergence.
+//! A rank that panics leaves a stop notice with every peer ([`crate::comm`]), so peers
+//! blocked in a receive stop too, each reporting its own ring.
 
+use std::any::TypeId;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::hash::{DefaultHasher, Hash, Hasher};
 
-use crate::barrier::Barrier;
+use crate::comm::{PEER_PANICKED, STOP_TAG};
+use crate::message::Envelope;
 
-/// One recorded collective/exchange start.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// Number of recent entries each rank keeps for reports.
+const RING: usize = 16;
+
+/// One recorded operation start.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct LedgerEntry {
     /// Operation kind: `"exchange"`, `"barrier"`, `"all_gather"`, ….
     pub op: &'static str,
-    /// The operation's epoch: the exchange-engine epoch for engine executions, the
-    /// barrier sequence number for barriers, and the engine epoch at which the
-    /// collective began for the higher-level collectives.
+    /// The operation's epoch: the exchange-engine epoch at which the operation began,
+    /// or the barrier sequence number for barriers.
     pub epoch: u64,
-    /// The element type moved (`std::any::type_name`), or `""` for untyped operations.
+    /// The element type moved (`std::any::type_name`); `()` for barriers.
     pub elem: &'static str,
 }
 
 impl fmt::Display for LedgerEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.elem.is_empty() {
-            write!(f, "{}@{}", self.op, self.epoch)
-        } else {
-            write!(f, "{}@{}<{}>", self.op, self.epoch, self.elem)
-        }
+        write!(f, "{}@{}<{}>", self.op, self.epoch, self.elem)
     }
 }
 
-/// The per-rank side of the ledger: the rank's own trace plus the shared hub it is
-/// cross-checked through.
-pub(crate) struct LedgerRank {
-    pub(crate) hub: Arc<LedgerHub>,
-    pub(crate) trace: Vec<LedgerEntry>,
+/// What a message carries in its envelope header: the sender's ledger as of the
+/// operation that sent it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct Stamp {
+    /// Digest of every operation the rank had started, this one included.
+    pub digest: u64,
+    /// Number of operations the rank had started, this one included.
+    pub seq: u64,
+    /// The entry of that operation.
+    pub entry: LedgerEntry,
 }
 
-/// The machine-wide rendezvous point: one deposit slot per rank plus a reusable gate.
-pub(crate) struct LedgerHub {
-    slots: Mutex<Vec<Vec<LedgerEntry>>>,
-    gate: Barrier,
+/// One rank's ledger: its current stamp and its last [`RING`] entries.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Ledger {
+    stamp: Stamp,
+    ring: [LedgerEntry; RING],
 }
 
-impl LedgerHub {
-    pub(crate) fn new(nprocs: usize) -> Arc<LedgerHub> {
-        Arc::new(LedgerHub {
-            slots: Mutex::new(vec![Vec::new(); nprocs]),
-            gate: Barrier::new(nprocs),
-        })
+impl Ledger {
+    /// Fold the start of operation `op` on elements of type `T`, in epoch `epoch`, into
+    /// the digest and the ring.
+    pub(crate) fn record<T: 'static>(&mut self, op: &'static str, epoch: u64) {
+        let entry = LedgerEntry {
+            op,
+            epoch,
+            elem: std::any::type_name::<T>(),
+        };
+        let mut hasher = DefaultHasher::new();
+        (self.stamp.digest, op, epoch, TypeId::of::<T>()).hash(&mut hasher);
+        self.ring[self.stamp.seq as usize % RING] = entry;
+        self.stamp = Stamp {
+            digest: hasher.finish(),
+            seq: self.stamp.seq + 1,
+            entry,
+        };
     }
 
-    /// Publish `trace` as rank `rank`'s current sequence.
-    pub(crate) fn deposit(&self, rank: usize, trace: &[LedgerEntry]) {
-        self.slots.lock().expect("ledger mutex poisoned")[rank] = trace.to_vec();
+    /// The stamp outgoing messages carry now.
+    pub(crate) fn stamp(&self) -> Stamp {
+        self.stamp
     }
 
-    /// Cross-check at a barrier: deposit, rendezvous so every rank's deposit is in,
-    /// compare, rendezvous again so no rank re-deposits before everyone has read.
+    /// The ring's entries, oldest first, each with its operation number.
+    pub(crate) fn recent(&self) -> impl Iterator<Item = (u64, LedgerEntry)> + '_ {
+        let first = self.stamp.seq.saturating_sub(RING as u64);
+        (first..self.stamp.seq).map(|k| (k + 1, self.ring[k as usize % RING]))
+    }
+
+    /// "last operations of rank r: [#1 a, #2 b]".
+    fn render(&self, rank: usize) -> String {
+        let parts: Vec<String> = self.recent().map(|(k, e)| format!("#{k} {e}")).collect();
+        format!("last operations of rank {rank}: [{}]", parts.join(", "))
+    }
+
+    /// Check a message that arrived at rank `me` in `what` `n` (an exchange epoch or a
+    /// barrier), where this rank's operation had stamp `expected`.
     ///
-    /// Every rank reads the same slots between the two gates, so either *all* ranks
-    /// panic with the same divergence report or none do — the failure is deterministic
-    /// and [`crate::machine::Machine::run`] surfaces rank 0's copy.
-    pub(crate) fn check_at_barrier(&self, rank: usize, trace: &[LedgerEntry]) {
-        self.deposit(rank, trace);
-        self.gate.wait();
-        let verdict = self.divergence();
-        if let Some(report) = verdict {
-            panic!("{report}");
+    /// # Panics
+    /// On a stop notice from a panicked peer, and on a digest that differs from
+    /// `expected` ("collective ledger divergence").
+    pub(crate) fn check(&self, me: usize, env: &Envelope, expected: &Stamp, what: &str, n: u64) {
+        if env.tag == STOP_TAG {
+            panic!(
+                "{PEER_PANICKED} (rank {}) while rank {me} waited in {what} {n}; {}",
+                env.from,
+                self.render(me)
+            );
         }
-        self.gate.wait();
-    }
-
-    /// Compare all deposited traces; `None` when they agree.  Equality is transitive,
-    /// so comparing every rank against rank 0 finds a divergence iff one exists, and
-    /// the first differing rank/entry is the canonical "first divergent pair".
-    pub(crate) fn divergence(&self) -> Option<String> {
-        let slots = self.slots.lock().expect("ledger mutex poisoned");
-        let baseline = &slots[0];
-        for (r, trace) in slots.iter().enumerate().skip(1) {
-            if trace == baseline {
-                continue;
-            }
-            let k = baseline
-                .iter()
-                .zip(trace.iter())
-                .take_while(|(a, b)| a == b)
-                .count();
-            return Some(divergence_report(0, baseline, r, trace, k));
+        let sent = &env.stamp;
+        if sent.digest != expected.digest {
+            panic!(
+                "collective ledger divergence in {what} {n}: rank {} sent from operation #{} \
+                 {}, rank {me} received in operation #{} {}, after different histories; {}",
+                env.from,
+                sent.seq,
+                sent.entry,
+                expected.seq,
+                expected.entry,
+                self.render(me)
+            );
         }
-        None
     }
 }
 
-/// Render one side's entry at the divergence point.
-fn entry_at(trace: &[LedgerEntry], k: usize) -> String {
-    match trace.get(k) {
-        Some(e) => format!("{e}"),
-        None => format!("<end of trace after {} entries>", trace.len()),
+/// The shutdown compare: every rank's final digest against rank 0's.
+///
+/// # Panics
+/// Naming the first rank whose history differs from rank 0's, both final entries and
+/// both rings.
+pub(crate) fn check_shutdown(ledgers: &[Ledger]) {
+    let Some(base) = ledgers.first() else { return };
+    if let Some((r, other)) = ledgers
+        .iter()
+        .enumerate()
+        .find(|(_, l)| l.stamp.digest != base.stamp.digest)
+    {
+        panic!(
+            "collective ledger divergence at shutdown: rank 0 ended after operation #{} {}, \
+             rank {r} after operation #{} {}, with different histories; {}; {}",
+            base.stamp.seq,
+            base.stamp.entry,
+            other.stamp.seq,
+            other.stamp.entry,
+            base.render(0),
+            other.render(r)
+        );
     }
-}
-
-/// Render a trace for the report: the whole thing when short, else a window around the
-/// divergence point (with elision markers carrying the dropped counts).
-fn render_trace(trace: &[LedgerEntry], k: usize) -> String {
-    const BEFORE: usize = 4;
-    const AFTER: usize = 2;
-    let lo = k.saturating_sub(BEFORE);
-    let hi = (k + AFTER + 1).min(trace.len());
-    let mut parts = Vec::new();
-    if lo > 0 {
-        parts.push(format!("... {lo} earlier"));
-    }
-    parts.extend(trace[lo..hi].iter().map(|e| e.to_string()));
-    if hi < trace.len() {
-        parts.push(format!("... {} later", trace.len() - hi));
-    }
-    format!("[{}]", parts.join(", "))
-}
-
-fn divergence_report(
-    a: usize,
-    ta: &[LedgerEntry],
-    b: usize,
-    tb: &[LedgerEntry],
-    k: usize,
-) -> String {
-    format!(
-        "collective ledger divergence: rank {a} and rank {b} diverge at collective #{k}:\n  \
-         rank {a} recorded {}\n  rank {b} recorded {}\n  rank {a} trace: {}\n  rank {b} trace: {}",
-        entry_at(ta, k),
-        entry_at(tb, k),
-        render_trace(ta, k),
-        render_trace(tb, k),
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exchange::{alltoallv_with, start_alltoallv_with, ExchangePlan, PackBuf};
     use crate::topology::MachineConfig;
 
-    fn e(op: &'static str, epoch: u64, elem: &'static str) -> LedgerEntry {
-        LedgerEntry { op, epoch, elem }
+    /// The message of the panic `f` raises.
+    fn panic_text(f: impl FnOnce()) -> String {
+        *std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("must panic")
+            .downcast::<String>()
+            .expect("a formatted message")
+    }
+
+    /// Run `f` on a `nprocs` machine that must panic; the run's report.
+    fn report<F>(nprocs: usize, f: F) -> String
+    where
+        F: Fn(&mut crate::Rank) + Send + Sync + 'static,
+    {
+        panic_text(|| {
+            crate::run(MachineConfig::new(nprocs), f);
+        })
     }
 
     #[test]
     fn matched_collective_sequences_verify_clean() {
-        let out = crate::run(MachineConfig::new(4).with_ledger(), |rank| {
+        let out = crate::run(MachineConfig::new(4), |rank| {
             let me = rank.rank();
             rank.all_gather(&[me as u32]);
             rank.all_reduce_sum(me as f64);
@@ -172,26 +200,38 @@ mod tests {
             rank.all_to_all(&vec![vec![me as u64]; rank.nprocs()]);
             rank.broadcast(1, &[7.0f64]);
             rank.barrier();
-            rank.ledger_trace().expect("ledger is on").len()
+            (
+                rank.ledger.stamp(),
+                rank.ledger.recent().collect::<Vec<_>>(),
+            )
         });
-        // Identical sequence everywhere, and every op was recorded (two barriers,
-        // four collectives, plus their engine epochs).
-        assert!(out.results.iter().all(|&len| len == out.results[0]));
-        assert!(out.results[0] > 6);
+        // Identical history everywhere; one entry per started operation, the
+        // collectives' internal rounds not among them.
+        let (stamp, ring) = &out.results[0];
+        assert!(out.results.iter().all(|(s, r)| s == stamp && r == ring));
+        let ops: Vec<String> = ring.iter().map(|(k, e)| format!("#{k} {e}")).collect();
+        assert_eq!(
+            ops,
+            [
+                "#1 all_gather@0<u32>",
+                "#2 all_reduce@4<f64>",
+                "#3 barrier@0<()>",
+                "#4 all_to_all@6<u64>",
+                "#5 broadcast@7<f64>",
+                "#6 barrier@1<()>",
+            ]
+        );
+        assert_eq!(stamp.seq, 6);
     }
 
-    /// A classic SPMD bug: two ranks disagree on the element type of the same
-    /// collective.  `u64` and `f64` have the same byte size, but the payloads are typed,
-    /// so the first receive across the mismatch panics with the rank, source, epoch and
-    /// both type names — before the ledger's shutdown cross-check is reached.  Rank 0
-    /// receives `f64` payloads as `u64`, and its panic is the one `run` reports.
+    /// A classic SPMD bug: the ranks disagree on the element type of the same
+    /// collective.  The element type is part of the digest, so the first receive across
+    /// the mismatch panics naming both ranks and both typed entries.  Rank 0 always
+    /// finds it (both of its sources disagree with it); which source it hears first
+    /// depends on the interleaving.
     #[test]
-    #[should_panic(
-        expected = "in exchange epoch 0: payload holds a different element type: \
-                               sent as `f64`, received as `u64`"
-    )]
     fn element_type_divergence_panics_at_the_receive() {
-        let _ = crate::run(MachineConfig::new(3).with_ledger(), |rank| {
+        let report = report(3, |rank| {
             let n = rank.nprocs();
             if rank.rank() == 0 {
                 rank.all_to_all(&vec![vec![1u64]; n]);
@@ -199,75 +239,255 @@ mod tests {
                 rank.all_to_all(&vec![vec![1.0f64]; n]);
             }
         });
+        let found = |src: usize| {
+            format!(
+                "rank 0 panicked: collective ledger divergence in exchange epoch 0: rank {src} \
+                 sent from operation #1 all_to_all@0<f64>, rank 0 received in operation #1 \
+                 all_to_all@0<u64>"
+            )
+        };
+        assert!(
+            report.starts_with(&found(1)) || report.starts_with(&found(2)),
+            "{report}"
+        );
     }
 
     /// A rank-dependent extra collective: rank 0 runs a root-only broadcast the others
-    /// never start.  The broadcast itself completes (the root only sends), but rank 0's
-    /// engine epochs now run ahead, so the *next* collective would deadlock on
-    /// mismatched epoch tags.  The barrier's ledger check fires first and names the
-    /// divergence instead.
+    /// never start.  The broadcast itself completes (the root only sends), and the
+    /// barrier's messages carry the histories that now differ.  Whichever barrier
+    /// receive finds it first, the report names rank 0 and a peer, the barrier, both
+    /// operation numbers, and rank 0's ring with the broadcast in it.
     #[test]
-    #[should_panic(expected = "collective ledger divergence")]
     fn rank_dependent_extra_collective_is_caught_at_the_barrier() {
-        let _ = crate::run(MachineConfig::new(4).with_ledger(), |rank| {
+        let report = report(4, |rank| {
             rank.all_gather_one(rank.rank() as u64);
             if rank.rank() == 0 {
                 rank.broadcast(0, &[1.0f64, 2.0]);
             }
             rank.barrier();
         });
+        let root = report.lines().next().unwrap();
+        let from_zero = (1..4).any(|r| {
+            root.starts_with(&format!(
+                "rank {r} panicked: collective ledger divergence in barrier 0: rank 0 sent \
+                 from operation #3 barrier@0<()>, rank {r} received in operation #2 barrier@0<()>"
+            ))
+        });
+        let at_zero = (1..4).any(|r| {
+            root.starts_with(&format!(
+                "rank 0 panicked: collective ledger divergence in barrier 0: rank {r} sent \
+                 from operation #2 barrier@0<()>, rank 0 received in operation #3 barrier@0<()>"
+            ))
+        });
+        assert!(from_zero || at_zero, "{report}");
+        assert!(
+            report.contains(
+                "last operations of rank 0: [#1 all_gather_one@0<u64>, #2 broadcast@2<f64>, \
+                 #3 barrier@0<()>]"
+            ),
+            "{report}"
+        );
+    }
+
+    /// Rank 0 gathers while rank 1 runs a dense exchange of the same element type, and
+    /// no barrier follows: the first message across the mismatch names both ranks and
+    /// both operations.  Each rank hears the other's message before anything else, so
+    /// both find it.
+    #[test]
+    fn gather_against_exchange_panics_at_the_first_message() {
+        let report = report(2, |rank| {
+            let me = rank.rank();
+            if me == 0 {
+                rank.all_gather_one(0.5f64);
+            } else {
+                let plan = ExchangePlan::dense(me, vec![1; 2]);
+                alltoallv_with(
+                    rank,
+                    &plan,
+                    |_p, buf: &mut PackBuf<'_, f64>| buf.push(1.5),
+                    |_s, _v| {},
+                );
+            }
+        });
+        assert!(
+            report.starts_with(
+                "rank 0 panicked: collective ledger divergence in exchange epoch 0: rank 1 \
+                 sent from operation #1 exchange@0<f64>, rank 0 received in operation #1 \
+                 all_gather_one@0<f64>"
+            ),
+            "{report}"
+        );
+        assert!(
+            report.contains(
+                "rank 1 panicked: collective ledger divergence in exchange epoch 0: rank 0 \
+                 sent from operation #1 all_gather_one@0<f64>, rank 1 received in operation \
+                 #1 exchange@0<f64>"
+            ),
+            "{report}"
+        );
+    }
+
+    /// An exchange only rank 0 starts, as its last operation, with an empty plan: no
+    /// message crosses it, so only the shutdown compare can see it.
+    #[test]
+    fn silent_extra_exchange_is_caught_at_shutdown() {
+        let report = report(2, |rank| {
+            let me = rank.rank();
+            rank.all_gather_one(me as u32);
+            if me == 0 {
+                let plan = ExchangePlan::sparse(me, vec![0; 2], vec![0; 2]);
+                alltoallv_with(rank, &plan, |_p, _b: &mut PackBuf<'_, f64>| {}, |_s, _v| {});
+            }
+        });
+        assert_eq!(
+            report,
+            "collective ledger divergence at shutdown: rank 0 ended after operation #2 \
+             exchange@1<f64>, rank 1 after operation #1 all_gather_one@0<u32>, with \
+             different histories; last operations of rank 0: [#1 all_gather_one@0<u32>, \
+             #2 exchange@1<f64>]; last operations of rank 1: [#1 all_gather_one@0<u32>]"
+        );
+    }
+
+    /// Both ranks start split-phase epoch 0 alike; rank 0 alone then starts a
+    /// root-only broadcast before either finishes epoch 0.  Epoch 0's messages are
+    /// checked against the digest stored at its start, so they pass; the divergence is
+    /// found at the next message that crosses it: rank 1's gather in epoch 1 receives
+    /// the broadcast.
+    #[test]
+    fn split_phase_epochs_are_checked_against_their_start() {
+        let report = report(2, |rank| {
+            let me = rank.rank();
+            let plan = ExchangePlan::sparse(me, vec![1; 2], vec![1; 2]);
+            let handle = start_alltoallv_with(rank, plan, |_p, buf: &mut PackBuf<'_, f64>| {
+                buf.push(me as f64);
+            });
+            if me == 0 {
+                rank.broadcast(0, &[2.5f64]);
+            }
+            handle.finish(rank, |_s, _v| {});
+            rank.all_gather_one(me as f64);
+        });
+        assert!(
+            report.starts_with(
+                "rank 1 panicked: collective ledger divergence in exchange epoch 1: rank 0 \
+                 sent from operation #2 broadcast@1<f64>, rank 1 received in operation #2 \
+                 all_gather_one@1<f64>"
+            ),
+            "{report}"
+        );
+        assert!(!report.contains("in exchange epoch 0"), "{report}");
     }
 
     #[test]
     fn identical_traces_have_no_divergence() {
-        let hub = LedgerHub::new(3);
-        let t = vec![e("exchange", 0, "f64"), e("barrier", 0, "")];
-        for r in 0..3 {
-            hub.deposit(r, &t);
-        }
-        assert!(hub.divergence().is_none());
+        let mut a = Ledger::default();
+        a.record::<f64>("exchange", 0);
+        a.record::<()>("barrier", 0);
+        let b = a.clone();
+        assert_eq!(a.stamp(), b.stamp());
+        assert_ne!(a.stamp().digest, Ledger::default().stamp().digest);
+        assert_eq!(a.stamp().seq, 2);
+        check_shutdown(&[a, b.clone(), b]);
     }
 
     #[test]
     fn first_divergent_pair_and_entry_are_reported() {
-        let hub = LedgerHub::new(3);
-        hub.deposit(0, &[e("exchange", 0, "u64"), e("barrier", 0, "")]);
-        hub.deposit(1, &[e("exchange", 0, "u64"), e("barrier", 0, "")]);
-        hub.deposit(2, &[e("exchange", 0, "f64"), e("barrier", 0, "")]);
-        let report = hub.divergence().expect("divergence must be detected");
-        assert!(report.contains("rank 0 and rank 2"), "{report}");
-        assert!(report.contains("collective #0"), "{report}");
-        assert!(report.contains("exchange@0<u64>"), "{report}");
-        assert!(report.contains("exchange@0<f64>"), "{report}");
-    }
+        let mut u = Ledger::default();
+        u.record::<u64>("exchange", 0);
+        let mut f = Ledger::default();
+        f.record::<f64>("exchange", 0);
 
-    #[test]
-    fn trace_length_skew_is_reported_as_end_of_trace() {
-        let hub = LedgerHub::new(2);
-        hub.deposit(0, &[e("barrier", 0, ""), e("broadcast", 1, "u64")]);
-        hub.deposit(1, &[e("barrier", 0, "")]);
-        let report = hub.divergence().expect("divergence must be detected");
-        assert!(report.contains("broadcast@1<u64>"), "{report}");
+        // At a receive: rank 0 is in its u64 exchange when rank 2's f64 message comes.
+        let env = Envelope {
+            from: 2,
+            tag: 0,
+            payload: crate::message::TypedPayload::empty::<f64>(),
+            stamp: f.stamp(),
+        };
+        let report = panic_text(|| u.check(0, &env, &u.stamp(), "exchange epoch", 0));
+        assert_eq!(
+            report,
+            "collective ledger divergence in exchange epoch 0: rank 2 sent from operation #1 \
+             exchange@0<f64>, rank 0 received in operation #1 exchange@0<u64>, after \
+             different histories; last operations of rank 0: [#1 exchange@0<u64>]"
+        );
+
+        // At shutdown: ranks 0 and 1 agree, rank 2 is the first that differs.
+        let ledgers = [u.clone(), u, f];
+        let report = panic_text(|| check_shutdown(&ledgers));
         assert!(
-            report.contains("<end of trace after 1 entries>"),
+            report.contains(
+                "rank 0 ended after operation #1 exchange@0<u64>, rank 2 after operation #1 \
+                 exchange@0<f64>"
+            ),
             "{report}"
         );
     }
 
     #[test]
+    fn trace_length_skew_is_reported_as_end_of_trace() {
+        let mut short = Ledger::default();
+        short.record::<()>("barrier", 0);
+        let mut long = short.clone();
+        long.record::<u64>("broadcast", 1);
+        let ledgers = [long, short];
+        let report = panic_text(|| check_shutdown(&ledgers));
+        assert_eq!(
+            report,
+            "collective ledger divergence at shutdown: rank 0 ended after operation #2 \
+             broadcast@1<u64>, rank 1 after operation #1 barrier@0<()>, with different \
+             histories; last operations of rank 0: [#1 barrier@0<()>, #2 broadcast@1<u64>]; \
+             last operations of rank 1: [#1 barrier@0<()>]"
+        );
+    }
+
+    #[test]
+    fn op_epoch_and_element_type_each_change_the_digest() {
+        fn digest<T: 'static>(op: &'static str, epoch: u64) -> u64 {
+            let mut l = Ledger::default();
+            l.record::<T>(op, epoch);
+            l.stamp().digest
+        }
+        let base = digest::<u64>("exchange", 0);
+        assert_ne!(base, digest::<u64>("all_gather", 0));
+        assert_ne!(base, digest::<u64>("exchange", 1));
+        assert_ne!(base, digest::<f64>("exchange", 0));
+        // Order matters: the same two operations the other way round differ.
+        let mut ab = Ledger::default();
+        ab.record::<u8>("a", 0);
+        ab.record::<u8>("b", 0);
+        let mut ba = Ledger::default();
+        ba.record::<u8>("b", 0);
+        ba.record::<u8>("a", 0);
+        assert_ne!(ab.stamp().digest, ba.stamp().digest);
+    }
+
+    #[test]
     fn long_traces_are_windowed_around_the_divergence() {
-        let hub = LedgerHub::new(2);
-        let common: Vec<LedgerEntry> = (0..20).map(|i| e("exchange", i, "f64")).collect();
-        let mut a = common.clone();
-        a.push(e("all_gather", 20, "f64"));
-        let mut b = common;
-        b.push(e("all_to_all", 20, "f64"));
-        hub.deposit(0, &a);
-        hub.deposit(1, &b);
-        let report = hub.divergence().expect("divergence must be detected");
-        assert!(report.contains("collective #20"), "{report}");
-        assert!(report.contains("... 16 earlier"), "{report}");
-        assert!(report.contains("all_gather@20<f64>"), "{report}");
-        assert!(report.contains("all_to_all@20<f64>"), "{report}");
+        // Twenty common entries, then one that differs: the report keeps the last
+        // `RING` of them, numbered.
+        let mut a = Ledger::default();
+        for i in 0..20 {
+            a.record::<f64>("exchange", i);
+        }
+        let mut b = a.clone();
+        a.record::<f64>("all_gather", 20);
+        b.record::<f64>("all_to_all", 20);
+        let numbers: Vec<u64> = a.recent().map(|(k, _)| k).collect();
+        assert_eq!(numbers, (6..=21).collect::<Vec<_>>());
+        let ledgers = [a, b];
+        let report = panic_text(|| check_shutdown(&ledgers));
+        assert!(
+            report.contains("last operations of rank 0: [#6 exchange@5<f64>, #7 exchange@6<f64>"),
+            "{report}"
+        );
+        assert!(
+            report.contains("#20 exchange@19<f64>, #21 all_gather@20<f64>]"),
+            "{report}"
+        );
+        assert!(
+            report.contains("#20 exchange@19<f64>, #21 all_to_all@20<f64>]"),
+            "{report}"
+        );
     }
 }

@@ -26,6 +26,10 @@
 //! personalised all-to-all and [`alltoallv_with`] moves the typed buffers, charges the cost
 //! model, and reports an [`ExchangeStats`].
 //!
+//! Every run checks that the ranks start the same operations in the same order: each
+//! message carries its sender's [`ledger`] digest of the operations it has started, and
+//! the first message between two ranks whose histories differ panics naming both.
+//!
 //! ## Quick example
 //!
 //! ```
@@ -41,7 +45,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod barrier;
 pub mod collectives;
 pub mod comm;
 pub mod cost;
@@ -57,7 +60,6 @@ pub use exchange::{
     alltoallv_with, route_sparse, start_alltoallv_with, ExchangeHandle, ExchangePlan,
     ExchangeStats, PackBuf, Placed, RecvSpec,
 };
-pub use ledger::LedgerEntry;
 pub use machine::{run, Machine, Rank, RunOutcome};
 pub use message::Element;
 pub use stats::{PackPoolStats, RankStats};

@@ -12,9 +12,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread;
 
-use crate::comm::Mailbox;
+use crate::comm::{is_follow_on, Mailbox};
 use crate::cost::{CostModel, TimeSnapshot};
-use crate::ledger::{LedgerEntry, LedgerHub, LedgerRank};
+use crate::ledger::{check_shutdown, Ledger, Stamp};
 use crate::message::{Buffer, Element, TypedPayload};
 use crate::stats::{MachineStats, PackPoolStats, RankStats};
 use crate::topology::{Dissemination, MachineConfig};
@@ -46,11 +46,16 @@ pub struct Rank {
     pool_clock: u64,
     /// Allocation/reuse counters of the pool.
     pool_stats: PackPoolStats,
-    /// The collective ledger, when this machine verifies collective matching (see
-    /// [`crate::ledger`]): this rank's trace of started collectives plus the shared hub
-    /// it is cross-checked through at barriers and shutdown.
-    ledger: Option<Box<LedgerRank>>,
+    /// The collective ledger (see [`crate::ledger`]): the digest of the operations this
+    /// rank has started, which every outgoing message carries, and the last few entries.
+    pub(crate) ledger: Ledger,
 }
+
+/// Base tag of the message-based barrier's dissemination rounds: barrier episode `i`
+/// uses tag `BARRIER_TAG_BASE + i`.  Sits in the reserved tag space, below the
+/// exchange engine's [`crate::exchange::EXCHANGE_TAG_BASE`] (which is `1 << 20` above
+/// the reserved base).
+const BARRIER_TAG_BASE: u64 = crate::collectives::RESERVED_TAG_BASE + (1 << 19);
 
 /// One element type's free list plus the recency stamp that orders eviction when
 /// [`POOL_MAX_TYPES`] distinct types have been seen.
@@ -101,7 +106,8 @@ impl Rank {
     /// Send a typed buffer to rank `to` with tag `tag`; `None` sends an empty message,
     /// which touches neither the heap nor the pool.  The one point where outgoing
     /// messages are charged and counted: one message of `len · T::SIZE` bytes (latency +
-    /// bytes) of modeled communication time.
+    /// bytes) of modeled communication time.  The message carries the ledger's current
+    /// stamp.
     pub(crate) fn send_buffer<T: Element>(
         &mut self,
         to: usize,
@@ -112,14 +118,18 @@ impl Rank {
         let bytes = payload.byte_len();
         self.stats.record_send(bytes);
         self.time.comm_us += self.cost.message_cost_us(bytes);
-        self.mailbox.send(to, tag, payload);
+        self.mailbox.send(to, tag, payload, self.ledger.stamp());
     }
 
-    /// Receive the payload of the next message carrying `tag` from any rank, charging
-    /// stats and the cost model.  The exchange engine recovers the typed buffer and
-    /// places it as-is.
-    pub(crate) fn recv_payload_any(&mut self, tag: u64) -> (usize, TypedPayload) {
+    /// Receive the payload of the next message carrying `tag` from any rank, check its
+    /// ledger stamp against `expected` (this rank's stamp when the epoch started), and
+    /// charge stats and the cost model.  The exchange engine recovers the typed buffer
+    /// and places it as-is.
+    pub(crate) fn recv_payload_any(&mut self, tag: u64, expected: &Stamp) -> (usize, TypedPayload) {
         let env = self.mailbox.recv_any(tag);
+        let epoch = crate::exchange::epoch_of_tag(tag);
+        self.ledger
+            .check(self.rank(), &env, expected, "exchange epoch", epoch);
         self.stats.record_recv(env.payload.byte_len());
         self.time.comm_us += self.cost.message_cost_us(env.payload.byte_len());
         (env.from, env.payload)
@@ -228,31 +238,28 @@ impl Rank {
     /// modeled cost is already the single `sync_cost_us(P)` charge (which is itself
     /// `sync_latency_us · ceil(log2 P)`, the same log-depth shape).  Each barrier
     /// episode gets its own tag, so ranks running ahead into the next barrier can never
-    /// confuse rounds.
+    /// confuse rounds.  The barrier is a ledger entry, and every round's message is
+    /// checked against the digest after it (see [`crate::ledger`]).
     pub fn barrier(&mut self) {
         self.stats.record_collective();
         self.time.comm_us += self.cost.sync_cost_us(self.nprocs());
         let n = self.nprocs();
-        let tag = crate::barrier::BARRIER_TAG_BASE + self.barrier_seq;
-        self.ledger_record("barrier", self.barrier_seq, "");
+        let seq = self.barrier_seq;
+        let tag = BARRIER_TAG_BASE + seq;
+        self.ledger.record::<()>("barrier", seq);
         self.barrier_seq += 1;
-        // Cross-check the ledger *before* the barrier's messages move: a divergence
-        // that would wedge the dissemination rounds (or a later collective) is
-        // diagnosed here instead of deadlocking.
-        if let Some(ledger) = &self.ledger {
-            ledger
-                .hub
-                .check_at_barrier(self.mailbox.rank(), &ledger.trace);
-        }
-        if n == 1 {
-            return;
-        }
         let me = self.rank();
+        let stamp = self.ledger.stamp();
         let sched = Dissemination::new(n);
         for k in 0..sched.rounds() {
-            self.mailbox
-                .send(sched.send_peer(me, k), tag, TypedPayload::empty::<()>());
+            self.mailbox.send(
+                sched.send_peer(me, k),
+                tag,
+                TypedPayload::empty::<()>(),
+                stamp,
+            );
             let env = self.mailbox.recv(sched.recv_peer(me, k), tag);
+            self.ledger.check(me, &env, &stamp, "barrier", seq);
             debug_assert!(env.payload.is_empty(), "barrier messages carry no payload");
         }
     }
@@ -274,7 +281,7 @@ impl Rank {
         self.stats
     }
 
-    /// Record a synchronising collective without going through the shared barrier.
+    /// Record a synchronising collective without running a barrier.
     /// Used by collectives that synchronise implicitly through their message pattern.
     pub(crate) fn charge_collective(&mut self) {
         self.stats.record_collective();
@@ -299,18 +306,10 @@ impl Rank {
         self.exchange_seq
     }
 
-    /// Record one started collective in the ledger (no-op unless the machine was
-    /// configured with [`crate::topology::MachineConfig::with_ledger`]).  See
-    /// [`crate::ledger`] for the op/epoch/elem conventions.
-    pub(crate) fn ledger_record(&mut self, op: &'static str, epoch: u64, elem: &'static str) {
-        if let Some(ledger) = self.ledger.as_mut() {
-            ledger.trace.push(LedgerEntry { op, epoch, elem });
-        }
-    }
-
-    /// This rank's collective-ledger trace so far, or `None` when the ledger is off.
-    pub fn ledger_trace(&self) -> Option<&[LedgerEntry]> {
-        self.ledger.as_ref().map(|l| l.trace.as_slice())
+    /// Record the start of operation `op` moving elements of type `T`, at the current
+    /// exchange epoch, in the ledger (see [`crate::ledger`]).
+    pub(crate) fn ledger_record<T: 'static>(&mut self, op: &'static str) {
+        self.ledger.record::<T>(op, self.exchange_seq);
     }
 }
 
@@ -403,7 +402,11 @@ impl Machine {
     /// Run `f` on every rank and wait for all of them to finish.
     ///
     /// # Panics
-    /// If any rank's closure panics, the panic is propagated (tagged with the rank id).
+    /// If any rank's closure panics, once every rank has finished: one line per panicked
+    /// rank, `rank N panicked: …`, the ranks that found a fault first and those that
+    /// only stopped because of another rank's failure after them.  After a clean run,
+    /// if two ranks' collective histories differ ("collective ledger divergence at
+    /// shutdown", see [`crate::ledger`]).
     pub fn run<R, F>(&self, f: F) -> RunOutcome<R>
     where
         R: Send + 'static,
@@ -412,13 +415,11 @@ impl Machine {
         let nprocs = self.config.nprocs;
         let mailboxes = Mailbox::create_all(nprocs);
         let f = Arc::new(f);
-        let hub = self.config.ledger.then(|| LedgerHub::new(nprocs));
 
         let mut handles = Vec::with_capacity(nprocs);
         for mailbox in mailboxes {
             let f = Arc::clone(&f);
             let cost = self.config.cost;
-            let hub = hub.clone();
             let builder = thread::Builder::new()
                 .name(format!("mpsim-rank-{}", mailbox.rank()))
                 .stack_size(self.config.stack_size);
@@ -434,20 +435,10 @@ impl Machine {
                         pool: HashMap::new(),
                         pool_clock: 0,
                         pool_stats: PackPoolStats::default(),
-                        ledger: hub.map(|hub| {
-                            Box::new(LedgerRank {
-                                hub,
-                                trace: Vec::new(),
-                            })
-                        }),
+                        ledger: Ledger::default(),
                     };
                     let result = f(&mut rank);
-                    // Publish the final trace for the shutdown cross-check; joining
-                    // below makes every deposit visible to the main thread.
-                    if let Some(ledger) = rank.ledger.take() {
-                        ledger.hub.deposit(rank.mailbox.rank(), &ledger.trace);
-                    }
-                    (result, rank.stats, rank.time, rank.pool_stats)
+                    (result, rank.stats, rank.time, rank.pool_stats, rank.ledger)
                 })
                 .expect("failed to spawn rank thread");
             handles.push(handle);
@@ -457,13 +448,16 @@ impl Machine {
         let mut stats = Vec::with_capacity(nprocs);
         let mut times = Vec::with_capacity(nprocs);
         let mut pool = Vec::with_capacity(nprocs);
+        let mut ledgers = Vec::with_capacity(nprocs);
+        let mut panics = Vec::new();
         for (rank, handle) in handles.into_iter().enumerate() {
             match handle.join() {
-                Ok((r, s, t, ps)) => {
+                Ok((r, s, t, ps, l)) => {
                     results.push(r);
                     stats.push(s);
                     times.push(t);
                     pool.push(ps);
+                    ledgers.push(l);
                 }
                 Err(payload) => {
                     let msg = payload
@@ -471,17 +465,16 @@ impl Machine {
                         .map(|s| s.to_string())
                         .or_else(|| payload.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "<non-string panic payload>".to_string());
-                    panic!("rank {rank} panicked: {msg}");
+                    panics.push(format!("rank {rank} panicked: {msg}"));
                 }
             }
         }
-        // Shutdown cross-check: after a clean join, every rank's final trace must
-        // still agree — this catches divergences after the last barrier.
-        if let Some(hub) = hub {
-            if let Some(report) = hub.divergence() {
-                panic!("{report}");
-            }
+        if !panics.is_empty() {
+            // Stable: rank order within the root causes and within the follow-ons.
+            panics.sort_by_key(|msg| is_follow_on(msg));
+            panic!("{}", panics.join("\n"));
         }
+        check_shutdown(&ledgers);
         RunOutcome {
             results,
             stats,
@@ -653,6 +646,33 @@ mod tests {
                 panic!("boom");
             }
         });
+    }
+
+    /// Rank 1 fails; ranks 0 and 2 then wait in a gather for it.  Their panics only
+    /// report that rank 1 failed, so the report names rank 1's cause first, and each
+    /// follow-on names the rank it stopped for.
+    #[test]
+    fn the_root_cause_is_reported_first() {
+        let payload = std::panic::catch_unwind(|| {
+            run(MachineConfig::new(3), |rank| {
+                if rank.rank() == 1 {
+                    panic!("ROOT CAUSE");
+                }
+                rank.all_gather_one(0u64);
+            });
+        })
+        .expect_err("the run must panic");
+        let report = *payload.downcast::<String>().expect("a formatted report");
+        assert!(
+            report.starts_with("rank 1 panicked: ROOT CAUSE\n"),
+            "{report}"
+        );
+        let lines: Vec<&str> = report.lines().collect();
+        assert_eq!(lines.len(), 3, "{report}");
+        assert!(
+            lines[1..].iter().all(|l| crate::comm::is_follow_on(l)),
+            "{report}"
+        );
     }
 
     /// Regression for the buffer pool's type map: cycling more distinct element types

@@ -171,6 +171,8 @@ pub struct Envelope {
     pub tag: u64,
     /// The typed payload.
     pub payload: TypedPayload,
+    /// The sender's collective-ledger stamp, in the header: it adds no payload bytes.
+    pub stamp: crate::ledger::Stamp,
 }
 
 #[cfg(test)]

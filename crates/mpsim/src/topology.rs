@@ -46,12 +46,6 @@ pub struct MachineConfig {
     /// Stack size (bytes) for each rank's thread.  Irregular applications with large
     /// per-rank buffers occasionally need more than the platform default.
     pub stack_size: usize,
-    /// Enable the collective ledger (see [`crate::ledger`]): every rank records the
-    /// sequence of collectives/exchanges it starts, cross-checked machine-wide at each
-    /// barrier and at shutdown.  Defaults to the `MPSIM_LEDGER` environment variable
-    /// (`1`/`true`), so a whole test run can be put under verification without touching
-    /// code.
-    pub ledger: bool,
 }
 
 impl MachineConfig {
@@ -61,8 +55,6 @@ impl MachineConfig {
             nprocs,
             cost: CostModel::ipsc860(),
             stack_size: 8 * 1024 * 1024,
-            ledger: std::env::var("MPSIM_LEDGER")
-                .is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true")),
         }
     }
 
@@ -81,12 +73,6 @@ impl MachineConfig {
     /// Name a transport.  Every [`ExchangeBackend`] builds the same mailbox, so this
     /// returns the configuration unchanged.
     pub fn with_backend(self, _backend: ExchangeBackend) -> Self {
-        self
-    }
-
-    /// Enable the collective ledger, overriding the `MPSIM_LEDGER` default.
-    pub fn with_ledger(mut self) -> Self {
-        self.ledger = true;
         self
     }
 }
