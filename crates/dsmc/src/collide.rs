@@ -53,28 +53,28 @@ pub fn collide_cell(cell_id: usize, step: usize, seed: u64, particles: &mut [Par
     particles.len() / 2
 }
 
-/// Total momentum of a particle set (used by conservation tests).
-pub fn total_momentum(particles: &[Particle]) -> [f64; 3] {
-    let mut m = [0.0; 3];
-    for p in particles {
-        for (mk, vk) in m.iter_mut().zip(&p.vel) {
-            *mk += vk;
-        }
-    }
-    m
-}
-
-/// Total kinetic energy of a particle set (unit mass).
-pub fn total_energy(particles: &[Particle]) -> f64 {
-    particles
-        .iter()
-        .map(|p| 0.5 * (p.vel[0] * p.vel[0] + p.vel[1] * p.vel[1] + p.vel[2] * p.vel[2]))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Total momentum of a particle set.
+    fn total_momentum(particles: &[Particle]) -> [f64; 3] {
+        let mut m = [0.0; 3];
+        for p in particles {
+            for (mk, vk) in m.iter_mut().zip(&p.vel) {
+                *mk += vk;
+            }
+        }
+        m
+    }
+
+    /// Total kinetic energy of a particle set (unit mass).
+    fn total_energy(particles: &[Particle]) -> f64 {
+        particles
+            .iter()
+            .map(|p| 0.5 * (p.vel[0] * p.vel[0] + p.vel[1] * p.vel[1] + p.vel[2] * p.vel[2]))
+            .sum()
+    }
 
     fn sample(n: usize) -> Vec<Particle> {
         (0..n)

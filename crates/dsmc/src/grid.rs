@@ -56,6 +56,7 @@ impl CellGrid {
     }
 
     /// Linearised index of cell `(i, j, k)`.
+    #[inline]
     pub fn cell_index(&self, i: usize, j: usize, k: usize) -> usize {
         debug_assert!(i < self.nx && j < self.ny && k < self.nz);
         i + self.nx * (j + self.ny * k)
@@ -73,6 +74,7 @@ impl CellGrid {
     /// The cell containing a position.  Positions outside the domain are clamped to the
     /// boundary cell (the movers keep positions inside the domain, so clamping only papers
     /// over floating-point round-off at the very edge).
+    #[inline]
     pub fn cell_of_position(&self, pos: [f64; 3]) -> usize {
         let ix = ((pos[0] / self.lx * self.nx as f64) as isize).clamp(0, self.nx as isize - 1);
         let iy = ((pos[1] / self.ly * self.ny as f64) as isize).clamp(0, self.ny as isize - 1);

@@ -1,35 +1,32 @@
 //! The CHAOS parallelisation of DSMC (§4.2 of the paper).
 //!
 //! Cells (and the molecules inside them) are distributed over processors through a
-//! replicated cell-owner map; each rank keeps them in a dense vector indexed by cell id and
-//! visits its owned cells in ascending order.  Each time step has three parallel phases:
+//! replicated cell-owner map.  Each rank keeps its molecules in one array, cell after cell
+//! in ascending owned-cell order, and re-bins the whole array once per step by a stable
+//! counting sort into a second buffer (`CellStore`).  Each time step has three parallel
+//! phases:
 //!
 //! 1. **collision** — embarrassingly parallel over owned cells;
-//! 2. **MOVE** — every molecule advances in place; one that stays in its cell stays in
-//!    its cell's list, and one whose new position falls in another cell is copied once
-//!    into a reused migrant buffer.  Migrants whose cell another processor owns must
-//!    migrate.  Two implementations are provided; Table 4 compares the first with the
-//!    second rebuilt every step:
+//! 2. **MOVE** — one pass advances every molecule and records its new owned cell in a
+//!    reused lane; a molecule whose new position falls in another cell is also copied into
+//!    a reused migrant buffer.  Migrants whose cell another processor owns must migrate,
+//!    and the counting sort then places survivors, local migrants and arrivals together.
+//!    Two implementations are provided; Table 4 compares the first with the second
+//!    rebuilt every step:
 //!    * [`MoveMode::Lightweight`] — a [`chaos::schedule::LightweightSchedule`] is built
 //!      from the destination processors (one exchange of counts) and whole molecules are
 //!      appended split-phase: `scatter_append_start` posts the migrant buffer, the
 //!      survivors' modeled re-binning cost is charged *while the exchange is in flight*,
-//!      and `scatter_append_finish` collects the arrivals, which are appended after their
-//!      cell's survivors; arrival order is irrelevant (the collision phase sorts each cell
-//!      by molecule id), so no placement preprocessing is needed;
+//!      and `scatter_append_finish` collects the arrivals; arrival order is irrelevant
+//!      (the collision phase sorts each cell by molecule id), so no placement
+//!      preprocessing is needed;
 //!    * [`MoveMode::Patched`] — a regular schedule over the destination cells: every
-//!      step the drifted destination-cell set is re-hashed (index translation) and a real
-//!      [`chaos::schedule::CommSchedule`] with prescribed placement brought up to date —
-//!      the preprocessing the paper's light-weight schedules remove.  The schedule is
-//!      served by a [`chaos::cache::ScheduleCache`]: a drifted step patches it, shipping
-//!      only the changed rows to the owners, and a remap's `clear_all` rebuilds it.  With
-//!      `rebuild_every_step` the cache entry is retired before every request, so each step
-//!      builds from scratch (Table 4's "regular schedules" row).  The data path (per-row
-//!      molecule counts through the schedule's scatter direction, then one payload message
-//!      per communicating pair) depends only on the schedule bytes — and patched schedules
-//!      are byte-identical to rebuilds — so running with upkeep-by-patching and
-//!      upkeep-by-rebuilding produces identical fingerprints and identical data-path
-//!      message totals, while the preprocessing cost drops with the drift fraction.
+//!      step the drifted destination-cell set is re-hashed and a
+//!      [`chaos::cache::ScheduleCache`] patches the [`chaos::schedule::CommSchedule`], or
+//!      with `rebuild_every_step` rebuilds it (Table 4's "regular schedules" row) — the
+//!      preprocessing light-weight schedules remove.  The data path depends only on the
+//!      schedule bytes, and patched schedules are byte-identical to rebuilds, so both
+//!      settings give identical fingerprints and data-path message totals.
 //! 3. **remapping** — a [`chaos::adapt::RemapController`] watches the measured per-rank
 //!    collision compute times (one all-gather per step) and decides collectively when to
 //!    re-partition.  The default [`RemapPolicy::Interval`] reproduces the paper's fixed
@@ -239,21 +236,19 @@ pub fn run_parallel(
     // Initial static decomposition: equal slabs of cell columns along x (the natural
     // hand-written decomposition for a channel flow).  The owner map is replicated.
     let mut cell_owner: Vec<ProcId> = initial_owner_map(grid, nprocs);
-    // Molecules by global cell id (cells owned elsewhere stay empty), and the owned cells in
-    // the ascending order every loop visits them; only a remap changes the list.
-    let mut owned_cells = owned_by(me, &cell_owner);
-    let mut cells: Vec<Vec<Particle>> = vec![Vec::new(); grid.ncells()];
+    let mut store = CellStore::default();
+    store.own(me, &cell_owner);
     for p in particles {
-        let cell = grid.cell_of_position(p.pos);
-        if cell_owner[cell] == me {
-            cells[cell].push(*p);
+        let k = store.ordinal[grid.cell_of_position(p.pos)];
+        if k != OFF_RANK {
+            store.lane.push(k);
+            store.molecules.push(*p);
         }
     }
+    store.rebin();
 
     // Reused across steps: the molecules leaving their cell this step, with their
-    // destination cells and ranks, in advance-scan order.  Clearing instead of
-    // reallocating keeps the steady-state MOVE loop free of per-step growth allocations
-    // once the high-water mark is reached.
+    // destination cells and ranks, in advance-scan order.
     let mut migrant_cells: Vec<usize> = Vec::new();
     let mut migrants: Vec<Particle> = Vec::new();
     let mut migrant_ranks: Vec<ProcId> = Vec::new();
@@ -266,8 +261,16 @@ pub fn run_parallel(
     for step in 0..config.nsteps {
         // ------------------------------------------------------------------- collisions --
         let t0 = rank.modeled();
-        for &cell in &owned_cells {
-            let list = &mut cells[cell];
+        let CellStore {
+            owned_cells,
+            ordinal,
+            molecules,
+            offsets,
+            lane,
+            ..
+        } = &mut store;
+        for (&cell, span) in owned_cells.iter().zip(offsets.windows(2)) {
+            let list = &mut molecules[span[0] as usize..span[1] as usize];
             let pairs = collide_cell(cell, step, config.seed, list);
             collisions += pairs;
             rank.charge_compute(pairs as f64 * 2.0 + list.len() as f64 * 0.3 + 0.2);
@@ -276,48 +279,49 @@ pub fn run_parallel(
         phases.collide += collide_step;
 
         // ------------------------------------------------------------------- MOVE phase --
-        // Advance molecules in place.  Survivors (same cell) stay where they are, in scan
-        // order; migrants (different cell — possibly one this rank also owns) are copied
-        // once, into the reused migrant buffers.  A migrant into a cell this rank owns is
-        // placed from the buffers straight away (its cell is known); the exchange then
-        // delivers the others, which are appended last.  Each cell so ends as its
-        // survivors, its local arrivals in scan order, then its remote arrivals.
+        // Advance every molecule in place, in scan order (ascending owned cell, id order
+        // within a cell after the collisions), and note its new owned cell in the lane.
+        // Migrants (different cell — possibly one this rank also owns) are also copied
+        // once, into the reused migrant buffers; the re-bin after the exchange places them.
         let t0 = rank.modeled();
         migrant_cells.clear();
         migrants.clear();
+        migrant_ranks.clear();
         let mut survivors = 0usize;
-        for &cell in &owned_cells {
-            cells[cell].retain_mut(|p| {
+        for (&cell, span) in owned_cells.iter().zip(offsets.windows(2)) {
+            for p in &mut molecules[span[0] as usize..span[1] as usize] {
                 advance(p, grid, config.dt);
                 let new_cell = grid.cell_of_position(p.pos);
+                lane.push(ordinal[new_cell]);
                 if new_cell == cell {
                     survivors += 1;
-                    return true;
+                } else {
+                    migrant_cells.push(new_cell);
+                    migrants.push(*p);
+                    migrant_ranks.push(cell_owner[new_cell]);
                 }
-                migrant_cells.push(new_cell);
-                migrants.push(*p);
-                false
-            });
-        }
-        migrant_ranks.clear();
-        for (&cell, p) in migrant_cells.iter().zip(&migrants) {
-            let owner = cell_owner[cell];
-            if owner == me {
-                cells[cell].push(*p);
             }
-            migrant_ranks.push(owner);
         }
         phases.move_data += rank.modeled().since(&t0);
 
         let remote_arrivals = match config.move_mode {
-            MoveMode::Lightweight => move_lightweight(
-                rank,
-                &migrant_ranks,
-                &migrants,
-                survivors,
-                &mut phases,
-                &mut migrations,
-            ),
+            MoveMode::Lightweight => {
+                // The destination ranks are the light-weight inspector's entire input (one
+                // exchange of counts).  Whole molecules are then appended split-phase, and
+                // the survivors' re-binning charge is paid while the migrants are in flight.
+                let t0 = rank.modeled();
+                let sched = LightweightSchedule::build(rank, &migrant_ranks);
+                phases.move_preprocess += rank.modeled().since(&t0);
+                let t0 = rank.modeled();
+                migrations += migrants.len() - sched.kept_count();
+                let inflight = scatter_append_start(rank, &sched, &migrants);
+                charge_survivors(rank, survivors);
+                let mut arrivals = scatter_append_finish(rank, &sched, inflight);
+                // The kept items lead the result, and the store still holds them.
+                arrivals.drain(..sched.kept_count());
+                phases.move_data += rank.modeled().since(&t0);
+                arrivals
+            }
             MoveMode::Patched { rebuild_every_step } => {
                 // No split phase here: the survivors' re-binning charge is paid first; the
                 // schedule is then brought up to date (patch or rebuild) and the off-rank
@@ -327,11 +331,9 @@ pub fn run_parallel(
                 phases.move_data += rank.modeled().since(&t0);
                 move_patched(
                     rank,
-                    grid,
                     &migrant_cells,
                     &migrant_ranks,
                     &migrants,
-                    &owned_cells,
                     patched_state.as_mut().expect("state exists for Patched"),
                     rebuild_every_step,
                     &mut phases,
@@ -341,9 +343,7 @@ pub fn run_parallel(
         };
 
         let t0 = rank.modeled();
-        for p in remote_arrivals {
-            cells[arrival_cell(me, grid, &cell_owner, &p)].push(p);
-        }
+        store.place(me, grid, &cell_owner, &remote_arrivals);
         phases.move_data += rank.modeled().since(&t0);
 
         // ------------------------------------------------------------------- remapping --
@@ -367,8 +367,7 @@ pub fn run_parallel(
                 remaps += 1;
                 let bytes_before = rank.stats().bytes_sent;
                 let t0 = rank.modeled();
-                remap_cells(rank, grid, config, &mut cell_owner, &mut cells, &mut phases);
-                owned_cells = owned_by(me, &cell_owner);
+                remap_cells(rank, grid, config, &mut cell_owner, &mut store, &mut phases);
                 if let Some(state) = patched_state.as_mut() {
                     state.distribution_changed(me, &cell_owner, nprocs);
                 }
@@ -387,14 +386,12 @@ pub fn run_parallel(
         }
     }
 
-    let fingerprint: Vec<(usize, Vec<u64>)> = cells
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| !v.is_empty())
-        .map(|(cell, v)| {
-            let mut ids: Vec<u64> = v.iter().map(|p| p.id).collect();
+    let fingerprint: Vec<(usize, Vec<u64>)> = (0..store.owned_cells.len())
+        .filter(|&k| !store.cell(k).is_empty())
+        .map(|k| {
+            let mut ids: Vec<u64> = store.cell(k).iter().map(|p| p.id).collect();
             ids.sort_unstable();
-            (cell, ids)
+            (store.owned_cells[k], ids)
         })
         .collect();
 
@@ -412,7 +409,7 @@ pub fn run_parallel(
             .map(|s| s.exchange)
             .unwrap_or_default(),
         cache_stats: patched_state.map(|s| s.cache.stats()).unwrap_or_default(),
-        final_particle_count: cells.iter().map(Vec::len).sum(),
+        final_particle_count: store.molecules.len(),
         fingerprint,
     }
 }
@@ -464,17 +461,15 @@ impl PatchedMoveState {
 /// stamp and brings the cached schedule up to date — by patch or, for the baseline and
 /// after a remap, by rebuild; both yield byte-identical schedules.  The data path then ships per-row
 /// molecule counts through the schedule's scatter direction and the molecules themselves
-/// through one sparse payload exchange, and returns the molecules other ranks sent in
-/// schedule-row order (rows validated against the positions in debug builds).  Migrants
-/// between this rank's own cells are the caller's to place; they are only charged here.
+/// through one sparse payload exchange, and returns the molecules other ranks sent, in
+/// source-rank then schedule-row order.  Migrants between this rank's own cells are the
+/// caller's to place; they are only charged here.
 #[allow(clippy::too_many_arguments)]
 fn move_patched(
     rank: &mut Rank,
-    grid: &CellGrid,
     migrant_cells: &[usize],
     migrant_ranks: &[ProcId],
     migrants: &[Particle],
-    owned_cells: &[usize],
     state: &mut PatchedMoveState,
     rebuild_every_step: bool,
     phases: &mut DsmcPhaseTimes,
@@ -485,15 +480,12 @@ fn move_patched(
 
     // ---- inspector upkeep: re-hash the drifted destination set, patch the schedule ----
     let t0 = rank.modeled();
-    let mut dest_cells: Vec<usize> = Vec::new();
-    let mut offproc: Vec<usize> = Vec::new(); // indices into `migrants`
-    for (k, (&cell, &owner)) in migrant_cells.iter().zip(migrant_ranks).enumerate() {
-        if owner != me {
-            dest_cells.push(cell);
-            offproc.push(k);
-        }
-    }
-    // Molecules migrating between my own cells, already placed by the caller.
+    // Indices into `migrants` of the molecules leaving the rank, and their cells.
+    let offproc: Vec<usize> = (0..migrants.len())
+        .filter(|&k| migrant_ranks[k] != me)
+        .collect();
+    let dest_cells: Vec<usize> = offproc.iter().map(|&k| migrant_cells[k]).collect();
+    // Molecules migrating between my own cells, placed by the caller.
     let local = migrants.len() - offproc.len();
     *migrations += offproc.len();
     state.hash.clear_stamp(MOVE_STAMP);
@@ -525,13 +517,11 @@ fn move_patched(
     let mut counts: Vec<Vec<u32>> = (0..nprocs).map(|p| vec![0; sched.fetch_size(p)]).collect();
     let mut binned: Vec<Vec<(u32, usize)>> = vec![Vec::new(); nprocs];
     for &k in &offproc {
-        let entry = state
+        let slot = state
             .hash
             .get(migrant_cells[k])
-            .expect("destination cell just hashed");
-        let slot = entry
-            .ghost_slot
-            .expect("off-processor cell has a ghost slot");
+            .and_then(|entry| entry.ghost_slot)
+            .expect("destination cell just hashed, with a ghost slot");
         let (p, row) = row_of_slot[slot as usize].expect("hashed cell has a schedule row");
         counts[p][row as usize] += 1;
         binned[p].push((row, k));
@@ -563,25 +553,10 @@ fn move_patched(
     );
     state.exchange = state.exchange.merged(&ex_counts).merged(&ex_payload);
 
-    // Collect arrivals by schedule row: row `r` from `src` belongs in the owned cell at
-    // offset `send_lists[src][r]` (owner offsets number owned cells in global order).
     // Both plans receive `Exact` sizes, so the engine has already checked one count per
-    // row and a payload of exactly their sum.
-    let mut arrivals: Vec<Particle> = Vec::new();
-    for src in 0..nprocs {
-        let mut next = recv_payload[src].iter();
-        for (row, &n) in incoming_counts[src].iter().enumerate() {
-            for _ in 0..n {
-                let p = *next.next().expect("payload shorter than its counts");
-                debug_assert_eq!(
-                    grid.cell_of_position(p.pos),
-                    owned_cells[sched.send_lists()[src][row] as usize],
-                    "schedule placement disagrees with the molecule position"
-                );
-                arrivals.push(p);
-            }
-        }
-    }
+    // row and a payload of exactly their sum.  The caller places each arrival by its
+    // position, so the rows' order needs no unpacking here.
+    let arrivals = recv_payload.concat();
     rank.charge_compute((local + arrivals.len()) as f64 * 0.3);
     phases.move_data += rank.modeled().since(&t0);
     arrivals
@@ -589,10 +564,10 @@ fn move_patched(
 
 /// The modeled cost of re-binning the molecules that stayed in their cell: work a
 /// distributed-memory DSMC code does while the light-weight exchange is in flight, and
-/// before the patched schedule's upkeep.  The store here keeps survivors in place and
-/// skips it, but the charge must still fall in exactly those windows: a rank's compute
-/// time is one running `f64` sum and the phase split reads it at fixed points, so moving
-/// the charge would change modeled figures in their last bits.
+/// before the patched schedule's upkeep.  The store here re-bins every molecule in one
+/// counting sort after the exchange, but the charge must still fall in exactly those
+/// windows: a rank's compute time is one running `f64` sum and the phase split reads it
+/// at fixed points, so moving the charge would change modeled figures in their last bits.
 fn charge_survivors(rank: &mut Rank, survivors: usize) {
     rank.charge_compute(survivors as f64 * 0.2);
 }
@@ -611,11 +586,81 @@ fn arrival_cell(me: ProcId, grid: &CellGrid, cell_owner: &[ProcId], p: &Particle
     cell
 }
 
-/// The cells `me` owns, in ascending global order.
-fn owned_by(me: ProcId, cell_owner: &[ProcId]) -> Vec<usize> {
-    (0..cell_owner.len())
-        .filter(|&cell| cell_owner[cell] == me)
-        .collect()
+/// The ordinal of a cell this rank does not own, in [`CellStore::ordinal`] and the lane.
+const OFF_RANK: u32 = u32::MAX;
+
+/// A rank's molecules in one array, cell after cell in `owned_cells` order (CSR), and a
+/// second buffer of the same shape that each re-bin fills and swaps in.
+#[derive(Default)]
+struct CellStore {
+    /// The owned cells in ascending global order; only a remap changes them.
+    owned_cells: Vec<usize>,
+    /// Global cell -> its position in `owned_cells`, or [`OFF_RANK`].
+    ordinal: Vec<u32>,
+    /// Owned cell `k` holds `molecules[offsets[k]..offsets[k + 1]]`.
+    molecules: Vec<Particle>,
+    offsets: Vec<u32>,
+    spare: Vec<Particle>,
+    /// The re-bin key: the new owned ordinal of each molecule.
+    lane: Vec<u32>,
+}
+
+impl CellStore {
+    /// Own the cells `cell_owner` gives `me`.  The molecules keep the old layout, and
+    /// [`Self::cell`] is meaningless, until the next re-bin.
+    fn own(&mut self, me: ProcId, cell_owner: &[ProcId]) {
+        self.owned_cells = (0..cell_owner.len())
+            .filter(|&cell| cell_owner[cell] == me)
+            .collect();
+        self.ordinal = vec![OFF_RANK; cell_owner.len()];
+        for (k, &cell) in self.owned_cells.iter().enumerate() {
+            self.ordinal[cell] = k as u32;
+        }
+    }
+
+    fn cell(&self, k: usize) -> &[Particle] {
+        &self.molecules[self.offsets[k] as usize..self.offsets[k + 1] as usize]
+    }
+
+    /// Append `arrivals`, each keyed by its cell ([`arrival_cell`] checks it), and re-bin.
+    fn place(&mut self, me: ProcId, grid: &CellGrid, cell_owner: &[ProcId], arrivals: &[Particle]) {
+        for p in arrivals {
+            let cell = arrival_cell(me, grid, cell_owner, p);
+            self.lane.push(self.ordinal[cell]);
+        }
+        self.molecules.extend_from_slice(arrivals);
+        self.rebin();
+    }
+
+    /// One stable counting sort into the spare buffer, which then becomes the store:
+    /// molecule `i` goes to owned cell `lane[i]`, or leaves the rank at [`OFF_RANK`].
+    fn rebin(&mut self) {
+        assert_eq!(self.lane.len(), self.molecules.len(), "one key a molecule");
+        let ncells = self.owned_cells.len();
+        let offsets = &mut self.offsets;
+        offsets.clear();
+        offsets.resize(ncells + 1, 0);
+        for &k in self.lane.iter().filter(|&&k| k != OFF_RANK) {
+            offsets[k as usize + 1] += 1;
+        }
+        for k in 0..ncells {
+            offsets[k + 1] += offsets[k];
+        }
+        // Each start is its cell's cursor; `resize` writes only past the old length.
+        self.spare
+            .resize(offsets[ncells] as usize, Particle::default());
+        for (&k, p) in self.lane.iter().zip(&self.molecules) {
+            if k != OFF_RANK {
+                self.spare[offsets[k as usize] as usize] = *p;
+                offsets[k as usize] += 1;
+            }
+        }
+        // Each cursor ended at its cell's end, which is the next cell's start.
+        offsets.copy_within(..ncells, 1);
+        offsets[0] = 0;
+        mem::swap(&mut self.molecules, &mut self.spare);
+        self.lane.clear();
+    }
 }
 
 /// The static decomposition used before any remapping: contiguous slabs of cell columns
@@ -630,47 +675,14 @@ pub fn initial_owner_map(grid: &CellGrid, nprocs: usize) -> Vec<ProcId> {
         .collect()
 }
 
-/// MOVE phase with a light-weight schedule, split-phase: one exchange of counts, one
-/// append message per destination processor posted immediately (whole molecules as
-/// payload, packed straight from the migrant buffer), the survivors' re-binning charge
-/// paid *while the migrants are in flight*, and the molecules other ranks sent collected
-/// last (the caller places the local migrants itself).  The destination ranks are the
-/// entire input of the light-weight inspector.
-fn move_lightweight(
-    rank: &mut Rank,
-    migrant_ranks: &[ProcId],
-    migrants: &[Particle],
-    survivors: usize,
-    phases: &mut DsmcPhaseTimes,
-    migrations: &mut usize,
-) -> Vec<Particle> {
-    let me = rank.rank();
-    let t0 = rank.modeled();
-    let sched = LightweightSchedule::build(rank, migrant_ranks);
-    phases.move_preprocess += rank.modeled().since(&t0);
-
-    let t0 = rank.modeled();
-    let step_migrations = migrant_ranks.iter().filter(|&&d| d != me).count();
-    *migrations += step_migrations;
-    // Post the migrants, overlap the survivors' charge with their flight, then drain.
-    let inflight = scatter_append_start(rank, &sched, migrants);
-    charge_survivors(rank, survivors);
-    let mut arrivals = scatter_append_finish(rank, &sched, inflight);
-    // The kept items lead the result (`scatter_append_finish`'s layout); the caller has
-    // already placed them from the migrant buffer.
-    arrivals.drain(..migrant_ranks.len() - step_migrations);
-    phases.move_data += rank.modeled().since(&t0);
-    arrivals
-}
-
-/// Re-partition the cells from their current molecule counts and migrate molecules to the
-/// new owners.
+/// Re-partition the cells from their current molecule counts, migrate molecules to the
+/// new owners and re-bin the store over the new owned cells.
 fn remap_cells(
     rank: &mut Rank,
     grid: &CellGrid,
     config: &DsmcConfig,
     cell_owner: &mut [ProcId],
-    cells: &mut [Vec<Particle>],
+    store: &mut CellStore,
     phases: &mut DsmcPhaseTimes,
 ) {
     let nprocs = rank.nprocs();
@@ -678,10 +690,9 @@ fn remap_cells(
 
     // ---- run the partitioner over the owned cells --------------------------------------
     let t0 = rank.modeled();
-    let owned_cells = owned_by(me, cell_owner);
-    let weights: Vec<f64> = owned_cells
-        .iter()
-        .map(|&c| 1.0 + cells[c].len() as f64)
+    let owned_cells = &store.owned_cells;
+    let weights: Vec<f64> = (0..owned_cells.len())
+        .map(|k| 1.0 + store.cell(k).len() as f64)
         .collect();
     let new_parts: Vec<ProcId> = match config.remap {
         RemapStrategy::Static => owned_cells.iter().map(|&c| cell_owner[c]).collect(),
@@ -710,22 +721,23 @@ fn remap_cells(
     phases.remap_partition += rank.modeled().since(&t0);
 
     // ---- migrate molecules of reassigned cells ------------------------------------------
+    // Every molecule sits in the cell of its position, so one scan in store order keys
+    // the stayers by their new ordinals and collects the movers cell by cell.
     let t0 = rank.modeled();
+    store.own(me, cell_owner);
     let mut moving: Vec<Particle> = Vec::new();
     let mut dests: Vec<ProcId> = Vec::new();
-    for &cell in &owned_cells {
-        let new_owner = cell_owner[cell];
-        if new_owner != me {
-            for p in mem::take(&mut cells[cell]) {
-                moving.push(p);
-                dests.push(new_owner);
-            }
+    for p in &store.molecules {
+        let cell = grid.cell_of_position(p.pos);
+        store.lane.push(store.ordinal[cell]);
+        if cell_owner[cell] != me {
+            moving.push(*p);
+            dests.push(cell_owner[cell]);
         }
     }
     let sched = LightweightSchedule::build(rank, &dests);
-    for p in scatter_append(rank, &sched, &moving) {
-        cells[arrival_cell(me, grid, cell_owner, &p)].push(p);
-    }
+    let arrivals = scatter_append(rank, &sched, &moving);
+    store.place(me, grid, cell_owner, &arrivals);
     phases.remap_migrate += rank.modeled().since(&t0);
 }
 
@@ -1213,6 +1225,128 @@ mod tests {
                 assert_eq!(merged_fingerprint(&results), seq, "{what}");
             }
         }
+    }
+
+    #[test]
+    fn threshold_chain_remaps_match_sequential_on_a_3d_grid() {
+        // `dsmc_move`'s configuration with a patience short enough to remap within the
+        // test's steps, so the store's remap path runs against the oracle at every P.
+        let grid = CellGrid::new_3d(8, 4, 4);
+        let flow = FlowConfig::directional(1994);
+        let config = DsmcConfig {
+            remap: RemapStrategy::Chain,
+            policy: Some(RemapPolicy::Threshold {
+                lb_index: 1.25,
+                hysteresis: 0.05,
+                patience: 2,
+            }),
+            ..DsmcConfig::lightweight(30, 1994)
+        };
+        let seq = sequential_fingerprint(grid, 2_000, flow, 30, config.dt, 1994);
+        for nprocs in [1, 2, 3, 5] {
+            let results = run_config(nprocs, grid, 2_000, flow, config.clone());
+            if nprocs > 1 {
+                assert!(results[0].remaps > 0, "P={nprocs}: the policy never fired");
+            }
+            assert_eq!(merged_fingerprint(&results), seq, "P={nprocs}");
+        }
+    }
+
+    /// Molecule `id` at the centre of global cell `cell`.
+    fn molecule_in(grid: &CellGrid, cell: usize, id: u64) -> Particle {
+        Particle {
+            pos: grid.cell_center(cell),
+            vel: [0.0; 3],
+            id,
+        }
+    }
+
+    /// Fill a store for rank `me` with `start`, move every held molecule to cell
+    /// `dest(id)`, re-bin with `arrivals`, and compare each owned cell, as a set of ids,
+    /// with per-cell `Vec`s filled by pushes.
+    fn check_rebin(
+        cell_owner: &[ProcId],
+        me: ProcId,
+        start: &[Particle],
+        dest: impl Fn(u64) -> usize,
+        arrivals: &[Particle],
+    ) {
+        let grid = CellGrid::new_2d(cell_owner.len(), 1);
+        let mut store = CellStore::default();
+        store.own(me, cell_owner);
+        store.place(me, &grid, cell_owner, start);
+        for p in &mut store.molecules {
+            let cell = dest(p.id);
+            *p = molecule_in(&grid, cell, p.id);
+            store.lane.push(store.ordinal[cell]);
+        }
+        store.place(me, &grid, cell_owner, arrivals);
+
+        let mut naive: Vec<Vec<Particle>> = vec![Vec::new(); grid.ncells()];
+        for p in start {
+            if cell_owner[dest(p.id)] == me {
+                naive[dest(p.id)].push(*p);
+            }
+        }
+        for p in arrivals {
+            naive[grid.cell_of_position(p.pos)].push(*p);
+        }
+        let ids = |v: &[Particle]| {
+            let mut ids: Vec<u64> = v.iter().map(|p| p.id).collect();
+            ids.sort_unstable();
+            ids
+        };
+        assert_eq!(store.offsets.len(), store.owned_cells.len() + 1);
+        assert_eq!(store.offsets.last(), Some(&(store.molecules.len() as u32)));
+        for (cell, want) in naive.iter().enumerate() {
+            let got = match store.ordinal[cell] {
+                OFF_RANK => Vec::new(),
+                k => ids(store.cell(k as usize)),
+            };
+            assert_eq!(got, ids(want), "cell {cell}");
+        }
+        for (k, &cell) in store.owned_cells.iter().enumerate() {
+            for p in store.cell(k) {
+                assert_eq!(grid.cell_of_position(p.pos), cell, "molecule {}", p.id);
+            }
+        }
+    }
+
+    #[test]
+    fn the_rebin_matches_per_cell_vecs_on_edge_shapes() {
+        let grid = CellGrid::new_2d(6, 1);
+        let at = |cells: &[usize], first: u64| -> Vec<Particle> {
+            (first..)
+                .zip(cells)
+                .map(|(id, &c)| molecule_in(&grid, c, id))
+                .collect()
+        };
+        let block = [0, 0, 0, 1, 1, 1];
+        // A rank with no molecules, with cells and without.
+        check_rebin(&block, 0, &[], |_| 0, &[]);
+        check_rebin(&[1; 6], 0, &[], |_| 0, &[]);
+        // Every molecule in one cell, gathered from three.
+        check_rebin(&block, 0, &at(&[0, 1, 2, 2, 1, 0], 0), |_| 1, &[]);
+        // Every molecule leaves the rank.
+        check_rebin(
+            &block,
+            0,
+            &at(&[0, 1, 2, 1], 0),
+            |id| 3 + id as usize % 3,
+            &[],
+        );
+        // Arrivals only, into empty cells.
+        check_rebin(&block, 1, &[], |_| 3, &at(&[5, 3, 5, 4], 10));
+        // A non-contiguous owned-cell list, as after a chain or bisection remap: moves
+        // within the rank, off it, and arrivals into held and empty cells.
+        let scattered = [1, 0, 2, 1, 0, 1];
+        check_rebin(
+            &scattered,
+            1,
+            &at(&[0, 3, 5, 5, 0, 3], 0),
+            |id| [3, 5, 1, 0, 3, 4][id as usize],
+            &at(&[5, 0, 0], 20),
+        );
     }
 
     #[test]

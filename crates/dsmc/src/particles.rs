@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use crate::grid::CellGrid;
 
 /// One gas molecule.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Particle {
     /// Position inside the domain.
     pub pos: [f64; 3],
@@ -100,6 +100,7 @@ pub fn seed_particles(grid: &CellGrid, count: usize, flow: &FlowConfig) -> Vec<P
 /// Advance one particle by `dt`: specular reflection at the x walls (so a directional flow
 /// piles molecules up against the downstream wall and the load distribution drifts, as in
 /// the paper's 3-D experiment), periodic wrap in y and z.
+#[inline]
 pub fn advance(particle: &mut Particle, grid: &CellGrid, dt: f64) {
     for k in 0..3 {
         particle.pos[k] += particle.vel[k] * dt;
@@ -128,6 +129,7 @@ pub fn advance(particle: &mut Particle, grid: &CellGrid, dt: f64) {
 /// `x - l` is exact for `l <= x < 2l` (Sterbenz).  Everything else, `-l` included (where
 /// `rem_euclid` returns `-0.0`, not `x + l = +0.0`), NaN and the infinities, takes
 /// `rem_euclid` itself.
+#[inline]
 fn wrap(x: f64, l: f64) -> f64 {
     if x >= 0.0 {
         if x < l {

@@ -57,8 +57,8 @@ impl SequentialDsmc {
         for (cell, particles) in self.cells.iter_mut().enumerate() {
             self.collisions += collide_cell(cell, self.steps_taken, self.seed, particles);
         }
-        // Move phase: survivors stay in their cell in scan order (the parallel driver's
-        // rule), movers are appended to their new cell after every cell has advanced.
+        // Move phase: survivors stay in their cell in scan order, movers are appended to
+        // their new cell after every cell has advanced (order in a cell never matters).
         let mut moved: Vec<(usize, Particle)> = Vec::new();
         for (cell, particles) in self.cells.iter_mut().enumerate() {
             particles.retain_mut(|p| {
