@@ -1,59 +1,26 @@
 //! Adaptive-remapping benchmark scenarios (`BENCH_adapt.json`).
 //!
 //! The paper remaps DSMC on a fixed cadence; the `chaos::adapt` controller remaps from
-//! the *measured* load instead.  These scenarios quantify the difference on the workload
-//! where it matters — a drifting-density DSMC flow whose load distribution degrades over
-//! time — and record per-step load-balance-index trajectories so the artifact shows *how*
-//! each policy tracks the drift, not just where it ends up:
-//!
-//! * **drift ramp** — one machine size, every policy side by side over a long ramp;
-//! * **imbalance sweep** — the same comparison over machine sizes P = 2–16.
-//!
-//! Everything recorded is modeled (deterministic) — no wall-clock — so two runs of the
-//! generator produce byte-identical artifacts; CI regenerates the file twice and fails if
-//! they differ, which pins the controller's decisions (and the whole simulation behind
-//! them) as reproducible.  Schema documented in `BENCHMARKS.md`.
+//! the *measured* load instead.  Both scenarios run every remap policy on a
+//! drifting-density DSMC flow whose load degrades over time, recording per-step
+//! load-balance trajectories: the **drift ramp** at one machine size and the **imbalance
+//! sweep** over P = 2–16.  Everything recorded is modeled, so two runs produce
+//! byte-identical artifacts, which pins the controller's decisions as reproducible.
 
 use chaos::adapt::RemapPolicy;
-use dsmc::{CellGrid, DsmcConfig, FlowConfig, MoveMode, RemapStrategy};
+use dsmc::MoveMode;
 
 use crate::report::{stable_us, Artifact, Json};
-use crate::workloads::{format_table, run_dsmc};
+use crate::workloads::DriftingDsmc;
 
 /// How many trailing steps the end-of-run load-balance figure averages over (a single
 /// step's index is noisy; five smooth it without hiding the trend).
 pub const FINAL_LB_WINDOW: usize = 5;
 
-/// Parameters of one drifting-density DSMC scenario run.
-#[derive(Debug, Clone)]
-pub struct RampParams {
-    /// Simulated machine size.
-    pub ranks: usize,
-    /// 2-D cell grid (nx, ny).
-    pub grid: (usize, usize),
-    /// Total molecules.
-    pub nparticles: usize,
-    /// Time steps.
-    pub nsteps: usize,
-    /// Cadence of the `interval` baseline policy.
-    pub interval: usize,
-    /// Seed shared by flow and collisions.
-    pub seed: u64,
-}
-
-impl RampParams {
-    /// The scale recorded in `BENCH_adapt.json`: long enough for the directional flow to
-    /// pile molecules downstream and ramp the static run's imbalance.
-    pub fn default_ramp(ranks: usize) -> Self {
-        RampParams {
-            ranks,
-            grid: (32, 8),
-            nparticles: 12_000,
-            nsteps: 60,
-            interval: 6,
-            seed: 1994,
-        }
-    }
+/// The recorded flow at `ranks` ranks, remapping every 6 steps: the cadence of the
+/// `interval` baseline policy.
+pub fn default_ramp(ranks: usize) -> DriftingDsmc {
+    DriftingDsmc::recorded(ranks, 6)
 }
 
 /// One policy's measured outcome on a scenario.
@@ -82,83 +49,55 @@ pub struct AdaptEntry {
 /// The four policies every scenario compares.  `static` never remaps but still samples
 /// (interval 0 is the controller's "measure only" setting); `interval` is the paper's
 /// fixed cadence; `threshold` and `cost_benefit` are the feedback policies.
-pub fn policy_matrix(params: &RampParams) -> Vec<(&'static str, RemapPolicy)> {
+pub fn policy_matrix(params: &DriftingDsmc) -> Vec<(&'static str, RemapPolicy)> {
+    let every = params.remap_interval;
+    let threshold = RemapPolicy::Threshold {
+        lb_index: 1.2,
+        hysteresis: 0.05,
+        patience: 2 * every,
+    };
+    let assumed_cost_us = 2_000.0;
     vec![
         ("static", RemapPolicy::Interval { every: 0 }),
-        (
-            "interval",
-            RemapPolicy::Interval {
-                every: params.interval,
-            },
-        ),
-        (
-            "threshold",
-            RemapPolicy::Threshold {
-                lb_index: 1.2,
-                hysteresis: 0.05,
-                patience: 2 * params.interval,
-            },
-        ),
-        (
-            "cost_benefit",
-            RemapPolicy::CostBenefit {
-                assumed_cost_us: 2_000.0,
-            },
-        ),
+        ("interval", RemapPolicy::Interval { every }),
+        ("threshold", threshold),
+        ("cost_benefit", RemapPolicy::CostBenefit { assumed_cost_us }),
     ]
 }
 
 /// Run one policy on the drifting-density scenario.
 pub fn run_policy(
-    params: &RampParams,
+    params: &DriftingDsmc,
     policy_name: &'static str,
     policy: RemapPolicy,
 ) -> AdaptEntry {
-    let grid = CellGrid::new_2d(params.grid.0, params.grid.1);
-    let flow = FlowConfig::directional(params.seed);
-    let config = DsmcConfig {
-        nsteps: params.nsteps,
-        dt: 0.5,
-        move_mode: MoveMode::Lightweight,
-        remap: RemapStrategy::Chain,
-        remap_interval: params.interval,
-        policy: Some(policy),
-        monitor_group: None,
-        seed: params.seed,
-    };
-    let out = run_dsmc(params.ranks, grid, flow, params.nparticles, config);
-    let traj = out.results[0].lb_trajectory.clone();
+    let results = params.run(MoveMode::Lightweight, Some(policy));
+    let traj = results[0].lb_trajectory.clone();
     debug_assert!(
-        out.results.iter().all(|s| s.lb_trajectory == traj),
+        results.iter().all(|s| s.lb_trajectory == traj),
         "trajectory must be replicated across ranks"
     );
-    let mean = |xs: &[f64]| -> f64 {
-        if xs.is_empty() {
-            f64::NAN
-        } else {
-            xs.iter().sum::<f64>() / xs.len() as f64
-        }
-    };
+    // NaN for an empty run: 0 / 0.
+    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
     let tail = &traj[traj.len().saturating_sub(FINAL_LB_WINDOW)..];
     AdaptEntry {
         policy: policy_name,
         ranks: params.ranks,
         nsteps: params.nsteps,
-        remaps: out.results[0].remaps,
+        remaps: results[0].remaps,
         final_lb: mean(tail),
         mean_lb: mean(&traj),
-        max_total_us: out
-            .results
+        max_total_us: results
             .iter()
             .map(|s| s.phases.total().total_us())
             .fold(0.0, f64::max),
         lb_trajectory: traj,
-        remap_costs: out.results[0].remap_costs.clone(),
+        remap_costs: results[0].remap_costs.clone(),
     }
 }
 
 /// The drift-ramp scenario: every policy at one machine size.
-pub fn drift_ramp(params: &RampParams) -> Vec<AdaptEntry> {
+pub fn drift_ramp(params: &DriftingDsmc) -> Vec<AdaptEntry> {
     policy_matrix(params)
         .into_iter()
         .map(|(name, policy)| run_policy(params, name, policy))
@@ -170,40 +109,16 @@ pub fn imbalance_sweep(ranks: &[usize]) -> Vec<AdaptEntry> {
     ranks
         .iter()
         .flat_map(|&p| {
-            let mut params = RampParams::default_ramp(p);
+            let mut params = default_ramp(p);
             params.nsteps = 40;
             drift_ramp(&params)
         })
         .collect()
 }
 
-/// Render entries as an aligned human-readable table.
-fn format_entries(title: &str, entries: &[AdaptEntry]) -> String {
-    let headers = [
-        "Policy",
-        "Procs",
-        "Remaps",
-        "Final LB",
-        "Mean LB",
-        "Exec (ms)",
-    ];
-    let rows: Vec<Vec<String>> = entries
-        .iter()
-        .map(|e| {
-            vec![
-                e.policy.to_string(),
-                e.ranks.to_string(),
-                e.remaps.to_string(),
-                format!("{:.3}", e.final_lb),
-                format!("{:.3}", e.mean_lb),
-                format!("{:.2}", e.max_total_us / 1e3),
-            ]
-        })
-        .collect();
-    format_table(title, &headers, &rows)
-}
-
 fn entry_json(e: &AdaptEntry) -> Json {
+    let trajectory = e.lb_trajectory.iter().map(|&x| Json::Num(x)).collect();
+    let costs = e.remap_costs.iter().map(remap_json).collect();
     Json::obj(vec![
         ("policy", Json::str(e.policy)),
         ("ranks", Json::uint(e.ranks as u64)),
@@ -212,24 +127,15 @@ fn entry_json(e: &AdaptEntry) -> Json {
         ("final_lb", Json::Num(e.final_lb)),
         ("mean_lb", Json::Num(e.mean_lb)),
         ("max_modeled_us", stable_us(e.max_total_us)),
-        (
-            "lb_trajectory",
-            Json::Arr(e.lb_trajectory.iter().map(|&x| Json::Num(x)).collect()),
-        ),
-        (
-            "remap_costs",
-            Json::Arr(
-                e.remap_costs
-                    .iter()
-                    .map(|&(step, cost)| {
-                        Json::obj(vec![
-                            ("step", Json::uint(step as u64)),
-                            ("modeled_us", stable_us(cost)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("lb_trajectory", Json::Arr(trajectory)),
+        ("remap_costs", Json::Arr(costs)),
+    ])
+}
+
+fn remap_json(&(step, cost): &(usize, f64)) -> Json {
+    Json::obj(vec![
+        ("step", Json::uint(step as u64)),
+        ("modeled_us", stable_us(cost)),
     ])
 }
 
@@ -237,7 +143,6 @@ fn entry_json(e: &AdaptEntry) -> Json {
 /// P = 2, 4, 8 and 16.  Records no wall-clock and snaps modeled times to whole microseconds,
 /// so repeated runs are byte-identical — the property CI gates on.
 pub struct AdaptReport {
-    ramp_params: RampParams,
     ramp: Vec<AdaptEntry>,
     sweep: Vec<AdaptEntry>,
 }
@@ -245,11 +150,9 @@ pub struct AdaptReport {
 impl AdaptReport {
     /// Run both scenarios.
     pub fn generate() -> Self {
-        let ramp_params = RampParams::default_ramp(8);
         AdaptReport {
-            ramp: drift_ramp(&ramp_params),
+            ramp: drift_ramp(&default_ramp(8)),
             sweep: imbalance_sweep(&[2, 4, 8, 16]),
-            ramp_params,
         }
     }
 }
@@ -257,17 +160,6 @@ impl AdaptReport {
 impl Artifact for AdaptReport {
     const NAME: &'static str = "adapt";
     const VERSION: u32 = 1;
-
-    fn print(&self) {
-        let p = &self.ramp_params;
-        let title = format!(
-            "Drifting-density DSMC ramp ({}x{} cells, {} molecules, {} steps, {} procs)",
-            p.grid.0, p.grid.1, p.nparticles, p.nsteps, p.ranks
-        );
-        println!("{}", format_entries(&title, &self.ramp));
-        let title = "Imbalance sweep across machine sizes (P = 2..16)";
-        println!("{}", format_entries(title, &self.sweep));
-    }
 
     fn to_json(&self) -> Vec<(&'static str, Json)> {
         let entries = |es: &[AdaptEntry]| Json::Arr(es.iter().map(entry_json).collect());
@@ -295,7 +187,7 @@ mod tests {
         // The acceptance bar of the adapt subsystem, at artifact scale: on the drifting
         // ramp the feedback policies must end better balanced than never remapping, with
         // fewer remaps than the fixed cadence at comparable final imbalance.
-        let entries = drift_ramp(&RampParams::default_ramp(8));
+        let entries = drift_ramp(&default_ramp(8));
         let stat = entry(&entries, "static");
         let interval = entry(&entries, "interval");
         let threshold = entry(&entries, "threshold");
@@ -346,13 +238,12 @@ mod tests {
     fn scenario_is_deterministic() {
         // Two identical runs must produce byte-identical reports — the property the CI
         // gate checks at full scale.
-        let mut params = RampParams::default_ramp(4);
+        let mut params = default_ramp(4);
         params.nsteps = 12;
         params.nparticles = 800;
         let report = || AdaptReport {
             ramp: drift_ramp(&params),
             sweep: Vec::new(),
-            ramp_params: params.clone(),
         };
         let text = |r: &AdaptReport| crate::report::document(r).render_pretty();
         assert_eq!(text(&report()), text(&report()));
@@ -360,7 +251,7 @@ mod tests {
 
     #[test]
     fn entries_carry_full_trajectories() {
-        let mut params = RampParams::default_ramp(2);
+        let mut params = default_ramp(2);
         params.nsteps = 10;
         params.nparticles = 400;
         for e in drift_ramp(&params) {

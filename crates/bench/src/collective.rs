@@ -1,38 +1,14 @@
 //! Collective-operation scaling sweep (`BENCH_exchange.json`, `collective_sweep`).
 //!
-//! The application-shaped loops of [`crate::microbench`] stop telling us anything new
-//! past a few dozen host threads — their message counts grow with P² and the simulator
-//! runs them for real.  The collectives are different: after the log-depth rewrite
-//! ([`mpsim::topology`]) every one of them is O(log P) messages *per rank*, so the
-//! machine itself can scale from the paper's P = 32 to P = 1024 and the sweep stays
-//! cheap.  This module runs each collective shape at every point of
-//! [`COLLECTIVE_SWEEP_POINTS`] and records, per iteration:
-//!
-//! * **modeled time** (max over ranks) — the simulated cost of the operation;
-//! * **messages per rank** (max over ranks of messages *sent*) — the wire truth the
-//!   log-depth claim is about.
-//!
-//! Three shapes are swept:
-//!
-//! * `all_gather` — [`mpsim::Rank::all_gather_one`], one `u64` contributed per rank.
-//!   Exactly `ceil(log2 P)` messages per rank; its *payload* is Θ(P) by definition
-//!   (every rank ends holding P values), so its modeled time is excluded from the
-//!   constant-ratio time gate and pinned through its message count instead.  It is also
-//!   the whole communication of one monitored step of
-//!   [`chaos::adapt::RemapController::observe_sample`].
-//! * `all_reduce` — [`mpsim::Rank::all_reduce_sum`] of one `f64` on the combining
-//!   butterfly.  At most `ceil(log2 P)` messages per rank, O(1) payload per round.
-//! * `negotiate` — [`mpsim::ExchangePlan::negotiate`] of a two-neighbour ring halo
-//!   (the sparse-neighbourhood pattern of the DSMC MOVE phase: a constant number of
-//!   silent pairs never materialises dense O(P) state).  `ceil(log2 P)` messages per
-//!   rank regardless of P.
-//!
-//! [`collective_scaling_violations`] is the `--check` gate: every shape must send
-//! exactly `ceil(log2 P)` messages per rank (max over ranks), and the O(1)-payload
-//! shapes' modeled per-iteration time at the largest point must stay within
-//! [`MAX_TIME_RATIO`] of the smallest — the ratio a log-depth
-//! implementation predicts (`log2 1024 / log2 32 = 2`, with headroom), and one any
-//! linear-depth implementation (ratio 32) fails by an order of magnitude.
+//! The application-shaped loops of [`crate::microbench`] send O(P²) messages, so the host
+//! threads stop at P = 64.  Every collective is O(log P) messages per rank
+//! ([`mpsim::topology`]), so this sweep runs three shapes at every point of
+//! [`COLLECTIVE_SWEEP_POINTS`], up to P = 1024, recording each one's modeled time and
+//! messages per rank per iteration (max over ranks).  [`collective_scaling_violations`]
+//! is the `--check` gate: every shape sends exactly `ceil(log2 P)` messages per rank, and
+//! the O(1)-payload shapes' modeled time grows at most [`MAX_TIME_RATIO`] from the
+//! smallest point to the largest (log-depth predicts `log2 1024 / log2 32 = 2`; a linear
+//! implementation would show 32).
 
 use std::time::Instant;
 
@@ -64,8 +40,6 @@ pub struct CollectiveResult {
     pub name: &'static str,
     /// Machine size.
     pub ranks: usize,
-    /// Measured iterations (one warm-up iteration is excluded).
-    pub measured_iters: usize,
     /// Host wall-clock of the whole run (setup + warm-up + measured), milliseconds.
     pub wall_ms: f64,
     /// Modeled time per iteration, max over ranks (µs).
@@ -85,27 +59,13 @@ impl CollectiveResult {
         Json::obj(vec![
             ("name", Json::str(self.name)),
             ("ranks", Json::uint(self.ranks as u64)),
-            ("measured_iters", Json::uint(self.measured_iters as u64)),
+            ("measured_iters", Json::uint(SWEEP_ITERS as u64)),
             ("wall_ms", Json::Num(self.wall_ms)),
             ("modeled_us_per_iter", Json::Num(self.modeled_us_per_iter)),
             ("msgs_per_rank_iter", Json::uint(self.msgs_per_rank_iter)),
             ("tree_rounds", Json::uint(self.tree_rounds as u64)),
             ("constant_payload", Json::Bool(self.constant_payload)),
         ])
-    }
-
-    /// One-line human-readable summary.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "{:<13} {:>5} ranks  {:>2} msgs/rank/iter (log2 = {:>2})  modeled {:>9.1} us/iter  \
-             wall {:>8.2} ms",
-            self.name,
-            self.ranks,
-            self.msgs_per_rank_iter,
-            self.tree_rounds,
-            self.modeled_us_per_iter,
-            self.wall_ms,
-        )
     }
 }
 
@@ -116,25 +76,22 @@ where
     F: Fn(&mut mpsim::Rank, usize) + Send + Sync + 'static,
 {
     let start = Instant::now();
-    let outcome = run(
-        MachineConfig::new(ranks).with_stack_size(SWEEP_STACK_BYTES),
-        move |rank| {
-            iter(rank, 0);
-            let t0 = rank.modeled();
-            let msgs0 = rank.stats().msgs_sent;
-            for k in 1..=SWEEP_ITERS {
-                iter(rank, k);
-            }
-            let dt = rank.modeled().since(&t0).total_us();
-            (dt, rank.stats().msgs_sent - msgs0)
-        },
-    );
+    let machine = MachineConfig::new(ranks).with_stack_size(SWEEP_STACK_BYTES);
+    let outcome = run(machine, move |rank| {
+        iter(rank, 0);
+        let t0 = rank.modeled();
+        let msgs0 = rank.stats().msgs_sent;
+        for k in 1..=SWEEP_ITERS {
+            iter(rank, k);
+        }
+        let dt = rank.modeled().since(&t0).total_us();
+        (dt, rank.stats().msgs_sent - msgs0)
+    });
     let modeled = outcome.results.iter().map(|r| r.0).fold(0.0, f64::max);
     let msgs = outcome.results.iter().map(|r| r.1).max().unwrap_or(0);
     CollectiveResult {
         name,
         ranks,
-        measured_iters: SWEEP_ITERS,
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
         modeled_us_per_iter: modeled / SWEEP_ITERS as f64,
         msgs_per_rank_iter: msgs / SWEEP_ITERS as u64,
@@ -149,12 +106,10 @@ pub fn collective_sweep_at(points: &[usize]) -> Vec<CollectiveResult> {
     let mut out = Vec::new();
     for &p in points {
         out.push(measure("all_gather", p, false, |rank, k| {
-            let v = rank.all_gather_one((rank.rank() + k) as u64);
-            std::hint::black_box(&v);
+            std::hint::black_box(rank.all_gather_one((rank.rank() + k) as u64));
         }));
         out.push(measure("all_reduce", p, true, |rank, k| {
-            let s = rank.all_reduce_sum(rank.rank() as f64 + k as f64);
-            std::hint::black_box(s);
+            std::hint::black_box(rank.all_reduce_sum(rank.rank() as f64 + k as f64));
         }));
         out.push(measure("negotiate", p, true, |rank, k| {
             // The DSMC MOVE halo shape: every rank talks to its two ring neighbours,
@@ -165,8 +120,7 @@ pub fn collective_sweep_at(points: &[usize]) -> Vec<CollectiveResult> {
             let mut counts = vec![0usize; n];
             counts[(me + 1) % n] = 5 + k;
             counts[(me + n - 1) % n] = 7 + k;
-            let plan = ExchangePlan::negotiate(rank, counts);
-            std::hint::black_box(&plan);
+            std::hint::black_box(ExchangePlan::negotiate(rank, counts));
         }));
     }
     out
@@ -266,6 +220,5 @@ mod tests {
         ] {
             assert!(text.contains(key), "missing {key} in {text}");
         }
-        assert!(!r.summary_line().is_empty());
     }
 }

@@ -1,33 +1,25 @@
 //! Compiler-loop parity benchmarks (`BENCH_compiler.json`): the Tables 6–7 comparison
-//! re-run on top of the `fortrand::opt` compiler loop.
+//! re-run on top of the `fortrand::opt` compiler loop, compiled against hand-written.
 //!
-//! Two scenarios, each compiled-vs-hand:
+//! * **CHARMM-style** — the three-coordinate non-bonded sweep inside a `DO` time loop,
+//!   which the optimizer fuses into one schedule group and whose inspector it hoists,
+//!   against the `charmm` production driver on a zero-bond system with a BLOCK
+//!   distribution and one merged schedule;
+//! * **DSMC-style** — the `REDUCE(APPEND)` move inside a `DO` loop with a drifting cell
+//!   assignment, against the same light-weight schedule built by hand.
 //!
-//! * **CHARMM-style** — the three-coordinate non-bonded force sweep inside a `DO` time
-//!   loop.  The optimizer fuses the X/Y/Z sweeps into one schedule group and hoists the
-//!   inspector out of the time loop; the hand version is the `charmm` crate's
-//!   production driver (`run_parallel`) on a zero-bond system with a BLOCK
-//!   distribution and one merged schedule.  Both then execute exactly one fused gather
-//!   and one fused scatter-add per step, so their executor message counts must be
-//!   **equal** — that equality is the `--check` gate (and the acceptance pin of the
-//!   compiler loop: compiler-generated code pays the same communication price as the
-//!   hand-written node program).
-//! * **DSMC-style** — the `REDUCE(APPEND)` particle-move template inside a `DO` loop
-//!   with a drifting cell assignment.  The compiled program rebuilds a light-weight
-//!   schedule per step from the replicated `icell` array; the hand version builds the
-//!   same schedule from the same destinations.  Message counts must again be equal.
-//!
-//! Modeled executor times are reported for both versions (the Tables 6–7 "compiler
-//! within a small factor of hand" story) but not gated — the gate is message parity,
-//! which is exact.
+//! `--check` gates exact message and byte parity (compiler-generated code pays the same
+//! communication price as the hand-written node program); modeled executor times are
+//! recorded but not gated.
 
 use charmm::parallel::{ParallelCharmm, ParallelConfig, PartitionerKind, ScheduleMode};
 use charmm::{MolecularSystem, SystemConfig};
-use fortrand::Executor;
 use mpsim::{run, ExchangeStats, MachineConfig};
 
 use crate::report::{stable_us, Artifact, Json};
-use crate::workloads::{csr_neighbor_list, lightweight_append_loop};
+use crate::workloads::{
+    charmm_executor, csr_neighbor_list, dsmc_executor, lightweight_append_loop,
+};
 use crate::Scale;
 
 /// The CHARMM-style Fortran-D source: three coordinate sweeps over one CSR neighbour
@@ -153,28 +145,14 @@ pub fn charmm_parity(procs: usize, seed: u64, nsteps: usize) -> ParityEntry {
     let compiled = run(MachineConfig::new(procs), move |rank| {
         let system = zero_bond_system(seed);
         let (inblo, jnb) = csr_neighbor_list(&system);
-        let natoms = system.natoms();
-        let source = charmm_loop_source(natoms, jnb.len(), nsteps);
+        let source = charmm_loop_source(system.natoms(), jnb.len(), nsteps);
         let (optimized, report) = fortrand::compile(&source).expect("CHARMM template compiles");
-        let mut exec = Executor::new(rank, &optimized);
-        exec.set_integer_array("INBLO", &inblo);
-        exec.set_integer_array("JNB", &jnb);
-        let coord = |k: usize| -> Vec<f64> { system.positions.iter().map(|p| p[k]).collect() };
-        exec.set_real_array("X", &coord(0));
-        exec.set_real_array("Y", &coord(1));
-        exec.set_real_array("Z", &coord(2));
-        for f in ["DX", "DY", "DZ"] {
-            exec.set_real_array(f, &vec![0.0; natoms]);
-        }
+        let csr = (&inblo[..], &jnb[..]);
+        let mut exec = charmm_executor(rank, &optimized, &system, csr, &["X", "Y", "Z"]);
         exec.run_all(rank);
-        let (rebuilds, _patches, _reuses) = exec.group_stats(0);
-        let exec_us = exec.phases().executor.total_us();
-        (
-            exec.exchange_stats(),
-            exec_us,
-            rebuilds,
-            count_applied(&report),
-        )
+        let (builds, _patches, _reuses) = exec.group_stats(0);
+        let (exec_us, applied) = (exec.phases().executor.total_us(), count_applied(&report));
+        (exec.exchange_stats(), exec_us, builds, applied)
     });
 
     parity_entry(procs, &hand.results, &compiled.results)
@@ -210,20 +188,12 @@ pub fn dsmc_parity(procs: usize, np: usize, nc: usize, nsteps: usize) -> ParityE
     let compiled = run(MachineConfig::new(procs), move |rank| {
         let source = dsmc_loop_source(np, nc, nsteps);
         let (optimized, report) = fortrand::compile(&source).expect("DSMC template compiles");
-        let mut exec = Executor::new(rank, &optimized);
-        let vel: Vec<f64> = (0..np).map(|i| i as f64 * 0.5).collect();
-        exec.set_real_array("VEL", &vel);
+        let mut exec = dsmc_executor(rank, &optimized, np);
         exec.set_integer_array("ICELL", &dsmc_initial_cells(np, nc));
         exec.run_all(rank);
-        // Light-weight schedules have no inspector: nothing to build.
-        let builds = 0;
         let exec_us = exec.phases().executor.total_us();
-        (
-            exec.exchange_stats(),
-            exec_us,
-            builds,
-            count_applied(&report),
-        )
+        // Light-weight schedules have no inspector: nothing to build.
+        (exec.exchange_stats(), exec_us, 0, count_applied(&report))
     });
     parity_entry(procs, &hand.results, &compiled.results)
 }
@@ -259,6 +229,13 @@ fn parity_entry(
 }
 
 fn entry_json(e: &ParityEntry) -> Json {
+    let (hoist, fuse, overlap) = e.applied_opts;
+    let applied = Json::obj(vec![
+        ("hoist", Json::uint(hoist)),
+        ("fuse", Json::uint(fuse)),
+        ("overlap", Json::uint(overlap)),
+    ]);
+    let builds = Json::uint(e.compiled_schedule_builds);
     Json::obj(vec![
         ("procs", Json::uint(e.procs as u64)),
         ("compiled_msgs", Json::uint(e.compiled_msgs)),
@@ -267,18 +244,8 @@ fn entry_json(e: &ParityEntry) -> Json {
         ("hand_bytes", Json::uint(e.hand_bytes)),
         ("compiled_time_us", stable_us(e.compiled_time_us)),
         ("hand_time_us", stable_us(e.hand_time_us)),
-        (
-            "compiled_schedule_builds",
-            Json::uint(e.compiled_schedule_builds),
-        ),
-        (
-            "applied_opts",
-            Json::obj(vec![
-                ("hoist", Json::uint(e.applied_opts.0)),
-                ("fuse", Json::uint(e.applied_opts.1)),
-                ("overlap", Json::uint(e.applied_opts.2)),
-            ]),
-        ),
+        ("compiled_schedule_builds", builds),
+        ("applied_opts", applied),
     ])
 }
 
@@ -295,18 +262,11 @@ impl CompilerReport {
     /// Run both comparisons at every `compiler_procs` point of [`Scale::from_env`].
     pub fn generate() -> Self {
         let (scale, name) = Scale::from_env();
-        let nsteps = 5;
-        let procs = &scale.compiler_procs;
+        let procs = scale.compiler_procs.iter();
         CompilerReport {
             scale: name,
-            charmm: procs
-                .iter()
-                .map(|&p| charmm_parity(p, 1994, nsteps))
-                .collect(),
-            dsmc: procs
-                .iter()
-                .map(|&p| dsmc_parity(p, 64 * p, 8 * p, nsteps))
-                .collect(),
+            charmm: procs.clone().map(|&p| charmm_parity(p, 1994, 5)).collect(),
+            dsmc: procs.map(|&p| dsmc_parity(p, 64 * p, 8 * p, 5)).collect(),
         }
     }
 }
@@ -315,41 +275,12 @@ impl Artifact for CompilerReport {
     const NAME: &'static str = "compiler";
     const VERSION: u32 = 1;
 
-    fn print(&self) {
-        for (title, entries) in [
-            ("CHARMM non-bonded time loop", &self.charmm),
-            ("DSMC append time loop (light-weight schedules)", &self.dsmc),
-        ] {
-            println!("{title}, compiled vs hand (executor traffic summed over ranks):");
-            for e in entries {
-                let (hoist, fuse, overlap) = e.applied_opts;
-                println!(
-                    "  {:>3} procs: compiled {} msgs / {} bytes ({:.1} ms), hand {} msgs / {} \
-                     bytes ({:.1} ms), opts applied hoist={hoist} fuse={fuse} overlap={overlap}",
-                    e.procs,
-                    e.compiled_msgs,
-                    e.compiled_bytes,
-                    e.compiled_time_us / 1000.0,
-                    e.hand_msgs,
-                    e.hand_bytes,
-                    e.hand_time_us / 1000.0,
-                );
-            }
-            println!();
-        }
-    }
-
     fn to_json(&self) -> Vec<(&'static str, Json)> {
+        let entries = |es: &[ParityEntry]| Json::Arr(es.iter().map(entry_json).collect());
         vec![
             ("scale", Json::str(self.scale)),
-            (
-                "charmm",
-                Json::Arr(self.charmm.iter().map(entry_json).collect()),
-            ),
-            (
-                "dsmc",
-                Json::Arr(self.dsmc.iter().map(entry_json).collect()),
-            ),
+            ("charmm", entries(&self.charmm)),
+            ("dsmc", entries(&self.dsmc)),
         ]
     }
 

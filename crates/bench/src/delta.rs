@@ -1,32 +1,23 @@
-//! Incremental schedule-maintenance benchmarks (`BENCH_delta.json`).
+//! Incremental schedule-maintenance benchmarks (`BENCH_delta.json`): `chaos::maintained`
+//! behind `chaos::cache` in three scenarios.
 //!
-//! Three scenarios quantify the delta subsystem (`chaos::maintained` behind
-//! `chaos::cache`):
+//! * **schedule drift** — a seeded indirection array drifts a few percent per round; a
+//!   one-entry [`ScheduleCache`] patches its schedule forward while a control schedule is
+//!   rebuilt from an identical hash table, and the two must stay byte-identical;
+//! * **drifting DSMC** — `MoveMode::Patched` with upkeep by patching against upkeep by
+//!   rebuilding, remaps included: the physics and the data-path wire traffic must not
+//!   depend on the route;
+//! * **cache lifecycle** — a [`ScheduleCache`] through hit, patch, miss and eviction.
 //!
-//! * **schedule drift** — a seeded indirection array drifts a few percent per round on a
-//!   simulated machine; a one-entry [`chaos::cache::ScheduleCache`] patches its schedule
-//!   forward while a control schedule is rebuilt from an identical hash table every
-//!   round.  The artifact records both upkeep costs per round, pins the results
-//!   byte-identical, and `--check` gates the steady-state patch cost under 50% of the
-//!   rebuild cost;
-//! * **drifting DSMC** — the full application comparison: `MoveMode::Patched` with
-//!   upkeep-by-patching vs upkeep-by-rebuilding on the drifting-density flow (remaps
-//!   included, so the cache's rebuild after `clear_all` is exercised).  Fingerprints and
-//!   data-path wire totals must be identical — the schedule bytes, not the upkeep route,
-//!   drive the data path;
-//! * **cache lifecycle** — a [`chaos::cache::ScheduleCache`] driven through the
-//!   hit / patch / miss / eviction transitions, with the counters recorded.
-//!
-//! Everything is modeled (no wall-clock) and times are snapped to whole microseconds, so
-//! repeated runs are byte-identical — CI regenerates `BENCH_delta.json` twice and fails
-//! on any difference, the same gate `BENCH_adapt.json` carries.
+//! `--check` also holds steady-state patching under 50 % of rebuilding in the first two.
+//! Everything is modeled and snapped to whole microseconds, so runs are byte-identical.
 
 use chaos::prelude::*;
-use dsmc::{CellGrid, DsmcConfig, FlowConfig, MoveMode, RemapStrategy};
+use dsmc::{DsmcStats, MoveMode};
 use mpsim::{run, ExchangeStats, MachineConfig};
 
 use crate::report::{stable_us, Artifact, Json};
-use crate::workloads::{format_table, run_dsmc};
+use crate::workloads::DriftingDsmc;
 
 /// Parameters of the chaos-level schedule-drift scenario.
 #[derive(Debug, Clone)]
@@ -65,11 +56,6 @@ pub struct DriftRound {
 pub struct DriftEntry {
     /// Parameters the scenario ran with.
     pub params: DriftParams,
-    /// Host wall-clock of the whole scenario, milliseconds.  Reported in the
-    /// human-readable output but deliberately kept out of the JSON sections —
-    /// `BENCH_delta.json` is gated on two runs being byte-identical, and wall-clock
-    /// never is.
-    pub wall_ms: f64,
     /// Whether every round's patched schedule was byte-identical to the rebuild on every
     /// rank — the correctness pin behind reusing patched schedules anywhere a built one
     /// is accepted.
@@ -93,7 +79,6 @@ fn lcg(x: &mut u64) -> u64 {
 /// control schedule from a hash table kept in lockstep, comparing bytes and modeled upkeep
 /// cost every round.
 pub fn schedule_drift(params: &DriftParams) -> DriftEntry {
-    let start = std::time::Instant::now();
     let p = params.clone();
     let out = run(MachineConfig::new(p.ranks), move |rank| {
         let me = rank.rank();
@@ -161,7 +146,6 @@ pub fn schedule_drift(params: &DriftParams) -> DriftEntry {
     let steady = &per_round[1..];
     DriftEntry {
         params: params.clone(),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
         byte_identical,
         steady_patch_us: steady.iter().map(|r| r.patch_us).sum(),
         steady_rebuild_us: steady.iter().map(|r| r.rebuild_us).sum(),
@@ -169,33 +153,12 @@ pub fn schedule_drift(params: &DriftParams) -> DriftEntry {
     }
 }
 
-/// Parameters of the drifting-DSMC comparison.
-#[derive(Debug, Clone)]
-pub struct DsmcDeltaParams {
-    /// Simulated machine size.
-    pub ranks: usize,
-    /// 2-D cell grid (nx, ny).
-    pub grid: (usize, usize),
-    /// Total molecules.
-    pub nparticles: usize,
-    /// Time steps.
-    pub nsteps: usize,
-    /// Chain-remap cadence (each remap's `clear_all` makes the next step's request
-    /// rebuild); `0` disables remapping.
-    pub remap_interval: usize,
-    /// Seed shared by flow and collisions.
-    pub seed: u64,
-}
-
 /// Outcome of the drifting-DSMC comparison (patching vs rebuilding the maintained MOVE
 /// schedule, identical data path).
 #[derive(Debug, Clone)]
 pub struct DsmcDeltaEntry {
     /// Parameters the scenario ran with.
-    pub params: DsmcDeltaParams,
-    /// Host wall-clock of both runs together, milliseconds.  Human-readable output
-    /// only — excluded from the byte-identity-gated JSON like [`DriftEntry::wall_ms`].
-    pub wall_ms: f64,
+    pub params: DriftingDsmc,
     /// Whether both runs produced identical simulation fingerprints.
     pub fingerprints_match: bool,
     /// Whether both runs put identical MOVE data-path traffic on the wire, rank by rank.
@@ -214,46 +177,20 @@ pub struct DsmcDeltaEntry {
 
 /// Run the drifting-density DSMC flow twice — upkeep by patching and upkeep by
 /// rebuilding — and compare physics, wire traffic and upkeep cost.
-pub fn dsmc_drift(params: &DsmcDeltaParams) -> DsmcDeltaEntry {
-    let start = std::time::Instant::now();
-    let run_mode = |rebuild_every_step: bool| {
-        let p = params.clone();
-        let grid = CellGrid::new_2d(p.grid.0, p.grid.1);
-        let flow = FlowConfig::directional(p.seed);
-        let config = DsmcConfig {
-            nsteps: p.nsteps,
-            dt: 0.5,
-            move_mode: MoveMode::Patched { rebuild_every_step },
-            remap: if p.remap_interval == 0 {
-                RemapStrategy::Static
-            } else {
-                RemapStrategy::Chain
-            },
-            remap_interval: p.remap_interval,
-            policy: None,
-            monitor_group: None,
-            seed: p.seed,
-        };
-        run_dsmc(p.ranks, grid, flow, p.nparticles, config).results
-    };
-    let patched = run_mode(false);
-    let rebuilt = run_mode(true);
-
-    let fingerprint = |results: &[dsmc::parallel::DsmcStats]| {
-        let mut all: Vec<(usize, Vec<u64>)> =
-            results.iter().flat_map(|s| s.fingerprint.clone()).collect();
+pub fn dsmc_drift(params: &DriftingDsmc) -> DsmcDeltaEntry {
+    let run_mode = |rebuild_every_step| params.run(MoveMode::Patched { rebuild_every_step }, None);
+    let (patched, rebuilt) = (run_mode(false), run_mode(true));
+    let fingerprint = |results: &[DsmcStats]| {
+        let mut all: Vec<_> = results.iter().flat_map(|s| s.fingerprint.clone()).collect();
         all.sort_unstable();
         all
     };
-    let upkeep_us = |results: &[dsmc::parallel::DsmcStats]| {
-        results
-            .iter()
-            .map(|s| s.phases.move_upkeep.total_us())
-            .fold(0.0, f64::max)
+    let upkeep_us = |results: &[DsmcStats]| {
+        let upkeep = results.iter().map(|s| s.phases.move_upkeep.total_us());
+        upkeep.fold(0.0, f64::max)
     };
     DsmcDeltaEntry {
         params: params.clone(),
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
         fingerprints_match: fingerprint(&patched) == fingerprint(&rebuilt),
         data_exchange_equal: patched
             .iter()
@@ -263,9 +200,8 @@ pub fn dsmc_drift(params: &DsmcDeltaParams) -> DsmcDeltaEntry {
         rebuild_upkeep_us: upkeep_us(&rebuilt),
         patch_builds: patched[0].cache_stats.misses,
         patch_patches: patched[0].cache_stats.patches,
-        data_exchange: patched.iter().fold(ExchangeStats::default(), |acc, s| {
-            acc.merged(&s.move_data_exchange)
-        }),
+        data_exchange: (patched.iter().map(|s| s.move_data_exchange))
+            .fold(ExchangeStats::default(), |a, x| a.merged(&x)),
     }
 }
 
@@ -330,17 +266,9 @@ impl DeltaReport {
             drift_per_round: 102,
             seed: 1994,
         };
-        let dsmc = DsmcDeltaParams {
-            ranks: 16,
-            grid: (32, 8),
-            nparticles: 12_000,
-            nsteps: 60,
-            remap_interval: 20,
-            seed: 1994,
-        };
         DeltaReport {
             drift: schedule_drift(&drift),
-            dsmc: dsmc_drift(&dsmc),
+            dsmc: dsmc_drift(&DriftingDsmc::recorded(16, 20)),
             cache: cache_lifecycle(8, 8),
         }
     }
@@ -349,16 +277,6 @@ impl DeltaReport {
 impl Artifact for DeltaReport {
     const NAME: &'static str = "delta";
     const VERSION: u32 = 2;
-
-    fn print(&self) {
-        println!("{}", format_drift(&self.drift));
-        println!("{}", format_dsmc(&self.dsmc));
-        let c = &self.cache;
-        println!(
-            "schedule-cache lifecycle (P = 8): {} hits, {} misses, {} patches, {} evictions",
-            c.hits, c.misses, c.patches, c.evictions
-        );
-    }
 
     fn to_json(&self) -> Vec<(&'static str, Json)> {
         let (d, e, c) = (&self.drift, &self.dsmc, &self.cache);
@@ -372,6 +290,7 @@ impl Artifact for DeltaReport {
                 ("total_fetch", count(r.total_fetch)),
             ])
         };
+        let rounds = d.per_round.iter().enumerate().map(round).collect();
         let drift = Json::obj(vec![
             ("ranks", count(d.params.ranks)),
             ("nglobals", count(d.params.nglobals)),
@@ -380,10 +299,7 @@ impl Artifact for DeltaReport {
             ("byte_identical", Json::Bool(d.byte_identical)),
             ("steady_patch_us", stable_us(d.steady_patch_us)),
             ("steady_rebuild_us", stable_us(d.steady_rebuild_us)),
-            (
-                "per_round",
-                Json::Arr(d.per_round.iter().enumerate().map(round).collect()),
-            ),
+            ("per_round", Json::Arr(rounds)),
         ]);
         let dsmc = Json::obj(vec![
             ("ranks", count(e.params.ranks)),
@@ -444,75 +360,6 @@ impl Artifact for DeltaReport {
     }
 }
 
-/// Render the drift rounds as an aligned human-readable table.
-fn format_drift(e: &DriftEntry) -> String {
-    let headers = ["Round", "Patch (us)", "Rebuild (us)", "Edits", "Fetch"];
-    let rows: Vec<Vec<String>> = e
-        .per_round
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            vec![
-                if i == 0 {
-                    "0 (build)".to_string()
-                } else {
-                    i.to_string()
-                },
-                format!("{:.0}", r.patch_us),
-                format!("{:.0}", r.rebuild_us),
-                r.edits.to_string(),
-                r.total_fetch.to_string(),
-            ]
-        })
-        .collect();
-    format_table(
-        &format!(
-            "Schedule drift (P = {}, {} refs/rank, {} replaced/round, byte-identical: {}, \
-             wall {:.1} ms)",
-            e.params.ranks,
-            e.params.refs_per_rank,
-            e.params.drift_per_round,
-            e.byte_identical,
-            e.wall_ms
-        ),
-        &headers,
-        &rows,
-    )
-}
-
-/// Render the DSMC comparison as an aligned human-readable table.
-fn format_dsmc(e: &DsmcDeltaEntry) -> String {
-    let headers = ["Upkeep", "Cost (us)", "Builds", "Patches"];
-    let rows = vec![
-        vec![
-            "patch".to_string(),
-            format!("{:.0}", e.patch_upkeep_us),
-            e.patch_builds.to_string(),
-            e.patch_patches.to_string(),
-        ],
-        vec![
-            "rebuild".to_string(),
-            format!("{:.0}", e.rebuild_upkeep_us),
-            (e.patch_builds + e.patch_patches).to_string(),
-            "0".to_string(),
-        ],
-    ];
-    format_table(
-        &format!(
-            "Drifting DSMC (P = {}, {} molecules, {} steps; fingerprints match: {}, \
-             wire traffic equal: {}, wall {:.1} ms)",
-            e.params.ranks,
-            e.params.nparticles,
-            e.params.nsteps,
-            e.fingerprints_match,
-            e.data_exchange_equal,
-            e.wall_ms
-        ),
-        &headers,
-        &rows,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,7 +395,7 @@ mod tests {
         // P = 16 rather than 4: the patch path's log-depth routing needs log2(P) well
         // under P - 1 before the 50% latency advantage over the dense rebuild shows
         // (at P = 8 the floor is 3/7 and payload overhead eats the rest of the margin).
-        let e = dsmc_drift(&DsmcDeltaParams {
+        let e = dsmc_drift(&DriftingDsmc {
             ranks: 16,
             grid: (16, 8),
             nparticles: 2_000,
@@ -585,7 +432,7 @@ mod tests {
     fn small_report() -> DeltaReport {
         DeltaReport {
             drift: schedule_drift(&small_drift()),
-            dsmc: dsmc_drift(&DsmcDeltaParams {
+            dsmc: dsmc_drift(&DriftingDsmc {
                 ranks: 2,
                 grid: (8, 8),
                 nparticles: 600,
@@ -606,14 +453,9 @@ mod tests {
     #[test]
     fn wall_clock_is_recorded_but_never_enters_the_gated_json() {
         // The byte-identity gate over BENCH_delta.json only works because nothing
-        // host-dependent is rendered; wall_ms lives on the structs (and in the human
-        // tables) but must stay out of the document.
-        let report = small_report();
-        assert!(report.drift.wall_ms > 0.0);
-        assert!(format_drift(&report.drift).contains("wall"));
-        assert!(report.dsmc.wall_ms > 0.0);
-        assert!(format_dsmc(&report.dsmc).contains("wall"));
-        let text = crate::report::document(&report).render_pretty();
+        // host-dependent is rendered.  The delta entries no longer time themselves at
+        // all; this pins that no wall-clock reaches the document by any other route.
+        let text = crate::report::document(&small_report()).render_pretty();
         assert!(!text.contains("wall"), "wall-clock leaked into gated JSON");
     }
 
@@ -621,7 +463,7 @@ mod tests {
     fn violations_fire_on_broken_invariants() {
         let drift = schedule_drift(&small_drift());
         // P = 16 so the patch-cost gate holds on the clean baseline (see the DSMC test).
-        let dsmc = dsmc_drift(&DsmcDeltaParams {
+        let dsmc = dsmc_drift(&DriftingDsmc {
             ranks: 16,
             grid: (16, 8),
             nparticles: 1_200,

@@ -5,13 +5,17 @@
 //! crate's `src/` counts, `src/bin/` included; integration tests, examples and the
 //! `benchmark/` package do not.  Crates and files are listed in sorted path order and no
 //! wall-clock is recorded, so the artifact is byte-deterministic: CI regenerates it and
-//! fails when it differs from the committed file (a freshness gate, not a budget).
+//! fails when it differs from the committed file.  `--check` holds the harness crate
+//! itself to [`BENCH_BUDGET`].
 
 use std::fs;
 use std::path::Path;
 
 use crate::report::{Artifact, Json};
-use crate::workloads::format_table;
+
+/// The most non-test lines `crates/bench` may have: the harness stays small next to the
+/// runtime and compiler it measures.
+pub const BENCH_BUDGET: usize = 3_000;
 
 /// One crate's count.
 struct CrateLoc {
@@ -76,20 +80,18 @@ fn non_test_lines(text: &str) -> usize {
 /// Every file under `dir`, recursively, as sorted `/`-separated paths relative to `dir`;
 /// empty when `dir` does not exist.
 fn files_under(dir: &Path) -> Vec<String> {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return Vec::new();
+    };
     let mut out = Vec::new();
-    let mut pending = vec![(dir.to_path_buf(), String::new())];
-    while let Some((path, rel)) = pending.pop() {
-        let Ok(entries) = fs::read_dir(&path) else {
-            continue;
-        };
-        for entry in entries {
-            let entry = entry.unwrap_or_else(|e| panic!("listing {}: {e}", path.display()));
-            let name = format!("{rel}{}", entry.file_name().to_string_lossy());
-            if entry.path().is_dir() {
-                pending.push((entry.path(), format!("{name}/")));
-            } else {
-                out.push(name);
-            }
+    for entry in entries {
+        let entry = entry.unwrap_or_else(|e| panic!("listing {}: {e}", dir.display()));
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if entry.path().is_dir() {
+            let nested = files_under(&entry.path());
+            out.extend(nested.into_iter().map(|f| format!("{name}/{f}")));
+        } else {
+            out.push(name);
         }
     }
     out.sort();
@@ -99,28 +101,6 @@ fn files_under(dir: &Path) -> Vec<String> {
 impl Artifact for LocReport {
     const NAME: &'static str = "loc";
     const VERSION: u32 = 1;
-
-    fn print(&self) {
-        let rows: Vec<Vec<String>> = self
-            .crates
-            .iter()
-            .map(|c| {
-                vec![
-                    c.dir.clone(),
-                    c.files.len().to_string(),
-                    c.lines().to_string(),
-                ]
-            })
-            .collect();
-        let title = format!(
-            "Non-test lines (above each file's first #[cfg(test)]), total {}",
-            self.total()
-        );
-        println!(
-            "{}",
-            format_table(&title, &["Crate", "Files", "Lines"], &rows)
-        );
-    }
 
     fn to_json(&self) -> Vec<(&'static str, Json)> {
         let count = |n: usize| Json::uint(n as u64);
@@ -136,6 +116,14 @@ impl Artifact for LocReport {
             ("total", count(self.total())),
             ("crates", Json::Arr(crates.collect())),
         ]
+    }
+
+    fn violations(&self) -> Option<Vec<String>> {
+        let bench = self.crates.iter().filter(|c| c.dir == "crates/bench");
+        let over = bench.map(CrateLoc::lines).filter(|&n| n > BENCH_BUDGET);
+        let msg =
+            |n| format!("crates/bench has {n} non-test lines, over the {BENCH_BUDGET} budget");
+        Some(over.map(msg).collect())
     }
 }
 

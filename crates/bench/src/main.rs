@@ -6,8 +6,7 @@ use std::process::ExitCode;
 
 use chaos_bench::report::{emit, parse_args, usage};
 use chaos_bench::{
-    AdaptReport, Artifact, CompilerReport, DeltaReport, ExchangeReport, LocReport,
-    MicrobenchConfig, TablesReport,
+    AdaptReport, Artifact, CompilerReport, DeltaReport, ExchangeReport, LocReport, TablesReport,
 };
 
 fn main() -> ExitCode {
@@ -21,10 +20,7 @@ fn main() -> ExitCode {
     };
     match cmd.sub {
         TablesReport::NAME => emit(&TablesReport::generate(cmd.only.as_deref()), &cmd),
-        ExchangeReport::NAME => emit(
-            &ExchangeReport::generate(&MicrobenchConfig::default()),
-            &cmd,
-        ),
+        ExchangeReport::NAME => emit(&ExchangeReport::generate(), &cmd),
         AdaptReport::NAME => emit(&AdaptReport::generate(), &cmd),
         DeltaReport::NAME => emit(&DeltaReport::generate(), &cmd),
         CompilerReport::NAME => emit(&CompilerReport::generate(), &cmd),

@@ -1,37 +1,15 @@
 //! Steady-state microbenchmarks of the unified exchange engine (`BENCH_exchange.json`).
 //!
-//! Every time-stepped application in the paper settles into the same shape: a loop that
-//! executes the *same* communication pattern over and over (CHARMM's gather/scatter per
-//! time step, DSMC's append per move phase, CHARMM's remap of several arrays with one
-//! plan).  These harnesses reproduce the three shapes on a small machine and measure what
-//! the engine's buffer pool does to them:
-//!
-//! * [`gather_scatter_steady`] — one regular schedule, `gather` + `scatter_add` per
-//!   iteration (the CHARMM non-bonded loop's executor half);
-//! * [`fused_gather_scatter_steady`] — the same schedule moving *three* arrays per
-//!   iteration through the fused multi-array paths (`gather_multi` +
-//!   `scatter_add_multi`): one message per pair per direction where the unfused executor
-//!   would send three (the post-fusion CHARMM step shape);
-//! * [`overlap_gather_steady`] — the split-phase shape: `gather_start`, a compute block
-//!   standing in for the force loop, `gather_finish`, then a blocking `scatter_add`
-//!   (the CHARMM separate-schedule step with the bonded loop overlapping the non-bonded
-//!   gather);
-//! * [`scatter_append_steady`] — a fresh [`LightweightSchedule`] + `scatter_append` per
-//!   iteration (the DSMC MOVE phase);
-//! * [`remap_steady`] — one [`RemapPlan`], `remap_values` per iteration (CHARMM remapping
-//!   its coordinate/force arrays after a repartition).
-//!
-//! Each returns a [`MicrobenchResult`] carrying wall-clock time, modeled time, per-run
-//! [`ExchangeStats`], and the buffer-pool counters, split into *total* and
-//! *steady-state* (after warm-up) windows.  The zero-allocation steady state
-//! (`pool_steady.decode_allocations == 0` for every loop whose placement only borrows,
-//! see [`MicrobenchResult::receive_owned`]) is asserted by the pool smoke tests, checked
-//! by `chaos-bench exchange --check` in CI, and reported in `BENCH_exchange.json`.
-//!
-//! [`rank_sweep`] extends the fixed 8-rank loops: it runs the gather/scatter and append
-//! shapes at P = 2–64 ranks the way the paper's tables sweep processor counts.  The
-//! collectives scale further — [`crate::collective`] sweeps them to P = 1024.
+//! Every time-stepped application in the paper settles into a loop that executes the
+//! *same* communication pattern over and over.  Each harness below reproduces one such
+//! shape of CHARMM or DSMC on a small machine and returns a [`MicrobenchResult`]: modeled
+//! time, [`ExchangeStats`] and the buffer pool's counters of the whole run and of the
+//! steady state after warm-up.  `chaos-bench exchange --check` gates zero steady-state
+//! allocations on every loop whose placement only borrows
+//! ([`MicrobenchResult::receive_owned`]).  [`rank_sweep`] runs two of the shapes at
+//! P = 2–64; the collectives scale further, to P = 1024, in [`crate::collective`].
 
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use chaos::prelude::*;
@@ -108,37 +86,39 @@ pub struct MicrobenchResult {
 }
 
 impl MicrobenchResult {
-    /// What a pool-less engine would have allocated over the whole run: one fresh buffer
-    /// per buffer request.  This is the pre-pool baseline the acceptance comparison uses.
-    pub fn baseline_allocations(&self) -> u64 {
-        self.pool_total.decode_requests()
-    }
-
-    /// Percentage of buffer allocations the pool eliminated relative to the pool-less
-    /// baseline.
-    pub fn allocation_reduction_pct(&self) -> f64 {
-        let base = self.baseline_allocations();
-        if base == 0 {
-            0.0
-        } else {
-            100.0 * self.pool_total.decode_reuses as f64 / base as f64
-        }
-    }
-
-    /// Messages sent per measured iteration, summed over ranks — the column that makes
-    /// the fused paths' 3x message drop visible next to the unfused loops.
-    pub fn msgs_per_iter(&self) -> u64 {
-        if self.measured_iters == 0 {
-            0
-        } else {
-            self.exchange.msgs_sent / self.measured_iters as u64
-        }
-    }
-
     /// Render this result as one entry of a `BENCH_exchange.json` section.
     pub fn to_json(&self) -> Json {
         let pool = &self.pool_total;
-        let reduction = (self.allocation_reduction_pct() * 100.0).round() / 100.0;
+        // A pool-less engine allocates one fresh buffer per request: the baseline the
+        // pool's reuses are a share of.
+        let baseline = pool.decode_requests();
+        let reduction = if baseline == 0 {
+            0.0
+        } else {
+            (100.0 * pool.decode_reuses as f64 / baseline as f64 * 100.0).round() / 100.0
+        };
+        let (x, steady) = (&self.exchange, &self.pool_steady);
+        let msgs_per_iter = x.msgs_sent / self.measured_iters.max(1) as u64;
+        let modeled = Json::obj(vec![
+            ("compute", Json::Num(self.modeled_compute_us)),
+            ("comm", Json::Num(self.modeled_comm_us)),
+            ("total", Json::Num(self.modeled_total_us)),
+        ]);
+        let exchange = Json::obj(vec![
+            ("msgs_sent", Json::uint(x.msgs_sent)),
+            ("msgs_received", Json::uint(x.msgs_received)),
+            ("bytes_sent", Json::uint(x.bytes_sent)),
+            ("bytes_received", Json::uint(x.bytes_received)),
+            ("msgs_per_iter", Json::uint(msgs_per_iter)),
+        ]);
+        let pool = Json::obj(vec![
+            ("allocations", Json::uint(pool.decode_allocations)),
+            ("reuses", Json::uint(pool.decode_reuses)),
+            ("steady_allocations", Json::uint(steady.decode_allocations)),
+            ("steady_reuses", Json::uint(steady.decode_reuses)),
+            ("baseline_allocations", Json::uint(baseline)),
+            ("reduction_vs_baseline_pct", Json::Num(reduction)),
+        ]);
         Json::obj(vec![
             ("name", Json::str(self.name)),
             ("ranks", Json::uint(self.ranks as u64)),
@@ -148,60 +128,10 @@ impl MicrobenchResult {
             ("measured_iters", Json::uint(self.measured_iters as u64)),
             ("wall_ms", Json::Num(self.wall_ms)),
             ("fingerprint", Json::Num(self.fingerprint)),
-            (
-                "modeled_us",
-                Json::obj(vec![
-                    ("compute", Json::Num(self.modeled_compute_us)),
-                    ("comm", Json::Num(self.modeled_comm_us)),
-                    ("total", Json::Num(self.modeled_total_us)),
-                ]),
-            ),
-            (
-                "exchange",
-                Json::obj(vec![
-                    ("msgs_sent", Json::uint(self.exchange.msgs_sent)),
-                    ("msgs_received", Json::uint(self.exchange.msgs_received)),
-                    ("bytes_sent", Json::uint(self.exchange.bytes_sent)),
-                    ("bytes_received", Json::uint(self.exchange.bytes_received)),
-                    ("msgs_per_iter", Json::uint(self.msgs_per_iter())),
-                ]),
-            ),
-            (
-                "pool",
-                Json::obj(vec![
-                    ("allocations", Json::uint(pool.decode_allocations)),
-                    ("reuses", Json::uint(pool.decode_reuses)),
-                    (
-                        "steady_allocations",
-                        Json::uint(self.pool_steady.decode_allocations),
-                    ),
-                    ("steady_reuses", Json::uint(self.pool_steady.decode_reuses)),
-                    (
-                        "baseline_allocations",
-                        Json::uint(self.baseline_allocations()),
-                    ),
-                    ("reduction_vs_baseline_pct", Json::Num(reduction)),
-                ]),
-            ),
+            ("modeled_us", modeled),
+            ("exchange", exchange),
+            ("pool", pool),
         ])
-    }
-
-    /// One-line human-readable summary.
-    pub fn summary_line(&self) -> String {
-        format!(
-            "{:<27} {:>2} ranks  {:>3} iters  {:>4} msgs/iter  wall {:>8.2} ms  \
-             modeled {:>10.1} us  allocs {:>5} (steady {:>3}{})  -{:.1}%",
-            self.name,
-            self.ranks,
-            self.measured_iters,
-            self.msgs_per_iter(),
-            self.wall_ms,
-            self.modeled_total_us,
-            self.pool_total.decode_allocations,
-            self.pool_steady.decode_allocations,
-            if self.receive_owned { ", owned" } else { "" },
-            self.allocation_reduction_pct(),
-        )
     }
 }
 
@@ -249,46 +179,34 @@ fn run_loop(
     let outcome = run(MachineConfig::new(cfg.ranks), move |rank| {
         body(rank, &rank_cfg)
     });
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let mut exchange = ExchangeStats::default();
-    let mut pool_steady = PackPoolStats::default();
-    let mut compute: f64 = 0.0;
-    let mut comm: f64 = 0.0;
-    let mut total: f64 = 0.0;
-    let mut fingerprint = 0.0f64;
-    for (m, fp) in &outcome.results {
-        exchange = exchange.merged(&m.exch);
-        pool_steady = pool_steady.merged(&m.pool);
-        compute = compute.max(m.dt.compute_us);
-        comm = comm.max(m.dt.comm_us);
-        total = total.max(m.dt.total_us());
-        fingerprint += fp;
-    }
+    let results = &outcome.results;
+    let max =
+        |f: fn(&TimeSnapshot) -> f64| results.iter().map(|(m, _)| f(&m.dt)).fold(0.0, f64::max);
+    let (no_exchange, no_pool) = (ExchangeStats::default(), PackPoolStats::default());
     MicrobenchResult {
         name,
         ranks: cfg.ranks,
         receive_owned,
         warmup_iters: cfg.warmup_iters,
         measured_iters: cfg.measured_iters,
-        wall_ms,
-        fingerprint,
-        modeled_compute_us: compute,
-        modeled_comm_us: comm,
-        modeled_total_us: total,
-        exchange,
+        wall_ms: start.elapsed().as_secs_f64() * 1e3,
+        fingerprint: results.iter().fold(0.0, |sum, (_, fp)| sum + fp),
+        modeled_compute_us: max(|t| t.compute_us),
+        modeled_comm_us: max(|t| t.comm_us),
+        modeled_total_us: max(TimeSnapshot::total_us),
+        exchange: results
+            .iter()
+            .fold(no_exchange, |a, (m, _)| a.merged(&m.exch)),
         pool_total: outcome.pool_totals(),
-        pool_steady,
+        pool_steady: results.iter().fold(no_pool, |a, (m, _)| a.merged(&m.pool)),
     }
 }
 
 /// Per-rank setup shared by every gather/scatter-shaped harness: the inspector builds one
 /// regular schedule over a strided slice of the whole array (plenty of off-processor
-/// traffic, fixed pattern — the post-inspector steady state), returning the distribution,
-/// the schedule and the local references of the access pattern.
-fn build_strided_schedule(
-    rank: &mut Rank,
-    n: usize,
-) -> (BlockDist, CommSchedule, Vec<chaos::LocalRef>) {
+/// traffic, fixed pattern — the post-inspector steady state), returning the owned
+/// elements (each its global index), the schedule and the access pattern's references.
+fn build_strided_schedule(rank: &mut Rank, n: usize) -> (Vec<f64>, CommSchedule, Vec<LocalRef>) {
     let dist = BlockDist::new(n, rank.nprocs());
     let ttable = TranslationTable::from_regular(&dist);
     let mut hash = IndexHashTable::new(rank.rank(), ttable.local_size(rank.rank()));
@@ -296,15 +214,15 @@ fn build_strided_schedule(
     let pattern: Vec<usize> = (0..n / 2).map(|i| (i * 7 + me * 13 + 1) % n).collect();
     let refs = hash.hash_in_replicated(rank, &ttable, &pattern, Stamp::new(0));
     let sched = build_schedule_from_table(rank, &hash, StampQuery::single(Stamp::new(0)));
-    (dist, sched, refs)
+    let owned = dist.local_globals(me).map(|g| g as f64).collect();
+    (owned, sched, refs)
 }
 
 /// The CHARMM executor shape: one regular schedule built by the inspector, then a
 /// `gather` + `scatter_add` pair per iteration.
 pub fn gather_scatter_steady(cfg: &MicrobenchConfig) -> MicrobenchResult {
     run_loop("gather_scatter_steady", cfg, false, |rank, cfg| {
-        let (dist, sched, refs) = build_strided_schedule(rank, cfg.elements);
-        let owned: Vec<f64> = dist.local_globals(rank.rank()).map(|g| g as f64).collect();
+        let (owned, sched, refs) = build_strided_schedule(rank, cfg.elements);
         let mut x = DistArray::new(owned, sched.ghost_len());
         let m = instrumented_loop(rank, cfg, |rank| {
             let g = gather(rank, &sched, &mut x);
@@ -357,7 +275,6 @@ pub fn remap_steady(cfg: &MicrobenchConfig) -> MicrobenchResult {
             let before = rank.stats();
             let moved = remap_values(rank, &plan, &old_local, 0.0);
             fp = moved.iter().sum();
-            std::hint::black_box(&moved);
             let after = rank.stats();
             ExchangeStats {
                 msgs_sent: after.msgs_sent - before.msgs_sent,
@@ -370,18 +287,15 @@ pub fn remap_steady(cfg: &MicrobenchConfig) -> MicrobenchResult {
     })
 }
 
-/// The post-fusion CHARMM step shape: the same schedule as [`gather_scatter_steady`],
-/// but three arrays move per iteration through one fused `gather_multi` and one fused
+/// The post-fusion CHARMM step shape: the schedule of [`gather_scatter_steady`], but three
+/// arrays move per iteration through one fused `gather_multi` and one fused
 /// `scatter_add_multi` — one message per pair per direction where three single-array
-/// transfers would each pay their own.  Borrow-only in both directions, so the steady
-/// state is gated at zero allocations like every other borrowing loop.
+/// transfers would each pay their own.
 pub fn fused_gather_scatter_steady(cfg: &MicrobenchConfig) -> MicrobenchResult {
     run_loop("fused_gather_scatter_steady", cfg, false, |rank, cfg| {
-        let me = rank.rank();
-        let (dist, sched, refs) = build_strided_schedule(rank, cfg.elements);
+        let (owned, sched, refs) = build_strided_schedule(rank, cfg.elements);
         let mut arrays: [DistArray<f64>; 3] = [1.0, 2.0, 3.0].map(|lane| {
-            let owned: Vec<f64> = dist.local_globals(me).map(|g| g as f64 * lane).collect();
-            DistArray::new(owned, sched.ghost_len())
+            DistArray::new(owned.iter().map(|g| g * lane).collect(), sched.ghost_len())
         });
         let m = instrumented_loop(rank, cfg, |rank| {
             let [x, y, z] = &mut arrays;
@@ -400,13 +314,10 @@ pub fn fused_gather_scatter_steady(cfg: &MicrobenchConfig) -> MicrobenchResult {
 
 /// The split-phase overlap shape: `gather_start` posts the ghost exchange, a compute
 /// block stands in for the force loop that runs while it is in flight, `gather_finish`
-/// places the ghosts, and a blocking `scatter_add` closes the iteration.  Pins that the
-/// split-phase engine reaches the same zero-allocation steady state as the blocking
-/// loops (the staged self scratch and every receive scratch are recycled at finish).
+/// places the ghosts, and a blocking `scatter_add` closes the iteration.
 pub fn overlap_gather_steady(cfg: &MicrobenchConfig) -> MicrobenchResult {
     run_loop("overlap_gather_steady", cfg, false, |rank, cfg| {
-        let (dist, sched, refs) = build_strided_schedule(rank, cfg.elements);
-        let owned: Vec<f64> = dist.local_globals(rank.rank()).map(|g| g as f64).collect();
+        let (owned, sched, refs) = build_strided_schedule(rank, cfg.elements);
         let mut x = DistArray::new(owned, sched.ghost_len());
         let m = instrumented_loop(rank, cfg, |rank| {
             let handle = gather_start(rank, &sched, [&x]);
@@ -433,11 +344,8 @@ pub fn all_microbenches(cfg: &MicrobenchConfig) -> Vec<MicrobenchResult> {
     ]
 }
 
-/// Machine sizes of the application-shaped rank sweep — the paper's tables sweep
-/// processor counts the same way (its iPSC/860 runs go up to 128 nodes).  These loops'
-/// message counts grow with P², so the host-thread simulation stops at 64 ranks; the
-/// machine itself scales to P = 1024 through the O(log P)-per-rank collective sweep
-/// ([`crate::collective`]), which is where the large-P curves live.
+/// Machine sizes of the rank sweep, the way the paper's tables sweep processor counts.
+/// These loops' message counts grow with P², so the host threads stop at 64 ranks.
 pub const RANK_SWEEP_POINTS: &[usize] = &[2, 4, 8, 16, 32, 64];
 
 /// Run the gather/scatter and append shapes at every machine size in
@@ -485,34 +393,24 @@ pub fn steady_state_violations(results: &[MicrobenchResult]) -> Vec<String> {
         .collect()
 }
 
-/// A section of the report: its name and the harness sweep that fills it.
-pub(crate) type Section = (&'static str, fn(&MicrobenchConfig) -> Vec<MicrobenchResult>);
-
-/// Every microbenchmark section of the report, in document order.  [`ExchangeReport`]
-/// renders exactly these sections and its `--check` gate iterates the same rows, so a
-/// loop cannot appear in the artifact without also being gated (and vice versa).
-pub(crate) const SECTIONS: [Section; 2] =
-    [("benches", all_microbenches), ("rank_sweep", rank_sweep)];
-
-/// The host's available parallelism (the context every wall-clock figure in the report
-/// must be read against; recorded as `host_cores`).
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 /// The `exchange` artifact (schema `chaos-bench/exchange/v10`, documented in
-/// `BENCHMARKS.md`): every `SECTIONS` row at one configuration plus the collective
-/// scaling sweep of [`crate::collective`].
+/// `BENCHMARKS.md`): the steady-state loops and the rank sweep at one configuration,
+/// and the collective scaling sweep of [`crate::collective`].  Its document and its
+/// `--check` gate read the same sections, so no loop is recorded without being gated.
 pub struct ExchangeReport {
     sections: Vec<(&'static str, Vec<MicrobenchResult>)>,
     collectives: Vec<CollectiveResult>,
 }
 
 impl ExchangeReport {
-    /// Run every section at `cfg` and the full collective sweep.
-    pub fn generate(cfg: &MicrobenchConfig) -> Self {
+    /// Run every section at the default [`MicrobenchConfig`] and the full collective sweep.
+    pub fn generate() -> Self {
+        let cfg = &MicrobenchConfig::default();
         ExchangeReport {
-            sections: SECTIONS.iter().map(|&(name, f)| (name, f(cfg))).collect(),
+            sections: vec![
+                ("benches", all_microbenches(cfg)),
+                ("rank_sweep", rank_sweep(cfg)),
+            ],
             collectives: collective_sweep_at(COLLECTIVE_SWEEP_POINTS),
         }
     }
@@ -522,25 +420,10 @@ impl Artifact for ExchangeReport {
     const NAME: &'static str = "exchange";
     const VERSION: u32 = 10;
 
-    fn print(&self) {
-        println!(
-            "exchange engine microbenchmarks (host cores: {})",
-            host_cores()
-        );
-        for (name, rows) in &self.sections {
-            println!("{name}:");
-            for r in rows {
-                println!("{}", r.summary_line());
-            }
-        }
-        println!("collective_sweep (log-depth scaling, P = 32-1024):");
-        for r in &self.collectives {
-            println!("{}", r.summary_line());
-        }
-    }
-
     fn to_json(&self) -> Vec<(&'static str, Json)> {
-        let mut pairs = vec![("host_cores", Json::uint(host_cores() as u64))];
+        // The host's parallelism: the context every wall-clock figure must be read in.
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let mut pairs = vec![("host_cores", Json::uint(cores as u64))];
         for (name, rows) in &self.sections {
             let rows = rows.iter().map(MicrobenchResult::to_json).collect();
             pairs.push((name, Json::Arr(rows)));
@@ -596,7 +479,6 @@ mod tests {
         // per array moved, a third of the messages.
         assert_eq!(fused.exchange.bytes_sent, 3 * single.exchange.bytes_sent);
         assert_eq!(fused.exchange.msgs_sent, single.exchange.msgs_sent);
-        assert_eq!(fused.msgs_per_iter(), single.msgs_per_iter());
         // And the fused loop stays steady-state clean.
         assert_eq!(fused.pool_steady.decode_allocations, 0);
     }

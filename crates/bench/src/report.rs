@@ -1,14 +1,10 @@
 //! The one report-and-check shape of the `chaos-bench` binary.
 //!
-//! Every subcommand produces one [`Artifact`]: [`emit`] prints its human-readable report,
-//! with `--json [PATH]` writes its `BENCH_<name>.json` document (the common header comes
-//! from `document`; `BENCHMARKS.md` at the repository root documents every schema and how
-//! CI consumes the artifacts), and with `--check` exits 1 if any of its invariants is
-//! violated.  [`parse_args`] is the binary's one argument parser.
-//!
-//! The workspace is dependency-free (no `serde` in this environment), so this module
-//! carries a deliberately small hand-rolled JSON document builder: enough to write objects,
-//! arrays, strings, integers and floats with correct escaping, and nothing more.
+//! Every subcommand produces one [`Artifact`]; [`emit`] prints it, writes its
+//! `BENCH_<name>.json` document with `--json [PATH]` and, with `--check`, exits 1 if one
+//! of its invariants is violated.  [`parse_args`] is the binary's one argument parser.  The
+//! workspace has no dependencies, so the JSON document builder here is hand-rolled:
+//! objects, arrays, strings, integers and floats with correct escaping, and nothing more.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -61,71 +57,44 @@ impl Json {
         out
     }
 
+    /// Write the value; arrays and objects are compact when `indent` is `None` and hold
+    /// one element per line otherwise.
     fn write(&self, out: &mut String, indent: Option<usize>) {
-        match self {
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
+        let (open, close, items): (_, _, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(i) => return out.push_str(&i.to_string()),
+            // Shortest representation that round-trips; `{}` on f64 does this.
+            Json::Num(x) if x.is_finite() => return out.push_str(&x.to_string()),
+            Json::Num(_) => return out.push_str("null"),
+            Json::Str(s) => return write_escaped(out, s),
+            Json::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(pairs) => (
+                '{',
+                '}',
+                pairs.iter().map(|(k, v)| (Some(&k[..]), v)).collect(),
+            ),
+        };
+        out.push(open);
+        let inner = indent.map(|d| d + 1);
+        for (i, (key, value)) in items.iter().enumerate() {
+            out.push_str(if i == 0 { "" } else { "," });
+            match inner {
+                Some(d) => out.push_str(&format!("\n{}", "  ".repeat(d))),
+                None if i > 0 => out.push(' '),
+                None => {}
             }
-            Json::Num(x) => {
-                if x.is_finite() {
-                    // Shortest representation that round-trips; `{}` on f64 does this.
-                    let _ = write!(out, "{x}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => write_seq(out, indent, '[', ']', items.len(), |out, i, ind| {
-                items[i].write(out, ind);
-            }),
-            Json::Obj(pairs) => write_seq(out, indent, '{', '}', pairs.len(), |out, i, ind| {
-                write_escaped(out, &pairs[i].0);
+            if let Some(key) = key {
+                write_escaped(out, key);
                 out.push_str(": ");
-                pairs[i].1.write(out, ind);
-            }),
+            }
+            value.write(out, inner);
         }
-    }
-}
-
-/// Shared layout for arrays and objects: compact when `indent` is `None`, one element per
-/// line otherwise.
-fn write_seq(
-    out: &mut String,
-    indent: Option<usize>,
-    open: char,
-    close: char,
-    len: usize,
-    mut write_item: impl FnMut(&mut String, usize, Option<usize>),
-) {
-    out.push(open);
-    if len == 0 {
+        if let (Some(d), false) = (indent, items.is_empty()) {
+            out.push('\n');
+            out.push_str(&"  ".repeat(d));
+        }
         out.push(close);
-        return;
     }
-    let inner = indent.map(|d| d + 1);
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
-        }
-        match inner {
-            Some(d) => {
-                out.push('\n');
-                out.push_str(&"  ".repeat(d));
-            }
-            None => {
-                if i > 0 {
-                    out.push(' ');
-                }
-            }
-        }
-        write_item(out, i, inner);
-    }
-    if let Some(d) = indent {
-        out.push('\n');
-        out.push_str(&"  ".repeat(d));
-    }
-    out.push(close);
 }
 
 fn write_escaped(out: &mut String, s: &str) {
@@ -163,8 +132,13 @@ pub trait Artifact {
     const NAME: &'static str;
     /// Schema version: the document's `schema` is `chaos-bench/<NAME>/v<VERSION>`.
     const VERSION: u32;
-    /// Print the human-readable report.
-    fn print(&self);
+    /// Print the report: by default the document `--json` writes.
+    fn print(&self)
+    where
+        Self: Sized,
+    {
+        print!("{}", document(self).render_pretty());
+    }
     /// The document's fields after the common header.
     fn to_json(&self) -> Vec<(&'static str, Json)>;
     /// The `--check` gate: one message per violated invariant, or `None` while the
@@ -189,10 +163,8 @@ pub const SUBCOMMANDS: [&str; 6] = [
 pub(crate) fn document<A: Artifact>(artifact: &A) -> Json {
     let (name, version) = (A::NAME, A::VERSION);
     let schema = Json::str(format!("chaos-bench/{name}/v{version}"));
-    let command = Json::str(format!(
-        "cargo run --release -p chaos-bench -- {name} --json"
-    ));
-    let mut pairs = vec![("schema", schema), ("generated_by", command)];
+    let command = format!("cargo run --release -p chaos-bench -- {name} --json");
+    let mut pairs = vec![("schema", schema), ("generated_by", Json::Str(command))];
     pairs.extend(artifact.to_json());
     Json::obj(pairs)
 }

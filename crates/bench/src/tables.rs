@@ -10,12 +10,12 @@ use charmm::{CharmmStepStats, ParallelCharmm};
 use dsmc::{
     seed_particles, CellGrid, DsmcConfig, FlowConfig, MoveMode, RemapStrategy, SequentialDsmc,
 };
-use fortrand::Executor;
 use mpsim::{run, MachineConfig, Rank, RunOutcome};
 
 use crate::report::{Artifact, Json};
 use crate::workloads::{
-    charmm_medium, csr_neighbor_list, format_table, lightweight_append_loop, run_dsmc, secs,
+    charmm_executor, charmm_medium, csr_neighbor_list, dsmc_executor, format_table,
+    lightweight_append_loop, run_dsmc, secs,
 };
 
 /// Workload scale used by the table generators.
@@ -56,9 +56,8 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// The scale used by the table binaries by default: small enough to
-    /// run the whole suite in minutes, large enough that every qualitative trend of the
-    /// paper is visible.
+    /// The scale `chaos-bench` runs by default: small enough to run the whole suite in
+    /// minutes, large enough that every qualitative trend of the paper is visible.
     pub fn quick() -> Self {
         Scale {
             charmm: charmm_medium(),
@@ -103,10 +102,9 @@ impl Scale {
         }
     }
 
-    /// Choose the scale from the `CHAOS_PAPER_SCALE` environment variable: any value other
-    /// than empty or `0` selects [`Scale::paper_like`].  Also returns the scale's name
-    /// (`"quick"` / `"paper_like"`), the value the artifacts record, kept next to the
-    /// selection logic so the two can never disagree.
+    /// Choose the scale from `CHAOS_PAPER_SCALE`: any value other than empty or `0`
+    /// selects [`Scale::paper_like`].  Also returns the scale's name, which the artifacts
+    /// record, kept next to the selection so the two never disagree.
     pub fn from_env() -> (Self, &'static str) {
         match std::env::var("CHAOS_PAPER_SCALE") {
             Ok(v) if !v.is_empty() && v != "0" => (Scale::paper_like(), "paper_like"),
@@ -115,8 +113,8 @@ impl Scale {
     }
 }
 
-/// A generated table: its title and formatted text (also carrying the raw rows so tests
-/// and EXPERIMENTS.md generation can inspect values).
+/// A generated table: its title, headers and rows of formatted cells, which the
+/// `tables` artifact prints, records and gates.
 #[derive(Debug, Clone)]
 pub struct TableOutput {
     /// The table title (mirrors the paper's caption).
@@ -125,13 +123,6 @@ pub struct TableOutput {
     pub headers: Vec<String>,
     /// Row cells as strings.
     pub rows: Vec<Vec<String>>,
-}
-
-impl TableOutput {
-    /// Render the table as aligned text.
-    pub fn render(&self) -> String {
-        format_table(&self.title, &self.headers, &self.rows)
-    }
 }
 
 // ===================================================================== Table 1 =========
@@ -225,16 +216,15 @@ pub fn table2_charmm_preproc(scale: &Scale) -> TableOutput {
 /// Table 3: communication and execution time with one merged schedule versus one schedule
 /// per loop.
 pub fn table3_schedule_merging(scale: &Scale) -> TableOutput {
-    let mut headers = vec!["Procs".to_string()];
-    headers.extend(
-        [
-            "Merged: Comm (s)",
-            "Merged: Exec (s)",
-            "Multiple: Comm (s)",
-            "Multiple: Exec (s)",
-        ]
-        .map(String::from),
-    );
+    let headers = [
+        "Procs",
+        "Merged: Comm (s)",
+        "Merged: Exec (s)",
+        "Multiple: Comm (s)",
+        "Multiple: Exec (s)",
+    ]
+    .map(String::from)
+    .to_vec();
     let mut rows = Vec::new();
     for &p in scale.charmm_procs.iter().filter(|&&p| p > 1) {
         let mut row = vec![p.to_string()];
@@ -552,15 +542,8 @@ fn figure10_compiled(
     let nprocs = rank.nprocs();
     let source = figure10_source(natoms, jnb.len());
     let (program, _) = fortrand::compile(&source).expect("figure 10 template compiles");
-    let mut exec = Executor::new(rank, &program);
-    exec.set_integer_array("INBLO", inblo);
-    exec.set_integer_array("JNB", jnb);
+    let mut exec = charmm_executor(rank, &program, system, (inblo, jnb), &["X", "Y"]);
     exec.set_integer_array("MAP", &vec![0i64; natoms]);
-    let coord = |k: usize| -> Vec<f64> { system.positions.iter().map(|p| p[k]).collect() };
-    exec.set_real_array("X", &coord(0));
-    exec.set_real_array("Y", &coord(1));
-    exec.set_real_array("DX", &vec![0.0; natoms]);
-    exec.set_real_array("DY", &vec![0.0; natoms]);
     // steps: [Distribute(BLOCK), Distribute(map), BuildSchedule, FusedLoop]
     exec.run_step(rank, 0);
 
@@ -634,19 +617,16 @@ pub fn table6_compiler_charmm(scale: &Scale) -> TableOutput {
                     figure10_compiled(rank, &system, &inblo, &jnb, iters, repartition_every)
                 }
             });
-            let max = |f: &dyn Fn(&Fig10Times) -> f64| -> f64 {
-                out.results.iter().map(f).fold(0.0, f64::max)
-            };
+            let max =
+                |f: fn(&Fig10Times) -> f64| secs(out.results.iter().map(f).fold(0.0, f64::max));
+            let label = if hand { "Hand Coded" } else { "Compiler" };
             rows.push(vec![
-                format!(
-                    "{} ({p} procs)",
-                    if hand { "Hand Coded" } else { "Compiler" }
-                ),
-                secs(max(&|t| t.partition)),
-                secs(max(&|t| t.remap)),
-                secs(max(&|t| t.inspector)),
-                secs(max(&|t| t.executor)),
-                secs(max(&|t| t.partition + t.remap + t.inspector + t.executor)),
+                format!("{label} ({p} procs)"),
+                max(|t| t.partition),
+                max(|t| t.remap),
+                max(|t| t.inspector),
+                max(|t| t.executor),
+                max(|t| t.partition + t.remap + t.inspector + t.executor),
             ]);
         }
     }
@@ -695,22 +675,14 @@ fn template_cells_at_step(nparticles: usize, ncells: usize, step: usize) -> Vec<
         .collect()
 }
 
-/// Results of one Table 7 variant (modeled µs).
-#[derive(Debug, Clone, Default)]
-pub struct Fig11Times {
-    pub reduce_append: f64,
-    pub total: f64,
-}
-
 /// Compiler-generated version of the MOVE template: the three lowered FORALLs of
 /// Figure 11 run every step (the size-recomputation loop is the extra communication the
-/// paper attributes to the compiler-generated code).
-fn figure11_compiled(rank: &mut Rank, np: usize, nc: usize, steps: usize) -> Fig11Times {
+/// paper attributes to the compiler-generated code).  Returns the modeled µs of the
+/// reduce-append loop and of the whole template.
+fn figure11_compiled(rank: &mut Rank, np: usize, nc: usize, steps: usize) -> (f64, f64) {
     let source = figure11_source(np, nc);
     let (program, _) = fortrand::compile(&source).expect("figure 11 template compiles");
-    let mut exec = Executor::new(rank, &program);
-    let vel: Vec<f64> = (0..np).map(|i| i as f64 * 0.5).collect();
-    exec.set_real_array("VEL", &vel);
+    let mut exec = dsmc_executor(rank, &program, np);
     exec.set_real_array("NEWSIZE", &vec![0.0; nc]);
     exec.set_integer_array("ICELL", &template_cells_at_step(np, nc, 0));
     // steps: [Distribute(parts BLOCK), Distribute(cells BLOCK), zero loop, append loop,
@@ -729,10 +701,7 @@ fn figure11_compiled(rank: &mut Rank, np: usize, nc: usize, steps: usize) -> Fig
         exec.run_step(rank, 4); // recompute newsize with a REDUCE(SUM) loop:
         exec.run_step(rank, 5); // inspector, then executor
     }
-    Fig11Times {
-        reduce_append: append_us,
-        total: rank.modeled().since(&start).total_us(),
-    }
+    (append_us, rank.modeled().since(&start).total_us())
 }
 
 /// Table 7: compiler-generated versus manually parallelised DSMC movement template.
@@ -756,26 +725,18 @@ pub fn table7_compiler_dsmc(scale: &Scale) -> TableOutput {
                         *icell = template_cells_at_step(np, nc, step);
                     };
                     let total = lightweight_append_loop(rank, np, nc, steps, cells).0;
-                    Fig11Times {
-                        reduce_append: total,
-                        total,
-                    }
+                    (total, total)
                 }
             });
-            let max = |f: fn(&Fig11Times) -> f64| out.results.iter().map(f).fold(0.0, f64::max);
-            let (append, total) = (max(|t| t.reduce_append), max(|t| t.total));
-            rows.push(vec![
-                format!(
-                    "{} ({p} procs)",
-                    if compiled {
-                        "Compiler generated"
-                    } else {
-                        "Manually parallelized"
-                    }
-                ),
-                secs(append),
-                secs(total),
-            ]);
+            let max =
+                |f: fn(&(f64, f64)) -> f64| secs(out.results.iter().map(f).fold(0.0, f64::max));
+            let label = if compiled {
+                "Compiler generated"
+            } else {
+                "Manually parallelized"
+            };
+            let (append, total) = (max(|t| t.0), max(|t| t.1));
+            rows.push(vec![format!("{label} ({p} procs)"), append, total]);
         }
     }
     TableOutput {
@@ -829,6 +790,17 @@ impl TablesReport {
             tables,
         }
     }
+
+    /// The rows of table `id`, or none when the report did not generate it.
+    fn rows(&self, id: &str) -> &[Vec<String>] {
+        let table = self.tables.iter().find(|(t, ..)| *t == id);
+        table.map_or(&[], |(_, table, _)| &table.rows)
+    }
+}
+
+/// Every numeric cell of a row (seconds), its label dropped.
+fn seconds(row: &[String]) -> Vec<f64> {
+    row[1..].iter().filter_map(|c| c.parse().ok()).collect()
 }
 
 impl Artifact for TablesReport {
@@ -836,29 +808,57 @@ impl Artifact for TablesReport {
     const VERSION: u32 = 1;
 
     fn print(&self) {
-        for (_, table, _) in &self.tables {
-            println!("{}\n", table.render());
+        for (_, t, _) in &self.tables {
+            println!("{}\n", format_table(&t.title, &t.headers, &t.rows));
         }
     }
 
     fn to_json(&self) -> Vec<(&'static str, Json)> {
         let strings = |cells: &[String]| Json::Arr(cells.iter().map(Json::str).collect());
         let entry = |(id, table, wall_ms): &(&str, TableOutput, f64)| {
+            let rows = table.rows.iter().map(|r| strings(r)).collect();
             Json::obj(vec![
                 ("id", Json::str(*id)),
                 ("title", Json::str(table.title.clone())),
                 ("wall_ms", Json::Num((wall_ms * 100.0).round() / 100.0)),
                 ("headers", strings(&table.headers)),
-                (
-                    "rows",
-                    Json::Arr(table.rows.iter().map(|r| strings(r)).collect()),
-                ),
+                ("rows", Json::Arr(rows)),
             ])
         };
         vec![
             ("scale", Json::str(self.scale)),
             ("tables", Json::Arr(self.tables.iter().map(entry).collect())),
         ]
+    }
+
+    /// Two of the paper's claims, on the tables the report generated.  Table 4:
+    /// light-weight schedules win by a small factor that does not explode with P, so a
+    /// regular schedule rebuilt through the inspector every step takes at most 4× as
+    /// long.  Table 6: the compiler-generated loop's total is within 10 % of the hand
+    /// code's at every P.
+    fn violations(&self) -> Option<Vec<String>> {
+        let mut v = Vec::new();
+        for pair in self.rows("table4").chunks(2) {
+            for (regular, light) in seconds(&pair[0]).into_iter().zip(seconds(&pair[1])) {
+                if regular > 4.0 * light {
+                    v.push(format!(
+                        "table 4: {}: {regular} s is more than 4x light-weight's {light} s",
+                        pair[0][0]
+                    ));
+                }
+            }
+        }
+        for pair in self.rows("table6").chunks(2) {
+            let total = |row: &[String]| seconds(row).last().copied().unwrap_or_default();
+            let (hand, compiler) = (total(&pair[0]), total(&pair[1]));
+            if compiler > 1.10 * hand {
+                v.push(format!(
+                    "table 6: {}: total {compiler} s is more than 1.10x hand's {hand} s",
+                    pair[1][0]
+                ));
+            }
+        }
+        Some(v)
     }
 }
 
@@ -896,7 +896,7 @@ mod tests {
         assert_eq!(t1.rows.len(), 4);
         let t2 = table2_charmm_preproc(&s);
         assert_eq!(t2.rows.len(), 5);
-        assert!(t2.render().contains("Schedule Regeneration"));
+        assert!(t2.rows[4][0].contains("Schedule Regeneration"));
     }
 
     #[test]
@@ -914,42 +914,33 @@ mod tests {
         );
     }
 
-    /// Every numeric cell of a row, as seconds.
-    fn cells(row: &[String]) -> Vec<f64> {
-        row[1..].iter().filter_map(|c| c.parse().ok()).collect()
+    /// A report holding table `id` alone.
+    fn report_of(id: &'static str, table: TableOutput) -> TablesReport {
+        TablesReport {
+            scale: "quick",
+            tables: vec![(id, table, 0.0)],
+        }
     }
 
-    /// The paper's Table 4 claim: light-weight schedules win by a small factor that does
-    /// not explode with P — at most 4× here, against a regular schedule rebuilt through
-    /// the inspector every step.
+    /// The Table 4 claim `tables --check` gates, at the committed scale; and the gate
+    /// fires once the light-weight cells are broken.
     #[test]
     fn table4_regular_is_within_4x_of_lightweight() {
-        let t4 = table4_lightweight(&Scale::quick());
-        for pair in t4.rows.chunks(2) {
-            for (regular, light) in cells(&pair[0]).into_iter().zip(cells(&pair[1])) {
-                assert!(
-                    regular <= 4.0 * light,
-                    "{}: {regular} s against {light} s",
-                    pair[0][0]
-                );
-            }
-        }
+        let mut report = report_of("table4", table4_lightweight(&Scale::quick()));
+        assert_eq!(report.violations(), Some(vec![]));
+        report.tables[0].1.rows[1][1] = "0.00".to_string();
+        assert_eq!(report.violations().map(|v| v.len()), Some(1));
     }
 
-    /// The paper's Table 6 claim: the compiler-generated loop stays within a small
-    /// factor of the hand-coded one — a total at most 1.10× hand's at every P.
+    /// The Table 6 claim `tables --check` gates, at the committed scale; and the gate
+    /// fires once a compiled total is broken.
     #[test]
     fn table6_compiler_total_is_within_10_percent_of_hand() {
-        let t6 = table6_compiler_charmm(&Scale::quick());
-        for pair in t6.rows.chunks(2) {
-            let (hand, compiler) = (cells(&pair[0]), cells(&pair[1]));
-            let (hand, compiler) = (hand.last().unwrap(), compiler.last().unwrap());
-            assert!(
-                *compiler <= 1.10 * hand,
-                "{}: {compiler} s against hand's {hand} s",
-                pair[1][0]
-            );
-        }
+        let mut report = report_of("table6", table6_compiler_charmm(&Scale::quick()));
+        assert_eq!(report.violations(), Some(vec![]));
+        let compiled = &mut report.tables[0].1.rows[1];
+        *compiled.last_mut().unwrap() = "1e9".to_string();
+        assert_eq!(report.violations().map(|v| v.len()), Some(1));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! imbalance exceeds what the remap costs.  This module closes that loop as a reusable
 //! runtime subsystem:
 //!
-//! * [`LoadMonitor`] — a windowed record of per-step, per-rank compute-time samples and the
+//! * [`LoadMonitor`] — a record of per-step, per-rank compute-time samples and the
 //!   load-balance indices derived from them;
 //! * [`RemapPolicy`] — the pluggable decision rules: [`RemapPolicy::Interval`] (the paper's
 //!   fixed cadence), [`RemapPolicy::Threshold`] (remap when the LB index crosses a bound,
@@ -33,15 +33,9 @@
 //! in [`crate::loadbalance`]); every policy treats a `NaN` index as "keep": a corrupted
 //! measurement never triggers (or re-arms) a remap.
 
-use std::collections::VecDeque;
-
 use mpsim::{Rank, TimeSnapshot};
 
 use crate::loadbalance::load_balance_index;
-
-/// Number of recent steps a [`LoadMonitor`] keeps by default.  Large enough to smooth
-/// per-step noise, small enough to track a drifting workload.
-pub const DEFAULT_WINDOW: usize = 8;
 
 /// When (and whether) the controller decides to remap.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,32 +81,20 @@ pub enum RemapPolicy {
     },
 }
 
-/// A windowed record of measured per-rank compute times.
+/// A record of measured per-rank compute times.
 ///
 /// Each [`LoadMonitor::record`] call stores the step's load-balance index in the full
-/// trajectory and the step's *imbalance gain* (`max - mean` of the per-rank times — the
-/// per-step compute time a perfect rebalance would recover) in a bounded window.  Steps
-/// with non-finite samples contribute `NaN` to the trajectory and are excluded from the
-/// window.
-#[derive(Debug, Clone)]
+/// trajectory and adds the step's *imbalance gain* (`max - mean` of the per-rank times —
+/// the per-step compute time a perfect rebalance would recover) to the accumulated loss.
+/// Steps with non-finite samples contribute `NaN` to the trajectory and nothing to the
+/// loss.
+#[derive(Debug, Clone, Default)]
 pub struct LoadMonitor {
-    window: usize,
-    gains: VecDeque<f64>,
     cum_gain_us: f64,
     lb_history: Vec<f64>,
 }
 
 impl LoadMonitor {
-    /// A monitor keeping the last `window` steps (at least 1).
-    pub fn new(window: usize) -> Self {
-        LoadMonitor {
-            window: window.max(1),
-            gains: VecDeque::new(),
-            cum_gain_us: 0.0,
-            lb_history: Vec::new(),
-        }
-    }
-
     /// Record one step's per-rank compute times; returns the step's load-balance index
     /// (`NaN` if any sample is non-finite, per the [`crate::loadbalance`] contract).
     pub fn record(&mut self, per_rank_us: &[f64]) -> f64 {
@@ -121,24 +103,9 @@ impl LoadMonitor {
         if !per_rank_us.is_empty() && per_rank_us.iter().all(|t| t.is_finite()) {
             let max = per_rank_us.iter().copied().fold(0.0f64, f64::max);
             let mean = per_rank_us.iter().sum::<f64>() / per_rank_us.len() as f64;
-            let gain = (max - mean).max(0.0);
-            self.cum_gain_us += gain;
-            self.gains.push_back(gain);
-            while self.gains.len() > self.window {
-                self.gains.pop_front();
-            }
+            self.cum_gain_us += (max - mean).max(0.0);
         }
         lb
-    }
-
-    /// Mean per-step imbalance gain (`max - mean` compute microseconds) over the window;
-    /// 0.0 while the window is empty, so an unmeasured workload never looks imbalanced.
-    pub fn mean_gain_us(&self) -> f64 {
-        if self.gains.is_empty() {
-            0.0
-        } else {
-            self.gains.iter().sum::<f64>() / self.gains.len() as f64
-        }
     }
 
     /// The load-balance index of every recorded step, in order (`NaN` entries mark steps
@@ -147,23 +114,17 @@ impl LoadMonitor {
         &self.lb_history
     }
 
-    /// Total imbalance loss accumulated since the last [`LoadMonitor::reset_window`]: the
+    /// Total imbalance loss accumulated since the last [`LoadMonitor::reset_losses`]: the
     /// sum over every observed step of `max - mean` compute microseconds — the compute
     /// time that would have been saved had the machine been perfectly balanced throughout.
     pub fn cum_gain_us(&self) -> f64 {
         self.cum_gain_us
     }
 
-    /// Number of steps currently in the gain window.
-    pub fn window_len(&self) -> usize {
-        self.gains.len()
-    }
-
-    /// Forget the windowed gains and the accumulated loss (the trajectory is kept).
-    /// Called after a remap: the pre-remap imbalance must not argue for remapping the
-    /// already-remapped distribution.
-    pub fn reset_window(&mut self) {
-        self.gains.clear();
+    /// Forget the accumulated loss (the trajectory is kept).  Called after a remap: the
+    /// pre-remap imbalance must not argue for remapping the already-remapped
+    /// distribution.
+    pub fn reset_losses(&mut self) {
         self.cum_gain_us = 0.0;
     }
 }
@@ -194,11 +155,11 @@ pub struct RemapController {
 }
 
 impl RemapController {
-    /// A controller evaluating `policy` over a [`DEFAULT_WINDOW`]-step monitor.
+    /// A controller evaluating `policy` over a fresh [`LoadMonitor`].
     pub fn new(policy: RemapPolicy) -> Self {
         RemapController {
             policy,
-            monitor: LoadMonitor::new(DEFAULT_WINDOW),
+            monitor: LoadMonitor::default(),
             step: 0,
             last_remap_step: 0,
             remaps: 0,
@@ -312,7 +273,7 @@ impl RemapController {
         self.armed = false;
         self.post_remap_lb = None;
         self.awaiting_baseline = true;
-        self.monitor.reset_window();
+        self.monitor.reset_losses();
     }
 
     /// Tell the controller that a remap it did *not* decide has just been performed (for
@@ -368,7 +329,7 @@ impl RemapController {
         &self.policy
     }
 
-    /// The monitor holding the windowed samples and the full LB trajectory.
+    /// The monitor holding the accumulated loss and the full LB trajectory.
     pub fn monitor(&self) -> &LoadMonitor {
         &self.monitor
     }
@@ -630,23 +591,24 @@ mod tests {
     }
 
     #[test]
-    fn monitor_window_is_bounded_and_resettable() {
-        let mut m = LoadMonitor::new(3);
+    fn monitor_accumulates_losses_until_reset() {
+        let mut m = LoadMonitor::default();
         for _ in 0..10 {
             m.record(&skewed(4));
         }
-        assert_eq!(m.window_len(), 3);
         assert_eq!(m.lb_history().len(), 10);
-        assert!((m.mean_gain_us() - 22.5).abs() < 1e-9);
         assert!(
             (m.cum_gain_us() - 225.0).abs() < 1e-9,
-            "accumulated loss spans all 10 steps, not just the window"
+            "accumulated loss spans all 10 steps"
         );
-        m.reset_window();
-        assert_eq!(m.window_len(), 0);
-        assert_eq!(m.mean_gain_us(), 0.0);
+        m.record(&[1.0, f64::NAN]);
+        assert!(
+            (m.cum_gain_us() - 225.0).abs() < 1e-9,
+            "a poisoned step adds no loss"
+        );
+        m.reset_losses();
         assert_eq!(m.cum_gain_us(), 0.0);
-        assert_eq!(m.lb_history().len(), 10, "trajectory survives a reset");
+        assert_eq!(m.lb_history().len(), 11, "trajectory survives a reset");
     }
 
     #[test]

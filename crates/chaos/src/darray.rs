@@ -11,11 +11,9 @@
 //! `Vec<T>` — `owned_len` owned elements, then the ghost slots — plus the split point.
 //! `array[LocalRef(r)]` is therefore a single bounds-checked load with no owned-or-ghost
 //! branch, the owned and ghost views are sub-slices of the same allocation (`as_slice` is
-//! all of it, the flat lane CHARMM's force loop sweeps), and the two split borrows the
-//! executor needs (`owned_and_ghost_mut`, `ghost_and_owned_mut`) are one `split_at_mut`.
-//! Growing the ghost region may reallocate, which moves the owned section too: slices and
-//! raw pointers into an array do not survive [`DistArray::ensure_ghost`], so the executor
-//! grows first and borrows after.
+//! all of it, the flat lane CHARMM's force loop sweeps).  Growing the ghost region may
+//! reallocate, which moves the owned section too: slices and raw pointers into an array do
+//! not survive [`DistArray::ensure_ghost`], so the executor grows first and borrows after.
 
 use std::ops::{Index, IndexMut};
 
@@ -28,12 +26,6 @@ impl LocalRef {
     /// The raw flat index.
     pub fn index(self) -> usize {
         self.0
-    }
-
-    /// True if this reference points into the owned section of an array with `owned_len`
-    /// owned elements.
-    pub fn is_owned(self, owned_len: usize) -> bool {
-        self.0 < owned_len
     }
 }
 
@@ -137,22 +129,6 @@ impl<T> DistArray<T> {
         self.data.truncate(self.owned_len);
         self.data
     }
-
-    /// Borrow the owned section immutably and the ghost region mutably at the same time —
-    /// the borrow pattern of `gather`, which packs outgoing messages from owned elements
-    /// while placing incoming copies into ghost slots.
-    pub fn owned_and_ghost_mut(&mut self) -> (&[T], &mut [T]) {
-        let (owned, ghost) = self.data.split_at_mut(self.owned_len);
-        (owned, ghost)
-    }
-
-    /// Borrow the ghost region immutably and the owned section mutably at the same time —
-    /// the borrow pattern of the scatters, which pack from ghost slots and combine into
-    /// owned elements.
-    pub fn ghost_and_owned_mut(&mut self) -> (&[T], &mut [T]) {
-        let (owned, ghost) = self.data.split_at_mut(self.owned_len);
-        (ghost, owned)
-    }
 }
 
 impl<T> Index<LocalRef> for DistArray<T> {
@@ -212,8 +188,11 @@ mod tests {
 
     #[test]
     fn localref_ownership_test() {
-        assert!(LocalRef(2).is_owned(3));
-        assert!(!LocalRef(3).is_owned(3));
+        // References below the owned length name owned elements, the rest ghost slots.
+        let mut a = DistArray::new(vec![1, 2, 3], 2);
+        a[LocalRef(2)] = 30;
+        a[LocalRef(3)] = 40;
+        assert_eq!((a.owned(), a.ghost()), (&[1, 2, 30][..], &[40, 0][..]));
         assert_eq!(LocalRef(5).index(), 5);
     }
 
@@ -238,14 +217,11 @@ mod tests {
     #[test]
     fn split_borrows_are_adjacent_disjoint_slices() {
         let mut a = DistArray::new(vec![1, 2, 3], 4);
-        let (owned, ghost) = a.owned_and_ghost_mut();
+        let (owned, ghost) = (a.owned(), a.ghost());
         assert_eq!((owned.len(), ghost.len()), (3, 4));
         assert_eq!(owned.as_ptr_range().end, ghost.as_ptr_range().start);
-        ghost[0] = owned[2] * 10;
-        let (ghost, owned) = a.ghost_and_owned_mut();
-        assert_eq!((ghost.len(), owned.len()), (4, 3));
-        assert_eq!(owned.as_ptr_range().end, ghost.as_ptr_range().start);
-        owned[0] = ghost[0] + 1;
+        a.ghost_mut()[0] = a.owned()[2] * 10;
+        a.owned_mut()[0] = a.ghost()[0] + 1;
         assert_eq!(a.owned(), &[31, 2, 3]);
         assert_eq!(a.ghost(), &[30, 0, 0, 0]);
     }
@@ -257,13 +233,10 @@ mod tests {
         assert!(no_owned.owned().is_empty() && no_owned.owned_mut().is_empty());
         no_owned[LocalRef(1)] = 5;
         assert_eq!(no_owned.ghost(), &[0, 5]);
-        let (owned, ghost) = no_owned.owned_and_ghost_mut();
-        assert_eq!((owned.len(), ghost.len()), (0, 2));
 
         let mut no_ghost = DistArray::new(vec![7u8, 8], 0);
         assert!(no_ghost.ghost().is_empty() && no_ghost.ghost_mut().is_empty());
-        let (ghost, owned) = no_ghost.ghost_and_owned_mut();
-        assert_eq!((ghost.len(), owned.len()), (0, 2));
+        assert_eq!(no_ghost.owned(), &[7, 8]);
         no_ghost.clear_ghost();
         no_ghost.ensure_ghost(0);
         assert_eq!(no_ghost.len(), 2);

@@ -103,7 +103,7 @@ pub use inspector::build_schedule_from_table;
 pub use iteration::{
     almost_owner_computes_replicated, owner_computes_replicated, IterationPartition,
 };
-pub use loadbalance::{imbalance_ratio, load_balance_index};
+pub use loadbalance::load_balance_index;
 pub use loops::LoopGroup;
 pub use maintained::PatchStats;
 pub use remap::{build_remap, remap_indices, remap_values, RemapPlan};
@@ -125,7 +125,7 @@ pub mod prelude {
     pub use crate::iteration::{
         almost_owner_computes_replicated, owner_computes_replicated, IterationPartition,
     };
-    pub use crate::loadbalance::{imbalance_ratio, load_balance_index};
+    pub use crate::loadbalance::load_balance_index;
     pub use crate::loops::LoopGroup;
     pub use crate::maintained::PatchStats;
     pub use crate::partitioners::{chain_partition, rcb_partition, rib_partition, PartitionInput};

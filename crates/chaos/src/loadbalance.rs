@@ -1,4 +1,4 @@
-//! Load-balance metrics.
+//! The load-balance metric.
 //!
 //! Section 4.1 of the paper defines the load-balance index as
 //! `LB = max_i(t_i) * n / sum_i(t_i)` where `t_i` is processor *i*'s computation time —
@@ -8,16 +8,11 @@
 //!
 //! # The non-finite contract
 //!
-//! Both metrics return `NaN` whenever *any* sample is non-finite (`NaN` or `±inf`).  A
+//! The index is `NaN` whenever *any* sample is non-finite (`NaN` or `±inf`).  A
 //! corrupted sample must never be laundered into a plausible-looking index: every
 //! comparison against `NaN` is false, so a `NaN` index fails every "imbalanced enough to
 //! remap?" test and the remap controller safely keeps the current distribution.  The tests
 //! below pin this contract; [`crate::adapt`] relies on it.
-
-/// True when every sample is a finite number — the precondition for a meaningful metric.
-fn all_finite(per_proc_times: &[f64]) -> bool {
-    per_proc_times.iter().all(|t| t.is_finite())
-}
 
 /// The paper's load-balance index: `max(times) * n / sum(times)`.  Returns 1.0 for an
 /// empty slice or an all-zero workload (a degenerate but balanced situation), and `NaN`
@@ -26,7 +21,7 @@ pub fn load_balance_index(per_proc_times: &[f64]) -> f64 {
     if per_proc_times.is_empty() {
         return 1.0;
     }
-    if !all_finite(per_proc_times) {
+    if !per_proc_times.iter().all(|t| t.is_finite()) {
         return f64::NAN;
     }
     let max = per_proc_times.iter().copied().fold(0.0f64, f64::max);
@@ -38,27 +33,6 @@ pub fn load_balance_index(per_proc_times: &[f64]) -> f64 {
     }
 }
 
-/// The ratio of the most-loaded to the least-loaded processor (`inf` if some processor has
-/// zero load while another does not).  A blunter but more intuitive indicator than the
-/// load-balance index.  Returns `NaN` when any sample is non-finite (see the module docs).
-pub fn imbalance_ratio(per_proc_times: &[f64]) -> f64 {
-    if per_proc_times.is_empty() {
-        return 1.0;
-    }
-    if !all_finite(per_proc_times) {
-        return f64::NAN;
-    }
-    let max = per_proc_times.iter().copied().fold(f64::MIN, f64::max);
-    let min = per_proc_times.iter().copied().fold(f64::MAX, f64::min);
-    if max <= 0.0 {
-        1.0
-    } else if min <= 0.0 {
-        f64::INFINITY
-    } else {
-        max / min
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,50 +40,39 @@ mod tests {
     #[test]
     fn perfect_balance_is_one() {
         assert_eq!(load_balance_index(&[5.0, 5.0, 5.0, 5.0]), 1.0);
-        assert_eq!(imbalance_ratio(&[5.0, 5.0]), 1.0);
     }
 
     #[test]
     fn paper_definition_matches_hand_computation() {
         // times 1,2,3,4: max=4, mean=2.5 => LB = 1.6
         assert!((load_balance_index(&[1.0, 2.0, 3.0, 4.0]) - 1.6).abs() < 1e-12);
-        assert_eq!(imbalance_ratio(&[1.0, 2.0, 3.0, 4.0]), 4.0);
     }
 
     #[test]
     fn degenerate_inputs() {
         assert_eq!(load_balance_index(&[]), 1.0);
         assert_eq!(load_balance_index(&[0.0, 0.0]), 1.0);
-        assert_eq!(imbalance_ratio(&[]), 1.0);
-        assert_eq!(imbalance_ratio(&[0.0, 0.0]), 1.0);
-        assert!(imbalance_ratio(&[0.0, 3.0]).is_infinite());
     }
 
     #[test]
     fn single_processor_is_balanced() {
         assert_eq!(load_balance_index(&[42.0]), 1.0);
-        assert_eq!(imbalance_ratio(&[42.0]), 1.0);
     }
 
     #[test]
-    fn any_nan_sample_poisons_both_metrics() {
-        // The contract: one NaN sample anywhere makes the whole metric NaN — it must not
-        // be silently dropped by the max/min folds (f64::max(x, NaN) returns x, which
+    fn any_nan_sample_poisons_the_index() {
+        // The contract: one NaN sample anywhere makes the whole index NaN — it must not
+        // be silently dropped by the max fold (f64::max(x, NaN) returns x, which
         // would otherwise hide the corruption entirely).
         assert!(load_balance_index(&[f64::NAN]).is_nan());
         assert!(load_balance_index(&[1.0, f64::NAN, 3.0]).is_nan());
         assert!(load_balance_index(&[f64::NAN, 1.0]).is_nan());
-        assert!(imbalance_ratio(&[f64::NAN]).is_nan());
-        assert!(imbalance_ratio(&[2.0, f64::NAN]).is_nan());
-        assert!(imbalance_ratio(&[f64::NAN, 2.0]).is_nan());
     }
 
     #[test]
     fn infinite_samples_are_poison_too() {
         assert!(load_balance_index(&[1.0, f64::INFINITY]).is_nan());
         assert!(load_balance_index(&[f64::NEG_INFINITY, 1.0]).is_nan());
-        assert!(imbalance_ratio(&[1.0, f64::INFINITY]).is_nan());
-        assert!(imbalance_ratio(&[f64::NEG_INFINITY, 1.0]).is_nan());
     }
 
     #[test]

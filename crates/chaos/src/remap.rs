@@ -54,24 +54,6 @@ impl RemapPlan {
         self.new_local_size
     }
 
-    /// True when executing this plan would change nothing on this rank: no element leaves
-    /// or arrives, and every kept element stays at its old offset.  Local — in SPMD use,
-    /// combine across ranks (e.g. `rank.all_reduce_sum_usize(!plan.is_identity() as usize)
-    /// == 0`) before skipping a remap, so every rank skips together.  Skipping an identity
-    /// remap keeps hash tables, maintained schedules and schedule caches valid, which is
-    /// what lets adaptive drivers survive a repartitioner re-emitting the distribution it
-    /// was given (see `charmm::parallel`).
-    pub fn is_identity(&self) -> bool {
-        self.total_send() == 0
-            && self.total_recv() == 0
-            && self.send_old_offsets[self.my_rank].len() == self.new_local_size
-            && self.recv_placements[self.my_rank].len() == self.new_local_size
-            && self.send_old_offsets[self.my_rank]
-                .iter()
-                .zip(&self.recv_placements[self.my_rank])
-                .all(|(old, new)| old == new)
-    }
-
     /// The exchange plan that executes this remap: old-offset lists out, placement lists
     /// in.  The kept (self → self) portion never enters the plan — [`remap_values`]
     /// places it straight from the old local section.

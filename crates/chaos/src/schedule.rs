@@ -142,11 +142,6 @@ impl CommSchedule {
         self.nprocs
     }
 
-    /// Number of elements sent to processor `p` (the paper's *send size*).
-    pub fn send_size(&self, p: ProcId) -> usize {
-        self.send_lists[p].len()
-    }
-
     /// Number of elements fetched from processor `p` (the paper's *fetch size*).
     pub fn fetch_size(&self, p: ProcId) -> usize {
         self.perm_lists[p].len()
@@ -402,7 +397,7 @@ mod tests {
             4,
         );
         assert_eq!(s.nprocs(), 3);
-        assert_eq!(s.send_size(1), 2);
+        assert_eq!(s.send_lists[1].len(), 2);
         assert_eq!(s.fetch_size(2), 3);
         assert_eq!(s.total_send(), 3);
         assert_eq!(s.total_fetch(), 4);

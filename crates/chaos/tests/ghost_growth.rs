@@ -50,7 +50,7 @@ fn growth_moves_the_section_and_keeps_every_value() {
     assert!(a.ghost()[2..].iter().all(|&g| g == 0.0));
     assert_eq!((a.owned_len(), a.ghost_len(), a.len()), (3, 64, 67));
     assert_eq!(a[LocalRef(4)], 9.0);
-    let (owned, ghost) = a.owned_and_ghost_mut();
+    let (owned, ghost) = (a.owned(), a.ghost());
     assert_eq!(owned.as_ptr_range().end, ghost.as_ptr_range().start);
 }
 

@@ -207,12 +207,6 @@ impl Mailbox {
             self.pending.push(msg);
         }
     }
-
-    /// Number of stashed (received but unmatched) messages.  Useful in tests to assert
-    /// that a protocol consumed everything it sent.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 impl Drop for Mailbox {
@@ -264,7 +258,7 @@ mod tests {
         assert_eq!(payload_bytes(m2), vec![4, 5]);
         b0.send(1, 9, bytes(vec![9]), Stamp::default());
         t.join().unwrap();
-        assert_eq!(b0.pending_len(), 0);
+        assert_eq!(b0.pending.len(), 0);
     }
 
     #[test]

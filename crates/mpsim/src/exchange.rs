@@ -258,27 +258,15 @@ impl ExchangePlan {
             .count()
     }
 
-    /// Elements expected from source `p` (zero when no message or size unknown).
-    pub fn recv_count(&self, p: usize) -> usize {
-        match self.recvs[p] {
-            RecvSpec::Exact(n) => n,
-            _ => 0,
-        }
-    }
-
     /// Per-source expected element counts (zero where no message or size unknown).
     pub fn recv_counts(&self) -> Vec<usize> {
-        (0..self.nprocs()).map(|p| self.recv_count(p)).collect()
-    }
-
-    /// Elements this plan sends to destination `p` (zero when no message).
-    pub fn send_count(&self, p: usize) -> usize {
-        self.sends[p].unwrap_or(0)
+        let count = |r: &RecvSpec| if let RecvSpec::Exact(n) = *r { n } else { 0 };
+        self.recvs.iter().map(count).collect()
     }
 
     /// Per-destination send element counts (zero where no message).
     pub fn send_counts(&self) -> Vec<usize> {
-        (0..self.nprocs()).map(|p| self.send_count(p)).collect()
+        self.sends.iter().map(|s| s.unwrap_or(0)).collect()
     }
 
     /// The fused version of this plan: every element count (send and exact-receive)

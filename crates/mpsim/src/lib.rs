@@ -63,4 +63,4 @@ pub use exchange::{
 pub use machine::{run, Machine, Rank, RunOutcome};
 pub use message::Element;
 pub use stats::{PackPoolStats, RankStats};
-pub use topology::{tree_rounds, BinomialTree, Dissemination, ExchangeBackend, MachineConfig};
+pub use topology::{tree_rounds, ExchangeBackend, MachineConfig};

@@ -187,12 +187,6 @@ impl Rank {
             .expect("buffer-pool free list holds the wrong type") = list;
     }
 
-    /// Number of distinct element types the buffer pool currently tracks.  Bounded by
-    /// [`POOL_MAX_TYPES`]; exposed for the pool regression tests.
-    pub fn pool_type_count(&self) -> usize {
-        self.pool.len()
-    }
-
     /// Take a buffer with room for `capacity` elements from a detached free list,
     /// allocating (and counting the miss) only when the list is empty.  Selection is
     /// best-effort best-fit: the most recently recycled buffer that already has the
@@ -302,7 +296,7 @@ impl Rank {
     /// split-phase starts alike).  Reported in the engine's mismatch diagnostics so a
     /// crossed or non-collective exchange sequence names both the epoch being drained
     /// and how far this rank has run ahead.
-    pub fn exchange_epochs_started(&self) -> u64 {
+    pub(crate) fn exchange_epochs_started(&self) -> u64 {
         self.exchange_seq
     }
 
@@ -695,7 +689,7 @@ mod tests {
                 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23,
                 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40
             );
-            let count = rank.pool_type_count();
+            let count = rank.pool.len();
             // The oldest types were evicted (their free lists are gone), the newest kept.
             let oldest = rank.detach_pool::<[u8; 1]>();
             let newest = rank.detach_pool::<[u8; 40]>();

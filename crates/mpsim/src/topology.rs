@@ -6,14 +6,15 @@
 //!
 //! The rest of this module is the *virtual topology* layer underneath the collectives:
 //! pure rank-ID arithmetic describing who talks to whom in each round of a log-depth
-//! collective, with no communication of its own.  Two shapes cover everything the
-//! runtime needs, and both handle non-power-of-two machine sizes:
+//! collective, with no communication of its own.  Two shapes cover the gathers,
+//! `barrier` and `broadcast`, and both handle non-power-of-two machine sizes:
 //!
-//! * [`Dissemination`] — the symmetric schedule behind `all_gather`, the reductions,
-//!   `barrier` and the count negotiation: in round `k` every rank sends to the rank
-//!   `2^k` below it and receives from the rank `2^k` above it (mod P), so after
-//!   `ceil(log2 P)` rounds every rank has heard, directly or transitively, from every
-//!   other rank.
+//! * [`Dissemination`] — the symmetric schedule behind the gathers and `barrier`: in
+//!   round `k` every rank sends to the rank `2^k` below it and receives from the rank
+//!   `2^k` above it (mod P), so after `ceil(log2 P)` rounds every rank has heard,
+//!   directly or transitively, from every other rank.  (The reductions run on the
+//!   combining butterfly of [`crate::collectives`], and the count negotiation on the
+//!   exchange engine's own ring router.)
 //! * [`BinomialTree`] — the rooted schedule behind `broadcast`: the informed set
 //!   doubles each round, so every rank has the root's data after `ceil(log2 P)`
 //!   rounds.
