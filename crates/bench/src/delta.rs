@@ -331,7 +331,7 @@ impl Artifact for DeltaReport {
 
     /// Byte-identity, physics/wire equivalence, and steady-state patch cost under 50%
     /// of the rebuild cost in both scenarios.
-    fn violations(&self) -> Option<Vec<String>> {
+    fn violations(&self) -> Vec<String> {
         let mut v = Vec::new();
         if !self.drift.byte_identical {
             v.push("schedule drift: patched schedule diverged from the rebuild".to_string());
@@ -356,7 +356,7 @@ impl Artifact for DeltaReport {
                 self.dsmc.patch_upkeep_us, self.dsmc.rebuild_upkeep_us
             ));
         }
-        Some(v)
+        v
     }
 }
 
@@ -476,9 +476,9 @@ mod tests {
             dsmc,
             cache: CacheStats::default(),
         };
-        assert_eq!(report.violations(), Some(vec![]));
+        assert_eq!(report.violations(), Vec::<String>::new());
         report.drift.byte_identical = false;
         report.drift.steady_patch_us = report.drift.steady_rebuild_us;
-        assert_eq!(report.violations().map(|v| v.len()), Some(2));
+        assert_eq!(report.violations().len(), 2);
     }
 }

@@ -433,13 +433,13 @@ impl Artifact for ExchangeReport {
         pairs
     }
 
-    fn violations(&self) -> Option<Vec<String>> {
+    fn violations(&self) -> Vec<String> {
         let mut v = Vec::new();
         for (_, rows) in &self.sections {
             v.extend(steady_state_violations(rows));
         }
         v.extend(collective_scaling_violations(&self.collectives));
-        Some(v)
+        v
     }
 }
 

@@ -1,16 +1,17 @@
 //! One generator per table of the paper's evaluation section, and the `tables`
 //! artifact (`BENCH_tables.json`) that runs them.
 
+use std::collections::HashMap;
 use std::time::Instant;
 
 use chaos::prelude::*;
-use charmm::parallel::{ParallelConfig, PartitionerKind, ScheduleMode};
+use charmm::parallel::{ParallelConfig, ScheduleMode};
 use charmm::system::{MolecularSystem, SystemConfig};
-use charmm::{CharmmStepStats, ParallelCharmm};
+use charmm::{CharmmPhaseTimes, CharmmStepStats, ParallelCharmm};
 use dsmc::{
     seed_particles, CellGrid, DsmcConfig, FlowConfig, MoveMode, RemapStrategy, SequentialDsmc,
 };
-use mpsim::{run, MachineConfig, Rank, RunOutcome};
+use mpsim::{run, MachineConfig, Rank, RunOutcome, TimeSnapshot};
 
 use crate::report::{Artifact, Json};
 use crate::workloads::{
@@ -125,29 +126,39 @@ pub struct TableOutput {
     pub rows: Vec<Vec<String>>,
 }
 
-// ===================================================================== Table 1 =========
+// ================================================================= Tables 1–3 =========
 
-/// Run the CHARMM driver on `p` ranks over the scale's system, steps and list-update
-/// interval: RCB partitioning, no repartitioning, `schedule_mode` schedules.
-fn run_charmm(scale: &Scale, p: usize, schedule_mode: ScheduleMode) -> RunOutcome<CharmmStepStats> {
-    let sys_cfg = scale.charmm.clone();
-    let config = ParallelConfig {
-        nsteps: scale.charmm_steps,
-        list_update_interval: scale.charmm_update,
-        partitioner: PartitionerKind::Rcb,
-        schedule_mode,
-        repartition_interval: None,
-        adapt_policy: None,
-    };
-    run(MachineConfig::new(p), move |rank| {
-        let system = MolecularSystem::build(&sys_cfg);
-        ParallelCharmm::run(rank, &system, &config)
-    })
+/// One CHARMM driver run: every rank's stats.
+type CharmmRun = RunOutcome<CharmmStepStats>;
+
+/// The CHARMM driver runs of Tables 1–3 at one scale, one machine per (P, schedule mode),
+/// each made on first use: Table 2 reads Table 1's merged runs, and Table 3 reads them for
+/// its merged half.
+#[derive(Default)]
+pub struct CharmmRuns(HashMap<(usize, ScheduleMode), CharmmRun>);
+
+impl CharmmRuns {
+    /// The run on `p` ranks over the scale's system, steps and list-update interval: RCB
+    /// partitioning, no repartitioning, `mode` schedules.
+    fn get(&mut self, scale: &Scale, p: usize, mode: ScheduleMode) -> &CharmmRun {
+        self.0.entry((p, mode)).or_insert_with(|| {
+            let sys_cfg = scale.charmm.clone();
+            let config = ParallelConfig {
+                list_update_interval: scale.charmm_update,
+                schedule_mode: mode,
+                ..ParallelConfig::paper_default(scale.charmm_steps)
+            };
+            run(MachineConfig::new(p), move |rank| {
+                let system = MolecularSystem::build(&sys_cfg);
+                ParallelCharmm::run(rank, &system, &config)
+            })
+        })
+    }
 }
 
 /// Table 1: performance of parallel CHARMM — execution, computation and communication
 /// time plus the load-balance index over a processor sweep.
-pub fn table1_charmm_scaling(scale: &Scale) -> TableOutput {
+pub fn table1_charmm_scaling(scale: &Scale, runs: &mut CharmmRuns) -> TableOutput {
     let mut headers = vec!["Metric".to_string()];
     let mut exec = vec!["Execution Time (s)".to_string()];
     let mut comp = vec!["Computation Time (s)".to_string()];
@@ -155,7 +166,7 @@ pub fn table1_charmm_scaling(scale: &Scale) -> TableOutput {
     let mut lb = vec!["Load Balance Index".to_string()];
     for &p in &scale.charmm_procs {
         headers.push(format!("{p} procs"));
-        let out = run_charmm(scale, p, ScheduleMode::Merged);
+        let out = runs.get(scale, p, ScheduleMode::Merged);
         exec.push(secs(out.max_total_us()));
         comp.push(secs(out.avg_compute_us()));
         comm.push(secs(out.avg_comm_us()));
@@ -177,28 +188,30 @@ pub fn table1_charmm_scaling(scale: &Scale) -> TableOutput {
     }
 }
 
-// ===================================================================== Table 2 =========
+/// Reads one phase's modeled time out of a rank's CHARMM phase breakdown.
+type PhaseOf = fn(&CharmmPhaseTimes) -> TimeSnapshot;
 
 /// Table 2: preprocessing overheads of CHARMM — partitioning, list update, remapping,
 /// schedule generation and regeneration.
-pub fn table2_charmm_preproc(scale: &Scale) -> TableOutput {
+pub fn table2_charmm_preproc(scale: &Scale, runs: &mut CharmmRuns) -> TableOutput {
+    let phases: [(&str, PhaseOf); 5] = [
+        ("Data Partition (s)", |ph| ph.data_partition),
+        ("Non-bonded List Update (s)", |ph| ph.list_update),
+        ("Remapping and Preprocessing (s)", |ph| ph.remap),
+        ("Schedule Generation (s)", |ph| ph.schedule_generation),
+        ("Schedule Regeneration (total, s)", |ph| {
+            ph.schedule_regeneration
+        }),
+    ];
     let mut headers = vec!["Phase".to_string()];
-    let mut partition = vec!["Data Partition (s)".to_string()];
-    let mut list_update = vec!["Non-bonded List Update (s)".to_string()];
-    let mut remap = vec!["Remapping and Preprocessing (s)".to_string()];
-    let mut sched_gen = vec!["Schedule Generation (s)".to_string()];
-    let mut sched_regen = vec!["Schedule Regeneration (total, s)".to_string()];
+    let mut rows: Vec<_> = phases.iter().map(|(l, _)| vec![l.to_string()]).collect();
     for &p in scale.charmm_procs.iter().filter(|&&p| p > 1) {
         headers.push(format!("{p} procs"));
-        let out = run_charmm(scale, p, ScheduleMode::Merged);
-        let max = |f: &dyn Fn(&charmm::CharmmPhaseTimes) -> f64| -> f64 {
-            out.results.iter().map(|s| f(&s.phases)).fold(0.0, f64::max)
-        };
-        partition.push(secs(max(&|ph| ph.data_partition.total_us())));
-        list_update.push(secs(max(&|ph| ph.list_update.total_us())));
-        remap.push(secs(max(&|ph| ph.remap.total_us())));
-        sched_gen.push(secs(max(&|ph| ph.schedule_generation.total_us())));
-        sched_regen.push(secs(max(&|ph| ph.schedule_regeneration.total_us())));
+        let out = runs.get(scale, p, ScheduleMode::Merged);
+        for (row, (_, phase)) in rows.iter_mut().zip(&phases) {
+            let max = out.results.iter().map(|s| phase(&s.phases).total_us());
+            row.push(secs(max.fold(0.0, f64::max)));
+        }
     }
     TableOutput {
         title: format!(
@@ -207,29 +220,23 @@ pub fn table2_charmm_preproc(scale: &Scale) -> TableOutput {
             scale.charmm_update
         ),
         headers,
-        rows: vec![partition, list_update, remap, sched_gen, sched_regen],
+        rows,
     }
 }
 
-// ===================================================================== Table 3 =========
-
 /// Table 3: communication and execution time with one merged schedule versus one schedule
 /// per loop.
-pub fn table3_schedule_merging(scale: &Scale) -> TableOutput {
-    let headers = [
-        "Procs",
-        "Merged: Comm (s)",
-        "Merged: Exec (s)",
-        "Multiple: Comm (s)",
-        "Multiple: Exec (s)",
-    ]
-    .map(String::from)
-    .to_vec();
+pub fn table3_schedule_merging(scale: &Scale, runs: &mut CharmmRuns) -> TableOutput {
+    let modes = [ScheduleMode::Merged, ScheduleMode::Multiple];
+    let mut headers = vec!["Procs".to_string()];
+    for mode in modes {
+        headers.extend(["Comm", "Exec"].map(|what| format!("{mode:?}: {what} (s)")));
+    }
     let mut rows = Vec::new();
     for &p in scale.charmm_procs.iter().filter(|&&p| p > 1) {
         let mut row = vec![p.to_string()];
-        for mode in [ScheduleMode::Merged, ScheduleMode::Multiple] {
-            let out = run_charmm(scale, p, mode);
+        for mode in modes {
+            let out = runs.get(scale, p, mode);
             row.push(secs(out.avg_comm_us()));
             row.push(secs(out.max_total_us()));
         }
@@ -269,14 +276,9 @@ pub fn table4_lightweight(scale: &Scale) -> TableOutput {
                 // "The computational load was deliberately evenly distributed": no drift.
                 let flow = FlowConfig::uniform(7);
                 let config = DsmcConfig {
-                    nsteps: scale.dsmc2d_steps,
-                    dt: 0.4,
                     move_mode: mode,
-                    remap: RemapStrategy::Static,
                     remap_interval: 1_000_000,
-                    policy: None,
-                    monitor_group: None,
-                    seed: 7,
+                    ..DsmcConfig::lightweight(scale.dsmc2d_steps, 7)
                 };
                 let out = run_dsmc(p, grid, flow, nparticles, config);
                 row.push(secs(out.max_total_us()));
@@ -332,14 +334,9 @@ pub fn table5_remapping(scale: &Scale) -> TableOutput {
         let mut row = vec![label.to_string()];
         for &p in &scale.dsmc_procs {
             let config = DsmcConfig {
-                nsteps: scale.dsmc3d_steps,
-                dt: 0.4,
-                move_mode: MoveMode::Lightweight,
                 remap: strategy,
                 remap_interval: scale.dsmc3d_remap_interval,
-                policy: None,
-                monitor_group: None,
-                seed: 11,
+                ..DsmcConfig::lightweight(scale.dsmc3d_steps, 11)
             };
             let out = run_dsmc(p, grid, flow, nparticles, config);
             row.push(secs(out.max_total_us()));
@@ -748,8 +745,9 @@ pub fn table7_compiler_dsmc(scale: &Scale) -> TableOutput {
     }
 }
 
-/// A table generator: one of the `tableN_*` functions above.
-pub type TableGenerator = fn(&Scale) -> TableOutput;
+/// A table generator: one of the `tableN_*` functions above, sharing the report's CHARMM
+/// runs.
+pub type TableGenerator = fn(&Scale, &mut CharmmRuns) -> TableOutput;
 
 /// The registry of every table of the paper's evaluation, as `(id, generator)` pairs in
 /// paper order.  [`TablesReport`] and `tables --only` both read this list, so a new table
@@ -759,10 +757,10 @@ pub fn table_generators() -> Vec<(&'static str, TableGenerator)> {
         ("table1", table1_charmm_scaling as TableGenerator),
         ("table2", table2_charmm_preproc),
         ("table3", table3_schedule_merging),
-        ("table4", table4_lightweight),
-        ("table5", table5_remapping),
-        ("table6", table6_compiler_charmm),
-        ("table7", table7_compiler_dsmc),
+        ("table4", |scale, _| table4_lightweight(scale)),
+        ("table5", |scale, _| table5_remapping(scale)),
+        ("table6", |scale, _| table6_compiler_charmm(scale)),
+        ("table7", |scale, _| table7_compiler_dsmc(scale)),
     ]
 }
 
@@ -777,11 +775,11 @@ impl TablesReport {
     /// [`Scale::from_env`] scale.
     pub fn generate(only: Option<&str>) -> Self {
         let (scale, name) = Scale::from_env();
-        let mut tables = Vec::new();
+        let (mut tables, mut runs) = (Vec::new(), CharmmRuns::default());
         for (id, generate) in table_generators() {
             if only.is_none_or(|n| id.strip_prefix("table") == Some(n)) {
                 let start = Instant::now();
-                let table = generate(&scale);
+                let table = generate(&scale, &mut runs);
                 tables.push((id, table, start.elapsed().as_secs_f64() * 1e3));
             }
         }
@@ -836,7 +834,7 @@ impl Artifact for TablesReport {
     /// regular schedule rebuilt through the inspector every step takes at most 4× as
     /// long.  Table 6: the compiler-generated loop's total is within 10 % of the hand
     /// code's at every P.
-    fn violations(&self) -> Option<Vec<String>> {
+    fn violations(&self) -> Vec<String> {
         let mut v = Vec::new();
         for pair in self.rows("table4").chunks(2) {
             for (regular, light) in seconds(&pair[0]).into_iter().zip(seconds(&pair[1])) {
@@ -858,7 +856,7 @@ impl Artifact for TablesReport {
                 ));
             }
         }
-        Some(v)
+        v
     }
 }
 
@@ -890,11 +888,11 @@ mod tests {
 
     #[test]
     fn table1_and_2_have_a_column_per_processor_count() {
-        let s = tiny();
-        let t1 = table1_charmm_scaling(&s);
+        let (s, mut runs) = (tiny(), CharmmRuns::default());
+        let t1 = table1_charmm_scaling(&s, &mut runs);
         assert_eq!(t1.headers.len(), 1 + s.charmm_procs.len());
         assert_eq!(t1.rows.len(), 4);
-        let t2 = table2_charmm_preproc(&s);
+        let t2 = table2_charmm_preproc(&s, &mut runs);
         assert_eq!(t2.rows.len(), 5);
         assert!(t2.rows[4][0].contains("Schedule Regeneration"));
     }
@@ -927,9 +925,9 @@ mod tests {
     #[test]
     fn table4_regular_is_within_4x_of_lightweight() {
         let mut report = report_of("table4", table4_lightweight(&Scale::quick()));
-        assert_eq!(report.violations(), Some(vec![]));
+        assert_eq!(report.violations(), Vec::<String>::new());
         report.tables[0].1.rows[1][1] = "0.00".to_string();
-        assert_eq!(report.violations().map(|v| v.len()), Some(1));
+        assert_eq!(report.violations().len(), 1);
     }
 
     /// The Table 6 claim `tables --check` gates, at the committed scale; and the gate
@@ -937,10 +935,10 @@ mod tests {
     #[test]
     fn table6_compiler_total_is_within_10_percent_of_hand() {
         let mut report = report_of("table6", table6_compiler_charmm(&Scale::quick()));
-        assert_eq!(report.violations(), Some(vec![]));
+        assert_eq!(report.violations(), Vec::<String>::new());
         let compiled = &mut report.tables[0].1.rows[1];
         *compiled.last_mut().unwrap() = "1e9".to_string();
-        assert_eq!(report.violations().map(|v| v.len()), Some(1));
+        assert_eq!(report.violations().len(), 1);
     }
 
     #[test]

@@ -76,14 +76,12 @@ impl DriftingDsmc {
             _ => RemapStrategy::Chain,
         };
         let config = DsmcConfig {
-            nsteps: self.nsteps,
             dt: 0.5,
             move_mode,
             remap,
             remap_interval: self.remap_interval,
             policy,
-            monitor_group: None,
-            seed: self.seed,
+            ..DsmcConfig::lightweight(self.nsteps, self.seed)
         };
         let grid = CellGrid::new_2d(self.grid.0, self.grid.1);
         let flow = FlowConfig::directional(self.seed);

@@ -6,8 +6,6 @@
 //! imbalance exceeds what the remap costs.  This module closes that loop as a reusable
 //! runtime subsystem:
 //!
-//! * [`LoadMonitor`] — a record of per-step, per-rank compute-time samples and the
-//!   load-balance indices derived from them;
 //! * [`RemapPolicy`] — the pluggable decision rules: [`RemapPolicy::Interval`] (the paper's
 //!   fixed cadence), [`RemapPolicy::Threshold`] (remap when the LB index crosses a bound,
 //!   with hysteresis against thrashing), and [`RemapPolicy::CostBenefit`] (the paper's
@@ -20,12 +18,12 @@
 //!
 //! # Collective discipline
 //!
-//! [`RemapController::observe_phase`] / [`RemapController::observe_sample`] are collective:
-//! every rank of the machine must call them once per step, in the same order relative to
-//! other collectives.  A returned [`RemapDecision`] with `remap == true` is *binding* — the
-//! controller records the remap in its internal state, so the caller must perform the
-//! remap (and should then report its cost via [`RemapController::record_remap`], which is
-//! also collective) before the next observation.
+//! [`RemapController::observe_sample`] is collective: every rank of the machine must call
+//! it once per step, in the same order relative to other collectives.  A returned
+//! [`RemapDecision`] with `remap == true` is *binding* — the controller records the remap
+//! in its internal state, so the caller must perform the remap (and should then report its
+//! cost via [`RemapController::record_remap`], which is also collective) before the next
+//! observation.
 //!
 //! # Non-finite samples
 //!
@@ -33,7 +31,7 @@
 //! in [`crate::loadbalance`]); every policy treats a `NaN` index as "keep": a corrupted
 //! measurement never triggers (or re-arms) a remap.
 
-use mpsim::{Rank, TimeSnapshot};
+use mpsim::Rank;
 
 use crate::loadbalance::load_balance_index;
 
@@ -89,7 +87,7 @@ pub enum RemapPolicy {
 /// Steps with non-finite samples contribute `NaN` to the trajectory and nothing to the
 /// loss.
 #[derive(Debug, Clone, Default)]
-pub struct LoadMonitor {
+pub(crate) struct LoadMonitor {
     cum_gain_us: f64,
     lb_history: Vec<f64>,
 }
@@ -155,7 +153,7 @@ pub struct RemapController {
 }
 
 impl RemapController {
-    /// A controller evaluating `policy` over a fresh [`LoadMonitor`].
+    /// A controller evaluating `policy` over a fresh load record.
     pub fn new(policy: RemapPolicy) -> Self {
         RemapController {
             policy,
@@ -171,17 +169,9 @@ impl RemapController {
         }
     }
 
-    /// Collective: sample the compute time each rank accumulated since its `phase_start`
-    /// snapshot and decide.  Every rank receives the same decision.
-    pub fn observe_phase(&mut self, rank: &mut Rank, phase_start: &TimeSnapshot) -> RemapDecision {
-        let sample = rank.modeled().since(phase_start).compute_us;
-        self.observe_sample(rank, sample)
-    }
-
-    /// Collective: like [`RemapController::observe_phase`], but with an explicit per-rank
-    /// sample (modeled microseconds of compute) — for callers whose measured phase is not
-    /// the tail of the modeled-time stream.  One `all_gather_one` delivers the same
-    /// rank-ordered vector to every rank, so every rank decides alike.
+    /// Collective: decide from this rank's sample (modeled microseconds of compute) and
+    /// every other rank's.  One `all_gather_one` delivers the same rank-ordered vector to
+    /// every rank, so every rank decides alike.
     pub fn observe_sample(&mut self, rank: &mut Rank, local_compute_us: f64) -> RemapDecision {
         self.decide(&rank.all_gather_one(local_compute_us))
     }
@@ -218,8 +208,7 @@ impl RemapController {
     /// The policy evaluation on one step's load-balance index, including the lb-driven
     /// state transitions (post-remap baseline capture, Threshold arming).
     fn evaluate(&mut self, lb: f64) -> bool {
-        // The first finite reading after a remap (the controller's own or an external
-        // one) is the baseline the Threshold policy measures renewed drift against.
+        // The first finite reading after a remap is the baseline the Threshold policy measures renewed drift against.
         if self.awaiting_baseline && lb.is_finite() {
             self.post_remap_lb = Some(lb);
             self.awaiting_baseline = false;
@@ -257,34 +246,18 @@ impl RemapController {
     }
 
     /// Shared end-of-observation bookkeeping for [`RemapController::decide`] and
-    /// [`RemapController::tick`].
+    /// [`RemapController::tick`].  A remap invalidates the old distribution's accumulated
+    /// losses, the Threshold arm and the post-remap baseline.
     fn commit(&mut self, remap: bool) {
         if remap {
             self.remaps += 1;
             self.last_remap_step = self.step;
-            self.reset_after_remap();
+            self.armed = false;
+            self.post_remap_lb = None;
+            self.awaiting_baseline = true;
+            self.monitor.reset_losses();
         }
         self.step += 1;
-    }
-
-    /// The state a remap invalidates, however it was triggered: the old distribution's
-    /// accumulated losses, the Threshold arm, and the post-remap baseline.
-    fn reset_after_remap(&mut self) {
-        self.armed = false;
-        self.post_remap_lb = None;
-        self.awaiting_baseline = true;
-        self.monitor.reset_losses();
-    }
-
-    /// Tell the controller that a remap it did *not* decide has just been performed (for
-    /// example a fixed-interval repartition composed with an adaptive policy).  Clears
-    /// the accumulated imbalance state — losses measured on the old distribution say
-    /// nothing about the new one and must not argue for an immediate second remap — and
-    /// restarts the interval/patience clock.  Not collective (pure local bookkeeping),
-    /// but every rank must call it for the same remap to keep decisions replicated.
-    pub fn note_external_remap(&mut self) {
-        self.last_remap_step = self.step;
-        self.reset_after_remap();
     }
 
     /// Collective: report what the remap just performed actually cost, so the
@@ -323,22 +296,12 @@ impl RemapController {
     pub fn steps_since_remap(&self) -> usize {
         self.step - self.last_remap_step
     }
-
-    /// The policy this controller evaluates.
-    pub fn policy(&self) -> &RemapPolicy {
-        &self.policy
-    }
-
-    /// The monitor holding the accumulated loss and the full LB trajectory.
-    pub fn monitor(&self) -> &LoadMonitor {
-        &self.monitor
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpsim::{run, CostModel, MachineConfig};
+    use mpsim::{run, MachineConfig};
 
     fn balanced(n: usize) -> Vec<f64> {
         vec![10.0; n]
@@ -493,46 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn external_remap_clears_accumulated_losses() {
-        // A fixed-interval repartition composed with a CostBenefit policy: losses
-        // accumulated on the *old* distribution must not fire a redundant remap of the
-        // freshly-balanced one.
-        let mut ctrl = RemapController::new(RemapPolicy::CostBenefit {
-            assumed_cost_us: 100.0,
-        });
-        for _ in 0..4 {
-            assert!(!ctrl.decide(&skewed(4)).remap); // cum loss now 90 us, just below
-        }
-        ctrl.note_external_remap();
-        // Without the reset, one more skewed step would cross 100 us and fire; with it,
-        // the accumulator restarts from the new distribution.
-        assert!(!ctrl.decide(&skewed(4)).remap);
-        assert_eq!(ctrl.steps_since_remap(), 1);
-        assert_eq!(
-            ctrl.remap_count(),
-            0,
-            "external remaps are not controller decisions"
-        );
-    }
-
-    #[test]
-    fn external_remap_restarts_threshold_baseline_and_patience() {
-        let mut ctrl = RemapController::new(RemapPolicy::Threshold {
-            lb_index: 1.5,
-            hysteresis: 0.2,
-            patience: 0,
-        });
-        ctrl.note_external_remap();
-        // Disarmed by the external remap; the first reading becomes the baseline...
-        assert!(!ctrl.decide(&skewed(4)).remap);
-        // ...and hovering there stays disarmed, exactly as after a decided remap.
-        assert!(!ctrl.decide(&skewed(4)).remap);
-        // A balanced reading re-arms and the next excursion fires.
-        assert!(!ctrl.decide(&balanced(4)).remap);
-        assert!(ctrl.decide(&skewed(4)).remap);
-    }
-
-    #[test]
     fn cost_benefit_never_remaps_a_balanced_machine() {
         let mut ctrl = RemapController::new(RemapPolicy::CostBenefit {
             assumed_cost_us: 0.0,
@@ -638,17 +561,14 @@ mod tests {
     fn collective_observation_agrees_on_every_rank() {
         // Rank 0 does 4x the compute of the others; with a threshold of 1.5 every rank
         // must reach the same "remap" decision from the same gathered samples.
-        let cfg = MachineConfig::new(4).with_cost(CostModel::uniform(1.0, 0.0, 1.0));
-        let out = run(cfg, |rank| {
+        let out = run(MachineConfig::new(4), |rank| {
             let mut ctrl = RemapController::new(RemapPolicy::Threshold {
                 lb_index: 1.5,
                 hysteresis: 0.1,
                 patience: 0,
             });
-            let t0 = rank.modeled();
             let units = if rank.rank() == 0 { 400.0 } else { 100.0 };
-            rank.charge_compute(units);
-            let d = ctrl.observe_phase(rank, &t0);
+            let d = ctrl.observe_sample(rank, units);
             ctrl.record_remap(rank, 64 * (rank.rank() as u64 + 1), units);
             (
                 d,

@@ -89,7 +89,7 @@ pub type Global = usize;
 /// A processor (rank) identifier.
 pub type ProcId = usize;
 
-pub use adapt::{LoadMonitor, RemapController, RemapDecision, RemapPolicy};
+pub use adapt::{RemapController, RemapDecision, RemapPolicy};
 pub use cache::{CacheOutcome, CacheStats, ScheduleCache};
 pub use darray::{DistArray, LocalRef};
 pub use distribution::{BlockDist, CyclicDist, RegularDist};
@@ -112,7 +112,7 @@ pub use translation::{Loc, TranslationTable};
 
 /// Commonly used items, re-exported for `use chaos::prelude::*`.
 pub mod prelude {
-    pub use crate::adapt::{LoadMonitor, RemapController, RemapDecision, RemapPolicy};
+    pub use crate::adapt::{RemapController, RemapDecision, RemapPolicy};
     pub use crate::cache::{CacheOutcome, CacheStats, ScheduleCache};
     pub use crate::darray::{DistArray, LocalRef};
     pub use crate::distribution::{BlockDist, CyclicDist, RegularDist};

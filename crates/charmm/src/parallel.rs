@@ -25,7 +25,7 @@
 //! The per-phase modeled times the paper reports in Tables 1, 2, 3 and 6 are accumulated
 //! in [`CharmmPhaseTimes`].
 
-use chaos::adapt::{RemapController, RemapPolicy};
+use chaos::adapt::RemapPolicy;
 use chaos::prelude::*;
 use mpsim::{ExchangeStats, Rank, TimeSnapshot};
 
@@ -47,7 +47,7 @@ pub enum PartitionerKind {
 
 /// Whether the bonded and non-bonded loops share one merged communication schedule or use
 /// one schedule per loop (the comparison of Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScheduleMode {
     /// One merged schedule gathers/scatters the union of both loops' references.
     Merged,
@@ -80,12 +80,10 @@ pub struct ParallelConfig {
     /// If `Some(k)`, atoms are re-partitioned and re-mapped every `k` steps, alternating
     /// RCB and RIB as in the Table 6 experiment.  `None` partitions once at start-up.
     pub repartition_interval: Option<usize>,
-    /// Opt-in feedback-driven repartitioning: when `Some`, a
-    /// [`chaos::adapt::RemapController`] samples the per-rank executor compute time every
-    /// step (one all-gather) and re-runs the configured partitioner whenever the policy
-    /// fires, remapping every per-atom array through the same redistribution path the
-    /// fixed-interval experiment uses.  Composes with `repartition_interval` (either
-    /// trigger repartitions).
+    /// Retired: must be `None`.  It once opted into feedback-driven repartitioning; CHARMM
+    /// now repartitions only on `repartition_interval`'s fixed cadence, and
+    /// [`run_parallel`] panics on `Some(_)` rather than ignore it.  The field stays so
+    /// configurations that name it keep building.
     pub adapt_policy: Option<RemapPolicy>,
 }
 
@@ -119,8 +117,9 @@ pub struct CharmmPhaseTimes {
     pub schedule_regeneration: TimeSnapshot,
     /// Phase F: force loops, gathers/scatters and integration.
     pub executor: TimeSnapshot,
-    /// The remap controller's measurement collectives (executor-time sampling and remap
-    /// cost recording); zero unless `adapt_policy` is set.
+    /// Load monitoring: always zero, since CHARMM repartitions on a fixed cadence and
+    /// samples no load.  Kept because phase breakdowns outside this crate (the
+    /// `benchmark/` package's) read it.
     pub monitor: TimeSnapshot,
 }
 
@@ -148,8 +147,8 @@ pub struct CharmmStepStats {
     pub list_updates: usize,
     /// Number of schedule (re)builds.
     pub schedule_builds: usize,
-    /// Number of repartition + remap events after the initial partitioning (from the fixed
-    /// interval, the adaptive controller, or both).  Includes the identity events below.
+    /// Number of repartition events after the initial partitioning, one every
+    /// `repartition_interval` steps.  Includes the identity events below.
     pub repartitions: usize,
     /// Repartition events whose partitioner moved no atom on any rank: detected with one
     /// `all_reduce` and skipped — no redistribution, no list rebuild, no schedule work.
@@ -157,9 +156,6 @@ pub struct CharmmStepStats {
     /// Hit/miss/patch/eviction counters of the loop group's schedule cache (see
     /// [`chaos::LoopGroup::cache_stats`]).
     pub cache_stats: CacheStats,
-    /// The load-balance index of the executor phase at every step the controller observed
-    /// (identical on every rank; empty unless `adapt_policy` is set).
-    pub lb_trajectory: Vec<f64>,
     /// Engine message/byte counts of the executor phase on this rank, summed over all
     /// steps — what the fused gather/scatter paths actually put on the wire.
     pub executor_exchange: ExchangeStats,
@@ -342,6 +338,11 @@ pub fn run_parallel(
     system: &MolecularSystem,
     config: &ParallelConfig,
 ) -> CharmmStepStats {
+    assert!(
+        config.adapt_policy.is_none(),
+        "ParallelConfig::adapt_policy is retired: CHARMM repartitions every \
+         repartition_interval steps only"
+    );
     let natoms = system.natoms();
     let nprocs = rank.nprocs();
     let me = rank.rank();
@@ -397,85 +398,48 @@ pub fn run_parallel(
     let mut step_arrays = StepArrays::new();
     let mut executor_exchange = ExchangeStats::default();
 
-    // Feedback-driven repartitioning (opt-in): the controller observes the executor phase
-    // at the end of every step; a firing decision is honoured at the start of the next
-    // step, where the full repartition + rebuild machinery already lives.
-    let mut controller = config.adapt_policy.clone().map(RemapController::new);
-    let mut adaptive_due = false;
     let mut repartitions = 0usize;
     let mut identity_repartitions = 0usize;
 
     // ----------------------------------------------------------------------- time steps --
     for step in 0..config.nsteps {
-        // Repartition when the fixed interval (Table 6 alternates RCB and RIB every 25
-        // steps) or the adaptive controller says so.
-        let interval_due =
-            matches!(config.repartition_interval, Some(k) if step > 0 && step % k == 0);
-        let repartitioned = if interval_due || adaptive_due {
-            let t0 = rank.modeled();
-            let kind = match config.repartition_interval {
-                // The Table 6 experiment alternates partitioners on its fixed cadence.
-                Some(k) if interval_due && (step / k) % 2 == 1 => PartitionerKind::Rib,
-                Some(_) if interval_due => PartitionerKind::Rcb,
-                // The adaptive path re-runs the configured partitioner (re-RCB by default).
-                _ => config.partitioner,
-            };
-            let weights: Vec<f64> = (0..dist.owned_globals.len())
-                .map(|l| 1.0 + nb_list.partners_of(l).len() as f64)
-                .collect();
-            let coords: Vec<[f64; 3]> = (0..dist.owned_globals.len())
-                .map(|l| dist.position(l))
-                .collect();
-            let parts = run_partitioner(rank, kind, &coords, &weights, coords.len(), nprocs);
-            // Identity detection: if no rank would send any atom anywhere, the partitioner
-            // reproduced the current distribution and the whole redistribution — data
-            // remap, bonded re-setup, list rebuild, hash clearing, schedule rebuild —
-            // can be skipped.  One all-reduce makes the decision machine-wide.
-            let moved_here = parts.iter().filter(|&&p| p != me).count();
-            let identity = rank.all_reduce_sum_usize(moved_here) == 0;
-            phases.data_partition += rank.modeled().since(&t0);
-            repartitions += 1;
-            let was_adaptive = adaptive_due;
-            adaptive_due = false;
-            if identity {
-                identity_repartitions += 1;
-                if let Some(ctrl) = controller.as_mut() {
-                    if !was_adaptive {
-                        ctrl.note_external_remap();
-                    }
-                    // Keep the controller's (collective) bookkeeping in step: the remap
-                    // happened from its point of view, it just moved nothing.
-                    let t0 = rank.modeled();
-                    ctrl.record_remap(rank, 0, 0.0);
-                    phases.monitor += rank.modeled().since(&t0);
-                }
-                false
-            } else {
-                let bytes_before = rank.stats().bytes_sent;
+        // Repartition on the fixed cadence, alternating RIB and RCB as the paper's Table 6
+        // experiment does every 25 steps.
+        let repartitioned = match config.repartition_interval {
+            Some(k) if step > 0 && step % k == 0 => {
                 let t0 = rank.modeled();
-                dist = redistribute(rank, &dist, &parts, natoms);
-                bonded = partition_bonded_loop(rank, &dist.ttable, system);
-                let remap_cost = rank.modeled().since(&t0);
-                phases.remap += remap_cost;
-                if let Some(ctrl) = controller.as_mut() {
-                    if !was_adaptive {
-                        // The repartition came from the fixed interval, not the
-                        // controller: the imbalance accumulated on the old distribution
-                        // must not argue for an immediate second remap of the new one.
-                        ctrl.note_external_remap();
-                    }
+                let kind = if (step / k) % 2 == 1 {
+                    PartitionerKind::Rib
+                } else {
+                    PartitionerKind::Rcb
+                };
+                let weights: Vec<f64> = (0..dist.owned_globals.len())
+                    .map(|l| 1.0 + nb_list.partners_of(l).len() as f64)
+                    .collect();
+                let coords: Vec<[f64; 3]> = (0..dist.owned_globals.len())
+                    .map(|l| dist.position(l))
+                    .collect();
+                let parts = run_partitioner(rank, kind, &coords, &weights, coords.len(), nprocs);
+                // Identity detection: if no rank would send any atom anywhere, the
+                // partitioner reproduced the current distribution and the whole
+                // redistribution — data remap, bonded re-setup, list rebuild, hash
+                // clearing, schedule rebuild — can be skipped.  One all-reduce makes the
+                // decision machine-wide.
+                let moved_here = parts.iter().filter(|&&p| p != me).count();
+                let identity = rank.all_reduce_sum_usize(moved_here) == 0;
+                phases.data_partition += rank.modeled().since(&t0);
+                repartitions += 1;
+                if identity {
+                    identity_repartitions += 1;
+                } else {
                     let t0 = rank.modeled();
-                    ctrl.record_remap(
-                        rank,
-                        rank.stats().bytes_sent - bytes_before,
-                        remap_cost.total_us(),
-                    );
-                    phases.monitor += rank.modeled().since(&t0);
+                    dist = redistribute(rank, &dist, &parts, natoms);
+                    bonded = partition_bonded_loop(rank, &dist.ttable, system);
+                    phases.remap += rank.modeled().since(&t0);
                 }
-                true
+                !identity
             }
-        } else {
-            false
+            _ => false,
         };
 
         // Periodic non-bonded list regeneration (the adaptive part).
@@ -505,15 +469,6 @@ pub fn run_parallel(
         interactions += step_interactions;
         executor_exchange = executor_exchange.merged(&step_exchange);
         phases.executor += rank.modeled().since(&t0);
-
-        // Feed the step's measured executor compute time to the controller.  `t0` was
-        // taken just before the executor phase and nothing has charged compute since it
-        // ended, so the gathered sample is exactly this step's executor compute.
-        if let Some(ctrl) = controller.as_mut() {
-            let tm = rank.modeled();
-            adaptive_due = ctrl.observe_phase(rank, &t0).remap;
-            phases.monitor += rank.modeled().since(&tm);
-        }
     }
 
     let owned_positions = dist
@@ -533,9 +488,6 @@ pub fn run_parallel(
         repartitions,
         identity_repartitions,
         cache_stats: group.cache_stats(),
-        lb_trajectory: controller
-            .map(|c| c.lb_trajectory().to_vec())
-            .unwrap_or_default(),
         executor_exchange,
         step_send_messages: sends + recvs,
         owned_positions,
@@ -875,75 +827,15 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_repartitioning_preserves_the_trajectory() {
-        // Feedback-driven re-RCB: a low threshold guarantees the controller fires at
-        // least once on a 4-rank run, and redistribution must not perturb the physics.
-        let config = ParallelConfig {
-            nsteps: 8,
-            list_update_interval: 4,
-            partitioner: PartitionerKind::Rcb,
-            schedule_mode: ScheduleMode::Merged,
-            repartition_interval: None,
-            adapt_policy: Some(chaos::adapt::RemapPolicy::Threshold {
-                lb_index: 1.01,
-                hysteresis: 0.0,
-                patience: 0,
-            }),
-        };
-        let par = parallel_positions(4, config, 5);
-        let seq = sequential_positions(8, 4, 5);
-        let dev = max_deviation(&par, &seq);
-        assert!(
-            dev < 1e-6,
-            "adaptive parallel deviates from sequential by {dev}"
-        );
-    }
-
-    #[test]
-    fn adaptive_controller_reports_trajectory_and_repartitions() {
-        let sys_cfg = SystemConfig::small(8);
-        let config = ParallelConfig {
-            nsteps: 6,
-            list_update_interval: 3,
-            partitioner: PartitionerKind::Rcb,
-            schedule_mode: ScheduleMode::Merged,
-            repartition_interval: None,
-            adapt_policy: Some(chaos::adapt::RemapPolicy::Threshold {
-                lb_index: 1.01,
-                hysteresis: 0.0,
-                patience: 0,
-            }),
-        };
-        let out = run(MachineConfig::new(4), move |rank| {
-            let system = MolecularSystem::build(&sys_cfg);
-            let stats = run_parallel(rank, &system, &config);
-            (stats.lb_trajectory, stats.repartitions)
-        });
-        let (reference, repartitions) = &out.results[0];
-        assert_eq!(reference.len(), 6, "one observation per step");
-        assert!(reference.iter().all(|lb| lb.is_finite() && *lb >= 1.0));
-        assert!(*repartitions > 0, "a 1.01 threshold must fire");
-        for (traj, reps) in &out.results {
-            assert_eq!(traj, reference, "trajectory must be replicated");
-            assert_eq!(reps, repartitions);
-        }
-    }
-
-    #[test]
     fn without_a_policy_the_monitor_is_inert() {
         let sys_cfg = SystemConfig::small(12);
         let config = ParallelConfig::paper_default(4);
         let out = run(MachineConfig::new(3), move |rank| {
             let system = MolecularSystem::build(&sys_cfg);
             let stats = run_parallel(rank, &system, &config);
-            (
-                stats.lb_trajectory.len(),
-                stats.repartitions,
-                stats.phases.monitor.total_us(),
-            )
+            (stats.repartitions, stats.phases.monitor.total_us())
         });
-        for (traj_len, reps, monitor_us) in &out.results {
-            assert_eq!(*traj_len, 0);
+        for (reps, monitor_us) in &out.results {
             assert_eq!(*reps, 0);
             assert_eq!(*monitor_us, 0.0);
         }
@@ -1102,60 +994,78 @@ mod tests {
 
     #[test]
     fn identity_repartitions_are_detected_and_skipped() {
-        // A BLOCK partitioner always reproduces the current distribution, so every
-        // adaptive firing is an identity repartition: counted, but skipping the
-        // redistribution, list rebuild and schedule work entirely.
+        // On one rank every partitioner keeps every atom where it is, so every cadence
+        // repartition (steps 2 and 4) is an identity repartition: counted, but skipping
+        // the redistribution, list rebuild and schedule work entirely.  At P = 4 the
+        // alternating RIB and RCB cuts move atoms, and every rank must reach that same
+        // decision from the one all-reduce.
         let sys_cfg = SystemConfig::small(15);
         let config = ParallelConfig {
             nsteps: 6,
             list_update_interval: 3,
-            partitioner: PartitionerKind::Block,
+            partitioner: PartitionerKind::Rcb,
             schedule_mode: ScheduleMode::Multiple,
-            repartition_interval: None,
-            adapt_policy: Some(chaos::adapt::RemapPolicy::Threshold {
-                lb_index: 1.01,
-                hysteresis: 0.0,
-                patience: 0,
-            }),
+            repartition_interval: Some(2),
+            adapt_policy: None,
         };
-        let cfg = config.clone();
-        let out = run(MachineConfig::new(4), move |rank| {
-            let system = MolecularSystem::build(&sys_cfg);
-            let stats = run_parallel(rank, &system, &cfg);
-            (
-                stats.repartitions,
-                stats.identity_repartitions,
-                stats.cache_stats,
-                stats.list_updates,
-                stats.schedule_builds,
-            )
-        });
-        let (reps, idents, cache, updates, builds) = out.results[0];
-        assert!(
-            reps > 0,
-            "a 1.01 threshold over a BLOCK distribution must fire"
-        );
-        assert_eq!(
-            idents, reps,
-            "BLOCK repartitions move nothing: all identity"
-        );
-        assert_eq!(
-            updates, 2,
-            "identity repartitions must not force list rebuilds"
-        );
-        assert_eq!(builds, 2, "initial + the step-3 list update only");
-        // The step-3 regeneration runs against the same distribution: bonded hit,
-        // non-bonded patch.
-        assert!(cache.hits >= 1);
-        assert!(cache.patches >= 1);
-        assert_eq!(cache.evictions, 0);
-        for r in &out.results {
-            assert_eq!(*r, out.results[0], "skip decisions must be replicated");
+        for nprocs in [1, 4] {
+            let (cfg, sys_cfg) = (config.clone(), sys_cfg.clone());
+            let out = run(MachineConfig::new(nprocs), move |rank| {
+                let system = MolecularSystem::build(&sys_cfg);
+                let stats = run_parallel(rank, &system, &cfg);
+                (
+                    stats.repartitions,
+                    stats.identity_repartitions,
+                    stats.cache_stats,
+                    stats.list_updates,
+                    stats.schedule_builds,
+                )
+            });
+            for r in &out.results {
+                assert_eq!(
+                    *r, out.results[0],
+                    "P={nprocs}: skip decisions must be replicated"
+                );
+            }
+            let (reps, idents, cache, updates, builds) = out.results[0];
+            assert_eq!(
+                reps, 2,
+                "P={nprocs}: the cadence repartitions at steps 2 and 4"
+            );
+            if nprocs == 1 {
+                assert_eq!(idents, reps, "one rank moves nothing: all identity");
+                assert_eq!(
+                    updates, 2,
+                    "identity repartitions must not force list rebuilds"
+                );
+                assert_eq!(builds, 2, "initial + the step-3 list update only");
+                // The step-3 regeneration runs against the same distribution: bonded hit,
+                // non-bonded patch.
+                assert!(cache.hits >= 1);
+                assert!(cache.patches >= 1);
+                assert_eq!(cache.evictions, 0);
+            } else {
+                assert_eq!(idents, 0, "P={nprocs}: RIB and RCB cuts move atoms");
+                assert_eq!(updates, 4, "initial + steps 2, 3 and 4");
+            }
+            let par = parallel_positions(nprocs, config.clone(), 15);
+            let seq = sequential_positions(6, 3, 15);
+            let dev = max_deviation(&par, &seq);
+            assert!(
+                dev < 1e-6,
+                "P={nprocs}: identity-skip run deviates by {dev}"
+            );
         }
-        let par = parallel_positions(4, config, 15);
-        let seq = sequential_positions(6, 3, 15);
-        let dev = max_deviation(&par, &seq);
-        assert!(dev < 1e-6, "identity-skip run deviates by {dev}");
+    }
+
+    #[test]
+    #[should_panic(expected = "ParallelConfig::adapt_policy is retired")]
+    fn an_adapt_policy_is_rejected_by_name() {
+        let config = ParallelConfig {
+            adapt_policy: Some(RemapPolicy::Interval { every: 2 }),
+            ..ParallelConfig::paper_default(2)
+        };
+        parallel_positions(1, config, 3);
     }
 
     #[test]

@@ -89,11 +89,11 @@ pub struct DsmcConfig {
     /// steps).  `0` means "never remap" — the run behaves like [`RemapStrategy::Static`].
     pub remap_interval: usize,
     /// When to remap.  `None` uses the paper-compatible fixed cadence
-    /// (`RemapPolicy::Interval { every: remap_interval }`), which needs no measurement
-    /// and therefore adds no communication; `Some` plugs in any
-    /// [`chaos::adapt::RemapPolicy`], driven by per-step collision-time sampling (one
-    /// all-gather per step), and records the load-balance trajectory.  Ignored for
-    /// [`RemapStrategy::Static`], which never remaps.
+    /// (`RemapPolicy::Interval { every: remap_interval }`), which needs no measurement and
+    /// adds no communication; `Some` plugs in any [`chaos::adapt::RemapPolicy`], samples
+    /// the collision time every step (one all-gather) and records the load-balance
+    /// trajectory — under [`RemapStrategy::Static`] too, which samples but never remaps
+    /// (the `static` rows of `BENCH_adapt.json`).
     pub policy: Option<RemapPolicy>,
     /// Retired: must be `None`.  It once selected group-leader monitoring; measured
     /// policies now always sample through one flat all-gather per step, and

@@ -135,7 +135,6 @@ fn drifting_decisions(nprocs: usize, nsteps: usize) -> Vec<(Vec<usize>, usize)> 
             let decision = ctrl.observe_sample(rank, local);
             if decision.remap {
                 fired.push(step);
-                ctrl.note_external_remap();
             }
         }
         (fired, ctrl.remap_count())
