@@ -16,6 +16,12 @@
 //!   every rank evaluates the policy on the *same* per-rank vector and reaches the *same*
 //!   deterministic remap/keep decision — no rank may remap alone.
 //!
+//! A run on the paper's fixed cadence needs no controller: DSMC without a policy and
+//! CHARMM decide `step > 0 && step % every == 0` inline and send no monitoring message.
+//! The controller serves the runs that sample their load; its
+//! [`RemapPolicy::Interval`] is that same cadence for a run that also wants the
+//! load-balance trajectory.
+//!
 //! # Collective discipline
 //!
 //! [`RemapController::observe_sample`] is collective: every rank of the machine must call
@@ -144,12 +150,10 @@ pub struct RemapController {
     monitor: LoadMonitor,
     step: usize,
     last_remap_step: usize,
-    remaps: usize,
     armed: bool,
     post_remap_lb: Option<f64>,
     awaiting_baseline: bool,
     last_remap_cost_us: Option<f64>,
-    last_remap_bytes: u64,
 }
 
 impl RemapController {
@@ -160,12 +164,10 @@ impl RemapController {
             monitor: LoadMonitor::default(),
             step: 0,
             last_remap_step: 0,
-            remaps: 0,
             armed: true,
             post_remap_lb: None,
             awaiting_baseline: false,
             last_remap_cost_us: None,
-            last_remap_bytes: 0,
         }
     }
 
@@ -174,21 +176,6 @@ impl RemapController {
     /// every rank, so every rank decides alike.
     pub fn observe_sample(&mut self, rank: &mut Rank, local_compute_us: f64) -> RemapDecision {
         self.decide(&rank.all_gather_one(local_compute_us))
-    }
-
-    /// Non-collective: advance the controller one step *without* a measurement.  Only the
-    /// measurement-free [`RemapPolicy::Interval`] can fire from a tick; the
-    /// measurement-driven policies always keep (they have seen nothing new), and no
-    /// trajectory entry is recorded.  Fixed-cadence drivers use this so a paper-default
-    /// run pays zero monitoring communication.
-    pub fn tick(&mut self) -> RemapDecision {
-        let since = self.step - self.last_remap_step;
-        let remap = matches!(&self.policy, RemapPolicy::Interval { every } if *every > 0 && since >= *every);
-        self.commit(remap);
-        RemapDecision {
-            remap,
-            lb_index: f64::NAN,
-        }
     }
 
     /// The decision core: record the gathered per-rank times and evaluate the policy.
@@ -245,12 +232,11 @@ impl RemapController {
         }
     }
 
-    /// Shared end-of-observation bookkeeping for [`RemapController::decide`] and
-    /// [`RemapController::tick`].  A remap invalidates the old distribution's accumulated
-    /// losses, the Threshold arm and the post-remap baseline.
+    /// End-of-observation bookkeeping for [`RemapController::decide`].  A remap
+    /// invalidates the old distribution's accumulated losses, the Threshold arm and the
+    /// post-remap baseline.
     fn commit(&mut self, remap: bool) {
         if remap {
-            self.remaps += 1;
             self.last_remap_step = self.step;
             self.armed = false;
             self.post_remap_lb = None;
@@ -262,19 +248,12 @@ impl RemapController {
 
     /// Collective: report what the remap just performed actually cost, so the
     /// [`RemapPolicy::CostBenefit`] policy amortises *measured* cost instead of its
-    /// `assumed_cost_us` bootstrap.  `local_bytes_sent` is summed and `local_modeled_us`
-    /// max-reduced across the machine (a remap is over when its slowest rank is), so every
-    /// rank stores the same figures.
-    pub fn record_remap(&mut self, rank: &mut Rank, local_bytes_sent: u64, local_modeled_us: f64) {
-        let bytes = rank.all_reduce_sum(local_bytes_sent as f64);
-        let cost = rank.all_reduce_max(local_modeled_us);
-        self.last_remap_bytes = bytes as u64;
-        self.last_remap_cost_us = Some(cost);
-    }
-
-    /// Number of remap decisions issued so far.
-    pub fn remap_count(&self) -> usize {
-        self.remaps
+    /// `assumed_cost_us` bootstrap.  `local_modeled_us` is max-reduced across the machine
+    /// (a remap is over when its slowest rank is), so every rank stores the same figure.
+    /// `_local_bytes_sent` is retired and ignored: no policy reads a remap's byte volume,
+    /// so it is no longer summed.  The argument stays so existing callers keep building.
+    pub fn record_remap(&mut self, rank: &mut Rank, _local_bytes_sent: u64, local_modeled_us: f64) {
+        self.last_remap_cost_us = Some(rank.all_reduce_max(local_modeled_us));
     }
 
     /// The load-balance index of every observed step, in order.
@@ -285,16 +264,6 @@ impl RemapController {
     /// Machine-wide modeled cost of the last recorded remap, if any.
     pub fn last_remap_cost_us(&self) -> Option<f64> {
         self.last_remap_cost_us
-    }
-
-    /// Machine-wide byte volume of the last recorded remap.
-    pub fn last_remap_bytes(&self) -> u64 {
-        self.last_remap_bytes
-    }
-
-    /// Observed steps since the last remap (or since the start, before any remap).
-    pub fn steps_since_remap(&self) -> usize {
-        self.step - self.last_remap_step
     }
 }
 
@@ -325,47 +294,14 @@ mod tests {
             }
         }
         assert_eq!(remap_steps, vec![5, 10]);
-        assert_eq!(ctrl.remap_count(), 2);
         assert_eq!(ctrl.lb_trajectory().len(), 15);
-    }
-
-    #[test]
-    fn tick_drives_interval_without_measurements() {
-        // The measurement-free path must reproduce the same cadence as decide()...
-        let mut ctrl = RemapController::new(RemapPolicy::Interval { every: 5 });
-        let mut remap_steps = Vec::new();
-        for step in 0..15 {
-            let d = ctrl.tick();
-            assert!(d.lb_index.is_nan(), "a tick has no measurement");
-            if d.remap {
-                remap_steps.push(step);
-            }
-        }
-        assert_eq!(remap_steps, vec![5, 10]);
-        // ...and record no trajectory.
-        assert!(ctrl.lb_trajectory().is_empty());
-        // Measurement-driven policies can never fire from a tick.
-        let mut thr = RemapController::new(RemapPolicy::Threshold {
-            lb_index: 1.0,
-            hysteresis: 0.0,
-            patience: 1,
-        });
-        let mut cb = RemapController::new(RemapPolicy::CostBenefit {
-            assumed_cost_us: 0.0,
-        });
-        for _ in 0..10 {
-            assert!(!thr.tick().remap);
-            assert!(!cb.tick().remap);
-        }
     }
 
     #[test]
     fn interval_zero_never_remaps() {
         let mut ctrl = RemapController::new(RemapPolicy::Interval { every: 0 });
-        for _ in 0..50 {
-            assert!(!ctrl.decide(&skewed(4)).remap);
-        }
-        assert_eq!(ctrl.remap_count(), 0);
+        let fired = (0..50).filter(|_| ctrl.decide(&skewed(4)).remap).count();
+        assert_eq!(fired, 0);
         // The trajectory is still recorded: interval-0 is the "sample only" configuration.
         assert_eq!(ctrl.lb_trajectory().len(), 50);
     }
@@ -390,7 +326,6 @@ mod tests {
         assert!(!ctrl.decide(&balanced(4)).remap);
         // ...and the next excursion fires again.
         assert!(ctrl.decide(&skewed(4)).remap);
-        assert_eq!(ctrl.remap_count(), 2);
     }
 
     #[test]
@@ -412,7 +347,6 @@ mod tests {
         // Renewed growth well past the baseline is a drift the partitioner has not seen:
         // the trigger re-arms and fires.
         assert!(ctrl.decide(&skewed(4)).remap);
-        assert_eq!(ctrl.remap_count(), 2);
     }
 
     #[test]
@@ -430,7 +364,6 @@ mod tests {
         // Four steps after the remap the patience escape re-arms the trigger: the world
         // has moved on, a retry is no longer a repeat.
         assert!(ctrl.decide(&skewed(4)).remap);
-        assert_eq!(ctrl.remap_count(), 2);
     }
 
     #[test]
@@ -452,7 +385,6 @@ mod tests {
         for _ in 0..10 {
             assert!(!ctrl.decide(&balanced(4)).remap);
         }
-        assert_eq!(ctrl.remap_count(), 1);
     }
 
     #[test]
@@ -569,18 +501,19 @@ mod tests {
             });
             let units = if rank.rank() == 0 { 400.0 } else { 100.0 };
             let d = ctrl.observe_sample(rank, units);
+            let c0 = rank.stats().collectives;
             ctrl.record_remap(rank, 64 * (rank.rank() as u64 + 1), units);
             (
                 d,
-                ctrl.last_remap_bytes(),
+                rank.stats().collectives - c0,
                 ctrl.last_remap_cost_us().unwrap(),
             )
         });
-        for (d, bytes, cost) in &out.results {
+        for (d, reductions, cost) in &out.results {
             assert!(d.remap);
             assert!((d.lb_index - 400.0 * 4.0 / 700.0).abs() < 1e-9);
-            // 64*(1+2+3+4) bytes summed, 400 us max-reduced — identical everywhere.
-            assert_eq!(*bytes, 640);
+            // Recording a remap is one reduction; 400 us max-reduced, identical everywhere.
+            assert_eq!(*reductions, 1);
             assert_eq!(*cost, 400.0);
         }
     }

@@ -161,11 +161,6 @@ impl MolecularSystem {
     pub fn natoms(&self) -> usize {
         self.positions.len()
     }
-
-    /// Minimum-image displacement from atom `i` to atom `j` under periodic boundaries.
-    pub fn displacement(&self, i: usize, j: usize) -> [f64; 3] {
-        displacement_pbc(self.positions[i], self.positions[j], self.box_size)
-    }
 }
 
 /// Minimum-image displacement between two positions in a cubic periodic box.

@@ -27,12 +27,13 @@
 //!      preprocessing light-weight schedules remove.  The data path depends only on the
 //!      schedule bytes, and patched schedules are byte-identical to rebuilds, so both
 //!      settings give identical fingerprints and data-path message totals.
-//! 3. **remapping** — a [`chaos::adapt::RemapController`] watches the measured per-rank
-//!    collision compute times (one all-gather per step) and decides collectively when to
-//!    re-partition.  The default [`RemapPolicy::Interval`] reproduces the paper's fixed
-//!    cadence (Table 5 remaps every 40 steps); [`RemapPolicy::Threshold`] and
-//!    [`RemapPolicy::CostBenefit`] remap from the drift of the load-balance index instead.
-//!    When a remap fires, the cells are re-partitioned from their current molecule counts
+//! 3. **remapping** — by default on the paper's fixed cadence (Table 5 remaps every 40
+//!    steps), which every rank decides from the step number alone, with no message.  With
+//!    an explicit [`DsmcConfig::policy`], a [`chaos::adapt::RemapController`] watches the
+//!    measured per-rank collision compute times (one all-gather per step) and decides
+//!    collectively when to re-partition: [`RemapPolicy::Threshold`] and
+//!    [`RemapPolicy::CostBenefit`] remap from the drift of the load-balance index.  When
+//!    a remap fires, the cells are re-partitioned from their current molecule counts
 //!    using recursive coordinate bisection or the chain partitioner and the affected
 //!    molecules migrate to the new owners (Table 5).
 
@@ -85,15 +86,15 @@ pub struct DsmcConfig {
     pub move_mode: MoveMode,
     /// Remapping strategy.
     pub remap: RemapStrategy,
-    /// Steps between remaps for the default interval policy (the paper remaps every 40
-    /// steps).  `0` means "never remap" — the run behaves like [`RemapStrategy::Static`].
+    /// Steps between remaps on the fixed cadence (the paper remaps every 40 steps).  `0`
+    /// means "never remap" — the run behaves like [`RemapStrategy::Static`].
     pub remap_interval: usize,
-    /// When to remap.  `None` uses the paper-compatible fixed cadence
-    /// (`RemapPolicy::Interval { every: remap_interval }`), which needs no measurement and
-    /// adds no communication; `Some` plugs in any [`chaos::adapt::RemapPolicy`], samples
-    /// the collision time every step (one all-gather) and records the load-balance
-    /// trajectory — under [`RemapStrategy::Static`] too, which samples but never remaps
-    /// (the `static` rows of `BENCH_adapt.json`).
+    /// When to remap.  `None` uses the fixed cadence of `remap_interval`, which needs no
+    /// measurement and adds no communication; `Some` plugs in any
+    /// [`chaos::adapt::RemapPolicy`], samples the collision time every step (one
+    /// all-gather) and records the load-balance trajectory — under
+    /// [`RemapStrategy::Static`] too, which samples but never remaps (the `static` rows of
+    /// `BENCH_adapt.json`).
     pub policy: Option<RemapPolicy>,
     /// Retired: must be `None`.  It once selected group-leader monitoring; measured
     /// policies now always sample through one flat all-gather per step, and
@@ -181,12 +182,12 @@ pub struct DsmcStats {
     pub remaps: usize,
     /// The load-balance index of the collision phase at every step, as measured by the
     /// remap controller (identical on every rank).  Empty unless an explicit
-    /// `config.policy` opted into per-step sampling — the paper-default cadence decides
-    /// without measuring.
+    /// `config.policy` opted into per-step sampling — the fixed cadence decides without
+    /// measuring.
     pub lb_trajectory: Vec<f64>,
-    /// `(step, machine-wide modeled cost in us)` of every remap performed, in order —
-    /// the cost figures the [`chaos::adapt::RemapPolicy::CostBenefit`] policy amortises
-    /// (identical on every rank).
+    /// `(step, machine-wide modeled cost in us)` of every remap a `config.policy` run
+    /// performed, in order — the cost figures [`chaos::adapt::RemapPolicy::CostBenefit`]
+    /// amortises (identical on every rank).  The fixed cadence records none.
     pub remap_costs: Vec<(usize, f64)>,
     /// Wire totals of the MOVE **data** path (count + payload exchanges) for
     /// [`MoveMode::Patched`], summed over steps.  How the schedule was kept current
@@ -226,10 +227,11 @@ pub fn run_parallel(
     let mut migrations = 0usize;
     let mut remaps = 0usize;
 
-    // The feedback controller that decides when to remap.  Static runs without an explicit
-    // policy skip the per-step sampling entirely (zero overhead, the pre-controller
-    // behaviour); a Static run *with* a policy samples the trajectory but never remaps.
-    let mut controller = (config.policy.is_some() || config.remap != RemapStrategy::Static)
+    // The feedback controller, built only for an explicit policy (the fixed cadence is
+    // decided inline below).  A Static run with a policy samples but never remaps.
+    let mut controller = config
+        .policy
+        .is_some()
         .then(|| RemapController::new(config.effective_policy()));
     let mut remap_costs: Vec<(usize, f64)> = Vec::new();
 
@@ -350,39 +352,34 @@ pub fn run_parallel(
         // ------------------------------------------------------------------- remapping --
         // With an explicit policy, feed this step's measured collision compute time to
         // the controller (one all-gather, so every rank sees the same per-rank vector
-        // and reaches the same decision) and report remap costs back.  The paper-default
-        // fixed cadence needs no measurement to decide, so it ticks the controller
-        // locally and pays zero monitoring communication — exactly the pre-controller
-        // behaviour.
-        if let Some(ctrl) = controller.as_mut() {
-            let measured = config.policy.is_some();
-            let decision = if measured {
-                let t0 = rank.modeled();
-                let d = ctrl.observe_sample(rank, collide_step.compute_us);
-                phases.monitor += rank.modeled().since(&t0);
-                d
-            } else {
-                ctrl.tick()
-            };
-            if decision.remap && config.remap != RemapStrategy::Static {
-                remaps += 1;
-                let bytes_before = rank.stats().bytes_sent;
-                let t0 = rank.modeled();
-                remap_cells(rank, grid, config, &mut cell_owner, &mut store, &mut phases);
-                if let Some(state) = patched_state.as_mut() {
-                    state.distribution_changed(me, &cell_owner, nprocs);
-                }
+        // and reaches the same decision) and report remap costs back.  The paper's fixed
+        // cadence needs no measurement: every rank decides it from the step number and
+        // pays zero monitoring communication.
+        let remap = if let Some(ctrl) = controller.as_mut() {
+            let t0 = rank.modeled();
+            let d = ctrl.observe_sample(rank, collide_step.compute_us);
+            phases.monitor += rank.modeled().since(&t0);
+            d.remap
+        } else {
+            let every = config.remap_interval;
+            config.remap != RemapStrategy::Static && every > 0 && step > 0 && step % every == 0
+        };
+        if remap {
+            remaps += 1;
+            let t0 = rank.modeled();
+            remap_cells(rank, grid, config, &mut cell_owner, &mut store, &mut phases);
+            if let Some(state) = patched_state.as_mut() {
+                state.distribution_changed(me, &cell_owner, nprocs);
+            }
+            if let Some(ctrl) = controller.as_mut() {
                 let remap_cost = rank.modeled().since(&t0).total_us();
-                let moved = rank.stats().bytes_sent - bytes_before;
-                if measured {
-                    let t0 = rank.modeled();
-                    ctrl.record_remap(rank, moved, remap_cost);
-                    phases.monitor += rank.modeled().since(&t0);
-                    remap_costs.push((
-                        step,
-                        ctrl.last_remap_cost_us().expect("remap cost just recorded"),
-                    ));
-                }
+                let t0 = rank.modeled();
+                ctrl.record_remap(rank, 0, remap_cost);
+                phases.monitor += rank.modeled().since(&t0);
+                remap_costs.push((
+                    step,
+                    ctrl.last_remap_cost_us().expect("remap cost just recorded"),
+                ));
             }
         }
     }
@@ -696,7 +693,7 @@ fn remap_cells(
         .map(|k| 1.0 + store.cell(k).len() as f64)
         .collect();
     let new_parts: Vec<ProcId> = match config.remap {
-        RemapStrategy::Static => owned_cells.iter().map(|&c| cell_owner[c]).collect(),
+        RemapStrategy::Static => unreachable!("a Static run never remaps"),
         RemapStrategy::RecursiveBisection => {
             let coords: Vec<[f64; 3]> = owned_cells.iter().map(|&c| grid.cell_center(c)).collect();
             rcb_partition(rank, PartitionInput::new(&coords, &weights), nprocs)
@@ -821,6 +818,16 @@ mod tests {
         assert_eq!(par, seq);
     }
 
+    /// A run on the fixed cadence, remaps included, sends no monitoring message: no
+    /// monitor time, no load trajectory, no recorded remap cost.
+    fn assert_cadence_measures_nothing(results: &[DsmcStats]) {
+        for s in results {
+            assert_eq!(s.phases.monitor.total_us(), 0.0);
+            assert!(s.lb_trajectory.is_empty());
+            assert!(s.remap_costs.is_empty());
+        }
+    }
+
     #[test]
     fn remapping_with_chain_partitioner_preserves_the_simulation() {
         let grid = CellGrid::new_2d(8, 8);
@@ -837,6 +844,7 @@ mod tests {
         };
         let results = run_config(4, grid, 500, flow, config.clone());
         assert!(results.iter().all(|s| s.remaps == 2));
+        assert_cadence_measures_nothing(&results);
         let par = merged_fingerprint(&results);
         let seq = sequential_fingerprint(grid, 500, flow, 15, config.dt, 33);
         assert_eq!(par, seq);
@@ -857,6 +865,8 @@ mod tests {
             seed: 44,
         };
         let results = run_config(4, grid, 600, flow, config.clone());
+        assert!(results.iter().all(|s| s.remaps == 2));
+        assert_cadence_measures_nothing(&results);
         let par = merged_fingerprint(&results);
         let seq = sequential_fingerprint(grid, 600, flow, 12, config.dt, 44);
         assert_eq!(par, seq);

@@ -472,7 +472,7 @@ impl<'p> Executor<'p> {
 
     /// Apply a `DISTRIBUTE` directive: build the new translation table and remap every
     /// flat real array aligned with the decomposition (collective).
-    pub fn apply_distribute(&mut self, rank: &mut Rank, decomp: &str, spec: &DistSpec) {
+    fn apply_distribute(&mut self, rank: &mut Rank, decomp: &str, spec: &DistSpec) {
         let t0 = rank.modeled();
         let size = self.program.decls.decomps[decomp];
         let slot = slot_of(&self.program.decls.names.decomps, decomp).expect("decomps has it");

@@ -1,9 +1,10 @@
 //! Point-to-point communication endpoints.
 //!
 //! Each rank owns a [`Mailbox`]: an incoming message stream plus the means to push into
-//! every other rank's stream.  Receives are *selective* — a receive for `(from, tag)`
-//! stashes any other message that arrives first and delivers it later — which gives the
-//! deterministic, MPI-like matching semantics the CHAOS executor relies on.
+//! every other rank's stream.  Receives are *tag-selective* — a receive for `tag` stashes
+//! any message with another tag that arrives first and delivers it later — which gives
+//! the MPI-like matching the exchange engine relies on: each exchange epoch has its own
+//! tag, and the engine tells one epoch's sources apart by the envelope's sender.
 //!
 //! The wire is one unbounded mpsc channel per rank.  A mailbox holds senders into its
 //! peers' channels only; a message a rank sends to itself goes straight onto its own
@@ -171,30 +172,11 @@ impl Mailbox {
         }
     }
 
-    /// Blocking receive of the next message from `from` with tag `tag`, or of a stop
-    /// notice from any rank.
-    ///
-    /// Messages from other ranks or with other tags are stashed and delivered to later
-    /// matching receives in arrival order.
-    pub fn recv(&mut self, from: usize, tag: u64) -> Envelope {
-        if let Some(idx) = self
-            .pending
-            .iter()
-            .position(|m| m.from == from && m.tag == tag)
-        {
-            return self.pending.remove(idx);
-        }
-        loop {
-            let msg = self.recv_next();
-            if (msg.from == from && msg.tag == tag) || msg.tag == STOP_TAG {
-                return msg;
-            }
-            self.pending.push(msg);
-        }
-    }
-
     /// Blocking receive of the next message carrying tag `tag` from *any* rank, or of a
     /// stop notice.
+    ///
+    /// Messages with other tags are stashed and delivered to later matching receives in
+    /// arrival order.
     pub fn recv_any(&mut self, tag: u64) -> Envelope {
         if let Some(idx) = self.pending.iter().position(|m| m.tag == tag) {
             return self.pending.remove(idx);
@@ -249,11 +231,11 @@ mod tests {
         let t = thread::spawn(move || {
             b1.send(0, 7, bytes(vec![1, 2, 3]), Stamp::default());
             b1.send(0, 7, bytes(vec![4, 5]), Stamp::default());
-            let m = b1.recv(0, 9);
+            let m = b1.recv_any(9);
             assert_eq!(payload_bytes(m), vec![9]);
         });
-        let m1 = b0.recv(1, 7);
-        let m2 = b0.recv(1, 7);
+        let m1 = b0.recv_any(7);
+        let m2 = b0.recv_any(7);
         assert_eq!(payload_bytes(m1), vec![1, 2, 3]);
         assert_eq!(payload_bytes(m2), vec![4, 5]);
         b0.send(1, 9, bytes(vec![9]), Stamp::default());
@@ -270,9 +252,9 @@ mod tests {
         // Rank 1 sends tag 1 then tag 2; rank 0 asks for tag 2 first.
         b1.send(0, 1, bytes(vec![11]), Stamp::default());
         b1.send(0, 2, bytes(vec![22]), Stamp::default());
-        let second = b0.recv(1, 2);
+        let second = b0.recv_any(2);
         assert_eq!(payload_bytes(second), vec![22]);
-        let first = b0.recv(1, 1);
+        let first = b0.recv_any(1);
         assert_eq!(payload_bytes(first), vec![11]);
     }
 
@@ -281,7 +263,7 @@ mod tests {
         let mut boxes = Mailbox::create_all(1);
         let mut b0 = boxes.pop().unwrap();
         b0.send(0, 3, bytes(vec![42]), Stamp::default());
-        assert_eq!(payload_bytes(b0.recv(0, 3)), vec![42]);
+        assert_eq!(payload_bytes(b0.recv_any(3)), vec![42]);
     }
 
     #[test]
@@ -302,7 +284,7 @@ mod tests {
         let _b2 = boxes.pop().unwrap();
         let mut b1 = boxes.pop().unwrap();
         let mut b0 = boxes.pop().unwrap();
-        let consumer = thread::spawn(move || payload_bytes(b0.recv(1, 99)));
+        let consumer = thread::spawn(move || payload_bytes(b0.recv_any(99)));
         // Give the receiver time to use up its polls and block before sending.
         thread::sleep(std::time::Duration::from_millis(30));
         b1.send(0, 99, bytes(vec![5]), Stamp::default());
@@ -325,7 +307,7 @@ mod tests {
             b0.send(1, 1, bytes(vec![1]), Stamp::default());
         }));
         assert!(message(send).starts_with("destination rank has terminated"));
-        let recv = catch_unwind(AssertUnwindSafe(|| drop(b0.recv(1, 1))));
+        let recv = catch_unwind(AssertUnwindSafe(|| drop(b0.recv_any(1))));
         assert!(message(recv).starts_with(DISCONNECTED));
     }
 
@@ -341,7 +323,7 @@ mod tests {
         });
         assert!(dying.join().is_err());
         // Rank 2 is alive and silent: without the notice this receive would wait forever.
-        let env = b0.recv(2, 1);
+        let env = b0.recv_any(1);
         assert_eq!((env.from, env.tag), (1, STOP_TAG));
         assert!(is_follow_on(&format!("{PEER_PANICKED} (rank 1)")));
         assert!(!is_follow_on("rank 1 fails"));

@@ -8,11 +8,11 @@
 //!   the receiver (start-up cost dominates small messages, bandwidth dominates large ones —
 //!   exactly the trade-off that makes communication vectorization and software caching
 //!   worthwhile);
-//! * each barrier or reduction additionally costs `sync_latency_us * ceil(log2(P))`.
-//!   This is no longer an aspirational "modelling a tree implementation" fudge: the
-//!   barrier and every reduction really do run `ceil(log2 P)` dissemination rounds
-//!   (see [`crate::topology`]), so the charged depth matches the messages on the wire
-//!   (the reductions' per-message latency/byte costs are charged on top, per message);
+//! * each reduction additionally costs `sync_latency_us * ceil(log2(P))`.  This is no
+//!   longer an aspirational "modelling a tree implementation" fudge: every reduction
+//!   really does run a log-depth combining butterfly (see [`crate::collectives`]), so
+//!   the charged depth follows the messages on the wire (the reductions' per-message
+//!   latency/byte costs are charged on top, per message);
 //! * computation is charged explicitly by application code in abstract work units
 //!   (one unit ≈ one inner-loop interaction), converted via `compute_unit_us`.
 //!
@@ -30,7 +30,7 @@ pub struct CostModel {
     pub per_byte_us: f64,
     /// Cost of one application-level work unit (microseconds).
     pub compute_unit_us: f64,
-    /// Per-stage cost of a synchronising collective (barrier, reduction), multiplied by
+    /// Per-stage cost of a synchronising collective (a reduction), multiplied by
     /// `ceil(log2(P))` (microseconds).
     pub sync_latency_us: f64,
 }
@@ -52,17 +52,6 @@ impl CostModel {
         Self {
             message_latency_us: latency_us,
             per_byte_us,
-            compute_unit_us,
-            sync_latency_us: 0.0,
-        }
-    }
-
-    /// A model in which communication is free; only compute accumulates.  Handy for
-    /// isolating load-balance effects in tests.
-    pub fn compute_only(compute_unit_us: f64) -> Self {
-        Self {
-            message_latency_us: 0.0,
-            per_byte_us: 0.0,
             compute_unit_us,
             sync_latency_us: 0.0,
         }

@@ -264,11 +264,6 @@ impl ExchangePlan {
         self.recvs.iter().map(count).collect()
     }
 
-    /// Per-destination send element counts (zero where no message).
-    pub fn send_counts(&self) -> Vec<usize> {
-        self.sends.iter().map(|s| s.unwrap_or(0)).collect()
-    }
-
     /// The fused version of this plan: every element count (send and exact-receive)
     /// multiplied by `lanes`.  This is the plan of a multi-array exchange that moves
     /// `lanes` same-schedule arrays as per-lane blocks through one message per pair — the
@@ -943,14 +938,14 @@ mod tests {
                 let mut counts = vec![0usize; n];
                 counts[(me + 1) % n] = 5;
                 counts[(me + n - 1) % n] = 7;
+                let mut expected = vec![0usize; n];
+                expected[(me + n - 1) % n] = 5; // the left neighbor ships 5 to us
+                expected[(me + 1) % n] = 7; // the right neighbor ships 7 to us
+                let expected = ExchangePlan::sparse(me, counts.clone(), expected);
+                let sends: Vec<Vec<u32>> = counts.iter().map(|&c| vec![me as u32; c]).collect();
                 let s0 = rank.stats().msgs_sent;
                 let plan = ExchangePlan::negotiate(rank, counts);
                 let negotiation_msgs = rank.stats().msgs_sent - s0;
-                let sends: Vec<Vec<u32>> = plan
-                    .send_counts()
-                    .iter()
-                    .map(|&c| vec![me as u32; c])
-                    .collect();
                 let s1 = rank.stats().msgs_sent;
                 let mut got = 0usize;
                 alltoallv_with(
@@ -960,22 +955,13 @@ mod tests {
                     |_src, _v: Placed<'_, u32>| got += 1,
                 );
                 let exec_msgs = rank.stats().msgs_sent - s1;
-                (negotiation_msgs, exec_msgs, got, plan.recv_counts())
+                (negotiation_msgs, exec_msgs, got, plan, expected)
             });
-            for (me, (neg, exec, got, rc)) in out.results.iter().enumerate() {
+            for (me, (neg, exec, got, plan, expected)) in out.results.iter().enumerate() {
                 assert_eq!(*neg, tree_rounds(p) as u64, "P={p} rank {me}");
                 assert_eq!(*exec, 2, "P={p} rank {me}: only real pairs send");
                 assert_eq!(*got, 2, "P={p} rank {me}");
-                for (q, &c) in rc.iter().enumerate() {
-                    let expected = if q == (me + p - 1) % p {
-                        5 // the left neighbor ships 5 to us
-                    } else if q == (me + 1) % p {
-                        7 // the right neighbor ships 7 to us
-                    } else {
-                        0
-                    };
-                    assert_eq!(c, expected, "P={p} rank {me}: count from {q}");
-                }
+                assert_eq!(plan, expected, "P={p} rank {me}");
             }
         }
     }
@@ -1311,8 +1297,10 @@ mod tests {
     fn fused_plan_scales_counts_but_not_messages() {
         let plan = ExchangePlan::sparse(0, vec![0, 2, 0, 5], vec![0, 0, 3, 0]);
         let fused = plan.clone().fused(3);
-        assert_eq!(fused.send_counts(), vec![0, 6, 0, 15]);
-        assert_eq!(fused.recv_counts(), vec![0, 0, 9, 0]);
+        assert_eq!(
+            fused,
+            ExchangePlan::sparse(0, vec![0, 6, 0, 15], vec![0, 0, 9, 0])
+        );
         assert_eq!(fused.send_message_count(), plan.send_message_count());
         assert_eq!(fused.recv_message_count(), plan.recv_message_count());
         assert_eq!(plan.clone().fused(1), plan);

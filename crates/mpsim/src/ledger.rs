@@ -7,8 +7,8 @@
 //! *physically* (receives are tag-selective) and surface later as a deadlock several
 //! collectives downstream, or not at all.
 //!
-//! Each rank folds every operation it starts — each collective, each exchange the
-//! program starts itself, each barrier — into a running 64-bit digest: the
+//! Each rank folds every operation it starts — each collective and each exchange the
+//! program starts itself — into a running 64-bit digest: the
 //! [`LedgerEntry`] (op kind, epoch) and the element's `TypeId`, hashed with a fixed-key
 //! hasher.  A collective's internal rounds follow from the collective and the machine
 //! size, so they are not recorded.  A fixed ring keeps the last 16 entries for
@@ -18,11 +18,10 @@
 //! envelope header, so bytes, message counts and the modeled clock do not change.  The
 //! receive compares it with its own digest as of the receiving operation: the exchange
 //! engine keeps the digest of the epoch's start, so a split-phase epoch finished after
-//! later starts is checked against that start, and a barrier compares against the
-//! digest after its own entry.  A mismatch panics "collective ledger divergence", naming
-//! both ranks, the epoch, both entries and the receiver's ring.  After a clean run,
-//! [`crate::Machine::run`] compares every rank's final digest, which catches what no
-//! message crossed (an extra operation that sends nothing, or only sends).
+//! later starts is checked against that start.  A mismatch panics "collective ledger
+//! divergence", naming both ranks, the epoch, both entries and the receiver's ring.
+//! After a clean run, [`crate::run`] compares every rank's final digest, which catches
+//! what no message crossed (an extra operation that sends nothing, or only sends).
 //!
 //! It cannot see live ranks that all block before any message crosses the divergence.
 //! A rank that panics leaves a stop notice with every peer ([`crate::comm`]), so peers
@@ -41,12 +40,11 @@ const RING: usize = 16;
 /// One recorded operation start.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct LedgerEntry {
-    /// Operation kind: `"exchange"`, `"barrier"`, `"all_gather"`, ….
+    /// Operation kind: `"exchange"`, `"all_gather"`, `"broadcast"`, ….
     pub op: &'static str,
-    /// The operation's epoch: the exchange-engine epoch at which the operation began,
-    /// or the barrier sequence number for barriers.
+    /// The operation's epoch: the exchange-engine epoch at which the operation began.
     pub epoch: u64,
-    /// The element type moved (`std::any::type_name`); `()` for barriers.
+    /// The element type moved (`std::any::type_name`).
     pub elem: &'static str,
 }
 
@@ -111,16 +109,16 @@ impl Ledger {
         format!("last operations of rank {rank}: [{}]", parts.join(", "))
     }
 
-    /// Check a message that arrived at rank `me` in `what` `n` (an exchange epoch or a
-    /// barrier), where this rank's operation had stamp `expected`.
+    /// Check a message that arrived at rank `me` in exchange epoch `epoch`, where this
+    /// rank's operation had stamp `expected`.
     ///
     /// # Panics
     /// On a stop notice from a panicked peer, and on a digest that differs from
     /// `expected` ("collective ledger divergence").
-    pub(crate) fn check(&self, me: usize, env: &Envelope, expected: &Stamp, what: &str, n: u64) {
+    pub(crate) fn check(&self, me: usize, env: &Envelope, expected: &Stamp, epoch: u64) {
         if env.tag == STOP_TAG {
             panic!(
-                "{PEER_PANICKED} (rank {}) while rank {me} waited in {what} {n}; {}",
+                "{PEER_PANICKED} (rank {}) while rank {me} waited in exchange epoch {epoch}; {}",
                 env.from,
                 self.render(me)
             );
@@ -128,8 +126,9 @@ impl Ledger {
         let sent = &env.stamp;
         if sent.digest != expected.digest {
             panic!(
-                "collective ledger divergence in {what} {n}: rank {} sent from operation #{} \
-                 {}, rank {me} received in operation #{} {}, after different histories; {}",
+                "collective ledger divergence in exchange epoch {epoch}: rank {} sent from \
+                 operation #{} {}, rank {me} received in operation #{} {}, after different \
+                 histories; {}",
                 env.from,
                 sent.seq,
                 sent.entry,
@@ -196,10 +195,10 @@ mod tests {
             let me = rank.rank();
             rank.all_gather(&[me as u32]);
             rank.all_reduce_sum(me as f64);
-            rank.barrier();
+            rank.all_gather_one(me as u8);
             rank.all_to_all(&vec![vec![me as u64]; rank.nprocs()]);
             rank.broadcast(1, &[7.0f64]);
-            rank.barrier();
+            rank.all_reduce_max(me as f64);
             (
                 rank.ledger.stamp(),
                 rank.ledger.recent().collect::<Vec<_>>(),
@@ -215,10 +214,10 @@ mod tests {
             [
                 "#1 all_gather@0<u32>",
                 "#2 all_reduce@4<f64>",
-                "#3 barrier@0<()>",
-                "#4 all_to_all@6<u64>",
-                "#5 broadcast@7<f64>",
-                "#6 barrier@1<()>",
+                "#3 all_gather_one@6<u8>",
+                "#4 all_to_all@8<u64>",
+                "#5 broadcast@9<f64>",
+                "#6 all_reduce@11<f64>",
             ]
         );
         assert_eq!(stamp.seq, 6);
@@ -253,44 +252,35 @@ mod tests {
     }
 
     /// A rank-dependent extra collective: rank 0 runs a root-only broadcast the others
-    /// never start.  The broadcast itself completes (the root only sends), and the
-    /// barrier's messages carry the histories that now differ.  Whichever barrier
-    /// receive finds it first, the report names rank 0 and a peer, the barrier, both
-    /// operation numbers, and rank 0's ring with the broadcast in it.
+    /// never start.  The broadcast's own messages, which match the peers' next gather
+    /// round by round, carry the history that now differs.  Rank 1 finds it in the first
+    /// round if the broadcast's message reaches it before rank 2's gather message, and
+    /// rank 2 in the second unless rank 1's stop notice reaches it first.  Either report
+    /// names rank 0 with the broadcast, the receiver with its gather, the epoch and the
+    /// receiver's ring.
     #[test]
-    fn rank_dependent_extra_collective_is_caught_at_the_barrier() {
+    fn rank_dependent_extra_collective_is_caught_at_the_next_collective() {
         let report = report(4, |rank| {
             rank.all_gather_one(rank.rank() as u64);
             if rank.rank() == 0 {
                 rank.broadcast(0, &[1.0f64, 2.0]);
             }
-            rank.barrier();
+            rank.all_gather_one(0u8);
         });
+        let found = |r: usize, epoch: usize| {
+            format!(
+                "rank {r} panicked: collective ledger divergence in exchange epoch {epoch}: \
+                 rank 0 sent from operation #2 broadcast@2<f64>, rank {r} received in \
+                 operation #2 all_gather_one@2<u8>, after different histories; last \
+                 operations of rank {r}: [#1 all_gather_one@0<u64>, #2 all_gather_one@2<u8>]"
+            )
+        };
         let root = report.lines().next().unwrap();
-        let from_zero = (1..4).any(|r| {
-            root.starts_with(&format!(
-                "rank {r} panicked: collective ledger divergence in barrier 0: rank 0 sent \
-                 from operation #3 barrier@0<()>, rank {r} received in operation #2 barrier@0<()>"
-            ))
-        });
-        let at_zero = (1..4).any(|r| {
-            root.starts_with(&format!(
-                "rank 0 panicked: collective ledger divergence in barrier 0: rank {r} sent \
-                 from operation #2 barrier@0<()>, rank 0 received in operation #3 barrier@0<()>"
-            ))
-        });
-        assert!(from_zero || at_zero, "{report}");
-        assert!(
-            report.contains(
-                "last operations of rank 0: [#1 all_gather_one@0<u64>, #2 broadcast@2<f64>, \
-                 #3 barrier@0<()>]"
-            ),
-            "{report}"
-        );
+        assert!(root == found(1, 2) || root == found(2, 3), "{report}");
     }
 
     /// Rank 0 gathers while rank 1 runs a dense exchange of the same element type, and
-    /// no barrier follows: the first message across the mismatch names both ranks and
+    /// no collective follows: the first message across the mismatch names both ranks and
     /// both operations.  Each rank hears the other's message before anything else, so
     /// both find it.
     #[test]
@@ -382,7 +372,7 @@ mod tests {
     fn identical_traces_have_no_divergence() {
         let mut a = Ledger::default();
         a.record::<f64>("exchange", 0);
-        a.record::<()>("barrier", 0);
+        a.record::<u8>("all_gather_one", 0);
         let b = a.clone();
         assert_eq!(a.stamp(), b.stamp());
         assert_ne!(a.stamp().digest, Ledger::default().stamp().digest);
@@ -404,7 +394,7 @@ mod tests {
             payload: crate::message::TypedPayload::empty::<f64>(),
             stamp: f.stamp(),
         };
-        let report = panic_text(|| u.check(0, &env, &u.stamp(), "exchange epoch", 0));
+        let report = panic_text(|| u.check(0, &env, &u.stamp(), 0));
         assert_eq!(
             report,
             "collective ledger divergence in exchange epoch 0: rank 2 sent from operation #1 \
@@ -427,7 +417,7 @@ mod tests {
     #[test]
     fn trace_length_skew_is_reported_as_end_of_trace() {
         let mut short = Ledger::default();
-        short.record::<()>("barrier", 0);
+        short.record::<u8>("all_gather_one", 0);
         let mut long = short.clone();
         long.record::<u64>("broadcast", 1);
         let ledgers = [long, short];
@@ -435,9 +425,9 @@ mod tests {
         assert_eq!(
             report,
             "collective ledger divergence at shutdown: rank 0 ended after operation #2 \
-             broadcast@1<u64>, rank 1 after operation #1 barrier@0<()>, with different \
-             histories; last operations of rank 0: [#1 barrier@0<()>, #2 broadcast@1<u64>]; \
-             last operations of rank 1: [#1 barrier@0<()>]"
+             broadcast@1<u64>, rank 1 after operation #1 all_gather_one@0<u8>, with \
+             different histories; last operations of rank 0: [#1 all_gather_one@0<u8>, \
+             #2 broadcast@1<u64>]; last operations of rank 1: [#1 all_gather_one@0<u8>]"
         );
     }
 

@@ -19,9 +19,10 @@
 //!   paper's tables (scaling curves, crossover points, preprocessing-to-execution ratios)
 //!   are reproduced on commodity hardware.
 //!
-//! The communication API is deliberately MPI-flavoured (personalised all-to-all, barrier,
-//! all-to-all, all-gather, all-reduce) because that is the abstraction the original CHAOS
-//! library was written against.  Every collective and every schedule-driven transfer
+//! The communication API is deliberately MPI-flavoured (personalised all-to-all,
+//! all-gather, all-reduce, broadcast) because that is the abstraction the original CHAOS
+//! library was written against.  There is no barrier: as on the paper's node programs,
+//! ranks synchronise only through the collectives they run.  Every collective and every schedule-driven transfer
 //! executes on the unified [`exchange`] engine: an [`ExchangePlan`] describes one
 //! personalised all-to-all and [`alltoallv_with`] moves the typed buffers, charges the cost
 //! model, and reports an [`ExchangeStats`].
@@ -60,7 +61,7 @@ pub use exchange::{
     alltoallv_with, route_sparse, start_alltoallv_with, ExchangeHandle, ExchangePlan,
     ExchangeStats, PackBuf, Placed, RecvSpec,
 };
-pub use machine::{run, Machine, Rank, RunOutcome};
+pub use machine::{run, Rank, RunOutcome};
 pub use message::Element;
 pub use stats::{PackPoolStats, RankStats};
 pub use topology::{tree_rounds, ExchangeBackend, MachineConfig};

@@ -17,14 +17,14 @@ use crate::cost::{CostModel, TimeSnapshot};
 use crate::ledger::{check_shutdown, Ledger, Stamp};
 use crate::message::{Buffer, Element, TypedPayload};
 use crate::stats::{MachineStats, PackPoolStats, RankStats};
-use crate::topology::{Dissemination, MachineConfig};
+use crate::topology::MachineConfig;
 
 /// The per-rank handle handed to the SPMD closure.
 ///
 /// A `Rank` is the only way code running inside the machine can interact with the outside
 /// world: it is the handle the exchange engine ([`crate::exchange`]) and the collectives
-/// ([`crate::collectives`]) move messages through, and it provides barriers and the
-/// modeled-time/statistics accounting.
+/// ([`crate::collectives`]) move messages through, and it keeps the modeled-time and
+/// statistics accounting.
 pub struct Rank {
     mailbox: Mailbox,
     cost: CostModel,
@@ -34,9 +34,6 @@ pub struct Rank {
     /// exchange messages so that consecutive exchanges can never be confused even though
     /// ranks run ahead of one another.
     exchange_seq: u64,
-    /// Number of barriers this rank has entered; tags each barrier episode's
-    /// dissemination rounds (see [`Rank::barrier`]).
-    barrier_seq: u64,
     /// Free lists of the buffer pool, one per element type: spent message buffers
     /// (a `FreeList<T>` behind `dyn Any`) waiting to be packed again.
     /// Bounded to [`POOL_MAX_TYPES`] entries by least-recently-used eviction (see
@@ -50,12 +47,6 @@ pub struct Rank {
     /// rank has started, which every outgoing message carries, and the last few entries.
     pub(crate) ledger: Ledger,
 }
-
-/// Base tag of the message-based barrier's dissemination rounds: barrier episode `i`
-/// uses tag `BARRIER_TAG_BASE + i`.  Sits in the reserved tag space, below the
-/// exchange engine's [`crate::exchange::EXCHANGE_TAG_BASE`] (which is `1 << 20` above
-/// the reserved base).
-const BARRIER_TAG_BASE: u64 = crate::collectives::RESERVED_TAG_BASE + (1 << 19);
 
 /// One element type's free list plus the recency stamp that orders eviction when
 /// [`POOL_MAX_TYPES`] distinct types have been seen.
@@ -128,8 +119,7 @@ impl Rank {
     pub(crate) fn recv_payload_any(&mut self, tag: u64, expected: &Stamp) -> (usize, TypedPayload) {
         let env = self.mailbox.recv_any(tag);
         let epoch = crate::exchange::epoch_of_tag(tag);
-        self.ledger
-            .check(self.rank(), &env, expected, "exchange epoch", epoch);
+        self.ledger.check(self.rank(), &env, expected, epoch);
         self.stats.record_recv(env.payload.byte_len());
         self.time.comm_us += self.cost.message_cost_us(env.payload.byte_len());
         (env.from, env.payload)
@@ -223,41 +213,6 @@ impl Rank {
         self.pool_stats
     }
 
-    /// Synchronise with every other rank.  Charged `sync_cost_us(P)` of communication time.
-    ///
-    /// Runs a dissemination barrier: `ceil(log2 P)` rounds of empty messages on the
-    /// rank's own mailbox, each round one hop further around the ring, after which every
-    /// rank has transitively heard from every other.  The empty messages ride the
-    /// mailbox directly — below the charged send/receive paths — because their entire
-    /// modeled cost is already the single `sync_cost_us(P)` charge (which is itself
-    /// `sync_latency_us · ceil(log2 P)`, the same log-depth shape).  Each barrier
-    /// episode gets its own tag, so ranks running ahead into the next barrier can never
-    /// confuse rounds.  The barrier is a ledger entry, and every round's message is
-    /// checked against the digest after it (see [`crate::ledger`]).
-    pub fn barrier(&mut self) {
-        self.stats.record_collective();
-        self.time.comm_us += self.cost.sync_cost_us(self.nprocs());
-        let n = self.nprocs();
-        let seq = self.barrier_seq;
-        let tag = BARRIER_TAG_BASE + seq;
-        self.ledger.record::<()>("barrier", seq);
-        self.barrier_seq += 1;
-        let me = self.rank();
-        let stamp = self.ledger.stamp();
-        let sched = Dissemination::new(n);
-        for k in 0..sched.rounds() {
-            self.mailbox.send(
-                sched.send_peer(me, k),
-                tag,
-                TypedPayload::empty::<()>(),
-                stamp,
-            );
-            let env = self.mailbox.recv(sched.recv_peer(me, k), tag);
-            self.ledger.check(me, &env, &stamp, "barrier", seq);
-            debug_assert!(env.payload.is_empty(), "barrier messages carry no payload");
-        }
-    }
-
     /// Report `units` of local computational work (for example, one unit per inner-loop
     /// interaction).  This is what makes load imbalance visible in the modeled timings.
     pub fn charge_compute(&mut self, units: f64) {
@@ -275,8 +230,8 @@ impl Rank {
         self.stats
     }
 
-    /// Record a synchronising collective without running a barrier.
-    /// Used by collectives that synchronise implicitly through their message pattern.
+    /// Record a synchronising collective: the collectives synchronise through their own
+    /// message pattern, and this adds its `sync_cost_us(P)` charge.
     pub(crate) fn charge_collective(&mut self) {
         self.stats.record_collective();
         self.time.comm_us += self.cost.sync_cost_us(self.nprocs());
@@ -375,116 +330,89 @@ impl<R> RunOutcome<R> {
     }
 }
 
-/// A reusable machine description.  [`Machine::run`] spawns the ranks, runs the SPMD
-/// closure on each, and collects results, counters and modeled times.
-pub struct Machine {
-    config: MachineConfig,
-}
-
-impl Machine {
-    /// Create a machine from a configuration.
-    pub fn new(config: MachineConfig) -> Self {
-        assert!(config.nprocs > 0, "machine needs at least one rank");
-        Self { config }
-    }
-
-    /// Number of ranks this machine simulates.
-    pub fn nprocs(&self) -> usize {
-        self.config.nprocs
-    }
-
-    /// Run `f` on every rank and wait for all of them to finish.
-    ///
-    /// # Panics
-    /// If any rank's closure panics, once every rank has finished: one line per panicked
-    /// rank, `rank N panicked: …`, the ranks that found a fault first and those that
-    /// only stopped because of another rank's failure after them.  After a clean run,
-    /// if two ranks' collective histories differ ("collective ledger divergence at
-    /// shutdown", see [`crate::ledger`]).
-    pub fn run<R, F>(&self, f: F) -> RunOutcome<R>
-    where
-        R: Send + 'static,
-        F: Fn(&mut Rank) -> R + Send + Sync + 'static,
-    {
-        let nprocs = self.config.nprocs;
-        let mailboxes = Mailbox::create_all(nprocs);
-        let f = Arc::new(f);
-
-        let mut handles = Vec::with_capacity(nprocs);
-        for mailbox in mailboxes {
-            let f = Arc::clone(&f);
-            let cost = self.config.cost;
-            let builder = thread::Builder::new()
-                .name(format!("mpsim-rank-{}", mailbox.rank()))
-                .stack_size(self.config.stack_size);
-            let handle = builder
-                .spawn(move || {
-                    let mut rank = Rank {
-                        mailbox,
-                        cost,
-                        stats: RankStats::default(),
-                        time: TimeSnapshot::default(),
-                        exchange_seq: 0,
-                        barrier_seq: 0,
-                        pool: HashMap::new(),
-                        pool_clock: 0,
-                        pool_stats: PackPoolStats::default(),
-                        ledger: Ledger::default(),
-                    };
-                    let result = f(&mut rank);
-                    (result, rank.stats, rank.time, rank.pool_stats, rank.ledger)
-                })
-                .expect("failed to spawn rank thread");
-            handles.push(handle);
-        }
-
-        let mut results = Vec::with_capacity(nprocs);
-        let mut stats = Vec::with_capacity(nprocs);
-        let mut times = Vec::with_capacity(nprocs);
-        let mut pool = Vec::with_capacity(nprocs);
-        let mut ledgers = Vec::with_capacity(nprocs);
-        let mut panics = Vec::new();
-        for (rank, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok((r, s, t, ps, l)) => {
-                    results.push(r);
-                    stats.push(s);
-                    times.push(t);
-                    pool.push(ps);
-                    ledgers.push(l);
-                }
-                Err(payload) => {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<non-string panic payload>".to_string());
-                    panics.push(format!("rank {rank} panicked: {msg}"));
-                }
-            }
-        }
-        if !panics.is_empty() {
-            // Stable: rank order within the root causes and within the follow-ons.
-            panics.sort_by_key(|msg| is_follow_on(msg));
-            panic!("{}", panics.join("\n"));
-        }
-        check_shutdown(&ledgers);
-        RunOutcome {
-            results,
-            stats,
-            times,
-            pool,
-        }
-    }
-}
-
-/// Convenience wrapper: build a [`Machine`] from `config` and run `f` on every rank.
+/// Spawn one rank thread per rank of `config`, run `f` on every rank, wait for all of
+/// them to finish, and collect results, counters and modeled times.
+///
+/// # Panics
+/// If `config` has no rank.  If any rank's closure panics, once every rank has finished:
+/// one line per panicked rank, `rank N panicked: …`, the ranks that found a fault first
+/// and those that only stopped because of another rank's failure after them.  After a
+/// clean run, if two ranks' collective histories differ ("collective ledger divergence
+/// at shutdown", see [`crate::ledger`]).
 pub fn run<R, F>(config: MachineConfig, f: F) -> RunOutcome<R>
 where
     R: Send + 'static,
     F: Fn(&mut Rank) -> R + Send + Sync + 'static,
 {
-    Machine::new(config).run(f)
+    let nprocs = config.nprocs;
+    assert!(nprocs > 0, "machine needs at least one rank");
+    let mailboxes = Mailbox::create_all(nprocs);
+    let f = Arc::new(f);
+
+    let mut handles = Vec::with_capacity(nprocs);
+    for mailbox in mailboxes {
+        let f = Arc::clone(&f);
+        let cost = config.cost;
+        let builder = thread::Builder::new()
+            .name(format!("mpsim-rank-{}", mailbox.rank()))
+            .stack_size(config.stack_size);
+        let handle = builder
+            .spawn(move || {
+                let mut rank = Rank {
+                    mailbox,
+                    cost,
+                    stats: RankStats::default(),
+                    time: TimeSnapshot::default(),
+                    exchange_seq: 0,
+                    pool: HashMap::new(),
+                    pool_clock: 0,
+                    pool_stats: PackPoolStats::default(),
+                    ledger: Ledger::default(),
+                };
+                let result = f(&mut rank);
+                (result, rank.stats, rank.time, rank.pool_stats, rank.ledger)
+            })
+            .expect("failed to spawn rank thread");
+        handles.push(handle);
+    }
+
+    let mut results = Vec::with_capacity(nprocs);
+    let mut stats = Vec::with_capacity(nprocs);
+    let mut times = Vec::with_capacity(nprocs);
+    let mut pool = Vec::with_capacity(nprocs);
+    let mut ledgers = Vec::with_capacity(nprocs);
+    let mut panics = Vec::new();
+    for (rank, handle) in handles.into_iter().enumerate() {
+        match handle.join() {
+            Ok((r, s, t, ps, l)) => {
+                results.push(r);
+                stats.push(s);
+                times.push(t);
+                pool.push(ps);
+                ledgers.push(l);
+            }
+            Err(payload) => {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "<non-string panic payload>".to_string());
+                panics.push(format!("rank {rank} panicked: {msg}"));
+            }
+        }
+    }
+    if !panics.is_empty() {
+        // Stable: rank order within the root causes and within the follow-ons.
+        panics.sort_by_key(|msg| is_follow_on(msg));
+        panic!("{}", panics.join("\n"));
+    }
+    check_shutdown(&ledgers);
+    RunOutcome {
+        results,
+        stats,
+        times,
+        pool,
+    }
 }
 
 #[cfg(test)]
@@ -608,7 +536,7 @@ mod tests {
 
     #[test]
     fn compute_charges_and_load_balance_index() {
-        let cfg = MachineConfig::new(4).with_cost(CostModel::compute_only(2.0));
+        let cfg = MachineConfig::new(4).with_cost(CostModel::uniform(0.0, 0.0, 2.0));
         let out = run(cfg, |rank| {
             // Rank i does (i+1)*100 units of work: imbalanced by construction.
             rank.charge_compute(100.0 * (rank.rank() + 1) as f64);
@@ -618,18 +546,6 @@ mod tests {
         assert!((lb - 1.6).abs() < 1e-9);
         assert!((out.max_total_us() - 800.0).abs() < 1e-9);
         assert!((out.avg_compute_us() - 500.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn barrier_is_charged_and_synchronises() {
-        let out = run(MachineConfig::new(8), |rank| {
-            for _ in 0..3 {
-                rank.barrier();
-            }
-            rank.stats().collectives
-        });
-        assert!(out.results.iter().all(|&c| c == 3));
-        assert!(out.times.iter().all(|t| t.comm_us > 0.0));
     }
 
     #[test]
@@ -705,10 +621,9 @@ mod tests {
     fn single_rank_machine_works() {
         let out = run(MachineConfig::new(1), |rank| {
             rank.charge_compute(5.0);
-            rank.barrier();
-            rank.rank()
+            (rank.rank(), rank.all_reduce_sum(2.5))
         });
-        assert_eq!(out.results, vec![0]);
+        assert_eq!(out.results, vec![(0, 2.5)]);
         assert_eq!(out.load_balance_index(), 1.0);
     }
 }

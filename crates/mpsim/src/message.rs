@@ -124,11 +124,6 @@ impl TypedPayload {
         self.byte_len
     }
 
-    /// True when the payload carries no elements.
-    pub fn is_empty(&self) -> bool {
-        self.byte_len == 0
-    }
-
     /// Recover the buffer as element type `T`: `None` for an empty payload.
     ///
     /// # Panics
@@ -245,7 +240,6 @@ mod tests {
         let ptr = values.as_ptr();
         let p = TypedPayload::new(values);
         assert_eq!(p.byte_len(), 24);
-        assert!(!p.is_empty());
         let back = p
             .into_values::<f64>(String::new)
             .expect("non-empty payload");
@@ -266,7 +260,6 @@ mod tests {
     #[test]
     fn empty_round_trip() {
         let p = TypedPayload::empty::<f64>();
-        assert!(p.is_empty());
         assert_eq!(p.byte_len(), 0);
         assert!(p.into_values::<f64>(String::new).is_none());
         // An empty payload still knows its element type.

@@ -22,7 +22,7 @@ pub struct RankStats {
     pub msgs_received: u64,
     /// Payload bytes received.
     pub bytes_received: u64,
-    /// Synchronising collectives (barriers, reductions) participated in.
+    /// Synchronising collectives (reductions) participated in.
     pub collectives: u64,
     /// Application-reported work units executed.
     pub compute_units: f64,

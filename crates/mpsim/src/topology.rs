@@ -6,10 +6,10 @@
 //!
 //! The rest of this module is the *virtual topology* layer underneath the collectives:
 //! pure rank-ID arithmetic describing who talks to whom in each round of a log-depth
-//! collective, with no communication of its own.  Two shapes cover the gathers,
-//! `barrier` and `broadcast`, and both handle non-power-of-two machine sizes:
+//! collective, with no communication of its own.  Two shapes cover the gathers and
+//! `broadcast`, and both handle non-power-of-two machine sizes:
 //!
-//! * [`Dissemination`] — the symmetric schedule behind the gathers and `barrier`: in
+//! * [`Dissemination`] — the symmetric schedule behind the gathers: in
 //!   round `k` every rank sends to the rank `2^k` below it and receives from the rank
 //!   `2^k` above it (mod P), so after `ceil(log2 P)` rounds every rank has heard,
 //!   directly or transitively, from every other rank.  (The reductions run on the
@@ -112,11 +112,6 @@ impl Dissemination {
     pub fn new(nprocs: usize) -> Self {
         assert!(nprocs > 0, "a machine has at least one rank");
         Dissemination { nprocs }
-    }
-
-    /// Number of ranks the schedule spans.
-    pub fn nprocs(&self) -> usize {
-        self.nprocs
     }
 
     /// Number of rounds: `ceil(log2 P)` (zero on a single rank).

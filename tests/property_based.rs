@@ -90,7 +90,7 @@ fn gather_scatter_round_trip_and_reduction() {
         let nprocs = 1 + (mix(case, 1) % 5) as usize;
         let pattern_seed = mix(case, 2) % 1_000;
         let out = run(
-            MachineConfig::new(nprocs).with_cost(CostModel::compute_only(0.0)),
+            MachineConfig::new(nprocs).with_cost(CostModel::uniform(0.0, 0.0, 0.0)),
             move |rank| {
                 let dist = BlockDist::new(n, rank.nprocs());
                 let ttable = TranslationTable::from_regular(&dist);
@@ -159,7 +159,7 @@ fn scatter_append_conserves_and_routes() {
         let dests_seed = mix(case, 11) % 1_000;
         let items_per_rank = (mix(case, 12) % 40) as usize;
         let out = run(
-            MachineConfig::new(nprocs).with_cost(CostModel::compute_only(0.0)),
+            MachineConfig::new(nprocs).with_cost(CostModel::uniform(0.0, 0.0, 0.0)),
             move |rank| {
                 let me = rank.rank();
                 let items: Vec<u64> = (0..items_per_rank)
@@ -202,7 +202,7 @@ fn remap_preserves_values_for_arbitrary_maps() {
         let nprocs = 1 + (mix(case, 21) % 5) as usize;
         let map_seed = mix(case, 22) % 1_000;
         let out = run(
-            MachineConfig::new(nprocs).with_cost(CostModel::compute_only(0.0)),
+            MachineConfig::new(nprocs).with_cost(CostModel::uniform(0.0, 0.0, 0.0)),
             move |rank| {
                 let block = BlockDist::new(n, rank.nprocs());
                 let my_block: Vec<usize> = block.local_globals(rank.rank()).collect();
@@ -236,7 +236,7 @@ fn partitioners_produce_valid_assignments() {
         let npoints = 1 + (mix(case, 32) % 49) as usize;
         let seed = mix(case, 33) % 500;
         let out = run(
-            MachineConfig::new(nprocs).with_cost(CostModel::compute_only(0.0)),
+            MachineConfig::new(nprocs).with_cost(CostModel::uniform(0.0, 0.0, 0.0)),
             move |rank| {
                 let me = rank.rank() as u64;
                 let coords: Vec<[f64; 3]> = (0..npoints)
