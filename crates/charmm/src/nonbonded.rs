@@ -17,6 +17,10 @@
 //! O(n + target cells × (stencil candidates + n/64) + Σ suffix lengths): the read-back's
 //! n/64 words are paid once a target cell, not once a row, and the suffix halves the
 //! distance tests when both atoms are targets.
+//!
+//! The parallel driver's force loop, [`sweep_nonbonded_forces`], runs over one 32-byte
+//! [`Slot`] per owned-plus-ghost atom: four partners at a time on AVX2 intrinsics when the
+//! host has them, else one, with [`accumulate_nonbonded_forces`]'s bits either way.
 
 use crate::system::{displacement_pbc, dist2};
 
@@ -62,6 +66,9 @@ pub fn build_neighbor_list(positions: &[[f64; 3]], box_size: f64, cutoff: f64) -
 
 /// Half-cutoff cells: their 5×5×5 stencil scans 1.7× less volume than 3×3×3 cutoff cells.
 const CELLS_PER_CUTOFF: usize = 2;
+
+/// Candidates a row tests per chunk, one bit each of a `u16` hit mask.
+const LIST_CHUNK: usize = 16;
 
 /// Build the neighbour list rows for the atoms in `targets` (global indices), searching
 /// against *all* atoms in `positions`.  The produced CSR structure has one row per target,
@@ -177,11 +184,11 @@ fn list_rows(
             // tested and masked off.
             let low_word = group.iter().map(|&r| targets[r]).min().unwrap_or(0) >> 6;
             mark[..low_word].fill(0);
-            cand.resize(count + SWEEP_CHUNK, 0);
+            cand.resize(count + LIST_CHUNK, 0);
             if !second {
                 lanes
                     .iter_mut()
-                    .for_each(|l| l.resize(count + SWEEP_CHUNK, 0.0));
+                    .for_each(|l| l.resize(count + LIST_CHUNK, 0.0));
             }
             let mut len = 0;
             for (w, word) in mark.iter_mut().enumerate().skip(low_word) {
@@ -199,13 +206,13 @@ fn list_rows(
                 let (i, pi) = (targets[r], positions[targets[r]]);
                 let above = cand[..len].partition_point(|&j| j as usize <= i);
                 let mut at = offsets[r];
-                for s in (above..len).step_by(SWEEP_CHUNK) {
+                for s in (above..len).step_by(LIST_CHUNK) {
                     if second {
                         // Branch-free compress: a miss writes where the row's next hit
                         // goes, or past the row's end, where nothing is written.
                         let (mask, out) = (masks[next_mask], &mut partners[at..offsets[r + 1]]);
                         let mut m = 0;
-                        for (k, &j) in cand[s..s + SWEEP_CHUNK].iter().enumerate() {
+                        for (k, &j) in cand[s..s + LIST_CHUNK].iter().enumerate() {
                             if let Some(slot) = out.get_mut(m) {
                                 *slot = j as usize;
                             }
@@ -214,14 +221,14 @@ fn list_rows(
                         (at, next_mask) = (at + m, next_mask + 1);
                         continue;
                     }
-                    let [x, y, z] = [0, 1, 2].map(|a| &lanes[a][s..s + SWEEP_CHUNK]);
+                    let [x, y, z] = [0, 1, 2].map(|a| &lanes[a][s..s + LIST_CHUNK]);
                     let mut mask = 0u32;
-                    for k in 0..SWEEP_CHUNK {
+                    for k in 0..LIST_CHUNK {
                         let d = [x[k] - pi[0], y[k] - pi[1], z[k] - pi[2]];
                         let d = d.map(|d| min_image(d, box_size, half));
                         mask |= u32::from(dist2(d) <= cutoff2) << k;
                     }
-                    let mask = mask & (u32::MAX >> (32 - (len - s).min(SWEEP_CHUNK)));
+                    let mask = mask & (u32::MAX >> (32 - (len - s).min(LIST_CHUNK)));
                     masks.push(mask as u16);
                     offsets[r + 1] += mask.count_ones() as usize;
                 }
@@ -233,6 +240,31 @@ fn list_rows(
         }
     }
     NeighborList { offsets, partners }
+}
+
+/// Run the list builder's lane-wise loop compiled for AVX2 when the host has it, else for
+/// the baseline.  `body` and what it calls are `#[inline(always)]`, so the AVX2
+/// instantiation is the whole loop.  FMA stays off (Rust never contracts `a * b + c`).
+#[inline(always)]
+fn lane_wise<R>(body: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        #[target_feature(enable = "avx2")]
+        fn avx2<R>(body: impl FnOnce() -> R) -> R {
+            body()
+        }
+        // SAFETY: `avx2` needs only AVX2, and the host has it: detected just above.
+        return unsafe { avx2(body) };
+    }
+    body()
+}
+
+/// `displacement_pbc`'s per-axis branch as a select, bit for bit: the subtraction of
+/// −box is its addition of box, and `d − 0.0` keeps a −0.0.
+#[inline(always)]
+fn min_image(d: f64, box_size: f64, half: f64) -> f64 {
+    let below = if d < -half { -box_size } else { 0.0 };
+    d - if d > half { box_size } else { below }
 }
 
 /// Pair force of the truncated, softened Lennard-Jones-like potential, given the
@@ -272,97 +304,149 @@ pub fn accumulate_nonbonded_forces(
     count
 }
 
-/// Partners per chunk of the lane-wise sweep.
-const SWEEP_CHUNK: usize = 16;
+/// One atom's slot in the force sweep's buffers, `[x, y, z, 0.0]`: one aligned 32-byte
+/// load or store, never split across cache lines.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[repr(C, align(32))]
+pub struct Slot(pub [f64; 4]);
 
-/// The parallel driver's non-bonded force loop over flat owned-plus-ghost lanes: row `l`
-/// lists the slots of owned slot `l`'s partners.  Each pair force is added to slot `l` and
-/// subtracted from the partner's: per slot the same IEEE operations in the same order as
-/// [`accumulate_nonbonded_forces`], so the same bits, on AVX2 when the host has it.
-/// Returns the number of pair interactions evaluated.
+/// The sweep's partner slots, CSR over the neighbour list's row offsets, and their bound
+/// (every slot is below `end`), recorded once a fill so that no sweep scans them.
+#[derive(Debug, Default)]
+pub struct PartnerSlots {
+    slots: Vec<u32>,
+    end: usize,
+}
+
+impl PartnerSlots {
+    /// Empty the slots, let `fill` append new ones, and record their bound.
+    pub fn refill(&mut self, fill: impl FnOnce(&mut Vec<u32>)) {
+        self.slots.clear();
+        fill(&mut self.slots);
+        self.end = self.slots.iter().max().map_or(0, |&s| s as usize + 1);
+    }
+}
+
+/// The parallel driver's non-bonded force loop over one [`Slot`] per owned-plus-ghost
+/// atom: row `l` lists the slots of owned slot `l`'s partners.  Each pair force is added
+/// to slot `l` and subtracted from the partner's: per slot the same IEEE operations in
+/// the same order as [`accumulate_nonbonded_forces`], so the same bits, four partners at
+/// a time on AVX2 when the host has it, else one.  Returns the pairs evaluated.
 ///
 /// # Panics
-/// If the six lanes differ in length or there are more rows than slots, naming both.
+/// Naming the lengths or the slot, if the two buffers differ in length, there are more
+/// rows than slots, or a partner slot is past the buffers.
 pub fn sweep_nonbonded_forces(
     offsets: &[usize],
-    partners: &[u32],
-    pos: [&[f64]; 3],
-    force: [&mut [f64]; 3],
+    partners: &PartnerSlots,
+    pos: &[Slot],
+    force: &mut [Slot],
     box_size: f64,
 ) -> usize {
-    lane_wise(
-        #[inline(always)]
-        || sweep_rows(offsets, partners, pos, force, box_size),
-    )
-}
-
-/// Run a lane-wise loop compiled for AVX2 when the host has it, whose four-lane `vdivpd`
-/// the baseline target lacks; else as compiled for the baseline.  `body` and what it
-/// calls are `#[inline(always)]`, so the AVX2 instantiation is the whole loop.  FMA stays
-/// off (Rust never contracts `a * b + c`): the same IEEE operations per lane either way.
-#[inline(always)]
-fn lane_wise<R>(body: impl FnOnce() -> R) -> R {
+    let (slots, rows) = (pos.len(), offsets.len().saturating_sub(1));
+    assert!(
+        force.len() == slots && rows <= slots,
+        "non-bonded sweep: {slots} position and {} force slots need one length, at least \
+         the {rows} rows",
+        force.len()
+    );
+    assert!(
+        partners.end <= slots,
+        "non-bonded sweep: partner slot {} is past the {slots} slots",
+        partners.end.saturating_sub(1)
+    );
+    let count = offsets.last().map_or(0, |&end| end - offsets[0]);
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") {
-        #[target_feature(enable = "avx2")]
-        fn avx2<R>(body: impl FnOnce() -> R) -> R {
-            body()
-        }
-        // SAFETY: `avx2` needs only AVX2, and the host has it: detected just above.
-        return unsafe { avx2(body) };
+        // SAFETY: the host has AVX2, detected just above.  The first assert gives the
+        // buffers one length and puts every row below it; every partner slot is below
+        // `partners.end`, which the second puts at most at that length.
+        unsafe { sweep_quads(offsets, &partners.slots, pos, force, box_size) };
+        return count;
     }
-    body()
+    sweep_pairs(offsets, &partners.slots, pos, force, box_size);
+    count
 }
 
-/// `displacement_pbc`'s per-axis branch as a select, bit for bit: the subtraction of
-/// −box is its addition of box, and `d − 0.0` keeps a −0.0.
-#[inline(always)]
-fn min_image(d: f64, box_size: f64, half: f64) -> f64 {
-    let below = if d < -half { -box_size } else { 0.0 };
-    d - if d > half { box_size } else { below }
-}
-
-/// The sweep's one body.  A row's own force stays in an accumulator (no partner is the
-/// row's slot: partners are above its atom).  Per chunk of partners: gather displacements,
-/// compute every lane's minimum image and pair force, then apply the forces in list order.
-#[inline(always)]
-fn sweep_rows(
-    offsets: &[usize],
-    partners: &[u32],
-    [px, py, pz]: [&[f64]; 3],
-    [fx, fy, fz]: [&mut [f64]; 3],
-    box_size: f64,
-) -> usize {
-    let lanes = [px.len(), py.len(), pz.len(), fx.len(), fy.len(), fz.len()];
-    let rows = offsets.len().saturating_sub(1);
-    assert!(
-        lanes.iter().all(|&len| len == lanes[0]) && rows <= lanes[0],
-        "non-bonded sweep: position and force lanes of lengths {lanes:?} need one length, \
-         at least the {rows} rows"
-    );
-    let half = box_size / 2.0;
-    let image = |d: f64| min_image(d, box_size, half);
-    let (mut d, mut f) = ([[0.0; SWEEP_CHUNK]; 3], [[0.0; SWEEP_CHUNK]; 3]);
-    for (l, row) in offsets.windows(2).enumerate() {
-        let a = [px[l], py[l], pz[l]];
-        let mut acc = [fx[l], fy[l], fz[l]];
-        for chunk in partners[row[0]..row[1]].chunks(SWEEP_CHUNK) {
-            for (k, rj) in chunk.iter().map(|&rj| rj as usize).enumerate() {
-                (d[0][k], d[1][k], d[2][k]) = (px[rj] - a[0], py[rj] - a[1], pz[rj] - a[2]);
-            }
-            // Lanes past a short chunk's end are computed and never applied.
-            for k in 0..SWEEP_CHUNK {
-                [f[0][k], f[1][k], f[2][k]] =
-                    pair_force([image(d[0][k]), image(d[1][k]), image(d[2][k])]);
-            }
-            for (k, rj) in chunk.iter().map(|&rj| rj as usize).enumerate() {
-                acc = [acc[0] + f[0][k], acc[1] + f[1][k], acc[2] + f[2][k]];
-                (fx[rj], fy[rj], fz[rj]) = (fx[rj] - f[0][k], fy[rj] - f[1][k], fz[rj] - f[2][k]);
+/// The portable body, a pair at a time.  A row's own force stays in an accumulator: no
+/// partner is the row's slot.
+fn sweep_pairs(rows: &[usize], partners: &[u32], pos: &[Slot], force: &mut [Slot], bx: f64) {
+    let xyz = |s: Slot| [s.0[0], s.0[1], s.0[2]];
+    for (l, row) in rows.windows(2).enumerate() {
+        let mut acc = force[l].0;
+        for &j in &partners[row[0]..row[1]] {
+            let j = j as usize;
+            let f = pair_force(displacement_pbc(xyz(pos[l]), xyz(pos[j]), bx));
+            for k in 0..3 {
+                acc[k] += f[k];
+                force[j].0[k] -= f[k];
             }
         }
-        [fx[l], fy[l], fz[l]] = acc;
+        force[l] = Slot(acc);
     }
-    offsets.last().map_or(0, |&end| end - offsets[0])
+}
+
+/// The AVX2 body: four partners at a time, transposed to x/y/z vectors for the minimum
+/// image and [`pair_force`]'s operations, and back to one slot per partner to apply them
+/// in list order.  A row's last quad pads with the row's own slot: computed, never applied.
+///
+/// # Safety
+/// The host has AVX2, the buffers have one length, and no row or partner slot reaches it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn sweep_quads(rows: &[usize], partners: &[u32], pos: &[Slot], force: &mut [Slot], bx: f64) {
+    use std::arch::x86_64::*;
+    let (add, sub, mul, div) = (_mm256_add_pd, _mm256_sub_pd, _mm256_mul_pd, _mm256_div_pd);
+    let splat = |v: f64| _mm256_set1_pd(v);
+    let [box_v, neg_box, half, neg_half] = [1.0, -1.0, 0.5, -0.5].map(|k| splat(k * bx));
+    let [quarter, sigma2, eps24, two, sign] =
+        [0.25, LJ_SIGMA * LJ_SIGMA, 24.0 * LJ_EPS, 2.0, -0.0].map(splat);
+    // SAFETY: every call below passes a row or a partner slot, below both lengths (the
+    // contract), and a `Slot` is four `f64`s aligned to 32 bytes.
+    let load = |s: &[Slot], j: usize| unsafe { _mm256_load_pd(s.get_unchecked(j).0.as_ptr()) };
+    // SAFETY: as for `load`.
+    let store = |s: &mut [Slot], j: usize, v| unsafe {
+        _mm256_store_pd(s.get_unchecked_mut(j).0.as_mut_ptr(), v);
+    };
+    // Four slots to their x, y, z and fourth lanes, one vector each, or back.
+    let transpose = |[r0, r1, r2, r3]: [__m256d; 4]| {
+        let (t0, t1) = (_mm256_unpacklo_pd(r0, r1), _mm256_unpackhi_pd(r0, r1));
+        let (t2, t3) = (_mm256_unpacklo_pd(r2, r3), _mm256_unpackhi_pd(r2, r3));
+        let [lo, hi] = [
+            _mm256_permute2f128_pd::<0x20>,
+            _mm256_permute2f128_pd::<0x31>,
+        ];
+        [lo(t0, t2), lo(t1, t3), hi(t0, t2), hi(t1, t3)]
+    };
+    // `displacement_pbc`'s branch as `d − s`, `s ∈ {box, −box, 0.0}`: subtracting −box is
+    // adding box, and `d − 0.0` keeps a −0.0.
+    let image = |d| {
+        let below = _mm256_and_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(d, neg_half), neg_box);
+        sub(
+            d,
+            _mm256_blendv_pd(below, box_v, _mm256_cmp_pd::<_CMP_GT_OQ>(d, half)),
+        )
+    };
+    for (l, row) in rows.windows(2).enumerate() {
+        let (a, mut acc) = (load(pos, l), load(force, l));
+        for quad in partners[row[0]..row[1]].chunks(4) {
+            let js = [0, 1, 2, 3].map(|k| quad.get(k).map_or(l, |&j| j as usize));
+            let [x, y, z, _] = transpose(js.map(|j| sub(load(pos, j), a)));
+            let [x, y, z] = [x, y, z].map(image);
+            // `pair_force`, operation for operation; vmaxpd gives 0.25 for a NaN r², as
+            // `f64::max` does.
+            let r2 = _mm256_max_pd(add(add(mul(x, x), mul(y, y)), mul(z, z)), quarter);
+            let s2 = div(sigma2, r2);
+            let s6 = mul(mul(s2, s2), s2);
+            let neg_m = _mm256_xor_pd(div(mul(eps24, sub(mul(mul(two, s6), s6), s6)), r2), sign);
+            let f = [x, y, z, _mm256_setzero_pd()].map(|d| mul(neg_m, d));
+            for (&j, f) in quad.iter().zip(transpose(f)) {
+                acc = add(acc, f);
+                store(force, j as usize, sub(load(force, j as usize), f));
+            }
+        }
+        store(force, l, acc);
+    }
 }
 
 #[cfg(test)]
@@ -564,7 +648,7 @@ mod tests {
         assert!(far[0] > 0.0, "distant atoms inside the well must attract");
     }
 
-    type Sweep = fn(&[usize], &[u32], [&[f64]; 3], [&mut [f64]; 3], f64) -> usize;
+    type Sweep = fn(&[usize], &PartnerSlots, &[Slot], &mut [Slot], f64) -> usize;
 
     /// Lay the `targets` out as owned slots `0..`, every other atom as a ghost slot after
     /// them, run `sweep` over the list in those slots, and check every force against
@@ -595,24 +679,23 @@ mod tests {
         let mut forces: Vec<[f64; 3]> = (0..n).map(start).collect();
         let expected = accumulate_nonbonded_forces(targets, list, positions, box_size, &mut forces);
 
-        let lanes = |value: &dyn Fn(usize) -> [f64; 3]| {
-            [0, 1, 2].map(|k| order.iter().map(|&g| value(g)[k]).collect::<Vec<f64>>())
+        let slots = |value: &dyn Fn(usize) -> [f64; 3]| -> Vec<Slot> {
+            order
+                .iter()
+                .map(|&g| {
+                    let [x, y, z] = value(g);
+                    Slot([x, y, z, 0.0])
+                })
+                .collect()
         };
-        let pos = lanes(&|g| positions[g]);
-        let mut force = lanes(&start);
-        let partners: Vec<u32> = list.partners.iter().map(|&g| slot[g] as u32).collect();
-        let [fx, fy, fz] = &mut force;
-        let count = (sweep.1)(
-            &list.offsets,
-            &partners,
-            [&pos[0], &pos[1], &pos[2]],
-            [fx, fy, fz],
-            box_size,
-        );
+        let pos = slots(&|g| positions[g]);
+        let mut force = slots(&start);
+        let mut partners = PartnerSlots::default();
+        partners.refill(|p| p.extend(list.partners.iter().map(|&g| slot[g] as u32)));
+        let count = (sweep.1)(&list.offsets, &partners, &pos, &mut force, box_size);
         assert_eq!(count, expected, "{}, {case}: interaction count", sweep.0);
-        for g in 0..n {
-            for k in 0..3 {
-                let (want, got) = (forces[g][k], force[k][slot[g]]);
+        for (g, want) in forces.iter().enumerate() {
+            for (k, (want, got)) in want.iter().zip(force[slot[g]].0).enumerate() {
                 assert!(
                     want.to_bits() == got.to_bits(),
                     "{}, {case}: atom {g} axis {k}: sweep {got:e}, sequential loop {want:e}",
@@ -622,18 +705,29 @@ mod tests {
         }
     }
 
-    /// The instantiations the host can run: the portable body always, the dispatched
-    /// entry when it takes the AVX2 one.
+    fn portable_body(
+        offsets: &[usize],
+        partners: &PartnerSlots,
+        pos: &[Slot],
+        force: &mut [Slot],
+        box_size: f64,
+    ) -> usize {
+        sweep_pairs(offsets, &partners.slots, pos, force, box_size);
+        partners.slots.len()
+    }
+
+    /// The bodies the host can run: the portable one always, the AVX2 one through the
+    /// dispatched entry when the host has AVX2.
     fn sweeps() -> Vec<(&'static str, Sweep)> {
-        let mut sweeps: Vec<(&'static str, Sweep)> = vec![("portable body", sweep_rows)];
+        let mut sweeps: Vec<(&'static str, Sweep)> = vec![("portable body", portable_body)];
         #[cfg(target_arch = "x86_64")]
         if std::is_x86_feature_detected!("avx2") {
-            sweeps.push(("dispatched entry (AVX2)", sweep_nonbonded_forces));
+            sweeps.push(("dispatched entry (AVX2 body)", sweep_nonbonded_forces));
         }
         let checked = if sweeps.len() == 1 {
             "AVX2 not detected, checked the portable body only"
         } else {
-            "checked the portable body and the AVX2 instantiation"
+            "checked the portable body and the AVX2 body"
         };
         eprintln!("sweep_matches_the_sequential_loop_bit_for_bit: {checked}");
         sweeps
@@ -641,15 +735,15 @@ mod tests {
 
     #[test]
     fn sweep_matches_the_sequential_loop_bit_for_bit() {
-        // Six targets in box 10 with rows of 0, 1, C − 1, C, C + 1 and 2C + 3 partners,
-        // each partner its own atom placed at an offset from its target: across the
-        // periodic boundary on every axis in both directions (targets sit near 0 or near
-        // the box on each axis), at exactly half the box, inside the 0.25 softening core,
-        // on the target itself (displacement +0.0) and at −0.0 against a target at 0.0.
-        let c = SWEEP_CHUNK;
+        // Twelve targets in box 10 with rows of 0 to 9, 17 and 35 partners, so a row's
+        // last group of four holds 0, 1, 2 and 3 partners at least twice each.  Each
+        // partner is its own atom placed at an offset from its target: across the periodic
+        // boundary on every axis in both directions (targets sit near 0 or near the box on
+        // each axis), at exactly half the box, inside the 0.25 softening core, on the
+        // target itself (displacement +0.0) and at −0.0 against a target at 0.0.
         let box_size: f64 = 10.0;
-        let lens = [0, 1, c - 1, c, c + 1, 2 * c + 3];
-        let mut positions: Vec<[f64; 3]> = vec![
+        let lens = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 35];
+        let corners = [
             [5.0, 5.0, 5.0],
             [0.2, 9.8, 0.2],
             [9.8, 0.2, 9.8],
@@ -657,6 +751,7 @@ mod tests {
             [9.7, 9.7, 0.3],
             [0.0, 5.0, 2.0],
         ];
+        let mut positions: Vec<[f64; 3]> = (0..lens.len()).map(|i| corners[i % 6]).collect();
         let offsets_cycle = [
             [-0.5, 0.0, 0.0],
             [0.5, 0.0, 0.0],
@@ -684,9 +779,11 @@ mod tests {
             }
             list.offsets.push(list.partners.len());
         }
-        // The last row's target sits at x = 0.0; its first partner at x = −0.0.
-        let first = list.offsets[5];
-        positions[list.partners[first]][0] = -0.0;
+        // Rows 5 and 11 have their target at x = 0.0; their first partners sit at x = −0.0.
+        for row in [5, 11] {
+            let first = list.partners[list.offsets[row]];
+            positions[first][0] = -0.0;
+        }
         let targets: Vec<usize> = (0..lens.len()).collect();
 
         // The 3 400-atom system of the charmm_* workloads, the x < box/2 half as targets.
@@ -810,18 +907,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(
-        expected = "lanes of lengths [3, 3, 3, 3, 2, 3] need one length, at least the 2 rows"
-    )]
+    #[should_panic(expected = "3 position and 2 force slots need one length, at least the 2 rows")]
     fn sweep_names_mismatched_lanes() {
-        let (p, mut fx, mut fy, mut fz) = ([0.0; 3], [0.0; 3], [0.0; 2], [0.0; 3]);
-        sweep_nonbonded_forces(
-            &[0, 1, 1],
-            &[2],
-            [&p, &p, &p],
-            [&mut fx, &mut fy, &mut fz],
-            10.0,
-        );
+        let (p, mut f) = ([Slot::default(); 3], [Slot::default(); 2]);
+        sweep_nonbonded_forces(&[0, 1, 1], &PartnerSlots::default(), &p, &mut f, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-bonded sweep: partner slot 3 is past the 3 slots")]
+    fn sweep_names_a_partner_slot_past_the_buffers() {
+        let (p, mut f) = ([Slot::default(); 3], [Slot::default(); 3]);
+        let mut partners = PartnerSlots::default();
+        partners.refill(|s| s.extend([1, 3]));
+        sweep_nonbonded_forces(&[0, 1, 2], &partners, &p, &mut f, 10.0);
     }
 
     #[test]

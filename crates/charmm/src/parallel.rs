@@ -20,7 +20,8 @@
 //!    split-phase, in flight while the bonded force loop computes.  The driver decides
 //!    only which members are dirty: a repartition makes all three dirty, a list update
 //!    every `list_update_interval` steps only `NB` — the adaptive part.  The non-bonded
-//!    loop sweeps the arrays' flat lanes ([`crate::nonbonded::sweep_nonbonded_forces`]).
+//!    loop sweeps one 32-byte slot per owned-plus-ghost atom, copied from the arrays'
+//!    flat lanes and back ([`crate::nonbonded::sweep_nonbonded_forces`]).
 //!
 //! The per-phase modeled times the paper reports in Tables 1, 2, 3 and 6 are accumulated
 //! in [`CharmmPhaseTimes`].
@@ -31,7 +32,9 @@ use mpsim::{ExchangeStats, Rank, TimeSnapshot};
 
 use crate::bonds::bond_force;
 use crate::integrate::integrate_atom;
-use crate::nonbonded::{build_neighbor_list_for, sweep_nonbonded_forces, NeighborList};
+use crate::nonbonded::{
+    build_neighbor_list_for, sweep_nonbonded_forces, NeighborList, PartnerSlots, Slot,
+};
 use crate::system::{displacement_pbc, MolecularSystem};
 
 /// Which data partitioner distributes the atoms.
@@ -242,8 +245,8 @@ struct ForceLoops {
     group: LoopGroup,
     bonds: Vec<(u32, u32)>,
     /// Local references of the non-bonded partners, CSR over the neighbour list's own
-    /// row offsets (`NeighborList::offsets`).
-    nb: Vec<u32>,
+    /// row offsets (`NeighborList::offsets`), with their bound.
+    nb: PartnerSlots,
 }
 
 impl ForceLoops {
@@ -251,7 +254,7 @@ impl ForceLoops {
         ForceLoops {
             group: LoopGroup::new(me, 3, mode.member_sets()),
             bonds: Vec::new(),
-            nb: Vec::new(),
+            nb: PartnerSlots::default(),
         }
     }
 
@@ -278,12 +281,14 @@ impl ForceLoops {
         }
         // One call per atom row, not one over the whole list: each call charges its own
         // `new + known·0.1`, and the grouping of those float sums decides the last bits
-        // of the modeled time.
-        self.nb.clear();
-        self.nb.reserve(nb_list.interaction_count());
-        for l in 0..nb_list.natoms() {
-            group.hash(rank, ttable, NB, nb_list.partners_of(l), &mut self.nb);
-        }
+        // of the modeled time.  The refill records the slots' bound, which every sweep
+        // checks against its buffers.
+        self.nb.refill(|nb| {
+            nb.reserve(nb_list.interaction_count());
+            for l in 0..nb_list.natoms() {
+                group.hash(rank, ttable, NB, nb_list.partners_of(l), nb);
+            }
+        });
         group.serve(rank);
     }
 }
@@ -292,10 +297,12 @@ impl ForceLoops {
 /// steady-state loop performs no per-step allocations: together with the engine's
 /// send/receive buffer pools this makes a whole CHARMM time step allocation-free once
 /// warm.  Positions are refreshed from the distribution state each step (the integrator
-/// writes back there); forces are re-zeroed.
+/// writes back there); forces are re-zeroed.  The non-bonded sweep's position and force
+/// slots are refilled from the arrays once a step.
 struct StepArrays {
     pos: [DistArray<f64>; 3],
     force: [DistArray<f64>; 3],
+    slots: [Vec<Slot>; 2],
 }
 
 impl StepArrays {
@@ -304,6 +311,7 @@ impl StepArrays {
         StepArrays {
             pos: empty(),
             force: empty(),
+            slots: Default::default(),
         }
     }
 
@@ -644,20 +652,15 @@ fn execute_step(
     let StepArrays {
         pos: [px, py, pz],
         force: [fx, fy, fz],
+        slots: [pos_slots, force_slots],
     } = arrays;
 
     let mut interactions = 0usize;
 
     // One closure per force loop so the two schedule organisations can interleave them
     // with communication differently.
-    let bonded_loop = |px: &DistArray<f64>,
-                       py: &DistArray<f64>,
-                       pz: &DistArray<f64>,
-                       fx: &mut DistArray<f64>,
-                       fy: &mut DistArray<f64>,
-                       fz: &mut DistArray<f64>|
-     -> usize {
-        let mut count = 0;
+    let bonded_loop = |[px, py, pz]: [&DistArray<f64>; 3],
+                       [fx, fy, fz]: [&mut DistArray<f64>; 3]| {
         for &(ri, rj) in bonds.iter() {
             let (ri, rj) = (LocalRef(ri as usize), LocalRef(rj as usize));
             let a = [px[ri], py[ri], pz[ri]];
@@ -669,16 +672,20 @@ fn execute_step(
             fx[rj] -= f[0];
             fy[rj] -= f[1];
             fz[rj] -= f[2];
-            count += 1;
+        }
+        bonds.len()
+    };
+    // The sweep's slots take the lanes' positions and forces, bonded forces included, and
+    // hand the forces back.
+    let mut nonbonded_loop = |pos: [&DistArray<f64>; 3], force: [&mut DistArray<f64>; 3]| {
+        fill_slots(pos_slots, pos.map(DistArray::as_slice));
+        let force = force.map(DistArray::as_mut_slice);
+        fill_slots(force_slots, force.each_ref().map(|f| &**f));
+        let count = sweep_nonbonded_forces(nb_offsets, nb, pos_slots, force_slots, system.box_size);
+        for (k, lane) in force.into_iter().enumerate() {
+            (0..lane.len()).for_each(|s| lane[s] = force_slots[s].0[k]);
         }
         count
-    };
-    let nonbonded_loop = |pos: [&DistArray<f64>; 3], force: [&mut DistArray<f64>; 3]| {
-        let (pos, force) = (
-            pos.map(DistArray::as_slice),
-            force.map(DistArray::as_mut_slice),
-        );
-        sweep_nonbonded_forces(nb_offsets, nb, pos, force, system.box_size)
     };
 
     let mut exchange = ExchangeStats::default();
@@ -688,7 +695,7 @@ fn execute_step(
             // arrays (one message per pair), both loops run, one fused scatter-add moves
             // all three force arrays back.
             exchange = exchange.merged(&group.gather(rank, 0, [&mut *px, &mut *py, &mut *pz]));
-            interactions += bonded_loop(px, py, pz, fx, fy, fz);
+            interactions += bonded_loop([px, py, pz], [fx, fy, fz]);
             interactions += nonbonded_loop([px, py, pz], [fx, fy, fz]);
             rank.charge_compute(interactions as f64);
             exchange = exchange.merged(&group.scatter_add(rank, 0, [&mut *fx, &mut *fy, &mut *fz]));
@@ -705,7 +712,7 @@ fn execute_step(
             // between the two scatters to avoid folding a contribution back twice.
             exchange = exchange.merged(&group.gather(rank, 0, [&mut *px, &mut *py, &mut *pz]));
             group.start_gather(rank, 1, [&*px, &*py, &*pz]);
-            let b_count = bonded_loop(px, py, pz, fx, fy, fz);
+            let b_count = bonded_loop([px, py, pz], [fx, fy, fz]);
             rank.charge_compute(b_count as f64);
             interactions += b_count;
             exchange = exchange.merged(&group.scatter_add(rank, 0, [&mut *fx, &mut *fy, &mut *fz]));
@@ -734,6 +741,12 @@ fn execute_step(
     rank.charge_compute(owned as f64 * 0.5);
 
     (interactions, exchange)
+}
+
+/// Copy three lanes into one slot per element, reusing `slots`' allocation.
+fn fill_slots(slots: &mut Vec<Slot>, [x, y, z]: [&[f64]; 3]) {
+    slots.clear();
+    slots.extend((0..x.len()).map(|s| Slot([x[s], y[s], z[s], 0.0])));
 }
 
 #[cfg(test)]

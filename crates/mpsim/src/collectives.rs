@@ -39,9 +39,8 @@ use crate::machine::Rank;
 use crate::message::Element;
 use crate::topology::{BinomialTree, Dissemination};
 
-/// Tags reserved for collectives and the exchange engine.  User code should use tags
-/// below `RESERVED_TAG_BASE`.
-pub const RESERVED_TAG_BASE: u64 = 1 << 60;
+/// The lowest tag of the collectives and the exchange engine.
+pub(crate) const RESERVED_TAG_BASE: u64 = 1 << 60;
 
 /// A one-peer-each-way round plan: at most one send and one receive, every other pair
 /// silent (`None`, so no message — not even an empty one — is exchanged with them).

@@ -24,7 +24,7 @@
 //! what no message crossed (an extra operation that sends nothing, or only sends).
 //!
 //! It cannot see live ranks that all block before any message crosses the divergence.
-//! A rank that panics leaves a stop notice with every peer ([`crate::comm`]), so peers
+//! A rank that panics leaves a stop notice with every peer (`mpsim::comm`), so peers
 //! blocked in a receive stop too, each reporting its own ring.
 
 use std::any::TypeId;

@@ -10,7 +10,7 @@
 //!
 //! * **Wall-clock** time of the host — irrelevant for reproducing the paper's *tables*
 //!   (the host is a shared-memory machine, not a 128-node hypercube).  Messages travel
-//!   through one mpsc channel per rank ([`comm`]); the benchmark harness reports the
+//!   through one mpsc channel per rank; the benchmark harness reports the
 //!   host wall-clock of a run, never the machine itself.
 //! * **Modeled** time, accumulated per rank by a [`cost::CostModel`]: every message is
 //!   charged a start-up latency plus a per-byte transfer cost, and application code reports
@@ -47,7 +47,7 @@
 #![forbid(unsafe_code)]
 
 pub mod collectives;
-pub mod comm;
+mod comm;
 pub mod cost;
 pub mod exchange;
 pub mod ledger;

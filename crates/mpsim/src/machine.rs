@@ -8,7 +8,6 @@
 //! ([`PackPoolStats`]).
 
 use std::any::{Any, TypeId};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread;
 
@@ -35,10 +34,10 @@ pub struct Rank {
     /// ranks run ahead of one another.
     exchange_seq: u64,
     /// Free lists of the buffer pool, one per element type: spent message buffers
-    /// (a `FreeList<T>` behind `dyn Any`) waiting to be packed again.
-    /// Bounded to [`POOL_MAX_TYPES`] entries by least-recently-used eviction (see
-    /// [`Rank::reattach_pool`]).  See [`Rank::pool_stats`].
-    pool: HashMap<TypeId, PoolSlot>,
+    /// (a `FreeList<T>` behind `dyn Any`) waiting to be packed again.  A short list
+    /// scanned linearly, bounded to [`POOL_MAX_TYPES`] entries by least-recently-used
+    /// eviction (see [`Rank::reattach_pool`]).  See [`Rank::pool_stats`].
+    pool: Vec<(TypeId, PoolSlot)>,
     /// Monotone counter stamping pool use, for the LRU eviction above.
     pool_clock: u64,
     /// Allocation/reuse counters of the pool.
@@ -55,6 +54,14 @@ struct PoolSlot {
     last_use: u64,
 }
 
+impl PoolSlot {
+    fn free_list<T: Element>(&mut self) -> &mut FreeList<T> {
+        self.list
+            .downcast_mut()
+            .expect("buffer-pool free list holds the wrong type")
+    }
+}
+
 /// Maximum number of idle buffers a rank keeps per element type.  Beyond this, recycled
 /// buffers are simply dropped; the cap only bounds idle memory, it never causes an extra
 /// allocation while the pool is warm (a steady-state loop holds at most its
@@ -64,7 +71,7 @@ const POOL_MAX_IDLE: usize = 1024;
 /// Maximum number of distinct element types the buffer pool keeps free lists for.  A
 /// workload phase touches a handful of types; without a bound, a long-running
 /// heterogeneous process (many struct types through `impl_element_struct!`) would grow
-/// the `TypeId` map — and its idle buffers — forever.  When a new type would exceed the
+/// the `TypeId` list — and its idle buffers — forever.  When a new type would exceed the
 /// bound, the least-recently-used type's free list is dropped (its buffers are plain
 /// idle memory; the next exchange of that type re-warms in one iteration).
 pub const POOL_MAX_TYPES: usize = 32;
@@ -127,54 +134,41 @@ impl Rank {
 
     /// Detach the buffer pool's free list for element type `T`, leaving an empty list
     /// behind.  The exchange engine holds the detached list across one start or finish
-    /// so the per-message take/recycle is a plain `Vec` pop/push: the `TypeId` map is
-    /// touched twice per *exchange phase*, not twice per *message*.  Must be handed back
+    /// so the per-message take/recycle is a plain `Vec` pop/push: the `TypeId` list is
+    /// scanned twice per *exchange phase*, not twice per *message*.  Must be handed back
     /// with [`Rank::reattach_pool`] before the phase returns.
     pub(crate) fn detach_pool<T: Element>(&mut self) -> FreeList<T> {
+        let key = TypeId::of::<T>();
         self.pool
-            .get_mut(&TypeId::of::<T>())
-            .map(|entry| {
-                std::mem::take(
-                    entry
-                        .list
-                        .downcast_mut::<FreeList<T>>()
-                        .expect("buffer-pool free list holds the wrong type"),
-                )
-            })
+            .iter_mut()
+            .find(|(k, _)| *k == key)
+            .map(|(_, slot)| std::mem::take(slot.free_list::<T>()))
             .unwrap_or_default()
     }
 
     /// Re-attach a free list detached with [`Rank::detach_pool`], capping the idle-buffer
-    /// count.  Nothing else can have touched the map entry in between (the engine never
+    /// count.  Nothing else can have touched the entry in between (the engine never
     /// nests phases), so the entry is simply replaced.
     ///
-    /// This is also where the type map itself is bounded: re-attaching a type the map
+    /// This is also where the type list itself is bounded: re-attaching a type the list
     /// has no slot for when [`POOL_MAX_TYPES`] types are already tracked evicts the
     /// least-recently-used type's free list first.
     pub(crate) fn reattach_pool<T: Element>(&mut self, mut list: FreeList<T>) {
         list.truncate(POOL_MAX_IDLE);
         self.pool_clock += 1;
-        let clock = self.pool_clock;
-        let key = TypeId::of::<T>();
-        if !self.pool.contains_key(&key) && self.pool.len() >= POOL_MAX_TYPES {
-            if let Some(victim) = self
-                .pool
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_use)
-                .map(|(&k, _)| k)
-            {
-                self.pool.remove(&victim);
+        let (key, last_use) = (TypeId::of::<T>(), self.pool_clock);
+        if let Some((_, slot)) = self.pool.iter_mut().find(|(k, _)| *k == key) {
+            *slot.free_list::<T>() = list;
+            slot.last_use = last_use;
+            return;
+        }
+        if self.pool.len() >= POOL_MAX_TYPES {
+            if let Some(victim) = (0..self.pool.len()).min_by_key(|&i| self.pool[i].1.last_use) {
+                self.pool.swap_remove(victim);
             }
         }
-        let entry = self.pool.entry(key).or_insert_with(|| PoolSlot {
-            list: Box::new(FreeList::<T>::new()),
-            last_use: clock,
-        });
-        entry.last_use = clock;
-        *entry
-            .list
-            .downcast_mut::<FreeList<T>>()
-            .expect("buffer-pool free list holds the wrong type") = list;
+        let list = Box::new(list);
+        self.pool.push((key, PoolSlot { list, last_use }));
     }
 
     /// Take a buffer with room for `capacity` elements from a detached free list,
@@ -364,7 +358,7 @@ where
                     stats: RankStats::default(),
                     time: TimeSnapshot::default(),
                     exchange_seq: 0,
-                    pool: HashMap::new(),
+                    pool: Vec::new(),
                     pool_clock: 0,
                     pool_stats: PackPoolStats::default(),
                     ledger: Ledger::default(),
@@ -585,9 +579,9 @@ mod tests {
         );
     }
 
-    /// Regression for the buffer pool's type map: cycling more distinct element types
+    /// Regression for the buffer pool's type list: cycling more distinct element types
     /// than [`POOL_MAX_TYPES`] through the pool must evict least-recently-used free
-    /// lists instead of growing the map without bound.
+    /// lists instead of growing the type list without bound.
     #[test]
     fn scratch_pool_type_map_is_bounded_with_lru_eviction() {
         let out = run(MachineConfig::new(1), |rank| {
@@ -600,7 +594,7 @@ mod tests {
             macro_rules! touch_arrays {
                 ($($n:literal),+ $(,)?) => { $( touch::<[u8; $n]>(rank); )+ };
             }
-            // 40 distinct element types, in order — more than the map may keep.
+            // 40 distinct element types, in order — more than the list may keep.
             touch_arrays!(
                 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23,
                 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40
@@ -612,7 +606,10 @@ mod tests {
             (count, oldest.len(), newest.len())
         });
         let (count, oldest_len, newest_len) = out.results[0];
-        assert_eq!(count, POOL_MAX_TYPES, "map must sit exactly at the bound");
+        assert_eq!(
+            count, POOL_MAX_TYPES,
+            "type list must sit exactly at the bound"
+        );
         assert_eq!(oldest_len, 0, "LRU type must have been evicted");
         assert_eq!(newest_len, 1, "most recent type keeps its pooled buffer");
     }

@@ -23,7 +23,7 @@ use crate::cost::CostModel;
 
 /// A transport name for [`MachineConfig::with_backend`].
 ///
-/// Both variants build the same mailbox, the mpsc channels of [`crate::comm`]; the two
+/// Both variants build the same mailbox, the mpsc channels of `mpsim::comm`; the two
 /// names stay because callers outside the workspace pass them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExchangeBackend {
